@@ -20,6 +20,35 @@
 //! `PPAR_CHECK_DISJOINT=1` before the first container is touched) and every
 //! conflicting write panics with both workers' identities. The test suite
 //! runs the paper's kernels under tracking.
+//!
+//! ## Row and range views
+//!
+//! `get`/`set` pay a bounds check, an index multiply and the write
+//! accounting (tracker check, dirty-chunk bit) on every element. A kernel
+//! that walks whole rows takes a *view* instead:
+//! [`SharedGrid::row_cells`] / [`SharedVec::cells`] hand out `&[Cell<T>]`,
+//! bounds-checked once and sliced to exactly the row or range asked for.
+//!
+//! * **Why `Cell`-typed.** A red-black neighbour's row is read while its
+//!   owner writes the other colour into it. A `&[T]` over that row would
+//!   promise the compiler that none of it changes, a `&mut [T]` that nobody
+//!   else looks; both are false. `&[Cell<T>]` promises neither, so the
+//!   contract above stays the only rule: no *element* is written by one
+//!   worker and touched by another in the same epoch. `Cell` is not `Sync`,
+//!   so a view never leaves the thread that took it.
+//! * **Who declares the written range.** A view does no accounting. The
+//!   code that writes through it declares what it wrote, once per row or
+//!   range, with [`SharedGrid::mark_row_written`] /
+//!   [`SharedVec::mark_written`]. The declared range must cover every
+//!   element written and should be tight (first to last written element):
+//!   it is what incremental checkpoints save.
+//! * **What tracking sees.** With the tracker on, a declaration records
+//!   every index *of the declared range* for the calling worker, so two
+//!   workers declaring overlapping ranges in one epoch panic like two
+//!   conflicting `set`s. A strided kernel (every other cell of a row)
+//!   therefore claims the gaps too. That is sound as long as no other
+//!   worker writes the gaps in the same epoch: the SOR kernel declares
+//!   first to last cell stored of a row only it relaxes in that sweep.
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
@@ -358,22 +387,53 @@ impl<T: Scalar> SharedVec<T> {
         }
     }
 
-    /// Overwrite `dst_start..dst_start+src.len()` from a slice.
-    pub fn copy_in(&self, dst_start: usize, src: &[T]) {
-        assert!(dst_start + src.len() <= self.len(), "copy_in out of bounds");
+    /// `Cell`-typed view of elements `range` for bulk reads and writes (see
+    /// *Row and range views* in the module docs). Writes through the view
+    /// are subject to the disjoint-write contract and must be declared with
+    /// [`SharedVec::mark_written`]. Panics when `range` is out of bounds.
+    #[inline]
+    pub fn cells(&self, range: std::ops::Range<usize>) -> &[Cell<T>] {
+        let part: &[UnsafeCell<T>] = &self.data[range];
+        // Safety: `Cell<T>` is a `repr(transparent)` wrapper of
+        // `UnsafeCell<T>`, so the two slices have the same layout and length,
+        // and a `Cell` allows nothing the `UnsafeCell` behind `get`/`set`
+        // does not already allow: reads and writes of single elements
+        // through a shared reference. `Cell` is `!Sync`, which keeps the
+        // view on this thread; what other threads do to the same elements
+        // meanwhile is bounded by the module's disjoint-write contract,
+        // exactly as for `get`/`set`.
+        unsafe { &*(part as *const [UnsafeCell<T>] as *const [Cell<T>]) }
+    }
+
+    /// Declare elements `range` written by the calling worker: the write
+    /// accounting of one `set` per element, paid once. Checks the range
+    /// against the tracker when it is on and marks the dirty chunks the
+    /// range overlaps.
+    #[inline]
+    pub fn mark_written(&self, range: std::ops::Range<usize>) {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "written range {range:?} out of bounds for {} elements",
+            self.len()
+        );
         if tracking::enabled() {
             let w = current_worker();
-            for i in 0..src.len() {
-                tracking::record(self.id, dst_start + i, w);
-            }
-        }
-        for (k, &v) in src.iter().enumerate() {
-            unsafe {
-                *self.data[dst_start + k].get() = v;
+            for i in range.clone() {
+                tracking::record(self.id, i, w);
             }
         }
         self.dirty
-            .mark_byte_range(dst_start * T::WIDTH, (dst_start + src.len()) * T::WIDTH);
+            .mark_byte_range(range.start * T::WIDTH, range.end * T::WIDTH);
+    }
+
+    /// Overwrite `dst_start..dst_start+src.len()` from a slice.
+    pub fn copy_in(&self, dst_start: usize, src: &[T]) {
+        assert!(dst_start + src.len() <= self.len(), "copy_in out of bounds");
+        let range = dst_start..dst_start + src.len();
+        self.mark_written(range.clone());
+        for (cell, &v) in self.cells(range).iter().zip(src) {
+            cell.set(v);
+        }
     }
 
     /// Set every element to `v`.
@@ -634,6 +694,30 @@ impl<T: Scalar> SharedGrid<T> {
     #[inline]
     pub fn row(&self, r: usize) -> &[T] {
         &self.data.as_slice()[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// `Cell`-typed view of row `r`, exactly `cols` long (see *Row and range
+    /// views* in the module docs). Unlike `get`/`set`, whose column check is
+    /// a `debug_assert`, the row index is checked in every build and no
+    /// index into the view can reach another row.
+    #[inline]
+    pub fn row_cells(&self, r: usize) -> &[Cell<T>] {
+        assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
+        self.data.cells(r * self.cols..(r + 1) * self.cols)
+    }
+
+    /// Declare columns `cols` of row `r` written by the calling worker
+    /// ([`SharedVec::mark_written`] in grid coordinates).
+    #[inline]
+    pub fn mark_row_written(&self, r: usize, cols: std::ops::Range<usize>) {
+        assert!(
+            r < self.rows && cols.end <= self.cols,
+            "written columns {cols:?} of row {r} out of bounds ({}x{})",
+            self.rows,
+            self.cols
+        );
+        self.data
+            .mark_written(r * self.cols + cols.start..r * self.cols + cols.end);
     }
 
     /// Overwrite row `r` from a slice of length `cols`.
@@ -1132,6 +1216,70 @@ mod tests {
         assert_eq!(
             StateCell::dirty_ranges(&g),
             Some(vec![0..DIRTY_CHUNK_BYTES])
+        );
+    }
+
+    // ---- row and range views ----
+
+    #[test]
+    fn views_alias_the_container_and_are_sliced_exactly() {
+        let g = SharedGrid::from_vec(3, 4, (0..12).map(f64::from).collect());
+        let (above, row) = (g.row_cells(0), g.row_cells(1));
+        assert_eq!(row.len(), 4);
+        assert_eq!(row[3].get(), 7.0);
+        // Two live views, one written through while the other is read.
+        row[1].set(above[1].get() + 40.0);
+        assert_eq!(g.get(1, 1), 41.0);
+        g.set(1, 2, -1.0);
+        assert_eq!(row[2].get(), -1.0);
+
+        let v = SharedVec::from_vec(vec![1u32, 2, 3, 4, 5]);
+        let part = v.cells(1..4);
+        assert_eq!(part.len(), 3);
+        part[2].set(40);
+        assert_eq!(v.to_vec(), vec![1, 2, 3, 40, 5]);
+        assert!(v.cells(5..5).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "row 3 out of bounds")]
+    fn row_view_checks_the_row_in_every_build() {
+        SharedGrid::new(3, 4, 0.0f64).row_cells(3);
+    }
+
+    #[test]
+    #[should_panic]
+    fn range_view_checks_its_bounds() {
+        SharedVec::new(4, 0u8).cells(2..5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn declared_columns_must_lie_inside_the_row() {
+        SharedGrid::new(3, 4, 0.0f64).mark_row_written(1, 2..5);
+    }
+
+    #[test]
+    fn declared_ranges_mark_the_chunks_they_overlap() {
+        let v = SharedVec::new(4 * CHUNK_ELEMS, 0.0f64);
+        v.clear_dirty();
+        v.cells(0..8)[7].set(1.0); // a view alone does no accounting
+        assert!(v.dirty_byte_ranges().is_empty());
+        v.mark_written(CHUNK_ELEMS - 1..CHUNK_ELEMS + 1); // straddles 0 and 1
+        assert_eq!(v.dirty_byte_ranges(), vec![0..2 * DIRTY_CHUNK_BYTES]);
+        v.mark_written(3 * CHUNK_ELEMS..3 * CHUNK_ELEMS); // empty: nothing
+        assert_eq!(v.dirty_byte_ranges(), vec![0..2 * DIRTY_CHUNK_BYTES]);
+
+        // Grid coordinates: 100 columns, so row 10 ends inside chunk 1.
+        let g = SharedGrid::new(40, 100, 0.0f64);
+        g.clear_dirty();
+        g.mark_row_written(10, 1..99); // elements 1001..1099
+        assert_eq!(g.flat().dirty_byte_ranges(), vec![0..2 * DIRTY_CHUNK_BYTES]);
+        g.clear_dirty();
+        g.mark_row_written(10, 24..99); // 1024..1099: chunk 1 only
+        assert_eq!(
+            g.flat().dirty_byte_ranges(),
+            vec![DIRTY_CHUNK_BYTES..2 * DIRTY_CHUNK_BYTES]
         );
     }
 

@@ -127,11 +127,15 @@ pub fn lu_pluggable(ctx: &Ctx, p: &LuParams) -> (f64, f64) {
                 ctx.call("eliminate", move |ctx| {
                     let d = a3.get(k, k);
                     ctx.each("elim_rows", k + 1..n, |_, i| {
-                        let f = a3.get(i, k) / d;
-                        a3.set(i, k, f);
-                        for j in k + 1..n {
-                            a3.set(i, j, a3.get(i, j) - f * a3.get(k, j));
+                        // Row i -= f * row k over columns k+1.., on row views
+                        // (row k, the pivot row, is only read in this loop).
+                        let (ri, rk) = (&a3.row_cells(i)[k..], &a3.row_cells(k)[k + 1..]);
+                        let f = ri[0].get() / d;
+                        ri[0].set(f);
+                        for (x, y) in ri[1..].iter().zip(rk) {
+                            x.set(x.get() - f * y.get());
                         }
+                        a3.mark_row_written(i, k..n);
                     });
                 });
                 ctx.point("step_end");

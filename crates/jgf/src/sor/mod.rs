@@ -21,6 +21,8 @@
 pub mod baseline;
 pub mod pluggable;
 
+use std::cell::Cell;
+
 use ppar_core::ctx::Ctx;
 use ppar_core::shared::SharedGrid;
 
@@ -79,18 +81,26 @@ pub fn init_value(seed: u64, i: usize, j: usize) -> f64 {
     (x as f64) / (u64::MAX as f64)
 }
 
-/// Fill a shared grid with the deterministic initial state.
+/// Fill a shared grid with the deterministic initial state, a row at a time.
 pub fn fill_grid(g: &SharedGrid<f64>, seed: u64) {
     for i in 0..g.rows() {
-        for j in 0..g.cols() {
-            g.set(i, j, init_value(seed, i, j));
+        for (j, cell) in g.row_cells(i).iter().enumerate() {
+            cell.set(init_value(seed, i, j));
         }
+        g.mark_row_written(i, 0..g.cols());
     }
 }
 
+/// The interior rows `1..n-1` every sweep relaxes; empty (not an underflow)
+/// for grids too small to have an interior.
+pub fn interior_rows(n: usize) -> std::ops::Range<usize> {
+    1..n.saturating_sub(1).max(1)
+}
+
 /// Relax every cell of row `i` with parity `color`, reading the four
-/// neighbours. `get`/`set` go through closures so all variants (raw vecs,
-/// shared grids) share the arithmetic.
+/// neighbours, one element at a time. `get`/`set` go through closures, so
+/// any storage can sit behind it. It defines the arithmetic:
+/// [`relax_grid_row`] is tested bit for bit against it.
 #[inline]
 pub fn relax_row(
     n: usize,
@@ -110,29 +120,75 @@ pub fn relax_row(
     }
 }
 
+/// [`relax_row`] on a shared grid in the form of JGF's own kernel: the three
+/// rows `Gim1`/`Gi`/`Gip1` taken once as cell views, the two constants
+/// hoisted, and the write accounting paid once for the row instead of once
+/// per cell. Bit-for-bit the same values as the element-wise form (the
+/// products associate the same way). Every grid variant of SOR, pluggable
+/// or hand-written, relaxes its rows through this one function, with the
+/// write tracker on or off: the declared span is what the tracker checks.
+/// `i` must be an interior row.
+#[inline]
+pub fn relax_grid_row(g: &SharedGrid<f64>, i: usize, color: usize, omega: f64) {
+    assert!(
+        i >= 1 && i + 1 < g.rows(),
+        "row {i} is not an interior row of a grid with {} rows",
+        g.rows()
+    );
+    let n = g.cols();
+    if n < 3 {
+        return;
+    }
+    let (gim1, gi, gip1) = (g.row_cells(i - 1), g.row_cells(i), g.row_cells(i + 1));
+    let (omega_over_four, one_minus_omega) = (omega * 0.25, 1.0 - omega);
+    let jstart = 1 + ((i + color + 1) % 2);
+    // `[west, centre, east]` around every cell of this colour, zipped with
+    // the cells above and below: no index, so no bounds check per cell.
+    let centres = gi[jstart - 1..].windows(3).step_by(2);
+    let norths = gim1[jstart..].iter().step_by(2);
+    let souths = gip1[jstart..].iter().step_by(2);
+    for ((w, north), south) in centres.zip(norths).zip(souths) {
+        let stencil = north.get() + south.get() + w[0].get() + w[2].get();
+        w[1].set(omega_over_four * stencil + one_minus_omega * w[1].get());
+    }
+    // First to last cell stored: the same dirty chunks `set` would mark, and
+    // under tracking a span no other worker's row can overlap.
+    let stored = (n - 1 - jstart).div_ceil(2);
+    if stored > 0 {
+        g.mark_row_written(i, jstart..jstart + 2 * stored - 1);
+    }
+}
+
 /// Plain sequential SOR on an owned matrix: the reference implementation
-/// every other variant is validated against.
+/// every other variant is validated against. Self-contained on purpose (it
+/// shares no kernel code with the variants it checks) and in the same
+/// three-row form as [`relax_grid_row`], so a ratio against it measures the
+/// runtime and not two different kernels. A grid with `n < 3` has no
+/// interior and keeps its initial values.
 pub fn sor_seq(p: &SorParams) -> SorResult {
     let n = p.n;
     let mut g = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            g[i * n + j] = init_value(p.seed, i, j);
+    for (i, row) in g.chunks_exact_mut(n.max(1)).enumerate() {
+        for (j, cell) in row.iter_mut().enumerate() {
+            *cell = init_value(p.seed, i, j);
         }
     }
+    let (omega_over_four, one_minus_omega) = (p.omega * 0.25, 1.0 - p.omega);
     let mut done = 0;
     for it in 0..p.iterations {
         for color in 0..2 {
-            for i in 1..n - 1 {
+            for i in 1..n.saturating_sub(1) {
+                let (above, rest) = g.split_at_mut(i * n);
+                let (gi, below) = rest.split_at_mut(n);
+                let (gim1, gip1) = (&above[(i - 1) * n..], &below[..n]);
+                let gi = Cell::from_mut(gi).as_slice_of_cells();
                 let jstart = 1 + ((i + color + 1) % 2);
-                let mut j = jstart;
-                while j < n - 1 {
-                    let stencil = g[(i - 1) * n + j]
-                        + g[(i + 1) * n + j]
-                        + g[i * n + j - 1]
-                        + g[i * n + j + 1];
-                    g[i * n + j] = p.omega * 0.25 * stencil + (1.0 - p.omega) * g[i * n + j];
-                    j += 2;
+                let centres = gi[jstart - 1..].windows(3).step_by(2);
+                let norths = gim1[jstart..].iter().step_by(2);
+                let souths = gip1[jstart..].iter().step_by(2);
+                for ((w, north), south) in centres.zip(norths).zip(souths) {
+                    let stencil = north + south + w[0].get() + w[2].get();
+                    w[1].set(omega_over_four * stencil + one_minus_omega * w[1].get());
                 }
             }
         }
@@ -188,6 +244,33 @@ mod tests {
         let a = sor_seq(&SorParams::new(24, 10));
         let b = sor_seq(&SorParams::new(24, 10));
         assert_eq!(a.checksum, b.checksum);
+    }
+
+    #[test]
+    fn seq_checksum_bits_are_pinned() {
+        // Recorded from the element-indexed `sor_seq` (PR 11) before it was
+        // rewritten in three-row form: the oracle itself must not drift.
+        for (n, iterations, bits) in [
+            (33, 8, 0x4081_16d9_8103_b64c_u64),
+            (64, 10, 0x40a0_160c_1c0a_bff6),
+            (257, 3, 0x40e0_3808_c1e9_aa24),
+        ] {
+            let got = sor_seq(&SorParams::new(n, iterations)).checksum.to_bits();
+            assert_eq!(got, bits, "n={n} iterations={iterations}: {got:#018x}");
+        }
+    }
+
+    #[test]
+    fn grids_without_interior_keep_their_initial_values() {
+        for n in 0..3 {
+            let p = SorParams::new(n, 4);
+            let initial: f64 = (0..n * n).map(|k| init_value(p.seed, k / n, k % n)).sum();
+            let r = sor_seq(&p);
+            assert_eq!(r.checksum.to_bits(), initial.to_bits(), "n={n}");
+            assert_eq!(r.iterations_done, 4);
+            assert!(interior_rows(n).is_empty());
+        }
+        assert_eq!(interior_rows(3), 1..2);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use ppar_core::partition::{FieldDist, Partition};
 use ppar_core::plan::{DistCkptStrategy, Plan, Plug, PointSet, UpdateAction};
 use ppar_core::schedule::Schedule;
 
-use super::{fill_grid, relax_row, SorParams, SorResult};
+use super::{fill_grid, interior_rows, relax_grid_row, SorParams, SorResult};
 
 /// The SOR base code. Sequential by construction; all parallel, distributed
 /// and fault-tolerance behaviour is plugged by plans.
@@ -54,10 +54,8 @@ pub fn sor_pluggable(ctx: &Ctx, p: &SorParams) -> SorResult {
                     ctx.point("pre_sweep");
                     let g = g.clone();
                     ctx.call("sweep", move |ctx| {
-                        ctx.each("rows", 1..n - 1, |_, i| {
-                            relax_row(n, i, color, omega, &|r, c| g.get(r, c), &|r, c, v| {
-                                g.set(r, c, v)
-                            });
+                        ctx.each("rows", interior_rows(n), |_, i| {
+                            relax_grid_row(&g, i, color, omega);
                         });
                     });
                 }
@@ -273,6 +271,30 @@ mod tests {
                 results[0].checksum, reference.checksum,
                 "ranks={ranks} threads={threads}: hybrid SOR must match after gather"
             );
+        }
+    }
+
+    #[test]
+    fn grids_without_interior_keep_their_initial_values_in_every_mode() {
+        for n in 0..3 {
+            let p = SorParams::new(n, 3);
+            let initial = sor_seq(&p).checksum.to_bits();
+            let seq = run_sequential(Arc::new(plan_seq()), None, None, |ctx| {
+                sor_pluggable(ctx, &p)
+            });
+            assert_eq!(seq.checksum.to_bits(), initial, "seq n={n}");
+            let smp = run_smp(Arc::new(plan_smp()), 2, None, None, |ctx| {
+                sor_pluggable(ctx, &p)
+            });
+            assert_eq!(smp.checksum.to_bits(), initial, "smp n={n}");
+            // The distributed engine wants a row of G per element (and says
+            // so loudly), so an empty grid has no distributed deployment.
+            if n > 0 {
+                let cfg = SpmdConfig::instant(n.min(2));
+                let dist =
+                    run_spmd_plain(&cfg, Arc::new(plan_dist()), |ctx| sor_pluggable(ctx, &p));
+                assert_eq!(dist[0].checksum.to_bits(), initial, "dist n={n}");
+            }
         }
     }
 

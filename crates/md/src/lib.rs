@@ -90,16 +90,19 @@ fn minimum_image(mut d: f64, side: f64) -> f64 {
 /// contribution. Reads every position; writes nothing.
 #[allow(clippy::too_many_arguments)]
 fn force_on(i: usize, n: usize, pos: &SharedGrid<f64>, side: f64, cutoff2: f64) -> ([f64; 3], f64) {
-    let (xi, yi, zi) = (pos.get(i, 0), pos.get(i, 1), pos.get(i, 2));
+    // One view of the whole position table (read-only here) instead of
+    // three bounds-checked `get`s per pair.
+    let all = pos.flat().cells(0..n * 3);
+    let (xi, yi, zi) = (all[3 * i].get(), all[3 * i + 1].get(), all[3 * i + 2].get());
     let mut f = [0.0f64; 3];
     let mut pot = 0.0;
-    for j in 0..n {
+    for (j, pj) in all.chunks_exact(3).enumerate() {
         if j == i {
             continue;
         }
-        let dx = minimum_image(xi - pos.get(j, 0), side);
-        let dy = minimum_image(yi - pos.get(j, 1), side);
-        let dz = minimum_image(zi - pos.get(j, 2), side);
+        let dx = minimum_image(xi - pj[0].get(), side);
+        let dy = minimum_image(yi - pj[1].get(), side);
+        let dz = minimum_image(zi - pj[2].get(), side);
         let r2 = dx * dx + dy * dy + dz * dz;
         if r2 < cutoff2 && r2 > 1e-12 {
             let inv2 = 1.0 / r2;

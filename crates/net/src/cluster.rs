@@ -11,11 +11,14 @@
 //! checkpoint layer's start-up failure detection replays it from the last
 //! durable snapshot.
 
+use std::collections::VecDeque;
 use std::io;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
 
 use crate::tcp::{ENV_NRANKS, ENV_RANK, ENV_REJOIN, ENV_RESILIENT, ENV_ROOT};
 
@@ -29,10 +32,36 @@ use crate::tcp::{ENV_NRANKS, ENV_RANK, ENV_REJOIN, ENV_RESILIENT, ENV_ROOT};
 /// bootstrap deadline (rank 0 cannot bind, its peers time out of the
 /// rendezvous) and [`run_cluster_until_complete`] retries the next
 /// attempt with a freshly reserved address.
+///
+/// Inside one process the window is not minute: a released port is free
+/// for the kernel to offer to the next caller before the first has bound
+/// it again, which is how parallel tests came to share one rendezvous
+/// address ("Address already in use"). So the last 512 ports issued by
+/// this process are remembered, and a port is not issued again while it is
+/// among them (a process that issues more than 512 forgets the oldest).
 pub fn free_loopback_addr() -> io::Result<String> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    Ok(listener.local_addr()?.to_string())
+    static ISSUED: Mutex<VecDeque<u16>> = Mutex::new(VecDeque::new());
+    // Repeats stay bound until we return, so the kernel offers another port.
+    let mut repeats: Vec<TcpListener> = Vec::new();
+    loop {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?;
+        let mut issued = ISSUED.lock();
+        if issued.contains(&addr.port()) {
+            repeats.push(listener);
+            continue;
+        }
+        if issued.len() == REMEMBERED_PORTS {
+            issued.pop_front();
+        }
+        issued.push_back(addr.port());
+        return Ok(addr.to_string());
+    }
 }
+
+/// How many issued ports `free_loopback_addr` remembers: far more than
+/// one process has rendezvous in flight, far fewer than the ephemeral range.
+const REMEMBERED_PORTS: usize = 512;
 
 /// What to launch, N times.
 #[derive(Debug, Clone)]
@@ -384,6 +413,36 @@ mod tests {
         assert!(addr.starts_with("127.0.0.1:"), "{addr}");
         let port: u16 = addr.rsplit_once(':').unwrap().1.parse().unwrap();
         assert_ne!(port, 0);
+    }
+
+    #[test]
+    fn concurrent_callers_never_share_a_port() {
+        // Every caller releases its port at once, which is when the kernel
+        // may offer it again; the barrier lines the callers up.
+        const CALLERS: usize = 8;
+        const EACH: usize = 24;
+        let gate = std::sync::Barrier::new(CALLERS);
+        let mut all: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        (0..EACH)
+                            .map(|_| free_loopback_addr().unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        const { assert!(CALLERS * EACH < REMEMBERED_PORTS) };
+        all.sort();
+        let issued = all.len();
+        all.dedup();
+        assert_eq!(all.len(), issued, "a port was issued twice");
     }
 
     #[test]
