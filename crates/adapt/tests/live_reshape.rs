@@ -8,6 +8,7 @@
 use ppar_adapt::{
     launch, launch_live, AdaptationController, AppStatus, Deploy, ReshapeKind, ResourceTimeline,
 };
+use ppar_ckpt::CkptTransport;
 use ppar_core::mode::ExecMode;
 use ppar_dsm::SpmdConfig;
 use ppar_jgf::sor::pluggable::{plan_ckpt, plan_ckpt_incremental, plan_hybrid, sor_pluggable};
@@ -271,7 +272,7 @@ fn delta_gc_and_inplace_reshape_share_a_crossing() {
     assert!(stats.full_snapshots >= 2 && stats.delta_snapshots >= 2);
     let store = ppar_ckpt::CheckpointStore::new(&dir).unwrap();
     assert_eq!(store.restart_count().unwrap(), Some(8));
-    let merged = store.read_merged_master().unwrap().expect("merged master");
+    let merged = store.get(None, None).unwrap().expect("merged master");
     assert_eq!(merged.count, 8);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -299,7 +300,7 @@ fn delta_chain_survives_escalated_reshape() {
     // restart would land on the successor's last snapshot.
     let store = ppar_ckpt::CheckpointStore::new(&dir).unwrap();
     assert_eq!(store.restart_count().unwrap(), Some(8));
-    assert_eq!(store.read_merged_master().unwrap().unwrap().count, 8);
+    assert_eq!(store.get(None, None).unwrap().unwrap().count, 8);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

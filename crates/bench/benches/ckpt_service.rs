@@ -34,9 +34,9 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppar_adapt::netrun::{spawn_local_cluster, ClusterSpec, NetConfig};
-use ppar_ckpt::store::{FieldSource, SnapshotMeta};
+use ppar_ckpt::store::{FieldSource, Record, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
-use ppar_ckpt::{MemTransport, RawRecordKind};
+use ppar_ckpt::{MemTransport, RecordKey};
 use ppar_net::{Fabric, NetTransport, TcpFabric};
 
 const ROLE_ENV: &str = "PPAR_BENCH_ROLE";
@@ -168,18 +168,20 @@ fn worker_stream(cfg: &NetConfig, samples: usize) {
         // The last installed record must be whole — and byte-identical
         // to a local put of the same regenerated state.
         let streamed = inner
-            .record_bytes(RawRecordKind::Shard(1))
+            .record_bytes(RecordKey::full(Some(1)))
             .expect("streamed shard record");
         let local = MemTransport::new();
         let payload = shard_payload(1, big);
         local
-            .put_shard(
-                &shard_meta(1, 2),
-                &[("state", FieldSource::Bytes(&payload))],
+            .put(
+                &Record::Full(
+                    &shard_meta(1, 2),
+                    &[("state", FieldSource::Bytes(&payload))],
+                ),
                 &mut Vec::new(),
             )
             .unwrap();
-        let expected = local.record_bytes(RawRecordKind::Shard(1)).unwrap();
+        let expected = local.record_bytes(RecordKey::full(Some(1))).unwrap();
         assert_eq!(
             streamed.len(),
             expected.len(),
@@ -206,11 +208,15 @@ fn worker_stream(cfg: &NetConfig, samples: usize) {
         // install buffers are part of the steady state being measured).
         let payload = shard_payload(1, mig);
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("state", FieldSource::Bytes(&payload))];
-        transport.put_shard(&meta, &fields, &mut scratch).unwrap();
+        transport
+            .put(&Record::Full(&meta, &fields), &mut scratch)
+            .unwrap();
         let mut times = Vec::with_capacity(samples);
         for _ in 0..samples {
             let t0 = Instant::now();
-            transport.put_shard(&meta, &fields, &mut scratch).unwrap();
+            transport
+                .put(&Record::Full(&meta, &fields), &mut scratch)
+                .unwrap();
             times.push(t0.elapsed().as_secs_f64() * 1e3);
         }
         times.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -227,12 +233,16 @@ fn worker_stream(cfg: &NetConfig, samples: usize) {
         let payload = shard_payload(1, big);
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("state", FieldSource::Bytes(&payload))];
         let mut written = 0u64;
-        transport.put_shard(&meta, &fields, &mut scratch).unwrap();
+        transport
+            .put(&Record::Full(&meta, &fields), &mut scratch)
+            .unwrap();
         let passes = if smoke() { 2 } else { 3 };
         let mut best_gbps = 0f64;
         for _ in 0..passes {
             let t0 = Instant::now();
-            written = transport.put_shard(&meta, &fields, &mut scratch).unwrap();
+            written = transport
+                .put(&Record::Full(&meta, &fields), &mut scratch)
+                .unwrap();
             let gbps = written as f64 / t0.elapsed().as_secs_f64() / 1e9;
             best_gbps = best_gbps.max(gbps);
         }
@@ -281,7 +291,7 @@ fn worker_concurrent(cfg: &NetConfig, samples: usize) {
         // Every saver's record must be whole and correct.
         for r in 1..n {
             let rec = inner
-                .record_bytes(RawRecordKind::Shard(r as u32))
+                .record_bytes(RecordKey::full(Some(r as u32)))
                 .unwrap_or_else(|| panic!("rank {r} record missing"));
             assert!(rec.len() > bytes, "rank {r} record truncated");
         }
@@ -297,21 +307,27 @@ fn worker_concurrent(cfg: &NetConfig, samples: usize) {
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("state", FieldSource::Bytes(&payload))];
         let mut scratch = Vec::new();
         // Warm this rank's lane (spawns it root-side, warms buffers).
-        transport.put_shard(&meta, &fields, &mut scratch).unwrap();
+        transport
+            .put(&Record::Full(&meta, &fields), &mut scratch)
+            .unwrap();
         loop {
             let go = dyn_fabric.recv(cfg.rank, 0, GO_TAG).unwrap();
             match go.first() {
                 Some(1) => {
                     // Single phase: only rank 1 acts.
                     if cfg.rank == 1 {
-                        transport.put_shard(&meta, &fields, &mut scratch).unwrap();
+                        transport
+                            .put(&Record::Full(&meta, &fields), &mut scratch)
+                            .unwrap();
                     }
                     if cfg.rank == 1 {
                         dyn_fabric.send(cfg.rank, 0, DONE_TAG, Arc::new(Vec::new()));
                     }
                 }
                 Some(2) => {
-                    transport.put_shard(&meta, &fields, &mut scratch).unwrap();
+                    transport
+                        .put(&Record::Full(&meta, &fields), &mut scratch)
+                        .unwrap();
                     dyn_fabric.send(cfg.rank, 0, DONE_TAG, Arc::new(Vec::new()));
                 }
                 _ => break,

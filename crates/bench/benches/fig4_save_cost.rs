@@ -7,20 +7,16 @@
 //!   every element encoded into a fresh field `Vec` (per-element
 //!   `write_le`), all fields copied into a whole-snapshot buffer, a
 //!   byte-at-a-time CRC-32 over that buffer, then one blocking write;
-//! * `streaming_n*` — the current full-snapshot pipeline:
-//!   `CheckpointStore::stream_master` streams the grid's backing bytes
-//!   through a `BufWriter` with a running slice-by-8 CRC; no per-element
+//! * `streaming_n*` — the current full-snapshot pipeline: `put` of a
+//!   `Record::Full` streams the grid's backing bytes through the store's
+//!   sink (a `BufWriter`) with a running slice-by-8 CRC; no per-element
 //!   serialization, no whole-snapshot buffer;
 //! * `incremental_n*_d<pct>` — the dirty-chunk delta pipeline at a `pct`%
 //!   dirty fraction: per iteration the bench touches that share of the
-//!   grid's 8 KiB chunks and streams only those through
-//!   `CheckpointStore::stream_master_delta`. Save cost should scale with
+//!   grid's 8 KiB chunks and streams only those, as a `Record::Delta`,
+//!   through the same `put`. Save cost should scale with
 //!   the dirty fraction (the d100 arm ≈ the streaming full snapshot plus
 //!   the chunk map).
-//!
-//! `snapshot_write_n*` is the historical series name, kept so numbers stay
-//! comparable across PRs (it now measures the default save path: fast
-//! `save_bytes` + streamed persist).
 //!
 //! Baseline note: as of the streaming-pipeline PR, *all* series write to
 //! RAM-backed storage (`/dev/shm` when present) so they compare
@@ -30,7 +26,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppar_ckpt::delta::DeltaMeta;
-use ppar_ckpt::store::{CheckpointStore, DeltaSource, FieldSource, Snapshot, SnapshotMeta};
+use ppar_ckpt::store::{CheckpointStore, DeltaSource, FieldSource, Record, Snapshot, SnapshotMeta};
+use ppar_ckpt::CkptTransport;
 use ppar_core::shared::{SharedGrid, DIRTY_CHUNK_BYTES};
 use ppar_core::state::{Scalar, StateCell};
 
@@ -147,20 +144,9 @@ fn bench(c: &mut Criterion) {
             let mut scratch = Vec::new();
             b.iter(|| {
                 let fields: [(&str, FieldSource<'_>); 1] = [("G", FieldSource::Cell(&grid))];
-                store.stream_master(&meta(), &fields, &mut scratch).unwrap()
-            })
-        });
-
-        g.bench_function(format!("snapshot_write_n{n}"), |b| {
-            b.iter(|| {
-                let snap = Snapshot {
-                    mode_tag: "seq".into(),
-                    count: 1,
-                    rank: None,
-                    nranks: 1,
-                    fields: vec![("G".into(), grid.save_bytes())],
-                };
-                store.write_master(&snap).unwrap()
+                store
+                    .put(&Record::Full(&meta(), &fields), &mut scratch)
+                    .unwrap()
             })
         });
 
@@ -197,7 +183,7 @@ fn bench(c: &mut Criterion) {
                         },
                     )];
                     store
-                        .stream_master_delta(&dmeta, &fields, &mut scratch)
+                        .put(&Record::Delta(&dmeta, &fields), &mut scratch)
                         .unwrap()
                 })
             });

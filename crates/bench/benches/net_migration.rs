@@ -28,7 +28,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppar_adapt::netrun::{run_net_rank, spawn_local_cluster, ClusterSpec, NetConfig};
 use ppar_adapt::AppStatus;
-use ppar_ckpt::store::{FieldSource, SnapshotMeta};
+use ppar_ckpt::store::{FieldSource, Record, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
 use ppar_ckpt::MemTransport;
 use ppar_core::shared::SharedVec;
@@ -106,7 +106,7 @@ fn worker_migrate(cfg: &NetConfig, samples: usize) {
         dyn_fabric.recv(0, 1, DONE_TAG).unwrap();
         service.stop();
         // The migrated state must be durable and whole at the root.
-        let snap = inner.read_merged_shard(1).unwrap().expect("migrated shard");
+        let snap = inner.get(Some(1), None).unwrap().expect("migrated shard");
         let field = snap.field("state").expect("state field");
         assert_eq!(field.len(), MIGRATE_ELEMS * 8);
         report(&format!(
@@ -128,7 +128,9 @@ fn worker_migrate(cfg: &NetConfig, samples: usize) {
         let mut moved = 0u64;
         for _ in 0..samples {
             let t0 = Instant::now();
-            moved = transport.put_shard(&meta, &fields, &mut scratch).unwrap();
+            moved = transport
+                .put(&Record::Full(&meta, &fields), &mut scratch)
+                .unwrap();
             times.push(t0.elapsed().as_secs_f64() * 1e3);
         }
         times.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -15,18 +15,16 @@
 //!   [`ppar_adapt::launch_live`] (in-memory hand-off, in-process relaunch)
 //!   and via the classic two-launch checkpoint/restart cycle.
 //! * the **progress sweep** — reshape at iteration {0, N/4, N/2, 3N/4} of a
-//!   32 MiB SOR run, old replay path (`PPAR_CURSOR=0`: the snapshot carries
-//!   no `PPARPRG1` section, the restart replays every safe point) vs the
-//!   region-cursor resume (fast-forward to the recorded loop entry, replay
-//!   only the bounded mid-iteration tail). The switch lands *mid-loop* —
-//!   between the red and black sweeps — so the cursor is exercised away
-//!   from the clean iteration boundary.
+//!   32 MiB SOR run: the region-cursor resume fast-forwards to the recorded
+//!   loop entry and replays only the bounded mid-iteration tail. The switch
+//!   lands *mid-loop* — between the red and black sweeps — so the cursor is
+//!   exercised away from the clean iteration boundary.
 //!
 //! The acceptance bars: **≥ 5× lower in-place hand-off latency** on the
 //! transport seam, cursor-resume latency at 3N/4 **within 1.5×** of the
-//! iteration-0 resume, and **≥ 3×** less replay work than the old path at
-//! 3N/4. Full runs append one machine-readable entry to `BENCH_reshape.json`
-//! at the workspace root.
+//! iteration-0 resume, and a replay tail of at most 2 safe points wherever
+//! the reshape lands. Full runs append one machine-readable entry to
+//! `BENCH_reshape.json` at the workspace root.
 //!
 //! `PPAR_RESHAPE_SMOKE=1` (the CI arm) runs one small shape of each level
 //! and asserts the in-place arm wins, every resume stays bitwise-identical
@@ -36,7 +34,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppar_adapt::{launch, launch_live, AdaptationController, AppStatus, Deploy, ResourceTimeline};
-use ppar_ckpt::store::{FieldSource, SnapshotMeta};
+use ppar_ckpt::store::{FieldSource, Record, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
 use ppar_ckpt::{CheckpointModule, CheckpointStore, CkptStats, MemTransport};
 use ppar_core::mode::ExecMode;
@@ -72,7 +70,9 @@ fn ckpt_plan() -> Plan {
 /// at the crossing. Returns bytes moved (sanity).
 fn inplace_handoff(mem: &MemTransport, cell: &SharedVec<f64>, meta: &SnapshotMeta) -> u64 {
     let fields: Vec<(&str, FieldSource<'_>)> = vec![("G", FieldSource::Cell(cell))];
-    let written = mem.put_master(meta, &fields, &mut Vec::new()).unwrap();
+    let written = mem
+        .put(&Record::Full(meta, &fields), &mut Vec::new())
+        .unwrap();
     mem.with_merged_master(&mut |snap| cell.load_bytes(snap.field("G").unwrap()))
         .unwrap();
     written
@@ -85,12 +85,14 @@ fn restart_handoff(cell: &SharedVec<f64>, meta: &SnapshotMeta, dir: &std::path::
     let store = CheckpointStore::new(dir).unwrap();
     store.set_marker().unwrap();
     let fields: Vec<(&str, FieldSource<'_>)> = vec![("G", FieldSource::Cell(cell))];
-    let written = store.put_master(meta, &fields, &mut Vec::new()).unwrap();
+    let written = store
+        .put(&Record::Full(meta, &fields), &mut Vec::new())
+        .unwrap();
     // The successor process's start-up protocol.
     let plan = ckpt_plan();
     let module = CheckpointModule::create(dir, &plan).unwrap();
     assert!(module.will_replay());
-    let snap = module.store().read_merged_master().unwrap().unwrap();
+    let snap = module.store().get(None, None).unwrap().unwrap();
     cell.load_bytes(snap.field("G").unwrap()).unwrap();
     written
 }
@@ -156,14 +158,12 @@ fn e2e_restart(params: &SorParams, switch: usize) -> f64 {
 }
 
 /// One cell of the progress sweep: resume cost of a reshape that lands at
-/// iteration `switch`, old replay path vs region-cursor resume.
+/// iteration `switch`.
 struct SweepCell {
     switch: usize,
-    old_resume_ms: f64,
-    old_replayed: u64,
-    new_resume_ms: f64,
-    new_replayed: u64,
-    new_resumed_at: u64,
+    resume_ms: f64,
+    replayed: u64,
+    resumed_at: u64,
 }
 
 /// The resume-only latency of a restart: replay (start-up to load start,
@@ -178,15 +178,8 @@ fn resume_ms(stats: &CkptStats) -> f64 {
 /// `3*switch + 2` — each iteration crosses `pre_sweep` twice and `iter_end`
 /// once) in smp2, stop, relaunch in hyb2x2 and complete. Returns run-2's
 /// checksum and resume stats.
-///
-/// `cursor = false` re-creates the pre-`PPARPRG1` world for both runs
-/// (`PPAR_CURSOR=0`): the snapshot carries no progress section and the
-/// restart replays every safe point from region start.
-fn reshape_resume(params: &SorParams, switch: usize, cursor: bool) -> (f64, CkptStats) {
-    let dir = scratch(if cursor { "sweep_new" } else { "sweep_old" });
-    if !cursor {
-        std::env::set_var("PPAR_CURSOR", "0");
-    }
+fn reshape_resume(params: &SorParams, switch: usize) -> (f64, CkptStats) {
+    let dir = scratch("sweep");
     let crossing = 3 * switch + 2;
     let crash_params = SorParams {
         fail_after: Some(switch + 1),
@@ -214,65 +207,46 @@ fn reshape_resume(params: &SorParams, switch: usize, cursor: bool) -> (f64, Ckpt
         |ctx| (AppStatus::Completed, sor_pluggable(ctx, params)),
     )
     .unwrap();
-    if !cursor {
-        std::env::remove_var("PPAR_CURSOR");
-    }
     assert!(r2.completed() && r2.replayed);
     let _ = std::fs::remove_dir_all(&dir);
     (r2.results[0].1.checksum, r2.stats.expect("ckpt stats"))
 }
 
-/// Reshape at iteration {0, N/4, N/2, 3N/4} of an `n`×`n` SOR run, both
-/// arms, best of `reps` per cell. Every resume is asserted bitwise against
-/// the sequential reference on the spot.
+/// Reshape at iteration {0, N/4, N/2, 3N/4} of an `n`×`n` SOR run, best of
+/// `reps` per cell. Every resume is asserted bitwise against the
+/// sequential reference on the spot.
 fn progress_sweep(n: usize, iters: usize, reps: usize) -> Vec<SweepCell> {
     let params = e2e_params(n, iters);
     let reference = sor_seq(&params).checksum;
     [0, iters / 4, iters / 2, 3 * iters / 4]
         .into_iter()
         .map(|s| {
-            let (mut old_ms, mut new_ms) = (f64::INFINITY, f64::INFINITY);
-            let (mut old, mut new) = (CkptStats::default(), CkptStats::default());
+            let (mut best_ms, mut best) = (f64::INFINITY, CkptStats::default());
             for _ in 0..reps {
-                let (ck, st) = reshape_resume(&params, s, false);
-                assert_eq!(
-                    ck.to_bits(),
-                    reference.to_bits(),
-                    "old replay path at iteration {s} must stay bitwise"
-                );
-                let ms = resume_ms(&st);
-                if ms < old_ms {
-                    (old_ms, old) = (ms, st);
-                }
-                let (ck, st) = reshape_resume(&params, s, true);
+                let (ck, st) = reshape_resume(&params, s);
                 assert_eq!(
                     ck.to_bits(),
                     reference.to_bits(),
                     "cursor resume at iteration {s} must stay bitwise"
                 );
                 let ms = resume_ms(&st);
-                if ms < new_ms {
-                    (new_ms, new) = (ms, st);
+                if ms < best_ms {
+                    (best_ms, best) = (ms, st);
                 }
             }
             println!(
-                "reshape sweep: switch@{s} old {old_ms:.1} ms (replay {:.1} + load {:.1}, {} pts) \
-                 vs cursor {new_ms:.1} ms (replay {:.1} + load {:.1}, {} pts, resumed_at {})",
-                old.replay_time.as_secs_f64() * 1e3,
-                old.load_time.as_secs_f64() * 1e3,
-                old.replayed_points,
-                new.replay_time.as_secs_f64() * 1e3,
-                new.load_time.as_secs_f64() * 1e3,
-                new.replayed_points,
-                new.resumed_at_point
+                "reshape sweep: switch@{s} resume {best_ms:.1} ms (replay {:.1} + load {:.1}, \
+                 {} pts, resumed_at {})",
+                best.replay_time.as_secs_f64() * 1e3,
+                best.load_time.as_secs_f64() * 1e3,
+                best.replayed_points,
+                best.resumed_at_point
             );
             SweepCell {
                 switch: s,
-                old_resume_ms: old_ms,
-                old_replayed: old.replayed_points,
-                new_resume_ms: new_ms,
-                new_replayed: new.replayed_points,
-                new_resumed_at: new.resumed_at_point,
+                resume_ms: best_ms,
+                replayed: best.replayed_points,
+                resumed_at: best.resumed_at_point,
             }
         })
         .collect()
@@ -319,22 +293,17 @@ fn smoke_run() {
     // Progress sweep, tiny shape. The wall clock is noise at this size, so
     // the CI flatness assertion rides on the deterministic cost driver: the
     // cursor's replay work must be a bounded tail no matter how far the run
-    // progressed, while the old path re-visits the whole history.
+    // progressed.
     let cells = progress_sweep(65, 8, 1);
     for c in &cells {
-        assert_eq!(
-            c.old_replayed,
-            3 * c.switch as u64 + 2,
-            "old path replays the whole history up to the crossing"
-        );
         assert!(
-            c.new_replayed <= 2,
+            c.replayed <= 2,
             "cursor resume must replay a bounded tail, got {} points at switch {}",
-            c.new_replayed,
+            c.replayed,
             c.switch
         );
         assert_eq!(
-            c.new_resumed_at,
+            c.resumed_at,
             3 * c.switch as u64,
             "cursor must jump to the entry of iteration {}",
             c.switch
@@ -344,12 +313,12 @@ fn smoke_run() {
     // on a sub-millisecond resume): mid-run reshape must not cost more than
     // iteration-0 reshape plus slack.
     assert!(
-        cells[3].new_resume_ms <= 1.5 * cells[0].new_resume_ms + 30.0,
+        cells[3].resume_ms <= 1.5 * cells[0].resume_ms + 30.0,
         "cursor resume cost must stay flat in progress: {:.2} ms at 3N/4 vs {:.2} ms at 0",
-        cells[3].new_resume_ms,
-        cells[0].new_resume_ms
+        cells[3].resume_ms,
+        cells[0].resume_ms
     );
-    println!("reshape smoke: cursor resume flat in progress, old path linear, all bitwise");
+    println!("reshape smoke: cursor resume flat in progress, all bitwise");
 }
 
 fn bench(c: &mut Criterion) {
@@ -417,42 +386,28 @@ fn bench(c: &mut Criterion) {
     let (c0, c3) = (&cells[0], &cells[3]);
     // Acceptance: resume latency is flat in progress — reshape at 3N/4
     // within 1.5x of reshape at iteration 0...
-    let flat = c3.new_resume_ms / c0.new_resume_ms;
+    let flat = c3.resume_ms / c0.resume_ms;
     assert!(
         flat <= 1.5,
         "cursor resume at 3N/4 must cost within 1.5x of iteration 0: \
          {:.1} ms vs {:.1} ms ({flat:.2}x)",
-        c3.new_resume_ms,
-        c0.new_resume_ms
+        c3.resume_ms,
+        c0.resume_ms
     );
-    // ...while the old path replayed the whole history: >=3x less replay
-    // work at 3N/4 (the wall-clock ratio is reported alongside, but the
-    // work counter is the deterministic form of the linear-vs-flat claim).
-    let improvement = c3.old_replayed as f64 / c3.new_replayed.max(1) as f64;
+    // ...because the replay work is a bounded tail wherever the run stood.
     assert!(
-        improvement >= 3.0,
-        "cursor must cut replay work >=3x at 3N/4: {} vs {} points",
-        c3.old_replayed,
-        c3.new_replayed
+        cells.iter().all(|c| c.replayed <= 2),
+        "cursor resume must replay at most 2 safe points"
     );
-    println!(
-        "reshape sweep: flatness {flat:.2}x (<=1.5x), replay-work improvement {improvement:.0}x, \
-         wall {:.2}x at 3N/4",
-        c3.old_resume_ms / c3.new_resume_ms
-    );
+    println!("reshape sweep: flatness {flat:.2}x (<=1.5x)");
 
     let sweep_json = cells
         .iter()
         .map(|c| {
             format!(
-                "{{\"switch_iter\": {}, \"old_resume_ms\": {:.2}, \"old_replayed_points\": {}, \
-                 \"new_resume_ms\": {:.2}, \"new_replayed_points\": {}, \"new_resumed_at\": {}}}",
-                c.switch,
-                c.old_resume_ms,
-                c.old_replayed,
-                c.new_resume_ms,
-                c.new_replayed,
-                c.new_resumed_at
+                "{{\"switch_iter\": {}, \"resume_ms\": {:.2}, \"replayed_points\": {}, \
+                 \"resumed_at\": {}}}",
+                c.switch, c.resume_ms, c.replayed, c.resumed_at
             )
         })
         .collect::<Vec<_>>()
@@ -463,8 +418,7 @@ fn bench(c: &mut Criterion) {
         &format!(
             "  {{\"unix_time\": {ts}, \"grid_mib\": 32, \"iterations\": {iters}, \
              \"transport_inplace_ms\": {t_inplace:.2}, \"transport_restart_ms\": {t_restart:.2}, \
-             \"sweep\": [{sweep_json}], \"flatness_3n4_vs_0\": {flat:.2}, \
-             \"replay_work_improvement_3n4\": {improvement:.1}}}"
+             \"sweep\": [{sweep_json}], \"flatness_3n4_vs_0\": {flat:.2}}}"
         ),
     );
 }

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppar_bench::json;
-use ppar_ckpt::store::{FieldSource, SnapshotMeta};
+use ppar_ckpt::store::{FieldSource, Record, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
 use ppar_ckpt::{CasConfig, CheckpointStore};
 use ppar_core::shared::DIRTY_CHUNK_BYTES;
@@ -119,9 +119,11 @@ fn run_saves(store: &CheckpointStore, chunks: usize, percent: usize) -> StoreRun
         }
         let t0 = Instant::now();
         let written = store
-            .put_master(
-                &meta(round as u64 + 1),
-                &[("G", FieldSource::Bytes(&state))],
+            .put(
+                &Record::Full(
+                    &meta(round as u64 + 1),
+                    &[("G", FieldSource::Bytes(&state))],
+                ),
                 &mut scratch,
             )
             .expect("save");
@@ -234,12 +236,18 @@ fn wire_scenario(percent: usize) -> (u64, u64) {
             let t = NetTransport::client(dyn_fabric.clone(), 1);
             let mut state = fresh_state(chunks);
             let mut scratch = Vec::new();
-            t.put_master(&meta(1), &[("G", FieldSource::Bytes(&state))], &mut scratch)
-                .expect("first save");
+            t.put(
+                &Record::Full(&meta(1), &[("G", FieldSource::Bytes(&state))]),
+                &mut scratch,
+            )
+            .expect("first save");
             let _ = t.take_put_stats();
             dirty(&mut state, percent, 1);
             let written = t
-                .put_master(&meta(2), &[("G", FieldSource::Bytes(&state))], &mut scratch)
+                .put(
+                    &Record::Full(&meta(2), &[("G", FieldSource::Bytes(&state))]),
+                    &mut scratch,
+                )
                 .expect("second save");
             let n_chunks = written.div_ceil(DIRTY_CHUNK_BYTES as u64);
             let skipped = t.take_put_stats().wire_chunks_skipped;

@@ -520,6 +520,7 @@ impl CasStore {
             manifest,
             missing,
             next: 0,
+            pending: Vec::new(),
             stats,
         })
     }
@@ -925,6 +926,9 @@ pub struct DedupTxn {
     manifest: Manifest,
     missing: Vec<u32>,
     next: usize,
+    /// Bytes of the next missing chunk received so far (a chunk can
+    /// straddle two writes).
+    pending: Vec<u8>,
     stats: PutStats,
 }
 
@@ -975,7 +979,7 @@ impl DedupTxn {
     /// Promote the record once every missing chunk has been supplied;
     /// returns the record's byte length.
     pub fn commit(mut self, name: &str) -> Result<u64> {
-        if self.next != self.missing.len() {
+        if self.next != self.missing.len() || !self.pending.is_empty() {
             return Err(PparError::InvalidPlan(format!(
                 "dedup transaction committed with {} of {} missing chunks supplied",
                 self.next,
@@ -999,6 +1003,47 @@ impl DedupTxn {
 impl Drop for DedupTxn {
     fn drop(&mut self) {
         let _ = fs::remove_file(&self.journal_path);
+    }
+}
+
+/// The missing chunks' bytes written back to back, in [`DedupTxn::missing`]
+/// order (how they arrive off a wire whose frames are much larger than a
+/// chunk): re-sliced by the announced lengths and supplied one by one.
+impl Write for DedupTxn {
+    fn write(&mut self, mut bytes: &[u8]) -> std::io::Result<usize> {
+        let len = bytes.len();
+        while !bytes.is_empty() {
+            let Some(&idx) = self.missing.get(self.next) else {
+                return Err(std::io::Error::other(
+                    "dedup transaction: more bytes supplied than the missing chunks hold",
+                ));
+            };
+            let want = self.manifest.chunks[idx as usize].len as usize;
+            let supplied = if self.pending.is_empty() && bytes.len() >= want {
+                // Whole chunk in this write: supply without a copy.
+                let (chunk, rest) = bytes.split_at(want);
+                bytes = rest;
+                self.supply_chunk(chunk)
+            } else {
+                let take = (want - self.pending.len()).min(bytes.len());
+                self.pending.extend_from_slice(&bytes[..take]);
+                bytes = &bytes[take..];
+                if self.pending.len() < want {
+                    continue;
+                }
+                let chunk = std::mem::take(&mut self.pending);
+                let supplied = self.supply_chunk(&chunk);
+                self.pending = chunk;
+                self.pending.clear();
+                supplied
+            };
+            supplied.map_err(|e| std::io::Error::other(e.to_string()))?;
+        }
+        Ok(len)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

@@ -145,7 +145,7 @@ impl DeltaSnapshot {
         Ok((body, stored_crc))
     }
 
-    fn decode_header(r: &mut Reader<'_>) -> Result<DeltaMeta> {
+    pub(crate) fn decode_header(r: &mut Reader<'_>) -> Result<DeltaMeta> {
         let magic = r.take(8)?;
         if magic != DELTA_MAGIC {
             return Err(PparError::FormatMismatch {

@@ -35,9 +35,9 @@ use ppar_core::state::StateCell;
 
 use crate::delta::DeltaMeta;
 use crate::store::{
-    CheckpointStore, DeltaSource, FieldSource, Snapshot, SnapshotMeta, SnapshotView,
+    CheckpointStore, DeltaSource, FieldSource, Record, Snapshot, SnapshotMeta, SnapshotView,
 };
-use crate::transport::CkptTransport;
+use crate::transport::{read_progress, CkptTransport};
 
 static NEXT_MODULE_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -160,9 +160,6 @@ pub struct CheckpointModule {
     /// Disk-restart resume state shared by every module of one
     /// [`CheckpointModule::create_group`] aggregate (see [`GroupResume`]).
     group_resume: Arc<GroupResume>,
-    /// `PPAR_CURSOR=0` disables cursor emission *and* consumption (the
-    /// benches' old-replay-path baseline).
-    cursor_enabled: bool,
 }
 
 /// Disk-restart resume state shared across one aggregate's modules. The
@@ -317,7 +314,6 @@ impl CheckpointModule {
     ) -> Vec<Arc<CheckpointModule>> {
         let every = plan.checkpoint_every().unwrap_or(0) as u64;
         let incremental = plan.incremental_ckpt().map(|k| k as u64);
-        let cursor_enabled = std::env::var("PPAR_CURSOR").map_or(true, |v| v != "0");
         let group_resume = Arc::new(GroupResume::default());
         (0..n.max(1))
             .map(|_| {
@@ -341,7 +337,6 @@ impl CheckpointModule {
                     resume_cursor: Mutex::new(None),
                     resumed_at: AtomicU64::new(0),
                     group_resume: group_resume.clone(),
-                    cursor_enabled,
                 })
             })
             .collect()
@@ -376,13 +371,13 @@ impl CheckpointModule {
     }
 
     /// The encoded `PPARPRG1` cursor of the snapshot this module will
-    /// replay to (empty when there is none, the replay is fresh, or the
-    /// cursor is disabled). Rank 0 of a multi-process job broadcasts this
-    /// alongside the replay decision so workers never read a snapshot over
-    /// the network just to learn their loop position; reading it here also
-    /// warms this module's own resume cursor.
+    /// replay to (empty when there is none or the run is fresh). Rank 0 of a
+    /// multi-process job broadcasts this alongside the replay decision so
+    /// workers never read a snapshot over the network just to learn their
+    /// loop position; reading it here also warms this module's own resume
+    /// cursor.
     pub fn resume_progress_bytes(&self) -> Vec<u8> {
-        if !self.cursor_enabled || !self.will_replay() {
+        if !self.will_replay() {
             return Vec::new();
         }
         self.with_resume_cursor(|c| c.map(|c| c.encode()).unwrap_or_default())
@@ -471,29 +466,25 @@ impl CheckpointModule {
     fn with_resume_cursor<R>(&self, f: impl FnOnce(Option<&RegionCursor>) -> R) -> R {
         let mut slot = self.resume_cursor.lock();
         if slot.is_none() {
-            let cursor = if self.cursor_enabled {
-                match self.resume.lock().clone() {
-                    // Live hand-off: the armed in-memory source serves a
-                    // zero-copy view; nothing worth prefetching.
-                    Some(source) => source.read_progress().unwrap_or(None),
-                    // Disk restart: one record read per aggregate, shared —
-                    // the lock serializes racing elements behind the single
-                    // reader, and the materialized record is kept for the
-                    // load that follows.
-                    None => {
-                        let mut shared = self.group_resume.cursor.lock();
-                        match &*shared {
-                            Some(c) => c.clone(),
-                            None => {
-                                let c = self.read_progress_prefetching().unwrap_or(None);
-                                *shared = Some(c.clone());
-                                c
-                            }
+            let cursor = match self.resume.lock().clone() {
+                // Live hand-off: the armed in-memory source serves a
+                // zero-copy view; nothing worth prefetching.
+                Some(source) => read_progress(&*source).unwrap_or(None),
+                // Disk restart: one record read per aggregate, shared —
+                // the lock serializes racing elements behind the single
+                // reader, and the materialized record is kept for the
+                // load that follows.
+                None => {
+                    let mut shared = self.group_resume.cursor.lock();
+                    match &*shared {
+                        Some(c) => c.clone(),
+                        None => {
+                            let c = self.read_progress_prefetching().unwrap_or(None);
+                            *shared = Some(c.clone());
+                            c
                         }
                     }
                 }
-            } else {
-                None
             };
             *slot = Some(cursor);
         }
@@ -505,22 +496,19 @@ impl CheckpointModule {
     /// identical cursors on every shard), extract the `PPARPRG1` field, and
     /// stash the snapshot for [`CkptHook::load_snapshot`] so the restore
     /// reads the record once instead of twice. Mirrors the decode-failure
-    /// contract of [`CkptTransport::read_progress`]: a missing or
+    /// contract of [`read_progress`]: a missing or
     /// undecodable cursor degrades to `None`, never fails the restore.
     fn read_progress_prefetching(&self) -> Result<Option<RegionCursor>> {
         let decode = |snap: &Snapshot| {
             snap.field(PROGRESS_FIELD)
                 .and_then(|b| RegionCursor::decode(b).ok())
         };
-        if let Some(snap) = self.transport.read_merged_master()? {
-            let cursor = decode(&snap);
-            *self.group_resume.prefetched.lock() = Some((None, snap));
-            return Ok(cursor);
-        }
-        if let Some(snap) = self.transport.read_merged_shard(0)? {
-            let cursor = decode(&snap);
-            *self.group_resume.prefetched.lock() = Some((Some(0), snap));
-            return Ok(cursor);
+        for rank in [None, Some(0)] {
+            if let Some(snap) = self.transport.get(rank, None)? {
+                let cursor = decode(&snap);
+                *self.group_resume.prefetched.lock() = Some((rank, snap));
+                return Ok(cursor);
+            }
         }
         Ok(None)
     }
@@ -539,210 +527,141 @@ impl CheckpointModule {
         }
     }
 
-    /// Stream a master snapshot (complete data at the caller — engines must
-    /// have collected partitioned fields first): every field streams
-    /// straight from its registered cell; no payload is materialized.
-    fn stream_master_snapshot(&self, ctx: &Ctx, meta: &SnapshotMeta) -> Result<u64> {
-        let prog = self.cursor_enabled.then(|| self.progress_bytes(meta.count));
-        let mut cells: Vec<(&String, Arc<dyn StateCell>)> = Vec::new();
-        for name in ctx.plan().safe_data() {
-            cells.push((name, ctx.registry().state(name)?));
-        }
-        let mut fields: Vec<(&str, FieldSource<'_>)> = cells
-            .iter()
-            .map(|(name, cell)| (name.as_str(), FieldSource::Cell(&**cell)))
-            .collect();
-        if let Some(p) = &prog {
-            fields.push((PROGRESS_FIELD, FieldSource::Bytes(p)));
-        }
-        let mut scratch = self.scratch.lock();
-        self.transport.put_master(meta, &fields, &mut scratch)
-    }
-
-    /// Stream a local shard: partitioned fields contribute only this
-    /// element's block (extracted into per-module buffers reused across
-    /// snapshots); everything else streams whole from its cell.
-    fn stream_shard_snapshot(&self, ctx: &Ctx, meta: &SnapshotMeta) -> Result<u64> {
-        let rank = ctx.rank();
-        let nranks = ctx.num_ranks();
-
+    /// Collect the plan's safe data and put it through `to` as one record:
+    /// the full record `meta` heads, or — given `chain = (base_count, seq)`
+    /// — the delta extending that base. A full snapshot is the delta whose
+    /// every field travels whole, so one collector serves both.
+    ///
+    /// `meta.rank` picks the scope. Master records (complete data at the
+    /// caller — engines must have collected partitioned fields first)
+    /// stream every field straight from its registered cell; no payload is
+    /// materialized. Shard records contribute only this element's owned
+    /// block of each partitioned field, extracted into per-module buffers
+    /// reused across snapshots. In a delta, a field with write tracking
+    /// contributes only its dirty byte ranges (clamped to the owned block
+    /// for shards, with offsets relative to the extracted payload, matching
+    /// the merge step); untracked fields are stored whole.
+    fn put_fields(
+        &self,
+        ctx: &Ctx,
+        to: &dyn CkptTransport,
+        meta: &SnapshotMeta,
+        chain: Option<(u64, u32)>,
+    ) -> Result<u64> {
+        type Ranges = Vec<std::ops::Range<usize>>;
         enum Slot {
-            Block(usize),
-            Whole(Arc<dyn StateCell>),
+            /// A field streamed from its cell; dirty ranges when tracked.
+            Cell(Arc<dyn StateCell>, Option<Ranges>),
+            /// An owned block extracted into `field_bufs[buf]`: whole, or the
+            /// payload-relative dirty ranges of a `full_len`-byte block.
+            Block {
+                buf: usize,
+                sparse: Option<(Ranges, u64)>,
+            },
         }
 
+        // Dirty ranges matter only to a delta; a full record takes every
+        // field whole.
+        let dirty_of = |cell: &dyn StateCell| chain.and_then(|_| cell.dirty_ranges());
         let mut bufs = self.field_bufs.lock();
         let mut slots: Vec<(&String, Slot)> = Vec::new();
         let mut used = 0;
         for name in ctx.plan().safe_data() {
-            if ctx.plan().field_partition(name).is_some() {
-                let cell = ctx.registry().dist(name)?;
-                if bufs.len() == used {
-                    bufs.push(Vec::new());
-                }
-                let buf = &mut bufs[used];
-                buf.clear();
-                let owned = block_owned(cell.logical_len(), nranks, rank);
-                cell.extract_into(owned, buf);
-                slots.push((name, Slot::Block(used)));
-                used += 1;
-            } else {
-                slots.push((name, Slot::Whole(ctx.registry().state(name)?)));
+            if meta.rank.is_none() || ctx.plan().field_partition(name).is_none() {
+                let cell = ctx.registry().state(name)?;
+                let dirty = dirty_of(&*cell);
+                slots.push((name, Slot::Cell(cell, dirty)));
+                continue;
             }
+            let cell = ctx.registry().dist(name)?;
+            if bufs.len() == used {
+                bufs.push(Vec::new());
+            }
+            let buf = &mut bufs[used];
+            buf.clear();
+            let owned = block_owned(cell.logical_len(), ctx.num_ranks(), ctx.rank());
+            let sparse = match dirty_of(&*cell) {
+                Some(ranges) => {
+                    // Clamp the field-wide dirty ranges to the owned block;
+                    // this element persists only bytes it owns.
+                    let ib = cell.index_bytes();
+                    let owned_bytes = owned.start * ib..owned.end * ib;
+                    let mut abs = Vec::new();
+                    let mut rel = Vec::new();
+                    for r in ranges {
+                        let start = r.start.max(owned_bytes.start);
+                        let end = r.end.min(owned_bytes.end);
+                        if start < end {
+                            abs.push(start..end);
+                            rel.push(start - owned_bytes.start..end - owned_bytes.start);
+                        }
+                    }
+                    cell.write_dirty_state(&abs, buf)?;
+                    Some((rel, owned_bytes.len() as u64))
+                }
+                None => {
+                    cell.extract_into(owned, buf);
+                    None
+                }
+            };
+            slots.push((name, Slot::Block { buf: used, sparse }));
+            used += 1;
         }
-        let prog = self.cursor_enabled.then(|| self.progress_bytes(meta.count));
-        let mut fields: Vec<(&str, FieldSource<'_>)> = slots
+        // The cursor always travels whole (tens of bytes): a `Full` delta
+        // entry replaces the base field at merge time, so the chain tip
+        // carries the cursor matching its own count.
+        let progress = self.progress_bytes(meta.count);
+        let fields = slots
             .iter()
             .map(|(name, slot)| {
                 let source = match slot {
-                    Slot::Block(i) => FieldSource::Bytes(&bufs[*i]),
-                    Slot::Whole(cell) => FieldSource::Cell(&**cell),
-                };
-                (name.as_str(), source)
-            })
-            .collect();
-        if let Some(p) = &prog {
-            fields.push((PROGRESS_FIELD, FieldSource::Bytes(p)));
-        }
-        let mut scratch = self.scratch.lock();
-        self.transport.put_shard(meta, &fields, &mut scratch)
-    }
-
-    /// Stream a master *delta*: every tracked field contributes only its
-    /// dirty byte ranges (streamed zero-copy through
-    /// [`StateCell::write_dirty_state`]); untracked cells are stored whole.
-    fn stream_master_delta_snapshot(&self, ctx: &Ctx, meta: &DeltaMeta) -> Result<u64> {
-        type Tracked = Option<Vec<std::ops::Range<usize>>>;
-        let mut cells: Vec<(&String, Arc<dyn StateCell>, Tracked)> = Vec::new();
-        for name in ctx.plan().safe_data() {
-            let cell = ctx.registry().state(name)?;
-            let ranges = cell.dirty_ranges();
-            cells.push((name, cell, ranges));
-        }
-        let prog = self.cursor_enabled.then(|| self.progress_bytes(meta.count));
-        let mut fields: Vec<(&str, DeltaSource<'_>)> = cells
-            .iter()
-            .map(|(name, cell, ranges)| {
-                let source = match ranges {
-                    Some(ranges) => DeltaSource::DirtyCell {
+                    Slot::Cell(cell, Some(ranges)) => DeltaSource::DirtyCell {
                         cell: &**cell,
                         ranges,
                     },
-                    None => DeltaSource::Full(FieldSource::Cell(&**cell)),
-                };
-                (name.as_str(), source)
-            })
-            .collect();
-        if let Some(p) = &prog {
-            // The cursor always travels whole (tens of bytes): a `Full`
-            // delta entry replaces the base field at merge time, so the
-            // chain tip carries the cursor matching its own count.
-            fields.push((PROGRESS_FIELD, DeltaSource::Full(FieldSource::Bytes(p))));
-        }
-        let mut scratch = self.scratch.lock();
-        self.transport.put_master_delta(meta, &fields, &mut scratch)
-    }
-
-    /// Stream a local shard *delta*: partitioned fields contribute the dirty
-    /// ranges intersected with this element's owned block (offsets relative
-    /// to the extracted shard payload, matching the merge step); untracked
-    /// or replicated fields follow the master rules.
-    fn stream_shard_delta_snapshot(&self, ctx: &Ctx, meta: &DeltaMeta) -> Result<u64> {
-        let rank = ctx.rank();
-        let nranks = ctx.num_ranks();
-
-        enum Slot {
-            /// Dirty ranges of an owned block: payload buffer index,
-            /// payload-relative ranges, owned-block byte length.
-            SparseBlock {
-                buf: usize,
-                rel: Vec<std::ops::Range<usize>>,
-                full_len: u64,
-            },
-            /// Whole owned block (untracked partitioned cell).
-            FullBlock(usize),
-            /// Whole-field cell with dirty tracking.
-            DirtyWhole(Arc<dyn StateCell>, Vec<std::ops::Range<usize>>),
-            /// Whole-field cell without tracking.
-            Whole(Arc<dyn StateCell>),
-        }
-
-        let mut bufs = self.field_bufs.lock();
-        let mut slots: Vec<(&String, Slot)> = Vec::new();
-        let mut used = 0;
-        for name in ctx.plan().safe_data() {
-            if ctx.plan().field_partition(name).is_some() {
-                let cell = ctx.registry().dist(name)?;
-                if bufs.len() == used {
-                    bufs.push(Vec::new());
-                }
-                let buf = &mut bufs[used];
-                buf.clear();
-                let owned = block_owned(cell.logical_len(), nranks, rank);
-                let owned_bytes = owned.start * cell.index_bytes()..owned.end * cell.index_bytes();
-                match cell.dirty_ranges() {
-                    Some(ranges) => {
-                        // Clamp the field-wide dirty ranges to the owned
-                        // block; this element persists only bytes it owns.
-                        let mut abs = Vec::new();
-                        let mut rel = Vec::new();
-                        for r in ranges {
-                            let start = r.start.max(owned_bytes.start);
-                            let end = r.end.min(owned_bytes.end);
-                            if start < end {
-                                abs.push(start..end);
-                                rel.push(start - owned_bytes.start..end - owned_bytes.start);
-                            }
-                        }
-                        cell.write_dirty_state(&abs, buf)?;
-                        slots.push((
-                            name,
-                            Slot::SparseBlock {
-                                buf: used,
-                                rel,
-                                full_len: owned_bytes.len() as u64,
-                            },
-                        ));
-                    }
-                    None => {
-                        cell.extract_into(owned, buf);
-                        slots.push((name, Slot::FullBlock(used)));
-                    }
-                }
-                used += 1;
-            } else {
-                let cell = ctx.registry().state(name)?;
-                match cell.dirty_ranges() {
-                    Some(ranges) => slots.push((name, Slot::DirtyWhole(cell, ranges))),
-                    None => slots.push((name, Slot::Whole(cell))),
-                }
-            }
-        }
-        let prog = self.cursor_enabled.then(|| self.progress_bytes(meta.count));
-        let mut fields: Vec<(&str, DeltaSource<'_>)> = slots
-            .iter()
-            .map(|(name, slot)| {
-                let source = match slot {
-                    Slot::SparseBlock { buf, rel, full_len } => DeltaSource::DirtyBytes {
+                    Slot::Cell(cell, None) => DeltaSource::Full(FieldSource::Cell(&**cell)),
+                    Slot::Block {
+                        buf,
+                        sparse: Some((ranges, full_len)),
+                    } => DeltaSource::DirtyBytes {
                         full_len: *full_len,
-                        ranges: rel,
+                        ranges,
                         payload: &bufs[*buf],
                     },
-                    Slot::FullBlock(i) => DeltaSource::Full(FieldSource::Bytes(&bufs[*i])),
-                    Slot::DirtyWhole(cell, ranges) => DeltaSource::DirtyCell {
-                        cell: &**cell,
-                        ranges,
-                    },
-                    Slot::Whole(cell) => DeltaSource::Full(FieldSource::Cell(&**cell)),
+                    Slot::Block { buf, sparse: None } => {
+                        DeltaSource::Full(FieldSource::Bytes(&bufs[*buf]))
+                    }
                 };
                 (name.as_str(), source)
             })
-            .collect();
-        if let Some(p) = &prog {
-            fields.push((PROGRESS_FIELD, DeltaSource::Full(FieldSource::Bytes(p))));
-        }
+            .chain([(
+                PROGRESS_FIELD,
+                DeltaSource::Full(FieldSource::Bytes(&progress)),
+            )]);
         let mut scratch = self.scratch.lock();
-        self.transport.put_shard_delta(meta, &fields, &mut scratch)
+        match chain {
+            Some((base_count, seq)) => {
+                let meta = DeltaMeta {
+                    mode_tag: meta.mode_tag.clone(),
+                    count: meta.count,
+                    base_count,
+                    seq,
+                    rank: meta.rank,
+                    nranks: meta.nranks,
+                };
+                let fields: Vec<_> = fields.collect();
+                to.put(&Record::Delta(&meta, &fields), &mut scratch)
+            }
+            None => {
+                let fields: Vec<_> = fields
+                    .map(|(name, source)| match source {
+                        DeltaSource::Full(whole) => (name, whole),
+                        _ => unreachable!("dirty ranges are collected only for deltas"),
+                    })
+                    .collect();
+                to.put(&Record::Full(meta, &fields), &mut scratch)
+            }
+        }
     }
 
     /// Reset write tracking on every safe-data cell: the snapshot that just
@@ -858,28 +777,21 @@ impl CkptHook for CheckpointModule {
     fn take_snapshot(&self, ctx: &Ctx) -> Result<()> {
         let t0 = Instant::now();
         let count = self.clock_get();
-        let mode_tag = ctx.mode().tag();
         let nranks = ctx.num_ranks() as u32;
         let strategy = ctx.plan().dist_ckpt_strategy();
         let sharded = nranks > 1 && strategy == DistCkptStrategy::LocalSnapshot;
         let rank = sharded.then(|| ctx.rank() as u32);
 
-        let stream_full = |meta_count: u64| -> Result<u64> {
-            let meta = SnapshotMeta {
-                mode_tag: mode_tag.clone(),
-                count: meta_count,
-                rank,
-                nranks,
-            };
-            if sharded {
-                self.stream_shard_snapshot(ctx, &meta)
-            } else {
-                self.stream_master_snapshot(ctx, &meta)
-            }
+        let meta = SnapshotMeta {
+            mode_tag: ctx.mode().tag(),
+            count,
+            rank,
+            nranks,
         };
+        let to = &*self.transport;
 
         let (written, was_delta) = match self.incremental {
-            None => (stream_full(count)?, false),
+            None => (self.put_fields(ctx, to, &meta, None)?, false),
             Some(full_every) => {
                 let mut chain = self.chain.lock();
                 if !chain.have_base || chain.next_seq as u64 > full_every {
@@ -887,7 +799,7 @@ impl CkptHook for CheckpointModule {
                     // superseded chain. A crash in between leaves stale
                     // deltas that the merge step ignores (base_count
                     // mismatch), never a broken restore.
-                    let written = stream_full(count)?;
+                    let written = self.put_fields(ctx, to, &meta, None)?;
                     self.transport.clear_deltas(rank)?;
                     *chain = DeltaChain {
                         have_base: true,
@@ -896,19 +808,8 @@ impl CkptHook for CheckpointModule {
                     };
                     (written, false)
                 } else {
-                    let meta = DeltaMeta {
-                        mode_tag: mode_tag.clone(),
-                        count,
-                        base_count: chain.base_count,
-                        seq: chain.next_seq,
-                        rank,
-                        nranks,
-                    };
-                    let written = if sharded {
-                        self.stream_shard_delta_snapshot(ctx, &meta)?
-                    } else {
-                        self.stream_master_delta_snapshot(ctx, &meta)?
-                    };
+                    let link = Some((chain.base_count, chain.next_seq));
+                    let written = self.put_fields(ctx, to, &meta, link)?;
                     chain.next_seq += 1;
                     (written, true)
                 }
@@ -984,7 +885,7 @@ impl CkptHook for CheckpointModule {
                 Some(snap) => snap,
                 None => self
                     .transport
-                    .read_shard_at(ctx.rank() as u32, self.clock_get())?
+                    .get(Some(ctx.rank() as u32), Some(self.clock_get()))?
                     .ok_or_else(|| {
                         PparError::CorruptCheckpoint(format!(
                             "missing shard for rank {}",
@@ -1001,7 +902,7 @@ impl CkptHook for CheckpointModule {
             // record — reuse it rather than folding the chain again.
             let snap = match self.take_prefetched(None, self.clock_get()) {
                 Some(snap) => snap,
-                None => self.transport.read_merged_master()?.ok_or_else(|| {
+                None => self.transport.get(None, None)?.ok_or_else(|| {
                     PparError::CorruptCheckpoint("missing master snapshot".into())
                 })?,
             };
@@ -1039,9 +940,6 @@ impl CkptHook for CheckpointModule {
     }
 
     fn note_loop_iter(&self, depth: usize, name: &str, start: u64, end: u64, index: u64) {
-        if !self.cursor_enabled {
-            return;
-        }
         let clock = self.clock_get();
         let mut frames = self.frames.lock();
         frames.truncate(depth + 1);
@@ -1066,14 +964,11 @@ impl CkptHook for CheckpointModule {
     }
 
     fn note_loop_exit(&self, depth: usize) {
-        if !self.cursor_enabled {
-            return;
-        }
         self.frames.lock().truncate(depth);
     }
 
     fn loop_resume(&self, depth: usize, name: &str, start: u64, end: u64) -> Option<u64> {
-        if !self.cursor_enabled || !self.replay.load(Ordering::SeqCst) {
+        if !self.replay.load(Ordering::SeqCst) {
             return None;
         }
         let target = self.target.load(Ordering::SeqCst);
@@ -1105,9 +1000,6 @@ impl CkptHook for CheckpointModule {
     }
 
     fn live_loop_frame(&self, depth: usize, name: &str) -> Option<(u64, u64)> {
-        if !self.cursor_enabled {
-            return None;
-        }
         let frames = self.frames.lock();
         let f = frames.get(depth)?;
         (f.name == name).then_some((f.index, f.clock_at_entry))
@@ -1153,22 +1045,7 @@ impl CkptHook for CheckpointModule {
             rank: None,
             nranks: ctx.num_ranks() as u32,
         };
-        let prog = self.cursor_enabled.then(|| self.progress_bytes(meta.count));
-        let mut cells: Vec<(&String, Arc<dyn StateCell>)> = Vec::new();
-        for name in ctx.plan().safe_data() {
-            cells.push((name, ctx.registry().state(name)?));
-        }
-        let mut fields: Vec<(&str, FieldSource<'_>)> = cells
-            .iter()
-            .map(|(name, cell)| (name.as_str(), FieldSource::Cell(&**cell)))
-            .collect();
-        if let Some(p) = &prog {
-            fields.push((PROGRESS_FIELD, FieldSource::Bytes(p)));
-        }
-        let written = {
-            let mut scratch = self.scratch.lock();
-            sink.put_master(&meta, &fields, &mut scratch)?
-        };
+        let written = self.put_fields(ctx, &*sink, &meta, None)?;
         let mut stats = self.stats.lock();
         stats.handoff_snapshots += 1;
         stats.last_handoff_bytes = written;
@@ -1343,6 +1220,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A directory written before the `PPARPRG1` cursor existed: its
+    /// snapshot has no progress field. It must still restore, classically —
+    /// progress = start, every safe point up to the target re-visited.
+    #[test]
+    fn snapshot_without_progress_field_replays_from_start() {
+        let dir = tmpdir("no_cursor");
+        let store = CheckpointStore::new(&dir).unwrap();
+        let payload: Vec<u8> = [7.0f64, 8.0, 9.0]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let meta = SnapshotMeta {
+            mode_tag: "seq".into(),
+            count: 4,
+            rank: None,
+            nranks: 1,
+        };
+        store
+            .put(
+                &Record::Full(&meta, &[("G", FieldSource::Bytes(&payload))]),
+                &mut Vec::new(),
+            )
+            .unwrap();
+        store.set_marker().unwrap();
+
+        let module = CheckpointModule::create(&dir, &ckpt_plan(4)).unwrap();
+        assert_eq!(module.replay_target(), 4);
+        assert!(module.resume_progress_bytes().is_empty());
+        assert_eq!(module.loop_resume(0, "iter", 0, 10), None);
+        let ctx = seq_ctx(ckpt_plan(4), module.clone());
+        let g = ctx.alloc_vec("G", 3, 0.0f64);
+        for _ in 0..4 {
+            ctx.point("iter");
+        }
+        assert!(!module.replaying());
+        assert_eq!(g.to_vec(), vec![7.0, 8.0, 9.0]);
+        let stats = module.stats();
+        assert_eq!((stats.replayed_points, stats.resumed_at_point), (4, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn failure_before_first_snapshot_is_fresh_start() {
         let dir = tmpdir("early_fail");
@@ -1416,10 +1334,7 @@ mod tests {
         assert_eq!((s.full_snapshots, s.delta_snapshots), (2, 3));
         assert_eq!(s.snapshots_taken, 5);
         assert!(module.store().read_master_delta(1).unwrap().is_none());
-        assert_eq!(
-            module.store().read_merged_master().unwrap().unwrap().count,
-            5
-        );
+        assert_eq!(module.store().get(None, None).unwrap().unwrap().count, 5);
 
         // Cumulative bytes are observable and consistent.
         assert!(s.bytes_written > 2 * full_bytes);

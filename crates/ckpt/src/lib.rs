@@ -8,10 +8,10 @@
 //!
 //! * a portable binary snapshot format ([`codec`], [`store`]) with CRC-32
 //!   integrity and atomic replacement;
-//! * a pluggable byte **transport** ([`transport`]): the same streamed
-//!   records travel to disk ([`CheckpointStore`]) or stay in process
-//!   memory ([`MemTransport`] — the live-reshape hand-off and a disk-free
-//!   lane for benches);
+//! * a pluggable byte **transport** ([`transport`]): one provided `put`
+//!   streams a [`Record`] into whichever medium's sink — disk
+//!   ([`CheckpointStore`]) or process memory ([`MemTransport`], the
+//!   live-reshape hand-off and a disk-free lane for benches);
 //! * dirty-chunk **incremental** snapshots ([`delta`]): delta records that
 //!   persist only the bytes written since the previous snapshot;
 //! * the safe-point clock and snapshot policy ([`hook::CheckpointModule`]);
@@ -49,8 +49,8 @@
 //!   fresh base and the superseded chain is garbage-collected. Deltas are
 //!   tied to their base by the base's safe-point count, so a crash between
 //!   promotion and GC leaves only *stale* deltas that the loader skips.
-//! * **Restore** — `CheckpointStore::read_merged_master` /
-//!   `read_merged_shard` fold base + chain (last writer wins per byte) into
+//! * **Restore** — [`CkptTransport::get`] folds base + chain (last writer
+//!   wins per byte) into
 //!   a state byte-identical to a full snapshot, and a restart replays to
 //!   the *last delta's* safe point. Merged data stays mode-independent:
 //!   incremental snapshots restart in any execution mode, in any aggregate
@@ -85,5 +85,5 @@ pub use digest::ChunkDigest;
 pub use hook::{CheckpointModule, CkptStats};
 pub use pcr::{launch_seq, AppStatus, RunReport};
 pub use serde_cell::{alloc_serde, SerdeCell};
-pub use store::{CheckpointStore, Snapshot, SnapshotView};
-pub use transport::{CkptTransport, DedupRecordSink, MemTransport, RawRecordKind, RawRecordSink};
+pub use store::{CheckpointStore, Record, Snapshot, SnapshotView};
+pub use transport::{CkptTransport, MemTransport, RecordKey, RecordSink};

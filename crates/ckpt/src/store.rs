@@ -67,10 +67,27 @@ use std::path::{Path, PathBuf};
 use ppar_core::error::{PparError, Result};
 use ppar_core::state::StateCell;
 
+use crate::cas::ChunkRef;
 use crate::crc::{crc32, Crc32};
+use crate::delta::DeltaMeta;
+use crate::transport::{get_merged, keep_head, CkptTransport, RecordKey, RecordSink};
 
 const MAGIC: &[u8; 8] = b"PPARCKP1";
 pub(crate) const MASTER_RANK: u32 = 0xFFFF_FFFF;
+
+/// Safe-point count and owning rank from the leading bytes of a full
+/// record (header only, nothing is verified beyond the magic). `None` when
+/// the bytes are not the start of one.
+pub(crate) fn peek_header(head: &[u8]) -> Option<(u64, Option<u32>)> {
+    let mut r = Reader { buf: head, pos: 0 };
+    if r.take(8).ok()? != MAGIC {
+        return None;
+    }
+    r.take_str().ok()?;
+    let count = r.take_u64().ok()?;
+    let rank = r.take_u32().ok()?;
+    Some((count, (rank != MASTER_RANK).then_some(rank)))
+}
 
 /// An in-memory snapshot: header plus named field payloads.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,6 +347,87 @@ pub enum DeltaSource<'a> {
     },
 }
 
+/// One record as [`crate::transport::CkptTransport::put`] sees it: the
+/// header plus where each field's bytes come from.
+pub enum Record<'a> {
+    /// A full snapshot (the base of a chain).
+    Full(&'a SnapshotMeta, &'a [(&'a str, FieldSource<'a>)]),
+    /// A delta over the base saved at `DeltaMeta::base_count`.
+    Delta(&'a DeltaMeta, &'a [(&'a str, DeltaSource<'a>)]),
+}
+
+impl Record<'_> {
+    /// The key this record's header names.
+    pub fn key(&self) -> RecordKey {
+        match self {
+            Record::Full(meta, _) => RecordKey::full(meta.rank),
+            Record::Delta(meta, _) => RecordKey::delta(meta.rank, meta.seq),
+        }
+    }
+
+    /// Expected encoded length, from the fields' known lengths: lets a
+    /// sink pre-size its buffer (growth reallocs on a multi-MiB hand-off
+    /// would copy the payload several extra times) and a wire client
+    /// announce the record size. A hint only, never a bound. Sparse
+    /// entries contribute their range map + carried bytes.
+    pub fn len_hint(&self) -> u64 {
+        let whole = |source: &FieldSource<'_>| match source {
+            FieldSource::Bytes(b) => b.len(),
+            FieldSource::Cell(cell) => cell.known_byte_len().unwrap_or(0),
+        };
+        let fields: usize = match self {
+            Record::Full(_, fields) => fields
+                .iter()
+                .map(|(name, source)| name.len() + 16 + whole(source))
+                .sum(),
+            Record::Delta(_, fields) => fields
+                .iter()
+                .map(|(name, source)| {
+                    let body = match source {
+                        DeltaSource::Full(source) => whole(source),
+                        DeltaSource::DirtyCell { ranges, .. } => {
+                            ranges.iter().map(|r| r.len()).sum::<usize>() + ranges.len() * 16
+                        }
+                        DeltaSource::DirtyBytes {
+                            ranges, payload, ..
+                        } => payload.len() + ranges.len() * 16,
+                    };
+                    name.len() + 32 + body
+                })
+                .sum(),
+        };
+        (fields + 128) as u64
+    }
+
+    /// Stream the record through the golden [`SnapshotWriter`] into `sink`
+    /// (`checksum: false` writes a zero CRC trailer — see the writer's
+    /// docs). Returns `(bytes written, sink)`.
+    pub fn encode<W: Write>(
+        &self,
+        sink: W,
+        checksum: bool,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(u64, W)> {
+        match self {
+            Record::Full(meta, fields) => {
+                let mut w = SnapshotWriter::full_writer(sink, meta, fields.len() as u32, checksum)?;
+                for (name, source) in *fields {
+                    w.field(name, source, scratch)?;
+                }
+                w.finish()
+            }
+            Record::Delta(meta, fields) => {
+                let mut w =
+                    SnapshotWriter::delta_writer(sink, meta, fields.len() as u32, checksum)?;
+                for (name, source) in *fields {
+                    w.delta_field(name, source, scratch)?;
+                }
+                w.finish()
+            }
+        }
+    }
+}
+
 /// Adapter that forwards writes to the sink while folding every byte into
 /// the running CRC (when checksumming is on). Handed to
 /// [`StateCell::write_state`] so even cell-driven writes stay on the
@@ -389,16 +487,6 @@ impl<W: Write> SnapshotWriter<W> {
     /// upcoming fields.
     pub fn new(sink: W, meta: &SnapshotMeta, nfields: u32) -> Result<SnapshotWriter<W>> {
         SnapshotWriter::full_writer(sink, meta, nfields, true)
-    }
-
-    /// [`SnapshotWriter::new`] without the checksum pass (in-memory
-    /// records; see the type docs).
-    pub fn new_unchecksummed(
-        sink: W,
-        meta: &SnapshotMeta,
-        nfields: u32,
-    ) -> Result<SnapshotWriter<W>> {
-        SnapshotWriter::full_writer(sink, meta, nfields, false)
     }
 
     fn full_writer(
@@ -505,27 +593,13 @@ impl<W: Write> SnapshotWriter<W> {
     /// Start a delta record: writes the versioned delta header for `meta`
     /// announcing `nfields` upcoming fields. Shares the running-CRC
     /// machinery (and [`SnapshotWriter::finish`]) with full snapshots.
-    pub fn new_delta(
-        sink: W,
-        meta: &crate::delta::DeltaMeta,
-        nfields: u32,
-    ) -> Result<SnapshotWriter<W>> {
+    pub fn new_delta(sink: W, meta: &DeltaMeta, nfields: u32) -> Result<SnapshotWriter<W>> {
         SnapshotWriter::delta_writer(sink, meta, nfields, true)
-    }
-
-    /// [`SnapshotWriter::new_delta`] without the checksum pass (in-memory
-    /// records; see the type docs).
-    pub fn new_delta_unchecksummed(
-        sink: W,
-        meta: &crate::delta::DeltaMeta,
-        nfields: u32,
-    ) -> Result<SnapshotWriter<W>> {
-        SnapshotWriter::delta_writer(sink, meta, nfields, false)
     }
 
     fn delta_writer(
         sink: W,
-        meta: &crate::delta::DeltaMeta,
+        meta: &DeltaMeta,
         nfields: u32,
         checksum: bool,
     ) -> Result<SnapshotWriter<W>> {
@@ -708,115 +782,139 @@ impl<W: Write> SnapshotWriter<W> {
     }
 }
 
-/// The file-backed store is one [`crate::transport::CkptTransport`]
-/// implementation (the durable one); the `put_*` sinks are exactly the
-/// inherent `stream_*` methods, so the on-disk format stays byte-identical
-/// to every earlier release (golden-bytes tested above).
-impl crate::transport::CkptTransport for CheckpointStore {
+/// The file-backed store is the durable [`CkptTransport`]: one sink per
+/// layout holds that layout's one commit sequence, and the golden encoder
+/// feeding it keeps the on-disk format byte-identical to every earlier
+/// release (golden-bytes tested below).
+impl CkptTransport for CheckpointStore {
     fn describe(&self) -> &'static str {
         "file"
     }
 
-    fn put_master(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.stream_master(meta, fields, scratch)
-    }
-
-    fn put_shard(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.stream_shard(meta, fields, scratch)
-    }
-
-    fn put_master_delta(
-        &self,
-        meta: &crate::delta::DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.stream_master_delta(meta, fields, scratch)
-    }
-
-    fn put_shard_delta(
-        &self,
-        meta: &crate::delta::DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.stream_shard_delta(meta, fields, scratch)
-    }
-
-    fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-        CheckpointStore::read_merged_master(self)
-    }
-
-    fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        CheckpointStore::read_merged_shard(self, rank)
-    }
-
-    fn read_shard_at(&self, rank: u32, count: u64) -> Result<Option<Snapshot>> {
-        CheckpointStore::read_shard_at(self, rank, count)
-    }
-
-    fn restart_count(&self) -> Result<Option<u64>> {
-        CheckpointStore::restart_count(self)
-    }
-
-    fn commit_group(&self, count: u64) -> Result<()> {
-        CheckpointStore::commit_group(self, count)
-    }
-
-    fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        CheckpointStore::clear_deltas(self, rank)
-    }
-
-    fn clear_all_deltas(&self) -> Result<()> {
-        CheckpointStore::clear_all_deltas(self)
-    }
-
-    fn begin_raw<'a>(
-        &'a self,
-        kind: crate::transport::RawRecordKind,
-        _len_hint: u64,
-    ) -> Result<Box<dyn crate::transport::RawRecordSink + 'a>> {
-        use crate::transport::RawRecordKind;
-        let dst = match kind {
-            RawRecordKind::Master => self.master_path(),
-            RawRecordKind::Shard(rank) => self.shard_path(rank),
-            RawRecordKind::MasterDelta { seq } => self.delta_path(None, seq),
-            RawRecordKind::ShardDelta { rank, seq } => self.delta_path(Some(rank), seq),
-        };
-        let rotate = match kind {
-            RawRecordKind::Shard(rank) => Some(rank),
-            _ => None,
-        };
+    fn begin<'a>(&'a self, key: RecordKey, _len_hint: u64) -> Result<Box<dyn RecordSink + 'a>> {
+        let dst = self.record_path(key);
         if let Some(cas) = &self.cas {
-            return Ok(Box::new(CasRawSink {
+            return Ok(Box::new(CasSink {
                 store: self,
-                txn: Some(cas.begin()?),
+                cas,
+                key,
                 name: CheckpointStore::rec_name(&dst).to_string(),
-                rotate,
+                state: CasState::Idle,
+                head: Vec::with_capacity(256),
             }));
         }
-        // Unique temp name per in-flight install: parallel per-rank
-        // pipelines may stream into the same directory concurrently.
+        // Unique temp name per in-flight sink: parallel per-rank lanes may
+        // stream into the same directory concurrently.
         static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = dst.with_extension(format!("tmp{n}"));
         let file = fs::File::create(&tmp)?;
-        Ok(Box::new(FileRawSink {
+        Ok(Box::new(FlatSink {
+            store: self,
+            key,
             tmp,
             dst,
-            w: Some(BufWriter::new(file)),
-            rotate: rotate.map(|rank| (self, rank)),
+            w: BufWriter::new(file),
+            head: Vec::with_capacity(256),
+            written: 0,
+            committed: false,
         }))
+    }
+
+    /// Shard chains keep the generation the group last committed beside
+    /// the current one; a pinned get falls back to it, which is how a
+    /// restore survives a torn group save — shards that already advanced
+    /// past the commit point roll back to their preserved older record.
+    fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>> {
+        let prev = at.and(rank).map(|r| self.prev_shard_path(r));
+        let generations = std::iter::once(self.record_path(RecordKey::full(rank)))
+            .chain(prev)
+            .map(|path| self.read(&path));
+        get_merged(rank, at, generations, |rank, seq| {
+            self.read_delta(rank, seq)
+        })
+    }
+
+    fn write_merged_record_at(
+        &self,
+        rank: Option<u32>,
+        at: Option<u64>,
+        out: &mut dyn Write,
+    ) -> Result<Option<u64>> {
+        // Fast paths: a base record that *is* the checksummed merged record
+        // is copied straight through without decoding (the receiving end
+        // verifies the trailing CRC) — the current base when no delta chain
+        // is pending, or whichever retained generation sits exactly at the
+        // pinned safe point.
+        let current = self.record_path(RecordKey::full(rank));
+        match at {
+            None if !self.record_exists(&self.record_path(RecordKey::delta(rank, 1))) => {
+                return self.record_copy_to(&current, out);
+            }
+            None => {}
+            Some(count) => {
+                for path in std::iter::once(current).chain(rank.map(|r| self.prev_shard_path(r))) {
+                    if self.peek_count(&path) == Some(count) {
+                        if let Some(written) = self.record_copy_to(&path, out)? {
+                            return Ok(Some(written));
+                        }
+                    }
+                }
+            }
+        }
+        crate::transport::write_merged_fallback(self, rank, at, out)
+    }
+
+    /// The safe-point count a restart should replay to: prefers the master
+    /// snapshot, falls back to shard 0 (local-snapshot strategy). Delta
+    /// chains count: a restart replays to the *last delta's* safe point,
+    /// not the base's.
+    fn restart_count(&self) -> Result<Option<u64>> {
+        // A group-commit point is authoritative when present (sharded
+        // strategies write one after every post-save barrier): individual
+        // shard tips may have outrun it if a save was torn by a rank death.
+        if let Some(c) = self.committed_count()? {
+            return Ok(Some(c));
+        }
+        for rank in [None, Some(0)] {
+            if let Some(base) = self.read(&self.record_path(RecordKey::full(rank)))? {
+                // Delta *headers* only (CRC-checked, but no payload is
+                // materialized — the full merge happens once, at load time).
+                let tip = crate::transport::chain_tip_with(base.count, rank, |rank, seq| {
+                    let delta = self.record_bytes(&self.delta_path(rank, seq))?;
+                    delta.map(|b| DeltaMeta::decode(&b)).transpose()
+                })?;
+                return Ok(Some(tip));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Advance the group-commit point (atomically) to safe point `count`.
+    fn commit_group(&self, count: u64) -> Result<()> {
+        let tmp = self.commit_path().with_extension("tmp");
+        fs::write(&tmp, count.to_le_bytes())?;
+        fs::rename(&tmp, self.commit_path())?;
+        Ok(())
+    }
+
+    /// Promotion GC, called after a new base has been persisted. Sweeps
+    /// any extension, so an orphaned temp file from a crash mid-delta-write
+    /// is collected too instead of accumulating across restart cycles.
+    fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
+        let prefix = match rank {
+            None => "ckpt_master_delta_".to_string(),
+            Some(r) => format!("ckpt_rank_{r}_delta_"),
+        };
+        self.remove_records(|name| name.starts_with(&prefix))
+    }
+
+    /// Fresh-run hygiene: a previous generation's leftover chain could
+    /// carry a `base_count` that collides with the counts this run will
+    /// produce, so the checkpoint module purges before its first snapshot
+    /// whenever it is not replaying.
+    fn clear_all_deltas(&self) -> Result<()> {
+        self.remove_records(|name| name.starts_with("ckpt_") && name.contains("_delta_"))
     }
 
     fn take_put_stats(&self) -> crate::cas::PutStats {
@@ -825,184 +923,149 @@ impl crate::transport::CkptTransport for CheckpointStore {
             None => crate::cas::PutStats::default(),
         }
     }
-
-    fn begin_raw_dedup<'a>(
-        &'a self,
-        kind: crate::transport::RawRecordKind,
-        chunks: &[crate::cas::ChunkRef],
-        total_len: u64,
-    ) -> Result<Option<Box<dyn crate::transport::DedupRecordSink + 'a>>> {
-        use crate::transport::RawRecordKind;
-        let Some(cas) = &self.cas else {
-            return Ok(None);
-        };
-        let dst = match kind {
-            RawRecordKind::Master => self.master_path(),
-            RawRecordKind::Shard(rank) => self.shard_path(rank),
-            RawRecordKind::MasterDelta { seq } => self.delta_path(None, seq),
-            RawRecordKind::ShardDelta { rank, seq } => self.delta_path(Some(rank), seq),
-        };
-        let rotate = match kind {
-            RawRecordKind::Shard(rank) => Some(rank),
-            _ => None,
-        };
-        Ok(Some(Box::new(CasDedupSink {
-            store: self,
-            txn: Some(cas.begin_dedup(chunks, total_len)?),
-            name: CheckpointStore::rec_name(&dst).to_string(),
-            rotate,
-        })))
-    }
-
-    fn write_merged_record_at(
-        &self,
-        rank: Option<u32>,
-        count: u64,
-        out: &mut dyn Write,
-    ) -> Result<Option<u64>> {
-        match rank {
-            // Master records are single-writer and atomic: the merged tip
-            // is always group-consistent.
-            None => self.write_merged_record(None, out),
-            Some(r) => CheckpointStore::write_merged_shard_at(self, r, count, out),
-        }
-    }
-
-    fn write_merged_record(&self, rank: Option<u32>, out: &mut dyn Write) -> Result<Option<u64>> {
-        // Fast path: no delta chain pending — the base record *is* the
-        // checksummed merged record, so copy it straight through without
-        // decoding (the receiving end verifies the trailing CRC).
-        if !self.record_exists(&self.delta_path(rank, 1)) {
-            let path = match rank {
-                None => self.master_path(),
-                Some(r) => self.shard_path(r),
-            };
-            return self.record_copy_to(&path, out);
-        }
-        crate::transport::write_merged_fallback(self, rank, out)
-    }
 }
 
-/// Raw streamed install into a content-addressed transaction: chunks
-/// dedup as they arrive, commit is the same rotate-then-promote sequence
-/// as [`FileRawSink`], abort (or drop) rolls the journal back.
-struct CasRawSink<'a> {
+/// The flat layout's sink and its one commit sequence: bytes stream
+/// through a [`BufWriter`] into a uniquely named temp file; commit flushes,
+/// rotates the shard generation the group last committed aside (full shard
+/// records only) and renames over the final name. A crash, an abort or a
+/// drop mid-stream never leaves a partial record under the final name, and
+/// the temp file is removed.
+struct FlatSink<'a> {
     store: &'a CheckpointStore,
-    txn: Option<crate::cas::CasTxn>,
-    name: String,
-    rotate: Option<u32>,
-}
-
-impl crate::transport::RawRecordSink for CasRawSink<'_> {
-    fn write_chunk(&mut self, chunk: &[u8]) -> Result<()> {
-        self.txn
-            .as_mut()
-            .expect("sink used after finish")
-            .append(chunk)
-    }
-
-    fn commit(mut self: Box<Self>) -> Result<u64> {
-        let txn = self.txn.take().expect("sink used after finish");
-        // Stage (seal + fsync the journal manifest) *before* rotating the
-        // previous generation aside: if staging fails, the directory is
-        // untouched.
-        let staged = txn.stage(&self.name)?;
-        if let Some(rank) = self.rotate {
-            self.store.rotate_shard_generation(rank)?;
-        }
-        let written = staged.promote()?;
-        self.store.remove_superseded_flat(&self.name);
-        Ok(written)
-    }
-
-    fn abort(self: Box<Self>) {
-        // Dropping the transaction rolls back its journal.
-    }
-}
-
-/// Digest-negotiated install: the transport already knows the record's
-/// chunk list; only the chunks the store lacks are supplied.
-struct CasDedupSink<'a> {
-    store: &'a CheckpointStore,
-    txn: Option<crate::cas::DedupTxn>,
-    name: String,
-    rotate: Option<u32>,
-}
-
-impl crate::transport::DedupRecordSink for CasDedupSink<'_> {
-    fn missing(&self) -> &[u32] {
-        self.txn.as_ref().expect("sink used after commit").missing()
-    }
-
-    fn supply_chunk(&mut self, bytes: &[u8]) -> Result<()> {
-        self.txn
-            .as_mut()
-            .expect("sink used after commit")
-            .supply_chunk(bytes)
-    }
-
-    fn commit(mut self: Box<Self>) -> Result<u64> {
-        let txn = self.txn.take().expect("sink used after commit");
-        if let Some(rank) = self.rotate {
-            self.store.rotate_shard_generation(rank)?;
-        }
-        let written = txn.commit(&self.name)?;
-        self.store.remove_superseded_flat(&self.name);
-        Ok(written)
-    }
-
-    fn abort(self: Box<Self>) {
-        // Dropping the transaction rolls back its journal.
-    }
-}
-
-/// Raw streamed install straight to a temp file, finalized with the same
-/// atomic-rename discipline as every other snapshot write: a crash (or an
-/// abort) mid-stream never leaves a partial record under the final name.
-struct FileRawSink<'a> {
+    key: RecordKey,
     tmp: PathBuf,
     dst: PathBuf,
-    w: Option<BufWriter<fs::File>>,
-    /// Shard installs rotate the committed previous generation aside
-    /// before the rename lands (see
-    /// [`CheckpointStore::rotate_shard_generation`]).
-    rotate: Option<(&'a CheckpointStore, u32)>,
+    w: BufWriter<fs::File>,
+    head: Vec<u8>,
+    written: u64,
+    /// The temp file has been renamed away; nothing is left to remove.
+    committed: bool,
 }
 
-impl crate::transport::RawRecordSink for FileRawSink<'_> {
-    fn write_chunk(&mut self, chunk: &[u8]) -> Result<()> {
-        self.w
-            .as_mut()
-            .expect("sink used after finish")
-            .write_all(chunk)?;
-        Ok(())
+impl Write for FlatSink<'_> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        let n = self.w.write(bytes)?;
+        keep_head(&mut self.head, &bytes[..n]);
+        self.written += n as u64;
+        Ok(n)
     }
 
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.w.flush()
+    }
+}
+
+impl RecordSink for FlatSink<'_> {
     fn commit(mut self: Box<Self>) -> Result<u64> {
-        let mut w = self.w.take().expect("sink used after finish");
-        w.flush()?;
-        let written = w.get_ref().metadata()?.len();
-        drop(w);
-        if let Some((store, rank)) = self.rotate {
-            store.rotate_shard_generation(rank)?;
-        }
+        self.w.flush()?;
+        self.key.check_record(&self.head)?;
+        self.store.rotate_generation(self.key)?;
         fs::rename(&self.tmp, &self.dst)?;
-        Ok(written)
-    }
-
-    fn abort(self: Box<Self>) {
-        // Drop cleans up the temp file.
+        self.committed = true;
+        Ok(self.written)
     }
 }
 
-impl Drop for FileRawSink<'_> {
+impl Drop for FlatSink<'_> {
     fn drop(&mut self) {
-        // Reached with the writer still live only on abort or a panicked
-        // install: discard the partial temp file (commit already took the
-        // writer and renamed).
-        if self.w.take().is_some() {
+        if !self.committed {
             let _ = fs::remove_file(&self.tmp);
         }
+    }
+}
+
+/// What a [`CasSink`] has been asked to do so far. Nothing touches the
+/// journal until the first byte or the dedup question arrives.
+enum CasState {
+    Idle,
+    /// The record streams in whole; chunks dedup as they seal.
+    Stream(crate::cas::CasTxn),
+    /// The chunk list was announced up front; only lacking chunks stream in.
+    Dedup(crate::cas::DedupTxn),
+}
+
+/// The content-addressed layout's sink and its one commit sequence: stage
+/// (seal + fsync the journal manifest) *before* rotating the previous shard
+/// generation aside — if staging fails, the directory is untouched — then
+/// promote by rename and drop any legacy flat file of the same name.
+/// Dropping the transaction (abort, error, drop) rolls its journal back.
+struct CasSink<'a> {
+    store: &'a CheckpointStore,
+    cas: &'a crate::cas::CasStore,
+    key: RecordKey,
+    name: String,
+    state: CasState,
+    head: Vec<u8>,
+}
+
+impl Write for CasSink<'_> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        if let CasState::Idle = self.state {
+            self.state = CasState::Stream(self.cas.begin().map_err(std::io::Error::other)?);
+        }
+        match &mut self.state {
+            CasState::Stream(txn) => {
+                keep_head(&mut self.head, bytes);
+                txn.write(bytes)
+            }
+            CasState::Dedup(txn) => txn.write(bytes),
+            CasState::Idle => unreachable!("a transaction was just opened"),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl RecordSink for CasSink<'_> {
+    fn lacking(&mut self, chunks: &[ChunkRef], total_len: u64) -> Result<Option<Vec<u32>>> {
+        let CasState::Idle = self.state else {
+            return Err(PparError::InvalidPlan(
+                "the dedup question comes before the first record byte".into(),
+            ));
+        };
+        let txn = self.cas.begin_dedup(chunks, total_len)?;
+        let lacking = txn.missing().to_vec();
+        self.state = CasState::Dedup(txn);
+        Ok(Some(lacking))
+    }
+
+    fn commit(self: Box<Self>) -> Result<u64> {
+        let CasSink {
+            store,
+            key,
+            name,
+            state,
+            head,
+            ..
+        } = *self;
+        let written = match state {
+            CasState::Idle => {
+                return Err(PparError::CorruptCheckpoint(format!(
+                    "no bytes were written for {key:?}"
+                )))
+            }
+            CasState::Stream(txn) => {
+                key.check_record(&head)?;
+                let staged = txn.stage(&name)?;
+                store.rotate_generation(key)?;
+                staged.promote()?
+            }
+            // Integrity and routing of a digest-negotiated record ride the
+            // per-chunk digests the store verified at supply time; its CRC
+            // is still checked whenever the record is read back.
+            CasState::Dedup(txn) => {
+                store.rotate_generation(key)?;
+                txn.commit(&name)?
+            }
+        };
+        // A freshly committed content-addressed record supersedes any
+        // legacy flat file of the same name left from before the layout
+        // switch.
+        let _ = fs::remove_file(store.dir.join(&name));
+        Ok(written)
     }
 }
 
@@ -1187,12 +1250,6 @@ impl CheckpointStore {
         Ok(Some(std::io::copy(&mut file, out)?))
     }
 
-    /// A freshly committed content-addressed record supersedes any legacy
-    /// flat file of the same name left from before the layout switch.
-    fn remove_superseded_flat(&self, name: &str) {
-        let _ = fs::remove_file(self.dir.join(name));
-    }
-
     fn master_path(&self) -> PathBuf {
         self.dir.join("ckpt_master.bin")
     }
@@ -1224,56 +1281,12 @@ impl CheckpointStore {
         }
     }
 
-    fn delta_prefix(rank: Option<u32>) -> String {
-        match rank {
-            None => "ckpt_master_delta_".to_string(),
-            Some(r) => format!("ckpt_rank_{r}_delta_"),
+    fn record_path(&self, key: RecordKey) -> PathBuf {
+        match (key.rank, key.delta) {
+            (None, None) => self.master_path(),
+            (Some(rank), None) => self.shard_path(rank),
+            (rank, Some(seq)) => self.delta_path(rank, seq),
         }
-    }
-
-    /// Stream one snapshot atomically: temp file → [`SnapshotWriter`] over a
-    /// [`BufWriter`] → flush → rename. No whole-snapshot buffer exists at
-    /// any point. `rotate_rank` (shard writes) preserves the committed
-    /// previous generation before the rename lands.
-    fn stream_atomic(
-        &self,
-        path: &Path,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-        rotate_rank: Option<u32>,
-    ) -> Result<u64> {
-        if let Some(cas) = &self.cas {
-            // Content-addressed path: the record streams chunk by chunk
-            // into a staged transaction; only novel chunks hit the object
-            // tree, and promote is the same single-rename commit as the
-            // flat layout's temp-file rename.
-            let mut w = SnapshotWriter::new(cas.begin()?, meta, fields.len() as u32)?;
-            for (name, source) in fields {
-                w.field(name, source, scratch)?;
-            }
-            let (written, txn) = w.finish()?;
-            if let Some(rank) = rotate_rank {
-                self.rotate_shard_generation(rank)?;
-            }
-            let name = CheckpointStore::rec_name(path);
-            txn.commit(name)?;
-            self.remove_superseded_flat(name);
-            return Ok(written);
-        }
-        let tmp = path.with_extension("tmp");
-        let file = fs::File::create(&tmp)?;
-        let mut w = SnapshotWriter::new(BufWriter::new(file), meta, fields.len() as u32)?;
-        for (name, source) in fields {
-            w.field(name, source, scratch)?;
-        }
-        let (written, sink) = w.finish()?;
-        drop(sink);
-        if let Some(rank) = rotate_rank {
-            self.rotate_shard_generation(rank)?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(written)
     }
 
     /// Peek the safe-point count in a record's header without materializing
@@ -1294,19 +1307,7 @@ impl CheckpointStore {
                 Err(_) => return None,
             }
         }
-        let mut r = Reader {
-            buf: &head[..got],
-            pos: 0,
-        };
-        CheckpointStore::peek_count_in(&mut r)
-    }
-
-    fn peek_count_in(r: &mut Reader<'_>) -> Option<u64> {
-        if r.take(8).ok()? != MAGIC {
-            return None;
-        }
-        r.take_str().ok()?;
-        r.take_u64().ok()
+        peek_header(&head[..got]).map(|(count, _)| count)
     }
 
     /// [`CheckpointStore::peek_record_count`] through the record seam:
@@ -1315,19 +1316,27 @@ impl CheckpointStore {
     fn peek_count(&self, path: &Path) -> Option<u64> {
         if let Some(cas) = &self.cas {
             if let Ok(Some(head)) = cas.read_head(CheckpointStore::rec_name(path), 4096) {
-                let mut r = Reader { buf: &head, pos: 0 };
-                return CheckpointStore::peek_count_in(&mut r);
+                return peek_header(&head).map(|(count, _)| count);
             }
         }
         CheckpointStore::peek_record_count(path)
     }
 
-    /// Preserve the committed generation of shard `rank` before a new base
-    /// record replaces it: rotate `dst → prev` unless `dst` has already
+    /// The step of both commit sequences that comes just before the new
+    /// record takes its final name. Only a shard's full record has anything
+    /// to do: preserve the committed generation of that shard before the
+    /// new base replaces it — rotate `dst → prev` unless `dst` has already
     /// diverged from the commit point (then `prev` still holds the committed
     /// generation and must survive — a torn save retried after recovery must
     /// not evict the only restorable record).
-    fn rotate_shard_generation(&self, rank: u32) -> Result<()> {
+    fn rotate_generation(&self, key: RecordKey) -> Result<()> {
+        let RecordKey {
+            rank: Some(rank),
+            delta: None,
+        } = key
+        else {
+            return Ok(());
+        };
         let dst = self.shard_path(rank);
         if !self.record_exists(&dst) {
             return Ok(());
@@ -1362,130 +1371,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Advance the group-commit point (atomically) to safe point `count`.
-    pub fn commit_group(&self, count: u64) -> Result<()> {
-        let tmp = self.commit_path().with_extension("tmp");
-        fs::write(&tmp, count.to_le_bytes())?;
-        fs::rename(&tmp, self.commit_path())?;
-        Ok(())
-    }
-
-    /// Stream a master snapshot from live field sources; returns bytes
-    /// written. `scratch` buffers length-unknown cells and is reused across
-    /// calls (pass the module's persistent buffer).
-    pub fn stream_master(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        debug_assert!(meta.rank.is_none(), "master snapshot must have rank None");
-        self.stream_atomic(&self.master_path(), meta, fields, scratch, None)
-    }
-
-    /// Stream one element's shard from live field sources; returns bytes
-    /// written.
-    pub fn stream_shard(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let rank = meta
-            .rank
-            .ok_or_else(|| PparError::InvalidPlan("shard snapshot needs a rank".into()))?;
-        self.stream_atomic(&self.shard_path(rank), meta, fields, scratch, Some(rank))
-    }
-
-    /// Persist a materialized master snapshot; returns bytes written.
-    /// (Streams `snap`'s payloads — convenience wrapper over
-    /// [`CheckpointStore::stream_master`] for callers that already hold a
-    /// [`Snapshot`].)
-    pub fn write_master(&self, snap: &Snapshot) -> Result<u64> {
-        debug_assert!(snap.rank.is_none(), "master snapshot must have rank None");
-        let fields: Vec<(&str, FieldSource<'_>)> = snap
-            .fields
-            .iter()
-            .map(|(name, bytes)| (name.as_str(), FieldSource::Bytes(bytes)))
-            .collect();
-        self.stream_master(&snap.meta(), &fields, &mut Vec::new())
-    }
-
-    /// Persist a materialized shard snapshot; returns bytes written.
-    pub fn write_shard(&self, snap: &Snapshot) -> Result<u64> {
-        if snap.rank.is_none() {
-            return Err(PparError::InvalidPlan("shard snapshot needs a rank".into()));
-        }
-        let fields: Vec<(&str, FieldSource<'_>)> = snap
-            .fields
-            .iter()
-            .map(|(name, bytes)| (name.as_str(), FieldSource::Bytes(bytes)))
-            .collect();
-        self.stream_shard(&snap.meta(), &fields, &mut Vec::new())
-    }
-
-    /// Stream one delta record atomically (same temp-file + rename
-    /// discipline as full snapshots: a crash mid-write never leaves a
-    /// half-written delta under the final name).
-    fn stream_delta_atomic(
-        &self,
-        path: &Path,
-        meta: &crate::delta::DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        if let Some(cas) = &self.cas {
-            let mut w = SnapshotWriter::new_delta(cas.begin()?, meta, fields.len() as u32)?;
-            for (name, source) in fields {
-                w.delta_field(name, source, scratch)?;
-            }
-            let (written, txn) = w.finish()?;
-            let name = CheckpointStore::rec_name(path);
-            txn.commit(name)?;
-            self.remove_superseded_flat(name);
-            return Ok(written);
-        }
-        let tmp = path.with_extension("tmp");
-        let file = fs::File::create(&tmp)?;
-        let mut w = SnapshotWriter::new_delta(BufWriter::new(file), meta, fields.len() as u32)?;
-        for (name, source) in fields {
-            w.delta_field(name, source, scratch)?;
-        }
-        let (written, sink) = w.finish()?;
-        drop(sink);
-        fs::rename(&tmp, path)?;
-        Ok(written)
-    }
-
-    /// Stream a master delta record; returns bytes written.
-    pub fn stream_master_delta(
-        &self,
-        meta: &crate::delta::DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        debug_assert!(meta.rank.is_none(), "master delta must have rank None");
-        self.stream_delta_atomic(&self.delta_path(None, meta.seq), meta, fields, scratch)
-    }
-
-    /// Stream one element's shard delta record; returns bytes written.
-    pub fn stream_shard_delta(
-        &self,
-        meta: &crate::delta::DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let rank = meta
-            .rank
-            .ok_or_else(|| PparError::InvalidPlan("shard delta needs a rank".into()))?;
-        self.stream_delta_atomic(
-            &self.delta_path(Some(rank), meta.seq),
-            meta,
-            fields,
-            scratch,
-        )
-    }
-
     fn read(&self, path: &Path) -> Result<Option<Snapshot>> {
         match self.record_bytes(path)? {
             Some(bytes) => Snapshot::decode(&bytes).map(Some),
@@ -1518,90 +1403,6 @@ impl CheckpointStore {
         self.read_delta(Some(rank), seq)
     }
 
-    /// Fold the on-disk delta chain onto `snap` (the base full snapshot).
-    /// The chain is walked from seq 1 until the first missing file; a delta
-    /// whose `base_count` does not match the base is *stale* (left over from
-    /// a crash between base promotion and delta GC) and terminates the walk
-    /// harmlessly. Corrupt or out-of-order deltas are hard errors. (Chain
-    /// rules are shared with every other transport through
-    /// [`crate::transport::merge_chain_with`].)
-    fn merge_chain(&self, snap: Snapshot) -> Result<Snapshot> {
-        crate::transport::merge_chain_with(snap, |rank, seq| self.read_delta(rank, seq))
-    }
-
-    /// Load the master snapshot with its delta chain folded in: the result
-    /// is byte-identical (per field) to a full snapshot of the same state.
-    pub fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-        match self.read_master()? {
-            None => Ok(None),
-            Some(snap) => self.merge_chain(snap).map(Some),
-        }
-    }
-
-    /// Load rank `rank`'s shard with its delta chain folded in.
-    pub fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        match self.read_shard(rank)? {
-            None => Ok(None),
-            Some(snap) => self.merge_chain(snap).map(Some),
-        }
-    }
-
-    /// Load rank `rank`'s shard *at exactly* safe point `count`: serve the
-    /// current generation when its (count-bounded) merge lands on `count`,
-    /// else fall back to the retained previous generation. This is how a
-    /// restore survives a torn group save — shards that already advanced
-    /// past the commit point roll back to their preserved older record.
-    pub fn read_shard_at(&self, rank: u32, count: u64) -> Result<Option<Snapshot>> {
-        let mut seen = Vec::new();
-        for path in [self.shard_path(rank), self.prev_shard_path(rank)] {
-            let Some(base) = self.read(&path)? else {
-                continue;
-            };
-            if base.count > count {
-                seen.push(base.count);
-                continue;
-            }
-            let merged =
-                crate::transport::merge_chain_to(base, count, |r, s| self.read_delta(r, s))?;
-            if merged.count == count {
-                return Ok(Some(merged));
-            }
-            seen.push(merged.count);
-        }
-        if seen.is_empty() {
-            Ok(None)
-        } else {
-            Err(PparError::CorruptCheckpoint(format!(
-                "no generation of shard {rank} can serve safe point {count} \
-                 (available: {seen:?})"
-            )))
-        }
-    }
-
-    /// Stream the merged record of shard `rank` at exactly safe point
-    /// `count` into `out`. Raw copy-through when a retained base generation
-    /// is the record verbatim; otherwise materialize via
-    /// [`CheckpointStore::read_shard_at`] and re-encode.
-    pub fn write_merged_shard_at(
-        &self,
-        rank: u32,
-        count: u64,
-        out: &mut dyn Write,
-    ) -> Result<Option<u64>> {
-        for path in [self.shard_path(rank), self.prev_shard_path(rank)] {
-            if self.peek_count(&path) == Some(count) {
-                match self.record_copy_to(&path, out)? {
-                    Some(written) => return Ok(Some(written)),
-                    None => continue,
-                }
-            }
-        }
-        match self.read_shard_at(rank, count)? {
-            Some(snap) => crate::transport::write_snapshot_record(&snap, out).map(Some),
-            None => Ok(None),
-        }
-    }
-
     // Tolerate a concurrent remover (several modules of one group purging
     // at start-up): losing the race to delete is success.
     fn remove_if_present(path: PathBuf) -> Result<()> {
@@ -1612,47 +1413,17 @@ impl CheckpointStore {
         }
     }
 
-    /// Delete every delta of one chain (promotion GC: called after a new
-    /// base full snapshot has been persisted). Sweeps any extension, so an
-    /// orphaned `.tmp` from a crash mid-delta-write is collected too
-    /// instead of accumulating across restart cycles.
-    pub fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        let prefix = CheckpointStore::delta_prefix(rank);
+    /// Delete every record — flat file or manifest — whose name `matches`.
+    fn remove_records(&self, matches: impl Fn(&str) -> bool) -> Result<()> {
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with(&prefix) {
+            if matches(&entry.file_name().to_string_lossy()) {
                 CheckpointStore::remove_if_present(entry.path())?;
             }
         }
         if let Some(cas) = &self.cas {
             for name in cas.list_manifests()? {
-                if name.starts_with(&prefix) {
-                    cas.remove_manifest(&name)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Delete every delta file of *every* chain (master and all ranks).
-    /// Fresh-run hygiene: a previous generation's leftover chain could
-    /// carry a `base_count` that collides with the counts this run will
-    /// produce, so the checkpoint module purges before its first snapshot
-    /// whenever it is not replaying.
-    pub fn clear_all_deltas(&self) -> Result<()> {
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("ckpt_") && name.contains("_delta_") {
-                CheckpointStore::remove_if_present(entry.path())?;
-            }
-        }
-        if let Some(cas) = &self.cas {
-            for name in cas.list_manifests()? {
-                if name.starts_with("ckpt_") && name.contains("_delta_") {
+                if matches(&name) {
                     cas.remove_manifest(&name)?;
                 }
             }
@@ -1668,38 +1439,6 @@ impl CheckpointStore {
     /// Load element `rank`'s shard, if present.
     pub fn read_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
         self.read(&self.shard_path(rank))
-    }
-
-    /// The safe-point count at the tip of a base's delta chain, walking
-    /// delta *headers* only (CRC-checked, but no payload is materialized —
-    /// the full merge happens once, at load time).
-    fn chain_tip_count(&self, base_count: u64, rank: Option<u32>) -> Result<u64> {
-        crate::transport::chain_tip_with(base_count, rank, |rank, seq| {
-            match self.record_bytes(&self.delta_path(rank, seq))? {
-                Some(bytes) => crate::delta::DeltaMeta::decode(&bytes).map(Some),
-                None => Ok(None),
-            }
-        })
-    }
-
-    /// The safe-point count a restart should replay to: prefers the master
-    /// snapshot, falls back to shard 0 (local-snapshot strategy). `None`
-    /// when no usable snapshot exists. Delta chains count: a restart
-    /// replays to the *last delta's* safe point, not the base's.
-    pub fn restart_count(&self) -> Result<Option<u64>> {
-        // A group-commit point is authoritative when present (sharded
-        // strategies write one after every post-save barrier): individual
-        // shard tips may have outrun it if a save was torn by a rank death.
-        if let Some(c) = self.committed_count()? {
-            return Ok(Some(c));
-        }
-        if let Some(s) = self.read_master()? {
-            return Ok(Some(self.chain_tip_count(s.count, None)?));
-        }
-        if let Some(s) = self.read_shard(0)? {
-            return Ok(Some(self.chain_tip_count(s.count, Some(0))?));
-        }
-        Ok(None)
     }
 
     /// Mark a run as in flight. Idempotent (all aggregate elements call it).
@@ -1725,20 +1464,8 @@ impl CheckpointStore {
     /// Remove all snapshots and the marker (fresh directory for a new
     /// experiment).
     pub fn clear_all(&self) -> Result<()> {
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name == "RUNNING" || name.starts_with("ckpt_") {
-                fs::remove_file(entry.path())?;
-            }
-        }
+        self.remove_records(|name| name == "RUNNING" || name.starts_with("ckpt_"))?;
         if let Some(cas) = &self.cas {
-            for name in cas.list_manifests()? {
-                if name.starts_with("ckpt_") {
-                    cas.remove_manifest(&name)?;
-                }
-            }
             // Orphaned chunk objects are reclaimed eagerly: a cleared
             // directory should not keep paying for dead generations.
             cas.gc()?;
@@ -1823,25 +1550,6 @@ mod tests {
     }
 
     #[test]
-    fn store_write_read_master_and_shards() {
-        let dir = tmpdir("rw");
-        let store = CheckpointStore::new(&dir).unwrap();
-        assert!(store.read_master().unwrap().is_none());
-
-        let master = sample(None);
-        let written = store.write_master(&master).unwrap();
-        assert!(written > 0);
-        assert_eq!(store.read_master().unwrap().unwrap(), master);
-
-        let shard = sample(Some(3));
-        store.write_shard(&shard).unwrap();
-        assert_eq!(store.read_shard(3).unwrap().unwrap(), shard);
-        assert!(store.read_shard(4).unwrap().is_none());
-
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn restart_count_prefers_master() {
         let dir = tmpdir("count");
         let store = CheckpointStore::new(&dir).unwrap();
@@ -1849,12 +1557,12 @@ mod tests {
 
         let mut shard = sample(Some(0));
         shard.count = 50;
-        store.write_shard(&shard).unwrap();
+        put_snapshot(&store, &shard);
         assert_eq!(store.restart_count().unwrap(), Some(50));
 
         let mut master = sample(None);
         master.count = 80;
-        store.write_master(&master).unwrap();
+        put_snapshot(&store, &master);
         assert_eq!(store.restart_count().unwrap(), Some(80));
 
         fs::remove_dir_all(&dir).unwrap();
@@ -1879,8 +1587,8 @@ mod tests {
         let dir = tmpdir("clear");
         let store = CheckpointStore::new(&dir).unwrap();
         store.set_marker().unwrap();
-        store.write_master(&sample(None)).unwrap();
-        store.write_shard(&sample(Some(1))).unwrap();
+        put_snapshot(&store, &sample(None));
+        put_snapshot(&store, &sample(Some(1)));
         store.clear_all().unwrap();
         assert!(!store.marker_exists());
         assert!(store.read_master().unwrap().is_none());
@@ -1898,6 +1606,15 @@ mod tests {
             .iter()
             .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
             .collect()
+    }
+
+    fn put_snapshot(store: &CheckpointStore, snap: &Snapshot) -> u64 {
+        store
+            .put(
+                &Record::Full(&snap.meta(), &bytes_fields(snap)),
+                &mut Vec::new(),
+            )
+            .unwrap()
     }
 
     /// The golden-bytes guarantee: for identical content, the streaming
@@ -1928,15 +1645,7 @@ mod tests {
         ];
         for snap in cases {
             let golden = snap.encode();
-            let written = if snap.rank.is_none() {
-                store
-                    .stream_master(&snap.meta(), &bytes_fields(&snap), &mut Vec::new())
-                    .unwrap()
-            } else {
-                store
-                    .stream_shard(&snap.meta(), &bytes_fields(&snap), &mut Vec::new())
-                    .unwrap()
-            };
+            let written = put_snapshot(&store, &snap);
             let path = match snap.rank {
                 None => store.master_path(),
                 Some(r) => store.shard_path(r),
@@ -1976,7 +1685,7 @@ mod tests {
         ];
         let mut scratch = Vec::new();
         store
-            .stream_master(&materialized.meta(), &fields, &mut scratch)
+            .put(&Record::Full(&materialized.meta(), &fields), &mut scratch)
             .unwrap();
         let streamed = fs::read(store.master_path()).unwrap();
         assert_eq!(streamed, golden);
@@ -2002,7 +1711,10 @@ mod tests {
 
         // Streaming writer -> reader.
         store
-            .stream_master(&snap.meta(), &bytes_fields(&snap), &mut Vec::new())
+            .put(
+                &Record::Full(&snap.meta(), &bytes_fields(&snap)),
+                &mut Vec::new(),
+            )
             .unwrap();
         assert_eq!(store.read_master().unwrap().unwrap(), snap);
         fs::remove_dir_all(&dir).unwrap();
@@ -2014,7 +1726,10 @@ mod tests {
         let store = CheckpointStore::new(&dir).unwrap();
         let snap = sample(None);
         store
-            .stream_master(&snap.meta(), &bytes_fields(&snap), &mut Vec::new())
+            .put(
+                &Record::Full(&snap.meta(), &bytes_fields(&snap)),
+                &mut Vec::new(),
+            )
             .unwrap();
         let good = fs::read(store.master_path()).unwrap();
 
@@ -2061,7 +1776,7 @@ mod tests {
         };
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("G", FieldSource::Cell(&cell))];
         store
-            .stream_master(&meta, &fields, &mut Vec::new())
+            .put(&Record::Full(&meta, &fields), &mut Vec::new())
             .unwrap();
 
         let back = store.read_master().unwrap().unwrap();
@@ -2102,7 +1817,9 @@ mod tests {
         };
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("pop", FieldSource::Cell(&cell))];
         let mut scratch = Vec::new();
-        store.stream_master(&meta, &fields, &mut scratch).unwrap();
+        store
+            .put(&Record::Full(&meta, &fields), &mut scratch)
+            .unwrap();
         assert_eq!(scratch, vec![1, 2, 3, 4, 5], "field buffered via scratch");
 
         let golden = Snapshot {
@@ -2172,7 +1889,10 @@ mod tests {
             nranks: 1,
         };
         store
-            .stream_master(&meta, &[("G", FieldSource::Cell(&v))], &mut Vec::new())
+            .put(
+                &Record::Full(&meta, &[("G", FieldSource::Cell(&v))]),
+                &mut Vec::new(),
+            )
             .unwrap();
         v.clear_dirty();
 
@@ -2182,15 +1902,17 @@ mod tests {
         let ranges = v.dirty_byte_ranges();
         let dm = delta_meta(20, 10, 1, None);
         store
-            .stream_master_delta(
-                &dm,
-                &[(
-                    "G",
-                    DeltaSource::DirtyCell {
-                        cell: &v,
-                        ranges: &ranges,
-                    },
-                )],
+            .put(
+                &Record::Delta(
+                    &dm,
+                    &[(
+                        "G",
+                        DeltaSource::DirtyCell {
+                            cell: &v,
+                            ranges: &ranges,
+                        },
+                    )],
+                ),
                 &mut Vec::new(),
             )
             .unwrap();
@@ -2201,20 +1923,22 @@ mod tests {
         let ranges = v.dirty_byte_ranges();
         let dm = delta_meta(30, 10, 2, None);
         store
-            .stream_master_delta(
-                &dm,
-                &[(
-                    "G",
-                    DeltaSource::DirtyCell {
-                        cell: &v,
-                        ranges: &ranges,
-                    },
-                )],
+            .put(
+                &Record::Delta(
+                    &dm,
+                    &[(
+                        "G",
+                        DeltaSource::DirtyCell {
+                            cell: &v,
+                            ranges: &ranges,
+                        },
+                    )],
+                ),
                 &mut Vec::new(),
             )
             .unwrap();
 
-        let merged = store.read_merged_master().unwrap().unwrap();
+        let merged = store.get(None, None).unwrap().unwrap();
         assert_eq!(merged.count, 30, "restart replays to the last delta");
         assert_eq!(merged.field("G").unwrap(), v.save_bytes().as_slice());
         assert_eq!(store.restart_count().unwrap(), Some(30));
@@ -2231,7 +1955,7 @@ mod tests {
         store.clear_deltas(None).unwrap();
         assert!(store.read_master_delta(1).unwrap().is_none());
         assert!(store.read_master_delta(2).unwrap().is_none());
-        assert_eq!(store.read_merged_master().unwrap().unwrap().count, 10);
+        assert_eq!(store.get(None, None).unwrap().unwrap().count, 10);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2247,25 +1971,30 @@ mod tests {
             nranks: 1,
         };
         store
-            .stream_master(&meta, &[("G", FieldSource::Cell(&v))], &mut Vec::new())
+            .put(
+                &Record::Full(&meta, &[("G", FieldSource::Cell(&v))]),
+                &mut Vec::new(),
+            )
             .unwrap();
         v.clear_dirty();
 
         let dm = delta_meta(2, 1, 1, None);
         store
-            .stream_master_delta(
-                &dm,
-                &[(
-                    "G",
-                    DeltaSource::DirtyCell {
-                        cell: &v,
-                        ranges: &[],
-                    },
-                )],
+            .put(
+                &Record::Delta(
+                    &dm,
+                    &[(
+                        "G",
+                        DeltaSource::DirtyCell {
+                            cell: &v,
+                            ranges: &[],
+                        },
+                    )],
+                ),
                 &mut Vec::new(),
             )
             .unwrap();
-        let merged = store.read_merged_master().unwrap().unwrap();
+        let merged = store.get(None, None).unwrap().unwrap();
         assert_eq!(merged.count, 2);
         assert_eq!(merged.field("G").unwrap(), v.save_bytes().as_slice());
         fs::remove_dir_all(&dir).unwrap();
@@ -2283,21 +2012,26 @@ mod tests {
             nranks: 1,
         };
         store
-            .stream_master(&meta, &[("G", FieldSource::Cell(&v))], &mut Vec::new())
+            .put(
+                &Record::Full(&meta, &[("G", FieldSource::Cell(&v))]),
+                &mut Vec::new(),
+            )
             .unwrap();
         v.clear_dirty();
         v.set(7, 3.0);
         let ranges = v.dirty_byte_ranges();
         store
-            .stream_master_delta(
-                &delta_meta(2, 1, 1, None),
-                &[(
-                    "G",
-                    DeltaSource::DirtyCell {
-                        cell: &v,
-                        ranges: &ranges,
-                    },
-                )],
+            .put(
+                &Record::Delta(
+                    &delta_meta(2, 1, 1, None),
+                    &[(
+                        "G",
+                        DeltaSource::DirtyCell {
+                            cell: &v,
+                            ranges: &ranges,
+                        },
+                    )],
+                ),
                 &mut Vec::new(),
             )
             .unwrap();
@@ -2310,7 +2044,7 @@ mod tests {
             bad[pos] ^= 0x10;
             fs::write(&path, &bad).unwrap();
             assert!(
-                store.read_merged_master().is_err(),
+                store.get(None, None).is_err(),
                 "bit flip at {pos} undetected"
             );
         }
@@ -2318,7 +2052,7 @@ mod tests {
         for cut in [3, 16, good.len() / 2, good.len() - 1] {
             fs::write(&path, &good[..cut]).unwrap();
             assert!(
-                store.read_merged_master().is_err(),
+                store.get(None, None).is_err(),
                 "truncation to {cut} undetected"
             );
         }
@@ -2329,7 +2063,7 @@ mod tests {
         let crc = crc32(&v2[..n - 4]);
         v2[n - 4..].copy_from_slice(&crc.to_le_bytes());
         fs::write(&path, &v2).unwrap();
-        match store.read_merged_master() {
+        match store.get(None, None) {
             Err(PparError::FormatMismatch { expected, .. }) => {
                 assert!(expected.contains("delta format"))
             }
@@ -2350,21 +2084,26 @@ mod tests {
             nranks: 1,
         };
         store
-            .stream_master(&snap(1), &[("G", FieldSource::Cell(&v))], &mut Vec::new())
+            .put(
+                &Record::Full(&snap(1), &[("G", FieldSource::Cell(&v))]),
+                &mut Vec::new(),
+            )
             .unwrap();
         v.clear_dirty();
         v.set(0, 1.0);
         let ranges = v.dirty_byte_ranges();
         store
-            .stream_master_delta(
-                &delta_meta(2, 1, 1, None),
-                &[(
-                    "G",
-                    DeltaSource::DirtyCell {
-                        cell: &v,
-                        ranges: &ranges,
-                    },
-                )],
+            .put(
+                &Record::Delta(
+                    &delta_meta(2, 1, 1, None),
+                    &[(
+                        "G",
+                        DeltaSource::DirtyCell {
+                            cell: &v,
+                            ranges: &ranges,
+                        },
+                    )],
+                ),
                 &mut Vec::new(),
             )
             .unwrap();
@@ -2374,22 +2113,27 @@ mod tests {
         // skipped, not applied and not fatal.
         v.set(0, 42.0);
         store
-            .stream_master(&snap(3), &[("G", FieldSource::Cell(&v))], &mut Vec::new())
+            .put(
+                &Record::Full(&snap(3), &[("G", FieldSource::Cell(&v))]),
+                &mut Vec::new(),
+            )
             .unwrap();
-        let merged = store.read_merged_master().unwrap().unwrap();
+        let merged = store.get(None, None).unwrap().unwrap();
         assert_eq!(merged.count, 3);
         assert_eq!(merged.field("G").unwrap(), v.save_bytes().as_slice());
 
         // An in-chain sequence-number mismatch, by contrast, is corruption.
         store
-            .stream_master_delta(
-                &delta_meta(4, 3, 2, None),
-                &[("G", DeltaSource::Full(FieldSource::Cell(&v)))],
+            .put(
+                &Record::Delta(
+                    &delta_meta(4, 3, 2, None),
+                    &[("G", DeltaSource::Full(FieldSource::Cell(&v)))],
+                ),
                 &mut Vec::new(),
             )
             .unwrap();
         fs::rename(store.delta_path(None, 2), store.delta_path(None, 1)).unwrap();
-        assert!(store.read_merged_master().is_err());
+        assert!(store.get(None, None).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2408,9 +2152,8 @@ mod tests {
             nranks: 4,
         };
         store
-            .stream_shard(
-                &meta,
-                &[("G", FieldSource::Bytes(&shard_bytes))],
+            .put(
+                &Record::Full(&meta, &[("G", FieldSource::Bytes(&shard_bytes))]),
                 &mut Vec::new(),
             )
             .unwrap();
@@ -2419,26 +2162,28 @@ mod tests {
         let mut dm = delta_meta(6, 5, 1, Some(2));
         dm.nranks = 4;
         store
-            .stream_shard_delta(
-                &dm,
-                &[(
-                    "G",
-                    DeltaSource::DirtyBytes {
-                        full_len: 64,
-                        ranges: &[16..24],
-                        payload: &patch,
-                    },
-                )],
+            .put(
+                &Record::Delta(
+                    &dm,
+                    &[(
+                        "G",
+                        DeltaSource::DirtyBytes {
+                            full_len: 64,
+                            ranges: &[16..24],
+                            payload: &patch,
+                        },
+                    )],
+                ),
                 &mut Vec::new(),
             )
             .unwrap();
-        let merged = store.read_merged_shard(2).unwrap().unwrap();
+        let merged = store.get(Some(2), None).unwrap().unwrap();
         assert_eq!(merged.count, 6);
         let mut expect = shard_bytes.clone();
         expect[16..24].copy_from_slice(&patch);
         assert_eq!(merged.field("G").unwrap(), expect.as_slice());
         // Master chain is untouched by shard deltas.
-        assert!(store.read_merged_master().unwrap().is_none());
+        assert!(store.get(None, None).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2452,18 +2197,20 @@ mod tests {
         let ranges = v.dirty_byte_ranges();
         let opaque = vec![1u8, 2, 3];
         store
-            .stream_master_delta(
-                &delta_meta(7, 3, 2, None),
-                &[
-                    (
-                        "G",
-                        DeltaSource::DirtyCell {
-                            cell: &v,
-                            ranges: &ranges,
-                        },
-                    ),
-                    ("pop", DeltaSource::Full(FieldSource::Bytes(&opaque))),
-                ],
+            .put(
+                &Record::Delta(
+                    &delta_meta(7, 3, 2, None),
+                    &[
+                        (
+                            "G",
+                            DeltaSource::DirtyCell {
+                                cell: &v,
+                                ranges: &ranges,
+                            },
+                        ),
+                        ("pop", DeltaSource::Full(FieldSource::Bytes(&opaque))),
+                    ],
+                ),
                 &mut Vec::new(),
             )
             .unwrap();
@@ -2505,7 +2252,7 @@ mod tests {
                 nranks: 1,
             };
             store
-                .stream_master(&meta, &[("G", FieldSource::Cell(&v))], &mut Vec::new())
+                .put(&Record::Full(&meta, &[("G", FieldSource::Cell(&v))]), &mut Vec::new())
                 .unwrap();
             v.clear_dirty();
 
@@ -2515,34 +2262,15 @@ mod tests {
                 }
                 let ranges = v.dirty_byte_ranges();
                 store
-                    .stream_master_delta(
-                        &delta_meta(1 + seq as u64, 1, seq, None),
-                        &[("G", DeltaSource::DirtyCell { cell: &v, ranges: &ranges })],
-                        &mut Vec::new(),
-                    )
+                    .put(&Record::Delta(&delta_meta(1 + seq as u64, 1, seq, None), &[("G", DeltaSource::DirtyCell { cell: &v, ranges: &ranges })]), &mut Vec::new())
                     .unwrap();
                 v.clear_dirty();
             }
 
-            let merged = store.read_merged_master().unwrap().unwrap();
+            let merged = store.get(None, None).unwrap().unwrap();
             proptest::prop_assert_eq!(merged.field("G").unwrap(), v.save_bytes().as_slice());
             proptest::prop_assert_eq!(merged.count, 3);
             let _ = fs::remove_dir_all(&dir);
         }
-    }
-
-    #[test]
-    fn overwrite_is_atomic_replacement() {
-        let dir = tmpdir("atomic");
-        let store = CheckpointStore::new(&dir).unwrap();
-        let mut s = sample(None);
-        store.write_master(&s).unwrap();
-        s.count = 999;
-        s.fields[0].1 = vec![9; 1000];
-        store.write_master(&s).unwrap();
-        let back = store.read_master().unwrap().unwrap();
-        assert_eq!(back.count, 999);
-        assert_eq!(back.fields[0].1.len(), 1000);
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,33 +1,46 @@
-//! Pluggable checkpoint transports: where snapshot bytes travel.
+//! Pluggable checkpoint transports: where record bytes travel.
 //!
 //! The checkpoint layer separates *what* is persisted (the snapshot and
-//! delta formats of [`crate::store`] and [`crate::delta`]) from *where* the
-//! bytes go. A [`CkptTransport`] is a sink + source pair:
+//! delta encodings of [`crate::store`] and [`crate::delta`], produced by
+//! the one golden [`crate::store::SnapshotWriter`]) from *where* the bytes
+//! go. A medium is a [`CkptTransport`]; four ideas carry the whole seam:
 //!
-//! * **sink** — streaming full-snapshot writes ([`CkptTransport::put_master`]
-//!   / [`CkptTransport::put_shard`]) and delta-record writes, all through
-//!   the shared golden encoder ([`crate::store::SnapshotWriter`]), so every
-//!   transport produces byte-identical encodings for identical content;
-//! * **source** — merged reads that fold a base snapshot with its delta
-//!   chain ([`CkptTransport::read_merged_master`] /
-//!   [`CkptTransport::read_merged_shard`]) plus the restart-target walk
-//!   ([`CkptTransport::restart_count`]).
+//! * **key** — a [`RecordKey`] names one record: which chain (`rank`,
+//!   `None` = master) and which position in it (`delta`, `None` = the full
+//!   base record). A record's own header carries the same two values, so
+//!   the key is always derivable from the record.
+//! * **sink** — [`CkptTransport::begin`] opens the medium's one
+//!   [`RecordSink`] for a key: a [`Write`] that takes the record's encoded
+//!   bytes in order, then [`RecordSink::commit`] or [`RecordSink::abort`].
+//!   Who produces the bytes does not matter: the encoder running over live
+//!   cells, or a network lane relaying bytes another rank encoded.
+//! * **put, once** — [`CkptTransport::put`] is *provided*: derive the key
+//!   from the record's header, run the golden encoder into `begin(key)`,
+//!   commit. No medium implements a put of its own, so every medium stores
+//!   byte-identical encodings of identical content.
+//! * **get** — [`CkptTransport::get`] materializes a chain's merged state
+//!   (base + deltas folded by the shared chain rules below), optionally
+//!   pinned to one safe point; [`CkptTransport::write_merged_record`]
+//!   streams the same thing as one checksummed full record and
+//!   [`CkptTransport::with_merged_master`] lends it zero-copy.
 //!
-//! Two implementations ship:
+//! **The failed-put rule**, binding on every medium: *a put that fails
+//! leaves the previous record for that key readable and no partial
+//! artefact.* Sinks therefore stage (spare buffer, unique temp file,
+//! journaled transaction), swap on `commit`, and clean up on `abort` or
+//! drop; `commit` also refuses a record whose header names another key.
 //!
-//! * [`crate::store::CheckpointStore`] — the on-disk directory layout
-//!   (unchanged, golden-bytes tested): crash/restart persistence;
-//! * [`MemTransport`] — the same record bytes held in process memory: the
-//!   state hand-off behind **live reshape** (run-time adaptation with no
-//!   process exit and no disk round-trip) and a fast lane for benches.
+//! **Memory skips the CRC pass.** A sink reports through
+//! [`RecordSink::checksummed`] whether its medium needs the record's CRC
+//! trailer; [`MemTransport`] says no (the bytes never leave the process —
+//! integrity checking guards durable media), so a hand-off costs one copy
+//! and no checksum. Its records equal a disk store's byte for byte except
+//! that zero trailer, which is computed on the way out whenever a memory
+//! record is streamed to another medium.
 //!
-//! Because both sides of every transport share one encoder and one
-//! chain-merge implementation (the crate-internal `merge_chain_with` /
-//! `chain_tip_with` helpers), a snapshot handed off in memory matches the
-//! file a disk-backed save of the same state would have produced byte for
-//! byte, except the CRC trailer (zero in memory — integrity checking
-//! guards the durable medium) — the property test in this module pins
-//! that down.
+//! Media: [`crate::store::CheckpointStore`] (flat files or the
+//! content-addressed layout), [`MemTransport`] (live-reshape hand-off),
+//! and in `ppar-net` the wire client and the survivor-local mirror.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -38,166 +51,211 @@ use parking_lot::Mutex;
 use ppar_core::error::{PparError, Result};
 use ppar_core::runtime::{RegionCursor, PROGRESS_FIELD};
 
+use crate::cas::{ChunkRef, PutStats};
 use crate::crc::Crc32;
-use crate::delta::{DeltaMeta, DeltaSnapshot};
+use crate::delta::{DeltaMeta, DeltaSnapshot, DELTA_MAGIC};
 use crate::store::{
-    DeltaSource, FieldSource, Snapshot, SnapshotMeta, SnapshotView, SnapshotWriter, MASTER_RANK,
+    peek_header, DeltaSource, FieldSource, Reader, Record, Snapshot, SnapshotMeta, SnapshotView,
 };
 
-/// Which record a raw streamed install targets (see
-/// [`CkptTransport::begin_raw`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RawRecordKind {
-    /// The master (mode-independent) full snapshot.
-    Master,
-    /// One rank's shard full snapshot.
-    Shard(u32),
-    /// Delta `seq` of the master chain.
-    MasterDelta {
-        /// 1-based chain position.
-        seq: u32,
-    },
-    /// Delta `seq` of one rank's chain.
-    ShardDelta {
-        /// Owning rank.
-        rank: u32,
-        /// 1-based chain position.
-        seq: u32,
-    },
+/// Names one record of one chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RecordKey {
+    /// Owning rank's shard chain; `None` = the master (mode-independent)
+    /// chain.
+    pub rank: Option<u32>,
+    /// `Some(seq)` = delta `seq` (1-based) of the chain; `None` = its full
+    /// base record.
+    pub delta: Option<u32>,
 }
 
-/// Incremental sink for one record arriving as *already-encoded* bytes
-/// (the streaming checkpoint service's install side). Chunks are the
-/// record's encoded bytes in order, trailing CRC included; the caller
-/// attests it has verified that CRC before calling
-/// [`RawRecordSink::commit`] — an aborted or dropped sink must leave the
-/// transport's previous record for the same key intact.
-pub trait RawRecordSink: Send {
-    /// Append the next chunk of encoded record bytes.
-    fn write_chunk(&mut self, chunk: &[u8]) -> Result<()>;
-    /// Record complete and integrity-verified: install it atomically.
-    /// Returns total record bytes.
+impl RecordKey {
+    /// The full (base) record of `rank`'s chain.
+    pub const fn full(rank: Option<u32>) -> RecordKey {
+        RecordKey { rank, delta: None }
+    }
+
+    /// Delta `seq` of `rank`'s chain.
+    pub const fn delta(rank: Option<u32>, seq: u32) -> RecordKey {
+        RecordKey {
+            rank,
+            delta: Some(seq),
+        }
+    }
+
+    /// The key an encoded record's own header names, read from the
+    /// record's leading bytes (a prefix long enough to hold the header).
+    pub fn of_record(head: &[u8]) -> Result<RecordKey> {
+        if head.starts_with(DELTA_MAGIC) {
+            let meta = DeltaSnapshot::decode_header(&mut Reader { buf: head, pos: 0 })?;
+            Ok(RecordKey::delta(meta.rank, meta.seq))
+        } else {
+            let (_, rank) = peek_header(head).ok_or_else(|| {
+                PparError::CorruptCheckpoint("record header does not parse".into())
+            })?;
+            Ok(RecordKey::full(rank))
+        }
+    }
+
+    /// Refuse a record routed to the wrong key: a record whose bytes are
+    /// intact can still have been sent to the wrong sink, and must not
+    /// displace a good one.
+    pub(crate) fn check_record(self, head: &[u8]) -> Result<()> {
+        let found = RecordKey::of_record(head)?;
+        if found != self {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "install for {self:?} received the record of {found:?}"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Leading record bytes a streaming sink keeps for
+/// [`RecordKey::check_record`] (mode tags are short strings, so both
+/// headers end well inside this).
+const HEAD_BYTES: usize = 4096;
+
+/// Append to `head` what it still lacks of the record's first
+/// `HEAD_BYTES` bytes.
+pub(crate) fn keep_head(head: &mut Vec<u8>, bytes: &[u8]) {
+    let room = HEAD_BYTES.saturating_sub(head.len());
+    head.extend_from_slice(&bytes[..bytes.len().min(room)]);
+}
+
+/// The one way a record enters a medium (see the [module docs](self)):
+/// write the record's encoded bytes in order, trailing CRC included, then
+/// commit or abort. A sink dropped without either behaves as aborted.
+/// Callers relaying bytes they did not encode verify the record's CRC
+/// before [`RecordSink::commit`].
+pub trait RecordSink: Write {
+    /// Does this medium need the record's CRC trailer? `false` lets the
+    /// encoder skip the checksum pass and write a zero trailer.
+    fn checksummed(&self) -> bool {
+        true
+    }
+
+    /// The dedup question, asked before any byte is written: of the
+    /// record's chunks (`chunks`, in order, summing to `total_len` bytes),
+    /// which does the medium lack? `None` — the default — is "all of them:
+    /// this medium keeps no chunks", and the record is then written whole.
+    /// After `Some(lacking)` the caller writes exactly the lacking chunks'
+    /// bytes back to back in the listed order instead of the record; each
+    /// is verified against its announced digest.
+    fn lacking(&mut self, _chunks: &[ChunkRef], _total_len: u64) -> Result<Option<Vec<u32>>> {
+        Ok(None)
+    }
+
+    /// The record is complete: install it atomically under the sink's key
+    /// and return its length in bytes. Fails — leaving the previous record
+    /// in place — when the record's header names a different key.
     fn commit(self: Box<Self>) -> Result<u64>;
-    /// Discard the partial record (stream error or CRC mismatch); the
-    /// previously installed record, if any, stays.
-    fn abort(self: Box<Self>);
+
+    /// Discard what was written; the previous record for the key stays.
+    /// `why` travels to the far end of a remote sink.
+    fn abort(self: Box<Self>, _why: &str) {}
 }
 
-/// Chunk-dedup install handshake for one record whose chunk references
-/// arrived ahead of its bytes (the dedup-aware wire path — see
-/// [`CkptTransport::begin_raw_dedup`]). The sink already holds every chunk
-/// *not* listed by [`DedupRecordSink::missing`]; the caller supplies the
-/// missing chunks' bytes in listed order, each verified against its
-/// announced content digest, then commits. An aborted or dropped sink
-/// leaves the previous record for the same key intact.
-pub trait DedupRecordSink: Send {
-    /// Indexes (into the announced chunk list) whose bytes the caller must
-    /// supply, in this order.
-    fn missing(&self) -> &[u32];
-    /// Supply the bytes of the next missing chunk (digest-verified).
-    fn supply_chunk(&mut self, bytes: &[u8]) -> Result<()>;
-    /// Every missing chunk supplied: promote the record atomically.
-    /// Returns total record bytes.
-    fn commit(self: Box<Self>) -> Result<u64>;
-    /// Discard the in-flight record; the previously installed record, if
-    /// any, stays.
-    fn abort(self: Box<Self>);
-}
-
-/// A checkpoint byte transport: streaming snapshot/delta sink plus merged
-/// snapshot source. See the [module docs](self) for the contract binding
-/// all implementations (shared golden encoder, shared chain rules).
+/// A checkpoint medium. See the [module docs](self) for the contract; a
+/// new medium writes `describe`, `begin`, `get`, `restart_count`,
+/// `clear_deltas` and `clear_all_deltas`.
 pub trait CkptTransport: Send + Sync {
     /// Short human-readable tag for reports (`"file"`, `"memory"`).
     fn describe(&self) -> &'static str;
 
-    /// Stream a master (mode-independent) full snapshot; returns bytes
-    /// written. `scratch` buffers length-unknown cells and is reused across
-    /// calls.
+    /// Open the sink for `key`. `len_hint` is the expected record length
+    /// (0 when unknown): a pre-sizing hint, never trusted as a bound.
+    fn begin<'a>(&'a self, key: RecordKey, len_hint: u64) -> Result<Box<dyn RecordSink + 'a>>;
+
+    /// Persist one record: the golden encoder streams `record` into the
+    /// sink of the key its header names. Returns bytes written. `scratch`
+    /// buffers length-unknown cells and is reused across calls.
+    fn put(&self, record: &Record<'_>, scratch: &mut Vec<u8>) -> Result<u64> {
+        let mut sink = self.begin(record.key(), record.len_hint())?;
+        let checksum = sink.checksummed();
+        match record.encode(&mut *sink, checksum, scratch) {
+            Ok(_) => sink.commit(),
+            Err(e) => {
+                sink.abort(&e.to_string());
+                Err(e)
+            }
+        }
+    }
+
+    /// `put(&Record::Full(meta, fields), scratch)`. Kept only because the
+    /// benchmark under `ledger/`, which may not change, calls it by this
+    /// name; workspace code calls [`CkptTransport::put`].
     fn put_master(
         &self,
         meta: &SnapshotMeta,
         fields: &[(&str, FieldSource<'_>)],
         scratch: &mut Vec<u8>,
-    ) -> Result<u64>;
+    ) -> Result<u64> {
+        self.put(&Record::Full(meta, fields), scratch)
+    }
 
-    /// Stream one element's shard full snapshot; returns bytes written.
-    fn put_shard(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64>;
-
-    /// Stream a master delta record; returns bytes written.
+    /// `put(&Record::Delta(meta, fields), scratch)`; kept for the same
+    /// reason as [`CkptTransport::put_master`].
     fn put_master_delta(
         &self,
         meta: &DeltaMeta,
         fields: &[(&str, DeltaSource<'_>)],
         scratch: &mut Vec<u8>,
-    ) -> Result<u64>;
+    ) -> Result<u64> {
+        self.put(&Record::Delta(meta, fields), scratch)
+    }
 
-    /// Stream one element's shard delta record; returns bytes written.
-    fn put_shard_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64>;
-
-    /// Load the master snapshot with its delta chain folded in (per field
-    /// byte-identical to a full snapshot of the same state).
-    fn read_merged_master(&self) -> Result<Option<Snapshot>>;
+    /// Load `rank`'s chain (`None` = master) with its deltas folded in —
+    /// per field byte-identical to a full snapshot of the same state.
+    /// `at: Some(count)` pins the read to exactly that safe point: deltas
+    /// past it are left out, a medium that retains an older generation
+    /// falls back to it, and a chain that cannot land on `count` is an
+    /// error, never a different safe point. Restores pass the replay
+    /// target here so a torn group checkpoint (one rank died mid-save, its
+    /// peers already wrote a newer generation) is detected instead of
+    /// installed. `Ok(None)` when the chain has no base record.
+    fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>>;
 
     /// Run `install` over the merged master snapshot, zero-copy where the
-    /// transport can serve borrowed payload bytes (the in-memory transport
-    /// with no delta chain pending — the live-reshape resume fast path).
-    /// Returns `Ok(false)` when no master snapshot exists; the default
-    /// materializes through [`CkptTransport::read_merged_master`].
+    /// medium can lend payload bytes (memory with no delta chain pending —
+    /// the live-reshape resume). `Ok(false)` when no master record exists.
     fn with_merged_master(
         &self,
         install: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
     ) -> Result<bool> {
-        match self.read_merged_master()? {
-            Some(snap) => {
-                install(&SnapshotView::of(&snap))?;
-                Ok(true)
-            }
+        match self.get(None, None)? {
+            Some(snap) => install(&SnapshotView::of(&snap)).map(|()| true),
             None => Ok(false),
         }
     }
 
-    /// Load rank `rank`'s shard with its delta chain folded in.
-    fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>>;
+    /// Stream `rank`'s merged chain into `out` as one *checksummed* full
+    /// record — the restore direction of the checkpoint service. Returns
+    /// bytes written, `Ok(None)` when the chain has no base record.
+    fn write_merged_record(&self, rank: Option<u32>, out: &mut dyn Write) -> Result<Option<u64>> {
+        self.write_merged_record_at(rank, None, out)
+    }
 
-    /// Load rank `rank`'s shard *at exactly* safe-point `count`. Restores
-    /// pass the replay target here so a torn group checkpoint (one rank
-    /// died mid-save, its peers already committed a newer generation) is
-    /// detected instead of silently installing inconsistent state. The
-    /// default serves the merged chain tip and errors on a count mismatch;
-    /// transports that retain a previous shard generation override it to
-    /// fall back to the older record.
-    fn read_shard_at(&self, rank: u32, count: u64) -> Result<Option<Snapshot>> {
-        match self.read_merged_shard(rank)? {
-            None => Ok(None),
-            Some(snap) if snap.count == count => Ok(Some(snap)),
-            Some(snap) => Err(PparError::CorruptCheckpoint(format!(
-                "shard {rank} holds safe point {} but the restore targets {count} \
-                 (torn group checkpoint and no older generation retained)",
-                snap.count
-            ))),
-        }
+    /// [`CkptTransport::write_merged_record`] pinned like
+    /// [`CkptTransport::get`]. The default materializes and re-encodes;
+    /// media holding contiguous record bytes copy them through.
+    fn write_merged_record_at(
+        &self,
+        rank: Option<u32>,
+        at: Option<u64>,
+        out: &mut dyn Write,
+    ) -> Result<Option<u64>> {
+        write_merged_fallback(self, rank, at, out)
     }
 
     /// The safe-point count a restart/resume should replay to (chain tips
     /// count); `None` when no usable snapshot exists.
     fn restart_count(&self) -> Result<Option<u64>>;
 
-    /// Advance the group-commit point to safe point `count`: every shard of
-    /// the group is durable at `count` (the engine's post-save barrier has
-    /// completed). Transports whose [`CkptTransport::restart_count`] honours
-    /// a commit point override this; the default is a no-op (single-writer
-    /// transports commit atomically on every put).
+    /// Advance the group-commit point: every shard of the group is durable
+    /// at `count` (the engine's post-save barrier has completed). A no-op
+    /// unless the medium's [`CkptTransport::restart_count`] honours a
+    /// commit point.
     fn commit_group(&self, _count: u64) -> Result<()> {
         Ok(())
     }
@@ -208,144 +266,53 @@ pub trait CkptTransport: Send + Sync {
     /// Delete every delta of every chain (fresh-run hygiene).
     fn clear_all_deltas(&self) -> Result<()>;
 
-    /// Begin a raw streamed install of one already-encoded record: the
-    /// checkpoint service feeds wire chunks straight into the returned
-    /// sink while they arrive, so a GB-scale record is never buffered
-    /// whole in the service. `len_hint` is the sender's announced record
-    /// size (0 when unknown) — a pre-sizing hint only, never trusted as a
-    /// bound. The default buffers the record and installs it through the
-    /// ordinary `put_*` path; transports with a natural incremental
-    /// medium (disk files, memory buffers) override it to spill chunks
-    /// directly.
-    fn begin_raw<'a>(
-        &'a self,
-        kind: RawRecordKind,
-        len_hint: u64,
-    ) -> Result<Box<dyn RawRecordSink + 'a>> {
-        Ok(Box::new(BufferedRawSink {
-            transport: self,
-            kind,
-            buf: Vec::with_capacity(clamp_record_hint(len_hint)),
-        }))
-    }
-
-    /// Stream the merged (base + delta chain) record for `rank` (`None` =
-    /// master) into `out` as one *checksummed* full-snapshot encoding —
-    /// the restore direction of the streaming checkpoint service. Returns
-    /// the bytes written, or `Ok(None)` when the chain has no base
-    /// record. The default materializes the merge and re-encodes;
-    /// transports that already hold checksummed or contiguous record
-    /// bytes override it with a copy-through fast path.
-    fn write_merged_record(&self, rank: Option<u32>, out: &mut dyn Write) -> Result<Option<u64>> {
-        write_merged_fallback(self, rank, out)
-    }
-
-    /// Stream the merged record for `rank` at exactly safe point `count`
-    /// into `out` (the count-pinned restore direction — see
-    /// [`CkptTransport::read_shard_at`]). The default re-encodes the
-    /// materialized count-pinned shard; the master side has no torn-group
-    /// problem (single atomic writer) and delegates to
-    /// [`CkptTransport::write_merged_record`].
-    fn write_merged_record_at(
-        &self,
-        rank: Option<u32>,
-        count: u64,
-        out: &mut dyn Write,
-    ) -> Result<Option<u64>> {
-        let Some(rank) = rank else {
-            return self.write_merged_record(None, out);
-        };
-        let Some(snap) = self.read_shard_at(rank, count)? else {
-            return Ok(None);
-        };
-        write_snapshot_record(&snap, out).map(Some)
-    }
-
-    /// Decode the `PPARPRG1` progress cursor carried by the newest usable
-    /// snapshot (the reserved [`PROGRESS_FIELD`] extra field), checking the
-    /// master record first and falling back to shard 0 (local-snapshot
-    /// groups carry identical cursors on every shard — the safe-point
-    /// clock is aggregate-symmetric). Snapshots written before the cursor
-    /// existed — or with it disabled — have no such field and yield
-    /// `Ok(None)`: the consumer replays classically (progress = start). A
-    /// cursor that fails to decode degrades the same way; it must never
-    /// fail a restore.
-    fn read_progress(&self) -> Result<Option<RegionCursor>> {
-        let mut bytes: Option<Vec<u8>> = None;
-        let found = self.with_merged_master(&mut |snap| {
-            bytes = snap.field(PROGRESS_FIELD).map(|b| b.to_vec());
-            Ok(())
-        })?;
-        if !found {
-            if let Some(snap) = self.read_merged_shard(0)? {
-                bytes = snap.field(PROGRESS_FIELD).map(|b| b.to_vec());
-            }
-        }
-        Ok(bytes.and_then(|b| RegionCursor::decode(&b).ok()))
-    }
-
-    /// Drain the chunk-dedup counters accumulated by this transport's
-    /// write paths since the last drain. Zero for transports without a
-    /// content-addressed medium; the checkpoint module folds the result
-    /// into [`crate::CkptStats`] after every save.
-    fn take_put_stats(&self) -> crate::cas::PutStats {
-        crate::cas::PutStats::default()
-    }
-
-    /// Begin a chunk-dedup install of one already-encoded record from its
-    /// announced chunk references (`chunks`, summing to `total_len`
-    /// record bytes). Returns `Ok(None)` when the transport has no
-    /// content-addressed store — callers fall back to
-    /// [`CkptTransport::begin_raw`] and ship the whole record. The
-    /// returned sink reports which chunks it lacks, so a wire caller
-    /// ships only novel bytes.
-    fn begin_raw_dedup<'a>(
-        &'a self,
-        _kind: RawRecordKind,
-        _chunks: &[crate::cas::ChunkRef],
-        _total_len: u64,
-    ) -> Result<Option<Box<dyn DedupRecordSink + 'a>>> {
-        Ok(None)
+    /// Drain the chunk-dedup counters this medium's sinks accumulated
+    /// since the last drain (all zero without a content-addressed medium
+    /// or a dedup-negotiating wire); the checkpoint module folds them into
+    /// [`crate::CkptStats`] after every save.
+    fn take_put_stats(&self) -> PutStats {
+        PutStats::default()
     }
 }
 
-/// Stream one materialized snapshot through the golden checksummed encoder
-/// (shared by the count-pinned restore fallbacks).
-pub(crate) fn write_snapshot_record(snap: &Snapshot, out: &mut dyn Write) -> Result<u64> {
-    let fields: Vec<(&str, FieldSource<'_>)> = snap
-        .fields
-        .iter()
-        .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
-        .collect();
-    let mut w = SnapshotWriter::new(out, &snap.meta(), fields.len() as u32)?;
-    let mut scratch = Vec::new();
-    for (name, source) in &fields {
-        w.field(name, source, &mut scratch)?;
+/// Decode the `PPARPRG1` progress cursor carried by the newest usable
+/// snapshot of `transport` (the reserved [`PROGRESS_FIELD`]), master
+/// record first, shard 0 otherwise (local-snapshot groups carry identical
+/// cursors on every shard). Snapshots written before the cursor existed
+/// have no such field and yield `Ok(None)`: the consumer replays
+/// classically (progress = start). A cursor that fails to decode degrades
+/// the same way; it must never fail a restore.
+pub fn read_progress(transport: &dyn CkptTransport) -> Result<Option<RegionCursor>> {
+    let mut bytes: Option<Vec<u8>> = None;
+    let found = transport.with_merged_master(&mut |snap| {
+        bytes = snap.field(PROGRESS_FIELD).map(|b| b.to_vec());
+        Ok(())
+    })?;
+    if !found {
+        if let Some(snap) = transport.get(Some(0), None)? {
+            bytes = snap.field(PROGRESS_FIELD).map(|b| b.to_vec());
+        }
     }
-    let (written, _) = w.finish()?;
-    Ok(written)
+    Ok(bytes.and_then(|b| RegionCursor::decode(&b).ok()))
 }
 
 /// Cap a sender-supplied record-size hint before using it as an
 /// allocation size (a hint is advisory; a bogus huge one must not OOM the
-/// service).
-pub(crate) fn clamp_record_hint(len_hint: u64) -> usize {
+/// receiver).
+fn clamp_record_hint(len_hint: u64) -> usize {
     len_hint.min(1 << 28) as usize
 }
 
-/// The default [`CkptTransport::write_merged_record`]: materialize the
-/// merged snapshot, then stream it through the golden encoder with the
-/// checksum pass on (shared by overriding transports' slow paths).
+/// The default [`CkptTransport::write_merged_record_at`]: materialize the
+/// merge, then stream it through the golden encoder with the checksum
+/// pass on (also the slow path of media that override it).
 pub(crate) fn write_merged_fallback(
     transport: &(impl CkptTransport + ?Sized),
     rank: Option<u32>,
+    at: Option<u64>,
     out: &mut dyn Write,
 ) -> Result<Option<u64>> {
-    let snap = match rank {
-        None => transport.read_merged_master()?,
-        Some(r) => transport.read_merged_shard(r)?,
-    };
-    let Some(snap) = snap else {
+    let Some(snap) = transport.get(rank, at)? else {
         return Ok(None);
     };
     let fields: Vec<(&str, FieldSource<'_>)> = snap
@@ -353,139 +320,8 @@ pub(crate) fn write_merged_fallback(
         .iter()
         .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
         .collect();
-    let mut w = SnapshotWriter::new(out, &snap.meta(), fields.len() as u32)?;
-    let mut scratch = Vec::new();
-    for (name, source) in &fields {
-        w.field(name, source, &mut scratch)?;
-    }
-    let (written, _) = w.finish()?;
+    let (written, _) = Record::Full(&snap.meta(), &fields).encode(out, true, &mut Vec::new())?;
     Ok(Some(written))
-}
-
-/// The default raw sink: buffer the record, then install it through the
-/// transport's ordinary `put_*` methods (one decode + re-encode — the
-/// price of a transport with no incremental medium).
-struct BufferedRawSink<'a, T: ?Sized + CkptTransport> {
-    transport: &'a T,
-    kind: RawRecordKind,
-    buf: Vec<u8>,
-}
-
-impl<T: ?Sized + CkptTransport> RawRecordSink for BufferedRawSink<'_, T> {
-    fn write_chunk(&mut self, chunk: &[u8]) -> Result<()> {
-        self.buf.extend_from_slice(chunk);
-        Ok(())
-    }
-
-    fn commit(self: Box<Self>) -> Result<u64> {
-        install_record_bytes(self.transport, self.kind, &self.buf)
-    }
-
-    fn abort(self: Box<Self>) {}
-}
-
-/// Install one verified, fully-buffered record through the `put_*` path.
-fn install_record_bytes(
-    transport: &(impl CkptTransport + ?Sized),
-    kind: RawRecordKind,
-    bytes: &[u8],
-) -> Result<u64> {
-    let mut scratch = Vec::new();
-    match kind {
-        RawRecordKind::Master | RawRecordKind::Shard(_) => {
-            let snap = Snapshot::decode_trusted(bytes)?;
-            let fields: Vec<(&str, FieldSource<'_>)> = snap
-                .fields
-                .iter()
-                .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
-                .collect();
-            match kind {
-                RawRecordKind::Master => {
-                    if snap.rank.is_some() {
-                        return Err(PparError::CorruptCheckpoint(format!(
-                            "master install received a rank {:?} record",
-                            snap.rank
-                        )));
-                    }
-                    transport.put_master(&snap.meta(), &fields, &mut scratch)
-                }
-                RawRecordKind::Shard(rank) => {
-                    if snap.rank != Some(rank) {
-                        return Err(PparError::CorruptCheckpoint(format!(
-                            "shard {rank} install received a rank {:?} record",
-                            snap.rank
-                        )));
-                    }
-                    transport.put_shard(&snap.meta(), &fields, &mut scratch)
-                }
-                _ => unreachable!(),
-            }
-        }
-        RawRecordKind::MasterDelta { seq } | RawRecordKind::ShardDelta { seq, .. } => {
-            let delta = DeltaSnapshot::decode_trusted(bytes)?;
-            let expect_rank = match kind {
-                RawRecordKind::MasterDelta { .. } => None,
-                RawRecordKind::ShardDelta { rank, .. } => Some(rank),
-                _ => unreachable!(),
-            };
-            if delta.meta.rank != expect_rank || delta.meta.seq != seq {
-                return Err(PparError::CorruptCheckpoint(format!(
-                    "delta install for rank {expect_rank:?} seq {seq} received a \
-                     rank {:?} seq {} record",
-                    delta.meta.rank, delta.meta.seq
-                )));
-            }
-            // Sparse payloads arrive as (offset, bytes) patches; the
-            // delta encoder wants ranges + one concatenated payload.
-            struct SparseBuf {
-                full_len: u64,
-                ranges: Vec<std::ops::Range<usize>>,
-                payload: Vec<u8>,
-            }
-            let sparse: Vec<Option<SparseBuf>> = delta
-                .fields
-                .iter()
-                .map(|(_, payload)| match payload {
-                    crate::delta::DeltaPayload::Full(_) => None,
-                    crate::delta::DeltaPayload::Sparse { full_len, ranges } => {
-                        let mut flat = SparseBuf {
-                            full_len: *full_len,
-                            ranges: Vec::with_capacity(ranges.len()),
-                            payload: Vec::with_capacity(ranges.iter().map(|(_, b)| b.len()).sum()),
-                        };
-                        for (off, bytes) in ranges {
-                            flat.ranges.push(*off as usize..*off as usize + bytes.len());
-                            flat.payload.extend_from_slice(bytes);
-                        }
-                        Some(flat)
-                    }
-                })
-                .collect();
-            let fields: Vec<(&str, DeltaSource<'_>)> = delta
-                .fields
-                .iter()
-                .zip(&sparse)
-                .map(|((name, payload), flat)| {
-                    let source = match (payload, flat) {
-                        (crate::delta::DeltaPayload::Full(b), _) => {
-                            DeltaSource::Full(FieldSource::Bytes(b))
-                        }
-                        (_, Some(flat)) => DeltaSource::DirtyBytes {
-                            full_len: flat.full_len,
-                            ranges: &flat.ranges,
-                            payload: &flat.payload,
-                        },
-                        _ => unreachable!(),
-                    };
-                    (name.as_str(), source)
-                })
-                .collect();
-            match expect_rank {
-                None => transport.put_master_delta(&delta.meta, &fields, &mut scratch),
-                Some(_) => transport.put_shard_delta(&delta.meta, &fields, &mut scratch),
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -493,8 +329,8 @@ fn install_record_bytes(
 // ---------------------------------------------------------------------------
 
 /// The single source of truth for delta-chain step validity, shared by every
-/// transport's header-only walk ([`chain_tip_with`]) and full merge
-/// ([`merge_chain_with`]), so the restart target and the restored state can
+/// medium's header-only walk ([`chain_tip_with`]) and full merge
+/// ([`merge_chain_to`]), so the restart target and the restored state can
 /// never disagree on chain rules. Returns `Ok(false)` for a *stale* delta
 /// (previous base generation — terminates the walk harmlessly); errors on
 /// ordering violations.
@@ -523,16 +359,24 @@ pub(crate) fn chain_step_is_live(
 }
 
 /// Fold a delta chain onto `snap` (the base full snapshot), reading deltas
-/// through `read_delta`. The chain is walked from seq 1 until the first
-/// missing record; stale deltas terminate the walk harmlessly.
-pub(crate) fn merge_chain_with(
+/// through `read_delta` from seq 1 until the first missing or stale record.
+/// With a `target`, stop *before* any delta that would advance the merged
+/// state past that safe point (the count-pinned restore: a torn chain whose
+/// tip outruns the group commit serves the committed prefix instead).
+pub(crate) fn merge_chain_to(
     mut snap: Snapshot,
+    target: Option<u64>,
     read_delta: impl Fn(Option<u32>, u32) -> Result<Option<DeltaSnapshot>>,
 ) -> Result<Snapshot> {
     let base_count = snap.count;
     let mut seq = 1u32;
-    while let Some(delta) = read_delta(snap.rank, seq)? {
-        if !chain_step_is_live(&delta.meta, base_count, seq, snap.count)? {
+    while target.is_none_or(|t| snap.count < t) {
+        let Some(delta) = read_delta(snap.rank, seq)? else {
+            break;
+        };
+        if !chain_step_is_live(&delta.meta, base_count, seq, snap.count)?
+            || target.is_some_and(|t| delta.meta.count > t)
+        {
             break;
         }
         delta.apply_to(&mut snap)?;
@@ -541,31 +385,37 @@ pub(crate) fn merge_chain_with(
     Ok(snap)
 }
 
-/// Fold a delta chain onto `snap`, stopping *before* any delta that would
-/// advance the merged state past safe point `target` (the count-pinned
-/// restore: a torn chain whose tip outruns the group commit serves the
-/// committed prefix instead). Terminates like [`merge_chain_with`] on the
-/// first missing or stale record.
-pub(crate) fn merge_chain_to(
-    mut snap: Snapshot,
-    target: u64,
+/// [`CkptTransport::get`] over a medium's base generations, newest first:
+/// the first whose (pinned) merge satisfies `at` is served. An unpinned get
+/// serves the first generation present.
+pub(crate) fn get_merged(
+    rank: Option<u32>,
+    at: Option<u64>,
+    generations: impl IntoIterator<Item = Result<Option<Snapshot>>>,
     read_delta: impl Fn(Option<u32>, u32) -> Result<Option<DeltaSnapshot>>,
-) -> Result<Snapshot> {
-    let base_count = snap.count;
-    let mut seq = 1u32;
-    while snap.count < target {
-        let Some(delta) = read_delta(snap.rank, seq)? else {
-            break;
+) -> Result<Option<Snapshot>> {
+    let mut seen = Vec::new();
+    for base in generations {
+        let Some(base) = base? else {
+            continue;
         };
-        if !chain_step_is_live(&delta.meta, base_count, seq, snap.count)?
-            || delta.meta.count > target
-        {
-            break;
+        if at.is_some_and(|count| base.count > count) {
+            seen.push(base.count);
+            continue;
         }
-        delta.apply_to(&mut snap)?;
-        seq += 1;
+        let merged = merge_chain_to(base, at, &read_delta)?;
+        if at.is_none_or(|count| merged.count == count) {
+            return Ok(Some(merged));
+        }
+        seen.push(merged.count);
     }
-    Ok(snap)
+    match (seen.is_empty(), at) {
+        (false, Some(count)) => Err(PparError::CorruptCheckpoint(format!(
+            "no generation of the {rank:?} chain can serve safe point {count} \
+             (available: {seen:?}; torn group checkpoint)"
+        ))),
+        _ => Ok(None),
+    }
 }
 
 /// The safe-point count at the tip of a base's delta chain, walking delta
@@ -591,30 +441,23 @@ pub(crate) fn chain_tip_with(
 // in-memory transport
 // ---------------------------------------------------------------------------
 
-/// An in-memory checkpoint transport: the same snapshot/delta record bytes a
-/// [`crate::store::CheckpointStore`] would put on disk, held in process
-/// memory instead.
+/// An in-memory checkpoint transport: the same record bytes a
+/// [`crate::store::CheckpointStore`] would put on disk, held in one
+/// `key → bytes` map.
 ///
 /// This is the hand-off vehicle for **live reshape**: at a safe-point
 /// crossing the engine streams a mode-independent master snapshot into a
 /// `MemTransport`, the run retargets (new team shape, new aggregate shape,
 /// even a different engine family), and the successor installs the state
-/// straight from memory — no process exit, no disk round-trip. It also
-/// serves delta-record hand-offs (rank-level dirty-range gathers) and
-/// disk-free checkpointing for benches.
-///
-/// Record bytes are byte-identical to the file-backed store's output for
-/// the same content (shared [`SnapshotWriter`] encoder; property-tested),
-/// so state can cross transports freely.
+/// straight from memory — no process exit, no disk round-trip, no CRC pass
+/// (see the [module docs](self)). It also serves delta-record hand-offs
+/// (rank-level dirty-range gathers) and disk-free checkpointing for benches.
 #[derive(Default)]
 pub struct MemTransport {
-    master: Mutex<Option<Vec<u8>>>,
-    shards: Mutex<HashMap<u32, Vec<u8>>>,
-    /// Delta records keyed by `(rank-or-MASTER_RANK, seq)`.
-    deltas: Mutex<HashMap<(u32, u32), Vec<u8>>>,
-    /// Retired record buffers recycled into raw-install sinks: repeated
-    /// streamed installs then run at warm-page copy speed instead of
-    /// faulting a fresh multi-MiB mapping in per checkpoint.
+    records: Mutex<HashMap<RecordKey, Vec<u8>>>,
+    /// Retired record buffers recycled into sinks: repeated puts then run
+    /// at warm-page copy speed instead of faulting a fresh multi-MiB
+    /// mapping in per checkpoint.
     spare: Mutex<Vec<Vec<u8>>>,
     snapshots: AtomicU64,
     bytes_written: AtomicU64,
@@ -647,114 +490,15 @@ impl MemTransport {
         self.bytes_written.load(Ordering::Relaxed)
     }
 
-    /// Encoded length of the currently held master snapshot, if any.
-    pub fn master_len(&self) -> Option<usize> {
-        self.master.lock().as_ref().map(|b| b.len())
-    }
-
-    /// Raw encoded bytes of the currently held master snapshot, if any
-    /// (byte-equality assertions against the file-backed store).
-    pub fn master_bytes(&self) -> Option<Vec<u8>> {
-        self.master.lock().clone()
-    }
-
-    /// Raw encoded bytes of any held record (byte-equality assertions in
-    /// tests and benches — e.g. streamed installs against local puts).
-    pub fn record_bytes(&self, kind: RawRecordKind) -> Option<Vec<u8>> {
-        match kind {
-            RawRecordKind::Master => self.master.lock().clone(),
-            RawRecordKind::Shard(rank) => self.shards.lock().get(&rank).cloned(),
-            RawRecordKind::MasterDelta { seq } => {
-                self.deltas.lock().get(&(MASTER_RANK, seq)).cloned()
-            }
-            RawRecordKind::ShardDelta { rank, seq } => {
-                self.deltas.lock().get(&(rank, seq)).cloned()
-            }
-        }
+    /// Raw encoded bytes of a held record (byte-equality assertions in
+    /// tests and benches — e.g. relayed installs against local puts).
+    pub fn record_bytes(&self, key: RecordKey) -> Option<Vec<u8>> {
+        self.records.lock().get(&key).cloned()
     }
 
     /// Drop every held record (counters are kept).
     pub fn clear(&self) {
-        *self.master.lock() = None;
-        self.shards.lock().clear();
-        self.deltas.lock().clear();
-    }
-
-    fn delta_key(rank: Option<u32>, seq: u32) -> (u32, u32) {
-        (rank.unwrap_or(MASTER_RANK), seq)
-    }
-
-    /// Pre-size the record buffer from the fields' known lengths (growth
-    /// reallocs on a multi-MiB hand-off would copy the payload several
-    /// extra times).
-    fn reserve_hint(fields: &[(&str, FieldSource<'_>)]) -> usize {
-        let payload: usize = fields
-            .iter()
-            .map(|(name, source)| {
-                let body = match source {
-                    FieldSource::Bytes(b) => b.len(),
-                    FieldSource::Cell(cell) => cell.known_byte_len().unwrap_or(0),
-                };
-                name.len() + 16 + body
-            })
-            .sum();
-        payload + 128
-    }
-
-    /// Encode one full record into `buf` (cleared and grown to the fields'
-    /// known lengths first — callers pass a recycled buffer so repeated
-    /// hand-offs run copy-speed with no fresh multi-MiB mapping to fault
-    /// in).
-    fn encode_full(
-        &self,
-        mut buf: Vec<u8>,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<(u64, Vec<u8>)> {
-        buf.clear();
-        buf.reserve(MemTransport::reserve_hint(fields));
-        // Unchecksummed: the record never leaves this process, so the CRC
-        // pass that guards disk files is skipped (the trailer is zero; the
-        // trusted decode ignores it).
-        let mut w = SnapshotWriter::new_unchecksummed(buf, meta, fields.len() as u32)?;
-        for (name, source) in fields {
-            w.field(name, source, scratch)?;
-        }
-        let (written, buf) = w.finish()?;
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(written, Ordering::Relaxed);
-        Ok((written, buf))
-    }
-
-    fn encode_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<(u64, Vec<u8>)> {
-        let mut w = SnapshotWriter::new_delta_unchecksummed(Vec::new(), meta, fields.len() as u32)?;
-        for (name, source) in fields {
-            w.delta_field(name, source, scratch)?;
-        }
-        let (written, buf) = w.finish()?;
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(written, Ordering::Relaxed);
-        Ok((written, buf))
-    }
-
-    fn read_delta(&self, rank: Option<u32>, seq: u32) -> Result<Option<DeltaSnapshot>> {
-        match self.deltas.lock().get(&MemTransport::delta_key(rank, seq)) {
-            Some(bytes) => DeltaSnapshot::decode_trusted(bytes).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    fn read_delta_meta(&self, rank: Option<u32>, seq: u32) -> Result<Option<DeltaMeta>> {
-        match self.deltas.lock().get(&MemTransport::delta_key(rank, seq)) {
-            Some(bytes) => DeltaMeta::decode_trusted(bytes).map(Some),
-            None => Ok(None),
-        }
+        self.records.lock().clear();
     }
 
     /// Return a retired record buffer to the recycle pool. Retention is
@@ -772,104 +516,66 @@ impl MemTransport {
         }
     }
 
-    /// Stream `bytes` (a zero-trailer in-memory record) into `out` as a
-    /// checksummed record: body copied through in cache-sized blocks with
-    /// the CRC folded in on the same pass, real trailer appended.
-    fn stream_record_checksummed(bytes: &[u8], out: &mut dyn Write) -> Result<u64> {
-        let body = &bytes[..bytes.len() - 4];
-        let mut crc = Crc32::new();
-        for block in body.chunks(256 << 10) {
-            crc.update(block);
-            out.write_all(block)?;
+    /// Trusted decodes throughout: the bytes never left this process.
+    fn read_delta(&self, rank: Option<u32>, seq: u32) -> Result<Option<DeltaSnapshot>> {
+        match self.records.lock().get(&RecordKey::delta(rank, seq)) {
+            Some(bytes) => DeltaSnapshot::decode_trusted(bytes).map(Some),
+            None => Ok(None),
         }
-        out.write_all(&crc.finish().to_le_bytes())?;
-        Ok(bytes.len() as u64)
+    }
+
+    /// Is a delta chain pending over `rank`'s base record?
+    fn has_deltas(records: &HashMap<RecordKey, Vec<u8>>, rank: Option<u32>) -> bool {
+        records.keys().any(|k| k.rank == rank && k.delta.is_some())
     }
 }
 
-/// Raw streamed install into process memory: chunks append to a recycled
-/// buffer; commit zeroes the CRC trailer (the in-memory convention — the
-/// wire CRC was already verified by the caller, and in-process reads are
-/// trusted) and swaps the record in atomically.
-struct MemRawSink<'a> {
+/// The memory medium's sink: bytes append to a recycled buffer; commit
+/// zeroes the CRC trailer (the in-memory convention — a relayed record's
+/// CRC was verified by the caller, an encoded one never had one) and swaps
+/// the record in under the map lock, so a reader sees the previous record
+/// or the new one, never neither.
+struct MemSink<'a> {
     mem: &'a MemTransport,
-    kind: RawRecordKind,
+    key: RecordKey,
     buf: Vec<u8>,
 }
 
-impl RawRecordSink for MemRawSink<'_> {
-    fn write_chunk(&mut self, chunk: &[u8]) -> Result<()> {
-        self.buf.extend_from_slice(chunk);
+impl Write for MemSink<'_> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.buf.extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
+    }
+}
+
+impl RecordSink for MemSink<'_> {
+    fn checksummed(&self) -> bool {
+        false
     }
 
     fn commit(mut self: Box<Self>) -> Result<u64> {
         let mut buf = std::mem::take(&mut self.buf);
-        if buf.len() < 12 {
-            return Err(PparError::CorruptCheckpoint(
-                "streamed record too short".into(),
-            ));
+        if let Err(e) = self.key.check_record(&buf) {
+            self.mem.recycle(buf);
+            return Err(e);
         }
-        // Structural sanity before the swap: a wrong-kind record must not
-        // displace a good one (its CRC was valid, but the protocol layer
-        // may have routed it to the wrong key).
-        match self.kind {
-            RawRecordKind::Master | RawRecordKind::Shard(_) => {
-                let view = SnapshotView::decode_trusted(&buf)?;
-                let expect = match self.kind {
-                    RawRecordKind::Master => None,
-                    RawRecordKind::Shard(r) => Some(r),
-                    _ => unreachable!(),
-                };
-                if view.rank != expect {
-                    return Err(PparError::CorruptCheckpoint(format!(
-                        "install for rank {expect:?} received a rank {:?} record",
-                        view.rank
-                    )));
-                }
-            }
-            RawRecordKind::MasterDelta { seq } | RawRecordKind::ShardDelta { seq, .. } => {
-                let meta = DeltaMeta::decode_trusted(&buf)?;
-                let expect = match self.kind {
-                    RawRecordKind::MasterDelta { .. } => None,
-                    RawRecordKind::ShardDelta { rank, .. } => Some(rank),
-                    _ => unreachable!(),
-                };
-                if meta.rank != expect || meta.seq != seq {
-                    return Err(PparError::CorruptCheckpoint(format!(
-                        "delta install for rank {expect:?} seq {seq} received a \
-                         rank {:?} seq {} record",
-                        meta.rank, meta.seq
-                    )));
-                }
-            }
-        }
-        let written = buf.len() as u64;
         let n = buf.len();
         buf[n - 4..].fill(0);
-        let replaced = match self.kind {
-            RawRecordKind::Master => self.mem.master.lock().replace(buf),
-            RawRecordKind::Shard(rank) => self.mem.shards.lock().insert(rank, buf),
-            RawRecordKind::MasterDelta { seq } => self
-                .mem
-                .deltas
-                .lock()
-                .insert(MemTransport::delta_key(None, seq), buf),
-            RawRecordKind::ShardDelta { rank, seq } => self
-                .mem
-                .deltas
-                .lock()
-                .insert(MemTransport::delta_key(Some(rank), seq), buf),
-        };
-        if let Some(old) = replaced {
+        if let Some(old) = self.mem.records.lock().insert(self.key, buf) {
             self.mem.recycle(old);
         }
         self.mem.snapshots.fetch_add(1, Ordering::Relaxed);
-        self.mem.bytes_written.fetch_add(written, Ordering::Relaxed);
-        Ok(written)
+        self.mem
+            .bytes_written
+            .fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n as u64)
     }
 
-    fn abort(mut self: Box<Self>) {
+    fn abort(mut self: Box<Self>, _why: &str) {
         self.mem.recycle(std::mem::take(&mut self.buf));
     }
 }
@@ -879,82 +585,22 @@ impl CkptTransport for MemTransport {
         "memory"
     }
 
-    fn put_master(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        debug_assert!(meta.rank.is_none(), "master snapshot must have rank None");
-        // Recycle the previous master record's allocation.
-        let recycled = self.master.lock().take().unwrap_or_default();
-        let (written, buf) = self.encode_full(recycled, meta, fields, scratch)?;
-        *self.master.lock() = Some(buf);
-        Ok(written)
+    fn begin<'a>(&'a self, key: RecordKey, len_hint: u64) -> Result<Box<dyn RecordSink + 'a>> {
+        let mut buf = self.spare.lock().pop().unwrap_or_default();
+        buf.reserve(clamp_record_hint(len_hint));
+        Ok(Box::new(MemSink {
+            mem: self,
+            key,
+            buf,
+        }))
     }
 
-    fn put_shard(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let rank = meta
-            .rank
-            .ok_or_else(|| PparError::InvalidPlan("shard snapshot needs a rank".into()))?;
-        let recycled = self.shards.lock().remove(&rank).unwrap_or_default();
-        let (written, buf) = self.encode_full(recycled, meta, fields, scratch)?;
-        self.shards.lock().insert(rank, buf);
-        Ok(written)
-    }
-
-    fn put_master_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        debug_assert!(meta.rank.is_none(), "master delta must have rank None");
-        let (written, buf) = self.encode_delta(meta, fields, scratch)?;
-        self.deltas
-            .lock()
-            .insert(MemTransport::delta_key(None, meta.seq), buf);
-        Ok(written)
-    }
-
-    fn put_shard_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let rank = meta
-            .rank
-            .ok_or_else(|| PparError::InvalidPlan("shard delta needs a rank".into()))?;
-        let (written, buf) = self.encode_delta(meta, fields, scratch)?;
-        self.deltas
-            .lock()
-            .insert(MemTransport::delta_key(Some(rank), meta.seq), buf);
-        Ok(written)
-    }
-
-    fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-        // Trusted decode: the bytes never left this process, so the CRC
-        // pass that guards disk files is skipped (part of the live
-        // reshape's "no disk round-trip" latency win).
-        let base = match &*self.master.lock() {
-            Some(bytes) => Snapshot::decode_trusted(bytes)?,
-            None => return Ok(None),
+    fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>> {
+        let base = match self.records.lock().get(&RecordKey::full(rank)) {
+            Some(bytes) => Snapshot::decode_trusted(bytes).map(Some),
+            None => Ok(None),
         };
-        merge_chain_with(base, |rank, seq| self.read_delta(rank, seq)).map(Some)
-    }
-
-    fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        let base = match self.shards.lock().get(&rank) {
-            Some(bytes) => Snapshot::decode_trusted(bytes)?,
-            None => return Ok(None),
-        };
-        merge_chain_with(base, |rank, seq| self.read_delta(rank, seq)).map(Some)
+        get_merged(rank, at, [base], |rank, seq| self.read_delta(rank, seq))
     }
 
     fn with_merged_master(
@@ -965,108 +611,82 @@ impl CkptTransport for MemTransport {
         // caller borrowed payload slices straight out of the record (one
         // copy total: record → cells). With a chain pending, fall back to
         // the owned merge.
-        let has_master_deltas = self
-            .deltas
-            .lock()
-            .keys()
-            .any(|(rank, _)| *rank == MASTER_RANK);
-        if !has_master_deltas {
-            let guard = self.master.lock();
-            let Some(bytes) = guard.as_ref() else {
-                return Ok(false);
-            };
-            install(&SnapshotView::decode_trusted(bytes)?)?;
-            return Ok(true);
-        }
-        match self.read_merged_master()? {
-            Some(snap) => {
-                install(&SnapshotView::of(&snap))?;
-                Ok(true)
+        {
+            let records = self.records.lock();
+            if !MemTransport::has_deltas(&records, None) {
+                let Some(bytes) = records.get(&RecordKey::full(None)) else {
+                    return Ok(false);
+                };
+                return install(&SnapshotView::decode_trusted(bytes)?).map(|()| true);
             }
+        }
+        match self.get(None, None)? {
+            Some(snap) => install(&SnapshotView::of(&snap)).map(|()| true),
             None => Ok(false),
         }
     }
 
-    fn restart_count(&self) -> Result<Option<u64>> {
-        // View decodes only: the count lives in the header, and this runs
-        // once per rank when a resume is armed — materializing payload
-        // copies here would tax the latency-critical hand-off path.
-        let master_count = self
-            .master
-            .lock()
-            .as_ref()
-            .map(|b| SnapshotView::decode_trusted(b).map(|s| s.count))
-            .transpose()?;
-        if let Some(count) = master_count {
-            return Ok(Some(chain_tip_with(count, None, |rank, seq| {
-                self.read_delta_meta(rank, seq)
-            })?));
+    fn write_merged_record_at(
+        &self,
+        rank: Option<u32>,
+        at: Option<u64>,
+        out: &mut dyn Write,
+    ) -> Result<Option<u64>> {
+        // Fast path: no delta chain pending over this base — stream the
+        // held record bytes straight out in cache-sized blocks, computing
+        // the CRC on the same pass (the stored trailer is zero by
+        // convention). Pinned or chained reads take the materialized merge.
+        if at.is_none() {
+            let records = self.records.lock();
+            if !MemTransport::has_deltas(&records, rank) {
+                let Some(bytes) = records.get(&RecordKey::full(rank)) else {
+                    return Ok(None);
+                };
+                let mut crc = Crc32::new();
+                for block in bytes[..bytes.len() - 4].chunks(256 << 10) {
+                    crc.update(block);
+                    out.write_all(block)?;
+                }
+                out.write_all(&crc.finish().to_le_bytes())?;
+                return Ok(Some(bytes.len() as u64));
+            }
         }
-        let shard0_count = self
-            .shards
-            .lock()
-            .get(&0)
-            .map(|b| SnapshotView::decode_trusted(b).map(|s| s.count))
-            .transpose()?;
-        if let Some(count) = shard0_count {
-            return Ok(Some(chain_tip_with(count, Some(0), |rank, seq| {
-                self.read_delta_meta(rank, seq)
-            })?));
+        write_merged_fallback(self, rank, at, out)
+    }
+
+    fn restart_count(&self) -> Result<Option<u64>> {
+        // Header peeks only: this runs once per rank when a resume is
+        // armed — materializing payload copies here would tax the
+        // latency-critical hand-off path.
+        let records = self.records.lock();
+        for rank in [None, Some(0)] {
+            let Some(base) = records.get(&RecordKey::full(rank)) else {
+                continue;
+            };
+            let (count, _) = peek_header(base).ok_or_else(|| {
+                PparError::CorruptCheckpoint("held record header does not parse".into())
+            })?;
+            return chain_tip_with(count, rank, |rank, seq| {
+                records
+                    .get(&RecordKey::delta(rank, seq))
+                    .map(|b| DeltaMeta::decode_trusted(b))
+                    .transpose()
+            })
+            .map(Some);
         }
         Ok(None)
     }
 
     fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        let tag = rank.unwrap_or(MASTER_RANK);
-        self.deltas.lock().retain(|(r, _), _| *r != tag);
+        self.records
+            .lock()
+            .retain(|k, _| k.rank != rank || k.delta.is_none());
         Ok(())
     }
 
     fn clear_all_deltas(&self) -> Result<()> {
-        self.deltas.lock().clear();
+        self.records.lock().retain(|k, _| k.delta.is_none());
         Ok(())
-    }
-
-    fn begin_raw<'a>(
-        &'a self,
-        kind: RawRecordKind,
-        len_hint: u64,
-    ) -> Result<Box<dyn RawRecordSink + 'a>> {
-        let mut buf = self.spare.lock().pop().unwrap_or_default();
-        buf.reserve(clamp_record_hint(len_hint));
-        Ok(Box::new(MemRawSink {
-            mem: self,
-            kind,
-            buf,
-        }))
-    }
-
-    fn write_merged_record(&self, rank: Option<u32>, out: &mut dyn Write) -> Result<Option<u64>> {
-        // Fast path: no delta chain pending over this base — stream the
-        // held record bytes straight out, computing the wire CRC on the
-        // same pass (the stored trailer is zero by convention). With a
-        // chain, fall back to the materialized merge.
-        let chain_tag = rank.unwrap_or(MASTER_RANK);
-        let has_deltas = self.deltas.lock().keys().any(|(r, _)| *r == chain_tag);
-        if !has_deltas {
-            match rank {
-                None => {
-                    let guard = self.master.lock();
-                    let Some(bytes) = guard.as_ref() else {
-                        return Ok(None);
-                    };
-                    return MemTransport::stream_record_checksummed(bytes, out).map(Some);
-                }
-                Some(r) => {
-                    let guard = self.shards.lock();
-                    let Some(bytes) = guard.get(&r) else {
-                        return Ok(None);
-                    };
-                    return MemTransport::stream_record_checksummed(bytes, out).map(Some);
-                }
-            }
-        }
-        write_merged_fallback(self, rank, out)
     }
 }
 
@@ -1075,9 +695,7 @@ mod tests {
     use super::*;
     use crate::store::CheckpointStore;
     use ppar_core::shared::SharedVec;
-    use ppar_core::state::StateCell;
     use std::path::PathBuf;
-    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ppar_transport_{tag}_{}", std::process::id()));
@@ -1090,92 +708,94 @@ mod tests {
             mode_tag: "smp4".into(),
             count,
             rank,
-            nranks: 1,
+            nranks: 4,
         }
     }
 
-    #[test]
-    fn mem_master_roundtrip_and_counts() {
-        let t = MemTransport::new();
-        assert!(t.read_merged_master().unwrap().is_none());
-        assert_eq!(t.restart_count().unwrap(), None);
-
-        let payload = vec![1u8, 2, 3, 4];
-        t.put_master(
-            &meta(7, None),
-            &[("G", FieldSource::Bytes(&payload))],
+    fn put_bytes(t: &dyn CkptTransport, meta: &SnapshotMeta, payload: &[u8]) -> u64 {
+        t.put(
+            &Record::Full(meta, &[("G", FieldSource::Bytes(payload))]),
             &mut Vec::new(),
         )
-        .unwrap();
-        let snap = t.read_merged_master().unwrap().unwrap();
-        assert_eq!(snap.count, 7);
-        assert_eq!(snap.field("G").unwrap(), payload.as_slice());
-        assert_eq!(t.restart_count().unwrap(), Some(7));
-        assert_eq!(t.snapshots_stored(), 1);
-        assert!(t.bytes_written() > 0);
+        .unwrap()
     }
 
     #[test]
-    fn mem_shard_roundtrip_prefers_master_for_restart_count() {
-        let t = MemTransport::new();
-        let payload = vec![9u8; 16];
-        let mut m = meta(5, Some(2));
-        m.nranks = 4;
-        t.put_shard(&m, &[("G", FieldSource::Bytes(&payload))], &mut Vec::new())
-            .unwrap();
-        assert!(t.read_merged_shard(1).unwrap().is_none());
-        assert_eq!(t.read_merged_shard(2).unwrap().unwrap().count, 5);
-        // restart_count falls back to shard 0 only.
-        assert_eq!(t.restart_count().unwrap(), None);
-        let mut m0 = meta(9, Some(0));
-        m0.nranks = 4;
-        t.put_shard(&m0, &[("G", FieldSource::Bytes(&payload))], &mut Vec::new())
-            .unwrap();
-        assert_eq!(t.restart_count().unwrap(), Some(9));
-    }
+    fn key_of_record_reads_both_headers() {
+        let mem = MemTransport::new();
+        put_bytes(&mem, &meta(5, Some(2)), &[1, 2, 3]);
+        let full = mem.record_bytes(RecordKey::full(Some(2))).unwrap();
+        assert_eq!(
+            RecordKey::of_record(&full).unwrap(),
+            RecordKey::full(Some(2))
+        );
+        // A prefix that holds the header is enough.
+        assert_eq!(
+            RecordKey::of_record(&full[..40]).unwrap(),
+            RecordKey::full(Some(2))
+        );
 
-    #[test]
-    fn mem_delta_chain_merges_and_gc_clears() {
-        let t = MemTransport::new();
-        let v = SharedVec::from_vec((0..4000).map(|i| i as f64).collect());
-        t.put_master(
-            &meta(10, None),
-            &[("G", FieldSource::Cell(&v))],
-            &mut Vec::new(),
-        )
-        .unwrap();
-        v.clear_dirty();
-
-        v.set(3, -1.0);
-        let ranges = v.dirty_byte_ranges();
         let dm = DeltaMeta {
             mode_tag: "smp4".into(),
-            count: 20,
-            base_count: 10,
-            seq: 1,
+            count: 6,
+            base_count: 5,
+            seq: 3,
             rank: None,
-            nranks: 1,
+            nranks: 4,
         };
-        t.put_master_delta(
-            &dm,
-            &[(
-                "G",
-                DeltaSource::DirtyCell {
-                    cell: &v,
-                    ranges: &ranges,
-                },
-            )],
-            &mut Vec::new(),
-        )
-        .unwrap();
+        let whole = DeltaSource::Full(FieldSource::Bytes(&[9]));
+        mem.put(&Record::Delta(&dm, &[("G", whole)]), &mut Vec::new())
+            .unwrap();
+        let delta = mem.record_bytes(RecordKey::delta(None, 3)).unwrap();
+        assert_eq!(
+            RecordKey::of_record(&delta).unwrap(),
+            RecordKey::delta(None, 3)
+        );
+        assert!(RecordKey::of_record(b"PPARCKP").is_err());
+        assert!(RecordKey::delta(None, 2).check_record(&delta).is_err());
+    }
 
-        let merged = t.read_merged_master().unwrap().unwrap();
-        assert_eq!(merged.count, 20, "restart replays to the delta");
-        assert_eq!(merged.field("G").unwrap(), v.save_bytes().as_slice());
-        assert_eq!(t.restart_count().unwrap(), Some(20));
+    /// restart_count prefers the master chain and falls back to shard 0
+    /// only; the counters see every committed record.
+    #[test]
+    fn mem_restart_count_prefers_master_then_shard_zero() {
+        let t = MemTransport::new();
+        put_bytes(&t, &meta(5, Some(2)), &[9; 16]);
+        assert_eq!(t.get(Some(2), None).unwrap().unwrap().count, 5);
+        assert_eq!(t.restart_count().unwrap(), None);
+        put_bytes(&t, &meta(9, Some(0)), &[9; 16]);
+        assert_eq!(t.restart_count().unwrap(), Some(9));
+        let written = put_bytes(&t, &meta(7, None), &[9; 16]);
+        assert_eq!(t.restart_count().unwrap(), Some(7));
+        assert_eq!(t.snapshots_stored(), 3);
+        assert_eq!(t.bytes_written(), 2 * written + written);
+    }
 
-        t.clear_deltas(None).unwrap();
-        assert_eq!(t.read_merged_master().unwrap().unwrap().count, 10);
+    /// A count-pinned get over a delta chain serves the prefix that lands
+    /// on the pinned safe point, and fails rather than serve another.
+    #[test]
+    fn mem_pinned_get_serves_a_chain_prefix() {
+        let t = MemTransport::new();
+        put_bytes(&t, &meta(10, Some(1)), &[0; 8]);
+        for (seq, count) in [(1u32, 20u64), (2, 30)] {
+            let dm = DeltaMeta {
+                mode_tag: "smp4".into(),
+                count,
+                base_count: 10,
+                seq,
+                rank: Some(1),
+                nranks: 4,
+            };
+            let whole = DeltaSource::Full(FieldSource::Bytes(&[seq as u8; 8]));
+            t.put(&Record::Delta(&dm, &[("G", whole)]), &mut Vec::new())
+                .unwrap();
+        }
+        assert_eq!(t.get(Some(1), None).unwrap().unwrap().count, 30);
+        let at20 = t.get(Some(1), Some(20)).unwrap().unwrap();
+        assert_eq!((at20.count, at20.field("G").unwrap()), (20, &[1u8; 8][..]));
+        assert_eq!(t.get(Some(1), Some(10)).unwrap().unwrap().count, 10);
+        assert!(t.get(Some(1), Some(25)).is_err());
+        assert!(t.get(Some(1), Some(5)).is_err());
     }
 
     /// The transport contract: for identical content, the in-memory record
@@ -1190,286 +810,20 @@ mod tests {
         let v = SharedVec::from_vec((0..512).map(|i| (i as f64).sin()).collect());
         let m = meta(3, None);
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("G", FieldSource::Cell(&v))];
-        let on_disk = store.put_master(&m, &fields, &mut Vec::new()).unwrap();
-        let in_mem = mem.put_master(&m, &fields, &mut Vec::new()).unwrap();
+        let record = Record::Full(&m, &fields);
+        let on_disk = store.put(&record, &mut Vec::new()).unwrap();
+        let in_mem = mem.put(&record, &mut Vec::new()).unwrap();
         assert_eq!(on_disk, in_mem);
         let file = std::fs::read(dir.join("ckpt_master.bin")).unwrap();
-        let record = mem.master_bytes().unwrap();
+        let record = mem.record_bytes(RecordKey::full(None)).unwrap();
         assert_eq!(record.len(), file.len());
         assert_eq!(record[..record.len() - 4], file[..file.len() - 4]);
         assert_eq!(&record[record.len() - 4..], &[0, 0, 0, 0]);
         assert_eq!(
-            mem.read_merged_master().unwrap().unwrap(),
-            store.read_merged_master().unwrap().unwrap(),
+            mem.get(None, None).unwrap().unwrap(),
+            store.get(None, None).unwrap().unwrap(),
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Both transports are interchangeable behind the trait object.
-    #[test]
-    fn trait_object_dispatch_works_for_both() {
-        let dir = tmpdir("dyn");
-        let transports: Vec<Arc<dyn CkptTransport>> = vec![
-            Arc::new(CheckpointStore::new(&dir).unwrap()),
-            Arc::new(MemTransport::new()),
-        ];
-        for t in &transports {
-            let payload = vec![5u8; 8];
-            t.put_master(
-                &meta(1, None),
-                &[("x", FieldSource::Bytes(&payload))],
-                &mut Vec::new(),
-            )
-            .unwrap();
-            let snap = t.read_merged_master().unwrap().unwrap();
-            assert_eq!(snap.field("x").unwrap(), payload.as_slice());
-            assert_eq!(t.restart_count().unwrap(), Some(1));
-            t.clear_all_deltas().unwrap();
-        }
-        assert_eq!(transports[0].describe(), "file");
-        assert_eq!(transports[1].describe(), "memory");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn sample_snapshot(count: u64, rank: Option<u32>) -> Snapshot {
-        Snapshot {
-            mode_tag: "smp4".into(),
-            count,
-            rank,
-            nranks: 1,
-            fields: vec![
-                ("G".into(), (0..9000u32).map(|i| i as u8).collect()),
-                ("energy".into(), 42.0f64.to_le_bytes().to_vec()),
-            ],
-        }
-    }
-
-    /// A raw streamed install (checksummed wire bytes fed in chunks) must
-    /// land exactly where a direct `put_*` would, on every transport, and
-    /// an aborted stream must leave the previous record untouched.
-    #[test]
-    fn raw_sink_install_matches_put_and_abort_preserves_prior() {
-        let dir = tmpdir("rawsink");
-        let transports: Vec<Box<dyn CkptTransport>> = vec![
-            Box::new(CheckpointStore::new(&dir).unwrap()),
-            Box::new(MemTransport::new()),
-        ];
-        for t in &transports {
-            let snap = sample_snapshot(5, None);
-            let wire = snap.encode(); // checksummed golden encoding
-            let mut sink = t
-                .begin_raw(RawRecordKind::Master, wire.len() as u64)
-                .unwrap();
-            for chunk in wire.chunks(7) {
-                sink.write_chunk(chunk).unwrap();
-            }
-            assert_eq!(sink.commit().unwrap(), wire.len() as u64);
-            assert_eq!(
-                t.read_merged_master().unwrap().unwrap(),
-                snap,
-                "{}",
-                t.describe()
-            );
-
-            // Aborted second install: the committed record stays.
-            let mut sink = t.begin_raw(RawRecordKind::Master, 0).unwrap();
-            sink.write_chunk(b"partial garbage").unwrap();
-            sink.abort();
-            assert_eq!(
-                t.read_merged_master().unwrap().unwrap(),
-                snap,
-                "{} after abort",
-                t.describe()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Shard and delta kinds route to the right keys through the raw sink.
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // ranges here are span data
-    fn raw_sink_routes_shards_and_deltas() {
-        let t = MemTransport::new();
-        let shard = sample_snapshot(4, Some(2));
-        let wire = shard.encode();
-        let mut sink = t.begin_raw(RawRecordKind::Shard(2), 0).unwrap();
-        sink.write_chunk(&wire).unwrap();
-        sink.commit().unwrap();
-        assert_eq!(t.read_merged_shard(2).unwrap().unwrap(), shard);
-
-        // Kind/record mismatch is rejected before any swap.
-        let mut sink = t.begin_raw(RawRecordKind::Shard(9), 0).unwrap();
-        sink.write_chunk(&wire).unwrap();
-        assert!(sink.commit().is_err());
-        assert!(t.read_merged_shard(9).unwrap().is_none());
-    }
-
-    /// `write_merged_record` emits a checksummed record that decodes to
-    /// the merged state — via the copy-through fast path (no deltas) and
-    /// the materializing fallback (chain pending) alike, on both
-    /// transports.
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // ranges here are span data
-    fn write_merged_record_roundtrips_checksummed() {
-        let dir = tmpdir("merged_rec");
-        let transports: Vec<Box<dyn CkptTransport>> = vec![
-            Box::new(CheckpointStore::new(&dir).unwrap()),
-            Box::new(MemTransport::new()),
-        ];
-        for t in &transports {
-            assert!(t
-                .write_merged_record(None, &mut Vec::new())
-                .unwrap()
-                .is_none());
-            let snap = sample_snapshot(10, None);
-            let fields: Vec<(&str, FieldSource<'_>)> = snap
-                .fields
-                .iter()
-                .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
-                .collect();
-            t.put_master(&snap.meta(), &fields, &mut Vec::new())
-                .unwrap();
-
-            // Fast path: no chain.
-            let mut out = Vec::new();
-            let n = t.write_merged_record(None, &mut out).unwrap().unwrap();
-            assert_eq!(n as usize, out.len());
-            assert_eq!(Snapshot::decode(&out).unwrap(), snap, "{}", t.describe());
-
-            // Fallback path: delta chain pending.
-            let dm = DeltaMeta {
-                mode_tag: "smp4".into(),
-                count: 20,
-                base_count: 10,
-                seq: 1,
-                rank: None,
-                nranks: 1,
-            };
-            let patch = [7u8; 4];
-            t.put_master_delta(
-                &dm,
-                &[(
-                    "G",
-                    DeltaSource::DirtyBytes {
-                        full_len: 9000,
-                        ranges: &[0..4],
-                        payload: &patch,
-                    },
-                )],
-                &mut Vec::new(),
-            )
-            .unwrap();
-            let mut out = Vec::new();
-            t.write_merged_record(None, &mut out).unwrap().unwrap();
-            let merged = Snapshot::decode(&out).unwrap();
-            assert_eq!(merged.count, 20, "{}", t.describe());
-            assert_eq!(&merged.field("G").unwrap()[..4], &patch);
-            t.clear_all_deltas().unwrap();
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Delta records stream through the *buffered* fallback sink too (the
-    /// decode → re-encode path used by transports without an incremental
-    /// medium), landing byte-compatible with a direct `put_*_delta`.
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // ranges here are span data
-    fn buffered_fallback_sink_installs_deltas() {
-        // A minimal transport with no overrides: wrap MemTransport but
-        // only forward the trait's required methods, so the default
-        // BufferedRawSink is exercised.
-        struct Plain(MemTransport);
-        impl CkptTransport for Plain {
-            fn describe(&self) -> &'static str {
-                "plain"
-            }
-            fn put_master(
-                &self,
-                m: &SnapshotMeta,
-                f: &[(&str, FieldSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.0.put_master(m, f, s)
-            }
-            fn put_shard(
-                &self,
-                m: &SnapshotMeta,
-                f: &[(&str, FieldSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.0.put_shard(m, f, s)
-            }
-            fn put_master_delta(
-                &self,
-                m: &DeltaMeta,
-                f: &[(&str, DeltaSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.0.put_master_delta(m, f, s)
-            }
-            fn put_shard_delta(
-                &self,
-                m: &DeltaMeta,
-                f: &[(&str, DeltaSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.0.put_shard_delta(m, f, s)
-            }
-            fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-                self.0.read_merged_master()
-            }
-            fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-                self.0.read_merged_shard(rank)
-            }
-            fn restart_count(&self) -> Result<Option<u64>> {
-                self.0.restart_count()
-            }
-            fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-                self.0.clear_deltas(rank)
-            }
-            fn clear_all_deltas(&self) -> Result<()> {
-                self.0.clear_all_deltas()
-            }
-        }
-
-        let t = Plain(MemTransport::new());
-        let snap = sample_snapshot(10, None);
-        let mut sink = t.begin_raw(RawRecordKind::Master, 0).unwrap();
-        sink.write_chunk(&snap.encode()).unwrap();
-        sink.commit().unwrap();
-
-        // Build a real delta record via the golden delta encoder, stream
-        // it through the fallback sink, and check the merge result.
-        let dm = DeltaMeta {
-            mode_tag: "smp4".into(),
-            count: 20,
-            base_count: 10,
-            seq: 1,
-            rank: None,
-            nranks: 1,
-        };
-        let patch = [9u8; 8];
-        let mut w = SnapshotWriter::new_delta(Vec::new(), &dm, 1).unwrap();
-        w.delta_field_sparse_bytes("G", 9000, &[16..24], &patch)
-            .unwrap();
-        let (_, wire) = w.finish().unwrap();
-        let mut sink = t
-            .begin_raw(RawRecordKind::MasterDelta { seq: 1 }, wire.len() as u64)
-            .unwrap();
-        for chunk in wire.chunks(11) {
-            sink.write_chunk(chunk).unwrap();
-        }
-        sink.commit().unwrap();
-        let merged = t.read_merged_master().unwrap().unwrap();
-        assert_eq!(merged.count, 20);
-        assert_eq!(&merged.field("G").unwrap()[16..24], &patch);
-
-        // Wrong seq routing is rejected.
-        let mut sink = t
-            .begin_raw(RawRecordKind::MasterDelta { seq: 3 }, 0)
-            .unwrap();
-        sink.write_chunk(&wire).unwrap();
-        assert!(sink.commit().is_err());
     }
 
     proptest::proptest! {
@@ -1493,19 +847,19 @@ mod tests {
                 .iter()
                 .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b.as_slice())))
                 .collect();
-            store.put_master(&m, &refs, &mut Vec::new()).unwrap();
-            mem.put_master(&m, &refs, &mut Vec::new()).unwrap();
+            store.put(&Record::Full(&m, &refs), &mut Vec::new()).unwrap();
+            mem.put(&Record::Full(&m, &refs), &mut Vec::new()).unwrap();
 
             // Byte-identical records modulo the CRC trailer (zero in
             // memory; the shared golden encoder produced everything else)...
             let file = std::fs::read(dir.join("ckpt_master.bin")).unwrap();
-            let record = mem.master_bytes().unwrap();
+            let record = mem.record_bytes(RecordKey::full(None)).unwrap();
             proptest::prop_assert_eq!(record.len(), file.len());
             proptest::prop_assert_eq!(&record[..record.len() - 4], &file[..file.len() - 4]);
             // ...and identical decoded snapshots through each side's reader:
             // the round-trip is byte-identical per field.
-            let from_file = store.read_merged_master().unwrap().unwrap();
-            let from_mem = mem.read_merged_master().unwrap().unwrap();
+            let from_file = store.get(None, None).unwrap().unwrap();
+            let from_mem = mem.get(None, None).unwrap().unwrap();
             proptest::prop_assert_eq!(from_file, from_mem);
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -2,6 +2,7 @@
 //! sequentially (empty-ish plan) and distributed (partition + halo + gather
 //! plugs), with checkpoint/restart in both strategies and across modes.
 
+use ppar_ckpt::CkptTransport;
 use std::sync::Arc;
 
 use ppar_core::ctx::Ctx;

@@ -19,7 +19,8 @@
 
 use std::sync::Barrier;
 
-use ppar_ckpt::store::{CheckpointStore, Snapshot};
+use ppar_ckpt::store::{CheckpointStore, FieldSource, Record, SnapshotMeta};
+use ppar_ckpt::CkptTransport;
 use ppar_core::partition::block_owned;
 use ppar_core::shared::SharedGrid;
 use ppar_core::state::{DistCell, StateCell};
@@ -69,14 +70,19 @@ pub fn sor_threads(p: &SorParams, threads: usize) -> SorResult {
 // ---------------------------------------------------------------------------
 
 fn write_invasive_snapshot(store: &CheckpointStore, g: &SharedGrid<f64>, count: u64) {
-    let snap = Snapshot {
+    let meta = SnapshotMeta {
         mode_tag: "invasive".to_string(),
         count,
         rank: None,
         nranks: 1,
-        fields: vec![("G".to_string(), g.save_bytes())],
     };
-    store.write_master(&snap).expect("invasive snapshot write");
+    let payload = g.save_bytes();
+    store
+        .put(
+            &Record::Full(&meta, &[("G", FieldSource::Bytes(&payload))]),
+            &mut Vec::new(),
+        )
+        .expect("invasive snapshot write");
 }
 
 fn read_invasive_restart(store: &CheckpointStore, g: &SharedGrid<f64>) -> usize {

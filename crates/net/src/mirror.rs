@@ -9,38 +9,27 @@
 //! a rank saved in local [`MemTransport`] slots (two, because a rank can
 //! have saved generation `N+1` while the group commit still points at
 //! `N` — the torn-checkpoint case), so a survivor's count-pinned restore
-//! ([`CkptTransport::read_shard_at`]) is a local memory read instead of a
+//! (`CkptTransport::get(rank, Some(count))`) is a local memory read instead of a
 //! root round-trip. Recovery traffic then scales with the *one* lost
 //! shard, not the whole aggregate.
 //!
-//! The network transport stays the durability authority: every put is
-//! forwarded first and its result is what the caller sees; the local tee
-//! is opportunistic. A failed network put wipes the mirror — after a
+//! The network transport stays the durability authority: the mirror's sink
+//! tees the record's bytes to the network sink and a local slot, and the
+//! network sink's verdict is what the caller sees; the local copy is
+//! opportunistic. A failed network put wipes the mirror — after a
 //! fault the local generations can no longer be trusted to match what the
 //! root will serve, and a stale hit here would restore state diverging
 //! from the group. Delta records are not mirrored (the mirror serves only
 //! exact-count full-snapshot hits and falls through to the network for
 //! everything else).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::Write;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use ppar_ckpt::delta::DeltaMeta;
-use ppar_ckpt::store::{DeltaSource, FieldSource, Snapshot, SnapshotMeta};
-use ppar_ckpt::transport::{CkptTransport, RawRecordKind, RawRecordSink};
-use ppar_ckpt::MemTransport;
+use ppar_ckpt::transport::{CkptTransport, RecordKey, RecordSink};
+use ppar_ckpt::{MemTransport, Snapshot};
 use ppar_core::error::Result;
-
-/// Which local slot holds which shard generation (see module docs).
-#[derive(Default)]
-struct MirrorState {
-    /// Safe-point count held by each slot (`None` = slot empty/stale).
-    counts: [Option<u64>; 2],
-    /// Slot the next full-shard save overwrites (the older generation).
-    next: usize,
-}
 
 /// A [`CkptTransport`] that forwards everything to an inner (network)
 /// transport while teeing full shard saves into two alternating local
@@ -49,7 +38,8 @@ struct MirrorState {
 pub struct MirrorTransport {
     net: Arc<dyn CkptTransport>,
     slots: [MemTransport; 2],
-    state: Mutex<MirrorState>,
+    /// Slot the next full-shard save overwrites (the older generation).
+    next: AtomicUsize,
     local_hits: AtomicU64,
 }
 
@@ -59,7 +49,7 @@ impl MirrorTransport {
         MirrorTransport {
             net,
             slots: [MemTransport::new(), MemTransport::new()],
-            state: Mutex::new(MirrorState::default()),
+            next: AtomicUsize::new(0),
             local_hits: AtomicU64::new(0),
         }
     }
@@ -73,12 +63,72 @@ impl MirrorTransport {
     /// Drop both local generations (a fault boundary: the network store
     /// is the only trusted source until the next successful save).
     fn wipe(&self) {
-        let mut st = self.state.lock();
-        st.counts = [None, None];
-        st.next = 0;
         for slot in &self.slots {
             slot.clear();
         }
+    }
+}
+
+/// The mirror's sink for shard records: every byte goes to the network
+/// sink, whose verdict is the caller's; a full shard record is copied into
+/// the older local slot on the same pass.
+struct TeeSink<'a> {
+    mirror: &'a MirrorTransport,
+    net: Box<dyn RecordSink + 'a>,
+    slot: usize,
+    /// The slot's sink while the local copy is intact. `None` for delta
+    /// records, which are not mirrored.
+    local: Option<Box<dyn RecordSink + 'a>>,
+    delta: bool,
+}
+
+impl Write for TeeSink<'_> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        let n = self.net.write(bytes)?;
+        if let Some(local) = &mut self.local {
+            if local.write_all(&bytes[..n]).is_err() {
+                self.local = None;
+            }
+        }
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.net.flush()
+    }
+}
+
+impl RecordSink for TeeSink<'_> {
+    fn checksummed(&self) -> bool {
+        self.net.checksummed()
+    }
+
+    fn commit(self: Box<Self>) -> Result<u64> {
+        let TeeSink {
+            mirror,
+            net,
+            slot,
+            local,
+            delta,
+        } = *self;
+        let written = net.commit().inspect_err(|_| mirror.wipe())?;
+        if delta {
+            // A chain over a mirrored base would make the local
+            // generation's merged count drift from what the group restores:
+            // fail the mirror closed and let restores fall through.
+            mirror.wipe();
+        } else if local.is_some_and(|local| local.commit().is_ok()) {
+            mirror.next.store(slot ^ 1, Ordering::Relaxed);
+        } else {
+            // Local tee failure only disables the fast lane.
+            mirror.slots[slot].clear();
+        }
+        Ok(written)
+    }
+
+    fn abort(self: Box<Self>, why: &str) {
+        self.net.abort(why);
+        self.mirror.wipe();
     }
 }
 
@@ -87,96 +137,35 @@ impl CkptTransport for MirrorTransport {
         "mirror"
     }
 
-    fn put_master(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.net.put_master(meta, fields, scratch)
-    }
-
-    fn put_shard(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let written = match self.net.put_shard(meta, fields, scratch) {
-            Ok(w) => w,
-            Err(e) => {
-                self.wipe();
-                return Err(e);
-            }
-        };
-        let mut st = self.state.lock();
-        let slot = st.next;
-        match self.slots[slot].put_shard(meta, fields, scratch) {
-            Ok(_) => {
-                st.counts[slot] = Some(meta.count);
-                st.next = slot ^ 1;
-            }
-            Err(_) => {
-                // Local tee failure only disables the fast lane.
-                st.counts[slot] = None;
-                self.slots[slot].clear();
-            }
+    fn begin<'a>(&'a self, key: RecordKey, len_hint: u64) -> Result<Box<dyn RecordSink + 'a>> {
+        let net = self.net.begin(key, len_hint).inspect_err(|_| self.wipe())?;
+        if key.rank.is_none() {
+            return Ok(net);
         }
-        Ok(written)
-    }
-
-    fn put_master_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.net.put_master_delta(meta, fields, scratch)
-    }
-
-    fn put_shard_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        // Deltas are not mirrored: a chain over a mirrored base would make
-        // the local generation's merged count drift from its slot key.
-        // Fail the mirror closed instead and let restores fall through.
-        match self.net.put_shard_delta(meta, fields, scratch) {
-            Ok(w) => {
-                self.wipe();
-                Ok(w)
-            }
-            Err(e) => {
-                self.wipe();
-                Err(e)
-            }
-        }
-    }
-
-    fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-        self.net.read_merged_master()
-    }
-
-    fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        self.net.read_merged_shard(rank)
-    }
-
-    fn read_shard_at(&self, rank: u32, count: u64) -> Result<Option<Snapshot>> {
-        let slot = {
-            let st = self.state.lock();
-            st.counts.iter().position(|c| *c == Some(count))
+        let slot = self.next.load(Ordering::Relaxed);
+        let local = match key.delta {
+            None => self.slots[slot].begin(key, len_hint).ok(),
+            Some(_) => None,
         };
-        if let Some(i) = slot {
-            if let Some(snap) = self.slots[i].read_merged_shard(rank)? {
-                if snap.count == count {
+        Ok(Box::new(TeeSink {
+            mirror: self,
+            net,
+            slot,
+            local,
+            delta: key.delta.is_some(),
+        }))
+    }
+
+    fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>> {
+        if rank.is_some() && at.is_some() {
+            for slot in &self.slots {
+                if let Ok(Some(snap)) = slot.get(rank, at) {
                     self.local_hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(Some(snap));
                 }
             }
         }
-        self.net.read_shard_at(rank, count)
+        self.net.get(rank, at)
     }
 
     fn restart_count(&self) -> Result<Option<u64>> {
@@ -194,20 +183,13 @@ impl CkptTransport for MirrorTransport {
     fn clear_all_deltas(&self) -> Result<()> {
         self.net.clear_all_deltas()
     }
-
-    fn begin_raw<'a>(
-        &'a self,
-        kind: RawRecordKind,
-        len_hint: u64,
-    ) -> Result<Box<dyn RawRecordSink + 'a>> {
-        self.net.begin_raw(kind, len_hint)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppar_ckpt::store::SnapshotMeta;
+    use ppar_ckpt::store::{DeltaSource, FieldSource, Record, SnapshotMeta};
+    use ppar_ckpt::DeltaMeta;
     use ppar_core::error::PparError;
 
     fn shard_meta(count: u64, rank: u32) -> SnapshotMeta {
@@ -220,9 +202,11 @@ mod tests {
     }
 
     fn put(t: &MirrorTransport, count: u64, rank: u32, payload: &[u8]) {
-        t.put_shard(
-            &shard_meta(count, rank),
-            &[("G", FieldSource::Bytes(payload))],
+        t.put(
+            &Record::Full(
+                &shard_meta(count, rank),
+                &[("G", FieldSource::Bytes(payload))],
+            ),
             &mut Vec::new(),
         )
         .unwrap();
@@ -238,18 +222,18 @@ mod tests {
 
         // The two newest generations hit the mirror...
         assert_eq!(
-            mirror.read_shard_at(2, 30).unwrap().unwrap().field("G"),
+            mirror.get(Some(2), Some(30)).unwrap().unwrap().field("G"),
             Some(&[3u8; 64][..])
         );
         assert_eq!(
-            mirror.read_shard_at(2, 20).unwrap().unwrap().field("G"),
+            mirror.get(Some(2), Some(20)).unwrap().unwrap().field("G"),
             Some(&[2u8; 64][..])
         );
         assert_eq!(mirror.local_hits(), 2);
 
         // ...the evicted one falls through to the network store, whose
         // chain tip (30) no longer matches — the count pin catches it.
-        assert!(mirror.read_shard_at(2, 10).is_err());
+        assert!(mirror.get(Some(2), Some(10)).is_err());
         assert_eq!(mirror.local_hits(), 2);
     }
 
@@ -263,46 +247,18 @@ mod tests {
             fn describe(&self) -> &'static str {
                 "failnext"
             }
-            fn put_master(
-                &self,
-                m: &SnapshotMeta,
-                f: &[(&str, FieldSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.inner.put_master(m, f, s)
-            }
-            fn put_shard(
-                &self,
-                m: &SnapshotMeta,
-                f: &[(&str, FieldSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                if self.fail.swap(false, Ordering::SeqCst) {
+            fn begin<'a>(
+                &'a self,
+                key: RecordKey,
+                len_hint: u64,
+            ) -> Result<Box<dyn RecordSink + 'a>> {
+                if key.rank.is_some() && self.fail.swap(false, Ordering::SeqCst) {
                     return Err(PparError::Network("peer rank 0 is down".into()));
                 }
-                self.inner.put_shard(m, f, s)
+                self.inner.begin(key, len_hint)
             }
-            fn put_master_delta(
-                &self,
-                m: &DeltaMeta,
-                f: &[(&str, DeltaSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.inner.put_master_delta(m, f, s)
-            }
-            fn put_shard_delta(
-                &self,
-                m: &DeltaMeta,
-                f: &[(&str, DeltaSource<'_>)],
-                s: &mut Vec<u8>,
-            ) -> Result<u64> {
-                self.inner.put_shard_delta(m, f, s)
-            }
-            fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-                self.inner.read_merged_master()
-            }
-            fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-                self.inner.read_merged_shard(rank)
+            fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>> {
+                self.inner.get(rank, at)
             }
             fn restart_count(&self) -> Result<Option<u64>> {
                 self.inner.restart_count()
@@ -321,20 +277,19 @@ mod tests {
         });
         let mirror = MirrorTransport::new(net.clone());
         put(&mirror, 10, 1, &[7u8; 32]);
-        assert_eq!(mirror.read_shard_at(1, 10).unwrap().unwrap().count, 10);
+        assert_eq!(mirror.get(Some(1), Some(10)).unwrap().unwrap().count, 10);
         assert_eq!(mirror.local_hits(), 1);
 
         net.fail.store(true, Ordering::SeqCst);
-        let err = mirror.put_shard(
-            &shard_meta(20, 1),
-            &[("G", FieldSource::Bytes(&[8u8; 32]))],
+        let err = mirror.put(
+            &Record::Full(&shard_meta(20, 1), &[("G", FieldSource::Bytes(&[8u8; 32]))]),
             &mut Vec::new(),
         );
         assert!(err.is_err());
 
         // The mirror is gone; the restore goes to the network store
         // (which still holds generation 10 from the first save).
-        assert_eq!(mirror.read_shard_at(1, 10).unwrap().unwrap().count, 10);
+        assert_eq!(mirror.get(Some(1), Some(10)).unwrap().unwrap().count, 10);
         assert_eq!(mirror.local_hits(), 1, "no further local hits");
     }
 
@@ -352,15 +307,17 @@ mod tests {
             nranks: 4,
         };
         mirror
-            .put_shard_delta(
-                &dm,
-                &[("G", DeltaSource::Full(FieldSource::Bytes(&[2u8; 16])))],
+            .put(
+                &Record::Delta(
+                    &dm,
+                    &[("G", DeltaSource::Full(FieldSource::Bytes(&[2u8; 16])))],
+                ),
                 &mut Vec::new(),
             )
             .unwrap();
         // Count 10 would now under-serve the merged chain: the mirror
         // must not answer.
-        assert_eq!(mirror.read_shard_at(3, 20).unwrap().unwrap().count, 20);
+        assert_eq!(mirror.get(Some(3), Some(20)).unwrap().unwrap().count, 20);
         assert_eq!(mirror.local_hits(), 0);
     }
 }

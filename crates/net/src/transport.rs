@@ -6,20 +6,23 @@
 //! **streaming end-to-end**: no hop on the rank → root path (and none on
 //! the root → rank restore path) ever buffers a whole record.
 //!
-//! * every **non-root** rank persists through a [`NetTransport`] *client*:
-//!   `put_*` drives the shared golden [`SnapshotWriter`] directly into a
-//!   `StreamTx` sink, which cuts the encoded bytes into ~4 MiB chunk
-//!   frames as they are produced — a gigabyte-scale record costs the
-//!   client one chunk buffer, not a record-sized staging `Vec`;
+//! * every **non-root** rank persists through a [`NetTransport`] *client*
+//!   whose [`RecordSink`] is a `StreamTx`: the provided `put` drives the
+//!   shared golden encoder into it, and it cuts the encoded bytes into
+//!   ~4 MiB chunk frames as they are produced — a gigabyte-scale record
+//!   costs the client one chunk buffer, not a record-sized staging `Vec`
+//!   (the digest-negotiated path, which must announce the record's chunk
+//!   digests before its bytes, is the one exception);
 //! * the **root** runs a [`CkptService`]: a dispatcher thread that routes
 //!   each rank's requests to a dedicated per-rank *lane* thread, so four
 //!   ranks checkpointing concurrently stream through four independent
 //!   pipelines. A lane feeds arriving chunks straight into the durable
-//!   transport's [`RawRecordSink`] (`CkptTransport::begin_raw`) while one
-//!   running [`TrailingCrc`] pass verifies the record's own CRC — the
-//!   same bytes, one verification, no decode → re-encode round trip;
+//!   transport's own sink (`CkptTransport::begin`) — the sink `put` would
+//!   have fed from the encoder — while one running [`TrailingCrc`] pass
+//!   verifies the record's own CRC: the same bytes, one verification, no
+//!   decode → re-encode round trip;
 //! * reads stream the merged record back root → rank through
-//!   `CkptTransport::write_merged_record` and the same chunk protocol
+//!   `CkptTransport::write_merged_record_at` and the same chunk protocol
 //!   (the restart and reshape path).
 //!
 //! Because the record bytes are produced by the same encoder on every
@@ -55,7 +58,7 @@
 //! mid-stream, the lane keeps receiving and crediting (discarding the
 //! bytes) until the stream ends, then reports the failure in the
 //! response. A CRC mismatch or a client abort discards the partial
-//! record through [`RawRecordSink::abort`] — the previously installed
+//! record through [`RecordSink::abort`] — the previously installed
 //! record for that chain is untouched. A client that dies mid-stream
 //! takes only its own lane down; the other ranks' pipelines keep
 //! flowing.
@@ -74,10 +77,8 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use ppar_ckpt::delta::DeltaMeta;
-use ppar_ckpt::store::{DeltaSource, FieldSource, Snapshot, SnapshotMeta, SnapshotWriter};
-use ppar_ckpt::transport::{CkptTransport, RawRecordKind, RawRecordSink};
-use ppar_ckpt::{ChunkDigest, ChunkRef, PutStats, TrailingCrc};
+use ppar_ckpt::transport::{CkptTransport, RecordKey, RecordSink};
+use ppar_ckpt::{ChunkDigest, ChunkRef, PutStats, Snapshot, TrailingCrc};
 use ppar_core::error::{PparError, Result};
 use ppar_core::shared::DIRTY_CHUNK_BYTES;
 
@@ -196,8 +197,9 @@ fn chunk_capacity() -> usize {
 /// The sending half of one chunk stream: an [`io::Write`] sink that cuts
 /// whatever is written into marker-prefixed chunk frames, blocking on the
 /// receiver's credits once [`STREAM_WINDOW`] chunks are unacknowledged.
-/// The client drives [`SnapshotWriter`] into one of these; the service's
-/// get path drives `CkptTransport::write_merged_record` into one.
+/// The client's put drives the golden encoder into one of these; the
+/// service's get path drives `CkptTransport::write_merged_record_at` into
+/// one.
 struct StreamTx<'a> {
     fabric: &'a dyn Fabric,
     me: usize,
@@ -404,11 +406,9 @@ pub struct NetTransport {
     fabric: Arc<dyn Fabric>,
     rank: usize,
     root: usize,
-    /// Digest negotiation enabled (`PPAR_NET_DEDUP` ≠ `0`).
-    dedup_enabled: bool,
-    /// Whether the root's durable transport accepted the last dedup
-    /// negotiation; flipped off on [`ST_NODEDUP`] so a flat-store root
-    /// costs one probe per job, not one per snapshot.
+    /// Whether the root's durable transport can install by digest; flipped
+    /// off on [`ST_NODEDUP`] so a flat-store root costs one probe per job,
+    /// not one per snapshot.
     dedup_supported: AtomicBool,
     /// Client-side wire-dedup counters, drained by
     /// [`CkptTransport::take_put_stats`].
@@ -423,10 +423,17 @@ impl NetTransport {
             fabric,
             rank,
             root: 0,
-            dedup_enabled: std::env::var("PPAR_NET_DEDUP").map_or(true, |v| v != "0"),
             dedup_supported: AtomicBool::new(true),
             stats: Mutex::new(PutStats::default()),
         }
+    }
+
+    fn service_error(&self, msg: &[u8]) -> PparError {
+        PparError::Network(format!(
+            "checkpoint service on rank {}: {}",
+            self.root,
+            String::from_utf8_lossy(msg)
+        ))
     }
 
     /// Receive and status-check one service response.
@@ -434,11 +441,7 @@ impl NetTransport {
         let rsp = self.fabric.recv(self.rank, self.root, RSP_TAG)?;
         match rsp.first() {
             Some(&ST_OK) => Ok(rsp),
-            Some(&ST_ERR) => Err(PparError::Network(format!(
-                "checkpoint service on rank {}: {}",
-                self.root,
-                String::from_utf8_lossy(&rsp[1..])
-            ))),
+            Some(&ST_ERR) => Err(self.service_error(&rsp[1..])),
             _ => Err(PparError::Network("empty checkpoint response".into())),
         }
     }
@@ -452,139 +455,86 @@ impl NetTransport {
         self.recv_response()
     }
 
-    /// The record length announced in a put's begin request — lets the
-    /// service pre-size its durable sink. A hint only, never a bound.
-    fn reserve_hint(fields: &[(&str, FieldSource<'_>)]) -> usize {
-        fields
-            .iter()
-            .map(|(name, source)| {
-                let body = match source {
-                    FieldSource::Bytes(b) => b.len(),
-                    FieldSource::Cell(cell) => cell.known_byte_len().unwrap_or(0),
-                };
-                name.len() + 16 + body
-            })
-            .sum::<usize>()
-            + 128
-    }
-
-    /// [`NetTransport::reserve_hint`] for delta records: sparse entries
-    /// contribute their range map + carried bytes, full entries their
-    /// whole body.
-    fn delta_reserve_hint(fields: &[(&str, DeltaSource<'_>)]) -> usize {
-        fields
-            .iter()
-            .map(|(name, source)| {
-                let body = match source {
-                    DeltaSource::Full(FieldSource::Bytes(b)) => b.len(),
-                    DeltaSource::Full(FieldSource::Cell(cell)) => {
-                        cell.known_byte_len().unwrap_or(0)
-                    }
-                    DeltaSource::DirtyCell { ranges, .. } => {
-                        ranges.iter().map(|r| r.len()).sum::<usize>() + ranges.len() * 16
-                    }
-                    DeltaSource::DirtyBytes {
-                        ranges, payload, ..
-                    } => payload.len() + ranges.len() * 16,
-                };
-                name.len() + 32 + body
-            })
-            .sum::<usize>()
-            + 128
-    }
-
-    /// Send a put's begin request and stream the record `encode` produces
-    /// into chunk frames; on an encode failure the service is told to
-    /// discard the partial record and its (error) response is consumed,
-    /// keeping the response channel aligned for the next operation.
-    fn stream_put(
-        &self,
-        op: u8,
-        rank_wire: u32,
-        seq: u32,
-        len_hint: u64,
-        encode: impl FnOnce(&mut StreamTx<'_>) -> Result<u64>,
-    ) -> Result<u64> {
+    /// Send the begin request of a put for `key` (`[op][stream id][rank]
+    /// [seq][length hint]` followed by `tail`) and return the stream id.
+    fn send_put_begin(&self, op: u8, key: RecordKey, len_hint: u64, tail: &[u8]) -> u32 {
         let id = next_stream_id();
-        let mut req = Vec::with_capacity(21);
+        let mut req = Vec::with_capacity(21 + tail.len());
         req.push(op);
         req.extend_from_slice(&id.to_le_bytes());
-        req.extend_from_slice(&rank_wire.to_le_bytes());
-        req.extend_from_slice(&seq.to_le_bytes());
+        req.extend_from_slice(&key.rank.unwrap_or(MASTER_SENTINEL).to_le_bytes());
+        req.extend_from_slice(&key.delta.unwrap_or(0).to_le_bytes());
         req.extend_from_slice(&len_hint.to_le_bytes());
+        req.extend_from_slice(tail);
         self.fabric
             .send(self.rank, self.root, REQ_TAG, Arc::new(req));
-        let mut tx = StreamTx::new(self.fabric.as_ref(), self.rank, self.root, id, KIND_DATA);
-        let written = match encode(&mut tx).and_then(|w| {
-            tx.finish()?;
-            Ok(w)
-        }) {
-            Ok(written) => written,
-            Err(e) => {
-                tx.abort(&e.to_string());
-                let _ = self.recv_response();
-                let _ = tx.wait_drained();
-                return Err(e);
-            }
+        id
+    }
+
+    /// Begin a plain streamed put: the record's bytes follow as chunk
+    /// frames while they are produced.
+    fn open_put(&self, key: RecordKey, len_hint: u64) -> StreamTx<'_> {
+        let op = match (key.rank, key.delta) {
+            (None, None) => OP_PUT_MASTER,
+            (Some(_), None) => OP_PUT_SHARD,
+            (None, Some(_)) => OP_PUT_MASTER_DELTA,
+            (Some(_), Some(_)) => OP_PUT_SHARD_DELTA,
         };
+        let id = self.send_put_begin(op, key, len_hint, &[]);
+        StreamTx::new(self.fabric.as_ref(), self.rank, self.root, id, KIND_DATA)
+    }
+
+    /// End a put's chunk stream and collect the service's verdict. When
+    /// `sent` is an error the service is told to discard the partial record
+    /// and its (error) response is consumed, keeping the response channel
+    /// aligned for the next operation.
+    fn close_put(&self, mut tx: StreamTx<'_>, sent: Result<()>) -> Result<()> {
+        if let Err(e) = sent.and_then(|()| tx.finish()) {
+            tx.abort(&e.to_string());
+            let _ = self.recv_response();
+            let _ = tx.wait_drained();
+            return Err(e);
+        }
         // The response follows the service's last credit on the same
         // ordered channel, so draining after it never blocks for long.
         let rsp = self.recv_response();
         tx.wait_drained()?;
-        rsp?;
-        Ok(written)
+        rsp.map(|_| ())
     }
 
-    /// Negotiate a full-snapshot put by chunk digest: send the record's
+    /// Negotiate a full-record put by chunk digest: send the record's
     /// digest table, receive the indices the root's store is missing, and
-    /// stream only those chunks. `Ok(None)` means the negotiation is
+    /// stream only those chunks. `Ok(false)` means the negotiation is
     /// unavailable (root on a flat store, or the digest table itself
     /// would not fit a frame) — the caller falls back to the plain
     /// streamed put.
-    fn put_dedup(&self, op: u8, rank_wire: u32, record: &[u8]) -> Result<Option<u64>> {
+    fn put_dedup(&self, key: RecordKey, record: &[u8]) -> Result<bool> {
         let n = record.len().div_ceil(DEDUP_CHUNK);
-        let id = next_stream_id();
-        let req_len = 21 + 4 + n * DEDUP_ENTRY;
-        if req_len > chunk_capacity() {
+        if 21 + 4 + n * DEDUP_ENTRY > chunk_capacity() {
             // Digest table larger than a frame: a record this large gains
             // little from saving one round's chunks anyway.
-            return Ok(None);
+            return Ok(false);
         }
-        let mut req = Vec::with_capacity(req_len);
-        req.push(op);
-        req.extend_from_slice(&id.to_le_bytes());
-        req.extend_from_slice(&rank_wire.to_le_bytes());
-        req.extend_from_slice(&0u32.to_le_bytes()); // seq (unused: full puts)
-        req.extend_from_slice(&(record.len() as u64).to_le_bytes());
-        req.extend_from_slice(&(n as u32).to_le_bytes());
+        let mut table = Vec::with_capacity(4 + n * DEDUP_ENTRY);
+        table.extend_from_slice(&(n as u32).to_le_bytes());
         for chunk in record.chunks(DEDUP_CHUNK) {
-            req.extend_from_slice(&ChunkDigest::of(chunk).0);
-            req.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+            table.extend_from_slice(&ChunkDigest::of(chunk).0);
+            table.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
         }
-        self.fabric
-            .send(self.rank, self.root, REQ_TAG, Arc::new(req));
+        let id = self.send_put_begin(OP_PUT_DEDUP, key, record.len() as u64, &table);
         let rsp = self.fabric.recv(self.rank, self.root, RSP_TAG)?;
+        let malformed = || PparError::Network("malformed dedup response".into());
         let missing: Vec<u32> = match rsp.first() {
             Some(&ST_NODEDUP) => {
                 self.dedup_supported.store(false, Ordering::Relaxed);
-                return Ok(None);
+                return Ok(false);
             }
-            Some(&ST_ERR) => {
-                return Err(PparError::Network(format!(
-                    "checkpoint service on rank {}: {}",
-                    self.root,
-                    String::from_utf8_lossy(&rsp[1..])
-                )))
-            }
+            Some(&ST_ERR) => return Err(self.service_error(&rsp[1..])),
             Some(&ST_OK) => {
-                let count = rsp
-                    .get(1..5)
-                    .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte count")) as usize)
-                    .ok_or_else(|| PparError::Network("malformed dedup response".into()))?;
-                let idx = rsp
-                    .get(5..5 + 4 * count)
-                    .ok_or_else(|| PparError::Network("malformed dedup response".into()))?;
-                idx.chunks_exact(4)
+                let count = read_u32(rsp.get(1..).unwrap_or(&[])).map_err(|_| malformed())?;
+                rsp.get(5..5 + 4 * count as usize)
+                    .ok_or_else(malformed)?
+                    .chunks_exact(4)
                     .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte index")))
                     .collect()
             }
@@ -598,103 +548,114 @@ impl NetTransport {
             let chunk = record
                 .get(start..record.len().min(start + DEDUP_CHUNK))
                 .ok_or_else(|| PparError::Network("dedup index out of range".into()))?;
-            tx.write_all(chunk)
-                .map_err(|e| PparError::Network(e.to_string()))
+            Ok(tx.write_all(chunk)?)
         });
-        let finished = sent.and_then(|()| tx.finish());
-        if let Err(e) = finished {
-            tx.abort(&e.to_string());
-            let _ = self.recv_response();
-            let _ = tx.wait_drained();
-            return Err(e);
-        }
-        let rsp = self.recv_response();
-        tx.wait_drained()?;
-        rsp?;
+        self.close_put(tx, sent)?;
         self.stats.lock().expect("stats lock").wire_chunks_skipped += (n - missing.len()) as u64;
-        Ok(Some(record.len() as u64))
+        Ok(true)
+    }
+}
+
+/// The wire medium's sink. A delta, or any record once the root has
+/// answered [`ST_NODEDUP`], streams: the begin request goes out at once and
+/// the bytes become chunk frames while they are produced — a gigabyte-scale
+/// record costs the client one chunk buffer. A full record bound for a root
+/// that may dedup is staged instead: the digest table must go first, so
+/// this is the one path that trades a record-sized `Vec` for shipping only
+/// the chunks the root does not already hold.
+struct NetSink<'a> {
+    net: &'a NetTransport,
+    key: RecordKey,
+    staged: Vec<u8>,
+    /// `None` while staging.
+    tx: Option<StreamTx<'a>>,
+    written: u64,
+}
+
+impl Write for NetSink<'_> {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        let n = match &mut self.tx {
+            Some(tx) => tx.write(bytes)?,
+            None => self.staged.write(bytes)?,
+        };
+        self.written += n as u64;
+        Ok(n)
     }
 
-    fn put_full(
-        &self,
-        op: u8,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let rank_wire = if op == OP_PUT_SHARD {
-            meta.rank
-                .ok_or_else(|| PparError::InvalidPlan("shard snapshot without a rank".into()))?
-        } else {
-            MASTER_SENTINEL
-        };
-        if self.dedup_enabled && self.dedup_supported.load(Ordering::Relaxed) {
-            // Dedup negotiation needs the digest table up front, so the
-            // record is encoded into a buffer first — the one path that
-            // trades a record-sized staging `Vec` for shipping only the
-            // chunks the root doesn't already hold.
-            let mut buf = Vec::new();
-            let mut w = SnapshotWriter::new(&mut buf, meta, fields.len() as u32)?;
-            for (name, source) in fields {
-                w.field(name, source, scratch)?;
-            }
-            let (written, _) = w.finish()?;
-            if let Some(total) = self.put_dedup(OP_PUT_DEDUP, rank_wire, &buf)? {
-                debug_assert_eq!(total, written);
-                return Ok(written);
-            }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl RecordSink for NetSink<'_> {
+    fn commit(mut self: Box<Self>) -> Result<u64> {
+        let (tx, sent) = match self.tx.take() {
+            Some(tx) => (tx, Ok(())),
+            None if self.net.put_dedup(self.key, &self.staged)? => return Ok(self.written),
             // Root can't dedup: the record is already encoded, stream it
-            // through the plain put path verbatim.
-            return self.stream_put(op, rank_wire, 0, buf.len() as u64, |tx| {
-                tx.write_all(&buf)
-                    .map_err(|e| PparError::Network(e.to_string()))?;
-                Ok(written)
-            });
-        }
-        let hint = NetTransport::reserve_hint(fields) as u64;
-        self.stream_put(op, rank_wire, 0, hint, |tx| {
-            let mut w = SnapshotWriter::new(tx, meta, fields.len() as u32)?;
-            for (name, source) in fields {
-                w.field(name, source, scratch)?;
+            // through the plain put verbatim.
+            None => {
+                let mut tx = self.net.open_put(self.key, self.written);
+                let sent = tx
+                    .write_all(&self.staged)
+                    .map_err(|e| PparError::Network(e.to_string()));
+                (tx, sent)
             }
-            let (written, _) = w.finish()?;
-            Ok(written)
-        })
+        };
+        self.net.close_put(tx, sent)?;
+        Ok(self.written)
     }
 
-    fn put_delta(
-        &self,
-        op: u8,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        let rank_wire = if op == OP_PUT_SHARD_DELTA {
-            meta.rank
-                .ok_or_else(|| PparError::InvalidPlan("shard delta without a rank".into()))?
-        } else {
-            MASTER_SENTINEL
-        };
-        let hint = NetTransport::delta_reserve_hint(fields) as u64;
-        self.stream_put(op, rank_wire, meta.seq, hint, |tx| {
-            let mut w = SnapshotWriter::new_delta(tx, meta, fields.len() as u32)?;
-            for (name, source) in fields {
-                w.delta_field(name, source, scratch)?;
-            }
-            let (written, _) = w.finish()?;
-            Ok(written)
-        })
+    fn abort(mut self: Box<Self>, why: &str) {
+        self.discard(why);
+    }
+}
+
+impl NetSink<'_> {
+    /// Tell the service to drop the partial record of an open stream.
+    fn discard(&mut self, why: &str) {
+        if let Some(tx) = self.tx.take() {
+            let _ = self
+                .net
+                .close_put(tx, Err(PparError::Network(why.to_string())));
+        }
+    }
+}
+
+impl Drop for NetSink<'_> {
+    fn drop(&mut self) {
+        self.discard("the record's sink was dropped");
+    }
+}
+
+impl CkptTransport for NetTransport {
+    fn describe(&self) -> &'static str {
+        "net"
+    }
+
+    fn begin<'a>(&'a self, key: RecordKey, len_hint: u64) -> Result<Box<dyn RecordSink + 'a>> {
+        let stage = key.delta.is_none() && self.dedup_supported.load(Ordering::Relaxed);
+        Ok(Box::new(NetSink {
+            net: self,
+            key,
+            staged: Vec::new(),
+            tx: (!stage).then(|| self.open_put(key, len_hint)),
+            written: 0,
+        }))
     }
 
     /// Request a merged record and receive it as a chunk stream, verifying
     /// the record's trailing CRC on the same pass that accumulates it.
-    /// `at` pins the request to one safe point ([`OP_GET_SHARD_AT`]).
-    fn get_snapshot(&self, op: u8, rank_wire: u32, at: Option<u64>) -> Result<Option<Snapshot>> {
+    fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>> {
         let id = next_stream_id();
         let mut req = Vec::with_capacity(17);
-        req.push(op);
+        req.push(match (rank, at) {
+            (_, Some(_)) => OP_GET_SHARD_AT,
+            (None, None) => OP_GET_MASTER,
+            (Some(_), None) => OP_GET_SHARD,
+        });
         req.extend_from_slice(&id.to_le_bytes());
-        req.extend_from_slice(&rank_wire.to_le_bytes());
+        req.extend_from_slice(&rank.unwrap_or(MASTER_SENTINEL).to_le_bytes());
         if let Some(count) = at {
             req.extend_from_slice(&count.to_le_bytes());
         }
@@ -721,81 +682,24 @@ impl NetTransport {
                     // The wire pass just verified integrity; no second
                     // checksum sweep over the record.
                     let snap = Snapshot::decode_trusted(&buf)?;
-                    if let Some(count) = at {
-                        if snap.count != count {
-                            return Err(PparError::CorruptCheckpoint(format!(
-                                "service returned shard at safe point {} but the restore \
-                                 targets {count}",
+                    match at {
+                        Some(count) if snap.count != count => {
+                            Err(PparError::CorruptCheckpoint(format!(
+                                "service returned the {rank:?} chain at safe point {} but \
+                                 the restore targets {count}",
                                 snap.count
-                            )));
+                            )))
                         }
+                        _ => Ok(Some(snap)),
                     }
-                    Ok(Some(snap))
                 }
                 _ => Err(PparError::CorruptCheckpoint(
                     "streamed restore record failed CRC verification".into(),
                 )),
             },
             StreamEnd::Absent => Ok(None),
-            StreamEnd::Aborted(msg) => Err(PparError::Network(format!(
-                "checkpoint service on rank {}: {msg}",
-                self.root
-            ))),
+            StreamEnd::Aborted(msg) => Err(self.service_error(msg.as_bytes())),
         }
-    }
-}
-
-impl CkptTransport for NetTransport {
-    fn describe(&self) -> &'static str {
-        "net"
-    }
-
-    fn put_master(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.put_full(OP_PUT_MASTER, meta, fields, scratch)
-    }
-
-    fn put_shard(
-        &self,
-        meta: &SnapshotMeta,
-        fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.put_full(OP_PUT_SHARD, meta, fields, scratch)
-    }
-
-    fn put_master_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.put_delta(OP_PUT_MASTER_DELTA, meta, fields, scratch)
-    }
-
-    fn put_shard_delta(
-        &self,
-        meta: &DeltaMeta,
-        fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
-    ) -> Result<u64> {
-        self.put_delta(OP_PUT_SHARD_DELTA, meta, fields, scratch)
-    }
-
-    fn read_merged_master(&self) -> Result<Option<Snapshot>> {
-        self.get_snapshot(OP_GET_MASTER, MASTER_SENTINEL, None)
-    }
-
-    fn read_merged_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        self.get_snapshot(OP_GET_SHARD, rank, None)
-    }
-
-    fn read_shard_at(&self, rank: u32, count: u64) -> Result<Option<Snapshot>> {
-        self.get_snapshot(OP_GET_SHARD_AT, rank, Some(count))
     }
 
     fn restart_count(&self) -> Result<Option<u64>> {
@@ -918,6 +822,77 @@ fn service_loop(fabric: Arc<dyn Fabric>, rank: usize, inner: Arc<dyn CkptTranspo
     }
 }
 
+/// What a request asks the service to do.
+enum Verb {
+    Put,
+    /// Followed by the digest table, `[count][count × (digest, length)]`.
+    PutDedup,
+    Get,
+    RestartCount,
+    ClearDeltas,
+    ClearAllDeltas,
+}
+
+/// One request, parsed once. The twelve opcodes spell out on the wire what
+/// `verb` + `key` say here; fields a verb does not carry are zero / `None`.
+struct Request {
+    verb: Verb,
+    key: RecordKey,
+    /// Stream id of the chunk stream that carries the record.
+    id: u32,
+    /// A put's announced record length.
+    len_hint: u64,
+    /// A get's pinned safe point ([`OP_GET_SHARD_AT`]).
+    at: Option<u64>,
+}
+
+fn parse_request(req: &[u8]) -> Result<Request> {
+    let op = req.first().copied().unwrap_or(0);
+    let u32_at = |off: usize| read_u32(req.get(off..).unwrap_or(&[]));
+    let rank_at = |off: usize| u32_at(off).map(|raw| (raw != MASTER_SENTINEL).then_some(raw));
+    let mut request = Request {
+        verb: Verb::Get,
+        key: RecordKey::full(None),
+        id: 0,
+        len_hint: 0,
+        at: None,
+    };
+    match op {
+        OP_PUT_MASTER | OP_PUT_SHARD | OP_PUT_MASTER_DELTA | OP_PUT_SHARD_DELTA | OP_PUT_DEDUP => {
+            request.verb = if op == OP_PUT_DEDUP {
+                Verb::PutDedup
+            } else {
+                Verb::Put
+            };
+            request.id = u32_at(1)?;
+            request.key.rank = rank_at(5)?;
+            let seq = u32_at(9)?;
+            request.key.delta =
+                matches!(op, OP_PUT_MASTER_DELTA | OP_PUT_SHARD_DELTA).then_some(seq);
+            request.len_hint = read_u64(req.get(13..).unwrap_or(&[]))?;
+        }
+        OP_GET_MASTER | OP_GET_SHARD | OP_GET_SHARD_AT => {
+            request.id = u32_at(1)?;
+            request.key.rank = rank_at(5)?;
+            if op == OP_GET_SHARD_AT {
+                request.at = Some(read_u64(req.get(9..).unwrap_or(&[]))?);
+            }
+        }
+        OP_RESTART_COUNT => request.verb = Verb::RestartCount,
+        OP_CLEAR_DELTAS => {
+            request.verb = Verb::ClearDeltas;
+            request.key.rank = rank_at(1)?;
+        }
+        OP_CLEAR_ALL_DELTAS => request.verb = Verb::ClearAllDeltas,
+        other => {
+            return Err(PparError::Network(format!(
+                "unknown checkpoint service opcode {other}"
+            )))
+        }
+    }
+    Ok(request)
+}
+
 /// One rank's install pipeline: requests arrive in order from the
 /// dispatcher; puts and gets run their chunk streams directly against
 /// the fabric (the dispatcher never blocks on a stream).
@@ -928,278 +903,157 @@ fn lane_loop(
     inner: Arc<dyn CkptTransport>,
     rx: mpsc::Receiver<Payload>,
 ) {
+    let reply = |rsp: Vec<u8>| fabric.send(root, src, RSP_TAG, Arc::new(rsp));
     while let Ok(req) = rx.recv() {
-        let op = req.first().copied().unwrap_or(0);
-        let body = req.get(1..).unwrap_or(&[]);
-        match op {
-            OP_PUT_MASTER | OP_PUT_SHARD | OP_PUT_MASTER_DELTA | OP_PUT_SHARD_DELTA => {
-                if !lane_put(&fabric, root, src, &inner, op, body) {
-                    // The peer died mid-stream; nothing further from it
-                    // can arrive. Park until shutdown closes the channel.
-                    continue;
+        let request = match parse_request(&req) {
+            Ok(request) => request,
+            Err(e) => {
+                // A get is answered on its own stream — when the request
+                // at least carries the stream id; without one there is no
+                // channel to answer on (only a foreign client could send
+                // that, and its receive will time out).
+                let is_get = matches!(
+                    req.first(),
+                    Some(&OP_GET_MASTER) | Some(&OP_GET_SHARD) | Some(&OP_GET_SHARD_AT)
+                );
+                match read_u32(req.get(1..).unwrap_or(&[])) {
+                    Ok(id) if is_get => StreamTx::new(fabric.as_ref(), root, src, id, KIND_RDATA)
+                        .abort(&e.to_string()),
+                    _ if is_get => {}
+                    _ => reply(error_reply(&e)),
                 }
+                continue;
             }
-            OP_PUT_DEDUP => {
-                if !lane_put_dedup(&fabric, root, src, &inner, body) {
-                    continue;
+        };
+        let control = match request.verb {
+            Verb::Put | Verb::PutDedup => {
+                let table = matches!(request.verb, Verb::PutDedup).then(|| &req[21..]);
+                lane_put(fabric.as_ref(), root, src, &*inner, &request, table);
+                continue;
+            }
+            Verb::Get => {
+                lane_get(fabric.as_ref(), root, src, &*inner, &request);
+                continue;
+            }
+            Verb::RestartCount => inner.restart_count().map(|count| match count {
+                Some(count) => {
+                    let mut out = vec![ST_OK, 1u8];
+                    out.extend_from_slice(&count.to_le_bytes());
+                    out
                 }
-            }
-            OP_GET_MASTER | OP_GET_SHARD | OP_GET_SHARD_AT => {
-                lane_get(&fabric, root, src, &inner, op, body)
-            }
-            _ => {
-                let rsp = match control_request(&inner, op, body) {
-                    Ok(rsp) => rsp,
-                    Err(e) => error_reply(&e),
-                };
-                fabric.send(root, src, RSP_TAG, Arc::new(rsp));
-            }
-        }
+                None => vec![ST_OK, 0u8],
+            }),
+            Verb::ClearDeltas => inner.clear_deltas(request.key.rank).map(|()| vec![ST_OK]),
+            Verb::ClearAllDeltas => inner.clear_all_deltas().map(|()| vec![ST_OK]),
+        };
+        reply(control.unwrap_or_else(|e| error_reply(&e)));
     }
 }
 
-/// Parse a put begin request: `(stream id, rank, seq, length hint)`.
-fn parse_put_begin(body: &[u8]) -> Result<(u32, u32, u32, u64)> {
-    Ok((
-        read_u32(body)?,
-        read_u32(body.get(4..).unwrap_or(&[]))?,
-        read_u32(body.get(8..).unwrap_or(&[]))?,
-        read_u64(body.get(12..).unwrap_or(&[]))?,
-    ))
+/// Parse a dedup put's digest table: `[count][count × (digest, length)]`.
+fn parse_digest_table(table: &[u8]) -> Result<Vec<ChunkRef>> {
+    let n = read_u32(table)? as usize;
+    let entries = table
+        .get(4..4 + n * DEDUP_ENTRY)
+        .ok_or_else(|| PparError::Network("truncated dedup digest table".into()))?;
+    Ok(entries
+        .chunks_exact(DEDUP_ENTRY)
+        .map(|e| ChunkRef {
+            digest: ChunkDigest(e[..16].try_into().expect("16-byte digest")),
+            len: u32::from_le_bytes(e[16..].try_into().expect("4-byte len")),
+        })
+        .collect())
 }
 
-/// Receive one record stream into the durable transport's raw sink,
-/// verifying the record's trailing CRC on the same pass that installs
-/// it, then answer with the fixed nine-byte `[status][written]` reply.
-/// Returns `false` when the peer died mid-stream (no reply possible).
+/// Receive one record stream into the durable transport's sink for
+/// `request.key`, then answer with the fixed nine-byte `[status][written]`
+/// reply. The sink is fed by the wire exactly as `put` feeds it from the
+/// encoder; what differs is who vouches for the bytes:
+///
+/// * a plain put carries the whole record, whose trailing CRC is verified
+///   on the same pass that installs it;
+/// * a digest-negotiated put (`table` given) first asks the sink which of
+///   the announced chunks it lacks, tells the client, and receives only
+///   those — integrity then rides the per-chunk digests the store verifies
+///   on arrival. A sink that keeps no chunks is answered [`ST_NODEDUP`].
 fn lane_put(
-    fabric: &Arc<dyn Fabric>,
+    fabric: &dyn Fabric,
     root: usize,
     src: usize,
-    inner: &Arc<dyn CkptTransport>,
-    op: u8,
-    body: &[u8],
-) -> bool {
-    let (id, rank_raw, seq, hint) = match parse_put_begin(body) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            fabric.send(root, src, RSP_TAG, Arc::new(error_reply(&e)));
-            return true;
+    inner: &dyn CkptTransport,
+    request: &Request,
+    table: Option<&[u8]>,
+) {
+    let reply = |rsp: Vec<u8>| fabric.send(root, src, RSP_TAG, Arc::new(rsp));
+    // `Err` is discard mode. A sink failure must not wedge the sender's
+    // credit window: the lane keeps receiving and crediting chunks, and
+    // reports the saved failure once the stream ends.
+    let mut sink = inner.begin(request.key, request.len_hint);
+    if let Some(table) = table {
+        // The client sends nothing before it has the answer, so a failure
+        // up to here is answered at once.
+        let lacking = match &mut sink {
+            Ok(live) => {
+                parse_digest_table(table).and_then(|chunks| live.lacking(&chunks, request.len_hint))
+            }
+            Err(e) => return reply(error_reply(e)),
+        };
+        match lacking {
+            Err(e) => return reply(error_reply(&e)),
+            Ok(None) => return reply(vec![ST_NODEDUP]),
+            Ok(Some(lacking)) => {
+                let mut rsp = Vec::with_capacity(5 + 4 * lacking.len());
+                rsp.push(ST_OK);
+                rsp.extend_from_slice(&(lacking.len() as u32).to_le_bytes());
+                for index in lacking {
+                    rsp.extend_from_slice(&index.to_le_bytes());
+                }
+                reply(rsp);
+            }
         }
-    };
-    let kind = match op {
-        OP_PUT_MASTER => RawRecordKind::Master,
-        OP_PUT_SHARD => RawRecordKind::Shard(rank_raw),
-        OP_PUT_MASTER_DELTA => RawRecordKind::MasterDelta { seq },
-        _ => RawRecordKind::ShardDelta {
-            rank: rank_raw,
-            seq,
-        },
-    };
-    // A sink failure must not wedge the sender's credit window: on error
-    // the lane flips to discard mode — it keeps receiving and crediting
-    // chunks, and reports the saved failure once the stream ends.
-    let mut sink: Option<Box<dyn RawRecordSink + '_>> = None;
-    let mut failure: Option<PparError> = None;
-    match inner.begin_raw(kind, hint) {
-        Ok(s) => sink = Some(s),
-        Err(e) => failure = Some(e),
     }
-    let mut crc = TrailingCrc::new();
-    let end = recv_stream(fabric.as_ref(), root, src, id, KIND_DATA, |chunk| {
+    let mut crc = table.is_none().then(TrailingCrc::new);
+    let end = recv_stream(fabric, root, src, request.id, KIND_DATA, |chunk| {
         for block in chunk.chunks(CRC_SINK_BLOCK) {
-            crc.update(block);
-            if failure.is_none() {
-                if let Err(e) = sink.as_mut().expect("live sink").write_chunk(block) {
-                    sink.take().expect("live sink").abort();
-                    failure = Some(e);
+            if let Some(crc) = &mut crc {
+                crc.update(block);
+            }
+            if let Ok(live) = &mut sink {
+                if let Err(e) = live.write_all(block) {
+                    sink = Err(e.into());
                 }
             }
         }
     });
-    let result: Result<u64> = match (end, failure) {
-        (Err(_), _) => {
-            // Peer down mid-stream: discard and park — there is nobody
-            // left to answer, and a partial record must never install.
-            if let Some(s) = sink.take() {
-                s.abort();
-            }
-            return false;
-        }
-        (Ok(StreamEnd::Complete), None) => match crc.finish() {
-            Some((_, stored, computed)) if stored == computed => {
-                sink.take().expect("live sink").commit()
-            }
-            _ => {
-                sink.take().expect("live sink").abort();
-                Err(PparError::CorruptCheckpoint(
-                    "streamed record failed CRC verification".into(),
-                ))
-            }
-        },
-        (Ok(StreamEnd::Complete), Some(e)) => Err(e),
-        (Ok(StreamEnd::Aborted(msg)), _) => {
-            if let Some(s) = sink.take() {
-                s.abort();
-            }
+    let crc_ok = match crc {
+        Some(crc) => matches!(crc.finish(), Some((_, stored, computed)) if stored == computed),
+        None => true,
+    };
+    let verdict = match end {
+        // Peer down mid-stream: nobody is left to answer, nothing further
+        // from it can arrive, and a partial record must never install
+        // (dropping the sink discards it).
+        Err(_) => return,
+        Ok(StreamEnd::Complete) if crc_ok => Ok(()),
+        Ok(StreamEnd::Complete) => Err(PparError::CorruptCheckpoint(
+            "streamed record failed CRC verification".into(),
+        )),
+        Ok(StreamEnd::Aborted(msg)) => {
             Err(PparError::Network(format!("client aborted record: {msg}")))
         }
-        (Ok(StreamEnd::Absent), _) => {
-            if let Some(s) = sink.take() {
-                s.abort();
-            }
-            Err(PparError::Network(
-                "malformed checkpoint stream frame".into(),
-            ))
-        }
+        Ok(StreamEnd::Absent) => Err(PparError::Network(
+            "malformed checkpoint stream frame".into(),
+        )),
     };
-    let rsp = match result {
-        Ok(written) => {
-            // Fixed-size success reply — the old per-put response `Vec`
-            // churn (`written.to_le_bytes().to_vec()` + status insert) is
-            // a single exact-size allocation now.
-            let mut out = Vec::with_capacity(9);
-            out.push(ST_OK);
-            out.extend_from_slice(&written.to_le_bytes());
-            out
-        }
-        Err(e) => error_reply(&e),
-    };
-    fabric.send(root, src, RSP_TAG, Arc::new(rsp));
-    true
-}
-
-/// Serve one digest-negotiated put: answer the client's digest table with
-/// the indices the durable store is missing, re-slice the arriving chunk
-/// stream by the announced lengths, and install through
-/// [`CkptTransport::begin_raw_dedup`]. Integrity on this path rides the
-/// per-chunk digests (verified by the store at supply time) instead of
-/// the record's trailing CRC — the record CRC is still verified whenever
-/// the record is read back. Returns `false` when the peer died
-/// mid-stream.
-fn lane_put_dedup(
-    fabric: &Arc<dyn Fabric>,
-    root: usize,
-    src: usize,
-    inner: &Arc<dyn CkptTransport>,
-    body: &[u8],
-) -> bool {
-    let reply = |rsp: Vec<u8>| fabric.send(root, src, RSP_TAG, Arc::new(rsp));
-    let parsed = parse_put_begin(body).and_then(|(id, rank_raw, _seq, total)| {
-        let n = read_u32(body.get(20..).unwrap_or(&[]))? as usize;
-        let table = body
-            .get(24..24 + n * DEDUP_ENTRY)
-            .ok_or_else(|| PparError::Network("truncated dedup digest table".into()))?;
-        let refs: Vec<ChunkRef> = table
-            .chunks_exact(DEDUP_ENTRY)
-            .map(|e| ChunkRef {
-                digest: ChunkDigest(e[..16].try_into().expect("16-byte digest")),
-                len: u32::from_le_bytes(e[16..].try_into().expect("4-byte len")),
-            })
-            .collect();
-        Ok((id, rank_raw, total, refs))
-    });
-    let (id, rank_raw, total, refs) = match parsed {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            reply(error_reply(&e));
-            return true;
-        }
-    };
-    let kind = if rank_raw == MASTER_SENTINEL {
-        RawRecordKind::Master
-    } else {
-        RawRecordKind::Shard(rank_raw)
-    };
-    let mut sink = match inner.begin_raw_dedup(kind, &refs, total) {
-        Ok(Some(sink)) => sink,
-        Ok(None) => {
-            reply(vec![ST_NODEDUP]);
-            return true;
-        }
-        Err(e) => {
-            reply(error_reply(&e));
-            return true;
-        }
-    };
-    let missing: Vec<u32> = sink.missing().to_vec();
-    let mut rsp = Vec::with_capacity(5 + 4 * missing.len());
-    rsp.push(ST_OK);
-    rsp.extend_from_slice(&(missing.len() as u32).to_le_bytes());
-    for &mi in &missing {
-        rsp.extend_from_slice(&mi.to_le_bytes());
-    }
-    reply(rsp);
-
-    // Re-slice the concatenated missing chunks out of the (much larger)
-    // stream frames. A supply failure flips to discard mode — keep
-    // crediting so the sender's window never wedges, report at the end.
-    let mut failure: Option<PparError> = None;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut next = 0usize;
-    let end = recv_stream(fabric.as_ref(), root, src, id, KIND_DATA, |mut data| {
-        while !data.is_empty() && failure.is_none() {
-            let Some(&mi) = missing.get(next) else {
-                failure = Some(PparError::Network(
-                    "dedup stream carries more bytes than the missing set".into(),
-                ));
-                return;
-            };
-            let want = refs[mi as usize].len as usize;
-            if pending.is_empty() && data.len() >= want {
-                // Whole chunk in this frame: supply without a copy.
-                if let Err(e) = sink.supply_chunk(&data[..want]) {
-                    failure = Some(e);
-                    return;
-                }
-                data = &data[want..];
-                next += 1;
-            } else {
-                let take = (want - pending.len()).min(data.len());
-                pending.extend_from_slice(&data[..take]);
-                data = &data[take..];
-                if pending.len() == want {
-                    if let Err(e) = sink.supply_chunk(&pending) {
-                        failure = Some(e);
-                        return;
-                    }
-                    pending.clear();
-                    next += 1;
-                }
-            }
-        }
-    });
-    let result: Result<u64> = match (end, failure) {
-        (Err(_), _) => {
-            sink.abort();
-            return false;
-        }
-        (Ok(StreamEnd::Complete), None) => {
-            if next == missing.len() && pending.is_empty() {
-                sink.commit()
-            } else {
-                sink.abort();
-                Err(PparError::Network(
-                    "dedup stream ended short of the missing set".into(),
-                ))
-            }
-        }
-        (Ok(StreamEnd::Complete), Some(e)) => {
-            sink.abort();
+    let committed = match (sink, verdict) {
+        (Ok(sink), Ok(())) => sink.commit(),
+        (Ok(sink), Err(e)) => {
+            sink.abort(&e.to_string());
             Err(e)
         }
-        (Ok(StreamEnd::Aborted(msg)), _) => {
-            sink.abort();
-            Err(PparError::Network(format!("client aborted record: {msg}")))
-        }
-        (Ok(StreamEnd::Absent), _) => {
-            sink.abort();
-            Err(PparError::Network(
-                "malformed checkpoint stream frame".into(),
-            ))
-        }
+        (Err(e), _) => Err(e),
     };
-    let rsp = match result {
+    reply(match committed {
         Ok(written) => {
             let mut out = Vec::with_capacity(9);
             out.push(ST_OK);
@@ -1207,41 +1061,21 @@ fn lane_put_dedup(
             out
         }
         Err(e) => error_reply(&e),
-    };
-    reply(rsp);
-    true
+    });
 }
 
 /// Stream the merged record for a get request back to the client,
-/// straight from the durable transport (`write_merged_record` — the
-/// in-memory and file stores copy through without re-encoding).
+/// straight from the durable transport (the in-memory and file stores copy
+/// through without re-encoding).
 fn lane_get(
-    fabric: &Arc<dyn Fabric>,
+    fabric: &dyn Fabric,
     root: usize,
     src: usize,
-    inner: &Arc<dyn CkptTransport>,
-    op: u8,
-    body: &[u8],
+    inner: &dyn CkptTransport,
+    request: &Request,
 ) {
-    let Ok(id) = read_u32(body) else {
-        // Without a stream id there is no channel to answer on; only a
-        // foreign client could send this, and its receive will time out.
-        return;
-    };
-    let mut tx = StreamTx::new(fabric.as_ref(), root, src, id, KIND_RDATA);
-    let outcome = read_u32(body.get(4..).unwrap_or(&[])).and_then(|rank_raw| {
-        let rank = (rank_raw != MASTER_SENTINEL).then_some(rank_raw);
-        if op == OP_GET_SHARD_AT {
-            // Count-pinned read (rejoin restore): the reply must hold the
-            // shard exactly at the requested safe point, or fail — never
-            // a newer (torn) or older generation.
-            let count = read_u64(body.get(8..).unwrap_or(&[]))?;
-            inner.write_merged_record_at(rank, count, &mut tx)
-        } else {
-            inner.write_merged_record(rank, &mut tx)
-        }
-    });
-    let finished = match outcome {
+    let mut tx = StreamTx::new(fabric, root, src, request.id, KIND_RDATA);
+    let finished = match inner.write_merged_record_at(request.key.rank, request.at, &mut tx) {
         Ok(Some(_)) => tx.finish().is_ok(),
         Ok(None) => {
             tx.send_marker(CH_ABSENT, &[]);
@@ -1254,35 +1088,6 @@ fn lane_get(
     };
     if finished {
         let _ = tx.wait_drained();
-    }
-}
-
-/// Control-plane requests (no stream): the reply already carries its
-/// status byte.
-fn control_request(inner: &Arc<dyn CkptTransport>, op: u8, body: &[u8]) -> Result<Vec<u8>> {
-    match op {
-        OP_RESTART_COUNT => match inner.restart_count()? {
-            Some(count) => {
-                let mut out = Vec::with_capacity(10);
-                out.push(ST_OK);
-                out.push(1u8);
-                out.extend_from_slice(&count.to_le_bytes());
-                Ok(out)
-            }
-            None => Ok(vec![ST_OK, 0u8]),
-        },
-        OP_CLEAR_DELTAS => {
-            let raw = read_u32(body)?;
-            inner.clear_deltas((raw != MASTER_SENTINEL).then_some(raw))?;
-            Ok(vec![ST_OK])
-        }
-        OP_CLEAR_ALL_DELTAS => {
-            inner.clear_all_deltas()?;
-            Ok(vec![ST_OK])
-        }
-        other => Err(PparError::Network(format!(
-            "unknown checkpoint service opcode {other}"
-        ))),
     }
 }
 
@@ -1314,7 +1119,8 @@ mod tests {
     use super::*;
     use crate::cluster::free_loopback_addr;
     use crate::tcp::{NetConfig, TcpFabric};
-    use ppar_ckpt::MemTransport;
+    use ppar_ckpt::store::{DeltaSource, FieldSource, Record, SnapshotMeta, SnapshotWriter};
+    use ppar_ckpt::{DeltaMeta, MemTransport};
     use std::time::Duration;
 
     const DONE_TAG: u64 = (1 << 63) | 77;
@@ -1367,83 +1173,6 @@ mod tests {
     }
 
     #[test]
-    fn master_record_streams_to_root_and_back() {
-        let payload: Vec<u8> = (0..2000u32).map(|i| (i * 13) as u8).collect();
-        let p2 = payload.clone();
-        two_rank(
-            move |t| {
-                assert_eq!(t.describe(), "net");
-                assert_eq!(t.read_merged_master().unwrap(), None);
-                assert_eq!(t.restart_count().unwrap(), None);
-                t.put_master(
-                    &meta(4, None, 2),
-                    &[("G", FieldSource::Bytes(&p2))],
-                    &mut Vec::new(),
-                )
-                .unwrap();
-                // Root → rank streaming (the restart path).
-                let snap = t.read_merged_master().unwrap().unwrap();
-                assert_eq!(snap.count, 4);
-                assert_eq!(snap.field("G").unwrap(), p2.as_slice());
-                assert_eq!(t.restart_count().unwrap(), Some(4));
-            },
-            move |inner| {
-                let snap = inner.read_merged_master().unwrap().unwrap();
-                assert_eq!(snap.field("G").unwrap(), payload.as_slice());
-            },
-        );
-    }
-
-    #[test]
-    fn shard_chain_with_deltas_merges_at_root() {
-        two_rank(
-            |t| {
-                let base = vec![0u8; 64];
-                t.put_shard(
-                    &meta(10, Some(1), 2),
-                    &[("G", FieldSource::Bytes(&base))],
-                    &mut Vec::new(),
-                )
-                .unwrap();
-                let dm = DeltaMeta {
-                    mode_tag: "tcp2".into(),
-                    count: 12,
-                    base_count: 10,
-                    seq: 1,
-                    rank: Some(1),
-                    nranks: 2,
-                };
-                let patch = vec![9u8; 8];
-                let ranges: Vec<std::ops::Range<usize>> = std::iter::once(16..24).collect();
-                t.put_shard_delta(
-                    &dm,
-                    &[(
-                        "G",
-                        DeltaSource::DirtyBytes {
-                            full_len: 64,
-                            ranges: &ranges,
-                            payload: &patch,
-                        },
-                    )],
-                    &mut Vec::new(),
-                )
-                .unwrap();
-                let merged = t.read_merged_shard(1).unwrap().unwrap();
-                assert_eq!(merged.count, 12);
-                assert_eq!(&merged.field("G").unwrap()[16..24], &[9u8; 8]);
-                assert_eq!(&merged.field("G").unwrap()[0..16], &[0u8; 16]);
-                // GC round trip.
-                t.clear_deltas(Some(1)).unwrap();
-                assert_eq!(t.read_merged_shard(1).unwrap().unwrap().count, 10);
-                t.clear_all_deltas().unwrap();
-            },
-            |inner| {
-                assert_eq!(inner.read_merged_shard(1).unwrap().unwrap().count, 10);
-            },
-        );
-    }
-
-    #[test]
     fn service_reports_errors_without_dying() {
         two_rank(
             |t| {
@@ -1468,19 +1197,18 @@ mod tests {
         let p2 = payload.clone();
         two_rank(
             move |t| {
-                t.put_master(
-                    &meta(7, None, 2),
-                    &[("big", FieldSource::Bytes(&p2))],
+                t.put(
+                    &Record::Full(&meta(7, None, 2), &[("big", FieldSource::Bytes(&p2))]),
                     &mut Vec::new(),
                 )
                 .unwrap();
-                let snap = t.read_merged_master().unwrap().unwrap();
+                let snap = t.get(None, None).unwrap().unwrap();
                 assert_eq!(snap.field("big").unwrap(), p2.as_slice());
             },
             move |inner| {
                 assert_eq!(
                     inner
-                        .read_merged_master()
+                        .get(None, None)
                         .unwrap()
                         .unwrap()
                         .field("big")
@@ -1526,9 +1254,8 @@ mod tests {
                 let mut payload: Vec<u8> = (0..32 * DEDUP_CHUNK)
                     .map(|i| (i ^ (i >> 8) ^ (i >> 16)) as u8)
                     .collect();
-                t.put_master(
-                    &meta(4, None, 2),
-                    &[("G", FieldSource::Bytes(&payload))],
+                t.put(
+                    &Record::Full(&meta(4, None, 2), &[("G", FieldSource::Bytes(&payload))]),
                     &mut Vec::new(),
                 )
                 .unwrap();
@@ -1542,9 +1269,8 @@ mod tests {
                     *b ^= 0xFF;
                 }
                 let written = t
-                    .put_master(
-                        &meta(8, None, 2),
-                        &[("G", FieldSource::Bytes(&payload))],
+                    .put(
+                        &Record::Full(&meta(8, None, 2), &[("G", FieldSource::Bytes(&payload))]),
                         &mut Vec::new(),
                     )
                     .unwrap();
@@ -1557,7 +1283,7 @@ mod tests {
                 );
 
                 // Restore is byte-identical state.
-                let snap = t.read_merged_master().unwrap().unwrap();
+                let snap = t.get(None, None).unwrap().unwrap();
                 assert_eq!(snap.count, 8);
                 assert_eq!(snap.field("G").unwrap(), payload.as_slice());
 
@@ -1613,17 +1339,16 @@ mod tests {
                 }
 
                 // No partial install, and the service still works.
-                assert_eq!(t.read_merged_master().unwrap(), None);
-                t.put_master(
-                    &meta(5, None, 2),
-                    &[("G", FieldSource::Bytes(&payload))],
+                assert_eq!(t.get(None, None).unwrap(), None);
+                t.put(
+                    &Record::Full(&meta(5, None, 2), &[("G", FieldSource::Bytes(&payload))]),
                     &mut Vec::new(),
                 )
                 .unwrap();
                 assert_eq!(t.restart_count().unwrap(), Some(5));
             },
             |inner| {
-                assert_eq!(inner.read_merged_master().unwrap().unwrap().count, 5);
+                assert_eq!(inner.get(None, None).unwrap().unwrap().count, 5);
             },
         );
     }
@@ -1661,7 +1386,7 @@ mod tests {
                         .zip(&payloads)
                         .map(|(n, p)| (n.as_str(), FieldSource::Bytes(p.as_slice())))
                         .collect();
-                    t.put_shard(&meta(20, Some(1), 2), &fields, &mut Vec::new())
+                    t.put(&Record::Full(&meta(20, Some(1), 2), &fields), &mut Vec::new())
                         .unwrap();
                     if !patch.is_empty() {
                         let dm = DeltaMeta {
@@ -1673,25 +1398,21 @@ mod tests {
                             nranks: 2,
                         };
                         let ranges = [patch_at..patch_at + patch.len()];
-                        t.put_shard_delta(
-                            &dm,
-                            &[(
+                        t.put(&Record::Delta(&dm, &[(
                                 names[0].as_str(),
                                 DeltaSource::DirtyBytes {
                                     full_len: len as u64,
                                     ranges: &ranges,
                                     payload: &patch,
                                 },
-                            )],
-                            &mut Vec::new(),
-                        )
+                            )]), &mut Vec::new())
                         .unwrap();
                     }
                 },
                 |mem| {
                     (
-                        mem.record_bytes(RawRecordKind::Shard(1)),
-                        mem.record_bytes(RawRecordKind::ShardDelta { rank: 1, seq: 1 }),
+                        mem.record_bytes(RecordKey::full(Some(1))),
+                        mem.record_bytes(RecordKey::delta(Some(1), 1)),
                     )
                 },
             );
@@ -1705,11 +1426,11 @@ mod tests {
                 .map(|(n, p)| (n.as_str(), FieldSource::Bytes(p.as_slice())))
                 .collect();
             local
-                .put_shard(&meta(20, Some(1), 2), &fields, &mut Vec::new())
+                .put(&Record::Full(&meta(20, Some(1), 2), &fields), &mut Vec::new())
                 .unwrap();
             proptest::prop_assert_eq!(
                 streamed_shard,
-                local.record_bytes(RawRecordKind::Shard(1))
+                local.record_bytes(RecordKey::full(Some(1)))
             );
             if !patch.is_empty() {
                 let dm = DeltaMeta {
@@ -1722,22 +1443,18 @@ mod tests {
                 };
                 let ranges = [patch_at..patch_at + patch.len()];
                 local
-                    .put_shard_delta(
-                        &dm,
-                        &[(
+                    .put(&Record::Delta(&dm, &[(
                             names[0].as_str(),
                             DeltaSource::DirtyBytes {
                                 full_len: len as u64,
                                 ranges: &ranges,
                                 payload: &patch,
                             },
-                        )],
-                        &mut Vec::new(),
-                    )
+                        )]), &mut Vec::new())
                     .unwrap();
                 proptest::prop_assert_eq!(
                     streamed_delta,
-                    local.record_bytes(RawRecordKind::ShardDelta { rank: 1, seq: 1 })
+                    local.record_bytes(RecordKey::delta(Some(1), 1))
                 );
             }
         }
@@ -1765,7 +1482,7 @@ mod tests {
                 }
                 service.stop();
                 for r in 1..(N - 1) as u32 {
-                    let snap = inner.read_merged_shard(r).unwrap().unwrap();
+                    let snap = inner.get(Some(r), None).unwrap().unwrap();
                     assert_eq!(snap.count, 100 + r as u64);
                     let g = snap.field("G").unwrap();
                     assert_eq!(g.len(), 200_000);
@@ -1774,7 +1491,7 @@ mod tests {
                 }
                 // The casualty never completed its stream: no partial
                 // record may exist.
-                assert!(inner.read_merged_shard((N - 1) as u32).unwrap().is_none());
+                assert!(inner.get(Some((N - 1) as u32), None).unwrap().is_none());
             });
             for rank in 1..N - 1 {
                 scope.spawn(move || {
@@ -1785,9 +1502,11 @@ mod tests {
                     let t = NetTransport::client(dyn_fabric.clone(), rank);
                     let r = rank as u32;
                     let base = vec![r as u8; 200_000];
-                    t.put_shard(
-                        &meta(99, Some(r), N as u32),
-                        &[("G", FieldSource::Bytes(&base))],
+                    t.put(
+                        &Record::Full(
+                            &meta(99, Some(r), N as u32),
+                            &[("G", FieldSource::Bytes(&base))],
+                        ),
                         &mut Vec::new(),
                     )
                     .unwrap();
@@ -1801,21 +1520,23 @@ mod tests {
                     };
                     let patch = vec![0xC0 + r as u8; 8];
                     let ranges = [0usize..8];
-                    t.put_shard_delta(
-                        &dm,
-                        &[(
-                            "G",
-                            DeltaSource::DirtyBytes {
-                                full_len: base.len() as u64,
-                                ranges: &ranges,
-                                payload: &patch,
-                            },
-                        )],
+                    t.put(
+                        &Record::Delta(
+                            &dm,
+                            &[(
+                                "G",
+                                DeltaSource::DirtyBytes {
+                                    full_len: base.len() as u64,
+                                    ranges: &ranges,
+                                    payload: &patch,
+                                },
+                            )],
+                        ),
                         &mut Vec::new(),
                     )
                     .unwrap();
                     // Concurrent restore while other lanes still stream.
-                    let merged = t.read_merged_shard(r).unwrap().unwrap();
+                    let merged = t.get(Some(r), None).unwrap().unwrap();
                     assert_eq!(merged.count, 100 + r as u64);
                     dyn_fabric.send(rank, 0, DONE_TAG, Arc::new(Vec::new()));
                 });

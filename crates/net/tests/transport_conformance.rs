@@ -1,0 +1,524 @@
+//! One conformance suite for every [`CkptTransport`]: the contract a
+//! medium signs by implementing `begin` and `get`, checked through the
+//! trait object and nothing else.
+//!
+//! Subjects: the flat and the content-addressed [`CheckpointStore`],
+//! [`MemTransport`], a [`NetTransport`] client whose service forwards into
+//! a flat store over a loopback fabric, and a [`MirrorTransport`] over
+//! such a client. Each runs [`conformance`] from empty; [`carries_over`]
+//! then moves records between every pair of media and compares bytes.
+
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Duration;
+
+use ppar_ckpt::store::{DeltaSource, FieldSource, Record, Snapshot, SnapshotMeta};
+use ppar_ckpt::transport::{CkptTransport, RecordKey};
+use ppar_ckpt::{CasConfig, CheckpointStore, DeltaMeta, MemTransport};
+use ppar_core::error::Result;
+use ppar_core::shared::SharedVec;
+use ppar_core::state::StateCell;
+use ppar_net::{free_loopback_addr, Fabric, MirrorTransport, NetConfig, NetTransport, TcpFabric};
+
+/// The transport calls the suite makes, in one place.
+mod api {
+    use super::*;
+
+    pub fn put_full(
+        t: &dyn CkptTransport,
+        meta: &SnapshotMeta,
+        fields: &[(&str, FieldSource<'_>)],
+    ) -> Result<u64> {
+        t.put(&Record::Full(meta, fields), &mut Vec::new())
+    }
+
+    pub fn put_delta(
+        t: &dyn CkptTransport,
+        meta: &DeltaMeta,
+        fields: &[(&str, DeltaSource<'_>)],
+    ) -> Result<u64> {
+        t.put(&Record::Delta(meta, fields), &mut Vec::new())
+    }
+
+    pub fn get(
+        t: &dyn CkptTransport,
+        rank: Option<u32>,
+        at: Option<u64>,
+    ) -> Result<Option<Snapshot>> {
+        t.get(rank, at)
+    }
+
+    /// Feed already-encoded record bytes to the sink of `(rank, delta seq)`
+    /// in small pieces, then commit or abort.
+    pub fn install(
+        t: &dyn CkptTransport,
+        (rank, delta): (Option<u32>, Option<u32>),
+        bytes: &[u8],
+        commit: bool,
+    ) -> Result<u64> {
+        let mut sink = t.begin(RecordKey { rank, delta }, bytes.len() as u64)?;
+        for piece in bytes.chunks(97) {
+            sink.write_all(piece)?;
+        }
+        if commit {
+            sink.commit()
+        } else {
+            sink.abort("conformance suite abort");
+            Ok(0)
+        }
+    }
+}
+
+/// One medium under test.
+struct Subject<'a> {
+    t: &'a dyn CkptTransport,
+    /// Keeps the previous generation of a shard, so a count-pinned get can
+    /// step back over a torn save.
+    keeps_generations: bool,
+    /// A get may run while a put to the same transport is encoding (false
+    /// for the serial request/response wire clients).
+    reentrant: bool,
+    /// Names of partial artefacts (temp files, journals) the medium holds.
+    artefacts: &'a dyn Fn() -> Vec<String>,
+}
+
+fn meta(count: u64, rank: Option<u32>) -> SnapshotMeta {
+    SnapshotMeta {
+        mode_tag: "conf".into(),
+        count,
+        rank,
+        nranks: 4,
+    }
+}
+
+fn delta_meta(count: u64, base_count: u64, seq: u32, rank: Option<u32>) -> DeltaMeta {
+    DeltaMeta {
+        mode_tag: "conf".into(),
+        count,
+        base_count,
+        seq,
+        rank,
+        nranks: 4,
+    }
+}
+
+fn snapshot(count: u64, rank: Option<u32>, g: &[u8]) -> Snapshot {
+    Snapshot {
+        mode_tag: "conf".into(),
+        count,
+        rank,
+        nranks: 4,
+        fields: vec![
+            ("G".into(), g.to_vec()),
+            ("energy".into(), 42.0f64.to_le_bytes().to_vec()),
+        ],
+    }
+}
+
+fn put_snapshot(t: &dyn CkptTransport, snap: &Snapshot) -> u64 {
+    let fields: Vec<(&str, FieldSource<'_>)> = snap
+        .fields
+        .iter()
+        .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
+        .collect();
+    api::put_full(t, &snap.meta(), &fields).expect("full put")
+}
+
+fn merged_bytes(t: &dyn CkptTransport, rank: Option<u32>) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
+    t.write_merged_record(rank, &mut out)
+        .expect("write_merged_record")
+        .map(|n| {
+            assert_eq!(n as usize, out.len());
+            out
+        })
+}
+
+/// A cell that announces more bytes than it streams, so the encoder fails
+/// mid-record; `probe` runs in the middle of that put.
+struct ShortCell<'a> {
+    probe: &'a (dyn Fn() + Sync),
+}
+
+impl StateCell for ShortCell<'_> {
+    fn save_bytes(&self) -> Vec<u8> {
+        vec![7; 10]
+    }
+    fn load_bytes(&self, _: &[u8]) -> Result<()> {
+        Ok(())
+    }
+    fn byte_len(&self) -> usize {
+        20_000
+    }
+    fn known_byte_len(&self) -> Option<usize> {
+        Some(20_000)
+    }
+    fn write_state(&self, w: &mut dyn Write) -> Result<u64> {
+        w.write_all(&[7; 10_000])?;
+        (self.probe)();
+        Ok(10_000)
+    }
+}
+
+#[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
+fn conformance(name: &str, s: &Subject<'_>) {
+    let t = s.t;
+    let g: Vec<u8> = (0..9000u32).map(|i| (i * 7) as u8).collect();
+
+    // -- empty ------------------------------------------------------------
+    assert!(api::get(t, None, None).unwrap().is_none(), "{name}");
+    assert!(api::get(t, Some(2), None).unwrap().is_none(), "{name}");
+    assert!(api::get(t, Some(2), Some(5)).unwrap().is_none(), "{name}");
+    assert_eq!(t.restart_count().unwrap(), None, "{name}");
+    assert!(merged_bytes(t, None).is_none(), "{name}");
+
+    // -- every key shape round-trips ----------------------------------------
+    let master = snapshot(10, None, &g);
+    let shard = snapshot(10, Some(2), &g[..4000]);
+    assert_eq!(
+        put_snapshot(t, &master),
+        master.encode().len() as u64,
+        "{name}"
+    );
+    put_snapshot(t, &shard);
+    assert_eq!(api::get(t, None, None).unwrap().unwrap(), master, "{name}");
+    assert_eq!(
+        api::get(t, Some(2), None).unwrap().unwrap(),
+        shard,
+        "{name}"
+    );
+    assert!(api::get(t, Some(3), None).unwrap().is_none(), "{name}");
+    assert_eq!(
+        merged_bytes(t, None).unwrap(),
+        master.encode(),
+        "{name}: the streamed record is the golden checksummed encoding"
+    );
+    assert_eq!(merged_bytes(t, Some(2)).unwrap(), shard.encode(), "{name}");
+
+    let patch = [0xEEu8; 8];
+    api::put_delta(
+        t,
+        &delta_meta(12, 10, 1, None),
+        &[(
+            "G",
+            DeltaSource::DirtyBytes {
+                full_len: g.len() as u64,
+                ranges: &[16..24],
+                payload: &patch,
+            },
+        )],
+    )
+    .unwrap();
+    api::put_delta(
+        t,
+        &delta_meta(13, 10, 1, Some(2)),
+        &[("G", DeltaSource::Full(FieldSource::Bytes(&g[..100])))],
+    )
+    .unwrap();
+    let merged = api::get(t, None, None).unwrap().unwrap();
+    assert_eq!(merged.count, 12, "{name}");
+    assert_eq!(&merged.field("G").unwrap()[16..24], &patch, "{name}");
+    assert_eq!(&merged.field("G").unwrap()[24..], &g[24..], "{name}");
+    let merged = api::get(t, Some(2), None).unwrap().unwrap();
+    assert_eq!(
+        (merged.count, merged.field("G").unwrap()),
+        (13, &g[..100]),
+        "{name}"
+    );
+    assert_eq!(
+        t.restart_count().unwrap(),
+        Some(12),
+        "{name}: the master chain tip"
+    );
+    t.clear_deltas(Some(2)).unwrap();
+    assert_eq!(
+        api::get(t, Some(2), None).unwrap().unwrap(),
+        shard,
+        "{name}"
+    );
+    assert_eq!(
+        api::get(t, None, None).unwrap().unwrap().count,
+        12,
+        "{name}"
+    );
+    t.clear_all_deltas().unwrap();
+    assert_eq!(api::get(t, None, None).unwrap().unwrap(), master, "{name}");
+
+    // -- base + 3 deltas == a full put of the same state --------------------
+    let cell = SharedVec::from_vec((0..6000).map(|i| i as f64 * 0.5).collect());
+    api::put_full(t, &meta(20, None), &[("G", FieldSource::Cell(&cell))]).unwrap();
+    cell.clear_dirty();
+    for seq in 1..=3u32 {
+        cell.set(seq as usize * 1500, -(seq as f64));
+        cell.set(7, seq as f64);
+        let ranges = cell.dirty_byte_ranges();
+        api::put_delta(
+            t,
+            &delta_meta(20 + seq as u64, 20, seq, None),
+            &[(
+                "G",
+                DeltaSource::DirtyCell {
+                    cell: &cell,
+                    ranges: &ranges,
+                },
+            )],
+        )
+        .unwrap();
+        cell.clear_dirty();
+    }
+    let full = Snapshot {
+        fields: vec![("G".into(), cell.save_bytes())],
+        ..snapshot(23, None, &[])
+    };
+    assert_eq!(api::get(t, None, None).unwrap().unwrap(), full, "{name}");
+    assert_eq!(merged_bytes(t, None).unwrap(), full.encode(), "{name}");
+    assert_eq!(t.restart_count().unwrap(), Some(23), "{name}");
+    t.clear_deltas(None).unwrap();
+    assert_eq!(
+        api::get(t, None, None).unwrap().unwrap().count,
+        20,
+        "{name}"
+    );
+
+    // -- a count-pinned get serves that safe point or fails -----------------
+    let old = snapshot(30, Some(1), &g[..2000]);
+    let new = snapshot(40, Some(1), &g[2000..4000]);
+    put_snapshot(t, &old);
+    t.commit_group(30).unwrap();
+    put_snapshot(t, &new); // torn: the group never committed 40
+    assert_eq!(
+        api::get(t, Some(1), Some(40)).unwrap().unwrap(),
+        new,
+        "{name}"
+    );
+    match api::get(t, Some(1), Some(30)) {
+        Ok(Some(snap)) => assert_eq!(snap, old, "{name}: the pinned generation"),
+        Ok(None) => panic!("{name}: a held shard cannot read as absent"),
+        Err(_) => assert!(
+            !s.keeps_generations,
+            "{name}: the previous generation must still be served"
+        ),
+    }
+    assert!(
+        api::get(t, Some(1), Some(35)).is_err(),
+        "{name}: no generation sits at 35"
+    );
+    assert_eq!(api::get(t, Some(1), None).unwrap().unwrap(), new, "{name}");
+
+    // -- a failing put keeps the previous record, leaves nothing behind -----
+    let before = api::get(t, None, None).unwrap().unwrap();
+    let reentrant = s.reentrant;
+    let probe = || {
+        if reentrant {
+            assert_eq!(
+                api::get(t, None, None).unwrap().as_ref(),
+                Some(&before),
+                "{name}: a reader in the middle of a put sees the previous record"
+            );
+        }
+    };
+    let short = ShortCell { probe: &probe };
+    for rank in [None, Some(1)] {
+        let err = api::put_full(t, &meta(50, rank), &[("G", FieldSource::Cell(&short))]);
+        assert!(
+            err.is_err(),
+            "{name}: a cell streaming short must fail the put"
+        );
+    }
+    assert!(api::put_delta(
+        t,
+        &delta_meta(51, 20, 1, None),
+        &[("G", DeltaSource::Full(FieldSource::Cell(&short)))],
+    )
+    .is_err());
+    assert_eq!(api::get(t, None, None).unwrap().unwrap(), before, "{name}");
+    assert_eq!(api::get(t, Some(1), None).unwrap().unwrap(), new, "{name}");
+    assert_eq!((s.artefacts)(), Vec::<String>::new(), "{name}");
+
+    // -- so does an aborted raw install -------------------------------------
+    api::install(t, (None, None), b"partial garbage", false).unwrap();
+    api::install(t, (Some(1), Some(1)), b"partial garbage", false).unwrap();
+    assert_eq!(api::get(t, None, None).unwrap().unwrap(), before, "{name}");
+    assert_eq!((s.artefacts)(), Vec::<String>::new(), "{name}");
+
+    // -- a raw install lands where a put would -------------------------------
+    let raw = snapshot(60, Some(3), &g[..500]);
+    assert_eq!(
+        api::install(t, (Some(3), None), &raw.encode(), true).unwrap(),
+        raw.encode().len() as u64,
+        "{name}"
+    );
+    assert_eq!(api::get(t, Some(3), None).unwrap().unwrap(), raw, "{name}");
+
+    // -- a record routed to the wrong key is rejected ------------------------
+    assert!(
+        api::install(t, (Some(9), None), &raw.encode(), true).is_err(),
+        "{name}: shard 3's record under shard 9's key"
+    );
+    assert!(api::get(t, Some(9), None).unwrap().is_none(), "{name}");
+    assert!(
+        api::install(t, (None, None), &raw.encode(), true).is_err(),
+        "{name}: a shard record under the master key"
+    );
+    assert!(
+        api::install(t, (Some(3), Some(1)), &raw.encode(), true).is_err(),
+        "{name}: a full record under a delta key"
+    );
+    assert_eq!(api::get(t, None, None).unwrap().unwrap(), before, "{name}");
+    assert_eq!(api::get(t, Some(3), None).unwrap().unwrap(), raw, "{name}");
+    assert_eq!((s.artefacts)(), Vec::<String>::new(), "{name}");
+}
+
+/// Records put through `src` arrive in `dst` byte for byte: the merged
+/// record `src` streams out is installed raw under the same key and must
+/// stream back out of `dst` unchanged. `salt` makes the records of this
+/// pair differ from everything either side held before.
+fn carries_over(name: &str, salt: u8, src: &dyn CkptTransport, dst: &dyn CkptTransport) {
+    let g: Vec<u8> = (0..3000u32).map(|i| (i as u8) ^ salt).collect();
+    for rank in [None, Some(1), Some(3)] {
+        put_snapshot(src, &snapshot(100 + salt as u64, rank, &g));
+        let record = merged_bytes(src, rank).unwrap();
+        dst.clear_deltas(rank).unwrap();
+        api::install(dst, (rank, None), &record, true).unwrap();
+        assert_eq!(merged_bytes(dst, rank).unwrap(), record, "{name}: {rank:?}");
+        assert_eq!(
+            api::get(dst, rank, None).unwrap(),
+            Some(snapshot(100 + salt as u64, rank, &g)),
+            "{name}: {rank:?}"
+        );
+    }
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let d = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("conformance_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
+}
+
+/// Temp files in a checkpoint directory and staged journals of its CAS.
+fn dir_artefacts(dir: &Path) -> Vec<String> {
+    let names = |d: PathBuf| -> Vec<String> {
+        std::fs::read_dir(d)
+            .map(|it| {
+                it.map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                    .collect()
+            })
+            .unwrap_or_default()
+    };
+    let mut found: Vec<String> = names(dir.to_path_buf())
+        .into_iter()
+        .filter(|n| n.contains(".tmp"))
+        .collect();
+    found.extend(names(dir.join("journal")));
+    found
+}
+
+const DONE_TAG: u64 = (1 << 63) | 0xc0f;
+
+/// Run `body` as rank 1 with a client whose service (rank 0) forwards into
+/// a flat store in `dir`.
+fn with_net_client(dir: &Path, body: impl FnOnce(Arc<NetTransport>) + Send) {
+    let addr = free_loopback_addr().unwrap();
+    let connect = |rank: usize| -> Arc<dyn Fabric> {
+        let mut cfg = NetConfig::new(rank, 2, addr.clone());
+        cfg.recv_timeout = Duration::from_secs(30);
+        TcpFabric::connect(&cfg).unwrap()
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let fabric = connect(0);
+            let store = CheckpointStore::new_flat(dir).unwrap();
+            let service = NetTransport::serve(fabric.clone(), 0, Arc::new(store));
+            fabric.recv(0, 1, DONE_TAG).unwrap();
+            service.stop();
+        });
+        scope.spawn(|| {
+            let fabric = connect(1);
+            body(Arc::new(NetTransport::client(fabric.clone(), 1)));
+            fabric.send(1, 0, DONE_TAG, Arc::new(Vec::new()));
+        });
+    });
+}
+
+#[test]
+fn every_transport_keeps_the_contract_and_records_cross_media() {
+    let flat_dir = scratch_dir("flat");
+    let cas_dir = scratch_dir("cas");
+    let net_dir = scratch_dir("net");
+    let mirror_dir = scratch_dir("mirror");
+    let flat = CheckpointStore::new_flat(&flat_dir).unwrap();
+    let cas = CheckpointStore::new_cas_with(&cas_dir, CasConfig::default()).unwrap();
+    let mem = MemTransport::new();
+
+    conformance(
+        "flat",
+        &Subject {
+            t: &flat,
+            keeps_generations: true,
+            reentrant: true,
+            artefacts: &|| dir_artefacts(&flat_dir),
+        },
+    );
+    conformance(
+        "cas",
+        &Subject {
+            t: &cas,
+            keeps_generations: true,
+            reentrant: true,
+            artefacts: &|| dir_artefacts(&cas_dir),
+        },
+    );
+    conformance(
+        "memory",
+        &Subject {
+            t: &mem,
+            keeps_generations: false,
+            reentrant: true,
+            artefacts: &Vec::new,
+        },
+    );
+    with_net_client(&mirror_dir, |net| {
+        let mirror = MirrorTransport::new(net);
+        conformance(
+            "mirror",
+            &Subject {
+                t: &mirror,
+                keeps_generations: true,
+                reentrant: false,
+                artefacts: &|| dir_artefacts(&mirror_dir),
+            },
+        );
+    });
+    with_net_client(&net_dir, |net| {
+        conformance(
+            "net",
+            &Subject {
+                t: &*net,
+                keeps_generations: true,
+                reentrant: false,
+                artefacts: &|| dir_artefacts(&net_dir),
+            },
+        );
+        let media: [(&str, &dyn CkptTransport); 4] = [
+            ("flat", &flat),
+            ("cas", &cas),
+            ("memory", &mem),
+            ("net", &*net),
+        ];
+        let mut salt = 0;
+        for (from, src) in media {
+            for (to, dst) in media {
+                if from != to {
+                    salt += 1;
+                    carries_over(&format!("{from} -> {to}"), salt, src, dst);
+                }
+            }
+        }
+    });
+
+    for d in [&flat_dir, &cas_dir, &net_dir, &mirror_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
