@@ -14,18 +14,25 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppar_ckpt::hook::{CheckpointModule, CkptStats};
-use ppar_core::ctx::{AdaptHook, CkptHook, Ctx, RunShared, SeqEngine};
+use ppar_core::ctx::{run_on, AdaptHook, CkptHook, Ctx, Engine, SeqEngine};
 use ppar_core::error::Result;
 use ppar_core::plan::Plan;
-use ppar_core::state::Registry;
-use ppar_dsm::spmd::{run_spmd_on, SpmdConfig};
+use ppar_core::runtime::TeamEngine;
+use ppar_dsm::spmd::{run_ranks, SpmdConfig};
 use ppar_dsm::{SimNet, Traffic};
-use ppar_smp::TeamEngine;
-use ppar_task::TaskEngine;
-
-pub use ppar_ckpt::pcr::AppStatus;
 
 use crate::controller::AdaptationController;
+
+/// How the application body ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AppStatus {
+    /// Ran to completion: the run marker is cleared.
+    Completed,
+    /// Simulated crash (resource failure): the marker is left in place so the
+    /// next launch replays from the last snapshot — exactly what a real
+    /// process death would leave behind.
+    Crashed,
+}
 
 /// A deployment target for one launch.
 #[derive(Debug, Clone)]
@@ -77,9 +84,15 @@ impl Deploy {
             max_threads: threads,
         }
     }
-}
 
-impl Deploy {
+    /// Aggregate elements this deployment runs (1 without a fabric).
+    pub(crate) fn nranks(&self) -> usize {
+        match self {
+            Deploy::Seq | Deploy::Smp { .. } | Deploy::Task { .. } => 1,
+            Deploy::Dist(cfg) | Deploy::Hybrid { cfg, .. } => cfg.nranks,
+        }
+    }
+
     /// Short tag for reports.
     pub fn tag(&self) -> String {
         match self {
@@ -116,10 +129,91 @@ impl<R> LaunchOutcome<R> {
     }
 }
 
+/// Run `app` on `ctx` and announce completion when it reports one.
+pub(crate) fn run_app<R>(ctx: &Ctx, app: &impl Fn(&Ctx) -> (AppStatus, R)) -> (AppStatus, R) {
+    let (status, result) = app(ctx);
+    if status == AppStatus::Completed {
+        ctx.finish();
+    }
+    (status, result)
+}
+
+/// One launch round: stand `deploy` up as a running engine stack — one
+/// engine per aggregate element, rank `r` hooked to `modules[r]` (none when
+/// the slice is empty) and to the controller (itself for one element, its
+/// [`AdaptationController::rank_views`] for an aggregate) — and run
+/// `per_rank` on every element's root line. Returns the per-rank values in
+/// rank order plus the round's network traffic when a fabric was involved.
+///
+/// `modules` must hold every element's checkpoint module BEFORE any rank
+/// thread starts — the moral equivalent of mpirun synchronising process
+/// startup. Creating them lazily inside the rank threads races with a fast
+/// root that replays, completes and clears the run marker before a slow
+/// rank reads it, leaving the aggregate disagreeing about replay mode.
+pub(crate) fn round<T: Send>(
+    deploy: &Deploy,
+    plan: &Arc<Plan>,
+    modules: &[Arc<CheckpointModule>],
+    controller: Option<&Arc<AdaptationController>>,
+    per_rank: impl Fn(&Ctx) -> T + Sync,
+) -> (Vec<T>, Option<Traffic>) {
+    let ckpt = |rank: usize| modules.get(rank).map(|m| m.clone() as Arc<dyn CkptHook>);
+    let local = |engine: Arc<dyn Engine>| {
+        let adapt = controller.map(|c| c.clone() as Arc<dyn AdaptHook>);
+        let value = run_on(engine, plan.clone(), ckpt(0), adapt, &per_rank);
+        (vec![value], None)
+    };
+    let aggregate = |cfg: &SpmdConfig, threads: usize, max_threads: usize| {
+        let views = controller.map(|c| c.rank_views(cfg.nranks));
+        let hooks = |rank: usize| {
+            let view = views
+                .as_ref()
+                .map(|v| v[rank].clone() as Arc<dyn AdaptHook>);
+            (ckpt(rank), view)
+        };
+        // The launcher owns the network so the outcome can report the
+        // run's traffic next to its timing (Fig. 5/7 tables).
+        let net = SimNet::new(cfg.topology, cfg.nranks, cfg.model);
+        let values = run_ranks(
+            net.clone(),
+            threads,
+            max_threads,
+            plan.clone(),
+            &hooks,
+            &per_rank,
+        );
+        (values, Some(net.traffic()))
+    };
+    match deploy {
+        Deploy::Seq => local(Arc::new(SeqEngine)),
+        Deploy::Smp {
+            threads,
+            max_threads,
+        } => local(TeamEngine::new(*threads, *max_threads)),
+        Deploy::Task {
+            workers,
+            max_workers,
+        } => local(TeamEngine::with_quiescence(
+            *workers,
+            *max_workers,
+            ppar_task::assert_quiescent,
+        )),
+        Deploy::Dist(cfg) => aggregate(cfg, 1, 1),
+        Deploy::Hybrid {
+            cfg,
+            threads,
+            max_threads,
+        } => aggregate(cfg, *threads, *max_threads),
+    }
+}
+
 /// Launch `app` once under `deploy`. `ckpt_dir` plugs checkpointing (and
 /// arms replay if the directory holds a failed run); `controller` plugs
-/// run-time adaptation. The app returns its status: `Completed` clears the
-/// run marker, `Crashed` leaves it for the next launch to detect.
+/// run-time adaptation — reshapes the engine can realise in place (a team
+/// retarget within its headroom) are applied, anything else needs
+/// [`crate::live::launch_live`] or a restart. The app returns its status:
+/// `Completed` clears the run marker, `Crashed` leaves it for the next
+/// launch to detect.
 pub fn launch<R: Send>(
     deploy: &Deploy,
     plan: Plan,
@@ -129,104 +223,21 @@ pub fn launch<R: Send>(
 ) -> Result<LaunchOutcome<R>> {
     let plan = Arc::new(plan);
     let start = Instant::now();
-    let adapt_hook = controller.map(|c| c as Arc<dyn AdaptHook>);
-
-    match deploy {
-        Deploy::Seq | Deploy::Smp { .. } | Deploy::Task { .. } => {
-            let module = match ckpt_dir {
-                Some(dir) => Some(CheckpointModule::create(dir, &plan)?),
-                None => None,
-            };
-            let replayed = module.as_ref().map(|m| m.will_replay()).unwrap_or(false);
-            let engine: Arc<dyn ppar_core::ctx::Engine> = match deploy {
-                Deploy::Seq => Arc::new(SeqEngine),
-                Deploy::Smp {
-                    threads,
-                    max_threads,
-                } => TeamEngine::new(*threads, *max_threads),
-                Deploy::Task {
-                    workers,
-                    max_workers,
-                } => TaskEngine::new(*workers, (*max_workers).max(*workers)),
-                Deploy::Dist(_) | Deploy::Hybrid { .. } => unreachable!(),
-            };
-            let shared = RunShared::new(
-                plan,
-                Arc::new(Registry::new()),
-                engine,
-                module.clone().map(|m| m as Arc<dyn CkptHook>),
-                adapt_hook,
-            );
-            let ctx = Ctx::new_root(shared);
-            let (status, result) = app(&ctx);
-            if status == AppStatus::Completed {
-                ctx.finish();
-            }
-            Ok(LaunchOutcome {
-                results: vec![(status, result)],
-                replayed,
-                stats: module.map(|m| m.stats()),
-                traffic: None,
-                elapsed: start.elapsed(),
-            })
-        }
-        Deploy::Dist(cfg) | Deploy::Hybrid { cfg, .. } => {
-            // Pre-create every element's checkpoint module BEFORE any rank
-            // thread starts — the moral equivalent of mpirun synchronising
-            // process startup. Creating them lazily inside the rank threads
-            // races with a fast root that replays, completes and clears the
-            // run marker before a slow rank reads it, leaving the aggregate
-            // disagreeing about replay mode.
-            let modules: Vec<Option<Arc<CheckpointModule>>> = match ckpt_dir {
-                Some(dir) => CheckpointModule::create_group(dir, &plan, cfg.nranks)?
-                    .into_iter()
-                    .map(Some)
-                    .collect(),
-                None => vec![None; cfg.nranks],
-            };
-            let rank0 = modules.first().cloned().flatten();
-            let modules_ref = &modules;
-            let hooks = move |rank: usize| {
-                let ck = modules_ref[rank].clone().map(|m| m as Arc<dyn CkptHook>);
-                // Run-time adaptation of the aggregate shape goes through
-                // restart (Fig. 6); no controller is installed per rank.
-                (ck, None)
-            };
-            let per_rank = |ctx: &Ctx| {
-                let (status, result) = app(ctx);
-                if status == AppStatus::Completed {
-                    ctx.finish();
-                }
-                (status, result)
-            };
-            // The launcher owns the network so the outcome can report the
-            // run's traffic next to its timing (Fig. 5/7 tables).
-            let net = SimNet::new(cfg.topology, cfg.nranks, cfg.model);
-            let results = match deploy {
-                Deploy::Hybrid {
-                    threads,
-                    max_threads,
-                    ..
-                } => ppar_dsm::run_hybrid_adaptive_on(
-                    net.clone(),
-                    *threads,
-                    (*max_threads).max(*threads),
-                    plan,
-                    &hooks,
-                    false,
-                    per_rank,
-                ),
-                _ => run_spmd_on(net.clone(), plan, &hooks, false, per_rank),
-            };
-            Ok(LaunchOutcome {
-                results,
-                replayed: rank0.as_ref().map(|m| m.will_replay()).unwrap_or(false),
-                stats: rank0.map(|m| m.stats()),
-                traffic: Some(net.traffic()),
-                elapsed: start.elapsed(),
-            })
-        }
-    }
+    let modules = match ckpt_dir {
+        Some(dir) => CheckpointModule::create_group(dir, &plan, deploy.nranks())?,
+        None => Vec::new(),
+    };
+    let (results, traffic) = round(deploy, &plan, &modules, controller.as_ref(), |ctx| {
+        run_app(ctx, &app)
+    });
+    let rank0 = modules.first();
+    Ok(LaunchOutcome {
+        results,
+        replayed: rank0.is_some_and(|m| m.will_replay()),
+        stats: rank0.map(|m| m.stats()),
+        traffic,
+        elapsed: start.elapsed(),
+    })
 }
 
 /// Keep launching until the application completes, switching deployment per

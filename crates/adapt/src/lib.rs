@@ -7,12 +7,17 @@
 //!   implementation: accepts reshape requests (asynchronously or from a
 //!   scripted [`controller::ResourceTimeline`], the experiments' stand-in
 //!   for an external Grid resource manager) and surfaces them to engines at
-//!   safe-point crossings. The shared-memory engine then runs the §IV.B
-//!   expansion/contraction protocol (replay-into-region / graceful drain).
+//!   safe-point crossings. The team runtime (`ppar_core::runtime`) then
+//!   runs the §IV.B expansion/contraction protocol (replay-into-region /
+//!   graceful drain).
 //! * [`launcher`] — deploys one base program in any execution mode with
 //!   optional checkpointing, and drives crash/restart cycles; because
 //!   master-collected checkpoints are mode independent, a restart may use a
 //!   *different* mode or aggregate size (adaptation by restart, Fig. 6).
+//!   Its one round function is the only place a [`Deploy`] becomes a
+//!   running engine stack: `seq` is the sequential engine, `smpN` and
+//!   `taskN` the team engine (the latter with the quiescence check),
+//!   `distP` and `hybPxT` the rank engine at width 1 or T.
 //! * [`launcher::overdecomposed`] — the traditional over-decomposition
 //!   baseline the paper compares against (Fig. 8).
 //! * [`live::launch_live`] — **live reshape**: a deployment loop in which a

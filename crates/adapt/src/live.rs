@@ -29,26 +29,22 @@
 //! restarts from disk — restart remains the fallback behind the unchanged
 //! [`crate::launcher`] API.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppar_ckpt::hook::{CheckpointModule, CkptStats};
 use ppar_ckpt::transport::{CkptTransport, MemTransport};
-use ppar_core::ctx::{AdaptHook, CkptHook, Ctx, RunShared, SeqEngine};
+use ppar_core::ctx::{AdaptHook, Ctx};
 use ppar_core::error::{PparError, Result};
 use ppar_core::mode::ExecMode;
 use ppar_core::plan::Plan;
 use ppar_core::runtime::{clear_draining, ModeSwitch};
-use ppar_core::state::Registry;
 use ppar_dsm::SpmdConfig;
-use ppar_smp::TeamEngine;
-use ppar_task::TaskEngine;
 
 use crate::controller::{AdaptationController, ReshapeKind};
-use crate::launcher::Deploy;
-use crate::AppStatus;
+use crate::launcher::{round, run_app, AppStatus, Deploy};
 
 /// Outcome of one live session ([`launch_live`]): the final run's results
 /// plus the mode switches that were applied by in-memory hand-off.
@@ -76,25 +72,20 @@ impl<R> LiveOutcome<R> {
     }
 }
 
-/// One rank's exit from a launch round.
-enum Round<R> {
-    Done(AppStatus, R),
-    Switch(ExecMode),
-}
-
-fn run_catching<R>(f: impl FnOnce() -> (AppStatus, R)) -> Round<R> {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok((status, result)) => Round::Done(status, result),
-        Err(payload) => {
-            // The escalation unwind marked this thread as draining so the
-            // panic hook stayed silent; re-arm normal reporting.
-            clear_draining();
-            match payload.downcast::<ModeSwitch>() {
-                Ok(switch) => Round::Switch(switch.0),
-                Err(other) => resume_unwind(other),
-            }
+/// One rank's exit from a launch round: the app's return, or the mode an
+/// escalated reshape asks the session to relaunch in. This is the one place
+/// that unwind stops being control flow and becomes data; any other panic
+/// keeps unwinding.
+fn run_catching<T>(f: impl FnOnce() -> T) -> std::result::Result<T, ExecMode> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        // The escalation unwind marked this thread as draining so the
+        // panic hook stayed silent; re-arm normal reporting.
+        clear_draining();
+        match payload.downcast::<ModeSwitch>() {
+            Ok(switch) => switch.0,
+            Err(other) => resume_unwind(other),
         }
-    }
+    })
 }
 
 /// Map an escalated reshape target onto a deployment, inheriting the
@@ -134,13 +125,6 @@ pub fn deploy_for_mode(mode: ExecMode, template: &Deploy) -> Deploy {
     }
 }
 
-fn deploy_ranks(deploy: &Deploy) -> usize {
-    match deploy {
-        Deploy::Seq | Deploy::Smp { .. } | Deploy::Task { .. } => 1,
-        Deploy::Dist(cfg) | Deploy::Hybrid { cfg, .. } => cfg.nranks,
-    }
-}
-
 /// Launch `app` under `initial` with **live reshape**: run-time adaptations
 /// the engine cannot realise in place are applied by an in-memory state
 /// hand-off and an in-process relaunch (see the [module docs](self)).
@@ -169,8 +153,8 @@ pub fn launch_live<R: Send>(
     // A runaway controller (or a target the successor immediately escalates
     // again) must not loop forever.
     const MAX_ROUNDS: usize = 32;
-    for round in 0..MAX_ROUNDS {
-        let nranks = deploy_ranks(&deploy);
+    for round_no in 0..MAX_ROUNDS {
+        let nranks = deploy.nranks();
         let handoff = Arc::new(MemTransport::new());
 
         // Checkpoint modules: durable (directory) or per-round in-memory.
@@ -187,88 +171,32 @@ pub fn launch_live<R: Send>(
                 module.arm_resume(source.clone() as Arc<dyn CkptTransport>)?;
             }
         }
-        if round == 0 {
+        if round_no == 0 {
             replayed = modules[0].will_replay() && resume.is_none();
         }
-        let rank0 = modules[0].clone();
 
-        let rounds: Vec<Round<R>> = match &deploy {
-            Deploy::Seq | Deploy::Smp { .. } | Deploy::Task { .. } => {
-                let engine: Arc<dyn ppar_core::ctx::Engine> = match &deploy {
-                    Deploy::Seq => Arc::new(SeqEngine),
-                    Deploy::Smp {
-                        threads,
-                        max_threads,
-                    } => TeamEngine::new(*threads, *max_threads),
-                    Deploy::Task {
-                        workers,
-                        max_workers,
-                    } => TaskEngine::new(*workers, (*max_workers).max(*workers)),
-                    _ => unreachable!(),
-                };
-                let shared = RunShared::new(
-                    plan.clone(),
-                    Arc::new(Registry::new()),
-                    engine,
-                    Some(modules[0].clone() as Arc<dyn CkptHook>),
-                    Some(controller.clone() as Arc<dyn AdaptHook>),
-                );
-                let ctx = Ctx::new_root(shared);
-                vec![run_catching(|| {
-                    let (status, result) = app(&ctx);
-                    if status == AppStatus::Completed {
-                        ctx.finish();
-                    }
-                    (status, result)
-                })]
-            }
-            Deploy::Dist(cfg) | Deploy::Hybrid { cfg, .. } => {
-                let views = controller.rank_views(nranks);
-                let modules_ref = &modules;
-                let views_ref = &views;
-                let hooks = move |rank: usize| {
-                    (
-                        Some(modules_ref[rank].clone() as Arc<dyn CkptHook>),
-                        Some(views_ref[rank].clone() as Arc<dyn AdaptHook>),
-                    )
-                };
-                let per_rank = |ctx: &Ctx| {
-                    run_catching(|| {
-                        let (status, result) = app(ctx);
-                        if status == AppStatus::Completed {
-                            ctx.finish();
-                        }
-                        (status, result)
-                    })
-                };
-                match &deploy {
-                    Deploy::Hybrid {
-                        threads,
-                        max_threads,
-                        ..
-                    } => ppar_dsm::run_hybrid_adaptive(
-                        cfg,
-                        *threads,
-                        (*max_threads).max(*threads),
-                        plan.clone(),
-                        &hooks,
-                        false,
-                        per_rank,
-                    ),
-                    _ => ppar_dsm::run_spmd(cfg, plan.clone(), &hooks, false, per_rank),
-                }
-            }
-        };
+        let (exits, _traffic) = round(&deploy, &plan, &modules, Some(&controller), |ctx| {
+            run_catching(|| run_app(ctx, &app))
+        });
 
         // An escalated crossing unwinds every rank with the same target
         // (SPMD discipline: all elements reach the same crossing and read
         // the same shared decision).
-        let switch = rounds.iter().find_map(|r| match r {
-            Round::Switch(mode) => Some(*mode),
-            Round::Done(..) => None,
-        });
-        match switch {
-            Some(mode) => {
+        match exits
+            .into_iter()
+            .collect::<std::result::Result<Vec<_>, _>>()
+        {
+            Ok(results) => {
+                return Ok(LiveOutcome {
+                    results,
+                    reshapes,
+                    launches: round_no + 1,
+                    replayed,
+                    stats: Some(modules[0].stats()),
+                    elapsed: start.elapsed(),
+                });
+            }
+            Err(mode) => {
                 // The on-disk RUNNING marker (when a directory is
                 // configured) intentionally stays set across the relaunch:
                 // the session is still in flight, and if the process dies
@@ -284,23 +212,6 @@ pub fn launch_live<R: Send>(
                 reshapes.push((mode, ReshapeKind::InPlace));
                 resume = Some(handoff);
                 deploy = deploy_for_mode(mode, &deploy);
-            }
-            None => {
-                let results = rounds
-                    .into_iter()
-                    .map(|r| match r {
-                        Round::Done(status, result) => (status, result),
-                        Round::Switch(_) => unreachable!("switch handled above"),
-                    })
-                    .collect();
-                return Ok(LiveOutcome {
-                    results,
-                    reshapes,
-                    launches: round + 1,
-                    replayed,
-                    stats: Some(rank0.stats()),
-                    elapsed: start.elapsed(),
-                });
             }
         }
     }

@@ -13,9 +13,9 @@
 //!   fallback);
 //! * each **rank process** calls [`run_net_rank`] with the same plan and
 //!   app closure: it bootstraps a [`TcpFabric`] from the `PPAR_*`
-//!   environment contract, builds the unchanged [`ppar_dsm::DsmEngine`]
-//!   over it, and runs the app exactly as the simulated deployment would
-//!   — bitwise-identical results, mode tag `tcpN`.
+//!   environment contract, builds the same [`ppar_dsm::HybridEngine`] at
+//!   team width one over it, and runs the app exactly as the simulated
+//!   deployment would — bitwise-identical results, mode tag `tcpN`.
 //!
 //! ## Checkpointing across processes
 //!
@@ -53,11 +53,10 @@ use std::time::Instant;
 
 use ppar_ckpt::hook::{CheckpointModule, CkptStats};
 use ppar_ckpt::transport::CkptTransport;
-use ppar_core::ctx::{CkptHook, Ctx, RunShared};
+use ppar_core::ctx::{run_on, CkptHook, Ctx};
 use ppar_core::error::{PparError, Result};
 use ppar_core::plan::Plan;
-use ppar_core::state::Registry;
-use ppar_dsm::{DsmEngine, Endpoint, Fabric, Traffic};
+use ppar_dsm::{Endpoint, Fabric, HybridEngine, Traffic};
 use ppar_net::{ChaosConfig, ChaosFabric, CkptService, MirrorTransport, NetTransport, TcpFabric};
 
 pub use ppar_net::{
@@ -211,27 +210,23 @@ fn run_attempt<R>(
         }
     };
 
-    let engine = DsmEngine::new(ep);
-    let shared = RunShared::new(
-        plan.clone(),
-        Arc::new(Registry::new()),
-        engine,
-        module.clone().map(|m| m as Arc<dyn CkptHook>),
-        // Run-time adaptation of a process aggregate goes through the
-        // cluster driver's restart path; no controller is installed.
-        None,
-    );
-    let ctx = Ctx::new_root(shared);
-    let (status, result) = app(&ctx);
-    if status == AppStatus::Completed {
-        // Resilient ranks confirm the *whole job* completed before the
-        // run marker is cleared and anyone retires; a failure here means
-        // a peer died late and this rank is still needed for recovery.
-        if confirm {
-            confirm_completion(dyn_fabric, cfg.rank, cfg.nranks)?;
+    // Run-time adaptation of a process aggregate goes through the cluster
+    // driver's restart path; no controller is installed.
+    let ckpt = module.clone().map(|m| m as Arc<dyn CkptHook>);
+    let engine = HybridEngine::new(ep, 1);
+    let (status, result) = run_on(engine, plan.clone(), ckpt, None, |ctx| -> Result<_> {
+        let (status, result) = app(ctx);
+        if status == AppStatus::Completed {
+            // Resilient ranks confirm the *whole job* completed before the
+            // run marker is cleared and anyone retires; a failure here means
+            // a peer died late and this rank is still needed for recovery.
+            if confirm {
+                confirm_completion(dyn_fabric, cfg.rank, cfg.nranks)?;
+            }
+            ctx.finish();
         }
-        ctx.finish();
-    }
+        Ok((status, result))
+    })?;
     Ok((status, result, module))
 }
 

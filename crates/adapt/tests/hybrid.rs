@@ -2,7 +2,8 @@
 //! crashes and restarts — in hybrid mode and across modes (master-collected
 //! snapshots are mode independent).
 
-use ppar_adapt::{launch, AppStatus, Deploy};
+use ppar_adapt::{launch, AdaptationController, AppStatus, Deploy, ResourceTimeline};
+use ppar_core::mode::ExecMode;
 use ppar_dsm::SpmdConfig;
 use ppar_jgf::sor::pluggable::{plan_ckpt, plan_hybrid, plan_smp, sor_pluggable};
 use ppar_jgf::sor::{sor_seq, SorParams};
@@ -113,4 +114,33 @@ fn hybrid_checkpoint_restarts_on_smp_team() {
     assert_eq!(outcome.results[0].1.checksum, reference.checksum);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn plain_launch_applies_a_team_reshape_within_the_hybrid_headroom() {
+    // `max_threads` is in-place headroom under plain `launch` too: the
+    // controller reaches every rank, and a scripted hyb2x2 -> hyb2x4 request
+    // is applied at the crossing instead of being dropped.
+    let reference = sor_seq(&params());
+    let controller =
+        AdaptationController::with_timeline(ResourceTimeline::new().at(3, ExecMode::hybrid(2, 4)));
+    let deploy = Deploy::Hybrid {
+        cfg: SpmdConfig::instant(2),
+        threads: 2,
+        max_threads: 4,
+    };
+    let plan = plan_hybrid().merge(plan_ckpt(0));
+    let outcome = launch(&deploy, plan, None, Some(controller.clone()), |ctx| {
+        let result = sor_pluggable(ctx, &params());
+        (AppStatus::Completed, (result, ctx.mode()))
+    })
+    .unwrap();
+    assert!(outcome.completed());
+    // The root holds the collected grid.
+    let root = &outcome.results[0].1 .0;
+    assert_eq!(root.checksum.to_bits(), reference.checksum.to_bits());
+    for (_, (_, mode)) in &outcome.results {
+        assert_eq!(*mode, ExecMode::hybrid(2, 4), "the run ended reshaped");
+    }
+    assert_eq!(controller.history(), vec![(3, ExecMode::hybrid(2, 4))]);
 }

@@ -7,10 +7,10 @@ use std::sync::Arc;
 use ppar_core::ctx::{AdaptHook, Ctx, RunShared};
 use ppar_core::mode::ExecMode;
 use ppar_core::plan::{Plan, Plug, PointSet, ReduceOp};
+use ppar_core::runtime::{run_smp, TeamEngine};
 use ppar_core::schedule::Schedule;
 use ppar_core::shared::TeamLocal;
 use ppar_core::state::Registry;
-use ppar_smp::{run_smp, TeamEngine};
 
 fn hits(n: usize) -> Arc<Vec<AtomicUsize>> {
     Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect())
@@ -326,7 +326,7 @@ fn ckpt_app(ctx: &Ctx, fail_after: Option<usize>) -> f64 {
 }
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("ppar_smp_{tag}_{}", std::process::id()));
+    let d = std::env::temp_dir().join(format!("ppar_team_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }
@@ -403,14 +403,14 @@ fn smp_snapshot_is_loadable_across_modes() {
     {
         // Restart SEQUENTIALLY from the team-taken snapshot.
         let plan = ckpt_plan(7);
-        let report = ppar_ckpt::launch_seq(&dir, plan, |ctx| {
-            (ppar_ckpt::AppStatus::Completed, ckpt_app(ctx, None))
+        let report = ppar_adapt::launch(&ppar_adapt::Deploy::Seq, plan, Some(&dir), None, |ctx| {
+            (ppar_adapt::AppStatus::Completed, ckpt_app(ctx, None))
         })
         .unwrap();
         assert!(report.replayed);
         let expected =
             ppar_core::run_sequential(Arc::new(Plan::new()), None, None, |ctx| ckpt_app(ctx, None));
-        assert_eq!(report.result, expected);
+        assert_eq!(report.results[0].1, expected);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

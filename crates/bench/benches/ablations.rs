@@ -5,10 +5,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppar_adapt::{launch, AppStatus, Deploy};
 use ppar_core::plan::DistCkptStrategy;
+use ppar_core::runtime::TeamBarrier;
 use ppar_dsm::SpmdConfig;
 use ppar_jgf::sor::pluggable::{plan_ckpt_with_strategy, plan_dist, sor_pluggable};
 use ppar_jgf::sor::SorParams;
-use ppar_smp::TeamBarrier;
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {

@@ -3,10 +3,6 @@
 //!
 //! Variants per grid size:
 //!
-//! * `materialized_n*` — the pre-streaming pipeline, reproduced faithfully:
-//!   every element encoded into a fresh field `Vec` (per-element
-//!   `write_le`), all fields copied into a whole-snapshot buffer, a
-//!   byte-at-a-time CRC-32 over that buffer, then one blocking write;
 //! * `streaming_n*` — the current full-snapshot pipeline: `put` of a
 //!   `Record::Full` streams the grid's backing bytes through the store's
 //!   sink (a `BufWriter`) with a running slice-by-8 CRC; no per-element
@@ -26,72 +22,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppar_ckpt::delta::DeltaMeta;
-use ppar_ckpt::store::{CheckpointStore, DeltaSource, FieldSource, Record, Snapshot, SnapshotMeta};
+use ppar_ckpt::store::{CheckpointStore, DeltaSource, FieldSource, Record, SnapshotMeta};
 use ppar_ckpt::CkptTransport;
 use ppar_core::shared::{SharedGrid, DIRTY_CHUNK_BYTES};
-use ppar_core::state::{Scalar, StateCell};
-
-/// The pre-streaming field serializer, reproduced as the comparison
-/// baseline: one fresh buffer per field, one `write_le` call per element.
-fn materialize_per_element(grid: &SharedGrid<f64>) -> Vec<u8> {
-    let flat = grid.flat();
-    let mut out = vec![0u8; flat.len() * 8];
-    for (i, chunk) in out.chunks_exact_mut(8).enumerate() {
-        flat.get(i).write_le(chunk);
-    }
-    out
-}
-
-/// The seed's byte-at-a-time CRC-32 (the streaming writer replaced it with
-/// slice-by-8; kept here so the baseline measures the true legacy cost).
-fn crc32_bytewise(bytes: &[u8]) -> u32 {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
-
-/// The seed's whole-snapshot encoder: header + field copies into one
-/// buffer, then the byte-wise checksum appended.
-fn encode_legacy(snap: &Snapshot) -> Vec<u8> {
-    fn put_str(out: &mut Vec<u8>, s: &str) {
-        out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
-    }
-    let mut out = Vec::with_capacity(64 + snap.payload_bytes());
-    out.extend_from_slice(b"PPARCKP1");
-    put_str(&mut out, &snap.mode_tag);
-    out.extend_from_slice(&snap.count.to_le_bytes());
-    out.extend_from_slice(&snap.rank.unwrap_or(0xFFFF_FFFF).to_le_bytes());
-    out.extend_from_slice(&snap.nranks.to_le_bytes());
-    out.extend_from_slice(&(snap.fields.len() as u32).to_le_bytes());
-    for (name, payload) in &snap.fields {
-        put_str(&mut out, name);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
-    }
-    let crc = crc32_bytewise(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
+use ppar_core::state::StateCell;
 
 /// Benchmark in RAM-backed storage when available so the numbers compare
 /// serialization pipelines, not disk writeback throttling.
@@ -123,22 +57,6 @@ fn bench(c: &mut Criterion) {
         let grid = SharedGrid::new(n, n, 1.5f64);
         let dir = bench_dir(&n.to_string());
         let store = CheckpointStore::new(&dir).unwrap();
-        let legacy_path = dir.join("ckpt_legacy.bin");
-
-        g.bench_function(format!("materialized_n{n}"), |b| {
-            b.iter(|| {
-                let snap = Snapshot {
-                    mode_tag: "seq".into(),
-                    count: 1,
-                    rank: None,
-                    nranks: 1,
-                    fields: vec![("G".into(), materialize_per_element(&grid))],
-                };
-                let bytes = encode_legacy(&snap);
-                std::fs::write(&legacy_path, &bytes).unwrap();
-                bytes.len() as u64
-            })
-        });
 
         g.bench_function(format!("streaming_n{n}"), |b| {
             let mut scratch = Vec::new();

@@ -3,9 +3,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppar_adapt::{launch, AdaptationController, AppStatus, Deploy, ResourceTimeline};
 use ppar_core::mode::ExecMode;
+use ppar_core::runtime::run_smp;
 use ppar_jgf::sor::pluggable::{plan_ckpt, plan_smp, sor_pluggable};
 use ppar_jgf::sor::SorParams;
-use ppar_smp::run_smp;
 use std::sync::Arc;
 
 fn params() -> SorParams {

@@ -24,11 +24,11 @@ use std::time::Duration;
 
 use ppar_adapt::{launch, overdecomposed, AppStatus, Deploy};
 use ppar_core::plan::{Plan, Plug};
+use ppar_core::runtime::run_smp;
 use ppar_core::schedule::Schedule;
 use ppar_dsm::NetModel;
 use ppar_jgf::sor::pluggable::{plan_dist, sor_pluggable};
 use ppar_jgf::sor::SorParams;
-use ppar_smp::run_smp;
 
 fn smoke() -> bool {
     std::env::var("PPAR_FIG8_SMOKE").is_ok_and(|v| v == "1")

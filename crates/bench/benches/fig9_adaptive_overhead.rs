@@ -3,11 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppar_core::run_sequential;
+use ppar_core::runtime::run_smp;
 use ppar_dsm::SpmdConfig;
 use ppar_jgf::sor::baseline::sor_threads;
 use ppar_jgf::sor::pluggable::{plan_hybrid, plan_seq, plan_smp, sor_pluggable};
 use ppar_jgf::sor::{sor_seq, SorParams};
-use ppar_smp::run_smp;
 use std::sync::Arc;
 
 fn params() -> SorParams {

@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use ppar_core::ctx::{Ctx, RunShared};
 use ppar_core::plan::{Plan, Plug};
+use ppar_core::runtime::TeamEngine;
 use ppar_core::state::Registry;
-use ppar_smp::TeamEngine;
 
 const BARRIERS_PER_REGION: usize = 8;
 

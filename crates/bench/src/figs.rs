@@ -13,6 +13,7 @@ use ppar_adapt::{
 use ppar_core::mode::ExecMode;
 use ppar_core::plan::Plan;
 use ppar_core::run_sequential;
+use ppar_core::runtime::run_smp;
 use ppar_dsm::{NetModel, SpmdConfig, Topology, Traffic};
 use ppar_jgf::sor::baseline::{
     sor_dist, sor_dist_invasive, sor_seq_invasive, sor_threads, sor_threads_invasive,
@@ -22,7 +23,6 @@ use ppar_jgf::sor::pluggable::{
     sor_pluggable,
 };
 use ppar_jgf::sor::{sor_seq, SorParams};
-use ppar_smp::run_smp;
 
 use crate::harness::{scratch_dir, time, Table};
 

@@ -19,9 +19,11 @@
 //! * replay-based restart: the application re-executes with ignorable
 //!   methods skipped until the checkpointed safe-point count, then loads the
 //!   saved data and continues — rebuilding the call stack entirely at
-//!   application level;
-//! * a sequential launcher ([`pcr::launch_seq`]) driving crash/restart
-//!   cycles (the multi-mode launcher lives in `ppar-adapt`).
+//!   application level.
+//!
+//! Launching — crash/restart cycles in any mode, `Deploy::Seq` included —
+//! is `ppar_adapt::launch`'s job; this crate only provides the module it
+//! plugs in.
 //!
 //! Because master-collected checkpoint data is mode-independent, a snapshot
 //! taken in any execution mode can restart in any other — the basis for
@@ -73,7 +75,6 @@ pub mod crc;
 pub mod delta;
 pub mod digest;
 pub mod hook;
-pub mod pcr;
 pub mod serde_cell;
 pub mod store;
 pub mod transport;
@@ -83,7 +84,6 @@ pub use crc::TrailingCrc;
 pub use delta::{DeltaMeta, DeltaPayload, DeltaSnapshot};
 pub use digest::ChunkDigest;
 pub use hook::{CheckpointModule, CkptStats};
-pub use pcr::{launch_seq, AppStatus, RunReport};
 pub use serde_cell::{alloc_serde, SerdeCell};
 pub use store::{CheckpointStore, Record, Snapshot, SnapshotView};
 pub use transport::{CkptTransport, MemTransport, RecordKey, RecordSink};

@@ -131,8 +131,7 @@ impl Snapshot {
 
     /// The legacy materialized encoder: builds the whole snapshot in one
     /// buffer, then checksums it. Kept as the golden byte-for-byte reference
-    /// the streaming [`SnapshotWriter`] is tested against (and as the
-    /// baseline for the fig4 save-cost comparison benches); the persistence
+    /// the streaming [`SnapshotWriter`] is tested against; the persistence
     /// paths all stream instead.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.payload_bytes());

@@ -4,10 +4,11 @@
 //! handle. Every construct on `Ctx` is a *join point*: with no plugs
 //! installed it is an identity operation, so the base code runs strictly
 //! sequentially; with plugs, the active [`Engine`] rewrites the construct
-//! into parallel/distributed/checkpointed behaviour. Engines for shared
-//! memory and distributed memory live in the `ppar-smp` and `ppar-dsm`
-//! crates; this module provides the strict sequential engine that anchors
-//! the semantics all other engines must preserve.
+//! into parallel/distributed/checkpointed behaviour. The shared-memory
+//! engine is [`crate::runtime::TeamEngine`], the per-rank engine of
+//! distributed and hybrid runs lives in `ppar-dsm`; this module provides
+//! the strict sequential engine that anchors the semantics all other
+//! engines must preserve, and [`run_on`], through which every run starts.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -262,8 +263,13 @@ pub trait Engine: Send + Sync {
     /// receives the combined result.
     fn reduce_f64(&self, ctx: &Ctx, name: &str, op: ReduceOp, value: f64) -> f64;
 
-    /// Run finished normally: release resources, notify hooks.
-    fn finish(&self, ctx: &Ctx);
+    /// Run finished normally: notify the checkpoint hook, which clears the
+    /// failure marker.
+    fn finish(&self, ctx: &Ctx) {
+        if let Some(ck) = ctx.ckpt_hook() {
+            ck.finish(ctx).expect("failed to clear run marker");
+        }
+    }
 }
 
 /// Everything shared by all lines of execution of one run on one process:
@@ -693,12 +699,22 @@ impl Engine for SeqEngine {
     fn reduce_f64(&self, _ctx: &Ctx, _name: &str, _op: ReduceOp, value: f64) -> f64 {
         value
     }
+}
 
-    fn finish(&self, ctx: &Ctx) {
-        if let Some(ck) = ctx.ckpt_hook() {
-            ck.finish(ctx).expect("failed to clear run marker");
-        }
-    }
+/// Run `app` on the root line of execution of `engine` under `plan` with
+/// optional hooks, and return its result: the one place a run is assembled
+/// (fresh allocation registry, shared run state, root context). Completion
+/// is the app's to announce — a shorthand ends with [`Ctx::finish`], a
+/// launcher only when the app reports that it completed.
+pub fn run_on<R>(
+    engine: Arc<dyn Engine>,
+    plan: Arc<Plan>,
+    ckpt: Option<Arc<dyn CkptHook>>,
+    adapt: Option<Arc<dyn AdaptHook>>,
+    app: impl FnOnce(&Ctx) -> R,
+) -> R {
+    let shared = RunShared::new(plan, Arc::new(Registry::new()), engine, ckpt, adapt);
+    app(&Ctx::new_root(shared))
 }
 
 /// Run `app` once, sequentially, under `plan` with optional hooks. Returns
@@ -711,17 +727,11 @@ pub fn run_sequential<R>(
     adapt: Option<Arc<dyn AdaptHook>>,
     app: impl FnOnce(&Ctx) -> R,
 ) -> R {
-    let shared = RunShared::new(
-        plan,
-        Arc::new(Registry::new()),
-        Arc::new(SeqEngine),
-        ckpt,
-        adapt,
-    );
-    let ctx = Ctx::new_root(shared);
-    let out = app(&ctx);
-    ctx.finish();
-    out
+    run_on(Arc::new(SeqEngine), plan, ckpt, adapt, |ctx| {
+        let out = app(ctx);
+        ctx.finish();
+        out
+    })
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //!
 //! * shared-memory parallelisation (parallel methods, `for` work sharing,
 //!   synchronized/single/master, barriers, thread-local fields) — realised by
-//!   the `ppar-smp` engine;
+//!   [`runtime::TeamEngine`];
 //! * distributed-memory parallelisation (object aggregates, Replicated /
 //!   Partitioned / Local fields, scatter/gather/broadcast/reduce, halo
 //!   updates) — realised by the `ppar-dsm` engine;
@@ -65,7 +65,7 @@ pub mod shared;
 pub mod state;
 
 pub use ctx::{
-    run_sequential, AdaptHook, CkptHook, Ctx, Engine, PointDirective, RunShared, SeqEngine,
+    run_on, run_sequential, AdaptHook, CkptHook, Ctx, Engine, PointDirective, RunShared, SeqEngine,
 };
 pub use error::{PparError, Result};
 pub use mode::ExecMode;

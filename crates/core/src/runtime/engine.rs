@@ -2,11 +2,11 @@
 //!
 //! Realises the paper's OpenMP-like execution model (§III.B) and both
 //! halves of §IV (checkpoint-between-barriers, expansion/contraction at
-//! safe points) by driving the shared team runtime in
-//! [`ppar_core::runtime`]: all construct dispatch, work-sharing claiming,
-//! barrier and safe-point/adaptation logic lives there (the
-//! [`ParallelEngine`] provided methods); this type only maps reshape
-//! targets onto local team sizes and forwards the [`Engine`] join points.
+//! safe points) by driving the shared team runtime: all construct
+//! dispatch, work-sharing claiming, barrier and safe-point/adaptation
+//! logic lives in the [`ParallelEngine`] provided methods; this type only
+//! maps reshape targets onto local team sizes and forwards the [`Engine`]
+//! join points.
 //!
 //! SPMD discipline (same rules as OpenMP): work-sharing constructs and
 //! safe points must be reached by all team workers in the same order, and
@@ -14,16 +14,23 @@
 
 use std::sync::Arc;
 
-use ppar_core::ctx::{Ctx, Engine};
-use ppar_core::mode::ExecMode;
-use ppar_core::plan::ReduceOp;
-use ppar_core::runtime::{ParallelEngine, TeamRuntime};
+use super::team::{ParallelEngine, TeamRuntime};
+use crate::ctx::{run_on, AdaptHook, CkptHook, Ctx, Engine};
+use crate::mode::ExecMode;
+use crate::plan::{Plan, ReduceOp};
 
 /// The adaptive shared-memory engine. Also serves as the "sequential" end of
 /// the adaptive spectrum: with a team size of 1 it runs the base code on the
 /// calling thread, yet can still expand mid-region.
+///
+/// Built [`TeamEngine::with_quiescence`], it is the **task engine**: every
+/// worker runs the given check at each safe-point crossing before the
+/// checkpoint directive is polled, so a layer that defers work behind the
+/// constructs (`ppar-task`'s per-worker deques) can prove nothing is
+/// outstanding and the snapshot sees a stable frontier.
 pub struct TeamEngine {
     rt: TeamRuntime,
+    quiesce: Option<fn(&str)>,
 }
 
 impl TeamEngine {
@@ -32,12 +39,23 @@ impl TeamEngine {
     pub fn new(threads: usize, max_threads: usize) -> Arc<TeamEngine> {
         Arc::new(TeamEngine {
             rt: TeamRuntime::new(threads, max_threads),
+            quiesce: None,
         })
     }
 
     /// Engine with `threads == max_threads` (no headroom for expansion).
     pub fn fixed(threads: usize) -> Arc<TeamEngine> {
         TeamEngine::new(threads, threads)
+    }
+
+    /// [`TeamEngine::new`] whose safe points first call `check` with the
+    /// point's name on every worker; `check` panics when the crossing is
+    /// not quiescent.
+    pub fn with_quiescence(threads: usize, max_threads: usize, check: fn(&str)) -> Arc<TeamEngine> {
+        Arc::new(TeamEngine {
+            rt: TeamRuntime::new(threads, max_threads),
+            quiesce: Some(check),
+        })
     }
 
     /// The team size the next region will fork (and, inside a region, the
@@ -70,6 +88,12 @@ impl ParallelEngine for TeamEngine {
             // Oversized, distributed and hybrid targets escalate: live
             // hand-off when one is armed, checkpoint/restart otherwise.
             _ => None,
+        }
+    }
+
+    fn quiesce_tasks(&self, _ctx: &Ctx, name: &str) {
+        if let Some(check) = self.quiesce {
+            check(name);
         }
     }
 }
@@ -126,10 +150,21 @@ impl Engine for TeamEngine {
     fn reduce_f64(&self, ctx: &Ctx, name: &str, op: ReduceOp, value: f64) -> f64 {
         self.pe_reduce(ctx, name, op, value)
     }
+}
 
-    fn finish(&self, ctx: &Ctx) {
-        if let Some(ck) = ctx.ckpt_hook() {
-            ck.finish(ctx).expect("failed to clear run marker");
-        }
-    }
+/// Run `app` under `plan` on a team of `threads` workers (fixed size).
+/// Shorthand mirroring [`crate::run_sequential`]; the adaptive launcher
+/// lives in `ppar-adapt`.
+pub fn run_smp<R>(
+    plan: Arc<Plan>,
+    threads: usize,
+    ckpt: Option<Arc<dyn CkptHook>>,
+    adapt: Option<Arc<dyn AdaptHook>>,
+    app: impl FnOnce(&Ctx) -> R,
+) -> R {
+    run_on(TeamEngine::fixed(threads), plan, ckpt, adapt, |ctx| {
+        let out = app(ctx);
+        ctx.finish();
+        out
+    })
 }

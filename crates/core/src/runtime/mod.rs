@@ -30,6 +30,9 @@
 //!   and the trait whose provided methods implement fork/join, work-sharing
 //!   loop claiming and the safe-point/adaptation crossing for every engine
 //!   with a local team.
+//! * [`engine::TeamEngine`] — the shared-memory engine itself (and, built
+//!   with a quiescence check, the task engine), with its
+//!   [`engine::run_smp`] shorthand.
 //!
 //! ## How the barrier realises §IV.B
 //!
@@ -53,11 +56,13 @@ pub mod barrier;
 pub mod claim;
 pub mod constructs;
 pub mod cursor;
+pub mod engine;
 pub mod pool;
 pub mod team;
 
 pub use barrier::TeamBarrier;
 pub use claim::{CachePadded, ChunkCursor};
 pub use cursor::{LoopFrame, RegionCursor, PROGRESS_FIELD};
+pub use engine::{run_smp, TeamEngine};
 pub use pool::{clear_draining, mark_draining, Drained, Latch, ModeSwitch, TeamPool};
 pub use team::{drive_point, ParallelEngine, TeamRuntime};

@@ -1,16 +1,17 @@
-//! The distributed-memory SPMD engine (object aggregates, §III.C).
+//! Rank-level data movement of one aggregate element (object aggregates,
+//! §III.C).
 //!
-//! One `DsmEngine` instance runs per aggregate element (simulated process).
-//! Data movement is entirely plan-driven:
+//! One `DsmEngine` instance runs per aggregate element (simulated process
+//! or real one), as the component the element's
+//! [`HybridEngine`](crate::hybrid::HybridEngine) delegates every
+//! plan-driven transfer to — it is not an [`ppar_core::ctx::Engine`]
+//! itself:
 //!
 //! * `ScatterBefore`/`GatherAfter`/`BroadcastBefore`/`ReduceAfter` wrap
 //!   method join points;
 //! * `UpdateAt` actions (halo exchange, gather, scatter, all-reduce) fire at
 //!   named execution points — "we specify the points in execution where
-//!   data is partitioned and scattered, gathered and updated";
-//! * `DistFor` aligns a loop with a partitioned field: each element iterates
-//!   only its owned indices;
-//! * `OnElement`/`Master` delegate methods to one element.
+//!   data is partitioned and scattered, gathered and updated".
 //!
 //! Checkpointing (§IV.A) supports both strategies: **master-collect**
 //! (partitioned safe data is gathered at element 0, which writes one
@@ -29,16 +30,14 @@ use std::sync::Arc;
 
 use ppar_ckpt::delta::{DeltaMeta, DeltaPayload, DeltaSnapshot};
 use ppar_ckpt::store::SnapshotWriter;
-use ppar_core::ctx::{CkptHook, Ctx, Engine};
-use ppar_core::mode::ExecMode;
+use ppar_core::ctx::{CkptHook, Ctx};
 use ppar_core::partition::{block_owned, block_with_halo, owned_ranges, Partition};
 use ppar_core::plan::{DistCkptStrategy, Plan, ReduceOp, UpdateAction};
-use ppar_core::runtime::{drive_point, mark_draining, ModeSwitch};
 use ppar_core::state::DistCell;
 
 use crate::collective::Endpoint;
 
-/// Per-element engine for distributed execution.
+/// Per-element data movement for distributed execution.
 pub struct DsmEngine {
     ep: Endpoint,
     /// Reused serialization buffer for whole-field broadcasts (the
@@ -49,7 +48,7 @@ pub struct DsmEngine {
 }
 
 impl DsmEngine {
-    /// Engine for one aggregate element.
+    /// Data movement for one aggregate element.
     pub fn new(ep: Endpoint) -> Arc<DsmEngine> {
         Arc::new(DsmEngine {
             ep,
@@ -366,8 +365,7 @@ impl DsmEngine {
     /// Strategy-dispatched quiesced snapshot (§IV.A): master-collect
     /// gathers partitioned safe data at the root (no global barriers);
     /// local-snapshot brackets per-element saves with two global barriers.
-    /// Shared by the pure distributed engine and the hybrid engine's
-    /// worker-0 lines.
+    /// Run by the element's worker-0 line.
     pub(crate) fn snapshot_strategy(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) {
         let plan = ctx.plan();
         match plan.dist_ckpt_strategy() {
@@ -461,214 +459,6 @@ impl DsmEngine {
             } else {
                 self.broadcast_field(ctx, field);
             }
-        }
-    }
-}
-
-impl Engine for DsmEngine {
-    fn mode(&self) -> ExecMode {
-        ExecMode::Distributed {
-            processes: self.ep.nranks(),
-        }
-    }
-
-    fn rank(&self) -> usize {
-        self.ep.rank()
-    }
-
-    fn nranks(&self) -> usize {
-        self.ep.nranks()
-    }
-
-    fn call(&self, ctx: &Ctx, name: &str, body: &mut dyn FnMut(&Ctx)) {
-        let plan = ctx.plan();
-        let (before, after) = plan.barrier_around(name);
-        if before {
-            self.barrier(ctx);
-        }
-        for field in plan.broadcasts_before(name) {
-            self.broadcast_field(ctx, field);
-        }
-        for field in plan.scatters_before(name) {
-            self.scatter_field(ctx, field);
-        }
-        let delegated = plan.delegated_element(name);
-        let master_only = plan.is_master_only(name) || plan.is_single(name);
-        let run_here = match delegated {
-            Some(id) => self.ep.rank() == id,
-            None => !master_only || self.ep.rank() == 0,
-        };
-        if run_here {
-            body(ctx);
-        }
-        for field in plan.gathers_after(name) {
-            self.gather_field(ctx, field);
-        }
-        for (field, op) in plan.reduces_after(name) {
-            self.allreduce_field(ctx, field, *op);
-        }
-        if after {
-            self.barrier(ctx);
-        }
-    }
-
-    fn region(&self, ctx: &Ctx, name: &str, body: &(dyn Fn(&Ctx) + Sync)) {
-        // Pure distributed mode: every element already runs the SPMD body
-        // (parallel-method plugs concern the absent local thread team), but
-        // regions are *method join points*, so the data-movement wrappers
-        // apply exactly as for `call` (Fig. 1 wraps `Do()` with
-        // ScatterBefore/GatherAfter).
-        let plan = ctx.plan();
-        for field in plan.broadcasts_before(name) {
-            self.broadcast_field(ctx, field);
-        }
-        for field in plan.scatters_before(name) {
-            self.scatter_field(ctx, field);
-        }
-        body(ctx);
-        for field in plan.gathers_after(name) {
-            self.gather_field(ctx, field);
-        }
-        for (field, op) in plan.reduces_after(name) {
-            self.allreduce_field(ctx, field, *op);
-        }
-    }
-
-    fn for_each(
-        &self,
-        ctx: &Ctx,
-        name: &str,
-        range: Range<usize>,
-        body: &(dyn Fn(&Ctx, usize) + Sync),
-    ) {
-        let plan = ctx.plan();
-        match plan.dist_for_field(name) {
-            Some(field) => {
-                let partition = self.partition_of(plan, field);
-                let cell = ctx
-                    .registry()
-                    .dist(field)
-                    .expect("DistFor field registered");
-                for owned in owned_ranges(
-                    partition,
-                    cell.logical_len(),
-                    self.ep.nranks(),
-                    self.ep.rank(),
-                ) {
-                    let start = owned.start.max(range.start);
-                    let end = owned.end.min(range.end);
-                    for i in start..end {
-                        body(ctx, i);
-                    }
-                }
-            }
-            None => {
-                // Unaligned loop: replicated execution on every element.
-                for i in range {
-                    body(ctx, i);
-                }
-            }
-        }
-    }
-
-    fn point(&self, ctx: &Ctx, name: &str) {
-        // Failure-detector poll: a compute-bound element may not touch the
-        // fabric for a long stretch, so a peer death it has not personally
-        // observed is surfaced here, at the next safe point — the element
-        // unwinds promptly for recovery instead of discovering the fault
-        // deep inside its next collective. Only a resilient fabric ever
-        // reports a pending fault (plain runs keep the fail-at-collective
-        // behaviour).
-        if self.ep.fabric().fault_pending() {
-            panic!(
-                "rank {}: peer failure pending at safe point {name:?}; \
-                 unwinding for recovery",
-                self.ep.rank()
-            );
-        }
-        let plan = ctx.plan();
-        let replaying = ctx.ckpt_hook().map(|ck| ck.replaying()).unwrap_or(false);
-        if !replaying {
-            // Plan-driven data updates fire at every announcement of the
-            // point; during restart replay they are skipped (all elements
-            // replay symmetrically and the restore rescatters everything).
-            for (field, action) in plan.updates_at(name) {
-                self.apply_update(ctx, field, *action);
-            }
-        }
-        if !plan.is_safe_point(name) {
-            return;
-        }
-        drive_point(
-            ctx,
-            name,
-            |ctx, ck| self.snapshot_strategy(ctx, ck),
-            |ctx, ck| self.load_strategy(ctx, ck),
-        );
-        if let Some(ad) = ctx.adapt_hook().cloned() {
-            if let Some(mode) = ad.pending(ctx, name) {
-                if mode == self.mode() {
-                    // Already the requested shape: confirm and continue
-                    // (e.g. the first crossing after a live relaunch).
-                    ad.confirm(mode);
-                } else if ctx.ckpt_hook().map(|ck| ck.can_handoff()) == Some(true) {
-                    // Live-reshape escalation: master-collect the state
-                    // into the armed in-memory transport and unwind every
-                    // element to the launcher for an in-process relaunch
-                    // in `mode` — no process exit, no disk round-trip.
-                    let ck = ctx.ckpt_hook().cloned().expect("hand-off checked above");
-                    for field in plan.safe_data() {
-                        if plan.field_partition(field).is_some() {
-                            self.gather_field(ctx, field);
-                        }
-                    }
-                    if self.ep.rank() == 0 {
-                        ck.handoff_snapshot(ctx).expect("live hand-off failed");
-                    }
-                    self.ep.barrier();
-                    mark_draining();
-                    std::panic::panic_any(ModeSwitch(mode));
-                } else {
-                    panic!(
-                        "DsmEngine cannot reshape to {mode} at run time without a live \
-                         hand-off; distributed adaptations go through the ppar-adapt \
-                         launcher (launch_live, or checkpoint/restart in the target \
-                         mode, Fig. 6)"
-                    );
-                }
-            }
-        }
-    }
-
-    fn barrier(&self, _ctx: &Ctx) {
-        self.ep.barrier();
-    }
-
-    fn critical(&self, _ctx: &Ctx, _name: &str, body: &mut dyn FnMut()) {
-        // One line of execution per element: mutual exclusion is trivial.
-        body();
-    }
-
-    fn single(&self, _ctx: &Ctx, _name: &str, body: &mut dyn FnMut()) {
-        // The aggregate analogue of `single` is element-0 execution.
-        if self.ep.rank() == 0 {
-            body();
-        }
-    }
-
-    fn master(&self, _ctx: &Ctx, body: &mut dyn FnMut()) {
-        if self.ep.rank() == 0 {
-            body();
-        }
-    }
-
-    fn reduce_f64(&self, _ctx: &Ctx, _name: &str, op: ReduceOp, value: f64) -> f64 {
-        self.ep.allreduce_f64(op, value)
-    }
-
-    fn finish(&self, ctx: &Ctx) {
-        if let Some(ck) = ctx.ckpt_hook() {
-            ck.finish(ctx).expect("failed to clear run marker");
         }
     }
 }

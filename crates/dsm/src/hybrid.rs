@@ -1,8 +1,11 @@
-//! The hybrid engine: distributed aggregate elements, each running a local
-//! thread team (§III.A's hybrid composition; `ExecMode::Hybrid`).
+//! The rank engine: distributed aggregate elements, each running a local
+//! thread team (§III.A's hybrid composition; `ExecMode::Hybrid`) — and, at
+//! a team fixed at one, the pure distributed deployment
+//! (`ExecMode::Distributed`): one execution model at different widths.
 //!
-//! One `HybridEngine` instance runs per aggregate element. It composes the
-//! two existing runtimes instead of re-implementing either:
+//! One `HybridEngine` instance runs per aggregate element, simulated or a
+//! real process. It composes the two existing runtimes instead of
+//! re-implementing either:
 //!
 //! * rank-level behaviour (plan-driven scatter/gather/broadcast/halo
 //!   updates, the two distributed checkpoint strategies) delegates to the
@@ -65,7 +68,10 @@ impl HybridEngine {
     /// Engine whose local team starts at `threads` and can be reshaped in
     /// place up to `max_threads` (run-time adaptation of the hybrid's
     /// thread axis, e.g. `hyb2x2 -> hyb2x4`, reusing the §IV.B
-    /// expansion/contraction protocol per element).
+    /// expansion/contraction protocol per element). `max_threads == 1`
+    /// is the distributed deployment: the engine reports
+    /// `ExecMode::Distributed` and every record it writes is tagged
+    /// `distP`.
     pub fn with_headroom(ep: Endpoint, threads: usize, max_threads: usize) -> Arc<HybridEngine> {
         Arc::new(HybridEngine {
             dsm: DsmEngine::new(ep),
@@ -232,8 +238,12 @@ impl ParallelEngine for HybridEngine {
 
 impl Engine for HybridEngine {
     fn mode(&self) -> ExecMode {
+        let processes = self.ep().nranks();
+        if self.rt.max_threads() == 1 {
+            return ExecMode::Distributed { processes };
+        }
         ExecMode::Hybrid {
-            processes: self.ep().nranks(),
+            processes,
             threads_per_process: self.rt.current_threads(),
         }
     }
@@ -336,6 +346,20 @@ impl Engine for HybridEngine {
     }
 
     fn point(&self, ctx: &Ctx, name: &str) {
+        // Failure-detector poll: a compute-bound element may not touch the
+        // fabric for a long stretch, so a peer death it has not personally
+        // observed is surfaced here, at the next safe point — every line of
+        // execution unwinds promptly for recovery instead of worker 0
+        // discovering the fault deep inside its next collective. Only a
+        // resilient fabric ever reports a pending fault (plain runs keep
+        // the fail-at-collective behaviour).
+        if self.ep().fabric().fault_pending() {
+            panic!(
+                "rank {}: peer failure pending at safe point {name:?}; \
+                 unwinding for recovery",
+                self.ep().rank()
+            );
+        }
         self.pe_point(ctx, name);
     }
 
@@ -369,11 +393,5 @@ impl Engine for HybridEngine {
 
     fn reduce_f64(&self, ctx: &Ctx, name: &str, op: ReduceOp, value: f64) -> f64 {
         self.pe_reduce(ctx, name, op, value)
-    }
-
-    fn finish(&self, ctx: &Ctx) {
-        if let Some(ck) = ctx.ckpt_hook() {
-            ck.finish(ctx).expect("failed to clear run marker");
-        }
     }
 }

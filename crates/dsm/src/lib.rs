@@ -10,12 +10,14 @@
 //! machines).
 //!
 //! Provided here: the transport and collectives ([`collective`]), the
-//! plan-driven SPMD engine ([`engine::DsmEngine`]) realising partitioned /
-//! replicated / local fields, scatter/gather/broadcast/reduce method plugs,
-//! halo-exchange update points and both distributed checkpoint strategies,
-//! the hybrid engine ([`hybrid::HybridEngine`]: each element runs a local
-//! thread team over the shared `ppar_core::runtime` layer), and the job
-//! runners ([`spmd::run_spmd`], [`spmd::run_hybrid`]).
+//! plan-driven rank-level data movement ([`engine::DsmEngine`]) realising
+//! partitioned / replicated / local fields, scatter/gather/broadcast/reduce
+//! method plugs, halo-exchange update points and both distributed
+//! checkpoint strategies, the one per-rank engine
+//! ([`hybrid::HybridEngine`]: each element runs a local thread team over
+//! the shared `ppar_core::runtime` layer — a team fixed at one is the pure
+//! distributed deployment), and the job runners ([`spmd::run_ranks`] with
+//! its [`spmd::run_spmd`] / [`spmd::run_hybrid`] shorthands).
 //!
 //! Since the `ppar-net` crate landed, every piece here is written against
 //! the [`ppar_net::Fabric`] trait rather than `SimNet` concretely: handing
@@ -37,8 +39,5 @@ pub use collective::Endpoint;
 pub use engine::DsmEngine;
 pub use hybrid::HybridEngine;
 pub use net::{Fabric, Payload, SimNet, Traffic};
-pub use spmd::{
-    run_hybrid, run_hybrid_adaptive, run_hybrid_adaptive_on, run_spmd, run_spmd_on, run_spmd_plain,
-    SpmdConfig,
-};
+pub use spmd::{run_hybrid, run_ranks, run_spmd, run_spmd_plain, SpmdConfig};
 pub use topology::{LinkClass, NetModel, Topology};

@@ -2,12 +2,11 @@
 
 use std::sync::Arc;
 
-use ppar_core::ctx::{AdaptHook, CkptHook, Ctx, RunShared};
+use ppar_core::ctx::{run_on, AdaptHook, CkptHook, Ctx};
 use ppar_core::plan::Plan;
-use ppar_core::state::Registry;
 
 use crate::collective::Endpoint;
-use crate::engine::DsmEngine;
+use crate::hybrid::HybridEngine;
 use crate::net::SimNet;
 use crate::topology::{NetModel, Topology};
 
@@ -50,31 +49,18 @@ impl SpmdConfig {
 pub type HookFactory<'a> =
     &'a (dyn Fn(usize) -> (Option<Arc<dyn CkptHook>>, Option<Arc<dyn AdaptHook>>) + Sync);
 
-/// Run `app` as an SPMD job: `cfg.nranks` threads, each with its own
-/// registry, engine and hooks, connected by a simulated network. Returns
-/// the per-rank results in rank order.
-///
-/// When `auto_finish` is set every rank announces completion (clearing the
-/// run marker); crash-simulation drivers pass `false` and decide manually.
-pub fn run_spmd<R: Send>(
-    cfg: &SpmdConfig,
-    plan: Arc<Plan>,
-    hooks: HookFactory<'_>,
-    auto_finish: bool,
-    app: impl Fn(&Ctx) -> R + Sync,
-) -> Vec<R> {
-    let net = SimNet::new(cfg.topology, cfg.nranks, cfg.model);
-    run_spmd_on(net, plan, hooks, auto_finish, app)
-}
-
-/// [`run_spmd`] over a caller-built network — the caller keeps the `net`
-/// handle, so traffic counters survive the run (the launcher reports them
-/// alongside timing).
-pub fn run_spmd_on<R: Send>(
+/// Run `app` on every element of `net`'s aggregate: one thread per rank,
+/// each with its own registry, [`HybridEngine`] (local team of `threads`,
+/// reshapeable in place up to `max_threads`; one and one is the pure
+/// distributed deployment) and hooks. Returns the per-rank results in rank
+/// order. The caller keeps the `net` handle, so traffic counters survive
+/// the run, and announces completion inside `app` ([`Ctx::finish`]).
+pub fn run_ranks<R: Send>(
     net: Arc<SimNet>,
+    threads: usize,
+    max_threads: usize,
     plan: Arc<Plan>,
     hooks: HookFactory<'_>,
-    auto_finish: bool,
     app: impl Fn(&Ctx) -> R + Sync,
 ) -> Vec<R> {
     let nranks = net.nranks();
@@ -89,16 +75,9 @@ pub fn run_spmd_on<R: Send>(
                 .name(format!("ppar-rank-{rank}"))
                 .spawn_scoped(scope, move || {
                     let ep = Endpoint::new(net, rank);
-                    let engine = DsmEngine::new(ep);
+                    let engine = HybridEngine::with_headroom(ep, threads, max_threads);
                     let (ckpt, adapt) = hooks(rank);
-                    let shared =
-                        RunShared::new(plan, Arc::new(Registry::new()), engine, ckpt, adapt);
-                    let ctx = Ctx::new_root(shared);
-                    let result = app(&ctx);
-                    if auto_finish {
-                        ctx.finish();
-                    }
-                    *slot = Some(result);
+                    *slot = Some(run_on(engine, plan, ckpt, adapt, app));
                 })
                 .expect("failed to spawn rank thread");
         }
@@ -108,19 +87,12 @@ pub fn run_spmd_on<R: Send>(
         .collect()
 }
 
-/// [`run_spmd`] without hooks.
-pub fn run_spmd_plain<R: Send>(
-    cfg: &SpmdConfig,
-    plan: Arc<Plan>,
-    app: impl Fn(&Ctx) -> R + Sync,
-) -> Vec<R> {
-    run_spmd(cfg, plan, &|_| (None, None), true, app)
-}
-
-/// Run `app` as a **hybrid** job: `cfg.nranks` aggregate elements, each
-/// running a local team of `threads` workers over the shared
-/// [`ppar_core::runtime`] layer (one [`crate::hybrid::HybridEngine`] per
-/// element). Returns the per-rank results in rank order.
+/// Run `app` as a **hybrid** job: `cfg.nranks` aggregate elements on a
+/// fresh simulated network, each running a local team of `threads` workers
+/// over the shared [`ppar_core::runtime`] layer.
+///
+/// When `auto_finish` is set every rank announces completion (clearing the
+/// run marker); crash-simulation drivers pass `false` and decide manually.
 pub fn run_hybrid<R: Send>(
     cfg: &SpmdConfig,
     threads: usize,
@@ -129,66 +101,33 @@ pub fn run_hybrid<R: Send>(
     auto_finish: bool,
     app: impl Fn(&Ctx) -> R + Sync,
 ) -> Vec<R> {
-    run_hybrid_adaptive(cfg, threads, threads, plan, hooks, auto_finish, app)
-}
-
-/// [`run_hybrid`] with in-place reshape headroom: each element's local team
-/// starts at `threads` and can grow up to `max_threads` when a run-time
-/// adaptation (e.g. `hyb2x2 -> hyb2x4`) lands at a safe-point crossing.
-#[allow(clippy::too_many_arguments)]
-pub fn run_hybrid_adaptive<R: Send>(
-    cfg: &SpmdConfig,
-    threads: usize,
-    max_threads: usize,
-    plan: Arc<Plan>,
-    hooks: HookFactory<'_>,
-    auto_finish: bool,
-    app: impl Fn(&Ctx) -> R + Sync,
-) -> Vec<R> {
     let net = SimNet::new(cfg.topology, cfg.nranks, cfg.model);
-    run_hybrid_adaptive_on(net, threads, max_threads, plan, hooks, auto_finish, app)
+    run_ranks(net, threads, threads, plan, hooks, |ctx| {
+        let out = app(ctx);
+        if auto_finish {
+            ctx.finish();
+        }
+        out
+    })
 }
 
-/// [`run_hybrid_adaptive`] over a caller-built network (see
-/// [`run_spmd_on`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_hybrid_adaptive_on<R: Send>(
-    net: Arc<SimNet>,
-    threads: usize,
-    max_threads: usize,
+/// Run `app` as an SPMD job: [`run_hybrid`] with one line of execution per
+/// element.
+pub fn run_spmd<R: Send>(
+    cfg: &SpmdConfig,
     plan: Arc<Plan>,
     hooks: HookFactory<'_>,
     auto_finish: bool,
     app: impl Fn(&Ctx) -> R + Sync,
 ) -> Vec<R> {
-    let nranks = net.nranks();
-    assert!(nranks >= 1, "need at least one rank");
-    let mut out: Vec<Option<R>> = (0..nranks).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (rank, slot) in out.iter_mut().enumerate() {
-            let net = net.clone();
-            let plan = plan.clone();
-            let app = &app;
-            std::thread::Builder::new()
-                .name(format!("ppar-hybrid-rank-{rank}"))
-                .spawn_scoped(scope, move || {
-                    let ep = Endpoint::new(net, rank);
-                    let engine =
-                        crate::hybrid::HybridEngine::with_headroom(ep, threads, max_threads);
-                    let (ckpt, adapt) = hooks(rank);
-                    let shared =
-                        RunShared::new(plan, Arc::new(Registry::new()), engine, ckpt, adapt);
-                    let ctx = Ctx::new_root(shared);
-                    let result = app(&ctx);
-                    if auto_finish {
-                        ctx.finish();
-                    }
-                    *slot = Some(result);
-                })
-                .expect("failed to spawn hybrid rank thread");
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("rank thread completed"))
-        .collect()
+    run_hybrid(cfg, 1, plan, hooks, auto_finish, app)
+}
+
+/// [`run_spmd`] without hooks.
+pub fn run_spmd_plain<R: Send>(
+    cfg: &SpmdConfig,
+    plan: Arc<Plan>,
+    app: impl Fn(&Ctx) -> R + Sync,
+) -> Vec<R> {
+    run_spmd(cfg, plan, &|_| (None, None), true, app)
 }

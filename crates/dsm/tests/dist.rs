@@ -369,12 +369,12 @@ fn dist_snapshot_restarts_sequentially() {
 
     // Sequential restart: same safe-point structure, no dist plugs.
     let splan = ckpt_plugs(seq_plan(), 4, DistCkptStrategy::MasterCollect);
-    let report = ppar_ckpt::launch_seq(&dir, splan, |ctx| {
-        (ppar_ckpt::AppStatus::Completed, relax(ctx, None))
+    let report = ppar_adapt::launch(&ppar_adapt::Deploy::Seq, splan, Some(&dir), None, |ctx| {
+        (ppar_adapt::AppStatus::Completed, relax(ctx, None))
     })
     .unwrap();
     assert!(report.replayed);
-    assert_eq!(report.result, expected);
+    assert_eq!(report.results[0].1, expected);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

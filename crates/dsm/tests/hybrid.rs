@@ -1,12 +1,14 @@
 //! Hybrid-engine construct semantics: plan-plugged barriers are
-//! aggregate-wide, delegated methods keep non-delegate ranks aligned, and
-//! reductions combine across teams *and* ranks.
+//! aggregate-wide, delegated methods keep non-delegate ranks aligned,
+//! reductions combine across teams *and* ranks, and a pending peer fault
+//! stops every line of execution at its next point.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ppar_core::plan::{Plan, Plug, ReduceOp};
-use ppar_dsm::{run_hybrid, SpmdConfig};
+use ppar_core::error::{PparError, Result};
+use ppar_core::plan::{Plan, Plug, PointSet, ReduceOp};
+use ppar_dsm::{run_hybrid, Endpoint, Fabric, HybridEngine, Payload, SpmdConfig, Traffic};
 
 #[test]
 fn plugged_barrier_aligns_whole_aggregate() {
@@ -122,4 +124,63 @@ fn reduce_combines_across_teams_and_ranks() {
         results.iter().all(|&v| v == 4.0),
         "every line sees the aggregate-wide combined value: {results:?}"
     );
+}
+
+/// A one-rank fabric whose failure detector has already fired.
+struct FaultPending;
+
+impl Fabric for FaultPending {
+    fn describe(&self) -> &'static str {
+        "stub"
+    }
+    fn nranks(&self) -> usize {
+        1
+    }
+    fn send(&self, _src: usize, _dst: usize, _tag: u64, _payload: Payload) {}
+    fn recv(&self, _dst: usize, _src: usize, _tag: u64) -> Result<Payload> {
+        Err(PparError::Network("stub fabric has no peers".into()))
+    }
+    fn recv_any(&self, _dst: usize, _tag: u64) -> Result<(usize, Payload)> {
+        Err(PparError::Network("stub fabric has no peers".into()))
+    }
+    fn probe(&self, _dst: usize, _src: usize, _tag: u64) -> bool {
+        false
+    }
+    fn traffic(&self) -> Traffic {
+        Traffic::default()
+    }
+    fn fault_pending(&self) -> bool {
+        true
+    }
+}
+
+#[test]
+fn pending_fault_unwinds_every_worker_at_the_next_safe_point() {
+    // The failure-detector poll belongs to every aggregate deployment, not
+    // only to the width-one one: with a fault pending, neither worker of a
+    // team of two may get past its next safe point.
+    let plan = Arc::new(
+        Plan::new()
+            .plug(Plug::ParallelMethod { method: "r".into() })
+            .plug(Plug::SafePoints {
+                points: PointSet::Named(vec!["sp".into()]),
+                every: 0,
+            }),
+    );
+    let engine = HybridEngine::new(Endpoint::new(Arc::new(FaultPending), 0), 2);
+    let (reached, passed) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        ppar_core::run_on(engine, plan, None, None, |ctx| {
+            ctx.region("r", |ctx| {
+                reached.fetch_add(1, Ordering::SeqCst);
+                ctx.point("sp");
+                passed.fetch_add(1, Ordering::SeqCst);
+            });
+        })
+    }));
+    let payload = outcome.expect_err("the region must unwind");
+    let message = payload.downcast_ref::<String>().expect("panic message");
+    assert!(message.contains("peer failure pending"), "{message}");
+    assert_eq!(reached.load(Ordering::SeqCst), 2);
+    assert_eq!(passed.load(Ordering::SeqCst), 0, "a worker sailed through");
 }

@@ -312,9 +312,10 @@ pub fn plan_ckpt(every: usize) -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppar_adapt::{launch, AppStatus, Deploy};
     use ppar_core::run_sequential;
+    use ppar_core::runtime::run_smp;
     use ppar_dsm::{run_spmd_plain, SpmdConfig};
-    use ppar_smp::run_smp;
     use std::sync::Arc;
 
     fn cfg() -> GaConfig {
@@ -382,25 +383,26 @@ mod tests {
 
         // Crash after generation 7 (snapshot every 4 -> snapshot at 4).
         let plan = Plan::new().merge(plan_ckpt(4));
-        let report = ppar_ckpt::launch_seq(&dir, plan.clone(), |ctx| {
+        let report = launch(&Deploy::Seq, plan.clone(), Some(&dir), None, |ctx| {
             let mut c = cfg();
             c.fail_after = Some(7);
-            (ppar_ckpt::AppStatus::Crashed, ga_pluggable(ctx, &c))
+            (AppStatus::Crashed, ga_pluggable(ctx, &c))
         })
         .unwrap();
-        assert_eq!(report.stats.snapshots_taken, 1);
+        assert_eq!(report.stats.unwrap().snapshots_taken, 1);
 
         // Restart: replays to generation 4, resumes (the generation counter
         // is safe data, so the loop continues from the restored state) and
         // matches the uncrashed run exactly.
-        let report = ppar_ckpt::launch_seq(&dir, plan, |ctx| {
-            (ppar_ckpt::AppStatus::Completed, ga_pluggable(ctx, &cfg()))
+        let report = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
+            (AppStatus::Completed, ga_pluggable(ctx, &cfg()))
         })
         .unwrap();
         assert!(report.replayed);
-        assert_eq!(report.result.best, reference.best);
-        assert_eq!(report.result.mean, reference.mean);
-        assert_eq!(report.result.generations_done, 12);
+        let result = &report.results[0].1;
+        assert_eq!(result.best, reference.best);
+        assert_eq!(result.mean, reference.mean);
+        assert_eq!(result.generations_done, 12);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

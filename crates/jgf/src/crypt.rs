@@ -246,7 +246,7 @@ pub fn plan_smp() -> Plan {
 mod tests {
     use super::*;
     use ppar_core::run_sequential;
-    use ppar_smp::run_smp;
+    use ppar_core::runtime::run_smp;
 
     #[test]
     fn mul16_identities() {

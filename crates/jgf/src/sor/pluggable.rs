@@ -209,8 +209,8 @@ mod tests {
     use super::*;
     use crate::sor::sor_seq;
     use ppar_core::run_sequential;
+    use ppar_core::runtime::run_smp;
     use ppar_dsm::{run_spmd_plain, SpmdConfig};
-    use ppar_smp::run_smp;
 
     fn params() -> SorParams {
         SorParams::new(33, 8)

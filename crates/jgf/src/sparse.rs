@@ -161,8 +161,8 @@ pub fn plan_dist() -> Plan {
 mod tests {
     use super::*;
     use ppar_core::run_sequential;
+    use ppar_core::runtime::run_smp;
     use ppar_dsm::{run_spmd_plain, SpmdConfig};
-    use ppar_smp::run_smp;
     use std::sync::Arc;
 
     fn p() -> SparseParams {

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 
+use ppar_adapt::{launch, AppStatus, Deploy};
 use ppar_ckpt::crc::crc32;
-use ppar_ckpt::pcr::{launch_seq, AppStatus};
 use ppar_core::shared::SharedGrid;
 use ppar_core::state::StateCell;
 use ppar_jgf::sor::pluggable::{plan_ckpt_incremental, plan_seq, sor_pluggable};
@@ -138,13 +138,18 @@ fn incremental_sor_writes_the_files_of_the_per_cell_kernel() {
         fail_after: Some(3),
         ..SorParams::new(1030, 5)
     };
-    let report = launch_seq(&dir, plan_seq().merge(plan_ckpt_incremental(1, 8)), |ctx| {
+    let plan = plan_seq().merge(plan_ckpt_incremental(1, 8));
+    let report = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
         (AppStatus::Crashed, sor_pluggable(ctx, &p))
     })
     .expect("incremental run");
-    assert_eq!(report.stats.full_snapshots, 1);
-    assert_eq!(report.stats.delta_snapshots, 2);
-    assert_eq!(report.result.checksum.to_bits(), 0x4120_2e94_479a_fde8);
+    let stats = report.stats.unwrap();
+    assert_eq!(stats.full_snapshots, 1);
+    assert_eq!(stats.delta_snapshots, 2);
+    assert_eq!(
+        report.results[0].1.checksum.to_bits(),
+        0x4120_2e94_479a_fde8
+    );
     for (name, len, body_crc) in AT_PARENT {
         let bytes = std::fs::read(dir.join(name)).expect(name);
         assert_eq!(bytes.len(), len, "{name}");

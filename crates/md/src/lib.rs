@@ -360,8 +360,9 @@ pub fn plan_ckpt_incremental(every: usize, full_every: usize) -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppar_adapt::{launch, AppStatus, Deploy};
     use ppar_core::run_sequential;
-    use ppar_smp::run_smp;
+    use ppar_core::runtime::run_smp;
     use std::sync::Arc;
 
     fn cfg() -> MdConfig {
@@ -474,20 +475,21 @@ mod tests {
         });
 
         let plan = Plan::new().merge(plan_ckpt(3));
-        ppar_ckpt::launch_seq(&dir, plan.clone(), |ctx| {
+        launch(&Deploy::Seq, plan.clone(), Some(&dir), None, |ctx| {
             let mut c = cfg();
             c.fail_after = Some(7);
-            (ppar_ckpt::AppStatus::Crashed, md_pluggable(ctx, &c))
+            (AppStatus::Crashed, md_pluggable(ctx, &c))
         })
         .unwrap();
 
-        let report = ppar_ckpt::launch_seq(&dir, plan, |ctx| {
-            (ppar_ckpt::AppStatus::Completed, md_pluggable(ctx, &cfg()))
+        let report = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
+            (AppStatus::Completed, md_pluggable(ctx, &cfg()))
         })
         .unwrap();
         assert!(report.replayed);
-        assert_eq!(report.result.checksum, reference.checksum);
-        assert_eq!(report.result.kinetic, reference.kinetic);
+        let result = &report.results[0].1;
+        assert_eq!(result.checksum, reference.checksum);
+        assert_eq!(result.kinetic, reference.kinetic);
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -505,23 +507,24 @@ mod tests {
         // restarts from base(2) + deltas(4, 6) — all-dirty deltas, MD's
         // degenerate case — and must still be byte-exact.
         let plan = Plan::new().merge(plan_ckpt_incremental(2, 2));
-        let report = ppar_ckpt::launch_seq(&dir, plan.clone(), |ctx| {
+        let report = launch(&Deploy::Seq, plan.clone(), Some(&dir), None, |ctx| {
             let mut c = cfg();
             c.fail_after = Some(7);
-            (ppar_ckpt::AppStatus::Crashed, md_pluggable(ctx, &c))
+            (AppStatus::Crashed, md_pluggable(ctx, &c))
         })
         .unwrap();
-        let s = report.stats;
+        let s = report.stats.unwrap();
         assert!(s.delta_snapshots > 0, "incremental mode must write deltas");
 
-        let report = ppar_ckpt::launch_seq(&dir, plan, |ctx| {
-            (ppar_ckpt::AppStatus::Completed, md_pluggable(ctx, &cfg()))
+        let report = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
+            (AppStatus::Completed, md_pluggable(ctx, &cfg()))
         })
         .unwrap();
         assert!(report.replayed);
-        assert_eq!(report.result.checksum, reference.checksum);
-        assert_eq!(report.result.kinetic, reference.kinetic);
-        assert_eq!(report.result.potential, reference.potential);
+        let result = &report.results[0].1;
+        assert_eq!(result.checksum, reference.checksum);
+        assert_eq!(result.kinetic, reference.kinetic);
+        assert_eq!(result.potential, reference.potential);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -54,24 +54,24 @@ fn seq_crash_at_resample_restarts_bitwise() {
     let want = reference();
 
     let plan = plan_ckpt(4);
-    let report = ppar_ckpt::launch_seq(&dir, plan.clone(), |ctx| {
+    let report = launch(&Deploy::Seq, plan.clone(), Some(&dir), None, |ctx| {
         let mut c = cfg();
         c.fail_after = Some(7);
         (AppStatus::Crashed, smc_pluggable(ctx, &c))
     })
     .unwrap();
     assert!(
-        report.stats.snapshots_taken >= 1,
+        report.stats.unwrap().snapshots_taken >= 1,
         "crashed run must have snapshotted before the kill"
     );
-    assert!(report.result.steps_done < cfg().steps);
+    assert!(report.results[0].1.steps_done < cfg().steps);
 
-    let report = ppar_ckpt::launch_seq(&dir, plan, |ctx| {
+    let report = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
         (AppStatus::Completed, smc_pluggable(ctx, &cfg()))
     })
     .unwrap();
     assert!(report.replayed, "restart must arm replay");
-    assert_bitwise(&report.result, &want, "seq restart");
+    assert_bitwise(&report.results[0].1, &want, "seq restart");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,148 +1,31 @@
-//! The task engine: the team runtime with a quiescence guarantee.
+//! The task engine: the team engine with a quiescence guarantee.
 //!
-//! [`TaskEngine`] is shaped exactly like the shared-memory `TeamEngine`
+//! There is no separate engine type. The task engine is
+//! [`TeamEngine`] built with [`assert_quiescent`] as its safe-point check
 //! (same persistent worker pool, same construct dispatch, same reshape
-//! rules) and adds one thing: it overrides the runtime's
-//! [`ParallelEngine::quiesce_tasks`] hook, so every safe-point crossing
-//! first proves that every live [`GraphRun`](crate::run::GraphRun) is
-//! drained — no task outstanding, no deque holding work. Only then is the
-//! checkpoint directive polled, which is what makes a snapshot of the
-//! serialized [`TaskFrontier`](crate::frontier::TaskFrontier) a *stable*
-//! frontier rather than a torn one.
+//! rules), so every safe-point crossing first proves that every live
+//! [`GraphRun`](crate::run::GraphRun) is drained — no task outstanding, no
+//! deque holding work. Only then is the checkpoint directive polled, which
+//! is what makes a snapshot of the serialized
+//! [`TaskFrontier`](crate::frontier::TaskFrontier) a *stable* frontier
+//! rather than a torn one.
 //!
-//! Everything downstream of the hook is inherited unchanged: master-save
+//! Everything downstream of the check is the team engine's: master-save
 //! between two team barriers, restart replay, live expansion/contraction
 //! at safe points, escalation to relaunch (checkpoint/restart or armed
 //! hand-off) for targets the local team cannot realise.
 
 use std::sync::Arc;
 
-use ppar_core::ctx::{AdaptHook, CkptHook, Ctx, Engine, RunShared};
-use ppar_core::mode::ExecMode;
-use ppar_core::plan::{Plan, ReduceOp};
-use ppar_core::runtime::{ParallelEngine, TeamRuntime};
-use ppar_core::state::Registry;
+use ppar_core::ctx::{run_on, AdaptHook, CkptHook, Ctx};
+use ppar_core::plan::Plan;
+use ppar_core::runtime::TeamEngine;
 
 use crate::run::assert_quiescent;
 
-/// The work-stealing task engine. A drop-in peer of the shared-memory
-/// engine whose safe points additionally verify task-graph quiescence.
-pub struct TaskEngine {
-    rt: TeamRuntime,
-}
-
-impl TaskEngine {
-    /// An engine forking teams of `workers`, expandable at run time up to
-    /// `max_workers`.
-    pub fn new(workers: usize, max_workers: usize) -> Arc<TaskEngine> {
-        Arc::new(TaskEngine {
-            rt: TeamRuntime::new(workers, max_workers),
-        })
-    }
-
-    /// Engine with `workers == max_workers` (no headroom for expansion).
-    pub fn fixed(workers: usize) -> Arc<TaskEngine> {
-        TaskEngine::new(workers, workers)
-    }
-
-    /// The team size the next region will fork (and, inside a region, the
-    /// current live size).
-    pub fn current_workers(&self) -> usize {
-        self.rt.current_threads()
-    }
-
-    /// Upper bound on team size.
-    pub fn max_workers(&self) -> usize {
-        self.rt.max_threads()
-    }
-}
-
-impl ParallelEngine for TaskEngine {
-    fn rt(&self) -> &TeamRuntime {
-        &self.rt
-    }
-
-    fn reshape_team_size(&self, mode: ExecMode) -> Option<usize> {
-        match mode {
-            ExecMode::Sequential => Some(1),
-            // Same rule as the shared-memory engine: retarget within
-            // headroom, escalate (hand-off or checkpoint/restart relaunch)
-            // beyond it or for distributed/hybrid targets.
-            ExecMode::SharedMemory { threads } if threads <= self.rt.max_threads() => {
-                Some(threads.max(1))
-            }
-            _ => None,
-        }
-    }
-
-    fn quiesce_tasks(&self, _ctx: &Ctx, name: &str) {
-        assert_quiescent(name);
-    }
-}
-
-impl Engine for TaskEngine {
-    fn mode(&self) -> ExecMode {
-        ExecMode::SharedMemory {
-            threads: self.current_workers(),
-        }
-    }
-
-    fn team_size(&self) -> usize {
-        self.rt.team_size()
-    }
-
-    fn call(&self, ctx: &Ctx, name: &str, body: &mut dyn FnMut(&Ctx)) {
-        self.pe_call(ctx, name, body);
-    }
-
-    fn region(&self, ctx: &Ctx, name: &str, body: &(dyn Fn(&Ctx) + Sync)) {
-        self.pe_region(ctx, name, body);
-    }
-
-    fn for_each(
-        &self,
-        ctx: &Ctx,
-        name: &str,
-        range: std::ops::Range<usize>,
-        body: &(dyn Fn(&Ctx, usize) + Sync),
-    ) {
-        self.pe_for_each(ctx, name, range, body);
-    }
-
-    fn point(&self, ctx: &Ctx, name: &str) {
-        self.pe_point(ctx, name);
-    }
-
-    fn barrier(&self, ctx: &Ctx) {
-        self.pe_barrier(ctx);
-    }
-
-    fn critical(&self, ctx: &Ctx, name: &str, body: &mut dyn FnMut()) {
-        self.pe_critical(ctx, name, body);
-    }
-
-    fn single(&self, ctx: &Ctx, name: &str, body: &mut dyn FnMut()) {
-        self.pe_single(ctx, name, body);
-    }
-
-    fn master(&self, ctx: &Ctx, body: &mut dyn FnMut()) {
-        self.pe_master(ctx, body);
-    }
-
-    fn reduce_f64(&self, ctx: &Ctx, name: &str, op: ReduceOp, value: f64) -> f64 {
-        self.pe_reduce(ctx, name, op, value)
-    }
-
-    fn finish(&self, ctx: &Ctx) {
-        if let Some(ck) = ctx.ckpt_hook() {
-            ck.finish(ctx).expect("failed to clear run marker");
-        }
-    }
-}
-
-/// Run `app` under `plan` on a task engine with a fixed team of `workers`.
-/// Convenience entry point mirroring `ppar_smp::run_smp`; the adaptive
-/// launcher (`Deploy::Task`) lives in `ppar-adapt`.
+/// Run `app` under `plan` on the task engine with a fixed team of
+/// `workers`. Shorthand mirroring [`ppar_core::runtime::run_smp`]; the
+/// adaptive launcher (`Deploy::Task`) lives in `ppar-adapt`.
 pub fn run_tasks<R>(
     plan: Arc<Plan>,
     workers: usize,
@@ -150,12 +33,12 @@ pub fn run_tasks<R>(
     adapt: Option<Arc<dyn AdaptHook>>,
     app: impl FnOnce(&Ctx) -> R,
 ) -> R {
-    let engine = TaskEngine::fixed(workers);
-    let shared = RunShared::new(plan, Arc::new(Registry::new()), engine, ckpt, adapt);
-    let ctx = Ctx::new_root(shared);
-    let out = app(&ctx);
-    ctx.finish();
-    out
+    let engine = TeamEngine::with_quiescence(workers, workers, assert_quiescent);
+    run_on(engine, plan, ckpt, adapt, |ctx| {
+        let out = app(ctx);
+        ctx.finish();
+        out
+    })
 }
 
 #[cfg(test)]

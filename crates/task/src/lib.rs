@@ -4,10 +4,11 @@
 //! runtime family: programs overdecompose their work into a [`TaskGraph`]
 //! of migratable chunk tasks, a [`GraphRun`] schedules it over the shared
 //! team runtime with per-worker lock-free Chase–Lev deques
-//! ([`StealDeque`]), and the [`TaskEngine`] guarantees that every safe
-//! point the base code announces is only crossed at *quiescence* — all
-//! deques drained, no task outstanding — so the checkpoint machinery
-//! snapshots a stable [`TaskFrontier`].
+//! ([`StealDeque`]), and the task engine — the team engine checking
+//! [`assert_quiescent`] at every safe point, see [`engine`] — guarantees
+//! that every safe point the base code announces is only crossed at
+//! *quiescence* — all deques drained, no task outstanding — so the
+//! checkpoint machinery snapshots a stable [`TaskFrontier`].
 //!
 //! The frontier (completion bitmap, per-chunk cursors, per-task reduction
 //! partials) is an ordinary [`ppar_core::state::StateCell`]: registering it
@@ -54,7 +55,7 @@ pub mod graph;
 pub mod run;
 
 pub use deque::{Steal, StealDeque};
-pub use engine::{run_tasks, TaskEngine};
+pub use engine::run_tasks;
 pub use frontier::TaskFrontier;
 pub use graph::{TaskGraph, TaskId};
 pub use run::{assert_quiescent, GraphRun, Policy};

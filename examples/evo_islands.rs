@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use ppar_suite::adapt::{launch, AppStatus, Deploy};
 use ppar_suite::core::plan::Plan;
 use ppar_suite::core::run_sequential;
 use ppar_suite::dsm::{run_spmd_plain, SpmdConfig};
@@ -56,28 +57,20 @@ fn main() {
     let plan = Plan::new().merge(plan_ckpt(10));
     let mut crashing = cfg.clone();
     crashing.fail_after = Some(35);
-    ppar_suite::ckpt::launch_seq(&dir, plan.clone(), |ctx| {
-        (
-            ppar_suite::ckpt::AppStatus::Crashed,
-            ga_pluggable(ctx, &crashing),
-        )
+    launch(&Deploy::Seq, plan.clone(), Some(&dir), None, |ctx| {
+        (AppStatus::Crashed, ga_pluggable(ctx, &crashing))
     })
     .expect("crash run");
-    let report = ppar_suite::ckpt::launch_seq(&dir, plan, |ctx| {
-        (
-            ppar_suite::ckpt::AppStatus::Completed,
-            ga_pluggable(ctx, &cfg),
-        )
+    let report = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
+        (AppStatus::Completed, ga_pluggable(ctx, &cfg))
     })
     .expect("restart run");
+    let best = report.results[0].1.best;
     println!(
-        "after crash+restart: best {:.4} (replayed {} safe points)",
-        report.result.best, report.stats.replayed_points
+        "after crash+restart: best {best:.4} (replayed {} safe points)",
+        report.stats.expect("checkpoint stats").replayed_points
     );
-    assert_eq!(
-        report.result.best, seq.best,
-        "restart must not change evolution"
-    );
+    assert_eq!(best, seq.best, "restart must not change evolution");
     let _ = std::fs::remove_dir_all(&dir);
     println!("all deployments evolve identically ✓");
 }

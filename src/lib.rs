@@ -8,11 +8,13 @@
 pub use ppar_adapt as adapt;
 pub use ppar_ckpt as ckpt;
 pub use ppar_core as core;
+/// The shared-memory engine (`run_smp`, `TeamEngine`, `TeamBarrier`) is part
+/// of the core team runtime.
+pub use ppar_core::runtime as smp;
 pub use ppar_dsm as dsm;
 pub use ppar_evo as evo;
 pub use ppar_jgf as jgf;
 pub use ppar_md as md;
 pub use ppar_net as net;
 pub use ppar_smc as smc;
-pub use ppar_smp as smp;
 pub use ppar_task as task;
