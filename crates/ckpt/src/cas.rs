@@ -357,14 +357,21 @@ impl CasStore {
 
     /// Materialize record `name` (chunks reassembled in manifest order).
     pub fn read_record(&self, name: &str) -> Result<Option<Vec<u8>>> {
+        let mut out = Vec::new();
+        Ok(self.read_record_into(name, &mut out)?.then_some(out))
+    }
+
+    /// [`CasStore::read_record`] appending to a buffer the caller reuses;
+    /// `false` when no manifest exists.
+    pub fn read_record_into(&self, name: &str, out: &mut Vec<u8>) -> Result<bool> {
         let Some(m) = self.read_manifest(name)? else {
-            return Ok(None);
+            return Ok(false);
         };
-        let mut out = Vec::with_capacity(m.total_len as usize);
+        out.reserve(m.total_len as usize);
         for entry in &m.chunks {
             out.extend_from_slice(&self.read_chunk(entry)?);
         }
-        Ok(Some(out))
+        Ok(true)
     }
 
     /// The first `max` bytes of record `name` (header peeks).

@@ -5,7 +5,7 @@
 //! ([`ppar_core::state::StateCell::dirty_ranges`]). A checkpoint directory
 //! in incremental mode therefore holds one *base* full snapshot plus a
 //! numbered *delta chain*; restore folds the chain onto the base
-//! (last-writer-wins per byte) and yields a [`Snapshot`] byte-identical to
+//! (last-writer-wins per byte) and yields a state byte-identical to
 //! a full snapshot of the same state.
 //!
 //! File format (all integers little-endian; strings and payloads are
@@ -40,11 +40,22 @@
 //! *field payload* (the full field for master snapshots, the extracted
 //! owned block for shard snapshots), which keeps the merge a plain
 //! `payload[off..off+len] = bytes` in both strategies.
+//!
+//! ## Who parses, who owns, who folds
+//!
+//! [`DeltaView`] is what the one delta parser produces: every whole-field
+//! payload and every sparse range is a slice of the record's own bytes.
+//! [`DeltaSnapshot`] (the same shape holding `Vec<u8>`) is the owned copy
+//! of a view, for code that inspects a single record. `Merged` is the
+//! fold: the base record's *bytes*, patched in place by each delta view —
+//! a restore therefore holds one record-sized buffer however long the
+//! chain.
+
+use std::borrow::Cow;
 
 use ppar_core::error::{PparError, Result};
 
-use crate::crc::crc32;
-use crate::store::{Reader, Snapshot, MASTER_RANK};
+use crate::store::{record_body, FieldSpans, Reader, SnapshotMeta, SnapshotView, MASTER_RANK};
 
 /// Magic prefix of delta snapshot files.
 pub const DELTA_MAGIC: &[u8; 8] = b"PPARDLT1";
@@ -68,84 +79,52 @@ pub struct DeltaMeta {
     pub nranks: u32,
 }
 
-/// One field's content inside a delta record.
+/// One field's content inside a delta record. `B` is how payload bytes are
+/// held: `&[u8]` slices of the record as parsed ([`DeltaView`]), `Vec<u8>`
+/// in the owned form.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DeltaPayload {
+pub enum DeltaPayload<B = Vec<u8>> {
     /// The whole field (containers without write tracking).
-    Full(Vec<u8>),
+    Full(B),
     /// Only the touched byte ranges of a `full_len`-byte field payload.
     Sparse {
         /// Total length the merged field payload must have.
         full_len: u64,
         /// `(offset, bytes)` patches, applied in order (last writer wins).
-        ranges: Vec<(u64, Vec<u8>)>,
+        ranges: Vec<(u64, B)>,
     },
 }
 
-impl DeltaPayload {
+impl<B: AsRef<[u8]>> DeltaPayload<B> {
     /// Bytes this payload contributes to the delta file (the savings signal:
     /// compare against the field's full length).
     pub fn payload_bytes(&self) -> usize {
         match self {
-            DeltaPayload::Full(b) => b.len(),
-            DeltaPayload::Sparse { ranges, .. } => ranges.iter().map(|(_, b)| b.len()).sum(),
+            DeltaPayload::Full(b) => b.as_ref().len(),
+            DeltaPayload::Sparse { ranges, .. } => {
+                ranges.iter().map(|(_, b)| b.as_ref().len()).sum()
+            }
         }
     }
 }
 
-/// A decoded delta record.
+/// A decoded delta record; the owned form unless `B` says otherwise (see
+/// [`DeltaPayload`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct DeltaSnapshot {
+pub struct DeltaSnapshot<B = Vec<u8>> {
     /// Header.
     pub meta: DeltaMeta,
     /// Field name → delta payload, in `SafeData` declaration order.
-    pub fields: Vec<(String, DeltaPayload)>,
+    pub fields: Vec<(String, DeltaPayload<B>)>,
 }
+
+/// A delta record as parsed: payloads are slices of the record's bytes.
+pub type DeltaView<'a> = DeltaSnapshot<&'a [u8]>;
 
 impl DeltaMeta {
-    /// Integrity-check a delta file and decode only its header — no field
-    /// payloads are materialized. Lets the restart-target computation walk
-    /// a chain at CRC + header cost instead of performing the full merge
-    /// twice (once for the count, once for the actual load).
-    pub fn decode(bytes: &[u8]) -> Result<DeltaMeta> {
-        let (body, _) = DeltaSnapshot::check_crc(bytes)?;
-        let mut r = Reader { buf: body, pos: 0 };
-        DeltaSnapshot::decode_header(&mut r)
-    }
-
-    /// Header-only decode of an in-memory delta record (no CRC
-    /// re-verification; see [`crate::store::Snapshot`]'s trusted decode).
-    pub(crate) fn decode_trusted(bytes: &[u8]) -> Result<DeltaMeta> {
-        if bytes.len() < DELTA_MAGIC.len() + 4 {
-            return Err(PparError::CorruptCheckpoint(
-                "delta record too short".into(),
-            ));
-        }
-        let mut r = Reader {
-            buf: &bytes[..bytes.len() - 4],
-            pos: 0,
-        };
-        DeltaSnapshot::decode_header(&mut r)
-    }
-}
-
-impl DeltaSnapshot {
-    fn check_crc(bytes: &[u8]) -> Result<(&[u8], u32)> {
-        if bytes.len() < DELTA_MAGIC.len() + 4 {
-            return Err(PparError::CorruptCheckpoint("delta file too short".into()));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != stored_crc {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "delta CRC mismatch: stored {stored_crc:#010x}, computed {:#010x}",
-                crc32(body)
-            )));
-        }
-        Ok((body, stored_crc))
-    }
-
-    pub(crate) fn decode_header(r: &mut Reader<'_>) -> Result<DeltaMeta> {
+    /// The delta parser's header step: magic through `nranks`. All a chain
+    /// walk that only wants the tip's count needs of a record.
+    pub(crate) fn header(r: &mut Reader<'_>) -> Result<DeltaMeta> {
         let magic = r.take(8)?;
         if magic != DELTA_MAGIC {
             return Err(PparError::FormatMismatch {
@@ -175,50 +154,66 @@ impl DeltaSnapshot {
             nranks,
         })
     }
+}
 
-    /// Decode and integrity-check one delta file.
+impl DeltaSnapshot {
+    /// Decode and integrity-check one delta record: the owned copy of
+    /// [`DeltaView::of_record`].
     pub fn decode(bytes: &[u8]) -> Result<DeltaSnapshot> {
-        let (body, _) = DeltaSnapshot::check_crc(bytes)?;
-        DeltaSnapshot::decode_body(body)
+        let view = DeltaView::of_record(bytes)?;
+        let own = |payload: &DeltaPayload<&[u8]>| match payload {
+            DeltaPayload::Full(b) => DeltaPayload::Full(b.to_vec()),
+            DeltaPayload::Sparse { full_len, ranges } => DeltaPayload::Sparse {
+                full_len: *full_len,
+                ranges: ranges.iter().map(|(off, b)| (*off, b.to_vec())).collect(),
+            },
+        };
+        Ok(DeltaSnapshot {
+            fields: view
+                .fields
+                .iter()
+                .map(|(n, p)| (n.clone(), own(p)))
+                .collect(),
+            meta: view.meta,
+        })
+    }
+}
+
+impl<'a> DeltaView<'a> {
+    /// Parse one delta record and verify its trailing CRC-32.
+    pub fn of_record(bytes: &'a [u8]) -> Result<DeltaView<'a>> {
+        DeltaView::parse(record_body(bytes, true, "delta ")?)
     }
 
-    /// Decode a delta record held in process memory (see
-    /// [`crate::store::Snapshot`]'s trusted decode): structural validation
-    /// only, no CRC re-verification.
-    pub(crate) fn decode_trusted(bytes: &[u8]) -> Result<DeltaSnapshot> {
-        if bytes.len() < DELTA_MAGIC.len() + 4 {
-            return Err(PparError::CorruptCheckpoint(
-                "delta record too short".into(),
-            ));
-        }
-        DeltaSnapshot::decode_body(&bytes[..bytes.len() - 4])
-    }
-
-    fn decode_body(body: &[u8]) -> Result<DeltaSnapshot> {
+    /// The one delta parser, over `body` (the record without its CRC
+    /// trailer). Nothing is copied but names.
+    pub(crate) fn parse(body: &'a [u8]) -> Result<DeltaView<'a>> {
         let mut r = Reader { buf: body, pos: 0 };
-        let meta = DeltaSnapshot::decode_header(&mut r)?;
-        let nfields = r.take_u32()?;
-        let mut fields = Vec::with_capacity(nfields as usize);
+        let meta = DeltaMeta::header(&mut r)?;
+        // A field costs at least its name's length prefix, its kind byte
+        // and one more length.
+        let nfields = r.take_count(17, "delta fields")?;
+        let mut fields = Vec::with_capacity(nfields);
         for _ in 0..nfields {
             let name = r.take_str()?;
-            let kind = r.take(1)?[0];
-            let payload = match kind {
+            let payload = match r.take(1)?[0] {
                 0 => {
-                    let len = r.take_u64()? as usize;
-                    DeltaPayload::Full(r.take(len)?.to_vec())
+                    let len = r.take_len()?;
+                    DeltaPayload::Full(r.take(len)?)
                 }
                 1 => {
                     let full_len = r.take_u64()?;
-                    let nranges = r.take_u32()?;
-                    let mut spans = Vec::with_capacity(nranges as usize);
+                    let nranges = r.take_count(16, "ranges")?;
+                    // The range map comes first, the ranges' bytes after it.
+                    let mut map = Reader {
+                        buf: r.take(nranges * 16)?,
+                        pos: 0,
+                    };
+                    let mut ranges = Vec::with_capacity(nranges);
                     for _ in 0..nranges {
-                        let off = r.take_u64()?;
-                        let len = r.take_u64()?;
-                        spans.push((off, len));
-                    }
-                    let mut ranges = Vec::with_capacity(spans.len());
-                    for (off, len) in spans {
-                        ranges.push((off, r.take(len as usize)?.to_vec()));
+                        let off = map.take_u64()?;
+                        let len = map.take_len()?;
+                        ranges.push((off, r.take(len)?));
                     }
                     DeltaPayload::Sparse { full_len, ranges }
                 }
@@ -230,48 +225,74 @@ impl DeltaSnapshot {
             };
             fields.push((name, payload));
         }
-        if r.pos != body.len() {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "{} unconsumed bytes before delta CRC",
-                body.len() - r.pos
-            )));
-        }
+        r.finish("delta CRC")?;
         Ok(DeltaSnapshot { meta, fields })
     }
+}
 
-    /// Fold this delta onto `base` in place (last writer wins per byte).
-    /// `base` must be the chain's base snapshot with every earlier delta
-    /// already applied; on success its `count` advances to this delta's.
-    pub fn apply_to(&self, base: &mut Snapshot) -> Result<()> {
-        if self.meta.rank != base.rank {
+/// A chain being folded, on bytes: the base record, whose field payloads
+/// each live delta patches *in place*, so a restore of base + k deltas holds
+/// one record-sized buffer, not 1 + k. A borrowed base (the memory medium
+/// lends its held record) is copied when the first patch arrives and never
+/// if none does; an owned one (read off a disk) is never copied at all.
+pub(crate) struct Merged<'b> {
+    record: Cow<'b, [u8]>,
+    /// The base's header; `count` and `mode_tag` advance with every delta.
+    meta: SnapshotMeta,
+    fields: FieldSpans,
+    /// The side table, parallel to `fields`: a whole-field replacement
+    /// whose length differs from the base field's (the `PPARPRG1` cursor)
+    /// cannot land in the record and lives here instead.
+    replaced: Vec<Option<Vec<u8>>>,
+}
+
+impl<'b> Merged<'b> {
+    /// Start a fold from a base record's bytes (CRC-checked when `verify`).
+    pub(crate) fn of_base(record: Cow<'b, [u8]>, verify: bool) -> Result<Merged<'b>> {
+        let (meta, fields) = SnapshotView::parse(record_body(&record, verify, "")?)?;
+        Ok(Merged {
+            replaced: vec![None; fields.len()],
+            record,
+            meta,
+            fields,
+        })
+    }
+
+    /// The safe point the fold stands at.
+    pub(crate) fn count(&self) -> u64 {
+        self.meta.count
+    }
+
+    /// Fold `delta` in (last writer wins per byte). Every earlier delta of
+    /// the chain must already be applied; on success the fold stands at
+    /// this delta's safe point.
+    pub(crate) fn apply(&mut self, delta: &DeltaView<'_>) -> Result<()> {
+        let chain = |rank: Option<u32>, nranks: u32| format!("rank {rank:?} of {nranks}");
+        if (delta.meta.rank, delta.meta.nranks) != (self.meta.rank, self.meta.nranks) {
             return Err(PparError::FormatMismatch {
-                expected: format!("delta for rank {:?}", base.rank),
-                found: format!("rank {:?}", self.meta.rank),
+                expected: format!("delta for {}", chain(self.meta.rank, self.meta.nranks)),
+                found: chain(delta.meta.rank, delta.meta.nranks),
             });
         }
-        if self.meta.nranks != base.nranks {
-            return Err(PparError::FormatMismatch {
-                expected: format!("{} ranks", base.nranks),
-                found: format!("{} ranks", self.meta.nranks),
-            });
-        }
-        for (name, payload) in &self.fields {
-            let slot = base
-                .fields
-                .iter_mut()
-                .find(|(n, _)| n == name)
-                .map(|(_, b)| b)
-                .ok_or_else(|| {
-                    PparError::CorruptCheckpoint(format!(
-                        "delta patches field {name:?} missing from the base snapshot"
-                    ))
-                })?;
+        for (name, payload) in &delta.fields {
+            let idx = self.fields.iter().position(|(n, _)| n == name);
+            let idx = idx.ok_or_else(|| {
+                PparError::CorruptCheckpoint(format!(
+                    "delta patches field {name:?} missing from the base snapshot"
+                ))
+            })?;
+            let span = self.fields[idx].1.clone();
             match payload {
-                DeltaPayload::Full(bytes) => {
-                    slot.clear();
-                    slot.extend_from_slice(bytes);
+                DeltaPayload::Full(bytes) if bytes.len() == span.len() => {
+                    self.replaced[idx] = None;
+                    self.record.to_mut()[span].copy_from_slice(bytes);
                 }
+                DeltaPayload::Full(bytes) => self.replaced[idx] = Some(bytes.to_vec()),
                 DeltaPayload::Sparse { full_len, ranges } => {
+                    let slot = match &mut self.replaced[idx] {
+                        Some(side) => side.as_mut_slice(),
+                        None => &mut self.record.to_mut()[span],
+                    };
                     if slot.len() as u64 != *full_len {
                         return Err(PparError::CorruptCheckpoint(format!(
                             "delta field {name:?} expects a {full_len}-byte payload, \
@@ -280,34 +301,49 @@ impl DeltaSnapshot {
                         )));
                     }
                     for (off, bytes) in ranges {
-                        let start = *off as usize;
-                        let end = start
-                            .checked_add(bytes.len())
-                            .filter(|&e| e <= slot.len())
-                            .ok_or_else(|| {
-                                PparError::CorruptCheckpoint(format!(
-                                    "delta field {name:?} range {off}+{} overruns the \
-                                     {}-byte payload",
-                                    bytes.len(),
-                                    slot.len()
-                                ))
-                            })?;
-                        slot[start..end].copy_from_slice(bytes);
+                        let start = usize::try_from(*off).unwrap_or(usize::MAX);
+                        let end = start.checked_add(bytes.len());
+                        let dst = end.and_then(|end| slot.get_mut(start..end));
+                        let dst = dst.ok_or_else(|| {
+                            PparError::CorruptCheckpoint(format!(
+                                "delta field {name:?} range {off}+{} overruns the \
+                                 {full_len}-byte payload",
+                                bytes.len()
+                            ))
+                        })?;
+                        dst.copy_from_slice(bytes);
                     }
                 }
             }
         }
-        base.count = self.meta.count;
-        base.mode_tag = self.meta.mode_tag.clone();
+        self.meta.count = delta.meta.count;
+        self.meta.mode_tag.clone_from(&delta.meta.mode_tag);
         Ok(())
+    }
+
+    /// The merged state: per field byte-identical to a full snapshot taken
+    /// at [`Merged::count`].
+    pub(crate) fn view(&self) -> SnapshotView<'_> {
+        let fields = self.fields.iter().zip(&self.replaced);
+        let fields = fields.map(|((name, span), side)| {
+            let payload = side.as_deref().unwrap_or(&self.record[span.clone()]);
+            (name.clone(), payload)
+        });
+        SnapshotView {
+            meta: self.meta.clone(),
+            fields: fields.collect(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Snapshot;
 
-    fn sparse(full_len: u64, ranges: Vec<(u64, Vec<u8>)>) -> DeltaPayload {
+    type Patch<'a> = DeltaPayload<&'a [u8]>;
+
+    fn sparse<'a>(full_len: u64, ranges: Vec<(u64, &'a [u8])>) -> Patch<'a> {
         DeltaPayload::Sparse { full_len, ranges }
     }
 
@@ -324,7 +360,7 @@ mod tests {
         }
     }
 
-    fn delta(count: u64, fields: Vec<(String, DeltaPayload)>) -> DeltaSnapshot {
+    fn delta<'a>(count: u64, fields: Vec<(&str, Patch<'a>)>) -> DeltaView<'a> {
         DeltaSnapshot {
             meta: DeltaMeta {
                 mode_tag: "seq".into(),
@@ -334,21 +370,33 @@ mod tests {
                 rank: None,
                 nranks: 1,
             },
-            fields,
+            fields: fields.into_iter().map(|(n, p)| (n.into(), p)).collect(),
         }
+    }
+
+    /// Fold `deltas` onto the encoded [`base`], held both ways a medium can
+    /// hold it; the two must agree.
+    fn fold(deltas: &[DeltaView<'_>]) -> Result<Snapshot> {
+        let record = base().encode();
+        let run = |base: Cow<'_, [u8]>| {
+            let mut merged = Merged::of_base(base, true)?;
+            deltas.iter().try_for_each(|d| merged.apply(d))?;
+            Ok(merged.view().to_snapshot())
+        };
+        let owned = run(Cow::Owned(record.clone()));
+        let lent: Result<Snapshot> = run(Cow::Borrowed(&record));
+        assert_eq!(owned.as_ref().ok(), lent.as_ref().ok());
+        assert_eq!(owned.is_err(), lent.is_err());
+        owned
     }
 
     #[test]
     fn sparse_patches_apply_last_writer_wins() {
-        let mut snap = base();
         let d = delta(
             12,
-            vec![(
-                "G".into(),
-                sparse(16, vec![(0, vec![9; 8]), (4, vec![7; 4])]),
-            )],
+            vec![("G", sparse(16, vec![(0, &[9; 8]), (4, &[7; 4])]))],
         );
-        d.apply_to(&mut snap).unwrap();
+        let snap = fold(&[d]).unwrap();
         assert_eq!(
             snap.field("G").unwrap(),
             &[9, 9, 9, 9, 7, 7, 7, 7, 0, 0, 0, 0, 0, 0, 0, 0]
@@ -358,46 +406,68 @@ mod tests {
 
     #[test]
     fn full_payload_replaces_field() {
-        let mut snap = base();
-        let d = delta(11, vec![("energy".into(), DeltaPayload::Full(vec![8, 8]))]);
-        d.apply_to(&mut snap).unwrap();
+        let d = delta(11, vec![("energy", DeltaPayload::Full(&[8, 8]))]);
+        let snap = fold(&[d]).unwrap();
         assert_eq!(snap.field("energy").unwrap(), &[8, 8]);
         assert_eq!(snap.field("G").unwrap().len(), 16, "untouched field kept");
+    }
+
+    /// A whole-field replacement of another length leaves the record for
+    /// the side table; later deltas patch it there, and a replacement of
+    /// the base's length moves the field back into the record.
+    #[test]
+    fn a_field_that_changed_length_keeps_folding() {
+        let grow = delta(11, vec![("energy", DeltaPayload::Full(&[5; 6]))]);
+        let mut patch = delta(12, vec![("energy", sparse(6, vec![(4, &[6, 6])]))]);
+        patch.meta.seq = 2;
+        let snap = fold(&[grow.clone(), patch.clone()]).unwrap();
+        assert_eq!(snap.field("energy").unwrap(), &[5, 5, 5, 5, 6, 6]);
+        assert_eq!(snap.encode(), {
+            let mut full = base();
+            full.count = 12;
+            full.fields[1].1 = vec![5, 5, 5, 5, 6, 6];
+            full.encode()
+        });
+
+        // The sparse patch is checked against the field as it now stands.
+        let stale = delta(12, vec![("energy", sparse(4, vec![(0, &[1])]))]);
+        assert!(fold(&[grow.clone(), stale]).is_err());
+
+        let back = delta(13, vec![("energy", DeltaPayload::Full(&[4; 4]))]);
+        let snap = fold(&[grow, patch, back]).unwrap();
+        assert_eq!(snap.field("energy").unwrap(), &[4; 4]);
     }
 
     #[test]
     fn apply_rejects_bad_shapes() {
         // Unknown field.
-        let mut snap = base();
-        let d = delta(11, vec![("missing".into(), DeltaPayload::Full(vec![1]))]);
-        assert!(d.apply_to(&mut snap).is_err());
+        let d = delta(11, vec![("missing", DeltaPayload::Full(&[1]))]);
+        assert!(fold(&[d]).is_err());
 
         // Length mismatch on a sparse payload.
-        let mut snap = base();
-        let d = delta(11, vec![("G".into(), sparse(99, vec![]))]);
-        assert!(d.apply_to(&mut snap).is_err());
+        let d = delta(11, vec![("G", sparse(99, vec![]))]);
+        assert!(fold(&[d]).is_err());
 
-        // Range overrun.
-        let mut snap = base();
-        let d = delta(11, vec![("G".into(), sparse(16, vec![(12, vec![0; 8])]))]);
-        assert!(d.apply_to(&mut snap).is_err());
+        // Range overrun, by length and by an offset no address space holds.
+        let d = delta(11, vec![("G", sparse(16, vec![(12, &[0; 8])]))]);
+        assert!(fold(&[d]).is_err());
+        let d = delta(11, vec![("G", sparse(16, vec![(u64::MAX - 3, &[0; 8])]))]);
+        assert!(fold(&[d]).is_err());
 
         // Rank / nranks mismatch.
-        let mut snap = base();
         let mut d = delta(11, vec![]);
         d.meta.rank = Some(3);
-        assert!(d.apply_to(&mut snap).is_err());
-        let mut snap = base();
+        assert!(fold(&[d]).is_err());
         let mut d = delta(11, vec![]);
         d.meta.nranks = 4;
-        assert!(d.apply_to(&mut snap).is_err());
+        assert!(fold(&[d]).is_err());
     }
 
     #[test]
     fn payload_bytes_counts_only_carried_bytes() {
         assert_eq!(DeltaPayload::Full(vec![0; 5]).payload_bytes(), 5);
         assert_eq!(
-            sparse(100, vec![(0, vec![0; 3]), (50, vec![0; 4])]).payload_bytes(),
+            sparse(100, vec![(0, &[0; 3]), (50, &[0; 4])]).payload_bytes(),
             7
         );
     }

@@ -37,7 +37,7 @@ use crate::delta::DeltaMeta;
 use crate::store::{
     CheckpointStore, DeltaSource, FieldSource, Record, Snapshot, SnapshotMeta, SnapshotView,
 };
-use crate::transport::{read_progress, CkptTransport};
+use crate::transport::CkptTransport;
 
 static NEXT_MODULE_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -467,19 +467,18 @@ impl CheckpointModule {
         let mut slot = self.resume_cursor.lock();
         if slot.is_none() {
             let cursor = match self.resume.lock().clone() {
-                // Live hand-off: the armed in-memory source serves a
-                // zero-copy view; nothing worth prefetching.
-                Some(source) => read_progress(&*source).unwrap_or(None),
+                // Live hand-off: the armed in-memory source lends its record
+                // where it lies; nothing worth keeping.
+                Some(source) => self.read_cursor(&*source, false).unwrap_or(None),
                 // Disk restart: one record read per aggregate, shared —
                 // the lock serializes racing elements behind the single
-                // reader, and the materialized record is kept for the
-                // load that follows.
+                // reader, and the record is kept for the load that follows.
                 None => {
                     let mut shared = self.group_resume.cursor.lock();
                     match &*shared {
                         Some(c) => c.clone(),
                         None => {
-                            let c = self.read_progress_prefetching().unwrap_or(None);
+                            let c = self.read_cursor(&*self.transport, true).unwrap_or(None);
                             *shared = Some(c.clone());
                             c
                         }
@@ -491,22 +490,26 @@ impl CheckpointModule {
         f(slot.as_ref().and_then(|c| c.as_ref()))
     }
 
-    /// The disk-restart arm of the cursor read: fold the merged record
-    /// (master first, shard 0 otherwise — local-snapshot groups carry
-    /// identical cursors on every shard), extract the `PPARPRG1` field, and
-    /// stash the snapshot for [`CkptHook::load_snapshot`] so the restore
-    /// reads the record once instead of twice. Mirrors the decode-failure
-    /// contract of [`read_progress`]: a missing or
-    /// undecodable cursor degrades to `None`, never fails the restore.
-    fn read_progress_prefetching(&self) -> Result<Option<RegionCursor>> {
-        let decode = |snap: &Snapshot| {
-            snap.field(PROGRESS_FIELD)
-                .and_then(|b| RegionCursor::decode(b).ok())
-        };
+    /// Decode the `PPARPRG1` cursor (the reserved [`PROGRESS_FIELD`]) of
+    /// `source`'s newest usable record: the master chain first, shard 0
+    /// otherwise (local-snapshot groups carry identical cursors on every
+    /// shard). With `stash`, an owned copy of the merged record is kept for
+    /// [`CkptHook::load_snapshot`], so a disk restart folds its chain once
+    /// instead of twice. Records written before the cursor existed have no
+    /// such field; that, like a cursor that fails to decode, is `Ok(None)`
+    /// — the consumer replays classically, it must never fail a restore.
+    fn read_cursor(&self, source: &dyn CkptTransport, stash: bool) -> Result<Option<RegionCursor>> {
         for rank in [None, Some(0)] {
-            if let Some(snap) = self.transport.get(rank, None)? {
-                let cursor = decode(&snap);
-                *self.group_resume.prefetched.lock() = Some((rank, snap));
+            let mut cursor = None;
+            let found = source.with_merged(rank, None, &mut |snap| {
+                let bytes = snap.field(PROGRESS_FIELD);
+                cursor = bytes.and_then(|b| RegionCursor::decode(b).ok());
+                if stash {
+                    *self.group_resume.prefetched.lock() = Some((rank, snap.to_snapshot()));
+                }
+                Ok(())
+            })?;
+            if found {
                 return Ok(cursor);
             }
         }
@@ -675,79 +678,59 @@ impl CheckpointModule {
         Ok(())
     }
 
-    fn install_master_fields(&self, ctx: &Ctx, snap: &Snapshot) -> Result<()> {
-        self.install_master_fields_view(ctx, &SnapshotView::of(snap))
-    }
-
-    fn install_master_fields_view(&self, ctx: &Ctx, snap: &SnapshotView<'_>) -> Result<()> {
-        for name in ctx.plan().safe_data() {
-            let bytes = snap.field(name).ok_or_else(|| {
-                PparError::CorruptCheckpoint(format!("snapshot missing field {name:?}"))
-            })?;
-            ctx.registry().state(name)?.load_bytes(bytes)?;
-        }
-        Ok(())
-    }
-
-    /// Install this element's portion straight from a *master* snapshot
-    /// view (borrowed payloads — the zero-copy resume path): partitioned
-    /// fields take only the owned block (sliced out of the full field
-    /// payload), everything else loads whole. This is the resume path of a
-    /// live reshape — the hand-off is always a mode-independent master
-    /// snapshot, whatever checkpoint strategy the plan uses, so a
-    /// local-snapshot successor must carve its shard out of it.
-    fn install_owned_from_master(&self, ctx: &Ctx, snap: &SnapshotView<'_>) -> Result<()> {
-        let rank = ctx.rank();
-        let nranks = ctx.num_ranks();
-        for name in ctx.plan().safe_data() {
-            let bytes = snap.field(name).ok_or_else(|| {
-                PparError::CorruptCheckpoint(format!("hand-off snapshot missing field {name:?}"))
-            })?;
-            if ctx.plan().field_partition(name).is_some() {
-                let cell = ctx.registry().dist(name)?;
-                let ib = cell.index_bytes();
-                let owned = block_owned(cell.logical_len(), nranks, rank);
-                let slice = bytes.get(owned.start * ib..owned.end * ib).ok_or_else(|| {
-                    PparError::CorruptCheckpoint(format!(
-                        "hand-off field {name:?}: {} bytes cannot cover owned block \
-                             {owned:?} × {ib}B",
-                        bytes.len()
-                    ))
-                })?;
-                cell.install(owned, slice)?;
-            } else {
-                ctx.registry().state(name)?.load_bytes(bytes)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn install_shard_fields(&self, ctx: &Ctx, snap: &Snapshot) -> Result<()> {
-        let rank = ctx.rank();
-        let nranks = ctx.num_ranks();
-        if snap.nranks as usize != nranks {
+    /// Put a restored record where it belongs — the one installer, whatever
+    /// route the record arrived by. What a partitioned field's payload holds
+    /// is stated by the record's own header: a *shard* record carries this
+    /// element's owned block as is; a *master* record carries the whole
+    /// field, of which a local-snapshot element takes only its owned block
+    /// (the live hand-off is always a mode-independent master record, so a
+    /// local-snapshot successor carves its shard out of it). Everything
+    /// else loads whole — under master-collect on the root only, which is
+    /// the only element [`CkptHook::load_snapshot`] calls this on; the
+    /// engine rescatters from there.
+    fn install(&self, ctx: &Ctx, snap: &SnapshotView<'_>) -> Result<()> {
+        let (rank, nranks) = (ctx.rank(), ctx.num_ranks());
+        if snap.meta.rank.is_some() && snap.meta.nranks as usize != nranks {
             return Err(PparError::FormatMismatch {
                 expected: format!("{nranks} ranks"),
                 found: format!(
                     "{} ranks (local snapshots restart only in the same \
-                                aggregate size)",
-                    snap.nranks
+                     aggregate size)",
+                    snap.meta.nranks
                 ),
             });
         }
+        let sharded = self.sharded(ctx);
         for name in ctx.plan().safe_data() {
             let bytes = snap.field(name).ok_or_else(|| {
-                PparError::CorruptCheckpoint(format!("shard missing field {name:?}"))
+                PparError::CorruptCheckpoint(format!("snapshot missing field {name:?}"))
             })?;
-            if ctx.plan().field_partition(name).is_some() {
-                let cell = ctx.registry().dist(name)?;
-                let owned = block_owned(cell.logical_len(), nranks, rank);
-                cell.install(owned, bytes)?;
-            } else {
+            let partitioned = ctx.plan().field_partition(name).is_some();
+            if !partitioned || !(sharded || snap.meta.rank.is_some()) {
                 ctx.registry().state(name)?.load_bytes(bytes)?;
+                continue;
             }
+            let cell = ctx.registry().dist(name)?;
+            let owned = block_owned(cell.logical_len(), nranks, rank);
+            let block = if snap.meta.rank.is_some() {
+                bytes
+            } else {
+                let ib = cell.index_bytes();
+                bytes.get(owned.start * ib..owned.end * ib).ok_or_else(|| {
+                    PparError::CorruptCheckpoint(format!(
+                        "field {name:?}: {} bytes cannot cover owned block {owned:?} × {ib}B",
+                        bytes.len()
+                    ))
+                })?
+            };
+            cell.install(owned, block)?;
         }
         Ok(())
+    }
+
+    /// Does every element persist (and restore) its own shard?
+    fn sharded(&self, ctx: &Ctx) -> bool {
+        ctx.num_ranks() > 1 && ctx.plan().dist_ckpt_strategy() == DistCkptStrategy::LocalSnapshot
     }
 }
 
@@ -778,9 +761,7 @@ impl CkptHook for CheckpointModule {
         let t0 = Instant::now();
         let count = self.clock_get();
         let nranks = ctx.num_ranks() as u32;
-        let strategy = ctx.plan().dist_ckpt_strategy();
-        let sharded = nranks > 1 && strategy == DistCkptStrategy::LocalSnapshot;
-        let rank = sharded.then(|| ctx.rank() as u32);
+        let rank = self.sharded(ctx).then(|| ctx.rank() as u32);
 
         let meta = SnapshotMeta {
             mode_tag: ctx.mode().tag(),
@@ -846,67 +827,46 @@ impl CkptHook for CheckpointModule {
 
     fn load_snapshot(&self, ctx: &Ctx) -> Result<()> {
         let t0 = Instant::now();
-        let strategy = ctx.plan().dist_ckpt_strategy();
-        let nranks = ctx.num_ranks();
         let resume = self.resume.lock().take();
-
-        if let Some(source) = resume {
-            // Live-reshape resume: the predecessor handed off a full master
-            // snapshot through `source` (memory — no disk round-trip, and
-            // the view keeps the install zero-copy: record bytes go
-            // straight into the cells). The master snapshot is mode
-            // independent, so it installs under any strategy: every
-            // local-snapshot element carves out its owned block; otherwise
-            // the root installs whole and the engine rescatters, exactly
-            // as for a disk restore.
-            let installed = source.with_merged_master(&mut |snap| {
-                if nranks > 1 && strategy == DistCkptStrategy::LocalSnapshot {
-                    self.install_owned_from_master(ctx, snap)
-                } else if ctx.rank() == 0 {
-                    self.install_master_fields_view(ctx, snap)
-                } else {
-                    Ok(())
-                }
-            })?;
-            if !installed {
-                return Err(PparError::CorruptCheckpoint(
-                    "hand-off transport lost its snapshot".into(),
-                ));
+        // Which record, from where, pinned to what. A live-reshape resume
+        // reads the master record the predecessor handed off through the
+        // armed source (memory — no disk round-trip, and the lend keeps the
+        // install at one copy, record → cells). Otherwise a local-snapshot
+        // element reads its own shard, pinned to the safe point being
+        // restored so a shard generation that outran the group commit (torn
+        // save) rolls back with everyone else; and master-collect reads the
+        // master chain.
+        let sharded = self.sharded(ctx);
+        let (source, key, pin) = match &resume {
+            Some(source) => (&**source, None, None),
+            None if sharded => (
+                &*self.transport,
+                Some(ctx.rank() as u32),
+                Some(self.clock_get()),
+            ),
+            None => (&*self.transport, None, None),
+        };
+        // Who installs: every local-snapshot element; otherwise the root,
+        // from which the engine scatters partitioned fields and broadcasts
+        // the rest (no record access on other elements).
+        if sharded || ctx.rank() == 0 {
+            // The cursor read's prefetch is a disk restart's merged record,
+            // already folded: it serves the load when it is exactly the
+            // record this load would read, sitting at the restore target.
+            let stashed = match &resume {
+                None => self.take_prefetched(key, self.clock_get()),
+                Some(_) => None,
+            };
+            let found = match stashed {
+                Some(snap) => self.install(ctx, &SnapshotView::of(&snap)).map(|()| true),
+                None => source.with_merged(key, pin, &mut |snap| self.install(ctx, snap)),
+            }?;
+            if !found {
+                return Err(PparError::CorruptCheckpoint(format!(
+                    "the {} transport holds no record of the {key:?} chain to restore from",
+                    source.describe()
+                )));
             }
-        } else if nranks > 1 && strategy == DistCkptStrategy::LocalSnapshot {
-            // Every element loads its own shard (base + delta chain folded
-            // into the complete owned block) — pinned to the safe point
-            // being restored, so a shard generation that outran the group
-            // commit (torn save) rolls back with everyone else. The cursor
-            // read's prefetch (shard 0) serves the root's load only when it
-            // sits exactly at the restore target; anything else goes back
-            // through the count-pinned read and its generation fallback.
-            let snap = match self.take_prefetched(Some(ctx.rank() as u32), self.clock_get()) {
-                Some(snap) => snap,
-                None => self
-                    .transport
-                    .get(Some(ctx.rank() as u32), Some(self.clock_get()))?
-                    .ok_or_else(|| {
-                        PparError::CorruptCheckpoint(format!(
-                            "missing shard for rank {}",
-                            ctx.rank()
-                        ))
-                    })?,
-            };
-            self.install_shard_fields(ctx, &snap)?;
-        } else if ctx.rank() == 0 {
-            // Master-collect: the root installs the full snapshot (base +
-            // delta chain); the engine subsequently scatters partitioned
-            // fields and broadcasts the rest (no file access on other
-            // elements). The cursor read's prefetch is that same merged
-            // record — reuse it rather than folding the chain again.
-            let snap = match self.take_prefetched(None, self.clock_get()) {
-                Some(snap) => snap,
-                None => self.transport.get(None, None)?.ok_or_else(|| {
-                    PparError::CorruptCheckpoint("missing master snapshot".into())
-                })?,
-            };
-            self.install_master_fields(ctx, &snap)?;
         }
         // A restore invalidates the in-memory chain position: the next
         // snapshot starts a fresh base rather than extending a chain this
@@ -1006,9 +966,7 @@ impl CkptHook for CheckpointModule {
     }
 
     fn group_commit(&self, ctx: &Ctx) -> Result<()> {
-        let sharded = ctx.num_ranks() > 1
-            && ctx.plan().dist_ckpt_strategy() == DistCkptStrategy::LocalSnapshot;
-        if sharded {
+        if self.sharded(ctx) {
             self.transport.commit_group(self.clock_get())?;
         }
         Ok(())

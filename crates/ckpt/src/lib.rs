@@ -51,10 +51,10 @@
 //!   fresh base and the superseded chain is garbage-collected. Deltas are
 //!   tied to their base by the base's safe-point count, so a crash between
 //!   promotion and GC leaves only *stale* deltas that the loader skips.
-//! * **Restore** — [`CkptTransport::get`] folds base + chain (last writer
-//!   wins per byte) into
-//!   a state byte-identical to a full snapshot, and a restart replays to
-//!   the *last delta's* safe point. Merged data stays mode-independent:
+//! * **Restore** — [`CkptTransport::with_merged`] folds base + chain (last
+//!   writer wins per byte, each delta patched into the base record's bytes)
+//!   into a state byte-identical to a full snapshot, and a restart replays
+//!   to the *last delta's* safe point. Merged data stays mode-independent:
 //!   incremental snapshots restart in any execution mode, in any aggregate
 //!   size (master-collect), exactly like full ones.
 //! * **Distributed gathers** — in master-collect mode, once a base exists

@@ -59,9 +59,20 @@
 //! ([`Snapshot::encode`], kept as the golden reference), so snapshots
 //! written by either path load through the same reader and old snapshot
 //! files stay valid.
+//!
+//! ## Read path
+//!
+//! [`SnapshotView`] is what parses: one parser, whose field payloads are
+//! slices of the record's bytes, entered CRC-checked
+//! ([`SnapshotView::decode`]) or trusted. [`Snapshot`] is the owned form, a
+//! copy of a view. Restores read views (`CkptTransport::with_merged`);
+//! a chain's deltas are folded into the base record's bytes by
+//! [`crate::delta`] before the view is taken.
 
+use std::borrow::Cow;
 use std::fs;
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use ppar_core::error::{PparError, Result};
@@ -69,27 +80,41 @@ use ppar_core::state::StateCell;
 
 use crate::cas::ChunkRef;
 use crate::crc::{crc32, Crc32};
-use crate::delta::DeltaMeta;
-use crate::transport::{get_merged, keep_head, CkptTransport, RecordKey, RecordSink};
+use crate::delta::{DeltaMeta, DeltaSnapshot};
+use crate::transport::{
+    keep_head, lend_merged, stream_merged, walk_chain, CkptTransport, DeltaStep, RecordKey,
+    RecordSink,
+};
 
 const MAGIC: &[u8; 8] = b"PPARCKP1";
 pub(crate) const MASTER_RANK: u32 = 0xFFFF_FFFF;
 
-/// Safe-point count and owning rank from the leading bytes of a full
-/// record (header only, nothing is verified beyond the magic). `None` when
-/// the bytes are not the start of one.
-pub(crate) fn peek_header(head: &[u8]) -> Option<(u64, Option<u32>)> {
-    let mut r = Reader { buf: head, pos: 0 };
-    if r.take(8).ok()? != MAGIC {
-        return None;
+/// A record's body: everything before its 4-byte CRC trailer. With
+/// `verify` the trailer is checked against the body; without, it is only
+/// stripped — for bytes whose integrity is already established (they
+/// never left this process, or a running CRC verified them as they
+/// arrived off the wire). `what` prefixes the error text (`""`, `"delta "`).
+pub(crate) fn record_body<'a>(bytes: &'a [u8], verify: bool, what: &str) -> Result<&'a [u8]> {
+    if bytes.len() < MAGIC.len() + 4 {
+        return Err(PparError::CorruptCheckpoint(format!(
+            "{what}record too short"
+        )));
     }
-    r.take_str().ok()?;
-    let count = r.take_u64().ok()?;
-    let rank = r.take_u32().ok()?;
-    Some((count, (rank != MASTER_RANK).then_some(rank)))
+    let (body, trailer) = bytes.split_at(bytes.len() - 4);
+    if verify {
+        let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
+        let computed = crc32(body);
+        if computed != stored {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "{what}CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
+            )));
+        }
+    }
+    Ok(body)
 }
 
-/// An in-memory snapshot: header plus named field payloads.
+/// The owned form of a full record: header plus named field payloads,
+/// copied out of a [`SnapshotView`] (which is what parses).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Execution-mode tag at snapshot time (`ExecMode::tag()`); informative
@@ -152,70 +177,30 @@ impl Snapshot {
     }
 
     /// Decode and integrity-check one full snapshot record (the trailing
-    /// CRC-32 is verified). Public because records now also arrive over
-    /// the network fabric: the root's checkpoint service and the
-    /// rank-side restart path both decode wire records with exactly the
-    /// file reader.
+    /// CRC-32 is verified): the owned copy of [`SnapshotView::decode`].
     pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
-        if bytes.len() < MAGIC.len() + 4 {
-            return Err(PparError::CorruptCheckpoint("file too short".into()));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != stored_crc {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "CRC mismatch: stored {stored_crc:#010x}, computed {:#010x}",
-                crc32(body)
-            )));
-        }
-        Snapshot::decode_body(body)
+        SnapshotView::decode(bytes).map(|view| view.to_snapshot())
     }
 
     /// Decode a record whose integrity has *already* been established:
-    /// structural validation only, the trailing CRC is stripped but not
-    /// re-verified. Two callers qualify — the in-memory transport (bytes
-    /// never left this process; integrity checking guards the durable
-    /// medium, not a buffer handed across a reshape within one address
-    /// space) and the streaming network restore path, which verifies the
-    /// record's running CRC as the chunks arrive and must not pay a
-    /// second full pass. Anything read from disk or an unverified source
-    /// goes through [`Snapshot::decode`] instead.
+    /// the owned copy of [`SnapshotView::decode_trusted`]. Anything read
+    /// from disk or an unverified source goes through [`Snapshot::decode`].
     pub fn decode_trusted(bytes: &[u8]) -> Result<Snapshot> {
-        if bytes.len() < MAGIC.len() + 4 {
-            return Err(PparError::CorruptCheckpoint("record too short".into()));
-        }
-        Snapshot::decode_body(&bytes[..bytes.len() - 4])
-    }
-
-    fn decode_body(body: &[u8]) -> Result<Snapshot> {
-        let view = SnapshotView::decode_body(body)?;
-        Ok(Snapshot {
-            mode_tag: view.mode_tag,
-            count: view.count,
-            rank: view.rank,
-            nranks: view.nranks,
-            fields: view
-                .fields
-                .into_iter()
-                .map(|(n, b)| (n, b.to_vec()))
-                .collect(),
-        })
+        SnapshotView::decode_trusted(bytes).map(|view| view.to_snapshot())
     }
 }
 
-/// Borrowed view of a decoded snapshot record: the zero-copy read side of
-/// the in-memory transport. Field payloads reference the record bytes
-/// directly, so installing a multi-MiB hand-off costs one copy (record →
-/// cell) instead of two (record → materialized snapshot → cell).
+/// Where the parser found each field of a full record: its name and the
+/// span of its payload within the record's bytes.
+pub(crate) type FieldSpans = Vec<(String, Range<usize>)>;
+
+/// A full record as parsed: the header plus field payloads that are slices
+/// of the record's own bytes. This is the form every restore reads — a
+/// medium lends one through `CkptTransport::with_merged`, so state goes
+/// record → cell in one copy; [`Snapshot`] is the owned copy of one.
 pub struct SnapshotView<'a> {
-    /// Execution-mode tag at snapshot time.
-    pub mode_tag: String,
-    /// Safe points executed when the snapshot was taken.
-    pub count: u64,
-    /// Owning element for shard snapshots; `None` for master snapshots.
-    pub rank: Option<u32>,
-    /// Aggregate size at snapshot time.
-    pub nranks: u32,
+    /// The record's header.
+    pub meta: SnapshotMeta,
     /// Field name → borrowed payload bytes, in declaration order.
     pub fields: Vec<(String, &'a [u8])>,
 }
@@ -229,30 +214,66 @@ impl<'a> SnapshotView<'a> {
     /// Borrowed view over a full snapshot (fields reference the owned
     /// payload buffers).
     pub fn of(snap: &'a Snapshot) -> SnapshotView<'a> {
+        let fields = snap.fields.iter().map(|(n, b)| (n.clone(), b.as_slice()));
         SnapshotView {
-            mode_tag: snap.mode_tag.clone(),
-            count: snap.count,
-            rank: snap.rank,
-            nranks: snap.nranks,
-            fields: snap
-                .fields
-                .iter()
-                .map(|(n, b)| (n.clone(), b.as_slice()))
-                .collect(),
+            meta: snap.meta(),
+            fields: fields.collect(),
         }
     }
 
-    /// Structural decode of an in-process record (no CRC re-verification;
-    /// see [`Snapshot::decode_trusted`]).
-    pub(crate) fn decode_trusted(bytes: &'a [u8]) -> Result<SnapshotView<'a>> {
-        if bytes.len() < MAGIC.len() + 4 {
-            return Err(PparError::CorruptCheckpoint("record too short".into()));
+    /// The owned copy of this view.
+    pub fn to_snapshot(&self) -> Snapshot {
+        let fields = self.fields.iter().map(|(n, b)| (n.clone(), b.to_vec()));
+        Snapshot {
+            mode_tag: self.meta.mode_tag.clone(),
+            count: self.meta.count,
+            rank: self.meta.rank,
+            nranks: self.meta.nranks,
+            fields: fields.collect(),
         }
-        SnapshotView::decode_body(&bytes[..bytes.len() - 4])
     }
 
-    fn decode_body(body: &'a [u8]) -> Result<SnapshotView<'a>> {
-        let mut r = Reader { buf: body, pos: 0 };
+    /// Stream this view into `out` as one checksummed full record (the
+    /// golden encoding of the state it describes). Returns bytes written.
+    pub fn write_record(&self, out: &mut dyn Write) -> Result<u64> {
+        let fields = self.fields.iter();
+        let fields: Vec<_> = fields
+            .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
+            .collect();
+        let (written, _) = Record::Full(&self.meta, &fields).encode(out, true, &mut Vec::new())?;
+        Ok(written)
+    }
+
+    /// Parse one full record and verify its trailing CRC-32: the entry for
+    /// anything read from disk or another unverified source.
+    pub fn decode(bytes: &'a [u8]) -> Result<SnapshotView<'a>> {
+        SnapshotView::resolve(record_body(bytes, true, "")?)
+    }
+
+    /// Parse a record whose integrity has *already* been established:
+    /// structural validation only, the trailing CRC is stripped but not
+    /// re-verified. Two callers qualify — the in-memory transport (bytes
+    /// never left this process; integrity checking guards the durable
+    /// medium, not a buffer handed across a reshape within one address
+    /// space) and the streaming network restore path, which verifies the
+    /// record's running CRC as the chunks arrive and must not pay a
+    /// second full pass.
+    pub fn decode_trusted(bytes: &'a [u8]) -> Result<SnapshotView<'a>> {
+        SnapshotView::resolve(record_body(bytes, false, "")?)
+    }
+
+    fn resolve(body: &'a [u8]) -> Result<SnapshotView<'a>> {
+        let (meta, spans) = SnapshotView::parse(body)?;
+        let fields = spans.into_iter().map(|(name, span)| (name, &body[span]));
+        Ok(SnapshotView {
+            meta,
+            fields: fields.collect(),
+        })
+    }
+
+    /// The parser's header step: magic through `nranks`. Also all a peek
+    /// at a record's leading bytes needs (nothing past them is touched).
+    pub(crate) fn header(r: &mut Reader<'_>) -> Result<SnapshotMeta> {
         let magic = r.take(8)?;
         if magic != MAGIC {
             return Err(PparError::FormatMismatch {
@@ -262,28 +283,33 @@ impl<'a> SnapshotView<'a> {
         }
         let mode_tag = r.take_str()?;
         let count = r.take_u64()?;
-        let rank_raw = r.take_u32()?;
+        let rank = r.take_u32()?;
         let nranks = r.take_u32()?;
-        let nfields = r.take_u32()?;
-        let mut fields = Vec::with_capacity(nfields as usize);
-        for _ in 0..nfields {
-            let name = r.take_str()?;
-            let len = r.take_u64()? as usize;
-            fields.push((name, r.take(len)?));
-        }
-        if r.pos != body.len() {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "{} unconsumed bytes before CRC",
-                body.len() - r.pos
-            )));
-        }
-        Ok(SnapshotView {
+        Ok(SnapshotMeta {
             mode_tag,
             count,
-            rank: (rank_raw != MASTER_RANK).then_some(rank_raw),
+            rank: (rank != MASTER_RANK).then_some(rank),
             nranks,
-            fields,
         })
+    }
+
+    /// The one full-record parser: the header, then where each field's
+    /// payload sits in `body` (the record without its CRC trailer).
+    pub(crate) fn parse(body: &[u8]) -> Result<(SnapshotMeta, FieldSpans)> {
+        let mut r = Reader { buf: body, pos: 0 };
+        let meta = SnapshotView::header(&mut r)?;
+        // A field costs at least its two length prefixes.
+        let nfields = r.take_count(16, "fields")?;
+        let mut fields = Vec::with_capacity(nfields);
+        for _ in 0..nfields {
+            let name = r.take_str()?;
+            let len = r.take_len()?;
+            let start = r.pos;
+            r.take(len)?;
+            fields.push((name, start..r.pos));
+        }
+        r.finish("CRC")?;
+        Ok((meta, fields))
     }
 }
 
@@ -821,17 +847,20 @@ impl CkptTransport for CheckpointStore {
     }
 
     /// Shard chains keep the generation the group last committed beside
-    /// the current one; a pinned get falls back to it, which is how a
+    /// the current one; a pinned read falls back to it, which is how a
     /// restore survives a torn group save — shards that already advanced
     /// past the commit point roll back to their preserved older record.
-    fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>> {
+    fn with_merged(
+        &self,
+        rank: Option<u32>,
+        at: Option<u64>,
+        read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
+    ) -> Result<bool> {
         let prev = at.and(rank).map(|r| self.prev_shard_path(r));
-        let generations = std::iter::once(self.record_path(RecordKey::full(rank)))
+        let bases = std::iter::once(self.record_path(RecordKey::full(rank)))
             .chain(prev)
-            .map(|path| self.read(&path));
-        get_merged(rank, at, generations, |rank, seq| {
-            self.read_delta(rank, seq)
-        })
+            .map(|path| Ok(self.record_bytes(&path)?.map(Cow::Owned)));
+        lend_merged(rank, at, true, bases, self.deltas(rank), read)
     }
 
     fn write_merged_record_at(
@@ -840,8 +869,8 @@ impl CkptTransport for CheckpointStore {
         at: Option<u64>,
         out: &mut dyn Write,
     ) -> Result<Option<u64>> {
-        // Fast paths: a base record that *is* the checksummed merged record
-        // is copied straight through without decoding (the receiving end
+        // Copy-through: a base record that *is* the checksummed merged
+        // record goes straight out without being parsed (the receiving end
         // verifies the trailing CRC) — the current base when no delta chain
         // is pending, or whichever retained generation sits exactly at the
         // pinned safe point.
@@ -861,7 +890,7 @@ impl CkptTransport for CheckpointStore {
                 }
             }
         }
-        crate::transport::write_merged_fallback(self, rank, at, out)
+        stream_merged(self, rank, at, out)
     }
 
     /// The safe-point count a restart should replay to: prefers the master
@@ -876,14 +905,12 @@ impl CkptTransport for CheckpointStore {
             return Ok(Some(c));
         }
         for rank in [None, Some(0)] {
-            if let Some(base) = self.read(&self.record_path(RecordKey::full(rank)))? {
-                // Delta *headers* only (CRC-checked, but no payload is
-                // materialized — the full merge happens once, at load time).
-                let tip = crate::transport::chain_tip_with(base.count, rank, |rank, seq| {
-                    let delta = self.record_bytes(&self.delta_path(rank, seq))?;
-                    delta.map(|b| DeltaMeta::decode(&b)).transpose()
-                })?;
-                return Ok(Some(tip));
+            if let Some(base) = self.record_bytes(&self.record_path(RecordKey::full(rank)))? {
+                // Every record is CRC-checked, none is copied: the base is
+                // parsed where it was read, the deltas' headers where the
+                // reused buffer holds them. The fold happens once, at load.
+                let count = SnapshotView::decode(&base)?.meta.count;
+                return walk_chain(count, None, true, self.deltas(rank), |_| Ok(())).map(Some);
             }
         }
         Ok(None)
@@ -1068,6 +1095,11 @@ impl RecordSink for CasSink<'_> {
     }
 }
 
+/// Bounds-checked cursor over record bytes. Every length and count it
+/// hands out came from the record and is checked against the bytes that
+/// remain before it is used as an offset or a capacity: an absurd value in
+/// an unverified head, or in a record whose CRC happens to hold, is a
+/// `CorruptCheckpoint`, never a panic or an allocation failure.
 pub(crate) struct Reader<'a> {
     pub(crate) buf: &'a [u8],
     pub(crate) pos: usize,
@@ -1075,14 +1107,15 @@ pub(crate) struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        let end = self.pos.checked_add(n).filter(|&end| end <= self.buf.len());
+        let Some(end) = end else {
             return Err(PparError::CorruptCheckpoint(format!(
                 "truncated: wanted {n} bytes at offset {}",
                 self.pos
             )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        };
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
 
@@ -1094,11 +1127,45 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// A `u64` length prefix, as an offset into this address space.
+    pub(crate) fn take_len(&mut self) -> Result<usize> {
+        let len = self.take_u64()?;
+        usize::try_from(len).map_err(|_| {
+            PparError::CorruptCheckpoint(format!("length {len} exceeds the address space"))
+        })
+    }
+
+    /// A `u32` element count, refused unless the remaining bytes can hold
+    /// that many elements of at least `min_each` bytes — so it is safe to
+    /// use as a capacity.
+    pub(crate) fn take_count(&mut self, min_each: usize, what: &str) -> Result<usize> {
+        let n = self.take_u32()? as usize;
+        let left = self.buf.len() - self.pos;
+        if n.checked_mul(min_each).is_none_or(|need| need > left) {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "record names {n} {what} but only {left} bytes remain"
+            )));
+        }
+        Ok(n)
+    }
+
     pub(crate) fn take_str(&mut self) -> Result<String> {
-        let len = self.take_u64()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| PparError::CorruptCheckpoint(format!("invalid utf-8: {e}")))
+        let len = self.take_len()?;
+        match std::str::from_utf8(self.take(len)?) {
+            Ok(s) => Ok(s.to_owned()),
+            Err(e) => Err(PparError::CorruptCheckpoint(format!("invalid utf-8: {e}"))),
+        }
+    }
+
+    /// The record must end here (`before` names what follows the body).
+    pub(crate) fn finish(&self, before: &str) -> Result<()> {
+        if self.pos != self.buf.len() {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "{} unconsumed bytes before {before}",
+                self.buf.len() - self.pos
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -1190,18 +1257,42 @@ impl CheckpointStore {
             .expect("record paths always carry a file name")
     }
 
-    /// The record's full encoded bytes, or `None` when absent under both
-    /// layouts.
-    fn record_bytes(&self, path: &Path) -> Result<Option<Vec<u8>>> {
+    /// Read the record's full encoded bytes into `buf` (cleared first, its
+    /// allocation reused); `false` when absent under both layouts.
+    fn record_read_into(&self, path: &Path, buf: &mut Vec<u8>) -> Result<bool> {
+        buf.clear();
         if let Some(cas) = &self.cas {
-            if let Some(bytes) = cas.read_record(CheckpointStore::rec_name(path))? {
-                return Ok(Some(bytes));
+            if cas.read_record_into(CheckpointStore::rec_name(path), buf)? {
+                return Ok(true);
             }
         }
-        match fs::read(path) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        match fs::File::open(path) {
+            Ok(mut file) => {
+                file.read_to_end(buf)?;
+                Ok(true)
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e.into()),
+        }
+    }
+
+    /// The record's full encoded bytes in a buffer of their own, or `None`
+    /// when absent.
+    fn record_bytes(&self, path: &Path) -> Result<Option<Vec<u8>>> {
+        let mut bytes = Vec::new();
+        Ok(self.record_read_into(path, &mut bytes)?.then_some(bytes))
+    }
+
+    /// How the chain walks reach `rank`'s deltas (see
+    /// [`crate::transport::lend_merged`]): each is read into the one buffer
+    /// the returned reader owns and reuses, and handed to `step` there.
+    fn deltas(
+        &self,
+        rank: Option<u32>,
+    ) -> impl FnMut(u32, &mut DeltaStep<'_>) -> Result<bool> + '_ {
+        let mut buf = Vec::new();
+        move |seq, step| {
+            Ok(self.record_read_into(&self.delta_path(rank, seq), &mut buf)? && step(&buf)?)
         }
     }
 
@@ -1289,36 +1380,30 @@ impl CheckpointStore {
     }
 
     /// Peek the safe-point count in a record's header without materializing
-    /// the payload. `None` when the file is missing or its header does not
-    /// parse (a peek never hard-fails: the caller falls back to the full,
-    /// CRC-checked read path).
-    fn peek_record_count(path: &Path) -> Option<u64> {
-        use std::io::Read;
-        // MAGIC(8) + mode-tag length(8) + tag bytes + count(8): mode tags
-        // are short strings, so the count lives comfortably inside 4 KiB.
-        let mut head = [0u8; 4096];
-        let mut file = fs::File::open(path).ok()?;
-        let mut got = 0;
-        while got < head.len() {
-            match file.read(&mut head[got..]) {
-                Ok(0) => break,
-                Ok(n) => got += n,
-                Err(_) => return None,
-            }
-        }
-        peek_header(&head[..got]).map(|(count, _)| count)
-    }
-
-    /// [`CheckpointStore::peek_record_count`] through the record seam:
-    /// manifest head first in the content-addressed layout, flat file
-    /// otherwise.
+    /// the payload. `None` when the record is missing or its header does
+    /// not parse (a peek never hard-fails: the caller falls back to the
+    /// full, CRC-checked read path). Goes through the record seam: manifest
+    /// head first in the content-addressed layout, flat file otherwise.
     fn peek_count(&self, path: &Path) -> Option<u64> {
-        if let Some(cas) = &self.cas {
-            if let Ok(Some(head)) = cas.read_head(CheckpointStore::rec_name(path), 4096) {
-                return peek_header(&head).map(|(count, _)| count);
+        // MAGIC(8) + mode-tag length(8) + tag bytes + count(8): mode tags
+        // are short strings, so the header lives comfortably inside 4 KiB.
+        const HEAD: usize = 4096;
+        let cas_head = self.cas.as_ref().and_then(|cas| {
+            cas.read_head(CheckpointStore::rec_name(path), HEAD)
+                .ok()
+                .flatten()
+        });
+        let head = match cas_head {
+            Some(head) => head,
+            None => {
+                let mut head = Vec::with_capacity(HEAD);
+                let file = fs::File::open(path).ok()?;
+                file.take(HEAD as u64).read_to_end(&mut head).ok()?;
+                head
             }
-        }
-        CheckpointStore::peek_record_count(path)
+        };
+        let header = SnapshotView::header(&mut Reader { buf: &head, pos: 0 });
+        header.ok().map(|meta| meta.count)
     }
 
     /// The step of both commit sequences that comes just before the new
@@ -1377,28 +1462,20 @@ impl CheckpointStore {
         }
     }
 
-    fn read_delta(
-        &self,
-        rank: Option<u32>,
-        seq: u32,
-    ) -> Result<Option<crate::delta::DeltaSnapshot>> {
+    fn read_delta(&self, rank: Option<u32>, seq: u32) -> Result<Option<DeltaSnapshot>> {
         match self.record_bytes(&self.delta_path(rank, seq))? {
-            Some(bytes) => crate::delta::DeltaSnapshot::decode(&bytes).map(Some),
+            Some(bytes) => DeltaSnapshot::decode(&bytes).map(Some),
             None => Ok(None),
         }
     }
 
     /// Load delta `seq` of the master chain, if present.
-    pub fn read_master_delta(&self, seq: u32) -> Result<Option<crate::delta::DeltaSnapshot>> {
+    pub fn read_master_delta(&self, seq: u32) -> Result<Option<DeltaSnapshot>> {
         self.read_delta(None, seq)
     }
 
     /// Load delta `seq` of rank `rank`'s chain, if present.
-    pub fn read_shard_delta(
-        &self,
-        rank: u32,
-        seq: u32,
-    ) -> Result<Option<crate::delta::DeltaSnapshot>> {
+    pub fn read_shard_delta(&self, rank: u32, seq: u32) -> Result<Option<DeltaSnapshot>> {
         self.read_delta(Some(rank), seq)
     }
 

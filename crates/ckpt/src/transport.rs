@@ -18,11 +18,21 @@
 //!   from the record's header, run the golden encoder into `begin(key)`,
 //!   commit. No medium implements a put of its own, so every medium stores
 //!   byte-identical encodings of identical content.
-//! * **get** — [`CkptTransport::get`] materializes a chain's merged state
-//!   (base + deltas folded by the shared chain rules below), optionally
-//!   pinned to one safe point; [`CkptTransport::write_merged_record`]
-//!   streams the same thing as one checksummed full record and
-//!   [`CkptTransport::with_merged_master`] lends it zero-copy.
+//! * **read, once** — [`CkptTransport::with_merged`] is the one read a
+//!   medium writes, and it is a *lend*: the medium folds the chain (base +
+//!   live deltas by the shared chain rules below, optionally pinned to one
+//!   safe point) and runs the caller's closure over a [`SnapshotView`]
+//!   whose payloads are slices of bytes the medium holds. **The closure
+//!   runs at most once, and only after the medium has established that the
+//!   chain serves the requested safe point**, so a caller may install into
+//!   live cells straight from it. The other two shapes are *provided* over
+//!   the lend: [`CkptTransport::get`] *owns* (a copy of the view),
+//!   [`CkptTransport::write_merged_record_at`] *streams* (the view through
+//!   the golden encoder, checksum on). The store alone overrides the
+//!   stream, to copy a file through unparsed when no live delta has to be
+//!   folded — the chain then *is* the record; that is what the root's
+//!   checkpoint service answers a restore with. Memory needs no override:
+//!   streaming its lent record is already one CRC-and-copy pass.
 //!
 //! **The failed-put rule**, binding on every medium: *a put that fails
 //! leaves the previous record for that key readable and no partial
@@ -35,13 +45,14 @@
 //! trailer; [`MemTransport`] says no (the bytes never leave the process —
 //! integrity checking guards durable media), so a hand-off costs one copy
 //! and no checksum. Its records equal a disk store's byte for byte except
-//! that zero trailer, which is computed on the way out whenever a memory
-//! record is streamed to another medium.
+//! that zero trailer; the encoder computes it on the way out whenever a
+//! memory record is streamed to another medium.
 //!
 //! Media: [`crate::store::CheckpointStore`] (flat files or the
 //! content-addressed layout), [`MemTransport`] (live-reshape hand-off),
 //! and in `ppar-net` the wire client and the survivor-local mirror.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,13 +60,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use ppar_core::error::{PparError, Result};
-use ppar_core::runtime::{RegionCursor, PROGRESS_FIELD};
 
 use crate::cas::{ChunkRef, PutStats};
-use crate::crc::Crc32;
-use crate::delta::{DeltaMeta, DeltaSnapshot, DELTA_MAGIC};
+use crate::delta::{DeltaMeta, DeltaView, Merged, DELTA_MAGIC};
 use crate::store::{
-    peek_header, DeltaSource, FieldSource, Reader, Record, Snapshot, SnapshotMeta, SnapshotView,
+    record_body, DeltaSource, FieldSource, Reader, Record, Snapshot, SnapshotMeta, SnapshotView,
 };
 
 /// Names one record of one chain.
@@ -86,14 +95,12 @@ impl RecordKey {
     /// The key an encoded record's own header names, read from the
     /// record's leading bytes (a prefix long enough to hold the header).
     pub fn of_record(head: &[u8]) -> Result<RecordKey> {
+        let mut r = Reader { buf: head, pos: 0 };
         if head.starts_with(DELTA_MAGIC) {
-            let meta = DeltaSnapshot::decode_header(&mut Reader { buf: head, pos: 0 })?;
+            let meta = DeltaMeta::header(&mut r)?;
             Ok(RecordKey::delta(meta.rank, meta.seq))
         } else {
-            let (_, rank) = peek_header(head).ok_or_else(|| {
-                PparError::CorruptCheckpoint("record header does not parse".into())
-            })?;
-            Ok(RecordKey::full(rank))
+            Ok(RecordKey::full(SnapshotView::header(&mut r)?.rank))
         }
     }
 
@@ -157,7 +164,7 @@ pub trait RecordSink: Write {
 }
 
 /// A checkpoint medium. See the [module docs](self) for the contract; a
-/// new medium writes `describe`, `begin`, `get`, `restart_count`,
+/// new medium writes `describe`, `begin`, `with_merged`, `restart_count`,
 /// `clear_deltas` and `clear_all_deltas`.
 pub trait CkptTransport: Send + Sync {
     /// Short human-readable tag for reports (`"file"`, `"memory"`).
@@ -205,28 +212,46 @@ pub trait CkptTransport: Send + Sync {
         self.put(&Record::Delta(meta, fields), scratch)
     }
 
-    /// Load `rank`'s chain (`None` = master) with its deltas folded in —
-    /// per field byte-identical to a full snapshot of the same state.
+    /// Lend `rank`'s chain (`None` = master) with its deltas folded in:
+    /// `read` runs over a view that is per field byte-identical to a full
+    /// snapshot of the same state, its payloads borrowed from the medium.
     /// `at: Some(count)` pins the read to exactly that safe point: deltas
     /// past it are left out, a medium that retains an older generation
     /// falls back to it, and a chain that cannot land on `count` is an
     /// error, never a different safe point. Restores pass the replay
     /// target here so a torn group checkpoint (one rank died mid-save, its
     /// peers already wrote a newer generation) is detected instead of
-    /// installed. `Ok(None)` when the chain has no base record.
-    fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>>;
+    /// installed.
+    ///
+    /// `read` runs **at most once**, and only after the medium has
+    /// established that the chain serves `at`; its error is the call's.
+    /// `Ok(false)` — `read` did not run — when the chain has no base
+    /// record.
+    fn with_merged(
+        &self,
+        rank: Option<u32>,
+        at: Option<u64>,
+        read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
+    ) -> Result<bool>;
 
-    /// Run `install` over the merged master snapshot, zero-copy where the
-    /// medium can lend payload bytes (memory with no delta chain pending —
-    /// the live-reshape resume). `Ok(false)` when no master record exists.
+    /// [`CkptTransport::with_merged`], owned: a copy of the view.
+    /// `Ok(None)` when the chain has no base record.
+    fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>> {
+        let mut snap = None;
+        self.with_merged(rank, at, &mut |view| {
+            snap = Some(view.to_snapshot());
+            Ok(())
+        })?;
+        Ok(snap)
+    }
+
+    /// `with_merged(None, None, install)`. Kept because the benchmark under
+    /// `ledger/`, which may not change, calls it by this name.
     fn with_merged_master(
         &self,
         install: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
     ) -> Result<bool> {
-        match self.get(None, None)? {
-            Some(snap) => install(&SnapshotView::of(&snap)).map(|()| true),
-            None => Ok(false),
-        }
+        self.with_merged(None, None, install)
     }
 
     /// Stream `rank`'s merged chain into `out` as one *checksummed* full
@@ -237,15 +262,16 @@ pub trait CkptTransport: Send + Sync {
     }
 
     /// [`CkptTransport::write_merged_record`] pinned like
-    /// [`CkptTransport::get`]. The default materializes and re-encodes;
-    /// media holding contiguous record bytes copy them through.
+    /// [`CkptTransport::with_merged`]: the lent view goes through the
+    /// golden encoder. The store overrides this to copy a record file
+    /// through when no live delta has to be folded.
     fn write_merged_record_at(
         &self,
         rank: Option<u32>,
         at: Option<u64>,
         out: &mut dyn Write,
     ) -> Result<Option<u64>> {
-        write_merged_fallback(self, rank, at, out)
+        stream_merged(self, rank, at, out)
     }
 
     /// The safe-point count a restart/resume should replay to (chain tips
@@ -275,27 +301,6 @@ pub trait CkptTransport: Send + Sync {
     }
 }
 
-/// Decode the `PPARPRG1` progress cursor carried by the newest usable
-/// snapshot of `transport` (the reserved [`PROGRESS_FIELD`]), master
-/// record first, shard 0 otherwise (local-snapshot groups carry identical
-/// cursors on every shard). Snapshots written before the cursor existed
-/// have no such field and yield `Ok(None)`: the consumer replays
-/// classically (progress = start). A cursor that fails to decode degrades
-/// the same way; it must never fail a restore.
-pub fn read_progress(transport: &dyn CkptTransport) -> Result<Option<RegionCursor>> {
-    let mut bytes: Option<Vec<u8>> = None;
-    let found = transport.with_merged_master(&mut |snap| {
-        bytes = snap.field(PROGRESS_FIELD).map(|b| b.to_vec());
-        Ok(())
-    })?;
-    if !found {
-        if let Some(snap) = transport.get(Some(0), None)? {
-            bytes = snap.field(PROGRESS_FIELD).map(|b| b.to_vec());
-        }
-    }
-    Ok(bytes.and_then(|b| RegionCursor::decode(&b).ok()))
-}
-
 /// Cap a sender-supplied record-size hint before using it as an
 /// allocation size (a hint is advisory; a bogus huge one must not OOM the
 /// receiver).
@@ -303,37 +308,31 @@ fn clamp_record_hint(len_hint: u64) -> usize {
     len_hint.min(1 << 28) as usize
 }
 
-/// The default [`CkptTransport::write_merged_record_at`]: materialize the
-/// merge, then stream it through the golden encoder with the checksum
-/// pass on (also the slow path of media that override it).
-pub(crate) fn write_merged_fallback(
+/// [`CkptTransport::write_merged_record_at`] over the lend: the provided
+/// method, and what a copy-through override falls back on when a live
+/// delta has to be folded first.
+pub(crate) fn stream_merged(
     transport: &(impl CkptTransport + ?Sized),
     rank: Option<u32>,
     at: Option<u64>,
     out: &mut dyn Write,
 ) -> Result<Option<u64>> {
-    let Some(snap) = transport.get(rank, at)? else {
-        return Ok(None);
-    };
-    let fields: Vec<(&str, FieldSource<'_>)> = snap
-        .fields
-        .iter()
-        .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
-        .collect();
-    let (written, _) = Record::Full(&snap.meta(), &fields).encode(out, true, &mut Vec::new())?;
-    Ok(Some(written))
+    let mut written = None;
+    transport.with_merged(rank, at, &mut |view| {
+        written = Some(view.write_record(out)?);
+        Ok(())
+    })?;
+    Ok(written)
 }
 
 // ---------------------------------------------------------------------------
 // shared chain rules
 // ---------------------------------------------------------------------------
 
-/// The single source of truth for delta-chain step validity, shared by every
-/// medium's header-only walk ([`chain_tip_with`]) and full merge
-/// ([`merge_chain_to`]), so the restart target and the restored state can
-/// never disagree on chain rules. Returns `Ok(false)` for a *stale* delta
-/// (previous base generation — terminates the walk harmlessly); errors on
-/// ordering violations.
+/// Delta-chain step validity, as [`walk_chain`] — the one walk behind both
+/// the restart target and the restored state — applies it. Returns
+/// `Ok(false)` for a *stale* delta (previous base generation — terminates
+/// the walk harmlessly); errors on ordering violations.
 pub(crate) fn chain_step_is_live(
     meta: &DeltaMeta,
     base_count: u64,
@@ -358,83 +357,84 @@ pub(crate) fn chain_step_is_live(
     Ok(true)
 }
 
-/// Fold a delta chain onto `snap` (the base full snapshot), reading deltas
-/// through `read_delta` from seq 1 until the first missing or stale record.
-/// With a `target`, stop *before* any delta that would advance the merged
-/// state past that safe point (the count-pinned restore: a torn chain whose
-/// tip outruns the group commit serves the committed prefix instead).
-pub(crate) fn merge_chain_to(
-    mut snap: Snapshot,
-    target: Option<u64>,
-    read_delta: impl Fn(Option<u32>, u32) -> Result<Option<DeltaSnapshot>>,
-) -> Result<Snapshot> {
-    let base_count = snap.count;
+/// What a chain walk does with one delta record's bytes; `Ok(false)` ends
+/// the walk.
+pub(crate) type DeltaStep<'s> = dyn FnMut(&[u8]) -> Result<bool> + 's;
+
+/// Walk the delta chain over the base saved at `base_count`: from delta 1
+/// until the first missing or stale record, stopping *before* any delta
+/// that would pass a pinned `at` (a torn chain whose tip outran the group
+/// commit serves the committed prefix). Each live delta's body goes to
+/// `fold`; the safe point reached is returned — with a `fold` that does
+/// nothing, this is the chain's tip from the deltas' *headers* alone.
+///
+/// The medium supplies the bytes: `delta(seq, step)` runs `step` over delta
+/// `seq`'s record wherever the medium has it — a buffer it reuses across
+/// calls, or the held record itself — and returns `Ok(false)` when there is
+/// no such delta. `verify` says whether those bytes need their CRC checked.
+pub(crate) fn walk_chain(
+    base_count: u64,
+    at: Option<u64>,
+    verify: bool,
+    mut delta: impl FnMut(u32, &mut DeltaStep<'_>) -> Result<bool>,
+    mut fold: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<u64> {
+    let mut count = base_count;
     let mut seq = 1u32;
-    while target.is_none_or(|t| snap.count < t) {
-        let Some(delta) = read_delta(snap.rank, seq)? else {
-            break;
-        };
-        if !chain_step_is_live(&delta.meta, base_count, seq, snap.count)?
-            || target.is_some_and(|t| delta.meta.count > t)
-        {
-            break;
-        }
-        delta.apply_to(&mut snap)?;
+    while at.is_none_or(|at| count < at)
+        && delta(seq, &mut |bytes| {
+            let body = record_body(bytes, verify, "delta ")?;
+            let meta = DeltaMeta::header(&mut Reader { buf: body, pos: 0 })?;
+            let live = chain_step_is_live(&meta, base_count, seq, count)?
+                && at.is_none_or(|at| meta.count <= at);
+            if live {
+                fold(body)?;
+                count = meta.count;
+            }
+            Ok(live)
+        })?
+    {
         seq += 1;
     }
-    Ok(snap)
+    Ok(count)
 }
 
-/// [`CkptTransport::get`] over a medium's base generations, newest first:
-/// the first whose (pinned) merge satisfies `at` is served. An unpinned get
-/// serves the first generation present.
-pub(crate) fn get_merged(
+/// [`CkptTransport::with_merged`] for a medium that holds record bytes: the
+/// one place a stored chain becomes a state. `bases` yields the chain's
+/// base record per retained generation, newest first — owned (read off a
+/// disk: it becomes the restore's one record-sized buffer) or borrowed
+/// (held in memory: copied only if a delta has to be patched in). Each is
+/// folded by [`walk_chain`]; the first generation to land on a pinned `at`
+/// is lent to `read`, and an unpinned read takes the first one present.
+pub(crate) fn lend_merged<'b>(
     rank: Option<u32>,
     at: Option<u64>,
-    generations: impl IntoIterator<Item = Result<Option<Snapshot>>>,
-    read_delta: impl Fn(Option<u32>, u32) -> Result<Option<DeltaSnapshot>>,
-) -> Result<Option<Snapshot>> {
+    verify: bool,
+    bases: impl IntoIterator<Item = Result<Option<Cow<'b, [u8]>>>>,
+    mut delta: impl FnMut(u32, &mut DeltaStep<'_>) -> Result<bool>,
+    read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
+) -> Result<bool> {
     let mut seen = Vec::new();
-    for base in generations {
+    for base in bases {
         let Some(base) = base? else {
             continue;
         };
-        if at.is_some_and(|count| base.count > count) {
-            seen.push(base.count);
-            continue;
+        let mut merged = Merged::of_base(base, verify)?;
+        let count = walk_chain(merged.count(), at, verify, &mut delta, |body| {
+            merged.apply(&DeltaView::parse(body)?)
+        })?;
+        if at.is_none_or(|at| count == at) {
+            return read(&merged.view()).map(|()| true);
         }
-        let merged = merge_chain_to(base, at, &read_delta)?;
-        if at.is_none_or(|count| merged.count == count) {
-            return Ok(Some(merged));
-        }
-        seen.push(merged.count);
+        seen.push(count);
     }
     match (seen.is_empty(), at) {
         (false, Some(count)) => Err(PparError::CorruptCheckpoint(format!(
             "no generation of the {rank:?} chain can serve safe point {count} \
              (available: {seen:?}; torn group checkpoint)"
         ))),
-        _ => Ok(None),
+        _ => Ok(false),
     }
-}
-
-/// The safe-point count at the tip of a base's delta chain, walking delta
-/// *headers* only through `read_meta` (no payload is materialized).
-pub(crate) fn chain_tip_with(
-    base_count: u64,
-    rank: Option<u32>,
-    read_meta: impl Fn(Option<u32>, u32) -> Result<Option<DeltaMeta>>,
-) -> Result<u64> {
-    let mut count = base_count;
-    let mut seq = 1u32;
-    while let Some(meta) = read_meta(rank, seq)? {
-        if !chain_step_is_live(&meta, base_count, seq, count)? {
-            break;
-        }
-        count = meta.count;
-        seq += 1;
-    }
-    Ok(count)
 }
 
 // ---------------------------------------------------------------------------
@@ -516,17 +516,16 @@ impl MemTransport {
         }
     }
 
-    /// Trusted decodes throughout: the bytes never left this process.
-    fn read_delta(&self, rank: Option<u32>, seq: u32) -> Result<Option<DeltaSnapshot>> {
-        match self.records.lock().get(&RecordKey::delta(rank, seq)) {
-            Some(bytes) => DeltaSnapshot::decode_trusted(bytes).map(Some),
-            None => Ok(None),
+    /// How the chain walks reach `rank`'s deltas in the held `records`:
+    /// where they lie, no buffer involved.
+    fn deltas(
+        records: &HashMap<RecordKey, Vec<u8>>,
+        rank: Option<u32>,
+    ) -> impl FnMut(u32, &mut DeltaStep<'_>) -> Result<bool> + '_ {
+        move |seq, step| match records.get(&RecordKey::delta(rank, seq)) {
+            Some(bytes) => step(bytes),
+            None => Ok(false),
         }
-    }
-
-    /// Is a delta chain pending over `rank`'s base record?
-    fn has_deltas(records: &HashMap<RecordKey, Vec<u8>>, rank: Option<u32>) -> bool {
-        records.keys().any(|k| k.rank == rank && k.delta.is_some())
     }
 }
 
@@ -595,84 +594,33 @@ impl CkptTransport for MemTransport {
         }))
     }
 
-    fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>> {
-        let base = match self.records.lock().get(&RecordKey::full(rank)) {
-            Some(bytes) => Snapshot::decode_trusted(bytes).map(Some),
-            None => Ok(None),
-        };
-        get_merged(rank, at, [base], |rank, seq| self.read_delta(rank, seq))
-    }
-
-    fn with_merged_master(
-        &self,
-        install: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
-    ) -> Result<bool> {
-        // Fast path: no delta chain over the master record — hand the
-        // caller borrowed payload slices straight out of the record (one
-        // copy total: record → cells). With a chain pending, fall back to
-        // the owned merge.
-        {
-            let records = self.records.lock();
-            if !MemTransport::has_deltas(&records, None) {
-                let Some(bytes) = records.get(&RecordKey::full(None)) else {
-                    return Ok(false);
-                };
-                return install(&SnapshotView::decode_trusted(bytes)?).map(|()| true);
-            }
-        }
-        match self.get(None, None)? {
-            Some(snap) => install(&SnapshotView::of(&snap)).map(|()| true),
-            None => Ok(false),
-        }
-    }
-
-    fn write_merged_record_at(
+    /// The held record is lent where it lies (one copy total: record →
+    /// cells — the live-reshape resume), and copied only when a delta has
+    /// to be patched into it. Nothing is CRC-checked: the bytes never left
+    /// this process. The map stays locked while `read` runs.
+    fn with_merged(
         &self,
         rank: Option<u32>,
         at: Option<u64>,
-        out: &mut dyn Write,
-    ) -> Result<Option<u64>> {
-        // Fast path: no delta chain pending over this base — stream the
-        // held record bytes straight out in cache-sized blocks, computing
-        // the CRC on the same pass (the stored trailer is zero by
-        // convention). Pinned or chained reads take the materialized merge.
-        if at.is_none() {
-            let records = self.records.lock();
-            if !MemTransport::has_deltas(&records, rank) {
-                let Some(bytes) = records.get(&RecordKey::full(rank)) else {
-                    return Ok(None);
-                };
-                let mut crc = Crc32::new();
-                for block in bytes[..bytes.len() - 4].chunks(256 << 10) {
-                    crc.update(block);
-                    out.write_all(block)?;
-                }
-                out.write_all(&crc.finish().to_le_bytes())?;
-                return Ok(Some(bytes.len() as u64));
-            }
-        }
-        write_merged_fallback(self, rank, at, out)
+        read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
+    ) -> Result<bool> {
+        let records = self.records.lock();
+        let base = records.get(&RecordKey::full(rank));
+        let base = base.map(|bytes| Cow::Borrowed(bytes.as_slice()));
+        let deltas = MemTransport::deltas(&records, rank);
+        lend_merged(rank, at, false, [Ok(base)], deltas, read)
     }
 
     fn restart_count(&self) -> Result<Option<u64>> {
-        // Header peeks only: this runs once per rank when a resume is
-        // armed — materializing payload copies here would tax the
-        // latency-critical hand-off path.
+        // Headers only: this runs once per rank when a resume is armed, on
+        // the latency-critical hand-off path.
         let records = self.records.lock();
         for rank in [None, Some(0)] {
-            let Some(base) = records.get(&RecordKey::full(rank)) else {
-                continue;
-            };
-            let (count, _) = peek_header(base).ok_or_else(|| {
-                PparError::CorruptCheckpoint("held record header does not parse".into())
-            })?;
-            return chain_tip_with(count, rank, |rank, seq| {
-                records
-                    .get(&RecordKey::delta(rank, seq))
-                    .map(|b| DeltaMeta::decode_trusted(b))
-                    .transpose()
-            })
-            .map(Some);
+            if let Some(base) = records.get(&RecordKey::full(rank)) {
+                let count = SnapshotView::header(&mut Reader { buf: base, pos: 0 })?.count;
+                let deltas = MemTransport::deltas(&records, rank);
+                return walk_chain(count, None, false, deltas, |_| Ok(())).map(Some);
+            }
         }
         Ok(None)
     }

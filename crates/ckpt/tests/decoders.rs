@@ -1,0 +1,233 @@
+//! Decoder hardening, checked from outside the crate: the first slice of a
+//! shared harness for the on-disk / wire formats. Today it holds the two
+//! checkpoint record formats (`PPARCKP1` full records, `PPARDLT1` deltas),
+//! each through every entry bytes can arrive by — the CRC-checked decode,
+//! the trusted decode (no CRC, so structure is all that stands between a
+//! bad length and the allocator) and the header peek behind
+//! [`RecordKey::of_record`].
+//!
+//! The rule for every entry: **an `Err`, never a panic, never an abort** —
+//! in debug, where arithmetic overflow panics, and in release, where it
+//! wraps (CI runs this file under both).
+
+use std::io::Write;
+
+use ppar_ckpt::crc::crc32;
+use ppar_ckpt::store::{FieldSource, Record, Snapshot, SnapshotWriter};
+use ppar_ckpt::transport::{CkptTransport, RecordKey};
+use ppar_ckpt::{DeltaMeta, DeltaSnapshot, MemTransport};
+use ppar_core::error::{PparError, Result};
+
+const TAG: &str = "seq";
+/// Offset of the mode tag's `u64` length prefix in either format.
+const FULL_TAG_LEN_AT: usize = 8;
+const DELTA_TAG_LEN_AT: usize = 12;
+/// Offset of `nfields`: magic, tag, count, rank, nranks — and for a delta
+/// also version, base_count and seq.
+const FULL_NFIELDS_AT: usize = 8 + 8 + TAG.len() + 8 + 4 + 4;
+const DELTA_NFIELDS_AT: usize = 8 + 4 + 8 + TAG.len() + 8 + 8 + 4 + 4 + 4;
+
+/// Deterministic filler (xorshift), so a failing sweep names a repeatable
+/// record.
+fn seeded(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x as u8
+    };
+    (0..len).map(|_| next()).collect()
+}
+
+fn full_record(seed: u64) -> Vec<u8> {
+    Snapshot {
+        mode_tag: TAG.into(),
+        count: 7,
+        rank: None,
+        nranks: 1,
+        fields: vec![
+            ("G".into(), seeded(seed, 96)),
+            ("empty".into(), Vec::new()),
+            ("energy".into(), seeded(seed + 1, 8)),
+        ],
+    }
+    .encode()
+}
+
+fn delta_meta() -> DeltaMeta {
+    DeltaMeta {
+        mode_tag: TAG.into(),
+        count: 9,
+        base_count: 7,
+        seq: 1,
+        rank: None,
+        nranks: 1,
+    }
+}
+
+/// A delta over [`full_record`]: two sparse ranges into `G`, `energy` whole.
+fn delta_record(seed: u64) -> Vec<u8> {
+    let mut w = SnapshotWriter::new_delta(Vec::new(), &delta_meta(), 2).unwrap();
+    w.delta_field_sparse_bytes("G", 96, &[8..24, 40..48], &seeded(seed + 2, 24))
+        .unwrap();
+    w.delta_field_full_bytes("energy", &seeded(seed + 3, 8))
+        .unwrap();
+    w.finish().unwrap().1
+}
+
+/// Overwrite `bytes[at..]` with `value` and make the CRC trailer valid
+/// again, so only structure can refuse the record.
+fn patched<const N: usize>(record: &[u8], at: usize, value: [u8; N]) -> Vec<u8> {
+    let mut bytes = record.to_vec();
+    bytes[at..at + N].copy_from_slice(&value);
+    let body = bytes.len() - 4;
+    let crc = crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+fn full_checked(bytes: &[u8]) -> Result<()> {
+    Snapshot::decode(bytes).map(|_| ())
+}
+
+fn full_trusted(bytes: &[u8]) -> Result<()> {
+    Snapshot::decode_trusted(bytes).map(|_| ())
+}
+
+fn delta_checked(bytes: &[u8]) -> Result<()> {
+    DeltaSnapshot::decode(bytes).map(|_| ())
+}
+
+/// The delta format's trusted entry is the memory medium's fold: install
+/// the bytes as delta 1 over [`full_record`], then read the chain.
+fn delta_trusted(bytes: &[u8]) -> Result<()> {
+    let mem = MemTransport::new();
+    let base = Snapshot::decode(&full_record(1)).unwrap();
+    let fields = base.fields.iter();
+    let fields: Vec<_> = fields
+        .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
+        .collect();
+    mem.put(&Record::Full(&base.meta(), &fields), &mut Vec::new())?;
+    let mut sink = mem.begin(RecordKey::delta(None, 1), bytes.len() as u64)?;
+    sink.write_all(bytes)?;
+    sink.commit()?;
+    mem.get(None, None).map(|_| ())
+}
+
+fn is_corrupt(outcome: Result<()>) -> bool {
+    matches!(outcome, Err(PparError::CorruptCheckpoint(_)))
+}
+
+/// Every length prefix a record carries — the mode tag's, a field name's, a
+/// payload's, a sparse range's — set to values whose sum with the read
+/// position overflows, nearly overflows, or just overruns the record.
+#[test]
+fn absurd_lengths_are_errors_not_panics() {
+    let full = full_record(1);
+    let delta = delta_record(1);
+    let name_len_at = |nfields_at: usize| nfields_at + 4;
+    // Full: the first field is "G" (name prefix, 1 byte, payload prefix).
+    let full_sites = [
+        FULL_TAG_LEN_AT,
+        name_len_at(FULL_NFIELDS_AT),
+        name_len_at(FULL_NFIELDS_AT) + 8 + 1,
+    ];
+    // Delta: "G" is sparse (name prefix, 1 byte, kind, full_len, nranges,
+    // two ranges of offset + length, 24 range bytes); "energy" follows whole
+    // (name prefix, 6 bytes, kind, payload prefix).
+    let range_map = name_len_at(DELTA_NFIELDS_AT) + 8 + 1 + 1 + 8 + 4;
+    let delta_sites = [
+        DELTA_TAG_LEN_AT,
+        name_len_at(DELTA_NFIELDS_AT),
+        range_map + 8,
+        range_map + 2 * 16 + 24 + 8 + 6 + 1,
+    ];
+    for (record, sites, checked, trusted) in [
+        (
+            &full,
+            &full_sites[..],
+            full_checked as fn(&[u8]) -> Result<()>,
+            full_trusted as fn(&[u8]) -> Result<()>,
+        ),
+        (&delta, &delta_sites[..], delta_checked, delta_trusted),
+    ] {
+        assert!(checked(record).is_ok() && trusted(record).is_ok());
+        for &site in sites {
+            for value in [u64::MAX, usize::MAX as u64 - 7, record.len() as u64 + 1] {
+                let bad = patched(record, site, value.to_le_bytes());
+                assert!(checked(&bad).is_err(), "checked, {value:#x} at {site}");
+                assert!(trusted(&bad).is_err(), "trusted, {value:#x} at {site}");
+                // The peek reads the header only, of a whole record or of
+                // its head: it refuses a bad tag length and never trips
+                // over anything behind the header.
+                let in_header = site == FULL_TAG_LEN_AT || site == DELTA_TAG_LEN_AT;
+                for head in [&bad[..], &bad[..64]] {
+                    let key = RecordKey::of_record(head);
+                    assert_eq!(key.is_err(), in_header, "{value:#x} at {site}");
+                }
+            }
+        }
+    }
+}
+
+/// A count the record cannot possibly hold is refused before it is used as
+/// a capacity: the 43-byte full record naming `u32::MAX` fields (which used
+/// to abort the process with a 171 GB allocation request), and its delta
+/// twins for `nfields` and `nranges`.
+#[test]
+fn absurd_counts_are_refused_before_they_allocate() {
+    let empty = Snapshot {
+        mode_tag: TAG.into(),
+        count: 7,
+        rank: None,
+        nranks: 1,
+        fields: Vec::new(),
+    }
+    .encode();
+    assert_eq!(empty.len(), 43);
+    let bad = patched(&empty, FULL_NFIELDS_AT, u32::MAX.to_le_bytes());
+    assert!(is_corrupt(full_checked(&bad)));
+    assert!(is_corrupt(full_trusted(&bad)));
+
+    let delta = delta_record(1);
+    let nranges_at = DELTA_NFIELDS_AT + 4 + 8 + 1 + 1 + 8;
+    for site in [DELTA_NFIELDS_AT, nranges_at] {
+        let bad = patched(&delta, site, u32::MAX.to_le_bytes());
+        assert!(is_corrupt(delta_checked(&bad)), "checked, count at {site}");
+        assert!(is_corrupt(delta_trusted(&bad)), "trusted, count at {site}");
+    }
+}
+
+/// The sweep: every single-bit flip and every truncation of a seeded
+/// record, through every entry. A checked entry rejects them all (CRC-32
+/// catches any single-bit error, a truncation cannot parse to the end); a
+/// trusted entry rejects the truncations and must merely survive the flips
+/// — accepting flipped *payload* bytes is what "trusted" means.
+#[test]
+fn every_bit_flip_and_truncation_is_survived_and_the_checked_ones_rejected() {
+    for seed in [0x5eed, 20110913] {
+        for (record, checked, trusted) in [
+            (
+                full_record(seed),
+                full_checked as fn(&[u8]) -> Result<()>,
+                full_trusted as fn(&[u8]) -> Result<()>,
+            ),
+            (delta_record(seed), delta_checked, delta_trusted),
+        ] {
+            assert!(checked(&record).is_ok() && trusted(&record).is_ok());
+            for bit in 0..record.len() * 8 {
+                let mut flipped = record.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert!(checked(&flipped).is_err(), "seed {seed}: flip of bit {bit}");
+                let _ = trusted(&flipped);
+                let _ = RecordKey::of_record(&flipped);
+            }
+            for cut in 0..record.len() {
+                assert!(checked(&record[..cut]).is_err(), "seed {seed}: cut {cut}");
+                assert!(trusted(&record[..cut]).is_err(), "seed {seed}: cut {cut}");
+                let _ = RecordKey::of_record(&record[..cut]);
+            }
+        }
+    }
+}

@@ -1,0 +1,191 @@
+//! The allocation budget of a restore: how many record-sized buffers each
+//! read shape may ask the allocator for. A restore of base + k deltas holds
+//! the base buffer and one reused delta buffer, whatever k; the memory
+//! medium lends the record it holds and copies it only to patch a delta in.
+//!
+//! Its own test binary because it installs a counting `#[global_allocator]`,
+//! and one `#[test]` because the counter is process-wide. The thresholds
+//! are about the optimised code as much as the debug build: CI runs this
+//! under `--release` too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use ppar_ckpt::store::{DeltaSource, FieldSource, Record, SnapshotMeta};
+use ppar_ckpt::transport::CkptTransport;
+use ppar_ckpt::{CheckpointStore, DeltaMeta, MemTransport};
+
+/// The state under test: one 4 MiB field.
+const FIELD: usize = 4 << 20;
+/// Allocations at least this large are "record-sized".
+const BIG: usize = 1 << 20;
+const DELTAS: u32 = 4;
+
+static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded to `System` with its arguments unchanged;
+// the only addition is a relaxed counter bump, which allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract for `alloc` is passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: as above; `ptr` and `layout` describe a live `System` block
+        // because every block this allocator hands out is one.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn count(size: usize) {
+    if size >= BIG {
+        BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Record-sized allocations made while `f` runs.
+fn big_allocs<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = BIG_ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (BIG_ALLOCS.load(Ordering::Relaxed) - before, out)
+}
+
+fn payload(seed: u8) -> Vec<u8> {
+    (0..FIELD)
+        .map(|i| (i as u8).wrapping_mul(31) ^ seed)
+        .collect()
+}
+
+fn put_base(t: &dyn CkptTransport) {
+    let meta = SnapshotMeta {
+        mode_tag: "seq".into(),
+        count: 10,
+        rank: None,
+        nranks: 1,
+    };
+    let bytes = payload(0);
+    t.put(
+        &Record::Full(&meta, &[("S", FieldSource::Bytes(&bytes))]),
+        &mut Vec::new(),
+    )
+    .unwrap();
+}
+
+/// `DELTAS` dense deltas (every byte dirty) over the base; returns the
+/// state the chain's tip describes.
+#[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
+fn put_dense_chain(t: &dyn CkptTransport) -> Vec<u8> {
+    let mut last = Vec::new();
+    for seq in 1..=DELTAS {
+        let meta = DeltaMeta {
+            mode_tag: "seq".into(),
+            count: 10 + seq as u64,
+            base_count: 10,
+            seq,
+            rank: None,
+            nranks: 1,
+        };
+        last = payload(seq as u8);
+        let dense = DeltaSource::DirtyBytes {
+            full_len: FIELD as u64,
+            ranges: &[0..FIELD],
+            payload: &last,
+        };
+        t.put(&Record::Delta(&meta, &[("S", dense)]), &mut Vec::new())
+            .unwrap();
+    }
+    last
+}
+
+/// The lend: `(record-sized allocations, count seen, field S equals want)`.
+fn lend(t: &dyn CkptTransport, at: Option<u64>, want: &[u8]) -> (usize, u64, bool) {
+    let mut seen = (0, false);
+    let (allocs, found) = big_allocs(|| {
+        t.with_merged(None, at, &mut |view| {
+            seen = (view.meta.count, view.field("S") == Some(want));
+            Ok(())
+        })
+    });
+    assert!(found.unwrap(), "the chain has a base record");
+    (allocs, seen.0, seen.1)
+}
+
+#[test]
+fn a_restore_allocates_one_record_and_one_reused_delta_buffer() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("restore_allocs_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new_flat(&dir).unwrap();
+    let mem = MemTransport::new();
+    let base = payload(0);
+    let mut out = Vec::with_capacity(FIELD + (1 << 16));
+
+    // -- a bare base ---------------------------------------------------------
+    put_base(&store);
+    put_base(&mem);
+    assert_eq!(lend(&store, None, &base), (1, 10, true), "store lend, bare");
+    assert_eq!(lend(&mem, None, &base), (0, 10, true), "memory lend, bare");
+    let (allocs, snap) = big_allocs(|| store.get(None, None).unwrap().unwrap());
+    assert!(allocs <= 2, "store get, bare: the lend plus the owned copy");
+    assert_eq!(snap.field("S"), Some(base.as_slice()));
+    let (allocs, count) = big_allocs(|| store.restart_count().unwrap());
+    assert_eq!((allocs, count), (1, Some(10)), "restart_count, bare");
+
+    // -- base + dense deltas -------------------------------------------------
+    let tip = put_dense_chain(&store);
+    put_dense_chain(&mem);
+    let tip_count = 10 + DELTAS as u64;
+    let (allocs, count, same) = lend(&store, None, &tip);
+    assert!(allocs <= 2, "store lend, chain: base + reused delta buffer");
+    assert!((count, same) == (tip_count, true));
+    let (allocs, count, same) = lend(&mem, None, &tip);
+    assert!(
+        allocs <= 1,
+        "memory lend, chain: the patched copy of the base"
+    );
+    assert!((count, same) == (tip_count, true));
+    let (allocs, written) = big_allocs(|| store.write_merged_record(None, &mut out).unwrap());
+    assert!(allocs <= 2, "store stream, chain: {allocs}");
+    assert_eq!(written, Some(out.len() as u64));
+    let (allocs, snap) = big_allocs(|| store.get(None, None).unwrap().unwrap());
+    assert!(
+        allocs <= 3,
+        "store get, chain: the lend plus the owned copy"
+    );
+    assert_eq!((snap.count, snap.field("S")), (tip_count, Some(&tip[..])));
+    let (allocs, count) = big_allocs(|| store.restart_count().unwrap());
+    assert!(allocs <= 2, "restart_count, chain: {allocs}");
+    assert_eq!(count, Some(tip_count));
+
+    // -- pins ------------------------------------------------------------------
+    // A pinned prefix folds only what it serves; a pin nothing can serve is
+    // refused from headers, before any payload is copied (what a mirror
+    // slot that misses costs).
+    let (allocs, count, same) = lend(&mem, Some(10), &base);
+    assert_eq!((allocs, count, same), (0, 10, true), "memory lend, at base");
+    let (allocs, missed) = big_allocs(|| mem.with_merged(None, Some(5), &mut |_| Ok(())));
+    assert!(missed.is_err());
+    assert_eq!(allocs, 0, "a pinned miss copies nothing");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -28,7 +28,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use ppar_ckpt::delta::{DeltaMeta, DeltaPayload, DeltaSnapshot};
+use ppar_ckpt::delta::{DeltaMeta, DeltaPayload, DeltaView};
 use ppar_ckpt::store::SnapshotWriter;
 use ppar_core::ctx::{CkptHook, Ctx};
 use ppar_core::partition::{block_owned, block_with_halo, owned_ranges, Partition};
@@ -219,11 +219,12 @@ impl DsmEngine {
         }
     }
 
-    /// Root-side inverse of the dirty gather: decode the `PPARDLT1` record
-    /// (CRC-verified by the shared delta reader) and install each sparse
-    /// patch into its index range (marking the root's own write tracking).
+    /// Root-side inverse of the dirty gather: parse the `PPARDLT1` record
+    /// (CRC-verified by the shared delta parser) and install each sparse
+    /// patch into its index range straight from the record's bytes
+    /// (marking the root's own write tracking).
     fn install_dirty_record(cell: &dyn DistCell, field: &str, nranks: usize, record: &[u8]) {
-        let delta = DeltaSnapshot::decode(record)
+        let delta = DeltaView::of_record(record)
             .unwrap_or_else(|e| panic!("corrupt dirty-gather record for field {field:?}: {e}"));
         assert_eq!(
             delta.meta.nranks as usize, nranks,

@@ -9,9 +9,9 @@
 //! a rank saved in local [`MemTransport`] slots (two, because a rank can
 //! have saved generation `N+1` while the group commit still points at
 //! `N` — the torn-checkpoint case), so a survivor's count-pinned restore
-//! (`CkptTransport::get(rank, Some(count))`) is a local memory read instead of a
-//! root round-trip. Recovery traffic then scales with the *one* lost
-//! shard, not the whole aggregate.
+//! (`CkptTransport::with_merged(rank, Some(count), ..)`) is lent straight
+//! out of local memory instead of making a root round-trip. Recovery
+//! traffic then scales with the *one* lost shard, not the whole aggregate.
 //!
 //! The network transport stays the durability authority: the mirror's sink
 //! tees the record's bytes to the network sink and a local slot, and the
@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ppar_ckpt::transport::{CkptTransport, RecordKey, RecordSink};
-use ppar_ckpt::{MemTransport, Snapshot};
+use ppar_ckpt::{MemTransport, SnapshotView};
 use ppar_core::error::Result;
 
 /// A [`CkptTransport`] that forwards everything to an inner (network)
@@ -156,16 +156,31 @@ impl CkptTransport for MirrorTransport {
         }))
     }
 
-    fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>> {
+    /// A count-pinned shard read asks the local slots first. A slot that
+    /// cannot serve the pin says so from record headers, before `read`
+    /// runs and without touching a payload. Once a slot has run `read`,
+    /// its outcome is final: an install that failed half-way is not
+    /// followed by a second one from the network's record.
+    fn with_merged(
+        &self,
+        rank: Option<u32>,
+        at: Option<u64>,
+        read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
+    ) -> Result<bool> {
         if rank.is_some() && at.is_some() {
             for slot in &self.slots {
-                if let Ok(Some(snap)) = slot.get(rank, at) {
+                let mut hit = false;
+                let outcome = slot.with_merged(rank, at, &mut |view| {
+                    hit = true;
+                    read(view)
+                });
+                if hit {
                     self.local_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Some(snap));
+                    return outcome;
                 }
             }
         }
-        self.net.get(rank, at)
+        self.net.with_merged(rank, at, read)
     }
 
     fn restart_count(&self) -> Result<Option<u64>> {
@@ -237,44 +252,48 @@ mod tests {
         assert_eq!(mirror.local_hits(), 2);
     }
 
+    /// A network stand-in over memory: fails the next shard `begin` when
+    /// told to, and counts the reads that reach it.
+    #[derive(Default)]
+    struct FailNext {
+        inner: MemTransport,
+        fail: std::sync::atomic::AtomicBool,
+        reads: AtomicU64,
+    }
+
+    impl CkptTransport for FailNext {
+        fn describe(&self) -> &'static str {
+            "failnext"
+        }
+        fn begin<'a>(&'a self, key: RecordKey, len_hint: u64) -> Result<Box<dyn RecordSink + 'a>> {
+            if key.rank.is_some() && self.fail.swap(false, Ordering::SeqCst) {
+                return Err(PparError::Network("peer rank 0 is down".into()));
+            }
+            self.inner.begin(key, len_hint)
+        }
+        fn with_merged(
+            &self,
+            rank: Option<u32>,
+            at: Option<u64>,
+            read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
+        ) -> Result<bool> {
+            self.reads.fetch_add(1, Ordering::SeqCst);
+            self.inner.with_merged(rank, at, read)
+        }
+        fn restart_count(&self) -> Result<Option<u64>> {
+            self.inner.restart_count()
+        }
+        fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
+            self.inner.clear_deltas(rank)
+        }
+        fn clear_all_deltas(&self) -> Result<()> {
+            self.inner.clear_all_deltas()
+        }
+    }
+
     #[test]
     fn network_put_failure_wipes_the_mirror() {
-        struct FailNext {
-            inner: MemTransport,
-            fail: std::sync::atomic::AtomicBool,
-        }
-        impl CkptTransport for FailNext {
-            fn describe(&self) -> &'static str {
-                "failnext"
-            }
-            fn begin<'a>(
-                &'a self,
-                key: RecordKey,
-                len_hint: u64,
-            ) -> Result<Box<dyn RecordSink + 'a>> {
-                if key.rank.is_some() && self.fail.swap(false, Ordering::SeqCst) {
-                    return Err(PparError::Network("peer rank 0 is down".into()));
-                }
-                self.inner.begin(key, len_hint)
-            }
-            fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>> {
-                self.inner.get(rank, at)
-            }
-            fn restart_count(&self) -> Result<Option<u64>> {
-                self.inner.restart_count()
-            }
-            fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-                self.inner.clear_deltas(rank)
-            }
-            fn clear_all_deltas(&self) -> Result<()> {
-                self.inner.clear_all_deltas()
-            }
-        }
-
-        let net = Arc::new(FailNext {
-            inner: MemTransport::new(),
-            fail: std::sync::atomic::AtomicBool::new(false),
-        });
+        let net = Arc::new(FailNext::default());
         let mirror = MirrorTransport::new(net.clone());
         put(&mirror, 10, 1, &[7u8; 32]);
         assert_eq!(mirror.get(Some(1), Some(10)).unwrap().unwrap().count, 10);
@@ -319,5 +338,68 @@ mod tests {
         // must not answer.
         assert_eq!(mirror.get(Some(3), Some(20)).unwrap().unwrap().count, 20);
         assert_eq!(mirror.local_hits(), 0);
+    }
+    /// A pinned read that misses both slots is decided from their record
+    /// headers: no slot runs `read`, the network's record is lent to it
+    /// exactly once. (That a miss copies no payload either is counted in
+    /// `ppar-ckpt`'s `restore_allocs` test, on the slots' medium.)
+    #[test]
+    fn pinned_miss_runs_read_once_on_the_network_record() {
+        let net = Arc::new(FailNext::default());
+        let mirror = MirrorTransport::new(net.clone());
+        put(&mirror, 10, 2, &[1u8; 64]);
+        put(&mirror, 20, 2, &[2u8; 64]);
+        put(&mirror, 30, 2, &[3u8; 64]);
+        put(&mirror, 40, 2, &[4u8; 64]);
+        // The slots now hold 30 and 40; the network store's tip is 40 too,
+        // so a pin at 20 misses everywhere and a pin at 40 hits locally.
+        let calls = std::cell::Cell::new(0);
+        let mut count = |view: &SnapshotView<'_>| {
+            calls.set(calls.get() + 1);
+            assert_eq!(view.meta.count, 40);
+            Ok(())
+        };
+        assert!(mirror.with_merged(Some(2), Some(20), &mut count).is_err());
+        assert_eq!(
+            (mirror.local_hits(), net.reads.load(Ordering::SeqCst)),
+            (0, 1)
+        );
+        assert!(mirror.with_merged(Some(2), Some(40), &mut count).unwrap());
+        assert_eq!(
+            (mirror.local_hits(), net.reads.load(Ordering::SeqCst)),
+            (1, 1)
+        );
+        assert_eq!(calls.get(), 1, "the miss ran no `read`, the hit ran one");
+
+        // An unpinned read is the network's business alone.
+        assert!(mirror.with_merged(Some(2), None, &mut count).unwrap());
+        assert_eq!((calls.get(), net.reads.load(Ordering::SeqCst)), (2, 2));
+    }
+
+    /// A `read` that fails on a local hit surfaces its error once: the
+    /// half-done install is not followed by a second one from the
+    /// network's record.
+    #[test]
+    fn failed_read_on_a_local_hit_is_not_retried_on_the_network() {
+        let net = Arc::new(FailNext::default());
+        let mirror = MirrorTransport::new(net.clone());
+        put(&mirror, 10, 1, &[7u8; 32]);
+        let mut calls = 0;
+        let outcome = mirror.with_merged(Some(1), Some(10), &mut |_| {
+            calls += 1;
+            Err(PparError::CorruptCheckpoint(
+                "cell refused the bytes".into(),
+            ))
+        });
+        assert!(
+            matches!(outcome, Err(PparError::CorruptCheckpoint(msg)) if msg.contains("refused"))
+        );
+        assert_eq!(calls, 1);
+        assert_eq!(
+            net.reads.load(Ordering::SeqCst),
+            0,
+            "the network was not asked"
+        );
+        assert_eq!(mirror.local_hits(), 1, "the slot did serve the pin");
     }
 }

@@ -23,7 +23,8 @@
 //!   decode → re-encode round trip;
 //! * reads stream the merged record back root → rank through
 //!   `CkptTransport::write_merged_record_at` and the same chunk protocol
-//!   (the restart and reshape path).
+//!   (the restart and reshape path); the client verifies the record's CRC
+//!   as the chunks arrive and lends a view over the received bytes.
 //!
 //! Because the record bytes are produced by the same encoder on every
 //! rank, a shard streamed over TCP is byte-identical to the file a local
@@ -78,7 +79,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 use ppar_ckpt::transport::{CkptTransport, RecordKey, RecordSink};
-use ppar_ckpt::{ChunkDigest, ChunkRef, PutStats, Snapshot, TrailingCrc};
+use ppar_ckpt::{ChunkDigest, ChunkRef, PutStats, SnapshotView, TrailingCrc};
 use ppar_core::error::{PparError, Result};
 use ppar_core::shared::DIRTY_CHUNK_BYTES;
 
@@ -644,9 +645,17 @@ impl CkptTransport for NetTransport {
         }))
     }
 
-    /// Request a merged record and receive it as a chunk stream, verifying
-    /// the record's trailing CRC on the same pass that accumulates it.
-    fn get(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Snapshot>> {
+    /// Request a merged record, receive it as a chunk stream — verifying
+    /// the record's trailing CRC on the same pass that accumulates it — and
+    /// lend the view over the received bytes: the root has already folded
+    /// the chain, and the wire pass just established integrity, so there is
+    /// neither a second checksum sweep nor a decoded copy.
+    fn with_merged(
+        &self,
+        rank: Option<u32>,
+        at: Option<u64>,
+        read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
+    ) -> Result<bool> {
         let id = next_stream_id();
         let mut req = Vec::with_capacity(17);
         req.push(match (rank, at) {
@@ -677,29 +686,24 @@ impl CkptTransport for NetTransport {
             },
         )?;
         match end {
-            StreamEnd::Complete => match crc.finish() {
-                Some((_, stored, computed)) if stored == computed => {
-                    // The wire pass just verified integrity; no second
-                    // checksum sweep over the record.
-                    let snap = Snapshot::decode_trusted(&buf)?;
-                    match at {
-                        Some(count) if snap.count != count => {
-                            Err(PparError::CorruptCheckpoint(format!(
-                                "service returned the {rank:?} chain at safe point {} but \
-                                 the restore targets {count}",
-                                snap.count
-                            )))
-                        }
-                        _ => Ok(Some(snap)),
-                    }
-                }
-                _ => Err(PparError::CorruptCheckpoint(
-                    "streamed restore record failed CRC verification".into(),
-                )),
-            },
-            StreamEnd::Absent => Ok(None),
-            StreamEnd::Aborted(msg) => Err(self.service_error(msg.as_bytes())),
+            StreamEnd::Complete => {}
+            StreamEnd::Absent => return Ok(false),
+            StreamEnd::Aborted(msg) => return Err(self.service_error(msg.as_bytes())),
         }
+        if !matches!(crc.finish(), Some((_, stored, computed)) if stored == computed) {
+            return Err(PparError::CorruptCheckpoint(
+                "streamed restore record failed CRC verification".into(),
+            ));
+        }
+        let view = SnapshotView::decode_trusted(&buf)?;
+        if let Some(count) = at.filter(|&count| view.meta.count != count) {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "service returned the {rank:?} chain at safe point {} but the restore \
+                 targets {count}",
+                view.meta.count
+            )));
+        }
+        read(&view).map(|()| true)
     }
 
     fn restart_count(&self) -> Result<Option<u64>> {

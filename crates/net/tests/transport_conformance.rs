@@ -1,6 +1,6 @@
 //! One conformance suite for every [`CkptTransport`]: the contract a
-//! medium signs by implementing `begin` and `get`, checked through the
-//! trait object and nothing else.
+//! medium signs by implementing `begin` and `with_merged`, checked through
+//! the trait object and nothing else.
 //!
 //! Subjects: the flat and the content-addressed [`CheckpointStore`],
 //! [`MemTransport`], a [`NetTransport`] client whose service forwards into
@@ -161,8 +161,13 @@ impl StateCell for ShortCell<'_> {
     }
 }
 
-#[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
 fn conformance(name: &str, s: &Subject<'_>) {
+    write_and_key_side(name, s);
+    read_side(name, s);
+}
+
+#[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
+fn write_and_key_side(name: &str, s: &Subject<'_>) {
     let t = s.t;
     let g: Vec<u8> = (0..9000u32).map(|i| (i * 7) as u8).collect();
 
@@ -368,6 +373,177 @@ fn conformance(name: &str, s: &Subject<'_>) {
     assert_eq!(api::get(t, None, None).unwrap().unwrap(), before, "{name}");
     assert_eq!(api::get(t, Some(3), None).unwrap().unwrap(), raw, "{name}");
     assert_eq!((s.artefacts)(), Vec::<String>::new(), "{name}");
+}
+
+/// The three read shapes of one `(rank, at)` — the lend, the owned `get`,
+/// the streamed record — must describe one state, byte for byte, or refuse
+/// together; `read` runs exactly when the lend reports a record.
+fn read_shapes(
+    name: &str,
+    t: &dyn CkptTransport,
+    rank: Option<u32>,
+    at: Option<u64>,
+) -> Result<Option<Snapshot>> {
+    let mut calls = 0;
+    let mut lent = None;
+    let found = t.with_merged(rank, at, &mut |view| {
+        calls += 1;
+        lent = Some(view.to_snapshot());
+        Ok(())
+    });
+    let owned = t.get(rank, at);
+    let mut out = Vec::new();
+    let streamed = t.write_merged_record_at(rank, at, &mut out);
+    let found = found.inspect_err(|_| {
+        assert_eq!(
+            calls, 0,
+            "{name}: `read` ran on a pin that cannot be served"
+        );
+        assert!(
+            owned.is_err() && streamed.is_err(),
+            "{name}: {rank:?} {at:?}"
+        );
+    })?;
+    assert_eq!(calls, found as usize, "{name}: {rank:?} at {at:?}");
+    let owned = owned.unwrap();
+    assert_eq!(lent, owned, "{name}: lend and get, {rank:?} at {at:?}");
+    let streamed = streamed.unwrap();
+    assert_eq!(streamed.is_some(), found, "{name}: {rank:?} at {at:?}");
+    if let Some(snap) = &owned {
+        assert_eq!(streamed, Some(out.len() as u64), "{name}");
+        assert!(
+            out == snap.encode(),
+            "{name}: the stream is the golden encoding, {rank:?} at {at:?}"
+        );
+    }
+    Ok(owned)
+}
+
+/// The read side, one chain shape after another on shard 7's chain: after
+/// every step all three shapes equal a full snapshot of the same state, at
+/// the tip and at every safe point the chain passed through.
+#[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
+fn read_side(name: &str, s: &Subject<'_>) {
+    const RANK: Option<u32> = Some(7);
+    let t = s.t;
+    let shapes = |at: Option<u64>| read_shapes(name, t, RANK, at);
+    let g: Vec<u8> = (0..9000u32).map(|i| (i * 13) as u8).collect();
+    let state = |count: u64, g: &[u8], cursor: &[u8]| Snapshot {
+        fields: vec![
+            ("G".into(), g.to_vec()),
+            ("cursor".into(), cursor.to_vec()),
+            ("energy".into(), 1.5f64.to_le_bytes().to_vec()),
+        ],
+        ..snapshot(count, RANK, &[])
+    };
+
+    // -- nothing held: `read` does not run, pinned or not ---------------------
+    assert_eq!(shapes(None).unwrap(), None, "{name}");
+    assert_eq!(shapes(Some(100)).unwrap(), None, "{name}");
+
+    // -- no chain ---------------------------------------------------------------
+    let mut model = state(100, &g, b"cursor@100");
+    put_snapshot(t, &model);
+    let mut passed = vec![model.clone()];
+
+    // -- sparse, dense, and a field whose length changes (the cursor) ---------
+    let dense: Vec<u8> = g.iter().map(|b| b ^ 0x5a).collect();
+    let steps: [&[(&str, DeltaSource<'_>)]; 4] = [
+        // Two sparse patches; the cursor keeps its length, so it lands in
+        // the record like any same-length whole field.
+        &[
+            (
+                "G",
+                DeltaSource::DirtyBytes {
+                    full_len: 9000,
+                    ranges: &[16..24, 8000..8004],
+                    payload: &[0xEE; 12],
+                },
+            ),
+            (
+                "cursor",
+                DeltaSource::Full(FieldSource::Bytes(b"cursor@110")),
+            ),
+        ],
+        // Dense: every byte of G dirty.
+        &[(
+            "G",
+            DeltaSource::DirtyBytes {
+                full_len: 9000,
+                ranges: &[0..9000],
+                payload: &dense,
+            },
+        )],
+        // The cursor grows...
+        &[(
+            "cursor",
+            DeltaSource::Full(FieldSource::Bytes(b"a much longer cursor @130")),
+        )],
+        // ...shrinks below where it started, and G is patched again.
+        &[
+            ("cursor", DeltaSource::Full(FieldSource::Bytes(b"@140"))),
+            (
+                "G",
+                DeltaSource::DirtyBytes {
+                    full_len: 9000,
+                    ranges: &[20..22],
+                    payload: &[1, 2],
+                },
+            ),
+        ],
+    ];
+    for (seq, fields) in (1u32..).zip(steps) {
+        let count = 100 + 10 * seq as u64;
+        api::put_delta(t, &delta_meta(count, 100, seq, RANK), fields).unwrap();
+        model.count = count;
+        for (field, source) in fields {
+            let slot = model.fields.iter_mut().find(|(n, _)| n == field).unwrap();
+            match source {
+                DeltaSource::Full(FieldSource::Bytes(whole)) => slot.1 = whole.to_vec(),
+                DeltaSource::DirtyBytes {
+                    ranges, payload, ..
+                } => {
+                    let mut rest = *payload;
+                    for r in ranges.iter() {
+                        let (bytes, tail) = rest.split_at(r.len());
+                        slot.1[r.clone()].copy_from_slice(bytes);
+                        rest = tail;
+                    }
+                }
+                _ => unreachable!("the steps above use byte sources only"),
+            }
+        }
+        passed.push(model.clone());
+        assert_eq!(shapes(None).unwrap().as_ref(), Some(&model), "{name}");
+        // -- a pin serves the prefix that lands on it ---------------------------
+        for at in &passed {
+            let got = shapes(Some(at.count)).unwrap();
+            assert_eq!(got.as_ref(), Some(at), "{name}: pinned at {}", at.count);
+        }
+    }
+    assert!(shapes(Some(115)).is_err(), "{name}: between two deltas");
+    assert!(shapes(Some(50)).is_err(), "{name}: before the base");
+
+    // -- a torn newer generation -------------------------------------------------
+    t.clear_deltas(RANK).unwrap();
+    t.commit_group(100).unwrap();
+    let torn = state(150, &dense, b"cursor@150");
+    put_snapshot(t, &torn); // the group never committed 150
+    api::put_delta(
+        t,
+        &delta_meta(155, 150, 1, RANK),
+        &[("cursor", DeltaSource::Full(FieldSource::Bytes(b"@155")))],
+    )
+    .unwrap();
+    let tip = state(155, &dense, b"@155");
+    assert_eq!(shapes(None).unwrap(), Some(tip.clone()), "{name}");
+    assert_eq!(shapes(Some(155)).unwrap(), Some(tip), "{name}");
+    assert_eq!(shapes(Some(150)).unwrap(), Some(torn), "{name}");
+    assert!(shapes(Some(152)).is_err(), "{name}");
+    match shapes(Some(100)) {
+        Ok(committed) => assert_eq!(committed.as_ref(), Some(&passed[0]), "{name}"),
+        Err(_) => assert!(!s.keeps_generations, "{name}: the committed generation"),
+    }
 }
 
 /// Records put through `src` arrive in `dst` byte for byte: the merged
