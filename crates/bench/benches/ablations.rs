@@ -1,6 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//! master-collect vs local-snapshot distributed checkpointing, codec
-//! throughput, and barrier cost.
+//! Ablation benches for two design choices: master-collect vs
+//! local-snapshot distributed checkpointing, and barrier cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppar_adapt::{launch, AppStatus, Deploy};
@@ -45,17 +44,7 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Ablation 2: codec throughput on a 1 MB payload.
-    let payload: Vec<f64> = (0..131_072).map(|i| i as f64 * 0.5).collect();
-    g.bench_function("codec_roundtrip_1mb", |b| {
-        b.iter(|| {
-            let bytes = ppar_ckpt::codec::to_bytes(&payload).unwrap();
-            let back: Vec<f64> = ppar_ckpt::codec::from_bytes(&bytes).unwrap();
-            back.len()
-        })
-    });
-
-    // Ablation 3: team barrier crossing cost (8 threads, 100 generations).
+    // Ablation 2: team barrier crossing cost (8 threads, 100 generations).
     g.bench_function("barrier_8x100", |b| {
         b.iter(|| {
             let bar = Arc::new(TeamBarrier::new(8));

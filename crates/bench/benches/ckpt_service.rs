@@ -173,13 +173,10 @@ fn worker_stream(cfg: &NetConfig, samples: usize) {
         let local = MemTransport::new();
         let payload = shard_payload(1, big);
         local
-            .put(
-                &Record::Full(
-                    &shard_meta(1, 2),
-                    &[("state", FieldSource::Bytes(&payload))],
-                ),
-                &mut Vec::new(),
-            )
+            .put(&Record::Full(
+                &shard_meta(1, 2),
+                &[("state", FieldSource::Bytes(&payload))],
+            ))
             .unwrap();
         let expected = local.record_bytes(RecordKey::full(Some(1))).unwrap();
         assert_eq!(
@@ -202,21 +199,16 @@ fn worker_stream(cfg: &NetConfig, samples: usize) {
     } else {
         let transport = NetTransport::client(dyn_fabric.clone(), 1);
         let meta = shard_meta(1, 2);
-        let mut scratch = Vec::new();
 
         // 32 MiB migration (warm-up pass first: the service's recycled
         // install buffers are part of the steady state being measured).
         let payload = shard_payload(1, mig);
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("state", FieldSource::Bytes(&payload))];
-        transport
-            .put(&Record::Full(&meta, &fields), &mut scratch)
-            .unwrap();
+        transport.put(&Record::Full(&meta, &fields)).unwrap();
         let mut times = Vec::with_capacity(samples);
         for _ in 0..samples {
             let t0 = Instant::now();
-            transport
-                .put(&Record::Full(&meta, &fields), &mut scratch)
-                .unwrap();
+            transport.put(&Record::Full(&meta, &fields)).unwrap();
             times.push(t0.elapsed().as_secs_f64() * 1e3);
         }
         times.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -233,16 +225,12 @@ fn worker_stream(cfg: &NetConfig, samples: usize) {
         let payload = shard_payload(1, big);
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("state", FieldSource::Bytes(&payload))];
         let mut written = 0u64;
-        transport
-            .put(&Record::Full(&meta, &fields), &mut scratch)
-            .unwrap();
+        transport.put(&Record::Full(&meta, &fields)).unwrap();
         let passes = if smoke() { 2 } else { 3 };
         let mut best_gbps = 0f64;
         for _ in 0..passes {
             let t0 = Instant::now();
-            written = transport
-                .put(&Record::Full(&meta, &fields), &mut scratch)
-                .unwrap();
+            written = transport.put(&Record::Full(&meta, &fields)).unwrap();
             let gbps = written as f64 / t0.elapsed().as_secs_f64() / 1e9;
             best_gbps = best_gbps.max(gbps);
         }
@@ -305,29 +293,22 @@ fn worker_concurrent(cfg: &NetConfig, samples: usize) {
         let meta = shard_meta(cfg.rank, n);
         let payload = shard_payload(cfg.rank, bytes);
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("state", FieldSource::Bytes(&payload))];
-        let mut scratch = Vec::new();
         // Warm this rank's lane (spawns it root-side, warms buffers).
-        transport
-            .put(&Record::Full(&meta, &fields), &mut scratch)
-            .unwrap();
+        transport.put(&Record::Full(&meta, &fields)).unwrap();
         loop {
             let go = dyn_fabric.recv(cfg.rank, 0, GO_TAG).unwrap();
             match go.first() {
                 Some(1) => {
                     // Single phase: only rank 1 acts.
                     if cfg.rank == 1 {
-                        transport
-                            .put(&Record::Full(&meta, &fields), &mut scratch)
-                            .unwrap();
+                        transport.put(&Record::Full(&meta, &fields)).unwrap();
                     }
                     if cfg.rank == 1 {
                         dyn_fabric.send(cfg.rank, 0, DONE_TAG, Arc::new(Vec::new()));
                     }
                 }
                 Some(2) => {
-                    transport
-                        .put(&Record::Full(&meta, &fields), &mut scratch)
-                        .unwrap();
+                    transport.put(&Record::Full(&meta, &fields)).unwrap();
                     dyn_fabric.send(cfg.rank, 0, DONE_TAG, Arc::new(Vec::new()));
                 }
                 _ => break,

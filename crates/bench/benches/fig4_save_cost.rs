@@ -59,12 +59,9 @@ fn bench(c: &mut Criterion) {
         let store = CheckpointStore::new(&dir).unwrap();
 
         g.bench_function(format!("streaming_n{n}"), |b| {
-            let mut scratch = Vec::new();
             b.iter(|| {
                 let fields: [(&str, FieldSource<'_>); 1] = [("G", FieldSource::Cell(&grid))];
-                store
-                    .put(&Record::Full(&meta(), &fields), &mut scratch)
-                    .unwrap()
+                store.put(&Record::Full(&meta(), &fields)).unwrap()
             })
         });
 
@@ -85,7 +82,6 @@ fn bench(c: &mut Criterion) {
             };
             g.bench_function(format!("incremental_n{n}_d{pct}"), |b| {
                 let flat = grid.flat();
-                let mut scratch = Vec::new();
                 b.iter(|| {
                     flat.clear_dirty();
                     for k in 0..touched {
@@ -100,9 +96,7 @@ fn bench(c: &mut Criterion) {
                             ranges: &ranges,
                         },
                     )];
-                    store
-                        .put(&Record::Delta(&dmeta, &fields), &mut scratch)
-                        .unwrap()
+                    store.put(&Record::Delta(&dmeta, &fields)).unwrap()
                 })
             });
         }

@@ -123,14 +123,11 @@ fn worker_migrate(cfg: &NetConfig, samples: usize) {
             nranks: 2,
         };
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("state", FieldSource::Cell(&cell))];
-        let mut scratch = Vec::new();
         let mut times = Vec::with_capacity(samples);
         let mut moved = 0u64;
         for _ in 0..samples {
             let t0 = Instant::now();
-            moved = transport
-                .put(&Record::Full(&meta, &fields), &mut scratch)
-                .unwrap();
+            moved = transport.put(&Record::Full(&meta, &fields)).unwrap();
             times.push(t0.elapsed().as_secs_f64() * 1e3);
         }
         times.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -70,9 +70,7 @@ fn ckpt_plan() -> Plan {
 /// at the crossing. Returns bytes moved (sanity).
 fn inplace_handoff(mem: &MemTransport, cell: &SharedVec<f64>, meta: &SnapshotMeta) -> u64 {
     let fields: Vec<(&str, FieldSource<'_>)> = vec![("G", FieldSource::Cell(cell))];
-    let written = mem
-        .put(&Record::Full(meta, &fields), &mut Vec::new())
-        .unwrap();
+    let written = mem.put(&Record::Full(meta, &fields)).unwrap();
     mem.with_merged_master(&mut |snap| cell.load_bytes(snap.field("G").unwrap()))
         .unwrap();
     written
@@ -85,9 +83,7 @@ fn restart_handoff(cell: &SharedVec<f64>, meta: &SnapshotMeta, dir: &std::path::
     let store = CheckpointStore::new(dir).unwrap();
     store.set_marker().unwrap();
     let fields: Vec<(&str, FieldSource<'_>)> = vec![("G", FieldSource::Cell(cell))];
-    let written = store
-        .put(&Record::Full(meta, &fields), &mut Vec::new())
-        .unwrap();
+    let written = store.put(&Record::Full(meta, &fields)).unwrap();
     // The successor process's start-up protocol.
     let plan = ckpt_plan();
     let module = CheckpointModule::create(dir, &plan).unwrap();

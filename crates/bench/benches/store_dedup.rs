@@ -109,7 +109,6 @@ struct StoreRun {
 /// final merged record bytes.
 fn run_saves(store: &CheckpointStore, chunks: usize, percent: usize) -> StoreRun {
     let mut state = fresh_state(chunks);
-    let mut scratch = Vec::new();
     let mut steady_bytes = 0u64;
     let mut steady_time = Duration::ZERO;
     let _ = store.take_put_stats(); // drop any cold-open residue
@@ -119,13 +118,10 @@ fn run_saves(store: &CheckpointStore, chunks: usize, percent: usize) -> StoreRun
         }
         let t0 = Instant::now();
         let written = store
-            .put(
-                &Record::Full(
-                    &meta(round as u64 + 1),
-                    &[("G", FieldSource::Bytes(&state))],
-                ),
-                &mut scratch,
-            )
+            .put(&Record::Full(
+                &meta(round as u64 + 1),
+                &[("G", FieldSource::Bytes(&state))],
+            ))
             .expect("save");
         let dt = t0.elapsed();
         let put = store.take_put_stats();
@@ -235,19 +231,18 @@ fn wire_scenario(percent: usize) -> (u64, u64) {
             let dyn_fabric: Arc<dyn Fabric> = fabric.clone();
             let t = NetTransport::client(dyn_fabric.clone(), 1);
             let mut state = fresh_state(chunks);
-            let mut scratch = Vec::new();
-            t.put(
-                &Record::Full(&meta(1), &[("G", FieldSource::Bytes(&state))]),
-                &mut scratch,
-            )
+            t.put(&Record::Full(
+                &meta(1),
+                &[("G", FieldSource::Bytes(&state))],
+            ))
             .expect("first save");
             let _ = t.take_put_stats();
             dirty(&mut state, percent, 1);
             let written = t
-                .put(
-                    &Record::Full(&meta(2), &[("G", FieldSource::Bytes(&state))]),
-                    &mut scratch,
-                )
+                .put(&Record::Full(
+                    &meta(2),
+                    &[("G", FieldSource::Bytes(&state))],
+                ))
                 .expect("second save");
             let n_chunks = written.div_ceil(DIRTY_CHUNK_BYTES as u64);
             let skipped = t.take_put_stats().wire_chunks_skipped;

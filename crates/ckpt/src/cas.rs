@@ -58,21 +58,12 @@
 //! manifest **or any journal file** (in-flight transactions are live
 //! roots), then sweep unreferenced objects older than the grace window.
 //! Journal files older than the grace window are crashed transactions and
-//! are rolled back (deleted). The grace window (`PPAR_STORE_GC_GRACE_SECS`)
+//! are rolled back (deleted). The grace window ([`CasConfig::gc_grace`])
 //! keeps a sweeper in one process from collecting a chunk that a writer in
 //! *another* process observed as present a moment before its journal entry
 //! hit the directory; within one process the global GC lock closes that
 //! window exactly. GC runs on demand and automatically after a commit when
-//! `PPAR_STORE_QUOTA_BYTES` is set and the object volume exceeds it.
-//!
-//! ## Environment
-//!
-//! | variable                   | effect                                       |
-//! |----------------------------|----------------------------------------------|
-//! | `PPAR_STORE_LAYOUT`        | `cas` selects this layout for new stores     |
-//! | `PPAR_STORE_QUOTA_BYTES`   | object-volume quota that triggers GC         |
-//! | `PPAR_STORE_GC_GRACE_SECS` | GC grace window (default 60)                 |
-//! | `PPAR_STORE_SYNC`          | `1` fsyncs novel chunk objects at commit     |
+//! [`CasConfig::quota_bytes`] is set and the object volume exceeds it.
 
 use std::fs;
 use std::io::{BufWriter, Write};
@@ -155,8 +146,8 @@ pub struct GcStats {
     pub journals_discarded: u64,
 }
 
-/// Tuning knobs for a [`CasStore`] (see the module docs for the
-/// corresponding `PPAR_STORE_*` environment variables).
+/// Tuning knobs for a [`CasStore`], set by whoever opens it
+/// ([`CasStore::open_with`], `CheckpointStore::new_cas_with`).
 #[derive(Debug, Clone)]
 pub struct CasConfig {
     /// Chunk boundary for streaming writes. Defaults to
@@ -181,27 +172,6 @@ impl Default for CasConfig {
             gc_grace: Duration::from_secs(60),
             sync_objects: false,
         }
-    }
-}
-
-impl CasConfig {
-    /// Configuration from `PPAR_STORE_*` environment variables (defaults
-    /// where unset or unparsable).
-    pub fn from_env() -> CasConfig {
-        let mut cfg = CasConfig::default();
-        if let Ok(v) = std::env::var("PPAR_STORE_QUOTA_BYTES") {
-            cfg.quota_bytes = v.parse().ok();
-        }
-        if let Some(secs) = std::env::var("PPAR_STORE_GC_GRACE_SECS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            cfg.gc_grace = Duration::from_secs(secs);
-        }
-        if std::env::var("PPAR_STORE_SYNC").is_ok_and(|v| v == "1") {
-            cfg.sync_objects = true;
-        }
-        cfg
     }
 }
 
@@ -231,9 +201,9 @@ pub struct CasStore {
 
 impl CasStore {
     /// Open (creating if needed) a content-addressed store under `root`
-    /// with configuration from the environment.
+    /// with the default configuration.
     pub fn open(root: impl AsRef<Path>) -> Result<CasStore> {
-        CasStore::open_with(root, CasConfig::from_env())
+        CasStore::open_with(root, CasConfig::default())
     }
 
     /// [`CasStore::open`] with an explicit configuration.
@@ -376,9 +346,15 @@ impl CasStore {
 
     /// The first `max` bytes of record `name` (header peeks).
     pub fn read_head(&self, name: &str, max: usize) -> Result<Option<Vec<u8>>> {
-        let Some(m) = self.read_manifest(name)? else {
-            return Ok(None);
-        };
+        match self.read_manifest(name)? {
+            Some(m) => self.manifest_head(&m, max).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// The first `max` bytes of the record `m` lists, from its leading
+    /// chunk objects.
+    fn manifest_head(&self, m: &Manifest, max: usize) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(max.min(m.total_len as usize));
         for entry in &m.chunks {
             if out.len() >= max {
@@ -388,7 +364,7 @@ impl CasStore {
             let want = max - out.len();
             out.extend_from_slice(&chunk[..chunk.len().min(want)]);
         }
-        Ok(Some(out))
+        Ok(out)
     }
 
     /// Stream record `name` into `out`; returns bytes written, `None` when
@@ -981,6 +957,14 @@ impl DedupTxn {
         }
         self.next += 1;
         Ok(())
+    }
+
+    /// The first `max` bytes of the announced record, read back by digest:
+    /// its header, which says whose record this is. Every leading chunk is
+    /// in the store by the time the record is complete — supplied, or
+    /// found present when the transaction began.
+    pub fn head(&self, max: usize) -> Result<Vec<u8>> {
+        self.store.manifest_head(&self.manifest, max)
     }
 
     /// Promote the record once every missing chunk has been supplied;

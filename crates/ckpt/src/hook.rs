@@ -133,10 +133,6 @@ pub struct CheckpointModule {
     target: AtomicU64,
     stats: Mutex<CkptStats>,
     created: Instant,
-    /// Scratch for snapshot fields whose encoded length is unknown up front
-    /// (serde-backed cells). Reused across snapshots so steady-state
-    /// checkpointing does not allocate.
-    scratch: Mutex<Vec<u8>>,
     /// Per-field extraction buffers for shard snapshots (partitioned fields
     /// contribute only the owned block). Reused across snapshots.
     field_bufs: Mutex<Vec<Vec<u8>>>,
@@ -188,6 +184,32 @@ struct DeltaChain {
     base_count: u64,
     /// Sequence number the next delta will carry (1-based).
     next_seq: u32,
+}
+
+impl DeltaChain {
+    /// The one promote-or-extend rule. `Some((base_count, seq))`: the next
+    /// snapshot extends the chain as delta `seq` over the base saved at
+    /// `base_count`. `None`: it is promoted to a fresh base — there is no
+    /// base yet, or `full_every` deltas already follow it.
+    fn next(&self, full_every: u64) -> Option<(u64, u32)> {
+        (self.have_base && self.next_seq as u64 <= full_every)
+            .then_some((self.base_count, self.next_seq))
+    }
+
+    /// The snapshot [`DeltaChain::next`] described was taken at safe point
+    /// `count`, by this element or by the peer it mirrors.
+    fn advance(&mut self, count: u64, full_every: u64) {
+        match self.next(full_every) {
+            Some(_) => self.next_seq += 1,
+            None => {
+                *self = DeltaChain {
+                    have_base: true,
+                    base_count: count,
+                    next_seq: 1,
+                }
+            }
+        }
+    }
 }
 
 impl CheckpointModule {
@@ -329,7 +351,6 @@ impl CheckpointModule {
                     target: AtomicU64::new(target),
                     stats: Mutex::new(CkptStats::default()),
                     created: Instant::now(),
-                    scratch: Mutex::new(Vec::new()),
                     field_bufs: Mutex::new(Vec::new()),
                     incremental,
                     chain: Mutex::new(DeltaChain::default()),
@@ -641,7 +662,6 @@ impl CheckpointModule {
                 PROGRESS_FIELD,
                 DeltaSource::Full(FieldSource::Bytes(&progress)),
             )]);
-        let mut scratch = self.scratch.lock();
         match chain {
             Some((base_count, seq)) => {
                 let meta = DeltaMeta {
@@ -653,7 +673,7 @@ impl CheckpointModule {
                     nranks: meta.nranks,
                 };
                 let fields: Vec<_> = fields.collect();
-                to.put(&Record::Delta(&meta, &fields), &mut scratch)
+                to.put(&Record::Delta(&meta, &fields))
             }
             None => {
                 let fields: Vec<_> = fields
@@ -662,7 +682,7 @@ impl CheckpointModule {
                         _ => unreachable!("dirty ranges are collected only for deltas"),
                     })
                     .collect();
-                to.put(&Record::Full(meta, &fields), &mut scratch)
+                to.put(&Record::Full(meta, &fields))
             }
         }
     }
@@ -771,32 +791,19 @@ impl CkptHook for CheckpointModule {
         };
         let to = &*self.transport;
 
-        let (written, was_delta) = match self.incremental {
-            None => (self.put_fields(ctx, to, &meta, None)?, false),
-            Some(full_every) => {
-                let mut chain = self.chain.lock();
-                if !chain.have_base || chain.next_seq as u64 > full_every {
-                    // Promote: write a new base, then garbage-collect the
-                    // superseded chain. A crash in between leaves stale
-                    // deltas that the merge step ignores (base_count
-                    // mismatch), never a broken restore.
-                    let written = self.put_fields(ctx, to, &meta, None)?;
-                    self.transport.clear_deltas(rank)?;
-                    *chain = DeltaChain {
-                        have_base: true,
-                        base_count: count,
-                        next_seq: 1,
-                    };
-                    (written, false)
-                } else {
-                    let link = Some((chain.base_count, chain.next_seq));
-                    let written = self.put_fields(ctx, to, &meta, link)?;
-                    chain.next_seq += 1;
-                    (written, true)
-                }
+        let link = self
+            .incremental
+            .and_then(|full_every| self.chain.lock().next(full_every));
+        let written = self.put_fields(ctx, to, &meta, link)?;
+        if let Some(full_every) = self.incremental {
+            if link.is_none() {
+                // Promoted: the new base is written, now garbage-collect
+                // the superseded chain. A crash in between leaves stale
+                // deltas that the merge step ignores (base_count mismatch),
+                // never a broken restore.
+                self.transport.clear_deltas(rank)?;
             }
-        };
-        if self.incremental.is_some() {
+            self.chain.lock().advance(count, full_every);
             // The checkpoint cycle's epoch reset: whatever was dirty is now
             // captured (by the delta, or subsumed by the promoted base).
             self.clear_dirty_fields(ctx)?;
@@ -809,7 +816,7 @@ impl CkptHook for CheckpointModule {
         let put = self.transport.take_put_stats();
         let mut stats = self.stats.lock();
         stats.snapshots_taken += 1;
-        if was_delta {
+        if link.is_some() {
             stats.delta_snapshots += 1;
         } else {
             stats.full_snapshots += 1;
@@ -1016,13 +1023,8 @@ impl CkptHook for CheckpointModule {
     }
 
     fn next_snapshot_is_delta(&self) -> bool {
-        match self.incremental {
-            None => false,
-            Some(full_every) => {
-                let chain = self.chain.lock();
-                chain.have_base && (chain.next_seq as u64) <= full_every
-            }
-        }
+        self.incremental
+            .is_some_and(|full_every| self.chain.lock().next(full_every).is_some())
     }
 
     fn note_peer_snapshot(&self, ctx: &Ctx) -> Result<()> {
@@ -1034,18 +1036,7 @@ impl CkptHook for CheckpointModule {
         // the same safe-point clock, so the promote/delta decision is
         // reproduced exactly — which is what lets the engine ask *any*
         // element's module whether the coming gather may be dirty-only.
-        {
-            let mut chain = self.chain.lock();
-            if !chain.have_base || chain.next_seq as u64 > full_every {
-                *chain = DeltaChain {
-                    have_base: true,
-                    base_count: self.clock_get(),
-                    next_seq: 1,
-                };
-            } else {
-                chain.next_seq += 1;
-            }
-        }
+        self.chain.lock().advance(self.clock_get(), full_every);
         // The epoch reset: whatever this element had dirty has now been
         // captured at the root (the dirty gather shipped it there).
         self.clear_dirty_fields(ctx)
@@ -1196,10 +1187,7 @@ mod tests {
             nranks: 1,
         };
         store
-            .put(
-                &Record::Full(&meta, &[("G", FieldSource::Bytes(&payload))]),
-                &mut Vec::new(),
-            )
+            .put(&Record::Full(&meta, &[("G", FieldSource::Bytes(&payload))]))
             .unwrap();
         store.set_marker().unwrap();
 

@@ -6,8 +6,10 @@
 //! inside, the sequential base code), and this crate provides everything
 //! else —
 //!
-//! * a portable binary snapshot format ([`codec`], [`store`]) with CRC-32
-//!   integrity and atomic replacement;
+//! * a portable binary snapshot format ([`store`]) with CRC-32 integrity
+//!   and atomic replacement — every cell announces `byte_len` and streams
+//!   its own little-endian layout through `write_state`, no generic object
+//!   serializer sits in between;
 //! * a pluggable byte **transport** ([`transport`]): one provided `put`
 //!   streams a [`Record`] into whichever medium's sink — disk
 //!   ([`CheckpointStore`]) or process memory ([`MemTransport`], the
@@ -41,7 +43,7 @@
 //! * **Record format** — deltas carry their own magic (`"PPARDLT1"`) and an
 //!   explicit format version ([`delta::DELTA_VERSION`]); readers reject
 //!   unknown versions instead of misparsing. Each field is either a whole
-//!   payload (containers without write tracking: `ValueCell`, serde cells)
+//!   payload (cells without write tracking: `ValueCell`, `TaskFrontier`)
 //!   or a sparse `(offset, len)` chunk map plus the chunk bytes, with the
 //!   same running CRC-32 and atomic temp-file/rename discipline as full
 //!   snapshots. See [`delta`] for the byte layout.
@@ -70,12 +72,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cas;
-pub mod codec;
 pub mod crc;
 pub mod delta;
 pub mod digest;
 pub mod hook;
-pub mod serde_cell;
 pub mod store;
 pub mod transport;
 
@@ -84,6 +84,5 @@ pub use crc::TrailingCrc;
 pub use delta::{DeltaMeta, DeltaPayload, DeltaSnapshot};
 pub use digest::ChunkDigest;
 pub use hook::{CheckpointModule, CkptStats};
-pub use serde_cell::{alloc_serde, SerdeCell};
 pub use store::{CheckpointStore, Record, Snapshot, SnapshotView};
 pub use transport::{CkptTransport, MemTransport, RecordKey, RecordSink};

@@ -50,10 +50,11 @@
 //! * [`FieldSource::Bytes`] wraps pre-extracted bytes (partition shards,
 //!   gathered aggregates).
 //!
-//! Cells that cannot report their encoded length up front
-//! ([`StateCell::known_byte_len`] `== None`, e.g. serde-backed state) are
-//! buffered through a caller-provided scratch `Vec` that is reused across
-//! snapshots, keeping steady-state checkpointing allocation-free.
+//! **The length rule.** A cell becomes record bytes one way: the writer
+//! announces [`StateCell::byte_len`] as the field's length prefix, streams
+//! [`StateCell::write_state`], and refuses the record if the streamed
+//! count differs from the announced one. Nothing is buffered to learn a
+//! length.
 //!
 //! The streamed output is byte-identical to the legacy materialized encoder
 //! ([`Snapshot::encode`], kept as the golden reference), so snapshots
@@ -83,7 +84,7 @@ use crate::crc::{crc32, Crc32};
 use crate::delta::{DeltaMeta, DeltaSnapshot};
 use crate::transport::{
     keep_head, lend_merged, stream_merged, walk_chain, CkptTransport, DeltaStep, RecordKey,
-    RecordSink,
+    RecordSink, HEAD_BYTES,
 };
 
 const MAGIC: &[u8; 8] = b"PPARCKP1";
@@ -240,7 +241,7 @@ impl<'a> SnapshotView<'a> {
         let fields: Vec<_> = fields
             .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
             .collect();
-        let (written, _) = Record::Full(&self.meta, &fields).encode(out, true, &mut Vec::new())?;
+        let (written, _) = Record::Full(&self.meta, &fields).encode(out, true)?;
         Ok(written)
     }
 
@@ -398,7 +399,7 @@ impl Record<'_> {
     pub fn len_hint(&self) -> u64 {
         let whole = |source: &FieldSource<'_>| match source {
             FieldSource::Bytes(b) => b.len(),
-            FieldSource::Cell(cell) => cell.known_byte_len().unwrap_or(0),
+            FieldSource::Cell(cell) => cell.byte_len(),
         };
         let fields: usize = match self {
             Record::Full(_, fields) => fields
@@ -427,17 +428,12 @@ impl Record<'_> {
     /// Stream the record through the golden [`SnapshotWriter`] into `sink`
     /// (`checksum: false` writes a zero CRC trailer — see the writer's
     /// docs). Returns `(bytes written, sink)`.
-    pub fn encode<W: Write>(
-        &self,
-        sink: W,
-        checksum: bool,
-        scratch: &mut Vec<u8>,
-    ) -> Result<(u64, W)> {
+    pub fn encode<W: Write>(&self, sink: W, checksum: bool) -> Result<(u64, W)> {
         match self {
             Record::Full(meta, fields) => {
                 let mut w = SnapshotWriter::full_writer(sink, meta, fields.len() as u32, checksum)?;
                 for (name, source) in *fields {
-                    w.field(name, source, scratch)?;
+                    w.field(name, source)?;
                 }
                 w.finish()
             }
@@ -445,7 +441,7 @@ impl Record<'_> {
                 let mut w =
                     SnapshotWriter::delta_writer(sink, meta, fields.len() as u32, checksum)?;
                 for (name, source) in *fields {
-                    w.delta_field(name, source, scratch)?;
+                    w.delta_field(name, source)?;
                 }
                 w.finish()
             }
@@ -577,38 +573,27 @@ impl<W: Write> SnapshotWriter<W> {
         self.put(payload)
     }
 
-    /// Write one field by streaming `cell`. Cells that know their encoded
-    /// length stream directly (zero-copy for LE containers); others are
-    /// buffered once through `scratch`, whose capacity is reused across
-    /// snapshots.
+    /// `field(name, &FieldSource::Cell(cell))`; `_scratch` is ignored. Kept
+    /// only because the benchmark under `ledger/`, which may not change,
+    /// calls it by this name and with this argument list.
     pub fn field_cell(
         &mut self,
         name: &str,
         cell: &dyn StateCell,
-        scratch: &mut Vec<u8>,
+        _scratch: &mut Vec<u8>,
     ) -> Result<()> {
-        match cell.known_byte_len() {
-            Some(len) => {
-                self.begin_field(name, len as u64)?;
-                self.stream_cell_checked(name, cell, len as u64)
-            }
-            None => {
-                scratch.clear();
-                cell.save_into(scratch);
-                self.field_bytes(name, scratch)
-            }
-        }
+        self.field(name, &FieldSource::Cell(cell))
     }
 
-    /// Write one field from a [`FieldSource`].
-    pub fn field(
-        &mut self,
-        name: &str,
-        source: &FieldSource<'_>,
-        scratch: &mut Vec<u8>,
-    ) -> Result<()> {
+    /// Write one field from a [`FieldSource`]; a cell is announced at
+    /// [`StateCell::byte_len`] and streamed (zero-copy for LE containers).
+    pub fn field(&mut self, name: &str, source: &FieldSource<'_>) -> Result<()> {
         match source {
-            FieldSource::Cell(cell) => self.field_cell(name, *cell, scratch),
+            FieldSource::Cell(cell) => {
+                let len = cell.byte_len() as u64;
+                self.begin_field(name, len)?;
+                self.stream_cell_checked(name, *cell, len)
+            }
             FieldSource::Bytes(bytes) => self.field_bytes(name, bytes),
         }
     }
@@ -683,25 +668,12 @@ impl<W: Write> SnapshotWriter<W> {
     }
 
     /// Write one whole-field delta entry (kind 0) by streaming `cell`
-    /// (same length/scratch discipline as [`SnapshotWriter::field_cell`]).
-    pub fn delta_field_full_cell(
-        &mut self,
-        name: &str,
-        cell: &dyn StateCell,
-        scratch: &mut Vec<u8>,
-    ) -> Result<()> {
-        match cell.known_byte_len() {
-            Some(len) => {
-                self.begin_delta_field(name, 0)?;
-                self.put(&(len as u64).to_le_bytes())?;
-                self.stream_cell_checked(name, cell, len as u64)
-            }
-            None => {
-                scratch.clear();
-                cell.save_into(scratch);
-                self.delta_field_full_bytes(name, scratch)
-            }
-        }
+    /// (same length rule as [`SnapshotWriter::field`]).
+    pub fn delta_field_full_cell(&mut self, name: &str, cell: &dyn StateCell) -> Result<()> {
+        let len = cell.byte_len() as u64;
+        self.begin_delta_field(name, 0)?;
+        self.put(&len.to_le_bytes())?;
+        self.stream_cell_checked(name, cell, len)
     }
 
     fn put_sparse_map(&mut self, full_len: u64, ranges: &[std::ops::Range<usize>]) -> Result<u64> {
@@ -766,16 +738,9 @@ impl<W: Write> SnapshotWriter<W> {
     }
 
     /// Write one delta field from a [`DeltaSource`].
-    pub fn delta_field(
-        &mut self,
-        name: &str,
-        source: &DeltaSource<'_>,
-        scratch: &mut Vec<u8>,
-    ) -> Result<()> {
+    pub fn delta_field(&mut self, name: &str, source: &DeltaSource<'_>) -> Result<()> {
         match source {
-            DeltaSource::Full(FieldSource::Cell(cell)) => {
-                self.delta_field_full_cell(name, *cell, scratch)
-            }
+            DeltaSource::Full(FieldSource::Cell(cell)) => self.delta_field_full_cell(name, *cell),
             DeltaSource::Full(FieldSource::Bytes(bytes)) => {
                 self.delta_field_full_bytes(name, bytes)
             }
@@ -1079,10 +1044,13 @@ impl RecordSink for CasSink<'_> {
                 store.rotate_generation(key)?;
                 staged.promote()?
             }
-            // Integrity and routing of a digest-negotiated record ride the
-            // per-chunk digests the store verified at supply time; its CRC
-            // is still checked whenever the record is read back.
+            // Integrity of a digest-negotiated record rides the per-chunk
+            // digests the store verified at supply time (its CRC is still
+            // checked whenever the record is read back); routing is checked
+            // here like everywhere else, on the header its leading chunk
+            // holds.
             CasState::Dedup(txn) => {
+                key.check_record(&txn.head(HEAD_BYTES)?)?;
                 store.rotate_generation(key)?;
                 txn.commit(&name)?
             }
@@ -1179,13 +1147,13 @@ impl<'a> Reader<'a> {
 ///   deduplicated chunk objects, so a steady-state snapshot whose pages
 ///   mostly didn't change costs ~metadata instead of ~data.
 ///
-/// Selection: `PPAR_STORE_LAYOUT=cas` (or [`CheckpointStore::new_cas`])
-/// opts a new directory into the content-addressed layout; a directory
-/// that already holds one is detected and reopened as such regardless of
-/// the environment. Either way the records read back bitwise-identical —
-/// both layouts store the same golden record encoding — and a
-/// content-addressed store still *reads* legacy flat files, so old run
-/// directories restore unchanged.
+/// Selection: creating the directory with [`CheckpointStore::new_cas`]
+/// opts it into the content-addressed layout; [`CheckpointStore::new`]
+/// detects a directory that already holds one and reopens it as such, so a
+/// launch given a pre-created directory uses its layout. Either way the
+/// records read back bitwise-identical — both layouts store the same
+/// golden record encoding — and a content-addressed store still *reads*
+/// legacy flat files, so old run directories restore unchanged.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -1194,22 +1162,19 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// Open (creating if needed) a checkpoint directory. The layout comes
-    /// from `PPAR_STORE_LAYOUT` (`cas` selects the content-addressed
-    /// store) or from auto-detection when the directory already holds a
-    /// content-addressed store.
+    /// Open (creating if needed) a checkpoint directory: content-addressed
+    /// when the directory already holds a content-addressed store, flat
+    /// otherwise.
     pub fn new(dir: impl AsRef<Path>) -> Result<CheckpointStore> {
-        let want_cas = std::env::var("PPAR_STORE_LAYOUT").is_ok_and(|v| v == "cas")
-            || crate::cas::CasStore::detect(dir.as_ref());
-        if want_cas {
+        if crate::cas::CasStore::detect(dir.as_ref()) {
             CheckpointStore::new_cas(dir)
         } else {
             CheckpointStore::new_flat(dir)
         }
     }
 
-    /// Open a checkpoint directory in the legacy flat layout regardless of
-    /// the environment.
+    /// Open a checkpoint directory in the legacy flat layout, whatever it
+    /// already holds.
     pub fn new_flat(dir: impl AsRef<Path>) -> Result<CheckpointStore> {
         fs::create_dir_all(dir.as_ref())?;
         Ok(CheckpointStore {
@@ -1219,9 +1184,9 @@ impl CheckpointStore {
     }
 
     /// Open a checkpoint directory in the content-addressed layout with
-    /// configuration from the environment (see [`crate::cas::CasConfig`]).
+    /// the default [`crate::cas::CasConfig`].
     pub fn new_cas(dir: impl AsRef<Path>) -> Result<CheckpointStore> {
-        CheckpointStore::new_cas_with(dir, crate::cas::CasConfig::from_env())
+        CheckpointStore::new_cas_with(dir, crate::cas::CasConfig::default())
     }
 
     /// [`CheckpointStore::new_cas`] with an explicit configuration.
@@ -1385,20 +1350,17 @@ impl CheckpointStore {
     /// full, CRC-checked read path). Goes through the record seam: manifest
     /// head first in the content-addressed layout, flat file otherwise.
     fn peek_count(&self, path: &Path) -> Option<u64> {
-        // MAGIC(8) + mode-tag length(8) + tag bytes + count(8): mode tags
-        // are short strings, so the header lives comfortably inside 4 KiB.
-        const HEAD: usize = 4096;
         let cas_head = self.cas.as_ref().and_then(|cas| {
-            cas.read_head(CheckpointStore::rec_name(path), HEAD)
+            cas.read_head(CheckpointStore::rec_name(path), HEAD_BYTES)
                 .ok()
                 .flatten()
         });
         let head = match cas_head {
             Some(head) => head,
             None => {
-                let mut head = Vec::with_capacity(HEAD);
+                let mut head = Vec::with_capacity(HEAD_BYTES);
                 let file = fs::File::open(path).ok()?;
-                file.take(HEAD as u64).read_to_end(&mut head).ok()?;
+                file.take(HEAD_BYTES as u64).read_to_end(&mut head).ok()?;
                 head
             }
         };
@@ -1686,10 +1648,7 @@ mod tests {
 
     fn put_snapshot(store: &CheckpointStore, snap: &Snapshot) -> u64 {
         store
-            .put(
-                &Record::Full(&snap.meta(), &bytes_fields(snap)),
-                &mut Vec::new(),
-            )
+            .put(&Record::Full(&snap.meta(), &bytes_fields(snap)))
             .unwrap()
     }
 
@@ -1759,16 +1718,11 @@ mod tests {
             ("G", FieldSource::Cell(&vec_cell)),
             ("Z", FieldSource::Cell(&empty_cell)),
         ];
-        let mut scratch = Vec::new();
         store
-            .put(&Record::Full(&materialized.meta(), &fields), &mut scratch)
+            .put(&Record::Full(&materialized.meta(), &fields))
             .unwrap();
         let streamed = fs::read(store.master_path()).unwrap();
         assert_eq!(streamed, golden);
-        assert!(
-            scratch.is_empty(),
-            "known-length cells must not touch the scratch buffer"
-        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1787,10 +1741,7 @@ mod tests {
 
         // Streaming writer -> reader.
         store
-            .put(
-                &Record::Full(&snap.meta(), &bytes_fields(&snap)),
-                &mut Vec::new(),
-            )
+            .put(&Record::Full(&snap.meta(), &bytes_fields(&snap)))
             .unwrap();
         assert_eq!(store.read_master().unwrap().unwrap(), snap);
         fs::remove_dir_all(&dir).unwrap();
@@ -1802,10 +1753,7 @@ mod tests {
         let store = CheckpointStore::new(&dir).unwrap();
         let snap = sample(None);
         store
-            .put(
-                &Record::Full(&snap.meta(), &bytes_fields(&snap)),
-                &mut Vec::new(),
-            )
+            .put(&Record::Full(&snap.meta(), &bytes_fields(&snap)))
             .unwrap();
         let good = fs::read(store.master_path()).unwrap();
 
@@ -1851,62 +1799,13 @@ mod tests {
             nranks: 1,
         };
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("G", FieldSource::Cell(&cell))];
-        store
-            .put(&Record::Full(&meta, &fields), &mut Vec::new())
-            .unwrap();
+        store.put(&Record::Full(&meta, &fields)).unwrap();
 
         let back = store.read_master().unwrap().unwrap();
         assert_eq!(back.count, 42);
         let restored = SharedVec::new(1000, 0.0f64);
         restored.load_bytes(back.field("G").unwrap()).unwrap();
         assert_eq!(restored.to_vec(), values);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Length-unknown cells (serde-backed) stream through the reusable
-    /// scratch buffer and still hit the golden encoding.
-    #[test]
-    fn unknown_length_cells_buffer_through_scratch() {
-        struct OpaqueCell(Vec<u8>);
-        impl StateCell for OpaqueCell {
-            fn save_bytes(&self) -> Vec<u8> {
-                self.0.clone()
-            }
-            fn load_bytes(&self, _bytes: &[u8]) -> ppar_core::error::Result<()> {
-                Ok(())
-            }
-            fn byte_len(&self) -> usize {
-                self.0.len()
-            }
-            fn known_byte_len(&self) -> Option<usize> {
-                None
-            }
-        }
-        let dir = tmpdir("scratch");
-        let store = CheckpointStore::new(&dir).unwrap();
-        let cell = OpaqueCell(vec![1, 2, 3, 4, 5]);
-        let meta = SnapshotMeta {
-            mode_tag: "seq".into(),
-            count: 1,
-            rank: None,
-            nranks: 1,
-        };
-        let fields: Vec<(&str, FieldSource<'_>)> = vec![("pop", FieldSource::Cell(&cell))];
-        let mut scratch = Vec::new();
-        store
-            .put(&Record::Full(&meta, &fields), &mut scratch)
-            .unwrap();
-        assert_eq!(scratch, vec![1, 2, 3, 4, 5], "field buffered via scratch");
-
-        let golden = Snapshot {
-            mode_tag: "seq".into(),
-            count: 1,
-            rank: None,
-            nranks: 1,
-            fields: vec![("pop".into(), vec![1, 2, 3, 4, 5])],
-        }
-        .encode();
-        assert_eq!(fs::read(store.master_path()).unwrap(), golden);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1965,10 +1864,7 @@ mod tests {
             nranks: 1,
         };
         store
-            .put(
-                &Record::Full(&meta, &[("G", FieldSource::Cell(&v))]),
-                &mut Vec::new(),
-            )
+            .put(&Record::Full(&meta, &[("G", FieldSource::Cell(&v))]))
             .unwrap();
         v.clear_dirty();
 
@@ -1978,19 +1874,16 @@ mod tests {
         let ranges = v.dirty_byte_ranges();
         let dm = delta_meta(20, 10, 1, None);
         store
-            .put(
-                &Record::Delta(
-                    &dm,
-                    &[(
-                        "G",
-                        DeltaSource::DirtyCell {
-                            cell: &v,
-                            ranges: &ranges,
-                        },
-                    )],
-                ),
-                &mut Vec::new(),
-            )
+            .put(&Record::Delta(
+                &dm,
+                &[(
+                    "G",
+                    DeltaSource::DirtyCell {
+                        cell: &v,
+                        ranges: &ranges,
+                    },
+                )],
+            ))
             .unwrap();
         v.clear_dirty();
 
@@ -1999,19 +1892,16 @@ mod tests {
         let ranges = v.dirty_byte_ranges();
         let dm = delta_meta(30, 10, 2, None);
         store
-            .put(
-                &Record::Delta(
-                    &dm,
-                    &[(
-                        "G",
-                        DeltaSource::DirtyCell {
-                            cell: &v,
-                            ranges: &ranges,
-                        },
-                    )],
-                ),
-                &mut Vec::new(),
-            )
+            .put(&Record::Delta(
+                &dm,
+                &[(
+                    "G",
+                    DeltaSource::DirtyCell {
+                        cell: &v,
+                        ranges: &ranges,
+                    },
+                )],
+            ))
             .unwrap();
 
         let merged = store.get(None, None).unwrap().unwrap();
@@ -2047,28 +1937,22 @@ mod tests {
             nranks: 1,
         };
         store
-            .put(
-                &Record::Full(&meta, &[("G", FieldSource::Cell(&v))]),
-                &mut Vec::new(),
-            )
+            .put(&Record::Full(&meta, &[("G", FieldSource::Cell(&v))]))
             .unwrap();
         v.clear_dirty();
 
         let dm = delta_meta(2, 1, 1, None);
         store
-            .put(
-                &Record::Delta(
-                    &dm,
-                    &[(
-                        "G",
-                        DeltaSource::DirtyCell {
-                            cell: &v,
-                            ranges: &[],
-                        },
-                    )],
-                ),
-                &mut Vec::new(),
-            )
+            .put(&Record::Delta(
+                &dm,
+                &[(
+                    "G",
+                    DeltaSource::DirtyCell {
+                        cell: &v,
+                        ranges: &[],
+                    },
+                )],
+            ))
             .unwrap();
         let merged = store.get(None, None).unwrap().unwrap();
         assert_eq!(merged.count, 2);
@@ -2088,28 +1972,22 @@ mod tests {
             nranks: 1,
         };
         store
-            .put(
-                &Record::Full(&meta, &[("G", FieldSource::Cell(&v))]),
-                &mut Vec::new(),
-            )
+            .put(&Record::Full(&meta, &[("G", FieldSource::Cell(&v))]))
             .unwrap();
         v.clear_dirty();
         v.set(7, 3.0);
         let ranges = v.dirty_byte_ranges();
         store
-            .put(
-                &Record::Delta(
-                    &delta_meta(2, 1, 1, None),
-                    &[(
-                        "G",
-                        DeltaSource::DirtyCell {
-                            cell: &v,
-                            ranges: &ranges,
-                        },
-                    )],
-                ),
-                &mut Vec::new(),
-            )
+            .put(&Record::Delta(
+                &delta_meta(2, 1, 1, None),
+                &[(
+                    "G",
+                    DeltaSource::DirtyCell {
+                        cell: &v,
+                        ranges: &ranges,
+                    },
+                )],
+            ))
             .unwrap();
         let path = store.delta_path(None, 1);
         let good = fs::read(&path).unwrap();
@@ -2160,28 +2038,22 @@ mod tests {
             nranks: 1,
         };
         store
-            .put(
-                &Record::Full(&snap(1), &[("G", FieldSource::Cell(&v))]),
-                &mut Vec::new(),
-            )
+            .put(&Record::Full(&snap(1), &[("G", FieldSource::Cell(&v))]))
             .unwrap();
         v.clear_dirty();
         v.set(0, 1.0);
         let ranges = v.dirty_byte_ranges();
         store
-            .put(
-                &Record::Delta(
-                    &delta_meta(2, 1, 1, None),
-                    &[(
-                        "G",
-                        DeltaSource::DirtyCell {
-                            cell: &v,
-                            ranges: &ranges,
-                        },
-                    )],
-                ),
-                &mut Vec::new(),
-            )
+            .put(&Record::Delta(
+                &delta_meta(2, 1, 1, None),
+                &[(
+                    "G",
+                    DeltaSource::DirtyCell {
+                        cell: &v,
+                        ranges: &ranges,
+                    },
+                )],
+            ))
             .unwrap();
 
         // Promote a new base (count 3) but "crash" before delta GC: the
@@ -2189,10 +2061,7 @@ mod tests {
         // skipped, not applied and not fatal.
         v.set(0, 42.0);
         store
-            .put(
-                &Record::Full(&snap(3), &[("G", FieldSource::Cell(&v))]),
-                &mut Vec::new(),
-            )
+            .put(&Record::Full(&snap(3), &[("G", FieldSource::Cell(&v))]))
             .unwrap();
         let merged = store.get(None, None).unwrap().unwrap();
         assert_eq!(merged.count, 3);
@@ -2200,13 +2069,10 @@ mod tests {
 
         // An in-chain sequence-number mismatch, by contrast, is corruption.
         store
-            .put(
-                &Record::Delta(
-                    &delta_meta(4, 3, 2, None),
-                    &[("G", DeltaSource::Full(FieldSource::Cell(&v)))],
-                ),
-                &mut Vec::new(),
-            )
+            .put(&Record::Delta(
+                &delta_meta(4, 3, 2, None),
+                &[("G", DeltaSource::Full(FieldSource::Cell(&v)))],
+            ))
             .unwrap();
         fs::rename(store.delta_path(None, 2), store.delta_path(None, 1)).unwrap();
         assert!(store.get(None, None).is_err());
@@ -2228,30 +2094,27 @@ mod tests {
             nranks: 4,
         };
         store
-            .put(
-                &Record::Full(&meta, &[("G", FieldSource::Bytes(&shard_bytes))]),
-                &mut Vec::new(),
-            )
+            .put(&Record::Full(
+                &meta,
+                &[("G", FieldSource::Bytes(&shard_bytes))],
+            ))
             .unwrap();
 
         let patch = [9u8; 8];
         let mut dm = delta_meta(6, 5, 1, Some(2));
         dm.nranks = 4;
         store
-            .put(
-                &Record::Delta(
-                    &dm,
-                    &[(
-                        "G",
-                        DeltaSource::DirtyBytes {
-                            full_len: 64,
-                            ranges: &[16..24],
-                            payload: &patch,
-                        },
-                    )],
-                ),
-                &mut Vec::new(),
-            )
+            .put(&Record::Delta(
+                &dm,
+                &[(
+                    "G",
+                    DeltaSource::DirtyBytes {
+                        full_len: 64,
+                        ranges: &[16..24],
+                        payload: &patch,
+                    },
+                )],
+            ))
             .unwrap();
         let merged = store.get(Some(2), None).unwrap().unwrap();
         assert_eq!(merged.count, 6);
@@ -2273,22 +2136,19 @@ mod tests {
         let ranges = v.dirty_byte_ranges();
         let opaque = vec![1u8, 2, 3];
         store
-            .put(
-                &Record::Delta(
-                    &delta_meta(7, 3, 2, None),
-                    &[
-                        (
-                            "G",
-                            DeltaSource::DirtyCell {
-                                cell: &v,
-                                ranges: &ranges,
-                            },
-                        ),
-                        ("pop", DeltaSource::Full(FieldSource::Bytes(&opaque))),
-                    ],
-                ),
-                &mut Vec::new(),
-            )
+            .put(&Record::Delta(
+                &delta_meta(7, 3, 2, None),
+                &[
+                    (
+                        "G",
+                        DeltaSource::DirtyCell {
+                            cell: &v,
+                            ranges: &ranges,
+                        },
+                    ),
+                    ("pop", DeltaSource::Full(FieldSource::Bytes(&opaque))),
+                ],
+            ))
             .unwrap();
         let d = store.read_master_delta(2).unwrap().unwrap();
         assert_eq!(d.meta, delta_meta(7, 3, 2, None));
@@ -2328,7 +2188,7 @@ mod tests {
                 nranks: 1,
             };
             store
-                .put(&Record::Full(&meta, &[("G", FieldSource::Cell(&v))]), &mut Vec::new())
+                .put(&Record::Full(&meta, &[("G", FieldSource::Cell(&v))]))
                 .unwrap();
             v.clear_dirty();
 
@@ -2338,7 +2198,7 @@ mod tests {
                 }
                 let ranges = v.dirty_byte_ranges();
                 store
-                    .put(&Record::Delta(&delta_meta(1 + seq as u64, 1, seq, None), &[("G", DeltaSource::DirtyCell { cell: &v, ranges: &ranges })]), &mut Vec::new())
+                    .put(&Record::Delta(&delta_meta(1 + seq as u64, 1, seq, None), &[("G", DeltaSource::DirtyCell { cell: &v, ranges: &ranges })]))
                     .unwrap();
                 v.clear_dirty();
             }

@@ -118,10 +118,10 @@ impl RecordKey {
     }
 }
 
-/// Leading record bytes a streaming sink keeps for
-/// [`RecordKey::check_record`] (mode tags are short strings, so both
-/// headers end well inside this).
-const HEAD_BYTES: usize = 4096;
+/// Leading record bytes a sink keeps (or reads back) for
+/// [`RecordKey::check_record`], and a header peek reads: mode tags are
+/// short strings, so both headers end well inside this.
+pub(crate) const HEAD_BYTES: usize = 4096;
 
 /// Append to `head` what it still lacks of the record's first
 /// `HEAD_BYTES` bytes.
@@ -175,12 +175,11 @@ pub trait CkptTransport: Send + Sync {
     fn begin<'a>(&'a self, key: RecordKey, len_hint: u64) -> Result<Box<dyn RecordSink + 'a>>;
 
     /// Persist one record: the golden encoder streams `record` into the
-    /// sink of the key its header names. Returns bytes written. `scratch`
-    /// buffers length-unknown cells and is reused across calls.
-    fn put(&self, record: &Record<'_>, scratch: &mut Vec<u8>) -> Result<u64> {
+    /// sink of the key its header names. Returns bytes written.
+    fn put(&self, record: &Record<'_>) -> Result<u64> {
         let mut sink = self.begin(record.key(), record.len_hint())?;
         let checksum = sink.checksummed();
-        match record.encode(&mut *sink, checksum, scratch) {
+        match record.encode(&mut *sink, checksum) {
             Ok(_) => sink.commit(),
             Err(e) => {
                 sink.abort(&e.to_string());
@@ -189,27 +188,28 @@ pub trait CkptTransport: Send + Sync {
         }
     }
 
-    /// `put(&Record::Full(meta, fields), scratch)`. Kept only because the
-    /// benchmark under `ledger/`, which may not change, calls it by this
-    /// name; workspace code calls [`CkptTransport::put`].
+    /// `put(&Record::Full(meta, fields))`; `_scratch` is ignored. Kept only
+    /// because the benchmark under `ledger/`, which may not change, calls
+    /// it by this name and with this argument list; workspace code calls
+    /// [`CkptTransport::put`].
     fn put_master(
         &self,
         meta: &SnapshotMeta,
         fields: &[(&str, FieldSource<'_>)],
-        scratch: &mut Vec<u8>,
+        _scratch: &mut Vec<u8>,
     ) -> Result<u64> {
-        self.put(&Record::Full(meta, fields), scratch)
+        self.put(&Record::Full(meta, fields))
     }
 
-    /// `put(&Record::Delta(meta, fields), scratch)`; kept for the same
-    /// reason as [`CkptTransport::put_master`].
+    /// `put(&Record::Delta(meta, fields))`; kept for the same reason as
+    /// [`CkptTransport::put_master`].
     fn put_master_delta(
         &self,
         meta: &DeltaMeta,
         fields: &[(&str, DeltaSource<'_>)],
-        scratch: &mut Vec<u8>,
+        _scratch: &mut Vec<u8>,
     ) -> Result<u64> {
-        self.put(&Record::Delta(meta, fields), scratch)
+        self.put(&Record::Delta(meta, fields))
     }
 
     /// Lend `rank`'s chain (`None` = master) with its deltas folded in:
@@ -661,11 +661,8 @@ mod tests {
     }
 
     fn put_bytes(t: &dyn CkptTransport, meta: &SnapshotMeta, payload: &[u8]) -> u64 {
-        t.put(
-            &Record::Full(meta, &[("G", FieldSource::Bytes(payload))]),
-            &mut Vec::new(),
-        )
-        .unwrap()
+        t.put(&Record::Full(meta, &[("G", FieldSource::Bytes(payload))]))
+            .unwrap()
     }
 
     #[test]
@@ -692,8 +689,7 @@ mod tests {
             nranks: 4,
         };
         let whole = DeltaSource::Full(FieldSource::Bytes(&[9]));
-        mem.put(&Record::Delta(&dm, &[("G", whole)]), &mut Vec::new())
-            .unwrap();
+        mem.put(&Record::Delta(&dm, &[("G", whole)])).unwrap();
         let delta = mem.record_bytes(RecordKey::delta(None, 3)).unwrap();
         assert_eq!(
             RecordKey::of_record(&delta).unwrap(),
@@ -735,8 +731,7 @@ mod tests {
                 nranks: 4,
             };
             let whole = DeltaSource::Full(FieldSource::Bytes(&[seq as u8; 8]));
-            t.put(&Record::Delta(&dm, &[("G", whole)]), &mut Vec::new())
-                .unwrap();
+            t.put(&Record::Delta(&dm, &[("G", whole)])).unwrap();
         }
         assert_eq!(t.get(Some(1), None).unwrap().unwrap().count, 30);
         let at20 = t.get(Some(1), Some(20)).unwrap().unwrap();
@@ -759,8 +754,8 @@ mod tests {
         let m = meta(3, None);
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("G", FieldSource::Cell(&v))];
         let record = Record::Full(&m, &fields);
-        let on_disk = store.put(&record, &mut Vec::new()).unwrap();
-        let in_mem = mem.put(&record, &mut Vec::new()).unwrap();
+        let on_disk = store.put(&record).unwrap();
+        let in_mem = mem.put(&record).unwrap();
         assert_eq!(on_disk, in_mem);
         let file = std::fs::read(dir.join("ckpt_master.bin")).unwrap();
         let record = mem.record_bytes(RecordKey::full(None)).unwrap();
@@ -795,8 +790,8 @@ mod tests {
                 .iter()
                 .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b.as_slice())))
                 .collect();
-            store.put(&Record::Full(&m, &refs), &mut Vec::new()).unwrap();
-            mem.put(&Record::Full(&m, &refs), &mut Vec::new()).unwrap();
+            store.put(&Record::Full(&m, &refs)).unwrap();
+            mem.put(&Record::Full(&m, &refs)).unwrap();
 
             // Byte-identical records modulo the CRC trailer (zero in
             // memory; the shared golden encoder produced everything else)...

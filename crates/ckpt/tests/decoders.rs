@@ -1,10 +1,11 @@
-//! Decoder hardening, checked from outside the crate: the first slice of a
+//! Decoder hardening, checked from outside the crate: the first slices of a
 //! shared harness for the on-disk / wire formats. Today it holds the two
 //! checkpoint record formats (`PPARCKP1` full records, `PPARDLT1` deltas),
 //! each through every entry bytes can arrive by — the CRC-checked decode,
 //! the trusted decode (no CRC, so structure is all that stands between a
 //! bad length and the allocator) and the header peek behind
-//! [`RecordKey::of_record`].
+//! [`RecordKey::of_record`] — and the content-addressed store's `PPARMFT1`
+//! manifest, which has one entry, [`Manifest::decode`], always CRC-checked.
 //!
 //! The rule for every entry: **an `Err`, never a panic, never an abort** —
 //! in debug, where arithmetic overflow panics, and in release, where it
@@ -15,7 +16,7 @@ use std::io::Write;
 use ppar_ckpt::crc::crc32;
 use ppar_ckpt::store::{FieldSource, Record, Snapshot, SnapshotWriter};
 use ppar_ckpt::transport::{CkptTransport, RecordKey};
-use ppar_ckpt::{DeltaMeta, DeltaSnapshot, MemTransport};
+use ppar_ckpt::{ChunkDigest, ChunkRef, DeltaMeta, DeltaSnapshot, Manifest, MemTransport};
 use ppar_core::error::{PparError, Result};
 
 const TAG: &str = "seq";
@@ -76,6 +77,25 @@ fn delta_record(seed: u64) -> Vec<u8> {
     w.finish().unwrap().1
 }
 
+/// A manifest of three chunks, the last one short.
+fn manifest(seed: u64) -> Vec<u8> {
+    let digests = seeded(seed, 3 * 16);
+    let chunks: Vec<ChunkRef> = digests
+        .chunks(16)
+        .zip([8192u32, 8192, 517])
+        .map(|(digest, len)| ChunkRef {
+            digest: ChunkDigest(digest.try_into().unwrap()),
+            len,
+        })
+        .collect();
+    Manifest {
+        chunk_size: 8192,
+        total_len: chunks.iter().map(|r| r.len as u64).sum(),
+        chunks,
+    }
+    .encode()
+}
+
 /// Overwrite `bytes[at..]` with `value` and make the CRC trailer valid
 /// again, so only structure can refuse the record.
 fn patched<const N: usize>(record: &[u8], at: usize, value: [u8; N]) -> Vec<u8> {
@@ -108,7 +128,7 @@ fn delta_trusted(bytes: &[u8]) -> Result<()> {
     let fields: Vec<_> = fields
         .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
         .collect();
-    mem.put(&Record::Full(&base.meta(), &fields), &mut Vec::new())?;
+    mem.put(&Record::Full(&base.meta(), &fields))?;
     let mut sink = mem.begin(RecordKey::delta(None, 1), bytes.len() as u64)?;
     sink.write_all(bytes)?;
     sink.commit()?;
@@ -230,4 +250,50 @@ fn every_bit_flip_and_truncation_is_survived_and_the_checked_ones_rejected() {
             }
         }
     }
+}
+
+/// The `PPARMFT1` slice. The sweep: every single-bit flip and every
+/// truncation of a seeded manifest is an `Err`. Then what the CRC cannot
+/// catch because it has been made valid again: a chunk count, a total
+/// length and an entry length that disagree with the entries present are
+/// refused — the count before it is used as a capacity.
+#[test]
+fn every_manifest_bit_flip_truncation_and_inconsistency_is_an_error() {
+    for seed in [0x5eed, 20110913] {
+        let good = manifest(seed);
+        assert_eq!(Manifest::decode(&good).unwrap().chunks.len(), 3);
+        for bit in 0..good.len() * 8 {
+            let mut flipped = good.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                Manifest::decode(&flipped).is_err(),
+                "seed {seed}: flip of bit {bit}"
+            );
+        }
+        for cut in 0..good.len() {
+            assert!(
+                Manifest::decode(&good[..cut]).is_err(),
+                "seed {seed}: cut {cut}"
+            );
+        }
+    }
+
+    // Header 16 bytes, three 20-byte entries (digest, then `len`), then the
+    // trailer: total_len u64, nchunks u32, crc u32.
+    let good = manifest(1);
+    let total_len_at = 16 + 3 * 20;
+    let nchunks_at = total_len_at + 8;
+    let decode = |bytes: &[u8]| Manifest::decode(bytes).map(|_| ());
+    for nchunks in [u32::MAX, 4, 2, 0] {
+        let bad = patched(&good, nchunks_at, nchunks.to_le_bytes());
+        assert!(is_corrupt(decode(&bad)), "{nchunks} chunks announced");
+    }
+    for total_len in [u64::MAX, 0] {
+        let bad = patched(&good, total_len_at, total_len.to_le_bytes());
+        assert!(is_corrupt(decode(&bad)), "total_len {total_len}");
+    }
+    let bad = patched(&good, 16 + 16, u32::MAX.to_le_bytes());
+    assert!(is_corrupt(decode(&bad)), "an entry longer than the record");
+    let bad = patched(&good, 8, 2u32.to_le_bytes());
+    assert!(is_corrupt(decode(&bad)), "an unknown manifest version");
 }

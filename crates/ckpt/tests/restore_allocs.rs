@@ -84,11 +84,8 @@ fn put_base(t: &dyn CkptTransport) {
         nranks: 1,
     };
     let bytes = payload(0);
-    t.put(
-        &Record::Full(&meta, &[("S", FieldSource::Bytes(&bytes))]),
-        &mut Vec::new(),
-    )
-    .unwrap();
+    t.put(&Record::Full(&meta, &[("S", FieldSource::Bytes(&bytes))]))
+        .unwrap();
 }
 
 /// `DELTAS` dense deltas (every byte dirty) over the base; returns the
@@ -111,8 +108,7 @@ fn put_dense_chain(t: &dyn CkptTransport) -> Vec<u8> {
             ranges: &[0..FIELD],
             payload: &last,
         };
-        t.put(&Record::Delta(&meta, &[("S", dense)]), &mut Vec::new())
-            .unwrap();
+        t.put(&Record::Delta(&meta, &[("S", dense)])).unwrap();
     }
     last
 }

@@ -427,8 +427,12 @@ impl Ctx {
         c
     }
 
-    /// Register an externally created snapshotable value under `name`
-    /// (escape hatch for serde-backed state, see `ppar-ckpt::SerdeCell`).
+    /// Register an externally created snapshotable value under `name`: the
+    /// extension point for user state that is not one of the containers
+    /// above. Implement [`StateCell`] — announce `byte_len`, stream
+    /// `write_state` / `save_bytes` in a layout of your own, read it back
+    /// in `load_bytes` — and name it in the plan's `SafeData`
+    /// (`ppar_task::TaskFrontier` is the worked example).
     pub fn register_state(&self, name: &str, cell: Arc<dyn StateCell>) {
         self.shared.registry.register_state(name, cell);
     }

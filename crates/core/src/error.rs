@@ -35,8 +35,6 @@ pub enum PparError {
     Network(String),
     /// An I/O failure while persisting or loading state.
     Io(io::Error),
-    /// Serialization/deserialization failure in the checkpoint codec.
-    Codec(String),
     /// A construct contract was violated (e.g. `single` called from outside a
     /// region, mismatched barrier participation, overlapping disjoint writes).
     ContractViolation(String),
@@ -56,7 +54,6 @@ impl fmt::Display for PparError {
             PparError::InvalidAdaptation(msg) => write!(f, "invalid adaptation: {msg}"),
             PparError::Network(msg) => write!(f, "network error: {msg}"),
             PparError::Io(e) => write!(f, "i/o error: {e}"),
-            PparError::Codec(msg) => write!(f, "codec error: {msg}"),
             PparError::ContractViolation(msg) => write!(f, "contract violation: {msg}"),
         }
     }
@@ -114,7 +111,6 @@ mod tests {
                 PparError::Network("peer 2 down".into()),
                 "network error: peer 2 down",
             ),
-            (PparError::Codec("eof".into()), "codec error: eof"),
             (
                 PparError::ContractViolation("overlap".into()),
                 "contract violation: overlap",

@@ -79,8 +79,11 @@ pub trait StateCell: Send + Sync {
     fn save_bytes(&self) -> Vec<u8>;
     /// Replace the full current state from bytes produced by `save_bytes`.
     fn load_bytes(&self, bytes: &[u8]) -> Result<()>;
-    /// Length `save_bytes` would produce (used to pre-size buffers and to
-    /// validate checkpoints).
+    /// The exact length `save_bytes` / `write_state` would produce *now*,
+    /// without running a serialization pass. Snapshot writers announce it
+    /// as the field's length prefix and then stream the payload directly,
+    /// refusing the record if the streamed count differs — so it must be
+    /// cheap and exact, also for variable-size state.
     fn byte_len(&self) -> usize;
 
     /// Stream exactly the bytes `save_bytes` would produce into `w`,
@@ -95,19 +98,8 @@ pub trait StateCell: Send + Sync {
         Ok(bytes.len() as u64)
     }
 
-    /// The exact `write_state` length when it is known *without* running a
-    /// serialization pass (lets snapshot writers emit the length prefix and
-    /// then stream the payload directly). Cells whose length is only known
-    /// after serializing (e.g. serde-backed state) return `None`; writers
-    /// then buffer that one field through a reusable scratch buffer.
-    fn known_byte_len(&self) -> Option<usize> {
-        Some(self.byte_len())
-    }
-
-    /// Append the `save_bytes` encoding to `out` (capacity-reusing form).
-    /// Cells that serialize through an internal encoder override this to
-    /// emit straight into `out`, so buffering writers pay one serialization
-    /// pass and zero intermediate allocations.
+    /// Append the `save_bytes` encoding to `out` (capacity-reusing form;
+    /// the whole-field broadcast serializes through it).
     fn save_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.save_bytes());
     }

@@ -78,10 +78,7 @@ fn write_invasive_snapshot(store: &CheckpointStore, g: &SharedGrid<f64>, count: 
     };
     let payload = g.save_bytes();
     store
-        .put(
-            &Record::Full(&meta, &[("G", FieldSource::Bytes(&payload))]),
-            &mut Vec::new(),
-        )
+        .put(&Record::Full(&meta, &[("G", FieldSource::Bytes(&payload))]))
         .expect("invasive snapshot write");
 }
 

@@ -30,11 +30,10 @@
 //! ## Payload bound
 //!
 //! A frame payload larger than the sanity bound — [`MAX_FRAME_PAYLOAD`]
-//! (1 GiB) by default, overridable via the `PPAR_NET_MAX_FRAME`
-//! environment variable — is rejected on write, and a length field above
-//! it is treated as stream corruption on read (never an allocation
-//! request). GB-scale snapshots chunk through the checkpoint stream
-//! protocol instead of growing single frames.
+//! (1 GiB) — is rejected on write, and a length field above it is treated
+//! as stream corruption on read (never an allocation request). GB-scale
+//! snapshots chunk through the checkpoint stream protocol instead of
+//! growing single frames.
 //!
 //! A short read inside a frame is an `UnexpectedEof` error; a clean EOF at
 //! a frame boundary decodes as `Ok(None)` — that is how a peer's orderly
@@ -47,14 +46,8 @@ use ppar_ckpt::crc::Crc32;
 /// Bytes of the fixed frame header (`len` + `tag` + `crc`).
 pub const FRAME_HEADER_BYTES: usize = 16;
 
-/// Default sanity bound on a single frame's payload (1 GiB). Override with
-/// the `PPAR_NET_MAX_FRAME` environment variable (bytes, min 4 KiB); see
-/// [`max_frame_payload`].
+/// Sanity bound on a single frame's payload (1 GiB).
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 30;
-
-/// Environment variable overriding the frame payload sanity bound
-/// ([`MAX_FRAME_PAYLOAD`] when unset), in bytes.
-pub const ENV_MAX_FRAME: &str = "PPAR_NET_MAX_FRAME";
 
 /// Tag bit marking a *raw-payload* frame: the header CRC covers the tag
 /// and the first payload byte only (see the [module docs](self)).
@@ -62,21 +55,6 @@ pub const TAG_RAW_PAYLOAD_BIT: u64 = 1 << 61;
 
 /// Payload bytes of a raw frame still covered by the header CRC.
 const RAW_COVERED_BYTES: usize = 1;
-
-/// The effective frame payload bound: `PPAR_NET_MAX_FRAME` if set to a
-/// plausible byte count (≥ 4 KiB, ≤ u32::MAX — the wire length field is 32
-/// bits), [`MAX_FRAME_PAYLOAD`] otherwise. Read once per process.
-pub fn max_frame_payload() -> usize {
-    use std::sync::OnceLock;
-    static MAX: OnceLock<usize> = OnceLock::new();
-    *MAX.get_or_init(|| {
-        std::env::var(ENV_MAX_FRAME)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&v| (4096..=u32::MAX as usize).contains(&v))
-            .unwrap_or(MAX_FRAME_PAYLOAD)
-    })
-}
 
 /// The payload prefix covered by the header CRC for `tag`.
 fn covered(tag: u64, payload: &[u8]) -> &[u8] {
@@ -101,7 +79,7 @@ fn oversize_error(len: usize, max: usize) -> io::Error {
         io::ErrorKind::InvalidInput,
         format!(
             "frame payload of {len} bytes exceeds the {max}-byte bound \
-             (raise {ENV_MAX_FRAME} or chunk the message)"
+             (chunk the message)"
         ),
     )
 }
@@ -117,7 +95,7 @@ fn encode_header(tag: u64, payload: &[u8]) -> [u8; FRAME_HEADER_BYTES] {
 /// Encode one frame into `w` (no flush — callers batch frames and flush
 /// once per burst).
 pub fn write_frame(w: &mut impl Write, tag: u64, payload: &[u8]) -> io::Result<()> {
-    write_frame_bounded(w, tag, payload, max_frame_payload())
+    write_frame_bounded(w, tag, payload, MAX_FRAME_PAYLOAD)
 }
 
 fn write_frame_bounded(w: &mut impl Write, tag: u64, payload: &[u8], max: usize) -> io::Result<()> {
@@ -135,9 +113,8 @@ fn write_frame_bounded(w: &mut impl Write, tag: u64, payload: &[u8], max: usize)
 /// send threads flush their `BufWriter` first, then call this on the bare
 /// socket for large payloads).
 pub fn write_frame_vectored(w: &mut impl Write, tag: u64, payload: &[u8]) -> io::Result<()> {
-    let max = max_frame_payload();
-    if payload.len() > max {
-        return Err(oversize_error(payload.len(), max));
+    if payload.len() > MAX_FRAME_PAYLOAD {
+        return Err(oversize_error(payload.len(), MAX_FRAME_PAYLOAD));
     }
     let header = encode_header(tag, payload);
     let mut header_off = 0usize;
@@ -188,7 +165,7 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
 /// boundary (the peer closed its connection in an orderly way); any short
 /// read inside a frame, oversized length or CRC mismatch is an error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u64, Vec<u8>)>> {
-    read_frame_bounded(r, max_frame_payload())
+    read_frame_bounded(r, MAX_FRAME_PAYLOAD)
 }
 
 fn read_frame_bounded(r: &mut impl Read, max: usize) -> io::Result<Option<(u64, Vec<u8>)>> {
@@ -216,7 +193,7 @@ fn read_frame_bounded(r: &mut impl Read, max: usize) -> io::Result<Option<(u64, 
             io::ErrorKind::InvalidData,
             format!(
                 "frame announces a {len}-byte payload over the {max}-byte bound \
-                 (corrupt length field, or raise {ENV_MAX_FRAME})"
+                 (corrupt length field)"
             ),
         ));
     }
@@ -395,25 +372,23 @@ mod tests {
         bytes[0..4].copy_from_slice(&(u32::MAX).to_le_bytes());
         let err = read_frame(&mut bytes.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains(ENV_MAX_FRAME), "{err}");
+        assert!(err.to_string().contains("corrupt length field"), "{err}");
     }
 
     #[test]
     fn configured_bound_applies_to_write_and_read() {
-        // The env-var plumbing is a OnceLock around the same internal
-        // bound, so the bound logic is tested through the internal entry
-        // points (mutating the process environment would race sibling
-        // tests).
+        // The public entry points pass `MAX_FRAME_PAYLOAD` to the same
+        // internal ones; a small bound keeps the test's payloads small.
         let payload = vec![0u8; 8192];
         let err = write_frame_bounded(&mut Vec::new(), 1, &payload, 4096).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains(ENV_MAX_FRAME), "{err}");
+        assert!(err.to_string().contains("4096-byte bound"), "{err}");
 
         let mut ok = Vec::new();
         write_frame_bounded(&mut ok, 1, &payload, 8192).unwrap();
         let err = read_frame_bounded(&mut ok.as_slice(), 4096).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains(ENV_MAX_FRAME), "{err}");
+        assert!(err.to_string().contains("4096-byte bound"), "{err}");
         assert_eq!(
             read_frame_bounded(&mut ok.as_slice(), 8192).unwrap(),
             Some((1, payload))

@@ -217,13 +217,10 @@ mod tests {
     }
 
     fn put(t: &MirrorTransport, count: u64, rank: u32, payload: &[u8]) {
-        t.put(
-            &Record::Full(
-                &shard_meta(count, rank),
-                &[("G", FieldSource::Bytes(payload))],
-            ),
-            &mut Vec::new(),
-        )
+        t.put(&Record::Full(
+            &shard_meta(count, rank),
+            &[("G", FieldSource::Bytes(payload))],
+        ))
         .unwrap();
     }
 
@@ -300,10 +297,10 @@ mod tests {
         assert_eq!(mirror.local_hits(), 1);
 
         net.fail.store(true, Ordering::SeqCst);
-        let err = mirror.put(
-            &Record::Full(&shard_meta(20, 1), &[("G", FieldSource::Bytes(&[8u8; 32]))]),
-            &mut Vec::new(),
-        );
+        let err = mirror.put(&Record::Full(
+            &shard_meta(20, 1),
+            &[("G", FieldSource::Bytes(&[8u8; 32]))],
+        ));
         assert!(err.is_err());
 
         // The mirror is gone; the restore goes to the network store
@@ -326,13 +323,10 @@ mod tests {
             nranks: 4,
         };
         mirror
-            .put(
-                &Record::Delta(
-                    &dm,
-                    &[("G", DeltaSource::Full(FieldSource::Bytes(&[2u8; 16])))],
-                ),
-                &mut Vec::new(),
-            )
+            .put(&Record::Delta(
+                &dm,
+                &[("G", DeltaSource::Full(FieldSource::Bytes(&[2u8; 16])))],
+            ))
             .unwrap();
         // Count 10 would now under-serve the merged chain: the mirror
         // must not answer.

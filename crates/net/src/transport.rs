@@ -84,7 +84,7 @@ use ppar_core::error::{PparError, Result};
 use ppar_core::shared::DIRTY_CHUNK_BYTES;
 
 use crate::fabric::{Fabric, Payload};
-use crate::frame::{max_frame_payload, TAG_RAW_PAYLOAD_BIT};
+use crate::frame::TAG_RAW_PAYLOAD_BIT;
 
 /// Tag-space bit reserved for checkpoint service frames.
 pub const CKPT_TAG_BIT: u64 = 1 << 62;
@@ -147,10 +147,11 @@ const CH_END: u8 = 1;
 const CH_ABORT: u8 = 2;
 const CH_ABSENT: u8 = 3;
 
-/// Record bytes per chunk frame (capped below the configured frame bound).
-/// 4 MiB quarters the per-chunk fixed costs (frame headers, mailbox
-/// handoffs, thread wakeups) relative to 1 MiB; with the 8-chunk window
-/// that bounds per-stream buffering at 32 MiB a side.
+/// Record bytes per chunk frame (far below the frame payload bound, so
+/// the marker byte on top always fits). 4 MiB quarters the per-chunk fixed
+/// costs (frame headers, mailbox handoffs, thread wakeups) relative to
+/// 1 MiB; with the 8-chunk window that bounds per-stream buffering at
+/// 32 MiB a side.
 const STREAM_CHUNK: usize = 4 << 20;
 /// Chunks in flight before the sender blocks on credits: bounds each
 /// stream's buffering to `STREAM_WINDOW × STREAM_CHUNK` on either side.
@@ -184,13 +185,6 @@ fn stream_tag(kind: u64, id: u32) -> u64 {
     CKPT_TAG_BIT | raw | (kind << 40) | id as u64
 }
 
-/// Record bytes carried per chunk: the 4 MiB default, shrunk when
-/// `PPAR_NET_MAX_FRAME` configures a smaller frame bound (the marker byte
-/// must still fit).
-fn chunk_capacity() -> usize {
-    STREAM_CHUNK.min(max_frame_payload().saturating_sub(1))
-}
-
 // ---------------------------------------------------------------------------
 // chunked stream sender (both directions)
 // ---------------------------------------------------------------------------
@@ -221,7 +215,7 @@ impl<'a> StreamTx<'a> {
         } else {
             KIND_RCREDIT
         };
-        let cap = 1 + chunk_capacity();
+        let cap = 1 + STREAM_CHUNK;
         let mut buf = Vec::with_capacity(cap);
         buf.push(CH_DATA);
         StreamTx {
@@ -511,7 +505,7 @@ impl NetTransport {
     /// streamed put.
     fn put_dedup(&self, key: RecordKey, record: &[u8]) -> Result<bool> {
         let n = record.len().div_ceil(DEDUP_CHUNK);
-        if 21 + 4 + n * DEDUP_ENTRY > chunk_capacity() {
+        if 21 + 4 + n * DEDUP_ENTRY > STREAM_CHUNK {
             // Digest table larger than a frame: a record this large gains
             // little from saving one round's chunks anyway.
             return Ok(false);
@@ -1201,10 +1195,10 @@ mod tests {
         let p2 = payload.clone();
         two_rank(
             move |t| {
-                t.put(
-                    &Record::Full(&meta(7, None, 2), &[("big", FieldSource::Bytes(&p2))]),
-                    &mut Vec::new(),
-                )
+                t.put(&Record::Full(
+                    &meta(7, None, 2),
+                    &[("big", FieldSource::Bytes(&p2))],
+                ))
                 .unwrap();
                 let snap = t.get(None, None).unwrap().unwrap();
                 assert_eq!(snap.field("big").unwrap(), p2.as_slice());
@@ -1258,10 +1252,10 @@ mod tests {
                 let mut payload: Vec<u8> = (0..32 * DEDUP_CHUNK)
                     .map(|i| (i ^ (i >> 8) ^ (i >> 16)) as u8)
                     .collect();
-                t.put(
-                    &Record::Full(&meta(4, None, 2), &[("G", FieldSource::Bytes(&payload))]),
-                    &mut Vec::new(),
-                )
+                t.put(&Record::Full(
+                    &meta(4, None, 2),
+                    &[("G", FieldSource::Bytes(&payload))],
+                ))
                 .unwrap();
                 // Empty store: nothing to skip.
                 assert_eq!(t.take_put_stats().wire_chunks_skipped, 0);
@@ -1273,10 +1267,10 @@ mod tests {
                     *b ^= 0xFF;
                 }
                 let written = t
-                    .put(
-                        &Record::Full(&meta(8, None, 2), &[("G", FieldSource::Bytes(&payload))]),
-                        &mut Vec::new(),
-                    )
+                    .put(&Record::Full(
+                        &meta(8, None, 2),
+                        &[("G", FieldSource::Bytes(&payload))],
+                    ))
                     .unwrap();
                 let n_chunks = written.div_ceil(DEDUP_CHUNK as u64);
                 let skipped = t.take_put_stats().wire_chunks_skipped;
@@ -1310,8 +1304,7 @@ mod tests {
                 // flip one byte in the middle.
                 let payload = vec![0xA5u8; 40_000];
                 let mut w = SnapshotWriter::new(Vec::new(), &meta(3, None, 2), 1).unwrap();
-                w.field("G", &FieldSource::Bytes(&payload), &mut Vec::new())
-                    .unwrap();
+                w.field("G", &FieldSource::Bytes(&payload)).unwrap();
                 let (_, mut record) = w.finish().unwrap();
                 let mid = record.len() / 2;
                 record[mid] ^= 0x40;
@@ -1344,10 +1337,10 @@ mod tests {
 
                 // No partial install, and the service still works.
                 assert_eq!(t.get(None, None).unwrap(), None);
-                t.put(
-                    &Record::Full(&meta(5, None, 2), &[("G", FieldSource::Bytes(&payload))]),
-                    &mut Vec::new(),
-                )
+                t.put(&Record::Full(
+                    &meta(5, None, 2),
+                    &[("G", FieldSource::Bytes(&payload))],
+                ))
                 .unwrap();
                 assert_eq!(t.restart_count().unwrap(), Some(5));
             },
@@ -1390,7 +1383,7 @@ mod tests {
                         .zip(&payloads)
                         .map(|(n, p)| (n.as_str(), FieldSource::Bytes(p.as_slice())))
                         .collect();
-                    t.put(&Record::Full(&meta(20, Some(1), 2), &fields), &mut Vec::new())
+                    t.put(&Record::Full(&meta(20, Some(1), 2), &fields))
                         .unwrap();
                     if !patch.is_empty() {
                         let dm = DeltaMeta {
@@ -1409,7 +1402,7 @@ mod tests {
                                     ranges: &ranges,
                                     payload: &patch,
                                 },
-                            )]), &mut Vec::new())
+                            )]))
                         .unwrap();
                     }
                 },
@@ -1430,7 +1423,7 @@ mod tests {
                 .map(|(n, p)| (n.as_str(), FieldSource::Bytes(p.as_slice())))
                 .collect();
             local
-                .put(&Record::Full(&meta(20, Some(1), 2), &fields), &mut Vec::new())
+                .put(&Record::Full(&meta(20, Some(1), 2), &fields))
                 .unwrap();
             proptest::prop_assert_eq!(
                 streamed_shard,
@@ -1454,7 +1447,7 @@ mod tests {
                                 ranges: &ranges,
                                 payload: &patch,
                             },
-                        )]), &mut Vec::new())
+                        )]))
                     .unwrap();
                 proptest::prop_assert_eq!(
                     streamed_delta,
@@ -1506,13 +1499,10 @@ mod tests {
                     let t = NetTransport::client(dyn_fabric.clone(), rank);
                     let r = rank as u32;
                     let base = vec![r as u8; 200_000];
-                    t.put(
-                        &Record::Full(
-                            &meta(99, Some(r), N as u32),
-                            &[("G", FieldSource::Bytes(&base))],
-                        ),
-                        &mut Vec::new(),
-                    )
+                    t.put(&Record::Full(
+                        &meta(99, Some(r), N as u32),
+                        &[("G", FieldSource::Bytes(&base))],
+                    ))
                     .unwrap();
                     let dm = DeltaMeta {
                         mode_tag: "tcp2".into(),
@@ -1524,20 +1514,17 @@ mod tests {
                     };
                     let patch = vec![0xC0 + r as u8; 8];
                     let ranges = [0usize..8];
-                    t.put(
-                        &Record::Delta(
-                            &dm,
-                            &[(
-                                "G",
-                                DeltaSource::DirtyBytes {
-                                    full_len: base.len() as u64,
-                                    ranges: &ranges,
-                                    payload: &patch,
-                                },
-                            )],
-                        ),
-                        &mut Vec::new(),
-                    )
+                    t.put(&Record::Delta(
+                        &dm,
+                        &[(
+                            "G",
+                            DeltaSource::DirtyBytes {
+                                full_len: base.len() as u64,
+                                ranges: &ranges,
+                                payload: &patch,
+                            },
+                        )],
+                    ))
                     .unwrap();
                     // Concurrent restore while other lanes still stream.
                     let merged = t.get(Some(r), None).unwrap().unwrap();

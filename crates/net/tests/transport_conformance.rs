@@ -4,9 +4,11 @@
 //!
 //! Subjects: the flat and the content-addressed [`CheckpointStore`],
 //! [`MemTransport`], a [`NetTransport`] client whose service forwards into
-//! a flat store over a loopback fabric, and a [`MirrorTransport`] over
-//! such a client. Each runs [`conformance`] from empty; [`carries_over`]
-//! then moves records between every pair of media and compares bytes.
+//! a flat store over a loopback fabric, one whose service forwards into a
+//! content-addressed store (the digest-negotiated put), and a
+//! [`MirrorTransport`] over a client of the first kind. Each runs
+//! [`conformance`] from empty; [`carries_over`] then moves records between
+//! every pair of media and compares bytes.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -15,9 +17,9 @@ use std::time::Duration;
 
 use ppar_ckpt::store::{DeltaSource, FieldSource, Record, Snapshot, SnapshotMeta};
 use ppar_ckpt::transport::{CkptTransport, RecordKey};
-use ppar_ckpt::{CasConfig, CheckpointStore, DeltaMeta, MemTransport};
+use ppar_ckpt::{CasConfig, CheckpointStore, ChunkDigest, ChunkRef, DeltaMeta, MemTransport};
 use ppar_core::error::Result;
-use ppar_core::shared::SharedVec;
+use ppar_core::shared::{SharedVec, DIRTY_CHUNK_BYTES};
 use ppar_core::state::StateCell;
 use ppar_net::{free_loopback_addr, Fabric, MirrorTransport, NetConfig, NetTransport, TcpFabric};
 
@@ -30,7 +32,7 @@ mod api {
         meta: &SnapshotMeta,
         fields: &[(&str, FieldSource<'_>)],
     ) -> Result<u64> {
-        t.put(&Record::Full(meta, fields), &mut Vec::new())
+        t.put(&Record::Full(meta, fields))
     }
 
     pub fn put_delta(
@@ -38,7 +40,7 @@ mod api {
         meta: &DeltaMeta,
         fields: &[(&str, DeltaSource<'_>)],
     ) -> Result<u64> {
-        t.put(&Record::Delta(meta, fields), &mut Vec::new())
+        t.put(&Record::Delta(meta, fields))
     }
 
     pub fn get(
@@ -67,6 +69,34 @@ mod api {
             sink.abort("conformance suite abort");
             Ok(0)
         }
+    }
+
+    /// [`install`] the way the checkpoint service lands an `OP_PUT_DEDUP`:
+    /// announce the record's chunk digests, then write only the chunks the
+    /// medium says it lacks (the whole record to a medium that keeps none).
+    pub fn install_negotiated(
+        t: &dyn CkptTransport,
+        (rank, delta): (Option<u32>, Option<u32>),
+        bytes: &[u8],
+    ) -> Result<u64> {
+        let mut sink = t.begin(RecordKey { rank, delta }, bytes.len() as u64)?;
+        let chunks: Vec<&[u8]> = bytes.chunks(DIRTY_CHUNK_BYTES).collect();
+        let refs: Vec<ChunkRef> = chunks
+            .iter()
+            .map(|chunk| ChunkRef {
+                digest: ChunkDigest::of(chunk),
+                len: chunk.len() as u32,
+            })
+            .collect();
+        match sink.lacking(&refs, bytes.len() as u64)? {
+            Some(lacking) => {
+                for i in lacking {
+                    sink.write_all(chunks[i as usize])?;
+                }
+            }
+            None => sink.write_all(bytes)?,
+        }
+        sink.commit()
     }
 }
 
@@ -150,9 +180,6 @@ impl StateCell for ShortCell<'_> {
     }
     fn byte_len(&self) -> usize {
         20_000
-    }
-    fn known_byte_len(&self) -> Option<usize> {
-        Some(20_000)
     }
     fn write_state(&self, w: &mut dyn Write) -> Result<u64> {
         w.write_all(&[7; 10_000])?;
@@ -373,6 +400,29 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
     assert_eq!(api::get(t, None, None).unwrap().unwrap(), before, "{name}");
     assert_eq!(api::get(t, Some(3), None).unwrap().unwrap(), raw, "{name}");
     assert_eq!((s.artefacts)(), Vec::<String>::new(), "{name}");
+
+    // -- so is a digest-negotiated one: its chunks supplied, or all held ------
+    let negotiated = snapshot(61, Some(3), &g).encode();
+    for round in ["its chunks supplied", "every chunk already held"] {
+        assert!(
+            api::install_negotiated(t, (Some(9), None), &negotiated).is_err(),
+            "{name}: shard 3's record announced under shard 9's key, {round}"
+        );
+        assert!(
+            api::install_negotiated(t, (None, None), &negotiated).is_err(),
+            "{name}: announced under the master key, {round}"
+        );
+        assert!(api::get(t, Some(9), None).unwrap().is_none(), "{name}");
+        assert_eq!(api::get(t, None, None).unwrap().unwrap(), before, "{name}");
+        assert_eq!((s.artefacts)(), Vec::<String>::new(), "{name}");
+        // Under its own key it lands, like a put.
+        assert_eq!(
+            api::install_negotiated(t, (Some(3), None), &negotiated).unwrap(),
+            negotiated.len() as u64,
+            "{name}"
+        );
+        assert_eq!(merged_bytes(t, Some(3)).unwrap(), negotiated, "{name}");
+    }
 }
 
 /// The three read shapes of one `(rank, at)` — the lend, the owned `get`,
@@ -594,8 +644,8 @@ fn dir_artefacts(dir: &Path) -> Vec<String> {
 const DONE_TAG: u64 = (1 << 63) | 0xc0f;
 
 /// Run `body` as rank 1 with a client whose service (rank 0) forwards into
-/// a flat store in `dir`.
-fn with_net_client(dir: &Path, body: impl FnOnce(Arc<NetTransport>) + Send) {
+/// `store`.
+fn with_net_client(store: CheckpointStore, body: impl FnOnce(Arc<NetTransport>) + Send) {
     let addr = free_loopback_addr().unwrap();
     let connect = |rank: usize| -> Arc<dyn Fabric> {
         let mut cfg = NetConfig::new(rank, 2, addr.clone());
@@ -605,7 +655,6 @@ fn with_net_client(dir: &Path, body: impl FnOnce(Arc<NetTransport>) + Send) {
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let fabric = connect(0);
-            let store = CheckpointStore::new_flat(dir).unwrap();
             let service = NetTransport::serve(fabric.clone(), 0, Arc::new(store));
             fabric.recv(0, 1, DONE_TAG).unwrap();
             service.stop();
@@ -623,6 +672,7 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
     let flat_dir = scratch_dir("flat");
     let cas_dir = scratch_dir("cas");
     let net_dir = scratch_dir("net");
+    let net_cas_dir = scratch_dir("net_cas");
     let mirror_dir = scratch_dir("mirror");
     let flat = CheckpointStore::new_flat(&flat_dir).unwrap();
     let cas = CheckpointStore::new_cas_with(&cas_dir, CasConfig::default()).unwrap();
@@ -655,7 +705,7 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
             artefacts: &Vec::new,
         },
     );
-    with_net_client(&mirror_dir, |net| {
+    with_net_client(CheckpointStore::new_flat(&mirror_dir).unwrap(), |net| {
         let mirror = MirrorTransport::new(net);
         conformance(
             "mirror",
@@ -667,7 +717,21 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
             },
         );
     });
-    with_net_client(&net_dir, |net| {
+    // A root on the content-addressed layout: full records reach it as
+    // `OP_PUT_DEDUP`, the digest-negotiated commit.
+    let net_cas = CheckpointStore::new_cas_with(&net_cas_dir, CasConfig::default()).unwrap();
+    with_net_client(net_cas, |net| {
+        conformance(
+            "net over cas",
+            &Subject {
+                t: &*net,
+                keeps_generations: true,
+                reentrant: false,
+                artefacts: &|| dir_artefacts(&net_cas_dir),
+            },
+        );
+    });
+    with_net_client(CheckpointStore::new_flat(&net_dir).unwrap(), |net| {
         conformance(
             "net",
             &Subject {
@@ -694,7 +758,7 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
         }
     });
 
-    for d in [&flat_dir, &cas_dir, &net_dir, &mirror_dir] {
+    for d in [&flat_dir, &cas_dir, &net_dir, &net_cas_dir, &mirror_dir] {
         let _ = std::fs::remove_dir_all(d);
     }
 }

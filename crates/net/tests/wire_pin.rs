@@ -33,8 +33,7 @@ mod api {
         meta: &SnapshotMeta,
         fields: &[(&str, FieldSource<'_>)],
     ) -> u64 {
-        t.put(&Record::Full(meta, fields), &mut Vec::new())
-            .expect("full put")
+        t.put(&Record::Full(meta, fields)).expect("full put")
     }
 
     pub fn put_delta(
@@ -42,8 +41,7 @@ mod api {
         meta: &DeltaMeta,
         fields: &[(&str, DeltaSource<'_>)],
     ) -> u64 {
-        t.put(&Record::Delta(meta, fields), &mut Vec::new())
-            .expect("delta put")
+        t.put(&Record::Delta(meta, fields)).expect("delta put")
     }
 
     pub fn get(t: &dyn CkptTransport, rank: Option<u32>, at: Option<u64>) -> Option<Snapshot> {
