@@ -15,8 +15,9 @@
 //!    hand-off happens;
 //! 3. otherwise the crossing **escalates**: the quiesced engine streams one
 //!    mode-independent master snapshot into the in-memory transport and
-//!    every line of execution unwinds to this launcher with
-//!    [`ppar_core::runtime::ModeSwitch`];
+//!    every line of execution leaves with [`Exit::Reshape`] — the same
+//!    typed exit a drained worker and a peer fault take, raised without
+//!    the panic hook and caught here by [`catch_exit`];
 //! 4. the launcher retargets the deployment (same process!), arms the
 //!    hand-off as the successor's **resume** source, and relaunches the
 //!    application closure; replay runs with ignorable methods skipped and
@@ -29,7 +30,6 @@
 //! restarts from disk — restart remains the fallback behind the unchanged
 //! [`crate::launcher`] API.
 
-use std::panic::{resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,7 +40,7 @@ use ppar_core::ctx::{AdaptHook, Ctx};
 use ppar_core::error::{PparError, Result};
 use ppar_core::mode::ExecMode;
 use ppar_core::plan::Plan;
-use ppar_core::runtime::{clear_draining, ModeSwitch};
+use ppar_core::runtime::{catch_exit, leave, Exit};
 use ppar_dsm::SpmdConfig;
 
 use crate::controller::{AdaptationController, ReshapeKind};
@@ -73,18 +73,13 @@ impl<R> LiveOutcome<R> {
 }
 
 /// One rank's exit from a launch round: the app's return, or the mode an
-/// escalated reshape asks the session to relaunch in. This is the one place
-/// that unwind stops being control flow and becomes data; any other panic
-/// keeps unwinding.
+/// escalated reshape asks the session to relaunch in. A live session has no
+/// answer to the other exits (a simulated aggregate cannot lose a peer, and
+/// the master line never drains), so they keep unwinding like any panic.
 fn run_catching<T>(f: impl FnOnce() -> T) -> std::result::Result<T, ExecMode> {
-    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
-        // The escalation unwind marked this thread as draining so the
-        // panic hook stayed silent; re-arm normal reporting.
-        clear_draining();
-        match payload.downcast::<ModeSwitch>() {
-            Ok(switch) => switch.0,
-            Err(other) => resume_unwind(other),
-        }
+    catch_exit(f).map_err(|exit| match exit {
+        Exit::Reshape(mode) => mode,
+        other => leave(other),
     })
 }
 

@@ -6,11 +6,10 @@
 //!
 //! * the **driver** (any process, typically the parent) launches N copies
 //!   of a binary with [`ppar_net::spawn_local_cluster`] and, for crash
-//!   recovery, wraps them in [`ppar_net::run_cluster_until_complete`]
-//!   (whole-job relaunch) or [`ppar_net::run_cluster_supervised`] (the
-//!   **self-healing** driver: a dead non-root rank is respawned alone and
-//!   rejoins the live mesh; whole-job relaunch stays as the escalation
-//!   fallback);
+//!   recovery, runs them under [`ppar_net::run_cluster_supervised`]: a dead
+//!   non-root rank is respawned alone and rejoins the live mesh while the
+//!   respawn budget lasts, then the whole job is relaunched
+//!   ([`ppar_net::run_cluster_until_complete`]: no respawn budget);
 //! * each **rank process** calls [`run_net_rank`] with the same plan and
 //!   app closure: it bootstraps a [`TcpFabric`] from the `PPAR_*`
 //!   environment contract, builds the same [`ppar_dsm::HybridEngine`] at
@@ -36,16 +35,20 @@
 //!
 //! Under a resilient fabric (`PPAR_NET_RESILIENT=1`, set by the
 //! supervisor) a peer death no longer kills this process. The engine's
-//! safe-point fault poll unwinds the attempt; [`run_net_rank`] catches
-//! the unwind, synchronises with the survivors and the respawned rank
-//! through [`TcpFabric::recover`], and re-runs the app in-process: rank 0
+//! safe-point fault poll, or a collective receive failing under the fault,
+//! leaves the attempt with [`Exit::Fault`]; [`run_net_rank`] catches it,
+//! synchronises with the survivors and the respawned rank through
+//! [`TcpFabric::recover`], and re-runs the app in-process: rank 0
 //! re-detects the (uncleared) run marker and everyone replays to the last
 //! group-committed safe point. The [`CkptService`] and each worker's
 //! checkpoint client survive across attempts — in particular the
 //! [`MirrorTransport`], whose locally-held shard generations make a
 //! survivor's rollback restore a memory read instead of a root
-//! round-trip. Any failure *of recovery itself* escalates: the process
-//! exits nonzero and the supervisor falls back to a whole-job relaunch.
+//! round-trip. An attempt that *returns* an error while the fault is
+//! pending (the completion round, module creation) recovers the same way;
+//! a panic that is not an [`Exit`] is a bug and is never retried. Any
+//! failure *of recovery itself* escalates: the process exits nonzero and
+//! the supervisor falls back to a whole-job relaunch.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -56,12 +59,13 @@ use ppar_ckpt::transport::CkptTransport;
 use ppar_core::ctx::{run_on, CkptHook, Ctx};
 use ppar_core::error::{PparError, Result};
 use ppar_core::plan::Plan;
+use ppar_core::runtime::{catch_exit, leave, Exit};
 use ppar_dsm::{Endpoint, Fabric, HybridEngine, Traffic};
 use ppar_net::{ChaosConfig, ChaosFabric, CkptService, MirrorTransport, NetTransport, TcpFabric};
 
 pub use ppar_net::{
     free_loopback_addr, run_cluster_supervised, run_cluster_until_complete, spawn_local_cluster,
-    ClusterSpec, LocalCluster, NetConfig, SupervisorConfig, SupervisorReport,
+    ClusterSpec, LocalCluster, NetConfig, SupervisorReport,
 };
 
 use crate::launcher::AppStatus;
@@ -230,6 +234,23 @@ fn run_attempt<R>(
     Ok((status, result, module))
 }
 
+/// Run one attempt and say how it ended: `Ok(Some(done))` — it finished;
+/// `Ok(None)` — a peer fault ended it ([`Exit::Fault`], or an `Err` return
+/// with the fault pending): recover and retry; `Err` — it failed with the
+/// mesh healthy. Any other unwind keeps going, fault pending or not.
+fn attempt_outcome<T>(
+    fault_pending: impl FnOnce() -> bool,
+    attempt: impl FnOnce() -> Result<T>,
+) -> Result<Option<T>> {
+    match catch_exit(attempt) {
+        Ok(Ok(done)) => Ok(Some(done)),
+        Err(Exit::Fault) => Ok(None),
+        Ok(Err(_)) if fault_pending() => Ok(None),
+        Ok(Err(e)) => Err(e),
+        Err(other) => leave(other),
+    }
+}
+
 /// Run this process as one rank of a TCP-connected SPMD job.
 ///
 /// `cfg` usually comes from [`NetConfig::from_env`]. `ckpt_dir` plugs
@@ -291,38 +312,33 @@ pub fn run_net_rank<R>(
             // falls back to a whole-job relaunch.
             fabric.recover(cfg.recv_timeout)?;
         }
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_attempt(
-                cfg,
-                &plan,
-                ckpt_dir,
-                &worker_transport,
-                &dyn_fabric,
-                &mut service,
-                fabric.resilient() && cfg.nranks > 1,
-                &app,
-            )
-        }));
-        // Only a peer fault on a resilient fabric is recoverable here —
-        // anything else (an app panic, a checkpoint error with the mesh
-        // healthy) propagates exactly as before.
-        let fault = fabric.resilient() && fabric.fault_pending();
-        match attempt {
-            Ok(Ok(done)) => break done,
-            Ok(Err(e)) if !fault => return Err(e),
-            Err(payload) if !fault => std::panic::resume_unwind(payload),
-            _ => {
-                recoveries += 1;
-                if recoveries > MAX_RECOVERIES {
-                    return Err(PparError::Network(format!(
-                        "rank {}: giving up after {MAX_RECOVERIES} in-job recoveries; \
-                         escalating to full relaunch",
-                        cfg.rank
-                    )));
-                }
-                need_recovery = true;
-            }
+        let attempt = attempt_outcome(
+            || fabric.fault_pending(),
+            || {
+                run_attempt(
+                    cfg,
+                    &plan,
+                    ckpt_dir,
+                    &worker_transport,
+                    &dyn_fabric,
+                    &mut service,
+                    fabric.resilient() && cfg.nranks > 1,
+                    &app,
+                )
+            },
+        )?;
+        if let Some(done) = attempt {
+            break done;
         }
+        recoveries += 1;
+        if recoveries > MAX_RECOVERIES {
+            return Err(PparError::Network(format!(
+                "rank {}: giving up after {MAX_RECOVERIES} in-job recoveries; \
+                 escalating to full relaunch",
+                cfg.rank
+            )));
+        }
+        need_recovery = true;
     };
 
     // By the time this rank's app returned, its checkpoint RPCs have all
@@ -345,4 +361,41 @@ pub fn run_net_rank<R>(
         traffic,
         elapsed: start.elapsed(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn net_err() -> PparError {
+        PparError::Network("peer went away".into())
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn a_bug_under_a_pending_fault_propagates_instead_of_being_retried() {
+        let _ = attempt_outcome(|| true, || -> Result<()> { panic!("boom") });
+    }
+
+    #[test]
+    fn the_fault_exit_is_retried_and_other_exits_keep_unwinding() {
+        let retried = attempt_outcome(|| false, || -> Result<()> { leave(Exit::Fault) });
+        assert!(matches!(retried, Ok(None)));
+        let drained =
+            catch_exit(|| attempt_outcome(|| true, || -> Result<()> { leave(Exit::Drained) }));
+        assert_eq!(drained.err(), Some(Exit::Drained));
+    }
+
+    #[test]
+    fn an_error_return_is_a_fault_only_while_one_is_pending() {
+        assert!(matches!(
+            attempt_outcome(|| true, || Err::<(), _>(net_err())),
+            Ok(None)
+        ));
+        assert!(matches!(
+            attempt_outcome(|| false, || Err::<(), _>(net_err())),
+            Err(PparError::Network(_))
+        ));
+        assert!(matches!(attempt_outcome(|| true, || Ok(7)), Ok(Some(7))));
+    }
 }

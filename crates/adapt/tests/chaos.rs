@@ -16,7 +16,7 @@
 
 use std::path::PathBuf;
 
-use ppar_adapt::netrun::{run_cluster_supervised, ClusterSpec, NetConfig, SupervisorConfig};
+use ppar_adapt::netrun::{run_cluster_supervised, ClusterSpec, NetConfig};
 use ppar_adapt::{run_net_rank, AppStatus};
 use ppar_core::plan::DistCkptStrategy;
 use ppar_jgf::sor::pluggable::{plan_ckpt_with_strategy, plan_dist, sor_pluggable};
@@ -111,8 +111,7 @@ fn soak(s: &Soak) {
     .env(chaos::ENV_SEED, "20110913") // ICPP'11: any fixed seed works
     .env(chaos::ENV_KILL, s.kill);
 
-    let report = run_cluster_supervised(&spec, &SupervisorConfig::default())
-        .expect("supervised chaos job completes");
+    let report = run_cluster_supervised(&spec, 3, 4).expect("supervised chaos job completes");
 
     // The whole point: the kill was healed *inside* the job — one
     // respawn of the victim, zero full relaunches.

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ppar_adapt::netrun::{
-    run_cluster_supervised, run_cluster_until_complete, ClusterSpec, NetConfig, SupervisorConfig,
+    run_cluster_supervised, run_cluster_until_complete, ClusterSpec, NetConfig,
 };
 use ppar_adapt::{
     launch_live, run_net_rank, AdaptationController, AppStatus, Deploy, ResourceTimeline,
@@ -257,7 +257,7 @@ fn tcp_restart_from_mid_loop_snapshot_stays_bitwise() {
 
     // Launch 2: the driver's restart path — no abort env.
     let spec = midloop_spec(2, &dir, 7, "master", &out);
-    let attempts = run_cluster_until_complete(&spec, Duration::from_secs(120), 2).unwrap();
+    let attempts = run_cluster_until_complete(&spec, 2).unwrap();
     assert_eq!(attempts, 1, "recovery completes in one relaunch");
     let lines = read_out(&out);
     assert_eq!(lines.len(), 1, "{lines:?}");
@@ -290,8 +290,7 @@ fn tcp_single_rank_rejoin_resumes_mid_loop_bitwise() {
     let spec = midloop_spec(2, &dir, 4, "local", &out)
         .env(chaos::ENV_SEED, "20110913")
         .env(chaos::ENV_KILL, "1:barrier:3");
-    let report = run_cluster_supervised(&spec, &SupervisorConfig::default())
-        .expect("supervised job completes");
+    let report = run_cluster_supervised(&spec, 3, 4).expect("supervised job completes");
     assert_eq!(report.launches, 1, "no full relaunch: {report:?}");
     assert!(
         report.single_respawns >= 1,

@@ -225,8 +225,7 @@ fn tcp_sor_two_and_four_processes_match_seq_bitwise() {
             abort: None,
             out: dir.join("result.txt"),
         };
-        let attempts =
-            run_cluster_until_complete(&job.spec(), Duration::from_secs(120), 1).unwrap();
+        let attempts = run_cluster_until_complete(&job.spec(), 1).unwrap();
         assert_eq!(attempts, 1, "clean run completes first time");
         let lines = job.read_out();
         assert_eq!(lines.len(), 1, "{lines:?}");
@@ -259,7 +258,7 @@ fn tcp_md_matches_seq_bitwise() {
         abort: None,
         out: dir.join("result.txt"),
     };
-    run_cluster_until_complete(&job.spec(), Duration::from_secs(120), 1).unwrap();
+    run_cluster_until_complete(&job.spec(), 1).unwrap();
     let lines = job.read_out();
     assert_eq!(lines.len(), 1, "{lines:?}");
     assert_eq!(
@@ -305,7 +304,7 @@ fn crash_recovery(strategy: &'static str) {
 
     // Launch 2 (the driver's restart path): no abort env — recovery run.
     job.abort = None;
-    let attempts = run_cluster_until_complete(&job.spec(), Duration::from_secs(120), 2).unwrap();
+    let attempts = run_cluster_until_complete(&job.spec(), 2).unwrap();
     assert_eq!(attempts, 1, "recovery completes in one relaunch");
     let lines = job.read_out();
     assert_eq!(lines.len(), 1, "{lines:?}");

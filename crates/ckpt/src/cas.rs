@@ -505,6 +505,7 @@ impl CasStore {
             next: 0,
             pending: Vec::new(),
             stats,
+            committed: false,
         })
     }
 
@@ -913,6 +914,8 @@ pub struct DedupTxn {
     /// straddle two writes).
     pending: Vec<u8>,
     stats: PutStats,
+    /// The journal was renamed into place: `Drop` has nothing to roll back.
+    committed: bool,
 }
 
 impl DedupTxn {
@@ -977,14 +980,11 @@ impl DedupTxn {
                 self.missing.len()
             )));
         }
-        let dst = self.store.manifest_path(name);
-        fs::rename(&self.journal_path, &dst)?;
+        fs::rename(&self.journal_path, self.store.manifest_path(name))?;
+        self.committed = true;
         self.store.merge_stats(&self.stats);
         self.store.maybe_gc()?;
-        let total = self.manifest.total_len;
-        // Rename consumed the journal file; Drop must not remove `dst`.
-        self.journal_path = dst.with_extension("committed.nonexistent");
-        Ok(total)
+        Ok(self.manifest.total_len)
     }
 
     /// Discard the transaction (explicit form of dropping it).
@@ -993,7 +993,10 @@ impl DedupTxn {
 
 impl Drop for DedupTxn {
     fn drop(&mut self) {
-        let _ = fs::remove_file(&self.journal_path);
+        if !self.committed {
+            // Abort or error path: roll back the journal.
+            let _ = fs::remove_file(&self.journal_path);
+        }
     }
 }
 

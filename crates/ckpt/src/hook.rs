@@ -471,10 +471,7 @@ impl CheckpointModule {
     fn progress_bytes(&self, count: u64) -> Vec<u8> {
         RegionCursor {
             point_count: count,
-            construct_seq: 0,
             frames: self.frames.lock().clone(),
-            singles: Vec::new(),
-            reductions: Vec::new(),
         }
         .encode()
     }

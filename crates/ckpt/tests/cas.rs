@@ -234,3 +234,37 @@ fn dropped_txn_rolls_back() {
     assert_eq!(store.read_record("rec").unwrap().unwrap(), gen1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The dedup handshake's transaction owns its journal until the rename:
+/// an abort removes it, and a commit — which drops the transaction on its
+/// way out — leaves the promoted manifest exactly where the rename put it.
+#[test]
+fn dedup_commit_keeps_the_manifest_and_abort_removes_the_journal() {
+    let dir = tmp("dedup_txn");
+    let store = CasStore::open_with(&dir, cfg()).expect("open");
+    let record = content(5, 300);
+    let chunks: Vec<&[u8]> = record.chunks(cfg().chunk_size).collect();
+    let refs: Vec<ChunkRef> = chunks
+        .iter()
+        .map(|c| ChunkRef {
+            digest: ChunkDigest::of(c),
+            len: c.len() as u32,
+        })
+        .collect();
+    let journals = || std::fs::read_dir(dir.join("journal")).unwrap().count();
+
+    let txn = store.begin_dedup(&refs, 300).expect("begin");
+    assert_eq!(journals(), 1, "the journal pins the chunks from the start");
+    txn.abort();
+    assert_eq!(journals(), 0, "abort must remove the journal");
+    assert!(!store.manifest_exists("rec"));
+
+    let mut txn = store.begin_dedup(&refs, 300).expect("begin again");
+    for idx in txn.missing().to_vec() {
+        txn.supply_chunk(chunks[idx as usize]).expect("supply");
+    }
+    assert_eq!(txn.commit("rec").expect("commit"), 300);
+    assert_eq!(journals(), 0, "the journal became the manifest");
+    assert_eq!(store.read_record("rec").unwrap().unwrap(), record);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,8 +4,11 @@
 //! each through every entry bytes can arrive by — the CRC-checked decode,
 //! the trusted decode (no CRC, so structure is all that stands between a
 //! bad length and the allocator) and the header peek behind
-//! [`RecordKey::of_record`] — and the content-addressed store's `PPARMFT1`
-//! manifest, which has one entry, [`Manifest::decode`], always CRC-checked.
+//! [`RecordKey::of_record`] — the content-addressed store's `PPARMFT1`
+//! manifest, which has one entry, [`Manifest::decode`], always CRC-checked,
+//! and the `PPARPRG1` region cursor, which has one entry,
+//! [`RegionCursor::decode`], and no CRC at all (it travels inside records
+//! and broadcasts that carry their own).
 //!
 //! The rule for every entry: **an `Err`, never a panic, never an abort** —
 //! in debug, where arithmetic overflow panics, and in release, where it
@@ -18,6 +21,7 @@ use ppar_ckpt::store::{FieldSource, Record, Snapshot, SnapshotWriter};
 use ppar_ckpt::transport::{CkptTransport, RecordKey};
 use ppar_ckpt::{ChunkDigest, ChunkRef, DeltaMeta, DeltaSnapshot, Manifest, MemTransport};
 use ppar_core::error::{PparError, Result};
+use ppar_core::runtime::{LoopFrame, RegionCursor};
 
 const TAG: &str = "seq";
 /// Offset of the mode tag's `u64` length prefix in either format.
@@ -296,4 +300,104 @@ fn every_manifest_bit_flip_truncation_and_inconsistency_is_an_error() {
     assert!(is_corrupt(decode(&bad)), "an entry longer than the record");
     let bad = patched(&good, 8, 2u32.to_le_bytes());
     assert!(is_corrupt(decode(&bad)), "an unknown manifest version");
+}
+
+/// A cursor two loops deep, names and numbers seeded.
+fn cursor(seed: u64) -> RegionCursor {
+    let word = |i: u64| u64::from_le_bytes(seeded(seed + i, 8).try_into().unwrap());
+    RegionCursor {
+        point_count: word(0),
+        frames: vec![
+            LoopFrame {
+                name: "iters".into(),
+                start: 0,
+                end: word(1),
+                index: word(2),
+                clock_at_entry: word(3),
+            },
+            LoopFrame {
+                name: format!("inner-{seed}"),
+                start: word(4),
+                end: word(5),
+                index: word(6),
+                clock_at_entry: word(7),
+            },
+        ],
+    }
+}
+
+/// The `PPARPRG1` slice. The format has no CRC, so a flipped bit may land
+/// in a number or a name and still parse: the rule is that it parses to
+/// *what the flipped bytes say* — a different cursor that re-encodes to
+/// exactly those bytes — or is refused, and that every structural byte
+/// (magic, version, the reserved words, a count, a name length) is refused.
+/// Every truncation is refused. Then the counts and lengths nothing checks
+/// but the decoder: absurd ones are an `Err` before they are a capacity.
+#[test]
+fn every_cursor_bit_flip_truncation_and_absurd_count_is_refused_or_faithful() {
+    // magic 8, version 4, point_count 8, reserved 8, frame count 4, then
+    // the first frame: name length 4, "iters", four u64.
+    const RESERVED_AT: usize = 8 + 4 + 8;
+    const NFRAMES_AT: usize = RESERVED_AT + 8;
+    const NAME_LEN_AT: usize = NFRAMES_AT + 4;
+    for seed in [0x5eed, 20110913] {
+        let good = cursor(seed);
+        let bytes = good.encode();
+        assert_eq!(RegionCursor::decode(&bytes).unwrap(), good);
+        let tail_at = bytes.len() - 8;
+        let structural =
+            |at: usize| at < 12 || (RESERVED_AT..NAME_LEN_AT + 4).contains(&at) || at >= tail_at;
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match RegionCursor::decode(&flipped) {
+                Err(_) => {}
+                Ok(other) => {
+                    assert!(
+                        !structural(bit / 8),
+                        "seed {seed}: flip of bit {bit} accepted"
+                    );
+                    assert_ne!(other, good, "seed {seed}: flip of bit {bit} ignored");
+                    assert_eq!(other.encode(), flipped, "seed {seed}: flip of bit {bit}");
+                }
+            }
+        }
+        for cut in 0..bytes.len() {
+            assert!(
+                RegionCursor::decode(&bytes[..cut]).is_err(),
+                "seed {seed}: cut {cut}"
+            );
+        }
+    }
+
+    let bytes = cursor(1).encode();
+    let decode = |bytes: &[u8]| RegionCursor::decode(bytes).map(|_| ());
+    let with = |at: usize, value: u32| {
+        let mut bad = bytes.clone();
+        bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        bad
+    };
+    for (at, what, values) in [
+        (
+            NFRAMES_AT,
+            "frames",
+            [u32::MAX, u32::MAX / 2, bytes.len() as u32, 3],
+        ),
+        (
+            NAME_LEN_AT,
+            "name bytes",
+            [u32::MAX, u32::MAX - 3, bytes.len() as u32, 6],
+        ),
+    ] {
+        for value in values {
+            assert!(is_corrupt(decode(&with(at, value))), "{value} {what}");
+        }
+    }
+    // What version 1 reserves and never writes: a construct-sequence
+    // position, `single` flags, reduction partials.
+    for at in [RESERVED_AT, bytes.len() - 8, bytes.len() - 4] {
+        for value in [1, u32::MAX] {
+            assert!(is_corrupt(decode(&with(at, value))), "{value} at {at}");
+        }
+    }
 }

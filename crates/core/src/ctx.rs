@@ -611,11 +611,6 @@ impl Ctx {
 
     // ---- thread-local field access (§III.B) ----
 
-    /// Read this worker's copy of a thread-local field.
-    pub fn local_get<T: Clone + Send>(&self, field: &crate::shared::TeamLocal<T>) -> T {
-        field.get(self.worker)
-    }
-
     /// Mutate this worker's copy of a thread-local field.
     pub fn local_mut<T: Clone + Send, R>(
         &self,
@@ -623,11 +618,6 @@ impl Ctx {
         f: impl FnOnce(&mut T) -> R,
     ) -> R {
         field.with_mut(self.worker, f)
-    }
-
-    /// Replace this worker's copy of a thread-local field.
-    pub fn local_set<T: Clone + Send>(&self, field: &crate::shared::TeamLocal<T>, v: T) {
-        field.set(self.worker, v);
     }
 }
 

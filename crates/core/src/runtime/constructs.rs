@@ -161,16 +161,6 @@ impl ConstructSpace {
     pub fn remove(&self, seq: u64) {
         self.entries.lock().remove(&seq);
     }
-
-    /// Live entries (for leak assertions in tests).
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True when no construct state is live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Convenience constructors used by the engines.
@@ -245,9 +235,9 @@ mod tests {
         let a = space.get_or_insert(5, single_state);
         let b = space.get_or_insert(5, single_state);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(space.len(), 1);
+        assert_eq!(space.entries.lock().len(), 1);
         space.remove(5);
-        assert!(space.is_empty());
+        assert!(space.entries.lock().is_empty());
         // Arc still usable after removal.
         if let ConstructState::Single(s) = &*a {
             assert!(s.try_claim());

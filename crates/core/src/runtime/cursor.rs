@@ -13,20 +13,18 @@
 //! * the safe-point clock ([`RegionCursor::point_count`]) the snapshot was
 //!   taken at — resume validates against the replay target so a stale
 //!   cursor can never mis-position a run;
-//! * the construct-sequence position (always 0 at a crossing: engines
-//!   re-base the sequence at every crossing, but the field keeps the
-//!   format honest about *where* inside the construct stream the cursor
-//!   points);
 //! * one [`LoopFrame`] per live [`crate::ctx::Ctx::iter_loop`] nesting
 //!   level: the loop's name, its full iteration range, the in-flight
 //!   index (from which the remaining chunk `index..end` re-partitions for
 //!   any successor shape), and the safe-point clock at that iteration's
-//!   entry;
-//! * `single`/`critical` completion flags and in-flight reduction
-//!   partials by construct sequence number. Snapshots are only taken
-//!   quiesced (every in-flight construct has completed its implicit
-//!   barrier), so these sections are empty in practice — they exist so
-//!   the format can carry a mid-construct cursor without a version bump.
+//!   entry.
+//!
+//! Snapshots are only taken quiesced: the construct sequence was just
+//! re-based and every in-flight construct has completed its implicit
+//! barrier, so a cursor has no mid-construct position to carry. The format
+//! reserves room for one (a construct-sequence word, a `single` section, a
+//! reduction section); version 1 writes them as zero and refuses anything
+//! else.
 //!
 //! A consumer jumps each replaying line of execution to `frame.index`,
 //! sets its safe-point clock to `frame.clock_at_entry`, and lets the
@@ -41,10 +39,10 @@
 //! | 8 | magic `PPARPRG1` |
 //! | 4 | version (1) |
 //! | 8 | `point_count` |
-//! | 8 | `construct_seq` |
+//! | 8 | reserved construct-sequence position, 0 |
 //! | 4 | frame count, then per frame: name (u32 len + bytes), `start`, `end`, `index`, `clock_at_entry` (u64 each) |
-//! | 4 | single count, then per single: seq u64, done u8 |
-//! | 4 | reduction count, then per reduction: seq u64, partial f64 bits u64 |
+//! | 4 | reserved `single` count, 0 |
+//! | 4 | reserved reduction count, 0 |
 //!
 //! The cursor travels as an extra snapshot field named
 //! [`PROGRESS_FIELD`]: readers that predate it install only the plan's
@@ -83,41 +81,15 @@ pub struct LoopFrame {
     pub clock_at_entry: u64,
 }
 
-/// A completed-or-not `single`/`critical` claim, by construct sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SingleFlag {
-    /// Construct sequence number of the claim.
-    pub seq: u64,
-    /// Has the single body already executed?
-    pub done: bool,
-}
-
-/// An in-flight reduction partial, by construct sequence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReducePartial {
-    /// Construct sequence number of the reduction.
-    pub seq: u64,
-    /// The partially combined value.
-    pub partial: f64,
-}
-
 /// Serializable region progress captured at a quiesced safe-point crossing.
 /// See the [module docs](self) for the wire format and resume protocol.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RegionCursor {
     /// Safe-point clock at capture (equals the snapshot's count; resume
     /// rejects a cursor whose clock disagrees with the replay target).
     pub point_count: u64,
-    /// Construct-sequence position at capture (0 at crossings — engines
-    /// re-base the sequence there).
-    pub construct_seq: u64,
     /// Live loop frames, outermost first.
     pub frames: Vec<LoopFrame>,
-    /// Completion flags of in-flight `single`/`critical` claims (empty at
-    /// quiesced crossings).
-    pub singles: Vec<SingleFlag>,
-    /// In-flight reduction partials (empty at quiesced crossings).
-    pub reductions: Vec<ReducePartial>,
 }
 
 impl RegionCursor {
@@ -127,7 +99,7 @@ impl RegionCursor {
         out.extend_from_slice(PROGRESS_MAGIC);
         out.extend_from_slice(&PROGRESS_VERSION.to_le_bytes());
         out.extend_from_slice(&self.point_count.to_le_bytes());
-        out.extend_from_slice(&self.construct_seq.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
         out.extend_from_slice(&(self.frames.len() as u32).to_le_bytes());
         for f in &self.frames {
             out.extend_from_slice(&(f.name.len() as u32).to_le_bytes());
@@ -137,22 +109,14 @@ impl RegionCursor {
             out.extend_from_slice(&f.index.to_le_bytes());
             out.extend_from_slice(&f.clock_at_entry.to_le_bytes());
         }
-        out.extend_from_slice(&(self.singles.len() as u32).to_le_bytes());
-        for s in &self.singles {
-            out.extend_from_slice(&s.seq.to_le_bytes());
-            out.push(s.done as u8);
-        }
-        out.extend_from_slice(&(self.reductions.len() as u32).to_le_bytes());
-        for r in &self.reductions {
-            out.extend_from_slice(&r.seq.to_le_bytes());
-            out.extend_from_slice(&r.partial.to_bits().to_le_bytes());
-        }
+        // The reserved `single` and reduction sections, both empty.
+        out.extend_from_slice(&[0u8; 8]);
         out
     }
 
     /// Decode a `PPARPRG1` section. Errors on a bad magic, an unknown
-    /// version or a truncated body — callers treat any error as "no
-    /// cursor" and fall back to classic replay.
+    /// version, a truncated body or a non-zero reserved word — callers
+    /// treat any error as "no cursor" and fall back to classic replay.
     pub fn decode(bytes: &[u8]) -> Result<RegionCursor> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(8)?;
@@ -184,21 +148,11 @@ impl RegionCursor {
                 clock_at_entry: r.u64()?,
             });
         }
-        let nsingles = r.u32()? as usize;
-        let mut singles = Vec::with_capacity(nsingles.min(64));
-        for _ in 0..nsingles {
-            singles.push(SingleFlag {
-                seq: r.u64()?,
-                done: r.take(1)?[0] != 0,
-            });
-        }
-        let nreduce = r.u32()? as usize;
-        let mut reductions = Vec::with_capacity(nreduce.min(64));
-        for _ in 0..nreduce {
-            reductions.push(ReducePartial {
-                seq: r.u64()?,
-                partial: f64::from_bits(r.u64()?),
-            });
+        let (nsingles, nreduce) = (r.u32()?, r.u32()?);
+        if (construct_seq, nsingles, nreduce) != (0, 0, 0) {
+            return Err(PparError::CorruptCheckpoint(
+                "progress section: mid-construct position in a version-1 cursor".into(),
+            ));
         }
         if r.pos != bytes.len() {
             return Err(PparError::CorruptCheckpoint(format!(
@@ -208,10 +162,7 @@ impl RegionCursor {
         }
         Ok(RegionCursor {
             point_count,
-            construct_seq,
             frames,
-            singles,
-            reductions,
         })
     }
 }
@@ -296,7 +247,6 @@ mod tests {
     fn sample() -> RegionCursor {
         RegionCursor {
             point_count: 17,
-            construct_seq: 0,
             frames: vec![
                 LoopFrame {
                     name: "iters".into(),
@@ -313,11 +263,6 @@ mod tests {
                     clock_at_entry: 17,
                 },
             ],
-            singles: vec![SingleFlag { seq: 2, done: true }],
-            reductions: vec![ReducePartial {
-                seq: 7,
-                partial: -0.5,
-            }],
         }
     }
 
@@ -368,24 +313,10 @@ mod tests {
                 index,
                 clock_at_entry,
             });
-        let single = (any::<u64>(), any::<bool>()).prop_map(|(seq, done)| SingleFlag { seq, done });
-        let reduce =
-            (any::<u64>(), any::<f64>()).prop_map(|(seq, partial)| ReducePartial { seq, partial });
-        (
-            (any::<u64>(), any::<u64>()),
-            vec(frame, 0..5),
-            vec(single, 0..4),
-            vec(reduce, 0..4),
-        )
-            .prop_map(
-                |((point_count, construct_seq), frames, singles, reductions)| RegionCursor {
-                    point_count,
-                    construct_seq,
-                    frames,
-                    singles,
-                    reductions,
-                },
-            )
+        (any::<u64>(), vec(frame, 0..5)).prop_map(|(point_count, frames)| RegionCursor {
+            point_count,
+            frames,
+        })
     }
 
     proptest::proptest! {
@@ -393,11 +324,8 @@ mod tests {
         fn prop_encode_decode_roundtrips_byte_identically(c in arb_cursor()) {
             let bytes = c.encode();
             let back = RegionCursor::decode(&bytes).unwrap();
-            // NaN partials break PartialEq; compare through the encoding,
-            // which is the identity that matters on the wire.
             proptest::prop_assert_eq!(back.encode(), bytes);
-            proptest::prop_assert_eq!(back.point_count, c.point_count);
-            proptest::prop_assert_eq!(back.frames, c.frames);
+            proptest::prop_assert_eq!(back, c);
         }
 
         #[test]

@@ -48,9 +48,21 @@
 //! team size, and no worker can re-observe an already-applied request.
 //! Expansion workers replay the region body (skipping ignorable methods
 //! and counting safe points) and join the live team at the reshape's join
-//! barrier; contraction workers unwind to the region boundary with the
-//! [`pool::Drained`] marker ("executing methods with empty operations
-//! until the end of the parallel region").
+//! barrier; contraction workers unwind to the region boundary
+//! ("executing methods with empty operations until the end of the parallel
+//! region").
+//!
+//! ## The one way out of a safe point
+//!
+//! §IV.B has a line of execution leave its region at a safe point for three
+//! reasons: its team contracted, the engine cannot realise the requested
+//! mode in place, a resource failed. Base code announces `ctx.point()` and
+//! returns nothing, so all three unwind — with one payload, [`Exit`], raised
+//! by [`leave`] (`resume_unwind`: the panic hook never runs, and the library
+//! never touches it) and turned back into data by [`catch_exit`], which
+//! re-raises every other payload untouched. Pool workers absorb any exit at
+//! the region boundary; the master line carries a reshape or a fault up to
+//! `ppar-adapt`, where it becomes a relaunch or a recovery round.
 
 pub mod barrier;
 pub mod claim;
@@ -64,5 +76,5 @@ pub use barrier::TeamBarrier;
 pub use claim::{CachePadded, ChunkCursor};
 pub use cursor::{LoopFrame, RegionCursor, PROGRESS_FIELD};
 pub use engine::{run_smp, TeamEngine};
-pub use pool::{clear_draining, mark_draining, Drained, Latch, ModeSwitch, TeamPool};
+pub use pool::{catch_exit, leave, Exit, Latch, TeamPool};
 pub use team::{drive_point, ParallelEngine, TeamRuntime};

@@ -15,7 +15,7 @@
 //! iterative solver forking a region per phase) and park on a condvar when
 //! idle for longer.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -24,6 +24,7 @@ use parking_lot::{Condvar, Mutex};
 
 use super::constructs;
 use crate::ctx::Ctx;
+use crate::mode::ExecMode;
 use crate::replay;
 use crate::shared::set_current_worker;
 
@@ -64,7 +65,7 @@ impl Latch {
 
     /// Block until all expected completions happened.
     pub fn wait(&self) {
-        for _ in 0..wait_yields() {
+        for _ in 0..WAIT_YIELDS {
             if self.count.load(Ordering::SeqCst) <= 0 {
                 return;
             }
@@ -83,57 +84,42 @@ impl Latch {
 }
 
 /// Yield rounds before a latch/pool wait parks on its condvar.
-fn wait_yields() -> usize {
-    16
+const WAIT_YIELDS: usize = 16;
+
+/// Why a line of execution leaves its region *at a safe point* instead of
+/// returning from it (§IV.B). Base code announces `ctx.point()` and returns
+/// nothing, so the only way out is to unwind; this is the one payload that
+/// unwind carries, raised by [`leave`] and recognised by [`catch_exit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exit {
+    /// The team contracted and this worker is no longer part of it: it
+    /// unwinds to the region boundary ("executing methods with empty
+    /// operations until the end of the parallel region").
+    Drained,
+    /// The engine cannot realise the requested mode in place: the state was
+    /// streamed into the armed hand-off transport and every line of
+    /// execution unwinds to the launcher, which relaunches in this mode in
+    /// process — no exit, no disk round-trip.
+    Reshape(ExecMode),
+    /// A peer of the aggregate failed: the attempt is doomed, every line of
+    /// execution unwinds for in-job recovery.
+    Fault,
 }
 
-/// Panic payload used by the contraction protocol: a drained worker unwinds
-/// out of the region body with this marker; the runtime's worker loop
-/// recognises it as a graceful exit, not a failure.
-pub struct Drained;
-
-/// Panic payload used by the **live-reshape escalation** protocol: an engine
-/// that cannot realise a reshape target in place snapshots the state into
-/// the armed hand-off transport and unwinds every line of execution to the
-/// launcher with this marker, carrying the target mode. The worker loop
-/// treats it as a graceful exit (like [`Drained`]); the launcher catches it
-/// on the master line, retargets the deployment and relaunches in process —
-/// no exit, no disk round-trip.
-pub struct ModeSwitch(
-    /// The execution mode the run should continue in.
-    pub crate::mode::ExecMode,
-);
-
-thread_local! {
-    static DRAINING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+/// Leave the current region with `exit`. Built on `resume_unwind`, which
+/// does not run the panic hook: an exit is control flow, not a failure, and
+/// nothing is printed for it.
+pub fn leave(exit: Exit) -> ! {
+    resume_unwind(Box::new(exit))
 }
 
-/// Mark the current worker as draining (contraction unwind): the panic hook
-/// stays silent and the worker loop treats the unwind as graceful.
-pub fn mark_draining() {
-    DRAINING.with(|d| d.set(true));
-}
-
-/// Clear the draining mark on the current thread. Launchers call this after
-/// catching an intentional [`ModeSwitch`]/[`Drained`] unwind so later
-/// *real* panics on the same thread report normally again.
-pub fn clear_draining() {
-    DRAINING.with(|d| d.set(false));
-}
-
-/// Install a panic hook that silences the intentional [`Drained`] unwinds
-/// used by the contraction protocol (idempotent).
-pub fn install_quiet_drain_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if DRAINING.with(|d| d.get()) {
-                return; // graceful drain, not an error
-            }
-            previous(info);
-        }));
-    });
+/// Run `f`; an [`Exit`] it leaves with becomes data. Every other payload is
+/// a real panic and keeps unwinding untouched.
+pub fn catch_exit<T>(f: impl FnOnce() -> T) -> Result<T, Exit> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| match payload.downcast::<Exit>() {
+        Ok(exit) => *exit,
+        Err(other) => resume_unwind(other),
+    })
 }
 
 /// Type-erased pointer to a region body (`&dyn Fn(&Ctx) + Sync`).
@@ -200,22 +186,21 @@ impl RegionJob {
         if let Some(target) = self.replay_target {
             replay::begin(target);
         }
+        // An `Exit` is a protocol unwind, not a failure: a drained worker is
+        // done, and the master line carries a reshape or a fault to whoever
+        // drives the run. Anything else is a real panic, reported at the join.
         // Safety: the region latch keeps the body alive until completion.
-        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { self.body.call(&self.ctx) }));
-        DRAINING.with(|d| d.set(false));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            catch_exit(|| unsafe { self.body.call(&self.ctx) })
+        }));
         replay::end();
         if let Err(payload) = outcome {
-            // `Drained` (contraction) and `ModeSwitch` (live-reshape
-            // escalation) are protocol unwinds, not failures; the master
-            // line carries the mode switch to the launcher.
-            if !payload.is::<Drained>() && !payload.is::<ModeSwitch>() {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked".to_string());
-                self.panics.lock().push(msg);
-            }
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_string());
+            self.panics.lock().push(msg);
         }
         set_current_worker(0);
         self.latch.count_down();
@@ -268,7 +253,7 @@ impl Slot {
             }
             std::hint::spin_loop();
         }
-        for _ in 0..wait_yields() {
+        for _ in 0..WAIT_YIELDS {
             if self.armed.load(Ordering::Acquire) || self.shutdown.load(Ordering::Acquire) {
                 break;
             }
@@ -495,7 +480,6 @@ mod tests {
     #[test]
     fn pool_collects_worker_panics() {
         static BODY: fn(&Ctx) = |_ctx| panic!("boom in worker");
-        install_quiet_drain_hook();
         let pool = TeamPool::new();
         let latch = Latch::new(1);
         let panics = Arc::new(Mutex::new(Vec::new()));
@@ -508,6 +492,30 @@ mod tests {
         latch.wait();
         std::panic::set_hook(prev);
         assert_eq!(panics.lock().as_slice(), ["boom in worker".to_string()]);
+    }
+
+    #[test]
+    fn catch_exit_makes_an_exit_data_and_lets_every_other_payload_through() {
+        assert_eq!(catch_exit(|| 7), Ok(7));
+        let mode = ExecMode::SharedMemory { threads: 3 };
+        assert_eq!(
+            catch_exit(|| -> u8 { leave(Exit::Reshape(mode)) }),
+            Err(Exit::Reshape(mode))
+        );
+        let other = catch_unwind(|| catch_exit(|| -> u8 { resume_unwind(Box::new(42u8)) }));
+        assert_eq!(other.unwrap_err().downcast_ref::<u8>(), Some(&42));
+    }
+
+    #[test]
+    fn pool_absorbs_an_exit_at_the_region_boundary() {
+        static BODY: fn(&Ctx) = |_ctx| leave(Exit::Drained);
+        let pool = TeamPool::new();
+        let latch = Latch::new(1);
+        let job = job_on(&BODY, 1, &latch);
+        let panics = job.panics.clone();
+        pool.dispatch(0, job);
+        latch.wait();
+        assert!(panics.lock().is_empty(), "an exit is not a worker panic");
     }
 
     #[test]

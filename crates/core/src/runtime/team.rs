@@ -26,10 +26,7 @@ use super::barrier::TeamBarrier;
 use super::constructs::{
     self, loop_state, reduce_state, single_state, ConstructSpace, ConstructState,
 };
-use super::pool::{
-    install_quiet_drain_hook, mark_draining, Drained, Latch, ModeSwitch, RegionBody, RegionJob,
-    TeamPool,
-};
+use super::pool::{leave, Exit, Latch, RegionBody, RegionJob, TeamPool};
 use crate::ctx::{AdaptHook, CkptHook, Ctx, PointDirective};
 use crate::mode::ExecMode;
 use crate::plan::ReduceOp;
@@ -91,7 +88,6 @@ impl TeamRuntime {
     /// A runtime that forks teams of `threads` workers, expandable at run
     /// time up to `max_threads`.
     pub fn new(threads: usize, max_threads: usize) -> TeamRuntime {
-        install_quiet_drain_hook();
         let max_threads = max_threads.max(threads).max(1);
         TeamRuntime {
             desired: AtomicUsize::new(threads.max(1)),
@@ -133,11 +129,6 @@ impl TeamRuntime {
     /// Is a parallel region currently live?
     pub fn in_region(&self) -> bool {
         self.active.load(Ordering::SeqCst) > 0
-    }
-
-    /// Live construct-state entries (leak assertions in tests).
-    pub fn construct_entries(&self) -> usize {
-        self.space.len()
     }
 
     /// Team barrier: returns the leader flag. No-op (leader) outside a team.
@@ -210,8 +201,8 @@ pub trait ParallelEngine: Send + Sync {
     /// engine cannot honour `mode` in place (wrong engine family, different
     /// aggregate size); the crossing then **escalates**: with a live
     /// hand-off armed the state is streamed into memory and every line of
-    /// execution unwinds to the launcher for an in-process relaunch
-    /// ([`ModeSwitch`]), otherwise the run panics with a pointer to the
+    /// execution leaves for an in-process relaunch
+    /// ([`Exit::Reshape`]), otherwise the run panics with a pointer to the
     /// launcher (adaptation by checkpoint/restart).
     fn reshape_team_size(&self, mode: ExecMode) -> Option<usize>;
 
@@ -581,8 +572,7 @@ pub trait ParallelEngine: Send + Sync {
             tracking::advance_epoch();
             if ctx.worker() >= new {
                 // Graceful drain: unwind this worker to the region boundary.
-                mark_draining();
-                std::panic::panic_any(Drained);
+                leave(Exit::Drained);
             }
         } else {
             rt.barrier.wait_leader(|_| adapt.confirm(mode));
@@ -593,8 +583,8 @@ pub trait ParallelEngine: Send + Sync {
     /// the transport seam). With a live hand-off armed: the crossing leader
     /// — inside the sealed barrier generation, so the team is quiesced —
     /// collects the state and streams a full master snapshot into the
-    /// in-memory transport, then *every* line of execution unwinds to the
-    /// launcher with [`ModeSwitch`] for an in-process relaunch in `mode`
+    /// in-memory transport, then *every* line of execution leaves with
+    /// [`Exit::Reshape`] for the launcher's in-process relaunch in `mode`
     /// (no process exit, no disk round-trip). The request stays pending;
     /// the launcher confirms it when relaunching. Without a hand-off the
     /// old behaviour is preserved: adaptation by checkpoint/restart,
@@ -617,8 +607,7 @@ pub trait ParallelEngine: Send + Sync {
         } else {
             self.handoff_collect(ctx, &ck);
         }
-        mark_draining();
-        std::panic::panic_any(ModeSwitch(mode));
+        leave(Exit::Reshape(mode));
     }
 
     /// Team/aggregate barrier join point.

@@ -53,7 +53,6 @@
 use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -916,16 +915,6 @@ impl<T: Scalar> StateCell for TeamLocal<T> {
 pub type GridF64 = SharedGrid<f64>;
 /// Convenience alias used by kernels: a shared vector of `f64`.
 pub type VecF64 = SharedVec<f64>;
-
-/// Helper constructing an `Arc<SharedVec<T>>` (the form the registry holds).
-pub fn shared_vec<T: Scalar>(len: usize, init: T) -> Arc<SharedVec<T>> {
-    Arc::new(SharedVec::new(len, init))
-}
-
-/// Helper constructing an `Arc<SharedGrid<T>>`.
-pub fn shared_grid<T: Scalar>(rows: usize, cols: usize, init: T) -> Arc<SharedGrid<T>> {
-    Arc::new(SharedGrid::new(rows, cols, init))
-}
 
 #[cfg(test)]
 // Single-element range collections below are genuine range *data* (dirty

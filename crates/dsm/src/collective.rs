@@ -9,16 +9,18 @@
 //! order) keeps the counters aligned, and the sequence number is baked
 //! into the message tag so concurrent collectives can never cross-match.
 //!
-//! A fabric receive can fail on a real network (peer process death). The
-//! collective layer treats that as fatal for the line of execution: it
-//! panics with the fabric's report, the rank process exits nonzero, and
-//! the cluster driver restarts the job from its last durable checkpoint —
-//! there is no way to complete a half-dead collective.
+//! A fabric receive can fail on a real network (peer process death), and
+//! there is no way to complete a half-dead collective: the line of
+//! execution leaves with [`Exit::Fault`] when the fabric reports a pending
+//! fault (a resilient mesh recovers in the job), otherwise it panics with
+//! the fabric's report, the rank process exits nonzero, and the cluster
+//! driver restarts the job from its last durable checkpoint.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ppar_core::plan::ReduceOp;
+use ppar_core::runtime::{leave, Exit};
 
 use crate::net::{Fabric, Payload};
 
@@ -84,12 +86,15 @@ impl Endpoint {
     }
 
     /// Fabric receive as this rank. A failure (peer process death, stream
-    /// corruption, timeout) aborts this line of execution — see the
+    /// corruption, timeout) ends this line of execution — see the
     /// [module docs](self).
     fn frecv(&self, src: usize, tag: u64) -> Payload {
-        self.fabric
-            .recv(self.rank, src, tag)
-            .unwrap_or_else(|e| panic!("rank {}: collective receive failed: {e}", self.rank))
+        self.fabric.recv(self.rank, src, tag).unwrap_or_else(|e| {
+            if self.fabric.fault_pending() {
+                leave(Exit::Fault);
+            }
+            panic!("rank {}: collective receive failed: {e}", self.rank)
+        })
     }
 
     // ---- point to point (user tag space) ----

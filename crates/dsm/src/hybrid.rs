@@ -36,7 +36,7 @@ use ppar_core::mode::ExecMode;
 use ppar_core::partition::owned_ranges;
 use ppar_core::plan::ReduceOp;
 use ppar_core::replay;
-use ppar_core::runtime::{ParallelEngine, TeamRuntime};
+use ppar_core::runtime::{leave, Exit, ParallelEngine, TeamRuntime};
 
 use crate::collective::Endpoint;
 use crate::engine::DsmEngine;
@@ -349,16 +349,12 @@ impl Engine for HybridEngine {
         // Failure-detector poll: a compute-bound element may not touch the
         // fabric for a long stretch, so a peer death it has not personally
         // observed is surfaced here, at the next safe point — every line of
-        // execution unwinds promptly for recovery instead of worker 0
+        // execution leaves promptly for recovery instead of worker 0
         // discovering the fault deep inside its next collective. Only a
         // resilient fabric ever reports a pending fault (plain runs keep
         // the fail-at-collective behaviour).
         if self.ep().fabric().fault_pending() {
-            panic!(
-                "rank {}: peer failure pending at safe point {name:?}; \
-                 unwinding for recovery",
-                self.ep().rank()
-            );
+            leave(Exit::Fault);
         }
         self.pe_point(ctx, name);
     }

@@ -60,11 +60,6 @@ impl Topology {
         }
     }
 
-    /// Total cores.
-    pub fn total_cores(&self) -> usize {
-        self.machines * self.cores_per_machine
-    }
-
     /// The machine hosting `rank` when `nranks` ranks are placed block-wise.
     /// Ranks beyond the core count wrap around (over-subscription, used by
     /// the over-decomposition experiment of Fig. 8).

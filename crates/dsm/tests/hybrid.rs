@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use ppar_core::error::{PparError, Result};
 use ppar_core::plan::{Plan, Plug, PointSet, ReduceOp};
+use ppar_core::runtime::{catch_exit, Exit};
 use ppar_dsm::{run_hybrid, Endpoint, Fabric, HybridEngine, Payload, SpmdConfig, Traffic};
 
 #[test]
@@ -169,7 +170,7 @@ fn pending_fault_unwinds_every_worker_at_the_next_safe_point() {
     );
     let engine = HybridEngine::new(Endpoint::new(Arc::new(FaultPending), 0), 2);
     let (reached, passed) = (AtomicUsize::new(0), AtomicUsize::new(0));
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let outcome = catch_exit(|| {
         ppar_core::run_on(engine, plan, None, None, |ctx| {
             ctx.region("r", |ctx| {
                 reached.fetch_add(1, Ordering::SeqCst);
@@ -177,10 +178,10 @@ fn pending_fault_unwinds_every_worker_at_the_next_safe_point() {
                 passed.fetch_add(1, Ordering::SeqCst);
             });
         })
-    }));
-    let payload = outcome.expect_err("the region must unwind");
-    let message = payload.downcast_ref::<String>().expect("panic message");
-    assert!(message.contains("peer failure pending"), "{message}");
+    });
+    // The typed exit, not a message: `run_net_rank` recovers on exactly
+    // this payload and lets every other panic through.
+    assert_eq!(outcome, Err(Exit::Fault), "the region must leave");
     assert_eq!(reached.load(Ordering::SeqCst), 2);
     assert_eq!(passed.load(Ordering::SeqCst), 0, "a worker sailed through");
 }

@@ -6,9 +6,9 @@
 //!
 //! * [`seq`](self::sor_seq) — the plain sequential reference (the paper's
 //!   "original" curve);
-//! * [`pluggable`] — the base code written once against a [`Ctx`], plus the
-//!   plan modules for sequential / shared-memory / distributed deployment
-//!   and checkpointing;
+//! * [`pluggable`] — the base code written once against a
+//!   [`ppar_core::ctx::Ctx`], plus the plan modules for sequential /
+//!   shared-memory / distributed deployment and checkpointing;
 //! * [`baseline`] — hand-written thread and message-passing versions, with
 //!   and without *invasively* inserted checkpointing (the paper's "invasive"
 //!   curve).
@@ -23,7 +23,6 @@ pub mod pluggable;
 
 use std::cell::Cell;
 
-use ppar_core::ctx::Ctx;
 use ppar_core::shared::SharedGrid;
 
 /// Parameters of one SOR run.
@@ -202,12 +201,6 @@ pub fn sor_seq(p: &SorParams) -> SorResult {
         iterations_done: done,
         iter_times: Vec::new(),
     }
-}
-
-/// Checksum of a context-allocated grid (master/root view).
-pub fn grid_checksum(ctx: &Ctx, g: &SharedGrid<f64>) -> f64 {
-    let _ = ctx;
-    g.sum_f64()
 }
 
 #[cfg(test)]

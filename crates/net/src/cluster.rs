@@ -5,11 +5,13 @@
 //! The driver owns nothing but PIDs: each rank process bootstraps itself
 //! through [`crate::tcp::TcpFabric::connect`] from the environment
 //! contract the driver sets ([`crate::tcp::ENV_RANK`] /
-//! [`crate::tcp::ENV_NRANKS`] / [`crate::tcp::ENV_ROOT`]). When a rank
-//! dies, its peers fail out of their blocked collectives and exit nonzero;
-//! [`run_cluster_until_complete`] then relaunches the whole job, and the
-//! checkpoint layer's start-up failure detection replays it from the last
-//! durable snapshot.
+//! [`crate::tcp::ENV_NRANKS`] / [`crate::tcp::ENV_ROOT`]).
+//!
+//! There is one recovery loop, [`run_cluster_supervised`], spending two
+//! budgets: single-rank respawns inside a launch, then launches of the
+//! whole job ([`run_cluster_until_complete`] is the loop with no respawn
+//! budget). After a relaunch the checkpoint layer's start-up failure
+//! detection replays the job from the last durable snapshot.
 
 use std::collections::VecDeque;
 use std::io;
@@ -30,8 +32,7 @@ use crate::tcp::{ENV_NRANKS, ENV_RANK, ENV_REJOIN, ENV_RESILIENT, ENV_ROOT};
 /// The kernel's ephemeral allocator avoids recently used ports, so the
 /// window is minute; when it does fire, the job fails loudly within the
 /// bootstrap deadline (rank 0 cannot bind, its peers time out of the
-/// rendezvous) and [`run_cluster_until_complete`] retries the next
-/// attempt with a freshly reserved address.
+/// rendezvous) and the driver loop's next launch reserves a fresh address.
 ///
 /// Inside one process the window is not minute: a released port is free
 /// for the kernel to offer to the next caller before the first has bound
@@ -106,6 +107,24 @@ impl ClusterSpec {
     }
 }
 
+/// The command that starts `rank` of `spec` against the rendezvous at
+/// `root`: the binary, its arguments, the `PPAR_*` contract, the spec's own
+/// variables on top.
+fn rank_command(spec: &ClusterSpec, rank: usize, root: &str) -> Command {
+    let mut cmd = Command::new(&spec.exe);
+    cmd.args(&spec.args)
+        .env(ENV_RANK, rank.to_string())
+        .env(ENV_NRANKS, spec.nranks.to_string())
+        .env(ENV_ROOT, root);
+    for (k, v) in &spec.envs {
+        cmd.env(k, v);
+    }
+    if spec.quiet {
+        cmd.stdout(Stdio::null()).stderr(Stdio::null());
+    }
+    cmd
+}
+
 /// A running cluster of rank processes.
 pub struct LocalCluster {
     root: String,
@@ -120,18 +139,7 @@ pub fn spawn_local_cluster(spec: &ClusterSpec) -> io::Result<LocalCluster> {
     let root = free_loopback_addr()?;
     let mut children: Vec<Option<Child>> = Vec::with_capacity(spec.nranks);
     for rank in 0..spec.nranks {
-        let mut cmd = Command::new(&spec.exe);
-        cmd.args(&spec.args)
-            .env(ENV_RANK, rank.to_string())
-            .env(ENV_NRANKS, spec.nranks.to_string())
-            .env(ENV_ROOT, &root);
-        for (k, v) in &spec.envs {
-            cmd.env(k, v);
-        }
-        if spec.quiet {
-            cmd.stdout(Stdio::null()).stderr(Stdio::null());
-        }
-        match cmd.spawn() {
+        match rank_command(spec, rank, &root).spawn() {
             Ok(child) => children.push(Some(child)),
             Err(e) => {
                 // Reap what already started before reporting.
@@ -145,11 +153,6 @@ pub fn spawn_local_cluster(spec: &ClusterSpec) -> io::Result<LocalCluster> {
 }
 
 impl LocalCluster {
-    /// The rendezvous address the ranks were pointed at.
-    pub fn root_addr(&self) -> &str {
-        &self.root
-    }
-
     /// Number of ranks launched.
     pub fn nranks(&self) -> usize {
         self.children.len()
@@ -169,20 +172,11 @@ impl LocalCluster {
     /// instead of the full rendezvous. Returns the new PID.
     pub fn respawn_rank(&mut self, spec: &ClusterSpec, rank: usize) -> io::Result<u32> {
         assert!(rank != 0, "rank 0 owns the rendezvous and cannot rejoin");
-        let mut cmd = Command::new(&spec.exe);
-        cmd.args(&spec.args)
-            .env(ENV_RANK, rank.to_string())
-            .env(ENV_NRANKS, self.children.len().to_string())
-            .env(ENV_ROOT, &self.root)
+        assert_eq!(spec.nranks, self.children.len(), "respawn into its own job");
+        let child = rank_command(spec, rank, &self.root)
             .env(ENV_RESILIENT, "1")
-            .env(ENV_REJOIN, "1");
-        for (k, v) in &spec.envs {
-            cmd.env(k, v);
-        }
-        if spec.quiet {
-            cmd.stdout(Stdio::null()).stderr(Stdio::null());
-        }
-        let child = cmd.spawn()?;
+            .env(ENV_REJOIN, "1")
+            .spawn()?;
         let pid = child.id();
         self.children[rank] = Some(child);
         Ok(pid)
@@ -231,23 +225,12 @@ impl LocalCluster {
         let end = Instant::now() + deadline;
         let mut statuses: Vec<Option<ExitStatus>> = vec![None; self.children.len()];
         loop {
-            let mut pending = false;
-            for (rank, slot) in self.children.iter_mut().enumerate() {
-                if statuses[rank].is_some() {
-                    continue;
-                }
-                match slot {
-                    None => {}
-                    Some(child) => match child.try_wait()? {
-                        Some(status) => {
-                            statuses[rank] = Some(status);
-                            *slot = None;
-                        }
-                        None => pending = true,
-                    },
+            for (rank, status) in statuses.iter_mut().enumerate() {
+                if let Some(exited) = self.try_wait_rank(rank)? {
+                    *status = Some(exited);
                 }
             }
-            if !pending {
+            if self.children.iter().all(Option::is_none) {
                 return Ok(statuses);
             }
             if Instant::now() >= end {
@@ -257,7 +240,7 @@ impl LocalCluster {
                     format!("cluster did not exit within {deadline:?}"),
                 ));
             }
-            std::thread::sleep(Duration::from_millis(15));
+            std::thread::sleep(POLL);
         }
     }
 }
@@ -269,58 +252,20 @@ impl Drop for LocalCluster {
     }
 }
 
+/// Wall-clock budget of one launch, respawns inside it included; on expiry
+/// the launch is killed and escalates to a relaunch.
+pub const LAUNCH_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Child poll interval of the driver loop.
+const POLL: Duration = Duration::from_millis(15);
+
 /// Launch `spec` until every rank exits successfully, relaunching the
 /// whole job after any failure (the process-level restart path: the
 /// checkpoint layer detects the dead run at start-up and replays it from
 /// the last durable snapshot). Returns the number of launches it took.
-pub fn run_cluster_until_complete(
-    spec: &ClusterSpec,
-    attempt_timeout: Duration,
-    max_attempts: usize,
-) -> io::Result<usize> {
-    for attempt in 1..=max_attempts {
-        let mut cluster = spawn_local_cluster(spec)?;
-        match cluster.wait_all(attempt_timeout) {
-            Ok(statuses)
-                if statuses
-                    .iter()
-                    .all(|s| s.map(|s| s.success()).unwrap_or(false)) =>
-            {
-                return Ok(attempt)
-            }
-            Ok(_) | Err(_) => {}
-        }
-    }
-    Err(io::Error::other(format!(
-        "cluster did not complete within {max_attempts} attempts"
-    )))
-}
-
-/// Knobs for [`run_cluster_supervised`] — the self-healing driver.
-#[derive(Debug, Clone)]
-pub struct SupervisorConfig {
-    /// Wall-clock budget for one launch (including any respawns inside
-    /// it); on expiry the launch is killed and escalates to a relaunch.
-    pub attempt_timeout: Duration,
-    /// Full-job launches before giving up (the escalation ladder's last
-    /// rung, matching [`run_cluster_until_complete`]'s `max_attempts`).
-    pub max_launches: usize,
-    /// Single-rank respawns allowed within one launch before the
-    /// supervisor escalates to a full relaunch.
-    pub max_respawns: usize,
-    /// Child poll interval.
-    pub poll: Duration,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            attempt_timeout: Duration::from_secs(120),
-            max_launches: 3,
-            max_respawns: 4,
-            poll: Duration::from_millis(15),
-        }
-    }
+/// This is [`run_cluster_supervised`] with no respawn budget.
+pub fn run_cluster_until_complete(spec: &ClusterSpec, max_launches: usize) -> io::Result<usize> {
+    run_cluster_supervised(spec, max_launches, 0).map(|report| report.launches)
 }
 
 /// What [`run_cluster_supervised`] did to finish the job.
@@ -337,39 +282,46 @@ pub struct SupervisorReport {
     pub pid_history: Vec<Vec<u32>>,
 }
 
-/// Launch `spec` under the **self-healing supervisor**: every rank runs
-/// resilient ([`ENV_RESILIENT`]), and when a non-root rank dies the
-/// supervisor respawns *only that rank* ([`LocalCluster::respawn_rank`])
-/// while the survivors hold at their next safe point and re-admit it
-/// (the in-job recovery path). Rank-0 death, respawn-budget exhaustion,
-/// or a launch timeout escalate to a full relaunch (the
-/// [`run_cluster_until_complete`] path); `max_launches` bounds those.
+/// Run `spec` to completion under the driver's one recovery loop: at most
+/// `max_launches` launches of the whole job, at most `max_respawns`
+/// single-rank respawns inside each.
+///
+/// With a respawn budget every rank runs resilient ([`ENV_RESILIENT`]):
+/// when a non-root rank dies the driver respawns *only that rank*
+/// ([`LocalCluster::respawn_rank`]) while the survivors hold at their next
+/// safe point and re-admit it (the in-job recovery path). Rank-0 death, a
+/// spent respawn budget or a launch that overruns [`LAUNCH_TIMEOUT`] kill
+/// the launch and escalate to a relaunch of everything. With no respawn
+/// budget the ranks run plain (nobody would ever rejoin them) and every
+/// failure is a relaunch.
 pub fn run_cluster_supervised(
     spec: &ClusterSpec,
-    cfg: &SupervisorConfig,
+    max_launches: usize,
+    max_respawns: usize,
 ) -> io::Result<SupervisorReport> {
-    let resilient_spec = spec.clone().env(ENV_RESILIENT, "1");
+    let spec = match max_respawns {
+        0 => spec.clone(),
+        _ => spec.clone().env(ENV_RESILIENT, "1"),
+    };
     let mut single_respawns = 0usize;
-    for launch in 1..=cfg.max_launches {
-        let mut cluster = spawn_local_cluster(&resilient_spec)?;
+    for launch in 1..=max_launches {
+        let mut cluster = spawn_local_cluster(&spec)?;
         let mut pid_history: Vec<Vec<u32>> = cluster
             .pids()
             .into_iter()
             .map(|p| p.into_iter().collect())
             .collect();
-        let mut statuses: Vec<Option<ExitStatus>> = vec![None; cluster.nranks()];
-        let mut respawns_left = cfg.max_respawns;
-        let deadline = Instant::now() + cfg.attempt_timeout;
+        let mut running = cluster.nranks();
+        let mut respawns_left = max_respawns;
+        let deadline = Instant::now() + LAUNCH_TIMEOUT;
         'poll: loop {
-            for rank in 0..cluster.nranks() {
-                if statuses[rank].is_some() {
-                    continue;
-                }
+            for (rank, pids) in pid_history.iter_mut().enumerate() {
+                // `None`: still running, or reaped on an earlier round.
                 let Some(status) = cluster.try_wait_rank(rank)? else {
                     continue;
                 };
                 if status.success() {
-                    statuses[rank] = Some(status);
+                    running -= 1;
                 } else if rank == 0 || respawns_left == 0 {
                     // Rank 0 owns the rendezvous (nobody to rejoin
                     // through), and a respawn budget run dry means the
@@ -378,11 +330,10 @@ pub fn run_cluster_supervised(
                 } else {
                     respawns_left -= 1;
                     single_respawns += 1;
-                    let pid = cluster.respawn_rank(&resilient_spec, rank)?;
-                    pid_history[rank].push(pid);
+                    pids.push(cluster.respawn_rank(&spec, rank)?);
                 }
             }
-            if statuses.iter().all(|s| s.is_some()) {
+            if running == 0 {
                 return Ok(SupervisorReport {
                     launches: launch,
                     single_respawns,
@@ -392,14 +343,13 @@ pub fn run_cluster_supervised(
             if Instant::now() >= deadline {
                 break 'poll;
             }
-            std::thread::sleep(cfg.poll);
+            std::thread::sleep(POLL);
         }
         // Escalation: this launch is unrecoverable in place.
         cluster.kill_all();
     }
     Err(io::Error::other(format!(
-        "supervised cluster did not complete within {} launches",
-        cfg.max_launches
+        "cluster did not complete within {max_launches} launches ({single_respawns} single-rank respawns)"
     )))
 }
 
@@ -478,14 +428,22 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn restart_driver_counts_attempts() {
-        // `false` always fails: the driver retries to its cap.
+        // `false` always fails: without a respawn budget every failure is
+        // a relaunch, and the driver relaunches to its cap.
         let spec = ClusterSpec::new(1, "/bin/false", vec![]);
-        let err = run_cluster_until_complete(&spec, Duration::from_secs(5), 2).unwrap_err();
-        assert!(err.to_string().contains("2 attempts"), "{err}");
+        let err = run_cluster_until_complete(&spec, 2).unwrap_err();
+        assert!(err.to_string().contains("2 launches (0 single"), "{err}");
         let ok = ClusterSpec::new(2, "/bin/true", vec![]);
-        assert_eq!(
-            run_cluster_until_complete(&ok, Duration::from_secs(5), 3).unwrap(),
-            1
-        );
+        assert_eq!(run_cluster_until_complete(&ok, 3).unwrap(), 1);
+
+        // The supervised arm of the same loop. Rank 0 never respawns, so
+        // rank 1 is the one that keeps failing: each launch spends its
+        // respawn budget on it, then escalates, until the launch cap.
+        let spec = ClusterSpec::new(2, "/bin/sh", vec!["-c".into(), "exit $PPAR_RANK".into()]);
+        let err = run_cluster_supervised(&spec, 2, 3).unwrap_err();
+        assert!(err.to_string().contains("2 launches (6 single"), "{err}");
+        let report = run_cluster_supervised(&ok, 3, 4).unwrap();
+        assert_eq!((report.launches, report.single_respawns), (1, 0));
+        assert!(report.pid_history.iter().all(|pids| pids.len() == 1));
     }
 }

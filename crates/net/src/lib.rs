@@ -53,7 +53,7 @@ pub mod transport;
 pub use chaos::{ChaosConfig, ChaosFabric};
 pub use cluster::{
     free_loopback_addr, run_cluster_supervised, run_cluster_until_complete, spawn_local_cluster,
-    ClusterSpec, LocalCluster, SupervisorConfig, SupervisorReport,
+    ClusterSpec, LocalCluster, SupervisorReport,
 };
 pub use fabric::{Fabric, Payload, Traffic};
 pub use mirror::MirrorTransport;

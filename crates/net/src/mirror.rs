@@ -54,8 +54,8 @@ impl MirrorTransport {
         }
     }
 
-    /// Count-pinned restores served from the local mirror so far (the
-    /// recovery bench asserts survivor restores stay off the network).
+    /// Count-pinned restores served from the local mirror so far. Asserted
+    /// only by this module's unit tests; no soak or bench reads it yet.
     pub fn local_hits(&self) -> u64 {
         self.local_hits.load(Ordering::Relaxed)
     }

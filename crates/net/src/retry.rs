@@ -1,9 +1,10 @@
 //! Deterministic jittered exponential backoff.
 //!
-//! One retry policy serves every transient-failure site in the fabric:
-//! rendezvous connects (the root's listener may not be up yet), rejoin
-//! dials after a rank respawn, and checkpoint RPC re-issues after a
-//! recovered fault. The jitter is *deterministic* — a cheap xorshift
+//! The policy has one caller, `tcp.rs`'s `connect_retry`, which is every
+//! dial the fabric makes: rendezvous connects (the root's listener may not
+//! be up yet) and rejoin dials after a rank respawn. Nothing else in the
+//! fabric retries — a failed receive or checkpoint RPC surfaces as an error
+//! and recovery starts over. The jitter is *deterministic* — a cheap xorshift
 //! stream seeded by the caller — so chaos runs replay the exact same
 //! sleep schedule under the same seed (the reproducibility contract of
 //! [`crate::chaos`]).

@@ -16,7 +16,6 @@
 //! the parent compares bitwise against the in-process sequential run.
 
 use std::io::Write as _;
-use std::time::Duration;
 
 use ppar_adapt::netrun::{run_cluster_until_complete, ClusterSpec, NetConfig};
 use ppar_adapt::{run_net_rank, AppStatus};
@@ -72,8 +71,7 @@ fn main() {
         .env(OUT_ENV, out.to_string_lossy().to_string())
         .env(CKPT_ENV, ckpt.to_string_lossy().to_string());
     println!("launching {nranks} rank processes over loopback TCP…");
-    let attempts =
-        run_cluster_until_complete(&spec, Duration::from_secs(120), 1).expect("cluster run");
+    let attempts = run_cluster_until_complete(&spec, 1).expect("cluster run");
     let bits = std::fs::read_to_string(&out).expect("rank 0 result");
     let reference = sor_seq(&params()).checksum.to_bits();
     let tcp = u64::from_str_radix(bits.trim(), 16).expect("hex bits");
