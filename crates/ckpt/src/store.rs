@@ -337,6 +337,14 @@ pub struct SnapshotMeta {
     pub nranks: u32,
 }
 
+impl SnapshotMeta {
+    /// The header of the full record whose leading bytes are `head` (a
+    /// prefix long enough to hold it; nothing past the header is touched).
+    pub fn of_head(head: &[u8]) -> Result<SnapshotMeta> {
+        SnapshotView::header(&mut Reader { buf: head, pos: 0 })
+    }
+}
+
 /// Where a streamed field's payload bytes come from.
 pub enum FieldSource<'a> {
     /// Stream a live cell through [`StateCell::write_state`] (zero-copy for
@@ -1364,8 +1372,7 @@ impl CheckpointStore {
                 head
             }
         };
-        let header = SnapshotView::header(&mut Reader { buf: &head, pos: 0 });
-        header.ok().map(|meta| meta.count)
+        SnapshotMeta::of_head(&head).ok().map(|meta| meta.count)
     }
 
     /// The step of both commit sequences that comes just before the new

@@ -28,11 +28,13 @@
 //!   live cells straight from it. The other two shapes are *provided* over
 //!   the lend: [`CkptTransport::get`] *owns* (a copy of the view),
 //!   [`CkptTransport::write_merged_record_at`] *streams* (the view through
-//!   the golden encoder, checksum on). The store alone overrides the
-//!   stream, to copy a file through unparsed when no live delta has to be
-//!   folded — the chain then *is* the record; that is what the root's
-//!   checkpoint service answers a restore with. Memory needs no override:
-//!   streaming its lent record is already one CRC-and-copy pass.
+//!   the golden encoder, checksum on). Two media override the stream,
+//!   both to pass on bytes that already *are* the record: the store copies
+//!   a file through unparsed when no live delta has to be folded — what
+//!   the root's checkpoint service answers a restore with — and the wire
+//!   client forwards that answer to the caller's sink as it arrives.
+//!   Memory needs no override: streaming its lent record is already one
+//!   CRC-and-copy pass.
 //!
 //! **The failed-put rule**, binding on every medium: *a put that fails
 //! leaves the previous record for that key readable and no partial
@@ -264,7 +266,9 @@ pub trait CkptTransport: Send + Sync {
     /// [`CkptTransport::write_merged_record`] pinned like
     /// [`CkptTransport::with_merged`]: the lent view goes through the
     /// golden encoder. The store overrides this to copy a record file
-    /// through when no live delta has to be folded.
+    /// through when no live delta has to be folded, the wire client to
+    /// forward the record as it arrives. On `Err`, `out` may hold a prefix
+    /// of the record.
     fn write_merged_record_at(
         &self,
         rank: Option<u32>,
@@ -304,7 +308,7 @@ pub trait CkptTransport: Send + Sync {
 /// Cap a sender-supplied record-size hint before using it as an
 /// allocation size (a hint is advisory; a bogus huge one must not OOM the
 /// receiver).
-fn clamp_record_hint(len_hint: u64) -> usize {
+pub fn clamp_record_hint(len_hint: u64) -> usize {
     len_hint.min(1 << 28) as usize
 }
 
@@ -617,7 +621,7 @@ impl CkptTransport for MemTransport {
         let records = self.records.lock();
         for rank in [None, Some(0)] {
             if let Some(base) = records.get(&RecordKey::full(rank)) {
-                let count = SnapshotView::header(&mut Reader { buf: base, pos: 0 })?.count;
+                let count = SnapshotMeta::of_head(base)?.count;
                 let deltas = MemTransport::deltas(&records, rank);
                 return walk_chain(count, None, false, deltas, |_| Ok(())).map(Some);
             }

@@ -9,10 +9,11 @@
 //! * every **non-root** rank persists through a [`NetTransport`] *client*
 //!   whose [`RecordSink`] is a `StreamTx`: the provided `put` drives the
 //!   shared golden encoder into it, and it cuts the encoded bytes into
-//!   ~4 MiB chunk frames as they are produced — a gigabyte-scale record
+//!   1 MiB chunk frames as they are produced — a gigabyte-scale record
 //!   costs the client one chunk buffer, not a record-sized staging `Vec`
 //!   (the digest-negotiated path, which must announce the record's chunk
-//!   digests before its bytes, is the one exception);
+//!   digests before its bytes, is the one exception: it stages the record
+//!   once, in a buffer reserved from the announced length);
 //! * the **root** runs a [`CkptService`]: a dispatcher thread that routes
 //!   each rank's requests to a dedicated per-rank *lane* thread, so four
 //!   ranks checkpointing concurrently stream through four independent
@@ -23,8 +24,17 @@
 //!   decode → re-encode round trip;
 //! * reads stream the merged record back root → rank through
 //!   `CkptTransport::write_merged_record_at` and the same chunk protocol
-//!   (the restart and reshape path); the client verifies the record's CRC
-//!   as the chunks arrive and lends a view over the received bytes.
+//!   (the restart and reshape path). The client has **one receive loop**
+//!   (`NetTransport::fetch_merged`): request, chunk stream, the record's
+//!   CRC on the pass that consumes each block, a pinned read's safe point
+//!   checked on the record's head before a byte is handed on. Both read
+//!   shapes are written over it. `with_merged` — what a run's restore
+//!   calls — collects the blocks and lends a view over them; the
+//!   collecting buffer is reserved once, from the length of the last full
+//!   record the client moved. `write_merged_record_at` — what a level
+//!   that relays a record calls — forwards each block straight to the
+//!   caller's sink: the record crosses the client in one pass, with no
+//!   record-sized buffer, decode or re-encode of its own.
 //!
 //! Because the record bytes are produced by the same encoder on every
 //! rank, a shard streamed over TCP is byte-identical to the file a local
@@ -42,8 +52,9 @@
 //! cumulative count of chunks it has consumed — on the stream's credit
 //! tag, one per `CREDIT_BATCH` chunks plus a final credit at stream
 //! end; the sender keeps at most `STREAM_WINDOW` chunks in flight, so
-//! per-stream buffering is bounded on both sides regardless of record
-//! size. The service answers a put with a fixed nine-byte
+//! per-stream buffering is bounded (8 MiB a side) regardless of record
+//! size, and a 16 MiB record is sixteen frames deep in the encode → socket
+//! → sink pipeline instead of four. The service answers a put with a fixed nine-byte
 //! `[status][bytes written]` response once the record is committed (or
 //! discarded). A `get` streams the same chunk protocol in the other
 //! direction, with `CH_ABSENT` standing in for "no record".
@@ -78,7 +89,8 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use ppar_ckpt::transport::{CkptTransport, RecordKey, RecordSink};
+use ppar_ckpt::store::SnapshotMeta;
+use ppar_ckpt::transport::{clamp_record_hint, CkptTransport, RecordKey, RecordSink};
 use ppar_ckpt::{ChunkDigest, ChunkRef, PutStats, SnapshotView, TrailingCrc};
 use ppar_core::error::{PparError, Result};
 use ppar_core::shared::DIRTY_CHUNK_BYTES;
@@ -133,6 +145,10 @@ const ST_NODEDUP: u8 = 2;
 const DEDUP_CHUNK: usize = DIRTY_CHUNK_BYTES;
 /// Bytes of one dedup digest-table entry on the wire (digest + length).
 const DEDUP_ENTRY: usize = 20;
+/// Largest [`OP_PUT_DEDUP`] request sent. The digest table rides that one
+/// request frame, not the chunk stream, so its bound is its own: 4 MiB of
+/// table is a record of ~1.6 GiB; beyond that the put streams plainly.
+const DEDUP_REQUEST_MAX: usize = 4 << 20;
 
 // Stream-frame kinds, encoded at bits 40..48 of the tag (alongside the
 // stream id in bits 0..32). Data kinds ride raw-payload frames.
@@ -148,11 +164,12 @@ const CH_ABORT: u8 = 2;
 const CH_ABSENT: u8 = 3;
 
 /// Record bytes per chunk frame (far below the frame payload bound, so
-/// the marker byte on top always fits). 4 MiB quarters the per-chunk fixed
-/// costs (frame headers, mailbox handoffs, thread wakeups) relative to
-/// 1 MiB; with the 8-chunk window that bounds per-stream buffering at
-/// 32 MiB a side.
-const STREAM_CHUNK: usize = 4 << 20;
+/// the marker byte on top always fits). A stream is a four-stage pipeline
+/// (encode → socket write → socket read → sink) that fills and drains once
+/// per record: at 1 MiB a 16 MiB record is sixteen stages' worth of work
+/// deep, at 4 MiB half of every transfer was fill and drain. With the
+/// 8-chunk window this bounds per-stream buffering at 8 MiB a side.
+const STREAM_CHUNK: usize = 1 << 20;
 /// Chunks in flight before the sender blocks on credits: bounds each
 /// stream's buffering to `STREAM_WINDOW × STREAM_CHUNK` on either side.
 const STREAM_WINDOW: u64 = 8;
@@ -201,9 +218,11 @@ struct StreamTx<'a> {
     peer: usize,
     data_tag: u64,
     credit_tag: u64,
-    /// Pending chunk; always starts with a [`CH_DATA`] marker byte.
+    /// Pending chunk: a [`CH_DATA`] marker byte, then up to
+    /// [`STREAM_CHUNK`] record bytes. Unallocated until the first byte of a
+    /// chunk is written, so the last flush of a record (and a stream that
+    /// ends up carrying only a marker) allocates nothing.
     buf: Vec<u8>,
-    cap: usize,
     sent: u64,
     acked: u64,
 }
@@ -215,17 +234,13 @@ impl<'a> StreamTx<'a> {
         } else {
             KIND_RCREDIT
         };
-        let cap = 1 + STREAM_CHUNK;
-        let mut buf = Vec::with_capacity(cap);
-        buf.push(CH_DATA);
         StreamTx {
             fabric,
             me,
             peer,
             data_tag: stream_tag(kind, id),
             credit_tag: stream_tag(credit_kind, id),
-            buf,
-            cap,
+            buf: Vec::new(),
             sent: 0,
             acked: 0,
         }
@@ -245,7 +260,7 @@ impl<'a> StreamTx<'a> {
     /// Ship the pending chunk (no-op when empty), waiting for window
     /// room first.
     fn flush_chunk(&mut self) -> Result<()> {
-        if self.buf.len() <= 1 {
+        if self.buf.is_empty() {
             return Ok(());
         }
         // Chaos site: a rank dying between checkpoint chunks is the
@@ -254,11 +269,7 @@ impl<'a> StreamTx<'a> {
         while self.sent - self.acked >= STREAM_WINDOW {
             self.recv_credit()?;
         }
-        let chunk = std::mem::replace(&mut self.buf, {
-            let mut next = Vec::with_capacity(self.cap);
-            next.push(CH_DATA);
-            next
-        });
+        let chunk = std::mem::take(&mut self.buf);
         self.fabric
             .send(self.me, self.peer, self.data_tag, Arc::new(chunk));
         self.sent += 1;
@@ -303,10 +314,14 @@ impl Write for StreamTx<'_> {
         if bytes.is_empty() {
             return Ok(0);
         }
-        let room = self.cap - self.buf.len();
+        if self.buf.is_empty() {
+            self.buf.reserve_exact(1 + STREAM_CHUNK);
+            self.buf.push(CH_DATA);
+        }
+        let room = 1 + STREAM_CHUNK - self.buf.len();
         let take = bytes.len().min(room);
         self.buf.extend_from_slice(&bytes[..take]);
-        if self.buf.len() == self.cap {
+        if take == room {
             self.flush_chunk().map_err(io::Error::other)?;
         }
         Ok(take)
@@ -405,6 +420,10 @@ pub struct NetTransport {
     /// off on [`ST_NODEDUP`] so a flat-store root costs one probe per job,
     /// not one per snapshot.
     dedup_supported: AtomicBool,
+    /// Length of the last full record this client announced or fetched —
+    /// what [`CkptTransport::with_merged`] reserves for the next one it
+    /// collects.
+    record_len: AtomicU64,
     /// Client-side wire-dedup counters, drained by
     /// [`CkptTransport::take_put_stats`].
     stats: Mutex<PutStats>,
@@ -419,6 +438,7 @@ impl NetTransport {
             rank,
             root: 0,
             dedup_supported: AtomicBool::new(true),
+            record_len: AtomicU64::new(0),
             stats: Mutex::new(PutStats::default()),
         }
     }
@@ -500,16 +520,16 @@ impl NetTransport {
     /// Negotiate a full-record put by chunk digest: send the record's
     /// digest table, receive the indices the root's store is missing, and
     /// stream only those chunks. `Ok(false)` means the negotiation is
-    /// unavailable (root on a flat store, or the digest table itself
-    /// would not fit a frame) — the caller falls back to the plain
+    /// unavailable (root on a flat store, or the digest table would pass
+    /// [`DEDUP_REQUEST_MAX`]) — the caller falls back to the plain
     /// streamed put.
     fn put_dedup(&self, key: RecordKey, record: &[u8]) -> Result<bool> {
-        let n = record.len().div_ceil(DEDUP_CHUNK);
-        if 21 + 4 + n * DEDUP_ENTRY > STREAM_CHUNK {
-            // Digest table larger than a frame: a record this large gains
-            // little from saving one round's chunks anyway.
+        if !dedup_request_fits(record.len()) {
+            // A record this large gains little from saving one round's
+            // chunks anyway.
             return Ok(false);
         }
+        let n = record.len().div_ceil(DEDUP_CHUNK);
         let mut table = Vec::with_capacity(4 + n * DEDUP_ENTRY);
         table.extend_from_slice(&(n as u32).to_le_bytes());
         for chunk in record.chunks(DEDUP_CHUNK) {
@@ -549,6 +569,104 @@ impl NetTransport {
         self.stats.lock().expect("stats lock").wire_chunks_skipped += (n - missing.len()) as u64;
         Ok(true)
     }
+
+    /// The one client read: request `rank`'s merged record (pinned to safe
+    /// point `at`, if given), receive it as a chunk stream and hand it to
+    /// `sink` in cache-resident blocks, each on the pass that folds it into
+    /// the record's trailing CRC. Returns the record's length, `Ok(None)`
+    /// when the root holds no such chain.
+    ///
+    /// A pinned read checks the safe point in the record's head — the
+    /// service cuts full chunks, so the first block always holds the header
+    /// — before `sink` sees a byte; that refusal is provisional until the
+    /// stream ends, when a failed CRC is reported in its place. The CRC
+    /// verdict can only come with the last block: on `Err`, `sink` may have
+    /// been handed a prefix of the record (the whole of it, when the CRC is
+    /// what failed).
+    fn fetch_merged(
+        &self,
+        rank: Option<u32>,
+        at: Option<u64>,
+        sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
+    ) -> Result<Option<u64>> {
+        let id = next_stream_id();
+        let mut req = Vec::with_capacity(17);
+        req.push(match (rank, at) {
+            (_, Some(_)) => OP_GET_SHARD_AT,
+            (None, None) => OP_GET_MASTER,
+            (Some(_), None) => OP_GET_SHARD,
+        });
+        req.extend_from_slice(&id.to_le_bytes());
+        req.extend_from_slice(&rank.unwrap_or(MASTER_SENTINEL).to_le_bytes());
+        if let Some(count) = at {
+            req.extend_from_slice(&count.to_le_bytes());
+        }
+        self.fabric
+            .send(self.rank, self.root, REQ_TAG, Arc::new(req));
+        let mut crc = TrailingCrc::new();
+        // `Err` is discard mode, as in `lane_put`: the loop keeps receiving
+        // (and crediting) so the service's window never wedges and the
+        // session stays usable; the saved failure is reported at the end.
+        let mut handed: Result<()> = Ok(());
+        let end = recv_stream(
+            self.fabric.as_ref(),
+            self.rank,
+            self.root,
+            id,
+            KIND_RDATA,
+            |chunk| {
+                for block in chunk.chunks(CRC_SINK_BLOCK) {
+                    if handed.is_ok() && crc.total() == 0 {
+                        handed = check_pin(rank, at, block);
+                    }
+                    crc.update(block);
+                    if handed.is_ok() {
+                        handed = sink(block).map_err(PparError::from);
+                    }
+                }
+            },
+        )?;
+        match end {
+            StreamEnd::Complete => {}
+            StreamEnd::Absent => return Ok(None),
+            StreamEnd::Aborted(msg) => return Err(self.service_error(msg.as_bytes())),
+        }
+        // The CRC covered every block, handed on or not, and its verdict
+        // comes first: a pin judged on a corrupted head is not a finding.
+        let len = match crc.finish() {
+            Some((len, stored, computed)) if stored == computed => len,
+            _ => {
+                return Err(PparError::CorruptCheckpoint(
+                    "streamed restore record failed CRC verification".into(),
+                ))
+            }
+        };
+        handed?;
+        self.record_len.store(len, Ordering::Relaxed);
+        Ok(Some(len))
+    }
+}
+
+/// Whether the digest table of a `len`-byte record fits one
+/// [`OP_PUT_DEDUP`] request (`[begin, 21 bytes][count][entries]`).
+fn dedup_request_fits(len: usize) -> bool {
+    21 + 4 + len.div_ceil(DEDUP_CHUNK) * DEDUP_ENTRY <= DEDUP_REQUEST_MAX
+}
+
+/// Refuse a record that is not at the safe point a pinned read asked for,
+/// judged by the header in the record's leading bytes `head`.
+fn check_pin(rank: Option<u32>, at: Option<u64>, head: &[u8]) -> Result<()> {
+    let Some(count) = at else {
+        return Ok(());
+    };
+    let found = SnapshotMeta::of_head(head)?.count;
+    if found != count {
+        return Err(PparError::CorruptCheckpoint(format!(
+            "service returned the {rank:?} chain at safe point {found} but the restore \
+             targets {count}"
+        )));
+    }
+    Ok(())
 }
 
 /// The wire medium's sink. A delta, or any record once the root has
@@ -556,8 +674,9 @@ impl NetTransport {
 /// the bytes become chunk frames while they are produced — a gigabyte-scale
 /// record costs the client one chunk buffer. A full record bound for a root
 /// that may dedup is staged instead: the digest table must go first, so
-/// this is the one path that trades a record-sized `Vec` for shipping only
-/// the chunks the root does not already hold.
+/// this is the one path that trades a record-sized `Vec` (reserved once,
+/// from the announced length) for shipping only the chunks the root does
+/// not already hold.
 struct NetSink<'a> {
     net: &'a NetTransport,
     key: RecordKey,
@@ -629,75 +748,59 @@ impl CkptTransport for NetTransport {
     }
 
     fn begin<'a>(&'a self, key: RecordKey, len_hint: u64) -> Result<Box<dyn RecordSink + 'a>> {
+        if key.delta.is_none() {
+            self.record_len.store(len_hint, Ordering::Relaxed);
+        }
         let stage = key.delta.is_none() && self.dedup_supported.load(Ordering::Relaxed);
+        let staged = if stage {
+            Vec::with_capacity(clamp_record_hint(len_hint))
+        } else {
+            Vec::new()
+        };
         Ok(Box::new(NetSink {
             net: self,
             key,
-            staged: Vec::new(),
+            staged,
             tx: (!stage).then(|| self.open_put(key, len_hint)),
             written: 0,
         }))
     }
 
-    /// Request a merged record, receive it as a chunk stream — verifying
-    /// the record's trailing CRC on the same pass that accumulates it — and
-    /// lend the view over the received bytes: the root has already folded
-    /// the chain, and the wire pass just established integrity, so there is
-    /// neither a second checksum sweep nor a decoded copy.
+    /// `fetch_merged`, collected into a buffer reserved from the length of
+    /// the last full record this client moved (a chain's records keep their
+    /// size from one safe point to the next; only a process's first read
+    /// has nothing to go by and grows the buffer as it fills): the root has
+    /// already folded the chain and the receive loop just established
+    /// integrity, so the view is parsed over the received bytes with neither
+    /// a second checksum sweep nor a decoded copy.
     fn with_merged(
         &self,
         rank: Option<u32>,
         at: Option<u64>,
         read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
     ) -> Result<bool> {
-        let id = next_stream_id();
-        let mut req = Vec::with_capacity(17);
-        req.push(match (rank, at) {
-            (_, Some(_)) => OP_GET_SHARD_AT,
-            (None, None) => OP_GET_MASTER,
-            (Some(_), None) => OP_GET_SHARD,
-        });
-        req.extend_from_slice(&id.to_le_bytes());
-        req.extend_from_slice(&rank.unwrap_or(MASTER_SENTINEL).to_le_bytes());
-        if let Some(count) = at {
-            req.extend_from_slice(&count.to_le_bytes());
+        let hint = self.record_len.load(Ordering::Relaxed);
+        let mut buf = Vec::with_capacity(clamp_record_hint(hint));
+        let received = self.fetch_merged(rank, at, &mut |block| {
+            buf.extend_from_slice(block);
+            Ok(())
+        })?;
+        if received.is_none() {
+            return Ok(false);
         }
-        self.fabric
-            .send(self.rank, self.root, REQ_TAG, Arc::new(req));
-        let mut buf = Vec::new();
-        let mut crc = TrailingCrc::new();
-        let end = recv_stream(
-            self.fabric.as_ref(),
-            self.rank,
-            self.root,
-            id,
-            KIND_RDATA,
-            |chunk| {
-                for block in chunk.chunks(CRC_SINK_BLOCK) {
-                    crc.update(block);
-                    buf.extend_from_slice(block);
-                }
-            },
-        )?;
-        match end {
-            StreamEnd::Complete => {}
-            StreamEnd::Absent => return Ok(false),
-            StreamEnd::Aborted(msg) => return Err(self.service_error(msg.as_bytes())),
-        }
-        if !matches!(crc.finish(), Some((_, stored, computed)) if stored == computed) {
-            return Err(PparError::CorruptCheckpoint(
-                "streamed restore record failed CRC verification".into(),
-            ));
-        }
-        let view = SnapshotView::decode_trusted(&buf)?;
-        if let Some(count) = at.filter(|&count| view.meta.count != count) {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "service returned the {rank:?} chain at safe point {} but the restore \
-                 targets {count}",
-                view.meta.count
-            )));
-        }
-        read(&view).map(|()| true)
+        read(&SnapshotView::decode_trusted(&buf)?).map(|()| true)
+    }
+
+    /// `fetch_merged`, forwarded: each block goes to `out`
+    /// as it arrives — the record the root streams *is* the checksummed
+    /// merged record, so nothing is collected, decoded or re-encoded here.
+    fn write_merged_record_at(
+        &self,
+        rank: Option<u32>,
+        at: Option<u64>,
+        out: &mut dyn Write,
+    ) -> Result<Option<u64>> {
+        self.fetch_merged(rank, at, &mut |block| out.write_all(block))
     }
 
     fn restart_count(&self) -> Result<Option<u64>> {
@@ -1118,7 +1221,8 @@ mod tests {
     use crate::cluster::free_loopback_addr;
     use crate::tcp::{NetConfig, TcpFabric};
     use ppar_ckpt::store::{DeltaSource, FieldSource, Record, SnapshotMeta, SnapshotWriter};
-    use ppar_ckpt::{DeltaMeta, MemTransport};
+    use ppar_ckpt::{CasConfig, CheckpointStore, DeltaMeta, MemTransport};
+    use std::path::PathBuf;
     use std::time::Duration;
 
     const DONE_TAG: u64 = (1 << 63) | 77;
@@ -1132,11 +1236,28 @@ mod tests {
         }
     }
 
-    /// Root runs the service + `root_check` after the client finishes;
-    /// rank 1 runs `client_ops`. Returns what `root_check` produced.
+    /// A directory of this process's own for a root's store.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ppar_net_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// [`two_rank_over`] a fresh [`MemTransport`].
     fn two_rank<R: Send>(
         client_ops: impl Fn(&NetTransport) + Sync,
         root_check: impl Fn(&MemTransport) -> R + Sync,
+    ) -> R {
+        two_rank_over(Arc::new(MemTransport::new()), client_ops, root_check)
+    }
+
+    /// Root serves `inner` and runs `root_check` on it after the client
+    /// finishes; rank 1 runs `client_ops`. Returns what `root_check`
+    /// produced.
+    fn two_rank_over<T: CkptTransport + 'static, R: Send>(
+        inner: Arc<T>,
+        client_ops: impl Fn(&NetTransport) + Sync,
+        root_check: impl Fn(&T) -> R + Sync,
     ) -> R {
         let root = free_loopback_addr().unwrap();
         let mut out = None;
@@ -1149,7 +1270,6 @@ mod tests {
                 cfg.recv_timeout = Duration::from_secs(20);
                 let fabric = TcpFabric::connect(&cfg).unwrap();
                 let dyn_fabric: Arc<dyn Fabric> = fabric.clone();
-                let inner = Arc::new(MemTransport::new());
                 let service = NetTransport::serve(dyn_fabric.clone(), 0, inner.clone());
                 // Wait for the client to finish, then stop the service.
                 dyn_fabric.recv(0, 1, DONE_TAG).unwrap();
@@ -1223,31 +1343,11 @@ mod tests {
     /// the restore comes back byte-identical.
     #[test]
     fn dedup_put_ships_only_novel_chunks() {
-        use ppar_ckpt::{CasConfig, CheckpointStore};
-        let dir = std::env::temp_dir().join(format!("ppar_net_dedup_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let root_addr = free_loopback_addr().unwrap();
-        std::thread::scope(|scope| {
-            let addr = &root_addr;
-            let dir2 = dir.clone();
-            scope.spawn(move || {
-                let mut cfg = NetConfig::new(0, 2, addr.clone());
-                cfg.recv_timeout = Duration::from_secs(20);
-                let fabric = TcpFabric::connect(&cfg).unwrap();
-                let dyn_fabric: Arc<dyn Fabric> = fabric.clone();
-                let store = CheckpointStore::new_cas_with(&dir2, CasConfig::default()).unwrap();
-                let inner: Arc<dyn CkptTransport> = Arc::new(store);
-                let service = NetTransport::serve(dyn_fabric.clone(), 0, inner);
-                dyn_fabric.recv(0, 1, DONE_TAG).unwrap();
-                service.stop();
-            });
-            scope.spawn(move || {
-                let mut cfg = NetConfig::new(1, 2, addr.clone());
-                cfg.recv_timeout = Duration::from_secs(20);
-                let fabric = TcpFabric::connect(&cfg).unwrap();
-                let dyn_fabric: Arc<dyn Fabric> = fabric.clone();
-                let t = NetTransport::client(dyn_fabric.clone(), 1);
-
+        let dir = scratch_dir("dedup");
+        let store = CheckpointStore::new_cas_with(&dir, CasConfig::default()).unwrap();
+        two_rank_over(
+            Arc::new(store),
+            |t| {
                 // 32 store chunks of aperiodic payload.
                 let mut payload: Vec<u8> = (0..32 * DEDUP_CHUNK)
                     .map(|i| (i ^ (i >> 8) ^ (i >> 16)) as u8)
@@ -1284,10 +1384,9 @@ mod tests {
                 let snap = t.get(None, None).unwrap().unwrap();
                 assert_eq!(snap.count, 8);
                 assert_eq!(snap.field("G").unwrap(), payload.as_slice());
-
-                dyn_fabric.send(1, 0, DONE_TAG, Arc::new(Vec::new()));
-            });
-        });
+            },
+            |_| (),
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1348,6 +1447,158 @@ mod tests {
                 assert_eq!(inner.get(None, None).unwrap().unwrap().count, 5);
             },
         );
+    }
+
+    /// The restore-direction twin: a flat-backed root copies a record file
+    /// through unparsed, so the client is the only verifier of what it
+    /// serves. A byte flipped in the file is refused by both read shapes
+    /// (`read` never runs), pinned or not, a pin the root cannot serve errs
+    /// before a byte reaches the sink, and the session keeps working
+    /// afterwards.
+    #[test]
+    fn record_corrupted_at_the_root_is_rejected_by_both_read_shapes() {
+        let dir = scratch_dir("corrupt_restore");
+        let store = CheckpointStore::new_flat(&dir).unwrap();
+        let payload: Vec<u8> = (0..2 * STREAM_CHUNK + 999).map(|i| (i * 7) as u8).collect();
+        let put = |t: &NetTransport, count: u64| {
+            t.put(&Record::Full(
+                &meta(count, None, 2),
+                &[("G", FieldSource::Bytes(&payload))],
+            ))
+            .unwrap()
+        };
+        two_rank_over(
+            Arc::new(store),
+            |t| {
+                let written = put(t, 3);
+                let file = dir.join("ckpt_master.bin");
+                let mut bytes = std::fs::read(&file).unwrap();
+                assert_eq!(bytes.len() as u64, written);
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x40;
+                std::fs::write(&file, &bytes).unwrap();
+
+                let mut reads = 0;
+                let lent = t.with_merged(None, None, &mut |_| {
+                    reads += 1;
+                    Ok(())
+                });
+                assert!(matches!(lent, Err(PparError::CorruptCheckpoint(_))));
+                assert_eq!(reads, 0);
+                // The stream's verdict comes with the last block: the sink
+                // holds what was forwarded, the call is what says no.
+                let mut out = Vec::new();
+                let streamed = t.write_merged_record_at(None, None, &mut out);
+                assert!(matches!(streamed, Err(PparError::CorruptCheckpoint(_))));
+                assert!(out.len() as u64 <= written);
+                let pinned = t.write_merged_record_at(None, Some(3), &mut Vec::new());
+                assert!(matches!(pinned, Err(PparError::CorruptCheckpoint(_))));
+
+                // A pinned read at a safe point the root does not hold.
+                let mut out = Vec::new();
+                assert!(t.write_merged_record_at(None, Some(4), &mut out).is_err());
+                assert!(out.is_empty());
+
+                // Same session, next generation: both directions work, a
+                // sink that gives up on its first block included.
+                put(t, 5);
+                let mut small = [0u8; 16];
+                let gave_up = t.write_merged_record_at(None, None, &mut &mut small[..]);
+                assert!(gave_up.is_err());
+                let mut out = Vec::new();
+                let streamed = t.write_merged_record_at(None, Some(5), &mut out);
+                assert_eq!(streamed.unwrap(), Some(out.len() as u64));
+                assert_eq!(out, std::fs::read(&file).unwrap());
+                let snap = t.get(None, None).unwrap().unwrap();
+                assert_eq!((snap.count, snap.field("G").unwrap()), (5, &payload[..]));
+            },
+            |_| (),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rank 1 runs `client_op` against a root played by hand: rank 0
+    /// answers the one get it issues with `record` as the service would cut
+    /// it, whatever was asked for. What the client then refuses, it refuses
+    /// on its own checks; the root returning from `wait_drained` is the
+    /// client having credited every chunk, refused or not.
+    fn get_from_a_root_played_by_hand(record: &[u8], client_op: impl Fn(&NetTransport) + Sync) {
+        let addr = free_loopback_addr().unwrap();
+        let connect = |rank: usize| {
+            let mut cfg = NetConfig::new(rank, 2, addr.clone());
+            cfg.recv_timeout = Duration::from_secs(20);
+            TcpFabric::connect(&cfg).unwrap()
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let fabric = connect(0);
+                let req = fabric.recv(0, 1, REQ_TAG).unwrap();
+                let id = read_u32(&req[1..]).unwrap();
+                let mut tx = StreamTx::new(fabric.as_ref(), 0, 1, id, KIND_RDATA);
+                tx.write_all(record).unwrap();
+                tx.finish().unwrap();
+                tx.wait_drained().unwrap();
+            });
+            scope.spawn(|| client_op(&NetTransport::client(connect(1), 1)));
+        });
+    }
+
+    /// The client's own pin check: a record at another safe point than the
+    /// one asked for is refused on its head, before the sink (or `read`)
+    /// sees a byte, and the rest of the stream — longer than the credit
+    /// window here — is still received and credited. The refusal stands
+    /// only for a record that verifies: with a byte flipped in flight the
+    /// CRC's verdict is the one reported.
+    #[test]
+    fn record_at_the_wrong_safe_point_is_refused_before_the_sink_sees_a_byte() {
+        let payload: Vec<u8> = (0..(STREAM_WINDOW as usize + 2) * STREAM_CHUNK)
+            .map(|i| (i >> 3) as u8)
+            .collect();
+        let mut w = SnapshotWriter::new(Vec::new(), &meta(7, Some(1), 2), 1).unwrap();
+        w.field("G", &FieldSource::Bytes(&payload)).unwrap();
+        let (_, mut record) = w.finish().unwrap();
+        get_from_a_root_played_by_hand(&record, |t| {
+            let mut out = Vec::new();
+            let err = t
+                .write_merged_record_at(Some(1), Some(6), &mut out)
+                .unwrap_err();
+            assert!(err.to_string().contains("safe point 7"), "{err}");
+            assert!(out.is_empty());
+        });
+        get_from_a_root_played_by_hand(&record, |t| {
+            let mut reads = 0;
+            let lent = t.with_merged(Some(1), Some(6), &mut |_| {
+                reads += 1;
+                Ok(())
+            });
+            assert!(lent.is_err());
+            assert_eq!(reads, 0);
+        });
+        let crc_failure = |t: &NetTransport| {
+            let err = t.get(Some(1), Some(6)).unwrap_err();
+            assert!(matches!(err, PparError::CorruptCheckpoint(_)));
+            assert!(err.to_string().contains("CRC"), "{err}");
+        };
+        let mid = record.len() / 2;
+        record[mid] ^= 0x40;
+        get_from_a_root_played_by_hand(&record, crc_failure);
+        // And when the flipped byte is in the head itself (the safe point
+        // follows the magic and the mode tag), so that it reads as pinned.
+        record[mid] ^= 0x40;
+        record[8 + 8 + 4] = 6;
+        get_from_a_root_played_by_hand(&record, crc_failure);
+    }
+
+    /// The digest table rides one request frame and has a bound of its own,
+    /// not the chunk stream's: the largest table that fits is negotiated,
+    /// one entry more is not, and the ceiling stays where it was when a
+    /// chunk was 4 MiB (records up to ~1.6 GiB).
+    #[test]
+    fn dedup_table_has_its_own_bound() {
+        let entries = (DEDUP_REQUEST_MAX - 21 - 4) / DEDUP_ENTRY;
+        assert!(dedup_request_fits(entries * DEDUP_CHUNK));
+        assert!(!dedup_request_fits(entries * DEDUP_CHUNK + 1));
+        assert!(entries * DEDUP_CHUNK > 1 << 30);
     }
 
     proptest::proptest! {
