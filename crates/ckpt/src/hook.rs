@@ -16,6 +16,11 @@
 //! team/aggregate is quiesced around them (barriers in shared memory,
 //! gathers at the root in distributed memory); the module does the counting,
 //! the (de)serialisation and the persistence.
+//!
+//! **A disk restart reads its chain once**: one CRC-verified fold at store
+//! open ([`CheckpointModule::create_group`]) yields the replay target (its
+//! count), every module's resume cursor (its [`PROGRESS_FIELD`]) and the
+//! record the load installs (the fold itself, kept in `GroupResume`).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -33,10 +38,8 @@ use ppar_core::plan::{DistCkptStrategy, Plan};
 use ppar_core::runtime::{LoopFrame, RegionCursor, PROGRESS_FIELD};
 use ppar_core::state::StateCell;
 
-use crate::delta::DeltaMeta;
-use crate::store::{
-    CheckpointStore, DeltaSource, FieldSource, Record, Snapshot, SnapshotMeta, SnapshotView,
-};
+use crate::delta::{DeltaMeta, Merged};
+use crate::store::{CheckpointStore, DeltaSource, FieldSource, Record, SnapshotMeta, SnapshotView};
 use crate::transport::CkptTransport;
 
 static NEXT_MODULE_ID: AtomicU64 = AtomicU64::new(1);
@@ -80,10 +83,13 @@ pub struct CkptStats {
     pub last_handoff_bytes: u64,
     /// Wall time of the most recent hand-off snapshot.
     pub last_handoff_time: Duration,
-    /// Wall time spent inside `load_snapshot` (the Fig. 5 "load" bar).
+    /// Wall time spent reading the state back (the Fig. 5 "load" bar): a
+    /// disk group's start-up — failure detection and the one fold of its
+    /// chain: read, CRC, merge — plus `load_snapshot`.
     pub load_time: Duration,
-    /// Wall time from module creation to replay completion (the Fig. 5
-    /// "replay" bar, including the skipped re-execution).
+    /// Wall time from the end of start-up to the start of the load (the
+    /// Fig. 5 "replay" bar, including the skipped re-execution), so
+    /// `load_time + replay_time` = store open → state installed.
     pub replay_time: Duration,
     /// Safe points actually re-visited before the snapshot was loaded.
     /// Without a region cursor this is the whole history up to the replay
@@ -129,7 +135,6 @@ pub struct CheckpointModule {
     resume: Mutex<Option<Arc<dyn CkptTransport>>>,
     every: u64,
     replay: AtomicBool,
-    detected_failure: bool,
     target: AtomicU64,
     stats: Mutex<CkptStats>,
     created: Instant,
@@ -146,31 +151,40 @@ pub struct CheckpointModule {
     /// currently inside ([`CkptHook::note_loop_iter`]). Serialized as the
     /// `PPARPRG1` cursor into every snapshot, delta and hand-off.
     frames: Mutex<Vec<LoopFrame>>,
-    /// Lazily resolved resume cursor (`None` = not yet resolved; inner
-    /// `None` = resolved, no usable cursor). Kept *separate* from the live
+    /// The resume cursor (`None` = no usable one), resolved when the replay
+    /// is: at creation ([`GroupResume::cursor`]) and again from the source
+    /// [`CheckpointModule::arm_resume`] arms. Kept *separate* from the live
     /// tracker: during restart replay the master keeps tracking frames
     /// while other team threads still consult the cursor.
-    resume_cursor: Mutex<Option<Option<RegionCursor>>>,
+    resume_cursor: Mutex<Option<RegionCursor>>,
     /// Highest safe-point clock any thread fast-forwarded to (stats).
     resumed_at: AtomicU64,
-    /// Disk-restart resume state shared by every module of one
-    /// [`CheckpointModule::create_group`] aggregate (see [`GroupResume`]).
+    /// What start-up resolved for every module of one aggregate (see
+    /// [`GroupResume`]).
     group_resume: Arc<GroupResume>,
 }
 
-/// Disk-restart resume state shared across one aggregate's modules. The
-/// resume cursor is aggregate-symmetric (every shard of a group commit
-/// carries the same `PPARPRG1` bytes), so the in-process elements share a
-/// **single** CRC-checked record read instead of each folding the merged
-/// record for itself — and whichever element installs that record consumes
-/// the one materialized copy rather than reading it a second time.
+/// What start-up resolved for one aggregate: one fold per aggregate, at
+/// open; the load consumes it. The resume cursor is aggregate-symmetric
+/// (every shard of a group commit carries the same `PPARPRG1` bytes), so
+/// the in-process elements share the **single** CRC-checked fold
+/// [`CheckpointModule::create_group`] made, and rank 0's load installs that
+/// very fold instead of reading the chain a second time.
 #[derive(Default)]
 struct GroupResume {
-    /// `None` = not yet resolved; inner `None` = resolved, no usable cursor.
-    cursor: Mutex<Option<Option<RegionCursor>>>,
-    /// The merged record the cursor read materialized (`None` key = master
-    /// record, `Some(r)` = rank `r`'s shard), awaiting the load.
-    prefetched: Mutex<Option<(Option<u32>, Snapshot)>>,
+    /// Did start-up find the marker of a failed previous execution?
+    detected_failure: bool,
+    /// The safe point the group replays to (0 = a fresh run).
+    target: u64,
+    /// What start-up took; charged to [`CkptStats::load_time`].
+    startup_time: Duration,
+    /// The resume cursor every module of the group starts out with: the
+    /// fold's [`PROGRESS_FIELD`], or what the root broadcast to a worker.
+    cursor: Option<RegionCursor>,
+    /// The folded record (`None` key = master chain, `Some(0)` = shard 0's
+    /// — rank 0's to install either way), held only while it stands at the
+    /// replay target, until rank 0 loads or a resume source is armed.
+    prefetched: Mutex<Option<(Option<u32>, Merged<'static>)>>,
 }
 
 /// Where this module stands in its delta chain.
@@ -233,18 +247,43 @@ impl CheckpointModule {
         n: usize,
     ) -> Result<Vec<Arc<CheckpointModule>>> {
         let store = CheckpointStore::new(dir)?;
+        let opened = Instant::now();
         let detected_failure = store.marker_exists();
-        let restart_count = if detected_failure {
-            store.restart_count()?
+        // The newest usable record, folded: the master chain first, shard 0
+        // otherwise (local-snapshot groups carry identical cursors on every
+        // shard).
+        let fold = || -> Result<Option<(Option<u32>, Merged<'static>)>> {
+            for rank in [None, Some(0)] {
+                if let Some(merged) = store.merged(rank, None)? {
+                    return Ok(Some((rank, merged)));
+                }
+            }
+            Ok(None)
+        };
+        // A group-commit point is authoritative when present (sharded
+        // strategies write one after every post-save barrier): shard tips
+        // may have outrun it if a save was torn by a rank death. The fold is
+        // then best-effort — a torn tip costs the cursor and the stash, the
+        // pinned load falls back to the retained generation. Without one the
+        // restore lands on the chain's tip, and a bad record fails start-up.
+        let (committed, folded) = if !detected_failure {
+            (None, None)
+        } else if let Some(count) = store.committed_count()? {
+            (Some(count), fold().unwrap_or(None))
         } else {
-            None
+            (None, fold()?)
         };
-        let (replay, target) = match restart_count {
-            Some(count) if count > 0 => (true, count),
-            // Failure before the first snapshot (or no failure): fresh run.
-            _ => (false, 0),
-        };
-        if !replay {
+        // Target 0 (no failure, or one before the first snapshot): fresh run.
+        let tip = folded.as_ref().map(|(_, merged)| merged.count());
+        let target = committed.or(tip).unwrap_or(0);
+        // A record from before the cursor existed has no such field; that,
+        // like a cursor that fails to decode, is "no cursor" — never an error.
+        let cursor = folded.as_ref().and_then(|(_, merged)| {
+            RegionCursor::decode(merged.view().field(PROGRESS_FIELD)?).ok()
+        });
+        // The record is worth its memory only to the load at the target.
+        let prefetched = folded.filter(|_| target > 0 && tip == Some(target));
+        if target == 0 {
             // Fresh run in a possibly reused directory: a previous
             // generation's delta chain could carry a `base_count` equal to a
             // count this run will reach (runs of the same app repeat the
@@ -256,16 +295,16 @@ impl CheckpointModule {
         }
 
         store.set_marker()?;
-        let transport: Arc<dyn CkptTransport> = Arc::new(store.clone());
-        Ok(CheckpointModule::build_group(
-            Some(store),
-            transport,
-            plan,
-            n,
+        let resume = GroupResume {
             detected_failure,
-            replay,
             target,
-        ))
+            startup_time: opened.elapsed(),
+            cursor,
+            prefetched: Mutex::new(prefetched),
+        };
+        let transport: Arc<dyn CkptTransport> = Arc::new(store.clone());
+        let modules = CheckpointModule::build_group(Some(store), transport, plan, n, resume);
+        Ok(modules)
     }
 
     /// Create one module per aggregate element persisting through an
@@ -280,7 +319,7 @@ impl CheckpointModule {
         plan: &Plan,
         n: usize,
     ) -> Vec<Arc<CheckpointModule>> {
-        CheckpointModule::build_group(None, transport, plan, n, false, false, 0)
+        CheckpointModule::build_group(None, transport, plan, n, GroupResume::default())
     }
 
     /// Create the module for one **worker process** of a real
@@ -306,37 +345,32 @@ impl CheckpointModule {
         replay_target: u64,
         progress: &[u8],
     ) -> Arc<CheckpointModule> {
-        let module = CheckpointModule::build_group(
-            None,
-            transport,
-            plan,
-            1,
+        // The resume cursor is the broadcast bytes: reading a merged
+        // snapshot through the network transport to learn it is exactly
+        // what the broadcast avoids.
+        let resume = GroupResume {
             detected_failure,
-            replay_target > 0,
-            replay_target,
-        )
-        .pop()
-        .expect("one module");
-        // Pre-resolve the resume cursor from the broadcast bytes: the
-        // lazy-resolution fallback would read a merged snapshot through the
-        // network transport, which is exactly what the broadcast avoids.
-        *module.resume_cursor.lock() = Some(RegionCursor::decode(progress).ok());
-        module
+            target: replay_target,
+            cursor: RegionCursor::decode(progress).ok(),
+            ..GroupResume::default()
+        };
+        CheckpointModule::build_group(None, transport, plan, 1, resume)
+            .pop()
+            .expect("one module")
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// `n` modules over one transport, starting from what `resume` says
+    /// start-up resolved.
     fn build_group(
         store: Option<CheckpointStore>,
         transport: Arc<dyn CkptTransport>,
         plan: &Plan,
         n: usize,
-        detected_failure: bool,
-        replay: bool,
-        target: u64,
+        resume: GroupResume,
     ) -> Vec<Arc<CheckpointModule>> {
         let every = plan.checkpoint_every().unwrap_or(0) as u64;
         let incremental = plan.incremental_ckpt().map(|k| k as u64);
-        let group_resume = Arc::new(GroupResume::default());
+        let group_resume = Arc::new(resume);
         (0..n.max(1))
             .map(|_| {
                 Arc::new(CheckpointModule {
@@ -346,16 +380,18 @@ impl CheckpointModule {
                     handoff: Mutex::new(None),
                     resume: Mutex::new(None),
                     every,
-                    replay: AtomicBool::new(replay),
-                    detected_failure,
-                    target: AtomicU64::new(target),
-                    stats: Mutex::new(CkptStats::default()),
+                    replay: AtomicBool::new(group_resume.target > 0),
+                    target: AtomicU64::new(group_resume.target),
+                    stats: Mutex::new(CkptStats {
+                        load_time: group_resume.startup_time,
+                        ..CkptStats::default()
+                    }),
                     created: Instant::now(),
                     field_bufs: Mutex::new(Vec::new()),
                     incremental,
                     chain: Mutex::new(DeltaChain::default()),
                     frames: Mutex::new(Vec::new()),
-                    resume_cursor: Mutex::new(None),
+                    resume_cursor: Mutex::new(group_resume.cursor.clone()),
                     resumed_at: AtomicU64::new(0),
                     group_resume: group_resume.clone(),
                 })
@@ -382,10 +418,11 @@ impl CheckpointModule {
                 "cannot resume: the hand-off transport holds no snapshot".into(),
             )
         })?;
+        // A new resume source replaces what start-up resolved off the disk:
+        // the cursor (memory lends its record where it lies) and the record.
+        *self.resume_cursor.lock() = CheckpointModule::read_cursor(&*source);
+        *self.group_resume.prefetched.lock() = None;
         *self.resume.lock() = Some(source);
-        // A new resume source invalidates any previously resolved cursor;
-        // the next loop entry re-reads it from the armed transport.
-        *self.resume_cursor.lock() = None;
         self.target.store(target, Ordering::SeqCst);
         self.replay.store(true, Ordering::SeqCst);
         Ok(target)
@@ -395,18 +432,18 @@ impl CheckpointModule {
     /// replay to (empty when there is none or the run is fresh). Rank 0 of a
     /// multi-process job broadcasts this alongside the replay decision so
     /// workers never read a snapshot over the network just to learn their
-    /// loop position; reading it here also warms this module's own resume
-    /// cursor.
+    /// loop position.
     pub fn resume_progress_bytes(&self) -> Vec<u8> {
         if !self.will_replay() {
             return Vec::new();
         }
-        self.with_resume_cursor(|c| c.map(|c| c.encode()).unwrap_or_default())
+        let cursor = self.resume_cursor.lock();
+        cursor.as_ref().map(|c| c.encode()).unwrap_or_default()
     }
 
     /// Did start-up detect a failed previous execution?
     pub fn detected_failure(&self) -> bool {
-        self.detected_failure
+        self.group_resume.detected_failure
     }
 
     /// Will (or did) this run replay to a snapshot?
@@ -476,76 +513,24 @@ impl CheckpointModule {
         .encode()
     }
 
-    /// Resolve (once) and borrow the resume cursor. Resolution prefers the
-    /// armed live-reshape source and falls back to the module's own
-    /// transport (disk restart); any read or decode failure degrades to "no
-    /// cursor" — the replay-free resume must never fail a restore that
-    /// classic replay would complete.
-    fn with_resume_cursor<R>(&self, f: impl FnOnce(Option<&RegionCursor>) -> R) -> R {
-        let mut slot = self.resume_cursor.lock();
-        if slot.is_none() {
-            let cursor = match self.resume.lock().clone() {
-                // Live hand-off: the armed in-memory source lends its record
-                // where it lies; nothing worth keeping.
-                Some(source) => self.read_cursor(&*source, false).unwrap_or(None),
-                // Disk restart: one record read per aggregate, shared —
-                // the lock serializes racing elements behind the single
-                // reader, and the record is kept for the load that follows.
-                None => {
-                    let mut shared = self.group_resume.cursor.lock();
-                    match &*shared {
-                        Some(c) => c.clone(),
-                        None => {
-                            let c = self.read_cursor(&*self.transport, true).unwrap_or(None);
-                            *shared = Some(c.clone());
-                            c
-                        }
-                    }
-                }
-            };
-            *slot = Some(cursor);
-        }
-        f(slot.as_ref().and_then(|c| c.as_ref()))
-    }
-
-    /// Decode the `PPARPRG1` cursor (the reserved [`PROGRESS_FIELD`]) of
-    /// `source`'s newest usable record: the master chain first, shard 0
-    /// otherwise (local-snapshot groups carry identical cursors on every
-    /// shard). With `stash`, an owned copy of the merged record is kept for
-    /// [`CkptHook::load_snapshot`], so a disk restart folds its chain once
-    /// instead of twice. Records written before the cursor existed have no
-    /// such field; that, like a cursor that fails to decode, is `Ok(None)`
-    /// — the consumer replays classically, it must never fail a restore.
-    fn read_cursor(&self, source: &dyn CkptTransport, stash: bool) -> Result<Option<RegionCursor>> {
+    /// The `PPARPRG1` cursor (the reserved [`PROGRESS_FIELD`]) of `source`'s
+    /// newest usable record: the master chain first, shard 0 otherwise. A
+    /// record without the field, a cursor that fails to decode and a failed
+    /// read are all "no cursor" — the replay-free resume must never fail a
+    /// restore that classic replay would complete.
+    fn read_cursor(source: &dyn CkptTransport) -> Option<RegionCursor> {
+        let mut cursor = None;
         for rank in [None, Some(0)] {
-            let mut cursor = None;
             let found = source.with_merged(rank, None, &mut |snap| {
                 let bytes = snap.field(PROGRESS_FIELD);
                 cursor = bytes.and_then(|b| RegionCursor::decode(b).ok());
-                if stash {
-                    *self.group_resume.prefetched.lock() = Some((rank, snap.to_snapshot()));
-                }
                 Ok(())
-            })?;
-            if found {
-                return Ok(cursor);
+            });
+            if !matches!(found, Ok(false)) {
+                break;
             }
         }
-        Ok(None)
-    }
-
-    /// Claim the group's prefetched record — only when it is exactly the
-    /// record this load would otherwise read (matching key, pinned to the
-    /// restore target); a miss leaves the slot for the element that can
-    /// use it.
-    fn take_prefetched(&self, key: Option<u32>, count: u64) -> Option<Snapshot> {
-        let mut slot = self.group_resume.prefetched.lock();
-        match &*slot {
-            Some((k, snap)) if *k == key && snap.count == count => {
-                slot.take().map(|(_, snap)| snap)
-            }
-            _ => None,
-        }
+        cursor
     }
 
     /// Collect the plan's safe data and put it through `to` as one record:
@@ -854,15 +839,17 @@ impl CkptHook for CheckpointModule {
         // from which the engine scatters partitioned fields and broadcasts
         // the rest (no record access on other elements).
         if sharded || ctx.rank() == 0 {
-            // The cursor read's prefetch is a disk restart's merged record,
-            // already folded: it serves the load when it is exactly the
-            // record this load would read, sitting at the restore target.
+            // A disk restart's chain was folded at store open. Rank 0's load
+            // empties the group's slot whatever it holds (only ever the
+            // master's or shard 0's record: no other element could use it)
+            // and installs it when it is exactly the record this load would
+            // otherwise read: same key, at the restore target.
             let stashed = match &resume {
-                None => self.take_prefetched(key, self.clock_get()),
-                Some(_) => None,
+                None if ctx.rank() == 0 => self.group_resume.prefetched.lock().take(),
+                _ => None,
             };
-            let found = match stashed {
-                Some(snap) => self.install(ctx, &SnapshotView::of(&snap)).map(|()| true),
+            let found = match stashed.filter(|(k, m)| *k == key && m.count() == self.clock_get()) {
+                Some((_, merged)) => self.install(ctx, &merged.view()).map(|()| true),
                 None => source.with_merged(key, pin, &mut |snap| self.install(ctx, snap)),
             }?;
             if !found {
@@ -881,7 +868,7 @@ impl CkptHook for CheckpointModule {
         let mut stats = self.stats.lock();
         stats.load_time += t0.elapsed();
         if was_replaying {
-            stats.replay_time = self.created.elapsed() - t0.elapsed();
+            stats.replay_time = t0.duration_since(self.created);
             // The clock counts every safe point between region start and the
             // target; subtract the span the cursor let this thread skip to
             // report the points actually re-visited.
@@ -936,31 +923,31 @@ impl CkptHook for CheckpointModule {
             return None;
         }
         let target = self.target.load(Ordering::SeqCst);
-        self.with_resume_cursor(|cur| {
-            let f = cur.filter(|c| c.point_count == target)?.frames.get(depth)?;
-            if f.name != name || f.start != start || f.end != end {
-                return None;
-            }
-            if f.index < f.start || f.index >= f.end {
-                // Corrupt-cursor guard: reject before touching the clock —
-                // the caller independently bounds-checks the index and
-                // would decline a jump this module already committed to.
-                return None;
-            }
-            // The frame's entry clock must sit *strictly* before the target
-            // (`at_point` matches `c == target` exactly — a jump landing on
-            // or past it could never trigger the restore) and never rewind
-            // this thread's clock.
-            let here = self.clock_get();
-            if f.clock_at_entry >= target || f.clock_at_entry < here {
-                return None;
-            }
-            self.clock_set(f.clock_at_entry);
-            self.skipped_add(f.clock_at_entry - here);
-            self.resumed_at
-                .fetch_max(f.clock_at_entry, Ordering::SeqCst);
-            Some(f.index)
-        })
+        let cursor = self.resume_cursor.lock();
+        let cursor = cursor.as_ref().filter(|c| c.point_count == target)?;
+        let f = cursor.frames.get(depth)?;
+        if f.name != name || f.start != start || f.end != end {
+            return None;
+        }
+        if f.index < f.start || f.index >= f.end {
+            // Corrupt-cursor guard: reject before touching the clock —
+            // the caller independently bounds-checks the index and
+            // would decline a jump this module already committed to.
+            return None;
+        }
+        // The frame's entry clock must sit *strictly* before the target
+        // (`at_point` matches `c == target` exactly — a jump landing on
+        // or past it could never trigger the restore) and never rewind
+        // this thread's clock.
+        let here = self.clock_get();
+        if f.clock_at_entry >= target || f.clock_at_entry < here {
+            return None;
+        }
+        self.clock_set(f.clock_at_entry);
+        self.skipped_add(f.clock_at_entry - here);
+        self.resumed_at
+            .fetch_max(f.clock_at_entry, Ordering::SeqCst);
+        Some(f.index)
     }
 
     fn live_loop_frame(&self, depth: usize, name: &str) -> Option<(u64, u64)> {
@@ -1330,6 +1317,132 @@ mod tests {
             assert_eq!((s.full_snapshots, s.delta_snapshots), (1, 0));
             ctx.finish();
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What the group's start-up fold holds: `(key, safe point)`.
+    fn stash(module: &CheckpointModule) -> Option<(Option<u32>, u64)> {
+        let slot = module.group_resume.prefetched.lock();
+        slot.as_ref().map(|(key, merged)| (*key, merged.count()))
+    }
+
+    /// One full record of a single-field `G` at `count`, put under `rank`.
+    fn put_g(to: &dyn CkptTransport, rank: Option<u32>, count: u64) {
+        let meta = SnapshotMeta {
+            mode_tag: "seq".into(),
+            count,
+            rank,
+            nranks: 1,
+        };
+        let payload = [count as u8; 24];
+        to.put(&Record::Full(&meta, &[("G", FieldSource::Bytes(&payload))]))
+            .unwrap();
+    }
+
+    /// The start-up fold is a state-sized buffer: it is kept only while a
+    /// load can use it, and the load it belongs to empties the slot whether
+    /// or not the record is the one it reads.
+    #[test]
+    fn startup_fold_is_held_only_until_the_load_it_serves() {
+        let plan = ckpt_plan(4);
+        let crashed = |tag: &str, records: &[(Option<u32>, u64)], commit: Option<u64>| {
+            let dir = tmpdir(tag);
+            let store = CheckpointStore::new(&dir).unwrap();
+            for (rank, count) in records {
+                put_g(&store, *rank, *count);
+            }
+            if let Some(count) = commit {
+                store.commit_group(count).unwrap();
+            }
+            store.set_marker().unwrap();
+            dir
+        };
+
+        // Claimed: the restart's load installs the fold and leaves nothing.
+        let dir = crashed("stash_claimed", &[(None, 4)], None);
+        let opened = Instant::now();
+        let module = CheckpointModule::create(&dir, &plan).unwrap();
+        assert_eq!(stash(&module), Some((None, 4)));
+        let startup = module.stats().load_time;
+        assert!(startup > Duration::ZERO, "the fold is charged to the load");
+        let ctx = seq_ctx(ckpt_plan(4), module.clone());
+        let g = ctx.alloc_vec("G", 3, 0.0f64);
+        for _ in 0..4 {
+            ctx.point("iter");
+        }
+        let wall = opened.elapsed();
+        assert_eq!(stash(&module), None);
+        assert_eq!(g.to_vec(), vec![f64::from_le_bytes([4; 8]); 3]);
+        let stats = module.stats();
+        assert!(stats.load_time > startup && stats.load_time + stats.replay_time <= wall);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Key mismatch: only shard 0's record exists, the sequential load
+        // reads the master chain. It fails — and still empties the slot.
+        let dir = crashed("stash_key", &[(Some(0), 4)], None);
+        let module = CheckpointModule::create(&dir, &plan).unwrap();
+        assert_eq!(stash(&module), Some((Some(0), 4)));
+        let ctx = seq_ctx(ckpt_plan(4), module.clone());
+        ctx.alloc_vec("G", 3, 0.0f64);
+        module.sync_thread_clock(4);
+        assert!(module.load_snapshot(&ctx).is_err());
+        assert_eq!(stash(&module), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Never kept: a tip that is not the commit point, a failure that
+        // resolves to a fresh run, and a resume source armed over the disk.
+        let dir = crashed("stash_torn", &[(Some(0), 6)], Some(4));
+        let module = CheckpointModule::create(&dir, &plan).unwrap();
+        assert_eq!((module.replay_target(), stash(&module)), (4, None));
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let dir = crashed("stash_fresh", &[(None, 0)], None);
+        let module = CheckpointModule::create(&dir, &plan).unwrap();
+        assert!(module.detected_failure() && !module.will_replay());
+        assert_eq!(stash(&module), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let dir = crashed("stash_armed", &[(None, 4)], None);
+        let module = CheckpointModule::create(&dir, &plan).unwrap();
+        let handoff = Arc::new(crate::MemTransport::new());
+        put_g(&*handoff, None, 9);
+        assert_eq!(module.arm_resume(handoff).unwrap(), 9);
+        assert_eq!(stash(&module), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A chain that fails its checks fails the start-up — before any cell
+    /// exists to be written — unless a group-commit point names the target,
+    /// in which case only the cursor and the stash are lost.
+    #[test]
+    fn a_corrupt_chain_fails_creation_unless_a_commit_point_names_the_target() {
+        let dir = tmpdir("corrupt_delta");
+        {
+            let module = CheckpointModule::create(&dir, &incremental_plan(2, 10)).unwrap();
+            let ctx = seq_ctx(incremental_plan(2, 10), module);
+            let g = ctx.alloc_vec("G", 3000, 0.0f64);
+            for i in 1..=9u64 {
+                g.set(i as usize, i as f64);
+                ctx.point("iter");
+            }
+        }
+        let delta = dir.join("ckpt_master_delta_2.bin");
+        let mut bytes = std::fs::read(&delta).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&delta, &bytes).unwrap();
+        let created = CheckpointModule::create(&dir, &incremental_plan(2, 10));
+        assert!(
+            matches!(created, Err(PparError::CorruptCheckpoint(_))),
+            "a flipped byte in delta 2 must surface at start-up"
+        );
+
+        let store = CheckpointStore::new(&dir).unwrap();
+        store.commit_group(6).unwrap();
+        let module = CheckpointModule::create(&dir, &incremental_plan(2, 10)).unwrap();
+        assert_eq!(module.replay_target(), 6);
+        assert!(module.resume_progress_bytes().is_empty());
+        assert_eq!(stash(&module), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -81,10 +81,10 @@ use ppar_core::state::StateCell;
 
 use crate::cas::ChunkRef;
 use crate::crc::{crc32, Crc32};
-use crate::delta::{DeltaMeta, DeltaSnapshot};
+use crate::delta::{DeltaMeta, DeltaSnapshot, Merged};
 use crate::transport::{
-    keep_head, lend_merged, stream_merged, walk_chain, CkptTransport, DeltaStep, RecordKey,
-    RecordSink, HEAD_BYTES,
+    fold_merged, keep_head, lend_merged, stream_merged, walk_chain, CkptTransport, DeltaStep,
+    RecordKey, RecordSink, HEAD_BYTES,
 };
 
 const MAGIC: &[u8; 8] = b"PPARCKP1";
@@ -210,16 +210,6 @@ impl<'a> SnapshotView<'a> {
     /// Payload bytes of field `name`.
     pub fn field(&self, name: &str) -> Option<&'a [u8]> {
         self.fields.iter().find(|(n, _)| n == name).map(|(_, b)| *b)
-    }
-
-    /// Borrowed view over a full snapshot (fields reference the owned
-    /// payload buffers).
-    pub fn of(snap: &'a Snapshot) -> SnapshotView<'a> {
-        let fields = snap.fields.iter().map(|(n, b)| (n.clone(), b.as_slice()));
-        SnapshotView {
-            meta: snap.meta(),
-            fields: fields.collect(),
-        }
     }
 
     /// The owned copy of this view.
@@ -819,21 +809,13 @@ impl CkptTransport for CheckpointStore {
         }))
     }
 
-    /// Shard chains keep the generation the group last committed beside
-    /// the current one; a pinned read falls back to it, which is how a
-    /// restore survives a torn group save — shards that already advanced
-    /// past the commit point roll back to their preserved older record.
     fn with_merged(
         &self,
         rank: Option<u32>,
         at: Option<u64>,
         read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
     ) -> Result<bool> {
-        let prev = at.and(rank).map(|r| self.prev_shard_path(r));
-        let bases = std::iter::once(self.record_path(RecordKey::full(rank)))
-            .chain(prev)
-            .map(|path| Ok(self.record_bytes(&path)?.map(Cow::Owned)));
-        lend_merged(rank, at, true, bases, self.deltas(rank), read)
+        lend_merged(self.merged(rank, at)?, read)
     }
 
     fn write_merged_record_at(
@@ -881,7 +863,7 @@ impl CkptTransport for CheckpointStore {
             if let Some(base) = self.record_bytes(&self.record_path(RecordKey::full(rank)))? {
                 // Every record is CRC-checked, none is copied: the base is
                 // parsed where it was read, the deltas' headers where the
-                // reused buffer holds them. The fold happens once, at load.
+                // reused buffer holds them; nothing is folded.
                 let count = SnapshotView::decode(&base)?.meta.count;
                 return walk_chain(count, None, true, self.deltas(rank), |_| Ok(())).map(Some);
             }
@@ -1256,8 +1238,26 @@ impl CheckpointStore {
         Ok(self.record_read_into(path, &mut bytes)?.then_some(bytes))
     }
 
+    /// `rank`'s chain read, CRC-checked and folded, pinned like
+    /// [`CkptTransport::with_merged`], which lends this. Shard chains keep
+    /// the generation the group last committed beside the current one; a
+    /// pinned read falls back to it, which is how a restore survives a torn
+    /// group save — shards that already advanced past the commit point roll
+    /// back to their preserved older record.
+    pub(crate) fn merged(
+        &self,
+        rank: Option<u32>,
+        at: Option<u64>,
+    ) -> Result<Option<Merged<'static>>> {
+        let prev = at.and(rank).map(|r| self.prev_shard_path(r));
+        let bases = std::iter::once(self.record_path(RecordKey::full(rank)))
+            .chain(prev)
+            .map(|path| Ok(self.record_bytes(&path)?.map(Cow::Owned)));
+        fold_merged(rank, at, true, bases, self.deltas(rank))
+    }
+
     /// How the chain walks reach `rank`'s deltas (see
-    /// [`crate::transport::lend_merged`]): each is read into the one buffer
+    /// [`crate::transport::fold_merged`]): each is read into the one buffer
     /// the returned reader owns and reuses, and handed to `step` there.
     fn deltas(
         &self,

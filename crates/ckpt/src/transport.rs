@@ -403,21 +403,23 @@ pub(crate) fn walk_chain(
     Ok(count)
 }
 
-/// [`CkptTransport::with_merged`] for a medium that holds record bytes: the
-/// one place a stored chain becomes a state. `bases` yields the chain's
-/// base record per retained generation, newest first — owned (read off a
-/// disk: it becomes the restore's one record-sized buffer) or borrowed
-/// (held in memory: copied only if a delta has to be patched in). Each is
-/// folded by [`walk_chain`]; the first generation to land on a pinned `at`
-/// is lent to `read`, and an unpinned read takes the first one present.
-pub(crate) fn lend_merged<'b>(
+/// The fold: the one place a stored chain becomes a state, for a medium
+/// that holds record bytes. `bases` yields the chain's base record per
+/// retained generation, newest first — owned (read off a disk: it becomes
+/// the restore's one record-sized buffer) or borrowed (held in memory:
+/// copied only if a delta has to be patched in). Each is folded by
+/// [`walk_chain`]; the first generation to land on a pinned `at` is
+/// returned, and an unpinned fold takes the first one present; `Ok(None)`
+/// when the chain has no base record. The caller owns the result: a read
+/// *lends* it ([`lend_merged`]), a disk restart *keeps* it from store open
+/// until the load installs it, so its chain is read once.
+pub(crate) fn fold_merged<'b>(
     rank: Option<u32>,
     at: Option<u64>,
     verify: bool,
     bases: impl IntoIterator<Item = Result<Option<Cow<'b, [u8]>>>>,
     mut delta: impl FnMut(u32, &mut DeltaStep<'_>) -> Result<bool>,
-    read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
-) -> Result<bool> {
+) -> Result<Option<Merged<'b>>> {
     let mut seen = Vec::new();
     for base in bases {
         let Some(base) = base? else {
@@ -428,7 +430,7 @@ pub(crate) fn lend_merged<'b>(
             merged.apply(&DeltaView::parse(body)?)
         })?;
         if at.is_none_or(|at| count == at) {
-            return read(&merged.view()).map(|()| true);
+            return Ok(Some(merged));
         }
         seen.push(count);
     }
@@ -437,8 +439,16 @@ pub(crate) fn lend_merged<'b>(
             "no generation of the {rank:?} chain can serve safe point {count} \
              (available: {seen:?}; torn group checkpoint)"
         ))),
-        _ => Ok(false),
+        _ => Ok(None),
     }
+}
+
+/// The lend over a finished fold: how [`CkptTransport::with_merged`] ends.
+pub(crate) fn lend_merged(
+    merged: Option<Merged<'_>>,
+    read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
+) -> Result<bool> {
+    merged.map_or(Ok(false), |merged| read(&merged.view()).map(|()| true))
 }
 
 // ---------------------------------------------------------------------------
@@ -612,7 +622,7 @@ impl CkptTransport for MemTransport {
         let base = records.get(&RecordKey::full(rank));
         let base = base.map(|bytes| Cow::Borrowed(bytes.as_slice()));
         let deltas = MemTransport::deltas(&records, rank);
-        lend_merged(rank, at, false, [Ok(base)], deltas, read)
+        lend_merged(fold_merged(rank, at, false, [Ok(base)], deltas)?, read)
     }
 
     fn restart_count(&self) -> Result<Option<u64>> {

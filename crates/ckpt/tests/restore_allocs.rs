@@ -2,6 +2,8 @@
 //! read shape may ask the allocator for. A restore of base + k deltas holds
 //! the base buffer and one reused delta buffer, whatever k; the memory
 //! medium lends the record it holds and copies it only to patch a delta in.
+//! A whole disk restart — failure detection, replay target, resume cursor,
+//! load — stays inside that same budget: its chain is read and folded once.
 //!
 //! Its own test binary because it installs a counting `#[global_allocator]`,
 //! and one `#[test]` because the counter is process-wide. The thresholds
@@ -11,10 +13,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use ppar_ckpt::store::{DeltaSource, FieldSource, Record, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
-use ppar_ckpt::{CheckpointStore, DeltaMeta, MemTransport};
+use ppar_ckpt::{CheckpointModule, CheckpointStore, DeltaMeta, MemTransport};
+use ppar_core::ctx::{CkptHook, Ctx, RunShared, SeqEngine};
+use ppar_core::plan::{Plan, Plug, PointSet};
+use ppar_core::state::Registry;
 
 /// The state under test: one 4 MiB field.
 const FIELD: usize = 4 << 20;
@@ -182,6 +188,48 @@ fn a_restore_allocates_one_record_and_one_reused_delta_buffer() {
     let (allocs, missed) = big_allocs(|| mem.with_merged(None, Some(5), &mut |_| Ok(())));
     assert!(missed.is_err());
     assert_eq!(allocs, 0, "a pinned miss copies nothing");
+
+    // -- a module-level disk restart -------------------------------------------
+    // The run that wrote base + deltas died (its marker is still there).
+    // Start-up folds the chain once — the merged record and the reused
+    // delta buffer — and that fold is the replay target, the resume cursor
+    // and the record the load installs: nothing else record-sized is asked
+    // for between store open and the restored cells.
+    store.set_marker().unwrap();
+    let plan = || {
+        Plan::new()
+            .plug(Plug::SafeData { field: "S".into() })
+            .plug(Plug::SafePoints {
+                points: PointSet::Named(vec!["iter".into()]),
+                every: 0,
+            })
+    };
+    let (startup, module) = big_allocs(|| CheckpointModule::create(&dir, &plan()).unwrap());
+    assert!(module.detected_failure());
+    assert_eq!(module.replay_target(), tip_count);
+    let ctx = Ctx::new_root(RunShared::new(
+        Arc::new(plan()),
+        Arc::new(Registry::new()),
+        Arc::new(SeqEngine),
+        Some(module.clone()),
+        None,
+    ));
+    let cells = ctx.alloc_vec("S", FIELD, 0u8);
+    let (replay, resumed) = big_allocs(|| {
+        let resumed = module.loop_resume(0, "iter", 0, 100);
+        for _ in 0..tip_count {
+            ctx.point("iter");
+        }
+        resumed
+    });
+    assert_eq!(resumed, None, "these records carry no cursor");
+    assert!(!module.replaying(), "the load ran at the chain's tip");
+    assert!(
+        startup + replay <= 2,
+        "disk restart: {startup} at start-up + {replay} in the run"
+    );
+    assert!(cells.to_vec() == tip, "the restored field is the tip's");
+    ctx.finish();
 
     let _ = std::fs::remove_dir_all(&dir);
 }
