@@ -19,10 +19,12 @@
 //!    typed exit a drained worker and a peer fault take, raised without
 //!    the panic hook and caught here by [`catch_exit`];
 //! 4. the launcher retargets the deployment (same process!), arms the
-//!    hand-off as the successor's **resume** source, and relaunches the
-//!    application closure; replay runs with ignorable methods skipped and
-//!    installs the state straight from memory at the hand-off's safe
-//!    point.
+//!    hand-off as the **resume** source of every successor element (and
+//!    lets go of it), and relaunches the application closure; replay runs
+//!    with ignorable methods skipped and, at the hand-off's safe point,
+//!    every element installs its own share straight from the one in-memory
+//!    record — no scatter follows — and the record is freed with the last
+//!    load.
 //!
 //! No process exits and no disk is touched by the mode switch itself;
 //! periodic checkpoints keep flowing to the on-disk store (when a
@@ -41,7 +43,7 @@ use ppar_core::error::{PparError, Result};
 use ppar_core::mode::ExecMode;
 use ppar_core::plan::Plan;
 use ppar_core::runtime::{catch_exit, leave, Exit};
-use ppar_dsm::SpmdConfig;
+use ppar_dsm::{SpmdConfig, Traffic};
 
 use crate::controller::{AdaptationController, ReshapeKind};
 use crate::launcher::{round, run_app, AppStatus, Deploy};
@@ -61,6 +63,10 @@ pub struct LiveOutcome<R> {
     pub replayed: bool,
     /// Rank-0 checkpoint statistics of the final round.
     pub stats: Option<CkptStats>,
+    /// Network traffic of the final round (distributed and hybrid
+    /// deployments; `None` when no fabric was involved), as
+    /// [`crate::LaunchOutcome::traffic`] counts it.
+    pub traffic: Option<Traffic>,
     /// Wall time of the whole session.
     pub elapsed: Duration,
 }
@@ -120,6 +126,24 @@ pub fn deploy_for_mode(mode: ExecMode, template: &Deploy) -> Deploy {
     }
 }
 
+/// Arm one round's modules: each streams an escalated reshape into
+/// `handoff`, and after a hand-off each resumes from `resume`. The binding
+/// is consumed here, so the successor's modules hold the hand-off record's
+/// only references and it is freed once every element has loaded it.
+fn arm(
+    modules: &[Arc<CheckpointModule>],
+    handoff: &Arc<MemTransport>,
+    resume: Option<Arc<MemTransport>>,
+) -> Result<()> {
+    for module in modules {
+        module.arm_handoff(handoff.clone());
+        if let Some(source) = &resume {
+            module.arm_resume(source.clone())?;
+        }
+    }
+    Ok(())
+}
+
 /// Launch `app` under `initial` with **live reshape**: run-time adaptations
 /// the engine cannot realise in place are applied by an in-memory state
 /// hand-off and an in-process relaunch (see the [module docs](self)).
@@ -160,17 +184,12 @@ pub fn launch_live<R: Send>(
                 CheckpointModule::create_group_with_transport(mem, &plan, nranks)
             }
         };
-        for module in &modules {
-            module.arm_handoff(handoff.clone() as Arc<dyn CkptTransport>);
-            if let Some(source) = &resume {
-                module.arm_resume(source.clone() as Arc<dyn CkptTransport>)?;
-            }
-        }
         if round_no == 0 {
-            replayed = modules[0].will_replay() && resume.is_none();
+            replayed = modules[0].will_replay();
         }
+        arm(&modules, &handoff, resume.take())?;
 
-        let (exits, _traffic) = round(&deploy, &plan, &modules, Some(&controller), |ctx| {
+        let (exits, traffic) = round(&deploy, &plan, &modules, Some(&controller), |ctx| {
             run_catching(|| run_app(ctx, &app))
         });
 
@@ -188,6 +207,7 @@ pub fn launch_live<R: Send>(
                     launches: round_no + 1,
                     replayed,
                     stats: Some(modules[0].stats()),
+                    traffic,
                     elapsed: start.elapsed(),
                 });
             }
@@ -213,4 +233,58 @@ pub fn launch_live<R: Send>(
     Err(PparError::InvalidAdaptation(format!(
         "live reshape did not converge within {MAX_ROUNDS} relaunches"
     )))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ppar_ckpt::store::{FieldSource, Record, SnapshotMeta};
+    use ppar_core::ctx::{CkptHook, RunShared, SeqEngine};
+    use ppar_core::plan::{Plug, PointSet};
+    use ppar_core::state::Registry;
+    use std::sync::Weak;
+
+    /// The hand-off record is held by the successor's armed modules alone:
+    /// it lives until the last element has loaded it, and not a load longer.
+    #[test]
+    fn the_handoff_record_dies_with_the_last_load() {
+        let plan = Plan::new()
+            .plug(Plug::SafeData { field: "G".into() })
+            .plug(Plug::SafePoints {
+                points: PointSet::Named(vec!["iter".into()]),
+                every: 0,
+            });
+        let source = Arc::new(MemTransport::new());
+        let meta = SnapshotMeta {
+            mode_tag: "smp2".into(),
+            count: 3,
+            rank: None,
+            nranks: 1,
+        };
+        let payload: Vec<u8> = [7.0f64; 4].iter().flat_map(|v| v.to_le_bytes()).collect();
+        source
+            .put(&Record::Full(&meta, &[("G", FieldSource::Bytes(&payload))]))
+            .unwrap();
+        let record: Weak<MemTransport> = Arc::downgrade(&source);
+
+        let mem: Arc<dyn CkptTransport> = Arc::new(MemTransport::new());
+        let modules = CheckpointModule::create_group_with_transport(mem, &plan, 2);
+        arm(&modules, &Arc::new(MemTransport::new()), Some(source)).unwrap();
+        assert!(modules.iter().all(|m| m.replay_target() == 3));
+
+        for (loaded, module) in modules.iter().enumerate() {
+            assert!(record.upgrade().is_some(), "{loaded} of 2 elements loaded");
+            let ctx = Ctx::new_root(RunShared::new(
+                Arc::new(plan.clone()),
+                Arc::new(Registry::new()),
+                Arc::new(SeqEngine),
+                Some(module.clone()),
+                None,
+            ));
+            let g = ctx.alloc_vec("G", 4, 0.0f64);
+            module.load_snapshot(&ctx).unwrap();
+            assert_eq!(g.to_vec(), vec![7.0; 4]);
+        }
+        assert!(record.upgrade().is_none(), "freed with the last load");
+    }
 }

@@ -358,3 +358,38 @@ fn oversized_smp_target_escalates_instead_of_clamping() {
     assert_eq!(outcome.results[0].1.checksum, reference.checksum);
     assert_eq!(controller.applied().len(), 1);
 }
+
+/// A hand-off moves nothing over the fabric: every successor element
+/// installs its share — owned rows plus the halo row the stencil reads —
+/// from the one in-memory record, so the final round's traffic is the
+/// collect gather (`(n−1)/n` of the state) plus the halo exchanges of the
+/// two iterations left after the switch. A post-restore scatter would add
+/// another half of the state.
+#[test]
+fn a_handoff_moves_nothing_over_the_fabric() {
+    let params = SorParams::new(256, 8);
+    let reference = sor_seq(&params);
+    let state = (params.n * params.n * 8) as u64;
+    let ranks = 2u64;
+    let gather = state * (ranks - 1) / ranks;
+    let slack = state / 16;
+    for target in [ExecMode::dist(2), ExecMode::hybrid(2, 2)] {
+        let controller = AdaptationController::with_timeline(ResourceTimeline::new().at(6, target));
+        let outcome = launch_live(&smp(2, 2), live_plan(0), None, controller, |ctx| {
+            (AppStatus::Completed, sor_pluggable(ctx, &params))
+        })
+        .unwrap();
+        assert!(outcome.completed());
+        assert_eq!(outcome.launches, 2, "{target:?}: one hand-off");
+        assert_eq!(
+            outcome.results[0].1.checksum.to_bits(),
+            reference.checksum.to_bits(),
+            "{target:?}: bitwise sequential"
+        );
+        let bytes = outcome.traffic.expect("the successor has a fabric").bytes();
+        assert!(
+            (gather..=gather + slack).contains(&bytes),
+            "{target:?}: {bytes} fabric bytes, the collect gather is {gather}"
+        );
+    }
+}

@@ -21,6 +21,10 @@
 //! open ([`CheckpointModule::create_group`]) yields the replay target (its
 //! count), every module's resume cursor (its [`PROGRESS_FIELD`]) and the
 //! record the load installs (the fold itself, kept in `GroupResume`).
+//!
+//! **A live hand-off lands where it lies**: every element of the successor
+//! installs its own share straight from the one in-memory record
+//! ([`Installed::Everywhere`]), so no collective moves the state again.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -31,9 +35,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use ppar_core::ctx::{CkptHook, Ctx, PointDirective};
+use ppar_core::ctx::{CkptHook, Ctx, Installed, PointDirective};
 use ppar_core::error::{PparError, Result};
-use ppar_core::partition::block_owned;
+use ppar_core::partition::{block_owned, scatter_ranges};
 use ppar_core::plan::{DistCkptStrategy, Plan};
 use ppar_core::runtime::{LoopFrame, RegionCursor, PROGRESS_FIELD};
 use ppar_core::state::StateCell;
@@ -130,8 +134,9 @@ pub struct CheckpointModule {
     /// full, mode-independent master snapshot here at a reshape crossing.
     handoff: Mutex<Option<Arc<dyn CkptTransport>>>,
     /// Armed one-shot resume source: the replay target points into this
-    /// transport and [`CkptHook::load_snapshot`] installs from it (live
-    /// reshape: the successor run inherits state from memory).
+    /// transport and [`CkptHook::load_snapshot`] installs from it — on every
+    /// element, each its own share (live reshape: the successor run
+    /// inherits state from memory). The load releases it.
     resume: Mutex<Option<Arc<dyn CkptTransport>>>,
     every: u64,
     replay: AtomicBool,
@@ -684,14 +689,17 @@ impl CheckpointModule {
     /// route the record arrived by. What a partitioned field's payload holds
     /// is stated by the record's own header: a *shard* record carries this
     /// element's owned block as is; a *master* record carries the whole
-    /// field, of which a local-snapshot element takes only its owned block
-    /// (the live hand-off is always a mode-independent master record, so a
-    /// local-snapshot successor carves its shard out of it). Everything
-    /// else loads whole — under master-collect on the root only, which is
-    /// the only element [`CkptHook::load_snapshot`] calls this on; the
-    /// engine rescatters from there.
+    /// field. Of a master record the root loads every field whole (under
+    /// master-collect), every other element carves out of a partitioned
+    /// field what the engine's post-restore scatter would have delivered —
+    /// its owned ranges, widened by the halo depth for a field with a
+    /// halo-exchange plug ([`scatter_ranges`]) — and a local-snapshot
+    /// element its owned block (the live hand-off is always a
+    /// mode-independent master record, so every successor element installs
+    /// its share of it). Non-partitioned fields always load whole, which is
+    /// what the engine's broadcast would deliver.
     fn install(&self, ctx: &Ctx, snap: &SnapshotView<'_>) -> Result<()> {
-        let (rank, nranks) = (ctx.rank(), ctx.num_ranks());
+        let (plan, rank, nranks) = (ctx.plan(), ctx.rank(), ctx.num_ranks());
         if snap.meta.rank.is_some() && snap.meta.nranks as usize != nranks {
             return Err(PparError::FormatMismatch {
                 expected: format!("{nranks} ranks"),
@@ -703,29 +711,41 @@ impl CheckpointModule {
             });
         }
         let sharded = self.sharded(ctx);
-        for name in ctx.plan().safe_data() {
+        let root_of_master = snap.meta.rank.is_none() && !sharded && rank == 0;
+        for name in plan.safe_data() {
             let bytes = snap.field(name).ok_or_else(|| {
                 PparError::CorruptCheckpoint(format!("snapshot missing field {name:?}"))
             })?;
-            let partitioned = ctx.plan().field_partition(name).is_some();
-            if !partitioned || !(sharded || snap.meta.rank.is_some()) {
-                ctx.registry().state(name)?.load_bytes(bytes)?;
-                continue;
-            }
+            let partition = match plan.field_partition(name) {
+                Some(partition) if !root_of_master => partition,
+                _ => {
+                    ctx.registry().state(name)?.load_bytes(bytes)?;
+                    continue;
+                }
+            };
             let cell = ctx.registry().dist(name)?;
-            let owned = block_owned(cell.logical_len(), nranks, rank);
-            let block = if snap.meta.rank.is_some() {
-                bytes
-            } else {
-                let ib = cell.index_bytes();
-                bytes.get(owned.start * ib..owned.end * ib).ok_or_else(|| {
+            let len = cell.logical_len();
+            let owned = block_owned(len, nranks, rank);
+            let ranges = match (snap.meta.rank, sharded) {
+                (Some(_), _) => {
+                    cell.install(owned, bytes)?;
+                    continue;
+                }
+                (None, true) => vec![owned],
+                (None, false) => {
+                    scatter_ranges(partition, len, nranks, rank, plan.halo_depth(name))
+                }
+            };
+            let ib = cell.index_bytes();
+            for range in ranges {
+                let block = bytes.get(range.start * ib..range.end * ib).ok_or_else(|| {
                     PparError::CorruptCheckpoint(format!(
-                        "field {name:?}: {} bytes cannot cover owned block {owned:?} × {ib}B",
+                        "field {name:?}: {} bytes cannot cover block {range:?} × {ib}B",
                         bytes.len()
                     ))
-                })?
-            };
-            cell.install(owned, block)?;
+                })?;
+                cell.install(range, block)?;
+            }
         }
         Ok(())
     }
@@ -814,7 +834,7 @@ impl CkptHook for CheckpointModule {
         Ok(())
     }
 
-    fn load_snapshot(&self, ctx: &Ctx) -> Result<()> {
+    fn load_snapshot(&self, ctx: &Ctx) -> Result<Installed> {
         let t0 = Instant::now();
         let resume = self.resume.lock().take();
         // Which record, from where, pinned to what. A live-reshape resume
@@ -826,6 +846,16 @@ impl CkptHook for CheckpointModule {
         // save) rolls back with everyone else; and master-collect reads the
         // master chain.
         let sharded = self.sharded(ctx);
+        // Who installs: every element of a live-reshape resume (each lends
+        // the one in-memory record — the launcher arms every element, so
+        // all make this choice) and every local-snapshot element; otherwise
+        // the root, from which the engine scatters partitioned fields and
+        // broadcasts the rest (no record access on other elements).
+        let installed = if resume.is_some() || sharded {
+            Installed::Everywhere
+        } else {
+            Installed::Root
+        };
         let (source, key, pin) = match &resume {
             Some(source) => (&**source, None, None),
             None if sharded => (
@@ -835,10 +865,7 @@ impl CkptHook for CheckpointModule {
             ),
             None => (&*self.transport, None, None),
         };
-        // Who installs: every local-snapshot element; otherwise the root,
-        // from which the engine scatters partitioned fields and broadcasts
-        // the rest (no record access on other elements).
-        if sharded || ctx.rank() == 0 {
+        if installed == Installed::Everywhere || ctx.rank() == 0 {
             // A disk restart's chain was folded at store open. Rank 0's load
             // empties the group's slot whatever it holds (only ever the
             // master's or shard 0's record: no other element could use it)
@@ -875,7 +902,7 @@ impl CkptHook for CheckpointModule {
             stats.replayed_points = self.clock_get().saturating_sub(self.skipped_get());
             stats.resumed_at_point = self.resumed_at.load(Ordering::SeqCst);
         }
-        Ok(())
+        Ok(installed)
     }
 
     fn sync_thread_clock(&self, count: u64) {

@@ -59,7 +59,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use ppar_core::error::{PparError, Result};
 
@@ -462,13 +462,16 @@ pub(crate) fn lend_merged(
 /// This is the hand-off vehicle for **live reshape**: at a safe-point
 /// crossing the engine streams a mode-independent master snapshot into a
 /// `MemTransport`, the run retargets (new team shape, new aggregate shape,
-/// even a different engine family), and the successor installs the state
-/// straight from memory — no process exit, no disk round-trip, no CRC pass
-/// (see the [module docs](self)). It also serves delta-record hand-offs
-/// (rank-level dirty-range gathers) and disk-free checkpointing for benches.
+/// even a different engine family), and every successor element installs
+/// its share straight from memory — no process exit, no disk round-trip, no
+/// CRC pass (see the [module docs](self)). It also serves delta-record
+/// hand-offs (rank-level dirty-range gathers) and disk-free checkpointing
+/// for benches.
 #[derive(Default)]
 pub struct MemTransport {
-    records: Mutex<HashMap<RecordKey, Vec<u8>>>,
+    /// Readers share the map (concurrent lends of one record); a commit or
+    /// a clear takes it exclusively.
+    records: RwLock<HashMap<RecordKey, Vec<u8>>>,
     /// Retired record buffers recycled into sinks: repeated puts then run
     /// at warm-page copy speed instead of faulting a fresh multi-MiB
     /// mapping in per checkpoint.
@@ -507,12 +510,12 @@ impl MemTransport {
     /// Raw encoded bytes of a held record (byte-equality assertions in
     /// tests and benches — e.g. relayed installs against local puts).
     pub fn record_bytes(&self, key: RecordKey) -> Option<Vec<u8>> {
-        self.records.lock().get(&key).cloned()
+        self.records.read().get(&key).cloned()
     }
 
     /// Drop every held record (counters are kept).
     pub fn clear(&self) {
-        self.records.lock().clear();
+        self.records.write().clear();
     }
 
     /// Return a retired record buffer to the recycle pool. Retention is
@@ -546,8 +549,8 @@ impl MemTransport {
 /// The memory medium's sink: bytes append to a recycled buffer; commit
 /// zeroes the CRC trailer (the in-memory convention — a relayed record's
 /// CRC was verified by the caller, an encoded one never had one) and swaps
-/// the record in under the map lock, so a reader sees the previous record
-/// or the new one, never neither.
+/// the record in under the map's write lock, so a reader sees the previous
+/// record or the new one, never neither.
 struct MemSink<'a> {
     mem: &'a MemTransport,
     key: RecordKey,
@@ -578,7 +581,7 @@ impl RecordSink for MemSink<'_> {
         }
         let n = buf.len();
         buf[n - 4..].fill(0);
-        if let Some(old) = self.mem.records.lock().insert(self.key, buf) {
+        if let Some(old) = self.mem.records.write().insert(self.key, buf) {
             self.mem.recycle(old);
         }
         self.mem.snapshots.fetch_add(1, Ordering::Relaxed);
@@ -611,14 +614,16 @@ impl CkptTransport for MemTransport {
     /// The held record is lent where it lies (one copy total: record →
     /// cells — the live-reshape resume), and copied only when a delta has
     /// to be patched into it. Nothing is CRC-checked: the bytes never left
-    /// this process. The map stays locked while `read` runs.
+    /// this process. `read` runs under a shared read guard: every element
+    /// of a successor lends the one record at once, and a racing put waits
+    /// for them, so a reader sees the old record or the new one, whole.
     fn with_merged(
         &self,
         rank: Option<u32>,
         at: Option<u64>,
         read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
     ) -> Result<bool> {
-        let records = self.records.lock();
+        let records = self.records.read();
         let base = records.get(&RecordKey::full(rank));
         let base = base.map(|bytes| Cow::Borrowed(bytes.as_slice()));
         let deltas = MemTransport::deltas(&records, rank);
@@ -628,7 +633,7 @@ impl CkptTransport for MemTransport {
     fn restart_count(&self) -> Result<Option<u64>> {
         // Headers only: this runs once per rank when a resume is armed, on
         // the latency-critical hand-off path.
-        let records = self.records.lock();
+        let records = self.records.read();
         for rank in [None, Some(0)] {
             if let Some(base) = records.get(&RecordKey::full(rank)) {
                 let count = SnapshotMeta::of_head(base)?.count;
@@ -641,13 +646,13 @@ impl CkptTransport for MemTransport {
 
     fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
         self.records
-            .lock()
+            .write()
             .retain(|k, _| k.rank != rank || k.delta.is_none());
         Ok(())
     }
 
     fn clear_all_deltas(&self) -> Result<()> {
-        self.records.lock().retain(|k, _| k.delta.is_none());
+        self.records.write().retain(|k, _| k.delta.is_none());
         Ok(())
     }
 }
@@ -781,6 +786,64 @@ mod tests {
             store.get(None, None).unwrap().unwrap(),
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every successor element lends the one hand-off record at once: two
+    /// lends are inside `read` together (each waits there for the other)
+    /// and see the same bytes, and a put racing a stream of lends never
+    /// shows a reader a record that is part old, part new.
+    #[test]
+    fn mem_lends_run_concurrently_and_never_see_a_torn_record() {
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        use std::time::Duration;
+
+        let t = MemTransport::new();
+        put_bytes(&t, &meta(1, None), &[1; 4096]);
+        let (to_b, from_a) = channel();
+        let (to_a, from_b) = channel();
+        let lend = |tell: Sender<()>, hear: Receiver<()>| {
+            let mut seen = (false, Vec::new());
+            let found = t.with_merged(None, None, &mut |view| {
+                let _ = tell.send(());
+                seen = (
+                    hear.recv_timeout(Duration::from_secs(10)).is_ok(),
+                    view.field("G").unwrap().to_vec(),
+                );
+                Ok(())
+            });
+            assert!(found.unwrap());
+            seen
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| lend(to_b, from_b));
+            let b = s.spawn(|| lend(to_a, from_a));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(a.0 && b.0, "both lends were inside `read` at once");
+        assert_eq!(a.1, b.1);
+        assert_eq!(a.1, vec![1; 4096]);
+
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for count in 2..=200u64 {
+                    put_bytes(&t, &meta(count, None), &[count as u8; 4096]);
+                }
+            });
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        t.with_merged(None, None, &mut |view| {
+                            let g = view.field("G").unwrap();
+                            let want = view.meta.count as u8;
+                            assert!(g.iter().all(|&b| b == want), "torn record");
+                            Ok(())
+                        })
+                        .unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(t.restart_count().unwrap(), Some(200));
     }
 
     proptest::proptest! {

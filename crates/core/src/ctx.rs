@@ -34,6 +34,18 @@ pub enum PointDirective {
     LoadAndResume,
 }
 
+/// Which elements of an aggregate a [`CkptHook::load_snapshot`] installed
+/// the restored state on (one element without an aggregate: the root).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Installed {
+    /// The root alone: a master-collect engine redistributes from it
+    /// (scatters partitioned fields, broadcasts the rest).
+    Root,
+    /// Every element installed its own share where the record lies;
+    /// nothing is redistributed.
+    Everywhere,
+}
+
 /// Interface the checkpoint/restart module (crate `ppar-ckpt`) exposes to
 /// engines. Mirrors the paper's `pcr`, `safepoints`, `allocations` and
 /// `ignorablemethods` modules (§IV.A, Fig. 2).
@@ -59,8 +71,9 @@ pub trait CkptHook: Send + Sync {
     fn take_snapshot(&self, ctx: &Ctx) -> Result<()>;
 
     /// Load safe data into the registered cells and leave replay mode.
-    /// Called by the master/root under the same quiescence rules.
-    fn load_snapshot(&self, ctx: &Ctx) -> Result<()>;
+    /// Called by the master thread, and by every element of an aggregate,
+    /// under the same quiescence rules; returns which elements installed.
+    fn load_snapshot(&self, ctx: &Ctx) -> Result<Installed>;
 
     /// A newly spawned line of execution (expansion or team rebuild during
     /// replay) adopts the forking thread's safe-point clock. The engine
@@ -642,7 +655,9 @@ impl SeqEngine {
             ctx,
             name,
             |ctx, ck| ck.take_snapshot(ctx).expect("checkpoint snapshot failed"),
-            |ctx, ck| ck.load_snapshot(ctx).expect("checkpoint load failed"),
+            |ctx, ck| {
+                ck.load_snapshot(ctx).expect("checkpoint load failed");
+            },
         );
     }
 }
@@ -831,8 +846,8 @@ mod tests {
         fn take_snapshot(&self, _ctx: &Ctx) -> Result<()> {
             Ok(())
         }
-        fn load_snapshot(&self, _ctx: &Ctx) -> Result<()> {
-            Ok(())
+        fn load_snapshot(&self, _ctx: &Ctx) -> Result<Installed> {
+            Ok(Installed::Root)
         }
         fn sync_thread_clock(&self, _count: u64) {}
         fn count(&self) -> u64 {

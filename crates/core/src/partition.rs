@@ -120,6 +120,25 @@ pub fn block_with_halo(len: usize, elements: usize, element: usize, halo: usize)
     own.start.saturating_sub(halo)..(own.end + halo).min(len)
 }
 
+/// What a restore hands `element` of a partitioned field: its owned ranges,
+/// or — for a stencil field (`halo > 0`, block partitions) — its owned
+/// block widened by the halo. The distributed engine's post-restore
+/// scatter ships exactly these ranges; an element installing its share of
+/// an in-memory record itself takes the same.
+pub fn scatter_ranges(
+    partition: Partition,
+    len: usize,
+    elements: usize,
+    element: usize,
+    halo: usize,
+) -> Vec<Range<usize>> {
+    if halo > 0 {
+        vec![block_with_halo(len, elements, element, halo)]
+    } else {
+        owned_ranges(partition, len, elements, element)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,6 +176,11 @@ mod tests {
         assert_eq!(block_with_halo(10, 2, 0, 1), 0..6);
         assert_eq!(block_with_halo(10, 2, 1, 1), 4..10);
         assert_eq!(block_with_halo(10, 1, 0, 3), 0..10);
+        assert_eq!(scatter_ranges(Partition::Block, 10, 2, 1, 1), vec![4..10]);
+        assert_eq!(
+            scatter_ranges(Partition::Cyclic, 5, 2, 1, 0),
+            vec![1..2, 3..4]
+        );
     }
 
     #[test]

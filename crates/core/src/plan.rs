@@ -616,6 +616,20 @@ impl Plan {
         v
     }
 
+    /// `field`'s depth in [`Plan::halo_fields`] (0 without a halo-exchange
+    /// plug).
+    pub fn halo_depth(&self, field: &str) -> usize {
+        self.updates_at
+            .values()
+            .flatten()
+            .filter_map(|(f, act)| match act {
+                UpdateAction::HaloExchange { halo } if f == field => Some(*halo),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Fields included in checkpoints, in declaration order.
     pub fn safe_data(&self) -> &[String] {
         &self.safe_data

@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ppar_core::ctx::{AdaptHook, CkptHook, Ctx, PointDirective};
+use ppar_core::ctx::{AdaptHook, CkptHook, Ctx, Installed, PointDirective};
 use ppar_core::error::Result;
 use ppar_core::mode::ExecMode;
 use ppar_core::plan::{Plan, Plug, PointSet};
@@ -57,8 +57,8 @@ impl CkptHook for Handoff {
     fn take_snapshot(&self, _ctx: &Ctx) -> Result<()> {
         Ok(())
     }
-    fn load_snapshot(&self, _ctx: &Ctx) -> Result<()> {
-        Ok(())
+    fn load_snapshot(&self, _ctx: &Ctx) -> Result<Installed> {
+        Ok(Installed::Root)
     }
     fn sync_thread_clock(&self, _count: u64) {}
     fn count(&self) -> u64 {

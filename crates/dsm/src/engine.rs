@@ -30,8 +30,8 @@ use std::sync::Arc;
 
 use ppar_ckpt::delta::{DeltaMeta, DeltaPayload, DeltaView};
 use ppar_ckpt::store::SnapshotWriter;
-use ppar_core::ctx::{CkptHook, Ctx};
-use ppar_core::partition::{block_owned, block_with_halo, owned_ranges, Partition};
+use ppar_core::ctx::{CkptHook, Ctx, Installed};
+use ppar_core::partition::{block_owned, owned_ranges, scatter_ranges, Partition};
 use ppar_core::plan::{DistCkptStrategy, Plan, ReduceOp, UpdateAction};
 use ppar_core::state::DistCell;
 
@@ -67,70 +67,51 @@ impl DsmEngine {
         })
     }
 
-    /// Concatenated bytes of `rank`'s owned indices.
-    fn extract_owned(
-        cell: &dyn DistCell,
-        partition: Partition,
-        nranks: usize,
-        rank: usize,
-    ) -> Vec<u8> {
+    /// Concatenated bytes of `ranges`.
+    fn extract_ranges(cell: &dyn DistCell, ranges: Vec<Range<usize>>) -> Vec<u8> {
         let mut out = Vec::new();
-        for r in owned_ranges(partition, cell.logical_len(), nranks, rank) {
+        for r in ranges {
             cell.extract_into(r, &mut out);
         }
         out
     }
 
-    /// Inverse of [`DsmEngine::extract_owned`].
-    fn install_owned(
-        cell: &dyn DistCell,
-        partition: Partition,
-        nranks: usize,
-        rank: usize,
-        bytes: &[u8],
-    ) {
+    /// Inverse of [`DsmEngine::extract_ranges`].
+    fn install_ranges(cell: &dyn DistCell, ranges: Vec<Range<usize>>, bytes: &[u8]) {
         let mut offset = 0;
-        for r in owned_ranges(partition, cell.logical_len(), nranks, rank) {
+        for r in ranges {
             let len = r.len() * cell.index_bytes();
             cell.install(r, &bytes[offset..offset + len])
-                .expect("owned-range install failed");
+                .expect("range install failed");
             offset += len;
         }
-        assert_eq!(offset, bytes.len(), "owned payload length mismatch");
+        assert_eq!(offset, bytes.len(), "payload length mismatch");
     }
 
-    /// Scatter `field` from the root to all elements (owned ranges only).
-    pub(crate) fn scatter_field(&self, ctx: &Ctx, field: &str) {
-        let plan = ctx.plan();
-        let partition = self.partition_of(plan, field);
+    /// Scatter `field` from the root: every other element receives its
+    /// [`scatter_ranges`] — the owned ranges, widened by `halo` for a
+    /// stencil field (post-restore refresh). The root's own slot is empty:
+    /// its copy already holds what the scatter would deliver.
+    pub(crate) fn scatter_field(&self, ctx: &Ctx, field: &str, halo: usize) {
+        let partition = self.partition_of(ctx.plan(), field);
         let cell = ctx
             .registry()
             .dist(field)
             .expect("scatter field registered");
-        let n = self.ep.nranks();
-        let payloads = (self.ep.rank() == 0).then(|| {
+        let (n, rank) = (self.ep.nranks(), self.ep.rank());
+        let ranges = |r| scatter_ranges(partition, cell.logical_len(), n, r, halo);
+        let payloads = (rank == 0).then(|| {
             (0..n)
-                .map(|r| DsmEngine::extract_owned(&*cell, partition, n, r))
+                .map(|r| match r {
+                    0 => Vec::new(),
+                    _ => DsmEngine::extract_ranges(&*cell, ranges(r)),
+                })
                 .collect::<Vec<_>>()
         });
         let mine = self.ep.scatter(0, payloads);
-        DsmEngine::install_owned(&*cell, partition, n, self.ep.rank(), &mine);
-    }
-
-    /// Scatter a block-partitioned `field` *with* `halo` extra indices on
-    /// each side (post-restore refresh).
-    fn scatter_field_with_halo(&self, ctx: &Ctx, field: &str, halo: usize) {
-        let cell = ctx.registry().dist(field).expect("halo field registered");
-        let n = self.ep.nranks();
-        let len = cell.logical_len();
-        let payloads = (self.ep.rank() == 0).then(|| {
-            (0..n)
-                .map(|r| cell.extract(block_with_halo(len, n, r, halo)))
-                .collect::<Vec<_>>()
-        });
-        let mine = self.ep.scatter(0, payloads);
-        let range = block_with_halo(len, n, self.ep.rank(), halo);
-        cell.install(range, &mine).expect("halo install failed");
+        if rank != 0 {
+            DsmEngine::install_ranges(&*cell, ranges(rank), &mine);
+        }
     }
 
     /// Gather only the *dirty* (written-since-last-snapshot) parts of a
@@ -143,7 +124,8 @@ impl DsmEngine {
     /// root decodes with the shared delta reader and installs the patches,
     /// which marks exactly those chunks dirty in its own tracking — so the
     /// master *delta* that follows scales with the aggregate dirty
-    /// fraction instead of the field size. Falls back to the
+    /// fraction instead of the field size. The root's own dirty bytes are
+    /// already in its copy: it encodes and ships nothing. Falls back to the
     /// whole-partition gather for non-block partitions and untracked
     /// cells.
     pub(crate) fn gather_dirty_field(&self, ctx: &Ctx, field: &str) {
@@ -158,6 +140,14 @@ impl DsmEngine {
         };
         let n = self.ep.nranks();
         let rank = self.ep.rank();
+        if rank == 0 {
+            if let Some(all) = self.ep.gather(0, Vec::new()) {
+                for payload in &all[1..] {
+                    DsmEngine::install_dirty_record(&*cell, field, n, payload);
+                }
+            }
+            return;
+        }
         let ib = cell.index_bytes();
         let owned = block_owned(cell.logical_len(), n, rank);
         let owned_bytes = owned.start * ib..owned.end * ib;
@@ -209,14 +199,7 @@ impl DsmEngine {
             Ok(w.finish()?.1)
         })()
         .expect("dirty-gather delta encoding failed");
-
-        if let Some(all) = self.ep.gather(0, record) {
-            for (r, payload) in all.into_iter().enumerate() {
-                if r != 0 {
-                    DsmEngine::install_dirty_record(&*cell, field, n, &payload);
-                }
-            }
-        }
+        self.ep.gather(0, record);
     }
 
     /// Root-side inverse of the dirty gather: parse the `PPARDLT1` record
@@ -253,19 +236,21 @@ impl DsmEngine {
         }
     }
 
-    /// Gather `field`'s partitions into the root's full copy.
+    /// Gather `field`'s partitions into the root's full copy. The root's
+    /// own block is already in place: it contributes an empty payload.
     pub(crate) fn gather_field(&self, ctx: &Ctx, field: &str) {
         let plan = ctx.plan();
         let partition = self.partition_of(plan, field);
         let cell = ctx.registry().dist(field).expect("gather field registered");
-        let n = self.ep.nranks();
-        let rank = self.ep.rank();
-        let mine = DsmEngine::extract_owned(&*cell, partition, n, rank);
+        let (n, rank) = (self.ep.nranks(), self.ep.rank());
+        let owned = |r| owned_ranges(partition, cell.logical_len(), n, r);
+        let mine = match rank {
+            0 => Vec::new(),
+            _ => DsmEngine::extract_ranges(&*cell, owned(rank)),
+        };
         if let Some(all) = self.ep.gather(0, mine) {
-            for (r, payload) in all.into_iter().enumerate() {
-                if r != 0 {
-                    DsmEngine::install_owned(&*cell, partition, n, r, &payload);
-                }
+            for (r, payload) in all.iter().enumerate().skip(1) {
+                DsmEngine::install_ranges(&*cell, owned(r), payload);
             }
         }
     }
@@ -357,7 +342,7 @@ impl DsmEngine {
         match action {
             UpdateAction::HaloExchange { halo } => self.halo_exchange_field(ctx, field, halo),
             UpdateAction::Gather => self.gather_field(ctx, field),
-            UpdateAction::Scatter => self.scatter_field(ctx, field),
+            UpdateAction::Scatter => self.scatter_field(ctx, field, 0),
             UpdateAction::Broadcast => self.broadcast_field(ctx, field),
             UpdateAction::AllReduce(op) => self.allreduce_field(ctx, field, op),
         }
@@ -422,13 +407,16 @@ impl DsmEngine {
         let plan = ctx.plan();
         match plan.dist_ckpt_strategy() {
             DistCkptStrategy::MasterCollect => {
-                ck.load_snapshot(ctx).expect("checkpoint load failed");
-                // The paper's "load" cost for distributed restarts
-                // includes scattering the data back across the
-                // aggregate — attribute it to the load statistics.
-                let t0 = std::time::Instant::now();
-                self.redistribute_after_load(ctx);
-                ck.note_load_extra(t0.elapsed());
+                // A live hand-off installs on every element from the one
+                // in-memory record: nothing is left to move.
+                if ck.load_snapshot(ctx).expect("checkpoint load failed") == Installed::Root {
+                    // The paper's "load" cost for distributed restarts
+                    // includes scattering the data back across the
+                    // aggregate — attribute it to the load statistics.
+                    let t0 = std::time::Instant::now();
+                    self.redistribute_after_load(ctx);
+                    ck.note_load_extra(t0.elapsed());
+                }
             }
             DistCkptStrategy::LocalSnapshot => {
                 self.ep.barrier();
@@ -446,17 +434,13 @@ impl DsmEngine {
         }
     }
 
-    /// After a restored snapshot: redistribute safe data and refresh halos.
+    /// After a snapshot restored at the root: redistribute safe data and
+    /// refresh halos.
     pub(crate) fn redistribute_after_load(&self, ctx: &Ctx) {
         let plan = ctx.plan();
-        let halo_depths: std::collections::HashMap<String, usize> =
-            plan.halo_fields().into_iter().collect();
         for field in plan.safe_data() {
             if plan.field_partition(field).is_some() {
-                match halo_depths.get(field) {
-                    Some(&h) if h > 0 => self.scatter_field_with_halo(ctx, field, h),
-                    _ => self.scatter_field(ctx, field),
-                }
+                self.scatter_field(ctx, field, plan.halo_depth(field));
             } else {
                 self.broadcast_field(ctx, field);
             }

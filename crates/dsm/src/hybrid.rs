@@ -155,7 +155,7 @@ impl ParallelEngine for HybridEngine {
         let replaying = ctx.ckpt_hook().map(|ck| ck.replaying()).unwrap_or(false);
         if replaying || plan.updates_at(name).is_empty() {
             // During restart replay all elements replay symmetrically and
-            // the restore rescatters everything, exactly as in pure
+            // the restore reinstalls everything, exactly as in pure
             // distributed mode.
             return;
         }
@@ -269,7 +269,7 @@ impl Engine for HybridEngine {
                     self.dsm.broadcast_field(ctx, field);
                 }
                 for field in plan.scatters_before(name) {
-                    self.dsm.scatter_field(ctx, field);
+                    self.dsm.scatter_field(ctx, field, 0);
                 }
             });
         }
@@ -321,7 +321,7 @@ impl Engine for HybridEngine {
                 self.dsm.broadcast_field(ctx, field);
             }
             for field in plan.scatters_before(name) {
-                self.dsm.scatter_field(ctx, field);
+                self.dsm.scatter_field(ctx, field, 0);
             }
         }
         self.pe_region(ctx, name, body);
