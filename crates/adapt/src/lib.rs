@@ -22,8 +22,9 @@
 //!   baseline the paper compares against (Fig. 8).
 //! * [`live::launch_live`] — **live reshape**: a deployment loop in which a
 //!   mode change the running engine cannot realise in place is applied by
-//!   an in-memory state hand-off (`ppar_ckpt::MemTransport`) and an
-//!   in-process relaunch — no process exit, no disk round-trip. Restart
+//!   an in-memory state hand-off (`ppar_ckpt::Handoff`: the predecessor's
+//!   cells, frozen) and an in-process relaunch — no process exit, no disk
+//!   round-trip, no record. Restart
 //!   stays available as the fallback behind the unchanged [`launcher`] API.
 //! * [`netrun`] — the **real multi-process deployment** (`tcpN`): each
 //!   rank is an OS process on a `ppar_net::TcpFabric`; rank 0 owns the

@@ -5,26 +5,27 @@
 //! [`launch_live`] converts that into an in-process protocol built on the
 //! pluggable checkpoint transport ([`ppar_ckpt::transport`]):
 //!
-//! 1. the run starts under the initial [`Deploy`] with a
-//!    [`ppar_ckpt::MemTransport`] armed as the **hand-off** sink on every
-//!    element's checkpoint module;
+//! 1. the run starts under the initial [`Deploy`] with the **hand-off**
+//!    armed on every element's checkpoint module;
 //! 2. a reshape request lands at a safe-point crossing. If the live engine
 //!    can realise it in place (`smp4 -> smp8` team retarget, `hyb2x2 ->
 //!    hyb2x4` per-element team resize — the §IV.B expansion/contraction
 //!    protocol over the shared `ppar_core::runtime`), it does, and no
 //!    hand-off happens;
-//! 3. otherwise the crossing **escalates**: the quiesced engine streams one
-//!    mode-independent master snapshot into the in-memory transport and
-//!    every line of execution leaves with [`Exit::Reshape`] — the same
-//!    typed exit a drained worker and a peer fault take, raised without
-//!    the panic hook and caught here by [`catch_exit`];
-//! 4. the launcher retargets the deployment (same process!), arms the
-//!    hand-off as the **resume** source of every successor element (and
-//!    lets go of it), and relaunches the application closure; replay runs
-//!    with ignorable methods skipped and, at the hand-off's safe point,
-//!    every element installs its own share straight from the one in-memory
-//!    record — no scatter follows — and the record is freed with the last
-//!    load.
+//! 3. otherwise the crossing **escalates**: the quiesced engine gathers the
+//!    state at the root, whose module freezes it — it keeps the safe-data
+//!    cells themselves, a [`Handoff`], and encodes no record — and every
+//!    line of execution leaves with [`Exit::Reshape`] — the same typed exit
+//!    a drained worker and a peer fault take, raised without the panic hook
+//!    and caught here by [`catch_exit`] — so nothing writes those cells
+//!    again;
+//! 4. the launcher takes the hand-off from the root's module, retargets the
+//!    deployment (same process!), arms the hand-off as the read-only
+//!    **resume** source of every successor element (and lets go of it), and
+//!    relaunches the application closure; replay runs with ignorable
+//!    methods skipped and, at the hand-off's safe point, every element
+//!    installs its own share straight from the predecessor's cells — no
+//!    scatter follows — and those cells are freed with the last load.
 //!
 //! No process exits and no disk is touched by the mode switch itself;
 //! periodic checkpoints keep flowing to the on-disk store (when a
@@ -38,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use ppar_ckpt::hook::{CheckpointModule, CkptStats};
 use ppar_ckpt::transport::{CkptTransport, MemTransport};
+use ppar_ckpt::Handoff;
 use ppar_core::ctx::{AdaptHook, Ctx};
 use ppar_core::error::{PparError, Result};
 use ppar_core::mode::ExecMode;
@@ -126,17 +128,14 @@ pub fn deploy_for_mode(mode: ExecMode, template: &Deploy) -> Deploy {
     }
 }
 
-/// Arm one round's modules: each streams an escalated reshape into
-/// `handoff`, and after a hand-off each resumes from `resume`. The binding
-/// is consumed here, so the successor's modules hold the hand-off record's
-/// only references and it is freed once every element has loaded it.
-fn arm(
-    modules: &[Arc<CheckpointModule>],
-    handoff: &Arc<MemTransport>,
-    resume: Option<Arc<MemTransport>>,
-) -> Result<()> {
+/// Arm one round's modules: each may freeze an escalated reshape into a
+/// hand-off, and after a hand-off each resumes from `resume`. The binding
+/// is consumed here, so the successor's modules hold the hand-off's only
+/// references and the predecessor's cells are freed once every element has
+/// loaded them.
+fn arm(modules: &[Arc<CheckpointModule>], resume: Option<Arc<Handoff>>) -> Result<()> {
     for module in modules {
-        module.arm_handoff(handoff.clone());
+        module.arm_handoff();
         if let Some(source) = &resume {
             module.arm_resume(source.clone())?;
         }
@@ -165,7 +164,7 @@ pub fn launch_live<R: Send>(
     let plan = Arc::new(plan);
     let start = Instant::now();
     let mut deploy = initial.clone();
-    let mut resume: Option<Arc<MemTransport>> = None;
+    let mut resume: Option<Arc<Handoff>> = None;
     let mut reshapes: Vec<(ExecMode, ReshapeKind)> = Vec::new();
     let mut replayed = false;
 
@@ -174,7 +173,6 @@ pub fn launch_live<R: Send>(
     const MAX_ROUNDS: usize = 32;
     for round_no in 0..MAX_ROUNDS {
         let nranks = deploy.nranks();
-        let handoff = Arc::new(MemTransport::new());
 
         // Checkpoint modules: durable (directory) or per-round in-memory.
         let modules: Vec<Arc<CheckpointModule>> = match ckpt_dir {
@@ -187,7 +185,7 @@ pub fn launch_live<R: Send>(
         if round_no == 0 {
             replayed = modules[0].will_replay();
         }
-        arm(&modules, &handoff, resume.take())?;
+        arm(&modules, resume.take())?;
 
         let (exits, traffic) = round(&deploy, &plan, &modules, Some(&controller), |ctx| {
             run_catching(|| run_app(ctx, &app))
@@ -225,7 +223,14 @@ pub fn launch_live<R: Send>(
                 // successor starts so its crossings see a clean controller.
                 controller.confirm(mode);
                 reshapes.push((mode, ReshapeKind::InPlace));
-                resume = Some(handoff);
+                // The crossing gathered the state at the root (rank 0 is
+                // hooked to `modules[0]`), whose module froze it.
+                let handoff = modules[0].take_handoff().ok_or_else(|| {
+                    PparError::InvalidAdaptation(format!(
+                        "the escalated reshape to {mode} left no hand-off at the root"
+                    ))
+                })?;
+                resume = Some(Arc::new(handoff));
                 deploy = deploy_for_mode(mode, &deploy);
             }
         }
@@ -238,53 +243,60 @@ pub fn launch_live<R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppar_ckpt::store::{FieldSource, Record, SnapshotMeta};
     use ppar_core::ctx::{CkptHook, RunShared, SeqEngine};
     use ppar_core::plan::{Plug, PointSet};
+    use ppar_core::shared::SharedVec;
     use ppar_core::state::Registry;
     use std::sync::Weak;
 
-    /// The hand-off record is held by the successor's armed modules alone:
-    /// it lives until the last element has loaded it, and not a load longer.
+    /// The predecessor's cells are held by the successor's armed modules
+    /// alone once the predecessor is gone: they live until the last element
+    /// has loaded them, and not a load longer.
     #[test]
-    fn the_handoff_record_dies_with_the_last_load() {
+    fn the_predecessors_cells_die_with_the_last_load() {
         let plan = Plan::new()
             .plug(Plug::SafeData { field: "G".into() })
             .plug(Plug::SafePoints {
                 points: PointSet::Named(vec!["iter".into()]),
                 every: 0,
             });
-        let source = Arc::new(MemTransport::new());
-        let meta = SnapshotMeta {
-            mode_tag: "smp2".into(),
-            count: 3,
-            rank: None,
-            nranks: 1,
-        };
-        let payload: Vec<u8> = [7.0f64; 4].iter().flat_map(|v| v.to_le_bytes()).collect();
-        source
-            .put(&Record::Full(&meta, &[("G", FieldSource::Bytes(&payload))]))
-            .unwrap();
-        let record: Weak<MemTransport> = Arc::downgrade(&source);
-
-        let mem: Arc<dyn CkptTransport> = Arc::new(MemTransport::new());
-        let modules = CheckpointModule::create_group_with_transport(mem, &plan, 2);
-        arm(&modules, &Arc::new(MemTransport::new()), Some(source)).unwrap();
-        assert!(modules.iter().all(|m| m.replay_target() == 3));
-
-        for (loaded, module) in modules.iter().enumerate() {
-            assert!(record.upgrade().is_some(), "{loaded} of 2 elements loaded");
-            let ctx = Ctx::new_root(RunShared::new(
+        let run = |module: &Arc<CheckpointModule>| {
+            Ctx::new_root(RunShared::new(
                 Arc::new(plan.clone()),
                 Arc::new(Registry::new()),
                 Arc::new(SeqEngine),
                 Some(module.clone()),
                 None,
-            ));
+            ))
+        };
+        let group = |n| {
+            let mem: Arc<dyn CkptTransport> = Arc::new(MemTransport::new());
+            CheckpointModule::create_group_with_transport(mem, &plan, n)
+        };
+
+        // The predecessor freezes its state at crossing 3, then ends.
+        let predecessor = group(1);
+        arm(&predecessor, None).unwrap();
+        let ctx = run(&predecessor[0]);
+        let g = ctx.alloc_vec("G", 4, 7.0f64);
+        let frozen: Weak<SharedVec<f64>> = Arc::downgrade(&g);
+        for _ in 0..3 {
+            ctx.point("iter");
+        }
+        predecessor[0].handoff_snapshot(&ctx).unwrap();
+        let handoff = predecessor[0].take_handoff().expect("frozen at the root");
+        drop((ctx, g, predecessor));
+
+        let successor = group(2);
+        arm(&successor, Some(Arc::new(handoff))).unwrap();
+        assert!(successor.iter().all(|m| m.replay_target() == 3));
+        for (loaded, module) in successor.iter().enumerate() {
+            assert!(frozen.upgrade().is_some(), "{loaded} of 2 elements loaded");
+            let ctx = run(module);
             let g = ctx.alloc_vec("G", 4, 0.0f64);
             module.load_snapshot(&ctx).unwrap();
             assert_eq!(g.to_vec(), vec![7.0; 4]);
         }
-        assert!(record.upgrade().is_none(), "freed with the last load");
+        assert!(frozen.upgrade().is_none(), "freed with the last load");
     }
 }

@@ -1,13 +1,15 @@
 //! The allocation budget of a live hand-off: how many state-sized buffers a
 //! smp2 → dist2 reshape of SOR asks the allocator for, from the first round
-//! to the collect gather at the end. Every successor element installs its
-//! share straight from the one in-memory record, and no collective copies
-//! the root's own block, so the session allocates the grids, the hand-off
-//! record and the one block rank 1 ships to the collect gather — nothing
-//! else. The design this replaced — the root installs, then scatters —
-//! made 8 such allocations: these 5, the two post-restore scatter payloads
-//! (rank 1's block and the root's own) and the root's copy of its own
-//! block for the collect gather.
+//! to the collect gather at the end. The crossing freezes the predecessor's
+//! grid instead of encoding it into a record, every successor element
+//! installs its share straight from that grid, and no collective copies the
+//! root's own block, so the session allocates the grids and the one block
+//! rank 1 ships to the collect gather — nothing else. Encoding the hand-off
+//! into an in-memory record cost a fifth allocation; before that, the root
+//! installed and then scattered, which made 8: the record, the two
+//! post-restore scatter payloads (rank 1's block and the root's own) and
+//! the root's copy of its own block for the collect gather on top of these
+//! 4.
 //!
 //! Its own test binary because it installs a counting `#[global_allocator]`,
 //! and one `#[test]` because the counter is process-wide. CI runs it under
@@ -92,7 +94,7 @@ fn a_live_handoff_allocates_no_scatter_and_no_root_self_copy() {
         outcome.results[0].1.checksum.to_bits(),
         reference.checksum.to_bits()
     );
-    // The smp2 grid and the hand-off record, the two dist2 grids, rank 1's
-    // block for the collect gather.
-    assert_eq!(allocs, 5, "half-state-sized allocations in the session");
+    // The smp2 grid (frozen, it is the hand-off), the two dist2 grids, rank
+    // 1's block for the collect gather.
+    assert_eq!(allocs, 4, "half-state-sized allocations in the session");
 }

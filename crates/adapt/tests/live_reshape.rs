@@ -1,18 +1,20 @@
-//! Live in-place reshape: the engine snapshots into the in-memory
-//! transport at a safe-point crossing, retargets, and reinstalls state —
-//! no process exit, no disk round-trip. These tests pin the acceptance
-//! matrix {smp→smp', hyb→hyb', smp→hyb (+hyb→smp)} to bitwise equality
-//! with the sequential reference *and* with the restart-based path, for
-//! both SOR and MD.
+//! Live in-place reshape: the engine freezes the state at a safe-point
+//! crossing, retargets, and reinstalls it from the frozen cells — no
+//! process exit, no disk round-trip, no record. These tests pin the
+//! acceptance matrix {smp→smp', hyb→hyb', smp→hyb (+hyb→smp)} to bitwise
+//! equality with the sequential reference *and* with the restart-based
+//! path, for both SOR and MD, and a safe datum with no bytes to lend.
 
 use ppar_adapt::{
     launch, launch_live, AdaptationController, AppStatus, Deploy, ReshapeKind, ResourceTimeline,
 };
 use ppar_ckpt::CkptTransport;
+use ppar_core::ctx::Ctx;
 use ppar_core::mode::ExecMode;
+use ppar_core::plan::{Plan, Plug};
 use ppar_dsm::SpmdConfig;
 use ppar_jgf::sor::pluggable::{plan_ckpt, plan_ckpt_incremental, plan_hybrid, sor_pluggable};
-use ppar_jgf::sor::{sor_seq, SorParams};
+use ppar_jgf::sor::{fill_grid, interior_rows, relax_grid_row, sor_seq, SorParams};
 
 fn params() -> SorParams {
     SorParams::new(33, 8)
@@ -390,6 +392,72 @@ fn a_handoff_moves_nothing_over_the_fabric() {
         assert!(
             (gather..=gather + slack).contains(&bytes),
             "{target:?}: {bytes} fabric bytes, the collect gather is {gather}"
+        );
+    }
+}
+
+/// SOR with one more safe datum, one whose memory is not its encoding: a
+/// `ValueCell` the master folds each iteration's corner cell into. The
+/// fold is ignorable, so a successor agrees with the sequential run only
+/// if the hand-off carries the value (encoded at capture) beside the grid
+/// (lent where it lies). The corner row is the root's, which is where the
+/// value is read in every mode.
+fn sor_with_tally(ctx: &Ctx, p: &SorParams) -> (u64, u64) {
+    let g = ctx.alloc_grid("G", p.n, p.n, 0.0f64);
+    let tally = ctx.alloc_value("tally", 0u64);
+    ctx.call("init_grid", |_| fill_grid(&g, p.seed));
+    ctx.region("sor_run", |ctx| {
+        ctx.iter_loop("iters", 0..p.iterations, |ctx, _| {
+            for color in 0..2 {
+                ctx.point("pre_sweep");
+                ctx.call("sweep", |ctx| {
+                    ctx.each("rows", interior_rows(p.n), |_, i| {
+                        relax_grid_row(&g, i, color, p.omega);
+                    });
+                });
+            }
+            ctx.call("tally", |ctx| {
+                if ctx.is_master() {
+                    tally.update(|t| t.rotate_left(7) ^ g.get(1, 1).to_bits());
+                }
+            });
+            ctx.point("iter_end");
+            true
+        });
+    });
+    ctx.point("collect");
+    (g.sum_f64().to_bits(), tally.get())
+}
+
+#[test]
+fn a_value_cell_rides_the_handoff_bitwise() {
+    let p = params();
+    let reference =
+        ppar_core::run_sequential(std::sync::Arc::new(Plan::new()), None, None, |ctx| {
+            sor_with_tally(ctx, &p)
+        });
+    assert_eq!(reference.0, sor_seq(&p).checksum.to_bits());
+    let plan = || {
+        live_plan(0)
+            .plug(Plug::SafeData {
+                field: "tally".into(),
+            })
+            .plug(Plug::Ignorable {
+                method: "tally".into(),
+            })
+    };
+    let dist2 = Deploy::Dist(SpmdConfig::instant(2));
+    for (from, to) in [(smp(2, 2), ExecMode::dist(2)), (dist2, ExecMode::smp(2))] {
+        let controller = AdaptationController::with_timeline(ResourceTimeline::new().at(3, to));
+        let outcome = launch_live(&from, plan(), None, controller, |ctx| {
+            (AppStatus::Completed, sor_with_tally(ctx, &p))
+        })
+        .unwrap();
+        assert!(outcome.completed());
+        assert_eq!(outcome.launches, 2, "{to:?}: one hand-off");
+        assert_eq!(
+            outcome.results[0].1, reference,
+            "{to:?}: bitwise sequential"
         );
     }
 }

@@ -290,7 +290,13 @@ fn crash_recovery(strategy: &'static str) {
     // Launch 1: rank 1 aborts after iteration 5 (snapshot exists at 3).
     // Every rank must exit nonzero — rank 1 by abort, rank 0 because its
     // next collective involving rank 1 fails loudly instead of hanging.
-    let mut cluster = ppar_adapt::netrun::spawn_local_cluster(&job.spec()).unwrap();
+    // Those failures are the point and only exit statuses are checked, so
+    // this launch runs silenced; the recovery launch keeps its output.
+    let doomed = ClusterSpec {
+        quiet: true,
+        ..job.spec()
+    };
+    let mut cluster = ppar_adapt::netrun::spawn_local_cluster(&doomed).unwrap();
     let statuses = cluster.wait_all(Duration::from_secs(120)).unwrap();
     assert!(
         statuses.iter().all(|s| !s.unwrap().success()),

@@ -22,9 +22,11 @@
 //! count), every module's resume cursor (its [`PROGRESS_FIELD`]) and the
 //! record the load installs (the fold itself, kept in `GroupResume`).
 //!
-//! **A live hand-off lands where it lies**: every element of the successor
-//! installs its own share straight from the one in-memory record
-//! ([`Installed::Everywhere`]), so no collective moves the state again.
+//! **A live hand-off is the predecessor's state, frozen**: the crossing
+//! keeps the root's safe-data cells ([`Handoff`]) instead of encoding a
+//! record, and every element of the successor installs its own share
+//! straight from them ([`Installed::Everywhere`]), so no collective moves
+//! the state again.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -43,6 +45,7 @@ use ppar_core::runtime::{LoopFrame, RegionCursor, PROGRESS_FIELD};
 use ppar_core::state::StateCell;
 
 use crate::delta::{DeltaMeta, Merged};
+use crate::handoff::Handoff;
 use crate::store::{CheckpointStore, DeltaSource, FieldSource, Record, SnapshotMeta, SnapshotView};
 use crate::transport::CkptTransport;
 
@@ -80,12 +83,12 @@ pub struct CkptStats {
     pub save_time: Duration,
     /// Wall time of the most recent `take_snapshot`.
     pub last_save_time: Duration,
-    /// Live hand-off snapshots streamed into an armed in-memory transport
-    /// (live reshape: one per in-process mode switch).
+    /// Live hand-offs captured (live reshape: one per in-process mode
+    /// switch).
     pub handoff_snapshots: u64,
-    /// Bytes streamed by the most recent hand-off snapshot.
+    /// Payload bytes the most recent hand-off holds.
     pub last_handoff_bytes: u64,
-    /// Wall time of the most recent hand-off snapshot.
+    /// Wall time of the most recent hand-off capture.
     pub last_handoff_time: Duration,
     /// Wall time spent reading the state back (the Fig. 5 "load" bar): a
     /// disk group's start-up — failure detection and the one fold of its
@@ -130,13 +133,15 @@ pub struct CheckpointModule {
     /// Where snapshots and deltas travel (disk directory or process
     /// memory); all persistence paths go through this seam.
     transport: Arc<dyn CkptTransport>,
-    /// Armed live hand-off sink: [`CkptHook::handoff_snapshot`] streams a
-    /// full, mode-independent master snapshot here at a reshape crossing.
-    handoff: Mutex<Option<Arc<dyn CkptTransport>>>,
+    /// Is the live hand-off armed ([`CheckpointModule::arm_handoff`])?
+    handoff_armed: AtomicBool,
+    /// What [`CkptHook::handoff_snapshot`] froze at an escalated crossing,
+    /// until the launcher takes it ([`CheckpointModule::take_handoff`]).
+    handoff: Mutex<Option<Handoff>>,
     /// Armed one-shot resume source: the replay target points into this
     /// transport and [`CkptHook::load_snapshot`] installs from it — on every
     /// element, each its own share (live reshape: the successor run
-    /// inherits state from memory). The load releases it.
+    /// inherits the predecessor's state). The load releases it.
     resume: Mutex<Option<Arc<dyn CkptTransport>>>,
     every: u64,
     replay: AtomicBool,
@@ -382,6 +387,7 @@ impl CheckpointModule {
                     id: NEXT_MODULE_ID.fetch_add(1, Ordering::Relaxed),
                     store: store.clone(),
                     transport: transport.clone(),
+                    handoff_armed: AtomicBool::new(false),
                     handoff: Mutex::new(None),
                     resume: Mutex::new(None),
                     every,
@@ -404,19 +410,25 @@ impl CheckpointModule {
             .collect()
     }
 
-    /// Arm the live hand-off sink: at an escalated reshape crossing the
-    /// engine streams a full master snapshot into `sink` via
-    /// [`CkptHook::handoff_snapshot`] instead of touching the disk.
-    pub fn arm_handoff(&self, sink: Arc<dyn CkptTransport>) {
-        *self.handoff.lock() = Some(sink);
+    /// Arm the live hand-off: at an escalated reshape crossing the engine
+    /// freezes the state ([`CkptHook::handoff_snapshot`]) instead of
+    /// demanding a restart, and [`CheckpointModule::take_handoff`] hands it
+    /// to the successor.
+    pub fn arm_handoff(&self) {
+        self.handoff_armed.store(true, Ordering::SeqCst);
+    }
+
+    /// The hand-off this module froze at an escalated crossing, if it did
+    /// (the root's module: the crossing gathers the state there).
+    pub fn take_handoff(&self) -> Option<Handoff> {
+        self.handoff.lock().take()
     }
 
     /// Arm a one-shot resume from `source`: replay mode is switched on with
     /// the source's restart count as the target, and the restore at that
     /// safe point installs from `source` (then reverts to the module's own
     /// transport). Returns the replay target. This is the successor side of
-    /// a live reshape: state flows back out of the in-memory transport the
-    /// predecessor handed off into.
+    /// a live reshape: `source` is the [`Handoff`] the predecessor froze.
     pub fn arm_resume(&self, source: Arc<dyn CkptTransport>) -> Result<u64> {
         let target = source.restart_count()?.ok_or_else(|| {
             PparError::InvalidAdaptation(
@@ -424,7 +436,7 @@ impl CheckpointModule {
             )
         })?;
         // A new resume source replaces what start-up resolved off the disk:
-        // the cursor (memory lends its record where it lies) and the record.
+        // the cursor (the source lends it where it lies) and the record.
         *self.resume_cursor.lock() = CheckpointModule::read_cursor(&*source);
         *self.group_resume.prefetched.lock() = None;
         *self.resume.lock() = Some(source);
@@ -694,8 +706,8 @@ impl CheckpointModule {
     /// field what the engine's post-restore scatter would have delivered —
     /// its owned ranges, widened by the halo depth for a field with a
     /// halo-exchange plug ([`scatter_ranges`]) — and a local-snapshot
-    /// element its owned block (the live hand-off is always a
-    /// mode-independent master record, so every successor element installs
+    /// element its owned block (the live hand-off always lends a
+    /// mode-independent master view, so every successor element installs
     /// its share of it). Non-partitioned fields always load whole, which is
     /// what the engine's broadcast would deliver.
     fn install(&self, ctx: &Ctx, snap: &SnapshotView<'_>) -> Result<()> {
@@ -838,17 +850,17 @@ impl CkptHook for CheckpointModule {
         let t0 = Instant::now();
         let resume = self.resume.lock().take();
         // Which record, from where, pinned to what. A live-reshape resume
-        // reads the master record the predecessor handed off through the
-        // armed source (memory — no disk round-trip, and the lend keeps the
-        // install at one copy, record → cells). Otherwise a local-snapshot
+        // reads the predecessor's frozen state through the armed source (no
+        // disk round-trip and no record: the lend is the predecessor's own
+        // cells, so the install is the one copy). Otherwise a local-snapshot
         // element reads its own shard, pinned to the safe point being
         // restored so a shard generation that outran the group commit (torn
         // save) rolls back with everyone else; and master-collect reads the
         // master chain.
         let sharded = self.sharded(ctx);
         // Who installs: every element of a live-reshape resume (each lends
-        // the one in-memory record — the launcher arms every element, so
-        // all make this choice) and every local-snapshot element; otherwise
+        // the one hand-off — the launcher arms every element, so all make
+        // this choice) and every local-snapshot element; otherwise
         // the root, from which the engine scatters partitioned fields and
         // broadcasts the rest (no record access on other elements).
         let installed = if resume.is_some() || sharded {
@@ -1000,32 +1012,39 @@ impl CkptHook for CheckpointModule {
     }
 
     fn can_handoff(&self) -> bool {
-        self.handoff.lock().is_some()
+        self.handoff_armed.load(Ordering::SeqCst)
     }
 
     fn handoff_snapshot(&self, ctx: &Ctx) -> Result<()> {
-        let sink = self.handoff.lock().clone().ok_or_else(|| {
-            PparError::InvalidAdaptation(
-                "live reshape requested but no hand-off transport is armed".into(),
-            )
-        })?;
+        if !self.can_handoff() {
+            return Err(PparError::InvalidAdaptation(
+                "live reshape requested but no hand-off is armed".into(),
+            ));
+        }
         let t0 = Instant::now();
-        // Always a *full master* snapshot: the successor may be any mode and
-        // any aggregate size, so the hand-off must carry the complete,
+        // Always a *full master* view: the successor may be any mode and
+        // any aggregate size, so the hand-off must hold the complete,
         // mode-independent state (partitioned fields are already collected
         // at the caller — engines gather before calling, master-collect
-        // rules).
+        // rules). The cells are kept, not encoded: every line of execution
+        // leaves this crossing, so nothing writes them again.
+        let count = self.clock_get();
         let meta = SnapshotMeta {
             mode_tag: ctx.mode().tag(),
-            count: self.clock_get(),
+            count,
             rank: None,
             nranks: ctx.num_ranks() as u32,
         };
-        let written = self.put_fields(ctx, &*sink, &meta, None)?;
+        let cells = ctx.plan().safe_data().iter();
+        let cells = cells
+            .map(|name| Ok((name.clone(), ctx.registry().state(name)?)))
+            .collect::<Result<_>>()?;
+        let handoff = Handoff::capture(meta, cells, self.progress_bytes(count));
         let mut stats = self.stats.lock();
         stats.handoff_snapshots += 1;
-        stats.last_handoff_bytes = written;
+        stats.last_handoff_bytes = handoff.payload_bytes();
         stats.last_handoff_time = t0.elapsed();
+        *self.handoff.lock() = Some(handoff);
         Ok(())
     }
 
@@ -1541,6 +1560,73 @@ mod tests {
             after_full.last_save_bytes
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The view a frozen hand-off lends is the golden record: re-encoded by
+    /// `write_record`, it equals byte for byte (CRC trailer aside) what
+    /// `put_fields` streams into a memory transport from the same state —
+    /// for cells that lend their memory (`SharedVec`, `SharedGrid`) and one
+    /// that is encoded at capture (`ValueCell`) alike.
+    #[test]
+    fn a_frozen_handoff_lends_the_golden_record() {
+        use crate::transport::{MemTransport, RecordKey};
+        let plan = || {
+            Plan::new()
+                .plug(Plug::SafeData { field: "V".into() })
+                .plug(Plug::SafeData { field: "G".into() })
+                .plug(Plug::SafeData { field: "E".into() })
+                .plug(Plug::SafePoints {
+                    points: PointSet::Named(vec!["iter".into()]),
+                    every: 0,
+                })
+        };
+        let mem: Arc<dyn CkptTransport> = Arc::new(MemTransport::new());
+        let module = CheckpointModule::create_group_with_transport(mem, &plan(), 1)
+            .pop()
+            .unwrap();
+        module.arm_handoff();
+        let ctx = seq_ctx(plan(), module.clone());
+        let v = ctx.alloc_vec("V", 37, 0.0f64);
+        let g = ctx.alloc_grid("G", 5, 7, 0.0f64);
+        let e = ctx.alloc_value("E", 0.0f64);
+        v.copy_in_from_fn(|i| (i as f64).sin());
+        g.flat().copy_in_from_fn(|i| i as f64 * -0.25);
+        e.set(1.0 / 3.0);
+        for _ in 0..3 {
+            ctx.point("iter");
+        }
+        module.note_loop_iter(0, "iters", 0, 10, 2);
+
+        module.handoff_snapshot(&ctx).unwrap();
+        let handoff = module.take_handoff().expect("the crossing froze the state");
+        assert!(module.take_handoff().is_none(), "taken once");
+        let mut lent = Vec::new();
+        let found = handoff.with_merged(None, None, &mut |view| {
+            view.write_record(&mut lent).map(drop)
+        });
+        assert!(found.unwrap());
+
+        let golden = MemTransport::new();
+        let meta = SnapshotMeta {
+            mode_tag: ctx.mode().tag(),
+            count: 3,
+            rank: None,
+            nranks: 1,
+        };
+        module.put_fields(&ctx, &golden, &meta, None).unwrap();
+        let golden = golden.record_bytes(RecordKey::full(None)).unwrap();
+        assert_eq!(lent.len(), golden.len());
+        assert_eq!(lent[..lent.len() - 4], golden[..golden.len() - 4]);
+        let stats = module.stats();
+        assert_eq!(stats.handoff_snapshots, 1);
+        assert_eq!(stats.last_handoff_bytes, handoff.payload_bytes());
+
+        // One master record at one safe point, read-only.
+        assert_eq!(handoff.restart_count().unwrap(), Some(3));
+        assert_eq!(handoff.get(Some(0), None).unwrap(), None);
+        assert!(handoff.get(None, Some(2)).is_err());
+        assert_eq!(handoff.get(None, Some(3)).unwrap().unwrap().count, 3);
+        assert!(handoff.begin(RecordKey::full(None), 0).is_err());
     }
 
     #[test]

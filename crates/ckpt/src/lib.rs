@@ -12,8 +12,10 @@
 //!   serializer sits in between;
 //! * a pluggable byte **transport** ([`transport`]): one provided `put`
 //!   streams a [`Record`] into whichever medium's sink — disk
-//!   ([`CheckpointStore`]) or process memory ([`MemTransport`], the
-//!   live-reshape hand-off and a disk-free lane for benches);
+//!   ([`CheckpointStore`]) or process memory ([`MemTransport`], disk-free
+//!   checkpoints and a lane for benches) — and the live-reshape
+//!   [`Handoff`] ([`handoff`]) is a read-only medium over the
+//!   predecessor's frozen cells;
 //! * dirty-chunk **incremental** snapshots ([`delta`]): delta records that
 //!   persist only the bytes written since the previous snapshot;
 //! * the safe-point clock and snapshot policy ([`hook::CheckpointModule`]);
@@ -75,6 +77,7 @@ pub mod cas;
 pub mod crc;
 pub mod delta;
 pub mod digest;
+pub mod handoff;
 pub mod hook;
 pub mod store;
 pub mod transport;
@@ -83,6 +86,7 @@ pub use cas::{CasConfig, CasStore, ChunkRef, GcStats, Manifest, PutStats};
 pub use crc::TrailingCrc;
 pub use delta::{DeltaMeta, DeltaPayload, DeltaSnapshot};
 pub use digest::ChunkDigest;
+pub use handoff::Handoff;
 pub use hook::{CheckpointModule, CkptStats};
 pub use store::{CheckpointStore, Record, Snapshot, SnapshotView};
 pub use transport::{CkptTransport, MemTransport, RecordKey, RecordSink};

@@ -390,7 +390,7 @@ impl Record<'_> {
     }
 
     /// Expected encoded length, from the fields' known lengths: lets a
-    /// sink pre-size its buffer (growth reallocs on a multi-MiB hand-off
+    /// sink pre-size its buffer (growth reallocs on a multi-MiB record
     /// would copy the payload several extra times) and a wire client
     /// announce the record size. A hint only, never a bound. Sparse
     /// entries contribute their range map + carried bytes.
@@ -486,7 +486,7 @@ impl<W: Write> Write for CrcTee<'_, W> {
 /// file) while the checksum runs alongside. Produces bytes identical to
 /// [`Snapshot::encode`] for the same content.
 ///
-/// Records destined for process memory (the live-reshape hand-off) may be
+/// Records destined for process memory ([`crate::MemTransport`]) may be
 /// written *unchecksummed*: the byte layout is identical but the 4-byte
 /// trailer is zero, saving a full pass over multi-MiB payloads. The
 /// in-memory transport's trusted decode ignores the trailer; writing such a
@@ -495,7 +495,7 @@ impl<W: Write> Write for CrcTee<'_, W> {
 pub struct SnapshotWriter<W: Write> {
     sink: W,
     crc: Crc32,
-    /// Fold bytes into the running CRC (off for in-memory hand-offs).
+    /// Fold bytes into the running CRC (off for in-memory records).
     checksum: bool,
     written: u64,
     fields_remaining: u32,

@@ -45,14 +45,16 @@
 //! **Memory skips the CRC pass.** A sink reports through
 //! [`RecordSink::checksummed`] whether its medium needs the record's CRC
 //! trailer; [`MemTransport`] says no (the bytes never leave the process —
-//! integrity checking guards durable media), so a hand-off costs one copy
-//! and no checksum. Its records equal a disk store's byte for byte except
-//! that zero trailer; the encoder computes it on the way out whenever a
-//! memory record is streamed to another medium.
+//! integrity checking guards durable media), so a memory put costs one
+//! copy and no checksum. Its records equal a disk store's byte for byte
+//! except that zero trailer; the encoder computes it on the way out
+//! whenever a memory record is streamed to another medium.
 //!
 //! Media: [`crate::store::CheckpointStore`] (flat files or the
-//! content-addressed layout), [`MemTransport`] (live-reshape hand-off),
-//! and in `ppar-net` the wire client and the survivor-local mirror.
+//! content-addressed layout), [`MemTransport`] (disk-free checkpoints),
+//! the read-only [`crate::Handoff`] (a live reshape's frozen state: no sink,
+//! its lend is the predecessor's cells), and in `ppar-net` the wire client
+//! and the survivor-local mirror.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -457,16 +459,13 @@ pub(crate) fn lend_merged(
 
 /// An in-memory checkpoint transport: the same record bytes a
 /// [`crate::store::CheckpointStore`] would put on disk, held in one
-/// `key → bytes` map.
+/// `key → bytes` map, with no CRC pass (see the [module docs](self)).
 ///
-/// This is the hand-off vehicle for **live reshape**: at a safe-point
-/// crossing the engine streams a mode-independent master snapshot into a
-/// `MemTransport`, the run retargets (new team shape, new aggregate shape,
-/// even a different engine family), and every successor element installs
-/// its share straight from memory — no process exit, no disk round-trip, no
-/// CRC pass (see the [module docs](self)). It also serves delta-record
-/// hand-offs (rank-level dirty-range gathers) and disk-free checkpointing
-/// for benches.
+/// It is the medium of disk-free checkpointing (a live session without a
+/// checkpoint directory, benches) and of the survivor-local mirror's
+/// slots. A live reshape's hand-off is not one of its records: the
+/// successor reads the predecessor's frozen cells ([`crate::Handoff`]), so
+/// no state-sized record is encoded at the crossing.
 #[derive(Default)]
 pub struct MemTransport {
     /// Readers share the map (concurrent lends of one record); a commit or
@@ -612,11 +611,11 @@ impl CkptTransport for MemTransport {
     }
 
     /// The held record is lent where it lies (one copy total: record →
-    /// cells — the live-reshape resume), and copied only when a delta has
-    /// to be patched into it. Nothing is CRC-checked: the bytes never left
-    /// this process. `read` runs under a shared read guard: every element
-    /// of a successor lends the one record at once, and a racing put waits
-    /// for them, so a reader sees the old record or the new one, whole.
+    /// cells), and copied only when a delta has to be patched into it.
+    /// Nothing is CRC-checked: the bytes never left this process. `read`
+    /// runs under a shared read guard: every element of an aggregate may
+    /// lend the one record at once, and a racing put waits for them, so a
+    /// reader sees the old record or the new one, whole.
     fn with_merged(
         &self,
         rank: Option<u32>,
@@ -631,8 +630,7 @@ impl CkptTransport for MemTransport {
     }
 
     fn restart_count(&self) -> Result<Option<u64>> {
-        // Headers only: this runs once per rank when a resume is armed, on
-        // the latency-critical hand-off path.
+        // Headers only: no payload byte is read to learn a count.
         let records = self.records.read();
         for rank in [None, Some(0)] {
             if let Some(base) = records.get(&RecordKey::full(rank)) {
@@ -788,10 +786,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every successor element lends the one hand-off record at once: two
-    /// lends are inside `read` together (each waits there for the other)
-    /// and see the same bytes, and a put racing a stream of lends never
-    /// shows a reader a record that is part old, part new.
+    /// Readers lend one record at once: two lends are inside `read`
+    /// together (each waits there for the other) and see the same bytes,
+    /// and a put racing a stream of lends never shows a reader a record
+    /// that is part old, part new.
     #[test]
     fn mem_lends_run_concurrently_and_never_see_a_torn_record() {
         use std::sync::mpsc::{channel, Receiver, Sender};

@@ -1,5 +1,8 @@
-//! Decoder hardening, checked from outside the crate: the first slices of a
-//! shared harness for the on-disk / wire formats. Today it holds the two
+//! Decoder hardening, checked from outside the crate: the slices of a
+//! shared harness for the on-disk / wire formats that live with this crate.
+//! The task frontier (`PPARTSK1`) and the wire frame have theirs beside
+//! their formats, in `crates/task/tests/decoders.rs` and
+//! `crates/net/tests/decoders.rs`. This file holds the two
 //! checkpoint record formats (`PPARCKP1` full records, `PPARDLT1` deltas),
 //! each through every entry bytes can arrive by — the CRC-checked decode,
 //! the trusted decode (no CRC, so structure is all that stands between a

@@ -123,21 +123,23 @@ pub trait CkptHook: Send + Sync {
 
     // ---- live-reshape hand-off seam ----
 
-    /// Is a live hand-off transport armed? When true, an engine that cannot
-    /// realise a reshape target in place may stream the state into the
-    /// hand-off (see [`CkptHook::handoff_snapshot`]) and unwind for an
-    /// in-process relaunch instead of demanding a full restart.
+    /// Is a live hand-off armed? When true, an engine that cannot realise a
+    /// reshape target in place may hand the state off (see
+    /// [`CkptHook::handoff_snapshot`]) and unwind for an in-process
+    /// relaunch instead of demanding a full restart.
     fn can_handoff(&self) -> bool {
         false
     }
 
-    /// Stream a full, mode-independent master snapshot of the safe data into
-    /// the armed hand-off transport. Engines call this quiesced at a
-    /// safe-point crossing, with partitioned data already collected at the
-    /// caller (master-collect rules). Errors when no hand-off is armed.
+    /// Hand off a full, mode-independent master view of the safe data to
+    /// the relaunch. Engines call this quiesced at a safe-point crossing
+    /// that every line of execution then leaves, with partitioned data
+    /// already collected at the caller (master-collect rules), so the hook
+    /// may keep the cells instead of copying them. Errors when no hand-off
+    /// is armed.
     fn handoff_snapshot(&self, _ctx: &Ctx) -> Result<()> {
         Err(crate::error::PparError::InvalidAdaptation(
-            "this checkpoint hook has no live hand-off transport".into(),
+            "this checkpoint hook has no live hand-off".into(),
         ))
     }
 

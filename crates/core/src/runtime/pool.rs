@@ -97,9 +97,9 @@ pub enum Exit {
     /// operations until the end of the parallel region").
     Drained,
     /// The engine cannot realise the requested mode in place: the state was
-    /// streamed into the armed hand-off transport and every line of
-    /// execution unwinds to the launcher, which relaunches in this mode in
-    /// process — no exit, no disk round-trip.
+    /// handed off through the armed hook and every line of execution
+    /// unwinds to the launcher, which relaunches in this mode in process —
+    /// no exit, no disk round-trip.
     Reshape(ExecMode),
     /// A peer of the aggregate failed: the attempt is doomed, every line of
     /// execution unwinds for in-job recovery.

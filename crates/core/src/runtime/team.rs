@@ -200,8 +200,8 @@ pub trait ParallelEngine: Send + Sync {
     /// Map a reshape target onto a local team size. `None` means this
     /// engine cannot honour `mode` in place (wrong engine family, different
     /// aggregate size); the crossing then **escalates**: with a live
-    /// hand-off armed the state is streamed into memory and every line of
-    /// execution leaves for an in-process relaunch
+    /// hand-off armed the state is handed off and every line of execution
+    /// leaves for an in-process relaunch
     /// ([`Exit::Reshape`]), otherwise the run panics with a pointer to the
     /// launcher (adaptation by checkpoint/restart).
     fn reshape_team_size(&self, mode: ExecMode) -> Option<usize>;
@@ -237,11 +237,11 @@ pub trait ParallelEngine: Send + Sync {
         }
     }
 
-    /// Collect the live state and stream it into the armed hand-off
-    /// transport (live-reshape escalation). Runs on exactly one line of
-    /// execution per process — the crossing leader, inside the sealed
-    /// barrier generation, so the whole team is quiesced. The default is
-    /// the shared-memory rule (all state is local: stream it); engines
+    /// Collect the live state and hand it off (live-reshape escalation).
+    /// Runs on exactly one line of execution per process — the crossing
+    /// leader, inside the sealed barrier generation, so the whole team is
+    /// quiesced. The default is the shared-memory rule (all state is local:
+    /// hand it off as it is); engines
     /// with rank-level structure override to collect partitioned fields at
     /// the root first (master-collect rules).
     fn handoff_collect(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) {
@@ -582,8 +582,8 @@ pub trait ParallelEngine: Send + Sync {
     /// Escalate a reshape this engine cannot realise in place (§IV.B meets
     /// the transport seam). With a live hand-off armed: the crossing leader
     /// — inside the sealed barrier generation, so the team is quiesced —
-    /// collects the state and streams a full master snapshot into the
-    /// in-memory transport, then *every* line of execution leaves with
+    /// collects the state and hands a full master view of it off, then
+    /// *every* line of execution leaves with
     /// [`Exit::Reshape`] for the launcher's in-process relaunch in `mode`
     /// (no process exit, no disk round-trip). The request stays pending;
     /// the launcher confirms it when relaunching. Without a hand-off the

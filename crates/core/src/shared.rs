@@ -523,6 +523,10 @@ impl<T: Scalar> StateCell for SharedVec<T> {
         Ok(bytes.len() as u64)
     }
 
+    fn encoded(&self) -> Option<&[u8]> {
+        Self::le_layout().then(|| self.raw_bytes(0..self.len()))
+    }
+
     fn dirty_ranges(&self) -> Option<Vec<std::ops::Range<usize>>> {
         Some(self.dirty_byte_ranges())
     }
@@ -756,6 +760,10 @@ impl<T: Scalar> StateCell for SharedGrid<T> {
         self.data.write_state(w)
     }
 
+    fn encoded(&self) -> Option<&[u8]> {
+        self.data.encoded()
+    }
+
     fn dirty_ranges(&self) -> Option<Vec<std::ops::Range<usize>>> {
         self.data.dirty_ranges()
     }
@@ -957,6 +965,10 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(g.write_state(&mut out).unwrap(), 16);
         assert_eq!(out, g.save_bytes());
+
+        // The memory the fast path streams is the encoding, lent as is.
+        assert_eq!(v.encoded(), Some(&v.save_bytes()[..]));
+        assert_eq!(g.encoded(), Some(&g.save_bytes()[..]));
 
         // Zero-length vector: no bytes, no error.
         let empty = SharedVec::new(0, 0.0f64);

@@ -104,6 +104,17 @@ pub trait StateCell: Send + Sync {
         out.extend_from_slice(&self.save_bytes());
     }
 
+    /// The `save_bytes` encoding where it lies, when the cell's memory
+    /// already *is* that encoding (contiguous little-endian containers on a
+    /// little-endian host); `None` — the default — otherwise. A live
+    /// hand-off lends these bytes to the successor instead of copying them
+    /// into a record, so the quiescence contract of
+    /// [`crate::shared::SharedVec::as_slice`] applies: nothing may write the
+    /// cell while the borrow lives.
+    fn encoded(&self) -> Option<&[u8]> {
+        None
+    }
+
     // ---- dirty-chunk seam (incremental checkpointing) ----
 
     /// Byte ranges of the `save_bytes` encoding written since the last
@@ -365,6 +376,7 @@ mod tests {
         c.set(0.0);
         c.load_bytes(&bytes).unwrap();
         assert_eq!(c.get(), 42.5);
+        assert!(c.encoded().is_none(), "a locked value has no bytes to lend");
     }
 
     #[test]

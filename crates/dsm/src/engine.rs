@@ -407,8 +407,8 @@ impl DsmEngine {
         let plan = ctx.plan();
         match plan.dist_ckpt_strategy() {
             DistCkptStrategy::MasterCollect => {
-                // A live hand-off installs on every element from the one
-                // in-memory record: nothing is left to move.
+                // A live hand-off installs on every element from the
+                // predecessor's frozen state: nothing is left to move.
                 if ck.load_snapshot(ctx).expect("checkpoint load failed") == Installed::Root {
                     // The paper's "load" cost for distributed restarts
                     // includes scattering the data back across the

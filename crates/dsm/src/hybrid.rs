@@ -132,10 +132,10 @@ impl ParallelEngine for HybridEngine {
 
     fn handoff_collect(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) {
         // Master-collect rules for the hand-off: partitioned safe data
-        // gathers at the root, which streams the one mode-independent
-        // master snapshot into the armed in-memory transport. Exactly one
-        // line per element runs this (the crossing leader), so the rank
-        // collectives pair up across the aggregate.
+        // gathers at the root, whose cells then hold the one
+        // mode-independent master state it hands off. Exactly one line per
+        // element runs this (the crossing leader), so the rank collectives
+        // pair up across the aggregate.
         let plan = ctx.plan();
         for field in plan.safe_data() {
             if plan.field_partition(field).is_some() {
@@ -146,7 +146,7 @@ impl ParallelEngine for HybridEngine {
             ck.handoff_snapshot(ctx).expect("live hand-off failed");
         }
         // Align the aggregate before anyone unwinds: no element may tear
-        // down its run while the root still streams.
+        // down its run while the root still captures.
         self.ep().barrier();
     }
 

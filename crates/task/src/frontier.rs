@@ -185,6 +185,15 @@ impl StateCell for TaskFrontier {
                 self.n
             )));
         }
+        // The bitmap's last word pads past task n − 1: a set pad bit names a
+        // task that does not exist.
+        let tail = self.n % 64;
+        if tail > 0 && u64_at(24 + 8 * (self.done.len() - 1)) >> tail != 0 {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "task frontier: a completion bit set past the graph's {} tasks",
+                self.n
+            )));
+        }
         let mut o = 24;
         for w in &self.done {
             w.store(u64_at(o), Ordering::Relaxed);
