@@ -66,7 +66,7 @@
 //! [`CasConfig::quota_bytes`] is set and the object volume exceeds it.
 
 use std::fs;
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -327,21 +327,23 @@ impl CasStore {
 
     /// Materialize record `name` (chunks reassembled in manifest order).
     pub fn read_record(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        let mut out = Vec::new();
-        Ok(self.read_record_into(name, &mut out)?.then_some(out))
+        let Some(mut chunks) = self.record_reader(name)? else {
+            return Ok(None);
+        };
+        let mut out = Vec::with_capacity(chunks.record_len() as usize);
+        chunks.read_to_end(&mut out)?;
+        Ok(Some(out))
     }
 
-    /// [`CasStore::read_record`] appending to a buffer the caller reuses;
-    /// `false` when no manifest exists.
-    pub fn read_record_into(&self, name: &str, out: &mut Vec<u8>) -> Result<bool> {
-        let Some(m) = self.read_manifest(name)? else {
-            return Ok(false);
-        };
-        out.reserve(m.total_len as usize);
-        for entry in &m.chunks {
-            out.extend_from_slice(&self.read_chunk(entry)?);
-        }
-        Ok(true)
+    /// Record `name` for one front-to-back read, `None` when no manifest
+    /// exists.
+    pub fn record_reader(&self, name: &str) -> Result<Option<ChunkReader<'_>>> {
+        Ok(self.read_manifest(name)?.map(|manifest| ChunkReader {
+            store: self,
+            manifest,
+            next: 0,
+            open: None,
+        }))
     }
 
     /// The first `max` bytes of record `name` (header peeks).
@@ -609,6 +611,56 @@ impl CasStore {
                 Some(v.saturating_sub(reclaimed))
             });
         Ok(stats)
+    }
+}
+
+/// A record read front to back straight out of its chunk objects, in
+/// manifest order ([`CasStore::record_reader`]): a restore reads the record
+/// into wherever its bytes belong, with no record-sized buffer in between.
+/// Each object must hold exactly the length its manifest entry announces.
+pub struct ChunkReader<'s> {
+    store: &'s CasStore,
+    manifest: Manifest,
+    /// The next entry to open.
+    next: usize,
+    /// The object being read, limited to its entry's length.
+    open: Option<std::io::Take<fs::File>>,
+}
+
+impl ChunkReader<'_> {
+    /// The record's length in bytes.
+    pub fn record_len(&self) -> u64 {
+        self.manifest.total_len
+    }
+}
+
+impl Read for ChunkReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            if let Some(object) = &mut self.open {
+                match object.read(buf)? {
+                    0 if !buf.is_empty() => self.open = None,
+                    n => return Ok(n),
+                }
+            }
+            let Some(entry) = self.manifest.chunks.get(self.next) else {
+                return Ok(0);
+            };
+            self.next += 1;
+            let object = fs::File::open(self.store.object_path(&entry.digest))?;
+            let held = object.metadata()?.len();
+            if held != entry.len as u64 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "chunk {} holds {held} bytes, manifest expects {}",
+                        entry.digest.to_hex(),
+                        entry.len
+                    ),
+                ));
+            }
+            self.open = Some(object.take(held));
+        }
     }
 }
 

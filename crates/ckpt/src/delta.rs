@@ -43,19 +43,25 @@
 //!
 //! ## Who parses, who owns, who folds
 //!
-//! [`DeltaView`] is what the one delta parser produces: every whole-field
-//! payload and every sparse range is a slice of the record's own bytes.
-//! [`DeltaSnapshot`] (the same shape holding `Vec<u8>`) is the owned copy
-//! of a view, for code that inspects a single record. `Merged` is the
-//! fold: the base record's *bytes*, patched in place by each delta view —
-//! a restore therefore holds one record-sized buffer however long the
-//! chain.
+//! One decoder knows this layout: `DeltaMeta::header` for the header and
+//! `decode_fields` for every field descriptor after it, over bytes in
+//! memory or a record streaming off a medium, handing each payload to
+//! whoever asked for it. [`DeltaView`] asks for slices: every whole-field
+//! payload and every sparse range lent where it lies in the record (the
+//! DSM's in-memory patch record is read this way). [`DeltaSnapshot`] (the
+//! same shape holding `Vec<u8>`) is the owned copy of a view, for code that
+//! inspects a single record. `Merged` is the fold: the base record's
+//! *bytes*, into which each delta's payloads are read straight from the
+//! medium, CRC running — a restore therefore holds one record-sized buffer
+//! however long the chain, and no delta is ever held whole.
 
 use std::borrow::Cow;
 
 use ppar_core::error::{PparError, Result};
 
-use crate::store::{record_body, FieldSpans, Reader, SnapshotMeta, SnapshotView, MASTER_RANK};
+use crate::store::{
+    record_body, FieldSpans, Input, Reader, SnapshotMeta, SnapshotView, MASTER_RANK,
+};
 
 /// Magic prefix of delta snapshot files.
 pub const DELTA_MAGIC: &[u8; 8] = b"PPARDLT1";
@@ -122,14 +128,14 @@ pub struct DeltaSnapshot<B = Vec<u8>> {
 pub type DeltaView<'a> = DeltaSnapshot<&'a [u8]>;
 
 impl DeltaMeta {
-    /// The delta parser's header step: magic through `nranks`. All a chain
-    /// walk that only wants the tip's count needs of a record.
-    pub(crate) fn header(r: &mut Reader<'_>) -> Result<DeltaMeta> {
-        let magic = r.take(8)?;
-        if magic != DELTA_MAGIC {
+    /// The delta decoder's header step: magic through `nranks`. All a chain
+    /// walk needs to judge a record, and all a peek at its head reads.
+    pub(crate) fn header(r: &mut impl Input) -> Result<DeltaMeta> {
+        let magic: [u8; 8] = r.take_array()?;
+        if &magic != DELTA_MAGIC {
             return Err(PparError::FormatMismatch {
                 expected: String::from_utf8_lossy(DELTA_MAGIC).into_owned(),
-                found: String::from_utf8_lossy(magic).into_owned(),
+                found: String::from_utf8_lossy(&magic).into_owned(),
             });
         }
         let version = r.take_u32()?;
@@ -185,57 +191,108 @@ impl<'a> DeltaView<'a> {
         DeltaView::parse(record_body(bytes, true, "delta ")?)
     }
 
-    /// The one delta parser, over `body` (the record without its CRC
-    /// trailer). Nothing is copied but names.
+    /// Parse a record body (the record without its CRC trailer) through
+    /// the one delta decoder: every payload is lent where it lies.
     pub(crate) fn parse(body: &'a [u8]) -> Result<DeltaView<'a>> {
         let mut r = Reader { buf: body, pos: 0 };
         let meta = DeltaMeta::header(&mut r)?;
-        // A field costs at least its name's length prefix, its kind byte
-        // and one more length.
-        let nfields = r.take_count(17, "delta fields")?;
-        let mut fields = Vec::with_capacity(nfields);
-        for _ in 0..nfields {
-            let name = r.take_str()?;
-            let payload = match r.take(1)?[0] {
-                0 => {
-                    let len = r.take_len()?;
-                    DeltaPayload::Full(r.take(len)?)
-                }
-                1 => {
-                    let full_len = r.take_u64()?;
-                    let nranges = r.take_count(16, "ranges")?;
-                    // The range map comes first, the ranges' bytes after it.
-                    let mut map = Reader {
-                        buf: r.take(nranges * 16)?,
-                        pos: 0,
-                    };
-                    let mut ranges = Vec::with_capacity(nranges);
-                    for _ in 0..nranges {
-                        let off = map.take_u64()?;
-                        let len = map.take_len()?;
-                        ranges.push((off, r.take(len)?));
-                    }
-                    DeltaPayload::Sparse { full_len, ranges }
-                }
-                other => {
-                    return Err(PparError::CorruptCheckpoint(format!(
-                        "unknown delta field kind {other} for field {name:?}"
-                    )))
-                }
-            };
-            fields.push((name, payload));
-        }
-        r.finish("delta CRC")?;
+        let mut fields = Vec::new();
+        decode_fields(&mut r, &mut fields)?;
         Ok(DeltaSnapshot { meta, fields })
     }
 }
 
+/// Where [`decode_fields`] hands each field's payload. It reads the bytes
+/// itself, from `r`, exactly as many as announced: `len` for a whole
+/// field, the `ranges`' lengths back to back for a sparse one. The decoder
+/// has already checked that the body holds them.
+pub(crate) trait Patch<I> {
+    /// Field `name` is replaced whole by the next `len` bytes.
+    fn whole(&mut self, r: &mut I, name: String, len: usize) -> Result<()>;
+
+    /// Field `name`, `full_len` bytes long, is patched at each `(offset,
+    /// len)` of `ranges` in order (last writer wins) by the next bytes.
+    fn sparse(
+        &mut self,
+        r: &mut I,
+        name: String,
+        full_len: u64,
+        ranges: &[(u64, usize)],
+    ) -> Result<()>;
+}
+
+/// The one `PPARDLT1` decoder past the header: every field's descriptor
+/// (name, kind, lengths, range map) up to the CRC trailer, each payload
+/// handed to `patch` — a view lending slices of a record in memory, or a
+/// fold reading a streamed record straight into its merged record.
+pub(crate) fn decode_fields<I: Input>(r: &mut I, patch: &mut impl Patch<I>) -> Result<()> {
+    // A field costs at least its name's length prefix, its kind byte and
+    // one more length.
+    let nfields = r.take_count(17, "delta fields")?;
+    let mut map = Vec::new();
+    for _ in 0..nfields {
+        let name = r.take_str()?;
+        match r.take_u8()? {
+            0 => {
+                let len = r.take_len()?;
+                r.check(len)?;
+                patch.whole(r, name, len)?;
+            }
+            1 => {
+                let full_len = r.take_u64()?;
+                // The range map comes first, the ranges' bytes after it.
+                let nranges = r.take_count(16, "ranges")?;
+                map.clear();
+                map.reserve(nranges);
+                for _ in 0..nranges {
+                    map.push((r.take_u64()?, r.take_len()?));
+                }
+                let carried = map
+                    .iter()
+                    .try_fold(0usize, |sum, &(_, len)| sum.checked_add(len));
+                r.check(carried.unwrap_or(usize::MAX))?;
+                patch.sparse(r, name, full_len, &map)?;
+            }
+            other => {
+                return Err(PparError::CorruptCheckpoint(format!(
+                    "unknown delta field kind {other} for field {name:?}"
+                )))
+            }
+        }
+    }
+    r.finish("delta CRC")
+}
+
+/// A view's fields: each payload is a slice of the parsed record.
+impl<'a> Patch<Reader<'a>> for Vec<(String, DeltaPayload<&'a [u8]>)> {
+    fn whole(&mut self, r: &mut Reader<'a>, name: String, len: usize) -> Result<()> {
+        self.push((name, DeltaPayload::Full(r.take(len)?)));
+        Ok(())
+    }
+
+    fn sparse(
+        &mut self,
+        r: &mut Reader<'a>,
+        name: String,
+        full_len: u64,
+        ranges: &[(u64, usize)],
+    ) -> Result<()> {
+        let ranges = ranges.iter().map(|&(off, len)| Ok((off, r.take(len)?)));
+        let ranges = ranges.collect::<Result<_>>()?;
+        self.push((name, DeltaPayload::Sparse { full_len, ranges }));
+        Ok(())
+    }
+}
+
 /// A chain being folded, on bytes: the base record, whose field payloads
-/// each live delta patches *in place*, so a restore of base + k deltas holds
-/// one record-sized buffer, not 1 + k. A borrowed base (the memory medium
-/// lends its held record) is copied when the first patch arrives and never
-/// if none does; an owned one (read off a disk) is never copied at all.
+/// each live delta patches *in place* as it is read. A restore of a base
+/// and k deltas holds one record-sized buffer, not 1 + k, and no delta
+/// buffer at all: every payload range is read straight into its span. A
+/// borrowed base (the memory medium lends its held record) is copied when
+/// the first patch arrives and never if none does; an owned one (read off
+/// a disk) is never copied at all.
 pub(crate) struct Merged<'b> {
+    /// The base record's body (no CRC trailer).
     record: Cow<'b, [u8]>,
     /// The base's header; `count` and `mode_tag` advance with every delta.
     meta: SnapshotMeta,
@@ -247,9 +304,13 @@ pub(crate) struct Merged<'b> {
 }
 
 impl<'b> Merged<'b> {
-    /// Start a fold from a base record's bytes (CRC-checked when `verify`).
-    pub(crate) fn of_base(record: Cow<'b, [u8]>, verify: bool) -> Result<Merged<'b>> {
-        let (meta, fields) = SnapshotView::parse(record_body(&record, verify, "")?)?;
+    /// Start a fold from a base record's body, whose integrity the caller
+    /// has established.
+    pub(crate) fn of_base(record: Cow<'b, [u8]>) -> Result<Merged<'b>> {
+        let (meta, fields) = SnapshotView::parse(&mut Reader {
+            buf: &record,
+            pos: 0,
+        })?;
         Ok(Merged {
             replaced: vec![None; fields.len()],
             record,
@@ -263,61 +324,22 @@ impl<'b> Merged<'b> {
         self.meta.count
     }
 
-    /// Fold `delta` in (last writer wins per byte). Every earlier delta of
-    /// the chain must already be applied; on success the fold stands at
-    /// this delta's safe point.
-    pub(crate) fn apply(&mut self, delta: &DeltaView<'_>) -> Result<()> {
+    /// Fold in the delta `meta` heads, reading the rest of it from `r`
+    /// (last writer wins per byte). Every earlier delta of the chain must
+    /// already be in; on success the fold stands at this delta's safe
+    /// point. On `Err` the record may be half patched, and the fold is
+    /// dropped.
+    pub(crate) fn apply(&mut self, meta: &DeltaMeta, r: &mut impl Input) -> Result<()> {
         let chain = |rank: Option<u32>, nranks: u32| format!("rank {rank:?} of {nranks}");
-        if (delta.meta.rank, delta.meta.nranks) != (self.meta.rank, self.meta.nranks) {
+        if (meta.rank, meta.nranks) != (self.meta.rank, self.meta.nranks) {
             return Err(PparError::FormatMismatch {
                 expected: format!("delta for {}", chain(self.meta.rank, self.meta.nranks)),
-                found: chain(delta.meta.rank, delta.meta.nranks),
+                found: chain(meta.rank, meta.nranks),
             });
         }
-        for (name, payload) in &delta.fields {
-            let idx = self.fields.iter().position(|(n, _)| n == name);
-            let idx = idx.ok_or_else(|| {
-                PparError::CorruptCheckpoint(format!(
-                    "delta patches field {name:?} missing from the base snapshot"
-                ))
-            })?;
-            let span = self.fields[idx].1.clone();
-            match payload {
-                DeltaPayload::Full(bytes) if bytes.len() == span.len() => {
-                    self.replaced[idx] = None;
-                    self.record.to_mut()[span].copy_from_slice(bytes);
-                }
-                DeltaPayload::Full(bytes) => self.replaced[idx] = Some(bytes.to_vec()),
-                DeltaPayload::Sparse { full_len, ranges } => {
-                    let slot = match &mut self.replaced[idx] {
-                        Some(side) => side.as_mut_slice(),
-                        None => &mut self.record.to_mut()[span],
-                    };
-                    if slot.len() as u64 != *full_len {
-                        return Err(PparError::CorruptCheckpoint(format!(
-                            "delta field {name:?} expects a {full_len}-byte payload, \
-                             base has {} bytes",
-                            slot.len()
-                        )));
-                    }
-                    for (off, bytes) in ranges {
-                        let start = usize::try_from(*off).unwrap_or(usize::MAX);
-                        let end = start.checked_add(bytes.len());
-                        let dst = end.and_then(|end| slot.get_mut(start..end));
-                        let dst = dst.ok_or_else(|| {
-                            PparError::CorruptCheckpoint(format!(
-                                "delta field {name:?} range {off}+{} overruns the \
-                                 {full_len}-byte payload",
-                                bytes.len()
-                            ))
-                        })?;
-                        dst.copy_from_slice(bytes);
-                    }
-                }
-            }
-        }
-        self.meta.count = delta.meta.count;
-        self.meta.mode_tag.clone_from(&delta.meta.mode_tag);
+        decode_fields(r, self)?;
+        self.meta.count = meta.count;
+        self.meta.mode_tag.clone_from(&meta.mode_tag);
         Ok(())
     }
 
@@ -334,16 +356,77 @@ impl<'b> Merged<'b> {
             fields: fields.collect(),
         }
     }
+
+    /// The index of base field `name`.
+    fn field(&self, name: &str) -> Result<usize> {
+        let idx = self.fields.iter().position(|(n, _)| n == name);
+        idx.ok_or_else(|| {
+            PparError::CorruptCheckpoint(format!(
+                "delta patches field {name:?} missing from the base snapshot"
+            ))
+        })
+    }
+}
+
+/// The fold's patches land in the record, or in the side table.
+impl<I: Input> Patch<I> for Merged<'_> {
+    fn whole(&mut self, r: &mut I, name: String, len: usize) -> Result<()> {
+        let idx = self.field(&name)?;
+        let span = self.fields[idx].1.clone();
+        if len == span.len() {
+            self.replaced[idx] = None;
+            return r.fill(&mut self.record.to_mut()[span]);
+        }
+        let side = self.replaced[idx].get_or_insert_with(Vec::new);
+        side.clear();
+        side.resize(len, 0);
+        r.fill(side)
+    }
+
+    fn sparse(
+        &mut self,
+        r: &mut I,
+        name: String,
+        full_len: u64,
+        ranges: &[(u64, usize)],
+    ) -> Result<()> {
+        let idx = self.field(&name)?;
+        let span = self.fields[idx].1.clone();
+        let slot = match &mut self.replaced[idx] {
+            Some(side) => side.as_mut_slice(),
+            None => &mut self.record.to_mut()[span],
+        };
+        if slot.len() as u64 != full_len {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "delta field {name:?} expects a {full_len}-byte payload, base has {} bytes",
+                slot.len()
+            )));
+        }
+        for &(off, len) in ranges {
+            let start = usize::try_from(off).unwrap_or(usize::MAX);
+            let dst = start
+                .checked_add(len)
+                .and_then(|end| slot.get_mut(start..end));
+            let dst = dst.ok_or_else(|| {
+                PparError::CorruptCheckpoint(format!(
+                    "delta field {name:?} range {off}+{len} overruns the {full_len}-byte payload"
+                ))
+            })?;
+            r.fill(dst)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Snapshot;
+    use crate::crc::crc32;
+    use crate::store::{RecordStream, Snapshot};
 
-    type Patch<'a> = DeltaPayload<&'a [u8]>;
+    type Payload<'a> = DeltaPayload<&'a [u8]>;
 
-    fn sparse<'a>(full_len: u64, ranges: Vec<(u64, &'a [u8])>) -> Patch<'a> {
+    fn sparse<'a>(full_len: u64, ranges: Vec<(u64, &'a [u8])>) -> Payload<'a> {
         DeltaPayload::Sparse { full_len, ranges }
     }
 
@@ -360,7 +443,7 @@ mod tests {
         }
     }
 
-    fn delta<'a>(count: u64, fields: Vec<(&str, Patch<'a>)>) -> DeltaView<'a> {
+    fn delta<'a>(count: u64, fields: Vec<(&str, Payload<'a>)>) -> DeltaView<'a> {
         DeltaSnapshot {
             meta: DeltaMeta {
                 mode_tag: "seq".into(),
@@ -374,19 +457,80 @@ mod tests {
         }
     }
 
-    /// Fold `deltas` onto the encoded [`base`], held both ways a medium can
-    /// hold it; the two must agree.
+    /// `d` laid out by hand (any offset, however absurd, is written as
+    /// given), CRC trailer included.
+    fn encode(d: &DeltaView<'_>) -> Vec<u8> {
+        let mut out = DELTA_MAGIC.to_vec();
+        let put_bytes = |out: &mut Vec<u8>, b: &[u8]| {
+            out.extend((b.len() as u64).to_le_bytes());
+            out.extend(b);
+        };
+        out.extend(DELTA_VERSION.to_le_bytes());
+        put_bytes(&mut out, d.meta.mode_tag.as_bytes());
+        out.extend(d.meta.count.to_le_bytes());
+        out.extend(d.meta.base_count.to_le_bytes());
+        out.extend(d.meta.seq.to_le_bytes());
+        out.extend(d.meta.rank.unwrap_or(MASTER_RANK).to_le_bytes());
+        out.extend(d.meta.nranks.to_le_bytes());
+        out.extend((d.fields.len() as u32).to_le_bytes());
+        for (name, payload) in &d.fields {
+            put_bytes(&mut out, name.as_bytes());
+            match payload {
+                DeltaPayload::Full(b) => {
+                    out.push(0);
+                    put_bytes(&mut out, b);
+                }
+                DeltaPayload::Sparse { full_len, ranges } => {
+                    out.push(1);
+                    out.extend(full_len.to_le_bytes());
+                    out.extend((ranges.len() as u32).to_le_bytes());
+                    for (off, b) in ranges {
+                        out.extend(off.to_le_bytes());
+                        out.extend((b.len() as u64).to_le_bytes());
+                    }
+                    ranges.iter().for_each(|(_, b)| out.extend(*b));
+                }
+            }
+        }
+        let crc = crc32(&out);
+        out.extend(crc.to_le_bytes());
+        out
+    }
+
+    /// Fold the records of `deltas` onto the encoded [`base`] both ways a
+    /// medium can: an owned base and each record streamed, CRC-checked, or
+    /// a lent base and each record's body in memory. The two must agree.
     fn fold(deltas: &[DeltaView<'_>]) -> Result<Snapshot> {
         let record = base().encode();
-        let run = |base: Cow<'_, [u8]>| {
-            let mut merged = Merged::of_base(base, true)?;
-            deltas.iter().try_for_each(|d| merged.apply(d))?;
+        let body = &record[..record.len() - 4];
+        let records: Vec<Vec<u8>> = deltas.iter().map(encode).collect();
+        let streamed = || -> Result<Snapshot> {
+            let mut merged = Merged::of_base(Cow::Owned(body.to_vec()))?;
+            for rec in &records {
+                let mut r = RecordStream::new(&rec[..], rec.len() as u64, true, "delta ")?;
+                merged.apply(&DeltaMeta::header(&mut r)?, &mut r)?;
+                r.end()?;
+            }
             Ok(merged.view().to_snapshot())
         };
-        let owned = run(Cow::Owned(record.clone()));
-        let lent: Result<Snapshot> = run(Cow::Borrowed(&record));
+        let lent = || -> Result<Snapshot> {
+            let mut merged = Merged::of_base(Cow::Borrowed(body))?;
+            for rec in &records {
+                let mut r = Reader {
+                    buf: record_body(rec, true, "delta ")?,
+                    pos: 0,
+                };
+                merged.apply(&DeltaMeta::header(&mut r)?, &mut r)?;
+            }
+            Ok(merged.view().to_snapshot())
+        };
+        let (owned, lent) = (streamed(), lent());
         assert_eq!(owned.as_ref().ok(), lent.as_ref().ok());
         assert_eq!(owned.is_err(), lent.is_err());
+        // Each record also parses to exactly the view it was made from.
+        for (rec, d) in records.iter().zip(deltas) {
+            assert_eq!(&DeltaView::of_record(rec).unwrap(), d);
+        }
         owned
     }
 

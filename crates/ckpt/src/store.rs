@@ -68,11 +68,14 @@
 //! ([`SnapshotView::decode`]) or trusted. [`Snapshot`] is the owned form, a
 //! copy of a view. Restores read views (`CkptTransport::with_merged`);
 //! a chain's deltas are folded into the base record's bytes by
-//! [`crate::delta`] before the view is taken.
+//! [`crate::delta`] before the view is taken. A record comes off the disk
+//! through one `RecordStream`: read front to back once, its CRC folded in
+//! block by block as the bytes land — the base into the fold's one buffer,
+//! a delta's payloads straight into their places in it.
 
 use std::borrow::Cow;
 use std::fs;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -83,8 +86,8 @@ use crate::cas::ChunkRef;
 use crate::crc::{crc32, Crc32};
 use crate::delta::{DeltaMeta, DeltaSnapshot, Merged};
 use crate::transport::{
-    fold_merged, keep_head, lend_merged, stream_merged, walk_chain, CkptTransport, DeltaStep,
-    RecordKey, RecordSink, HEAD_BYTES,
+    clamp_record_hint, fold_merged, keep_head, lend_merged, stream_merged, walk_chain,
+    CkptTransport, RecordKey, RecordSink, HEAD_BYTES,
 };
 
 const MAGIC: &[u8; 8] = b"PPARCKP1";
@@ -254,7 +257,7 @@ impl<'a> SnapshotView<'a> {
     }
 
     fn resolve(body: &'a [u8]) -> Result<SnapshotView<'a>> {
-        let (meta, spans) = SnapshotView::parse(body)?;
+        let (meta, spans) = SnapshotView::parse(&mut Reader { buf: body, pos: 0 })?;
         let fields = spans.into_iter().map(|(name, span)| (name, &body[span]));
         Ok(SnapshotView {
             meta,
@@ -264,12 +267,12 @@ impl<'a> SnapshotView<'a> {
 
     /// The parser's header step: magic through `nranks`. Also all a peek
     /// at a record's leading bytes needs (nothing past them is touched).
-    pub(crate) fn header(r: &mut Reader<'_>) -> Result<SnapshotMeta> {
-        let magic = r.take(8)?;
-        if magic != MAGIC {
+    pub(crate) fn header(r: &mut impl Input) -> Result<SnapshotMeta> {
+        let magic: [u8; 8] = r.take_array()?;
+        if &magic != MAGIC {
             return Err(PparError::FormatMismatch {
                 expected: String::from_utf8_lossy(MAGIC).into_owned(),
-                found: String::from_utf8_lossy(magic).into_owned(),
+                found: String::from_utf8_lossy(&magic).into_owned(),
             });
         }
         let mode_tag = r.take_str()?;
@@ -285,19 +288,19 @@ impl<'a> SnapshotView<'a> {
     }
 
     /// The one full-record parser: the header, then where each field's
-    /// payload sits in `body` (the record without its CRC trailer).
-    pub(crate) fn parse(body: &[u8]) -> Result<(SnapshotMeta, FieldSpans)> {
-        let mut r = Reader { buf: body, pos: 0 };
-        let meta = SnapshotView::header(&mut r)?;
+    /// payload sits in the body (the record without its CRC trailer) —
+    /// over bytes in memory, or passing the payloads by as they stream.
+    pub(crate) fn parse(r: &mut impl Input) -> Result<(SnapshotMeta, FieldSpans)> {
+        let meta = SnapshotView::header(r)?;
         // A field costs at least its two length prefixes.
         let nfields = r.take_count(16, "fields")?;
         let mut fields = Vec::with_capacity(nfields);
         for _ in 0..nfields {
             let name = r.take_str()?;
             let len = r.take_len()?;
-            let start = r.pos;
-            r.take(len)?;
-            fields.push((name, start..r.pos));
+            let start = r.pos();
+            r.skip(len)?;
+            fields.push((name, start..r.pos()));
         }
         r.finish("CRC")?;
         Ok((meta, fields))
@@ -860,12 +863,18 @@ impl CkptTransport for CheckpointStore {
             return Ok(Some(c));
         }
         for rank in [None, Some(0)] {
-            if let Some(base) = self.record_bytes(&self.record_path(RecordKey::full(rank)))? {
-                // Every record is CRC-checked, none is copied: the base is
-                // parsed where it was read, the deltas' headers where the
-                // reused buffer holds them; nothing is folded.
-                let count = SnapshotView::decode(&base)?.meta.count;
-                return walk_chain(count, None, true, self.deltas(rank), |_| Ok(())).map(Some);
+            if let Some((len, src)) =
+                self.record_reader(&self.record_path(RecordKey::full(rank)))?
+            {
+                // Every record is parsed to its header and CRC-checked to
+                // its end through one block-sized scratch; nothing is held
+                // or folded.
+                let mut base = RecordStream::new(src, len, true, "")?;
+                let count = match SnapshotView::parse(&mut base) {
+                    Ok((meta, _)) => base.end().map(|()| meta.count)?,
+                    Err(e) => return Err(base.fail(e)),
+                };
+                return walk_chain(count, None, true, self.deltas(rank), |_, _| Ok(())).map(Some);
             }
         }
         Ok(None)
@@ -1053,40 +1062,57 @@ impl RecordSink for CasSink<'_> {
     }
 }
 
-/// Bounds-checked cursor over record bytes. Every length and count it
-/// hands out came from the record and is checked against the bytes that
-/// remain before it is used as an offset or a capacity: an absurd value in
-/// an unverified head, or in a record whose CRC happens to hold, is a
-/// `CorruptCheckpoint`, never a panic or an allocation failure.
-pub(crate) struct Reader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-}
+/// What the record decoders read, front to back: a record body held in
+/// memory ([`Reader`]) or one arriving from a medium ([`RecordStream`]), so
+/// each format's layout rules are written once for both. Every length and
+/// count it hands out came from the record and is checked against the body
+/// bytes that remain before it sizes a read, an offset or an allocation: an
+/// absurd value in an unverified head, or in a record whose CRC happens to
+/// hold, is a `CorruptCheckpoint`, never a panic or an allocation failure.
+pub(crate) trait Input {
+    /// Body bytes consumed so far.
+    fn pos(&self) -> usize;
 
-impl<'a> Reader<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&end| end <= self.buf.len());
-        let Some(end) = end else {
+    /// Body bytes not yet consumed.
+    fn left(&self) -> usize;
+
+    /// The next `out.len()` body bytes, copied into `out`.
+    fn fill(&mut self, out: &mut [u8]) -> Result<()>;
+
+    /// Pass over the next `n` body bytes.
+    fn skip(&mut self, n: usize) -> Result<()>;
+
+    /// Refuse a read of `n` bytes the body does not hold.
+    fn check(&self, n: usize) -> Result<()> {
+        if n > self.left() {
             return Err(PparError::CorruptCheckpoint(format!(
                 "truncated: wanted {n} bytes at offset {}",
-                self.pos
+                self.pos()
             )));
-        };
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+        }
+        Ok(())
     }
 
-    pub(crate) fn take_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0; N];
+        self.fill(&mut out)?;
+        Ok(out)
     }
 
-    pub(crate) fn take_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    fn take_u8(&mut self) -> Result<u8> {
+        Ok(self.take_array::<1>()?[0])
+    }
+
+    fn take_u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.take_array()?))
+    }
+
+    fn take_u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// A `u64` length prefix, as an offset into this address space.
-    pub(crate) fn take_len(&mut self) -> Result<usize> {
+    fn take_len(&mut self) -> Result<usize> {
         let len = self.take_u64()?;
         usize::try_from(len).map_err(|_| {
             PparError::CorruptCheckpoint(format!("length {len} exceeds the address space"))
@@ -1096,9 +1122,9 @@ impl<'a> Reader<'a> {
     /// A `u32` element count, refused unless the remaining bytes can hold
     /// that many elements of at least `min_each` bytes — so it is safe to
     /// use as a capacity.
-    pub(crate) fn take_count(&mut self, min_each: usize, what: &str) -> Result<usize> {
+    fn take_count(&mut self, min_each: usize, what: &str) -> Result<usize> {
         let n = self.take_u32()? as usize;
-        let left = self.buf.len() - self.pos;
+        let left = self.left();
         if n.checked_mul(min_each).is_none_or(|need| need > left) {
             return Err(PparError::CorruptCheckpoint(format!(
                 "record names {n} {what} but only {left} bytes remain"
@@ -1107,25 +1133,183 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    pub(crate) fn take_str(&mut self) -> Result<String> {
+    fn take_str(&mut self) -> Result<String> {
         let len = self.take_len()?;
-        match std::str::from_utf8(self.take(len)?) {
-            Ok(s) => Ok(s.to_owned()),
-            Err(e) => Err(PparError::CorruptCheckpoint(format!("invalid utf-8: {e}"))),
-        }
+        self.check(len)?;
+        let mut bytes = vec![0; len];
+        self.fill(&mut bytes)?;
+        String::from_utf8(bytes)
+            .map_err(|e| PparError::CorruptCheckpoint(format!("invalid utf-8: {}", e.utf8_error())))
     }
 
     /// The record must end here (`before` names what follows the body).
-    pub(crate) fn finish(&self, before: &str) -> Result<()> {
-        if self.pos != self.buf.len() {
+    fn finish(&self, before: &str) -> Result<()> {
+        if self.left() != 0 {
             return Err(PparError::CorruptCheckpoint(format!(
                 "{} unconsumed bytes before {before}",
-                self.buf.len() - self.pos
+                self.left()
             )));
         }
         Ok(())
     }
 }
+
+/// The [`Input`] over record bytes in memory; [`Reader::take`] lends a
+/// payload where it lies.
+pub(crate) struct Reader<'a> {
+    pub(crate) buf: &'a [u8],
+    pub(crate) pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.check(n)?;
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+}
+
+impl Input for Reader<'_> {
+    fn pos(&self) -> usize {
+        self.pos
+    }
+
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn fill(&mut self, out: &mut [u8]) -> Result<()> {
+        out.copy_from_slice(self.take(out.len())?);
+        Ok(())
+    }
+
+    fn skip(&mut self, n: usize) -> Result<()> {
+        self.take(n).map(drop)
+    }
+}
+
+/// A record read front to back off a medium (`src` yields exactly the
+/// record's `len` bytes), CRC-checked on the way through when `verify`:
+/// every block of up to [`CRC_COPY_BLOCK`] bytes is folded into the running
+/// CRC as soon as it lands, while it is still in cache. So a record is read
+/// once, into wherever its bytes belong, and no record-sized buffer is
+/// needed to check it.
+///
+/// A verdict reached before the end waits for the CRC: [`RecordStream::fail`]
+/// reads the rest, and a record that fails its CRC reports that instead.
+pub(crate) struct RecordStream<R> {
+    src: R,
+    /// Body length: the record without its 4-byte trailer.
+    len: usize,
+    pos: usize,
+    crc: Option<Crc32>,
+    /// `""` or `"delta "`: prefixes the CRC error.
+    what: &'static str,
+}
+
+impl<R: Read> RecordStream<R> {
+    pub(crate) fn new(src: R, len: u64, verify: bool, what: &'static str) -> Result<Self> {
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        if len < MAGIC.len() + 4 {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "{what}record too short"
+            )));
+        }
+        Ok(RecordStream {
+            src,
+            len: len - 4,
+            pos: 0,
+            crc: verify.then(Crc32::new),
+            what,
+        })
+    }
+
+    /// The whole body in a buffer of its own, checked — one record-sized
+    /// allocation, one pass.
+    pub(crate) fn into_body(mut self) -> Result<Vec<u8>> {
+        let mut body = vec![0; self.len];
+        self.fill(&mut body)?;
+        self.end()?;
+        Ok(body)
+    }
+
+    /// The record's end: what is left of the body is read and the trailer
+    /// checked — or, unverified, left unread.
+    pub(crate) fn end(mut self) -> Result<()> {
+        if self.crc.is_none() {
+            return Ok(());
+        }
+        self.skip(self.left())?;
+        let mut trailer = [0; 4];
+        self.src.read_exact(&mut trailer)?;
+        let stored = u32::from_le_bytes(trailer);
+        let computed = self.crc.map_or(stored, |crc| crc.finish());
+        if computed != stored {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "{}CRC mismatch: stored {stored:#010x}, computed {computed:#010x}",
+                self.what
+            )));
+        }
+        Ok(())
+    }
+
+    /// `err`, unless the record fails its CRC (or cannot be read to its
+    /// end): a verdict on a record's contents is only as good as the CRC
+    /// that vouches for them, exactly as when the CRC is checked first.
+    pub(crate) fn fail(self, err: PparError) -> PparError {
+        self.end().err().unwrap_or(err)
+    }
+}
+
+impl<R: Read> Input for RecordStream<R> {
+    fn pos(&self) -> usize {
+        self.pos
+    }
+
+    fn left(&self) -> usize {
+        self.len - self.pos
+    }
+
+    /// Reads ask for a block at a time from wherever the last one ended: a
+    /// source buffered by the block then serves small reads from its buffer
+    /// and passes block-sized ones straight into `out`.
+    fn fill(&mut self, out: &mut [u8]) -> Result<()> {
+        self.check(out.len())?;
+        let mut done = 0;
+        while done < out.len() {
+            let want = (out.len() - done).min(CRC_COPY_BLOCK);
+            let got = match self.src.read(&mut out[done..done + want]) {
+                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
+                Ok(got) => got,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            if let Some(crc) = &mut self.crc {
+                crc.update(&out[done..done + got]);
+            }
+            done += got;
+        }
+        self.pos += out.len();
+        Ok(())
+    }
+
+    /// Skipped bytes pass through a block-sized scratch to be checked.
+    fn skip(&mut self, n: usize) -> Result<()> {
+        self.check(n)?;
+        let mut scratch = vec![0; n.min(CRC_COPY_BLOCK)];
+        let mut left = n;
+        while left > 0 {
+            let block = left.min(scratch.len());
+            self.fill(&mut scratch[..block])?;
+            left -= block;
+        }
+        Ok(())
+    }
+}
+
+/// A record opened for one front-to-back read: its length and its bytes.
+type Opened<'s> = (u64, Box<dyn Read + 's>);
 
 /// A checkpoint directory.
 ///
@@ -1212,21 +1396,31 @@ impl CheckpointStore {
             .expect("record paths always carry a file name")
     }
 
-    /// Read the record's full encoded bytes into `buf` (cleared first, its
-    /// allocation reused); `false` when absent under both layouts.
-    fn record_read_into(&self, path: &Path, buf: &mut Vec<u8>) -> Result<bool> {
-        buf.clear();
+    /// Open the record for one front-to-back read: its length and its
+    /// bytes — a content-addressed record's chunk objects in manifest
+    /// order, a flat file otherwise; `None` when absent under both layouts.
+    /// Buffered by the block, so the many small reads of a header or a
+    /// sparse delta's ranges cost one read call per block, while block-sized
+    /// reads bypass the buffer (see [`RecordStream`]'s `fill`).
+    fn record_reader(&self, path: &Path) -> Result<Option<Opened<'_>>> {
         if let Some(cas) = &self.cas {
-            if cas.read_record_into(CheckpointStore::rec_name(path), buf)? {
-                return Ok(true);
+            if let Some(chunks) = cas.record_reader(CheckpointStore::rec_name(path))? {
+                let len = chunks.record_len();
+                return Ok(Some((
+                    len,
+                    Box::new(BufReader::with_capacity(CRC_COPY_BLOCK, chunks)),
+                )));
             }
         }
         match fs::File::open(path) {
-            Ok(mut file) => {
-                file.read_to_end(buf)?;
-                Ok(true)
+            Ok(file) => {
+                let len = file.metadata()?.len();
+                Ok(Some((
+                    len,
+                    Box::new(BufReader::with_capacity(CRC_COPY_BLOCK, file)),
+                )))
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
         }
     }
@@ -1234,16 +1428,22 @@ impl CheckpointStore {
     /// The record's full encoded bytes in a buffer of their own, or `None`
     /// when absent.
     fn record_bytes(&self, path: &Path) -> Result<Option<Vec<u8>>> {
-        let mut bytes = Vec::new();
-        Ok(self.record_read_into(path, &mut bytes)?.then_some(bytes))
+        let Some((len, mut src)) = self.record_reader(path)? else {
+            return Ok(None);
+        };
+        let mut bytes = Vec::with_capacity(clamp_record_hint(len));
+        src.read_to_end(&mut bytes)?;
+        Ok(Some(bytes))
     }
 
     /// `rank`'s chain read, CRC-checked and folded, pinned like
-    /// [`CkptTransport::with_merged`], which lends this. Shard chains keep
-    /// the generation the group last committed beside the current one; a
-    /// pinned read falls back to it, which is how a restore survives a torn
-    /// group save — shards that already advanced past the commit point roll
-    /// back to their preserved older record.
+    /// [`CkptTransport::with_merged`], which lends this. Each record is read
+    /// once: the base into the fold's one buffer, every delta's payload
+    /// into its place in it. Shard chains keep the generation the group
+    /// last committed beside the current one; a pinned read falls back to
+    /// it, which is how a restore survives a torn group save — shards that
+    /// already advanced past the commit point roll back to their preserved
+    /// older record.
     pub(crate) fn merged(
         &self,
         rank: Option<u32>,
@@ -1252,21 +1452,21 @@ impl CheckpointStore {
         let prev = at.and(rank).map(|r| self.prev_shard_path(r));
         let bases = std::iter::once(self.record_path(RecordKey::full(rank)))
             .chain(prev)
-            .map(|path| Ok(self.record_bytes(&path)?.map(Cow::Owned)));
+            .map(|path| match self.record_reader(&path)? {
+                Some((len, src)) => {
+                    let body = RecordStream::new(src, len, true, "")?.into_body()?;
+                    Ok(Some(Cow::Owned(body)))
+                }
+                None => Ok(None),
+            });
         fold_merged(rank, at, true, bases, self.deltas(rank))
     }
 
     /// How the chain walks reach `rank`'s deltas (see
-    /// [`crate::transport::fold_merged`]): each is read into the one buffer
-    /// the returned reader owns and reuses, and handed to `step` there.
-    fn deltas(
-        &self,
-        rank: Option<u32>,
-    ) -> impl FnMut(u32, &mut DeltaStep<'_>) -> Result<bool> + '_ {
-        let mut buf = Vec::new();
-        move |seq, step| {
-            Ok(self.record_read_into(&self.delta_path(rank, seq), &mut buf)? && step(&buf)?)
-        }
+    /// [`crate::transport::walk_chain`]): delta `seq` opened for reading
+    /// where it lies.
+    fn deltas<'s>(&'s self, rank: Option<u32>) -> impl FnMut(u32) -> Result<Option<Opened<'s>>> {
+        move |seq| self.record_reader(&self.delta_path(rank, seq))
     }
 
     fn record_exists(&self, path: &Path) -> bool {

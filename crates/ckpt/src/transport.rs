@@ -58,7 +58,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, RwLock};
@@ -66,9 +66,10 @@ use parking_lot::{Mutex, RwLock};
 use ppar_core::error::{PparError, Result};
 
 use crate::cas::{ChunkRef, PutStats};
-use crate::delta::{DeltaMeta, DeltaView, Merged, DELTA_MAGIC};
+use crate::delta::{DeltaMeta, Merged, DELTA_MAGIC};
 use crate::store::{
-    record_body, DeltaSource, FieldSource, Reader, Record, Snapshot, SnapshotMeta, SnapshotView,
+    record_body, DeltaSource, FieldSource, Reader, Record, RecordStream, Snapshot, SnapshotMeta,
+    SnapshotView,
 };
 
 /// Names one record of one chain.
@@ -363,73 +364,87 @@ pub(crate) fn chain_step_is_live(
     Ok(true)
 }
 
-/// What a chain walk does with one delta record's bytes; `Ok(false)` ends
-/// the walk.
-pub(crate) type DeltaStep<'s> = dyn FnMut(&[u8]) -> Result<bool> + 's;
-
 /// Walk the delta chain over the base saved at `base_count`: from delta 1
 /// until the first missing or stale record, stopping *before* any delta
 /// that would pass a pinned `at` (a torn chain whose tip outran the group
-/// commit serves the committed prefix). Each live delta's body goes to
-/// `fold`; the safe point reached is returned — with a `fold` that does
-/// nothing, this is the chain's tip from the deltas' *headers* alone.
+/// commit serves the committed prefix). Each live delta goes to `fold`,
+/// which reads the rest of it past the header; the safe point reached is
+/// returned — with a `fold` that reads nothing, this is the chain's tip
+/// from the deltas' *headers* alone.
 ///
-/// The medium supplies the bytes: `delta(seq, step)` runs `step` over delta
-/// `seq`'s record wherever the medium has it — a buffer it reuses across
-/// calls, or the held record itself — and returns `Ok(false)` when there is
-/// no such delta. `verify` says whether those bytes need their CRC checked.
-pub(crate) fn walk_chain(
+/// The medium supplies the bytes: `delta(seq)` opens delta `seq` where it
+/// lies — a file, a record's chunk objects, the held record itself — as its
+/// length and a reader, `None` when there is no such delta. Each record is
+/// read once, front to back, its CRC checked on the way through when
+/// `verify`, and no verdict is acted on before that CRC: a header that
+/// says stale, out of order, past the pin or malformed — and whatever
+/// `fold` refuses — is read to its end first, and a record that fails its
+/// CRC is that error instead. Only a verified stale delta ends the walk.
+pub(crate) fn walk_chain<R: Read>(
     base_count: u64,
     at: Option<u64>,
     verify: bool,
-    mut delta: impl FnMut(u32, &mut DeltaStep<'_>) -> Result<bool>,
-    mut fold: impl FnMut(&[u8]) -> Result<()>,
+    mut delta: impl FnMut(u32) -> Result<Option<(u64, R)>>,
+    mut fold: impl FnMut(&DeltaMeta, &mut RecordStream<R>) -> Result<()>,
 ) -> Result<u64> {
     let mut count = base_count;
     let mut seq = 1u32;
-    while at.is_none_or(|at| count < at)
-        && delta(seq, &mut |bytes| {
-            let body = record_body(bytes, verify, "delta ")?;
-            let meta = DeltaMeta::header(&mut Reader { buf: body, pos: 0 })?;
+    while at.is_none_or(|at| count < at) {
+        let Some((len, src)) = delta(seq)? else {
+            break;
+        };
+        let mut record = RecordStream::new(src, len, verify, "delta ")?;
+        let step = DeltaMeta::header(&mut record).and_then(|meta| {
             let live = chain_step_is_live(&meta, base_count, seq, count)?
                 && at.is_none_or(|at| meta.count <= at);
             if live {
-                fold(body)?;
-                count = meta.count;
+                fold(&meta, &mut record)?;
             }
-            Ok(live)
-        })?
-    {
+            Ok(live.then_some(meta.count))
+        });
+        match step {
+            Ok(next) => {
+                record.end()?;
+                let Some(next) = next else {
+                    break;
+                };
+                count = next;
+            }
+            Err(e) => return Err(record.fail(e)),
+        }
         seq += 1;
     }
     Ok(count)
 }
 
-/// The fold: the one place a stored chain becomes a state, for a medium
-/// that holds record bytes. `bases` yields the chain's base record per
-/// retained generation, newest first — owned (read off a disk: it becomes
-/// the restore's one record-sized buffer) or borrowed (held in memory:
-/// copied only if a delta has to be patched in). Each is folded by
-/// [`walk_chain`]; the first generation to land on a pinned `at` is
+/// The fold: the one place a stored chain becomes a state, for every
+/// medium that holds record bytes. `bases` yields the chain's base record
+/// body per retained generation, newest first, its integrity established —
+/// owned (read off a disk: it becomes the restore's one record-sized
+/// buffer) or borrowed (held in memory: copied only if a delta has to be
+/// patched in). [`walk_chain`] streams each live delta into it, every
+/// payload read straight into its place ([`Merged::apply`]): no delta is
+/// ever held whole. The first generation to land on a pinned `at` is
 /// returned, and an unpinned fold takes the first one present; `Ok(None)`
 /// when the chain has no base record. The caller owns the result: a read
 /// *lends* it ([`lend_merged`]), a disk restart *keeps* it from store open
-/// until the load installs it, so its chain is read once.
-pub(crate) fn fold_merged<'b>(
+/// until the load installs it, so its chain is read once. On `Err` a
+/// half-patched record is dropped with the fold.
+pub(crate) fn fold_merged<'b, R: Read>(
     rank: Option<u32>,
     at: Option<u64>,
     verify: bool,
     bases: impl IntoIterator<Item = Result<Option<Cow<'b, [u8]>>>>,
-    mut delta: impl FnMut(u32, &mut DeltaStep<'_>) -> Result<bool>,
+    mut delta: impl FnMut(u32) -> Result<Option<(u64, R)>>,
 ) -> Result<Option<Merged<'b>>> {
     let mut seen = Vec::new();
     for base in bases {
         let Some(base) = base? else {
             continue;
         };
-        let mut merged = Merged::of_base(base, verify)?;
-        let count = walk_chain(merged.count(), at, verify, &mut delta, |body| {
-            merged.apply(&DeltaView::parse(body)?)
+        let mut merged = Merged::of_base(base)?;
+        let count = walk_chain(merged.count(), at, verify, &mut delta, |meta, r| {
+            merged.apply(meta, r)
         })?;
         if at.is_none_or(|at| count == at) {
             return Ok(Some(merged));
@@ -533,14 +548,14 @@ impl MemTransport {
     }
 
     /// How the chain walks reach `rank`'s deltas in the held `records`:
-    /// where they lie, no buffer involved.
-    fn deltas(
-        records: &HashMap<RecordKey, Vec<u8>>,
+    /// read where they lie, no buffer involved.
+    fn deltas<'r>(
+        records: &'r HashMap<RecordKey, Vec<u8>>,
         rank: Option<u32>,
-    ) -> impl FnMut(u32, &mut DeltaStep<'_>) -> Result<bool> + '_ {
-        move |seq, step| match records.get(&RecordKey::delta(rank, seq)) {
-            Some(bytes) => step(bytes),
-            None => Ok(false),
+    ) -> impl FnMut(u32) -> Result<Option<(u64, &'r [u8])>> + 'r {
+        move |seq| {
+            let record = records.get(&RecordKey::delta(rank, seq));
+            Ok(record.map(|bytes| (bytes.len() as u64, bytes.as_slice())))
         }
     }
 }
@@ -624,9 +639,12 @@ impl CkptTransport for MemTransport {
     ) -> Result<bool> {
         let records = self.records.read();
         let base = records.get(&RecordKey::full(rank));
-        let base = base.map(|bytes| Cow::Borrowed(bytes.as_slice()));
+        let base = base
+            .map(|bytes| record_body(bytes, false, ""))
+            .transpose()?;
         let deltas = MemTransport::deltas(&records, rank);
-        lend_merged(fold_merged(rank, at, false, [Ok(base)], deltas)?, read)
+        let merged = fold_merged(rank, at, false, [Ok(base.map(Cow::Borrowed))], deltas)?;
+        lend_merged(merged, read)
     }
 
     fn restart_count(&self) -> Result<Option<u64>> {
@@ -636,7 +654,7 @@ impl CkptTransport for MemTransport {
             if let Some(base) = records.get(&RecordKey::full(rank)) {
                 let count = SnapshotMeta::of_head(base)?.count;
                 let deltas = MemTransport::deltas(&records, rank);
-                return walk_chain(count, None, false, deltas, |_| Ok(())).map(Some);
+                return walk_chain(count, None, false, deltas, |_, _| Ok(())).map(Some);
             }
         }
         Ok(None)

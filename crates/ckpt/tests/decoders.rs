@@ -4,25 +4,33 @@
 //! their formats, in `crates/task/tests/decoders.rs` and
 //! `crates/net/tests/decoders.rs`. This file holds the two
 //! checkpoint record formats (`PPARCKP1` full records, `PPARDLT1` deltas),
-//! each through every entry bytes can arrive by — the CRC-checked decode,
-//! the trusted decode (no CRC, so structure is all that stands between a
-//! bad length and the allocator) and the header peek behind
-//! [`RecordKey::of_record`] — the content-addressed store's `PPARMFT1`
-//! manifest, which has one entry, [`Manifest::decode`], always CRC-checked,
-//! and the `PPARPRG1` region cursor, which has one entry,
+//! each through every entry bytes can arrive by — the CRC-checked decode of
+//! bytes in memory, the streamed decode of a record file on disk (its CRC
+//! running as the bytes land, so a length is acted on before the CRC has
+//! vouched for it), the trusted decode (no CRC, so structure is all that
+//! stands between a bad length and the allocator) and the header peek
+//! behind [`RecordKey::of_record`] — the content-addressed store's
+//! `PPARMFT1` manifest, which has one entry, [`Manifest::decode`], always
+//! CRC-checked, and the `PPARPRG1` region cursor, which has one entry,
 //! [`RegionCursor::decode`], and no CRC at all (it travels inside records
 //! and broadcasts that carry their own).
 //!
 //! The rule for every entry: **an `Err`, never a panic, never an abort** —
 //! in debug, where arithmetic overflow panics, and in release, where it
-//! wraps (CI runs this file under both).
+//! wraps (CI runs this file under both). An absurd length or count must be
+//! refused before it sizes a read or an allocation: sized from one, either
+//! would abort.
 
+use std::fs;
 use std::io::Write;
+use std::path::PathBuf;
 
 use ppar_ckpt::crc::crc32;
 use ppar_ckpt::store::{FieldSource, Record, Snapshot, SnapshotWriter};
 use ppar_ckpt::transport::{CkptTransport, RecordKey};
-use ppar_ckpt::{ChunkDigest, ChunkRef, DeltaMeta, DeltaSnapshot, Manifest, MemTransport};
+use ppar_ckpt::{
+    CheckpointStore, ChunkDigest, ChunkRef, DeltaMeta, DeltaSnapshot, Manifest, MemTransport,
+};
 use ppar_core::error::{PparError, Result};
 use ppar_core::runtime::{LoopFrame, RegionCursor};
 
@@ -126,6 +134,55 @@ fn delta_checked(bytes: &[u8]) -> Result<()> {
     DeltaSnapshot::decode(bytes).map(|_| ())
 }
 
+/// A flat checkpoint directory of this thread's own, holding only the
+/// [`full_record`] base and whatever `record` is written there as `name`.
+fn on_disk(name: &str, record: &[u8]) -> Result<CheckpointStore> {
+    let thread = format!("{:?}", std::thread::current().id());
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "decoders_{}_{}",
+        std::process::id(),
+        thread.trim_start_matches("ThreadId(").trim_end_matches(')')
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new_flat(&dir)?;
+    fs::write(dir.join("ckpt_master.bin"), full_record(1))?;
+    fs::write(dir.join(name), record)?;
+    Ok(store)
+}
+
+/// The full format's streamed entries: the bytes as the base on disk, its
+/// header walked and CRC-checked through a block-sized scratch by
+/// `restart_count`, then read whole by the fold.
+fn full_streamed(bytes: &[u8]) -> Result<()> {
+    let store = on_disk("ckpt_master.bin", bytes)?;
+    let walked = store.restart_count().map(drop);
+    let folded = store.get(None, None).map(drop);
+    assert_eq!(walked.is_err(), folded.is_err(), "walk and fold disagree");
+    folded
+}
+
+/// The delta format's streamed entries: the bytes as delta 1 on disk over
+/// [`full_record`], walked by `restart_count` (its header and CRC), then
+/// folded — each payload read straight into the merged record as its CRC
+/// runs. The fold must refuse whatever the walk does.
+fn delta_streamed(bytes: &[u8]) -> Result<()> {
+    let store = on_disk("ckpt_master_delta_1.bin", bytes)?;
+    let walked = store.restart_count();
+    let folded = store.get(None, None).map(drop);
+    assert!(
+        walked.is_ok() || folded.is_err(),
+        "the walk refused, the fold did not"
+    );
+    folded
+}
+
+/// One way bytes can arrive at a decoder.
+type Entry = fn(&[u8]) -> Result<()>;
+
+/// The entries that check the CRC, per format.
+const FULL_CHECKED: [Entry; 2] = [full_checked, full_streamed];
+const DELTA_CHECKED: [Entry; 2] = [delta_checked, delta_streamed];
+
 /// The delta format's trusted entry is the memory medium's fold: install
 /// the bytes as delta 1 over [`full_record`], then read the chain.
 fn delta_trusted(bytes: &[u8]) -> Result<()> {
@@ -171,19 +228,16 @@ fn absurd_lengths_are_errors_not_panics() {
         range_map + 2 * 16 + 24 + 8 + 6 + 1,
     ];
     for (record, sites, checked, trusted) in [
-        (
-            &full,
-            &full_sites[..],
-            full_checked as fn(&[u8]) -> Result<()>,
-            full_trusted as fn(&[u8]) -> Result<()>,
-        ),
-        (&delta, &delta_sites[..], delta_checked, delta_trusted),
+        (&full, &full_sites[..], &FULL_CHECKED, full_trusted as Entry),
+        (&delta, &delta_sites[..], &DELTA_CHECKED, delta_trusted),
     ] {
-        assert!(checked(record).is_ok() && trusted(record).is_ok());
+        assert!(checked.iter().all(|entry| entry(record).is_ok()) && trusted(record).is_ok());
         for &site in sites {
             for value in [u64::MAX, usize::MAX as u64 - 7, record.len() as u64 + 1] {
                 let bad = patched(record, site, value.to_le_bytes());
-                assert!(checked(&bad).is_err(), "checked, {value:#x} at {site}");
+                for (i, entry) in checked.iter().enumerate() {
+                    assert!(entry(&bad).is_err(), "checked #{i}, {value:#x} at {site}");
+                }
                 assert!(trusted(&bad).is_err(), "trusted, {value:#x} at {site}");
                 // The peek reads the header only, of a whole record or of
                 // its head: it refuses a bad tag length and never trips
@@ -214,15 +268,49 @@ fn absurd_counts_are_refused_before_they_allocate() {
     .encode();
     assert_eq!(empty.len(), 43);
     let bad = patched(&empty, FULL_NFIELDS_AT, u32::MAX.to_le_bytes());
-    assert!(is_corrupt(full_checked(&bad)));
-    assert!(is_corrupt(full_trusted(&bad)));
+    for entry in FULL_CHECKED.into_iter().chain([full_trusted as Entry]) {
+        assert!(is_corrupt(entry(&bad)));
+    }
 
     let delta = delta_record(1);
     let nranges_at = DELTA_NFIELDS_AT + 4 + 8 + 1 + 1 + 8;
     for site in [DELTA_NFIELDS_AT, nranges_at] {
         let bad = patched(&delta, site, u32::MAX.to_le_bytes());
-        assert!(is_corrupt(delta_checked(&bad)), "checked, count at {site}");
+        for (i, entry) in DELTA_CHECKED.iter().enumerate() {
+            assert!(is_corrupt(entry(&bad)), "checked #{i}, count at {site}");
+        }
         assert!(is_corrupt(delta_trusted(&bad)), "trusted, count at {site}");
+    }
+}
+
+/// A record that runs on past its end: extra bytes after the trailer are a
+/// CRC mismatch, and with the CRC made valid over them, bytes the layout
+/// does not account for — through every entry.
+#[test]
+fn an_extended_record_is_refused() {
+    for (record, checked, trusted) in [
+        (full_record(1), &FULL_CHECKED, full_trusted as Entry),
+        (delta_record(1), &DELTA_CHECKED, delta_trusted),
+    ] {
+        let body = &record[..record.len() - 4];
+        for extra in [1, 4, 7, 300] {
+            let mut longer = record.clone();
+            longer.extend(seeded(extra as u64, extra));
+            let mut resealed = body.to_vec();
+            resealed.extend(seeded(extra as u64, extra));
+            resealed.extend(crc32(&resealed).to_le_bytes());
+            for (i, entry) in checked.iter().enumerate() {
+                assert!(
+                    entry(&longer).is_err(),
+                    "checked #{i}, {extra} after the CRC"
+                );
+                assert!(
+                    is_corrupt(entry(&resealed)),
+                    "checked #{i}, {extra} resealed"
+                );
+            }
+            assert!(is_corrupt(trusted(&resealed)), "trusted, {extra} resealed");
+        }
     }
 }
 
@@ -235,23 +323,26 @@ fn absurd_counts_are_refused_before_they_allocate() {
 fn every_bit_flip_and_truncation_is_survived_and_the_checked_ones_rejected() {
     for seed in [0x5eed, 20110913] {
         for (record, checked, trusted) in [
-            (
-                full_record(seed),
-                full_checked as fn(&[u8]) -> Result<()>,
-                full_trusted as fn(&[u8]) -> Result<()>,
-            ),
-            (delta_record(seed), delta_checked, delta_trusted),
+            (full_record(seed), &FULL_CHECKED, full_trusted as Entry),
+            (delta_record(seed), &DELTA_CHECKED, delta_trusted),
         ] {
-            assert!(checked(&record).is_ok() && trusted(&record).is_ok());
+            assert!(checked.iter().all(|entry| entry(&record).is_ok()));
+            assert!(trusted(&record).is_ok());
             for bit in 0..record.len() * 8 {
                 let mut flipped = record.clone();
                 flipped[bit / 8] ^= 1 << (bit % 8);
-                assert!(checked(&flipped).is_err(), "seed {seed}: flip of bit {bit}");
+                for (i, entry) in checked.iter().enumerate() {
+                    let refused = entry(&flipped).is_err();
+                    assert!(refused, "seed {seed}: checked #{i}, flip of bit {bit}");
+                }
                 let _ = trusted(&flipped);
                 let _ = RecordKey::of_record(&flipped);
             }
             for cut in 0..record.len() {
-                assert!(checked(&record[..cut]).is_err(), "seed {seed}: cut {cut}");
+                for (i, entry) in checked.iter().enumerate() {
+                    let refused = entry(&record[..cut]).is_err();
+                    assert!(refused, "seed {seed}: checked #{i}, cut {cut}");
+                }
                 assert!(trusted(&record[..cut]).is_err(), "seed {seed}: cut {cut}");
                 let _ = RecordKey::of_record(&record[..cut]);
             }

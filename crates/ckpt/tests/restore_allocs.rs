@@ -1,9 +1,12 @@
 //! The allocation budget of a restore: how many record-sized buffers each
 //! read shape may ask the allocator for. A restore of base + k deltas holds
-//! the base buffer and one reused delta buffer, whatever k; the memory
+//! the base record's one buffer, whatever k: every delta is streamed
+//! straight into its place in it, and no delta buffer exists. The memory
 //! medium lends the record it holds and copies it only to patch a delta in.
-//! A whole disk restart — failure detection, replay target, resume cursor,
-//! load — stays inside that same budget: its chain is read and folded once.
+//! Learning the restart target reads the chain through a block-sized
+//! scratch and holds nothing record-sized. A whole disk restart — failure
+//! detection, replay target, resume cursor, load — stays inside the one
+//! buffer: its chain is read and folded once.
 //!
 //! Its own test binary because it installs a counting `#[global_allocator]`,
 //! and one `#[test]` because the counter is process-wide. The thresholds
@@ -133,7 +136,7 @@ fn lend(t: &dyn CkptTransport, at: Option<u64>, want: &[u8]) -> (usize, u64, boo
 }
 
 #[test]
-fn a_restore_allocates_one_record_and_one_reused_delta_buffer() {
+fn a_restore_allocates_one_record_and_no_delta_buffer() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("restore_allocs_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -151,14 +154,14 @@ fn a_restore_allocates_one_record_and_one_reused_delta_buffer() {
     assert!(allocs <= 2, "store get, bare: the lend plus the owned copy");
     assert_eq!(snap.field("S"), Some(base.as_slice()));
     let (allocs, count) = big_allocs(|| store.restart_count().unwrap());
-    assert_eq!((allocs, count), (1, Some(10)), "restart_count, bare");
+    assert_eq!((allocs, count), (0, Some(10)), "restart_count, bare");
 
     // -- base + dense deltas -------------------------------------------------
     let tip = put_dense_chain(&store);
     put_dense_chain(&mem);
     let tip_count = 10 + DELTAS as u64;
     let (allocs, count, same) = lend(&store, None, &tip);
-    assert!(allocs <= 2, "store lend, chain: base + reused delta buffer");
+    assert_eq!(allocs, 1, "store lend, chain: the base, patched in place");
     assert!((count, same) == (tip_count, true));
     let (allocs, count, same) = lend(&mem, None, &tip);
     assert!(
@@ -167,17 +170,20 @@ fn a_restore_allocates_one_record_and_one_reused_delta_buffer() {
     );
     assert!((count, same) == (tip_count, true));
     let (allocs, written) = big_allocs(|| store.write_merged_record(None, &mut out).unwrap());
-    assert!(allocs <= 2, "store stream, chain: {allocs}");
+    assert_eq!(allocs, 1, "store stream, chain");
     assert_eq!(written, Some(out.len() as u64));
     let (allocs, snap) = big_allocs(|| store.get(None, None).unwrap().unwrap());
     assert!(
-        allocs <= 3,
+        allocs <= 2,
         "store get, chain: the lend plus the owned copy"
     );
     assert_eq!((snap.count, snap.field("S")), (tip_count, Some(&tip[..])));
     let (allocs, count) = big_allocs(|| store.restart_count().unwrap());
-    assert!(allocs <= 2, "restart_count, chain: {allocs}");
-    assert_eq!(count, Some(tip_count));
+    assert_eq!(
+        (allocs, count),
+        (0, Some(tip_count)),
+        "restart_count, chain"
+    );
 
     // -- pins ------------------------------------------------------------------
     // A pinned prefix folds only what it serves; a pin nothing can serve is
@@ -191,10 +197,10 @@ fn a_restore_allocates_one_record_and_one_reused_delta_buffer() {
 
     // -- a module-level disk restart -------------------------------------------
     // The run that wrote base + deltas died (its marker is still there).
-    // Start-up folds the chain once — the merged record and the reused
-    // delta buffer — and that fold is the replay target, the resume cursor
-    // and the record the load installs: nothing else record-sized is asked
-    // for between store open and the restored cells.
+    // Start-up folds the chain once into the merged record, and that fold
+    // is the replay target, the resume cursor and the record the load
+    // installs: nothing else record-sized is asked for between store open
+    // and the restored cells.
     store.set_marker().unwrap();
     let plan = || {
         Plan::new()
@@ -225,7 +231,7 @@ fn a_restore_allocates_one_record_and_one_reused_delta_buffer() {
     assert_eq!(resumed, None, "these records carry no cursor");
     assert!(!module.replaying(), "the load ran at the chain's tip");
     assert!(
-        startup + replay <= 2,
+        startup + replay <= 1,
         "disk restart: {startup} at start-up + {replay} in the run"
     );
     assert!(cells.to_vec() == tip, "the restored field is the tip's");
