@@ -66,7 +66,7 @@
 //! [`CasConfig::quota_bytes`] is set and the object volume exceeds it.
 
 use std::fs;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -340,7 +340,8 @@ impl CasStore {
     pub fn record_reader(&self, name: &str) -> Result<Option<ChunkReader<'_>>> {
         Ok(self.read_manifest(name)?.map(|manifest| ChunkReader {
             store: self,
-            manifest,
+            manifest: Arc::new(manifest),
+            pos: 0,
             next: 0,
             open: None,
         }))
@@ -618,19 +619,70 @@ impl CasStore {
 /// manifest order ([`CasStore::record_reader`]): a restore reads the record
 /// into wherever its bytes belong, with no record-sized buffer in between.
 /// Each object must hold exactly the length its manifest entry announces.
+///
+/// A reader can also seek anywhere in the record (it reopens at the chunk
+/// that holds the offset), and reads at an offset from any thread: how a
+/// restart reads one large span of a record on several cores.
 pub struct ChunkReader<'s> {
     store: &'s CasStore,
-    manifest: Manifest,
+    /// Shared by every reader of the record opened from this one.
+    manifest: Arc<Manifest>,
+    /// Record offset of the next byte `read` returns.
+    pos: u64,
     /// The next entry to open.
     next: usize,
-    /// The object being read, limited to its entry's length.
+    /// The object being read, limited to what is left of its entry.
     open: Option<std::io::Take<fs::File>>,
 }
 
-impl ChunkReader<'_> {
+impl<'s> ChunkReader<'s> {
     /// The record's length in bytes.
     pub fn record_len(&self) -> u64 {
         self.manifest.total_len
+    }
+
+    /// Another reader of the same record, opened at byte `offset`: at the
+    /// chunk object that holds it, that far into it (past the record's
+    /// end, at its end).
+    pub(crate) fn at(&self, offset: u64) -> std::io::Result<ChunkReader<'s>> {
+        let mut reader = ChunkReader {
+            store: self.store,
+            manifest: Arc::clone(&self.manifest),
+            pos: offset,
+            next: self.manifest.chunks.len(),
+            open: None,
+        };
+        let mut start = 0u64;
+        for (i, entry) in self.manifest.chunks.iter().enumerate() {
+            let end = start + entry.len as u64;
+            if offset < end {
+                let mut object = self.open_object(entry)?;
+                object.seek(SeekFrom::Start(offset - start))?;
+                reader.next = i + 1;
+                reader.open = Some(object.take(end - offset));
+                break;
+            }
+            start = end;
+        }
+        Ok(reader)
+    }
+
+    /// The chunk object of `entry`, refused unless it holds exactly the
+    /// length the entry announces.
+    fn open_object(&self, entry: &ChunkRef) -> std::io::Result<fs::File> {
+        let object = fs::File::open(self.store.object_path(&entry.digest))?;
+        let held = object.metadata()?.len();
+        if held != entry.len as u64 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "chunk {} holds {held} bytes, manifest expects {}",
+                    entry.digest.to_hex(),
+                    entry.len
+                ),
+            ));
+        }
+        Ok(object)
     }
 }
 
@@ -640,27 +692,45 @@ impl Read for ChunkReader<'_> {
             if let Some(object) = &mut self.open {
                 match object.read(buf)? {
                     0 if !buf.is_empty() => self.open = None,
-                    n => return Ok(n),
+                    n => {
+                        self.pos += n as u64;
+                        return Ok(n);
+                    }
                 }
             }
             let Some(entry) = self.manifest.chunks.get(self.next) else {
                 return Ok(0);
             };
             self.next += 1;
-            let object = fs::File::open(self.store.object_path(&entry.digest))?;
-            let held = object.metadata()?.len();
-            if held != entry.len as u64 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "chunk {} holds {held} bytes, manifest expects {}",
-                        entry.digest.to_hex(),
-                        entry.len
-                    ),
-                ));
-            }
-            self.open = Some(object.take(held));
+            self.open = Some(self.open_object(entry)?.take(entry.len as u64));
         }
+    }
+}
+
+/// Seeking reopens the record at the target.
+impl Seek for ChunkReader<'_> {
+    fn seek(&mut self, to: SeekFrom) -> std::io::Result<u64> {
+        let target = match to {
+            SeekFrom::Start(offset) => Some(offset),
+            SeekFrom::Current(delta) => self.pos.checked_add_signed(delta),
+            SeekFrom::End(delta) => self.record_len().checked_add_signed(delta),
+        };
+        let target = target.ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "seek before the start of the record",
+            )
+        })?;
+        *self = self.at(target)?;
+        Ok(target)
+    }
+}
+
+/// A read at an offset opens its own reader there, so any number of
+/// threads read one record at once.
+impl crate::store::ReadAt for ChunkReader<'_> {
+    fn read_exact_at(&self, out: &mut [u8], offset: u64) -> std::io::Result<()> {
+        self.at(offset)?.read_exact(out)
     }
 }
 

@@ -18,6 +18,12 @@
 //!
 //! Both produce identical digests for identical input — the fast path is a
 //! pure speedup, never a format change.
+//!
+//! [`crc32_combine`] joins the CRCs of two adjacent byte runs into the CRC
+//! of both, from the second run's length alone. That is what lets a
+//! restart check one record on several threads: each reads and checksums
+//! its own part, and the parts' CRCs combine, in order, to exactly the
+//! value one front-to-back pass computes.
 
 /// Lazily built slice-by-8 table set. `TABLES[0]` is the classic byte-wise
 /// table; `TABLES[k][b] == crc_of(b << (8 * k))`, so eight lookups combine
@@ -248,6 +254,12 @@ impl Crc32 {
     pub fn finish(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
     }
+
+    /// Absorb `len` bytes whose CRC-32 is `crc`, as if they had been
+    /// [`Crc32::update`]d here (see [`crc32_combine`]).
+    pub fn append(&mut self, crc: u32, len: u64) {
+        self.state = crc32_combine(self.finish(), crc, len) ^ 0xFFFF_FFFF;
+    }
 }
 
 /// One-shot CRC-32 of a byte slice.
@@ -255,6 +267,43 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.finish()
+}
+
+/// `a · b mod P` over GF(2), both in the reflected order of the CRC
+/// register (bit 31 holds the coefficient of x⁰).
+fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    for bit in (0..32).rev() {
+        if a & (1 << bit) != 0 {
+            product ^= b;
+        }
+        // b · x
+        b = if b & 1 != 0 {
+            (b >> 1) ^ 0xEDB8_8320
+        } else {
+            b >> 1
+        };
+    }
+    product
+}
+
+/// The CRC-32 of `A ‖ B`, given `crc32(A)`, `crc32(B)` and the length of
+/// `B` — zlib's `crc32_combine`. Appending `B` multiplies `A`'s register by
+/// x^(8·len_b) modulo the polynomial (the pre- and post-conditioning XORs
+/// cancel out), so the cost is O(log len_b) and no byte is read again.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    // x^(8·2^i) mod P by squaring, starting from x⁸ (one byte's shift).
+    let mut power = 1 << (31 - 8);
+    let mut shift = 1 << 31; // x⁰
+    let mut n = len_b;
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = mul_mod_p(power, shift);
+        }
+        power = mul_mod_p(power, power);
+        n >>= 1;
+    }
+    mul_mod_p(shift, crc_a) ^ crc_b
 }
 
 /// Running CRC over a byte stream whose *last four bytes* are the stored
@@ -463,5 +512,47 @@ mod tests {
             }
             proptest::prop_assert_eq!(c.finish(), crc32_bytewise(&data));
         }
+
+        /// Two halves' CRCs combine to the CRC of the whole, wherever the
+        /// split falls: empty halves, and halves on both sides of the
+        /// 64-byte threshold where `update` switches kernels.
+        #[test]
+        fn prop_combine_equals_the_whole(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            split in proptest::prelude::any::<usize>(),
+        ) {
+            let split = split % (data.len() + 1);
+            let (a, b) = data.split_at(split);
+            let whole = crc32_bytewise(&data);
+            proptest::prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len() as u64), whole);
+            let mut c = Crc32::new();
+            c.update(a);
+            c.append(crc32(b), b.len() as u64);
+            proptest::prop_assert_eq!(c.finish(), whole);
+        }
+    }
+
+    #[test]
+    fn combine_holds_at_the_edges() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 97 + 3) as u8).collect();
+        for split in [0, 1, 15, 16, 63, 64, 65, 127, 128, 129, 299, 300] {
+            let (a, b) = data.split_at(split);
+            let combined = crc32_combine(crc32(a), crc32(b), b.len() as u64);
+            assert_eq!(combined, crc32_bytewise(&data), "split {split}");
+        }
+        // Several parts, joined in order, as the restart's split joins them.
+        let mut c = Crc32::new();
+        for part in data.chunks(70) {
+            c.append(crc32(part), part.len() as u64);
+        }
+        assert_eq!(c.finish(), crc32(&data));
+        // A long run of zeros: the length alone moves the register.
+        let zeros = vec![0u8; 1 << 20];
+        let mut c = Crc32::new();
+        c.update(b"head");
+        c.append(crc32(&zeros), zeros.len() as u64);
+        let mut whole = b"head".to_vec();
+        whole.extend_from_slice(&zeros);
+        assert_eq!(c.finish(), crc32(&whole));
     }
 }

@@ -69,13 +69,18 @@
 //! copy of a view. Restores read views (`CkptTransport::with_merged`);
 //! a chain's deltas are folded into the base record's bytes by
 //! [`crate::delta`] before the view is taken. A record comes off the disk
-//! through one `RecordStream`: read front to back once, its CRC folded in
-//! block by block as the bytes land — the base into the fold's one buffer,
-//! a delta's payloads straight into their places in it.
+//! through one `RecordStream`: read once, its CRC folded in block by block
+//! as the bytes land — the base into the fold's one buffer, a delta's
+//! payloads straight into their places in it. A large span (a base's body,
+//! a dense delta's payload) is read on every core: helper threads read
+//! their parts at their offsets, and the parts' CRCs combine
+//! ([`crate::crc::crc32_combine`]) to exactly the value one pass computes.
+//! Copying a stored record through to a sink (`record_copy_to`, the
+//! service's answer to a restore) stays one ordered, front-to-back pass.
 
 use std::borrow::Cow;
 use std::fs;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -465,6 +470,12 @@ struct CrcTee<'a, W: Write> {
 /// write (or vice versa), saving a second trip to RAM per multi-MiB
 /// field.
 const CRC_COPY_BLOCK: usize = 256 << 10;
+
+/// The least a thread reads of a CRC-verified span when [`RecordStream`]
+/// splits it across threads: a span shorter than two of these is read by
+/// the calling thread alone, where starting a helper would cost more than
+/// its share of the read saves.
+const SPLIT_PART: usize = 2 << 20;
 
 impl<W: Write> Write for CrcTee<'_, W> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
@@ -1196,6 +1207,16 @@ impl Input for Reader<'_> {
 /// once, into wherever its bytes belong, and no record-sized buffer is
 /// needed to check it.
 ///
+/// **A large span is read on every core.** A verified span — a `fill` or a
+/// `skip` — of at least two [`SPLIT_PART`]s, from a medium with positioned
+/// access ([`Source::split`]), is cut into at most one part per core. The
+/// calling thread reads the first part through its own reader, as it reads
+/// everything else; a scoped helper thread reads each other part at its
+/// offset, straight into place, with a CRC of its own. The parts' CRCs then
+/// join the running one in record order ([`Crc32::append`]), so the trailer
+/// is checked against exactly the value one front-to-back pass computes,
+/// and every error is the one that pass would report.
+///
 /// A verdict reached before the end waits for the CRC: [`RecordStream::fail`]
 /// reads the rest, and a record that fails its CRC reports that instead.
 pub(crate) struct RecordStream<R> {
@@ -1208,7 +1229,7 @@ pub(crate) struct RecordStream<R> {
     what: &'static str,
 }
 
-impl<R: Read> RecordStream<R> {
+impl<R: Source> RecordStream<R> {
     pub(crate) fn new(src: R, len: u64, verify: bool, what: &'static str) -> Result<Self> {
         let len = usize::try_from(len).unwrap_or(usize::MAX);
         if len < MAGIC.len() + 4 {
@@ -1260,9 +1281,26 @@ impl<R: Read> RecordStream<R> {
     pub(crate) fn fail(self, err: PparError) -> PparError {
         self.end().err().unwrap_or(err)
     }
+
+    /// The next `span.len()` body bytes, CRC running: on every core when
+    /// the span is verified, long enough and the medium can split it, front
+    /// to back otherwise.
+    fn read(&mut self, span: Span<'_>) -> Result<()> {
+        let len = span.len();
+        self.check(len)?;
+        let parts = (len / SPLIT_PART).min(cores());
+        match (&mut self.crc, self.src.split()) {
+            (Some(crc), Some((front, at))) if parts > 1 => {
+                read_split(front, at, self.pos as u64, span, parts, crc)?
+            }
+            _ => read_front(&mut self.src, span, self.crc.as_mut())?,
+        }
+        self.pos += len;
+        Ok(())
+    }
 }
 
-impl<R: Read> Input for RecordStream<R> {
+impl<R: Source> Input for RecordStream<R> {
     fn pos(&self) -> usize {
         self.pos
     }
@@ -1271,45 +1309,234 @@ impl<R: Read> Input for RecordStream<R> {
         self.len - self.pos
     }
 
-    /// Reads ask for a block at a time from wherever the last one ended: a
-    /// source buffered by the block then serves small reads from its buffer
-    /// and passes block-sized ones straight into `out`.
     fn fill(&mut self, out: &mut [u8]) -> Result<()> {
-        self.check(out.len())?;
-        let mut done = 0;
-        while done < out.len() {
-            let want = (out.len() - done).min(CRC_COPY_BLOCK);
-            let got = match self.src.read(&mut out[done..done + want]) {
-                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
-                Ok(got) => got,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            };
-            if let Some(crc) = &mut self.crc {
-                crc.update(&out[done..done + got]);
-            }
-            done += got;
-        }
-        self.pos += out.len();
-        Ok(())
+        self.read(Span::Into(out))
     }
 
     /// Skipped bytes pass through a block-sized scratch to be checked.
     fn skip(&mut self, n: usize) -> Result<()> {
-        self.check(n)?;
-        let mut scratch = vec![0; n.min(CRC_COPY_BLOCK)];
-        let mut left = n;
-        while left > 0 {
-            let block = left.min(scratch.len());
-            self.fill(&mut scratch[..block])?;
-            left -= block;
+        self.read(Span::Past(n))
+    }
+}
+
+/// Where the bytes of a span go: into their place, or — passed over —
+/// through a block-sized scratch, only to be checked.
+enum Span<'a> {
+    Into(&'a mut [u8]),
+    Past(usize),
+}
+
+impl<'a> Span<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Span::Into(out) => out.len(),
+            Span::Past(n) => *n,
         }
-        Ok(())
+    }
+
+    /// Consecutive parts of `part` bytes each (the last one shorter).
+    fn parts(self, part: usize) -> Vec<Span<'a>> {
+        match self {
+            Span::Into(out) => out.chunks_mut(part).map(Span::Into).collect(),
+            Span::Past(n) => (0..n)
+                .step_by(part)
+                .map(|start| Span::Past(part.min(n - start)))
+                .collect(),
+        }
+    }
+}
+
+/// Cores a span may be read on: the machine's available parallelism, asked
+/// once per process.
+fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Read `span` from `src`, front to back, folding each block into `crc` as
+/// it lands. Reads ask for a block at a time from wherever the last one
+/// ended: a source buffered by the block then serves small reads from its
+/// buffer and passes block-sized ones straight into place.
+fn read_front<S: Read + ?Sized>(
+    src: &mut S,
+    span: Span<'_>,
+    mut crc: Option<&mut Crc32>,
+) -> Result<()> {
+    let out = match span {
+        Span::Into(out) => out,
+        Span::Past(n) => {
+            let mut scratch = vec![0; n.min(CRC_COPY_BLOCK)];
+            for start in (0..n).step_by(CRC_COPY_BLOCK) {
+                let block = &mut scratch[..CRC_COPY_BLOCK.min(n - start)];
+                read_front(src, Span::Into(block), crc.as_deref_mut())?;
+            }
+            return Ok(());
+        }
+    };
+    let mut done = 0;
+    while done < out.len() {
+        let want = (out.len() - done).min(CRC_COPY_BLOCK);
+        let got = match src.read(&mut out[done..done + want]) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
+            Ok(got) => got,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        if let Some(crc) = crc.as_deref_mut() {
+            crc.update(&out[done..done + got]);
+        }
+        done += got;
+    }
+    Ok(())
+}
+
+/// Read `span`, which starts at record offset `offset`, in `parts` parts on
+/// as many threads. This thread reads the first part through `front`; a
+/// scoped helper reads each other part through `at` ([`read_at`]). Once all
+/// have landed, the helpers' CRCs join `crc` in record order and `front`
+/// moves past their parts. The first error in record order is the span's.
+fn read_split(
+    front: &mut dyn ReadSeek,
+    at: &dyn ReadAt,
+    offset: u64,
+    span: Span<'_>,
+    parts: usize,
+    crc: &mut Crc32,
+) -> Result<()> {
+    let part = span.len().div_ceil(parts);
+    let mut rest = span.parts(part);
+    let first = rest.remove(0);
+    let ahead: usize = rest.iter().map(Span::len).sum();
+    let (front_read, helped) = std::thread::scope(|scope| {
+        let mut start = offset + first.len() as u64;
+        let helpers: Vec<_> = rest
+            .into_iter()
+            .map(|span| {
+                let part_at = start;
+                start += span.len() as u64;
+                scope.spawn(move || read_at(at, part_at, span))
+            })
+            .collect();
+        let front_read = read_front(front, first, Some(&mut *crc));
+        let helped: Vec<_> = helpers
+            .into_iter()
+            .map(|helper| {
+                helper
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
+            })
+            .collect();
+        (front_read, helped)
+    });
+    front_read?;
+    for part in helped {
+        let (part_crc, part_len) = part?;
+        crc.append(part_crc, part_len);
+    }
+    let ahead = i64::try_from(ahead).map_err(std::io::Error::other)?;
+    front.seek(std::io::SeekFrom::Current(ahead))?;
+    Ok(())
+}
+
+/// A helper's part: `span` read through `at` from record offset `start`, a
+/// block at a time — straight into place, or through a block-sized scratch
+/// of its own — each block checksummed as it lands. Returns the part's CRC
+/// and length.
+fn read_at(at: &dyn ReadAt, start: u64, span: Span<'_>) -> std::io::Result<(u32, u64)> {
+    let len = span.len();
+    let mut crc = Crc32::new();
+    let mut read_block = |block: &mut [u8], done: usize| {
+        at.read_exact_at(block, start + done as u64)?;
+        crc.update(block);
+        Ok::<_, std::io::Error>(())
+    };
+    match span {
+        Span::Into(out) => {
+            for (i, block) in out.chunks_mut(CRC_COPY_BLOCK).enumerate() {
+                read_block(block, i * CRC_COPY_BLOCK)?;
+            }
+        }
+        Span::Past(n) => {
+            let mut scratch = vec![0; n.min(CRC_COPY_BLOCK)];
+            for done in (0..n).step_by(CRC_COPY_BLOCK) {
+                read_block(&mut scratch[..CRC_COPY_BLOCK.min(n - done)], done)?;
+            }
+        }
+    }
+    Ok((crc.finish(), len as u64))
+}
+
+/// Positioned access to a record's bytes, shared by threads: what lets a
+/// [`RecordStream`] read one span on several cores.
+pub(crate) trait ReadAt: Sync {
+    /// Fill `out` with the record's bytes from `offset` on.
+    fn read_exact_at(&self, out: &mut [u8], offset: u64) -> std::io::Result<()>;
+}
+
+/// A flat file is read at an offset by `pread`, which never moves the
+/// file's cursor.
+#[cfg(unix)]
+impl ReadAt for fs::File {
+    fn read_exact_at(&self, out: &mut [u8], offset: u64) -> std::io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(self, out, offset)
+    }
+}
+
+/// A reader that can also move ahead.
+pub(crate) trait ReadSeek: Read + Seek {}
+
+impl<T: Read + Seek> ReadSeek for T {}
+
+/// What a [`RecordStream`] reads: the record front to back, and — where the
+/// medium has it — positioned access to the same bytes.
+pub(crate) trait Source: Read {
+    /// The front-to-back reader and the medium's positioned access,
+    /// borrowed apart: helper threads read at their offsets while the
+    /// reader goes on, and it then moves past what they read. `None`, the
+    /// default: the medium has no positioned access, and every span is read
+    /// front to back.
+    fn split(&mut self) -> Option<(&mut dyn ReadSeek, &dyn ReadAt)> {
+        None
+    }
+}
+
+/// Held bytes are read where they lie, and never verified: nothing to
+/// split.
+impl Source for &[u8] {}
+
+/// A record opened on disk for one read: front to back through a
+/// block-sized buffer, and positioned access beside it — a second handle on
+/// the flat file, or a second reader of the record's chunk objects. Flat
+/// files off Unix have none, and read every span front to back.
+pub(crate) struct OnDisk<'s> {
+    front: BufReader<Box<dyn ReadSeek + 's>>,
+    at: Option<Box<dyn ReadAt + 's>>,
+}
+
+impl<'s> OnDisk<'s> {
+    fn new(front: Box<dyn ReadSeek + 's>, at: Option<Box<dyn ReadAt + 's>>) -> OnDisk<'s> {
+        OnDisk {
+            front: BufReader::with_capacity(CRC_COPY_BLOCK, front),
+            at,
+        }
+    }
+}
+
+impl Read for OnDisk<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.front.read(buf)
+    }
+}
+
+impl Source for OnDisk<'_> {
+    fn split(&mut self) -> Option<(&mut dyn ReadSeek, &dyn ReadAt)> {
+        let front: &mut dyn ReadSeek = &mut self.front;
+        Some((front, self.at.as_deref()?))
     }
 }
 
 /// A record opened for one front-to-back read: its length and its bytes.
-type Opened<'s> = (u64, Box<dyn Read + 's>);
+type Opened<'s> = (u64, OnDisk<'s>);
 
 /// A checkpoint directory.
 ///
@@ -1401,24 +1628,25 @@ impl CheckpointStore {
     /// order, a flat file otherwise; `None` when absent under both layouts.
     /// Buffered by the block, so the many small reads of a header or a
     /// sparse delta's ranges cost one read call per block, while block-sized
-    /// reads bypass the buffer (see [`RecordStream`]'s `fill`).
+    /// reads bypass the buffer (see [`RecordStream`]'s `fill`). Positioned
+    /// access rides along for the split: a second reader of the chunk
+    /// objects, or a second handle on the file.
     fn record_reader(&self, path: &Path) -> Result<Option<Opened<'_>>> {
         if let Some(cas) = &self.cas {
             if let Some(chunks) = cas.record_reader(CheckpointStore::rec_name(path))? {
+                let at: Box<dyn ReadAt> = Box::new(chunks.at(0)?);
                 let len = chunks.record_len();
-                return Ok(Some((
-                    len,
-                    Box::new(BufReader::with_capacity(CRC_COPY_BLOCK, chunks)),
-                )));
+                return Ok(Some((len, OnDisk::new(Box::new(chunks), Some(at)))));
             }
         }
         match fs::File::open(path) {
             Ok(file) => {
+                #[cfg(unix)]
+                let at: Option<Box<dyn ReadAt>> = Some(Box::new(file.try_clone()?));
+                #[cfg(not(unix))]
+                let at = None;
                 let len = file.metadata()?.len();
-                Ok(Some((
-                    len,
-                    Box::new(BufReader::with_capacity(CRC_COPY_BLOCK, file)),
-                )))
+                Ok(Some((len, OnDisk::new(Box::new(file), at))))
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),

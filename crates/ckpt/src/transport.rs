@@ -58,7 +58,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, RwLock};
@@ -69,7 +69,7 @@ use crate::cas::{ChunkRef, PutStats};
 use crate::delta::{DeltaMeta, Merged, DELTA_MAGIC};
 use crate::store::{
     record_body, DeltaSource, FieldSource, Reader, Record, RecordStream, Snapshot, SnapshotMeta,
-    SnapshotView,
+    SnapshotView, Source,
 };
 
 /// Names one record of one chain.
@@ -374,13 +374,17 @@ pub(crate) fn chain_step_is_live(
 ///
 /// The medium supplies the bytes: `delta(seq)` opens delta `seq` where it
 /// lies — a file, a record's chunk objects, the held record itself — as its
-/// length and a reader, `None` when there is no such delta. Each record is
-/// read once, front to back, its CRC checked on the way through when
-/// `verify`, and no verdict is acted on before that CRC: a header that
-/// says stale, out of order, past the pin or malformed — and whatever
-/// `fold` refuses — is read to its end first, and a record that fails its
-/// CRC is that error instead. Only a verified stale delta ends the walk.
-pub(crate) fn walk_chain<R: Read>(
+/// length and a [`Source`], `None` when there is no such delta. A source is
+/// a front-to-back reader and, on disk, positioned access beside it, with
+/// which the [`RecordStream`] reads each large verified span (a dense
+/// delta's payload) on every core. Each record is read once, its CRC
+/// checked on the way through when `verify` — for a split span, exactly
+/// the value a front-to-back pass computes — and no verdict is acted on
+/// before that CRC: a header that says stale, out of order, past the pin
+/// or malformed — and whatever `fold` refuses — is read to its end first,
+/// and a record that fails its CRC is that error instead. Only a verified
+/// stale delta ends the walk.
+pub(crate) fn walk_chain<R: Source>(
     base_count: u64,
     at: Option<u64>,
     verify: bool,
@@ -426,35 +430,48 @@ pub(crate) fn walk_chain<R: Read>(
 /// payload read straight into its place ([`Merged::apply`]): no delta is
 /// ever held whole. The first generation to land on a pinned `at` is
 /// returned, and an unpinned fold takes the first one present; `Ok(None)`
-/// when the chain has no base record. The caller owns the result: a read
-/// *lends* it ([`lend_merged`]), a disk restart *keeps* it from store open
-/// until the load installs it, so its chain is read once. On `Err` a
-/// half-patched record is dropped with the fold.
-pub(crate) fn fold_merged<'b, R: Read>(
+/// when the chain has no base record. A pinned fold also looks past a
+/// generation that is corrupt (its base or a live delta fails its CRC or
+/// its layout rules), since an older one may still hold the pinned,
+/// group-committed safe point; an I/O error ends it, as does any error of
+/// an unpinned fold. When no generation serves the pin, the error names
+/// what each one tried gave. The caller owns the result: a read *lends* it
+/// ([`lend_merged`]), a disk restart *keeps* it from store open until the
+/// load installs it, so its chain is read once. On `Err` a half-patched
+/// record is dropped with the fold.
+pub(crate) fn fold_merged<'b, R: Source>(
     rank: Option<u32>,
     at: Option<u64>,
     verify: bool,
     bases: impl IntoIterator<Item = Result<Option<Cow<'b, [u8]>>>>,
     mut delta: impl FnMut(u32) -> Result<Option<(u64, R)>>,
 ) -> Result<Option<Merged<'b>>> {
-    let mut seen = Vec::new();
+    let mut tried = Vec::new();
     for base in bases {
-        let Some(base) = base? else {
-            continue;
-        };
-        let mut merged = Merged::of_base(base)?;
-        let count = walk_chain(merged.count(), at, verify, &mut delta, |meta, r| {
-            merged.apply(meta, r)
-        })?;
-        if at.is_none_or(|at| count == at) {
-            return Ok(Some(merged));
+        let generation = base.and_then(|base| {
+            let Some(base) = base else {
+                return Ok(None);
+            };
+            let mut merged = Merged::of_base(base)?;
+            let count = walk_chain(merged.count(), at, verify, &mut delta, |meta, r| {
+                merged.apply(meta, r)
+            })?;
+            Ok(Some((merged, count)))
+        });
+        match generation {
+            Ok(None) => {}
+            Ok(Some((merged, count))) if at.is_none_or(|at| count == at) => {
+                return Ok(Some(merged))
+            }
+            Ok(Some((_, count))) => tried.push(format!("reaches safe point {count}")),
+            Err(PparError::CorruptCheckpoint(why)) if at.is_some() => tried.push(why),
+            Err(e) => return Err(e),
         }
-        seen.push(count);
     }
-    match (seen.is_empty(), at) {
-        (false, Some(count)) => Err(PparError::CorruptCheckpoint(format!(
+    match at {
+        Some(count) if !tried.is_empty() => Err(PparError::CorruptCheckpoint(format!(
             "no generation of the {rank:?} chain can serve safe point {count} \
-             (available: {seen:?}; torn group checkpoint)"
+             (newest first: {tried:?}; torn group checkpoint)"
         ))),
         _ => Ok(None),
     }

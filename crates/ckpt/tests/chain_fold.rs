@@ -5,14 +5,21 @@
 //! CRC. A delta whose `base_count`, `seq` or `count` was flipped on disk is
 //! a CRC error, never a shorter chain or another verdict; only a delta that
 //! passes its CRC and names an older base ends the chain quietly.
+//!
+//! Records above the split size — a span a restart reads on several
+//! threads, each part CRC'd on its own and the CRCs combined — fold exactly
+//! as a front-to-back pass does: the same state, and for a corrupt record
+//! the same error, down to the CRC values it names.
 
 use std::fs;
+use std::io::Write;
 use std::ops::Range;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use ppar_ckpt::crc::crc32;
 use ppar_ckpt::store::{DeltaSource, FieldSource, Record, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
-use ppar_ckpt::{CheckpointStore, DeltaMeta, MemTransport, Snapshot};
+use ppar_ckpt::{CheckpointStore, DeltaMeta, MemTransport, RecordKey, Snapshot};
 use ppar_core::error::{PparError, Result};
 
 const TAG: &str = "seq";
@@ -63,6 +70,19 @@ enum Patch {
     Sparse(u64, Vec<(usize, Vec<u8>)>),
 }
 
+impl Patch {
+    fn apply(&self, bytes: &mut Vec<u8>) {
+        match self {
+            Patch::Whole(whole) => bytes.clone_from(whole),
+            Patch::Sparse(_, ranges) => {
+                for (off, patch) in ranges {
+                    bytes[*off..off + patch.len()].copy_from_slice(patch);
+                }
+            }
+        }
+    }
+}
+
 /// A base and its deltas, with the state after each.
 struct Chain {
     base: Snapshot,
@@ -108,14 +128,7 @@ fn chain(seed: u64) -> Chain {
                     Patch::Sparse(bytes.len() as u64, ranges)
                 }
             };
-            match &patch {
-                Patch::Whole(whole) => bytes.clone_from(whole),
-                Patch::Sparse(_, ranges) => {
-                    for (off, patch) in ranges {
-                        bytes[*off..off + patch.len()].copy_from_slice(patch);
-                    }
-                }
-            }
+            patch.apply(bytes);
             fields.push((name.clone(), patch));
         }
         deltas.push((state.count, fields));
@@ -229,28 +242,39 @@ proptest::proptest! {
     }
 }
 
-/// Flip `mask` into byte `at` of record `name` where the store keeps it —
-/// the file, or the chunk object holding that byte — leaving the CRC as it
-/// was.
-fn flip(store: &CheckpointStore, name: &str, mut at: usize, mask: u8) {
-    let path = match store.cas() {
-        None => store.dir().join(name),
-        Some(cas) => {
-            let manifest = cas.read_manifest(name).unwrap().unwrap();
-            let chunk = manifest.chunks.iter().find(|chunk| {
-                let inside = at < chunk.len as usize;
-                if !inside {
-                    at -= chunk.len as usize;
-                }
-                inside
-            });
-            let hex = chunk.unwrap().digest.to_hex();
-            store.dir().join("objects").join(&hex[..2]).join(&hex)
-        }
+/// Where the store keeps byte `at` of record `name`: the file, or the chunk
+/// object holding that byte, and the byte's offset there.
+fn locate(store: &CheckpointStore, name: &str, mut at: usize) -> (PathBuf, usize) {
+    let Some(cas) = store.cas() else {
+        return (store.dir().join(name), at);
     };
+    let manifest = cas.read_manifest(name).unwrap().unwrap();
+    let chunk = manifest.chunks.iter().find(|chunk| {
+        let inside = at < chunk.len as usize;
+        if !inside {
+            at -= chunk.len as usize;
+        }
+        inside
+    });
+    let hex = chunk.unwrap().digest.to_hex();
+    (store.dir().join("objects").join(&hex[..2]).join(&hex), at)
+}
+
+/// Flip `mask` into byte `at` of record `name` where the store keeps it,
+/// leaving the CRC as it was.
+fn flip(store: &CheckpointStore, name: &str, at: usize, mask: u8) {
+    let (path, at) = locate(store, name, at);
     let mut bytes = fs::read(&path).unwrap();
     bytes[at] ^= mask;
     fs::write(&path, bytes).unwrap();
+}
+
+fn open(layout: &str, dir: &Path) -> CheckpointStore {
+    match layout {
+        "flat" => CheckpointStore::new_flat(dir),
+        _ => CheckpointStore::new_cas(dir),
+    }
+    .unwrap()
 }
 
 /// Base at 10, deltas 1 and 2 at 11 and 12, every field whole.
@@ -287,11 +311,7 @@ fn a_flipped_header_of_a_live_delta_is_a_crc_error() {
             ("count", COUNT_AT, 0x08),
         ] {
             let dir = scratch(&format!("flip_{layout}_{field}"));
-            let store = match layout {
-                "flat" => CheckpointStore::new_flat(&dir),
-                _ => CheckpointStore::new_cas(&dir),
-            }
-            .unwrap();
+            let store = open(layout, &dir);
             small_chain(&store);
             assert_eq!(store.restart_count().unwrap(), Some(12));
             flip(&store, "ckpt_master_delta_2.bin", at, mask);
@@ -316,11 +336,7 @@ fn a_flipped_header_of_a_live_delta_is_a_crc_error() {
 fn only_a_verified_stale_delta_ends_the_chain_quietly() {
     for layout in ["flat", "cas"] {
         let dir = scratch(&format!("stale_{layout}"));
-        let store = match layout {
-            "flat" => CheckpointStore::new_flat(&dir),
-            _ => CheckpointStore::new_cas(&dir),
-        }
-        .unwrap();
+        let store = open(layout, &dir);
         small_chain(&store);
         // A new base at 20, its old chain not yet collected.
         let base = SnapshotMeta {
@@ -339,6 +355,212 @@ fn only_a_verified_stale_delta_ends_the_chain_quietly() {
         flip(&store, "ckpt_master_delta_1.bin", 100, 0x10);
         assert!(is_delta_crc_error(store.get(None, None)), "{layout}: get");
         assert!(is_delta_crc_error(store.restart_count()), "{layout}: count");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// records above the split size
+// ---------------------------------------------------------------------------
+
+/// The least a thread reads of a verified span when a restart splits it
+/// across threads (the store's part size): a span of two of these or more
+/// is read on up to every core, in parts that join at the span's midpoint
+/// when there are two.
+const SPLIT_PART: usize = 2 << 20;
+/// A field above the split size, at an odd length.
+const LARGE: usize = 2 * SPLIT_PART + (64 << 10) + 7;
+
+/// A base whose field `G` is `len` random bytes, and one dense delta over
+/// it (every byte of `G` dirty).
+#[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
+fn large_pair(store: &CheckpointStore, len: usize) {
+    let mut rng = Rng(len as u64);
+    let base = Snapshot {
+        mode_tag: TAG.into(),
+        count: 10,
+        rank: None,
+        nranks: 1,
+        fields: vec![("G".into(), rng.bytes(len))],
+    };
+    put_base(store, &base);
+    let payload = rng.bytes(len);
+    let dense = DeltaSource::DirtyBytes {
+        full_len: len as u64,
+        ranges: &[0..len],
+        payload: &payload,
+    };
+    store
+        .put(&Record::Delta(&delta_meta(11, 10, 1), &[("G", dense)]))
+        .unwrap();
+}
+
+/// The bytes of record `name` as the store keeps them.
+fn record(store: &CheckpointStore, name: &str) -> Vec<u8> {
+    match store.cas() {
+        None => fs::read(store.dir().join(name)).unwrap(),
+        Some(cas) => cas.read_record(name).unwrap().unwrap(),
+    }
+}
+
+/// What a front-to-back pass says of the corrupt record `bytes`.
+fn crc_mismatch(what: &str, bytes: &[u8]) -> String {
+    let (body, trailer) = bytes.split_at(bytes.len() - 4);
+    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
+    let computed = crc32(body);
+    format!("{what}CRC mismatch: stored {stored:#010x}, computed {computed:#010x}")
+}
+
+fn corrupt<T: std::fmt::Debug>(outcome: Result<T>) -> String {
+    match outcome {
+        Err(PparError::CorruptCheckpoint(msg)) => msg,
+        other => panic!("expected a corrupt checkpoint, got {other:?}"),
+    }
+}
+
+/// A bit flipped in any part of a split span — whichever thread reads it —
+/// is the very `CRC mismatch` one front-to-back pass reports, stored and
+/// computed value alike, through the fold and through the restart walk: in
+/// a base (its whole body is one span) and in a dense delta (its payload).
+#[test]
+fn a_bit_flipped_in_any_part_is_the_sequential_crc_error() {
+    for layout in ["flat", "cas"] {
+        let dir = scratch(&format!("split_flip_{layout}"));
+        let store = open(layout, &dir);
+        large_pair(&store, LARGE);
+        for (name, what) in [
+            ("ckpt_master.bin", ""),
+            ("ckpt_master_delta_1.bin", "delta "),
+        ] {
+            // The split span: a base's whole body, a dense delta's payload
+            // (the last bytes of its body).
+            let body = record(&store, name).len() - 4;
+            let span = match what {
+                "" => 0..body,
+                _ => body - LARGE..body,
+            };
+            // A flip at every odd eighth: one in each part of a split into
+            // up to four.
+            for k in [1, 3, 5, 7] {
+                let at = span.start + k * span.len() / 8;
+                flip(&store, name, at, 0x20);
+                let want = crc_mismatch(what, &record(&store, name));
+                let case = format!("{layout}: {name} flipped at {at}");
+                assert_eq!(corrupt(store.get(None, None)), want, "{case}: fold");
+                assert_eq!(corrupt(store.restart_count()), want, "{case}: walk");
+                flip(&store, name, at, 0x20);
+            }
+        }
+        let tip = store.get(None, None).unwrap().unwrap();
+        assert_eq!(tip.count, 11, "{layout}: every flip undone");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// A record cut short inside what would be a helper's part is corrupt —
+/// never a panic, never a lend — whether it is the base or the dense delta
+/// over it; what is left still spans two parts, so the cut record is read
+/// split. Under the content-addressed layout, a chunk object cut short in a
+/// helper's part fails the read the same way.
+#[test]
+fn a_record_cut_inside_a_helpers_part_is_corrupt() {
+    let len = 3 * SPLIT_PART;
+    for layout in ["flat", "cas"] {
+        for (name, key) in [
+            ("ckpt_master.bin", RecordKey::full(None)),
+            ("ckpt_master_delta_1.bin", RecordKey::delta(None, 1)),
+        ] {
+            let dir = scratch(&format!("split_cut_{layout}"));
+            let store = open(layout, &dir);
+            large_pair(&store, len);
+            let bytes = record(&store, name);
+            let mut sink = store.begin(key, 0).unwrap();
+            sink.write_all(&bytes[..bytes.len() * 5 / 6]).unwrap();
+            sink.commit().unwrap();
+            let case = format!("{layout}: {name} cut");
+            let mut lent = false;
+            let outcome = store.with_merged(None, None, &mut |_| {
+                lent = true;
+                Ok(())
+            });
+            assert!(corrupt(outcome).contains("CRC mismatch"), "{case}");
+            assert!(!lent, "{case}: nothing is lent");
+            corrupt(store.restart_count());
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+    let dir = scratch("split_cut_object");
+    let store = open("cas", &dir);
+    large_pair(&store, len);
+    let (object, _) = locate(&store, "ckpt_master.bin", len * 3 / 4);
+    let bytes = fs::read(&object).unwrap();
+    fs::write(&object, &bytes[..bytes.len() / 2]).unwrap();
+    let mut lent = false;
+    let outcome = store.with_merged(None, None, &mut |_| {
+        lent = true;
+        Ok(())
+    });
+    assert!(outcome.is_err() && !lent, "a cut chunk object: {outcome:?}");
+    assert!(store.restart_count().is_err());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A chain whose every large span is read split: a dense range with a small
+/// one across the field's middle, the field grown whole (the side table), a
+/// dense patch there with a small range across its middle, then the field
+/// whole at its old length. Every medium folds it to the state it
+/// describes, byte for byte, at every pinned prefix.
+#[test]
+fn a_chain_above_the_split_size_folds_to_the_state_it_describes() {
+    let mut rng = Rng(0x5eed);
+    let grown = LARGE + 777;
+    let patches = [
+        Patch::Sparse(
+            LARGE as u64,
+            vec![
+                (1000, rng.bytes(LARGE - 5000)),
+                (LARGE / 2 - 10, rng.bytes(20)),
+            ],
+        ),
+        Patch::Whole(rng.bytes(grown)),
+        Patch::Sparse(
+            grown as u64,
+            vec![(0, rng.bytes(grown)), (grown / 2 - 3, rng.bytes(9))],
+        ),
+        Patch::Whole(rng.bytes(LARGE)),
+    ];
+    let mut state = Snapshot {
+        mode_tag: TAG.into(),
+        count: 10,
+        rank: None,
+        nranks: 1,
+        fields: vec![
+            ("G".into(), rng.bytes(LARGE)),
+            ("energy".into(), rng.bytes(8)),
+        ],
+    };
+    let base = state.clone();
+    let mut states = vec![state.clone()];
+    let mut deltas = Vec::new();
+    for patch in patches {
+        state.count += 1;
+        patch.apply(&mut state.fields[0].1);
+        states.push(state.clone());
+        deltas.push((state.count, vec![("G".to_string(), patch)]));
+    }
+    let c = Chain {
+        base,
+        deltas,
+        states,
+    };
+    let mem = MemTransport::new();
+    put_chain(&mem, &c);
+    check_reads(&mem, &c, "memory");
+    for layout in ["flat", "cas"] {
+        let dir = scratch(&format!("split_chain_{layout}"));
+        let store = open(layout, &dir);
+        put_chain(&store, &c);
+        check_reads(&store, &c, layout);
         let _ = fs::remove_dir_all(&dir);
     }
 }

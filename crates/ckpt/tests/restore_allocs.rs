@@ -8,6 +8,12 @@
 //! detection, replay target, resume cursor, load — stays inside the one
 //! buffer: its chain is read and folded once.
 //!
+//! Every budget is checked twice: on a state one thread reads alone, and on
+//! one above the split size, where a restart reads each large span on every
+//! core — so the helper threads run under the counting allocator, and the
+//! budgets hold with them: each reads its part straight into place, with no
+//! staging buffer of its own.
+//!
 //! Its own test binary because it installs a counting `#[global_allocator]`,
 //! and one `#[test]` because the counter is process-wide. The thresholds
 //! are about the optimised code as much as the debug build: CI runs this
@@ -25,10 +31,12 @@ use ppar_core::ctx::{CkptHook, Ctx, RunShared, SeqEngine};
 use ppar_core::plan::{Plan, Plug, PointSet};
 use ppar_core::state::Registry;
 
-/// The state under test: one 4 MiB field.
-const FIELD: usize = 4 << 20;
 /// Allocations at least this large are "record-sized".
 const BIG: usize = 1 << 20;
+/// The least a thread reads of a verified span when a restart splits it
+/// across threads (the store's part size): a span of two of these or more
+/// is read split.
+const SPLIT_PART: usize = 2 << 20;
 const DELTAS: u32 = 4;
 
 static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
@@ -79,20 +87,20 @@ fn big_allocs<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (BIG_ALLOCS.load(Ordering::Relaxed) - before, out)
 }
 
-fn payload(seed: u8) -> Vec<u8> {
-    (0..FIELD)
+fn payload(field: usize, seed: u8) -> Vec<u8> {
+    (0..field)
         .map(|i| (i as u8).wrapping_mul(31) ^ seed)
         .collect()
 }
 
-fn put_base(t: &dyn CkptTransport) {
+fn put_base(t: &dyn CkptTransport, field: usize) {
     let meta = SnapshotMeta {
         mode_tag: "seq".into(),
         count: 10,
         rank: None,
         nranks: 1,
     };
-    let bytes = payload(0);
+    let bytes = payload(field, 0);
     t.put(&Record::Full(&meta, &[("S", FieldSource::Bytes(&bytes))]))
         .unwrap();
 }
@@ -100,7 +108,7 @@ fn put_base(t: &dyn CkptTransport) {
 /// `DELTAS` dense deltas (every byte dirty) over the base; returns the
 /// state the chain's tip describes.
 #[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
-fn put_dense_chain(t: &dyn CkptTransport) -> Vec<u8> {
+fn put_dense_chain(t: &dyn CkptTransport, field: usize) -> Vec<u8> {
     let mut last = Vec::new();
     for seq in 1..=DELTAS {
         let meta = DeltaMeta {
@@ -111,10 +119,10 @@ fn put_dense_chain(t: &dyn CkptTransport) -> Vec<u8> {
             rank: None,
             nranks: 1,
         };
-        last = payload(seq as u8);
+        last = payload(field, seq as u8);
         let dense = DeltaSource::DirtyBytes {
-            full_len: FIELD as u64,
-            ranges: &[0..FIELD],
+            full_len: field as u64,
+            ranges: &[0..field],
             payload: &last,
         };
         t.put(&Record::Delta(&meta, &[("S", dense)])).unwrap();
@@ -137,17 +145,24 @@ fn lend(t: &dyn CkptTransport, at: Option<u64>, want: &[u8]) -> (usize, u64, boo
 
 #[test]
 fn a_restore_allocates_one_record_and_no_delta_buffer() {
+    // A state one thread reads alone, then one read on every core.
+    budgets(3 << 19);
+    budgets(3 * SPLIT_PART);
+}
+
+/// Every read shape's budget, on a state of one `field`-byte field.
+fn budgets(field: usize) {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("restore_allocs_{}", std::process::id()));
+        .join(format!("restore_allocs_{}_{field}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::new_flat(&dir).unwrap();
     let mem = MemTransport::new();
-    let base = payload(0);
-    let mut out = Vec::with_capacity(FIELD + (1 << 16));
+    let base = payload(field, 0);
+    let mut out = Vec::with_capacity(field + (1 << 16));
 
     // -- a bare base ---------------------------------------------------------
-    put_base(&store);
-    put_base(&mem);
+    put_base(&store, field);
+    put_base(&mem, field);
     assert_eq!(lend(&store, None, &base), (1, 10, true), "store lend, bare");
     assert_eq!(lend(&mem, None, &base), (0, 10, true), "memory lend, bare");
     let (allocs, snap) = big_allocs(|| store.get(None, None).unwrap().unwrap());
@@ -157,8 +172,8 @@ fn a_restore_allocates_one_record_and_no_delta_buffer() {
     assert_eq!((allocs, count), (0, Some(10)), "restart_count, bare");
 
     // -- base + dense deltas -------------------------------------------------
-    let tip = put_dense_chain(&store);
-    put_dense_chain(&mem);
+    let tip = put_dense_chain(&store, field);
+    put_dense_chain(&mem, field);
     let tip_count = 10 + DELTAS as u64;
     let (allocs, count, same) = lend(&store, None, &tip);
     assert_eq!(allocs, 1, "store lend, chain: the base, patched in place");
@@ -220,7 +235,7 @@ fn a_restore_allocates_one_record_and_no_delta_buffer() {
         Some(module.clone()),
         None,
     ));
-    let cells = ctx.alloc_vec("S", FIELD, 0u8);
+    let cells = ctx.alloc_vec("S", field, 0u8);
     let (replay, resumed) = big_allocs(|| {
         let resumed = module.loop_resume(0, "iter", 0, 100);
         for _ in 0..tip_count {
