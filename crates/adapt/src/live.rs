@@ -20,25 +20,26 @@
 //!    and caught here by [`catch_exit`] — so nothing writes those cells
 //!    again;
 //! 4. the launcher takes the hand-off from the root's module, retargets the
-//!    deployment (same process!), arms the hand-off as the read-only
-//!    **resume** source of every successor element (and lets go of it), and
+//!    deployment (same process!), arms the hand-off as the **resume**
+//!    source of every successor element (and lets go of it), and
 //!    relaunches the application closure; replay runs with ignorable
 //!    methods skipped and, at the hand-off's safe point, every element
 //!    installs its own share straight from the predecessor's cells — no
 //!    scatter follows — and those cells are freed with the last load.
 //!
 //! No process exits and no disk is touched by the mode switch itself;
-//! periodic checkpoints keep flowing to the on-disk store (when a
-//! checkpoint directory is configured), so a real crash mid-session still
-//! restarts from disk — restart remains the fallback behind the unchanged
-//! [`crate::launcher`] API.
+//! periodic checkpoints keep flowing to the on-disk store when a checkpoint
+//! directory is configured, so a real crash mid-session still restarts from
+//! disk — restart remains the fallback behind the unchanged
+//! [`crate::launcher`] API. Without a directory a session has no medium at
+//! all: its modules count safe points and carry hand-offs, and a plan that
+//! would snapshot is refused.
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppar_ckpt::hook::{CheckpointModule, CkptStats};
-use ppar_ckpt::transport::{CkptTransport, MemTransport};
 use ppar_ckpt::Handoff;
 use ppar_core::ctx::{AdaptHook, Ctx};
 use ppar_core::error::{PparError, Result};
@@ -133,14 +134,13 @@ pub fn deploy_for_mode(mode: ExecMode, template: &Deploy) -> Deploy {
 /// is consumed here, so the successor's modules hold the hand-off's only
 /// references and the predecessor's cells are freed once every element has
 /// loaded them.
-fn arm(modules: &[Arc<CheckpointModule>], resume: Option<Arc<Handoff>>) -> Result<()> {
+fn arm(modules: &[Arc<CheckpointModule>], resume: Option<Arc<Handoff>>) {
     for module in modules {
         module.arm_handoff();
-        if let Some(source) = &resume {
-            module.arm_resume(source.clone())?;
+        if let Some(handoff) = &resume {
+            module.arm_resume(handoff.clone());
         }
     }
-    Ok(())
 }
 
 /// Launch `app` under `initial` with **live reshape**: run-time adaptations
@@ -148,9 +148,11 @@ fn arm(modules: &[Arc<CheckpointModule>], resume: Option<Arc<Handoff>>) -> Resul
 /// hand-off and an in-process relaunch (see the [module docs](self)).
 ///
 /// `ckpt_dir` additionally plugs durable periodic checkpointing (and arms
-/// replay if the directory holds a failed run); without it, snapshots live
-/// in a per-round [`MemTransport`], so even checkpoint-free sessions can
-/// reshape live. A `Deploy::Seq` initial deployment accepts no reshapes
+/// replay if the directory holds a failed run); without it the modules have
+/// no medium — they count safe points and carry the hand-off, so even
+/// checkpoint-free sessions can reshape live — and a plan that snapshots
+/// (`checkpoint_every() > 0`) is refused with `InvalidPlan`. A `Deploy::Seq`
+/// initial deployment accepts no reshapes
 /// (the strict sequential engine never polls the controller) — use
 /// `Deploy::Smp { threads: 1, .. }` for the adaptive sequential end of the
 /// spectrum.
@@ -174,18 +176,15 @@ pub fn launch_live<R: Send>(
     for round_no in 0..MAX_ROUNDS {
         let nranks = deploy.nranks();
 
-        // Checkpoint modules: durable (directory) or per-round in-memory.
-        let modules: Vec<Arc<CheckpointModule>> = match ckpt_dir {
+        // Checkpoint modules: durable (directory), or with no medium.
+        let modules = match ckpt_dir {
             Some(dir) => CheckpointModule::create_group(dir, &plan, nranks)?,
-            None => {
-                let mem: Arc<dyn CkptTransport> = Arc::new(MemTransport::new());
-                CheckpointModule::create_group_with_transport(mem, &plan, nranks)
-            }
+            None => CheckpointModule::create_group_without_dir(&plan, nranks)?,
         };
         if round_no == 0 {
             replayed = modules[0].will_replay();
         }
-        arm(&modules, resume.take())?;
+        arm(&modules, resume.take());
 
         let (exits, traffic) = round(&deploy, &plan, &modules, Some(&controller), |ctx| {
             run_catching(|| run_app(ctx, &app))
@@ -269,14 +268,11 @@ mod tests {
                 None,
             ))
         };
-        let group = |n| {
-            let mem: Arc<dyn CkptTransport> = Arc::new(MemTransport::new());
-            CheckpointModule::create_group_with_transport(mem, &plan, n)
-        };
+        let group = |n| CheckpointModule::create_group_without_dir(&plan, n).unwrap();
 
         // The predecessor freezes its state at crossing 3, then ends.
         let predecessor = group(1);
-        arm(&predecessor, None).unwrap();
+        arm(&predecessor, None);
         let ctx = run(&predecessor[0]);
         let g = ctx.alloc_vec("G", 4, 7.0f64);
         let frozen: Weak<SharedVec<f64>> = Arc::downgrade(&g);
@@ -288,7 +284,7 @@ mod tests {
         drop((ctx, g, predecessor));
 
         let successor = group(2);
-        arm(&successor, Some(Arc::new(handoff))).unwrap();
+        arm(&successor, Some(Arc::new(handoff)));
         assert!(successor.iter().all(|m| m.replay_target() == 3));
         for (loaded, module) in successor.iter().enumerate() {
             assert!(frozen.upgrade().is_some(), "{loaded} of 2 elements loaded");
@@ -298,5 +294,30 @@ mod tests {
             assert_eq!(g.to_vec(), vec![7.0; 4]);
         }
         assert!(frozen.upgrade().is_none(), "freed with the last load");
+    }
+
+    /// Without a checkpoint directory a session has no medium: a plan that
+    /// would snapshot is refused before anything runs.
+    #[test]
+    fn a_session_without_a_directory_refuses_a_plan_that_snapshots() {
+        let plan = Plan::new()
+            .plug(Plug::SafeData { field: "G".into() })
+            .plug(Plug::SafePoints {
+                points: PointSet::Named(vec!["iter".into()]),
+                every: 2,
+            });
+        let ran = std::sync::atomic::AtomicBool::new(false);
+        let outcome = launch_live(
+            &Deploy::Seq,
+            plan,
+            None,
+            AdaptationController::new(),
+            |_| {
+                ran.store(true, std::sync::atomic::Ordering::SeqCst);
+                (AppStatus::Completed, ())
+            },
+        );
+        assert!(matches!(outcome, Err(PparError::InvalidPlan(_))));
+        assert!(!ran.into_inner(), "nothing ran");
     }
 }

@@ -184,7 +184,7 @@ fn run_attempt<R>(
                     *service = Some(NetTransport::serve(
                         dyn_fabric.clone(),
                         0,
-                        module.transport().clone(),
+                        Arc::new(module.store().clone()),
                     ));
                 }
             }

@@ -8,7 +8,7 @@
 //! launch. The record pin then fixes what a `dist2` run leaves on disk.
 
 use ppar_adapt::{launch, AppStatus, Deploy};
-use ppar_ckpt::CheckpointStore;
+use ppar_ckpt::{CheckpointStore, CkptTransport};
 use ppar_core::ctx::Ctx;
 use ppar_core::plan::{DistCkptStrategy, Plan, Plug};
 use ppar_dsm::SpmdConfig;
@@ -153,7 +153,7 @@ fn dist2_master_record_is_pinned() {
     .unwrap();
     let master = CheckpointStore::new(&dir)
         .unwrap()
-        .read_master()
+        .get(None, None)
         .unwrap()
         .expect("the crashed run left a master record");
     assert_eq!(master.mode_tag, "dist2");

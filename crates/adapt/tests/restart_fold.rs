@@ -56,7 +56,7 @@ fn crash_after_commit(dir: &Path) -> CheckpointStore {
 /// rotates the committed generation aside, as it does for real.
 fn tear(store: &CheckpointStore, rank: u32) {
     let mut shard: Snapshot = store
-        .read_shard(rank)
+        .get(Some(rank), None)
         .unwrap()
         .expect("the shard at the commit");
     assert_eq!(shard.count, 4);

@@ -294,23 +294,6 @@ impl CasStore {
         Ok(true)
     }
 
-    /// Read the chunk for `entry`, verifying its stored length. The chunk
-    /// digest is not recomputed here: record-level integrity is enforced
-    /// by the snapshot CRC at decode time, and objects are immutable once
-    /// promoted.
-    pub fn read_chunk(&self, entry: &ChunkRef) -> Result<Vec<u8>> {
-        let bytes = fs::read(self.object_path(&entry.digest))?;
-        if bytes.len() != entry.len as usize {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "chunk {} holds {} bytes, manifest expects {}",
-                entry.digest.to_hex(),
-                bytes.len(),
-                entry.len
-            )));
-        }
-        Ok(bytes)
-    }
-
     /// Does a promoted manifest for record `name` exist?
     pub fn manifest_exists(&self, name: &str) -> bool {
         self.manifest_path(name).exists()
@@ -325,64 +308,22 @@ impl CasStore {
         }
     }
 
-    /// Materialize record `name` (chunks reassembled in manifest order).
-    pub fn read_record(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        let Some(mut chunks) = self.record_reader(name)? else {
-            return Ok(None);
-        };
-        let mut out = Vec::with_capacity(chunks.record_len() as usize);
-        chunks.read_to_end(&mut out)?;
-        Ok(Some(out))
-    }
-
     /// Record `name` for one front-to-back read, `None` when no manifest
     /// exists.
     pub fn record_reader(&self, name: &str) -> Result<Option<ChunkReader<'_>>> {
-        Ok(self.read_manifest(name)?.map(|manifest| ChunkReader {
+        let manifest = self.read_manifest(name)?;
+        Ok(manifest.map(|manifest| self.reader(Arc::new(manifest))))
+    }
+
+    /// The record `manifest` lists, for one front-to-back read.
+    fn reader(&self, manifest: Arc<Manifest>) -> ChunkReader<'_> {
+        ChunkReader {
             store: self,
-            manifest: Arc::new(manifest),
+            manifest,
             pos: 0,
             next: 0,
             open: None,
-        }))
-    }
-
-    /// The first `max` bytes of record `name` (header peeks).
-    pub fn read_head(&self, name: &str, max: usize) -> Result<Option<Vec<u8>>> {
-        match self.read_manifest(name)? {
-            Some(m) => self.manifest_head(&m, max).map(Some),
-            None => Ok(None),
         }
-    }
-
-    /// The first `max` bytes of the record `m` lists, from its leading
-    /// chunk objects.
-    fn manifest_head(&self, m: &Manifest, max: usize) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(max.min(m.total_len as usize));
-        for entry in &m.chunks {
-            if out.len() >= max {
-                break;
-            }
-            let chunk = self.read_chunk(entry)?;
-            let want = max - out.len();
-            out.extend_from_slice(&chunk[..chunk.len().min(want)]);
-        }
-        Ok(out)
-    }
-
-    /// Stream record `name` into `out`; returns bytes written, `None` when
-    /// no manifest exists.
-    pub fn write_record_to(&self, name: &str, out: &mut dyn Write) -> Result<Option<u64>> {
-        let Some(m) = self.read_manifest(name)? else {
-            return Ok(None);
-        };
-        let mut written = 0u64;
-        for entry in &m.chunks {
-            let chunk = self.read_chunk(entry)?;
-            out.write_all(&chunk)?;
-            written += chunk.len() as u64;
-        }
-        Ok(Some(written))
     }
 
     /// Rename record `from` → `to` (manifest-level: chunk objects are
@@ -503,7 +444,7 @@ impl CasStore {
         Ok(DedupTxn {
             store: self.clone(),
             journal_path,
-            manifest,
+            manifest: Arc::new(manifest),
             missing,
             next: 0,
             pending: Vec::new(),
@@ -1029,7 +970,7 @@ impl StagedTxn {
 pub struct DedupTxn {
     store: CasStore,
     journal_path: PathBuf,
-    manifest: Manifest,
+    manifest: Arc<Manifest>,
     missing: Vec<u32>,
     next: usize,
     /// Bytes of the next missing chunk received so far (a chunk can
@@ -1089,7 +1030,10 @@ impl DedupTxn {
     /// in the store by the time the record is complete — supplied, or
     /// found present when the transaction began.
     pub fn head(&self, max: usize) -> Result<Vec<u8>> {
-        self.store.manifest_head(&self.manifest, max)
+        let mut head = Vec::with_capacity(max);
+        let chunks = self.store.reader(Arc::clone(&self.manifest));
+        chunks.take(max as u64).read_to_end(&mut head)?;
+        Ok(head)
     }
 
     /// Promote the record once every missing chunk has been supplied;
@@ -1173,6 +1117,14 @@ mod tests {
         d
     }
 
+    /// Record `name` read back whole through its chunk reader.
+    fn read_record(store: &CasStore, name: &str) -> Option<Vec<u8>> {
+        let mut chunks = store.record_reader(name).unwrap()?;
+        let mut out = Vec::new();
+        chunks.read_to_end(&mut out).unwrap();
+        Some(out)
+    }
+
     fn cfg_now() -> CasConfig {
         CasConfig {
             gc_grace: Duration::ZERO,
@@ -1190,7 +1142,7 @@ mod tests {
         let mut t = store.begin().unwrap();
         t.append(&record).unwrap();
         assert_eq!(t.commit("rec_a").unwrap(), record.len() as u64);
-        assert_eq!(store.read_record("rec_a").unwrap().unwrap(), record);
+        assert_eq!(read_record(&store, "rec_a").unwrap(), record);
         let s1 = store.take_put_stats();
         assert_eq!(s1.chunks_written, 4);
         assert_eq!(s1.chunks_deduped, 0);
@@ -1203,7 +1155,7 @@ mod tests {
         assert_eq!(s2.chunks_written, 0);
         assert_eq!(s2.chunks_deduped, 4);
         assert_eq!(s2.bytes_deduped, record.len() as u64);
-        assert_eq!(store.read_record("rec_b").unwrap().unwrap(), record);
+        assert_eq!(read_record(&store, "rec_b").unwrap(), record);
     }
 
     #[test]
@@ -1243,7 +1195,7 @@ mod tests {
         store.remove_manifest("b").unwrap();
         let gc = store.gc().unwrap();
         assert_eq!(gc.objects_swept, 1, "rec_b's single distinct chunk");
-        assert_eq!(store.read_record("a").unwrap().unwrap(), rec_a);
+        assert_eq!(read_record(&store, "a").unwrap(), rec_a);
         // Nothing left to sweep.
         assert_eq!(store.gc().unwrap().objects_swept, 0);
     }
@@ -1264,12 +1216,12 @@ mod tests {
 
         // Reopen: previous generation intact, orphan journal present.
         let store = CasStore::open_with(&dir, cfg_now()).unwrap();
-        assert_eq!(store.read_record("rec").unwrap().unwrap(), gen1);
+        assert_eq!(read_record(&store, "rec").unwrap(), gen1);
         let gc = store.gc().unwrap();
         assert_eq!(gc.journals_discarded, 1);
         // gen2's chunks are garbage once the journal is gone.
         assert!(store.gc().unwrap().objects_swept > 0 || gc.objects_swept > 0);
-        assert_eq!(store.read_record("rec").unwrap().unwrap(), gen1);
+        assert_eq!(read_record(&store, "rec").unwrap(), gen1);
     }
 
     #[test]
@@ -1296,7 +1248,7 @@ mod tests {
         txn.supply_chunk(&next[2 * DIRTY_CHUNK_BYTES..3 * DIRTY_CHUNK_BYTES])
             .unwrap();
         assert_eq!(txn.commit("next").unwrap(), next.len() as u64);
-        assert_eq!(store.read_record("next").unwrap().unwrap(), next);
+        assert_eq!(read_record(&store, "next").unwrap(), next);
         let s = store.take_put_stats();
         assert_eq!(s.chunks_written, 1);
         assert_eq!(s.chunks_deduped, 3);
@@ -1339,7 +1291,7 @@ mod tests {
             store.object_bytes()
         );
         assert_eq!(
-            store.read_record("rec").unwrap().unwrap(),
+            read_record(&store, "rec").unwrap(),
             vec![3u8; 2 * DIRTY_CHUNK_BYTES]
         );
     }

@@ -41,21 +41,18 @@
 //! owned block for shard snapshots), which keeps the merge a plain
 //! `payload[off..off+len] = bytes` in both strategies.
 //!
-//! ## Who parses, who owns, who folds
+//! ## Who parses, who folds
 //!
 //! One decoder knows this layout: `DeltaMeta::header` for the header and
 //! `decode_fields` for every field descriptor after it, over bytes in
-//! memory or a record streaming off a medium, handing each payload to
+//! memory or a record streaming off the disk, handing each payload to
 //! whoever asked for it. [`DeltaView`] asks for slices: every whole-field
 //! payload and every sparse range lent where it lies in the record (the
-//! DSM's in-memory patch record is read this way). [`DeltaSnapshot`] (the
-//! same shape holding `Vec<u8>`) is the owned copy of a view, for code that
-//! inspects a single record. `Merged` is the fold: the base record's
-//! *bytes*, into which each delta's payloads are read straight from the
-//! medium, CRC running — a restore therefore holds one record-sized buffer
-//! however long the chain, and no delta is ever held whole.
-
-use std::borrow::Cow;
+//! DSM's in-memory patch record is read this way). `Merged` is the fold:
+//! the base record's *bytes*, into which each delta's payloads are read
+//! straight from the disk, CRC running — a restore therefore holds one
+//! record-sized buffer however long the chain, and no delta is ever held
+//! whole.
 
 use ppar_core::error::{PparError, Result};
 
@@ -85,47 +82,29 @@ pub struct DeltaMeta {
     pub nranks: u32,
 }
 
-/// One field's content inside a delta record. `B` is how payload bytes are
-/// held: `&[u8]` slices of the record as parsed ([`DeltaView`]), `Vec<u8>`
-/// in the owned form.
+/// One field's content inside a delta record, its bytes lent from the
+/// record.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DeltaPayload<B = Vec<u8>> {
+pub enum DeltaPayload<'a> {
     /// The whole field (containers without write tracking).
-    Full(B),
+    Full(&'a [u8]),
     /// Only the touched byte ranges of a `full_len`-byte field payload.
     Sparse {
         /// Total length the merged field payload must have.
         full_len: u64,
         /// `(offset, bytes)` patches, applied in order (last writer wins).
-        ranges: Vec<(u64, B)>,
+        ranges: Vec<(u64, &'a [u8])>,
     },
 }
 
-impl<B: AsRef<[u8]>> DeltaPayload<B> {
-    /// Bytes this payload contributes to the delta file (the savings signal:
-    /// compare against the field's full length).
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            DeltaPayload::Full(b) => b.as_ref().len(),
-            DeltaPayload::Sparse { ranges, .. } => {
-                ranges.iter().map(|(_, b)| b.as_ref().len()).sum()
-            }
-        }
-    }
-}
-
-/// A decoded delta record; the owned form unless `B` says otherwise (see
-/// [`DeltaPayload`]).
+/// A delta record as parsed: payloads are slices of the record's bytes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DeltaSnapshot<B = Vec<u8>> {
+pub struct DeltaView<'a> {
     /// Header.
     pub meta: DeltaMeta,
     /// Field name → delta payload, in `SafeData` declaration order.
-    pub fields: Vec<(String, DeltaPayload<B>)>,
+    pub fields: Vec<(String, DeltaPayload<'a>)>,
 }
-
-/// A delta record as parsed: payloads are slices of the record's bytes.
-pub type DeltaView<'a> = DeltaSnapshot<&'a [u8]>;
 
 impl DeltaMeta {
     /// The delta decoder's header step: magic through `nranks`. All a chain
@@ -162,43 +141,18 @@ impl DeltaMeta {
     }
 }
 
-impl DeltaSnapshot {
-    /// Decode and integrity-check one delta record: the owned copy of
-    /// [`DeltaView::of_record`].
-    pub fn decode(bytes: &[u8]) -> Result<DeltaSnapshot> {
-        let view = DeltaView::of_record(bytes)?;
-        let own = |payload: &DeltaPayload<&[u8]>| match payload {
-            DeltaPayload::Full(b) => DeltaPayload::Full(b.to_vec()),
-            DeltaPayload::Sparse { full_len, ranges } => DeltaPayload::Sparse {
-                full_len: *full_len,
-                ranges: ranges.iter().map(|(off, b)| (*off, b.to_vec())).collect(),
-            },
-        };
-        Ok(DeltaSnapshot {
-            fields: view
-                .fields
-                .iter()
-                .map(|(n, p)| (n.clone(), own(p)))
-                .collect(),
-            meta: view.meta,
-        })
-    }
-}
-
 impl<'a> DeltaView<'a> {
-    /// Parse one delta record and verify its trailing CRC-32.
+    /// Parse one delta record and verify its trailing CRC-32; every payload
+    /// is lent where it lies.
     pub fn of_record(bytes: &'a [u8]) -> Result<DeltaView<'a>> {
-        DeltaView::parse(record_body(bytes, true, "delta ")?)
-    }
-
-    /// Parse a record body (the record without its CRC trailer) through
-    /// the one delta decoder: every payload is lent where it lies.
-    pub(crate) fn parse(body: &'a [u8]) -> Result<DeltaView<'a>> {
-        let mut r = Reader { buf: body, pos: 0 };
+        let mut r = Reader {
+            buf: record_body(bytes, true, "delta ")?,
+            pos: 0,
+        };
         let meta = DeltaMeta::header(&mut r)?;
         let mut fields = Vec::new();
         decode_fields(&mut r, &mut fields)?;
-        Ok(DeltaSnapshot { meta, fields })
+        Ok(DeltaView { meta, fields })
     }
 }
 
@@ -264,7 +218,7 @@ pub(crate) fn decode_fields<I: Input>(r: &mut I, patch: &mut impl Patch<I>) -> R
 }
 
 /// A view's fields: each payload is a slice of the parsed record.
-impl<'a> Patch<Reader<'a>> for Vec<(String, DeltaPayload<&'a [u8]>)> {
+impl<'a> Patch<Reader<'a>> for Vec<(String, DeltaPayload<'a>)> {
     fn whole(&mut self, r: &mut Reader<'a>, name: String, len: usize) -> Result<()> {
         self.push((name, DeltaPayload::Full(r.take(len)?)));
         Ok(())
@@ -287,13 +241,11 @@ impl<'a> Patch<Reader<'a>> for Vec<(String, DeltaPayload<&'a [u8]>)> {
 /// A chain being folded, on bytes: the base record, whose field payloads
 /// each live delta patches *in place* as it is read. A restore of a base
 /// and k deltas holds one record-sized buffer, not 1 + k, and no delta
-/// buffer at all: every payload range is read straight into its span. A
-/// borrowed base (the memory medium lends its held record) is copied when
-/// the first patch arrives and never if none does; an owned one (read off
-/// a disk) is never copied at all.
-pub(crate) struct Merged<'b> {
+/// buffer at all: every payload range is read straight into its span, and
+/// the base itself is never copied.
+pub(crate) struct Merged {
     /// The base record's body (no CRC trailer).
-    record: Cow<'b, [u8]>,
+    record: Vec<u8>,
     /// The base's header; `count` and `mode_tag` advance with every delta.
     meta: SnapshotMeta,
     fields: FieldSpans,
@@ -303,10 +255,10 @@ pub(crate) struct Merged<'b> {
     replaced: Vec<Option<Vec<u8>>>,
 }
 
-impl<'b> Merged<'b> {
+impl Merged {
     /// Start a fold from a base record's body, whose integrity the caller
     /// has established.
-    pub(crate) fn of_base(record: Cow<'b, [u8]>) -> Result<Merged<'b>> {
+    pub(crate) fn of_base(record: Vec<u8>) -> Result<Merged> {
         let (meta, fields) = SnapshotView::parse(&mut Reader {
             buf: &record,
             pos: 0,
@@ -369,13 +321,13 @@ impl<'b> Merged<'b> {
 }
 
 /// The fold's patches land in the record, or in the side table.
-impl<I: Input> Patch<I> for Merged<'_> {
+impl<I: Input> Patch<I> for Merged {
     fn whole(&mut self, r: &mut I, name: String, len: usize) -> Result<()> {
         let idx = self.field(&name)?;
         let span = self.fields[idx].1.clone();
         if len == span.len() {
             self.replaced[idx] = None;
-            return r.fill(&mut self.record.to_mut()[span]);
+            return r.fill(&mut self.record[span]);
         }
         let side = self.replaced[idx].get_or_insert_with(Vec::new);
         side.clear();
@@ -394,7 +346,7 @@ impl<I: Input> Patch<I> for Merged<'_> {
         let span = self.fields[idx].1.clone();
         let slot = match &mut self.replaced[idx] {
             Some(side) => side.as_mut_slice(),
-            None => &mut self.record.to_mut()[span],
+            None => &mut self.record[span],
         };
         if slot.len() as u64 != full_len {
             return Err(PparError::CorruptCheckpoint(format!(
@@ -422,11 +374,9 @@ impl<I: Input> Patch<I> for Merged<'_> {
 mod tests {
     use super::*;
     use crate::crc::crc32;
-    use crate::store::{RecordStream, Snapshot};
+    use crate::store::{DeltaSource, OnDisk, Record, RecordStream, Snapshot};
 
-    type Payload<'a> = DeltaPayload<&'a [u8]>;
-
-    fn sparse<'a>(full_len: u64, ranges: Vec<(u64, &'a [u8])>) -> Payload<'a> {
+    fn sparse<'a>(full_len: u64, ranges: Vec<(u64, &'a [u8])>) -> DeltaPayload<'a> {
         DeltaPayload::Sparse { full_len, ranges }
     }
 
@@ -443,8 +393,8 @@ mod tests {
         }
     }
 
-    fn delta<'a>(count: u64, fields: Vec<(&str, Payload<'a>)>) -> DeltaView<'a> {
-        DeltaSnapshot {
+    fn delta<'a>(count: u64, fields: Vec<(&str, DeltaPayload<'a>)>) -> DeltaView<'a> {
+        DeltaView {
             meta: DeltaMeta {
                 mode_tag: "seq".into(),
                 count,
@@ -497,41 +447,21 @@ mod tests {
         out
     }
 
-    /// Fold the records of `deltas` onto the encoded [`base`] both ways a
-    /// medium can: an owned base and each record streamed, CRC-checked, or
-    /// a lent base and each record's body in memory. The two must agree.
+    /// Fold the records of `deltas` onto the encoded [`base`], each record
+    /// streamed and CRC-checked as the fold reads it off a medium.
     fn fold(deltas: &[DeltaView<'_>]) -> Result<Snapshot> {
         let record = base().encode();
-        let body = &record[..record.len() - 4];
-        let records: Vec<Vec<u8>> = deltas.iter().map(encode).collect();
-        let streamed = || -> Result<Snapshot> {
-            let mut merged = Merged::of_base(Cow::Owned(body.to_vec()))?;
-            for rec in &records {
-                let mut r = RecordStream::new(&rec[..], rec.len() as u64, true, "delta ")?;
-                merged.apply(&DeltaMeta::header(&mut r)?, &mut r)?;
-                r.end()?;
-            }
-            Ok(merged.view().to_snapshot())
-        };
-        let lent = || -> Result<Snapshot> {
-            let mut merged = Merged::of_base(Cow::Borrowed(body))?;
-            for rec in &records {
-                let mut r = Reader {
-                    buf: record_body(rec, true, "delta ")?,
-                    pos: 0,
-                };
-                merged.apply(&DeltaMeta::header(&mut r)?, &mut r)?;
-            }
-            Ok(merged.view().to_snapshot())
-        };
-        let (owned, lent) = (streamed(), lent());
-        assert_eq!(owned.as_ref().ok(), lent.as_ref().ok());
-        assert_eq!(owned.is_err(), lent.is_err());
-        // Each record also parses to exactly the view it was made from.
-        for (rec, d) in records.iter().zip(deltas) {
-            assert_eq!(&DeltaView::of_record(rec).unwrap(), d);
+        let mut merged = Merged::of_base(record[..record.len() - 4].to_vec())?;
+        for d in deltas {
+            let rec = encode(d);
+            // Each record also parses to exactly the view it was made from.
+            assert_eq!(&DeltaView::of_record(&rec).unwrap(), d);
+            let src = OnDisk::new(Box::new(std::io::Cursor::new(&rec[..])), None);
+            let mut r = RecordStream::new(src, rec.len() as u64, "delta ")?;
+            merged.apply(&DeltaMeta::header(&mut r)?, &mut r)?;
+            r.end()?;
         }
-        owned
+        Ok(merged.view().to_snapshot())
     }
 
     #[test]
@@ -607,12 +537,35 @@ mod tests {
         assert!(fold(&[d]).is_err());
     }
 
+    /// A sparse record carries its touched bytes and their range map, not
+    /// the field: its size does not follow the field's length, and each
+    /// carried byte adds exactly one byte to it.
     #[test]
-    fn payload_bytes_counts_only_carried_bytes() {
-        assert_eq!(DeltaPayload::Full(vec![0; 5]).payload_bytes(), 5);
+    fn a_sparse_record_carries_only_its_touched_bytes() {
+        let meta = delta(11, vec![]).meta;
+        let record = |full_len: u64, ranges: &[std::ops::Range<usize>], payload: &[u8]| {
+            let field = DeltaSource::DirtyBytes {
+                full_len,
+                ranges,
+                payload,
+            };
+            let (_, bytes) = Record::Delta(&meta, &[("G", field)])
+                .encode(Vec::new(), true)
+                .unwrap();
+            bytes
+        };
+        let small = record(100, &[0..3, 50..54], &[7; 7]);
+        assert_eq!(record(1 << 30, &[0..3, 50..54], &[7; 7]).len(), small.len());
         assert_eq!(
-            sparse(100, vec![(0, &[0; 3]), (50, &[0; 4])]).payload_bytes(),
-            7
+            record(100, &[0..3, 50..59], &[7; 12]).len(),
+            small.len() + 5
         );
+
+        let view = DeltaView::of_record(&small).unwrap();
+        let [(_, DeltaPayload::Sparse { full_len, ranges })] = &view.fields[..] else {
+            panic!("one sparse field: {:?}", view.fields);
+        };
+        assert_eq!(*full_len, 100);
+        assert_eq!(ranges.iter().map(|(_, b)| b.len()).sum::<usize>(), 7);
     }
 }

@@ -5,25 +5,23 @@
 //! again. A [`Handoff`] therefore keeps the cells themselves — the
 //! root's, complete after the engine's pre-hand-off gather — instead of
 //! encoding them into a record, and the successor reads them through the
-//! ordinary [`CkptTransport`] seam: the lend, [`CkptTransport::with_merged`],
-//! hands out a [`SnapshotView`] whose payloads are the cells' own bytes
-//! ([`StateCell::encoded`]). A cell whose memory is not its encoding
-//! (`ValueCell`, the task frontier: a few bytes each) is encoded once, at
-//! capture. So an escalated reshape allocates no record and copies the state
-//! once, predecessor cells → successor cells, in the successor's install.
+//! hand-off's own methods: [`Handoff::lend`] hands out a [`SnapshotView`]
+//! whose payloads are the cells' own bytes ([`StateCell::encoded`]). A cell
+//! whose memory is not its encoding (`ValueCell`, the task frontier: a few
+//! bytes each) is encoded once, at capture. So an escalated reshape
+//! allocates no record and copies the state once, predecessor cells →
+//! successor cells, in the successor's install.
 //!
-//! A hand-off is read-only ([`CkptTransport::begin`] refuses) and holds one
-//! master record at one safe point: `restart_count` is that point, a shard
-//! chain is absent, and a read pinned to another point is an error.
+//! A hand-off is not a checkpoint medium: it holds one master view at one
+//! safe point ([`Handoff::count`]), takes no record and has no chain.
 
 use std::sync::Arc;
 
 use ppar_core::error::{PparError, Result};
-use ppar_core::runtime::PROGRESS_FIELD;
+use ppar_core::runtime::{RegionCursor, PROGRESS_FIELD};
 use ppar_core::state::StateCell;
 
 use crate::store::{SnapshotMeta, SnapshotView};
-use crate::transport::{CkptTransport, RecordKey, RecordSink};
 
 /// One field of a frozen hand-off.
 enum Frozen {
@@ -34,7 +32,7 @@ enum Frozen {
 }
 
 /// The predecessor's state at an escalated crossing, read by the successor
-/// as a read-only checkpoint medium (see the [module docs](self)).
+/// (see the [module docs](self)).
 pub struct Handoff {
     meta: SnapshotMeta,
     fields: Vec<(String, Frozen)>,
@@ -71,34 +69,16 @@ impl Handoff {
         };
         self.fields.iter().map(|(_, f)| len(f) as u64).sum()
     }
-}
 
-impl CkptTransport for Handoff {
-    fn describe(&self) -> &'static str {
-        "hand-off"
+    /// The safe point the state was frozen at: the successor's replay
+    /// target.
+    pub fn count(&self) -> u64 {
+        self.meta.count
     }
 
-    fn begin<'a>(&'a self, key: RecordKey, _len_hint: u64) -> Result<Box<dyn RecordSink + 'a>> {
-        Err(PparError::ContractViolation(format!(
-            "a live hand-off is read-only: cannot put {key:?} into it"
-        )))
-    }
-
-    fn with_merged(
-        &self,
-        rank: Option<u32>,
-        at: Option<u64>,
-        read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
-    ) -> Result<bool> {
-        if rank.is_some() {
-            return Ok(false);
-        }
-        if let Some(at) = at.filter(|&at| at != self.meta.count) {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "the hand-off holds safe point {}, not {at}",
-                self.meta.count
-            )));
-        }
+    /// Run `read` once over the frozen state as a master view, per field
+    /// byte-identical to a full snapshot of it; its error is the call's.
+    pub fn lend(&self, read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>) -> Result<()> {
         let fields = self.fields.iter().map(|(name, field)| {
             let bytes = match field {
                 Frozen::Lent(cell) => cell.encoded().ok_or_else(|| {
@@ -110,23 +90,74 @@ impl CkptTransport for Handoff {
             };
             Ok((name.clone(), bytes))
         });
-        let view = SnapshotView {
+        read(&SnapshotView {
             meta: self.meta.clone(),
             fields: fields.collect::<Result<_>>()?,
+        })
+    }
+
+    /// The `PPARPRG1` cursor frozen with the state; `None` when it does not
+    /// decode (the resume then replays classically).
+    pub fn cursor(&self) -> Option<RegionCursor> {
+        self.fields.iter().find_map(|(name, field)| match field {
+            Frozen::Encoded(bytes) if name == PROGRESS_FIELD => RegionCursor::decode(bytes).ok(),
+            _ => None,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ppar_core::shared::SharedVec;
+    use ppar_core::state::ValueCell;
+
+    /// A cell that lends its memory is read where it lies, one that does
+    /// not keeps the encoding it had at capture, and a progress field that
+    /// does not decode leaves the hand-off without a cursor (the resume
+    /// then replays classically) while its state still lends whole.
+    #[test]
+    fn a_handoff_lends_its_cells_and_reports_an_undecodable_cursor_as_none() {
+        let v = Arc::new(SharedVec::from_vec(vec![1.5f64, -2.0, 0.25]));
+        let e = Arc::new(ValueCell::new(7.0f64));
+        let meta = SnapshotMeta {
+            mode_tag: "seq".into(),
+            count: 4,
+            rank: None,
+            nranks: 1,
         };
-        read(&view).map(|()| true)
-    }
+        let cells: Vec<(String, Arc<dyn StateCell>)> =
+            vec![("V".into(), v.clone()), ("E".into(), e.clone())];
+        let handoff = Handoff::capture(meta, cells, b"not a cursor".to_vec());
+        let at_capture = e.save_bytes();
+        e.set(-1.0);
 
-    fn restart_count(&self) -> Result<Option<u64>> {
-        Ok(Some(self.meta.count))
-    }
+        assert_eq!(handoff.count(), 4);
+        assert!(handoff.cursor().is_none());
+        assert_eq!(handoff.payload_bytes(), 3 * 8 + 8 + 12);
+        let mut seen = Vec::new();
+        handoff
+            .lend(&mut |view| {
+                assert_eq!(view.meta.count, 4);
+                let lent = view.field("V").unwrap();
+                assert!(std::ptr::eq(lent, v.encoded().unwrap()), "lent in place");
+                seen = view
+                    .fields
+                    .iter()
+                    .map(|(n, b)| (n.clone(), b.to_vec()))
+                    .collect();
+                Ok(())
+            })
+            .unwrap();
+        let want: Vec<(String, Vec<u8>)> = vec![
+            ("V".into(), v.save_bytes()),
+            ("E".into(), at_capture),
+            (PROGRESS_FIELD.into(), b"not a cursor".to_vec()),
+        ];
+        assert_eq!(seen, want);
 
-    /// A hand-off has no delta chain.
-    fn clear_deltas(&self, _rank: Option<u32>) -> Result<()> {
-        Ok(())
-    }
-
-    fn clear_all_deltas(&self) -> Result<()> {
-        Ok(())
+        // The reader's error is the lend's.
+        let refused = handoff.lend(&mut |_| Err(PparError::InvalidPlan("stop".into())));
+        assert!(matches!(refused, Err(PparError::InvalidPlan(_))));
     }
 }

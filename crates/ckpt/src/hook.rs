@@ -127,22 +127,24 @@ pub struct CkptStats {
 pub struct CheckpointModule {
     id: u64,
     /// The file store backing `transport` when this module persists to disk
-    /// (`None` for pure in-memory modules); owns the RUNNING-marker
-    /// lifecycle, which is meaningless for memory transports.
+    /// (`None` for a worker process and for a module without a directory);
+    /// owns the RUNNING-marker lifecycle.
     store: Option<CheckpointStore>,
-    /// Where snapshots and deltas travel (disk directory or process
-    /// memory); all persistence paths go through this seam.
-    transport: Arc<dyn CkptTransport>,
+    /// Where snapshots and deltas travel (the directory, or a worker's
+    /// network transport to the root's); all persistence paths go through
+    /// this seam. `None`: no medium — the module counts safe points, freezes
+    /// hand-offs and resumes from them, and never snapshots.
+    transport: Option<Arc<dyn CkptTransport>>,
     /// Is the live hand-off armed ([`CheckpointModule::arm_handoff`])?
     handoff_armed: AtomicBool,
     /// What [`CkptHook::handoff_snapshot`] froze at an escalated crossing,
     /// until the launcher takes it ([`CheckpointModule::take_handoff`]).
     handoff: Mutex<Option<Handoff>>,
-    /// Armed one-shot resume source: the replay target points into this
-    /// transport and [`CkptHook::load_snapshot`] installs from it — on every
-    /// element, each its own share (live reshape: the successor run
+    /// Armed one-shot resume source: the replay target is this hand-off's
+    /// safe point and [`CkptHook::load_snapshot`] installs from it — on
+    /// every element, each its own share (live reshape: the successor run
     /// inherits the predecessor's state). The load releases it.
-    resume: Mutex<Option<Arc<dyn CkptTransport>>>,
+    resume: Mutex<Option<Arc<Handoff>>>,
     every: u64,
     replay: AtomicBool,
     target: AtomicU64,
@@ -162,7 +164,7 @@ pub struct CheckpointModule {
     /// `PPARPRG1` cursor into every snapshot, delta and hand-off.
     frames: Mutex<Vec<LoopFrame>>,
     /// The resume cursor (`None` = no usable one), resolved when the replay
-    /// is: at creation ([`GroupResume::cursor`]) and again from the source
+    /// is: at creation ([`GroupResume::cursor`]) and again from the hand-off
     /// [`CheckpointModule::arm_resume`] arms. Kept *separate* from the live
     /// tracker: during restart replay the master keeps tracking frames
     /// while other team threads still consult the cursor.
@@ -194,7 +196,7 @@ struct GroupResume {
     /// The folded record (`None` key = master chain, `Some(0)` = shard 0's
     /// — rank 0's to install either way), held only while it stands at the
     /// replay target, until rank 0 loads or a resume source is armed.
-    prefetched: Mutex<Option<(Option<u32>, Merged<'static>)>>,
+    prefetched: Mutex<Option<(Option<u32>, Merged)>>,
 }
 
 /// Where this module stands in its delta chain.
@@ -262,7 +264,7 @@ impl CheckpointModule {
         // The newest usable record, folded: the master chain first, shard 0
         // otherwise (local-snapshot groups carry identical cursors on every
         // shard).
-        let fold = || -> Result<Option<(Option<u32>, Merged<'static>)>> {
+        let fold = || -> Result<Option<(Option<u32>, Merged)>> {
             for rank in [None, Some(0)] {
                 if let Some(merged) = store.merged(rank, None)? {
                     return Ok(Some((rank, merged)));
@@ -313,23 +315,31 @@ impl CheckpointModule {
             prefetched: Mutex::new(prefetched),
         };
         let transport: Arc<dyn CkptTransport> = Arc::new(store.clone());
-        let modules = CheckpointModule::build_group(Some(store), transport, plan, n, resume);
+        let modules = CheckpointModule::build_group(Some(store), Some(transport), plan, n, resume);
         Ok(modules)
     }
 
-    /// Create one module per aggregate element persisting through an
-    /// arbitrary transport instead of a checkpoint directory — typically an
-    /// in-memory [`crate::transport::MemTransport`] (live-reshape sessions
-    /// without durable checkpointing, disk-free benches). No failure
-    /// detection runs (memory does not survive a process death) and the
-    /// run-marker lifecycle is a no-op; arm replay explicitly with
-    /// [`CheckpointModule::arm_resume`] to inherit state from a hand-off.
-    pub fn create_group_with_transport(
-        transport: Arc<dyn CkptTransport>,
-        plan: &Plan,
-        n: usize,
-    ) -> Vec<Arc<CheckpointModule>> {
-        CheckpointModule::build_group(None, transport, plan, n, GroupResume::default())
+    /// Create one module per aggregate element with no checkpoint
+    /// directory and no medium (a live session without one): it counts
+    /// safe points, freezes hand-offs and resumes from them — arm replay
+    /// with [`CheckpointModule::arm_resume`] — and never snapshots. No
+    /// failure detection runs and the run-marker lifecycle is a no-op. A
+    /// plan that would snapshot (`checkpoint_every() > 0`) is refused with
+    /// `InvalidPlan`: those snapshots would have nowhere to go.
+    pub fn create_group_without_dir(plan: &Plan, n: usize) -> Result<Vec<Arc<CheckpointModule>>> {
+        if let Some(every) = plan.checkpoint_every().filter(|&every| every > 0) {
+            return Err(PparError::InvalidPlan(format!(
+                "the plan snapshots every {every} safe points but no checkpoint \
+                 directory is configured"
+            )));
+        }
+        Ok(CheckpointModule::build_group(
+            None,
+            None,
+            plan,
+            n,
+            GroupResume::default(),
+        ))
     }
 
     /// Create the module for one **worker process** of a real
@@ -364,7 +374,7 @@ impl CheckpointModule {
             cursor: RegionCursor::decode(progress).ok(),
             ..GroupResume::default()
         };
-        CheckpointModule::build_group(None, transport, plan, 1, resume)
+        CheckpointModule::build_group(None, Some(transport), plan, 1, resume)
             .pop()
             .expect("one module")
     }
@@ -373,7 +383,7 @@ impl CheckpointModule {
     /// start-up resolved.
     fn build_group(
         store: Option<CheckpointStore>,
-        transport: Arc<dyn CkptTransport>,
+        transport: Option<Arc<dyn CkptTransport>>,
         plan: &Plan,
         n: usize,
         resume: GroupResume,
@@ -424,25 +434,21 @@ impl CheckpointModule {
         self.handoff.lock().take()
     }
 
-    /// Arm a one-shot resume from `source`: replay mode is switched on with
-    /// the source's restart count as the target, and the restore at that
-    /// safe point installs from `source` (then reverts to the module's own
-    /// transport). Returns the replay target. This is the successor side of
-    /// a live reshape: `source` is the [`Handoff`] the predecessor froze.
-    pub fn arm_resume(&self, source: Arc<dyn CkptTransport>) -> Result<u64> {
-        let target = source.restart_count()?.ok_or_else(|| {
-            PparError::InvalidAdaptation(
-                "cannot resume: the hand-off transport holds no snapshot".into(),
-            )
-        })?;
-        // A new resume source replaces what start-up resolved off the disk:
-        // the cursor (the source lends it where it lies) and the record.
-        *self.resume_cursor.lock() = CheckpointModule::read_cursor(&*source);
+    /// Arm a one-shot resume from `handoff`, the state the predecessor of a
+    /// live reshape froze: replay mode is switched on with the hand-off's
+    /// safe point as the target, and the restore there installs from it
+    /// (later restores read the module's own medium). Returns the replay
+    /// target.
+    pub fn arm_resume(&self, handoff: Arc<Handoff>) -> u64 {
+        let target = handoff.count();
+        // A hand-off replaces what start-up resolved off the disk: the
+        // cursor and the record.
+        *self.resume_cursor.lock() = handoff.cursor();
         *self.group_resume.prefetched.lock() = None;
-        *self.resume.lock() = Some(source);
+        *self.resume.lock() = Some(handoff);
         self.target.store(target, Ordering::SeqCst);
         self.replay.store(true, Ordering::SeqCst);
-        Ok(target)
+        target
     }
 
     /// The encoded `PPARPRG1` cursor of the snapshot this module will
@@ -479,16 +485,19 @@ impl CheckpointModule {
     }
 
     /// The underlying file store (benches clear it between experiments).
-    /// Panics for in-memory modules — use [`CheckpointModule::transport`].
+    /// Panics for a module without a checkpoint directory.
     pub fn store(&self) -> &CheckpointStore {
         self.store
             .as_ref()
-            .expect("this checkpoint module has no file store (in-memory transport)")
+            .expect("this checkpoint module has no checkpoint directory")
     }
 
-    /// The transport snapshots travel through (file store or memory).
-    pub fn transport(&self) -> &Arc<dyn CkptTransport> {
-        &self.transport
+    /// The medium snapshots travel through. Creation refuses a plan that
+    /// snapshots without one, so only a misused module gets the error.
+    fn medium(&self) -> Result<&dyn CkptTransport> {
+        self.transport.as_deref().ok_or_else(|| {
+            PparError::InvalidPlan("this checkpoint module has no checkpoint directory".into())
+        })
     }
 
     fn clock_increment(&self) -> u64 {
@@ -528,26 +537,6 @@ impl CheckpointModule {
             frames: self.frames.lock().clone(),
         }
         .encode()
-    }
-
-    /// The `PPARPRG1` cursor (the reserved [`PROGRESS_FIELD`]) of `source`'s
-    /// newest usable record: the master chain first, shard 0 otherwise. A
-    /// record without the field, a cursor that fails to decode and a failed
-    /// read are all "no cursor" — the replay-free resume must never fail a
-    /// restore that classic replay would complete.
-    fn read_cursor(source: &dyn CkptTransport) -> Option<RegionCursor> {
-        let mut cursor = None;
-        for rank in [None, Some(0)] {
-            let found = source.with_merged(rank, None, &mut |snap| {
-                let bytes = snap.field(PROGRESS_FIELD);
-                cursor = bytes.and_then(|b| RegionCursor::decode(b).ok());
-                Ok(())
-            });
-            if !matches!(found, Ok(false)) {
-                break;
-            }
-        }
-        cursor
     }
 
     /// Collect the plan's safe data and put it through `to` as one record:
@@ -762,6 +751,39 @@ impl CheckpointModule {
         Ok(())
     }
 
+    /// A restore off the module's own medium. A local-snapshot element
+    /// reads its own shard, pinned to the safe point being restored so a
+    /// shard generation that outran the group commit (torn save) rolls back
+    /// with everyone else; master-collect reads the master chain at the
+    /// root. A disk restart's chain was folded at store open: rank 0's load
+    /// empties the group's slot whatever it holds (only ever the master's or
+    /// shard 0's record: no other element could use it) and installs it
+    /// when it is exactly the record this load would otherwise read — same
+    /// key, at the restore target.
+    fn restore(&self, ctx: &Ctx, sharded: bool) -> Result<()> {
+        let (key, pin) = match sharded {
+            true => (Some(ctx.rank() as u32), Some(self.clock_get())),
+            false => (None, None),
+        };
+        let stashed = match ctx.rank() {
+            0 => self.group_resume.prefetched.lock().take(),
+            _ => None,
+        };
+        if let Some((_, merged)) =
+            stashed.filter(|(k, m)| *k == key && m.count() == self.clock_get())
+        {
+            return self.install(ctx, &merged.view());
+        }
+        let medium = self.medium()?;
+        if !medium.with_merged(key, pin, &mut |snap| self.install(ctx, snap))? {
+            return Err(PparError::CorruptCheckpoint(format!(
+                "the {} transport holds no record of the {key:?} chain to restore from",
+                medium.describe()
+            )));
+        }
+        Ok(())
+    }
+
     /// Does every element persist (and restore) its own shard?
     fn sharded(&self, ctx: &Ctx) -> bool {
         ctx.num_ranks() > 1 && ctx.plan().dist_ckpt_strategy() == DistCkptStrategy::LocalSnapshot
@@ -803,7 +825,7 @@ impl CkptHook for CheckpointModule {
             rank,
             nranks,
         };
-        let to = &*self.transport;
+        let to = self.medium()?;
 
         let link = self
             .incremental
@@ -815,7 +837,7 @@ impl CkptHook for CheckpointModule {
                 // the superseded chain. A crash in between leaves stale
                 // deltas that the merge step ignores (base_count mismatch),
                 // never a broken restore.
-                self.transport.clear_deltas(rank)?;
+                to.clear_deltas(rank)?;
             }
             self.chain.lock().advance(count, full_every);
             // The checkpoint cycle's epoch reset: whatever was dirty is now
@@ -827,7 +849,7 @@ impl CkptHook for CheckpointModule {
         // Fold the transport's dedup counters (content-addressed store
         // and/or network dedup negotiation) into the observable stats; a
         // flat-layout transport reports all-zero.
-        let put = self.transport.take_put_stats();
+        let put = to.take_put_stats();
         let mut stats = self.stats.lock();
         stats.snapshots_taken += 1;
         if link.is_some() {
@@ -849,54 +871,26 @@ impl CkptHook for CheckpointModule {
     fn load_snapshot(&self, ctx: &Ctx) -> Result<Installed> {
         let t0 = Instant::now();
         let resume = self.resume.lock().take();
-        // Which record, from where, pinned to what. A live-reshape resume
-        // reads the predecessor's frozen state through the armed source (no
-        // disk round-trip and no record: the lend is the predecessor's own
-        // cells, so the install is the one copy). Otherwise a local-snapshot
-        // element reads its own shard, pinned to the safe point being
-        // restored so a shard generation that outran the group commit (torn
-        // save) rolls back with everyone else; and master-collect reads the
-        // master chain.
-        let sharded = self.sharded(ctx);
         // Who installs: every element of a live-reshape resume (each lends
         // the one hand-off — the launcher arms every element, so all make
-        // this choice) and every local-snapshot element; otherwise
-        // the root, from which the engine scatters partitioned fields and
+        // this choice) and every local-snapshot element; otherwise the
+        // root, from which the engine scatters partitioned fields and
         // broadcasts the rest (no record access on other elements).
+        let sharded = self.sharded(ctx);
         let installed = if resume.is_some() || sharded {
             Installed::Everywhere
         } else {
             Installed::Root
         };
-        let (source, key, pin) = match &resume {
-            Some(source) => (&**source, None, None),
-            None if sharded => (
-                &*self.transport,
-                Some(ctx.rank() as u32),
-                Some(self.clock_get()),
-            ),
-            None => (&*self.transport, None, None),
-        };
-        if installed == Installed::Everywhere || ctx.rank() == 0 {
-            // A disk restart's chain was folded at store open. Rank 0's load
-            // empties the group's slot whatever it holds (only ever the
-            // master's or shard 0's record: no other element could use it)
-            // and installs it when it is exactly the record this load would
-            // otherwise read: same key, at the restore target.
-            let stashed = match &resume {
-                None if ctx.rank() == 0 => self.group_resume.prefetched.lock().take(),
-                _ => None,
-            };
-            let found = match stashed.filter(|(k, m)| *k == key && m.count() == self.clock_get()) {
-                Some((_, merged)) => self.install(ctx, &merged.view()).map(|()| true),
-                None => source.with_merged(key, pin, &mut |snap| self.install(ctx, snap)),
-            }?;
-            if !found {
-                return Err(PparError::CorruptCheckpoint(format!(
-                    "the {} transport holds no record of the {key:?} chain to restore from",
-                    source.describe()
-                )));
+        match &resume {
+            // A live-reshape resume reads the predecessor's frozen state:
+            // no disk round-trip and no record, the lend is the
+            // predecessor's own cells, so the install is the one copy.
+            Some(handoff) => handoff.lend(&mut |view| self.install(ctx, view))?,
+            None if installed == Installed::Everywhere || ctx.rank() == 0 => {
+                self.restore(ctx, sharded)?
             }
+            None => {}
         }
         // A restore invalidates the in-memory chain position: the next
         // snapshot starts a fresh base rather than extending a chain this
@@ -997,7 +991,7 @@ impl CkptHook for CheckpointModule {
 
     fn group_commit(&self, ctx: &Ctx) -> Result<()> {
         if self.sharded(ctx) {
-            self.transport.commit_group(self.clock_get())?;
+            self.medium()?.commit_group(self.clock_get())?;
         }
         Ok(())
     }
@@ -1046,10 +1040,6 @@ impl CkptHook for CheckpointModule {
         stats.last_handoff_time = t0.elapsed();
         *self.handoff.lock() = Some(handoff);
         Ok(())
-    }
-
-    fn tracks_dirty(&self) -> bool {
-        self.incremental.is_some()
     }
 
     fn next_snapshot_is_delta(&self) -> bool {
@@ -1127,7 +1117,7 @@ mod tests {
         }
         // every=3 -> snapshots at points 3 and 6
         assert_eq!(module.stats().snapshots_taken, 2);
-        let snap = module.store().read_master().unwrap().unwrap();
+        let snap = module.store().get(None, None).unwrap().unwrap();
         assert_eq!(snap.count, 6);
         assert_eq!(snap.field("G").unwrap().len(), 32);
 
@@ -1265,7 +1255,7 @@ mod tests {
         }
         assert_eq!(module.count(), 50);
         assert_eq!(module.stats().snapshots_taken, 0);
-        assert!(module.store().read_master().unwrap().is_none());
+        assert!(module.store().get(None, None).unwrap().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1301,7 +1291,8 @@ mod tests {
             "one-chunk delta ({}B) must be far below the full snapshot ({full_bytes}B)",
             s.last_save_bytes
         );
-        assert!(module.store().read_master_delta(3).unwrap().is_some());
+        assert!(dir.join("ckpt_master_delta_3.bin").exists());
+        assert_eq!(module.store().restart_count().unwrap(), Some(4));
 
         // Point 5: chain is full -> promotion + delta GC.
         g.set(6, 5.0);
@@ -1309,7 +1300,7 @@ mod tests {
         let s = module.stats();
         assert_eq!((s.full_snapshots, s.delta_snapshots), (2, 3));
         assert_eq!(s.snapshots_taken, 5);
-        assert!(module.store().read_master_delta(1).unwrap().is_none());
+        assert!(!dir.join("ckpt_master_delta_1.bin").exists());
         assert_eq!(module.store().get(None, None).unwrap().unwrap().count, 5);
 
         // Cumulative bytes are observable and consistent.
@@ -1450,9 +1441,19 @@ mod tests {
 
         let dir = crashed("stash_armed", &[(None, 4)], None);
         let module = CheckpointModule::create(&dir, &plan).unwrap();
-        let handoff = Arc::new(crate::MemTransport::new());
-        put_g(&*handoff, None, 9);
-        assert_eq!(module.arm_resume(handoff).unwrap(), 9);
+        let predecessor = CheckpointModule::create_group_without_dir(&ckpt_plan(0), 1)
+            .unwrap()
+            .pop()
+            .unwrap();
+        predecessor.arm_handoff();
+        let ctx = seq_ctx(ckpt_plan(0), predecessor.clone());
+        ctx.alloc_vec("G", 3, 9.0f64);
+        for _ in 0..9 {
+            ctx.point("iter");
+        }
+        predecessor.handoff_snapshot(&ctx).unwrap();
+        let handoff = predecessor.take_handoff().expect("frozen at the crossing");
+        assert_eq!(module.arm_resume(Arc::new(handoff)), 9);
         assert_eq!(stash(&module), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1507,7 +1508,7 @@ mod tests {
                 g.set(0, i as f64);
                 ctx.point("iter");
             }
-            assert!(module.store().read_master_delta(1).unwrap().is_some());
+            assert!(dir.join("ckpt_master_delta_1.bin").exists());
             ctx.finish();
         }
 
@@ -1520,7 +1521,7 @@ mod tests {
             let module = CheckpointModule::create(&dir, &plan).unwrap();
             assert!(!module.will_replay(), "clean finish -> fresh run");
             assert!(
-                module.store().read_master_delta(1).unwrap().is_none(),
+                !dir.join("ckpt_master_delta_1.bin").exists(),
                 "stale chain from the previous generation must be purged"
             );
             // The old base alone is what restart_count now sees.
@@ -1563,13 +1564,12 @@ mod tests {
     }
 
     /// The view a frozen hand-off lends is the golden record: re-encoded by
-    /// `write_record`, it equals byte for byte (CRC trailer aside) what
-    /// `put_fields` streams into a memory transport from the same state —
-    /// for cells that lend their memory (`SharedVec`, `SharedGrid`) and one
-    /// that is encoded at capture (`ValueCell`) alike.
+    /// `write_record`, it equals byte for byte the full record of the same
+    /// state — for cells that lend their memory (`SharedVec`, `SharedGrid`)
+    /// and one that is encoded at capture (`ValueCell`) alike — and the
+    /// hand-off holds that one view at one safe point, with its cursor.
     #[test]
     fn a_frozen_handoff_lends_the_golden_record() {
-        use crate::transport::{MemTransport, RecordKey};
         let plan = || {
             Plan::new()
                 .plug(Plug::SafeData { field: "V".into() })
@@ -1580,8 +1580,8 @@ mod tests {
                     every: 0,
                 })
         };
-        let mem: Arc<dyn CkptTransport> = Arc::new(MemTransport::new());
-        let module = CheckpointModule::create_group_with_transport(mem, &plan(), 1)
+        let module = CheckpointModule::create_group_without_dir(&plan(), 1)
+            .unwrap()
             .pop()
             .unwrap();
         module.arm_handoff();
@@ -1601,32 +1601,34 @@ mod tests {
         let handoff = module.take_handoff().expect("the crossing froze the state");
         assert!(module.take_handoff().is_none(), "taken once");
         let mut lent = Vec::new();
-        let found = handoff.with_merged(None, None, &mut |view| {
-            view.write_record(&mut lent).map(drop)
-        });
-        assert!(found.unwrap());
+        handoff
+            .lend(&mut |view| view.write_record(&mut lent).map(drop))
+            .unwrap();
 
-        let golden = MemTransport::new();
         let meta = SnapshotMeta {
             mode_tag: ctx.mode().tag(),
             count: 3,
             rank: None,
             nranks: 1,
         };
-        module.put_fields(&ctx, &golden, &meta, None).unwrap();
-        let golden = golden.record_bytes(RecordKey::full(None)).unwrap();
-        assert_eq!(lent.len(), golden.len());
-        assert_eq!(lent[..lent.len() - 4], golden[..golden.len() - 4]);
+        let progress = module.progress_bytes(3);
+        let fields = [
+            ("V", FieldSource::Cell(&*v)),
+            ("G", FieldSource::Cell(&*g)),
+            ("E", FieldSource::Cell(&*e)),
+            (PROGRESS_FIELD, FieldSource::Bytes(&progress)),
+        ];
+        let (_, golden) = Record::Full(&meta, &fields)
+            .encode(Vec::new(), true)
+            .unwrap();
+        assert!(lent == golden, "the lent view is the golden record");
         let stats = module.stats();
         assert_eq!(stats.handoff_snapshots, 1);
         assert_eq!(stats.last_handoff_bytes, handoff.payload_bytes());
 
-        // One master record at one safe point, read-only.
-        assert_eq!(handoff.restart_count().unwrap(), Some(3));
-        assert_eq!(handoff.get(Some(0), None).unwrap(), None);
-        assert!(handoff.get(None, Some(2)).is_err());
-        assert_eq!(handoff.get(None, Some(3)).unwrap().unwrap().count, 3);
-        assert!(handoff.begin(RecordKey::full(None), 0).is_err());
+        // One master view at one safe point, its cursor frozen with it.
+        assert_eq!(handoff.count(), 3);
+        assert_eq!(handoff.cursor().map(|c| c.encode()), Some(progress));
     }
 
     #[test]

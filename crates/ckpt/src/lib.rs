@@ -12,10 +12,12 @@
 //!   serializer sits in between;
 //! * a pluggable byte **transport** ([`transport`]): one provided `put`
 //!   streams a [`Record`] into whichever medium's sink — disk
-//!   ([`CheckpointStore`]) or process memory ([`MemTransport`], disk-free
-//!   checkpoints and a lane for benches) — and the live-reshape
-//!   [`Handoff`] ([`handoff`]) is a read-only medium over the
-//!   predecessor's frozen cells;
+//!   ([`CheckpointStore`], the one medium a delta chain lives in, always
+//!   read CRC-verified) or process memory ([`MemTransport`]: whole records,
+//!   for the survivor-local mirror and benches);
+//! * the live-reshape **hand-off** ([`handoff`]): a [`Handoff`] keeps the
+//!   predecessor's frozen cells, and the successor lends them, its replay
+//!   target and its resume cursor through the hand-off's own methods;
 //! * dirty-chunk **incremental** snapshots ([`delta`]): delta records that
 //!   persist only the bytes written since the previous snapshot;
 //! * the safe-point clock and snapshot policy ([`hook::CheckpointModule`]);
@@ -55,10 +57,11 @@
 //!   fresh base and the superseded chain is garbage-collected. Deltas are
 //!   tied to their base by the base's safe-point count, so a crash between
 //!   promotion and GC leaves only *stale* deltas that the loader skips.
-//! * **Restore** — [`CkptTransport::with_merged`] folds base + chain (last
-//!   writer wins per byte, each delta patched into the base record's bytes)
-//!   into a state byte-identical to a full snapshot, and a restart replays
-//!   to the *last delta's* safe point. Merged data stays mode-independent:
+//! * **Restore** — the store's [`CkptTransport::with_merged`] folds base +
+//!   chain (last writer wins per byte, each delta patched into the base
+//!   record's bytes, every record CRC-verified) into a state byte-identical
+//!   to a full snapshot, and a restart replays to the *last delta's* safe
+//!   point. Merged data stays mode-independent:
 //!   incremental snapshots restart in any execution mode, in any aggregate
 //!   size (master-collect), exactly like full ones.
 //! * **Distributed gathers** — in master-collect mode, once a base exists
@@ -84,7 +87,7 @@ pub mod transport;
 
 pub use cas::{CasConfig, CasStore, ChunkRef, GcStats, Manifest, PutStats};
 pub use crc::TrailingCrc;
-pub use delta::{DeltaMeta, DeltaPayload, DeltaSnapshot};
+pub use delta::DeltaMeta;
 pub use digest::ChunkDigest;
 pub use handoff::Handoff;
 pub use hook::{CheckpointModule, CkptStats};

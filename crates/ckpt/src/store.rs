@@ -66,19 +66,22 @@
 //! [`SnapshotView`] is what parses: one parser, whose field payloads are
 //! slices of the record's bytes, entered CRC-checked
 //! ([`SnapshotView::decode`]) or trusted. [`Snapshot`] is the owned form, a
-//! copy of a view. Restores read views (`CkptTransport::with_merged`);
-//! a chain's deltas are folded into the base record's bytes by
-//! [`crate::delta`] before the view is taken. A record comes off the disk
-//! through one `RecordStream`: read once, its CRC folded in block by block
-//! as the bytes land — the base into the fold's one buffer, a delta's
-//! payloads straight into their places in it. A large span (a base's body,
-//! a dense delta's payload) is read on every core: helper threads read
-//! their parts at their offsets, and the parts' CRCs combine
+//! copy of a view. Restores read views (`CkptTransport::with_merged`).
+//!
+//! A stored record is read one way: [`CheckpointStore`]'s record reader
+//! opens it — a flat file, or a content-addressed record's chunk objects
+//! through a [`crate::cas::ChunkReader`] — and one `RecordStream` reads it
+//! front to back, its CRC folded in block by block as the bytes land. The
+//! chain rules below (`walk_chain`, `fold_merged`) are the one place a
+//! stored chain becomes a state: the base into the fold's one buffer, each
+//! delta's payloads straight into their places in it, every record
+//! CRC-verified. A chain lives only here, on disk. A large span (a base's
+//! body, a dense delta's payload) is read on every core: helper threads
+//! read their parts at their offsets, and the parts' CRCs combine
 //! ([`crate::crc::crc32_combine`]) to exactly the value one pass computes.
 //! Copying a stored record through to a sink (`record_copy_to`, the
 //! service's answer to a restore) stays one ordered, front-to-back pass.
 
-use std::borrow::Cow;
 use std::fs;
 use std::io::{BufReader, BufWriter, Read, Seek, Write};
 use std::ops::Range;
@@ -89,10 +92,9 @@ use ppar_core::state::StateCell;
 
 use crate::cas::ChunkRef;
 use crate::crc::{crc32, Crc32};
-use crate::delta::{DeltaMeta, DeltaSnapshot, Merged};
+use crate::delta::{DeltaMeta, Merged};
 use crate::transport::{
-    clamp_record_hint, fold_merged, keep_head, lend_merged, stream_merged, walk_chain,
-    CkptTransport, RecordKey, RecordSink, HEAD_BYTES,
+    keep_head, stream_merged, CkptTransport, RecordKey, RecordSink, HEAD_BYTES,
 };
 
 const MAGIC: &[u8; 8] = b"PPARCKP1";
@@ -190,13 +192,6 @@ impl Snapshot {
     pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
         SnapshotView::decode(bytes).map(|view| view.to_snapshot())
     }
-
-    /// Decode a record whose integrity has *already* been established:
-    /// the owned copy of [`SnapshotView::decode_trusted`]. Anything read
-    /// from disk or an unverified source goes through [`Snapshot::decode`].
-    pub fn decode_trusted(bytes: &[u8]) -> Result<Snapshot> {
-        SnapshotView::decode_trusted(bytes).map(|view| view.to_snapshot())
-    }
 }
 
 /// Where the parser found each field of a full record: its name and the
@@ -253,8 +248,7 @@ impl<'a> SnapshotView<'a> {
     /// structural validation only, the trailing CRC is stripped but not
     /// re-verified. Two callers qualify — the in-memory transport (bytes
     /// never left this process; integrity checking guards the durable
-    /// medium, not a buffer handed across a reshape within one address
-    /// space) and the streaming network restore path, which verifies the
+    /// medium) and the streaming network restore path, which verifies the
     /// record's running CRC as the chunks arrive and must not pay a
     /// second full pass.
     pub fn decode_trusted(bytes: &'a [u8]) -> Result<SnapshotView<'a>> {
@@ -498,7 +492,10 @@ impl<W: Write> Write for CrcTee<'_, W> {
 /// Single-pass snapshot encoder: header, fields and the trailing CRC-32 are
 /// streamed straight into the sink (typically a [`BufWriter`] over the temp
 /// file) while the checksum runs alongside. Produces bytes identical to
-/// [`Snapshot::encode`] for the same content.
+/// [`Snapshot::encode`] for the same content. A record enters it one way,
+/// [`Record::encode`]; [`SnapshotWriter::new`] and
+/// [`SnapshotWriter::field_cell`] remain for callers that drive a full
+/// record by hand.
 ///
 /// Records destined for process memory ([`crate::MemTransport`]) may be
 /// written *unchecksummed*: the byte layout is identical but the 4-byte
@@ -522,22 +519,48 @@ impl<W: Write> SnapshotWriter<W> {
         SnapshotWriter::full_writer(sink, meta, nfields, true)
     }
 
+    fn empty(sink: W, nfields: u32, checksum: bool) -> SnapshotWriter<W> {
+        SnapshotWriter {
+            sink,
+            crc: Crc32::new(),
+            checksum,
+            written: 0,
+            fields_remaining: nfields,
+        }
+    }
+
     fn full_writer(
         sink: W,
         meta: &SnapshotMeta,
         nfields: u32,
         checksum: bool,
     ) -> Result<SnapshotWriter<W>> {
-        let mut w = SnapshotWriter {
-            sink,
-            crc: Crc32::new(),
-            checksum,
-            written: 0,
-            fields_remaining: nfields,
-        };
+        let mut w = SnapshotWriter::empty(sink, nfields, checksum);
         w.put(MAGIC)?;
         w.put_str(&meta.mode_tag)?;
         w.put(&meta.count.to_le_bytes())?;
+        w.put(&meta.rank.unwrap_or(MASTER_RANK).to_le_bytes())?;
+        w.put(&meta.nranks.to_le_bytes())?;
+        w.put(&nfields.to_le_bytes())?;
+        Ok(w)
+    }
+
+    /// A delta record's versioned header (see [`crate::delta`] for the
+    /// format); fields and the trailer go through the same machinery as a
+    /// full record's.
+    fn delta_writer(
+        sink: W,
+        meta: &DeltaMeta,
+        nfields: u32,
+        checksum: bool,
+    ) -> Result<SnapshotWriter<W>> {
+        let mut w = SnapshotWriter::empty(sink, nfields, checksum);
+        w.put(crate::delta::DELTA_MAGIC)?;
+        w.put(&crate::delta::DELTA_VERSION.to_le_bytes())?;
+        w.put_str(&meta.mode_tag)?;
+        w.put(&meta.count.to_le_bytes())?;
+        w.put(&meta.base_count.to_le_bytes())?;
+        w.put(&meta.seq.to_le_bytes())?;
         w.put(&meta.rank.unwrap_or(MASTER_RANK).to_le_bytes())?;
         w.put(&meta.nranks.to_le_bytes())?;
         w.put(&nfields.to_le_bytes())?;
@@ -568,7 +591,9 @@ impl<W: Write> SnapshotWriter<W> {
         self.put(s.as_bytes())
     }
 
-    fn begin_field(&mut self, name: &str, payload_len: u64) -> Result<()> {
+    /// A field's name, and for a delta field its kind byte (0 = whole,
+    /// 1 = sparse).
+    fn begin_field(&mut self, name: &str, kind: Option<u8>) -> Result<()> {
         if self.fields_remaining == 0 {
             return Err(PparError::InvalidPlan(
                 "SnapshotWriter: more fields written than announced".into(),
@@ -576,13 +601,50 @@ impl<W: Write> SnapshotWriter<W> {
         }
         self.fields_remaining -= 1;
         self.put_str(name)?;
-        self.put(&payload_len.to_le_bytes())
+        kind.map_or(Ok(()), |kind| self.put(&[kind]))
     }
 
-    /// Write one field from pre-extracted bytes.
-    pub fn field_bytes(&mut self, name: &str, payload: &[u8]) -> Result<()> {
-        self.begin_field(name, payload.len() as u64)?;
-        self.put(payload)
+    /// Whatever `write` streams into the sink, CRC running; returns the
+    /// bytes it wrote.
+    fn stream(&mut self, write: impl FnOnce(&mut dyn Write) -> Result<u64>) -> Result<u64> {
+        write(&mut CrcTee {
+            sink: &mut self.sink,
+            crc: self.checksum.then_some(&mut self.crc),
+            written: &mut self.written,
+        })
+    }
+
+    /// A whole payload: its length, then its bytes. A cell is announced at
+    /// [`StateCell::byte_len`] and streamed (zero-copy for LE containers).
+    fn put_whole(&mut self, name: &str, source: &FieldSource<'_>) -> Result<()> {
+        match source {
+            FieldSource::Bytes(bytes) => {
+                self.put(&(bytes.len() as u64).to_le_bytes())?;
+                self.put(bytes)
+            }
+            FieldSource::Cell(cell) => {
+                let len = cell.byte_len() as u64;
+                self.put(&len.to_le_bytes())?;
+                let streamed = self.stream(|tee| cell.write_state(tee))?;
+                carried(name, len, streamed)
+            }
+        }
+    }
+
+    /// A sparse entry up to its ranges' bytes: the name, kind 1 and the
+    /// range map. Returns the bytes the ranges announce.
+    fn begin_sparse(&mut self, name: &str, full_len: u64, ranges: &[Range<usize>]) -> Result<u64> {
+        self.begin_field(name, Some(1))?;
+        self.put(&full_len.to_le_bytes())?;
+        self.put(&(ranges.len() as u32).to_le_bytes())?;
+        let mut total = 0u64;
+        for r in ranges {
+            let len = (r.end - r.start) as u64;
+            self.put(&(r.start as u64).to_le_bytes())?;
+            self.put(&len.to_le_bytes())?;
+            total += len;
+        }
+        Ok(total)
     }
 
     /// `field(name, &FieldSource::Cell(cell))`; `_scratch` is ignored. Kept
@@ -597,173 +659,36 @@ impl<W: Write> SnapshotWriter<W> {
         self.field(name, &FieldSource::Cell(cell))
     }
 
-    /// Write one field from a [`FieldSource`]; a cell is announced at
-    /// [`StateCell::byte_len`] and streamed (zero-copy for LE containers).
+    /// Write one field of a full record from a [`FieldSource`].
     pub fn field(&mut self, name: &str, source: &FieldSource<'_>) -> Result<()> {
+        self.begin_field(name, None)?;
+        self.put_whole(name, source)
+    }
+
+    /// Write one field of a delta record from a [`DeltaSource`]: a whole
+    /// field is kind 0; dirty ranges are kind 1, streamed from the cell
+    /// through [`StateCell::write_dirty_state`] (only touched chunks leave
+    /// it) or copied from pre-extracted bytes.
+    fn delta_field(&mut self, name: &str, source: &DeltaSource<'_>) -> Result<()> {
         match source {
-            FieldSource::Cell(cell) => {
-                let len = cell.byte_len() as u64;
-                self.begin_field(name, len)?;
-                self.stream_cell_checked(name, *cell, len)
-            }
-            FieldSource::Bytes(bytes) => self.field_bytes(name, bytes),
-        }
-    }
-
-    // ---- delta records (see crate::delta for the format) ----
-
-    /// Start a delta record: writes the versioned delta header for `meta`
-    /// announcing `nfields` upcoming fields. Shares the running-CRC
-    /// machinery (and [`SnapshotWriter::finish`]) with full snapshots.
-    pub fn new_delta(sink: W, meta: &DeltaMeta, nfields: u32) -> Result<SnapshotWriter<W>> {
-        SnapshotWriter::delta_writer(sink, meta, nfields, true)
-    }
-
-    fn delta_writer(
-        sink: W,
-        meta: &DeltaMeta,
-        nfields: u32,
-        checksum: bool,
-    ) -> Result<SnapshotWriter<W>> {
-        let mut w = SnapshotWriter {
-            sink,
-            crc: Crc32::new(),
-            checksum,
-            written: 0,
-            fields_remaining: nfields,
-        };
-        w.put(crate::delta::DELTA_MAGIC)?;
-        w.put(&crate::delta::DELTA_VERSION.to_le_bytes())?;
-        w.put_str(&meta.mode_tag)?;
-        w.put(&meta.count.to_le_bytes())?;
-        w.put(&meta.base_count.to_le_bytes())?;
-        w.put(&meta.seq.to_le_bytes())?;
-        w.put(&meta.rank.unwrap_or(MASTER_RANK).to_le_bytes())?;
-        w.put(&meta.nranks.to_le_bytes())?;
-        w.put(&nfields.to_le_bytes())?;
-        Ok(w)
-    }
-
-    fn begin_delta_field(&mut self, name: &str, kind: u8) -> Result<()> {
-        if self.fields_remaining == 0 {
-            return Err(PparError::InvalidPlan(
-                "SnapshotWriter: more delta fields written than announced".into(),
-            ));
-        }
-        self.fields_remaining -= 1;
-        self.put_str(name)?;
-        self.put(&[kind])
-    }
-
-    fn stream_cell_checked(&mut self, name: &str, cell: &dyn StateCell, expect: u64) -> Result<()> {
-        let streamed = {
-            let mut tee = CrcTee {
-                sink: &mut self.sink,
-                crc: self.checksum.then_some(&mut self.crc),
-                written: &mut self.written,
-            };
-            cell.write_state(&mut tee)?
-        };
-        if streamed != expect {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "field {name:?}: cell announced {expect} bytes but streamed {streamed}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Write one whole-field delta entry (kind 0) from pre-extracted bytes.
-    pub fn delta_field_full_bytes(&mut self, name: &str, payload: &[u8]) -> Result<()> {
-        self.begin_delta_field(name, 0)?;
-        self.put(&(payload.len() as u64).to_le_bytes())?;
-        self.put(payload)
-    }
-
-    /// Write one whole-field delta entry (kind 0) by streaming `cell`
-    /// (same length rule as [`SnapshotWriter::field`]).
-    pub fn delta_field_full_cell(&mut self, name: &str, cell: &dyn StateCell) -> Result<()> {
-        let len = cell.byte_len() as u64;
-        self.begin_delta_field(name, 0)?;
-        self.put(&len.to_le_bytes())?;
-        self.stream_cell_checked(name, cell, len)
-    }
-
-    fn put_sparse_map(&mut self, full_len: u64, ranges: &[std::ops::Range<usize>]) -> Result<u64> {
-        self.put(&full_len.to_le_bytes())?;
-        self.put(&(ranges.len() as u32).to_le_bytes())?;
-        let mut total = 0u64;
-        for r in ranges {
-            let len = (r.end - r.start) as u64;
-            self.put(&(r.start as u64).to_le_bytes())?;
-            self.put(&len.to_le_bytes())?;
-            total += len;
-        }
-        Ok(total)
-    }
-
-    /// Write one sparse delta entry (kind 1) by streaming the cell's dirty
-    /// ranges through [`StateCell::write_dirty_state`] — the zero-copy path
-    /// for LE containers; only touched chunks leave the cell.
-    pub fn delta_field_sparse_cell(
-        &mut self,
-        name: &str,
-        cell: &dyn StateCell,
-        ranges: &[std::ops::Range<usize>],
-    ) -> Result<()> {
-        self.begin_delta_field(name, 1)?;
-        let total = self.put_sparse_map(cell.byte_len() as u64, ranges)?;
-        let streamed = {
-            let mut tee = CrcTee {
-                sink: &mut self.sink,
-                crc: self.checksum.then_some(&mut self.crc),
-                written: &mut self.written,
-            };
-            cell.write_dirty_state(ranges, &mut tee)?
-        };
-        if streamed != total {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "field {name:?}: dirty map announced {total} bytes but cell \
-                 streamed {streamed}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Write one sparse delta entry (kind 1) from pre-extracted range bytes
-    /// (`payload` = concatenation of the ranges' bytes, in order).
-    pub fn delta_field_sparse_bytes(
-        &mut self,
-        name: &str,
-        full_len: u64,
-        ranges: &[std::ops::Range<usize>],
-        payload: &[u8],
-    ) -> Result<()> {
-        self.begin_delta_field(name, 1)?;
-        let total = self.put_sparse_map(full_len, ranges)?;
-        if total != payload.len() as u64 {
-            return Err(PparError::CorruptCheckpoint(format!(
-                "field {name:?}: dirty map announces {total} bytes, payload has {}",
-                payload.len()
-            )));
-        }
-        self.put(payload)
-    }
-
-    /// Write one delta field from a [`DeltaSource`].
-    pub fn delta_field(&mut self, name: &str, source: &DeltaSource<'_>) -> Result<()> {
-        match source {
-            DeltaSource::Full(FieldSource::Cell(cell)) => self.delta_field_full_cell(name, *cell),
-            DeltaSource::Full(FieldSource::Bytes(bytes)) => {
-                self.delta_field_full_bytes(name, bytes)
+            DeltaSource::Full(whole) => {
+                self.begin_field(name, Some(0))?;
+                self.put_whole(name, whole)
             }
             DeltaSource::DirtyCell { cell, ranges } => {
-                self.delta_field_sparse_cell(name, *cell, ranges)
+                let total = self.begin_sparse(name, cell.byte_len() as u64, ranges)?;
+                let streamed = self.stream(|tee| cell.write_dirty_state(ranges, tee))?;
+                carried(name, total, streamed)
             }
             DeltaSource::DirtyBytes {
                 full_len,
                 ranges,
                 payload,
-            } => self.delta_field_sparse_bytes(name, *full_len, ranges, payload),
+            } => {
+                let total = self.begin_sparse(name, *full_len, ranges)?;
+                carried(name, total, payload.len() as u64)?;
+                self.put(payload)
+            }
         }
     }
 
@@ -782,6 +707,16 @@ impl<W: Write> SnapshotWriter<W> {
         self.sink.flush()?;
         Ok((self.written, self.sink))
     }
+}
+
+/// The length rule: a field streams exactly the bytes its header announced.
+fn carried(name: &str, announced: u64, streamed: u64) -> Result<()> {
+    if streamed != announced {
+        return Err(PparError::CorruptCheckpoint(format!(
+            "field {name:?}: {announced} bytes announced but {streamed} streamed"
+        )));
+    }
+    Ok(())
 }
 
 /// The file-backed store is the durable [`CkptTransport`]: one sink per
@@ -829,7 +764,8 @@ impl CkptTransport for CheckpointStore {
         at: Option<u64>,
         read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
     ) -> Result<bool> {
-        lend_merged(self.merged(rank, at)?, read)
+        let merged = self.merged(rank, at)?;
+        merged.map_or(Ok(false), |merged| read(&merged.view()).map(|()| true))
     }
 
     fn write_merged_record_at(
@@ -880,12 +816,12 @@ impl CkptTransport for CheckpointStore {
                 // Every record is parsed to its header and CRC-checked to
                 // its end through one block-sized scratch; nothing is held
                 // or folded.
-                let mut base = RecordStream::new(src, len, true, "")?;
+                let mut base = RecordStream::new(src, len, "")?;
                 let count = match SnapshotView::parse(&mut base) {
                     Ok((meta, _)) => base.end().map(|()| meta.count)?,
                     Err(e) => return Err(base.fail(e)),
                 };
-                return walk_chain(count, None, true, self.deltas(rank), |_, _| Ok(())).map(Some);
+                return walk_chain(count, None, self.deltas(rank), |_, _| Ok(())).map(Some);
             }
         }
         Ok(None)
@@ -1200,17 +1136,17 @@ impl Input for Reader<'_> {
     }
 }
 
-/// A record read front to back off a medium (`src` yields exactly the
-/// record's `len` bytes), CRC-checked on the way through when `verify`:
-/// every block of up to [`CRC_COPY_BLOCK`] bytes is folded into the running
-/// CRC as soon as it lands, while it is still in cache. So a record is read
-/// once, into wherever its bytes belong, and no record-sized buffer is
-/// needed to check it.
+/// A record read front to back off the disk (`src` yields exactly the
+/// record's `len` bytes), CRC-checked on the way through: every block of up
+/// to [`CRC_COPY_BLOCK`] bytes is folded into the running CRC as soon as it
+/// lands, while it is still in cache. So a record is read once, into
+/// wherever its bytes belong, and no record-sized buffer is needed to check
+/// it.
 ///
-/// **A large span is read on every core.** A verified span — a `fill` or a
-/// `skip` — of at least two [`SPLIT_PART`]s, from a medium with positioned
-/// access ([`Source::split`]), is cut into at most one part per core. The
-/// calling thread reads the first part through its own reader, as it reads
+/// **A large span is read on every core.** A span — a `fill` or a `skip` —
+/// of at least two [`SPLIT_PART`]s, from a record with positioned access
+/// ([`OnDisk::split`]), is cut into at most one part per core. The calling
+/// thread reads the first part through its own reader, as it reads
 /// everything else; a scoped helper thread reads each other part at its
 /// offset, straight into place, with a CRC of its own. The parts' CRCs then
 /// join the running one in record order ([`Crc32::append`]), so the trailer
@@ -1219,18 +1155,18 @@ impl Input for Reader<'_> {
 ///
 /// A verdict reached before the end waits for the CRC: [`RecordStream::fail`]
 /// reads the rest, and a record that fails its CRC reports that instead.
-pub(crate) struct RecordStream<R> {
-    src: R,
+pub(crate) struct RecordStream<'s> {
+    src: OnDisk<'s>,
     /// Body length: the record without its 4-byte trailer.
     len: usize,
     pos: usize,
-    crc: Option<Crc32>,
+    crc: Crc32,
     /// `""` or `"delta "`: prefixes the CRC error.
     what: &'static str,
 }
 
-impl<R: Source> RecordStream<R> {
-    pub(crate) fn new(src: R, len: u64, verify: bool, what: &'static str) -> Result<Self> {
+impl<'s> RecordStream<'s> {
+    pub(crate) fn new(src: OnDisk<'s>, len: u64, what: &'static str) -> Result<Self> {
         let len = usize::try_from(len).unwrap_or(usize::MAX);
         if len < MAGIC.len() + 4 {
             return Err(PparError::CorruptCheckpoint(format!(
@@ -1241,7 +1177,7 @@ impl<R: Source> RecordStream<R> {
             src,
             len: len - 4,
             pos: 0,
-            crc: verify.then(Crc32::new),
+            crc: Crc32::new(),
             what,
         })
     }
@@ -1256,16 +1192,13 @@ impl<R: Source> RecordStream<R> {
     }
 
     /// The record's end: what is left of the body is read and the trailer
-    /// checked — or, unverified, left unread.
+    /// checked.
     pub(crate) fn end(mut self) -> Result<()> {
-        if self.crc.is_none() {
-            return Ok(());
-        }
         self.skip(self.left())?;
         let mut trailer = [0; 4];
         self.src.read_exact(&mut trailer)?;
         let stored = u32::from_le_bytes(trailer);
-        let computed = self.crc.map_or(stored, |crc| crc.finish());
+        let computed = self.crc.finish();
         if computed != stored {
             return Err(PparError::CorruptCheckpoint(format!(
                 "{}CRC mismatch: stored {stored:#010x}, computed {computed:#010x}",
@@ -1283,24 +1216,24 @@ impl<R: Source> RecordStream<R> {
     }
 
     /// The next `span.len()` body bytes, CRC running: on every core when
-    /// the span is verified, long enough and the medium can split it, front
-    /// to back otherwise.
+    /// the span is long enough and the record can be split, front to back
+    /// otherwise.
     fn read(&mut self, span: Span<'_>) -> Result<()> {
         let len = span.len();
         self.check(len)?;
         let parts = (len / SPLIT_PART).min(cores());
-        match (&mut self.crc, self.src.split()) {
-            (Some(crc), Some((front, at))) if parts > 1 => {
-                read_split(front, at, self.pos as u64, span, parts, crc)?
+        match self.src.split() {
+            Some((front, at)) if parts > 1 => {
+                read_split(front, at, self.pos as u64, span, parts, &mut self.crc)?
             }
-            _ => read_front(&mut self.src, span, self.crc.as_mut())?,
+            _ => read_front(&mut self.src, span, &mut self.crc)?,
         }
         self.pos += len;
         Ok(())
     }
 }
 
-impl<R: Source> Input for RecordStream<R> {
+impl Input for RecordStream<'_> {
     fn pos(&self) -> usize {
         self.pos
     }
@@ -1357,18 +1290,14 @@ fn cores() -> usize {
 /// it lands. Reads ask for a block at a time from wherever the last one
 /// ended: a source buffered by the block then serves small reads from its
 /// buffer and passes block-sized ones straight into place.
-fn read_front<S: Read + ?Sized>(
-    src: &mut S,
-    span: Span<'_>,
-    mut crc: Option<&mut Crc32>,
-) -> Result<()> {
+fn read_front<S: Read + ?Sized>(src: &mut S, span: Span<'_>, crc: &mut Crc32) -> Result<()> {
     let out = match span {
         Span::Into(out) => out,
         Span::Past(n) => {
             let mut scratch = vec![0; n.min(CRC_COPY_BLOCK)];
             for start in (0..n).step_by(CRC_COPY_BLOCK) {
                 let block = &mut scratch[..CRC_COPY_BLOCK.min(n - start)];
-                read_front(src, Span::Into(block), crc.as_deref_mut())?;
+                read_front(src, Span::Into(block), crc)?;
             }
             return Ok(());
         }
@@ -1382,9 +1311,7 @@ fn read_front<S: Read + ?Sized>(
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         };
-        if let Some(crc) = crc.as_deref_mut() {
-            crc.update(&out[done..done + got]);
-        }
+        crc.update(&out[done..done + got]);
         done += got;
     }
     Ok(())
@@ -1417,7 +1344,7 @@ fn read_split(
                 scope.spawn(move || read_at(at, part_at, span))
             })
             .collect();
-        let front_read = read_front(front, first, Some(&mut *crc));
+        let front_read = read_front(front, first, crc);
         let helped: Vec<_> = helpers
             .into_iter()
             .map(|helper| {
@@ -1487,23 +1414,6 @@ pub(crate) trait ReadSeek: Read + Seek {}
 
 impl<T: Read + Seek> ReadSeek for T {}
 
-/// What a [`RecordStream`] reads: the record front to back, and — where the
-/// medium has it — positioned access to the same bytes.
-pub(crate) trait Source: Read {
-    /// The front-to-back reader and the medium's positioned access,
-    /// borrowed apart: helper threads read at their offsets while the
-    /// reader goes on, and it then moves past what they read. `None`, the
-    /// default: the medium has no positioned access, and every span is read
-    /// front to back.
-    fn split(&mut self) -> Option<(&mut dyn ReadSeek, &dyn ReadAt)> {
-        None
-    }
-}
-
-/// Held bytes are read where they lie, and never verified: nothing to
-/// split.
-impl Source for &[u8] {}
-
 /// A record opened on disk for one read: front to back through a
 /// block-sized buffer, and positioned access beside it — a second handle on
 /// the flat file, or a second reader of the record's chunk objects. Flat
@@ -1514,11 +1424,20 @@ pub(crate) struct OnDisk<'s> {
 }
 
 impl<'s> OnDisk<'s> {
-    fn new(front: Box<dyn ReadSeek + 's>, at: Option<Box<dyn ReadAt + 's>>) -> OnDisk<'s> {
+    pub(crate) fn new(front: Box<dyn ReadSeek + 's>, at: Option<Box<dyn ReadAt + 's>>) -> Self {
         OnDisk {
             front: BufReader::with_capacity(CRC_COPY_BLOCK, front),
             at,
         }
+    }
+
+    /// The front-to-back reader and the positioned access, borrowed apart:
+    /// helper threads read at their offsets while the reader goes on, and
+    /// it then moves past what they read. `None` without positioned access:
+    /// every span is read front to back.
+    fn split(&mut self) -> Option<(&mut dyn ReadSeek, &dyn ReadAt)> {
+        let front: &mut dyn ReadSeek = &mut self.front;
+        Some((front, self.at.as_deref()?))
     }
 }
 
@@ -1528,15 +1447,149 @@ impl Read for OnDisk<'_> {
     }
 }
 
-impl Source for OnDisk<'_> {
-    fn split(&mut self) -> Option<(&mut dyn ReadSeek, &dyn ReadAt)> {
-        let front: &mut dyn ReadSeek = &mut self.front;
-        Some((front, self.at.as_deref()?))
+/// A record opened for one front-to-back read: its length and its bytes.
+type Opened<'s> = (u64, OnDisk<'s>);
+
+// ---------------------------------------------------------------------------
+// chain rules
+// ---------------------------------------------------------------------------
+
+/// Delta-chain step validity, as [`walk_chain`] — the one walk behind both
+/// the restart target and the restored state — applies it. Returns
+/// `Ok(false)` for a *stale* delta (previous base generation — terminates
+/// the walk harmlessly); errors on ordering violations.
+fn chain_step_is_live(
+    meta: &DeltaMeta,
+    base_count: u64,
+    expected_seq: u32,
+    prev_count: u64,
+) -> Result<bool> {
+    if meta.base_count != base_count {
+        return Ok(false);
+    }
+    if meta.seq != expected_seq {
+        return Err(PparError::CorruptCheckpoint(format!(
+            "delta file {expected_seq} carries sequence number {}",
+            meta.seq
+        )));
+    }
+    if meta.count <= prev_count {
+        return Err(PparError::CorruptCheckpoint(format!(
+            "delta {expected_seq} count {} does not advance past {prev_count}",
+            meta.count
+        )));
+    }
+    Ok(true)
+}
+
+/// Walk the delta chain over the base saved at `base_count`: from delta 1
+/// until the first missing or stale record, stopping *before* any delta
+/// that would pass a pinned `at` (a torn chain whose tip outran the group
+/// commit serves the committed prefix). Each live delta goes to `fold`,
+/// which reads the rest of it past the header; the safe point reached is
+/// returned — with a `fold` that reads nothing, this is the chain's tip,
+/// every record still read to its end and CRC-checked.
+///
+/// `delta(seq)` opens delta `seq` where it lies — a file, or a record's
+/// chunk objects — `None` when there is no such delta. Each record is read
+/// once through a [`RecordStream`], its CRC checked on the way through, and
+/// no verdict is acted on before that CRC: a header that says stale, out of
+/// order, past the pin or malformed — and whatever `fold` refuses — is read
+/// to its end first, and a record that fails its CRC is that error instead.
+/// Only a verified stale delta ends the walk.
+fn walk_chain<'s>(
+    base_count: u64,
+    at: Option<u64>,
+    mut delta: impl FnMut(u32) -> Result<Option<Opened<'s>>>,
+    mut fold: impl FnMut(&DeltaMeta, &mut RecordStream<'s>) -> Result<()>,
+) -> Result<u64> {
+    let mut count = base_count;
+    let mut seq = 1u32;
+    while at.is_none_or(|at| count < at) {
+        let Some((len, src)) = delta(seq)? else {
+            break;
+        };
+        let mut record = RecordStream::new(src, len, "delta ")?;
+        let step = DeltaMeta::header(&mut record).and_then(|meta| {
+            let live = chain_step_is_live(&meta, base_count, seq, count)?
+                && at.is_none_or(|at| meta.count <= at);
+            if live {
+                fold(&meta, &mut record)?;
+            }
+            Ok(live.then_some(meta.count))
+        });
+        match step {
+            Ok(next) => {
+                record.end()?;
+                let Some(next) = next else {
+                    break;
+                };
+                count = next;
+            }
+            Err(e) => return Err(record.fail(e)),
+        }
+        seq += 1;
+    }
+    Ok(count)
+}
+
+/// The fold: the one place a stored chain becomes a state. `bases` yields
+/// the chain's base record body per retained generation, newest first, its
+/// CRC verified — it becomes the restore's one record-sized buffer.
+/// [`walk_chain`] streams each live delta into it, every payload read
+/// straight into its place ([`Merged::apply`]): no delta is ever held
+/// whole. The first generation to land on a pinned `at` is returned, and an
+/// unpinned fold takes the first one present; `Ok(None)` when the chain has
+/// no base record. A pinned fold also looks past a generation that is
+/// corrupt (its base or a live delta fails its CRC or its layout rules),
+/// since an older one may still hold the pinned, group-committed safe
+/// point; an I/O error ends it, as does any error of an unpinned fold. When
+/// no generation serves the pin, the error names what each one tried gave.
+/// The caller owns the result: a read *lends* it, a disk restart *keeps* it
+/// from store open until the load installs it, so its chain is read once.
+/// On `Err` a half-patched record is dropped with the fold.
+fn fold_merged<'s>(
+    rank: Option<u32>,
+    at: Option<u64>,
+    bases: impl IntoIterator<Item = Result<Option<Vec<u8>>>>,
+    mut delta: impl FnMut(u32) -> Result<Option<Opened<'s>>>,
+) -> Result<Option<Merged>> {
+    let mut tried = Vec::new();
+    for base in bases {
+        let generation = base.and_then(|base| {
+            let Some(base) = base else {
+                return Ok(None);
+            };
+            let mut merged = Merged::of_base(base)?;
+            let count = walk_chain(merged.count(), at, &mut delta, |meta, r| {
+                merged.apply(meta, r)
+            })?;
+            Ok(Some((merged, count)))
+        });
+        match generation {
+            Ok(None) => {}
+            Ok(Some((merged, count))) if at.is_none_or(|at| count == at) => {
+                return Ok(Some(merged))
+            }
+            Ok(Some((_, count))) => tried.push(format!("reaches safe point {count}")),
+            Err(PparError::CorruptCheckpoint(why)) if at.is_some() => tried.push(why),
+            Err(e) => return Err(e),
+        }
+    }
+    match at {
+        Some(count) if !tried.is_empty() => Err(unserved(rank, count, &tried)),
+        _ => Ok(None),
     }
 }
 
-/// A record opened for one front-to-back read: its length and its bytes.
-type Opened<'s> = (u64, OnDisk<'s>);
+/// The error of a pin at `at` that no generation of `rank`'s chain serves;
+/// `tried` says what each generation gave, newest first.
+pub(crate) fn unserved(rank: Option<u32>, at: u64, tried: &[String]) -> PparError {
+    PparError::CorruptCheckpoint(format!(
+        "no generation of the {rank:?} chain can serve safe point {at} \
+         (newest first: {tried:?}; torn group checkpoint)"
+    ))
+}
 
 /// A checkpoint directory.
 ///
@@ -1653,17 +1706,6 @@ impl CheckpointStore {
         }
     }
 
-    /// The record's full encoded bytes in a buffer of their own, or `None`
-    /// when absent.
-    fn record_bytes(&self, path: &Path) -> Result<Option<Vec<u8>>> {
-        let Some((len, mut src)) = self.record_reader(path)? else {
-            return Ok(None);
-        };
-        let mut bytes = Vec::with_capacity(clamp_record_hint(len));
-        src.read_to_end(&mut bytes)?;
-        Ok(Some(bytes))
-    }
-
     /// `rank`'s chain read, CRC-checked and folded, pinned like
     /// [`CkptTransport::with_merged`], which lends this. Each record is read
     /// once: the base into the fold's one buffer, every delta's payload
@@ -1672,27 +1714,19 @@ impl CheckpointStore {
     /// it, which is how a restore survives a torn group save — shards that
     /// already advanced past the commit point roll back to their preserved
     /// older record.
-    pub(crate) fn merged(
-        &self,
-        rank: Option<u32>,
-        at: Option<u64>,
-    ) -> Result<Option<Merged<'static>>> {
+    pub(crate) fn merged(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Merged>> {
         let prev = at.and(rank).map(|r| self.prev_shard_path(r));
         let bases = std::iter::once(self.record_path(RecordKey::full(rank)))
             .chain(prev)
             .map(|path| match self.record_reader(&path)? {
-                Some((len, src)) => {
-                    let body = RecordStream::new(src, len, true, "")?.into_body()?;
-                    Ok(Some(Cow::Owned(body)))
-                }
+                Some((len, src)) => RecordStream::new(src, len, "")?.into_body().map(Some),
                 None => Ok(None),
             });
-        fold_merged(rank, at, true, bases, self.deltas(rank))
+        fold_merged(rank, at, bases, self.deltas(rank))
     }
 
-    /// How the chain walks reach `rank`'s deltas (see
-    /// [`crate::transport::walk_chain`]): delta `seq` opened for reading
-    /// where it lies.
+    /// How the chain walks reach `rank`'s deltas (see [`walk_chain`]):
+    /// delta `seq` opened for reading where it lies.
     fn deltas<'s>(&'s self, rank: Option<u32>) -> impl FnMut(u32) -> Result<Option<Opened<'s>>> {
         move |seq| self.record_reader(&self.delta_path(rank, seq))
     }
@@ -1729,8 +1763,8 @@ impl CheckpointStore {
     /// streaming restore path); `None` when absent.
     fn record_copy_to(&self, path: &Path, out: &mut dyn Write) -> Result<Option<u64>> {
         if let Some(cas) = &self.cas {
-            if let Some(written) = cas.write_record_to(CheckpointStore::rec_name(path), out)? {
-                return Ok(Some(written));
+            if let Some(mut chunks) = cas.record_reader(CheckpointStore::rec_name(path))? {
+                return Ok(Some(std::io::copy(&mut chunks, out)?));
             }
         }
         let mut file = match fs::File::open(path) {
@@ -1783,23 +1817,12 @@ impl CheckpointStore {
     /// Peek the safe-point count in a record's header without materializing
     /// the payload. `None` when the record is missing or its header does
     /// not parse (a peek never hard-fails: the caller falls back to the
-    /// full, CRC-checked read path). Goes through the record seam: manifest
-    /// head first in the content-addressed layout, flat file otherwise.
+    /// full, CRC-checked read path). Reads the record's head through the
+    /// record reader, whichever the layout.
     fn peek_count(&self, path: &Path) -> Option<u64> {
-        let cas_head = self.cas.as_ref().and_then(|cas| {
-            cas.read_head(CheckpointStore::rec_name(path), HEAD_BYTES)
-                .ok()
-                .flatten()
-        });
-        let head = match cas_head {
-            Some(head) => head,
-            None => {
-                let mut head = Vec::with_capacity(HEAD_BYTES);
-                let file = fs::File::open(path).ok()?;
-                file.take(HEAD_BYTES as u64).read_to_end(&mut head).ok()?;
-                head
-            }
-        };
+        let (_, src) = self.record_reader(path).ok()??;
+        let mut head = Vec::with_capacity(HEAD_BYTES);
+        src.take(HEAD_BYTES as u64).read_to_end(&mut head).ok()?;
         SnapshotMeta::of_head(&head).ok().map(|meta| meta.count)
     }
 
@@ -1852,30 +1875,6 @@ impl CheckpointStore {
         }
     }
 
-    fn read(&self, path: &Path) -> Result<Option<Snapshot>> {
-        match self.record_bytes(path)? {
-            Some(bytes) => Snapshot::decode(&bytes).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    fn read_delta(&self, rank: Option<u32>, seq: u32) -> Result<Option<DeltaSnapshot>> {
-        match self.record_bytes(&self.delta_path(rank, seq))? {
-            Some(bytes) => DeltaSnapshot::decode(&bytes).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Load delta `seq` of the master chain, if present.
-    pub fn read_master_delta(&self, seq: u32) -> Result<Option<DeltaSnapshot>> {
-        self.read_delta(None, seq)
-    }
-
-    /// Load delta `seq` of rank `rank`'s chain, if present.
-    pub fn read_shard_delta(&self, rank: u32, seq: u32) -> Result<Option<DeltaSnapshot>> {
-        self.read_delta(Some(rank), seq)
-    }
-
     // Tolerate a concurrent remover (several modules of one group purging
     // at start-up): losing the race to delete is success.
     fn remove_if_present(path: PathBuf) -> Result<()> {
@@ -1902,16 +1901,6 @@ impl CheckpointStore {
             }
         }
         Ok(())
-    }
-
-    /// Load the master snapshot, if present.
-    pub fn read_master(&self) -> Result<Option<Snapshot>> {
-        self.read(&self.master_path())
-    }
-
-    /// Load element `rank`'s shard, if present.
-    pub fn read_shard(&self, rank: u32) -> Result<Option<Snapshot>> {
-        self.read(&self.shard_path(rank))
     }
 
     /// Mark a run as in flight. Idempotent (all aggregate elements call it).
@@ -2064,8 +2053,8 @@ mod tests {
         put_snapshot(&store, &sample(Some(1)));
         store.clear_all().unwrap();
         assert!(!store.marker_exists());
-        assert!(store.read_master().unwrap().is_none());
-        assert!(store.read_shard(1).unwrap().is_none());
+        assert!(store.get(None, None).unwrap().is_none());
+        assert!(store.get(Some(1), None).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2172,13 +2161,13 @@ mod tests {
 
         // Legacy writer -> new reader.
         fs::write(store.master_path(), snap.encode()).unwrap();
-        assert_eq!(store.read_master().unwrap().unwrap(), snap);
+        assert_eq!(store.get(None, None).unwrap().unwrap(), snap);
 
         // Streaming writer -> reader.
         store
             .put(&Record::Full(&snap.meta(), &bytes_fields(&snap)))
             .unwrap();
-        assert_eq!(store.read_master().unwrap().unwrap(), snap);
+        assert_eq!(store.get(None, None).unwrap().unwrap(), snap);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2199,7 +2188,7 @@ mod tests {
             fs::write(store.master_path(), &bad).unwrap();
             assert!(
                 matches!(
-                    store.read_master(),
+                    store.get(None, None),
                     Err(PparError::CorruptCheckpoint(_)) | Err(PparError::FormatMismatch { .. })
                 ),
                 "bit flip at {pos} undetected"
@@ -2210,7 +2199,7 @@ mod tests {
         for cut in [1, 4, good.len() / 2, good.len() - 1] {
             fs::write(store.master_path(), &good[..cut]).unwrap();
             assert!(
-                store.read_master().is_err(),
+                store.get(None, None).is_err(),
                 "truncation to {cut} undetected"
             );
         }
@@ -2236,7 +2225,7 @@ mod tests {
         let fields: Vec<(&str, FieldSource<'_>)> = vec![("G", FieldSource::Cell(&cell))];
         store.put(&Record::Full(&meta, &fields)).unwrap();
 
-        let back = store.read_master().unwrap().unwrap();
+        let back = store.get(None, None).unwrap().unwrap();
         assert_eq!(back.count, 42);
         let restored = SharedVec::new(1000, 0.0f64);
         restored.load_bytes(back.field("G").unwrap()).unwrap();
@@ -2257,11 +2246,11 @@ mod tests {
         assert!(w.finish().is_err());
         // More fields than announced: the extra field must refuse.
         let mut w = SnapshotWriter::new(Vec::new(), &meta, 1).unwrap();
-        w.field_bytes("a", &[1]).unwrap();
-        assert!(w.field_bytes("b", &[2]).is_err());
+        w.field("a", &FieldSource::Bytes(&[1])).unwrap();
+        assert!(w.field("b", &FieldSource::Bytes(&[2])).is_err());
         // Exact count round-trips.
         let mut w = SnapshotWriter::new(Vec::new(), &meta, 1).unwrap();
-        w.field_bytes("a", &[1, 2, 3]).unwrap();
+        w.field("a", &FieldSource::Bytes(&[1, 2, 3])).unwrap();
         let (written, bytes) = w.finish().unwrap();
         assert_eq!(written as usize, bytes.len());
         let decoded = Snapshot::decode(&bytes).unwrap();
@@ -2354,8 +2343,8 @@ mod tests {
 
         // Promotion GC.
         store.clear_deltas(None).unwrap();
-        assert!(store.read_master_delta(1).unwrap().is_none());
-        assert!(store.read_master_delta(2).unwrap().is_none());
+        assert!(!store.delta_path(None, 1).exists());
+        assert!(!store.delta_path(None, 2).exists());
         assert_eq!(store.get(None, None).unwrap().unwrap().count, 10);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -2585,7 +2574,8 @@ mod tests {
                 ],
             ))
             .unwrap();
-        let d = store.read_master_delta(2).unwrap().unwrap();
+        let record = fs::read(store.delta_path(None, 2)).unwrap();
+        let d = crate::delta::DeltaView::of_record(&record).unwrap();
         assert_eq!(d.meta, delta_meta(7, 3, 2, None));
         assert_eq!(d.fields.len(), 2);
         match &d.fields[0].1 {
@@ -2600,7 +2590,7 @@ mod tests {
             }
             other => panic!("expected sparse payload, got {other:?}"),
         }
-        assert_eq!(d.fields[1].1, crate::delta::DeltaPayload::Full(opaque));
+        assert_eq!(d.fields[1].1, crate::delta::DeltaPayload::Full(&opaque[..]));
         fs::remove_dir_all(&dir).unwrap();
     }
 

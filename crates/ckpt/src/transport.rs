@@ -19,22 +19,20 @@
 //!   commit. No medium implements a put of its own, so every medium stores
 //!   byte-identical encodings of identical content.
 //! * **read, once** — [`CkptTransport::with_merged`] is the one read a
-//!   medium writes, and it is a *lend*: the medium folds the chain (base +
-//!   live deltas by the shared chain rules below, optionally pinned to one
-//!   safe point) and runs the caller's closure over a [`SnapshotView`]
-//!   whose payloads are slices of bytes the medium holds. **The closure
-//!   runs at most once, and only after the medium has established that the
-//!   chain serves the requested safe point**, so a caller may install into
-//!   live cells straight from it. The other two shapes are *provided* over
-//!   the lend: [`CkptTransport::get`] *owns* (a copy of the view),
-//!   [`CkptTransport::write_merged_record_at`] *streams* (the view through
-//!   the golden encoder, checksum on). Two media override the stream,
-//!   both to pass on bytes that already *are* the record: the store copies
-//!   a file through unparsed when no live delta has to be folded — what
-//!   the root's checkpoint service answers a restore with — and the wire
-//!   client forwards that answer to the caller's sink as it arrives.
-//!   Memory needs no override: streaming its lent record is already one
-//!   CRC-and-copy pass.
+//!   medium writes, and it is a *lend*: the medium establishes the record
+//!   (the disk store folds base + live deltas, CRC-verified, optionally
+//!   pinned to one safe point) and runs the caller's closure over a
+//!   [`SnapshotView`] whose payloads are slices of bytes the medium holds.
+//!   **The closure runs at most once, and only after the medium has
+//!   established that it serves the requested safe point**, so a caller may
+//!   install into live cells straight from it. The other two shapes are
+//!   *provided* over the lend: [`CkptTransport::get`] *owns* (a copy of the
+//!   view), [`CkptTransport::write_merged_record_at`] *streams* (the view
+//!   through the golden encoder, checksum on). Two media override the
+//!   stream, both to pass on bytes that already *are* the record: the store
+//!   copies a file through unparsed when no live delta has to be folded —
+//!   what the root's checkpoint service answers a restore with — and the
+//!   wire client forwards that answer to the caller's sink as it arrives.
 //!
 //! **The failed-put rule**, binding on every medium: *a put that fails
 //! leaves the previous record for that key readable and no partial
@@ -42,21 +40,23 @@
 //! journaled transaction), swap on `commit`, and clean up on `abort` or
 //! drop; `commit` also refuses a record whose header names another key.
 //!
-//! **Memory skips the CRC pass.** A sink reports through
-//! [`RecordSink::checksummed`] whether its medium needs the record's CRC
-//! trailer; [`MemTransport`] says no (the bytes never leave the process —
-//! integrity checking guards durable media), so a memory put costs one
-//! copy and no checksum. Its records equal a disk store's byte for byte
-//! except that zero trailer; the encoder computes it on the way out
-//! whenever a memory record is streamed to another medium.
+//! **A chain lives only on disk.** Memory holds whole records: its `begin`
+//! refuses a delta key, and its lend is the held record itself, pinned to
+//! that record's safe point or refused from its header. It also skips the
+//! CRC pass: a sink reports through [`RecordSink::checksummed`] whether its
+//! medium needs the record's CRC trailer, and [`MemTransport`] says no (the
+//! bytes never leave the process), so a memory put costs one copy and no
+//! checksum. Its records equal a disk store's byte for byte except that
+//! zero trailer; the encoder computes it on the way out whenever a memory
+//! record is streamed to another medium.
 //!
 //! Media: [`crate::store::CheckpointStore`] (flat files or the
-//! content-addressed layout), [`MemTransport`] (disk-free checkpoints),
-//! the read-only [`crate::Handoff`] (a live reshape's frozen state: no sink,
-//! its lend is the predecessor's cells), and in `ppar-net` the wire client
-//! and the survivor-local mirror.
+//! content-addressed layout; the one medium a delta chain lives in),
+//! [`MemTransport`] (whole records: benches and the survivor-local mirror's
+//! slots), and in `ppar-net` the wire client and the mirror. A live
+//! reshape's [`crate::Handoff`] is not a medium: the successor reads the
+//! predecessor's frozen cells through the hand-off's own methods.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,10 +66,9 @@ use parking_lot::{Mutex, RwLock};
 use ppar_core::error::{PparError, Result};
 
 use crate::cas::{ChunkRef, PutStats};
-use crate::delta::{DeltaMeta, Merged, DELTA_MAGIC};
+use crate::delta::{DeltaMeta, DELTA_MAGIC};
 use crate::store::{
-    record_body, DeltaSource, FieldSource, Reader, Record, RecordStream, Snapshot, SnapshotMeta,
-    SnapshotView, Source,
+    unserved, DeltaSource, FieldSource, Reader, Record, Snapshot, SnapshotMeta, SnapshotView,
 };
 
 /// Names one record of one chain.
@@ -333,171 +332,18 @@ pub(crate) fn stream_merged(
 }
 
 // ---------------------------------------------------------------------------
-// shared chain rules
-// ---------------------------------------------------------------------------
-
-/// Delta-chain step validity, as [`walk_chain`] — the one walk behind both
-/// the restart target and the restored state — applies it. Returns
-/// `Ok(false)` for a *stale* delta (previous base generation — terminates
-/// the walk harmlessly); errors on ordering violations.
-pub(crate) fn chain_step_is_live(
-    meta: &DeltaMeta,
-    base_count: u64,
-    expected_seq: u32,
-    prev_count: u64,
-) -> Result<bool> {
-    if meta.base_count != base_count {
-        return Ok(false);
-    }
-    if meta.seq != expected_seq {
-        return Err(PparError::CorruptCheckpoint(format!(
-            "delta file {expected_seq} carries sequence number {}",
-            meta.seq
-        )));
-    }
-    if meta.count <= prev_count {
-        return Err(PparError::CorruptCheckpoint(format!(
-            "delta {expected_seq} count {} does not advance past {prev_count}",
-            meta.count
-        )));
-    }
-    Ok(true)
-}
-
-/// Walk the delta chain over the base saved at `base_count`: from delta 1
-/// until the first missing or stale record, stopping *before* any delta
-/// that would pass a pinned `at` (a torn chain whose tip outran the group
-/// commit serves the committed prefix). Each live delta goes to `fold`,
-/// which reads the rest of it past the header; the safe point reached is
-/// returned — with a `fold` that reads nothing, this is the chain's tip
-/// from the deltas' *headers* alone.
-///
-/// The medium supplies the bytes: `delta(seq)` opens delta `seq` where it
-/// lies — a file, a record's chunk objects, the held record itself — as its
-/// length and a [`Source`], `None` when there is no such delta. A source is
-/// a front-to-back reader and, on disk, positioned access beside it, with
-/// which the [`RecordStream`] reads each large verified span (a dense
-/// delta's payload) on every core. Each record is read once, its CRC
-/// checked on the way through when `verify` — for a split span, exactly
-/// the value a front-to-back pass computes — and no verdict is acted on
-/// before that CRC: a header that says stale, out of order, past the pin
-/// or malformed — and whatever `fold` refuses — is read to its end first,
-/// and a record that fails its CRC is that error instead. Only a verified
-/// stale delta ends the walk.
-pub(crate) fn walk_chain<R: Source>(
-    base_count: u64,
-    at: Option<u64>,
-    verify: bool,
-    mut delta: impl FnMut(u32) -> Result<Option<(u64, R)>>,
-    mut fold: impl FnMut(&DeltaMeta, &mut RecordStream<R>) -> Result<()>,
-) -> Result<u64> {
-    let mut count = base_count;
-    let mut seq = 1u32;
-    while at.is_none_or(|at| count < at) {
-        let Some((len, src)) = delta(seq)? else {
-            break;
-        };
-        let mut record = RecordStream::new(src, len, verify, "delta ")?;
-        let step = DeltaMeta::header(&mut record).and_then(|meta| {
-            let live = chain_step_is_live(&meta, base_count, seq, count)?
-                && at.is_none_or(|at| meta.count <= at);
-            if live {
-                fold(&meta, &mut record)?;
-            }
-            Ok(live.then_some(meta.count))
-        });
-        match step {
-            Ok(next) => {
-                record.end()?;
-                let Some(next) = next else {
-                    break;
-                };
-                count = next;
-            }
-            Err(e) => return Err(record.fail(e)),
-        }
-        seq += 1;
-    }
-    Ok(count)
-}
-
-/// The fold: the one place a stored chain becomes a state, for every
-/// medium that holds record bytes. `bases` yields the chain's base record
-/// body per retained generation, newest first, its integrity established —
-/// owned (read off a disk: it becomes the restore's one record-sized
-/// buffer) or borrowed (held in memory: copied only if a delta has to be
-/// patched in). [`walk_chain`] streams each live delta into it, every
-/// payload read straight into its place ([`Merged::apply`]): no delta is
-/// ever held whole. The first generation to land on a pinned `at` is
-/// returned, and an unpinned fold takes the first one present; `Ok(None)`
-/// when the chain has no base record. A pinned fold also looks past a
-/// generation that is corrupt (its base or a live delta fails its CRC or
-/// its layout rules), since an older one may still hold the pinned,
-/// group-committed safe point; an I/O error ends it, as does any error of
-/// an unpinned fold. When no generation serves the pin, the error names
-/// what each one tried gave. The caller owns the result: a read *lends* it
-/// ([`lend_merged`]), a disk restart *keeps* it from store open until the
-/// load installs it, so its chain is read once. On `Err` a half-patched
-/// record is dropped with the fold.
-pub(crate) fn fold_merged<'b, R: Source>(
-    rank: Option<u32>,
-    at: Option<u64>,
-    verify: bool,
-    bases: impl IntoIterator<Item = Result<Option<Cow<'b, [u8]>>>>,
-    mut delta: impl FnMut(u32) -> Result<Option<(u64, R)>>,
-) -> Result<Option<Merged<'b>>> {
-    let mut tried = Vec::new();
-    for base in bases {
-        let generation = base.and_then(|base| {
-            let Some(base) = base else {
-                return Ok(None);
-            };
-            let mut merged = Merged::of_base(base)?;
-            let count = walk_chain(merged.count(), at, verify, &mut delta, |meta, r| {
-                merged.apply(meta, r)
-            })?;
-            Ok(Some((merged, count)))
-        });
-        match generation {
-            Ok(None) => {}
-            Ok(Some((merged, count))) if at.is_none_or(|at| count == at) => {
-                return Ok(Some(merged))
-            }
-            Ok(Some((_, count))) => tried.push(format!("reaches safe point {count}")),
-            Err(PparError::CorruptCheckpoint(why)) if at.is_some() => tried.push(why),
-            Err(e) => return Err(e),
-        }
-    }
-    match at {
-        Some(count) if !tried.is_empty() => Err(PparError::CorruptCheckpoint(format!(
-            "no generation of the {rank:?} chain can serve safe point {count} \
-             (newest first: {tried:?}; torn group checkpoint)"
-        ))),
-        _ => Ok(None),
-    }
-}
-
-/// The lend over a finished fold: how [`CkptTransport::with_merged`] ends.
-pub(crate) fn lend_merged(
-    merged: Option<Merged<'_>>,
-    read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
-) -> Result<bool> {
-    merged.map_or(Ok(false), |merged| read(&merged.view()).map(|()| true))
-}
-
-// ---------------------------------------------------------------------------
 // in-memory transport
 // ---------------------------------------------------------------------------
 
-/// An in-memory checkpoint transport: the same record bytes a
-/// [`crate::store::CheckpointStore`] would put on disk, held in one
-/// `key → bytes` map, with no CRC pass (see the [module docs](self)).
+/// An in-memory checkpoint transport: the same full records a
+/// [`crate::store::CheckpointStore`] would put on disk, one per chain, held
+/// in one `key → bytes` map, with no CRC pass and no delta (see the
+/// [module docs](self)).
 ///
-/// It is the medium of disk-free checkpointing (a live session without a
-/// checkpoint directory, benches) and of the survivor-local mirror's
-/// slots. A live reshape's hand-off is not one of its records: the
-/// successor reads the predecessor's frozen cells ([`crate::Handoff`]), so
-/// no state-sized record is encoded at the crossing.
+/// It is the medium of the survivor-local mirror's slots and of benches. A
+/// live reshape's hand-off is not one of its records: the successor reads
+/// the predecessor's frozen cells ([`crate::Handoff`]), so no state-sized
+/// record is encoded at the crossing.
 #[derive(Default)]
 pub struct MemTransport {
     /// Readers share the map (concurrent lends of one record); a commit or
@@ -563,18 +409,6 @@ impl MemTransport {
             pool.push(buf);
         }
     }
-
-    /// How the chain walks reach `rank`'s deltas in the held `records`:
-    /// read where they lie, no buffer involved.
-    fn deltas<'r>(
-        records: &'r HashMap<RecordKey, Vec<u8>>,
-        rank: Option<u32>,
-    ) -> impl FnMut(u32) -> Result<Option<(u64, &'r [u8])>> + 'r {
-        move |seq| {
-            let record = records.get(&RecordKey::delta(rank, seq));
-            Ok(record.map(|bytes| (bytes.len() as u64, bytes.as_slice())))
-        }
-    }
 }
 
 /// The memory medium's sink: bytes append to a recycled buffer; commit
@@ -632,7 +466,13 @@ impl CkptTransport for MemTransport {
         "memory"
     }
 
+    /// A delta key is refused: memory holds whole records only.
     fn begin<'a>(&'a self, key: RecordKey, len_hint: u64) -> Result<Box<dyn RecordSink + 'a>> {
+        if key.delta.is_some() {
+            return Err(PparError::ContractViolation(format!(
+                "memory holds whole records only: cannot put {key:?} into it"
+            )));
+        }
         let mut buf = self.spare.lock().pop().unwrap_or_default();
         buf.reserve(clamp_record_hint(len_hint));
         Ok(Box::new(MemSink {
@@ -643,11 +483,11 @@ impl CkptTransport for MemTransport {
     }
 
     /// The held record is lent where it lies (one copy total: record →
-    /// cells), and copied only when a delta has to be patched into it.
-    /// Nothing is CRC-checked: the bytes never left this process. `read`
-    /// runs under a shared read guard: every element of an aggregate may
-    /// lend the one record at once, and a racing put waits for them, so a
-    /// reader sees the old record or the new one, whole.
+    /// cells). A pin at another safe point is refused from its header,
+    /// before `read` runs. Nothing is CRC-checked: the bytes never left
+    /// this process. `read` runs under a shared read guard: every element of
+    /// an aggregate may lend the one record at once, and a racing put waits
+    /// for them, so a reader sees the old record or the new one, whole.
     fn with_merged(
         &self,
         rank: Option<u32>,
@@ -655,37 +495,34 @@ impl CkptTransport for MemTransport {
         read: &mut dyn FnMut(&SnapshotView<'_>) -> Result<()>,
     ) -> Result<bool> {
         let records = self.records.read();
-        let base = records.get(&RecordKey::full(rank));
-        let base = base
-            .map(|bytes| record_body(bytes, false, ""))
-            .transpose()?;
-        let deltas = MemTransport::deltas(&records, rank);
-        let merged = fold_merged(rank, at, false, [Ok(base.map(Cow::Borrowed))], deltas)?;
-        lend_merged(merged, read)
-    }
-
-    fn restart_count(&self) -> Result<Option<u64>> {
-        // Headers only: no payload byte is read to learn a count.
-        let records = self.records.read();
-        for rank in [None, Some(0)] {
-            if let Some(base) = records.get(&RecordKey::full(rank)) {
-                let count = SnapshotMeta::of_head(base)?.count;
-                let deltas = MemTransport::deltas(&records, rank);
-                return walk_chain(count, None, false, deltas, |_, _| Ok(())).map(Some);
+        let Some(record) = records.get(&RecordKey::full(rank)) else {
+            return Ok(false);
+        };
+        let view = SnapshotView::decode_trusted(record)?;
+        match at {
+            Some(at) if at != view.meta.count => {
+                let tried = format!("reaches safe point {}", view.meta.count);
+                Err(unserved(rank, at, &[tried]))
             }
+            _ => read(&view).map(|()| true),
         }
-        Ok(None)
     }
 
-    fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        self.records
-            .write()
-            .retain(|k, _| k.rank != rank || k.delta.is_none());
+    /// Headers only: no payload byte is read to learn a count.
+    fn restart_count(&self) -> Result<Option<u64>> {
+        let records = self.records.read();
+        let base = [None, Some(0)]
+            .into_iter()
+            .find_map(|rank| records.get(&RecordKey::full(rank)));
+        base.map(|base| Ok(SnapshotMeta::of_head(base)?.count))
+            .transpose()
+    }
+
+    fn clear_deltas(&self, _rank: Option<u32>) -> Result<()> {
         Ok(())
     }
 
     fn clear_all_deltas(&self) -> Result<()> {
-        self.records.write().retain(|k, _| k.delta.is_none());
         Ok(())
     }
 }
@@ -741,8 +578,9 @@ mod tests {
             nranks: 4,
         };
         let whole = DeltaSource::Full(FieldSource::Bytes(&[9]));
-        mem.put(&Record::Delta(&dm, &[("G", whole)])).unwrap();
-        let delta = mem.record_bytes(RecordKey::delta(None, 3)).unwrap();
+        let (_, delta) = Record::Delta(&dm, &[("G", whole)])
+            .encode(Vec::new(), true)
+            .unwrap();
         assert_eq!(
             RecordKey::of_record(&delta).unwrap(),
             RecordKey::delta(None, 3)
@@ -767,30 +605,42 @@ mod tests {
         assert_eq!(t.bytes_written(), 2 * written + written);
     }
 
-    /// A count-pinned get over a delta chain serves the prefix that lands
-    /// on the pinned safe point, and fails rather than serve another.
+    /// Memory holds one whole record per chain: a pin at its count is
+    /// served, any other pin is refused from the header before `read`
+    /// runs, and a refused delta put leaves those answers as they were.
     #[test]
-    fn mem_pinned_get_serves_a_chain_prefix() {
+    fn mem_pinned_get_serves_only_the_held_safe_point() {
         let t = MemTransport::new();
-        put_bytes(&t, &meta(10, Some(1)), &[0; 8]);
-        for (seq, count) in [(1u32, 20u64), (2, 30)] {
-            let dm = DeltaMeta {
-                mode_tag: "smp4".into(),
-                count,
-                base_count: 10,
-                seq,
-                rank: Some(1),
-                nranks: 4,
-            };
-            let whole = DeltaSource::Full(FieldSource::Bytes(&[seq as u8; 8]));
-            t.put(&Record::Delta(&dm, &[("G", whole)])).unwrap();
+        put_bytes(&t, &meta(10, Some(1)), &[3; 8]);
+        let at10 = t.get(Some(1), Some(10)).unwrap().unwrap();
+        assert_eq!((at10.count, at10.field("G").unwrap()), (10, &[3u8; 8][..]));
+        for at in [5, 20] {
+            let mut ran = false;
+            let miss = t.with_merged(Some(1), Some(at), &mut |_| {
+                ran = true;
+                Ok(())
+            });
+            assert!(
+                matches!(miss, Err(PparError::CorruptCheckpoint(_))),
+                "{miss:?}"
+            );
+            assert!(!ran, "a miss is decided from the header");
         }
-        assert_eq!(t.get(Some(1), None).unwrap().unwrap().count, 30);
-        let at20 = t.get(Some(1), Some(20)).unwrap().unwrap();
-        assert_eq!((at20.count, at20.field("G").unwrap()), (20, &[1u8; 8][..]));
-        assert_eq!(t.get(Some(1), Some(10)).unwrap().unwrap().count, 10);
-        assert!(t.get(Some(1), Some(25)).is_err());
-        assert!(t.get(Some(1), Some(5)).is_err());
+
+        let dm = DeltaMeta {
+            mode_tag: "smp4".into(),
+            count: 20,
+            base_count: 10,
+            seq: 1,
+            rank: Some(1),
+            nranks: 4,
+        };
+        let whole = DeltaSource::Full(FieldSource::Bytes(&[9; 8]));
+        let refused = t.put(&Record::Delta(&dm, &[("G", whole)]));
+        assert!(matches!(refused, Err(PparError::ContractViolation(_))));
+        assert_eq!(t.get(Some(1), None).unwrap().unwrap(), at10);
+        assert!(t.get(Some(1), Some(20)).is_err());
+        assert_eq!(t.snapshots_stored(), 1);
     }
 
     /// The transport contract: for identical content, the in-memory record

@@ -10,6 +10,7 @@
 //! * a crash between stage and promote leaves the store fully readable,
 //!   and the next sweep rolls the orphaned journal back.
 
+use std::io::Read;
 use std::time::Duration;
 
 use ppar_ckpt::digest::ChunkDigest;
@@ -20,6 +21,16 @@ fn tmp(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("ppar_cas_prop_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// Record `name` read back whole through its chunk reader.
+fn read_record(store: &CasStore, name: &str) -> ppar_core::error::Result<Option<Vec<u8>>> {
+    let Some(mut chunks) = store.record_reader(name)? else {
+        return Ok(None);
+    };
+    let mut bytes = Vec::new();
+    chunks.read_to_end(&mut bytes)?;
+    Ok(Some(bytes))
 }
 
 /// A small config that chunks aggressively and sweeps with no grace
@@ -152,7 +163,7 @@ proptest! {
             }
             // Every live record must survive every step, GC included.
             for (name, want) in &model {
-                let got = store.read_record(name).expect("read").expect("live record");
+                let got = read_record(&store, name).expect("read").expect("live record");
                 prop_assert_eq!(&got, want, "record {} damaged", name);
             }
         }
@@ -160,7 +171,7 @@ proptest! {
         store.gc().expect("final gc");
         for slot in 0..4u8 {
             let name = format!("rec{slot}");
-            let got = store.read_record(&name).expect("read");
+            let got = read_record(&store, &name).expect("read");
             prop_assert_eq!(got.as_ref(), model.get(&name), "record {} after sweep", name);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -194,7 +205,7 @@ fn crash_mid_promote_leaves_store_readable() {
     // Reopen: the promote never happened, so gen1 is still the record.
     let store = CasStore::open_with(&dir, cfg()).expect("reopen");
     assert_eq!(
-        store.read_record("rec").expect("read").expect("record"),
+        read_record(&store, "rec").expect("read").expect("record"),
         gen1,
         "crashed stage must not replace the live generation"
     );
@@ -206,7 +217,7 @@ fn crash_mid_promote_leaves_store_readable() {
         "orphaned journal must be rolled back, got {gc:?}"
     );
     assert_eq!(
-        store.read_record("rec").expect("read").expect("record"),
+        read_record(&store, "rec").expect("read").expect("record"),
         gen1
     );
     // Nothing further to roll back.
@@ -229,9 +240,9 @@ fn dropped_txn_rolls_back() {
     txn.append(&content(4, 500)).expect("append 2");
     drop(txn);
 
-    assert_eq!(store.read_record("rec").unwrap().unwrap(), gen1);
+    assert_eq!(read_record(&store, "rec").unwrap().unwrap(), gen1);
     store.gc().expect("gc");
-    assert_eq!(store.read_record("rec").unwrap().unwrap(), gen1);
+    assert_eq!(read_record(&store, "rec").unwrap().unwrap(), gen1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -265,6 +276,6 @@ fn dedup_commit_keeps_the_manifest_and_abort_removes_the_journal() {
     }
     assert_eq!(txn.commit("rec").expect("commit"), 300);
     assert_eq!(journals(), 0, "the journal became the manifest");
-    assert_eq!(store.read_record("rec").unwrap().unwrap(), record);
+    assert_eq!(read_record(&store, "rec").unwrap().unwrap(), record);
     let _ = std::fs::remove_dir_all(&dir);
 }

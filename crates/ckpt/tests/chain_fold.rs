@@ -1,8 +1,7 @@
 //! The restart fold, checked from outside the crate: a base plus a chain of
-//! deltas reads back as exactly the state it describes, through every
-//! medium that holds record bytes — the flat store, the content-addressed
-//! store and memory — and a delta's header is never believed before its
-//! CRC. A delta whose `base_count`, `seq` or `count` was flipped on disk is
+//! deltas reads back as exactly the state it describes, through both
+//! layouts a chain lives in — the flat store and the content-addressed
+//! store — and a delta's header is never believed before its CRC. A delta whose `base_count`, `seq` or `count` was flipped on disk is
 //! a CRC error, never a shorter chain or another verdict; only a delta that
 //! passes its CRC and names an older base ends the chain quietly.
 //!
@@ -12,14 +11,14 @@
 //! the same error, down to the CRC values it names.
 
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use ppar_ckpt::crc::crc32;
 use ppar_ckpt::store::{DeltaSource, FieldSource, Record, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
-use ppar_ckpt::{CheckpointStore, DeltaMeta, MemTransport, RecordKey, Snapshot};
+use ppar_ckpt::{CheckpointStore, DeltaMeta, RecordKey, Snapshot};
 use ppar_core::error::{PparError, Result};
 
 const TAG: &str = "seq";
@@ -217,7 +216,7 @@ fn check_reads(t: &dyn CkptTransport, c: &Chain, medium: &str) {
 }
 
 proptest::proptest! {
-    /// One fold for every medium: each reads a random chain back as the
+    /// One fold for both layouts: each reads a random chain back as the
     /// state it describes, byte for byte.
     #[test]
     fn every_medium_folds_a_chain_to_the_state_it_describes(
@@ -228,12 +227,7 @@ proptest::proptest! {
         let cas_dir = scratch("prop_cas");
         let flat = CheckpointStore::new_flat(&flat_dir).unwrap();
         let cas = CheckpointStore::new_cas(&cas_dir).unwrap();
-        let mem = MemTransport::new();
-        for (medium, t) in [
-            ("flat", &flat as &dyn CkptTransport),
-            ("cas", &cas),
-            ("memory", &mem),
-        ] {
+        for (medium, t) in [("flat", &flat as &dyn CkptTransport), ("cas", &cas)] {
             put_chain(t, &c);
             check_reads(t, &c, medium);
         }
@@ -397,10 +391,13 @@ fn large_pair(store: &CheckpointStore, len: usize) {
 
 /// The bytes of record `name` as the store keeps them.
 fn record(store: &CheckpointStore, name: &str) -> Vec<u8> {
-    match store.cas() {
-        None => fs::read(store.dir().join(name)).unwrap(),
-        Some(cas) => cas.read_record(name).unwrap().unwrap(),
-    }
+    let Some(cas) = store.cas() else {
+        return fs::read(store.dir().join(name)).unwrap();
+    };
+    let mut bytes = Vec::new();
+    let mut chunks = cas.record_reader(name).unwrap().unwrap();
+    chunks.read_to_end(&mut bytes).unwrap();
+    bytes
 }
 
 /// What a front-to-back pass says of the corrupt record `bytes`.
@@ -508,7 +505,7 @@ fn a_record_cut_inside_a_helpers_part_is_corrupt() {
 /// A chain whose every large span is read split: a dense range with a small
 /// one across the field's middle, the field grown whole (the side table), a
 /// dense patch there with a small range across its middle, then the field
-/// whole at its old length. Every medium folds it to the state it
+/// whole at its old length. Both layouts fold it to the state it
 /// describes, byte for byte, at every pinned prefix.
 #[test]
 fn a_chain_above_the_split_size_folds_to_the_state_it_describes() {
@@ -553,9 +550,6 @@ fn a_chain_above_the_split_size_folds_to_the_state_it_describes() {
         deltas,
         states,
     };
-    let mem = MemTransport::new();
-    put_chain(&mem, &c);
-    check_reads(&mem, &c, "memory");
     for layout in ["flat", "cas"] {
         let dir = scratch(&format!("split_chain_{layout}"));
         let store = open(layout, &dir);

@@ -7,8 +7,10 @@
 //! each through every entry bytes can arrive by — the CRC-checked decode of
 //! bytes in memory, the streamed decode of a record file on disk (its CRC
 //! running as the bytes land, so a length is acted on before the CRC has
-//! vouched for it), the trusted decode (no CRC, so structure is all that
-//! stands between a bad length and the allocator) and the header peek
+//! vouched for it), the trusted decode of a full record (no CRC, so
+//! structure is all that stands between a bad length and the allocator;
+//! the wire client's entry, whose CRC ran as the record arrived, and the
+//! memory medium's) and the header peek
 //! behind [`RecordKey::of_record`] — the content-addressed store's
 //! `PPARMFT1` manifest, which has one entry, [`Manifest::decode`], always
 //! CRC-checked, and the `PPARPRG1` region cursor, which has one entry,
@@ -22,15 +24,13 @@
 //! would abort.
 
 use std::fs;
-use std::io::Write;
 use std::path::PathBuf;
 
 use ppar_ckpt::crc::crc32;
-use ppar_ckpt::store::{FieldSource, Record, Snapshot, SnapshotWriter};
+use ppar_ckpt::delta::DeltaView;
+use ppar_ckpt::store::{DeltaSource, FieldSource, Record, Snapshot, SnapshotView};
 use ppar_ckpt::transport::{CkptTransport, RecordKey};
-use ppar_ckpt::{
-    CheckpointStore, ChunkDigest, ChunkRef, DeltaMeta, DeltaSnapshot, Manifest, MemTransport,
-};
+use ppar_ckpt::{CheckpointStore, ChunkDigest, ChunkRef, DeltaMeta, Manifest};
 use ppar_core::error::{PparError, Result};
 use ppar_core::runtime::{LoopFrame, RegionCursor};
 
@@ -84,12 +84,20 @@ fn delta_meta() -> DeltaMeta {
 
 /// A delta over [`full_record`]: two sparse ranges into `G`, `energy` whole.
 fn delta_record(seed: u64) -> Vec<u8> {
-    let mut w = SnapshotWriter::new_delta(Vec::new(), &delta_meta(), 2).unwrap();
-    w.delta_field_sparse_bytes("G", 96, &[8..24, 40..48], &seeded(seed + 2, 24))
-        .unwrap();
-    w.delta_field_full_bytes("energy", &seeded(seed + 3, 8))
-        .unwrap();
-    w.finish().unwrap().1
+    let (ranges, sparse, whole) = ([8..24, 40..48], seeded(seed + 2, 24), seeded(seed + 3, 8));
+    let fields = [
+        (
+            "G",
+            DeltaSource::DirtyBytes {
+                full_len: 96,
+                ranges: &ranges,
+                payload: &sparse,
+            },
+        ),
+        ("energy", DeltaSource::Full(FieldSource::Bytes(&whole))),
+    ];
+    let record = Record::Delta(&delta_meta(), &fields);
+    record.encode(Vec::new(), true).unwrap().1
 }
 
 /// A manifest of three chunks, the last one short.
@@ -127,11 +135,11 @@ fn full_checked(bytes: &[u8]) -> Result<()> {
 }
 
 fn full_trusted(bytes: &[u8]) -> Result<()> {
-    Snapshot::decode_trusted(bytes).map(|_| ())
+    SnapshotView::decode_trusted(bytes).map(|_| ())
 }
 
 fn delta_checked(bytes: &[u8]) -> Result<()> {
-    DeltaSnapshot::decode(bytes).map(|_| ())
+    DeltaView::of_record(bytes).map(|_| ())
 }
 
 /// A flat checkpoint directory of this thread's own, holding only the
@@ -183,21 +191,10 @@ type Entry = fn(&[u8]) -> Result<()>;
 const FULL_CHECKED: [Entry; 2] = [full_checked, full_streamed];
 const DELTA_CHECKED: [Entry; 2] = [delta_checked, delta_streamed];
 
-/// The delta format's trusted entry is the memory medium's fold: install
-/// the bytes as delta 1 over [`full_record`], then read the chain.
-fn delta_trusted(bytes: &[u8]) -> Result<()> {
-    let mem = MemTransport::new();
-    let base = Snapshot::decode(&full_record(1)).unwrap();
-    let fields = base.fields.iter();
-    let fields: Vec<_> = fields
-        .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
-        .collect();
-    mem.put(&Record::Full(&base.meta(), &fields))?;
-    let mut sink = mem.begin(RecordKey::delta(None, 1), bytes.len() as u64)?;
-    sink.write_all(bytes)?;
-    sink.commit()?;
-    mem.get(None, None).map(|_| ())
-}
+/// The entries that trust the CRC, per format. A delta has none: every
+/// delta is read off the disk, CRC-verified.
+const FULL_TRUSTED: [Entry; 1] = [full_trusted];
+const DELTA_TRUSTED: [Entry; 0] = [];
 
 fn is_corrupt(outcome: Result<()>) -> bool {
     matches!(outcome, Err(PparError::CorruptCheckpoint(_)))
@@ -228,17 +225,22 @@ fn absurd_lengths_are_errors_not_panics() {
         range_map + 2 * 16 + 24 + 8 + 6 + 1,
     ];
     for (record, sites, checked, trusted) in [
-        (&full, &full_sites[..], &FULL_CHECKED, full_trusted as Entry),
-        (&delta, &delta_sites[..], &DELTA_CHECKED, delta_trusted),
+        (&full, &full_sites[..], &FULL_CHECKED, &FULL_TRUSTED[..]),
+        (&delta, &delta_sites[..], &DELTA_CHECKED, &DELTA_TRUSTED[..]),
     ] {
-        assert!(checked.iter().all(|entry| entry(record).is_ok()) && trusted(record).is_ok());
+        assert!(checked
+            .iter()
+            .chain(trusted)
+            .all(|entry| entry(record).is_ok()));
         for &site in sites {
             for value in [u64::MAX, usize::MAX as u64 - 7, record.len() as u64 + 1] {
                 let bad = patched(record, site, value.to_le_bytes());
                 for (i, entry) in checked.iter().enumerate() {
                     assert!(entry(&bad).is_err(), "checked #{i}, {value:#x} at {site}");
                 }
-                assert!(trusted(&bad).is_err(), "trusted, {value:#x} at {site}");
+                for entry in trusted {
+                    assert!(entry(&bad).is_err(), "trusted, {value:#x} at {site}");
+                }
                 // The peek reads the header only, of a whole record or of
                 // its head: it refuses a bad tag length and never trips
                 // over anything behind the header.
@@ -268,7 +270,7 @@ fn absurd_counts_are_refused_before_they_allocate() {
     .encode();
     assert_eq!(empty.len(), 43);
     let bad = patched(&empty, FULL_NFIELDS_AT, u32::MAX.to_le_bytes());
-    for entry in FULL_CHECKED.into_iter().chain([full_trusted as Entry]) {
+    for entry in FULL_CHECKED.iter().chain(&FULL_TRUSTED) {
         assert!(is_corrupt(entry(&bad)));
     }
 
@@ -279,7 +281,6 @@ fn absurd_counts_are_refused_before_they_allocate() {
         for (i, entry) in DELTA_CHECKED.iter().enumerate() {
             assert!(is_corrupt(entry(&bad)), "checked #{i}, count at {site}");
         }
-        assert!(is_corrupt(delta_trusted(&bad)), "trusted, count at {site}");
     }
 }
 
@@ -289,8 +290,8 @@ fn absurd_counts_are_refused_before_they_allocate() {
 #[test]
 fn an_extended_record_is_refused() {
     for (record, checked, trusted) in [
-        (full_record(1), &FULL_CHECKED, full_trusted as Entry),
-        (delta_record(1), &DELTA_CHECKED, delta_trusted),
+        (full_record(1), &FULL_CHECKED, &FULL_TRUSTED[..]),
+        (delta_record(1), &DELTA_CHECKED, &DELTA_TRUSTED[..]),
     ] {
         let body = &record[..record.len() - 4];
         for extra in [1, 4, 7, 300] {
@@ -309,7 +310,9 @@ fn an_extended_record_is_refused() {
                     "checked #{i}, {extra} resealed"
                 );
             }
-            assert!(is_corrupt(trusted(&resealed)), "trusted, {extra} resealed");
+            for entry in trusted {
+                assert!(is_corrupt(entry(&resealed)), "trusted, {extra} resealed");
+            }
         }
     }
 }
@@ -323,11 +326,10 @@ fn an_extended_record_is_refused() {
 fn every_bit_flip_and_truncation_is_survived_and_the_checked_ones_rejected() {
     for seed in [0x5eed, 20110913] {
         for (record, checked, trusted) in [
-            (full_record(seed), &FULL_CHECKED, full_trusted as Entry),
-            (delta_record(seed), &DELTA_CHECKED, delta_trusted),
+            (full_record(seed), &FULL_CHECKED, &FULL_TRUSTED[..]),
+            (delta_record(seed), &DELTA_CHECKED, &DELTA_TRUSTED[..]),
         ] {
-            assert!(checked.iter().all(|entry| entry(&record).is_ok()));
-            assert!(trusted(&record).is_ok());
+            assert!(checked.iter().chain(trusted).all(|e| e(&record).is_ok()));
             for bit in 0..record.len() * 8 {
                 let mut flipped = record.clone();
                 flipped[bit / 8] ^= 1 << (bit % 8);
@@ -335,7 +337,7 @@ fn every_bit_flip_and_truncation_is_survived_and_the_checked_ones_rejected() {
                     let refused = entry(&flipped).is_err();
                     assert!(refused, "seed {seed}: checked #{i}, flip of bit {bit}");
                 }
-                let _ = trusted(&flipped);
+                trusted.iter().for_each(|entry| drop(entry(&flipped)));
                 let _ = RecordKey::of_record(&flipped);
             }
             for cut in 0..record.len() {
@@ -343,7 +345,9 @@ fn every_bit_flip_and_truncation_is_survived_and_the_checked_ones_rejected() {
                     let refused = entry(&record[..cut]).is_err();
                     assert!(refused, "seed {seed}: checked #{i}, cut {cut}");
                 }
-                assert!(trusted(&record[..cut]).is_err(), "seed {seed}: cut {cut}");
+                for entry in trusted {
+                    assert!(entry(&record[..cut]).is_err(), "seed {seed}: cut {cut}");
+                }
                 let _ = RecordKey::of_record(&record[..cut]);
             }
         }

@@ -145,13 +145,6 @@ pub trait CkptHook: Send + Sync {
 
     // ---- incremental-gather seam (dirty-range master-collect) ----
 
-    /// Does this hook run dirty-chunk incremental checkpointing? Engines use
-    /// this to decide whether rank-local write tracking must be reset after
-    /// a master-collect gather.
-    fn tracks_dirty(&self) -> bool {
-        false
-    }
-
     /// In incremental mode: will the snapshot taken at the *current* chain
     /// position be persisted as a delta (true) or promoted to a full base
     /// (false)? Deterministic and identical on every aggregate element (the

@@ -29,7 +29,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use ppar_ckpt::delta::{DeltaMeta, DeltaPayload, DeltaView};
-use ppar_ckpt::store::SnapshotWriter;
+use ppar_ckpt::store::{DeltaSource, Record};
 use ppar_core::ctx::{CkptHook, Ctx, Installed};
 use ppar_core::partition::{block_owned, owned_ranges, scatter_ranges, Partition};
 use ppar_core::plan::{DistCkptStrategy, Plan, ReduceOp, UpdateAction};
@@ -118,8 +118,9 @@ impl DsmEngine {
     /// block-partitioned field at the root: each element clamps its write
     /// tracking to the owned block, widens to index boundaries, and ships
     /// one **`PPARDLT1` delta record** — the exact encoding the checkpoint
-    /// store persists, streamed through the shared [`SnapshotWriter`] with
-    /// its running CRC-32, so the rank→root hand-off is integrity-checked
+    /// store persists, streamed through the shared golden encoder
+    /// ([`Record::encode`]) with its running CRC-32, so the rank→root
+    /// transfer is integrity-checked
     /// end to end and rides any fabric (including real TCP) for free. The
     /// root decodes with the shared delta reader and installs the patches,
     /// which marks exactly those chunks dirty in its own tracking — so the
@@ -188,17 +189,17 @@ impl DsmEngine {
             rank: Some(rank as u32),
             nranks: n as u32,
         };
-        let sc: &dyn ppar_core::state::StateCell = &*cell;
+        let dirty = DeltaSource::DirtyCell {
+            cell: &*cell,
+            ranges: &byte_ranges,
+        };
         // Pre-size for the dirty bytes plus range map so a large gather
         // record does not pay growth reallocs on its encode pass.
         let dirty_bytes: usize = byte_ranges.iter().map(|r| r.len()).sum();
         let hint = dirty_bytes + byte_ranges.len() * 16 + field.len() + 128;
-        let record = (|| -> ppar_core::error::Result<Vec<u8>> {
-            let mut w = SnapshotWriter::new_delta(Vec::with_capacity(hint), &meta, 1)?;
-            w.delta_field_sparse_cell(field, sc, &byte_ranges)?;
-            Ok(w.finish()?.1)
-        })()
-        .expect("dirty-gather delta encoding failed");
+        let (_, record) = Record::Delta(&meta, &[(field, dirty)])
+            .encode(Vec::with_capacity(hint), true)
+            .expect("dirty-gather delta encoding failed");
         self.ep.gather(0, record);
     }
 
@@ -362,8 +363,7 @@ impl DsmEngine {
                 // travel: each element ships its touched bytes (clamped to
                 // the owned block) and the root's delta then scales with
                 // the aggregate dirty fraction, not the field size.
-                let dirty_gather =
-                    self.ep.nranks() > 1 && ck.tracks_dirty() && ck.next_snapshot_is_delta();
+                let dirty_gather = self.ep.nranks() > 1 && ck.next_snapshot_is_delta();
                 for field in plan.safe_data() {
                     if plan.field_partition(field).is_some() {
                         if dirty_gather {

@@ -86,7 +86,7 @@ fn read_invasive_restart(store: &CheckpointStore, g: &SharedGrid<f64>) -> usize 
     if !store.marker_exists() {
         return 0;
     }
-    match store.read_master().expect("snapshot read") {
+    match store.get(None, None).expect("snapshot read") {
         Some(snap) => {
             g.load_bytes(snap.field("G").expect("G payload"))
                 .expect("snapshot install");
@@ -275,7 +275,7 @@ pub fn sor_dist_invasive(
     let restart_iter = {
         let probe = SharedGrid::new(n, n, 0.0f64);
         let it = if store.marker_exists() {
-            match store.read_master().expect("read") {
+            match store.get(None, None).expect("read") {
                 Some(snap) => {
                     probe.load_bytes(snap.field("G").unwrap()).unwrap();
                     snap.count as usize

@@ -19,9 +19,9 @@
 //! opportunistic. A failed network put wipes the mirror — after a
 //! fault the local generations can no longer be trusted to match what the
 //! root will serve, and a stale hit here would restore state diverging
-//! from the group. Delta records are not mirrored (the mirror serves only
-//! exact-count full-snapshot hits and falls through to the network for
-//! everything else).
+//! from the group. Delta records are not mirrored (a slot holds one whole
+//! record; a chain lives only in the root's store): the mirror serves only
+//! exact-count full-snapshot hits, and the network everything else.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -204,7 +204,7 @@ impl CkptTransport for MirrorTransport {
 mod tests {
     use super::*;
     use ppar_ckpt::store::{DeltaSource, FieldSource, Record, SnapshotMeta};
-    use ppar_ckpt::DeltaMeta;
+    use ppar_ckpt::{CheckpointStore, DeltaMeta};
     use ppar_core::error::PparError;
 
     fn shard_meta(count: u64, rank: u32) -> SnapshotMeta {
@@ -311,8 +311,9 @@ mod tests {
 
     #[test]
     fn delta_saves_disable_the_mirror() {
-        let net = Arc::new(MemTransport::new());
-        let mirror = MirrorTransport::new(net);
+        let dir = std::env::temp_dir().join(format!("ppar_mirror_delta_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mirror = MirrorTransport::new(Arc::new(CheckpointStore::new_flat(&dir).unwrap()));
         put(&mirror, 10, 3, &[1u8; 16]);
         let dm = DeltaMeta {
             mode_tag: "tcp4".into(),
@@ -332,6 +333,7 @@ mod tests {
         // must not answer.
         assert_eq!(mirror.get(Some(3), Some(20)).unwrap().unwrap().count, 20);
         assert_eq!(mirror.local_hits(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
     /// A pinned read that misses both slots is decided from their record
     /// headers: no slot runs `read`, the network's record is lent to it

@@ -1603,8 +1603,8 @@ mod tests {
 
     proptest::proptest! {
         /// Satellite: a record streamed through the service installs
-        /// byte-identically to the buffered local path (same golden
-        /// encoder at both ends) — full snapshots and sparse deltas.
+        /// byte-identically to a local put (same golden encoder at both
+        /// ends) — full snapshots and sparse deltas, both into flat stores.
         #[test]
         fn prop_streamed_install_is_byte_identical_to_buffered(
             seed in proptest::prelude::any::<u64>(),
@@ -1626,85 +1626,48 @@ mod tests {
             let names: Vec<String> = (0..nfields).map(|i| format!("f{i}")).collect();
             let patch_at = patch_at.min(len.saturating_sub(8));
             let patch = vec![0xEEu8; 8.min(len - patch_at)];
-
-            let (streamed_shard, streamed_delta) = two_rank(
-                |t| {
-                    let fields: Vec<(&str, FieldSource<'_>)> = names
-                        .iter()
-                        .zip(&payloads)
-                        .map(|(n, p)| (n.as_str(), FieldSource::Bytes(p.as_slice())))
-                        .collect();
-                    t.put(&Record::Full(&meta(20, Some(1), 2), &fields))
-                        .unwrap();
-                    if !patch.is_empty() {
-                        let dm = DeltaMeta {
-                            mode_tag: "tcp2".into(),
-                            count: 21,
-                            base_count: 20,
-                            seq: 1,
-                            rank: Some(1),
-                            nranks: 2,
-                        };
-                        let ranges = [patch_at..patch_at + patch.len()];
-                        t.put(&Record::Delta(&dm, &[(
-                                names[0].as_str(),
-                                DeltaSource::DirtyBytes {
-                                    full_len: len as u64,
-                                    ranges: &ranges,
-                                    payload: &patch,
-                                },
-                            )]))
-                        .unwrap();
-                    }
-                },
-                |mem| {
-                    (
-                        mem.record_bytes(RecordKey::full(Some(1))),
-                        mem.record_bytes(RecordKey::delta(Some(1), 1)),
-                    )
-                },
-            );
-
-            // The buffered local path: same puts against a local
-            // MemTransport (the PR 5 service semantics).
-            let local = MemTransport::new();
             let fields: Vec<(&str, FieldSource<'_>)> = names
                 .iter()
                 .zip(&payloads)
                 .map(|(n, p)| (n.as_str(), FieldSource::Bytes(p.as_slice())))
                 .collect();
-            local
-                .put(&Record::Full(&meta(20, Some(1), 2), &fields))
-                .unwrap();
-            proptest::prop_assert_eq!(
-                streamed_shard,
-                local.record_bytes(RecordKey::full(Some(1)))
-            );
-            if !patch.is_empty() {
-                let dm = DeltaMeta {
-                    mode_tag: "tcp2".into(),
-                    count: 21,
-                    base_count: 20,
-                    seq: 1,
-                    rank: Some(1),
-                    nranks: 2,
-                };
-                let ranges = [patch_at..patch_at + patch.len()];
-                local
-                    .put(&Record::Delta(&dm, &[(
-                            names[0].as_str(),
-                            DeltaSource::DirtyBytes {
-                                full_len: len as u64,
-                                ranges: &ranges,
-                                payload: &patch,
-                            },
-                        )]))
-                    .unwrap();
-                proptest::prop_assert_eq!(
-                    streamed_delta,
-                    local.record_bytes(RecordKey::delta(Some(1), 1))
-                );
-            }
+            let dm = DeltaMeta {
+                mode_tag: "tcp2".into(),
+                count: 21,
+                base_count: 20,
+                seq: 1,
+                rank: Some(1),
+                nranks: 2,
+            };
+            let ranges = [patch_at..patch_at + patch.len()];
+            let dirty = [(
+                names[0].as_str(),
+                DeltaSource::DirtyBytes {
+                    full_len: len as u64,
+                    ranges: &ranges,
+                    payload: &patch,
+                },
+            )];
+            let put = |t: &dyn CkptTransport| {
+                t.put(&Record::Full(&meta(20, Some(1), 2), &fields)).unwrap();
+                if !patch.is_empty() {
+                    t.put(&Record::Delta(&dm, &dirty)).unwrap();
+                }
+            };
+            let files = |dir: &PathBuf| {
+                let read = |name: &str| std::fs::read(dir.join(name)).ok();
+                (read("ckpt_rank_1.bin"), read("ckpt_rank_1_delta_1.bin"))
+            };
+
+            let root_dir = scratch_dir("prop_root");
+            let root = Arc::new(CheckpointStore::new_flat(&root_dir).unwrap());
+            let streamed = two_rank_over(root, |t| put(t), |_| files(&root_dir));
+            // The local path: the same puts against a flat store of its own.
+            let local_dir = scratch_dir("prop_local");
+            put(&CheckpointStore::new_flat(&local_dir).unwrap());
+            proptest::prop_assert_eq!(streamed, files(&local_dir));
+            let _ = std::fs::remove_dir_all(&root_dir);
+            let _ = std::fs::remove_dir_all(&local_dir);
         }
     }
 
@@ -1723,7 +1686,9 @@ mod tests {
                 cfg.recv_timeout = Duration::from_secs(20);
                 let fabric = TcpFabric::connect(&cfg).unwrap();
                 let dyn_fabric: Arc<dyn Fabric> = fabric.clone();
-                let inner: Arc<dyn CkptTransport> = Arc::new(MemTransport::new());
+                let dir = scratch_dir("pipelines");
+                let inner: Arc<dyn CkptTransport> =
+                    Arc::new(CheckpointStore::new_flat(&dir).unwrap());
                 let service = NetTransport::serve(dyn_fabric.clone(), 0, inner.clone());
                 for src in 1..N - 1 {
                     dyn_fabric.recv(0, src, DONE_TAG).unwrap();
@@ -1740,6 +1705,7 @@ mod tests {
                 // The casualty never completed its stream: no partial
                 // record may exist.
                 assert!(inner.get(Some((N - 1) as u32), None).unwrap().is_none());
+                let _ = std::fs::remove_dir_all(&dir);
             });
             for rank in 1..N - 1 {
                 scope.spawn(move || {

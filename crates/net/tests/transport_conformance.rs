@@ -3,7 +3,8 @@
 //! the trait object and nothing else.
 //!
 //! Subjects: the flat and the content-addressed [`CheckpointStore`],
-//! [`MemTransport`], a [`NetTransport`] client whose service forwards into
+//! [`MemTransport`] (whole records only: a delta put is refused and changes
+//! nothing), a [`NetTransport`] client whose service forwards into
 //! a flat store over a loopback fabric, one whose service forwards into a
 //! content-addressed store (the digest-negotiated put), and a
 //! [`MirrorTransport`] over a client of the first kind. Each runs
@@ -106,6 +107,8 @@ struct Subject<'a> {
     /// Keeps the previous generation of a shard, so a count-pinned get can
     /// step back over a torn save.
     keeps_generations: bool,
+    /// Holds delta chains; a medium that does not refuses every delta key.
+    holds_chains: bool,
     /// A get may run while a put to the same transport is encoding (false
     /// for the serial request/response wire clients).
     reentrant: bool,
@@ -193,7 +196,6 @@ fn conformance(name: &str, s: &Subject<'_>) {
     read_side(name, s);
 }
 
-#[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
 fn write_and_key_side(name: &str, s: &Subject<'_>) {
     let t = s.t;
     let g: Vec<u8> = (0..9000u32).map(|i| (i * 7) as u8).collect();
@@ -228,90 +230,25 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
     );
     assert_eq!(merged_bytes(t, Some(2)).unwrap(), shard.encode(), "{name}");
 
-    let patch = [0xEEu8; 8];
-    api::put_delta(
-        t,
-        &delta_meta(12, 10, 1, None),
-        &[(
-            "G",
-            DeltaSource::DirtyBytes {
-                full_len: g.len() as u64,
-                ranges: &[16..24],
-                payload: &patch,
-            },
-        )],
-    )
-    .unwrap();
-    api::put_delta(
-        t,
-        &delta_meta(13, 10, 1, Some(2)),
-        &[("G", DeltaSource::Full(FieldSource::Bytes(&g[..100])))],
-    )
-    .unwrap();
-    let merged = api::get(t, None, None).unwrap().unwrap();
-    assert_eq!(merged.count, 12, "{name}");
-    assert_eq!(&merged.field("G").unwrap()[16..24], &patch, "{name}");
-    assert_eq!(&merged.field("G").unwrap()[24..], &g[24..], "{name}");
-    let merged = api::get(t, Some(2), None).unwrap().unwrap();
-    assert_eq!(
-        (merged.count, merged.field("G").unwrap()),
-        (13, &g[..100]),
-        "{name}"
-    );
-    assert_eq!(
-        t.restart_count().unwrap(),
-        Some(12),
-        "{name}: the master chain tip"
-    );
-    t.clear_deltas(Some(2)).unwrap();
-    assert_eq!(
-        api::get(t, Some(2), None).unwrap().unwrap(),
-        shard,
-        "{name}"
-    );
-    assert_eq!(
-        api::get(t, None, None).unwrap().unwrap().count,
-        12,
-        "{name}"
-    );
-    t.clear_all_deltas().unwrap();
-    assert_eq!(api::get(t, None, None).unwrap().unwrap(), master, "{name}");
-
-    // -- base + 3 deltas == a full put of the same state --------------------
-    let cell = SharedVec::from_vec((0..6000).map(|i| i as f64 * 0.5).collect());
-    api::put_full(t, &meta(20, None), &[("G", FieldSource::Cell(&cell))]).unwrap();
-    cell.clear_dirty();
-    for seq in 1..=3u32 {
-        cell.set(seq as usize * 1500, -(seq as f64));
-        cell.set(7, seq as f64);
-        let ranges = cell.dirty_byte_ranges();
-        api::put_delta(
+    if s.holds_chains {
+        chains(name, t, &g, &master, &shard);
+    } else {
+        // A delta put is refused before a byte lands, and changes nothing.
+        let refused = api::put_delta(
             t,
-            &delta_meta(20 + seq as u64, 20, seq, None),
-            &[(
-                "G",
-                DeltaSource::DirtyCell {
-                    cell: &cell,
-                    ranges: &ranges,
-                },
-            )],
-        )
-        .unwrap();
-        cell.clear_dirty();
+            &delta_meta(12, 10, 1, None),
+            &[("G", DeltaSource::Full(FieldSource::Bytes(&g[..8])))],
+        );
+        assert!(refused.is_err(), "{name}: a delta key is refused");
+        assert_eq!(api::get(t, None, None).unwrap().unwrap(), master, "{name}");
+        assert_eq!(t.restart_count().unwrap(), Some(10), "{name}");
+        assert!(
+            api::get(t, None, Some(12)).is_err(),
+            "{name}: no chain to pin"
+        );
+        assert!(api::install(t, (None, Some(1)), &master.encode(), true).is_err());
+        assert_eq!(merged_bytes(t, None).unwrap(), master.encode(), "{name}");
     }
-    let full = Snapshot {
-        fields: vec![("G".into(), cell.save_bytes())],
-        ..snapshot(23, None, &[])
-    };
-    assert_eq!(api::get(t, None, None).unwrap().unwrap(), full, "{name}");
-    assert_eq!(merged_bytes(t, None).unwrap(), full.encode(), "{name}");
-    assert_eq!(t.restart_count().unwrap(), Some(23), "{name}");
-    t.clear_deltas(None).unwrap();
-    assert_eq!(
-        api::get(t, None, None).unwrap().unwrap().count,
-        20,
-        "{name}"
-    );
 
     // -- a count-pinned get serves that safe point or fails -----------------
     let old = snapshot(30, Some(1), &g[..2000]);
@@ -370,7 +307,9 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
 
     // -- so does an aborted raw install -------------------------------------
     api::install(t, (None, None), b"partial garbage", false).unwrap();
-    api::install(t, (Some(1), Some(1)), b"partial garbage", false).unwrap();
+    if s.holds_chains {
+        api::install(t, (Some(1), Some(1)), b"partial garbage", false).unwrap();
+    }
     assert_eq!(api::get(t, None, None).unwrap().unwrap(), before, "{name}");
     assert_eq!((s.artefacts)(), Vec::<String>::new(), "{name}");
 
@@ -423,6 +362,99 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
         );
         assert_eq!(merged_bytes(t, Some(3)).unwrap(), negotiated, "{name}");
     }
+}
+
+/// The chain part of the write side, for a medium that holds chains: deltas
+/// over the master and shard 2 fold into their bases, a chain is cleared
+/// alone or with every other, and base + 3 deltas read as a full put of the
+/// same state.
+#[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
+fn chains(name: &str, t: &dyn CkptTransport, g: &[u8], master: &Snapshot, shard: &Snapshot) {
+    let patch = [0xEEu8; 8];
+    api::put_delta(
+        t,
+        &delta_meta(12, 10, 1, None),
+        &[(
+            "G",
+            DeltaSource::DirtyBytes {
+                full_len: g.len() as u64,
+                ranges: &[16..24],
+                payload: &patch,
+            },
+        )],
+    )
+    .unwrap();
+
+    api::put_delta(
+        t,
+        &delta_meta(13, 10, 1, Some(2)),
+        &[("G", DeltaSource::Full(FieldSource::Bytes(&g[..100])))],
+    )
+    .unwrap();
+    let merged = api::get(t, None, None).unwrap().unwrap();
+    assert_eq!(merged.count, 12, "{name}");
+    assert_eq!(&merged.field("G").unwrap()[16..24], &patch, "{name}");
+    assert_eq!(&merged.field("G").unwrap()[24..], &g[24..], "{name}");
+    let merged = api::get(t, Some(2), None).unwrap().unwrap();
+    assert_eq!(
+        (merged.count, merged.field("G").unwrap()),
+        (13, &g[..100]),
+        "{name}"
+    );
+    assert_eq!(
+        t.restart_count().unwrap(),
+        Some(12),
+        "{name}: the master chain tip"
+    );
+    t.clear_deltas(Some(2)).unwrap();
+    assert_eq!(
+        api::get(t, Some(2), None).unwrap().unwrap(),
+        *shard,
+        "{name}"
+    );
+    assert_eq!(
+        api::get(t, None, None).unwrap().unwrap().count,
+        12,
+        "{name}"
+    );
+    t.clear_all_deltas().unwrap();
+    assert_eq!(api::get(t, None, None).unwrap().unwrap(), *master, "{name}");
+
+    // -- base + 3 deltas == a full put of the same state --------------------
+    let cell = SharedVec::from_vec((0..6000).map(|i| i as f64 * 0.5).collect());
+    api::put_full(t, &meta(20, None), &[("G", FieldSource::Cell(&cell))]).unwrap();
+    cell.clear_dirty();
+    for seq in 1..=3u32 {
+        cell.set(seq as usize * 1500, -(seq as f64));
+        cell.set(7, seq as f64);
+        let ranges = cell.dirty_byte_ranges();
+        api::put_delta(
+            t,
+            &delta_meta(20 + seq as u64, 20, seq, None),
+            &[(
+                "G",
+                DeltaSource::DirtyCell {
+                    cell: &cell,
+                    ranges: &ranges,
+                },
+            )],
+        )
+        .unwrap();
+        cell.clear_dirty();
+    }
+    let full = Snapshot {
+        fields: vec![("G".into(), cell.save_bytes())],
+        ..snapshot(23, None, &[])
+    };
+    assert_eq!(api::get(t, None, None).unwrap().unwrap(), full, "{name}");
+    assert_eq!(merged_bytes(t, None).unwrap(), full.encode(), "{name}");
+    assert_eq!(t.restart_count().unwrap(), Some(23), "{name}");
+    t.clear_deltas(None).unwrap();
+    assert_eq!(
+        api::get(t, None, None).unwrap().unwrap().count,
+        20,
+        "{name}"
+    );
 }
 
 /// The three read shapes of one `(rank, at)` — the lend, the owned `get`,
@@ -542,11 +574,14 @@ fn read_side(name: &str, s: &Subject<'_>) {
             ),
         ],
     ];
+    // A medium that holds no chain serves its one record, and only at its
+    // own safe point.
+    let steps = if s.holds_chains { &steps[..] } else { &[] };
     for (seq, fields) in (1u32..).zip(steps) {
         let count = 100 + 10 * seq as u64;
         api::put_delta(t, &delta_meta(count, 100, seq, RANK), fields).unwrap();
         model.count = count;
-        for (field, source) in fields {
+        for (field, source) in fields.iter() {
             let slot = model.fields.iter_mut().find(|(n, _)| n == field).unwrap();
             match source {
                 DeltaSource::Full(FieldSource::Bytes(whole)) => slot.1 = whole.to_vec(),
@@ -579,15 +614,14 @@ fn read_side(name: &str, s: &Subject<'_>) {
     t.commit_group(100).unwrap();
     let torn = state(150, &dense, b"cursor@150");
     put_snapshot(t, &torn); // the group never committed 150
-    api::put_delta(
-        t,
-        &delta_meta(155, 150, 1, RANK),
-        &[("cursor", DeltaSource::Full(FieldSource::Bytes(b"@155")))],
-    )
-    .unwrap();
-    let tip = state(155, &dense, b"@155");
+    let cursor = DeltaSource::Full(FieldSource::Bytes(b"@155"));
+    let tip = match api::put_delta(t, &delta_meta(155, 150, 1, RANK), &[("cursor", cursor)]) {
+        Ok(_) => state(155, &dense, b"@155"),
+        Err(_) if !s.holds_chains => torn.clone(),
+        Err(e) => panic!("{name}: {e}"),
+    };
     assert_eq!(shapes(None).unwrap(), Some(tip.clone()), "{name}");
-    assert_eq!(shapes(Some(155)).unwrap(), Some(tip), "{name}");
+    assert_eq!(shapes(Some(tip.count)).unwrap(), Some(tip), "{name}");
     assert_eq!(shapes(Some(150)).unwrap(), Some(torn), "{name}");
     assert!(shapes(Some(152)).is_err(), "{name}");
     match shapes(Some(100)) {
@@ -683,6 +717,7 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
         &Subject {
             t: &flat,
             keeps_generations: true,
+            holds_chains: true,
             reentrant: true,
             artefacts: &|| dir_artefacts(&flat_dir),
         },
@@ -692,6 +727,7 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
         &Subject {
             t: &cas,
             keeps_generations: true,
+            holds_chains: true,
             reentrant: true,
             artefacts: &|| dir_artefacts(&cas_dir),
         },
@@ -701,6 +737,7 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
         &Subject {
             t: &mem,
             keeps_generations: false,
+            holds_chains: false,
             reentrant: true,
             artefacts: &Vec::new,
         },
@@ -712,6 +749,7 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
             &Subject {
                 t: &mirror,
                 keeps_generations: true,
+                holds_chains: true,
                 reentrant: false,
                 artefacts: &|| dir_artefacts(&mirror_dir),
             },
@@ -726,6 +764,7 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
             &Subject {
                 t: &*net,
                 keeps_generations: true,
+                holds_chains: true,
                 reentrant: false,
                 artefacts: &|| dir_artefacts(&net_cas_dir),
             },
@@ -737,6 +776,7 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
             &Subject {
                 t: &*net,
                 keeps_generations: true,
+                holds_chains: true,
                 reentrant: false,
                 artefacts: &|| dir_artefacts(&net_dir),
             },

@@ -1,7 +1,7 @@
 //! Checkpoint/restore of the SMC filter with its in-flight task graph:
 //! kill at the resampling safe point, restart, and match the uninterrupted
-//! run bitwise — over the on-disk store *and* over the in-memory
-//! [`MemTransport`] hand-off of a live reshape.
+//! run bitwise — over the on-disk store *and* over the in-memory hand-off
+//! of a live reshape (`ppar_ckpt::Handoff`: the predecessor's frozen cells).
 
 use std::sync::{Arc, Mutex};
 
@@ -111,9 +111,9 @@ fn task_engine_crash_at_resample_restarts_bitwise() {
 }
 
 /// In-memory hand-off: a task-engine session that cannot widen in place
-/// (target 6 > max 3) escalates at a resampling crossing, streams the
-/// frontier + particle state through a `MemTransport`, and resumes on a
-/// wider task team — no disk, one relaunch, bitwise-identical.
+/// (target 6 > max 3) escalates at a resampling crossing, freezes the
+/// frontier + particle state into a hand-off, and resumes on a wider task
+/// team — no disk, one relaunch, bitwise-identical.
 #[test]
 fn task_engine_hands_off_through_mem_transport_bitwise() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -126,7 +126,7 @@ fn task_engine_hands_off_through_mem_transport_bitwise() {
             max_workers: 3,
         },
         plan_task().merge(plan_ckpt(0)),
-        None, // disk-free: the hand-off rides the in-memory transport
+        None, // disk-free: the successor reads the predecessor's frozen cells
         controller,
         |ctx| (AppStatus::Completed, smc_pluggable(ctx, &cfg())),
     )
