@@ -273,7 +273,6 @@ fn delta_gc_and_inplace_reshape_share_a_crossing() {
     let stats = outcome.stats.expect("ckpt stats");
     assert!(stats.full_snapshots >= 2 && stats.delta_snapshots >= 2);
     let store = ppar_ckpt::CheckpointStore::new(&dir).unwrap();
-    assert_eq!(store.restart_count().unwrap(), Some(8));
     let merged = store.get(None, None).unwrap().expect("merged master");
     assert_eq!(merged.count, 8);
     let _ = std::fs::remove_dir_all(&dir);
@@ -301,7 +300,6 @@ fn delta_chain_survives_escalated_reshape() {
     // Disk chain is consistent after the in-memory relaunch: a cold
     // restart would land on the successor's last snapshot.
     let store = ppar_ckpt::CheckpointStore::new(&dir).unwrap();
-    assert_eq!(store.restart_count().unwrap(), Some(8));
     assert_eq!(store.get(None, None).unwrap().unwrap().count, 8);
     let _ = std::fs::remove_dir_all(&dir);
 }

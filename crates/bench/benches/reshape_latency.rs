@@ -64,10 +64,12 @@ fn ckpt_plan() -> Plan {
         })
 }
 
-/// One in-place hand-off: snapshot the field into memory (no checksum pass
-/// — the bytes never leave the process), read it merged through the
-/// borrowed view, reinstall. This is exactly the path a live reshape pays
-/// at the crossing. Returns bytes moved (sanity).
+/// One round trip through the memory medium: put the field into memory as
+/// a whole record (encoded, CRC included), lend it back through the
+/// borrowed view, reinstall. A live reshape no longer pays this: its
+/// crossing freezes the predecessor's cells and encodes no record
+/// (`ppar_ckpt::Handoff`). The arm stays as the in-memory counterpart of
+/// the restart arm below. Returns bytes moved (sanity).
 fn inplace_handoff(mem: &MemTransport, cell: &SharedVec<f64>, meta: &SnapshotMeta) -> u64 {
     let fields: Vec<(&str, FieldSource<'_>)> = vec![("G", FieldSource::Cell(cell))];
     let written = mem.put(&Record::Full(meta, &fields)).unwrap();

@@ -550,7 +550,7 @@ mod tests {
                 payload,
             };
             let (_, bytes) = Record::Delta(&meta, &[("G", field)])
-                .encode(Vec::new(), true)
+                .encode(Vec::new())
                 .unwrap();
             bytes
         };

@@ -22,6 +22,12 @@
 //! count), every module's resume cursor (its [`PROGRESS_FIELD`]) and the
 //! record the load installs (the fold itself, kept in `GroupResume`).
 //!
+//! **A medium only moves records.** A save is one `put` through the
+//! module's medium; what the chain needs besides lives in the store: a
+//! base's commit retires its chain's deltas, a fresh run purges old chains
+//! at creation, and the group-commit point is written to the module's own
+//! store (a worker process has none, its root commits for the group).
+//!
 //! **A live hand-off is the predecessor's state, frozen**: the crossing
 //! keeps the root's safe-data cells ([`Handoff`]) instead of encoding a
 //! record, and every element of the successor installs its own share
@@ -300,10 +306,10 @@ impl CheckpointModule {
             // generation's delta chain could carry a `base_count` equal to a
             // count this run will reach (runs of the same app repeat the
             // same safe-point schedule), and a crash between this run's
-            // first base promotion and its GC would then merge
+            // first base commit and its chain's retirement would then merge
             // mixed-generation bytes. Purge every chain up front; the old
             // base stays (it is harmless and about to be replaced).
-            store.clear_all_deltas()?;
+            store.purge_deltas()?;
         }
 
         store.set_marker()?;
@@ -830,15 +836,10 @@ impl CkptHook for CheckpointModule {
         let link = self
             .incremental
             .and_then(|full_every| self.chain.lock().next(full_every));
+        // A promoted base retires the chain it supersedes as it commits (in
+        // the store behind the medium).
         let written = self.put_fields(ctx, to, &meta, link)?;
         if let Some(full_every) = self.incremental {
-            if link.is_none() {
-                // Promoted: the new base is written, now garbage-collect
-                // the superseded chain. A crash in between leaves stale
-                // deltas that the merge step ignores (base_count mismatch),
-                // never a broken restore.
-                to.clear_deltas(rank)?;
-            }
             self.chain.lock().advance(count, full_every);
             // The checkpoint cycle's epoch reset: whatever was dirty is now
             // captured (by the delta, or subsumed by the promoted base).
@@ -989,11 +990,13 @@ impl CkptHook for CheckpointModule {
         (f.name == name).then_some((f.index, f.clock_at_entry))
     }
 
+    /// The commit point lives in the module's own store; a worker process
+    /// has none, and its root commits for the group.
     fn group_commit(&self, ctx: &Ctx) -> Result<()> {
-        if self.sharded(ctx) {
-            self.medium()?.commit_group(self.clock_get())?;
+        match &self.store {
+            Some(store) if self.sharded(ctx) => store.commit_group(self.clock_get()),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     fn finish(&self, _ctx: &Ctx) -> Result<()> {
@@ -1292,9 +1295,9 @@ mod tests {
             s.last_save_bytes
         );
         assert!(dir.join("ckpt_master_delta_3.bin").exists());
-        assert_eq!(module.store().restart_count().unwrap(), Some(4));
+        assert_eq!(module.store().get(None, None).unwrap().unwrap().count, 4);
 
-        // Point 5: chain is full -> promotion + delta GC.
+        // Point 5: chain is full -> promotion, which retires the chain.
         g.set(6, 5.0);
         ctx.point("iter");
         let s = module.stats();
@@ -1514,8 +1517,9 @@ mod tests {
 
         // --- generation 2: a fresh run repeats the same safe-point
         // schedule, so generation 1's deltas (base_count 1) would collide
-        // with the new base's count if a crash hit between promotion and
-        // GC. Creation must purge them up front.
+        // with the new base's count if a crash hit between the base's
+        // commit and its chain's retirement. Creation must purge them up
+        // front.
         {
             let plan = incremental_plan(1, 5);
             let module = CheckpointModule::create(&dir, &plan).unwrap();
@@ -1524,8 +1528,8 @@ mod tests {
                 !dir.join("ckpt_master_delta_1.bin").exists(),
                 "stale chain from the previous generation must be purged"
             );
-            // The old base alone is what restart_count now sees.
-            assert_eq!(module.store().restart_count().unwrap(), Some(1));
+            // The old base alone is what the fold now sees.
+            assert_eq!(module.store().get(None, None).unwrap().unwrap().count, 1);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1618,9 +1622,7 @@ mod tests {
             ("E", FieldSource::Cell(&*e)),
             (PROGRESS_FIELD, FieldSource::Bytes(&progress)),
         ];
-        let (_, golden) = Record::Full(&meta, &fields)
-            .encode(Vec::new(), true)
-            .unwrap();
+        let (_, golden) = Record::Full(&meta, &fields).encode(Vec::new()).unwrap();
         assert!(lent == golden, "the lent view is the golden record");
         let stats = module.stats();
         assert_eq!(stats.handoff_snapshots, 1);

@@ -14,12 +14,22 @@
 //!   ckpt_rank_<r>.bin           # per-element shards (local-snapshot
 //!                               # strategy)
 //!   ckpt_rank_<r>_delta_<s>.bin # per-element delta chains
+//!   ckpt_rank_<r>_prev.bin      # the shard generation kept at the commit
+//!   ckpt_commit                 # group-commit point (u64)
 //! ```
 //!
 //! Snapshot files are written atomically (temp file + rename) and carry a
 //! trailing CRC-32 over the entire content, so a crash *during* checkpointing
 //! can never produce a snapshot that is both present and corrupt: either the
 //! old snapshot survives or the new one is complete.
+//!
+//! The store keeps its chains itself; no medium above it has a say. A
+//! base's commit retires that chain's deltas right after the rename (a
+//! crash in between leaves deltas naming the old base, which the fold
+//! ignores), `CheckpointModule::create_group` purges every chain before a
+//! fresh run, and `ckpt_commit` holds the group-commit point
+//! ([`CheckpointStore::commit_group`]) that a shard's retained `_prev`
+//! generation serves.
 //!
 //! File format (all integers little-endian):
 //!
@@ -234,7 +244,7 @@ impl<'a> SnapshotView<'a> {
         let fields: Vec<_> = fields
             .map(|(n, b)| (n.as_str(), FieldSource::Bytes(b)))
             .collect();
-        let (written, _) = Record::Full(&self.meta, &fields).encode(out, true)?;
+        let (written, _) = Record::Full(&self.meta, &fields).encode(out)?;
         Ok(written)
     }
 
@@ -425,21 +435,19 @@ impl Record<'_> {
         (fields + 128) as u64
     }
 
-    /// Stream the record through the golden [`SnapshotWriter`] into `sink`
-    /// (`checksum: false` writes a zero CRC trailer — see the writer's
-    /// docs). Returns `(bytes written, sink)`.
-    pub fn encode<W: Write>(&self, sink: W, checksum: bool) -> Result<(u64, W)> {
+    /// Stream the record, CRC trailer included, through the golden
+    /// [`SnapshotWriter`] into `sink`. Returns `(bytes written, sink)`.
+    pub fn encode<W: Write>(&self, sink: W) -> Result<(u64, W)> {
         match self {
             Record::Full(meta, fields) => {
-                let mut w = SnapshotWriter::full_writer(sink, meta, fields.len() as u32, checksum)?;
+                let mut w = SnapshotWriter::new(sink, meta, fields.len() as u32)?;
                 for (name, source) in *fields {
                     w.field(name, source)?;
                 }
                 w.finish()
             }
             Record::Delta(meta, fields) => {
-                let mut w =
-                    SnapshotWriter::delta_writer(sink, meta, fields.len() as u32, checksum)?;
+                let mut w = SnapshotWriter::delta_writer(sink, meta, fields.len() as u32)?;
                 for (name, source) in *fields {
                     w.delta_field(name, source)?;
                 }
@@ -450,12 +458,11 @@ impl Record<'_> {
 }
 
 /// Adapter that forwards writes to the sink while folding every byte into
-/// the running CRC (when checksumming is on). Handed to
-/// [`StateCell::write_state`] so even cell-driven writes stay on the
-/// single-pass path.
+/// the running CRC. Handed to [`StateCell::write_state`] so even
+/// cell-driven writes stay on the single-pass path.
 struct CrcTee<'a, W: Write> {
     sink: &'a mut W,
-    crc: Option<&'a mut Crc32>,
+    crc: &'a mut Crc32,
     written: &'a mut u64,
 }
 
@@ -477,9 +484,7 @@ impl<W: Write> Write for CrcTee<'_, W> {
         // re-enter, giving the interleaved CRC+copy pattern for free.
         let buf = &buf[..buf.len().min(CRC_COPY_BLOCK)];
         let n = self.sink.write(buf)?;
-        if let Some(crc) = self.crc.as_deref_mut() {
-            crc.update(&buf[..n]);
-        }
+        self.crc.update(&buf[..n]);
         *self.written += n as u64;
         Ok(n)
     }
@@ -495,47 +500,29 @@ impl<W: Write> Write for CrcTee<'_, W> {
 /// [`Snapshot::encode`] for the same content. A record enters it one way,
 /// [`Record::encode`]; [`SnapshotWriter::new`] and
 /// [`SnapshotWriter::field_cell`] remain for callers that drive a full
-/// record by hand.
-///
-/// Records destined for process memory ([`crate::MemTransport`]) may be
-/// written *unchecksummed*: the byte layout is identical but the 4-byte
-/// trailer is zero, saving a full pass over multi-MiB payloads. The
-/// in-memory transport's trusted decode ignores the trailer; writing such a
-/// record to a disk file would fail CRC verification on load — by design,
-/// loudly.
+/// record by hand. Every record it writes carries its CRC, whichever medium
+/// it is bound for.
 pub struct SnapshotWriter<W: Write> {
     sink: W,
     crc: Crc32,
-    /// Fold bytes into the running CRC (off for in-memory records).
-    checksum: bool,
     written: u64,
     fields_remaining: u32,
 }
 
 impl<W: Write> SnapshotWriter<W> {
-    /// Start a snapshot: writes the header for `meta` announcing `nfields`
-    /// upcoming fields.
-    pub fn new(sink: W, meta: &SnapshotMeta, nfields: u32) -> Result<SnapshotWriter<W>> {
-        SnapshotWriter::full_writer(sink, meta, nfields, true)
-    }
-
-    fn empty(sink: W, nfields: u32, checksum: bool) -> SnapshotWriter<W> {
+    fn empty(sink: W, nfields: u32) -> SnapshotWriter<W> {
         SnapshotWriter {
             sink,
             crc: Crc32::new(),
-            checksum,
             written: 0,
             fields_remaining: nfields,
         }
     }
 
-    fn full_writer(
-        sink: W,
-        meta: &SnapshotMeta,
-        nfields: u32,
-        checksum: bool,
-    ) -> Result<SnapshotWriter<W>> {
-        let mut w = SnapshotWriter::empty(sink, nfields, checksum);
+    /// Start a snapshot: writes the header for `meta` announcing `nfields`
+    /// upcoming fields.
+    pub fn new(sink: W, meta: &SnapshotMeta, nfields: u32) -> Result<SnapshotWriter<W>> {
+        let mut w = SnapshotWriter::empty(sink, nfields);
         w.put(MAGIC)?;
         w.put_str(&meta.mode_tag)?;
         w.put(&meta.count.to_le_bytes())?;
@@ -548,13 +535,8 @@ impl<W: Write> SnapshotWriter<W> {
     /// A delta record's versioned header (see [`crate::delta`] for the
     /// format); fields and the trailer go through the same machinery as a
     /// full record's.
-    fn delta_writer(
-        sink: W,
-        meta: &DeltaMeta,
-        nfields: u32,
-        checksum: bool,
-    ) -> Result<SnapshotWriter<W>> {
-        let mut w = SnapshotWriter::empty(sink, nfields, checksum);
+    fn delta_writer(sink: W, meta: &DeltaMeta, nfields: u32) -> Result<SnapshotWriter<W>> {
+        let mut w = SnapshotWriter::empty(sink, nfields);
         w.put(crate::delta::DELTA_MAGIC)?;
         w.put(&crate::delta::DELTA_VERSION.to_le_bytes())?;
         w.put_str(&meta.mode_tag)?;
@@ -568,19 +550,12 @@ impl<W: Write> SnapshotWriter<W> {
     }
 
     fn put(&mut self, bytes: &[u8]) -> Result<()> {
-        if self.checksum && bytes.len() > CRC_COPY_BLOCK {
-            // Interleave CRC and copy in cache-sized blocks (see
-            // [`CRC_COPY_BLOCK`]) instead of two full passes over a
-            // multi-MiB payload.
-            for block in bytes.chunks(CRC_COPY_BLOCK) {
-                self.crc.update(block);
-                self.sink.write_all(block)?;
-            }
-        } else {
-            if self.checksum {
-                self.crc.update(bytes);
-            }
-            self.sink.write_all(bytes)?;
+        // Interleave CRC and copy in cache-sized blocks (see
+        // [`CRC_COPY_BLOCK`]) instead of two full passes over a multi-MiB
+        // payload.
+        for block in bytes.chunks(CRC_COPY_BLOCK) {
+            self.crc.update(block);
+            self.sink.write_all(block)?;
         }
         self.written += bytes.len() as u64;
         Ok(())
@@ -609,7 +584,7 @@ impl<W: Write> SnapshotWriter<W> {
     fn stream(&mut self, write: impl FnOnce(&mut dyn Write) -> Result<u64>) -> Result<u64> {
         write(&mut CrcTee {
             sink: &mut self.sink,
-            crc: self.checksum.then_some(&mut self.crc),
+            crc: &mut self.crc,
             written: &mut self.written,
         })
     }
@@ -701,8 +676,7 @@ impl<W: Write> SnapshotWriter<W> {
                 self.fields_remaining
             )));
         }
-        let crc = if self.checksum { self.crc.finish() } else { 0 };
-        self.sink.write_all(&crc.to_le_bytes())?;
+        self.sink.write_all(&self.crc.finish().to_le_bytes())?;
         self.written += 4;
         self.sink.flush()?;
         Ok((self.written, self.sink))
@@ -798,62 +772,6 @@ impl CkptTransport for CheckpointStore {
         stream_merged(self, rank, at, out)
     }
 
-    /// The safe-point count a restart should replay to: prefers the master
-    /// snapshot, falls back to shard 0 (local-snapshot strategy). Delta
-    /// chains count: a restart replays to the *last delta's* safe point,
-    /// not the base's.
-    fn restart_count(&self) -> Result<Option<u64>> {
-        // A group-commit point is authoritative when present (sharded
-        // strategies write one after every post-save barrier): individual
-        // shard tips may have outrun it if a save was torn by a rank death.
-        if let Some(c) = self.committed_count()? {
-            return Ok(Some(c));
-        }
-        for rank in [None, Some(0)] {
-            if let Some((len, src)) =
-                self.record_reader(&self.record_path(RecordKey::full(rank)))?
-            {
-                // Every record is parsed to its header and CRC-checked to
-                // its end through one block-sized scratch; nothing is held
-                // or folded.
-                let mut base = RecordStream::new(src, len, "")?;
-                let count = match SnapshotView::parse(&mut base) {
-                    Ok((meta, _)) => base.end().map(|()| meta.count)?,
-                    Err(e) => return Err(base.fail(e)),
-                };
-                return walk_chain(count, None, self.deltas(rank), |_, _| Ok(())).map(Some);
-            }
-        }
-        Ok(None)
-    }
-
-    /// Advance the group-commit point (atomically) to safe point `count`.
-    fn commit_group(&self, count: u64) -> Result<()> {
-        let tmp = self.commit_path().with_extension("tmp");
-        fs::write(&tmp, count.to_le_bytes())?;
-        fs::rename(&tmp, self.commit_path())?;
-        Ok(())
-    }
-
-    /// Promotion GC, called after a new base has been persisted. Sweeps
-    /// any extension, so an orphaned temp file from a crash mid-delta-write
-    /// is collected too instead of accumulating across restart cycles.
-    fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        let prefix = match rank {
-            None => "ckpt_master_delta_".to_string(),
-            Some(r) => format!("ckpt_rank_{r}_delta_"),
-        };
-        self.remove_records(|name| name.starts_with(&prefix))
-    }
-
-    /// Fresh-run hygiene: a previous generation's leftover chain could
-    /// carry a `base_count` that collides with the counts this run will
-    /// produce, so the checkpoint module purges before its first snapshot
-    /// whenever it is not replaying.
-    fn clear_all_deltas(&self) -> Result<()> {
-        self.remove_records(|name| name.starts_with("ckpt_") && name.contains("_delta_"))
-    }
-
     fn take_put_stats(&self) -> crate::cas::PutStats {
         match &self.cas {
             Some(cas) => cas.take_put_stats(),
@@ -865,9 +783,10 @@ impl CkptTransport for CheckpointStore {
 /// The flat layout's sink and its one commit sequence: bytes stream
 /// through a [`BufWriter`] into a uniquely named temp file; commit flushes,
 /// rotates the shard generation the group last committed aside (full shard
-/// records only) and renames over the final name. A crash, an abort or a
-/// drop mid-stream never leaves a partial record under the final name, and
-/// the temp file is removed.
+/// records only), renames over the final name and — for a base — retires
+/// the chain the new base supersedes. A crash, an abort or a drop
+/// mid-stream never leaves a partial record under the final name, and the
+/// temp file is removed.
 struct FlatSink<'a> {
     store: &'a CheckpointStore,
     key: RecordKey,
@@ -900,6 +819,7 @@ impl RecordSink for FlatSink<'_> {
         self.store.rotate_generation(self.key)?;
         fs::rename(&self.tmp, &self.dst)?;
         self.committed = true;
+        self.store.retire_chain(self.key)?;
         Ok(self.written)
     }
 }
@@ -925,7 +845,8 @@ enum CasState {
 /// The content-addressed layout's sink and its one commit sequence: stage
 /// (seal + fsync the journal manifest) *before* rotating the previous shard
 /// generation aside — if staging fails, the directory is untouched — then
-/// promote by rename and drop any legacy flat file of the same name.
+/// promote by rename, retire the chain a new base supersedes, and drop any
+/// legacy flat file of the same name.
 /// Dropping the transaction (abort, error, drop) rolls its journal back.
 struct CasSink<'a> {
     store: &'a CheckpointStore,
@@ -1001,6 +922,7 @@ impl RecordSink for CasSink<'_> {
                 txn.commit(&name)?
             }
         };
+        store.retire_chain(key)?;
         // A freshly committed content-addressed record supersedes any
         // legacy flat file of the same name left from before the layout
         // switch.
@@ -1857,6 +1779,40 @@ impl CheckpointStore {
         Ok(())
     }
 
+    /// The step of both commit sequences that comes just after a new base
+    /// took its final name: delete every delta of that chain. Sweeps any
+    /// extension, so an orphaned temp file from a crash mid-delta-write is
+    /// collected too. A crash before the sweep leaves stale deltas that the
+    /// fold ignores (their `base_count` names the old base), never a broken
+    /// restore.
+    fn retire_chain(&self, key: RecordKey) -> Result<()> {
+        let prefix = match key {
+            RecordKey { delta: Some(_), .. } => return Ok(()),
+            RecordKey { rank: None, .. } => "ckpt_master_delta_".to_string(),
+            RecordKey { rank: Some(r), .. } => format!("ckpt_rank_{r}_delta_"),
+        };
+        self.remove_records(|name| name.starts_with(&prefix))
+    }
+
+    /// Fresh-run hygiene, run by [`crate::CheckpointModule::create_group`]
+    /// before a run that is not replaying: a previous generation's leftover
+    /// chain could carry a `base_count` that collides with the counts this
+    /// run will produce, so every delta goes.
+    pub(crate) fn purge_deltas(&self) -> Result<()> {
+        self.remove_records(|name| name.starts_with("ckpt_") && name.contains("_delta_"))
+    }
+
+    /// Advance the group-commit point (atomically) to safe point `count`:
+    /// every shard of the group is durable there (the engine's post-save
+    /// barrier has completed). A pinned shard read falls back to the
+    /// generation kept at this point.
+    pub fn commit_group(&self, count: u64) -> Result<()> {
+        let tmp = self.commit_path().with_extension("tmp");
+        fs::write(&tmp, count.to_le_bytes())?;
+        fs::rename(&tmp, self.commit_path())?;
+        Ok(())
+    }
+
     /// The group-commit point: the newest safe point at which *every* shard
     /// of the group is durable. `None` before the first commit.
     pub fn committed_count(&self) -> Result<Option<u64>> {
@@ -2011,23 +1967,45 @@ mod tests {
         ));
     }
 
+    /// A base commit retires its own chain and no other, in both layouts;
+    /// a delta commit retires nothing.
     #[test]
-    fn restart_count_prefers_master() {
-        let dir = tmpdir("count");
-        let store = CheckpointStore::new(&dir).unwrap();
-        assert_eq!(store.restart_count().unwrap(), None);
+    fn a_base_commit_retires_only_its_own_chain() {
+        for cas in [false, true] {
+            let dir = tmpdir(&format!("retire_{cas}"));
+            let store = match cas {
+                false => CheckpointStore::new_flat(&dir).unwrap(),
+                true => CheckpointStore::new_cas(&dir).unwrap(),
+            };
+            for rank in [None, Some(1), Some(10)] {
+                let mut base = sample(rank);
+                base.count = 5;
+                put_snapshot(&store, &base);
+                for seq in 1..=2 {
+                    let dm = DeltaMeta {
+                        nranks: 8,
+                        ..delta_meta(5 + seq as u64, 5, seq, rank)
+                    };
+                    let whole = DeltaSource::Full(FieldSource::Bytes(&[seq as u8; 4]));
+                    store.put(&Record::Delta(&dm, &[("G", whole)])).unwrap();
+                }
+            }
+            let tip = |rank| store.get(rank, None).unwrap().unwrap().count;
+            assert_eq!([tip(None), tip(Some(1)), tip(Some(10))], [7, 7, 7]);
 
-        let mut shard = sample(Some(0));
-        shard.count = 50;
-        put_snapshot(&store, &shard);
-        assert_eq!(store.restart_count().unwrap(), Some(50));
-
-        let mut master = sample(None);
-        master.count = 80;
-        put_snapshot(&store, &master);
-        assert_eq!(store.restart_count().unwrap(), Some(80));
-
-        fs::remove_dir_all(&dir).unwrap();
+            let mut base = sample(Some(1));
+            base.count = 9;
+            put_snapshot(&store, &base);
+            assert_eq!(store.get(Some(1), None).unwrap().unwrap(), base);
+            assert!(!store.record_exists(&store.delta_path(Some(1), 1)));
+            assert!(!store.record_exists(&store.delta_path(Some(1), 2)));
+            assert_eq!(
+                [tip(None), tip(Some(10))],
+                [7, 7],
+                "other chains keep theirs"
+            );
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -2331,7 +2309,6 @@ mod tests {
         let merged = store.get(None, None).unwrap().unwrap();
         assert_eq!(merged.count, 30, "restart replays to the last delta");
         assert_eq!(merged.field("G").unwrap(), v.save_bytes().as_slice());
-        assert_eq!(store.restart_count().unwrap(), Some(30));
 
         // Delta files are much smaller than the base (the whole point).
         let base_len = fs::metadata(store.master_path()).unwrap().len();
@@ -2341,11 +2318,14 @@ mod tests {
             "delta ({d1_len}B) should be far smaller than base ({base_len}B)"
         );
 
-        // Promotion GC.
-        store.clear_deltas(None).unwrap();
+        // Promotion: the new base's commit retires the chain.
+        let meta = SnapshotMeta { count: 40, ..meta };
+        store
+            .put(&Record::Full(&meta, &[("G", FieldSource::Cell(&v))]))
+            .unwrap();
         assert!(!store.delta_path(None, 1).exists());
         assert!(!store.delta_path(None, 2).exists());
-        assert_eq!(store.get(None, None).unwrap().unwrap().count, 10);
+        assert_eq!(store.get(None, None).unwrap().unwrap().count, 40);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2480,13 +2460,16 @@ mod tests {
             ))
             .unwrap();
 
-        // Promote a new base (count 3) but "crash" before delta GC: the
-        // leftover delta's base_count (1) no longer matches and must be
-        // skipped, not applied and not fatal.
+        // Promote a new base (count 3) but "crash" before its commit
+        // retires the chain (the delta is put back): the leftover delta's
+        // base_count (1) no longer matches and must be skipped, not
+        // applied and not fatal.
+        let stale = fs::read(store.delta_path(None, 1)).unwrap();
         v.set(0, 42.0);
         store
             .put(&Record::Full(&snap(3), &[("G", FieldSource::Cell(&v))]))
             .unwrap();
+        fs::write(store.delta_path(None, 1), stale).unwrap();
         let merged = store.get(None, None).unwrap().unwrap();
         assert_eq!(merged.count, 3);
         assert_eq!(merged.field("G").unwrap(), v.save_bytes().as_slice());

@@ -3,7 +3,9 @@
 //! The checkpoint layer separates *what* is persisted (the snapshot and
 //! delta encodings of [`crate::store`] and [`crate::delta`], produced by
 //! the one golden [`crate::store::SnapshotWriter`]) from *where* the bytes
-//! go. A medium is a [`CkptTransport`]; four ideas carry the whole seam:
+//! go. A medium is a [`CkptTransport`] and only moves records: it writes
+//! `describe`, `begin` and `with_merged`, and four ideas carry the whole
+//! seam:
 //!
 //! * **key** — a [`RecordKey`] names one record: which chain (`rank`,
 //!   `None` = master) and which position in it (`delta`, `None` = the full
@@ -28,11 +30,11 @@
 //!   install into live cells straight from it. The other two shapes are
 //!   *provided* over the lend: [`CkptTransport::get`] *owns* (a copy of the
 //!   view), [`CkptTransport::write_merged_record_at`] *streams* (the view
-//!   through the golden encoder, checksum on). Two media override the
-//!   stream, both to pass on bytes that already *are* the record: the store
-//!   copies a file through unparsed when no live delta has to be folded —
-//!   what the root's checkpoint service answers a restore with — and the
-//!   wire client forwards that answer to the caller's sink as it arrives.
+//!   through the golden encoder). Two media override the stream, both to
+//!   pass on bytes that already *are* the record: the store copies a file
+//!   through unparsed when no live delta has to be folded — what the root's
+//!   checkpoint service answers a restore with — and the wire client
+//!   forwards that answer to the caller's sink as it arrives.
 //!
 //! **The failed-put rule**, binding on every medium: *a put that fails
 //! leaves the previous record for that key readable and no partial
@@ -40,15 +42,16 @@
 //! journaled transaction), swap on `commit`, and clean up on `abort` or
 //! drop; `commit` also refuses a record whose header names another key.
 //!
-//! **A chain lives only on disk.** Memory holds whole records: its `begin`
-//! refuses a delta key, and its lend is the held record itself, pinned to
-//! that record's safe point or refused from its header. It also skips the
-//! CRC pass: a sink reports through [`RecordSink::checksummed`] whether its
-//! medium needs the record's CRC trailer, and [`MemTransport`] says no (the
-//! bytes never leave the process), so a memory put costs one copy and no
-//! checksum. Its records equal a disk store's byte for byte except that
-//! zero trailer; the encoder computes it on the way out whenever a memory
-//! record is streamed to another medium.
+//! **Every record carries its CRC**, so memory, the wire and the disk hold
+//! byte-identical records. Memory's lend alone skips the check
+//! ([`SnapshotView::decode_trusted`]): its bytes never left the process.
+//!
+//! **A chain lives only on disk**, and the disk store keeps it: committing
+//! a base retires that chain's deltas, and the group-commit point is the
+//! store's own (`CheckpointStore::commit_group`). Memory holds whole
+//! records: its `begin` refuses a delta key, and its lend is the held
+//! record itself, pinned to that record's safe point or refused from its
+//! header.
 //!
 //! Media: [`crate::store::CheckpointStore`] (flat files or the
 //! content-addressed layout; the one medium a delta chain lives in),
@@ -140,12 +143,6 @@ pub(crate) fn keep_head(head: &mut Vec<u8>, bytes: &[u8]) {
 /// Callers relaying bytes they did not encode verify the record's CRC
 /// before [`RecordSink::commit`].
 pub trait RecordSink: Write {
-    /// Does this medium need the record's CRC trailer? `false` lets the
-    /// encoder skip the checksum pass and write a zero trailer.
-    fn checksummed(&self) -> bool {
-        true
-    }
-
     /// The dedup question, asked before any byte is written: of the
     /// record's chunks (`chunks`, in order, summing to `total_len` bytes),
     /// which does the medium lack? `None` — the default — is "all of them:
@@ -168,8 +165,7 @@ pub trait RecordSink: Write {
 }
 
 /// A checkpoint medium. See the [module docs](self) for the contract; a
-/// new medium writes `describe`, `begin`, `with_merged`, `restart_count`,
-/// `clear_deltas` and `clear_all_deltas`.
+/// new medium writes `describe`, `begin` and `with_merged`.
 pub trait CkptTransport: Send + Sync {
     /// Short human-readable tag for reports (`"file"`, `"memory"`).
     fn describe(&self) -> &'static str;
@@ -182,8 +178,7 @@ pub trait CkptTransport: Send + Sync {
     /// sink of the key its header names. Returns bytes written.
     fn put(&self, record: &Record<'_>) -> Result<u64> {
         let mut sink = self.begin(record.key(), record.len_hint())?;
-        let checksum = sink.checksummed();
-        match record.encode(&mut *sink, checksum) {
+        match record.encode(&mut *sink) {
             Ok(_) => sink.commit(),
             Err(e) => {
                 sink.abort(&e.to_string());
@@ -280,24 +275,6 @@ pub trait CkptTransport: Send + Sync {
         stream_merged(self, rank, at, out)
     }
 
-    /// The safe-point count a restart/resume should replay to (chain tips
-    /// count); `None` when no usable snapshot exists.
-    fn restart_count(&self) -> Result<Option<u64>>;
-
-    /// Advance the group-commit point: every shard of the group is durable
-    /// at `count` (the engine's post-save barrier has completed). A no-op
-    /// unless the medium's [`CkptTransport::restart_count`] honours a
-    /// commit point.
-    fn commit_group(&self, _count: u64) -> Result<()> {
-        Ok(())
-    }
-
-    /// Delete every delta of one chain (base-promotion GC).
-    fn clear_deltas(&self, rank: Option<u32>) -> Result<()>;
-
-    /// Delete every delta of every chain (fresh-run hygiene).
-    fn clear_all_deltas(&self) -> Result<()>;
-
     /// Drain the chunk-dedup counters this medium's sinks accumulated
     /// since the last drain (all zero without a content-addressed medium
     /// or a dedup-negotiating wire); the checkpoint module folds them into
@@ -336,8 +313,8 @@ pub(crate) fn stream_merged(
 // ---------------------------------------------------------------------------
 
 /// An in-memory checkpoint transport: the same full records a
-/// [`crate::store::CheckpointStore`] would put on disk, one per chain, held
-/// in one `key → bytes` map, with no CRC pass and no delta (see the
+/// [`crate::store::CheckpointStore`] would put on disk, byte for byte, one
+/// per chain, held in one `key → bytes` map, with no delta (see the
 /// [module docs](self)).
 ///
 /// It is the medium of the survivor-local mirror's slots and of benches. A
@@ -374,7 +351,7 @@ impl MemTransport {
         MemTransport::default()
     }
 
-    /// Records written so far (full + delta, master + shards).
+    /// Records written so far (master + shards; memory holds no delta).
     pub fn snapshots_stored(&self) -> u64 {
         self.snapshots.load(Ordering::Relaxed)
     }
@@ -412,10 +389,8 @@ impl MemTransport {
 }
 
 /// The memory medium's sink: bytes append to a recycled buffer; commit
-/// zeroes the CRC trailer (the in-memory convention — a relayed record's
-/// CRC was verified by the caller, an encoded one never had one) and swaps
-/// the record in under the map's write lock, so a reader sees the previous
-/// record or the new one, never neither.
+/// swaps the record in under the map's write lock, so a reader sees the
+/// previous record or the new one, never neither.
 struct MemSink<'a> {
     mem: &'a MemTransport,
     key: RecordKey,
@@ -434,18 +409,13 @@ impl Write for MemSink<'_> {
 }
 
 impl RecordSink for MemSink<'_> {
-    fn checksummed(&self) -> bool {
-        false
-    }
-
     fn commit(mut self: Box<Self>) -> Result<u64> {
-        let mut buf = std::mem::take(&mut self.buf);
+        let buf = std::mem::take(&mut self.buf);
         if let Err(e) = self.key.check_record(&buf) {
             self.mem.recycle(buf);
             return Err(e);
         }
         let n = buf.len();
-        buf[n - 4..].fill(0);
         if let Some(old) = self.mem.records.write().insert(self.key, buf) {
             self.mem.recycle(old);
         }
@@ -484,7 +454,7 @@ impl CkptTransport for MemTransport {
 
     /// The held record is lent where it lies (one copy total: record →
     /// cells). A pin at another safe point is refused from its header,
-    /// before `read` runs. Nothing is CRC-checked: the bytes never left
+    /// before `read` runs. The CRC is not re-checked: the bytes never left
     /// this process. `read` runs under a shared read guard: every element of
     /// an aggregate may lend the one record at once, and a racing put waits
     /// for them, so a reader sees the old record or the new one, whole.
@@ -506,24 +476,6 @@ impl CkptTransport for MemTransport {
             }
             _ => read(&view).map(|()| true),
         }
-    }
-
-    /// Headers only: no payload byte is read to learn a count.
-    fn restart_count(&self) -> Result<Option<u64>> {
-        let records = self.records.read();
-        let base = [None, Some(0)]
-            .into_iter()
-            .find_map(|rank| records.get(&RecordKey::full(rank)));
-        base.map(|base| Ok(SnapshotMeta::of_head(base)?.count))
-            .transpose()
-    }
-
-    fn clear_deltas(&self, _rank: Option<u32>) -> Result<()> {
-        Ok(())
-    }
-
-    fn clear_all_deltas(&self) -> Result<()> {
-        Ok(())
     }
 }
 
@@ -579,7 +531,7 @@ mod tests {
         };
         let whole = DeltaSource::Full(FieldSource::Bytes(&[9]));
         let (_, delta) = Record::Delta(&dm, &[("G", whole)])
-            .encode(Vec::new(), true)
+            .encode(Vec::new())
             .unwrap();
         assert_eq!(
             RecordKey::of_record(&delta).unwrap(),
@@ -589,18 +541,23 @@ mod tests {
         assert!(RecordKey::delta(None, 2).check_record(&delta).is_err());
     }
 
-    /// restart_count prefers the master chain and falls back to shard 0
-    /// only; the counters see every committed record.
+    /// Memory keeps one record per chain, each read back at its own count;
+    /// the counters see every committed record.
     #[test]
-    fn mem_restart_count_prefers_master_then_shard_zero() {
+    fn mem_keeps_one_record_per_chain_and_counts_every_put() {
         let t = MemTransport::new();
+        let count = |rank| t.get(rank, None).unwrap().map(|snap| snap.count);
         put_bytes(&t, &meta(5, Some(2)), &[9; 16]);
-        assert_eq!(t.get(Some(2), None).unwrap().unwrap().count, 5);
-        assert_eq!(t.restart_count().unwrap(), None);
+        assert_eq!(
+            [count(Some(2)), count(Some(0)), count(None)],
+            [Some(5), None, None]
+        );
         put_bytes(&t, &meta(9, Some(0)), &[9; 16]);
-        assert_eq!(t.restart_count().unwrap(), Some(9));
         let written = put_bytes(&t, &meta(7, None), &[9; 16]);
-        assert_eq!(t.restart_count().unwrap(), Some(7));
+        assert_eq!(
+            [count(Some(2)), count(Some(0)), count(None)],
+            [Some(5), Some(9), Some(7)]
+        );
         assert_eq!(t.snapshots_stored(), 3);
         assert_eq!(t.bytes_written(), 2 * written + written);
     }
@@ -644,11 +601,10 @@ mod tests {
     }
 
     /// The transport contract: for identical content, the in-memory record
-    /// equals the file the disk store writes byte-for-byte except the
-    /// 4-byte CRC trailer (zero in memory — the checksum pass guards the
-    /// durable medium only), and both decode to the same snapshot.
+    /// equals the file the disk store writes byte for byte, CRC trailer
+    /// included, and both decode to the same snapshot.
     #[test]
-    fn mem_bytes_equal_file_bytes_modulo_trailer() {
+    fn mem_bytes_equal_file_bytes() {
         let dir = tmpdir("golden");
         let store = CheckpointStore::new(&dir).unwrap();
         let mem = MemTransport::new();
@@ -660,10 +616,7 @@ mod tests {
         let in_mem = mem.put(&record).unwrap();
         assert_eq!(on_disk, in_mem);
         let file = std::fs::read(dir.join("ckpt_master.bin")).unwrap();
-        let record = mem.record_bytes(RecordKey::full(None)).unwrap();
-        assert_eq!(record.len(), file.len());
-        assert_eq!(record[..record.len() - 4], file[..file.len() - 4]);
-        assert_eq!(&record[record.len() - 4..], &[0, 0, 0, 0]);
+        assert_eq!(mem.record_bytes(RecordKey::full(None)).unwrap(), file);
         assert_eq!(
             mem.get(None, None).unwrap().unwrap(),
             store.get(None, None).unwrap().unwrap(),
@@ -726,7 +679,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(t.restart_count().unwrap(), Some(200));
+        assert_eq!(t.get(None, None).unwrap().unwrap().count, 200);
     }
 
     proptest::proptest! {
@@ -753,12 +706,11 @@ mod tests {
             store.put(&Record::Full(&m, &refs)).unwrap();
             mem.put(&Record::Full(&m, &refs)).unwrap();
 
-            // Byte-identical records modulo the CRC trailer (zero in
-            // memory; the shared golden encoder produced everything else)...
+            // Byte-identical records, CRC trailer included (the shared
+            // golden encoder produced both)...
             let file = std::fs::read(dir.join("ckpt_master.bin")).unwrap();
             let record = mem.record_bytes(RecordKey::full(None)).unwrap();
-            proptest::prop_assert_eq!(record.len(), file.len());
-            proptest::prop_assert_eq!(&record[..record.len() - 4], &file[..file.len() - 4]);
+            proptest::prop_assert_eq!(record, file);
             // ...and identical decoded snapshots through each side's reader:
             // the round-trip is byte-identical per field.
             let from_file = store.get(None, None).unwrap().unwrap();

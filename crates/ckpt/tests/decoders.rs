@@ -97,7 +97,7 @@ fn delta_record(seed: u64) -> Vec<u8> {
         ("energy", DeltaSource::Full(FieldSource::Bytes(&whole))),
     ];
     let record = Record::Delta(&delta_meta(), &fields);
-    record.encode(Vec::new(), true).unwrap().1
+    record.encode(Vec::new()).unwrap().1
 }
 
 /// A manifest of three chunks, the last one short.
@@ -158,30 +158,19 @@ fn on_disk(name: &str, record: &[u8]) -> Result<CheckpointStore> {
     Ok(store)
 }
 
-/// The full format's streamed entries: the bytes as the base on disk, its
-/// header walked and CRC-checked through a block-sized scratch by
-/// `restart_count`, then read whole by the fold.
+/// The full format's streamed entry: the bytes as the base on disk, read
+/// whole by the fold.
 fn full_streamed(bytes: &[u8]) -> Result<()> {
-    let store = on_disk("ckpt_master.bin", bytes)?;
-    let walked = store.restart_count().map(drop);
-    let folded = store.get(None, None).map(drop);
-    assert_eq!(walked.is_err(), folded.is_err(), "walk and fold disagree");
-    folded
+    on_disk("ckpt_master.bin", bytes)?.get(None, None).map(drop)
 }
 
-/// The delta format's streamed entries: the bytes as delta 1 on disk over
-/// [`full_record`], walked by `restart_count` (its header and CRC), then
-/// folded — each payload read straight into the merged record as its CRC
-/// runs. The fold must refuse whatever the walk does.
+/// The delta format's streamed entry: the bytes as delta 1 on disk over
+/// [`full_record`], folded — each payload read straight into the merged
+/// record as its CRC runs.
 fn delta_streamed(bytes: &[u8]) -> Result<()> {
-    let store = on_disk("ckpt_master_delta_1.bin", bytes)?;
-    let walked = store.restart_count();
-    let folded = store.get(None, None).map(drop);
-    assert!(
-        walked.is_ok() || folded.is_err(),
-        "the walk refused, the fold did not"
-    );
-    folded
+    on_disk("ckpt_master_delta_1.bin", bytes)?
+        .get(None, None)
+        .map(drop)
 }
 
 /// One way bytes can arrive at a decoder.

@@ -198,7 +198,7 @@ impl DsmEngine {
         let dirty_bytes: usize = byte_ranges.iter().map(|r| r.len()).sum();
         let hint = dirty_bytes + byte_ranges.len() * 16 + field.len() + 128;
         let (_, record) = Record::Delta(&meta, &[(field, dirty)])
-            .encode(Vec::with_capacity(hint), true)
+            .encode(Vec::with_capacity(hint))
             .expect("dirty-gather delta encoding failed");
         self.ep.gather(0, record);
     }

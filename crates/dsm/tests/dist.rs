@@ -431,7 +431,8 @@ fn incremental_master_collect_crash_restart() {
         "incremental master-collect must leave a delta chain on disk"
     );
     let store = ppar_ckpt::CheckpointStore::new(&dir).unwrap();
-    assert_eq!(store.restart_count().unwrap(), Some(8), "the chain's tip");
+    let tip = store.get(None, None).unwrap().unwrap().count;
+    assert_eq!(tip, 8, "the chain's tip");
 
     let results = run_spmd(
         &cfg,
@@ -472,7 +473,7 @@ fn incremental_local_snapshot_crash_restart() {
         );
     }
     let store = ppar_ckpt::CheckpointStore::new(&dir).unwrap();
-    assert_eq!(store.restart_count().unwrap(), Some(8));
+    assert_eq!(store.committed_count().unwrap(), Some(8));
 
     let results = run_spmd(
         &cfg,

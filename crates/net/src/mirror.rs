@@ -22,13 +22,18 @@
 //! from the group. Delta records are not mirrored (a slot holds one whole
 //! record; a chain lives only in the root's store): the mirror serves only
 //! exact-count full-snapshot hits, and the network everything else.
+//!
+//! The mirror only moves records, like every medium: a slot holds the very
+//! bytes the root stores, CRC trailer included, and what a save cost in
+//! chunks and wire dedup is the network's to report
+//! (`CkptTransport::take_put_stats` drains it).
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ppar_ckpt::transport::{CkptTransport, RecordKey, RecordSink};
-use ppar_ckpt::{MemTransport, SnapshotView};
+use ppar_ckpt::{MemTransport, PutStats, SnapshotView};
 use ppar_core::error::Result;
 
 /// A [`CkptTransport`] that forwards everything to an inner (network)
@@ -58,6 +63,13 @@ impl MirrorTransport {
     /// only by this module's unit tests; no soak or bench reads it yet.
     pub fn local_hits(&self) -> u64 {
         self.local_hits.load(Ordering::Relaxed)
+    }
+
+    /// The two local generations, each a whole shard record as the root
+    /// stores it (empty before the first full shard save, and after a
+    /// wipe).
+    pub fn slots(&self) -> &[MemTransport; 2] {
+        &self.slots
     }
 
     /// Drop both local generations (a fault boundary: the network store
@@ -99,10 +111,6 @@ impl Write for TeeSink<'_> {
 }
 
 impl RecordSink for TeeSink<'_> {
-    fn checksummed(&self) -> bool {
-        self.net.checksummed()
-    }
-
     fn commit(self: Box<Self>) -> Result<u64> {
         let TeeSink {
             mirror,
@@ -183,20 +191,9 @@ impl CkptTransport for MirrorTransport {
         self.net.with_merged(rank, at, read)
     }
 
-    fn restart_count(&self) -> Result<Option<u64>> {
-        self.net.restart_count()
-    }
-
-    fn commit_group(&self, count: u64) -> Result<()> {
-        self.net.commit_group(count)
-    }
-
-    fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        self.net.clear_deltas(rank)
-    }
-
-    fn clear_all_deltas(&self) -> Result<()> {
-        self.net.clear_all_deltas()
+    /// The slots keep no chunks: every counter is the network's.
+    fn take_put_stats(&self) -> PutStats {
+        self.net.take_put_stats()
     }
 }
 
@@ -250,12 +247,14 @@ mod tests {
     }
 
     /// A network stand-in over memory: fails the next shard `begin` when
-    /// told to, and counts the reads that reach it.
+    /// told to, counts the reads that reach it, and reports `stats` on
+    /// every drain.
     #[derive(Default)]
     struct FailNext {
         inner: MemTransport,
         fail: std::sync::atomic::AtomicBool,
         reads: AtomicU64,
+        stats: PutStats,
     }
 
     impl CkptTransport for FailNext {
@@ -277,15 +276,29 @@ mod tests {
             self.reads.fetch_add(1, Ordering::SeqCst);
             self.inner.with_merged(rank, at, read)
         }
-        fn restart_count(&self) -> Result<Option<u64>> {
-            self.inner.restart_count()
+        fn take_put_stats(&self) -> PutStats {
+            self.stats
         }
-        fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-            self.inner.clear_deltas(rank)
-        }
-        fn clear_all_deltas(&self) -> Result<()> {
-            self.inner.clear_all_deltas()
-        }
+    }
+
+    /// A save's dedup counters are the network's: the mirror drains them
+    /// from it.
+    #[test]
+    fn put_stats_are_the_networks() {
+        let stats = PutStats {
+            chunks_written: 3,
+            chunks_deduped: 5,
+            bytes_deduped: 40_960,
+            wire_chunks_skipped: 7,
+            bytes_stored: 24_600,
+        };
+        let net = Arc::new(FailNext {
+            stats,
+            ..FailNext::default()
+        });
+        let mirror = MirrorTransport::new(net);
+        put(&mirror, 10, 1, &[7u8; 32]);
+        assert_eq!(mirror.take_put_stats(), stats);
     }
 
     #[test]

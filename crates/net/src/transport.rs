@@ -44,8 +44,22 @@
 //!
 //! ## Stream protocol
 //!
-//! A `put` is one `REQ_TAG` *begin* request (`[op][stream id][rank][seq]
-//! [length hint]`) followed by chunk frames on the stream's own data tag.
+//! The service takes four requests on `REQ_TAG`, one per seam call that
+//! crosses the wire; every request but the stop names its chain in its body
+//! (`rank` is a `u32`, `0xFFFF_FFFF` for the master chain; integers are
+//! little-endian):
+//!
+//! ```text
+//! PUT        [1][stream id u32][rank][seq u32][length hint u64]
+//! PUT_DEDUP  [2][stream id u32][rank][seq u32][length hint u64]
+//!            [count u32][count × (digest 16B, length u32)]
+//! GET        [3][stream id u32][rank]  or, pinned,  [...][at u64]
+//! STOP       [4]                       (self-addressed only)
+//! ```
+//!
+//! `seq` is the delta's position in its chain, and 0 names the full record
+//! (positions start at 1). A put is its begin request followed by chunk
+//! frames on the stream's own data tag.
 //! Every chunk frame carries a one-byte marker prefix: `CH_DATA` bytes,
 //! `CH_END` record complete, `CH_ABORT` sender failed mid-record
 //! (message follows). The receiver grants flow-control *credits* — the
@@ -108,27 +122,22 @@ const RSP_TAG: u64 = CKPT_TAG_BIT | 0x11;
 /// Wire sentinel for "master chain" where a rank number is expected.
 const MASTER_SENTINEL: u32 = 0xFFFF_FFFF;
 
-// Request opcodes.
-const OP_PUT_MASTER: u8 = 1;
-const OP_PUT_SHARD: u8 = 2;
-const OP_PUT_MASTER_DELTA: u8 = 3;
-const OP_PUT_SHARD_DELTA: u8 = 4;
-const OP_GET_MASTER: u8 = 5;
-const OP_GET_SHARD: u8 = 6;
-const OP_RESTART_COUNT: u8 = 7;
-const OP_CLEAR_DELTAS: u8 = 8;
-const OP_CLEAR_ALL_DELTAS: u8 = 9;
-const OP_STOP: u8 = 10;
-/// Count-pinned shard read (the recovery path): the reply must hold the
-/// shard exactly at the requested safe point, or fail — never a newer
-/// (torn) or older generation.
-const OP_GET_SHARD_AT: u8 = 11;
+// Request opcodes: one per seam call that crosses the wire. The key rides
+// in the request body (see the module docs for the layouts).
+/// Streamed put of one record.
+const OP_PUT: u8 = 1;
 /// Digest-negotiated full-snapshot put: the client announces the record's
 /// chunk digests first; the service answers with the indices its store
 /// lacks, and only those chunks ride the wire. Falls back to the plain
 /// streamed put when the root's durable transport has no
 /// content-addressed store behind it.
-const OP_PUT_DEDUP: u8 = 12;
+const OP_PUT_DEDUP: u8 = 2;
+/// Read of one chain's merged record. A pinned read (the recovery path)
+/// must be answered with the record exactly at the requested safe point,
+/// or fail — never a newer (torn) or older generation.
+const OP_GET: u8 = 3;
+/// Service shutdown, only ever self-addressed.
+const OP_STOP: u8 = 4;
 
 // Response status bytes.
 const ST_OK: u8 = 0;
@@ -451,7 +460,9 @@ impl NetTransport {
         ))
     }
 
-    /// Receive and status-check one service response.
+    /// Receive and status-check one service response. Checkpoint
+    /// operations are issued serially per rank (they run at quiesced safe
+    /// points), so the single response tag cannot interleave.
     fn recv_response(&self) -> Result<Payload> {
         let rsp = self.fabric.recv(self.rank, self.root, RSP_TAG)?;
         match rsp.first() {
@@ -461,41 +472,32 @@ impl NetTransport {
         }
     }
 
-    /// One request/response round trip (control operations). Checkpoint
-    /// operations are issued serially per rank (they run at quiesced safe
-    /// points), so the single response tag cannot interleave.
-    fn rpc(&self, req: Vec<u8>) -> Result<Payload> {
-        self.fabric
-            .send(self.rank, self.root, REQ_TAG, Arc::new(req));
-        self.recv_response()
-    }
-
-    /// Send the begin request of a put for `key` (`[op][stream id][rank]
-    /// [seq][length hint]` followed by `tail`) and return the stream id.
-    fn send_put_begin(&self, op: u8, key: RecordKey, len_hint: u64, tail: &[u8]) -> u32 {
+    /// Send a request for `rank`'s chain — `[op][stream id][rank]` followed
+    /// by `tail` — and return the id of the stream that carries its record.
+    fn send_request(&self, op: u8, rank: Option<u32>, tail: &[&[u8]]) -> u32 {
         let id = next_stream_id();
-        let mut req = Vec::with_capacity(21 + tail.len());
+        let mut req = Vec::with_capacity(9 + tail.iter().map(|b| b.len()).sum::<usize>());
         req.push(op);
         req.extend_from_slice(&id.to_le_bytes());
-        req.extend_from_slice(&key.rank.unwrap_or(MASTER_SENTINEL).to_le_bytes());
-        req.extend_from_slice(&key.delta.unwrap_or(0).to_le_bytes());
-        req.extend_from_slice(&len_hint.to_le_bytes());
-        req.extend_from_slice(tail);
+        req.extend_from_slice(&rank.unwrap_or(MASTER_SENTINEL).to_le_bytes());
+        tail.iter().for_each(|bytes| req.extend_from_slice(bytes));
         self.fabric
             .send(self.rank, self.root, REQ_TAG, Arc::new(req));
         id
     }
 
+    /// Send the begin request of a put for `key` (`[seq][length hint]`
+    /// follow the rank, seq 0 naming the full record, then `table`) and
+    /// return the stream id.
+    fn send_put_begin(&self, op: u8, key: RecordKey, len_hint: u64, table: &[u8]) -> u32 {
+        let seq = key.delta.unwrap_or(0).to_le_bytes();
+        self.send_request(op, key.rank, &[&seq, &len_hint.to_le_bytes(), table])
+    }
+
     /// Begin a plain streamed put: the record's bytes follow as chunk
     /// frames while they are produced.
     fn open_put(&self, key: RecordKey, len_hint: u64) -> StreamTx<'_> {
-        let op = match (key.rank, key.delta) {
-            (None, None) => OP_PUT_MASTER,
-            (Some(_), None) => OP_PUT_SHARD,
-            (None, Some(_)) => OP_PUT_MASTER_DELTA,
-            (Some(_), Some(_)) => OP_PUT_SHARD_DELTA,
-        };
-        let id = self.send_put_begin(op, key, len_hint, &[]);
+        let id = self.send_put_begin(OP_PUT, key, len_hint, &[]);
         StreamTx::new(self.fabric.as_ref(), self.rank, self.root, id, KIND_DATA)
     }
 
@@ -589,20 +591,8 @@ impl NetTransport {
         at: Option<u64>,
         sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
     ) -> Result<Option<u64>> {
-        let id = next_stream_id();
-        let mut req = Vec::with_capacity(17);
-        req.push(match (rank, at) {
-            (_, Some(_)) => OP_GET_SHARD_AT,
-            (None, None) => OP_GET_MASTER,
-            (Some(_), None) => OP_GET_SHARD,
-        });
-        req.extend_from_slice(&id.to_le_bytes());
-        req.extend_from_slice(&rank.unwrap_or(MASTER_SENTINEL).to_le_bytes());
-        if let Some(count) = at {
-            req.extend_from_slice(&count.to_le_bytes());
-        }
-        self.fabric
-            .send(self.rank, self.root, REQ_TAG, Arc::new(req));
+        let pin = at.map(u64::to_le_bytes);
+        let id = self.send_request(OP_GET, rank, &[pin.as_ref().map_or(&[], |p| &p[..])]);
         let mut crc = TrailingCrc::new();
         // `Err` is discard mode, as in `lane_put`: the loop keeps receiving
         // (and crediting) so the service's window never wedges and the
@@ -803,29 +793,6 @@ impl CkptTransport for NetTransport {
         self.fetch_merged(rank, at, &mut |block| out.write_all(block))
     }
 
-    fn restart_count(&self) -> Result<Option<u64>> {
-        let rsp = self.rpc(vec![OP_RESTART_COUNT])?;
-        match rsp.get(1) {
-            Some(1) if rsp.len() >= 10 => Ok(Some(u64::from_le_bytes(
-                rsp[2..10].try_into().expect("8-byte count"),
-            ))),
-            Some(0) => Ok(None),
-            _ => Err(PparError::Network(
-                "malformed restart-count response from checkpoint service".into(),
-            )),
-        }
-    }
-
-    fn clear_deltas(&self, rank: Option<u32>) -> Result<()> {
-        let mut req = vec![OP_CLEAR_DELTAS];
-        req.extend_from_slice(&rank.unwrap_or(MASTER_SENTINEL).to_le_bytes());
-        self.rpc(req).map(|_| ())
-    }
-
-    fn clear_all_deltas(&self) -> Result<()> {
-        self.rpc(vec![OP_CLEAR_ALL_DELTAS]).map(|_| ())
-    }
-
     fn take_put_stats(&self) -> PutStats {
         std::mem::take(&mut *self.stats.lock().expect("stats lock"))
     }
@@ -923,73 +890,43 @@ fn service_loop(fabric: Arc<dyn Fabric>, rank: usize, inner: Arc<dyn CkptTranspo
     }
 }
 
-/// What a request asks the service to do.
-enum Verb {
-    Put,
-    /// Followed by the digest table, `[count][count × (digest, length)]`.
-    PutDedup,
-    Get,
-    RestartCount,
-    ClearDeltas,
-    ClearAllDeltas,
-}
-
-/// One request, parsed once. The twelve opcodes spell out on the wire what
-/// `verb` + `key` say here; fields a verb does not carry are zero / `None`.
+/// One request, parsed once (see the module docs for the layouts); fields
+/// its opcode does not carry are zero / `None`.
 struct Request {
-    verb: Verb,
+    op: u8,
     key: RecordKey,
     /// Stream id of the chunk stream that carries the record.
     id: u32,
     /// A put's announced record length.
     len_hint: u64,
-    /// A get's pinned safe point ([`OP_GET_SHARD_AT`]).
+    /// A get's pinned safe point.
     at: Option<u64>,
 }
 
 fn parse_request(req: &[u8]) -> Result<Request> {
     let op = req.first().copied().unwrap_or(0);
-    let u32_at = |off: usize| read_u32(req.get(off..).unwrap_or(&[]));
-    let rank_at = |off: usize| u32_at(off).map(|raw| (raw != MASTER_SENTINEL).then_some(raw));
+    if !matches!(op, OP_PUT | OP_PUT_DEDUP | OP_GET) {
+        return Err(PparError::Network(format!(
+            "unknown checkpoint service opcode {op}"
+        )));
+    }
+    let body = |off: usize| req.get(off..).unwrap_or(&[]);
+    let rank = read_u32(body(5))?;
     let mut request = Request {
-        verb: Verb::Get,
-        key: RecordKey::full(None),
-        id: 0,
+        op,
+        key: RecordKey::full((rank != MASTER_SENTINEL).then_some(rank)),
+        id: read_u32(body(1))?,
         len_hint: 0,
         at: None,
     };
-    match op {
-        OP_PUT_MASTER | OP_PUT_SHARD | OP_PUT_MASTER_DELTA | OP_PUT_SHARD_DELTA | OP_PUT_DEDUP => {
-            request.verb = if op == OP_PUT_DEDUP {
-                Verb::PutDedup
-            } else {
-                Verb::Put
-            };
-            request.id = u32_at(1)?;
-            request.key.rank = rank_at(5)?;
-            let seq = u32_at(9)?;
-            request.key.delta =
-                matches!(op, OP_PUT_MASTER_DELTA | OP_PUT_SHARD_DELTA).then_some(seq);
-            request.len_hint = read_u64(req.get(13..).unwrap_or(&[]))?;
-        }
-        OP_GET_MASTER | OP_GET_SHARD | OP_GET_SHARD_AT => {
-            request.id = u32_at(1)?;
-            request.key.rank = rank_at(5)?;
-            if op == OP_GET_SHARD_AT {
-                request.at = Some(read_u64(req.get(9..).unwrap_or(&[]))?);
-            }
-        }
-        OP_RESTART_COUNT => request.verb = Verb::RestartCount,
-        OP_CLEAR_DELTAS => {
-            request.verb = Verb::ClearDeltas;
-            request.key.rank = rank_at(1)?;
-        }
-        OP_CLEAR_ALL_DELTAS => request.verb = Verb::ClearAllDeltas,
-        other => {
-            return Err(PparError::Network(format!(
-                "unknown checkpoint service opcode {other}"
-            )))
-        }
+    if op == OP_GET {
+        request.at = (!body(9).is_empty())
+            .then(|| read_u64(body(9)))
+            .transpose()?;
+    } else {
+        // Chain positions start at 1: seq 0 is the full record.
+        request.key.delta = Some(read_u32(body(9))?).filter(|&seq| seq != 0);
+        request.len_hint = read_u64(body(13))?;
     }
     Ok(request)
 }
@@ -1013,10 +950,7 @@ fn lane_loop(
                 // at least carries the stream id; without one there is no
                 // channel to answer on (only a foreign client could send
                 // that, and its receive will time out).
-                let is_get = matches!(
-                    req.first(),
-                    Some(&OP_GET_MASTER) | Some(&OP_GET_SHARD) | Some(&OP_GET_SHARD_AT)
-                );
+                let is_get = req.first() == Some(&OP_GET);
                 match read_u32(req.get(1..).unwrap_or(&[])) {
                     Ok(id) if is_get => StreamTx::new(fabric.as_ref(), root, src, id, KIND_RDATA)
                         .abort(&e.to_string()),
@@ -1026,28 +960,13 @@ fn lane_loop(
                 continue;
             }
         };
-        let control = match request.verb {
-            Verb::Put | Verb::PutDedup => {
-                let table = matches!(request.verb, Verb::PutDedup).then(|| &req[21..]);
+        match request.op {
+            OP_GET => lane_get(fabric.as_ref(), root, src, &*inner, &request),
+            op => {
+                let table = (op == OP_PUT_DEDUP).then(|| &req[21..]);
                 lane_put(fabric.as_ref(), root, src, &*inner, &request, table);
-                continue;
             }
-            Verb::Get => {
-                lane_get(fabric.as_ref(), root, src, &*inner, &request);
-                continue;
-            }
-            Verb::RestartCount => inner.restart_count().map(|count| match count {
-                Some(count) => {
-                    let mut out = vec![ST_OK, 1u8];
-                    out.extend_from_slice(&count.to_le_bytes());
-                    out
-                }
-                None => vec![ST_OK, 0u8],
-            }),
-            Verb::ClearDeltas => inner.clear_deltas(request.key.rank).map(|()| vec![ST_OK]),
-            Verb::ClearAllDeltas => inner.clear_all_deltas().map(|()| vec![ST_OK]),
-        };
-        reply(control.unwrap_or_else(|e| error_reply(&e)));
+        }
     }
 }
 
@@ -1294,11 +1213,15 @@ mod tests {
     fn service_reports_errors_without_dying() {
         two_rank(
             |t| {
-                // A bogus opcode must come back as an error, and the
-                // service must keep answering afterwards.
-                let err = t.rpc(vec![0xEE]).unwrap_err();
-                assert!(err.to_string().contains("opcode"), "{err}");
-                assert_eq!(t.restart_count().unwrap(), None);
+                // A bogus opcode, and a stop from a remote rank, must come
+                // back as errors, and the service must keep answering
+                // afterwards.
+                for op in [0xEE, OP_STOP] {
+                    t.fabric.send(t.rank, t.root, REQ_TAG, Arc::new(vec![op]));
+                    let err = t.recv_response().unwrap_err();
+                    assert!(err.to_string().contains("opcode"), "{err}");
+                }
+                assert_eq!(t.get(None, None).unwrap(), None);
             },
             |_| (),
         );
@@ -1411,7 +1334,7 @@ mod tests {
                 // Hand-drive the stream protocol at the frame level.
                 let id = next_stream_id();
                 let mut req = Vec::with_capacity(21);
-                req.push(OP_PUT_MASTER);
+                req.push(OP_PUT);
                 req.extend_from_slice(&id.to_le_bytes());
                 req.extend_from_slice(&MASTER_SENTINEL.to_le_bytes());
                 req.extend_from_slice(&0u32.to_le_bytes());
@@ -1441,7 +1364,7 @@ mod tests {
                     &[("G", FieldSource::Bytes(&payload))],
                 ))
                 .unwrap();
-                assert_eq!(t.restart_count().unwrap(), Some(5));
+                assert_eq!(t.get(None, None).unwrap().unwrap().count, 5);
             },
             |inner| {
                 assert_eq!(inner.get(None, None).unwrap().unwrap().count, 5);
@@ -1758,7 +1681,7 @@ mod tests {
                 let fabric = TcpFabric::connect(&cfg).unwrap();
                 let id = next_stream_id();
                 let mut req = Vec::with_capacity(21);
-                req.push(OP_PUT_SHARD);
+                req.push(OP_PUT);
                 req.extend_from_slice(&id.to_le_bytes());
                 req.extend_from_slice(&(rank as u32).to_le_bytes());
                 req.extend_from_slice(&0u32.to_le_bytes());

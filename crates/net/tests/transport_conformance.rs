@@ -9,7 +9,10 @@
 //! content-addressed store (the digest-negotiated put), and a
 //! [`MirrorTransport`] over a client of the first kind. Each runs
 //! [`conformance`] from empty; [`carries_over`] then moves records between
-//! every pair of media and compares bytes.
+//! every pair of media and compares bytes. A medium only moves records: the
+//! suite commits the group on the store behind each subject (for a wire
+//! client or the mirror, the root's), which is where a run commits, and a
+//! chain's lifecycle is what that store does when a base commits.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -104,6 +107,9 @@ mod api {
 /// One medium under test.
 struct Subject<'a> {
     t: &'a dyn CkptTransport,
+    /// The store behind the medium, which keeps the group-commit point
+    /// (`None` for memory, which keeps no generations).
+    store: Option<&'a CheckpointStore>,
     /// Keeps the previous generation of a shard, so a count-pinned get can
     /// step back over a torn save.
     keeps_generations: bool,
@@ -204,7 +210,6 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
     assert!(api::get(t, None, None).unwrap().is_none(), "{name}");
     assert!(api::get(t, Some(2), None).unwrap().is_none(), "{name}");
     assert!(api::get(t, Some(2), Some(5)).unwrap().is_none(), "{name}");
-    assert_eq!(t.restart_count().unwrap(), None, "{name}");
     assert!(merged_bytes(t, None).is_none(), "{name}");
 
     // -- every key shape round-trips ----------------------------------------
@@ -231,7 +236,7 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
     assert_eq!(merged_bytes(t, Some(2)).unwrap(), shard.encode(), "{name}");
 
     if s.holds_chains {
-        chains(name, t, &g, &master, &shard);
+        chains(name, s, &g, &master);
     } else {
         // A delta put is refused before a byte lands, and changes nothing.
         let refused = api::put_delta(
@@ -241,7 +246,6 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
         );
         assert!(refused.is_err(), "{name}: a delta key is refused");
         assert_eq!(api::get(t, None, None).unwrap().unwrap(), master, "{name}");
-        assert_eq!(t.restart_count().unwrap(), Some(10), "{name}");
         assert!(
             api::get(t, None, Some(12)).is_err(),
             "{name}: no chain to pin"
@@ -254,7 +258,7 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
     let old = snapshot(30, Some(1), &g[..2000]);
     let new = snapshot(40, Some(1), &g[2000..4000]);
     put_snapshot(t, &old);
-    t.commit_group(30).unwrap();
+    commit(s, 30);
     put_snapshot(t, &new); // torn: the group never committed 40
     assert_eq!(
         api::get(t, Some(1), Some(40)).unwrap().unwrap(),
@@ -364,12 +368,20 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
     }
 }
 
+/// Advance the group-commit point of the store behind `s` to `count`.
+fn commit(s: &Subject<'_>, count: u64) {
+    if let Some(store) = s.store {
+        store.commit_group(count).unwrap();
+    }
+}
+
 /// The chain part of the write side, for a medium that holds chains: deltas
-/// over the master and shard 2 fold into their bases, a chain is cleared
-/// alone or with every other, and base + 3 deltas read as a full put of the
-/// same state.
+/// over the master and shard 2 fold into their bases; a base put retires
+/// its own chain and no other, and a refused one retires nothing; base + 3
+/// deltas read as a full put of the same state.
 #[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
-fn chains(name: &str, t: &dyn CkptTransport, g: &[u8], master: &Snapshot, shard: &Snapshot) {
+fn chains(name: &str, s: &Subject<'_>, g: &[u8], master: &Snapshot) {
+    let t = s.t;
     let patch = [0xEEu8; 8];
     api::put_delta(
         t,
@@ -401,23 +413,40 @@ fn chains(name: &str, t: &dyn CkptTransport, g: &[u8], master: &Snapshot, shard:
         (13, &g[..100]),
         "{name}"
     );
-    assert_eq!(
-        t.restart_count().unwrap(),
-        Some(12),
-        "{name}: the master chain tip"
+
+    // -- a refused base put retires nothing ---------------------------------
+    assert!(
+        api::install(t, (Some(2), None), &master.encode(), true).is_err(),
+        "{name}: the master's record under shard 2's key"
     );
-    t.clear_deltas(Some(2)).unwrap();
+    let short = ShortCell { probe: &|| {} };
+    let cut = api::put_full(t, &meta(14, Some(2)), &[("G", FieldSource::Cell(&short))]);
+    assert!(cut.is_err(), "{name}: a base that streams short");
+    assert_eq!(
+        api::get(t, Some(2), None).unwrap().unwrap().count,
+        13,
+        "{name}: the chain outlives a refused base"
+    );
+    assert_eq!((s.artefacts)(), Vec::<String>::new(), "{name}");
+
+    // -- a committed base retires its own chain, and only its own -------------
+    let base = snapshot(14, Some(2), &g[100..4100]);
+    put_snapshot(t, &base);
     assert_eq!(
         api::get(t, Some(2), None).unwrap().unwrap(),
-        *shard,
-        "{name}"
+        base,
+        "{name}: no delta of the old chain survives"
+    );
+    assert!(
+        api::get(t, Some(2), Some(13)).is_err(),
+        "{name}: a pin at the old tip is refused"
     );
     assert_eq!(
         api::get(t, None, None).unwrap().unwrap().count,
         12,
-        "{name}"
+        "{name}: the master chain keeps its delta"
     );
-    t.clear_all_deltas().unwrap();
+    put_snapshot(t, master);
     assert_eq!(api::get(t, None, None).unwrap().unwrap(), *master, "{name}");
 
     // -- base + 3 deltas == a full put of the same state --------------------
@@ -448,13 +477,6 @@ fn chains(name: &str, t: &dyn CkptTransport, g: &[u8], master: &Snapshot, shard:
     };
     assert_eq!(api::get(t, None, None).unwrap().unwrap(), full, "{name}");
     assert_eq!(merged_bytes(t, None).unwrap(), full.encode(), "{name}");
-    assert_eq!(t.restart_count().unwrap(), Some(23), "{name}");
-    t.clear_deltas(None).unwrap();
-    assert_eq!(
-        api::get(t, None, None).unwrap().unwrap().count,
-        20,
-        "{name}"
-    );
 }
 
 /// The three read shapes of one `(rank, at)` — the lend, the owned `get`,
@@ -610,8 +632,9 @@ fn read_side(name: &str, s: &Subject<'_>) {
     assert!(shapes(Some(50)).is_err(), "{name}: before the base");
 
     // -- a torn newer generation -------------------------------------------------
-    t.clear_deltas(RANK).unwrap();
-    t.commit_group(100).unwrap();
+    // Its base retires the chain, so the generation kept at the commit
+    // point is the bare base at 100.
+    commit(s, 100);
     let torn = state(150, &dense, b"cursor@150");
     put_snapshot(t, &torn); // the group never committed 150
     let cursor = DeltaSource::Full(FieldSource::Bytes(b"@155"));
@@ -639,7 +662,6 @@ fn carries_over(name: &str, salt: u8, src: &dyn CkptTransport, dst: &dyn CkptTra
     for rank in [None, Some(1), Some(3)] {
         put_snapshot(src, &snapshot(100 + salt as u64, rank, &g));
         let record = merged_bytes(src, rank).unwrap();
-        dst.clear_deltas(rank).unwrap();
         api::install(dst, (rank, None), &record, true).unwrap();
         assert_eq!(merged_bytes(dst, rank).unwrap(), record, "{name}: {rank:?}");
         assert_eq!(
@@ -716,6 +738,7 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
         "flat",
         &Subject {
             t: &flat,
+            store: Some(&flat),
             keeps_generations: true,
             holds_chains: true,
             reentrant: true,
@@ -726,6 +749,7 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
         "cas",
         &Subject {
             t: &cas,
+            store: Some(&cas),
             keeps_generations: true,
             holds_chains: true,
             reentrant: true,
@@ -736,33 +760,49 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
         "memory",
         &Subject {
             t: &mem,
+            store: None,
             keeps_generations: false,
             holds_chains: false,
             reentrant: true,
             artefacts: &Vec::new,
         },
     );
-    with_net_client(CheckpointStore::new_flat(&mirror_dir).unwrap(), |net| {
+    let mirror_root = CheckpointStore::new_flat(&mirror_dir).unwrap();
+    with_net_client(mirror_root.clone(), |net| {
         let mirror = MirrorTransport::new(net);
         conformance(
             "mirror",
             &Subject {
                 t: &mirror,
+                store: Some(&mirror_root),
                 keeps_generations: true,
                 holds_chains: true,
                 reentrant: false,
                 artefacts: &|| dir_artefacts(&mirror_dir),
             },
         );
+        // A slot holds the very record the root stored, CRC trailer
+        // included: every record carries its CRC, in memory too.
+        let shard = snapshot(70, Some(5), &[5; 300]);
+        put_snapshot(&mirror, &shard);
+        let key = RecordKey::full(Some(5));
+        let held = mirror
+            .slots()
+            .iter()
+            .find_map(|slot| slot.record_bytes(key));
+        let stored = std::fs::read(mirror_dir.join("ckpt_rank_5.bin")).unwrap();
+        assert_eq!(held.as_ref(), Some(&stored), "mirror: the slot's record");
+        assert_eq!(stored, shard.encode(), "mirror: the golden encoding");
     });
     // A root on the content-addressed layout: full records reach it as
     // `OP_PUT_DEDUP`, the digest-negotiated commit.
     let net_cas = CheckpointStore::new_cas_with(&net_cas_dir, CasConfig::default()).unwrap();
-    with_net_client(net_cas, |net| {
+    with_net_client(net_cas.clone(), |net| {
         conformance(
             "net over cas",
             &Subject {
                 t: &*net,
+                store: Some(&net_cas),
                 keeps_generations: true,
                 holds_chains: true,
                 reentrant: false,
@@ -770,11 +810,13 @@ fn every_transport_keeps_the_contract_and_records_cross_media() {
             },
         );
     });
-    with_net_client(CheckpointStore::new_flat(&net_dir).unwrap(), |net| {
+    let net_root = CheckpointStore::new_flat(&net_dir).unwrap();
+    with_net_client(net_root.clone(), |net| {
         conformance(
             "net",
             &Subject {
                 t: &*net,
+                store: Some(&net_root),
                 keeps_generations: true,
                 holds_chains: true,
                 reentrant: false,

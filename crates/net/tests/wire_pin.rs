@@ -6,10 +6,18 @@
 //! order, one log per direction. The session drives one put of each key
 //! shape, a digest-negotiated put against a flat root (answered
 //! `ST_NODEDUP`) and against a content-addressed root (only the missing
-//! chunks ride the wire), a get, a count-pinned get, `restart_count` and
-//! the delta-chain clears. The log must equal `fixtures/wire_pin.txt`,
-//! recorded before the transport surface was rebuilt around `RecordKey` /
-//! `begin` / `put`: the refactor may not move a byte on the wire.
+//! chunks ride the wire), a get, a count-pinned get and a get of a chain
+//! the root does not hold. The log must equal `fixtures/wire_pin.txt`: a
+//! change that moves a byte on the wire re-records it on purpose.
+//!
+//! The fixture was recorded before the transport surface was rebuilt around
+//! `RecordKey` / `begin` / `put`, and re-recorded once since, when the wire
+//! went from one opcode per key shape (twelve) to one per seam call (four:
+//! put, digest-negotiated put, get, stop), each carrying its key in the
+//! request body. That re-recording changed only the request frames and
+//! dropped the steps of the control requests that went with it (the
+//! restart count and the delta clears); every record byte and every reply
+//! stayed as it was.
 //!
 //! One `#[test]` in this binary on purpose: stream ids come from a
 //! process-wide counter and are part of the pinned bytes.
@@ -210,14 +218,6 @@ fn checkpoint_service_frames_match_the_recorded_fixture() {
         assert_eq!(api::get(t, Some(1), Some(12)).unwrap().count, 12);
         logs.step("get shard 7: absent");
         assert!(api::get(t, Some(7), None).is_none());
-        logs.step("restart_count");
-        assert_eq!(t.restart_count().unwrap(), Some(12));
-        logs.step("clear_deltas shard 1");
-        t.clear_deltas(Some(1)).unwrap();
-        logs.step("clear_deltas master");
-        t.clear_deltas(None).unwrap();
-        logs.step("clear_all_deltas");
-        t.clear_all_deltas().unwrap();
     });
 
     logs.step("content-addressed root");
