@@ -9,13 +9,11 @@
 //! manager); engines poll once per safe-point crossing and apply the reshape
 //! via the protocol of §IV.B.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use ppar_core::ctx::{AdaptHook, Ctx};
 use ppar_core::mode::ExecMode;
+use ppar_core::sync::{AtomicU64, Mutex, Ordering};
 
 /// A scripted sequence of resource-availability events: "at safe-point
 /// crossing `n`, the application should reshape to `mode`".

@@ -306,14 +306,14 @@ mod tests {
                 points: PointSet::Named(vec!["iter".into()]),
                 every: 2,
             });
-        let ran = std::sync::atomic::AtomicBool::new(false);
+        let ran = ppar_core::sync::AtomicBool::new(false);
         let outcome = launch_live(
             &Deploy::Seq,
             plan,
             None,
             AdaptationController::new(),
             |_| {
-                ran.store(true, std::sync::atomic::Ordering::SeqCst);
+                ran.store(true, ppar_core::sync::Ordering::SeqCst);
                 (AppStatus::Completed, ())
             },
         );

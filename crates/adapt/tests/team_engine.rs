@@ -29,7 +29,7 @@ fn assert_each_exactly(hits: &[AtomicUsize], times: usize) {
 #[test]
 fn region_forks_team_and_joins() {
     let plan = Arc::new(Plan::new().plug(Plug::ParallelMethod { method: "r".into() }));
-    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let seen = Arc::new(ppar_core::sync::Mutex::new(Vec::new()));
     let seen2 = seen.clone();
     run_smp(plan, 4, None, None, move |ctx| {
         ctx.region("r", |ctx| {
@@ -163,7 +163,7 @@ fn master_only_runs_on_worker_zero() {
                 method: "report".into(),
             }),
     );
-    let who = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let who = Arc::new(ppar_core::sync::Mutex::new(Vec::new()));
     let w2 = who.clone();
     run_smp(plan, 4, None, None, move |ctx| {
         ctx.region("r", |ctx| {
@@ -186,7 +186,7 @@ fn synchronized_method_is_mutually_exclusive() {
             }),
     );
     // A non-atomic counter: correct only under mutual exclusion.
-    let counter = Arc::new(parking_lot::Mutex::new(0u64));
+    let counter = Arc::new(ppar_core::sync::Mutex::new(0u64));
     let in_section = Arc::new(AtomicUsize::new(0));
     let c2 = counter.clone();
     let s2 = in_section.clone();
@@ -212,7 +212,7 @@ fn synchronized_method_is_mutually_exclusive() {
 #[test]
 fn team_reduce_combines_all_workers() {
     let plan = Arc::new(Plan::new().plug(Plug::ParallelMethod { method: "r".into() }));
-    let results = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let results = Arc::new(ppar_core::sync::Mutex::new(Vec::new()));
     let r2 = results.clone();
     run_smp(plan, 6, None, None, move |ctx| {
         ctx.region("r", |ctx| {
@@ -456,7 +456,7 @@ impl AdaptHook for FireAt {
 
 /// 30-iteration work-shared accumulation; records the live team size at each
 /// iteration (master).
-fn adapt_app(ctx: &Ctx, sizes: Arc<parking_lot::Mutex<Vec<usize>>>) -> f64 {
+fn adapt_app(ctx: &Ctx, sizes: Arc<ppar_core::sync::Mutex<Vec<usize>>>) -> f64 {
     let acc = ctx.alloc_vec("acc", 96, 0.0f64);
     let acc2 = acc.clone();
     ctx.region("work", |ctx| {
@@ -505,7 +505,7 @@ fn expected_adapt_result() -> f64 {
 
 #[test]
 fn expansion_mid_region_preserves_results() {
-    let sizes = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let sizes = Arc::new(ppar_core::sync::Mutex::new(Vec::new()));
     let hook = FireAt::new(5, ExecMode::smp(6));
     let engine = TeamEngine::new(2, 8);
     let shared = RunShared::new(
@@ -530,7 +530,7 @@ fn expansion_mid_region_preserves_results() {
 
 #[test]
 fn contraction_mid_region_preserves_results() {
-    let sizes = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let sizes = Arc::new(ppar_core::sync::Mutex::new(Vec::new()));
     let hook = FireAt::new(8, ExecMode::smp(2));
     let engine = TeamEngine::new(6, 6);
     let shared = RunShared::new(
@@ -555,7 +555,7 @@ fn contraction_mid_region_preserves_results() {
 fn sequential_to_parallel_expansion_inside_region() {
     // The paper's headline adaptation: a running sequential execution
     // becomes concurrent (§IV.B "Expansion of Resource Usage").
-    let sizes = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let sizes = Arc::new(ppar_core::sync::Mutex::new(Vec::new()));
     let hook = FireAt::new(10, ExecMode::smp(4));
     let engine = TeamEngine::new(1, 4);
     let shared = RunShared::new(
@@ -632,9 +632,9 @@ fn adaptation_mid_dynamic_loop_defers_to_next_safe_point() {
     let h = hits(n);
     let h2 = h.clone();
     // Team sizes observed inside the loop bodies, per iteration.
-    let sizes_in_loop: Arc<Vec<parking_lot::Mutex<Vec<usize>>>> = Arc::new(
+    let sizes_in_loop: Arc<Vec<ppar_core::sync::Mutex<Vec<usize>>>> = Arc::new(
         (0..iterations)
-            .map(|_| parking_lot::Mutex::new(Vec::new()))
+            .map(|_| ppar_core::sync::Mutex::new(Vec::new()))
             .collect(),
     );
     let sizes2 = sizes_in_loop.clone();
@@ -696,7 +696,7 @@ fn multiple_reshapes_in_one_run() {
         }
     }
 
-    let sizes = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let sizes = Arc::new(ppar_core::sync::Mutex::new(Vec::new()));
     let hook = Arc::new(Script {
         crossings: AtomicU64::new(0),
         confirmed_count: AtomicUsize::new(0),

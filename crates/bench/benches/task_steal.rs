@@ -287,7 +287,7 @@ fn main() {
         // Wall-clock is informational only: shared/timesliced CI runners
         // can report ~1.0x even when the schedule balance (the gated
         // number above) is 3x better.
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let cores = ppar_core::sync::cores();
         let vs_static4 = rows.iter().find(|r| r.0 == 4).unwrap().3;
         println!(
             "  wall-clock steal-vs-static at 4 workers: {vs_static4:.2}x \

@@ -5,7 +5,6 @@
 //! `N P` (simulated distributed processes on the paper's 2×24-core cluster
 //! topology with default link costs).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ppar_adapt::{
@@ -15,6 +14,7 @@ use ppar_core::mode::ExecMode;
 use ppar_core::plan::Plan;
 use ppar_core::run_sequential;
 use ppar_core::runtime::run_smp;
+use ppar_core::sync::{AtomicU64, Ordering};
 use ppar_dsm::{NetModel, SpmdConfig, Topology, Traffic};
 use ppar_jgf::sor::baseline::{
     sor_dist, sor_dist_invasive, sor_seq_invasive, sor_threads, sor_threads_invasive,

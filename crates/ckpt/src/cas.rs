@@ -68,13 +68,12 @@
 use std::fs;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
-use parking_lot::{Mutex, RwLock};
 use ppar_core::error::{PparError, Result};
 use ppar_core::shared::DIRTY_CHUNK_BYTES;
+use ppar_core::sync::{AtomicU64, Mutex, Ordering, RwLock};
 
 use crate::crc::{crc32, Crc32};
 use crate::digest::ChunkDigest;

@@ -37,11 +37,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use ppar_core::ctx::{CkptHook, Ctx, Installed, PointDirective};
 use ppar_core::error::{PparError, Result};
@@ -49,6 +46,7 @@ use ppar_core::partition::{block_owned, scatter_ranges};
 use ppar_core::plan::{DistCkptStrategy, Plan};
 use ppar_core::runtime::{LoopFrame, RegionCursor, PROGRESS_FIELD};
 use ppar_core::state::StateCell;
+use ppar_core::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
 use crate::delta::{DeltaMeta, Merged};
 use crate::handoff::Handoff;

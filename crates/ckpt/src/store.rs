@@ -99,6 +99,7 @@ use std::path::{Path, PathBuf};
 
 use ppar_core::error::{PparError, Result};
 use ppar_core::state::StateCell;
+use ppar_core::sync::{cores, AtomicU64, Ordering};
 
 use crate::cas::ChunkRef;
 use crate::crc::{crc32, Crc32};
@@ -716,8 +717,8 @@ impl CkptTransport for CheckpointStore {
         }
         // Unique temp name per in-flight sink: parallel per-rank lanes may
         // stream into the same directory concurrently.
-        static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = dst.with_extension(format!("tmp{n}"));
         let file = fs::File::create(&tmp)?;
         Ok(Box::new(FlatSink {
@@ -1199,13 +1200,6 @@ impl<'a> Span<'a> {
                 .collect(),
         }
     }
-}
-
-/// Cores a span may be read on: the machine's available parallelism, asked
-/// once per process.
-fn cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Read `span` from `src`, front to back, folding each block into `crc` as

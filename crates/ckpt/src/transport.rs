@@ -62,11 +62,9 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::{Mutex, RwLock};
 
 use ppar_core::error::{PparError, Result};
+use ppar_core::sync::{AtomicU64, Mutex, Ordering, RwLock};
 
 use crate::cas::{ChunkRef, PutStats};
 use crate::delta::{DeltaMeta, DELTA_MAGIC};

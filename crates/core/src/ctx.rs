@@ -742,7 +742,7 @@ pub fn run_sequential<R>(
 mod tests {
     use super::*;
     use crate::plan::{Plug, PointSet};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::sync::{AtomicUsize, Ordering};
 
     fn seq_ctx(plan: Plan) -> Ctx {
         Ctx::new_root(RunShared::new(
@@ -757,7 +757,7 @@ mod tests {
     #[test]
     fn empty_plan_constructs_are_identities() {
         let ctx = seq_ctx(Plan::new());
-        let trace = parking_lot::Mutex::new(Vec::new());
+        let trace = crate::sync::Mutex::new(Vec::new());
         ctx.call("m", |_| trace.lock().push("call"));
         ctx.region("r", |_| trace.lock().push("region"));
         ctx.each("l", 0..3, |_, i| assert!(i < 3));
@@ -777,7 +777,7 @@ mod tests {
     fn each_runs_every_index_in_order() {
         let ctx = seq_ctx(Plan::new());
         let mut seen = Vec::new();
-        let cell = parking_lot::Mutex::new(&mut seen);
+        let cell = crate::sync::Mutex::new(&mut seen);
         ctx.each("l", 2..7, |_, i| cell.lock().push(i));
         assert_eq!(seen, vec![2, 3, 4, 5, 6]);
     }

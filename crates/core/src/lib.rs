@@ -63,6 +63,7 @@ pub mod runtime;
 pub mod schedule;
 pub mod shared;
 pub mod state;
+pub mod sync;
 
 pub use ctx::{
     run_on, run_sequential, AdaptHook, CkptHook, Ctx, Engine, PointDirective, RunShared, SeqEngine,

@@ -26,35 +26,13 @@
 //! store lands and then join the *next* generation — the accounting of the
 //! sealed generation can never be corrupted by a racer.
 //!
-//! Waiters spin briefly (the common HPC case: the team re-converges within
-//! microseconds), then park on a `Mutex`/`Condvar` so over-subscribed runs
-//! (the Fig. 8 over-decomposition experiment) do not burn cores. The
-//! release path only touches the lock when someone actually parked.
+//! Waiters wait through [`sync::Gate`](Gate): they spin briefly (the
+//! common HPC case: the team re-converges within microseconds), then
+//! yield, then park, so over-subscribed runs (the Fig. 8
+//! over-decomposition experiment) do not burn cores. The release path only
+//! touches the gate's lock when someone actually parked.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-use parking_lot::{Condvar, Mutex};
-
-/// Adaptive wait budget: `(spin_loop iterations, yield_now rounds)` before
-/// parking on the condvar. With real parallelism available, short spinning
-/// wins (the team re-converges within microseconds and a futex round-trip
-/// costs more than the whole wait). On a single hardware thread spinning
-/// only steals time from the thread being waited on — there the budget is
-/// pure yields: each `yield_now` hands the core to the stragglers, and a
-/// generation usually completes without any futex traffic at all.
-fn wait_budget() -> (usize, usize) {
-    static BUDGET: std::sync::OnceLock<(usize, usize)> = std::sync::OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cpus > 1 {
-            (256, 4)
-        } else {
-            (0, 32)
-        }
-    })
-}
+use crate::sync::{cores, AtomicU64, Gate, Ordering};
 
 const ARR_SHIFT: u32 = 16;
 const GEN_SHIFT: u32 = 32;
@@ -79,10 +57,7 @@ const fn unpack(word: u64) -> (u32, u16, u16) {
 pub struct TeamBarrier {
     /// Packed `(generation, arrived, size)` — the only hot word.
     word: AtomicU64,
-    /// Workers currently parked on `cv` (release skips the lock when 0).
-    parked: AtomicUsize,
-    park: Mutex<()>,
-    cv: Condvar,
+    gate: Gate,
 }
 
 enum Arrival {
@@ -98,9 +73,7 @@ impl TeamBarrier {
     pub fn new(size: usize) -> Self {
         TeamBarrier {
             word: AtomicU64::new(pack(0, 0, clamp_size(size))),
-            parked: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
+            gate: Gate::default(),
         }
     }
 
@@ -156,40 +129,20 @@ impl TeamBarrier {
             pack(generation.wrapping_add(1), 0, new_size.max(1)),
             Ordering::SeqCst,
         );
-        self.wake_parked();
+        self.gate.wake();
     }
 
-    fn wake_parked(&self) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            // Taking the lock orders the notify after any waiter that saw
-            // the stale generation and is committing to the condvar.
-            let _guard = self.park.lock();
-            self.cv.notify_all();
-        }
-    }
-
-    /// Spin, then yield, then park until the generation moves past
-    /// `generation`.
+    /// Wait until the generation moves past `generation`. With real
+    /// parallelism a short spin wins (the team re-converges within
+    /// microseconds and a futex round-trip costs more than the whole
+    /// wait). On a single hardware thread spinning only steals time from
+    /// the thread being waited on, so there the budget is pure yields: each
+    /// hands the core to the stragglers, and a generation usually completes
+    /// without any futex traffic at all.
     fn await_release(&self, generation: u32) {
-        let (spins, yields) = wait_budget();
-        for _ in 0..spins {
-            if self.generation() != generation {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        for _ in 0..yields {
-            if self.generation() != generation {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        let mut guard = self.park.lock();
-        self.parked.fetch_add(1, Ordering::SeqCst);
-        while self.generation() == generation {
-            self.cv.wait(&mut guard);
-        }
-        self.parked.fetch_sub(1, Ordering::SeqCst);
+        let (spins, yields) = if cores() > 1 { (256, 4) } else { (0, 32) };
+        self.gate
+            .wait(spins, yields, || self.generation() != generation);
     }
 
     /// Block until all current participants have arrived. Returns `true` for
@@ -268,7 +221,7 @@ impl TeamBarrier {
                 .is_ok()
             {
                 if unpack(next).0 != generation {
-                    self.wake_parked();
+                    self.gate.wake();
                 }
                 return;
             }
@@ -288,7 +241,7 @@ fn clamp_size(size: usize) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::sync::AtomicUsize;
     use std::sync::Arc;
 
     #[test]

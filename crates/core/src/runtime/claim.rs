@@ -12,9 +12,9 @@
 //! once.
 
 use std::ops::{Deref, DerefMut, Range};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::schedule::guided_next_chunk;
+use crate::sync::{AtomicUsize, Ordering};
 
 /// Pads (and aligns) `T` to a 128-byte cache-line boundary, preventing
 /// false sharing between adjacent hot atomics. 128 bytes covers the
@@ -116,7 +116,7 @@ mod tests {
     fn claims_cover_exactly_once() {
         let cursor = Arc::new(ChunkCursor::new());
         let n = 1003;
-        let claimed = Arc::new(parking_lot::Mutex::new(vec![0u8; n]));
+        let claimed = Arc::new(crate::sync::Mutex::new(vec![0u8; n]));
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let (cursor, claimed) = (cursor.clone(), claimed.clone());
@@ -142,7 +142,7 @@ mod tests {
     fn guided_claims_cover_exactly_once() {
         let cursor = Arc::new(ChunkCursor::new());
         let n = 517;
-        let claimed = Arc::new(parking_lot::Mutex::new(vec![0u8; n]));
+        let claimed = Arc::new(crate::sync::Mutex::new(vec![0u8; n]));
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let (cursor, claimed) = (cursor.clone(), claimed.clone());

@@ -17,13 +17,11 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use super::claim::ChunkCursor;
 use crate::plan::ReduceOp;
+use crate::sync::{AtomicBool, Mutex, Ordering};
 
 thread_local! {
     static SEQ: Cell<u64> = const { Cell::new(0) };

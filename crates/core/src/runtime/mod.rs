@@ -3,7 +3,7 @@
 //! Before this module existed, the paper's work-sharing `for` construct
 //! (§III.B) and the reshape-at-safe-point protocol (§IV.B) were implemented
 //! three times — inline in the sequential engine, in the shared-memory
-//! engine behind a Mutex+Condvar barrier and a boxed-job channel pool, and
+//! engine behind a lock-based barrier and a boxed-job channel pool, and
 //! again in the distributed engine. This module hoists all of it into
 //! `ppar-core` so that construct dispatch, chunk claiming and safe-point
 //! polling exist exactly once:
@@ -14,9 +14,10 @@
 //!   it arrives in and is released the instant the shared generation moves
 //!   on — arrival is one CAS, release is one store. The *last* arriver
 //!   seals the generation (`arrived == size`), runs the leader duty, and
-//!   releases everyone. Waiters spin briefly and then park, so converging
-//!   teams pay nanoseconds while over-subscribed runs (Fig. 8) don't burn
-//!   cores.
+//!   releases everyone. Waiters wait through
+//!   [`sync::Gate`](crate::sync::Gate): they spin briefly and then park, so
+//!   converging teams pay nanoseconds while over-subscribed runs (Fig. 8)
+//!   don't burn cores.
 //! * [`claim::ChunkCursor`] — cache-line-padded atomic claim cursors for
 //!   `Dynamic`/`Guided` schedules, shared by the SMP team and the hybrid
 //!   engine's local lines of execution.

@@ -11,31 +11,29 @@
 //! [`RegionJob`] hand-off slot and runs a monomorphic region-execution loop,
 //! so starting a region writes a plain struct and flips a flag — no
 //! per-dispatch `Box<dyn FnOnce>` allocation, no mpsc machinery. Workers
-//! spin briefly on the flag between regions (the hot steady state of an
-//! iterative solver forking a region per phase) and park on a condvar when
-//! idle for longer.
+//! wait on the flag between regions through [`sync::Gate`](Gate): they spin
+//! briefly (the hot steady state of an iterative solver forking a region
+//! per phase), then yield, then park when idle for longer. The master waits
+//! on the latch through a gate of its own.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-use parking_lot::{Condvar, Mutex};
 
 use super::constructs;
 use crate::ctx::Ctx;
 use crate::mode::ExecMode;
 use crate::replay;
 use crate::shared::set_current_worker;
+use crate::sync::{cores, AtomicBool, AtomicIsize, Gate, Mutex, Ordering};
 
 /// A count-down latch whose count can grow while waited on (expansion adds
-/// workers to a live region). The count is a plain atomic; the lock is only
-/// touched on the park path, so a region join whose workers finish while
-/// the master is still yielding costs no futex traffic at all.
+/// workers to a live region). The count is a plain atomic; the gate's lock
+/// is only touched on the park path, so a region join whose workers finish
+/// while the master is still yielding costs no futex traffic at all.
 pub struct Latch {
     count: AtomicIsize,
-    park: Mutex<()>,
-    cv: Condvar,
+    gate: Gate,
 }
 
 impl Latch {
@@ -43,8 +41,7 @@ impl Latch {
     pub fn new(n: usize) -> Arc<Latch> {
         Arc::new(Latch {
             count: AtomicIsize::new(n as isize),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
+            gate: Gate::default(),
         })
     }
 
@@ -56,25 +53,14 @@ impl Latch {
     /// Record one completion.
     pub fn count_down(&self) {
         if self.count.fetch_sub(1, Ordering::SeqCst) - 1 <= 0 {
-            // Taking the lock orders the notify after any waiter committing
-            // to the condvar between its count check and its wait.
-            let _guard = self.park.lock();
-            self.cv.notify_all();
+            self.gate.wake();
         }
     }
 
     /// Block until all expected completions happened.
     pub fn wait(&self) {
-        for _ in 0..WAIT_YIELDS {
-            if self.count.load(Ordering::SeqCst) <= 0 {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        let mut guard = self.park.lock();
-        while self.count.load(Ordering::SeqCst) > 0 {
-            self.cv.wait(&mut guard);
-        }
+        self.gate
+            .wait(0, WAIT_YIELDS, || self.count.load(Ordering::SeqCst) <= 0);
     }
 
     /// Outstanding completions (for assertions).
@@ -83,7 +69,7 @@ impl Latch {
     }
 }
 
-/// Yield rounds before a latch/pool wait parks on its condvar.
+/// Yield rounds before a latch/pool wait parks.
 const WAIT_YIELDS: usize = 16;
 
 /// Why a line of execution leaves its region *at a safe point* instead of
@@ -207,30 +193,13 @@ impl RegionJob {
     }
 }
 
-/// Idle spins on the hand-off flag before a worker parks between regions.
-/// Zero on a single hardware thread: spinning there only delays the
-/// dispatching master (same reasoning as the barrier's adaptive budget).
-fn idle_spins() -> usize {
-    static SPINS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *SPINS.get_or_init(|| {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cpus > 1 {
-            512
-        } else {
-            0
-        }
-    })
-}
-
 struct Slot {
-    /// Fast-path flag: a job is armed (checked by the spinning worker
+    /// Fast-path flag: a job is armed (checked by the waiting worker
     /// without touching the lock).
     armed: AtomicBool,
     /// The hand-off cell.
     job: Mutex<Option<RegionJob>>,
-    cv: Condvar,
+    gate: Gate,
     shutdown: AtomicBool,
 }
 
@@ -239,37 +208,24 @@ impl Slot {
         Arc::new(Slot {
             armed: AtomicBool::new(false),
             job: Mutex::new(None),
-            cv: Condvar::new(),
+            gate: Gate::default(),
             shutdown: AtomicBool::new(false),
         })
     }
 
-    /// Worker side: spin briefly for the next job, then yield, then park.
-    /// Returns `None` on shutdown.
+    /// Worker side: wait for the next job. Idle spins come first only with
+    /// real parallelism: on a single hardware thread spinning only delays
+    /// the dispatching master (as for the barrier's budget). Returns `None`
+    /// on shutdown.
     fn next_job(&self) -> Option<RegionJob> {
-        for _ in 0..idle_spins() {
-            if self.armed.load(Ordering::Acquire) || self.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            std::hint::spin_loop();
-        }
-        for _ in 0..WAIT_YIELDS {
-            if self.armed.load(Ordering::Acquire) || self.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        let mut job = self.job.lock();
-        loop {
-            if let Some(j) = job.take() {
-                self.armed.store(false, Ordering::Release);
-                return Some(j);
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                return None;
-            }
-            self.cv.wait(&mut job);
-        }
+        let spins = if cores() > 1 { 512 } else { 0 };
+        self.gate.wait(spins, WAIT_YIELDS, || {
+            self.armed.load(Ordering::Acquire) || self.shutdown.load(Ordering::Acquire)
+        });
+        // Under the cell's lock `armed` says whether the cell is full.
+        let mut cell = self.job.lock();
+        self.armed.store(false, Ordering::Release);
+        cell.take()
     }
 }
 
@@ -344,7 +300,8 @@ impl TeamPool {
         debug_assert!(cell.is_none(), "slot already armed: regions never overlap");
         *cell = Some(job);
         slot.armed.store(true, Ordering::Release);
-        slot.cv.notify_all();
+        drop(cell);
+        slot.gate.wake();
     }
 }
 
@@ -353,8 +310,7 @@ impl Drop for TeamPool {
         self.shutting_down.store(true, Ordering::SeqCst);
         for slot in self.slots.lock().iter() {
             slot.shutdown.store(true, Ordering::SeqCst);
-            let _guard = slot.job.lock();
-            slot.cv.notify_all();
+            slot.gate.wake();
         }
         let me = std::thread::current().id();
         for handle in self.handles.lock().drain(..) {
@@ -376,7 +332,7 @@ mod tests {
     use crate::ctx::{Ctx, RunShared, SeqEngine};
     use crate::plan::Plan;
     use crate::state::Registry;
-    use std::sync::atomic::AtomicUsize;
+    use crate::sync::AtomicUsize;
 
     fn test_ctx(worker: usize) -> Ctx {
         Ctx::new_root(RunShared::new(

@@ -17,10 +17,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use super::barrier::TeamBarrier;
 use super::constructs::{
@@ -33,6 +30,7 @@ use crate::plan::ReduceOp;
 use crate::replay;
 use crate::schedule::{block_cyclic_ranges, block_range, cyclic_indices, Schedule};
 use crate::shared::{set_current_worker, tracking};
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 
 /// Poll the checkpoint hook at a (potential) safe point and dispatch the
 /// directive: the single home of safe-point polling for *all* engines.

@@ -52,12 +52,10 @@
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 
 use crate::error::{PparError, Result};
 use crate::state::{DistCell, Scalar, StateCell};
+use crate::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
 // Snapshot fast-path note: for every `Scalar` provided here, `write_le`
 // emits the value's little-endian memory representation, so on LE hosts the

@@ -19,9 +19,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
 use crate::error::{PparError, Result};
+use crate::sync::{Mutex, RwLock};
 
 /// Fixed-width primitive element types storable in shared containers.
 ///

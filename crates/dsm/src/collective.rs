@@ -16,11 +16,11 @@
 //! the fabric's report, the rank process exits nonzero, and the cluster
 //! driver restarts the job from its last durable checkpoint.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ppar_core::plan::ReduceOp;
 use ppar_core::runtime::{leave, Exit};
+use ppar_core::sync::{AtomicU64, Ordering};
 
 use crate::net::{Fabric, Payload};
 
@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn barrier_synchronises() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use ppar_core::sync::{AtomicUsize, Ordering};
         let counter = AtomicUsize::new(0);
         spmd(6, |ep| {
             counter.fetch_add(1, Ordering::SeqCst);

@@ -44,7 +44,7 @@ pub struct DsmEngine {
     /// master-collect restore path re-broadcasts every replicated field;
     /// streaming cells into one persistent buffer keeps that loop
     /// allocation-free at the root).
-    scratch: parking_lot::Mutex<Vec<u8>>,
+    scratch: ppar_core::sync::Mutex<Vec<u8>>,
 }
 
 impl DsmEngine {
@@ -52,7 +52,7 @@ impl DsmEngine {
     pub fn new(ep: Endpoint) -> Arc<DsmEngine> {
         Arc::new(DsmEngine {
             ep,
-            scratch: parking_lot::Mutex::new(Vec::new()),
+            scratch: ppar_core::sync::Mutex::new(Vec::new()),
         })
     }
 

@@ -29,14 +29,13 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use ppar_core::ctx::{CkptHook, Ctx, Engine};
 use ppar_core::mode::ExecMode;
 use ppar_core::partition::owned_ranges;
 use ppar_core::plan::ReduceOp;
 use ppar_core::replay;
 use ppar_core::runtime::{leave, Exit, ParallelEngine, TeamRuntime};
+use ppar_core::sync::Mutex;
 
 use crate::collective::Endpoint;
 use crate::engine::DsmEngine;

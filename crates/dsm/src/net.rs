@@ -23,11 +23,10 @@
 //! threads (here) or over real OS processes without change.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use ppar_core::sync::{spin_loop, AtomicU64, Condvar, Mutex, Ordering};
 
 pub use ppar_net::{Fabric, Payload, Traffic};
 
@@ -273,7 +272,7 @@ fn wait_until(deadline: Instant) {
         if remaining > Duration::from_millis(1) {
             std::thread::sleep(remaining - Duration::from_micros(500));
         } else {
-            std::hint::spin_loop();
+            spin_loop();
         }
     }
 }

@@ -71,7 +71,7 @@ fn delegated_method_keeps_other_ranks_at_the_barrier() {
             }),
     );
     let arrived = Arc::new(AtomicUsize::new(0));
-    let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let ran_on = Arc::new(ppar_core::sync::Mutex::new(Vec::new()));
     let (a2, r2) = (arrived.clone(), ran_on.clone());
     run_hybrid(
         &SpmdConfig::instant(2),
@@ -104,7 +104,7 @@ fn delegated_method_keeps_other_ranks_at_the_barrier() {
 #[test]
 fn reduce_combines_across_teams_and_ranks() {
     let plan = Arc::new(Plan::new().plug(Plug::ParallelMethod { method: "r".into() }));
-    let results = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let results = Arc::new(ppar_core::sync::Mutex::new(Vec::new()));
     let r2 = results.clone();
     run_hybrid(
         &SpmdConfig::instant(2),

@@ -9,12 +9,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use ppar_core::ctx::Ctx;
 use ppar_core::partition::{FieldDist, Partition};
 use ppar_core::plan::{DistCkptStrategy, Plan, Plug, PointSet, UpdateAction};
 use ppar_core::schedule::Schedule;
+use ppar_core::sync::Mutex;
 
 use super::{fill_grid, interior_rows, relax_grid_row, SorParams, SorResult};
 

@@ -31,11 +31,11 @@
 //! and its release, `"rendezvous"` between the bootstrap hello and the
 //! mesh build.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use ppar_core::error::Result;
+use ppar_core::sync::{AtomicU64, Mutex, Ordering};
 
 use crate::fabric::{Fabric, Payload, Traffic};
 use crate::transport::CKPT_TAG_BIT;
@@ -297,7 +297,7 @@ impl ChaosFabric {
     fn inject(&self, tag: u64, payload: &mut Payload) {
         let ckpt_frame = tag & CKPT_TAG_BIT != 0;
         let event = {
-            let mut rng = self.rng.lock().expect("chaos rng lock poisoned");
+            let mut rng = self.rng.lock();
             decide(&self.cfg, &mut rng, payload.len(), ckpt_frame)
         };
         match event {
@@ -318,7 +318,7 @@ impl ChaosFabric {
                 let cost = Duration::from_secs_f64(payload.len() as f64 / rate as f64);
                 let now = std::time::Instant::now();
                 let wake = {
-                    let mut until = self.throttle_until.lock().expect("throttle lock poisoned");
+                    let mut until = self.throttle_until.lock();
                     let wake = until.map_or(now, |u| u.max(now)) + cost;
                     *until = Some(wake);
                     wake
@@ -336,7 +336,7 @@ impl ChaosFabric {
                         break;
                     }
                     if self.inner.fault_pending() {
-                        let mut until = self.throttle_until.lock().expect("throttle lock poisoned");
+                        let mut until = self.throttle_until.lock();
                         *until = None;
                         break;
                     }

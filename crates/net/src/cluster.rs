@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use ppar_core::sync::Mutex;
 
 use crate::tcp::{ENV_NRANKS, ENV_RANK, ENV_REJOIN, ENV_RESILIENT, ENV_ROOT};
 

@@ -29,12 +29,12 @@
 //! (`CkptTransport::take_put_stats` drains it).
 
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ppar_ckpt::transport::{CkptTransport, RecordKey, RecordSink};
 use ppar_ckpt::{MemTransport, PutStats, SnapshotView};
 use ppar_core::error::Result;
+use ppar_core::sync::{AtomicU64, AtomicUsize, Ordering};
 
 /// A [`CkptTransport`] that forwards everything to an inner (network)
 /// transport while teeing full shard saves into two alternating local
@@ -252,7 +252,7 @@ mod tests {
     #[derive(Default)]
     struct FailNext {
         inner: MemTransport,
-        fail: std::sync::atomic::AtomicBool,
+        fail: ppar_core::sync::AtomicBool,
         reads: AtomicU64,
         stats: PutStats,
     }

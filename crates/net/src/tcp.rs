@@ -61,14 +61,12 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-
 use ppar_core::error::{PparError, Result};
+use ppar_core::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 
 use crate::fabric::{Fabric, Payload, Traffic};
 use crate::frame::{read_frame, write_frame, write_frame_vectored};

@@ -100,14 +100,14 @@
 
 use std::collections::HashMap;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 
 use ppar_ckpt::store::SnapshotMeta;
 use ppar_ckpt::transport::{clamp_record_hint, CkptTransport, RecordKey, RecordSink};
 use ppar_ckpt::{ChunkDigest, ChunkRef, PutStats, SnapshotView, TrailingCrc};
 use ppar_core::error::{PparError, Result};
 use ppar_core::shared::DIRTY_CHUNK_BYTES;
+use ppar_core::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
 use crate::fabric::{Fabric, Payload};
 use crate::frame::TAG_RAW_PAYLOAD_BIT;
@@ -568,7 +568,7 @@ impl NetTransport {
             Ok(tx.write_all(chunk)?)
         });
         self.close_put(tx, sent)?;
-        self.stats.lock().expect("stats lock").wire_chunks_skipped += (n - missing.len()) as u64;
+        self.stats.lock().wire_chunks_skipped += (n - missing.len()) as u64;
         Ok(true)
     }
 
@@ -794,7 +794,7 @@ impl CkptTransport for NetTransport {
     }
 
     fn take_put_stats(&self) -> PutStats {
-        std::mem::take(&mut *self.stats.lock().expect("stats lock"))
+        std::mem::take(&mut *self.stats.lock())
     }
 }
 

@@ -20,9 +20,8 @@
 //! 2013): the owner's `pop` and every `steal` synchronise on a `SeqCst`
 //! fence plus a `SeqCst` CAS on `top` for the last-element race.
 
-use std::sync::atomic::{fence, AtomicIsize, AtomicUsize, Ordering};
-
 use ppar_core::runtime::CachePadded;
+use ppar_core::sync::{fence, AtomicIsize, AtomicUsize, Ordering};
 
 /// Outcome of a [`StealDeque::steal`] attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

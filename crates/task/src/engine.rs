@@ -47,7 +47,7 @@ mod tests {
     use crate::graph::TaskGraph;
     use crate::run::{GraphRun, Policy};
     use ppar_core::plan::Plug;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use ppar_core::sync::{AtomicU64, Ordering};
 
     fn plan() -> Arc<Plan> {
         let mut p = Plan::new();

@@ -29,10 +29,9 @@
 //! | 8 × n | per-chunk cursors |
 //! | 8 × n | reduction partials (f64 bits) |
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use ppar_core::error::{PparError, Result};
 use ppar_core::state::StateCell;
+use ppar_core::sync::{AtomicU64, Ordering};
 
 /// Magic prefix of an encoded frontier.
 pub const FRONTIER_MAGIC: &[u8; 8] = b"PPARTSK1";

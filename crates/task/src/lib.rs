@@ -26,7 +26,7 @@
 //! ```
 //! use ppar_task::{GraphRun, Policy, TaskGraph, run_tasks};
 //! use std::sync::Arc;
-//! use std::sync::atomic::{AtomicU64, Ordering};
+//! use ppar_core::sync::{AtomicU64, Ordering};
 //!
 //! let plan = {
 //!     let mut p = ppar_core::plan::Plan::new();

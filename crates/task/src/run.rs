@@ -35,12 +35,11 @@
 //! each safe-point crossing and panics if any run is still mid-flight or
 //! holds undrained deques.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
 use ppar_core::ctx::Ctx;
 use ppar_core::runtime::CachePadded;
+use ppar_core::sync::{spin_loop, yield_now, AtomicBool, AtomicU32, AtomicUsize, Mutex, Ordering};
 
 use crate::deque::{Steal, StealDeque};
 use crate::frontier::TaskFrontier;
@@ -190,8 +189,8 @@ impl GraphRun {
                 // Nothing stealable right now (or static policy): the last
                 // tasks are running elsewhere, or their children have not
                 // been released yet.
-                std::hint::spin_loop();
-                std::thread::yield_now();
+                spin_loop();
+                yield_now();
             }
         }
 
