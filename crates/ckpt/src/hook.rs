@@ -22,11 +22,26 @@
 //! count), every module's resume cursor (its [`PROGRESS_FIELD`]) and the
 //! record the load installs (the fold itself, kept in `GroupResume`).
 //!
-//! **A medium only moves records.** A save is one `put` through the
+//! **A medium only moves records.** A save is one commit through the
 //! module's medium; what the chain needs besides lives in the store: a
 //! base's commit retires its chain's deltas, a fresh run purges old chains
 //! at creation, and the group-commit point is written to the module's own
 //! store (a worker process has none, its root commits for the group).
+//!
+//! **A save holds the team for its write, not for the kernel's cleanup.**
+//! A commit supersedes files — the record it renames over, a shard's
+//! evicted `_prev`, a retired chain's deltas — and every one of those
+//! names is gone when it returns, before the engine releases the team
+//! from the safe point. Freeing the files themselves (a 16 MiB record's
+//! page cache costs more than its write) is left to the module's reaper
+//! thread: the commit hands over its [`Superseded`] handles, and the first
+//! save that supersedes anything starts the thread. It holds at most one
+//! batch; the next superseding save, [`CkptHook::finish`], the hand-off
+//! crossing every line leaves by `Exit::Reshape`, and dropping the module
+//! (how a launch ends, a `Fault` exit included) wait for that batch. So
+//! names, their order and crash semantics are those of an inline release.
+//! A direct [`CkptTransport::put`] and the checkpoint service's lanes
+//! still release inline.
 //!
 //! **A live hand-off is the predecessor's state, frozen**: the crossing
 //! keeps the root's safe-data cells ([`Handoff`]) instead of encoding a
@@ -37,7 +52,9 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ppar_core::ctx::{CkptHook, Ctx, Installed, PointDirective};
@@ -51,7 +68,7 @@ use ppar_core::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use crate::delta::{DeltaMeta, Merged};
 use crate::handoff::Handoff;
 use crate::store::{CheckpointStore, DeltaSource, FieldSource, Record, SnapshotMeta, SnapshotView};
-use crate::transport::CkptTransport;
+use crate::transport::{commit_record, CkptTransport, Superseded};
 
 static NEXT_MODULE_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -178,6 +195,95 @@ pub struct CheckpointModule {
     /// What start-up resolved for every module of one aggregate (see
     /// [`GroupResume`]).
     group_resume: Arc<GroupResume>,
+    /// Releases what this module's saves superseded, behind the safe point.
+    reaper: Mutex<Reaper>,
+}
+
+/// The module's reaper: a thread that drops the [`Superseded`] handles a
+/// save's commit returned, so the files' last close — the kernel freeing
+/// them — overlaps the steps that follow instead of holding the team. It
+/// holds at most one batch: handing over the next waits for the last, and
+/// so does [`Reaper::settle`]. Dropping the reaper joins the thread once
+/// it has released the last batch.
+#[derive(Default)]
+struct Reaper {
+    /// The thread, started by the first batch. `None` while nothing was
+    /// superseded, or when no thread could be spawned (batches are then
+    /// released inline).
+    lane: Option<Lane>,
+    /// A batch was handed over and its release not yet awaited.
+    pending: bool,
+}
+
+/// A running reaper thread and its two ends.
+struct Lane {
+    batches: SyncSender<Superseded>,
+    /// One `()` per batch released.
+    released: Receiver<()>,
+    thread: JoinHandle<()>,
+}
+
+impl Reaper {
+    /// Hand `batch` over once the previous one is released. An empty batch
+    /// is dropped here: it holds nothing to release.
+    fn release_behind(&mut self, batch: Superseded) {
+        if batch.is_empty() {
+            return;
+        }
+        self.settle();
+        if self.lane.is_none() {
+            self.lane = Reaper::start();
+        }
+        match &self.lane {
+            Some(lane) => self.pending = lane.batches.send(batch).is_ok(),
+            None => drop(batch),
+        }
+    }
+
+    /// Wait until the batch handed over last is released.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.pending) {
+            if let Some(lane) = &self.lane {
+                let _ = lane.released.recv();
+            }
+        }
+    }
+
+    fn start() -> Option<Lane> {
+        let (batches, inbox) = sync_channel::<Superseded>(1);
+        let (done, released) = channel();
+        let thread = std::thread::Builder::new()
+            .name("ckpt-reaper".into())
+            .spawn(move || {
+                for batch in inbox {
+                    drop(batch);
+                    if done.send(()).is_err() {
+                        return;
+                    }
+                }
+            })
+            .ok()?;
+        Some(Lane {
+            batches,
+            released,
+            thread,
+        })
+    }
+}
+
+impl Drop for Reaper {
+    fn drop(&mut self) {
+        if let Some(Lane {
+            batches, thread, ..
+        }) = self.lane.take()
+        {
+            // Closed, the channel still delivers a pending batch, and then
+            // ends the thread's loop: the join waits for both. Dropping
+            // files cannot panic, so there is no panic to pass on.
+            drop(batches);
+            let _ = thread.join();
+        }
+    }
 }
 
 /// What start-up resolved for one aggregate: one fold per aggregate, at
@@ -419,6 +525,7 @@ impl CheckpointModule {
                     resume_cursor: Mutex::new(group_resume.cursor.clone()),
                     resumed_at: AtomicU64::new(0),
                     group_resume: group_resume.clone(),
+                    reaper: Mutex::new(Reaper::default()),
                 })
             })
             .collect()
@@ -563,7 +670,7 @@ impl CheckpointModule {
         to: &dyn CkptTransport,
         meta: &SnapshotMeta,
         chain: Option<(u64, u32)>,
-    ) -> Result<u64> {
+    ) -> Result<Superseded> {
         type Ranges = Vec<std::ops::Range<usize>>;
         enum Slot {
             /// A field streamed from its cell; dirty ranges when tracked.
@@ -665,7 +772,7 @@ impl CheckpointModule {
                     nranks: meta.nranks,
                 };
                 let fields: Vec<_> = fields.collect();
-                to.put(&Record::Delta(&meta, &fields))
+                commit_record(to, &Record::Delta(&meta, &fields))
             }
             None => {
                 let fields: Vec<_> = fields
@@ -674,7 +781,7 @@ impl CheckpointModule {
                         _ => unreachable!("dirty ranges are collected only for deltas"),
                     })
                     .collect();
-                to.put(&Record::Full(meta, &fields))
+                commit_record(to, &Record::Full(meta, &fields))
             }
         }
     }
@@ -836,13 +943,17 @@ impl CkptHook for CheckpointModule {
             .and_then(|full_every| self.chain.lock().next(full_every));
         // A promoted base retires the chain it supersedes as it commits (in
         // the store behind the medium).
-        let written = self.put_fields(ctx, to, &meta, link)?;
+        let superseded = self.put_fields(ctx, to, &meta, link)?;
+        let written = superseded.bytes();
         if let Some(full_every) = self.incremental {
             self.chain.lock().advance(count, full_every);
             // The checkpoint cycle's epoch reset: whatever was dirty is now
             // captured (by the delta, or subsumed by the promoted base).
             self.clear_dirty_fields(ctx)?;
         }
+        // Every name is in place; the files the commit superseded are freed
+        // while the team runs on.
+        self.reaper.lock().release_behind(superseded);
 
         let dt = t0.elapsed();
         // Fold the transport's dedup counters (content-addressed store
@@ -998,6 +1109,7 @@ impl CkptHook for CheckpointModule {
     }
 
     fn finish(&self, _ctx: &Ctx) -> Result<()> {
+        self.reaper.lock().settle();
         match &self.store {
             Some(store) => store.clear_marker(),
             // In-memory modules have no failure marker: memory does not
@@ -1017,6 +1129,9 @@ impl CkptHook for CheckpointModule {
             ));
         }
         let t0 = Instant::now();
+        // Every line of execution leaves this crossing: the last save's
+        // batch is released before it does.
+        self.reaper.lock().settle();
         // Always a *full master* view: the successor may be any mode and
         // any aggregate size, so the hand-off must hold the complete,
         // mode-independent state (partitioned fields are already collected

@@ -31,6 +31,15 @@
 //! ([`CheckpointStore::commit_group`]) that a shard's retained `_prev`
 //! generation serves.
 //!
+//! A commit supersedes files: the record its rename replaces, the `_prev`
+//! a shard's rotation evicts, the deltas a base retires. Each of those
+//! steps opens the file before it drops the file's last name, and the
+//! commit returns the open handles as a [`Superseded`]. All names are
+//! final when it returns; the files are freed when the value drops. The
+//! checkpoint module drops it on its reaper thread, behind the safe point
+//! (see [`crate::hook`]); a direct [`CkptTransport::put`] and the
+//! checkpoint service's lanes drop it before they return.
+//!
 //! File format (all integers little-endian):
 //!
 //! ```text
@@ -105,7 +114,7 @@ use crate::cas::ChunkRef;
 use crate::crc::{crc32, Crc32};
 use crate::delta::{DeltaMeta, Merged};
 use crate::transport::{
-    keep_head, stream_merged, CkptTransport, RecordKey, RecordSink, HEAD_BYTES,
+    keep_head, stream_merged, CkptTransport, RecordKey, RecordSink, Superseded, HEAD_BYTES,
 };
 
 const MAGIC: &[u8; 8] = b"PPARCKP1";
@@ -785,9 +794,10 @@ impl CkptTransport for CheckpointStore {
 /// through a [`BufWriter`] into a uniquely named temp file; commit flushes,
 /// rotates the shard generation the group last committed aside (full shard
 /// records only), renames over the final name and — for a base — retires
-/// the chain the new base supersedes. A crash, an abort or a drop
-/// mid-stream never leaves a partial record under the final name, and the
-/// temp file is removed.
+/// the chain the new base supersedes. Each step that drops a file's last
+/// name holds the file open first, into the commit's [`Superseded`]. A
+/// crash, an abort or a drop mid-stream never leaves a partial record
+/// under the final name, and the temp file is removed.
 struct FlatSink<'a> {
     store: &'a CheckpointStore,
     key: RecordKey,
@@ -814,14 +824,16 @@ impl Write for FlatSink<'_> {
 }
 
 impl RecordSink for FlatSink<'_> {
-    fn commit(mut self: Box<Self>) -> Result<u64> {
+    fn commit(mut self: Box<Self>) -> Result<Superseded> {
         self.w.flush()?;
         self.key.check_record(&self.head)?;
-        self.store.rotate_generation(self.key)?;
+        let mut gone = Superseded::new(self.written);
+        self.store.rotate_generation(self.key, &mut gone)?;
+        gone.hold(&self.dst);
         fs::rename(&self.tmp, &self.dst)?;
         self.committed = true;
-        self.store.retire_chain(self.key)?;
-        Ok(self.written)
+        self.store.retire_chain(self.key, &mut gone)?;
+        Ok(gone)
     }
 }
 
@@ -891,7 +903,7 @@ impl RecordSink for CasSink<'_> {
         Ok(Some(lacking))
     }
 
-    fn commit(self: Box<Self>) -> Result<u64> {
+    fn commit(self: Box<Self>) -> Result<Superseded> {
         let CasSink {
             store,
             key,
@@ -900,6 +912,7 @@ impl RecordSink for CasSink<'_> {
             head,
             ..
         } = *self;
+        let mut gone = Superseded::default();
         let written = match state {
             CasState::Idle => {
                 return Err(PparError::CorruptCheckpoint(format!(
@@ -909,7 +922,7 @@ impl RecordSink for CasSink<'_> {
             CasState::Stream(txn) => {
                 key.check_record(&head)?;
                 let staged = txn.stage(&name)?;
-                store.rotate_generation(key)?;
+                store.rotate_generation(key, &mut gone)?;
                 staged.promote()?
             }
             // Integrity of a digest-negotiated record rides the per-chunk
@@ -919,16 +932,17 @@ impl RecordSink for CasSink<'_> {
             // holds.
             CasState::Dedup(txn) => {
                 key.check_record(&txn.head(HEAD_BYTES)?)?;
-                store.rotate_generation(key)?;
+                store.rotate_generation(key, &mut gone)?;
                 txn.commit(&name)?
             }
         };
-        store.retire_chain(key)?;
+        store.retire_chain(key, &mut gone)?;
         // A freshly committed content-addressed record supersedes any
         // legacy flat file of the same name left from before the layout
         // switch.
         let _ = fs::remove_file(store.dir.join(&name));
-        Ok(written)
+        gone.bytes = written;
+        Ok(gone)
     }
 }
 
@@ -1657,8 +1671,9 @@ impl CheckpointStore {
     }
 
     /// Rename a record (manifest-level in the content-addressed layout;
-    /// legacy flat files rename as files).
-    fn record_rename(&self, from: &Path, to: &Path) -> Result<()> {
+    /// legacy flat files rename as files). A flat file renamed over is held
+    /// in `gone`.
+    fn record_rename(&self, from: &Path, to: &Path, gone: &mut Superseded) -> Result<()> {
         if let Some(cas) = &self.cas {
             let from_name = CheckpointStore::rec_name(from);
             if cas.manifest_exists(from_name) {
@@ -1671,6 +1686,7 @@ impl CheckpointStore {
                 return Ok(());
             }
         }
+        gone.hold(to);
         fs::rename(from, to)?;
         Ok(())
     }
@@ -1748,8 +1764,9 @@ impl CheckpointStore {
     /// new base replaces it — rotate `dst → prev` unless `dst` has already
     /// diverged from the commit point (then `prev` still holds the committed
     /// generation and must survive — a torn save retried after recovery must
-    /// not evict the only restorable record).
-    fn rotate_generation(&self, key: RecordKey) -> Result<()> {
+    /// not evict the only restorable record). The `_prev` it evicts is held
+    /// in `gone`.
+    fn rotate_generation(&self, key: RecordKey, gone: &mut Superseded) -> Result<()> {
         let RecordKey {
             rank: Some(rank),
             delta: None,
@@ -1768,7 +1785,7 @@ impl CheckpointStore {
             None => true,
         };
         if keep {
-            self.record_rename(&dst, &self.prev_shard_path(rank))?;
+            self.record_rename(&dst, &self.prev_shard_path(rank), gone)?;
         }
         Ok(())
     }
@@ -1778,14 +1795,14 @@ impl CheckpointStore {
     /// extension, so an orphaned temp file from a crash mid-delta-write is
     /// collected too. A crash before the sweep leaves stale deltas that the
     /// fold ignores (their `base_count` names the old base), never a broken
-    /// restore.
-    fn retire_chain(&self, key: RecordKey) -> Result<()> {
+    /// restore. The deltas it unlinks are held in `gone`.
+    fn retire_chain(&self, key: RecordKey, gone: &mut Superseded) -> Result<()> {
         let prefix = match key {
             RecordKey { delta: Some(_), .. } => return Ok(()),
             RecordKey { rank: None, .. } => "ckpt_master_delta_".to_string(),
             RecordKey { rank: Some(r), .. } => format!("ckpt_rank_{r}_delta_"),
         };
-        self.remove_records(|name| name.starts_with(&prefix))
+        self.remove_records(|name| name.starts_with(&prefix), gone)
     }
 
     /// Fresh-run hygiene, run by [`crate::CheckpointModule::create_group`]
@@ -1793,7 +1810,8 @@ impl CheckpointStore {
     /// chain could carry a `base_count` that collides with the counts this
     /// run will produce, so every delta goes.
     pub(crate) fn purge_deltas(&self) -> Result<()> {
-        self.remove_records(|name| name.starts_with("ckpt_") && name.contains("_delta_"))
+        let matches = |name: &str| name.starts_with("ckpt_") && name.contains("_delta_");
+        self.remove_records(matches, &mut Superseded::default())
     }
 
     /// Advance the group-commit point (atomically) to safe point `count`:
@@ -1835,11 +1853,13 @@ impl CheckpointStore {
         }
     }
 
-    /// Delete every record — flat file or manifest — whose name `matches`.
-    fn remove_records(&self, matches: impl Fn(&str) -> bool) -> Result<()> {
+    /// Delete every record — flat file or manifest — whose name `matches`,
+    /// holding each flat file in `gone` first.
+    fn remove_records(&self, matches: impl Fn(&str) -> bool, gone: &mut Superseded) -> Result<()> {
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
             if matches(&entry.file_name().to_string_lossy()) {
+                gone.hold(&entry.path());
                 CheckpointStore::remove_if_present(entry.path())?;
             }
         }
@@ -1876,7 +1896,8 @@ impl CheckpointStore {
     /// Remove all snapshots and the marker (fresh directory for a new
     /// experiment).
     pub fn clear_all(&self) -> Result<()> {
-        self.remove_records(|name| name == "RUNNING" || name.starts_with("ckpt_"))?;
+        let matches = |name: &str| name == "RUNNING" || name.starts_with("ckpt_");
+        self.remove_records(matches, &mut Superseded::default())?;
         if let Some(cas) = &self.cas {
             // Orphaned chunk objects are reclaimed eagerly: a cleared
             // directory should not keep paying for dead generations.
@@ -1999,6 +2020,121 @@ mod tests {
                 "other chains keep theirs"
             );
             fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Releasing what a commit superseded later changes no name. One script
+    /// of commits — a base renamed over, a delta chain, shard bases whose
+    /// rotation evicts `_prev` at a group commit, a base retiring the
+    /// chain — leaves the same directory tree after every step whether
+    /// each commit's [`Superseded`] drops at once (a direct `put`) or is
+    /// kept to the end, in both layouts. Kept, a flat commit holds a file
+    /// exactly when it dropped a name; the content-addressed layout drops
+    /// only manifests and holds nothing.
+    #[test]
+    fn a_kept_release_leaves_the_names_an_inline_release_leaves() {
+        use crate::transport::commit_record;
+
+        enum Step {
+            Base(Snapshot),
+            Delta(u32),
+        }
+        fn tree(root: &Path, dir: &Path, out: &mut Vec<String>) {
+            for entry in fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                out.push(path.strip_prefix(root).unwrap().display().to_string());
+                if path.is_dir() {
+                    tree(root, &path, out);
+                }
+            }
+        }
+        let listing = |dir: &Path| {
+            let mut names = Vec::new();
+            tree(dir, dir, &mut names);
+            names.sort();
+            names
+        };
+        for cas in [false, true] {
+            let open = |tag: &str| {
+                let dir = tmpdir(&format!("{tag}_{cas}"));
+                let store = match cas {
+                    false => CheckpointStore::new_flat(&dir).unwrap(),
+                    true => CheckpointStore::new_cas(&dir).unwrap(),
+                };
+                (store, dir)
+            };
+            let (inline, inline_dir) = open("release_inline");
+            let (kept, kept_dir) = open("release_kept");
+            let full = |rank, count| Snapshot {
+                count,
+                ..sample(rank)
+            };
+            let delta = |count, seq| {
+                let dm = DeltaMeta {
+                    nranks: 8,
+                    ..delta_meta(count, 2, seq, None)
+                };
+                (dm, [seq as u8; 4])
+            };
+            // (what to commit, the group commit made first, does a flat
+            // commit of it drop a name).
+            let script = vec![
+                (Step::Base(full(None, 1)), None, false),
+                (Step::Base(full(None, 2)), None, true),
+                (Step::Delta(1), None, false),
+                (Step::Delta(2), None, false),
+                (Step::Base(full(Some(0), 4)), None, false),
+                (Step::Base(full(Some(0), 5)), Some(4), false),
+                (Step::Base(full(Some(0), 6)), Some(5), true),
+                (Step::Base(full(None, 6)), None, true),
+            ];
+            let mut held = Vec::new();
+            let mut trees = Vec::new();
+            for (step, (record, commit, drops)) in script.into_iter().enumerate() {
+                if let Some(count) = commit {
+                    inline.commit_group(count).unwrap();
+                    kept.commit_group(count).unwrap();
+                }
+                let superseded = match record {
+                    Step::Base(snap) => {
+                        put_snapshot(&inline, &snap);
+                        let record = Record::Full(&snap.meta(), &bytes_fields(&snap));
+                        commit_record(&kept, &record).unwrap()
+                    }
+                    Step::Delta(seq) => {
+                        let (dm, payload) = delta(2 + seq as u64, seq);
+                        let whole = DeltaSource::Full(FieldSource::Bytes(&payload));
+                        let record = Record::Delta(&dm, &[("G", whole)]);
+                        inline.put(&record).unwrap();
+                        commit_record(&kept, &record).unwrap()
+                    }
+                };
+                assert_eq!(
+                    superseded.is_empty(),
+                    cas || !drops,
+                    "cas={cas} step {step}"
+                );
+                held.push(superseded);
+                let names = listing(&kept_dir);
+                assert_eq!(names, listing(&inline_dir), "cas={cas} step {step}");
+                trees.push(names);
+            }
+            assert!(trees
+                .iter()
+                .any(|t| t.iter().any(|n| n.ends_with("_prev.bin"))));
+            assert!(trees
+                .iter()
+                .any(|t| t.iter().any(|n| n.contains("_delta_"))));
+            assert!(!trees.last().unwrap().iter().any(|n| n.contains("_delta_")));
+            for rank in [None, Some(0)] {
+                assert_eq!(
+                    kept.get(rank, None).unwrap(),
+                    inline.get(rank, None).unwrap()
+                );
+            }
+            drop(held);
+            fs::remove_dir_all(&inline_dir).unwrap();
+            fs::remove_dir_all(&kept_dir).unwrap();
         }
     }
 

@@ -16,10 +16,20 @@
 //!   bytes in order, then [`RecordSink::commit`] or [`RecordSink::abort`].
 //!   Who produces the bytes does not matter: the encoder running over live
 //!   cells, or a network lane relaying bytes another rank encoded.
+//! * **superseded, released by the caller** — a commit publishes the new
+//!   record and answers [`Superseded`]: its byte count plus an open handle
+//!   on every stored file the commit dropped the last name of (the record
+//!   it renamed over, a shard's evicted `_prev`, a retired chain's
+//!   deltas). Every name is in place when `commit` returns; dropping the
+//!   value closes the handles, and only then does the kernel free those
+//!   files' pages. The checkpoint module hands it to its reaper thread,
+//!   so a save holds the team for its write and not for that cleanup
+//!   ([`crate::hook`]); every other caller drops it at once.
 //! * **put, once** — [`CkptTransport::put`] is *provided*: derive the key
 //!   from the record's header, run the golden encoder into `begin(key)`,
-//!   commit. No medium implements a put of its own, so every medium stores
-//!   byte-identical encodings of identical content.
+//!   commit, and release what the commit superseded inline. No medium
+//!   implements a put of its own, so every medium stores byte-identical
+//!   encodings of identical content.
 //! * **read, once** — [`CkptTransport::with_merged`] is the one read a
 //!   medium writes, and it is a *lend*: the medium establishes the record
 //!   (the disk store folds base + live deltas, CRC-verified, optionally
@@ -61,7 +71,9 @@
 //! predecessor's frozen cells through the hand-off's own methods.
 
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::Write;
+use std::path::Path;
 
 use ppar_core::error::{PparError, Result};
 use ppar_core::sync::{AtomicU64, Mutex, Ordering, RwLock};
@@ -135,6 +147,52 @@ pub(crate) fn keep_head(head: &mut Vec<u8>, bytes: &[u8]) {
     head.extend_from_slice(&bytes[..bytes.len().min(room)]);
 }
 
+/// What a [`RecordSink::commit`] superseded: the committed record's length
+/// in bytes, and an open handle on every stored file the commit dropped
+/// the last name of. The names are already gone; dropping the value closes
+/// the handles, which is when the kernel frees those files (their page
+/// cache above all — on a large record, the bulk of a rename over it). A
+/// medium that keeps nothing on disk holds no handle.
+///
+/// Only Unix holds: elsewhere an open handle blocks the rename, so the
+/// files are freed inline, as the commit drops their names.
+#[derive(Debug, Default)]
+pub struct Superseded {
+    pub(crate) bytes: u64,
+    held: Vec<File>,
+}
+
+impl Superseded {
+    /// A commit of `bytes` that holds nothing.
+    pub fn new(bytes: u64) -> Superseded {
+        Superseded {
+            bytes,
+            held: Vec::new(),
+        }
+    }
+
+    /// Length of the committed record in bytes.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Does this hold no superseded file?
+    pub fn is_empty(&self) -> bool {
+        self.held.is_empty()
+    }
+
+    /// Keep the file at `path` open across the step that is about to drop
+    /// its name. A missing file, or one that cannot be opened, is simply
+    /// not held: the step then frees it inline.
+    pub(crate) fn hold(&mut self, path: &Path) {
+        if cfg!(unix) {
+            if let Ok(file) = File::open(path) {
+                self.held.push(file);
+            }
+        }
+    }
+}
+
 /// The one way a record enters a medium (see the [module docs](self)):
 /// write the record's encoded bytes in order, trailing CRC included, then
 /// commit or abort. A sink dropped without either behaves as aborted.
@@ -153,9 +211,11 @@ pub trait RecordSink: Write {
     }
 
     /// The record is complete: install it atomically under the sink's key
-    /// and return its length in bytes. Fails — leaving the previous record
-    /// in place — when the record's header names a different key.
-    fn commit(self: Box<Self>) -> Result<u64>;
+    /// and return its length with what it superseded ([`Superseded`]).
+    /// Every name the commit changes is in place when it returns. Fails —
+    /// leaving the previous record in place — when the record's header
+    /// names a different key.
+    fn commit(self: Box<Self>) -> Result<Superseded>;
 
     /// Discard what was written; the previous record for the key stays.
     /// `why` travels to the far end of a remote sink.
@@ -173,16 +233,10 @@ pub trait CkptTransport: Send + Sync {
     fn begin<'a>(&'a self, key: RecordKey, len_hint: u64) -> Result<Box<dyn RecordSink + 'a>>;
 
     /// Persist one record: the golden encoder streams `record` into the
-    /// sink of the key its header names. Returns bytes written.
+    /// sink of the key its header names. Returns bytes written; what the
+    /// commit superseded is released before it returns.
     fn put(&self, record: &Record<'_>) -> Result<u64> {
-        let mut sink = self.begin(record.key(), record.len_hint())?;
-        match record.encode(&mut *sink) {
-            Ok(_) => sink.commit(),
-            Err(e) => {
-                sink.abort(&e.to_string());
-                Err(e)
-            }
-        }
+        commit_record(self, record).map(|superseded| superseded.bytes())
     }
 
     /// `put(&Record::Full(meta, fields))`; `_scratch` is ignored. Kept only
@@ -287,6 +341,22 @@ pub trait CkptTransport: Send + Sync {
 /// receiver).
 pub fn clamp_record_hint(len_hint: u64) -> usize {
     len_hint.min(1 << 28) as usize
+}
+
+/// [`CkptTransport::put`] up to its commit: the caller decides where what
+/// the commit superseded is released.
+pub(crate) fn commit_record(
+    transport: &(impl CkptTransport + ?Sized),
+    record: &Record<'_>,
+) -> Result<Superseded> {
+    let mut sink = transport.begin(record.key(), record.len_hint())?;
+    match record.encode(&mut *sink) {
+        Ok(_) => sink.commit(),
+        Err(e) => {
+            sink.abort(&e.to_string());
+            Err(e)
+        }
+    }
 }
 
 /// [`CkptTransport::write_merged_record_at`] over the lend: the provided
@@ -407,7 +477,7 @@ impl Write for MemSink<'_> {
 }
 
 impl RecordSink for MemSink<'_> {
-    fn commit(mut self: Box<Self>) -> Result<u64> {
+    fn commit(mut self: Box<Self>) -> Result<Superseded> {
         let buf = std::mem::take(&mut self.buf);
         if let Err(e) = self.key.check_record(&buf) {
             self.mem.recycle(buf);
@@ -421,7 +491,7 @@ impl RecordSink for MemSink<'_> {
         self.mem
             .bytes_written
             .fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n as u64)
+        Ok(Superseded::new(n as u64))
     }
 
     fn abort(mut self: Box<Self>, _why: &str) {

@@ -67,9 +67,11 @@ impl DsmEngine {
         })
     }
 
-    /// Concatenated bytes of `ranges`.
+    /// Concatenated bytes of `ranges`, in one buffer sized for them up
+    /// front: a gather of a multi-MiB block pays no growth reallocs.
     fn extract_ranges(cell: &dyn DistCell, ranges: Vec<Range<usize>>) -> Vec<u8> {
-        let mut out = Vec::new();
+        let total: usize = ranges.iter().map(|r| r.len()).sum();
+        let mut out = Vec::with_capacity(total * cell.index_bytes());
         for r in ranges {
             cell.extract_into(r, &mut out);
         }

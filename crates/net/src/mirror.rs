@@ -31,7 +31,7 @@
 use std::io::Write;
 use std::sync::Arc;
 
-use ppar_ckpt::transport::{CkptTransport, RecordKey, RecordSink};
+use ppar_ckpt::transport::{CkptTransport, RecordKey, RecordSink, Superseded};
 use ppar_ckpt::{MemTransport, PutStats, SnapshotView};
 use ppar_core::error::Result;
 use ppar_core::sync::{AtomicU64, AtomicUsize, Ordering};
@@ -111,7 +111,7 @@ impl Write for TeeSink<'_> {
 }
 
 impl RecordSink for TeeSink<'_> {
-    fn commit(self: Box<Self>) -> Result<u64> {
+    fn commit(self: Box<Self>) -> Result<Superseded> {
         let TeeSink {
             mirror,
             net,

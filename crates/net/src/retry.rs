@@ -1,10 +1,14 @@
 //! Deterministic jittered exponential backoff.
 //!
-//! The policy has one caller, `tcp.rs`'s `connect_retry`, which is every
-//! dial the fabric makes: rendezvous connects (the root's listener may not
-//! be up yet) and rejoin dials after a rank respawn. Nothing else in the
-//! fabric retries — a failed receive or checkpoint RPC surfaces as an error
-//! and recovery starts over. The jitter is *deterministic* — a cheap xorshift
+//! The policy paces the fabric's rendezvous in `tcp.rs`, on both ends:
+//! `connect_retry` is every dial the fabric makes (rendezvous connects —
+//! the root's listener may not be up yet — and rejoin dials after a rank
+//! respawn), and the polls of a non-blocking listener wait for the next
+//! dial the same way. Both start at tens of microseconds, so a peer
+//! already on its way costs little, and back off to their old fixed
+//! intervals while nobody comes. Nothing else in the fabric retries — a
+//! failed receive or checkpoint RPC surfaces as an error and recovery
+//! starts over. The jitter is *deterministic* — a cheap xorshift
 //! stream seeded by the caller — so chaos runs replay the exact same
 //! sleep schedule under the same seed (the reproducibility contract of
 //! [`crate::chaos`]).
@@ -56,15 +60,23 @@ impl RetryPolicy {
         z ^ (z >> 31)
     }
 
-    /// The default connect policy: 10 ms first retry, 500 ms cap, expiring
-    /// after `deadline` (callers pass the fabric's connect timeout).
+    /// The default connect policy: 50 µs first retry, doubling to a 500 ms
+    /// cap, expiring after `deadline` (callers pass the fabric's connect
+    /// timeout). A listener that is about to come up costs a dial tens of
+    /// microseconds, not a whole first step.
     pub fn connect(deadline: Duration, seed: u64) -> RetryPolicy {
         RetryPolicy::new(
-            Duration::from_millis(10),
+            Duration::from_micros(50),
             Duration::from_millis(500),
             deadline,
             seed,
         )
+    }
+
+    /// The pace of a listener poll: 20 µs first, doubling to `cap`,
+    /// expiring after `deadline`.
+    pub fn poll(cap: Duration, deadline: Duration) -> RetryPolicy {
+        RetryPolicy::new(Duration::from_micros(20), cap, deadline, 0)
     }
 
     /// Time left before the policy expires (zero once exhausted).

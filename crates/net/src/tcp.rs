@@ -839,25 +839,26 @@ fn acceptor_loop(fabric: Weak<TcpFabric>, listener: TcpListener, root_addr: Stri
     if listener.set_nonblocking(true).is_err() {
         return;
     }
+    // A rejoining rank dials every survivor in turn, so this poll's wait is
+    // paid ~once per survivor on the recovery critical path: it starts
+    // short and backs off to 5 ms only while nobody dials.
+    let idle = || RetryPolicy::poll(Duration::from_millis(5), Duration::from_secs(60));
+    let mut poll = idle();
     loop {
         let Some(fabric) = fabric.upgrade() else {
             return;
         };
         let stream = match listener.accept() {
             Ok((s, _)) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                drop(fabric);
-                // A short poll: a rejoining rank dials every survivor in
-                // turn, so this interval is paid ~once per survivor on
-                // the recovery critical path.
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
             Err(_) => {
-                std::thread::sleep(Duration::from_millis(5));
+                drop(fabric);
+                if !poll.backoff() {
+                    poll = idle();
+                }
                 continue;
             }
         };
+        poll = idle();
         let _ = handle_rejoin(&fabric, stream, &root_addr);
     }
 }
@@ -1151,6 +1152,8 @@ fn rejoin_rendezvous(cfg: &NetConfig) -> std::io::Result<Bootstrap> {
 /// bootstrap deadline.
 fn accept_until(listener: &TcpListener, deadline: Instant) -> std::io::Result<TcpStream> {
     listener.set_nonblocking(true)?;
+    let until = deadline.saturating_duration_since(Instant::now());
+    let mut poll = RetryPolicy::poll(Duration::from_millis(10), until);
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -1158,13 +1161,12 @@ fn accept_until(listener: &TcpListener, deadline: Instant) -> std::io::Result<Tc
                 return Ok(stream);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
+                if !poll.backoff() {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::TimedOut,
                         "bootstrap deadline passed while waiting for a peer to connect",
                     ));
                 }
-                std::thread::sleep(Duration::from_millis(10));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),

@@ -103,7 +103,7 @@ use std::io::{self, Write};
 use std::sync::{mpsc, Arc};
 
 use ppar_ckpt::store::SnapshotMeta;
-use ppar_ckpt::transport::{clamp_record_hint, CkptTransport, RecordKey, RecordSink};
+use ppar_ckpt::transport::{clamp_record_hint, CkptTransport, RecordKey, RecordSink, Superseded};
 use ppar_ckpt::{ChunkDigest, ChunkRef, PutStats, SnapshotView, TrailingCrc};
 use ppar_core::error::{PparError, Result};
 use ppar_core::shared::DIRTY_CHUNK_BYTES;
@@ -692,10 +692,14 @@ impl Write for NetSink<'_> {
 }
 
 impl RecordSink for NetSink<'_> {
-    fn commit(mut self: Box<Self>) -> Result<u64> {
+    fn commit(mut self: Box<Self>) -> Result<Superseded> {
+        // What the record supersedes is the root's to release: it holds
+        // nothing on this side.
         let (tx, sent) = match self.tx.take() {
             Some(tx) => (tx, Ok(())),
-            None if self.net.put_dedup(self.key, &self.staged)? => return Ok(self.written),
+            None if self.net.put_dedup(self.key, &self.staged)? => {
+                return Ok(Superseded::new(self.written))
+            }
             // Root can't dedup: the record is already encoded, stream it
             // through the plain put verbatim.
             None => {
@@ -707,7 +711,7 @@ impl RecordSink for NetSink<'_> {
             }
         };
         self.net.close_put(tx, sent)?;
-        Ok(self.written)
+        Ok(Superseded::new(self.written))
     }
 
     fn abort(mut self: Box<Self>, why: &str) {
@@ -1065,8 +1069,10 @@ fn lane_put(
             "malformed checkpoint stream frame".into(),
         )),
     };
+    // The lane releases what the record superseded inline, before it
+    // answers.
     let committed = match (sink, verdict) {
-        (Ok(sink), Ok(())) => sink.commit(),
+        (Ok(sink), Ok(())) => sink.commit().map(|superseded| superseded.bytes()),
         (Ok(sink), Err(e)) => {
             sink.abort(&e.to_string());
             Err(e)

@@ -68,7 +68,7 @@ mod api {
             sink.write_all(piece)?;
         }
         if commit {
-            sink.commit()
+            sink.commit().map(|superseded| superseded.bytes())
         } else {
             sink.abort("conformance suite abort");
             Ok(0)
@@ -100,7 +100,7 @@ mod api {
             }
             None => sink.write_all(bytes)?,
         }
-        sink.commit()
+        sink.commit().map(|superseded| superseded.bytes())
     }
 }
 
