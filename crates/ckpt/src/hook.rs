@@ -28,20 +28,16 @@
 //! at creation, and the group-commit point is written to the module's own
 //! store (a worker process has none, its root commits for the group).
 //!
-//! **A save holds the team for its write, not for the kernel's cleanup.**
-//! A commit supersedes files — the record it renames over, a shard's
-//! evicted `_prev`, a retired chain's deltas — and every one of those
-//! names is gone when it returns, before the engine releases the team
-//! from the safe point. Freeing the files themselves (a 16 MiB record's
-//! page cache costs more than its write) is left to the module's reaper
-//! thread: the commit hands over its [`Superseded`] handles, and the first
-//! save that supersedes anything starts the thread. It holds at most one
-//! batch; the next superseding save, [`CkptHook::finish`], the hand-off
-//! crossing every line leaves by `Exit::Reshape`, and dropping the module
-//! (how a launch ends, a `Fault` exit included) wait for that batch. So
-//! names, their order and crash semantics are those of an inline release.
-//! A direct [`CkptTransport::put`] and the checkpoint service's lanes
-//! still release inline.
+//! **A save rewrites the files its key last retired.** A flat commit
+//! gives every file it supersedes — the record it renames over, a shard's
+//! evicted `_prev`, a retired chain's deltas — a spare name (see
+//! [`crate::store`]), and the module keeps those spares
+//! ([`Superseded::keep`]) where a direct [`CkptTransport::put`] and the
+//! checkpoint service's lanes unlink them. So the module's next save of
+//! each key claims the file that key last retired and writes into warm
+//! page cache: the team pays neither for a fresh file nor for freeing the
+//! old one. Spares outlive the module: a restarted run's first saves
+//! claim the ones a stopped run left.
 //!
 //! **A live hand-off is the predecessor's state, frozen**: the crossing
 //! keeps the root's safe-data cells ([`Handoff`]) instead of encoding a
@@ -52,9 +48,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ppar_core::ctx::{CkptHook, Ctx, Installed, PointDirective};
@@ -195,95 +189,6 @@ pub struct CheckpointModule {
     /// What start-up resolved for every module of one aggregate (see
     /// [`GroupResume`]).
     group_resume: Arc<GroupResume>,
-    /// Releases what this module's saves superseded, behind the safe point.
-    reaper: Mutex<Reaper>,
-}
-
-/// The module's reaper: a thread that drops the [`Superseded`] handles a
-/// save's commit returned, so the files' last close — the kernel freeing
-/// them — overlaps the steps that follow instead of holding the team. It
-/// holds at most one batch: handing over the next waits for the last, and
-/// so does [`Reaper::settle`]. Dropping the reaper joins the thread once
-/// it has released the last batch.
-#[derive(Default)]
-struct Reaper {
-    /// The thread, started by the first batch. `None` while nothing was
-    /// superseded, or when no thread could be spawned (batches are then
-    /// released inline).
-    lane: Option<Lane>,
-    /// A batch was handed over and its release not yet awaited.
-    pending: bool,
-}
-
-/// A running reaper thread and its two ends.
-struct Lane {
-    batches: SyncSender<Superseded>,
-    /// One `()` per batch released.
-    released: Receiver<()>,
-    thread: JoinHandle<()>,
-}
-
-impl Reaper {
-    /// Hand `batch` over once the previous one is released. An empty batch
-    /// is dropped here: it holds nothing to release.
-    fn release_behind(&mut self, batch: Superseded) {
-        if batch.is_empty() {
-            return;
-        }
-        self.settle();
-        if self.lane.is_none() {
-            self.lane = Reaper::start();
-        }
-        match &self.lane {
-            Some(lane) => self.pending = lane.batches.send(batch).is_ok(),
-            None => drop(batch),
-        }
-    }
-
-    /// Wait until the batch handed over last is released.
-    fn settle(&mut self) {
-        if std::mem::take(&mut self.pending) {
-            if let Some(lane) = &self.lane {
-                let _ = lane.released.recv();
-            }
-        }
-    }
-
-    fn start() -> Option<Lane> {
-        let (batches, inbox) = sync_channel::<Superseded>(1);
-        let (done, released) = channel();
-        let thread = std::thread::Builder::new()
-            .name("ckpt-reaper".into())
-            .spawn(move || {
-                for batch in inbox {
-                    drop(batch);
-                    if done.send(()).is_err() {
-                        return;
-                    }
-                }
-            })
-            .ok()?;
-        Some(Lane {
-            batches,
-            released,
-            thread,
-        })
-    }
-}
-
-impl Drop for Reaper {
-    fn drop(&mut self) {
-        if let Some(Lane {
-            batches, thread, ..
-        }) = self.lane.take()
-        {
-            // Closed, the channel still delivers a pending batch, and then
-            // ends the thread's loop: the join waits for both. Dropping
-            // files cannot panic, so there is no panic to pass on.
-            drop(batches);
-            let _ = thread.join();
-        }
-    }
 }
 
 /// What start-up resolved for one aggregate: one fold per aggregate, at
@@ -525,7 +430,6 @@ impl CheckpointModule {
                     resume_cursor: Mutex::new(group_resume.cursor.clone()),
                     resumed_at: AtomicU64::new(0),
                     group_resume: group_resume.clone(),
-                    reaper: Mutex::new(Reaper::default()),
                 })
             })
             .collect()
@@ -942,18 +846,15 @@ impl CkptHook for CheckpointModule {
             .incremental
             .and_then(|full_every| self.chain.lock().next(full_every));
         // A promoted base retires the chain it supersedes as it commits (in
-        // the store behind the medium).
-        let superseded = self.put_fields(ctx, to, &meta, link)?;
-        let written = superseded.bytes();
+        // the store behind the medium). The spares the commit left are the
+        // files the next save of each key rewrites.
+        let written = self.put_fields(ctx, to, &meta, link)?.keep();
         if let Some(full_every) = self.incremental {
             self.chain.lock().advance(count, full_every);
             // The checkpoint cycle's epoch reset: whatever was dirty is now
             // captured (by the delta, or subsumed by the promoted base).
             self.clear_dirty_fields(ctx)?;
         }
-        // Every name is in place; the files the commit superseded are freed
-        // while the team runs on.
-        self.reaper.lock().release_behind(superseded);
 
         let dt = t0.elapsed();
         // Fold the transport's dedup counters (content-addressed store
@@ -1109,7 +1010,6 @@ impl CkptHook for CheckpointModule {
     }
 
     fn finish(&self, _ctx: &Ctx) -> Result<()> {
-        self.reaper.lock().settle();
         match &self.store {
             Some(store) => store.clear_marker(),
             // In-memory modules have no failure marker: memory does not
@@ -1129,9 +1029,6 @@ impl CkptHook for CheckpointModule {
             ));
         }
         let t0 = Instant::now();
-        // Every line of execution leaves this crossing: the last save's
-        // batch is released before it does.
-        self.reaper.lock().settle();
         // Always a *full master* view: the successor may be any mode and
         // any aggregate size, so the hand-off must hold the complete,
         // mode-independent state (partitioned fields are already collected

@@ -15,6 +15,8 @@
 //!                               # strategy)
 //!   ckpt_rank_<r>_delta_<s>.bin # per-element delta chains
 //!   ckpt_rank_<r>_prev.bin      # the shard generation kept at the commit
+//!   ckpt_*.bin.spare            # a superseded file kept for the next save
+//!                               # of that name to rewrite (never read)
 //!   ckpt_commit                 # group-commit point (u64)
 //! ```
 //!
@@ -31,14 +33,24 @@
 //! ([`CheckpointStore::commit_group`]) that a shard's retained `_prev`
 //! generation serves.
 //!
-//! A commit supersedes files: the record its rename replaces, the `_prev`
-//! a shard's rotation evicts, the deltas a base retires. Each of those
-//! steps opens the file before it drops the file's last name, and the
-//! commit returns the open handles as a [`Superseded`]. All names are
-//! final when it returns; the files are freed when the value drops. The
-//! checkpoint module drops it on its reaper thread, behind the safe point
-//! (see [`crate::hook`]); a direct [`CkptTransport::put`] and the
-//! checkpoint service's lanes drop it before they return.
+//! **A record's file outlives its generation.** A flat commit supersedes
+//! files: the record its rename replaces, the `_prev` a shard's rotation
+//! evicts, the deltas a base retires. Each of those steps first gives the
+//! file a second name, the *spare* of the record name that will next need
+//! it (`<name>.spare`: the record renamed over keeps its own name's, an
+//! evicted `_prev` becomes its shard's, a retired delta keeps its own).
+//! The next flat sink of that name claims the spare as its temp file and
+//! rewrites it in place, so a steady save writes into warm page cache
+//! instead of a fresh file. A spare is never a record name, so no reader
+//! sees one; names, their commit order and every CRC are those of a store
+//! without spares. A step frees the file inline, as it always did, when
+//! it cannot take the spare name (taken, or the link fails) and in the
+//! content-addressed layout. The commit returns the spare names as a
+//! [`Superseded`]: a direct [`CkptTransport::put`] and the checkpoint
+//! service's lanes drop it, which unlinks them; the checkpoint module
+//! keeps them (see [`crate::hook`]). Its footprint is one extra record per
+//! base name and at most one chain of delta spares, on disk and in page
+//! cache.
 //!
 //! File format (all integers little-endian):
 //!
@@ -729,7 +741,7 @@ impl CkptTransport for CheckpointStore {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = dst.with_extension(format!("tmp{n}"));
-        let file = fs::File::create(&tmp)?;
+        let file = claim_spare(&spare_path(&dst), &tmp)?;
         Ok(Box::new(FlatSink {
             store: self,
             key,
@@ -791,13 +803,15 @@ impl CkptTransport for CheckpointStore {
 }
 
 /// The flat layout's sink and its one commit sequence: bytes stream
-/// through a [`BufWriter`] into a uniquely named temp file; commit flushes,
-/// rotates the shard generation the group last committed aside (full shard
-/// records only), renames over the final name and — for a base — retires
-/// the chain the new base supersedes. Each step that drops a file's last
-/// name holds the file open first, into the commit's [`Superseded`]. A
-/// crash, an abort or a drop mid-stream never leaves a partial record
-/// under the final name, and the temp file is removed.
+/// through a [`BufWriter`] into a uniquely named temp file — the key's
+/// spare when one can be claimed, rewritten in place — and commit flushes,
+/// trims the file to the bytes written, rotates the shard generation the
+/// group last committed aside (full shard records only), renames over the
+/// final name and — for a base — retires the chain the new base
+/// supersedes. Each step that drops a file's record name gives the file a
+/// spare name first, into the commit's [`Superseded`]. A crash, an abort
+/// or a drop mid-stream never leaves a partial record under the final
+/// name, and the temp file — a claimed spare included — is removed.
 struct FlatSink<'a> {
     store: &'a CheckpointStore,
     key: RecordKey,
@@ -826,15 +840,58 @@ impl Write for FlatSink<'_> {
 impl RecordSink for FlatSink<'_> {
     fn commit(mut self: Box<Self>) -> Result<Superseded> {
         self.w.flush()?;
+        // A claimed spare may be longer than this record.
+        self.w.get_ref().set_len(self.written)?;
         self.key.check_record(&self.head)?;
         let mut gone = Superseded::new(self.written);
         self.store.rotate_generation(self.key, &mut gone)?;
-        gone.hold(&self.dst);
+        self.store
+            .spare(&self.dst, spare_path(&self.dst), &mut gone);
         fs::rename(&self.tmp, &self.dst)?;
         self.committed = true;
         self.store.retire_chain(self.key, &mut gone)?;
         Ok(gone)
     }
+}
+
+/// The suffix of a spare name.
+const SPARE: &str = ".spare";
+
+/// The spare name of the record name `path`: `<path>.spare`.
+fn spare_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(SPARE);
+    PathBuf::from(name)
+}
+
+/// Open the temp file `tmp` for a flat sink: the record name's `spare`,
+/// claimed by renaming it to `tmp` and opened to be rewritten in place, or
+/// a fresh file when there is no spare to claim. A claimed file that still
+/// has another name — a crash cut a commit between its link and its rename,
+/// so the spare is also a live record — is never written: it is unlinked
+/// and a fresh file takes its place.
+fn claim_spare(spare: &Path, tmp: &Path) -> Result<fs::File> {
+    if fs::rename(spare, tmp).is_ok() {
+        let file = fs::OpenOptions::new().write(true).open(tmp)?;
+        if sole_name(&file)? {
+            return Ok(file);
+        }
+        drop(file);
+        fs::remove_file(tmp)?;
+    }
+    Ok(fs::File::create(tmp)?)
+}
+
+#[cfg(unix)]
+fn sole_name(file: &fs::File) -> std::io::Result<bool> {
+    use std::os::unix::fs::MetadataExt;
+    Ok(file.metadata()?.nlink() == 1)
+}
+
+/// Without a link count to check, a claimed spare is never trusted.
+#[cfg(not(unix))]
+fn sole_name(_file: &fs::File) -> std::io::Result<bool> {
+    Ok(false)
 }
 
 impl Drop for FlatSink<'_> {
@@ -1671,9 +1728,8 @@ impl CheckpointStore {
     }
 
     /// Rename a record (manifest-level in the content-addressed layout;
-    /// legacy flat files rename as files). A flat file renamed over is held
-    /// in `gone`.
-    fn record_rename(&self, from: &Path, to: &Path, gone: &mut Superseded) -> Result<()> {
+    /// legacy flat files rename as files).
+    fn record_rename(&self, from: &Path, to: &Path) -> Result<()> {
         if let Some(cas) = &self.cas {
             let from_name = CheckpointStore::rec_name(from);
             if cas.manifest_exists(from_name) {
@@ -1686,9 +1742,19 @@ impl CheckpointStore {
                 return Ok(());
             }
         }
-        gone.hold(to);
         fs::rename(from, to)?;
         Ok(())
+    }
+
+    /// The step before a flat commit drops the record name `path`: give
+    /// the file there the spare name `spare`, into `gone`. Nothing to do
+    /// when `path` names no file. The file is left to be freed inline —
+    /// as the step drops its last name — when the layout is
+    /// content-addressed, the spare name is taken or the link fails.
+    fn spare(&self, path: &Path, spare: PathBuf, gone: &mut Superseded) {
+        if self.cas.is_none() && fs::hard_link(path, &spare).is_ok() {
+            gone.spares.push(spare);
+        }
     }
 
     /// Copy a record's encoded bytes straight into `out` (the raw
@@ -1764,8 +1830,8 @@ impl CheckpointStore {
     /// new base replaces it — rotate `dst → prev` unless `dst` has already
     /// diverged from the commit point (then `prev` still holds the committed
     /// generation and must survive — a torn save retried after recovery must
-    /// not evict the only restorable record). The `_prev` it evicts is held
-    /// in `gone`.
+    /// not evict the only restorable record). The `_prev` it evicts becomes
+    /// the shard's spare, into `gone`.
     fn rotate_generation(&self, key: RecordKey, gone: &mut Superseded) -> Result<()> {
         let RecordKey {
             rank: Some(rank),
@@ -1785,33 +1851,37 @@ impl CheckpointStore {
             None => true,
         };
         if keep {
-            self.record_rename(&dst, &self.prev_shard_path(rank), gone)?;
+            let prev = self.prev_shard_path(rank);
+            self.spare(&prev, spare_path(&dst), gone);
+            self.record_rename(&dst, &prev)?;
         }
         Ok(())
     }
 
     /// The step of both commit sequences that comes just after a new base
     /// took its final name: delete every delta of that chain. Sweeps any
-    /// extension, so an orphaned temp file from a crash mid-delta-write is
-    /// collected too. A crash before the sweep leaves stale deltas that the
-    /// fold ignores (their `base_count` names the old base), never a broken
-    /// restore. The deltas it unlinks are held in `gone`.
+    /// extension but `.spare`, so an orphaned temp file from a crash
+    /// mid-delta-write is collected too. A crash before the sweep leaves
+    /// stale deltas that the fold ignores (their `base_count` names the old
+    /// base), never a broken restore. Each delta it retires keeps its own
+    /// spare name, into `gone`, for the next chain's delta of that `seq`.
     fn retire_chain(&self, key: RecordKey, gone: &mut Superseded) -> Result<()> {
         let prefix = match key {
             RecordKey { delta: Some(_), .. } => return Ok(()),
             RecordKey { rank: None, .. } => "ckpt_master_delta_".to_string(),
             RecordKey { rank: Some(r), .. } => format!("ckpt_rank_{r}_delta_"),
         };
-        self.remove_records(|name| name.starts_with(&prefix), gone)
+        let matches = |name: &str| name.starts_with(&prefix) && !name.ends_with(SPARE);
+        self.remove_records(matches, Some(gone))
     }
 
     /// Fresh-run hygiene, run by [`crate::CheckpointModule::create_group`]
     /// before a run that is not replaying: a previous generation's leftover
     /// chain could carry a `base_count` that collides with the counts this
-    /// run will produce, so every delta goes.
+    /// run will produce, so every delta goes, and every delta spare.
     pub(crate) fn purge_deltas(&self) -> Result<()> {
         let matches = |name: &str| name.starts_with("ckpt_") && name.contains("_delta_");
-        self.remove_records(matches, &mut Superseded::default())
+        self.remove_records(matches, None)
     }
 
     /// Advance the group-commit point (atomically) to safe point `count`:
@@ -1853,14 +1923,24 @@ impl CheckpointStore {
         }
     }
 
-    /// Delete every record — flat file or manifest — whose name `matches`,
-    /// holding each flat file in `gone` first.
-    fn remove_records(&self, matches: impl Fn(&str) -> bool, gone: &mut Superseded) -> Result<()> {
+    /// Delete every record — flat file or manifest — whose name `matches`.
+    /// With `gone`, each flat record file (not a temp file) keeps its own
+    /// spare name first.
+    fn remove_records(
+        &self,
+        matches: impl Fn(&str) -> bool,
+        mut gone: Option<&mut Superseded>,
+    ) -> Result<()> {
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
-            if matches(&entry.file_name().to_string_lossy()) {
-                gone.hold(&entry.path());
-                CheckpointStore::remove_if_present(entry.path())?;
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if matches(&name) {
+                let path = entry.path();
+                if let (Some(gone), true) = (gone.as_deref_mut(), name.ends_with(".bin")) {
+                    self.spare(&path, spare_path(&path), gone);
+                }
+                CheckpointStore::remove_if_present(path)?;
             }
         }
         if let Some(cas) = &self.cas {
@@ -1893,11 +1973,11 @@ impl CheckpointStore {
         }
     }
 
-    /// Remove all snapshots and the marker (fresh directory for a new
-    /// experiment).
+    /// Remove all snapshots, their spares and the marker (fresh directory
+    /// for a new experiment).
     pub fn clear_all(&self) -> Result<()> {
         let matches = |name: &str| name == "RUNNING" || name.starts_with("ckpt_");
-        self.remove_records(matches, &mut Superseded::default())?;
+        self.remove_records(matches, None)?;
         if let Some(cas) = &self.cas {
             // Orphaned chunk objects are reclaimed eagerly: a cleared
             // directory should not keep paying for dead generations.
@@ -2023,37 +2103,43 @@ mod tests {
         }
     }
 
-    /// Releasing what a commit superseded later changes no name. One script
+    /// The names in `dir`, sorted, and those of them that are spares.
+    fn names(dir: &Path) -> (Vec<String>, Vec<String>) {
+        let mut all: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        all.sort();
+        let spares = all.iter().filter(|n| n.ends_with(SPARE)).cloned().collect();
+        (all, spares)
+    }
+
+    /// A record through the sink, its commit's [`Superseded`] returned.
+    fn commit(store: &CheckpointStore, record: &Record<'_>) -> Superseded {
+        crate::transport::commit_record(store, record).unwrap()
+    }
+
+    #[cfg(unix)]
+    fn ino(path: &Path) -> u64 {
+        use std::os::unix::fs::MetadataExt;
+        fs::metadata(path).unwrap().ino()
+    }
+
+    /// Keeping what a commit superseded changes no record name. One script
     /// of commits — a base renamed over, a delta chain, shard bases whose
     /// rotation evicts `_prev` at a group commit, a base retiring the
-    /// chain — leaves the same directory tree after every step whether
-    /// each commit's [`Superseded`] drops at once (a direct `put`) or is
-    /// kept to the end, in both layouts. Kept, a flat commit holds a file
-    /// exactly when it dropped a name; the content-addressed layout drops
-    /// only manifests and holds nothing.
+    /// chain, a new chain and shard generation over the spares — leaves
+    /// the same record names after every step whether each commit's
+    /// [`Superseded`] drops at once (a direct `put`) or is kept, in both
+    /// layouts. Kept, a flat commit leaves exactly the spares of what it
+    /// superseded, and the next commit of each name claims its spare;
+    /// dropped, none is left. The content-addressed layout spares nothing.
     #[test]
-    fn a_kept_release_leaves_the_names_an_inline_release_leaves() {
-        use crate::transport::commit_record;
-
+    fn a_kept_commit_leaves_the_record_names_of_a_dropped_one_and_only_spares_besides() {
         enum Step {
             Base(Snapshot),
-            Delta(u32),
+            Delta(u64, u64, u32),
         }
-        fn tree(root: &Path, dir: &Path, out: &mut Vec<String>) {
-            for entry in fs::read_dir(dir).unwrap() {
-                let path = entry.unwrap().path();
-                out.push(path.strip_prefix(root).unwrap().display().to_string());
-                if path.is_dir() {
-                    tree(root, &path, out);
-                }
-            }
-        }
-        let listing = |dir: &Path| {
-            let mut names = Vec::new();
-            tree(dir, dir, &mut names);
-            names.sort();
-            names
-        };
         for cas in [false, true] {
             let open = |tag: &str| {
                 let dir = tmpdir(&format!("{tag}_{cas}"));
@@ -2063,79 +2149,257 @@ mod tests {
                 };
                 (store, dir)
             };
-            let (inline, inline_dir) = open("release_inline");
-            let (kept, kept_dir) = open("release_kept");
+            let (dropped, dropped_dir) = open("spare_dropped");
+            let (kept, kept_dir) = open("spare_kept");
             let full = |rank, count| Snapshot {
                 count,
                 ..sample(rank)
             };
-            let delta = |count, seq| {
-                let dm = DeltaMeta {
-                    nranks: 8,
-                    ..delta_meta(count, 2, seq, None)
-                };
-                (dm, [seq as u8; 4])
-            };
-            // (what to commit, the group commit made first, does a flat
-            // commit of it drop a name).
-            let script = vec![
-                (Step::Base(full(None, 1)), None, false),
-                (Step::Base(full(None, 2)), None, true),
-                (Step::Delta(1), None, false),
-                (Step::Delta(2), None, false),
-                (Step::Base(full(Some(0), 4)), None, false),
-                (Step::Base(full(Some(0), 5)), Some(4), false),
-                (Step::Base(full(Some(0), 6)), Some(5), true),
-                (Step::Base(full(None, 6)), None, true),
+            const M: &str = "ckpt_master.bin.spare";
+            const R: &str = "ckpt_rank_0.bin.spare";
+            const D1: &str = "ckpt_master_delta_1.bin.spare";
+            const D2: &str = "ckpt_master_delta_2.bin.spare";
+            // (what to commit, the group commit made first, the spares a
+            // flat store keeps after it).
+            let script: Vec<(Step, Option<u64>, &[&str])> = vec![
+                (Step::Base(full(None, 1)), None, &[]),
+                (Step::Base(full(None, 2)), None, &[M]),
+                (Step::Delta(3, 2, 1), None, &[M]),
+                (Step::Delta(4, 2, 2), None, &[M]),
+                (Step::Base(full(Some(0), 4)), None, &[M]),
+                (Step::Base(full(Some(0), 5)), Some(4), &[M]),
+                (Step::Base(full(Some(0), 6)), Some(5), &[M, R]),
+                (Step::Base(full(None, 6)), None, &[M, D1, D2, R]),
+                (Step::Delta(7, 6, 1), None, &[M, D2, R]),
+                (Step::Base(full(Some(0), 7)), Some(6), &[M, D2, R]),
             ];
-            let mut held = Vec::new();
-            let mut trees = Vec::new();
-            for (step, (record, commit, drops)) in script.into_iter().enumerate() {
-                if let Some(count) = commit {
-                    inline.commit_group(count).unwrap();
+            for (step, (record, commit_at, spares)) in script.into_iter().enumerate() {
+                if let Some(count) = commit_at {
+                    dropped.commit_group(count).unwrap();
                     kept.commit_group(count).unwrap();
                 }
-                let superseded = match record {
+                let superseded = match &record {
                     Step::Base(snap) => {
-                        put_snapshot(&inline, &snap);
-                        let record = Record::Full(&snap.meta(), &bytes_fields(&snap));
-                        commit_record(&kept, &record).unwrap()
+                        put_snapshot(&dropped, snap);
+                        commit(&kept, &Record::Full(&snap.meta(), &bytes_fields(snap)))
                     }
-                    Step::Delta(seq) => {
-                        let (dm, payload) = delta(2 + seq as u64, seq);
+                    Step::Delta(count, base, seq) => {
+                        let dm = DeltaMeta {
+                            nranks: 8,
+                            ..delta_meta(*count, *base, *seq, None)
+                        };
+                        let payload = [*seq as u8; 4];
                         let whole = DeltaSource::Full(FieldSource::Bytes(&payload));
                         let record = Record::Delta(&dm, &[("G", whole)]);
-                        inline.put(&record).unwrap();
-                        commit_record(&kept, &record).unwrap()
+                        dropped.put(&record).unwrap();
+                        commit(&kept, &record)
                     }
                 };
-                assert_eq!(
-                    superseded.is_empty(),
-                    cas || !drops,
-                    "cas={cas} step {step}"
-                );
-                held.push(superseded);
-                let names = listing(&kept_dir);
-                assert_eq!(names, listing(&inline_dir), "cas={cas} step {step}");
-                trees.push(names);
+                for spare in &superseded.spares {
+                    assert!(spare.exists(), "cas={cas} step {step}: {spare:?}");
+                }
+                superseded.keep();
+                let want: &[&str] = if cas { &[] } else { spares };
+                let (all, left) = names(&kept_dir);
+                assert_eq!(left, want, "cas={cas} step {step}");
+                let records: Vec<_> = all.into_iter().filter(|n| !n.ends_with(SPARE)).collect();
+                let (dropped_all, dropped_spares) = names(&dropped_dir);
+                assert_eq!(records, dropped_all, "cas={cas} step {step}");
+                assert!(dropped_spares.is_empty(), "cas={cas} step {step}");
             }
-            assert!(trees
-                .iter()
-                .any(|t| t.iter().any(|n| n.ends_with("_prev.bin"))));
-            assert!(trees
-                .iter()
-                .any(|t| t.iter().any(|n| n.contains("_delta_"))));
-            assert!(!trees.last().unwrap().iter().any(|n| n.contains("_delta_")));
             for rank in [None, Some(0)] {
                 assert_eq!(
                     kept.get(rank, None).unwrap(),
-                    inline.get(rank, None).unwrap()
+                    dropped.get(rank, None).unwrap()
                 );
             }
-            drop(held);
-            fs::remove_dir_all(&inline_dir).unwrap();
+            assert_eq!(
+                kept.get(Some(0), Some(6)).unwrap(),
+                dropped.get(Some(0), Some(6)).unwrap()
+            );
+            fs::remove_dir_all(&dropped_dir).unwrap();
             fs::remove_dir_all(&kept_dir).unwrap();
         }
+    }
+
+    /// A garbage spare longer than the record is claimed — the record is
+    /// written into that very file — and trimmed at commit: the record
+    /// reads back bitwise and CRC-verified.
+    #[test]
+    fn a_longer_garbage_spare_is_claimed_and_trimmed() {
+        let dir = tmpdir("spare_garbage");
+        let store = CheckpointStore::new_flat(&dir).unwrap();
+        let snap = sample(None);
+        let spare = dir.join("ckpt_master.bin.spare");
+        fs::write(&spare, vec![0xA5; 3 * snap.encode().len() + 4096]).unwrap();
+        #[cfg(unix)]
+        let claimed = ino(&spare);
+        commit(&store, &Record::Full(&snap.meta(), &bytes_fields(&snap))).keep();
+        let record = dir.join("ckpt_master.bin");
+        #[cfg(unix)]
+        assert_eq!(ino(&record), claimed, "the spare was not claimed");
+        assert_eq!(fs::read(&record).unwrap(), snap.encode());
+        assert_eq!(store.get(None, None).unwrap().unwrap(), snap);
+        assert_eq!(names(&dir).0, ["ckpt_master.bin"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sink that claimed a spare and is then aborted, or dropped
+    /// mid-stream, leaves the committed record readable and neither its
+    /// temp file nor the spare behind.
+    #[test]
+    fn an_abandoned_sink_that_claimed_a_spare_leaves_only_the_record() {
+        let dir = tmpdir("spare_abandoned");
+        let store = CheckpointStore::new_flat(&dir).unwrap();
+        let snap = |count| Snapshot {
+            count,
+            ..sample(None)
+        };
+        put_snapshot(&store, &snap(1));
+        for abort in [true, false] {
+            let last = snap(2);
+            commit(&store, &Record::Full(&last.meta(), &bytes_fields(&last))).keep();
+            assert_eq!(names(&dir).1, ["ckpt_master.bin.spare"]);
+            let next = snap(3);
+            let mut sink = store.begin(RecordKey::full(None), 0).unwrap();
+            assert!(names(&dir).1.is_empty(), "the sink claimed the spare");
+            let bytes = next.encode();
+            sink.write_all(&bytes[..bytes.len() / 2]).unwrap();
+            match abort {
+                true => sink.abort("test"),
+                false => drop(sink),
+            }
+            assert_eq!(names(&dir).0, ["ckpt_master.bin"], "abort={abort}");
+            assert_eq!(store.get(None, None).unwrap().unwrap(), last);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A cut between a commit's link and its rename leaves a spare that is
+    /// also the live record. The next sink claims it but never writes into
+    /// it: abandoned mid-stream, it leaves that record intact.
+    #[test]
+    fn a_spare_that_is_still_a_record_is_never_rewritten() {
+        let dir = tmpdir("spare_linked");
+        let store = CheckpointStore::new_flat(&dir).unwrap();
+        let snap = |count| Snapshot {
+            count,
+            ..sample(None)
+        };
+        put_snapshot(&store, &snap(1));
+        let record = dir.join("ckpt_master.bin");
+        fs::hard_link(&record, dir.join("ckpt_master.bin.spare")).unwrap();
+        let mut sink = store.begin(RecordKey::full(None), 0).unwrap();
+        sink.write_all(&vec![0xA5; snap(2).encode().len()]).unwrap();
+        sink.flush().unwrap();
+        drop(sink);
+        assert_eq!(store.get(None, None).unwrap().unwrap(), snap(1));
+        assert_eq!(names(&dir).0, ["ckpt_master.bin"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A base's retirement of its chain leaves every spare where it is and
+    /// sweeps the chain's orphaned temp files; the fresh-run purge sweeps
+    /// delta spares, and clearing the directory sweeps every spare.
+    #[test]
+    fn spares_survive_a_chains_retirement_and_go_with_a_purge_or_a_clear() {
+        let dir = tmpdir("spare_sweeps");
+        let store = CheckpointStore::new_flat(&dir).unwrap();
+        let base = |count| {
+            let snap = Snapshot {
+                count,
+                ..sample(None)
+            };
+            commit(&store, &Record::Full(&snap.meta(), &bytes_fields(&snap))).keep();
+        };
+        let delta = |count, base_count, seq: u32| {
+            let dm = DeltaMeta {
+                nranks: 8,
+                ..delta_meta(count, base_count, seq, None)
+            };
+            let whole = DeltaSource::Full(FieldSource::Bytes(&[seq as u8; 4]));
+            commit(&store, &Record::Delta(&dm, &[("G", whole)])).keep();
+        };
+        base(1);
+        delta(2, 1, 1);
+        delta(3, 1, 2);
+        base(4);
+        let d2 = dir.join("ckpt_master_delta_2.bin.spare");
+        let old_d2 = fs::read(&d2).unwrap();
+        // A chain one delta shorter: the spare of delta 2 is not claimed,
+        // and the next retirement must leave it alone.
+        delta(5, 4, 1);
+        fs::write(dir.join("ckpt_master_delta_2.tmp99"), b"orphan").unwrap();
+        base(6);
+        let spares = [
+            "ckpt_master.bin.spare",
+            "ckpt_master_delta_1.bin.spare",
+            "ckpt_master_delta_2.bin.spare",
+        ];
+        assert_eq!(names(&dir).1, spares);
+        assert_eq!(fs::read(&d2).unwrap(), old_d2);
+        assert_eq!(names(&dir).0.len(), spares.len() + 1, "{:?}", names(&dir));
+
+        store.purge_deltas().unwrap();
+        assert_eq!(names(&dir).1, ["ckpt_master.bin.spare"]);
+        store.clear_all().unwrap();
+        assert!(names(&dir).0.is_empty(), "{:?}", names(&dir));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A step that cannot take its spare name frees the file inline, as a
+    /// store without spares does: when a file holds the name, and when the
+    /// link fails (a directory holds it). What holds the name is left as
+    /// it was, and every record name is what it would be.
+    #[test]
+    fn a_taken_spare_name_or_a_failed_link_frees_inline() {
+        let dir = tmpdir("spare_taken");
+        let store = CheckpointStore::new_flat(&dir).unwrap();
+        let snap = |count| Snapshot {
+            count,
+            ..sample(None)
+        };
+        put_snapshot(&store, &snap(1));
+        for seq in 1..=2 {
+            let dm = DeltaMeta {
+                nranks: 8,
+                ..delta_meta(1 + seq as u64, 1, seq, None)
+            };
+            let whole = DeltaSource::Full(FieldSource::Bytes(&[seq as u8; 4]));
+            store.put(&Record::Delta(&dm, &[("G", whole)])).unwrap();
+        }
+        // Taken once the sink has looked for its spare: the record renamed
+        // over, delta 1 (by a file) and delta 2 (by a directory).
+        let next = snap(4);
+        let record = Record::Full(&next.meta(), &bytes_fields(&next));
+        let mut sink = store.begin(record.key(), 0).unwrap();
+        record.encode(&mut *sink).unwrap();
+        fs::write(dir.join("ckpt_master.bin.spare"), b"taken").unwrap();
+        fs::write(dir.join("ckpt_master_delta_1.bin.spare"), b"taken").unwrap();
+        fs::create_dir(dir.join("ckpt_master_delta_2.bin.spare")).unwrap();
+        let superseded = sink.commit().unwrap();
+        assert!(superseded.spares.is_empty(), "{:?}", superseded.spares);
+        superseded.keep();
+        let (all, _) = names(&dir);
+        assert_eq!(
+            all,
+            [
+                "ckpt_master.bin",
+                "ckpt_master.bin.spare",
+                "ckpt_master_delta_1.bin.spare",
+                "ckpt_master_delta_2.bin.spare",
+            ]
+        );
+        assert_eq!(
+            fs::read(dir.join("ckpt_master.bin.spare")).unwrap(),
+            b"taken"
+        );
+        assert_eq!(
+            fs::read(dir.join("ckpt_master_delta_1.bin.spare")).unwrap(),
+            b"taken"
+        );
+        assert_eq!(store.get(None, None).unwrap().unwrap(), next);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -16,18 +16,17 @@
 //!   bytes in order, then [`RecordSink::commit`] or [`RecordSink::abort`].
 //!   Who produces the bytes does not matter: the encoder running over live
 //!   cells, or a network lane relaying bytes another rank encoded.
-//! * **superseded, released by the caller** — a commit publishes the new
-//!   record and answers [`Superseded`]: its byte count plus an open handle
-//!   on every stored file the commit dropped the last name of (the record
-//!   it renamed over, a shard's evicted `_prev`, a retired chain's
-//!   deltas). Every name is in place when `commit` returns; dropping the
-//!   value closes the handles, and only then does the kernel free those
-//!   files' pages. The checkpoint module hands it to its reaper thread,
-//!   so a save holds the team for its write and not for that cleanup
-//!   ([`crate::hook`]); every other caller drops it at once.
+//! * **superseded, spared for the caller** — a commit publishes the new
+//!   record and answers [`Superseded`]: its byte count plus the *spare*
+//!   names it gave the stored files it superseded (the record it renamed
+//!   over, a shard's evicted `_prev`, a retired chain's deltas). Every
+//!   record name is in place when `commit` returns. The checkpoint module
+//!   keeps the spares, so its next save of each key rewrites the file that
+//!   key last retired ([`crate::hook`]); every other caller drops the
+//!   value at once, which unlinks them.
 //! * **put, once** — [`CkptTransport::put`] is *provided*: derive the key
 //!   from the record's header, run the golden encoder into `begin(key)`,
-//!   commit, and release what the commit superseded inline. No medium
+//!   commit, and drop what the commit superseded. No medium
 //!   implements a put of its own, so every medium stores byte-identical
 //!   encodings of identical content.
 //! * **read, once** — [`CkptTransport::with_merged`] is the one read a
@@ -71,9 +70,8 @@
 //! predecessor's frozen cells through the hand-off's own methods.
 
 use std::collections::HashMap;
-use std::fs::File;
 use std::io::Write;
-use std::path::Path;
+use std::path::PathBuf;
 
 use ppar_core::error::{PparError, Result};
 use ppar_core::sync::{AtomicU64, Mutex, Ordering, RwLock};
@@ -148,26 +146,25 @@ pub(crate) fn keep_head(head: &mut Vec<u8>, bytes: &[u8]) {
 }
 
 /// What a [`RecordSink::commit`] superseded: the committed record's length
-/// in bytes, and an open handle on every stored file the commit dropped
-/// the last name of. The names are already gone; dropping the value closes
-/// the handles, which is when the kernel frees those files (their page
-/// cache above all — on a large record, the bulk of a rename over it). A
-/// medium that keeps nothing on disk holds no handle.
-///
-/// Only Unix holds: elsewhere an open handle blocks the rename, so the
-/// files are freed inline, as the commit drops their names.
+/// in bytes, and the spare names the commit gave the stored files it
+/// superseded. A spare is never a record name: no reader sees it, and the
+/// next flat sink of the key it belongs to claims it and rewrites the file
+/// in place, so a save does not pay the kernel for a fresh file's page
+/// cache and then again for freeing the old one. Dropping the value
+/// unlinks the spares, which frees the files inline; [`Superseded::keep`]
+/// leaves them on disk. A medium that keeps nothing on disk names none.
 #[derive(Debug, Default)]
 pub struct Superseded {
     pub(crate) bytes: u64,
-    held: Vec<File>,
+    pub(crate) spares: Vec<PathBuf>,
 }
 
 impl Superseded {
-    /// A commit of `bytes` that holds nothing.
+    /// A commit of `bytes` that spared nothing.
     pub fn new(bytes: u64) -> Superseded {
         Superseded {
             bytes,
-            held: Vec::new(),
+            spares: Vec::new(),
         }
     }
 
@@ -176,19 +173,18 @@ impl Superseded {
         self.bytes
     }
 
-    /// Does this hold no superseded file?
-    pub fn is_empty(&self) -> bool {
-        self.held.is_empty()
+    /// Leave the spares on disk for the next saves of their keys to claim,
+    /// and return the committed record's length.
+    pub fn keep(mut self) -> u64 {
+        self.spares.clear();
+        self.bytes
     }
+}
 
-    /// Keep the file at `path` open across the step that is about to drop
-    /// its name. A missing file, or one that cannot be opened, is simply
-    /// not held: the step then frees it inline.
-    pub(crate) fn hold(&mut self, path: &Path) {
-        if cfg!(unix) {
-            if let Ok(file) = File::open(path) {
-                self.held.push(file);
-            }
+impl Drop for Superseded {
+    fn drop(&mut self) {
+        for spare in &self.spares {
+            let _ = std::fs::remove_file(spare);
         }
     }
 }
@@ -234,7 +230,7 @@ pub trait CkptTransport: Send + Sync {
 
     /// Persist one record: the golden encoder streams `record` into the
     /// sink of the key its header names. Returns bytes written; what the
-    /// commit superseded is released before it returns.
+    /// commit superseded is freed before it returns.
     fn put(&self, record: &Record<'_>) -> Result<u64> {
         commit_record(self, record).map(|superseded| superseded.bytes())
     }
@@ -343,8 +339,8 @@ pub fn clamp_record_hint(len_hint: u64) -> usize {
     len_hint.min(1 << 28) as usize
 }
 
-/// [`CkptTransport::put`] up to its commit: the caller decides where what
-/// the commit superseded is released.
+/// [`CkptTransport::put`] up to its commit: the caller decides whether
+/// what the commit superseded is freed or kept.
 pub(crate) fn commit_record(
     transport: &(impl CkptTransport + ?Sized),
     record: &Record<'_>,
