@@ -32,8 +32,8 @@
 //! gives every file it supersedes — the record it renames over, a shard's
 //! evicted `_prev`, a retired chain's deltas — a spare name (see
 //! [`crate::store`]), and the module keeps those spares
-//! ([`Superseded::keep`]) where a direct [`CkptTransport::put`] and the
-//! checkpoint service's lanes unlink them. So the module's next save of
+//! ([`Superseded::keep`]), as the checkpoint service's lanes do; only a
+//! direct [`CkptTransport::put`] unlinks them. So the module's next save of
 //! each key claims the file that key last retired and writes into warm
 //! page cache: the team pays neither for a fresh file nor for freeing the
 //! old one. Spares outlive the module: a restarted run's first saves

@@ -46,11 +46,10 @@
 //! without spares. A step frees the file inline, as it always did, when
 //! it cannot take the spare name (taken, or the link fails) and in the
 //! content-addressed layout. The commit returns the spare names as a
-//! [`Superseded`]: a direct [`CkptTransport::put`] and the checkpoint
-//! service's lanes drop it, which unlinks them; the checkpoint module
-//! keeps them (see [`crate::hook`]). Its footprint is one extra record per
-//! base name and at most one chain of delta spares, on disk and in page
-//! cache.
+//! [`Superseded`]: a direct [`CkptTransport::put`] drops it, which unlinks
+//! them; the checkpoint module (see [`crate::hook`]) and the checkpoint
+//! service's lanes keep them. Its footprint is one extra record per base
+//! name and at most one chain of delta spares, on disk and in page cache.
 //!
 //! File format (all integers little-endian):
 //!
@@ -71,8 +70,11 @@
 //!
 //! Snapshots are persisted by [`SnapshotWriter`]: header, fields and
 //! trailing CRC are streamed through a [`std::io::BufWriter`] with a
-//! *running* slice-by-8 CRC-32 — at no point does a whole-snapshot buffer
-//! exist. Field payloads come from a [`FieldSource`]:
+//! *running* CRC-32 — at no point does a whole-snapshot buffer exist. A
+//! payload of at least 4 MiB is checksummed on a second core while the
+//! writing thread copies it to the sink, and the two CRCs combine exactly
+//! ([`crate::crc::crc32_combine`]). Field payloads come from a
+//! [`FieldSource`]:
 //!
 //! * [`FieldSource::Cell`] streams a live [`StateCell`] through
 //!   [`StateCell::write_state`]; containers with contiguous little-endian
@@ -497,7 +499,9 @@ const CRC_COPY_BLOCK: usize = 256 << 10;
 /// The least a thread reads of a CRC-verified span when [`RecordStream`]
 /// splits it across threads: a span shorter than two of these is read by
 /// the calling thread alone, where starting a helper would cost more than
-/// its share of the read saves.
+/// its share of the read saves. The write side draws the same line: a
+/// payload shorter than two of these is checksummed by the writing thread
+/// ([`SnapshotWriter::put`]).
 const SPLIT_PART: usize = 2 << 20;
 
 impl<W: Write> Write for CrcTee<'_, W> {
@@ -518,7 +522,8 @@ impl<W: Write> Write for CrcTee<'_, W> {
 
 /// Single-pass snapshot encoder: header, fields and the trailing CRC-32 are
 /// streamed straight into the sink (typically a [`BufWriter`] over the temp
-/// file) while the checksum runs alongside. Produces bytes identical to
+/// file) while the checksum runs alongside — for a payload of 4 MiB or
+/// more, on a helper thread beside the write. Produces bytes identical to
 /// [`Snapshot::encode`] for the same content. A record enters it one way,
 /// [`Record::encode`]; [`SnapshotWriter::new`] and
 /// [`SnapshotWriter::field_cell`] remain for callers that drive a full
@@ -571,13 +576,31 @@ impl<W: Write> SnapshotWriter<W> {
         Ok(w)
     }
 
+    /// Write `bytes` to the sink, CRC running. A payload of at least two
+    /// [`SPLIT_PART`]s, on more than one core, is checksummed by a scoped
+    /// helper thread while this thread writes it, and the helper's CRC
+    /// joins the running one ([`Crc32::append`]) — exactly the value one
+    /// pass computes. Anything smaller, and everything on one core,
+    /// interleaves CRC and copy in cache-sized blocks (see
+    /// [`CRC_COPY_BLOCK`]) instead of two full passes over the payload.
     fn put(&mut self, bytes: &[u8]) -> Result<()> {
-        // Interleave CRC and copy in cache-sized blocks (see
-        // [`CRC_COPY_BLOCK`]) instead of two full passes over a multi-MiB
-        // payload.
-        for block in bytes.chunks(CRC_COPY_BLOCK) {
-            self.crc.update(block);
-            self.sink.write_all(block)?;
+        if bytes.len() >= 2 * SPLIT_PART && cores() > 1 {
+            let sink = &mut self.sink;
+            let (crc, wrote) = std::thread::scope(|scope| {
+                let helper = scope.spawn(|| crc32(bytes));
+                let wrote = sink.write_all(bytes);
+                let crc = helper
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                (crc, wrote)
+            });
+            wrote?;
+            self.crc.append(crc, bytes.len() as u64);
+        } else {
+            for block in bytes.chunks(CRC_COPY_BLOCK) {
+                self.crc.update(block);
+                self.sink.write_all(block)?;
+            }
         }
         self.written += bytes.len() as u64;
         Ok(())
@@ -612,7 +635,9 @@ impl<W: Write> SnapshotWriter<W> {
     }
 
     /// A whole payload: its length, then its bytes. A cell is announced at
-    /// [`StateCell::byte_len`] and streamed (zero-copy for LE containers).
+    /// [`StateCell::byte_len`]; one whose memory already is its encoding
+    /// ([`StateCell::encoded`]) lends those bytes to [`SnapshotWriter::put`],
+    /// any other streams through [`StateCell::write_state`].
     fn put_whole(&mut self, name: &str, source: &FieldSource<'_>) -> Result<()> {
         match source {
             FieldSource::Bytes(bytes) => {
@@ -622,8 +647,16 @@ impl<W: Write> SnapshotWriter<W> {
             FieldSource::Cell(cell) => {
                 let len = cell.byte_len() as u64;
                 self.put(&len.to_le_bytes())?;
-                let streamed = self.stream(|tee| cell.write_state(tee))?;
-                carried(name, len, streamed)
+                match cell.encoded() {
+                    Some(bytes) => {
+                        carried(name, len, bytes.len() as u64)?;
+                        self.put(bytes)
+                    }
+                    None => {
+                        let streamed = self.stream(|tee| cell.write_state(tee))?;
+                        carried(name, len, streamed)
+                    }
+                }
             }
         }
     }
@@ -2473,8 +2506,21 @@ mod tests {
                 nranks: 1,
                 fields: vec![("empty".into(), vec![]), (String::new(), vec![7])],
             },
+            // A payload the writer checksums on a helper thread, of odd
+            // length, between small fields.
+            Snapshot {
+                mode_tag: "smp2".into(),
+                count: 5,
+                rank: None,
+                nranks: 2,
+                fields: vec![
+                    ("head".into(), vec![1, 2, 3]),
+                    ("big".into(), helper_sized_bytes()),
+                    ("tail".into(), vec![9; 5]),
+                ],
+            },
         ];
-        for snap in cases {
+        for (case, snap) in cases.into_iter().enumerate() {
             let golden = snap.encode();
             let written = put_snapshot(&store, &snap);
             let path = match snap.rank {
@@ -2482,14 +2528,17 @@ mod tests {
                 Some(r) => store.shard_path(r),
             };
             let streamed = fs::read(&path).unwrap();
-            assert_eq!(streamed, golden, "streamed bytes differ for {snap:?}");
+            // Not `assert_eq!`: a helper-sized case would print megabytes.
+            assert!(streamed == golden, "streamed bytes differ for case {case}");
             assert_eq!(written, golden.len() as u64);
         }
         fs::remove_dir_all(&dir).unwrap();
     }
 
     /// `FieldSource::Cell` (the zero-copy path) must produce the same bytes
-    /// as materializing the cell through `save_bytes`.
+    /// as materializing the cell through `save_bytes` — a small cell, an
+    /// empty one, and one whose lent encoding the writer checksums on a
+    /// helper thread.
     #[test]
     fn golden_bytes_cell_source_matches_materialized() {
         let dir = tmpdir("golden_cell");
@@ -2497,6 +2546,11 @@ mod tests {
         let grid: Vec<f64> = (0..512).map(|i| i as f64 * 0.5 - 17.0).collect();
         let vec_cell = SharedVec::from_vec(grid);
         let empty_cell = SharedVec::new(0, 0.0f64);
+        // 600 001 elements: 4.8 MB, over two SPLIT_PARTs.
+        let big: Vec<f64> = (0..600_001).map(|i| (i as f64).sqrt() - 3.0).collect();
+        let big_cell = SharedVec::from_vec(big);
+        assert!(big_cell.byte_len() >= 2 * SPLIT_PART);
+        assert!(big_cell.encoded().is_some());
 
         let materialized = Snapshot {
             mode_tag: "smp4".into(),
@@ -2506,6 +2560,7 @@ mod tests {
             fields: vec![
                 ("G".into(), vec_cell.save_bytes()),
                 ("Z".into(), empty_cell.save_bytes()),
+                ("B".into(), big_cell.save_bytes()),
             ],
         };
         let golden = materialized.encode();
@@ -2513,13 +2568,60 @@ mod tests {
         let fields: Vec<(&str, FieldSource<'_>)> = vec![
             ("G", FieldSource::Cell(&vec_cell)),
             ("Z", FieldSource::Cell(&empty_cell)),
+            ("B", FieldSource::Cell(&big_cell)),
         ];
         store
             .put(&Record::Full(&materialized.meta(), &fields))
             .unwrap();
         let streamed = fs::read(store.master_path()).unwrap();
-        assert_eq!(streamed, golden);
+        assert!(
+            streamed == golden,
+            "streamed bytes differ from the legacy encoding"
+        );
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An odd-length payload over two [`SPLIT_PART`]s: the writer
+    /// checksums it on a helper thread wherever there is a second core.
+    fn helper_sized_bytes() -> Vec<u8> {
+        (0..2 * SPLIT_PART + 12_345)
+            .map(|i| (i * 31 + i / 977) as u8)
+            .collect()
+    }
+
+    /// A sink that takes `room` bytes, then fails every write.
+    struct FailingSink {
+        room: usize,
+    }
+
+    impl Write for FailingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::Error::other("sink full"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A sink that fails in the middle of a payload the helper thread is
+    /// checksumming: the encode reports the failure — no panic, no hang.
+    #[test]
+    fn sink_failing_mid_payload_fails_the_encode() {
+        let big = helper_sized_bytes();
+        let meta = sample(None).meta();
+        let fields = [("big", FieldSource::Bytes(&big))];
+        let record = Record::Full(&meta, &fields);
+        let err = record
+            .encode(FailingSink { room: SPLIT_PART })
+            .err()
+            .expect("a full sink fails the encode");
+        assert!(err.to_string().contains("sink full"), "{err}");
     }
 
     /// Files written by the legacy encoder load through the reader, and

@@ -21,9 +21,10 @@
 //!   names it gave the stored files it superseded (the record it renamed
 //!   over, a shard's evicted `_prev`, a retired chain's deltas). Every
 //!   record name is in place when `commit` returns. The checkpoint module
-//!   keeps the spares, so its next save of each key rewrites the file that
-//!   key last retired ([`crate::hook`]); every other caller drops the
-//!   value at once, which unlinks them.
+//!   and the checkpoint service's lanes keep the spares, so the next save
+//!   of each key rewrites the file that key last retired
+//!   ([`crate::hook`]); a direct [`CkptTransport::put`] drops the value at
+//!   once, which unlinks them.
 //! * **put, once** — [`CkptTransport::put`] is *provided*: derive the key
 //!   from the record's header, run the golden encoder into `begin(key)`,
 //!   commit, and drop what the commit superseded. No medium
@@ -151,8 +152,10 @@ pub(crate) fn keep_head(head: &mut Vec<u8>, bytes: &[u8]) {
 /// next flat sink of the key it belongs to claims it and rewrites the file
 /// in place, so a save does not pay the kernel for a fresh file's page
 /// cache and then again for freeing the old one. Dropping the value
-/// unlinks the spares, which frees the files inline; [`Superseded::keep`]
-/// leaves them on disk. A medium that keeps nothing on disk names none.
+/// unlinks the spares, which frees the files inline (a direct
+/// [`CkptTransport::put`]); [`Superseded::keep`] leaves them on disk (the
+/// checkpoint module and the checkpoint service's lanes). A medium that
+/// keeps nothing on disk names none.
 #[derive(Debug, Default)]
 pub struct Superseded {
     pub(crate) bytes: u64,

@@ -1069,10 +1069,11 @@ fn lane_put(
             "malformed checkpoint stream frame".into(),
         )),
     };
-    // The lane releases what the record superseded inline, before it
-    // answers.
+    // The lane keeps what the record superseded: the next remote save of
+    // this key claims the spare and rewrites it in place, so the answer
+    // never waits for the kernel to free the old file.
     let committed = match (sink, verdict) {
-        (Ok(sink), Ok(())) => sink.commit().map(|superseded| superseded.bytes()),
+        (Ok(sink), Ok(())) => sink.commit().map(Superseded::keep),
         (Ok(sink), Err(e)) => {
             sink.abort(&e.to_string());
             Err(e)
@@ -1699,5 +1700,167 @@ mod tests {
                 // Dropping the fabric closes the connections: death.
             });
         });
+    }
+
+    /// The inode `path` names, if it exists.
+    #[cfg(unix)]
+    fn ino(path: &std::path::Path) -> Option<u64> {
+        use std::os::unix::fs::MetadataExt;
+        std::fs::metadata(path).ok().map(|m| m.ino())
+    }
+
+    /// The names in `dir`, sorted.
+    #[cfg(unix)]
+    fn names(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The payload of the save at safe point `count`: a few stream chunks,
+    /// different at every count.
+    #[cfg(unix)]
+    fn payload(count: u64) -> Vec<u8> {
+        (0..3 * STREAM_CHUNK + 101)
+            .map(|i| (i as u64 * 7 + count) as u8)
+            .collect()
+    }
+
+    /// Save `payload(count)` under the key `rank` names.
+    #[cfg(unix)]
+    fn save(t: &NetTransport, count: u64, rank: Option<u32>) {
+        let bytes = payload(count);
+        t.put(&Record::Full(
+            &meta(count, rank, 2),
+            &[("G", FieldSource::Bytes(&bytes))],
+        ))
+        .unwrap();
+    }
+
+    /// A lane keeps what its commit superseded: from the third remote save
+    /// of a key on, the root publishes the very file that key's last save
+    /// retired, the root holds the record plus at most one spare, and
+    /// every restore comes back CRC-verified and byte-equal.
+    #[cfg(unix)]
+    #[test]
+    fn lane_rewrites_the_spare_its_last_save_left() {
+        let dir = scratch_dir("lane_recycle");
+        let store = CheckpointStore::new_flat(&dir).unwrap();
+        let record = dir.join("ckpt_master.bin");
+        let spare = dir.join("ckpt_master.bin.spare");
+        two_rank_over(
+            Arc::new(store),
+            |t| {
+                for count in 1..=5 {
+                    let claimable = ino(&spare);
+                    save(t, count, None);
+                    if count >= 3 {
+                        assert!(claimable.is_some(), "save {count}: no spare on the root");
+                        assert_eq!(ino(&record), claimable, "save {count}: spare not rewritten");
+                    }
+                    let left = names(&dir);
+                    assert!(
+                        left == ["ckpt_master.bin"]
+                            || left == ["ckpt_master.bin", "ckpt_master.bin.spare"],
+                        "save {count} left {left:?}"
+                    );
+                    let snap = t.get(None, None).unwrap().unwrap();
+                    assert_eq!(snap.count, count);
+                    assert!(snap.field("G").unwrap() == payload(count).as_slice());
+                }
+            },
+            |_| (),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stream that fails after its lane claimed the key's spare — the
+    /// client aborts mid-record, or the record fails its CRC — leaves the
+    /// committed record untouched and readable and no temp file (the
+    /// claimed spare goes with it), and the next save succeeds.
+    #[cfg(unix)]
+    #[test]
+    fn lane_failure_over_a_claimed_spare_leaves_the_record() {
+        let dir = scratch_dir("lane_claimed_fail");
+        let store = CheckpointStore::new_flat(&dir).unwrap();
+        let record = dir.join("ckpt_master.bin");
+        let spare = dir.join("ckpt_master.bin.spare");
+        two_rank_over(
+            Arc::new(store),
+            |t| {
+                save(t, 1, None);
+                save(t, 2, None);
+                for (count, corrupt) in [(3, false), (4, true)] {
+                    let committed = std::fs::read(&record).unwrap();
+                    assert!(spare.exists(), "no spare for the lane to claim");
+                    let bytes = payload(9);
+                    let mut w = SnapshotWriter::new(Vec::new(), &meta(9, None, 2), 1).unwrap();
+                    w.field("G", &FieldSource::Bytes(&bytes)).unwrap();
+                    let (_, mut encoded) = w.finish().unwrap();
+                    // A flat root refused the first save's dedup question,
+                    // so this sink streams: the lane has begun (and claimed
+                    // the spare) before the first byte.
+                    let mut sink = t
+                        .begin(RecordKey::full(None), encoded.len() as u64)
+                        .unwrap();
+                    if corrupt {
+                        let mid = encoded.len() / 2;
+                        encoded[mid] ^= 0x40;
+                        sink.write_all(&encoded).unwrap();
+                        let err = sink.commit().unwrap_err();
+                        assert!(err.to_string().contains("CRC"), "{err}");
+                    } else {
+                        sink.write_all(&encoded[..encoded.len() / 2]).unwrap();
+                        sink.abort("the saver gave up");
+                    }
+                    assert!(std::fs::read(&record).unwrap() == committed);
+                    assert_eq!(t.get(None, None).unwrap().unwrap().count, count - 1);
+                    let left = names(&dir);
+                    assert_eq!(left, ["ckpt_master.bin"], "the claimed spare is left over");
+                    save(t, count, None);
+                    let snap = t.get(None, None).unwrap().unwrap();
+                    assert_eq!(snap.count, count);
+                    assert!(snap.field("G").unwrap() == payload(count).as_slice());
+                }
+            },
+            |_| (),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Local-snapshot shards through a lane: once a shard's saves rewrite
+    /// the `_prev` its rotation evicted, a pinned read at the last group
+    /// commit still serves the previous generation from `_prev`.
+    #[cfg(unix)]
+    #[test]
+    fn lane_recycled_shard_keeps_its_previous_generation() {
+        let dir = scratch_dir("lane_shard_prev");
+        let store = Arc::new(CheckpointStore::new_flat(&dir).unwrap());
+        let shard = dir.join("ckpt_rank_1.bin");
+        let spare = dir.join("ckpt_rank_1.bin.spare");
+        two_rank_over(
+            store.clone(),
+            |t| {
+                for count in 1..=5 {
+                    let claimable = ino(&spare);
+                    save(t, count, Some(1));
+                    if count >= 4 {
+                        assert!(claimable.is_some(), "save {count}: no spare on the root");
+                        assert_eq!(ino(&shard), claimable, "save {count}: spare not rewritten");
+                    }
+                    if count >= 2 {
+                        let prev = t.get(Some(1), Some(count - 1)).unwrap().unwrap();
+                        assert_eq!(prev.count, count - 1);
+                        assert!(prev.field("G").unwrap() == payload(count - 1).as_slice());
+                    }
+                    store.commit_group(count).unwrap();
+                }
+            },
+            |_| (),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
