@@ -15,9 +15,9 @@ use std::time::{Duration, Instant};
 
 use ppar_ckpt::hook::{CheckpointModule, CkptStats};
 use ppar_core::ctx::{run_on, AdaptHook, CkptHook, Ctx, Engine, SeqEngine};
-use ppar_core::error::Result;
+use ppar_core::error::{PparError, Result};
 use ppar_core::plan::Plan;
-use ppar_core::runtime::TeamEngine;
+use ppar_core::runtime::{catch_exit, leave, Exit, TeamEngine};
 use ppar_dsm::spmd::{run_ranks, SpmdConfig};
 use ppar_dsm::{SimNet, Traffic};
 
@@ -138,6 +138,17 @@ pub(crate) fn run_app<R>(ctx: &Ctx, app: &impl Fn(&Ctx) -> (AppStatus, R)) -> (A
     (status, result)
 }
 
+/// Why a round ended with [`Exit::Fault`]: on an in-process deployment
+/// (no element can die) only a failed restore raises it — the engine ends
+/// the attempt on every line of execution, and the module whose load
+/// failed keeps the error.
+pub(crate) fn load_failure(modules: &[Arc<CheckpointModule>]) -> PparError {
+    let failure = modules.iter().find_map(|m| m.take_load_failure());
+    failure.unwrap_or_else(|| {
+        PparError::ContractViolation("a line of execution faulted, yet no load failed".into())
+    })
+}
+
 /// One launch round: stand `deploy` up as a running engine stack — one
 /// engine per aggregate element, rank `r` hooked to `modules[r]` (none when
 /// the slice is empty) and to the controller (itself for one element, its
@@ -227,9 +238,14 @@ pub fn launch<R: Send>(
         Some(dir) => CheckpointModule::create_group(dir, &plan, deploy.nranks())?,
         None => Vec::new(),
     };
-    let (results, traffic) = round(deploy, &plan, &modules, controller.as_ref(), |ctx| {
-        run_app(ctx, &app)
+    let (exits, traffic) = round(deploy, &plan, &modules, controller.as_ref(), |ctx| {
+        catch_exit(|| run_app(ctx, &app))
     });
+    let results = match exits.into_iter().collect() {
+        Ok(results) => results,
+        Err(Exit::Fault) => return Err(load_failure(&modules)),
+        Err(other) => leave(other),
+    };
     let rank0 = modules.first();
     Ok(LaunchOutcome {
         results,

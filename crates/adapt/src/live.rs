@@ -49,7 +49,7 @@ use ppar_core::runtime::{catch_exit, leave, Exit};
 use ppar_dsm::{SpmdConfig, Traffic};
 
 use crate::controller::{AdaptationController, ReshapeKind};
-use crate::launcher::{round, run_app, AppStatus, Deploy};
+use crate::launcher::{load_failure, round, run_app, AppStatus, Deploy};
 
 /// Outcome of one live session ([`launch_live`]): the final run's results
 /// plus the mode switches that were applied by in-memory hand-off.
@@ -79,17 +79,6 @@ impl<R> LiveOutcome<R> {
     pub fn completed(&self) -> bool {
         self.results.iter().all(|(s, _)| *s == AppStatus::Completed)
     }
-}
-
-/// One rank's exit from a launch round: the app's return, or the mode an
-/// escalated reshape asks the session to relaunch in. A live session has no
-/// answer to the other exits (a simulated aggregate cannot lose a peer, and
-/// the master line never drains), so they keep unwinding like any panic.
-fn run_catching<T>(f: impl FnOnce() -> T) -> std::result::Result<T, ExecMode> {
-    catch_exit(f).map_err(|exit| match exit {
-        Exit::Reshape(mode) => mode,
-        other => leave(other),
-    })
 }
 
 /// Map an escalated reshape target onto a deployment, inheriting the
@@ -187,16 +176,18 @@ pub fn launch_live<R: Send>(
         arm(&modules, resume.take());
 
         let (exits, traffic) = round(&deploy, &plan, &modules, Some(&controller), |ctx| {
-            run_catching(|| run_app(ctx, &app))
+            catch_exit(|| run_app(ctx, &app))
         });
 
         // An escalated crossing unwinds every rank with the same target
         // (SPMD discipline: all elements reach the same crossing and read
-        // the same shared decision).
+        // the same shared decision); a failed restore ends the session.
         match exits
             .into_iter()
             .collect::<std::result::Result<Vec<_>, _>>()
         {
+            Err(Exit::Fault) => return Err(load_failure(&modules)),
+            Err(exit @ Exit::Drained) => leave(exit),
             Ok(results) => {
                 return Ok(LiveOutcome {
                     results,
@@ -208,7 +199,7 @@ pub fn launch_live<R: Send>(
                     elapsed: start.elapsed(),
                 });
             }
-            Err(mode) => {
+            Err(Exit::Reshape(mode)) => {
                 // The on-disk RUNNING marker (when a directory is
                 // configured) intentionally stays set across the relaunch:
                 // the session is still in flight, and if the process dies

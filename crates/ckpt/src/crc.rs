@@ -258,7 +258,13 @@ impl Crc32 {
     /// Absorb `len` bytes whose CRC-32 is `crc`, as if they had been
     /// [`Crc32::update`]d here (see [`crc32_combine`]).
     pub fn append(&mut self, crc: u32, len: u64) {
-        self.state = crc32_combine(self.finish(), crc, len) ^ 0xFFFF_FFFF;
+        self.append_shifted(crc, crc32_shift(len));
+    }
+
+    /// [`Crc32::append`] with the length's shift precomputed
+    /// ([`crc32_shift`]): one multiplication, however long the bytes.
+    pub fn append_shifted(&mut self, crc: u32, shift: u32) {
+        self.state = (mul_mod_p(shift, self.finish()) ^ crc) ^ 0xFFFF_FFFF;
     }
 }
 
@@ -271,9 +277,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// `a · b mod P` over GF(2), both in the reflected order of the CRC
 /// register (bit 31 holds the coefficient of x⁰).
-fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
     let mut product = 0;
-    for bit in (0..32).rev() {
+    let mut bit = 32;
+    while bit > 0 {
+        bit -= 1;
         if a & (1 << bit) != 0 {
             product ^= b;
         }
@@ -292,10 +300,17 @@ fn mul_mod_p(a: u32, mut b: u32) -> u32 {
 /// x^(8·len_b) modulo the polynomial (the pre- and post-conditioning XORs
 /// cancel out), so the cost is O(log len_b) and no byte is read again.
 pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    mul_mod_p(crc32_shift(len_b), crc_a) ^ crc_b
+}
+
+/// x^(8·len) mod P: what appending `len` bytes multiplies a CRC register
+/// by. A `const fn`, so a fixed block length's shift is a constant and
+/// appending a block costs one multiplication ([`Crc32::append_shifted`]).
+pub const fn crc32_shift(len: u64) -> u32 {
     // x^(8·2^i) mod P by squaring, starting from x⁸ (one byte's shift).
     let mut power = 1 << (31 - 8);
     let mut shift = 1 << 31; // x⁰
-    let mut n = len_b;
+    let mut n = len;
     while n != 0 {
         if n & 1 != 0 {
             shift = mul_mod_p(power, shift);
@@ -303,7 +318,7 @@ pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
         power = mul_mod_p(power, power);
         n >>= 1;
     }
-    mul_mod_p(shift, crc_a) ^ crc_b
+    shift
 }
 
 /// Running CRC over a byte stream whose *last four bytes* are the stored
@@ -544,6 +559,16 @@ mod tests {
         let mut c = Crc32::new();
         for part in data.chunks(70) {
             c.append(crc32(part), part.len() as u64);
+        }
+        assert_eq!(c.finish(), crc32(&data));
+        // The same parts through one precomputed shift, the last one short.
+        const SHIFT: u32 = crc32_shift(70);
+        let mut c = Crc32::new();
+        for part in data.chunks(70) {
+            match part.len() {
+                70 => c.append_shifted(crc32(part), SHIFT),
+                len => c.append(crc32(part), len as u64),
+            }
         }
         assert_eq!(c.finish(), crc32(&data));
         // A long run of zeros: the length alone moves the register.

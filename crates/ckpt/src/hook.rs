@@ -39,6 +39,21 @@
 //! old one. Spares outlive the module: a restarted run's first saves
 //! claim the ones a stopped run left.
 //!
+//! **A steady save writes what changed since the file it rewrites.** The
+//! module keeps its last two full records (`Generations`: each record's
+//! length, count and CRC, where its fields lie, and what every tracked
+//! field changed since), and every full record goes through one rule:
+//! when the sink's file is one of them — the flat sink's claimed spare,
+//! matched on length, count and trailer CRC, nothing less — a field
+//! streamed from a tracked cell writes only the ranges changed since that
+//! record (the last save's dirty ranges and this one's) and skips the
+//! rest; everything else, and every save whose changes are dense or whose
+//! base does not verify, is written whole. The trailer is the CRC of the
+//! state in memory, so a write a tracker missed fails the record's CRC at
+//! restore. Dirty tracking is therefore reset after every save, full or
+//! delta. A load that fails is kept ([`CheckpointModule::take_load_failure`])
+//! for the launcher, once the engine has ended the attempt.
+//!
 //! **A live hand-off is the predecessor's state, frozen**: the crossing
 //! keeps the root's safe-data cells ([`Handoff`]) instead of encoding a
 //! record, and every element of the successor installs its own share
@@ -62,7 +77,7 @@ use ppar_core::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use crate::delta::{DeltaMeta, Merged};
 use crate::handoff::Handoff;
 use crate::store::{CheckpointStore, DeltaSource, FieldSource, Record, SnapshotMeta, SnapshotView};
-use crate::transport::{commit_record, CkptTransport, Superseded};
+use crate::transport::{commit_record, CkptTransport, Held, RecordSink, Superseded};
 
 static NEXT_MODULE_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -152,6 +167,10 @@ pub struct CheckpointModule {
     transport: Option<Arc<dyn CkptTransport>>,
     /// Is the live hand-off armed ([`CheckpointModule::arm_handoff`])?
     handoff_armed: AtomicBool,
+    /// Why this module's restore failed, kept for the launcher: the
+    /// engine that met the failure ends the attempt on every line of
+    /// execution ([`CheckpointModule::take_load_failure`]).
+    load_failure: Mutex<Option<PparError>>,
     /// What [`CkptHook::handoff_snapshot`] froze at an escalated crossing,
     /// until the launcher takes it ([`CheckpointModule::take_handoff`]).
     handoff: Mutex<Option<Handoff>>,
@@ -174,6 +193,9 @@ pub struct CheckpointModule {
     incremental: Option<u64>,
     /// Delta-chain bookkeeping (incremental mode).
     chain: Mutex<DeltaChain>,
+    /// The last full records this module committed, which a steady save
+    /// may rewrite in place ([`Generations`]).
+    generations: Mutex<Generations>,
     /// Live region-progress tracker: the loop frames the master thread is
     /// currently inside ([`CkptHook::note_loop_iter`]). Serialized as the
     /// `PPARPRG1` cursor into every snapshot, delta and hand-off.
@@ -251,6 +273,141 @@ impl DeltaChain {
             }
         }
     }
+}
+
+/// Byte ranges of a field's payload, sorted and disjoint.
+type Ranges = Vec<std::ops::Range<usize>>;
+
+/// The last two full records this module committed in this process,
+/// newest first, each with what every field changed since. A commit gives
+/// the record it renames over the spare name, so the spare a steady save
+/// claims holds the older one, and the newer one is what the next save's
+/// spare will hold. A save whose sink holds one of them rewrites only
+/// those changes ([`Record::patch`]).
+#[derive(Default)]
+struct Generations(Vec<Generation>);
+
+struct Generation {
+    /// What names the record's file: length, count and trailer CRC.
+    held: Held,
+    /// Where each field's payload lies in it.
+    spans: Vec<std::ops::Range<u64>>,
+    /// Per field, the payload ranges written since this record was saved;
+    /// `None` for a field without write tracking, which is always
+    /// written whole.
+    since: Vec<Option<Ranges>>,
+}
+
+impl Generations {
+    /// What a full record whose payloads lie at `spans`, and whose fields
+    /// changed `changed` since the last save, must rewrite in `sink` (per
+    /// field; `None`: the whole payload). Only a base this module
+    /// committed is trusted: the sink's file must match one of these
+    /// records in length, count and CRC, and a field is patched only where
+    /// it lies exactly where it lay then. A save whose changes cover every
+    /// tracked field writes whole without reading the sink's file.
+    fn rewrite(
+        &self,
+        sink: &mut dyn RecordSink,
+        spans: &[std::ops::Range<u64>],
+        changed: &[Option<Ranges>],
+    ) -> Result<Vec<Option<Ranges>>> {
+        let whole = vec![None; spans.len()];
+        let sparse = changed.iter().zip(spans).any(|(changed, span)| {
+            changed
+                .as_ref()
+                .is_some_and(|ranges| covered(ranges) < span.end - span.start)
+        });
+        if !sparse {
+            return Ok(whole);
+        }
+        let Some(held) = sink.held()? else {
+            return Ok(whole);
+        };
+        let Some(base) = self.0.iter().find(|g| g.held == held) else {
+            return Ok(whole);
+        };
+        let rewrite = spans.iter().enumerate().map(|(i, span)| {
+            let since = base.since.get(i)?.as_ref()?;
+            let now = changed.get(i)?.as_ref()?;
+            (base.spans.get(i) == Some(span)).then(|| union(since, now))
+        });
+        Ok(rewrite.collect())
+    }
+
+    /// A save (full or delta) captured `changed`: every kept record is
+    /// that much further behind.
+    fn advance(&mut self, changed: &[Option<Ranges>]) {
+        for generation in &mut self.0 {
+            for (since, now) in generation.since.iter_mut().zip(changed) {
+                *since = match (since.take(), now) {
+                    (Some(since), Some(now)) => Some(union(&since, now)),
+                    _ => None,
+                };
+            }
+        }
+    }
+
+    /// A full record `held`, payloads at `spans`, was committed.
+    fn committed(
+        &mut self,
+        held: Held,
+        spans: Vec<std::ops::Range<u64>>,
+        changed: &[Option<Ranges>],
+    ) {
+        self.advance(changed);
+        let since = changed.iter().map(|c| c.as_ref().map(|_| Vec::new()));
+        let since = since.collect();
+        self.0.insert(0, Generation { held, spans, since });
+        self.0.truncate(2);
+    }
+}
+
+/// Commit the full record of `meta` and `fields` through `to`, rewriting
+/// in place the record the sink's file holds when
+/// [`Generations::rewrite`] trusts it, and keep it among `generations`.
+fn commit_full(
+    to: &dyn CkptTransport,
+    meta: &SnapshotMeta,
+    fields: &[(&str, FieldSource<'_>)],
+    changed: &[Option<Ranges>],
+    generations: &mut Generations,
+) -> Result<Superseded> {
+    let record = Record::Full(meta, fields);
+    let spans = record.payload_spans();
+    let mut sink = to.begin(record.key(), record.len_hint())?;
+    let rewrite = generations.rewrite(&mut *sink, &spans, changed)?;
+    let (len, crc) = match record.patch(&mut *sink, &rewrite) {
+        Ok(encoded) => encoded,
+        Err(e) => {
+            sink.abort(&e.to_string());
+            return Err(e);
+        }
+    };
+    let gone = sink.commit()?;
+    let count = meta.count;
+    generations.committed(Held { len, count, crc }, spans, changed);
+    Ok(gone)
+}
+
+/// Bytes `ranges` (sorted, disjoint) cover.
+fn covered(ranges: &[std::ops::Range<usize>]) -> u64 {
+    ranges.iter().map(|r| r.len() as u64).sum()
+}
+
+/// The union of two sorted, disjoint range lists, sorted, disjoint and
+/// coalesced.
+fn union(a: &[std::ops::Range<usize>], b: &[std::ops::Range<usize>]) -> Ranges {
+    let mut all: Ranges = a.iter().chain(b).cloned().collect();
+    all.sort_unstable_by_key(|r| r.start);
+    let mut out: Ranges = Vec::with_capacity(all.len());
+    for r in all.into_iter().filter(|r| !r.is_empty()) {
+        match out.last_mut() {
+            Some(last) if r.start <= last.end => last.end = last.end.max(r.end),
+            _ => out.push(r),
+        }
+    }
+    out
 }
 
 impl CheckpointModule {
@@ -413,6 +570,7 @@ impl CheckpointModule {
                     store: store.clone(),
                     transport: transport.clone(),
                     handoff_armed: AtomicBool::new(false),
+                    load_failure: Mutex::new(None),
                     handoff: Mutex::new(None),
                     resume: Mutex::new(None),
                     every,
@@ -426,6 +584,7 @@ impl CheckpointModule {
                     field_bufs: Mutex::new(Vec::new()),
                     incremental,
                     chain: Mutex::new(DeltaChain::default()),
+                    generations: Mutex::new(Generations::default()),
                     frames: Mutex::new(Vec::new()),
                     resume_cursor: Mutex::new(group_resume.cursor.clone()),
                     resumed_at: AtomicU64::new(0),
@@ -477,6 +636,13 @@ impl CheckpointModule {
         }
         let cursor = self.resume_cursor.lock();
         cursor.as_ref().map(|c| c.encode()).unwrap_or_default()
+    }
+
+    /// Why this module's restore failed, if it did: the engine ends the
+    /// attempt with [`ppar_core::runtime::Exit::Fault`], and the launcher
+    /// reports this.
+    pub fn take_load_failure(&self) -> Option<PparError> {
+        self.load_failure.lock().take()
     }
 
     /// Did start-up detect a failed previous execution?
@@ -568,6 +734,12 @@ impl CheckpointModule {
     /// contributes only its dirty byte ranges (clamped to the owned block
     /// for shards, with offsets relative to the extracted payload, matching
     /// the merge step); untracked fields are stored whole.
+    ///
+    /// A full record goes through one rule ([`Generations::rewrite`]): when
+    /// the sink's file already holds one of this module's last two full
+    /// records, a field streamed from a tracked cell rewrites only what
+    /// changed since, and every other field — untracked, extracted, the
+    /// cursor — is written whole.
     fn put_fields(
         &self,
         ctx: &Ctx,
@@ -575,7 +747,6 @@ impl CheckpointModule {
         meta: &SnapshotMeta,
         chain: Option<(u64, u32)>,
     ) -> Result<Superseded> {
-        type Ranges = Vec<std::ops::Range<usize>>;
         enum Slot {
             /// A field streamed from its cell; dirty ranges when tracked.
             Cell(Arc<dyn StateCell>, Option<Ranges>),
@@ -587,16 +758,13 @@ impl CheckpointModule {
             },
         }
 
-        // Dirty ranges matter only to a delta; a full record takes every
-        // field whole.
-        let dirty_of = |cell: &dyn StateCell| chain.and_then(|_| cell.dirty_ranges());
         let mut bufs = self.field_bufs.lock();
         let mut slots: Vec<(&String, Slot)> = Vec::new();
         let mut used = 0;
         for name in ctx.plan().safe_data() {
             if meta.rank.is_none() || ctx.plan().field_partition(name).is_none() {
                 let cell = ctx.registry().state(name)?;
-                let dirty = dirty_of(&*cell);
+                let dirty = cell.dirty_ranges();
                 slots.push((name, Slot::Cell(cell, dirty)));
                 continue;
             }
@@ -607,7 +775,8 @@ impl CheckpointModule {
             let buf = &mut bufs[used];
             buf.clear();
             let owned = block_owned(cell.logical_len(), ctx.num_ranks(), ctx.rank());
-            let sparse = match dirty_of(&*cell) {
+            // A full record takes the owned block whole.
+            let sparse = match chain.and_then(|_| cell.dirty_ranges()) {
                 Some(ranges) => {
                     // Clamp the field-wide dirty ranges to the owned block;
                     // this element persists only bytes it owns.
@@ -634,6 +803,17 @@ impl CheckpointModule {
             slots.push((name, Slot::Block { buf: used, sparse }));
             used += 1;
         }
+        // What each field of the record changed since the last save: a
+        // tracked cell's dirty ranges. An extracted block and the cursor
+        // count as untracked.
+        let changed: Vec<Option<Ranges>> = slots
+            .iter()
+            .map(|(_, slot)| match slot {
+                Slot::Cell(_, dirty) => dirty.clone(),
+                Slot::Block { .. } => None,
+            })
+            .chain([None])
+            .collect();
         // The cursor always travels whole (tens of bytes): a `Full` delta
         // entry replaces the base field at merge time, so the chain tip
         // carries the cursor matching its own count.
@@ -642,11 +822,11 @@ impl CheckpointModule {
             .iter()
             .map(|(name, slot)| {
                 let source = match slot {
-                    Slot::Cell(cell, Some(ranges)) => DeltaSource::DirtyCell {
+                    Slot::Cell(cell, Some(ranges)) if chain.is_some() => DeltaSource::DirtyCell {
                         cell: &**cell,
                         ranges,
                     },
-                    Slot::Cell(cell, None) => DeltaSource::Full(FieldSource::Cell(&**cell)),
+                    Slot::Cell(cell, _) => DeltaSource::Full(FieldSource::Cell(&**cell)),
                     Slot::Block {
                         buf,
                         sparse: Some((ranges, full_len)),
@@ -665,7 +845,8 @@ impl CheckpointModule {
                 PROGRESS_FIELD,
                 DeltaSource::Full(FieldSource::Bytes(&progress)),
             )]);
-        match chain {
+        let mut generations = self.generations.lock();
+        let committed = match chain {
             Some((base_count, seq)) => {
                 let meta = DeltaMeta {
                     mode_tag: meta.mode_tag.clone(),
@@ -676,7 +857,9 @@ impl CheckpointModule {
                     nranks: meta.nranks,
                 };
                 let fields: Vec<_> = fields.collect();
-                commit_record(to, &Record::Delta(&meta, &fields))
+                commit_record(to, &Record::Delta(&meta, &fields)).inspect(|_| {
+                    generations.advance(&changed);
+                })
             }
             None => {
                 let fields: Vec<_> = fields
@@ -685,9 +868,14 @@ impl CheckpointModule {
                         _ => unreachable!("dirty ranges are collected only for deltas"),
                     })
                     .collect();
-                commit_record(to, &Record::Full(meta, &fields))
+                commit_full(to, meta, &fields, &changed, &mut generations)
             }
+        };
+        if committed.is_err() {
+            // Whatever the sink's file holds now, it is no record of ours.
+            *generations = Generations::default();
         }
+        committed
     }
 
     /// Reset write tracking on every safe-data cell: the snapshot that just
@@ -799,6 +987,52 @@ impl CheckpointModule {
         Ok(())
     }
 
+    /// [`CkptHook::load_snapshot`], before its failure is kept.
+    fn load(&self, ctx: &Ctx) -> Result<Installed> {
+        let t0 = Instant::now();
+        let resume = self.resume.lock().take();
+        // Who installs: every element of a live-reshape resume (each lends
+        // the one hand-off — the launcher arms every element, so all make
+        // this choice) and every local-snapshot element; otherwise the
+        // root, from which the engine scatters partitioned fields and
+        // broadcasts the rest (no record access on other elements).
+        let sharded = self.sharded(ctx);
+        let installed = if resume.is_some() || sharded {
+            Installed::Everywhere
+        } else {
+            Installed::Root
+        };
+        match &resume {
+            // A live-reshape resume reads the predecessor's frozen state:
+            // no disk round-trip and no record, the lend is the
+            // predecessor's own cells, so the install is the one copy.
+            Some(handoff) => handoff.lend(&mut |view| self.install(ctx, view))?,
+            None if installed == Installed::Everywhere || ctx.rank() == 0 => {
+                self.restore(ctx, sharded)?
+            }
+            None => {}
+        }
+        // A restore invalidates the in-memory chain position: the next
+        // snapshot starts a fresh base rather than extending a chain this
+        // process generation did not write. Nor is any record this module
+        // wrote before the restore a base for the next full one.
+        *self.chain.lock() = DeltaChain::default();
+        *self.generations.lock() = Generations::default();
+
+        let was_replaying = self.replay.swap(false, Ordering::SeqCst);
+        let mut stats = self.stats.lock();
+        stats.load_time += t0.elapsed();
+        if was_replaying {
+            stats.replay_time = t0.duration_since(self.created);
+            // The clock counts every safe point between region start and the
+            // target; subtract the span the cursor let this thread skip to
+            // report the points actually re-visited.
+            stats.replayed_points = self.clock_get().saturating_sub(self.skipped_get());
+            stats.resumed_at_point = self.resumed_at.load(Ordering::SeqCst);
+        }
+        Ok(installed)
+    }
+
     /// Does every element persist (and restore) its own shard?
     fn sharded(&self, ctx: &Ctx) -> bool {
         ctx.num_ranks() > 1 && ctx.plan().dist_ckpt_strategy() == DistCkptStrategy::LocalSnapshot
@@ -851,10 +1085,12 @@ impl CkptHook for CheckpointModule {
         let written = self.put_fields(ctx, to, &meta, link)?.keep();
         if let Some(full_every) = self.incremental {
             self.chain.lock().advance(count, full_every);
-            // The checkpoint cycle's epoch reset: whatever was dirty is now
-            // captured (by the delta, or subsumed by the promoted base).
-            self.clear_dirty_fields(ctx)?;
         }
+        // The checkpoint cycle's epoch reset, after every save: whatever was
+        // dirty is now captured (by the delta, or by the full record), and
+        // the next save — a delta, or a full record rewriting this one's
+        // file — needs exactly what changes from here on.
+        self.clear_dirty_fields(ctx)?;
 
         let dt = t0.elapsed();
         // Fold the transport's dedup counters (content-addressed store
@@ -880,46 +1116,8 @@ impl CkptHook for CheckpointModule {
     }
 
     fn load_snapshot(&self, ctx: &Ctx) -> Result<Installed> {
-        let t0 = Instant::now();
-        let resume = self.resume.lock().take();
-        // Who installs: every element of a live-reshape resume (each lends
-        // the one hand-off — the launcher arms every element, so all make
-        // this choice) and every local-snapshot element; otherwise the
-        // root, from which the engine scatters partitioned fields and
-        // broadcasts the rest (no record access on other elements).
-        let sharded = self.sharded(ctx);
-        let installed = if resume.is_some() || sharded {
-            Installed::Everywhere
-        } else {
-            Installed::Root
-        };
-        match &resume {
-            // A live-reshape resume reads the predecessor's frozen state:
-            // no disk round-trip and no record, the lend is the
-            // predecessor's own cells, so the install is the one copy.
-            Some(handoff) => handoff.lend(&mut |view| self.install(ctx, view))?,
-            None if installed == Installed::Everywhere || ctx.rank() == 0 => {
-                self.restore(ctx, sharded)?
-            }
-            None => {}
-        }
-        // A restore invalidates the in-memory chain position: the next
-        // snapshot starts a fresh base rather than extending a chain this
-        // process generation did not write.
-        *self.chain.lock() = DeltaChain::default();
-
-        let was_replaying = self.replay.swap(false, Ordering::SeqCst);
-        let mut stats = self.stats.lock();
-        stats.load_time += t0.elapsed();
-        if was_replaying {
-            stats.replay_time = t0.duration_since(self.created);
-            // The clock counts every safe point between region start and the
-            // target; subtract the span the cursor let this thread skip to
-            // report the points actually re-visited.
-            stats.replayed_points = self.clock_get().saturating_sub(self.skipped_get());
-            stats.resumed_at_point = self.resumed_at.load(Ordering::SeqCst);
-        }
-        Ok(installed)
+        self.load(ctx)
+            .inspect_err(|e| *self.load_failure.lock() = Some(e.clone()))
     }
 
     fn sync_thread_clock(&self, count: u64) {

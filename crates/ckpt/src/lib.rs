@@ -92,4 +92,4 @@ pub use digest::ChunkDigest;
 pub use handoff::Handoff;
 pub use hook::{CheckpointModule, CkptStats};
 pub use store::{CheckpointStore, Record, Snapshot, SnapshotView};
-pub use transport::{CkptTransport, MemTransport, RecordKey, RecordSink, Superseded};
+pub use transport::{CkptTransport, Held, MemTransport, RecordKey, RecordSink, Superseded};

@@ -71,9 +71,10 @@
 //! Snapshots are persisted by [`SnapshotWriter`]: header, fields and
 //! trailing CRC are streamed through a [`std::io::BufWriter`] with a
 //! *running* CRC-32 — at no point does a whole-snapshot buffer exist. A
-//! payload of at least 4 MiB is checksummed on a second core while the
-//! writing thread copies it to the sink, and the two CRCs combine exactly
-//! ([`crate::crc::crc32_combine`]). Field payloads come from a
+//! payload of at least 4 MiB is checksummed by 256 KiB block, each block
+//! claimed from one counter by a helper thread on a second core and, once
+//! its write returns, by the writing thread; the block CRCs combine in
+//! order, exactly ([`Crc32::append_shifted`]). Field payloads come from a
 //! [`FieldSource`]:
 //!
 //! * [`FieldSource::Cell`] streams a live [`StateCell`] through
@@ -93,6 +94,16 @@
 //! ([`Snapshot::encode`], kept as the golden reference), so snapshots
 //! written by either path load through the same reader and old snapshot
 //! files stay valid.
+//!
+//! **A full record can be patched into a file that holds an older one**
+//! (`Record::patch`): the caller names, per field, the payload ranges the
+//! file may lack, and the writer writes those and moves past the rest
+//! ([`RecordSink::skip`]) — header, names, lengths and the trailer are
+//! always written. The CRC still runs over every in-memory byte, so the
+//! trailer vouches for the state, never for the file: a byte the file did
+//! not hold as the caller assumed fails the record's CRC at restore. Only
+//! the flat sink over a claimed spare holds a base ([`RecordSink::held`]);
+//! the checkpoint module decides whether to trust it ([`crate::hook`]).
 //!
 //! ## Read path
 //!
@@ -122,13 +133,13 @@ use std::path::{Path, PathBuf};
 
 use ppar_core::error::{PparError, Result};
 use ppar_core::state::StateCell;
-use ppar_core::sync::{cores, AtomicU64, Ordering};
+use ppar_core::sync::{cores, AtomicU64, AtomicUsize, Ordering};
 
 use crate::cas::ChunkRef;
-use crate::crc::{crc32, Crc32};
+use crate::crc::{crc32, crc32_shift, Crc32};
 use crate::delta::{DeltaMeta, Merged};
 use crate::transport::{
-    keep_head, stream_merged, CkptTransport, RecordKey, RecordSink, Superseded, HEAD_BYTES,
+    keep_head, stream_merged, CkptTransport, Held, RecordKey, RecordSink, Superseded, HEAD_BYTES,
 };
 
 const MAGIC: &[u8; 8] = b"PPARCKP1";
@@ -479,6 +490,57 @@ impl Record<'_> {
             }
         }
     }
+
+    /// Stream this full record into `sink`, whose file holds an older
+    /// record of the same layout ([`RecordSink::held`]): the bytes of
+    /// these fields that the holder may lack — for field `i`, its payload
+    /// ranges `rewrite[i]` (`None`: the whole payload) — are written, and
+    /// the sink moves past the rest ([`RecordSink::skip`]). Header, names,
+    /// length prefixes and the trailer are always written, and the CRC
+    /// runs over every byte of the record as it is in memory, so the
+    /// trailer vouches for the state, not for the file: a byte the holder
+    /// does not have as the rewrite assumed fails the record's CRC at
+    /// restore. A field whose bytes do not lie in memory (a cell without
+    /// [`StateCell::encoded`]) is written whole. Returns `(bytes, CRC)` of
+    /// the record; a delta record is refused.
+    pub(crate) fn patch(
+        &self,
+        sink: &mut dyn RecordSink,
+        rewrite: &[Option<Vec<Range<usize>>>],
+    ) -> Result<(u64, u32)> {
+        let Record::Full(meta, fields) = self else {
+            return Err(PparError::InvalidPlan("only a full record patches".into()));
+        };
+        let mut w = SnapshotWriter::new(sink, meta, fields.len() as u32)?;
+        w.skip = Some(|sink, n| sink.skip(n));
+        for (i, (name, source)) in fields.iter().enumerate() {
+            w.begin_field(name, None)?;
+            w.put_whole(name, source, rewrite.get(i).and_then(Option::as_deref))?;
+        }
+        let (written, crc, _) = w.seal()?;
+        Ok((written, crc))
+    }
+
+    /// Where each field's payload lies in this full record's encoding, in
+    /// field order (none for a delta record), from the fields' known
+    /// lengths — the length rule makes them exact.
+    pub(crate) fn payload_spans(&self) -> Vec<Range<u64>> {
+        let Record::Full(meta, fields) = self else {
+            return Vec::new();
+        };
+        // magic, tag, count, rank, nranks, nfields.
+        let mut at = (8 + 8 + meta.mode_tag.len() + 8 + 4 + 4 + 4) as u64;
+        let spans = fields.iter().map(|(name, source)| {
+            let len = match source {
+                FieldSource::Bytes(b) => b.len(),
+                FieldSource::Cell(cell) => cell.byte_len(),
+            } as u64;
+            let start = at + 8 + name.len() as u64 + 8;
+            at = start + len;
+            start..at
+        });
+        spans.collect()
+    }
 }
 
 /// Adapter that forwards writes to the sink while folding every byte into
@@ -495,6 +557,10 @@ struct CrcTee<'a, W: Write> {
 /// write (or vice versa), saving a second trip to RAM per multi-MiB
 /// field.
 const CRC_COPY_BLOCK: usize = 256 << 10;
+
+/// What appending one [`CRC_COPY_BLOCK`] multiplies a CRC register by: a
+/// large payload's block CRCs join in one multiplication each.
+const BLOCK_SHIFT: u32 = crc32_shift(CRC_COPY_BLOCK as u64);
 
 /// The least a thread reads of a CRC-verified span when [`RecordStream`]
 /// splits it across threads: a span shorter than two of these is read by
@@ -534,6 +600,10 @@ pub struct SnapshotWriter<W: Write> {
     crc: Crc32,
     written: u64,
     fields_remaining: u32,
+    /// How to move past bytes the sink already holds, when it holds a
+    /// record this one rewrites in place ([`Record::patch`]); `None`: every
+    /// byte is written.
+    skip: Option<fn(&mut W, u64) -> std::io::Result<()>>,
 }
 
 impl<W: Write> SnapshotWriter<W> {
@@ -543,6 +613,7 @@ impl<W: Write> SnapshotWriter<W> {
             crc: Crc32::new(),
             written: 0,
             fields_remaining: nfields,
+            skip: None,
         }
     }
 
@@ -576,30 +647,72 @@ impl<W: Write> SnapshotWriter<W> {
         Ok(w)
     }
 
-    /// Write `bytes` to the sink, CRC running. A payload of at least two
-    /// [`SPLIT_PART`]s, on more than one core, is checksummed by a scoped
-    /// helper thread while this thread writes it, and the helper's CRC
-    /// joins the running one ([`Crc32::append`]) — exactly the value one
-    /// pass computes. Anything smaller, and everything on one core,
-    /// interleaves CRC and copy in cache-sized blocks (see
-    /// [`CRC_COPY_BLOCK`]) instead of two full passes over the payload.
+    /// Write `bytes` to the sink, CRC running: [`SnapshotWriter::put_spans`]
+    /// over the whole of it.
     fn put(&mut self, bytes: &[u8]) -> Result<()> {
-        if bytes.len() >= 2 * SPLIT_PART && cores() > 1 {
-            let sink = &mut self.sink;
-            let (crc, wrote) = std::thread::scope(|scope| {
-                let helper = scope.spawn(|| crc32(bytes));
-                let wrote = sink.write_all(bytes);
-                let crc = helper
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
-                (crc, wrote)
-            });
-            wrote?;
-            self.crc.append(crc, bytes.len() as u64);
-        } else {
+        self.put_spans(bytes, std::slice::from_ref(&(0..bytes.len())))
+    }
+
+    /// Write the `write` ranges of `bytes` (sorted, disjoint) and move past
+    /// the rest, which the sink already holds; the CRC runs over every byte
+    /// of `bytes`, written or not.
+    ///
+    /// A payload of at least two [`SPLIT_PART`]s is checksummed by block
+    /// ([`CRC_COPY_BLOCK`]), and every block is claimed from one counter:
+    /// on more than one core a scoped helper thread claims blocks from the
+    /// start while this thread writes, and this thread claims what is left
+    /// once its write returns. A whole write leaves nearly every block to
+    /// the helper; a write of a few ranges leaves this thread free to take
+    /// half of them. The block CRCs join the running one in record order
+    /// ([`Crc32::append_shifted`]) — exactly the value one pass computes.
+    /// Anything smaller written whole, and a whole write on one core,
+    /// interleaves CRC and copy in cache-sized blocks instead of two full
+    /// passes over the payload.
+    fn put_spans(&mut self, bytes: &[u8], write: &[Range<usize>]) -> Result<()> {
+        let whole = write.len() == 1 && write[0] == (0..bytes.len());
+        if whole && (bytes.len() < 2 * SPLIT_PART || cores() == 1) {
             for block in bytes.chunks(CRC_COPY_BLOCK) {
                 self.crc.update(block);
                 self.sink.write_all(block)?;
+            }
+        } else {
+            let blocks = bytes.len().div_ceil(CRC_COPY_BLOCK);
+            let next = AtomicUsize::new(0);
+            let claim = || {
+                let mut done = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(block) = bytes.chunks(CRC_COPY_BLOCK).nth(i) else {
+                        return done;
+                    };
+                    done.push((i, crc32(block)));
+                }
+            };
+            let (sink, skip) = (&mut self.sink, self.skip);
+            let (wrote, claimed) = std::thread::scope(|scope| {
+                let helper =
+                    (cores() > 1 && bytes.len() >= 2 * SPLIT_PART).then(|| scope.spawn(claim));
+                let wrote = write_spans(sink, bytes, write, skip);
+                if wrote.is_err() {
+                    next.store(blocks, Ordering::Relaxed);
+                }
+                let mut claimed = claim();
+                if let Some(helper) = helper {
+                    let helped = helper.join();
+                    claimed.extend(helped.unwrap_or_else(|p| std::panic::resume_unwind(p)));
+                }
+                (wrote, claimed)
+            });
+            wrote?;
+            let mut crcs = vec![0; blocks];
+            for (i, crc) in claimed {
+                crcs[i] = crc;
+            }
+            for (crc, block) in crcs.into_iter().zip(bytes.chunks(CRC_COPY_BLOCK)) {
+                match block.len() {
+                    CRC_COPY_BLOCK => self.crc.append_shifted(crc, BLOCK_SHIFT),
+                    len => self.crc.append(crc, len as u64),
+                }
             }
         }
         self.written += bytes.len() as u64;
@@ -638,26 +751,31 @@ impl<W: Write> SnapshotWriter<W> {
     /// [`StateCell::byte_len`]; one whose memory already is its encoding
     /// ([`StateCell::encoded`]) lends those bytes to [`SnapshotWriter::put`],
     /// any other streams through [`StateCell::write_state`].
-    fn put_whole(&mut self, name: &str, source: &FieldSource<'_>) -> Result<()> {
-        match source {
-            FieldSource::Bytes(bytes) => {
-                self.put(&(bytes.len() as u64).to_le_bytes())?;
-                self.put(bytes)
-            }
-            FieldSource::Cell(cell) => {
-                let len = cell.byte_len() as u64;
-                self.put(&len.to_le_bytes())?;
-                match cell.encoded() {
-                    Some(bytes) => {
-                        carried(name, len, bytes.len() as u64)?;
-                        self.put(bytes)
-                    }
-                    None => {
-                        let streamed = self.stream(|tee| cell.write_state(tee))?;
-                        carried(name, len, streamed)
-                    }
-                }
-            }
+    ///
+    /// With `rewrite`, a payload whose bytes lie in memory writes only those
+    /// ranges and moves past the rest ([`Record::patch`]).
+    fn put_whole(
+        &mut self,
+        name: &str,
+        source: &FieldSource<'_>,
+        rewrite: Option<&[Range<usize>]>,
+    ) -> Result<()> {
+        let (len, bytes) = match source {
+            FieldSource::Bytes(bytes) => (bytes.len() as u64, Some(*bytes)),
+            FieldSource::Cell(cell) => (cell.byte_len() as u64, cell.encoded()),
+        };
+        self.put(&len.to_le_bytes())?;
+        let Some(bytes) = bytes else {
+            let FieldSource::Cell(cell) = source else {
+                unreachable!("bytes are in memory")
+            };
+            let streamed = self.stream(|tee| cell.write_state(tee))?;
+            return carried(name, len, streamed);
+        };
+        carried(name, len, bytes.len() as u64)?;
+        match rewrite {
+            Some(ranges) => self.put_spans(bytes, ranges),
+            None => self.put(bytes),
         }
     }
 
@@ -692,7 +810,7 @@ impl<W: Write> SnapshotWriter<W> {
     /// Write one field of a full record from a [`FieldSource`].
     pub fn field(&mut self, name: &str, source: &FieldSource<'_>) -> Result<()> {
         self.begin_field(name, None)?;
-        self.put_whole(name, source)
+        self.put_whole(name, source, None)
     }
 
     /// Write one field of a delta record from a [`DeltaSource`]: a whole
@@ -703,7 +821,7 @@ impl<W: Write> SnapshotWriter<W> {
         match source {
             DeltaSource::Full(whole) => {
                 self.begin_field(name, Some(0))?;
-                self.put_whole(name, whole)
+                self.put_whole(name, whole, None)
             }
             DeltaSource::DirtyCell { cell, ranges } => {
                 let total = self.begin_sparse(name, cell.byte_len() as u64, ranges)?;
@@ -724,18 +842,61 @@ impl<W: Write> SnapshotWriter<W> {
 
     /// Seal the snapshot: append the running CRC, flush the sink and return
     /// `(total bytes written, sink)`.
-    pub fn finish(mut self) -> Result<(u64, W)> {
+    pub fn finish(self) -> Result<(u64, W)> {
+        let (written, _, sink) = self.seal()?;
+        Ok((written, sink))
+    }
+
+    /// [`SnapshotWriter::finish`], the record's CRC returned too.
+    fn seal(mut self) -> Result<(u64, u32, W)> {
         if self.fields_remaining != 0 {
             return Err(PparError::InvalidPlan(format!(
                 "SnapshotWriter: {} announced fields never written",
                 self.fields_remaining
             )));
         }
-        self.sink.write_all(&self.crc.finish().to_le_bytes())?;
+        let crc = self.crc.finish();
+        self.sink.write_all(&crc.to_le_bytes())?;
         self.written += 4;
         self.sink.flush()?;
-        Ok((self.written, self.sink))
+        Ok((self.written, crc, self.sink))
     }
+}
+
+/// Write the `write` ranges of `bytes` into `sink` in order, moving past
+/// the bytes between them (and after the last) with `skip`. A range that
+/// is out of order or outside `bytes` is refused, as is a gap without
+/// `skip`.
+fn write_spans<W: Write>(
+    sink: &mut W,
+    bytes: &[u8],
+    write: &[Range<usize>],
+    skip: Option<fn(&mut W, u64) -> std::io::Result<()>>,
+) -> Result<()> {
+    let pass = |sink: &mut W, n: usize| match (n, skip) {
+        (0, _) => Ok(()),
+        (n, Some(skip)) => skip(sink, n as u64),
+        (_, None) => Err(std::io::Error::other(
+            "a gap in a write with nothing to skip it",
+        )),
+    };
+    let mut at = 0;
+    for r in write {
+        let span = bytes
+            .get(r.clone())
+            .filter(|_| r.start >= at)
+            .ok_or_else(|| {
+                PparError::InvalidPlan(format!(
+                    "rewrite range {r:?} is out of order or outside a {}-byte payload",
+                    bytes.len()
+                ))
+            })?;
+        pass(sink, r.start - at)?;
+        sink.write_all(span)?;
+        at = r.end;
+    }
+    pass(sink, bytes.len() - at)?;
+    Ok(())
 }
 
 /// The length rule: a field streams exactly the bytes its header announced.
@@ -774,13 +935,14 @@ impl CkptTransport for CheckpointStore {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = dst.with_extension(format!("tmp{n}"));
-        let file = claim_spare(&spare_path(&dst), &tmp)?;
+        let (file, claimed) = claim_spare(&spare_path(&dst), &tmp)?;
         Ok(Box::new(FlatSink {
             store: self,
             key,
             tmp,
             dst,
             w: BufWriter::new(file),
+            claimed,
             head: Vec::with_capacity(256),
             written: 0,
             committed: false,
@@ -837,7 +999,9 @@ impl CkptTransport for CheckpointStore {
 
 /// The flat layout's sink and its one commit sequence: bytes stream
 /// through a [`BufWriter`] into a uniquely named temp file — the key's
-/// spare when one can be claimed, rewritten in place — and commit flushes,
+/// spare when one can be claimed, rewritten in place: whole, or only where
+/// a caller that recognises the record the spare holds ([`RecordSink::held`])
+/// says it differs, the rest skipped over — and commit flushes,
 /// trims the file to the bytes written, rotates the shard generation the
 /// group last committed aside (full shard records only), renames over the
 /// final name and — for a base — retires the chain the new base
@@ -851,7 +1015,13 @@ struct FlatSink<'a> {
     tmp: PathBuf,
     dst: PathBuf,
     w: BufWriter<fs::File>,
+    /// The temp file is a claimed spare, its only name: what it holds may
+    /// be offered as a base ([`RecordSink::held`]).
+    claimed: bool,
+    /// The record's leading bytes, as long as they were written without a
+    /// gap (a skip ends it; the header always comes first).
     head: Vec<u8>,
+    /// Where the next byte goes: bytes written plus bytes skipped.
     written: u64,
     /// The temp file has been renamed away; nothing is left to remove.
     committed: bool,
@@ -860,7 +1030,9 @@ struct FlatSink<'a> {
 impl Write for FlatSink<'_> {
     fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
         let n = self.w.write(bytes)?;
-        keep_head(&mut self.head, &bytes[..n]);
+        if self.head.len() as u64 == self.written {
+            keep_head(&mut self.head, &bytes[..n]);
+        }
         self.written += n as u64;
         Ok(n)
     }
@@ -871,6 +1043,39 @@ impl Write for FlatSink<'_> {
 }
 
 impl RecordSink for FlatSink<'_> {
+    /// The claimed spare's length, header count and trailer, read where
+    /// they lie; `None` for a fresh file, and for a spare too short or
+    /// whose header does not parse.
+    fn held(&mut self) -> Result<Option<Held>> {
+        if !self.claimed || self.written != 0 {
+            return Ok(None);
+        }
+        let file = self.w.get_ref();
+        let len = file.metadata()?.len();
+        if len < (MAGIC.len() + 4) as u64 {
+            return Ok(None);
+        }
+        let mut head = vec![0; HEAD_BYTES.min(len as usize - 4)];
+        let mut trailer = [0; 4];
+        read_exact_at(file, &mut head, 0)?;
+        read_exact_at(file, &mut trailer, len - 4)?;
+        Ok(SnapshotMeta::of_head(&head).ok().map(|meta| Held {
+            len,
+            count: meta.count,
+            crc: u32::from_le_bytes(trailer),
+        }))
+    }
+
+    fn skip(&mut self, n: u64) -> std::io::Result<()> {
+        if !self.claimed {
+            return Err(std::io::Error::other("a fresh file holds nothing to skip"));
+        }
+        let ahead = i64::try_from(n).map_err(std::io::Error::other)?;
+        self.w.seek(std::io::SeekFrom::Current(ahead))?;
+        self.written += n;
+        Ok(())
+    }
+
     fn commit(mut self: Box<Self>) -> Result<Superseded> {
         self.w.flush()?;
         // A claimed spare may be longer than this record.
@@ -898,21 +1103,33 @@ fn spare_path(path: &Path) -> PathBuf {
 }
 
 /// Open the temp file `tmp` for a flat sink: the record name's `spare`,
-/// claimed by renaming it to `tmp` and opened to be rewritten in place, or
-/// a fresh file when there is no spare to claim. A claimed file that still
-/// has another name — a crash cut a commit between its link and its rename,
-/// so the spare is also a live record — is never written: it is unlinked
-/// and a fresh file takes its place.
-fn claim_spare(spare: &Path, tmp: &Path) -> Result<fs::File> {
+/// claimed by renaming it to `tmp` and opened to be rewritten in place
+/// (`true`), or a fresh file when there is no spare to claim (`false`). A
+/// claimed file that still has another name — a crash cut a commit between
+/// its link and its rename, so the spare is also a live record — is never
+/// written: it is unlinked and a fresh file takes its place.
+fn claim_spare(spare: &Path, tmp: &Path) -> Result<(fs::File, bool)> {
     if fs::rename(spare, tmp).is_ok() {
-        let file = fs::OpenOptions::new().write(true).open(tmp)?;
+        let file = fs::OpenOptions::new().read(true).write(true).open(tmp)?;
         if sole_name(&file)? {
-            return Ok(file);
+            return Ok((file, true));
         }
         drop(file);
         fs::remove_file(tmp)?;
     }
-    Ok(fs::File::create(tmp)?)
+    Ok((fs::File::create(tmp)?, false))
+}
+
+/// Fill `out` from `file` at `offset`, leaving its cursor where it is.
+#[cfg(unix)]
+fn read_exact_at(file: &fs::File, out: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, out, offset)
+}
+
+/// Off Unix no spare is ever claimed ([`sole_name`]), so nothing reads one.
+#[cfg(not(unix))]
+fn read_exact_at(_file: &fs::File, _out: &mut [u8], _offset: u64) -> std::io::Result<()> {
+    Err(std::io::Error::other("positioned reads need Unix"))
 }
 
 #[cfg(unix)]
@@ -927,11 +1144,19 @@ fn sole_name(_file: &fs::File) -> std::io::Result<bool> {
     Ok(false)
 }
 
+/// An abandoned sink removes its temp file — unless it is a claimed spare
+/// that never took a byte (a checkpoint service's lane answering a dedup
+/// question it cannot serve drops its sink so): that file goes back to its
+/// spare name, when the name is free, for the next save to claim.
 impl Drop for FlatSink<'_> {
     fn drop(&mut self) {
-        if !self.committed {
-            let _ = fs::remove_file(&self.tmp);
+        if self.committed {
+            return;
         }
+        if self.claimed && self.written == 0 {
+            let _ = fs::hard_link(&self.tmp, spare_path(&self.dst));
+        }
+        let _ = fs::remove_file(&self.tmp);
     }
 }
 
@@ -2622,6 +2847,79 @@ mod tests {
             .err()
             .expect("a full sink fails the encode");
         assert!(err.to_string().contains("sink full"), "{err}");
+    }
+
+    /// A sink that takes every byte at once and keeps only the count and
+    /// the last four: the writer's own write returns long before the
+    /// helper has checksummed the payload, and it claims blocks too.
+    #[derive(Default)]
+    struct FastSink {
+        len: u64,
+        tail: Vec<u8>,
+    }
+
+    impl Write for FastSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = std::io::sink().write(buf)?;
+            self.len += n as u64;
+            self.tail.extend_from_slice(&buf[n.saturating_sub(4)..n]);
+            let keep = self.tail.len().saturating_sub(4);
+            self.tail.drain(..keep);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A sink that sleeps before taking each write of at most 64 KiB: the
+    /// helper claims every block while the writer is still writing.
+    struct SlowSink(Vec<u8>);
+
+    impl Write for SlowSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            std::thread::sleep(std::time::Duration::from_micros(100));
+            let n = buf.len().min(64 << 10);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// However the writer and the helper share a large payload's blocks,
+    /// the block CRCs join in record order: a record encoded into a sink
+    /// that keeps no pace (the writer claims blocks) and into one that
+    /// sleeps per write (the helper claims them all) is golden.
+    #[test]
+    fn golden_bytes_whichever_thread_claims_the_blocks() {
+        let snap = Snapshot {
+            mode_tag: "smp2".into(),
+            count: 11,
+            rank: None,
+            nranks: 2,
+            fields: vec![
+                ("big".into(), helper_sized_bytes()),
+                ("tail".into(), vec![3; 7]),
+            ],
+        };
+        let golden = snap.encode();
+        let fields = bytes_fields(&snap);
+        let record = Record::Full(&snap.meta(), &fields);
+
+        let (written, fast) = record.encode(FastSink::default()).unwrap();
+        assert_eq!(
+            (written, fast.len),
+            (golden.len() as u64, golden.len() as u64)
+        );
+        assert_eq!(fast.tail, golden[golden.len() - 4..], "fast sink");
+
+        let (written, slow) = record.encode(SlowSink(Vec::new())).unwrap();
+        assert_eq!(written, golden.len() as u64);
+        assert!(slow.0 == golden, "slow sink: bytes differ from golden");
     }
 
     /// Files written by the legacy encoder load through the reader, and

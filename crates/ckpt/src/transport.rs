@@ -24,7 +24,10 @@
 //!   and the checkpoint service's lanes keep the spares, so the next save
 //!   of each key rewrites the file that key last retired
 //!   ([`crate::hook`]); a direct [`CkptTransport::put`] drops the value at
-//!   once, which unlinks them.
+//!   once, which unlinks them. A sink may say what the file it rewrites
+//!   already holds ([`RecordSink::held`], [`RecordSink::skip`]); the
+//!   defaults hold nothing, so only the flat layout's sink ever sees a
+//!   patch.
 //! * **put, once** — [`CkptTransport::put`] is *provided*: derive the key
 //!   from the record's header, run the golden encoder into `begin(key)`,
 //!   commit, and drop what the commit superseded. No medium
@@ -150,7 +153,9 @@ pub(crate) fn keep_head(head: &mut Vec<u8>, bytes: &[u8]) {
 /// in bytes, and the spare names the commit gave the stored files it
 /// superseded. A spare is never a record name: no reader sees it, and the
 /// next flat sink of the key it belongs to claims it and rewrites the file
-/// in place, so a save does not pay the kernel for a fresh file's page
+/// in place — only where it differs, when the saver recognises the record
+/// the spare holds ([`RecordSink::held`]; the encoder returns the CRC that
+/// names it) — so a save does not pay the kernel for a fresh file's page
 /// cache and then again for freeing the old one. Dropping the value
 /// unlinks the spares, which frees the files inline (a direct
 /// [`CkptTransport::put`]); [`Superseded::keep`] leaves them on disk (the
@@ -192,6 +197,19 @@ impl Drop for Superseded {
     }
 }
 
+/// A full record a sink's file already holds ([`RecordSink::held`]): its
+/// length, the count its header names and its trailer CRC. Equal to what a
+/// commit of the caller's produced, it names that commit's record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Held {
+    /// Record length in bytes, CRC trailer included.
+    pub len: u64,
+    /// The safe-point count its header names.
+    pub count: u64,
+    /// Its trailer: the CRC-32 of every byte before it.
+    pub crc: u32,
+}
+
 /// The one way a record enters a medium (see the [module docs](self)):
 /// write the record's encoded bytes in order, trailing CRC included, then
 /// commit or abort. A sink dropped without either behaves as aborted.
@@ -207,6 +225,27 @@ pub trait RecordSink: Write {
     /// is verified against its announced digest.
     fn lacking(&mut self, _chunks: &[ChunkRef], _total_len: u64) -> Result<Option<Vec<u32>>> {
         Ok(None)
+    }
+
+    /// What the file this sink rewrites already holds, asked before any
+    /// byte is written: `Some` when it is a full record, named by its
+    /// length, header count and trailer CRC ([`Held`]), which the caller
+    /// may then rewrite in place — write what differs, [`RecordSink::skip`]
+    /// over the rest. `None` — the default — is "no base held": the record
+    /// is written whole. Only the flat layout's sink over a claimed spare
+    /// holds one; the answer is unverified, and a caller trusts it only if
+    /// it names a record the caller itself committed.
+    fn held(&mut self) -> Result<Option<Held>> {
+        Ok(None)
+    }
+
+    /// Move past the next `n` bytes of the held record, leaving them as
+    /// they are. Only after [`RecordSink::held`] answered `Some`; the
+    /// default, for a sink that holds no base, refuses.
+    fn skip(&mut self, _n: u64) -> std::io::Result<()> {
+        Err(std::io::Error::other(
+            "this sink holds no record to move past",
+        ))
     }
 
     /// The record is complete: install it atomically under the sink's key

@@ -644,14 +644,18 @@ impl SeqEngine {
     /// Handle a safe point for engines without teams/aggregates: count it,
     /// take or load snapshots inline, honour adaptation polls (which a
     /// static engine cannot satisfy — they are left pending for an adaptive
-    /// engine, or surfaced by the launcher).
+    /// engine, or surfaced by the launcher). A load that fails ends the
+    /// attempt: the line of execution leaves with
+    /// [`crate::runtime::Exit::Fault`], and the hook keeps what failed.
     pub fn sequential_point(ctx: &Ctx, name: &str) {
         crate::runtime::drive_point(
             ctx,
             name,
             |ctx, ck| ck.take_snapshot(ctx).expect("checkpoint snapshot failed"),
             |ctx, ck| {
-                ck.load_snapshot(ctx).expect("checkpoint load failed");
+                if ck.load_snapshot(ctx).is_err() {
+                    crate::runtime::leave(crate::runtime::Exit::Fault);
+                }
             },
         );
     }

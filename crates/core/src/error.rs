@@ -59,6 +59,29 @@ impl fmt::Display for PparError {
     }
 }
 
+/// A copy of the error: for a failure one line of execution meets and the
+/// launcher reports. An I/O error's copy keeps its kind and its message.
+impl Clone for PparError {
+    fn clone(&self) -> Self {
+        match self {
+            PparError::UnknownName { kind, name } => PparError::UnknownName {
+                kind,
+                name: name.clone(),
+            },
+            PparError::InvalidPlan(msg) => PparError::InvalidPlan(msg.clone()),
+            PparError::CorruptCheckpoint(msg) => PparError::CorruptCheckpoint(msg.clone()),
+            PparError::FormatMismatch { expected, found } => PparError::FormatMismatch {
+                expected: expected.clone(),
+                found: found.clone(),
+            },
+            PparError::InvalidAdaptation(msg) => PparError::InvalidAdaptation(msg.clone()),
+            PparError::Network(msg) => PparError::Network(msg.clone()),
+            PparError::Io(e) => PparError::Io(io::Error::new(e.kind(), e.to_string())),
+            PparError::ContractViolation(msg) => PparError::ContractViolation(msg.clone()),
+        }
+    }
+}
+
 impl std::error::Error for PparError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -119,6 +142,16 @@ mod tests {
         for (err, expected) in cases {
             assert_eq!(err.to_string(), expected);
         }
+    }
+
+    #[test]
+    fn a_copy_says_what_the_error_says() {
+        let io: PparError = io::Error::new(io::ErrorKind::NotFound, "gone").into();
+        let copy = io.clone();
+        assert_eq!(copy.to_string(), io.to_string());
+        assert!(matches!(copy, PparError::Io(e) if e.kind() == io::ErrorKind::NotFound));
+        let crc = PparError::CorruptCheckpoint("CRC mismatch".into());
+        assert_eq!(crc.clone().to_string(), crc.to_string());
     }
 
     #[test]

@@ -25,12 +25,13 @@ use super::constructs::{
 };
 use super::pool::{leave, Exit, Latch, RegionBody, RegionJob, TeamPool};
 use crate::ctx::{AdaptHook, CkptHook, Ctx, PointDirective};
+use crate::error::Result;
 use crate::mode::ExecMode;
 use crate::plan::ReduceOp;
 use crate::replay;
 use crate::schedule::{block_cyclic_ranges, block_range, cyclic_indices, Schedule};
 use crate::shared::{set_current_worker, tracking};
-use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
+use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
 /// Poll the checkpoint hook at a (potential) safe point and dispatch the
 /// directive: the single home of safe-point polling for *all* engines.
@@ -73,6 +74,9 @@ pub struct TeamRuntime {
     /// The reshape decision published by the crossing leader for the
     /// current safe-point crossing.
     decision: Mutex<Option<ExecMode>>,
+    /// The current region's restore failed ([`ParallelEngine::load_quiesced`]):
+    /// every worker leaves the crossing.
+    load_failed: AtomicBool,
     /// Real (non-drain) worker panics of the current region.
     panics: Arc<Mutex<Vec<String>>>,
     /// The current region's completion latch.
@@ -96,6 +100,7 @@ impl TeamRuntime {
             space: ConstructSpace::new(),
             points: AtomicU64::new(0),
             decision: Mutex::new(None),
+            load_failed: AtomicBool::new(false),
             panics: Arc::new(Mutex::new(Vec::new())),
             latch: Mutex::new(None),
             body: Mutex::new(None),
@@ -228,11 +233,15 @@ pub trait ParallelEngine: Send + Sync {
         }
     }
 
-    /// Quiesced restore body, run between two team barriers.
-    fn load_quiesced(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) {
+    /// Quiesced restore body, run between two team barriers: the master
+    /// loads. `Err` when the load failed (on an aggregate, when any
+    /// element's did); every line of execution of the team then leaves the
+    /// crossing with [`Exit::Fault`], and the hook keeps what failed.
+    fn load_quiesced(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) -> Result<()> {
         if ctx.worker() == 0 {
-            ck.load_snapshot(ctx).expect("checkpoint load failed");
+            ck.load_snapshot(ctx)?;
         }
+        Ok(())
     }
 
     /// Collect the live state and hand it off (live-reshape escalation).
@@ -283,6 +292,7 @@ pub trait ParallelEngine: Send + Sync {
         rt.panics.lock().clear();
         rt.points.store(0, Ordering::SeqCst);
         *rt.decision.lock() = None;
+        rt.load_failed.store(false, Ordering::SeqCst);
         rt.barrier.set_size(k);
         // Safety: the latch join below keeps `body` alive for every worker.
         *rt.body.lock() = Some(unsafe { RegionBody::new(body) });
@@ -489,8 +499,13 @@ pub trait ParallelEngine: Send + Sync {
             },
             |ctx, ck| {
                 rt.team_barrier();
-                self.load_quiesced(ctx, ck);
+                if self.load_quiesced(ctx, ck).is_err() {
+                    rt.load_failed.store(true, Ordering::SeqCst);
+                }
                 rt.team_barrier();
+                if rt.load_failed.load(Ordering::SeqCst) {
+                    leave(Exit::Fault);
+                }
             },
         );
         if let Some(ad) = ctx.adapt_hook().cloned() {

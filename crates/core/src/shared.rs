@@ -41,7 +41,8 @@
 //!   range, with [`SharedGrid::mark_row_written`] /
 //!   [`SharedVec::mark_written`]. The declared range must cover every
 //!   element written and should be tight (first to last written element):
-//!   it is what incremental checkpoints save.
+//!   it is what a delta saves, and what a full save rewrites in the file
+//!   it recycles.
 //! * **What tracking sees.** With the tracker on, a declaration records
 //!   every index *of the declared range* for the calling worker, so two
 //!   workers declaring overlapping ranges in one epoch panic like two
@@ -168,7 +169,7 @@ fn next_container_id() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// chunked dirty tracking (incremental checkpointing)
+// chunked dirty tracking (checkpointing)
 // ---------------------------------------------------------------------------
 
 /// Granularity of the per-container write bitmap: one bit per
@@ -179,9 +180,12 @@ fn next_container_id() -> u64 {
 pub const DIRTY_CHUNK_BYTES: usize = 8192;
 
 // Process-wide switch for per-write chunk marking. Off by default so runs
-// that never take incremental snapshots pay a single predictable branch per
-// write (mirroring `tracking::enabled`). `clear_dirty` turns it on — and
-// that is sufficient for correctness: until the first `clear_dirty`, every
+// that never checkpoint pay a single predictable branch per write
+// (mirroring `tracking::enabled`). `clear_dirty` turns it on, and the
+// checkpoint module clears after every save — full or delta — so any
+// checkpointing run marks from its first save on: a delta stores the dirty
+// ranges, and a full save rewrites only them in the file it recycles. That
+// is sufficient for correctness: until the first `clear_dirty`, every
 // container's bitmap still holds its initial all-dirty state, so writes
 // made while marking was off are covered; any `dirty_ranges` reader that
 // relies on precise tracking must by definition have cleared first. Never

@@ -114,14 +114,18 @@ pub trait StateCell: Send + Sync {
         None
     }
 
-    // ---- dirty-chunk seam (incremental checkpointing) ----
+    // ---- dirty-chunk seam (checkpointing) ----
 
     /// Byte ranges of the `save_bytes` encoding written since the last
     /// [`StateCell::clear_dirty`], coalesced, sorted and non-overlapping.
     /// `None` means this cell does not track writes (the checkpoint module
-    /// then saves it in full inside delta snapshots). Containers with
-    /// chunked write tracking ([`crate::shared::SharedVec`] and friends)
-    /// return `Some` — possibly empty when nothing was touched.
+    /// then saves it in full, in a delta and in every full record).
+    /// Containers with chunked write tracking ([`crate::shared::SharedVec`]
+    /// and friends) return `Some` — possibly empty when nothing was
+    /// touched. A delta stores exactly these ranges, and a full save that
+    /// rewrites an older record of its own in place writes only them (and
+    /// the last save's): a write that goes unreported leaves a record whose
+    /// CRC, taken over the cell's memory, fails at restore.
     ///
     /// A freshly constructed tracking cell reports *everything* dirty: it
     /// has never been captured by a snapshot, so relative to any base its
@@ -156,8 +160,9 @@ pub trait StateCell: Send + Sync {
     }
 
     /// Reset write tracking: subsequent [`StateCell::dirty_ranges`] reports
-    /// only writes after this call. The checkpoint module calls this once a
-    /// snapshot (full or delta) has captured the current state. No-op for
+    /// only writes after this call. The checkpoint module calls this after
+    /// every snapshot (full or delta), once it has captured the current
+    /// state, so tracking is on in any run that checkpoints. No-op for
     /// cells without tracking.
     fn clear_dirty(&self) {}
 }

@@ -31,6 +31,7 @@ use std::sync::Arc;
 use ppar_ckpt::delta::{DeltaMeta, DeltaPayload, DeltaView};
 use ppar_ckpt::store::{DeltaSource, Record};
 use ppar_core::ctx::{CkptHook, Ctx, Installed};
+use ppar_core::error::{PparError, Result};
 use ppar_core::partition::{block_owned, owned_ranges, scatter_ranges, Partition};
 use ppar_core::plan::{DistCkptStrategy, Plan, ReduceOp, UpdateAction};
 use ppar_core::state::DistCell;
@@ -404,14 +405,17 @@ impl DsmEngine {
     }
 
     /// Strategy-dispatched quiesced restore; see
-    /// [`DsmEngine::snapshot_strategy`].
-    pub(crate) fn load_strategy(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) {
+    /// [`DsmEngine::snapshot_strategy`]. Every element learns whether every
+    /// element's load held before any state moves ([`DsmEngine::all_loaded`]),
+    /// so a failed load ends the restore on all of them instead of leaving
+    /// its peers waiting for a scatter or a barrier that never comes.
+    pub(crate) fn load_strategy(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) -> Result<()> {
         let plan = ctx.plan();
         match plan.dist_ckpt_strategy() {
             DistCkptStrategy::MasterCollect => {
                 // A live hand-off installs on every element from the
                 // predecessor's frozen state: nothing is left to move.
-                if ck.load_snapshot(ctx).expect("checkpoint load failed") == Installed::Root {
+                if self.all_loaded(ck.load_snapshot(ctx))? == Installed::Root {
                     // The paper's "load" cost for distributed restarts
                     // includes scattering the data back across the
                     // aggregate — attribute it to the load statistics.
@@ -422,8 +426,7 @@ impl DsmEngine {
             }
             DistCkptStrategy::LocalSnapshot => {
                 self.ep.barrier();
-                ck.load_snapshot(ctx).expect("checkpoint load failed");
-                self.ep.barrier();
+                self.all_loaded(ck.load_snapshot(ctx))?;
                 // Owned ranges are restored; halos are stale.
                 let t0 = std::time::Instant::now();
                 for (field, halo) in plan.halo_fields() {
@@ -433,6 +436,23 @@ impl DsmEngine {
                 }
                 ck.note_load_extra(t0.elapsed());
             }
+        }
+        Ok(())
+    }
+
+    /// This element's load result, once every element's is known: an
+    /// all-reduce of the failures, so it is also the barrier after the
+    /// load. `Err` on every element when any load failed — the element's
+    /// own error where its load was the one that failed.
+    fn all_loaded<T>(&self, loaded: Result<T>) -> Result<T> {
+        let failed = self
+            .ep
+            .allreduce_f64(ReduceOp::Max, loaded.is_err() as u8 as f64);
+        match loaded {
+            Ok(_) if failed > 0.0 => Err(PparError::CorruptCheckpoint(
+                "another element of the aggregate failed to load its checkpoint".into(),
+            )),
+            loaded => loaded,
         }
     }
 

@@ -30,6 +30,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use ppar_core::ctx::{CkptHook, Ctx, Engine};
+use ppar_core::error::Result;
 use ppar_core::mode::ExecMode;
 use ppar_core::partition::owned_ranges;
 use ppar_core::plan::ReduceOp;
@@ -173,10 +174,11 @@ impl ParallelEngine for HybridEngine {
         }
     }
 
-    fn load_quiesced(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) {
+    fn load_quiesced(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) -> Result<()> {
         if ctx.worker() == 0 {
-            self.dsm.load_strategy(ctx, ck);
+            self.dsm.load_strategy(ctx, ck)?;
         }
+        Ok(())
     }
 
     fn combine_across_ranks(&self, _name: &str, op: ReduceOp, value: f64) -> f64 {

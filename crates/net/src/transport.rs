@@ -1777,6 +1777,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A client's first save asks a flat root the dedup question, which
+    /// the lane can only refuse: the sink it began — over the key's spare —
+    /// is dropped untouched, so the spare keeps its file, and the plain
+    /// stream that follows claims it.
+    #[cfg(unix)]
+    #[test]
+    fn lane_refusing_dedup_gives_the_spare_back() {
+        let dir = scratch_dir("lane_nodedup_spare");
+        let store = CheckpointStore::new_flat(&dir).unwrap();
+        for count in 1..=2 {
+            let bytes = payload(count);
+            let mut w = SnapshotWriter::new(Vec::new(), &meta(count, None, 2), 1).unwrap();
+            w.field("G", &FieldSource::Bytes(&bytes)).unwrap();
+            let (_, encoded) = w.finish().unwrap();
+            let mut sink = store.begin(RecordKey::full(None), 0).unwrap();
+            sink.write_all(&encoded).unwrap();
+            sink.commit().unwrap().keep();
+        }
+        let record = dir.join("ckpt_master.bin");
+        let spare = ino(&dir.join("ckpt_master.bin.spare"));
+        assert!(spare.is_some(), "the direct commits left no spare");
+        two_rank_over(
+            Arc::new(store),
+            |t| {
+                assert!(t.dedup_supported.load(Ordering::Relaxed));
+                save(t, 3, None);
+                assert!(!t.dedup_supported.load(Ordering::Relaxed), "not refused");
+                assert_eq!(ino(&record), spare, "the stream did not claim the spare");
+                let snap = t.get(None, None).unwrap().unwrap();
+                assert!(snap.count == 3 && snap.field("G").unwrap() == payload(3).as_slice());
+            },
+            |_| (),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A stream that fails after its lane claimed the key's spare — the
     /// client aborts mid-record, or the record fails its CRC — leaves the
     /// committed record untouched and readable and no temp file (the
