@@ -139,13 +139,15 @@ pub(crate) fn run_app<R>(ctx: &Ctx, app: &impl Fn(&Ctx) -> (AppStatus, R)) -> (A
 }
 
 /// Why a round ended with [`Exit::Fault`]: on an in-process deployment
-/// (no element can die) only a failed restore raises it — the engine ends
-/// the attempt on every line of execution, and the module whose load
-/// failed keeps the error.
-pub(crate) fn load_failure(modules: &[Arc<CheckpointModule>]) -> PparError {
-    let failure = modules.iter().find_map(|m| m.take_load_failure());
+/// (no element can die) only a failed save or restore raises it — the
+/// engine ends the attempt on every line of execution, and the module
+/// whose save or load failed keeps the error.
+pub(crate) fn ckpt_failure(modules: &[Arc<CheckpointModule>]) -> PparError {
+    let failure = modules.iter().find_map(|m| m.take_failure());
     failure.unwrap_or_else(|| {
-        PparError::ContractViolation("a line of execution faulted, yet no load failed".into())
+        PparError::ContractViolation(
+            "a line of execution faulted, yet no save or load failed".into(),
+        )
     })
 }
 
@@ -243,7 +245,7 @@ pub fn launch<R: Send>(
     });
     let results = match exits.into_iter().collect() {
         Ok(results) => results,
-        Err(Exit::Fault) => return Err(load_failure(&modules)),
+        Err(Exit::Fault) => return Err(ckpt_failure(&modules)),
         Err(other) => leave(other),
     };
     let rank0 = modules.first();

@@ -49,7 +49,7 @@ use ppar_core::runtime::{catch_exit, leave, Exit};
 use ppar_dsm::{SpmdConfig, Traffic};
 
 use crate::controller::{AdaptationController, ReshapeKind};
-use crate::launcher::{load_failure, round, run_app, AppStatus, Deploy};
+use crate::launcher::{ckpt_failure, round, run_app, AppStatus, Deploy};
 
 /// Outcome of one live session ([`launch_live`]): the final run's results
 /// plus the mode switches that were applied by in-memory hand-off.
@@ -186,7 +186,7 @@ pub fn launch_live<R: Send>(
             .into_iter()
             .collect::<std::result::Result<Vec<_>, _>>()
         {
-            Err(Exit::Fault) => return Err(load_failure(&modules)),
+            Err(Exit::Fault) => return Err(ckpt_failure(&modules)),
             Err(exit @ Exit::Drained) => leave(exit),
             Ok(results) => {
                 return Ok(LiveOutcome {

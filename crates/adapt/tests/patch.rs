@@ -10,13 +10,26 @@
 //!   state, byte for byte;
 //! * a spare that is not the module's record (another count, or the same
 //!   count with another CRC) is rewritten whole;
+//! * with incremental saves (`full_every = 2`) between the full records —
+//!   so the blocks a full save checksums are those changed since the newest
+//!   full record, across two deltas — every full record is golden, through
+//!   a dense step and a cursor whose length changes;
+//! * under `dist2` master-collect, where every save after the first
+//!   gathers only what each element wrote, every record of the root is
+//!   golden, and a steady save writes at most twice the bytes its step
+//!   dirtied plus what lies outside the field's payload;
 //! * a byte flipped in a clean chunk of a verified spare survives the
 //!   patch — the next record differs from golden in exactly that byte —
 //!   and fails the record's CRC at restore, and a launch over it fails;
 //! * an `smp2` run stopped after several patched saves restarts bitwise in
 //!   `seq`, `smp2` and `dist2` master-collect;
 //! * a launch whose restore fails after start-up returns the error instead
-//!   of hanging — a patched record's failure mode is a CRC error at load.
+//!   of hanging — a patched record's failure mode is a CRC error at load —
+//!   and so does a launch whose save fails, in every deployment and under
+//!   both strategies;
+//! * in a debug build, a write no mark declares panics the next save with
+//!   the save-time oracle's message, in `seq`, `smp2` and `dist2`, and
+//!   leaves no line of execution waiting.
 //!
 //! Every test works in a directory of its own. The tests rewrite spares by
 //! name and rely on the link count a claim checks, so they run on Unix
@@ -37,8 +50,8 @@ use ppar_core::plan::{DistCkptStrategy, Plan, Plug, PointSet, UpdateAction};
 use ppar_core::runtime::{TeamEngine, PROGRESS_FIELD};
 use ppar_core::schedule::Schedule;
 use ppar_core::shared::{SharedVec, DIRTY_CHUNK_BYTES};
-use ppar_core::state::{Registry, ValueCell};
-use ppar_dsm::SpmdConfig;
+use ppar_core::state::{Registry, StateCell, ValueCell};
+use ppar_dsm::{run_spmd, SpmdConfig};
 
 /// 4 MiB of `f64`: a payload the writer checksums by claimed blocks.
 const N: usize = 1 << 19;
@@ -79,8 +92,12 @@ struct Saver {
 
 impl Saver {
     fn new(tag: &str) -> Saver {
+        Saver::with_plan(tag, module_plan())
+    }
+
+    fn with_plan(tag: &str, plan: Plan) -> Saver {
         let dir = scratch(tag);
-        let plan = Arc::new(module_plan());
+        let plan = Arc::new(plan);
         let module = CheckpointModule::create(&dir, &plan).unwrap();
         let registry = Arc::new(Registry::new());
         let mut saver = Saver {
@@ -127,20 +144,8 @@ impl Saver {
     /// they are in memory, the cursor the record carries (always written
     /// whole), through a one-pass encode into memory.
     fn golden(&self, ctx: &Ctx, record: &[u8]) -> Vec<u8> {
-        let view = SnapshotView::decode_trusted(record).unwrap();
-        let progress = view.field(PROGRESS_FIELD).unwrap().to_vec();
-        let meta = SnapshotMeta {
-            mode_tag: ctx.mode().tag(),
-            count: self.module.count(),
-            rank: None,
-            nranks: 1,
-        };
-        let fields = [
-            ("G", FieldSource::Cell(&*self.g)),
-            ("V", FieldSource::Cell(&*self.v)),
-            (PROGRESS_FIELD, FieldSource::Bytes(&progress)),
-        ];
-        Record::Full(&meta, &fields).encode(Vec::new()).unwrap().1
+        let count = self.module.count();
+        golden(ctx, count, record, &[("G", &*self.g), ("V", &*self.v)])
     }
 
     /// Save at `sp` and check the published record against golden.
@@ -149,6 +154,17 @@ impl Saver {
         let record = self.record();
         // Not `assert_eq!`: a mismatch would print megabytes.
         assert!(record == self.golden(ctx, &record), "{case}: not golden");
+    }
+
+    /// Save at `sp` as an incremental plan does, a delta or a full record,
+    /// and check a full record against golden.
+    fn save_chain(&self, ctx: &Ctx, case: &str) {
+        let full = self.module.stats().full_snapshots;
+        ctx.point("sp");
+        if self.module.stats().full_snapshots > full {
+            let record = self.record();
+            assert!(record == self.golden(ctx, &record), "{case}: not golden");
+        }
     }
 
     /// Where `G`'s payload starts in the record.
@@ -162,6 +178,26 @@ impl Drop for Saver {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.dir);
     }
+}
+
+/// The golden encoding of `fields` as they are in memory, saved by `ctx` at
+/// safe point `count` with the cursor `record` carries (always written
+/// whole), through a one-pass encode into memory.
+fn golden(ctx: &Ctx, count: u64, record: &[u8], fields: &[(&str, &dyn StateCell)]) -> Vec<u8> {
+    let view = SnapshotView::decode_trusted(record).unwrap();
+    let progress = view.field(PROGRESS_FIELD).unwrap().to_vec();
+    let meta = SnapshotMeta {
+        mode_tag: ctx.mode().tag(),
+        count,
+        rank: None,
+        nranks: ctx.num_ranks() as u32,
+    };
+    let mut sources: Vec<_> = fields
+        .iter()
+        .map(|(name, cell)| (*name, FieldSource::Cell(*cell)))
+        .collect();
+    sources.push((PROGRESS_FIELD, FieldSource::Bytes(&progress)));
+    Record::Full(&meta, &sources).encode(Vec::new()).unwrap().1
 }
 
 /// After every save of the script the record is golden, whichever way the
@@ -204,6 +240,51 @@ fn every_save_of_a_patching_script_publishes_the_golden_record() {
     for _ in 0..3 {
         window(&saver, &smp2, "smp2");
     }
+}
+
+/// With incremental saves (`full_every = 2`) two deltas lie between full
+/// records, so the blocks a full save checksums are those the deltas and
+/// the save itself changed since the newest full record — and the spare it
+/// patches holds the record before that. Every full record is golden, over
+/// moving windows, a loop whose cursor changes length and a dense step,
+/// and the chain folds to the state.
+#[test]
+fn incremental_saves_between_full_records_keep_every_record_golden() {
+    let plan = module_plan().plug(Plug::IncrementalCkpt { full_every: 2 });
+    let saver = Saver::with_plan("incremental", plan);
+    let seq = saver.ctx(Arc::new(SeqEngine));
+    saver.save_chain(&seq, "cold");
+    let window = |step: usize| {
+        saver.touch(step * 3 * WINDOW / 2, WINDOW, step);
+        saver.v.set(step as f64);
+        saver.save_chain(&seq, &format!("window {step}"));
+    };
+    (1..=4).for_each(window);
+    seq.iter_loop("steps", 0..3, |ctx, i| {
+        saver.touch(N / 2 + i * WINDOW, WINDOW, 100 + i);
+        saver.save_chain(ctx, &format!("in a loop {i}"));
+        true
+    });
+    saver.g.copy_in_from_fn(|i| i as f64 * 0.75);
+    saver.save_chain(&seq, "dense");
+    (5..=8).for_each(window);
+    let stats = saver.module.stats();
+    // Thirteen saves: full at 1, 4, …, 13; the dense step is delta 9.
+    assert_eq!(
+        (stats.full_snapshots, stats.delta_snapshots),
+        (5, 8),
+        "{stats:?}"
+    );
+    assert!(
+        stats.bytes_put < stats.bytes_written,
+        "no full save was patched: {stats:?}"
+    );
+    let store = CheckpointStore::new(&saver.dir).unwrap();
+    let folded = store.get(None, None).unwrap().unwrap().encode();
+    assert!(
+        folded == saver.golden(&seq, &folded),
+        "the fold is not golden"
+    );
 }
 
 /// A spare of the right length that is not one of the module's records —
@@ -317,6 +398,10 @@ fn app(ctx: &Ctx, stop: bool) -> (AppStatus, u64) {
 }
 
 fn run_plan() -> Plan {
+    run_plan_with(DistCkptStrategy::MasterCollect)
+}
+
+fn run_plan_with(strategy: DistCkptStrategy) -> Plan {
     Plan::new()
         .plug(Plug::Field {
             field: "V".into(),
@@ -349,9 +434,7 @@ fn run_plan() -> Plan {
         .plug(Plug::Ignorable {
             method: "init".into(),
         })
-        .plug(Plug::DistCkpt {
-            strategy: DistCkptStrategy::MasterCollect,
-        })
+        .plug(Plug::DistCkpt { strategy })
 }
 
 /// Copy the files of `from` into a fresh directory `to`.
@@ -433,6 +516,185 @@ fn a_launch_whose_root_load_fails_returns_the_error() {
                 assert!(why.contains("bytes"), "{tag}: {why}")
             }
             Ok(other) => panic!("{tag}: expected the load's error, got {other:?}"),
+            Err(_) => panic!("{tag}: the launch hangs"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Elements per dirty chunk: windows of whole chunks dirty exactly their
+/// own bytes.
+const CHUNK: usize = DIRTY_CHUNK_BYTES / 8;
+/// The `dist2` script: per step, the chunk at which a 25-chunk window
+/// starts, or `None` for a step that rewrites everything. Windows at 231
+/// and 250 cross from rank 0's block into rank 1's (at chunk 256).
+const DIST_STEPS: [Option<usize>; 11] = [
+    Some(75),
+    Some(250),
+    Some(300),
+    Some(231),
+    Some(125),
+    Some(450),
+    None,
+    Some(350),
+    Some(250),
+    Some(50),
+    Some(400),
+];
+const DIST_WINDOW: usize = 25 * CHUNK;
+
+/// Under `dist2` master-collect every save after the first gathers only
+/// what each element wrote since the last, so the root's dirty set is the
+/// union of its peers' and its patch and block CRCs follow it. After every
+/// save the root's record is the golden encoding of the root's state, and
+/// a steady save — not the first two, nor one within a save of a dense
+/// step — writes at most twice the bytes its step dirtied plus all that
+/// lies outside the field's payload.
+#[test]
+fn dist2_master_collect_saves_are_golden_and_write_what_changed() {
+    let dir = scratch("dist2");
+    let plan = Arc::new(run_plan());
+    let modules = CheckpointModule::create_group(&dir, &plan, 2).unwrap();
+    let hooks = |rank: usize| (Some(modules[rank].clone() as Arc<dyn CkptHook>), None);
+    let put = std::sync::Mutex::new(0);
+    run_spmd(&SpmdConfig::instant(2), plan.clone(), &hooks, true, |ctx| {
+        let v = ctx.alloc_vec("V", N, 0.0f64);
+        ctx.call("init", |_| v.copy_in_from_fn(|i| (i % 1000) as f64));
+        ctx.region("run", |ctx| {
+            ctx.iter_loop("steps", 0..DIST_STEPS.len(), |ctx, step| {
+                let cells = match DIST_STEPS[step] {
+                    Some(chunk) => chunk * CHUNK..chunk * CHUNK + DIST_WINDOW,
+                    None => 0..N,
+                };
+                ctx.call("touch", |ctx| {
+                    ctx.each("cells", cells.clone(), |_, i| {
+                        v.set(i, v.get(i) * 0.5 + (step * N + i) as f64);
+                    });
+                });
+                ctx.point("sp");
+                if ctx.rank() != 0 {
+                    return true;
+                }
+                let record = std::fs::read(dir.join(RECORD)).unwrap();
+                let count = ctx.ckpt_hook().unwrap().count();
+                let want = golden(ctx, count, &record, &[("V", &*v)]);
+                assert!(record == want, "step {step}: not golden");
+                let stats = modules[0].stats();
+                let wrote =
+                    stats.bytes_put - std::mem::replace(&mut *put.lock().unwrap(), stats.bytes_put);
+                let dense = |s: usize| DIST_STEPS[s].is_none();
+                if step >= 2 && !dense(step) && !dense(step - 1) {
+                    let outside = record.len() - N * 8;
+                    let bound = 2 * DIST_WINDOW * 8 + outside;
+                    assert!(
+                        wrote <= bound as u64,
+                        "step {step}: wrote {wrote} > {bound}"
+                    );
+                }
+                true
+            });
+        });
+        ctx.point("collect");
+    });
+    let stats = modules[0].stats();
+    assert_eq!(stats.full_snapshots, DIST_STEPS.len() as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A save that fails — here the record's name is taken by a directory
+/// that is not empty, so the commit's rename cannot replace it — ends the
+/// launch with that error in every deployment and under both strategies:
+/// under `dist2` local snapshots the failing save is rank 1's shard, and
+/// the root learns it before its group commit. Nobody waits for a peer
+/// that has left.
+#[test]
+fn a_launch_whose_save_fails_returns_the_error() {
+    let smp2 = Deploy::Smp {
+        threads: 2,
+        max_threads: 2,
+    };
+    let dist2 = Deploy::Dist(SpmdConfig::instant(2));
+    let strategies = [
+        DistCkptStrategy::MasterCollect,
+        DistCkptStrategy::LocalSnapshot,
+    ];
+    for strategy in strategies {
+        for (tag, deploy) in [
+            ("seq", Deploy::Seq),
+            ("smp2", smp2.clone()),
+            ("dist2", dist2.clone()),
+        ] {
+            let dir = scratch(&format!("save_fails_{tag}_{strategy:?}"));
+            for taken in [RECORD, "ckpt_rank_1.bin"] {
+                std::fs::create_dir_all(dir.join(taken).join("occupied")).unwrap();
+            }
+            let (tx, rx) = std::sync::mpsc::channel();
+            let run = dir.clone();
+            std::thread::spawn(move || {
+                let plan = run_plan_with(strategy);
+                let out = launch(&deploy, plan, Some(&run), None, |ctx| app(ctx, false));
+                let _ = tx.send(out.map(|out| out.completed()));
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+                Ok(Err(PparError::Io(_))) => {}
+                Ok(other) => panic!("{tag} {strategy:?}: expected the save's error, got {other:?}"),
+                Err(_) => panic!("{tag} {strategy:?}: the launch hangs"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// A write that no mark declares changes a block whose CRC the module
+/// cached: the next save, which would trust that CRC, panics with the
+/// save-time oracle's message — on one line, in a team (whose other worker
+/// leaves the crossing instead of waiting for the master at its barrier)
+/// and at the dist2 root (whose peer learns the save failed instead of
+/// waiting at its next collective). A scoped rank thread's panic reaches
+/// the launcher as the scope's own, so dist2 is held only to panicking.
+#[cfg(debug_assertions)]
+#[test]
+fn a_missed_write_panics_the_next_save_in_every_deployment() {
+    let smp2 = Deploy::Smp {
+        threads: 2,
+        max_threads: 2,
+    };
+    let dist2 = Deploy::Dist(SpmdConfig::instant(2));
+    for (tag, deploy) in [("seq", Deploy::Seq), ("smp2", smp2), ("dist2", dist2)] {
+        let dir = scratch(&format!("missed_{tag}"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = dir.clone();
+        std::thread::spawn(move || {
+            let launched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                launch(&deploy, run_plan(), Some(&run), None, |ctx| {
+                    let v = ctx.alloc_vec("V", N, 0.0f64);
+                    ctx.region("run", |ctx| {
+                        ctx.iter_loop("steps", 0..3, |ctx, step| {
+                            // Element 5 is the root's, in block 0.
+                            if step == 1 && ctx.rank() == 0 && ctx.is_master() {
+                                v.cells(5..6)[0].set(-1.0);
+                            }
+                            ctx.point("sp");
+                            true
+                        });
+                    });
+                    (AppStatus::Completed, 0)
+                })
+            }));
+            let panic = launched.err().map(|p| {
+                let text = p.downcast_ref::<String>().cloned();
+                text.or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(panic);
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(Some(why)) if tag == "dist2" => drop(why),
+            Ok(Some(why)) => assert!(
+                why.contains("cached block CRC mismatch: field \"V\", block 0"),
+                "{tag}: {why}"
+            ),
+            Ok(None) => panic!("{tag}: a save over a missed write did not panic"),
             Err(_) => panic!("{tag}: the launch hangs"),
         }
         let _ = std::fs::remove_dir_all(&dir);

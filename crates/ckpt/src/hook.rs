@@ -39,20 +39,30 @@
 //! old one. Spares outlive the module: a restarted run's first saves
 //! claim the ones a stopped run left.
 //!
-//! **A steady save writes what changed since the file it rewrites.** The
-//! module keeps its last two full records (`Generations`: each record's
-//! length, count and CRC, where its fields lie, and what every tracked
-//! field changed since), and every full record goes through one rule:
-//! when the sink's file is one of them — the flat sink's claimed spare,
-//! matched on length, count and trailer CRC, nothing less — a field
-//! streamed from a tracked cell writes only the ranges changed since that
-//! record (the last save's dirty ranges and this one's) and skips the
-//! rest; everything else, and every save whose changes are dense or whose
-//! base does not verify, is written whole. The trailer is the CRC of the
-//! state in memory, so a write a tracker missed fails the record's CRC at
-//! restore. Dirty tracking is therefore reset after every save, full or
-//! delta. A load that fails is kept ([`CheckpointModule::take_load_failure`])
-//! for the launcher, once the engine has ended the attempt.
+//! **A steady save writes what changed since the file it rewrites, and
+//! checksums what changed since the last full record.** The module keeps
+//! its last two full records (`Generations`: each record's length, count
+//! and CRC, where its fields lie, what every tracked field changed since,
+//! and the CRC of every 256 KiB block of each tracked field lent from
+//! memory), and every full record goes through one rule: when the sink's
+//! file is one of them — the flat sink's claimed spare, matched on length,
+//! count and trailer CRC, nothing less — a field streamed from a tracked
+//! cell writes only the ranges changed since that record (the last save's
+//! dirty ranges and this one's) and skips the rest; everything else, and
+//! every save whose changes are dense or whose base does not verify, is
+//! written whole. Either way, such a field takes from the newest record
+//! the CRC of every block nothing touched since — neither that record's
+//! changes since nor this save's dirty ranges — and checksums the others;
+//! a delta save only widens what is stale, and a failed save, a restore or
+//! a field of another length drops those CRCs. The trailer is the CRC of
+//! the state in memory only while the tracker misses no write: a missed
+//! write would be neither written nor checksummed. A debug build's save
+//! therefore checks every cached block against the field in memory and
+//! panics, naming the field and the block, when one no longer matches
+//! (see [`crate::store`]). Dirty tracking is reset after every save, full
+//! or delta. A save or a load that fails is kept
+//! ([`CheckpointModule::take_failure`]) for the launcher, once the engine
+//! has ended the attempt.
 //!
 //! **A live hand-off is the predecessor's state, frozen**: the crossing
 //! keeps the root's safe-data cells ([`Handoff`]) instead of encoding a
@@ -76,7 +86,10 @@ use ppar_core::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
 use crate::delta::{DeltaMeta, Merged};
 use crate::handoff::Handoff;
-use crate::store::{CheckpointStore, DeltaSource, FieldSource, Record, SnapshotMeta, SnapshotView};
+use crate::store::{
+    CheckpointStore, DeltaSource, FieldPatch, FieldSource, Record, SnapshotMeta, SnapshotView,
+    CRC_COPY_BLOCK,
+};
 use crate::transport::{commit_record, CkptTransport, Held, RecordSink, Superseded};
 
 static NEXT_MODULE_ID: AtomicU64 = AtomicU64::new(1);
@@ -108,7 +121,13 @@ pub struct CkptStats {
     pub bytes_written: u64,
     /// Bytes written by the most recent snapshot (a delta's size collapses
     /// towards the dirty fraction; a full snapshot pays the whole state).
+    /// Like [`CkptStats::bytes_written`], a record's length, however much
+    /// of it the save wrote.
     pub last_save_bytes: u64,
+    /// Bytes the saves actually wrote into their medium: their record
+    /// lengths ([`CkptStats::bytes_written`]) less what a patched full
+    /// save moved past in the file it rewrote ([`RecordSink::skip`]).
+    pub bytes_put: u64,
     /// Cumulative wall time spent inside `take_snapshot`.
     pub save_time: Duration,
     /// Wall time of the most recent `take_snapshot`.
@@ -167,10 +186,14 @@ pub struct CheckpointModule {
     transport: Option<Arc<dyn CkptTransport>>,
     /// Is the live hand-off armed ([`CheckpointModule::arm_handoff`])?
     handoff_armed: AtomicBool,
-    /// Why this module's restore failed, kept for the launcher: the
-    /// engine that met the failure ends the attempt on every line of
-    /// execution ([`CheckpointModule::take_load_failure`]).
-    load_failure: Mutex<Option<PparError>>,
+    /// Why this module's save or restore failed, kept for the launcher:
+    /// the engine that met the failure ends the attempt on every line of
+    /// execution ([`CheckpointModule::take_failure`]).
+    failure: Mutex<Option<PparError>>,
+    /// Has this element saved — or, under master-collect, mirrored its
+    /// root's save — since it was built or last restored?
+    /// ([`CkptHook::may_gather_dirty`]).
+    saved: AtomicBool,
     /// What [`CkptHook::handoff_snapshot`] froze at an escalated crossing,
     /// until the launcher takes it ([`CheckpointModule::take_handoff`]).
     handoff: Mutex<Option<Handoff>>,
@@ -260,7 +283,7 @@ impl DeltaChain {
     }
 
     /// The snapshot [`DeltaChain::next`] described was taken at safe point
-    /// `count`, by this element or by the peer it mirrors.
+    /// `count`.
     fn advance(&mut self, count: u64, full_every: u64) {
         match self.next(full_every) {
             Some(_) => self.next_seq += 1,
@@ -283,7 +306,8 @@ type Ranges = Vec<std::ops::Range<usize>>;
 /// the record it renames over the spare name, so the spare a steady save
 /// claims holds the older one, and the newer one is what the next save's
 /// spare will hold. A save whose sink holds one of them rewrites only
-/// those changes ([`Record::patch`]).
+/// those changes ([`Record::patch`]), and every save takes the block CRCs
+/// of what did not change since the newest one from it.
 #[derive(Default)]
 struct Generations(Vec<Generation>);
 
@@ -296,9 +320,31 @@ struct Generation {
     /// `None` for a field without write tracking, which is always
     /// written whole.
     since: Vec<Option<Ranges>>,
+    /// Per field, the CRC of every [`CRC_COPY_BLOCK`] of its payload as
+    /// this record holds it; `None` for a field that is not a tracked cell
+    /// whose bytes lie in memory.
+    blocks: Vec<Option<Vec<u32>>>,
 }
 
 impl Generations {
+    /// How a full record whose payloads lie at `spans`, and whose fields
+    /// changed `changed` since the last save, goes into `sink`: per field,
+    /// what it rewrites ([`Generations::rewrite`]) and the block CRCs it
+    /// may take from the newest record ([`Generations::known`]).
+    fn plan(
+        &self,
+        sink: &mut dyn RecordSink,
+        spans: &[std::ops::Range<u64>],
+        changed: &[Option<Ranges>],
+    ) -> Result<Vec<FieldPatch>> {
+        let rewrite = self.rewrite(sink, spans, changed)?;
+        let known = self.known(spans, changed);
+        let fields = rewrite.into_iter().zip(known);
+        Ok(fields
+            .map(|(write, known)| FieldPatch { write, known })
+            .collect())
+    }
+
     /// What a full record whose payloads lie at `spans`, and whose fields
     /// changed `changed` since the last save, must rewrite in `sink` (per
     /// field; `None`: the whole payload). Only a base this module
@@ -335,6 +381,45 @@ impl Generations {
         Ok(rewrite.collect())
     }
 
+    /// Per field of a full record whose payloads lie at `spans`, and whose
+    /// fields changed `changed` since the last save, the block CRCs it may
+    /// take from the newest record ([`FieldPatch::known`]): that record's,
+    /// but for every block touched by what changed since it was saved —
+    /// its `since` and `changed`. A tracked field whose payload has
+    /// another length now, or that the newest record kept no CRCs of,
+    /// checksums every block; an untracked field keeps none.
+    fn known(
+        &self,
+        spans: &[std::ops::Range<u64>],
+        changed: &[Option<Ranges>],
+    ) -> Vec<Option<Vec<Option<u32>>>> {
+        let newest = self.0.first();
+        let fields = spans.iter().zip(changed).enumerate();
+        let known = fields.map(|(i, (span, changed))| {
+            let changed = changed.as_ref()?;
+            let len = span.end - span.start;
+            let mut known = vec![None; (len as usize).div_ceil(CRC_COPY_BLOCK)];
+            let cached = newest.and_then(|newest| {
+                let blocks = newest.blocks.get(i)?.as_ref()?;
+                let since = newest.since.get(i)?.as_ref()?;
+                let was = newest.spans.get(i)?;
+                (was.end - was.start == len).then_some((blocks, since))
+            });
+            if let Some((blocks, since)) = cached {
+                for (known, &crc) in known.iter_mut().zip(blocks) {
+                    *known = Some(crc);
+                }
+                for r in since.iter().chain(changed).filter(|r| !r.is_empty()) {
+                    let stale = r.start / CRC_COPY_BLOCK..r.end.div_ceil(CRC_COPY_BLOCK);
+                    let stale = stale.start.min(known.len())..stale.end.min(known.len());
+                    known[stale].fill(None);
+                }
+            }
+            Some(known)
+        });
+        known.collect()
+    }
+
     /// A save (full or delta) captured `changed`: every kept record is
     /// that much further behind.
     fn advance(&mut self, changed: &[Option<Ranges>]) {
@@ -348,46 +433,63 @@ impl Generations {
         }
     }
 
-    /// A full record `held`, payloads at `spans`, was committed.
+    /// A full record `held`, payloads at `spans` and block CRCs `blocks`,
+    /// was committed.
     fn committed(
         &mut self,
         held: Held,
         spans: Vec<std::ops::Range<u64>>,
         changed: &[Option<Ranges>],
+        blocks: Vec<Option<Vec<u32>>>,
     ) {
         self.advance(changed);
         let since = changed.iter().map(|c| c.as_ref().map(|_| Vec::new()));
         let since = since.collect();
-        self.0.insert(0, Generation { held, spans, since });
+        self.0.insert(
+            0,
+            Generation {
+                held,
+                spans,
+                since,
+                blocks,
+            },
+        );
         self.0.truncate(2);
     }
 }
 
-/// Commit the full record of `meta` and `fields` through `to`, rewriting
-/// in place the record the sink's file holds when
-/// [`Generations::rewrite`] trusts it, and keep it among `generations`.
+/// Commit the full record of `meta` and `fields` through `to` as
+/// [`Generations::plan`] lays it out — rewriting in place the record the
+/// sink's file holds when the module trusts it, checksumming only the
+/// blocks that changed since the newest record — and keep it among
+/// `generations`. Returns what the commit superseded and the bytes the
+/// sink moved past.
 fn commit_full(
     to: &dyn CkptTransport,
     meta: &SnapshotMeta,
     fields: &[(&str, FieldSource<'_>)],
     changed: &[Option<Ranges>],
     generations: &mut Generations,
-) -> Result<Superseded> {
+) -> Result<(Superseded, u64)> {
     let record = Record::Full(meta, fields);
     let spans = record.payload_spans();
     let mut sink = to.begin(record.key(), record.len_hint())?;
-    let rewrite = generations.rewrite(&mut *sink, &spans, changed)?;
-    let (len, crc) = match record.patch(&mut *sink, &rewrite) {
-        Ok(encoded) => encoded,
+    let plan = generations.plan(&mut *sink, &spans, changed)?;
+    let patched = match record.patch(&mut *sink, &plan) {
+        Ok(patched) => patched,
         Err(e) => {
             sink.abort(&e.to_string());
             return Err(e);
         }
     };
     let gone = sink.commit()?;
-    let count = meta.count;
-    generations.committed(Held { len, count, crc }, spans, changed);
-    Ok(gone)
+    let held = Held {
+        len: patched.len,
+        count: meta.count,
+        crc: patched.crc,
+    };
+    generations.committed(held, spans, changed, patched.blocks);
+    Ok((gone, patched.skipped))
 }
 
 /// Bytes `ranges` (sorted, disjoint) cover.
@@ -570,7 +672,8 @@ impl CheckpointModule {
                     store: store.clone(),
                     transport: transport.clone(),
                     handoff_armed: AtomicBool::new(false),
-                    load_failure: Mutex::new(None),
+                    failure: Mutex::new(None),
+                    saved: AtomicBool::new(false),
                     handoff: Mutex::new(None),
                     resume: Mutex::new(None),
                     every,
@@ -638,11 +741,16 @@ impl CheckpointModule {
         cursor.as_ref().map(|c| c.encode()).unwrap_or_default()
     }
 
-    /// Why this module's restore failed, if it did: the engine ends the
-    /// attempt with [`ppar_core::runtime::Exit::Fault`], and the launcher
-    /// reports this.
-    pub fn take_load_failure(&self) -> Option<PparError> {
-        self.load_failure.lock().take()
+    /// Why this module's save or restore failed, if one did: the engine
+    /// ends the attempt with [`ppar_core::runtime::Exit::Fault`], and the
+    /// launcher reports this.
+    pub fn take_failure(&self) -> Option<PparError> {
+        self.failure.lock().take()
+    }
+
+    /// Keep why a save or a restore failed, for [`CheckpointModule::take_failure`].
+    fn fail(&self, e: &PparError) {
+        *self.failure.lock() = Some(e.clone());
     }
 
     /// Did start-up detect a failed previous execution?
@@ -735,18 +843,20 @@ impl CheckpointModule {
     /// for shards, with offsets relative to the extracted payload, matching
     /// the merge step); untracked fields are stored whole.
     ///
-    /// A full record goes through one rule ([`Generations::rewrite`]): when
+    /// A full record goes through one rule ([`Generations::plan`]): when
     /// the sink's file already holds one of this module's last two full
     /// records, a field streamed from a tracked cell rewrites only what
     /// changed since, and every other field — untracked, extracted, the
-    /// cursor — is written whole.
+    /// cursor — is written whole; and a tracked cell's field checksums
+    /// only the blocks that changed since the newest of them. Returns what
+    /// the commit superseded and the bytes the sink moved past.
     fn put_fields(
         &self,
         ctx: &Ctx,
         to: &dyn CkptTransport,
         meta: &SnapshotMeta,
         chain: Option<(u64, u32)>,
-    ) -> Result<Superseded> {
+    ) -> Result<(Superseded, u64)> {
         enum Slot {
             /// A field streamed from its cell; dirty ranges when tracked.
             Cell(Arc<dyn StateCell>, Option<Ranges>),
@@ -857,8 +967,9 @@ impl CheckpointModule {
                     nranks: meta.nranks,
                 };
                 let fields: Vec<_> = fields.collect();
-                commit_record(to, &Record::Delta(&meta, &fields)).inspect(|_| {
+                commit_record(to, &Record::Delta(&meta, &fields)).map(|gone| {
                     generations.advance(&changed);
+                    (gone, 0)
                 })
             }
             None => {
@@ -1018,6 +1129,9 @@ impl CheckpointModule {
         // wrote before the restore a base for the next full one.
         *self.chain.lock() = DeltaChain::default();
         *self.generations.lock() = Generations::default();
+        // Nor has any element's gather since: the next one moves whole
+        // partitions.
+        self.saved.store(false, Ordering::SeqCst);
 
         let was_replaying = self.replay.swap(false, Ordering::SeqCst);
         let mut stats = self.stats.lock();
@@ -1031,6 +1145,63 @@ impl CheckpointModule {
             stats.resumed_at_point = self.resumed_at.load(Ordering::SeqCst);
         }
         Ok(installed)
+    }
+
+    /// [`CkptHook::take_snapshot`], before its failure is kept.
+    fn save(&self, ctx: &Ctx) -> Result<()> {
+        let t0 = Instant::now();
+        let count = self.clock_get();
+        let nranks = ctx.num_ranks() as u32;
+        let rank = self.sharded(ctx).then(|| ctx.rank() as u32);
+
+        let meta = SnapshotMeta {
+            mode_tag: ctx.mode().tag(),
+            count,
+            rank,
+            nranks,
+        };
+        let to = self.medium()?;
+
+        let link = self
+            .incremental
+            .and_then(|full_every| self.chain.lock().next(full_every));
+        // A promoted base retires the chain it supersedes as it commits (in
+        // the store behind the medium). The spares the commit left are the
+        // files the next save of each key rewrites.
+        let (gone, skipped) = self.put_fields(ctx, to, &meta, link)?;
+        let written = gone.keep();
+        if let Some(full_every) = self.incremental {
+            self.chain.lock().advance(count, full_every);
+        }
+        // The checkpoint cycle's epoch reset, after every save: whatever was
+        // dirty is now captured (by the delta, or by the full record), and
+        // the next save — a delta, or a full record rewriting this one's
+        // file — needs exactly what changes from here on.
+        self.clear_dirty_fields(ctx)?;
+        self.saved.store(true, Ordering::SeqCst);
+
+        let dt = t0.elapsed();
+        // Fold the transport's dedup counters (content-addressed store
+        // and/or network dedup negotiation) into the observable stats; a
+        // flat-layout transport reports all-zero.
+        let put = to.take_put_stats();
+        let mut stats = self.stats.lock();
+        stats.snapshots_taken += 1;
+        if link.is_some() {
+            stats.delta_snapshots += 1;
+        } else {
+            stats.full_snapshots += 1;
+        }
+        stats.bytes_written += written;
+        stats.last_save_bytes = written;
+        stats.bytes_put += written - skipped;
+        stats.save_time += dt;
+        stats.last_save_time = dt;
+        stats.chunks_written += put.chunks_written;
+        stats.chunks_deduped += put.chunks_deduped;
+        stats.bytes_deduped += put.bytes_deduped;
+        stats.wire_chunks_skipped += put.wire_chunks_skipped;
+        Ok(())
     }
 
     /// Does every element persist (and restore) its own shard?
@@ -1063,61 +1234,11 @@ impl CkptHook for CheckpointModule {
     }
 
     fn take_snapshot(&self, ctx: &Ctx) -> Result<()> {
-        let t0 = Instant::now();
-        let count = self.clock_get();
-        let nranks = ctx.num_ranks() as u32;
-        let rank = self.sharded(ctx).then(|| ctx.rank() as u32);
-
-        let meta = SnapshotMeta {
-            mode_tag: ctx.mode().tag(),
-            count,
-            rank,
-            nranks,
-        };
-        let to = self.medium()?;
-
-        let link = self
-            .incremental
-            .and_then(|full_every| self.chain.lock().next(full_every));
-        // A promoted base retires the chain it supersedes as it commits (in
-        // the store behind the medium). The spares the commit left are the
-        // files the next save of each key rewrites.
-        let written = self.put_fields(ctx, to, &meta, link)?.keep();
-        if let Some(full_every) = self.incremental {
-            self.chain.lock().advance(count, full_every);
-        }
-        // The checkpoint cycle's epoch reset, after every save: whatever was
-        // dirty is now captured (by the delta, or by the full record), and
-        // the next save — a delta, or a full record rewriting this one's
-        // file — needs exactly what changes from here on.
-        self.clear_dirty_fields(ctx)?;
-
-        let dt = t0.elapsed();
-        // Fold the transport's dedup counters (content-addressed store
-        // and/or network dedup negotiation) into the observable stats; a
-        // flat-layout transport reports all-zero.
-        let put = to.take_put_stats();
-        let mut stats = self.stats.lock();
-        stats.snapshots_taken += 1;
-        if link.is_some() {
-            stats.delta_snapshots += 1;
-        } else {
-            stats.full_snapshots += 1;
-        }
-        stats.bytes_written += written;
-        stats.last_save_bytes = written;
-        stats.save_time += dt;
-        stats.last_save_time = dt;
-        stats.chunks_written += put.chunks_written;
-        stats.chunks_deduped += put.chunks_deduped;
-        stats.bytes_deduped += put.bytes_deduped;
-        stats.wire_chunks_skipped += put.wire_chunks_skipped;
-        Ok(())
+        self.save(ctx).inspect_err(|e| self.fail(e))
     }
 
     fn load_snapshot(&self, ctx: &Ctx) -> Result<Installed> {
-        self.load(ctx)
-            .inspect_err(|e| *self.load_failure.lock() = Some(e.clone()))
+        self.load(ctx).inspect_err(|e| self.fail(e))
     }
 
     fn sync_thread_clock(&self, count: u64) {
@@ -1253,24 +1374,18 @@ impl CkptHook for CheckpointModule {
         Ok(())
     }
 
-    fn next_snapshot_is_delta(&self) -> bool {
-        self.incremental
-            .is_some_and(|full_every| self.chain.lock().next(full_every).is_some())
+    fn may_gather_dirty(&self) -> bool {
+        self.saved.load(Ordering::SeqCst)
     }
 
     fn note_peer_snapshot(&self, ctx: &Ctx) -> Result<()> {
-        let Some(full_every) = self.incremental else {
-            return Ok(());
-        };
-        // Mirror the chain bookkeeping of the element that actually wrote
-        // the snapshot (master-collect: the root). Every element advances
-        // the same safe-point clock, so the promote/delta decision is
-        // reproduced exactly — which is what lets the engine ask *any*
-        // element's module whether the coming gather may be dirty-only.
-        self.chain.lock().advance(self.clock_get(), full_every);
         // The epoch reset: whatever this element had dirty has now been
-        // captured at the root (the dirty gather shipped it there).
-        self.clear_dirty_fields(ctx)
+        // captured at the root (the gather shipped it there). A record of
+        // this element's own no longer has every write since it tracked.
+        *self.generations.lock() = Generations::default();
+        self.clear_dirty_fields(ctx)?;
+        self.saved.store(true, Ordering::SeqCst);
+        Ok(())
     }
 }
 
@@ -1839,6 +1954,33 @@ mod tests {
         // One master view at one safe point, its cursor frozen with it.
         assert_eq!(handoff.count(), 3);
         assert_eq!(handoff.cursor().map(|c| c.encode()), Some(progress));
+    }
+
+    /// The save-time oracle: a write through a cell view that no
+    /// `mark_written` declares leaves a block whose cached CRC no longer
+    /// holds, and the next save, which would trust that CRC, panics naming
+    /// the field, the block and where it lies in the payload.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_write_the_tracker_missed_fails_the_next_save() {
+        let dir = tmpdir("oracle");
+        let module = CheckpointModule::create(&dir, &ckpt_plan(1)).unwrap();
+        let ctx = seq_ctx(ckpt_plan(1), module.clone());
+        // 800 000 bytes: three whole blocks and a partial one.
+        let g = ctx.alloc_vec("G", 100_000, 0.0f64);
+        ctx.point("iter");
+        g.set(3, 1.0);
+        ctx.point("iter");
+        // Element 70 000 lies in block 2; nothing marks it written.
+        g.cells(70_000..70_001)[0].set(7.0);
+        let saved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.point("iter")));
+        let panic = saved.expect_err("a save over a missed write must panic");
+        let why = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            why.contains("field \"G\", block 2, payload bytes 524288..786432"),
+            "{why}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

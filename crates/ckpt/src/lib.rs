@@ -64,14 +64,14 @@
 //!   point. Merged data stays mode-independent:
 //!   incremental snapshots restart in any execution mode, in any aggregate
 //!   size (master-collect), exactly like full ones.
-//! * **Distributed gathers** — in master-collect mode, once a base exists
-//!   the pre-snapshot gather ships only each element's *dirty ranges*
-//!   (clamped to its owned block) to the root, whose write tracking then
-//!   reflects exactly the aggregate's touched chunks — so partitioned-field
-//!   deltas scale with the dirty fraction in every mode. Elements that do
-//!   not persist mirror the chain bookkeeping
-//!   ([`ppar_core::ctx::CkptHook::note_peer_snapshot`]) to keep the
-//!   full-vs-delta decision aggregate-consistent.
+//! * **Distributed gathers** — in master-collect mode, every save after
+//!   the first of an attempt (and after a restore) gathers only each
+//!   element's *dirty ranges* (clamped to its owned block) at the root,
+//!   whose write tracking then reflects exactly the aggregate's touched
+//!   chunks — so a delta, a patched full record and its block CRCs all
+//!   scale with the dirty fraction. Elements that do not persist reset
+//!   their write tracking when the root saves
+//!   ([`ppar_core::ctx::CkptHook::note_peer_snapshot`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -105,6 +105,19 @@
 //! the flat sink over a claimed spare holds a base ([`RecordSink::held`]);
 //! the checkpoint module decides whether to trust it ([`crate::hook`]).
 //!
+//! **A patched record checksums only the blocks it does not know.** The
+//! caller may also hand a field's block CRCs (one per 256 KiB block, the
+//! last one partial) as of an earlier save, leaving out the blocks changed
+//! since: the writer checksums only the blocks left out, at any payload
+//! size, and returns every block's CRC for the next save. A helper thread
+//! starts only when the blocks to checksum add up to 4 MiB. The trailer is
+//! still exactly the one-pass CRC of the state, provided the blocks the
+//! caller vouched for are unchanged; a debug build checks that on every such
+//! save — it checksums each field whole and panics, naming the field, the
+//! block and its byte offset, when a block no longer matches the CRC the
+//! caller vouched for. A direct put ([`Record::encode`]) knows no block
+//! CRCs.
+//!
 //! ## Read path
 //!
 //! [`SnapshotView`] is what parses: one parser, whose field payloads are
@@ -491,34 +504,48 @@ impl Record<'_> {
         }
     }
 
-    /// Stream this full record into `sink`, whose file holds an older
-    /// record of the same layout ([`RecordSink::held`]): the bytes of
-    /// these fields that the holder may lack — for field `i`, its payload
-    /// ranges `rewrite[i]` (`None`: the whole payload) — are written, and
-    /// the sink moves past the rest ([`RecordSink::skip`]). Header, names,
-    /// length prefixes and the trailer are always written, and the CRC
-    /// runs over every byte of the record as it is in memory, so the
-    /// trailer vouches for the state, not for the file: a byte the holder
-    /// does not have as the rewrite assumed fails the record's CRC at
-    /// restore. A field whose bytes do not lie in memory (a cell without
-    /// [`StateCell::encoded`]) is written whole. Returns `(bytes, CRC)` of
-    /// the record; a delta record is refused.
+    /// Stream this full record into `sink`, whose file may hold an older
+    /// record of the same layout ([`RecordSink::held`]): per field, the
+    /// payload ranges [`FieldPatch::write`] names are written and the sink
+    /// moves past the rest ([`RecordSink::skip`]). Header, names, length
+    /// prefixes and the trailer are always written, and the CRC runs over
+    /// every byte of the record as it is in memory, so the trailer vouches
+    /// for the state, not for the file: a byte the holder does not have as
+    /// the rewrite assumed fails the record's CRC at restore. A field whose
+    /// bytes do not lie in memory (a cell without [`StateCell::encoded`])
+    /// is written whole and checksummed as it streams. A field given
+    /// [`FieldPatch::known`] block CRCs checksums only the blocks it does
+    /// not know, and its block CRCs come back in [`Patched::blocks`]; a
+    /// delta record is refused.
     pub(crate) fn patch(
         &self,
         sink: &mut dyn RecordSink,
-        rewrite: &[Option<Vec<Range<usize>>>],
-    ) -> Result<(u64, u32)> {
-        let Record::Full(meta, fields) = self else {
+        fields: &[FieldPatch],
+    ) -> Result<Patched> {
+        let Record::Full(meta, sources) = self else {
             return Err(PparError::InvalidPlan("only a full record patches".into()));
         };
-        let mut w = SnapshotWriter::new(sink, meta, fields.len() as u32)?;
+        let mut w = SnapshotWriter::new(sink, meta, sources.len() as u32)?;
         w.skip = Some(|sink, n| sink.skip(n));
-        for (i, (name, source)) in fields.iter().enumerate() {
+        let mut blocks = Vec::with_capacity(sources.len());
+        for (i, (name, source)) in sources.iter().enumerate() {
+            let patch = fields.get(i);
             w.begin_field(name, None)?;
-            w.put_whole(name, source, rewrite.get(i).and_then(Option::as_deref))?;
+            blocks.push(w.put_whole(
+                name,
+                source,
+                patch.and_then(|p| p.write.as_deref()),
+                patch.and_then(|p| p.known.as_deref()),
+            )?);
         }
-        let (written, crc, _) = w.seal()?;
-        Ok((written, crc))
+        let skipped = w.skipped;
+        let (len, crc, _) = w.seal()?;
+        Ok(Patched {
+            len,
+            crc,
+            skipped,
+            blocks,
+        })
     }
 
     /// Where each field's payload lies in this full record's encoding, in
@@ -543,6 +570,33 @@ impl Record<'_> {
     }
 }
 
+/// How [`Record::patch`] writes one field of a full record.
+#[derive(Debug, Default)]
+pub(crate) struct FieldPatch {
+    /// The payload ranges the sink's file may lack (sorted, disjoint);
+    /// `None`: the whole payload.
+    pub(crate) write: Option<Vec<Range<usize>>>,
+    /// Keep the payload's block CRCs ([`CRC_COPY_BLOCK`] each, the last one
+    /// partial), given one entry per block: the CRC of a block the caller
+    /// vouches for — it is as it was when that CRC was taken — or `None`
+    /// for one to checksum. `None`: keep none, checksum in one pass.
+    pub(crate) known: Option<Vec<Option<u32>>>,
+}
+
+/// What [`Record::patch`] wrote.
+#[derive(Debug)]
+pub(crate) struct Patched {
+    /// Record length in bytes, CRC trailer included.
+    pub(crate) len: u64,
+    /// Its trailer: the CRC-32 of every byte before it.
+    pub(crate) crc: u32,
+    /// Bytes of it the sink moved past instead of writing.
+    pub(crate) skipped: u64,
+    /// Per field, its payload's block CRCs, for a field that was given
+    /// [`FieldPatch::known`] and whose bytes lie in memory.
+    pub(crate) blocks: Vec<Option<Vec<u32>>>,
+}
+
 /// Adapter that forwards writes to the sink while folding every byte into
 /// the running CRC. Handed to [`StateCell::write_state`] so even
 /// cell-driven writes stay on the single-pass path.
@@ -555,8 +609,9 @@ struct CrcTee<'a, W: Write> {
 /// Block size for interleaving the CRC pass with the copy on large
 /// payloads: each block is checksummed while still cache-hot from the
 /// write (or vice versa), saving a second trip to RAM per multi-MiB
-/// field.
-const CRC_COPY_BLOCK: usize = 256 << 10;
+/// field. Also the unit of a payload's kept block CRCs
+/// ([`FieldPatch::known`]).
+pub(crate) const CRC_COPY_BLOCK: usize = 256 << 10;
 
 /// What appending one [`CRC_COPY_BLOCK`] multiplies a CRC register by: a
 /// large payload's block CRCs join in one multiplication each.
@@ -599,6 +654,8 @@ pub struct SnapshotWriter<W: Write> {
     sink: W,
     crc: Crc32,
     written: u64,
+    /// Bytes of `written` the sink moved past instead of writing.
+    skipped: u64,
     fields_remaining: u32,
     /// How to move past bytes the sink already holds, when it holds a
     /// record this one rewrites in place ([`Record::patch`]); `None`: every
@@ -612,6 +669,7 @@ impl<W: Write> SnapshotWriter<W> {
             sink,
             crc: Crc32::new(),
             written: 0,
+            skipped: 0,
             fields_remaining: nfields,
             skip: None,
         }
@@ -650,51 +708,82 @@ impl<W: Write> SnapshotWriter<W> {
     /// Write `bytes` to the sink, CRC running: [`SnapshotWriter::put_spans`]
     /// over the whole of it.
     fn put(&mut self, bytes: &[u8]) -> Result<()> {
-        self.put_spans(bytes, std::slice::from_ref(&(0..bytes.len())))
+        self.put_spans(bytes, std::slice::from_ref(&(0..bytes.len())), None)
+            .map(drop)
     }
 
     /// Write the `write` ranges of `bytes` (sorted, disjoint) and move past
     /// the rest, which the sink already holds; the CRC runs over every byte
     /// of `bytes`, written or not.
     ///
-    /// A payload of at least two [`SPLIT_PART`]s is checksummed by block
-    /// ([`CRC_COPY_BLOCK`]), and every block is claimed from one counter:
-    /// on more than one core a scoped helper thread claims blocks from the
-    /// start while this thread writes, and this thread claims what is left
-    /// once its write returns. A whole write leaves nearly every block to
-    /// the helper; a write of a few ranges leaves this thread free to take
-    /// half of them. The block CRCs join the running one in record order
+    /// Given `known` block CRCs ([`FieldPatch::known`]), the payload is
+    /// checksummed by block ([`CRC_COPY_BLOCK`]) at any size, only the
+    /// blocks without a known CRC are read, and every block's CRC comes
+    /// back. Without, a payload of at least two [`SPLIT_PART`]s is
+    /// checksummed by block, all of them.
+    ///
+    /// The blocks to checksum are claimed from one counter: when they add
+    /// up to two [`SPLIT_PART`]s or more and there is more than one core, a
+    /// scoped helper thread claims them from the start while this thread
+    /// writes, and this thread claims what is left once its write returns;
+    /// fewer, and this thread checksums them after its write, starting no
+    /// thread. The block CRCs join the running one in record order
     /// ([`Crc32::append_shifted`]) — exactly the value one pass computes.
-    /// Anything smaller written whole, and a whole write on one core,
-    /// interleaves CRC and copy in cache-sized blocks instead of two full
-    /// passes over the payload.
-    fn put_spans(&mut self, bytes: &[u8], write: &[Range<usize>]) -> Result<()> {
+    /// A payload written whole with no helper interleaves CRC and copy in
+    /// cache-sized blocks instead of two full passes over it; without
+    /// `known`, into the running CRC directly.
+    fn put_spans(
+        &mut self,
+        bytes: &[u8],
+        write: &[Range<usize>],
+        known: Option<&[Option<u32>]>,
+    ) -> Result<Option<Vec<u32>>> {
         let whole = write.len() == 1 && write[0] == (0..bytes.len());
-        if whole && (bytes.len() < 2 * SPLIT_PART || cores() == 1) {
+        if known.is_none() && whole && (bytes.len() < 2 * SPLIT_PART || cores() == 1) {
             for block in bytes.chunks(CRC_COPY_BLOCK) {
                 self.crc.update(block);
                 self.sink.write_all(block)?;
             }
+            self.written += bytes.len() as u64;
+            return Ok(None);
+        }
+        let blocks = bytes.len().div_ceil(CRC_COPY_BLOCK);
+        if known.is_some_and(|known| known.len() != blocks) {
+            return Err(PparError::InvalidPlan(format!(
+                "{} known block CRCs for a {}-byte payload of {blocks} blocks",
+                known.map_or(0, <[_]>::len),
+                bytes.len()
+            )));
+        }
+        let known_at = |i: usize| known.and_then(|known| known[i]);
+        let block =
+            |i: usize| &bytes[i * CRC_COPY_BLOCK..bytes.len().min((i + 1) * CRC_COPY_BLOCK)];
+        let stale: Vec<usize> = (0..blocks).filter(|&i| known_at(i).is_none()).collect();
+        let stale_bytes: usize = stale.iter().map(|&i| block(i).len()).sum();
+        let helped = cores() > 1 && stale_bytes >= 2 * SPLIT_PART;
+        let mut crcs: Vec<u32> = (0..blocks).map(|i| known_at(i).unwrap_or(0)).collect();
+        if whole && !helped {
+            for (i, block) in bytes.chunks(CRC_COPY_BLOCK).enumerate() {
+                if known_at(i).is_none() {
+                    crcs[i] = crc32(block);
+                }
+                self.sink.write_all(block)?;
+            }
         } else {
-            let blocks = bytes.len().div_ceil(CRC_COPY_BLOCK);
             let next = AtomicUsize::new(0);
             let claim = || {
                 let mut done = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(block) = bytes.chunks(CRC_COPY_BLOCK).nth(i) else {
-                        return done;
-                    };
-                    done.push((i, crc32(block)));
+                while let Some(&i) = stale.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    done.push((i, crc32(block(i))));
                 }
+                done
             };
             let (sink, skip) = (&mut self.sink, self.skip);
             let (wrote, claimed) = std::thread::scope(|scope| {
-                let helper =
-                    (cores() > 1 && bytes.len() >= 2 * SPLIT_PART).then(|| scope.spawn(claim));
+                let helper = helped.then(|| scope.spawn(claim));
                 let wrote = write_spans(sink, bytes, write, skip);
                 if wrote.is_err() {
-                    next.store(blocks, Ordering::Relaxed);
+                    next.store(stale.len(), Ordering::Relaxed);
                 }
                 let mut claimed = claim();
                 if let Some(helper) = helper {
@@ -703,20 +792,19 @@ impl<W: Write> SnapshotWriter<W> {
                 }
                 (wrote, claimed)
             });
-            wrote?;
-            let mut crcs = vec![0; blocks];
+            self.skipped += wrote?;
             for (i, crc) in claimed {
                 crcs[i] = crc;
             }
-            for (crc, block) in crcs.into_iter().zip(bytes.chunks(CRC_COPY_BLOCK)) {
-                match block.len() {
-                    CRC_COPY_BLOCK => self.crc.append_shifted(crc, BLOCK_SHIFT),
-                    len => self.crc.append(crc, len as u64),
-                }
+        }
+        for (&crc, block) in crcs.iter().zip(bytes.chunks(CRC_COPY_BLOCK)) {
+            match block.len() {
+                CRC_COPY_BLOCK => self.crc.append_shifted(crc, BLOCK_SHIFT),
+                len => self.crc.append(crc, len as u64),
             }
         }
         self.written += bytes.len() as u64;
-        Ok(())
+        Ok(known.map(|_| crcs))
     }
 
     fn put_str(&mut self, s: &str) -> Result<()> {
@@ -753,13 +841,16 @@ impl<W: Write> SnapshotWriter<W> {
     /// any other streams through [`StateCell::write_state`].
     ///
     /// With `rewrite`, a payload whose bytes lie in memory writes only those
-    /// ranges and moves past the rest ([`Record::patch`]).
+    /// ranges and moves past the rest ([`Record::patch`]); with `known`, it
+    /// checksums only the blocks whose CRC is not known and returns every
+    /// block's CRC ([`SnapshotWriter::put_spans`]).
     fn put_whole(
         &mut self,
         name: &str,
         source: &FieldSource<'_>,
         rewrite: Option<&[Range<usize>]>,
-    ) -> Result<()> {
+        known: Option<&[Option<u32>]>,
+    ) -> Result<Option<Vec<u32>>> {
         let (len, bytes) = match source {
             FieldSource::Bytes(bytes) => (bytes.len() as u64, Some(*bytes)),
             FieldSource::Cell(cell) => (cell.byte_len() as u64, cell.encoded()),
@@ -770,13 +861,17 @@ impl<W: Write> SnapshotWriter<W> {
                 unreachable!("bytes are in memory")
             };
             let streamed = self.stream(|tee| cell.write_state(tee))?;
-            return carried(name, len, streamed);
+            return carried(name, len, streamed).map(|()| None);
         };
         carried(name, len, bytes.len() as u64)?;
-        match rewrite {
-            Some(ranges) => self.put_spans(bytes, ranges),
-            None => self.put(bytes),
+        let whole = 0..bytes.len();
+        let write = rewrite.unwrap_or(std::slice::from_ref(&whole));
+        let blocks = self.put_spans(bytes, write, known)?;
+        #[cfg(debug_assertions)]
+        if let Some(known) = known {
+            check_known_blocks(name, bytes, known);
         }
+        Ok(blocks)
     }
 
     /// A sparse entry up to its ranges' bytes: the name, kind 1 and the
@@ -810,7 +905,7 @@ impl<W: Write> SnapshotWriter<W> {
     /// Write one field of a full record from a [`FieldSource`].
     pub fn field(&mut self, name: &str, source: &FieldSource<'_>) -> Result<()> {
         self.begin_field(name, None)?;
-        self.put_whole(name, source, None)
+        self.put_whole(name, source, None, None).map(drop)
     }
 
     /// Write one field of a delta record from a [`DeltaSource`]: a whole
@@ -821,7 +916,7 @@ impl<W: Write> SnapshotWriter<W> {
         match source {
             DeltaSource::Full(whole) => {
                 self.begin_field(name, Some(0))?;
-                self.put_whole(name, whole, None)
+                self.put_whole(name, whole, None, None).map(drop)
             }
             DeltaSource::DirtyCell { cell, ranges } => {
                 let total = self.begin_sparse(name, cell.byte_len() as u64, ranges)?;
@@ -864,21 +959,25 @@ impl<W: Write> SnapshotWriter<W> {
 }
 
 /// Write the `write` ranges of `bytes` into `sink` in order, moving past
-/// the bytes between them (and after the last) with `skip`. A range that
-/// is out of order or outside `bytes` is refused, as is a gap without
-/// `skip`.
+/// the bytes between them (and after the last) with `skip`; returns the
+/// bytes moved past. A range that is out of order or outside `bytes` is
+/// refused, as is a gap without `skip`.
 fn write_spans<W: Write>(
     sink: &mut W,
     bytes: &[u8],
     write: &[Range<usize>],
     skip: Option<fn(&mut W, u64) -> std::io::Result<()>>,
-) -> Result<()> {
-    let pass = |sink: &mut W, n: usize| match (n, skip) {
-        (0, _) => Ok(()),
-        (n, Some(skip)) => skip(sink, n as u64),
-        (_, None) => Err(std::io::Error::other(
-            "a gap in a write with nothing to skip it",
-        )),
+) -> Result<u64> {
+    let mut skipped = 0;
+    let mut pass = |sink: &mut W, n: usize| {
+        skipped += n as u64;
+        match (n, skip) {
+            (0, _) => Ok(()),
+            (n, Some(skip)) => skip(sink, n as u64),
+            (_, None) => Err(std::io::Error::other(
+                "a gap in a write with nothing to skip it",
+            )),
+        }
     };
     let mut at = 0;
     for r in write {
@@ -896,7 +995,29 @@ fn write_spans<W: Write>(
         at = r.end;
     }
     pass(sink, bytes.len() - at)?;
-    Ok(())
+    Ok(skipped)
+}
+
+/// The save-time oracle of a cached CRC: every block whose CRC the caller
+/// vouched for ([`FieldPatch::known`]) must still checksum to it. A block
+/// that does not was written since that CRC was taken without its writer
+/// marking it (a write the dirty tracker missed): the record would carry a
+/// CRC of bytes that are not in memory, so this panics, naming the field,
+/// the block and where it lies in the payload. Debug builds only.
+#[cfg(debug_assertions)]
+fn check_known_blocks(name: &str, bytes: &[u8], known: &[Option<u32>]) {
+    for (i, (block, known)) in bytes.chunks(CRC_COPY_BLOCK).zip(known).enumerate() {
+        if let Some(known) = *known {
+            let at = i * CRC_COPY_BLOCK;
+            assert!(
+                crc32(block) == known,
+                "cached block CRC mismatch: field {name:?}, block {i}, payload bytes \
+                 {at}..{}: written since the save that cached its CRC, yet no write \
+                 marked it dirty",
+                at + block.len()
+            );
+        }
+    }
 }
 
 /// The length rule: a field streams exactly the bytes its header announced.
@@ -2920,6 +3041,90 @@ mod tests {
         let (written, slow) = record.encode(SlowSink(Vec::new())).unwrap();
         assert_eq!(written, golden.len() as u64);
         assert!(slow.0 == golden, "slow sink: bytes differ from golden");
+    }
+
+    /// A sink that keeps every byte, holds no base and commits nothing.
+    #[derive(Default)]
+    struct VecSink(Vec<u8>);
+
+    impl Write for VecSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl RecordSink for VecSink {
+        fn commit(self: Box<Self>) -> Result<Superseded> {
+            Ok(Superseded::new(self.0.len() as u64))
+        }
+    }
+
+    /// A payload whose block CRCs are partly known — the blocks that did
+    /// not change since they were taken — and partly stale carries the CRC
+    /// one pass over it computes, and comes back with every block's CRC:
+    /// for an odd-length payload whose last block is partial, one under a
+    /// block, and one whose stale blocks a helper thread checksums.
+    #[test]
+    fn cached_and_stale_block_crcs_give_the_one_pass_crc() {
+        let helper = helper_sized_bytes().len();
+        let cases = [
+            (
+                3 * CRC_COPY_BLOCK + 12_345,
+                vec![vec![0, 3], vec![1], vec![]],
+            ),
+            (1_000, vec![vec![0], vec![]]),
+            (helper, vec![(1..helper.div_ceil(CRC_COPY_BLOCK)).collect()]),
+        ];
+        let meta = sample(None).meta();
+        for (len, changes) in cases {
+            let crcs = |bytes: &[u8]| bytes.chunks(CRC_COPY_BLOCK).map(crc32).collect::<Vec<_>>();
+            // Write the record of `payload` with `known` block CRCs: it is
+            // golden, and the block CRCs come back.
+            let put = |payload: &[u8], known: Vec<Option<u32>>| {
+                let fields = [
+                    ("head", FieldSource::Bytes(&[1, 2, 3])),
+                    ("P", FieldSource::Bytes(payload)),
+                ];
+                let record = Record::Full(&meta, &fields);
+                let plan = [
+                    FieldPatch::default(),
+                    FieldPatch {
+                        write: None,
+                        known: Some(known),
+                    },
+                ];
+                let mut sink = VecSink::default();
+                let patched = record.patch(&mut sink, &plan).unwrap();
+                let (_, golden) = record.encode(Vec::new()).unwrap();
+                assert!(sink.0 == golden, "{len} bytes: not golden");
+                let trailer = u32::from_le_bytes(golden[golden.len() - 4..].try_into().unwrap());
+                assert_eq!((patched.len, patched.crc), (golden.len() as u64, trailer));
+                assert_eq!(patched.skipped, 0);
+                assert!(patched.blocks[0].is_none(), "no CRCs kept unasked");
+                patched.blocks[1].clone().expect("block CRCs of P")
+            };
+            let old: Vec<u8> = (0..len).map(|i| (i * 7 + i / 251) as u8).collect();
+            let blocks = len.div_ceil(CRC_COPY_BLOCK);
+            let cached = put(&old, vec![None; blocks]);
+            assert_eq!(cached, crcs(&old));
+            for changed in changes {
+                let mut new = old.clone();
+                for &b in &changed {
+                    let end = len.min((b + 1) * CRC_COPY_BLOCK);
+                    new[end - 1] ^= 0x5A;
+                }
+                let known = (0..blocks).map(|b| (!changed.contains(&b)).then_some(cached[b]));
+                assert_eq!(
+                    put(&new, known.collect()),
+                    crcs(&new),
+                    "{len} bytes, {changed:?}"
+                );
+            }
+        }
     }
 
     /// Files written by the legacy encoder load through the reader, and

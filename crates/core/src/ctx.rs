@@ -143,22 +143,25 @@ pub trait CkptHook: Send + Sync {
         ))
     }
 
-    // ---- incremental-gather seam (dirty-range master-collect) ----
+    // ---- dirty-gather seam (master-collect) ----
 
-    /// In incremental mode: will the snapshot taken at the *current* chain
-    /// position be persisted as a delta (true) or promoted to a full base
-    /// (false)? Deterministic and identical on every aggregate element (the
-    /// safe-point clock is symmetric), so engines may consult any element's
-    /// module to choose between a full gather and a dirty-range gather.
-    fn next_snapshot_is_delta(&self) -> bool {
+    /// May the gather before the coming save ship only what each element
+    /// wrote since the last save? True once this element has saved — or
+    /// mirrored its root's save ([`CkptHook::note_peer_snapshot`]) — since
+    /// its run started or last restored: the root's copy of every
+    /// partitioned field is then what the last save's gather left, and
+    /// each element's write tracking holds what changed since. The same on
+    /// every element of an aggregate (all save and restore at the same
+    /// safe points), so engines may consult any element's hook.
+    fn may_gather_dirty(&self) -> bool {
         false
     }
 
     /// A peer element (master-collect: the root) persisted the snapshot for
-    /// this safe point. Elements that did not write mirror the chain
-    /// bookkeeping and reset their local write tracking here, keeping the
-    /// full-vs-delta decision of [`CkptHook::next_snapshot_is_delta`]
-    /// aggregate-consistent.
+    /// this safe point, after a gather that shipped this element's writes.
+    /// Elements that did not write reset their local write tracking here,
+    /// so the next dirty gather ([`CkptHook::may_gather_dirty`]) ships
+    /// exactly what changes from now on.
     fn note_peer_snapshot(&self, _ctx: &Ctx) -> Result<()> {
         Ok(())
     }
@@ -644,19 +647,20 @@ impl SeqEngine {
     /// Handle a safe point for engines without teams/aggregates: count it,
     /// take or load snapshots inline, honour adaptation polls (which a
     /// static engine cannot satisfy — they are left pending for an adaptive
-    /// engine, or surfaced by the launcher). A load that fails ends the
-    /// attempt: the line of execution leaves with
+    /// engine, or surfaced by the launcher). A save or a load that fails
+    /// ends the attempt: the line of execution leaves with
     /// [`crate::runtime::Exit::Fault`], and the hook keeps what failed.
     pub fn sequential_point(ctx: &Ctx, name: &str) {
+        let fault = |failed: bool| {
+            if failed {
+                crate::runtime::leave(crate::runtime::Exit::Fault);
+            }
+        };
         crate::runtime::drive_point(
             ctx,
             name,
-            |ctx, ck| ck.take_snapshot(ctx).expect("checkpoint snapshot failed"),
-            |ctx, ck| {
-                if ck.load_snapshot(ctx).is_err() {
-                    crate::runtime::leave(crate::runtime::Exit::Fault);
-                }
-            },
+            |ctx, ck| fault(ck.take_snapshot(ctx).is_err()),
+            |ctx, ck| fault(ck.load_snapshot(ctx).is_err()),
         );
     }
 }

@@ -74,9 +74,10 @@ pub struct TeamRuntime {
     /// The reshape decision published by the crossing leader for the
     /// current safe-point crossing.
     decision: Mutex<Option<ExecMode>>,
-    /// The current region's restore failed ([`ParallelEngine::load_quiesced`]):
-    /// every worker leaves the crossing.
-    load_failed: AtomicBool,
+    /// The current crossing's save or restore failed
+    /// ([`ParallelEngine::snapshot_quiesced`], [`ParallelEngine::load_quiesced`]):
+    /// every worker leaves it.
+    ckpt_failed: AtomicBool,
     /// Real (non-drain) worker panics of the current region.
     panics: Arc<Mutex<Vec<String>>>,
     /// The current region's completion latch.
@@ -100,7 +101,7 @@ impl TeamRuntime {
             space: ConstructSpace::new(),
             points: AtomicU64::new(0),
             decision: Mutex::new(None),
-            load_failed: AtomicBool::new(false),
+            ckpt_failed: AtomicBool::new(false),
             panics: Arc::new(Mutex::new(Vec::new())),
             latch: Mutex::new(None),
             body: Mutex::new(None),
@@ -142,6 +143,28 @@ impl TeamRuntime {
         let leader = self.barrier.wait();
         tracking::advance_epoch();
         leader
+    }
+
+    /// Run a checkpoint step — a save or a restore — between two team
+    /// barriers (§IV.A: "we introduce a barrier before and another after
+    /// the safe point"). When it fails on any worker, every worker leaves
+    /// the crossing with [`Exit::Fault`] once past the closing barrier. A
+    /// step that unwinds (a panic, or an exit of its own) fails too, and
+    /// carries on unwinding on its worker only past that barrier, so no
+    /// worker waits there for it.
+    fn quiesced(&self, step: impl FnOnce() -> Result<()>) {
+        self.team_barrier();
+        let outcome = catch_unwind(AssertUnwindSafe(step));
+        if !matches!(outcome, Ok(Ok(()))) {
+            self.ckpt_failed.store(true, Ordering::SeqCst);
+        }
+        self.team_barrier();
+        if let Err(unwind) = outcome {
+            resume_unwind(unwind);
+        }
+        if self.ckpt_failed.load(Ordering::SeqCst) {
+            leave(Exit::Fault);
+        }
     }
 
     /// Construct-ending barrier that retires the construct's shared state
@@ -227,10 +250,14 @@ pub trait ParallelEngine: Send + Sync {
     /// introduce a barrier before and another after the safe point"). The
     /// default is the shared-memory rule: the master saves. Distributed
     /// overrides gather partitions / bracket with aggregate barriers first.
-    fn snapshot_quiesced(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) {
+    /// `Err` when the save failed (on an aggregate, when any element's
+    /// did); every line of execution of the team then leaves the crossing
+    /// with [`Exit::Fault`], and the hook keeps what failed.
+    fn snapshot_quiesced(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) -> Result<()> {
         if ctx.worker() == 0 {
-            ck.take_snapshot(ctx).expect("checkpoint snapshot failed");
+            ck.take_snapshot(ctx)?;
         }
+        Ok(())
     }
 
     /// Quiesced restore body, run between two team barriers: the master
@@ -292,7 +319,7 @@ pub trait ParallelEngine: Send + Sync {
         rt.panics.lock().clear();
         rt.points.store(0, Ordering::SeqCst);
         *rt.decision.lock() = None;
-        rt.load_failed.store(false, Ordering::SeqCst);
+        rt.ckpt_failed.store(false, Ordering::SeqCst);
         rt.barrier.set_size(k);
         // Safety: the latch join below keeps `body` alive for every worker.
         *rt.body.lock() = Some(unsafe { RegionBody::new(body) });
@@ -490,23 +517,8 @@ pub trait ParallelEngine: Send + Sync {
         drive_point(
             ctx,
             name,
-            |ctx, ck| {
-                // §IV.A: "we introduce a barrier before and another after
-                // the safe point"; the quiesced body saves in between.
-                rt.team_barrier();
-                self.snapshot_quiesced(ctx, ck);
-                rt.team_barrier();
-            },
-            |ctx, ck| {
-                rt.team_barrier();
-                if self.load_quiesced(ctx, ck).is_err() {
-                    rt.load_failed.store(true, Ordering::SeqCst);
-                }
-                rt.team_barrier();
-                if rt.load_failed.load(Ordering::SeqCst) {
-                    leave(Exit::Fault);
-                }
-            },
+            |ctx, ck| rt.quiesced(|| self.snapshot_quiesced(ctx, ck)),
+            |ctx, ck| rt.quiesced(|| self.load_quiesced(ctx, ck)),
         );
         if let Some(ad) = ctx.adapt_hook().cloned() {
             if rt.in_region() {

@@ -17,7 +17,9 @@
 //! (partitioned safe data is gathered at element 0, which writes one
 //! mode-independent snapshot — no barriers needed, restartable in any mode)
 //! and **local-snapshot** (each element persists its own partition between
-//! two global barriers; restart requires the same element count).
+//! two global barriers; restart requires the same element count). Either
+//! way the elements then all-reduce whether every save held, so a failed
+//! save ends the attempt on all of them.
 //!
 //! Memory layout note (documented substitution): every element allocates
 //! the *full* index space of partitioned fields and touches only its owned
@@ -26,6 +28,7 @@
 //! implementation while keeping scatter/gather/halo logic uniform.
 
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use ppar_ckpt::delta::{DeltaMeta, DeltaPayload, DeltaView};
@@ -123,15 +126,15 @@ impl DsmEngine {
     /// one **`PPARDLT1` delta record** — the exact encoding the checkpoint
     /// store persists, streamed through the shared golden encoder
     /// ([`Record::encode`]) with its running CRC-32, so the rank→root
-    /// transfer is integrity-checked
-    /// end to end and rides any fabric (including real TCP) for free. The
-    /// root decodes with the shared delta reader and installs the patches,
-    /// which marks exactly those chunks dirty in its own tracking — so the
-    /// master *delta* that follows scales with the aggregate dirty
-    /// fraction instead of the field size. The root's own dirty bytes are
-    /// already in its copy: it encodes and ships nothing. Falls back to the
-    /// whole-partition gather for non-block partitions and untracked
-    /// cells.
+    /// transfer is integrity-checked end to end and rides any fabric
+    /// (including real TCP) for free. The root decodes with the shared
+    /// delta reader and installs the patches, which marks exactly those
+    /// chunks dirty in its own tracking — so the master record that follows
+    /// (a delta, or a full record's patch and block CRCs) scales with the
+    /// aggregate dirty fraction instead of the field size. The root's own
+    /// dirty bytes are already in its copy: it encodes and ships nothing.
+    /// Falls back to the whole-partition gather for non-block partitions
+    /// and untracked cells.
     pub(crate) fn gather_dirty_field(&self, ctx: &Ctx, field: &str) {
         let plan = ctx.plan();
         let partition = self.partition_of(plan, field);
@@ -355,18 +358,23 @@ impl DsmEngine {
     /// Strategy-dispatched quiesced snapshot (§IV.A): master-collect
     /// gathers partitioned safe data at the root (no global barriers);
     /// local-snapshot brackets per-element saves with two global barriers.
-    /// Run by the element's worker-0 line.
-    pub(crate) fn snapshot_strategy(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) {
+    /// Run by the element's worker-0 line. Every element learns whether
+    /// every element's save held ([`DsmEngine::agree`]): `Err` on all of
+    /// them when one failed, so the whole aggregate ends the attempt
+    /// instead of leaving its peers waiting at their next collective.
+    pub(crate) fn snapshot_strategy(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) -> Result<()> {
         let plan = ctx.plan();
         match plan.dist_ckpt_strategy() {
             DistCkptStrategy::MasterCollect => {
                 // Collect partitioned safe data at the root — no
-                // global barriers (§IV.A, second alternative). In
-                // incremental mode, once a base exists only *dirty ranges*
-                // travel: each element ships its touched bytes (clamped to
-                // the owned block) and the root's delta then scales with
-                // the aggregate dirty fraction, not the field size.
-                let dirty_gather = self.ep.nranks() > 1 && ck.next_snapshot_is_delta();
+                // global barriers (§IV.A, second alternative). Once this
+                // attempt has saved, the root's copy is the last save's
+                // gather plus what each element tracked since: only
+                // *dirty ranges* travel (clamped to the owned block), and
+                // the root's record — a delta, a patched full record and
+                // its block CRCs — scales with the aggregate dirty
+                // fraction, not the field size.
+                let dirty_gather = self.ep.nranks() > 1 && ck.may_gather_dirty();
                 for field in plan.safe_data() {
                     if plan.field_partition(field).is_some() {
                         if dirty_gather {
@@ -376,37 +384,34 @@ impl DsmEngine {
                         }
                     }
                 }
-                if self.ep.rank() == 0 {
-                    ck.take_snapshot(ctx).expect("checkpoint snapshot failed");
-                } else {
-                    // Mirror the chain bookkeeping and reset local write
-                    // tracking: what was dirty here has been shipped to the
-                    // root (or subsumed by the full gather).
-                    ck.note_peer_snapshot(ctx)
-                        .expect("checkpoint chain mirror failed");
-                }
+                // The root saves; every other element resets its write
+                // tracking: what was dirty here is at the root now.
+                self.agree("save its checkpoint", || match self.ep.rank() {
+                    0 => ck.take_snapshot(ctx),
+                    _ => ck.note_peer_snapshot(ctx),
+                })
             }
             DistCkptStrategy::LocalSnapshot => {
                 // Two global barriers around per-element snapshots
-                // (§IV.A, first alternative).
+                // (§IV.A, first alternative); the agreement on the saves
+                // is the second.
                 self.ep.barrier();
-                ck.take_snapshot(ctx).expect("checkpoint snapshot failed");
-                self.ep.barrier();
-                // Past the barrier every shard is durable: the root
-                // advances the group-commit point, pinning the newest
-                // safe point a restart may target. A rank dying mid-save
-                // can therefore never tear the restored group.
-                if self.ep.rank() == 0 {
-                    ck.group_commit(ctx)
-                        .expect("checkpoint group commit failed");
-                }
+                self.agree("save its checkpoint", || ck.take_snapshot(ctx))?;
+                // Past it every shard is durable: the root advances the
+                // group-commit point, pinning the newest safe point a
+                // restart may target. A rank dying mid-save can therefore
+                // never tear the restored group.
+                self.agree("commit the group's checkpoint", || match self.ep.rank() {
+                    0 => ck.group_commit(ctx),
+                    _ => Ok(()),
+                })
             }
         }
     }
 
     /// Strategy-dispatched quiesced restore; see
     /// [`DsmEngine::snapshot_strategy`]. Every element learns whether every
-    /// element's load held before any state moves ([`DsmEngine::all_loaded`]),
+    /// element's load held before any state moves ([`DsmEngine::agree`]),
     /// so a failed load ends the restore on all of them instead of leaving
     /// its peers waiting for a scatter or a barrier that never comes.
     pub(crate) fn load_strategy(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) -> Result<()> {
@@ -415,7 +420,7 @@ impl DsmEngine {
             DistCkptStrategy::MasterCollect => {
                 // A live hand-off installs on every element from the
                 // predecessor's frozen state: nothing is left to move.
-                if self.all_loaded(ck.load_snapshot(ctx))? == Installed::Root {
+                if self.agree("load its checkpoint", || ck.load_snapshot(ctx))? == Installed::Root {
                     // The paper's "load" cost for distributed restarts
                     // includes scattering the data back across the
                     // aggregate — attribute it to the load statistics.
@@ -426,7 +431,7 @@ impl DsmEngine {
             }
             DistCkptStrategy::LocalSnapshot => {
                 self.ep.barrier();
-                self.all_loaded(ck.load_snapshot(ctx))?;
+                self.agree("load its checkpoint", || ck.load_snapshot(ctx))?;
                 // Owned ranges are restored; halos are stale.
                 let t0 = std::time::Instant::now();
                 for (field, halo) in plan.halo_fields() {
@@ -440,19 +445,22 @@ impl DsmEngine {
         Ok(())
     }
 
-    /// This element's load result, once every element's is known: an
-    /// all-reduce of the failures, so it is also the barrier after the
-    /// load. `Err` on every element when any load failed — the element's
-    /// own error where its load was the one that failed.
-    fn all_loaded<T>(&self, loaded: Result<T>) -> Result<T> {
-        let failed = self
-            .ep
-            .allreduce_f64(ReduceOp::Max, loaded.is_err() as u8 as f64);
-        match loaded {
-            Ok(_) if failed > 0.0 => Err(PparError::CorruptCheckpoint(
-                "another element of the aggregate failed to load its checkpoint".into(),
-            )),
-            loaded => loaded,
+    /// Take a step every element takes — to `what` — and return its
+    /// outcome once every element's is known: an all-reduce of the
+    /// failures, so it is also a barrier. `Err` on every element when any
+    /// element failed — the element's own error where it was the one that
+    /// failed. A step that unwinds (a panic, or an exit of its own) fails
+    /// too, and carries on unwinding on its element once the others know.
+    fn agree<T>(&self, what: &str, step: impl FnOnce() -> Result<T>) -> Result<T> {
+        let outcome = catch_unwind(AssertUnwindSafe(step));
+        let failed = !matches!(outcome, Ok(Ok(_)));
+        let failed = self.ep.allreduce_f64(ReduceOp::Max, failed as u8 as f64);
+        match outcome {
+            Err(unwind) => resume_unwind(unwind),
+            Ok(Ok(_)) if failed > 0.0 => Err(PparError::CorruptCheckpoint(format!(
+                "another element of the aggregate failed to {what}"
+            ))),
+            Ok(outcome) => outcome,
         }
     }
 

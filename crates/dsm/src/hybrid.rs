@@ -166,12 +166,13 @@ impl ParallelEngine for HybridEngine {
         });
     }
 
-    fn snapshot_quiesced(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) {
+    fn snapshot_quiesced(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) -> Result<()> {
         // Already bracketed by team barriers (pe_point); worker 0 runs the
         // rank-level strategy (gathers / aggregate barriers / save).
         if ctx.worker() == 0 {
-            self.dsm.snapshot_strategy(ctx, ck);
+            self.dsm.snapshot_strategy(ctx, ck)?;
         }
+        Ok(())
     }
 
     fn load_quiesced(&self, ctx: &Ctx, ck: &Arc<dyn CkptHook>) -> Result<()> {
