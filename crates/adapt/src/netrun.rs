@@ -46,10 +46,16 @@
 //! survivor's rollback restore a memory read instead of a root
 //! round-trip. An attempt that *returns* an error while the fault is
 //! pending (the completion round, module creation) recovers the same way;
-//! a panic that is not an [`Exit`] is a bug and is never retried. Any
-//! failure *of recovery itself* escalates: the process exits nonzero and
-//! the supervisor falls back to a whole-job relaunch.
+//! a panic that is not an [`Exit`] is a bug and is never retried. Nor is
+//! an [`Exit::Fault`] no peer fault explains: a save or a load failed, so
+//! every rank leaves the attempt (the engine agrees on the outcome across
+//! the aggregate), and [`run_net_rank`] returns the error the rank's
+//! checkpoint module kept — on a peer of the rank that failed, that
+//! another element failed. Any failure *of recovery itself* escalates:
+//! the process exits nonzero and the supervisor falls back to a whole-job
+//! relaunch.
 
+use std::cell::Cell;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -146,7 +152,9 @@ impl<R> NetRankOutcome<R> {
 /// One execution attempt: build the per-attempt engine stack (endpoint,
 /// checkpoint module, context) and run the app. On rank 0 the first
 /// attempt also starts the checkpoint service; later attempts reuse it
-/// (the service is attempt-agnostic — its lanes key on source rank).
+/// (the service is attempt-agnostic — its lanes key on source rank). The
+/// attempt's checkpoint module goes into `module` as soon as it is built,
+/// so the caller reaches it after the attempt, however that ended.
 #[allow(clippy::too_many_arguments)]
 fn run_attempt<R>(
     cfg: &NetConfig,
@@ -156,8 +164,9 @@ fn run_attempt<R>(
     dyn_fabric: &Arc<dyn Fabric>,
     service: &mut Option<CkptService>,
     confirm: bool,
+    module: &Cell<Option<Arc<CheckpointModule>>>,
     app: &impl Fn(&Ctx) -> (AppStatus, R),
-) -> Result<(AppStatus, R, Option<Arc<CheckpointModule>>)> {
+) -> Result<(AppStatus, R)> {
     let ep = Endpoint::new(dyn_fabric.clone(), cfg.rank);
 
     // Checkpoint module + one-shot replay-state coordination (root
@@ -165,7 +174,7 @@ fn run_attempt<R>(
     // On a recovery attempt the run marker is still set — rank 0
     // re-detects it and the whole aggregate replays to the last
     // group-committed safe point.
-    let module: Option<Arc<CheckpointModule>> = match ckpt_dir {
+    let built: Option<Arc<CheckpointModule>> = match ckpt_dir {
         None => None,
         Some(dir) if cfg.rank == 0 => {
             let module = CheckpointModule::create(dir, plan)?;
@@ -214,11 +223,13 @@ fn run_attempt<R>(
         }
     };
 
+    module.set(built.clone());
+
     // Run-time adaptation of a process aggregate goes through the cluster
     // driver's restart path; no controller is installed.
-    let ckpt = module.clone().map(|m| m as Arc<dyn CkptHook>);
+    let ckpt = built.map(|m| m as Arc<dyn CkptHook>);
     let engine = HybridEngine::new(ep, 1);
-    let (status, result) = run_on(engine, plan.clone(), ckpt, None, |ctx| -> Result<_> {
+    run_on(engine, plan.clone(), ckpt, None, |ctx| -> Result<_> {
         let (status, result) = app(ctx);
         if status == AppStatus::Completed {
             // Resilient ranks confirm the *whole job* completed before the
@@ -230,25 +241,40 @@ fn run_attempt<R>(
             ctx.finish();
         }
         Ok((status, result))
-    })?;
-    Ok((status, result, module))
+    })
 }
 
 /// Run one attempt and say how it ended: `Ok(Some(done))` — it finished;
-/// `Ok(None)` — a peer fault ended it ([`Exit::Fault`], or an `Err` return
+/// `Ok(None)` — a peer fault ended it ([`Exit::Fault`] or an `Err` return,
 /// with the fault pending): recover and retry; `Err` — it failed with the
-/// mesh healthy. Any other unwind keeps going, fault pending or not.
+/// mesh healthy: the error it returned, or for an [`Exit::Fault`] no fault
+/// explains (a failed save or load) `failure`'s. Any other unwind keeps
+/// going, fault pending or not.
 fn attempt_outcome<T>(
-    fault_pending: impl FnOnce() -> bool,
+    fault_pending: impl Fn() -> bool,
+    failure: impl FnOnce() -> PparError,
     attempt: impl FnOnce() -> Result<T>,
 ) -> Result<Option<T>> {
     match catch_exit(attempt) {
         Ok(Ok(done)) => Ok(Some(done)),
-        Err(Exit::Fault) => Ok(None),
-        Ok(Err(_)) if fault_pending() => Ok(None),
+        Ok(Err(_)) | Err(Exit::Fault) if fault_pending() => Ok(None),
         Ok(Err(e)) => Err(e),
+        Err(Exit::Fault) => Err(failure()),
         Err(other) => leave(other),
     }
+}
+
+/// Why an attempt left with [`Exit::Fault`] while no peer fault was
+/// pending: the save or load that failed on this rank, as its checkpoint
+/// `module` kept it, or — on a peer of the rank it failed on — the
+/// aggregate's word that another element failed.
+fn rank_failure(module: Option<Arc<CheckpointModule>>) -> PparError {
+    let failure = module.and_then(|module| module.take_failure());
+    failure.unwrap_or_else(|| {
+        PparError::CorruptCheckpoint(
+            "another element of the aggregate failed to save or load its checkpoint".into(),
+        )
+    })
 }
 
 /// Run this process as one rank of a TCP-connected SPMD job.
@@ -305,7 +331,8 @@ pub fn run_net_rank<R>(
     // resumes.
     let mut need_recovery = cfg.rejoin;
 
-    let (status, result, module) = loop {
+    let module = Cell::new(None);
+    let (status, result) = loop {
         if std::mem::take(&mut need_recovery) {
             // A recovery failure (second death mid-recovery, deadline)
             // escalates: this process exits nonzero and the supervisor
@@ -314,6 +341,7 @@ pub fn run_net_rank<R>(
         }
         let attempt = attempt_outcome(
             || fabric.fault_pending(),
+            || rank_failure(module.take()),
             || {
                 run_attempt(
                     cfg,
@@ -323,6 +351,7 @@ pub fn run_net_rank<R>(
                     &dyn_fabric,
                     &mut service,
                     fabric.resilient() && cfg.nranks > 1,
+                    &module,
                     &app,
                 )
             },
@@ -347,6 +376,7 @@ pub fn run_net_rank<R>(
     if let Some(service) = service.take() {
         service.stop();
     }
+    let module = module.take();
     let replayed = module.as_ref().map(|m| m.will_replay()).unwrap_or(false);
     let traffic = fabric.traffic();
     fabric.shutdown();
@@ -371,31 +401,44 @@ mod tests {
         PparError::Network("peer went away".into())
     }
 
+    /// What a failed save left on the module.
+    fn save_err() -> PparError {
+        PparError::Io(std::io::Error::other("the save failed"))
+    }
+
     #[test]
     #[should_panic(expected = "boom")]
     fn a_bug_under_a_pending_fault_propagates_instead_of_being_retried() {
-        let _ = attempt_outcome(|| true, || -> Result<()> { panic!("boom") });
+        let _ = attempt_outcome(|| true, save_err, || -> Result<()> { panic!("boom") });
     }
 
     #[test]
     fn the_fault_exit_is_retried_and_other_exits_keep_unwinding() {
-        let retried = attempt_outcome(|| false, || -> Result<()> { leave(Exit::Fault) });
+        // With no fault pending, the fault exit is a failed save or load:
+        // the attempt fails with that error, and is not retried.
+        let failed = attempt_outcome(|| false, save_err, || -> Result<()> { leave(Exit::Fault) });
+        assert!(matches!(failed, Err(PparError::Io(_))), "{failed:?}");
+        let retried = attempt_outcome(|| true, save_err, || -> Result<()> { leave(Exit::Fault) });
         assert!(matches!(retried, Ok(None)));
-        let drained =
-            catch_exit(|| attempt_outcome(|| true, || -> Result<()> { leave(Exit::Drained) }));
+        let drained = catch_exit(|| {
+            attempt_outcome(|| true, save_err, || -> Result<()> { leave(Exit::Drained) })
+        });
         assert_eq!(drained.err(), Some(Exit::Drained));
     }
 
     #[test]
     fn an_error_return_is_a_fault_only_while_one_is_pending() {
         assert!(matches!(
-            attempt_outcome(|| true, || Err::<(), _>(net_err())),
+            attempt_outcome(|| true, save_err, || Err::<(), _>(net_err())),
             Ok(None)
         ));
         assert!(matches!(
-            attempt_outcome(|| false, || Err::<(), _>(net_err())),
+            attempt_outcome(|| false, save_err, || Err::<(), _>(net_err())),
             Err(PparError::Network(_))
         ));
-        assert!(matches!(attempt_outcome(|| true, || Ok(7)), Ok(Some(7))));
+        assert!(matches!(
+            attempt_outcome(|| true, save_err, || Ok(7)),
+            Ok(Some(7))
+        ));
     }
 }

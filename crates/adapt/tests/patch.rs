@@ -26,7 +26,8 @@
 //! * a launch whose restore fails after start-up returns the error instead
 //!   of hanging — a patched record's failure mode is a CRC error at load —
 //!   and so does a launch whose save fails, in every deployment and under
-//!   both strategies;
+//!   both strategies — a `tcp2` job's too, whose ranks take the failed save
+//!   for what it is instead of a peer's death to recover from;
 //! * in a debug build, a write no mark declares panics the next save with
 //!   the save-time oracle's message, in `seq`, `smp2` and `dist2`, and
 //!   leaves no line of execution waiting.
@@ -39,7 +40,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ppar_adapt::{launch, AppStatus, Deploy};
+use ppar_adapt::netrun::{free_loopback_addr, NetConfig};
+use ppar_adapt::{launch, run_net_rank, AppStatus, Deploy};
 use ppar_ckpt::store::{FieldSource, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
 use ppar_ckpt::{CheckpointModule, CheckpointStore, Record, SnapshotView};
@@ -643,6 +645,44 @@ fn a_launch_whose_save_fails_returns_the_error() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+}
+
+/// A `tcp2` job (two ranks, each in a thread of its own, over loopback
+/// TCP) whose save fails ends on both ranks within the deadline, with no
+/// recovery round: a failed save is no peer fault to recover from, so no
+/// rank retries it (a retry would fail the same save again, round after
+/// round, and end in a network error). Rank 0 returns the save's own
+/// error; its peer, that another element failed.
+#[test]
+fn a_tcp2_job_whose_save_fails_returns_the_error() {
+    let dir = scratch("save_fails_tcp2");
+    std::fs::create_dir_all(dir.join(RECORD).join("occupied")).unwrap();
+    let root = free_loopback_addr().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    for rank in 0..2 {
+        let (tx, dir, root) = (tx.clone(), dir.clone(), root.clone());
+        std::thread::spawn(move || {
+            let cfg = NetConfig::new(rank, 2, root);
+            let out = run_net_rank(&cfg, run_plan(), Some(&dir), |ctx| app(ctx, false));
+            let _ = tx.send((rank, out.map(|out| out.recoveries)));
+        });
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let mut ended = [None, None];
+    for _ in 0..2 {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        let (rank, outcome) = rx.recv_timeout(left).expect("a rank hangs");
+        ended[rank] = Some(outcome);
+    }
+    match ended[0].take().unwrap() {
+        Err(PparError::Io(_)) => {}
+        other => panic!("rank 0: expected the save's error, got {other:?}"),
+    }
+    match ended[1].take().unwrap() {
+        Err(PparError::CorruptCheckpoint(msg)) if msg.contains("another element") => {}
+        other => panic!("rank 1: expected another element's failure, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A write that no mark declares changes a block whose CRC the module

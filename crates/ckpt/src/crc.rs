@@ -19,11 +19,15 @@
 //! Both produce identical digests for identical input — the fast path is a
 //! pure speedup, never a format change.
 //!
-//! [`crc32_combine`] joins the CRCs of two adjacent byte runs into the CRC
-//! of both, from the second run's length alone. That is what lets a
-//! restart check one record on several threads: each reads and checksums
-//! its own part, and the parts' CRCs combine, in order, to exactly the
-//! value one front-to-back pass computes.
+//! **One block engine checksums a large span on several cores**
+//! (`crc_blocks`), for a save and a restore alike: the span is cut into
+//! 256 KiB blocks, helper threads claim blocks from one counter while the
+//! calling thread does its own work (a save's write), the calling thread
+//! claims what is left, and the block CRCs join the running one in record
+//! order ([`Crc32::append_shifted`]) — exactly the value one front-to-back
+//! pass computes.
+
+use ppar_core::sync::{cores, AtomicUsize, Ordering};
 
 /// Lazily built slice-by-8 table set. `TABLES[0]` is the classic byte-wise
 /// table; `TABLES[k][b] == crc_of(b << (8 * k))`, so eight lookups combine
@@ -256,7 +260,9 @@ impl Crc32 {
     }
 
     /// Absorb `len` bytes whose CRC-32 is `crc`, as if they had been
-    /// [`Crc32::update`]d here (see [`crc32_combine`]).
+    /// [`Crc32::update`]d here. Appending them multiplies this register by
+    /// x^(8·len) modulo the polynomial (the pre- and post-conditioning XORs
+    /// cancel out), so no byte is read again.
     pub fn append(&mut self, crc: u32, len: u64) {
         self.append_shifted(crc, crc32_shift(len));
     }
@@ -295,14 +301,6 @@ const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
     product
 }
 
-/// The CRC-32 of `A ‖ B`, given `crc32(A)`, `crc32(B)` and the length of
-/// `B` — zlib's `crc32_combine`. Appending `B` multiplies `A`'s register by
-/// x^(8·len_b) modulo the polynomial (the pre- and post-conditioning XORs
-/// cancel out), so the cost is O(log len_b) and no byte is read again.
-pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
-    mul_mod_p(crc32_shift(len_b), crc_a) ^ crc_b
-}
-
 /// x^(8·len) mod P: what appending `len` bytes multiplies a CRC register
 /// by. A `const fn`, so a fixed block length's shift is a constant and
 /// appending a block costs one multiplication ([`Crc32::append_shifted`]).
@@ -319,6 +317,96 @@ pub const fn crc32_shift(len: u64) -> u32 {
         n >>= 1;
     }
     shift
+}
+
+/// Block size for interleaving the CRC pass with the copy on large
+/// payloads: each block is checksummed while still cache-hot from the
+/// write (or vice versa), saving a second trip to RAM per multi-MiB
+/// field. Also the unit of a payload's kept block CRCs
+/// ([`crate::store::FieldPatch::known`]) and of [`crc_blocks`].
+pub(crate) const CRC_COPY_BLOCK: usize = 256 << 10;
+
+/// What appending one [`CRC_COPY_BLOCK`] multiplies a CRC register by: a
+/// large payload's block CRCs join in one multiplication each.
+const BLOCK_SHIFT: u32 = crc32_shift(CRC_COPY_BLOCK as u64);
+
+/// The least a thread checksums of a span [`crc_blocks`] shares out.
+pub(crate) const SPLIT_PART: usize = 2 << 20;
+
+/// The helper threads [`crc_blocks`] starts for a `len`-byte span with
+/// `known` block CRCs: one per [`SPLIT_PART`] to checksum past the first,
+/// one per spare core at most — none where it would cost more than it saves.
+pub(crate) fn helpers(len: usize, known: Option<&[Option<u32>]>) -> usize {
+    let stale = (0..len.div_ceil(CRC_COPY_BLOCK))
+        .filter(|&i| known.is_none_or(|known| known[i].is_none()))
+        .map(|i| CRC_COPY_BLOCK.min(len - i * CRC_COPY_BLOCK));
+    (stale.sum::<usize>() / SPLIT_PART)
+        .saturating_sub(1)
+        .min(cores().saturating_sub(1))
+}
+
+/// Join the CRC of a block of `len` bytes to `crc`.
+pub(crate) fn join_block(crc: &mut Crc32, block_crc: u32, len: usize) {
+    match len {
+        CRC_COPY_BLOCK => crc.append_shifted(block_crc, BLOCK_SHIFT),
+        len => crc.append(block_crc, len as u64),
+    }
+}
+
+/// The block engine: the CRC of a `len`-byte span of [`CRC_COPY_BLOCK`]
+/// blocks (the last one partial), joined to `crc` in record order.
+/// `known` vouches for some blocks' CRCs (`None`: for none); `job(i,
+/// scratch)` checksums block `i`, `scratch` being the claiming thread's
+/// own. The other blocks are claimed from one counter: by [`helpers`]
+/// scoped threads while this thread runs `work`, then by this thread. A
+/// failed `work` or job stops further claims. Returns `work`'s value and
+/// every block's CRC; the error is the first in record order, `work`'s
+/// before any block's.
+pub(crate) fn crc_blocks<T, E: Send>(
+    crc: &mut Crc32,
+    len: usize,
+    known: Option<&[Option<u32>]>,
+    job: impl Fn(usize, &mut Vec<u8>) -> Result<u32, E> + Sync,
+    work: impl FnOnce() -> Result<T, E>,
+) -> Result<(T, Vec<u32>), E> {
+    let blocks = len.div_ceil(CRC_COPY_BLOCK);
+    let block_len = |i: usize| CRC_COPY_BLOCK.min(len - i * CRC_COPY_BLOCK);
+    let known_at = |i: usize| known.and_then(|known| known[i]);
+    let stale: Vec<usize> = (0..blocks).filter(|&i| known_at(i).is_none()).collect();
+    // `Relaxed`: the counter hands out indices and publishes no data;
+    // every claimed block's result reaches this thread through the join.
+    let next = AtomicUsize::new(0);
+    let stop = |_: &E| next.store(stale.len(), Ordering::Relaxed);
+    let claim = || {
+        let (mut done, mut scratch) = (Vec::new(), Vec::new());
+        while let Some(&i) = stale.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((i, job(i, &mut scratch).inspect_err(stop)));
+        }
+        done
+    };
+    let helpers = helpers(len, known);
+    let (worked, claimed) = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (0..helpers).map(|_| scope.spawn(claim)).collect();
+        let worked = work().inspect_err(stop);
+        let mut claimed = claim();
+        for helper in helpers {
+            let helped = helper.join();
+            claimed.extend(helped.unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        (worked, claimed)
+    });
+    let worked = worked?;
+    let mut crcs: Vec<_> = (0..blocks).map(|i| known_at(i).map(Ok)).collect();
+    for (i, block_crc) in claimed {
+        crcs[i] = Some(block_crc);
+    }
+    let mut joined = Vec::with_capacity(blocks);
+    for (i, block_crc) in crcs.into_iter().enumerate() {
+        // Claims go in record order: a block left unclaimed lies past an error.
+        joined.push(block_crc.expect("claimed before an error")?);
+        join_block(crc, joined[i], block_len(i));
+    }
+    Ok((worked, joined))
 }
 
 /// Running CRC over a byte stream whose *last four bytes* are the stored
@@ -539,12 +627,78 @@ mod tests {
             let split = split % (data.len() + 1);
             let (a, b) = data.split_at(split);
             let whole = crc32_bytewise(&data);
-            proptest::prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len() as u64), whole);
+            proptest::prop_assert_eq!(combine(crc32(a), crc32(b), b.len()), whole);
             let mut c = Crc32::new();
             c.update(a);
             c.append(crc32(b), b.len() as u64);
             proptest::prop_assert_eq!(c.finish(), whole);
         }
+
+        /// The block engine gives the one-pass CRC of a span, and every
+        /// block's CRC, whatever the span's length — empty, under one
+        /// block, whole blocks, a partial last block, long enough for
+        /// helpers — whichever blocks the caller vouches for, and whether
+        /// a helper starts or not (it does on a helper-sized span with
+        /// most blocks stale, on more than one core).
+        #[test]
+        fn prop_the_block_engine_gives_the_one_pass_crc(
+            shape in 0usize..5,
+            extra in proptest::prelude::any::<usize>(),
+            mask in 0u8..3,
+            bits in proptest::prelude::any::<u64>(),
+        ) {
+            let data = engine_data();
+            let len = match shape {
+                0 => 0,
+                1 => 1 + extra % (CRC_COPY_BLOCK - 1),
+                2 => CRC_COPY_BLOCK * (1 + extra % 4),
+                3 => CRC_COPY_BLOCK * (extra % 4) + 1 + extra % (CRC_COPY_BLOCK - 1),
+                _ => 2 * SPLIT_PART + extra % (data.len() - 2 * SPLIT_PART + 1),
+            };
+            let span = &data[..len];
+            let want: Vec<u32> = span.chunks(CRC_COPY_BLOCK).map(crc32).collect();
+            // All stale, all vouched for, or a random mix.
+            let known: Vec<Option<u32>> = want
+                .iter()
+                .enumerate()
+                .map(|(i, &crc)| match mask {
+                    0 => None,
+                    1 => Some(crc),
+                    _ => (bits >> (i % 64) & 1 == 1).then_some(crc),
+                })
+                .collect();
+            let block = |i: usize| &span[i * CRC_COPY_BLOCK..len.min((i + 1) * CRC_COPY_BLOCK)];
+            for known in [None, Some(&known[..])] {
+                let mut c = Crc32::new();
+                c.update(b"head");
+                let job = |i: usize, _: &mut Vec<u8>| Ok::<_, ()>(crc32(block(i)));
+                let (worked, blocks) = crc_blocks(&mut c, len, known, job, || Ok(7)).unwrap();
+                let mut whole = b"head".to_vec();
+                whole.extend_from_slice(span);
+                proptest::prop_assert_eq!(c.finish(), crc32(&whole), "len {}", len);
+                proptest::prop_assert_eq!((worked, &blocks), (7, &want));
+            }
+        }
+    }
+
+    /// The CRC of `A ‖ B` from `crc32(A)`, `crc32(B)` and the length of
+    /// `B`, through [`Crc32::append`].
+    fn combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+        let mut c = Crc32 { state: !crc_a };
+        c.append(crc_b, len_b as u64);
+        c.finish()
+    }
+
+    /// Bytes for the block engine's property: enough for a span that
+    /// starts a helper, with a partial last block.
+    fn engine_data() -> &'static [u8] {
+        static DATA: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        DATA.get_or_init(|| {
+            let len = 2 * SPLIT_PART + 3 * CRC_COPY_BLOCK + 4321;
+            (0..len as u32)
+                .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+                .collect()
+        })
     }
 
     #[test]
@@ -552,10 +706,10 @@ mod tests {
         let data: Vec<u8> = (0..300u32).map(|i| (i * 97 + 3) as u8).collect();
         for split in [0, 1, 15, 16, 63, 64, 65, 127, 128, 129, 299, 300] {
             let (a, b) = data.split_at(split);
-            let combined = crc32_combine(crc32(a), crc32(b), b.len() as u64);
+            let combined = combine(crc32(a), crc32(b), b.len());
             assert_eq!(combined, crc32_bytewise(&data), "split {split}");
         }
-        // Several parts, joined in order, as the restart's split joins them.
+        // Several parts, joined in order, as the block engine joins them.
         let mut c = Crc32::new();
         for part in data.chunks(70) {
             c.append(crc32(part), part.len() as u64);
@@ -571,6 +725,18 @@ mod tests {
             }
         }
         assert_eq!(c.finish(), crc32(&data));
+        // Whole blocks and a short last one through the engine's join.
+        let blocks: Vec<u8> = (0..3 * CRC_COPY_BLOCK as u32 + 77)
+            .map(|i| (i * 31 + 5) as u8)
+            .collect();
+        let mut c = Crc32::new();
+        c.update(b"head");
+        for block in blocks.chunks(CRC_COPY_BLOCK) {
+            join_block(&mut c, crc32(block), block.len());
+        }
+        let mut whole = b"head".to_vec();
+        whole.extend_from_slice(&blocks);
+        assert_eq!(c.finish(), crc32(&whole));
         // A long run of zeros: the length alone moves the register.
         let zeros = vec![0u8; 1 << 20];
         let mut c = Crc32::new();

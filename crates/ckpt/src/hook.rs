@@ -84,11 +84,11 @@ use ppar_core::runtime::{LoopFrame, RegionCursor, PROGRESS_FIELD};
 use ppar_core::state::StateCell;
 use ppar_core::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
+use crate::crc::CRC_COPY_BLOCK;
 use crate::delta::{DeltaMeta, Merged};
 use crate::handoff::Handoff;
 use crate::store::{
     CheckpointStore, DeltaSource, FieldPatch, FieldSource, Record, SnapshotMeta, SnapshotView,
-    CRC_COPY_BLOCK,
 };
 use crate::transport::{commit_record, CkptTransport, Held, RecordSink, Superseded};
 
@@ -214,10 +214,9 @@ pub struct CheckpointModule {
     /// checkpointing: snapshots are persisted as deltas, promoted to a full
     /// base every `full_every` deltas.
     incremental: Option<u64>,
-    /// Delta-chain bookkeeping (incremental mode).
-    chain: Mutex<DeltaChain>,
     /// The last full records this module committed, which a steady save
-    /// may rewrite in place ([`Generations`]).
+    /// may rewrite in place, and the chain of deltas over the newest one
+    /// ([`Generations`]).
     generations: Mutex<Generations>,
     /// Live region-progress tracker: the loop frames the master thread is
     /// currently inside ([`CkptHook::note_loop_iter`]). Serialized as the
@@ -259,45 +258,6 @@ struct GroupResume {
     prefetched: Mutex<Option<(Option<u32>, Merged)>>,
 }
 
-/// Where this module stands in its delta chain.
-#[derive(Debug, Clone, Copy, Default)]
-struct DeltaChain {
-    /// A base full snapshot has been written by *this run* (a restart or a
-    /// fresh run always starts with a promotion, so the chain on disk is
-    /// never extended across process generations).
-    have_base: bool,
-    /// Safe-point count of that base.
-    base_count: u64,
-    /// Sequence number the next delta will carry (1-based).
-    next_seq: u32,
-}
-
-impl DeltaChain {
-    /// The one promote-or-extend rule. `Some((base_count, seq))`: the next
-    /// snapshot extends the chain as delta `seq` over the base saved at
-    /// `base_count`. `None`: it is promoted to a fresh base — there is no
-    /// base yet, or `full_every` deltas already follow it.
-    fn next(&self, full_every: u64) -> Option<(u64, u32)> {
-        (self.have_base && self.next_seq as u64 <= full_every)
-            .then_some((self.base_count, self.next_seq))
-    }
-
-    /// The snapshot [`DeltaChain::next`] described was taken at safe point
-    /// `count`.
-    fn advance(&mut self, count: u64, full_every: u64) {
-        match self.next(full_every) {
-            Some(_) => self.next_seq += 1,
-            None => {
-                *self = DeltaChain {
-                    have_base: true,
-                    base_count: count,
-                    next_seq: 1,
-                }
-            }
-        }
-    }
-}
-
 /// Byte ranges of a field's payload, sorted and disjoint.
 type Ranges = Vec<std::ops::Range<usize>>;
 
@@ -307,7 +267,8 @@ type Ranges = Vec<std::ops::Range<usize>>;
 /// claims holds the older one, and the newer one is what the next save's
 /// spare will hold. A save whose sink holds one of them rewrites only
 /// those changes ([`Record::patch`]), and every save takes the block CRCs
-/// of what did not change since the newest one from it.
+/// of what did not change since the newest one from it. The newest one is
+/// also the base the next delta extends ([`Generations::next_delta`]).
 #[derive(Default)]
 struct Generations(Vec<Generation>);
 
@@ -324,6 +285,8 @@ struct Generation {
     /// this record holds it; `None` for a field that is not a tracked cell
     /// whose bytes lie in memory.
     blocks: Vec<Option<Vec<u32>>>,
+    /// Deltas committed over this record since its own commit.
+    deltas: u32,
 }
 
 impl Generations {
@@ -420,9 +383,23 @@ impl Generations {
         known.collect()
     }
 
+    /// The one promote-or-extend rule of incremental mode.
+    /// `Some((base_count, seq))`: the next snapshot extends the chain of
+    /// the newest record, saved at `base_count`, as delta `seq`. `None`: it
+    /// is promoted to a fresh base — there is no record (a fresh run or a
+    /// restore kept none), or `full_every` deltas already follow it.
+    fn next_delta(&self, full_every: u64) -> Option<(u64, u32)> {
+        let newest = self.0.first();
+        let newest = newest.filter(|g| u64::from(g.deltas) < full_every)?;
+        Some((newest.held.count, newest.deltas + 1))
+    }
+
     /// A save (full or delta) captured `changed`: every kept record is
-    /// that much further behind.
-    fn advance(&mut self, changed: &[Option<Ranges>]) {
+    /// that much further behind, and a delta extends the newest one's chain.
+    fn advance(&mut self, changed: &[Option<Ranges>], delta: bool) {
+        if let (true, Some(newest)) = (delta, self.0.first_mut()) {
+            newest.deltas += 1;
+        }
         for generation in &mut self.0 {
             for (since, now) in generation.since.iter_mut().zip(changed) {
                 *since = match (since.take(), now) {
@@ -442,7 +419,7 @@ impl Generations {
         changed: &[Option<Ranges>],
         blocks: Vec<Option<Vec<u32>>>,
     ) {
-        self.advance(changed);
+        self.advance(changed, false);
         let since = changed.iter().map(|c| c.as_ref().map(|_| Vec::new()));
         let since = since.collect();
         self.0.insert(
@@ -452,6 +429,7 @@ impl Generations {
                 spans,
                 since,
                 blocks,
+                deltas: 0,
             },
         );
         self.0.truncate(2);
@@ -473,16 +451,10 @@ fn commit_full(
 ) -> Result<(Superseded, u64)> {
     let record = Record::Full(meta, fields);
     let spans = record.payload_spans();
-    let mut sink = to.begin(record.key(), record.len_hint())?;
-    let plan = generations.plan(&mut *sink, &spans, changed)?;
-    let patched = match record.patch(&mut *sink, &plan) {
-        Ok(patched) => patched,
-        Err(e) => {
-            sink.abort(&e.to_string());
-            return Err(e);
-        }
-    };
-    let gone = sink.commit()?;
+    let (gone, patched) = commit_record(to, &record, |sink| {
+        let plan = generations.plan(sink, &spans, changed)?;
+        record.patch(sink, &plan)
+    })?;
     let held = Held {
         len: patched.len,
         count: meta.count,
@@ -686,7 +658,6 @@ impl CheckpointModule {
                     created: Instant::now(),
                     field_bufs: Mutex::new(Vec::new()),
                     incremental,
-                    chain: Mutex::new(DeltaChain::default()),
                     generations: Mutex::new(Generations::default()),
                     frames: Mutex::new(Vec::new()),
                     resume_cursor: Mutex::new(group_resume.cursor.clone()),
@@ -967,8 +938,9 @@ impl CheckpointModule {
                     nranks: meta.nranks,
                 };
                 let fields: Vec<_> = fields.collect();
-                commit_record(to, &Record::Delta(&meta, &fields)).map(|gone| {
-                    generations.advance(&changed);
+                let record = Record::Delta(&meta, &fields);
+                commit_record(to, &record, |sink| record.encode(sink).map(drop)).map(|(gone, _)| {
+                    generations.advance(&changed, true);
                     (gone, 0)
                 })
             }
@@ -1123,11 +1095,10 @@ impl CheckpointModule {
             }
             None => {}
         }
-        // A restore invalidates the in-memory chain position: the next
-        // snapshot starts a fresh base rather than extending a chain this
-        // process generation did not write. Nor is any record this module
-        // wrote before the restore a base for the next full one.
-        *self.chain.lock() = DeltaChain::default();
+        // No record this module wrote before the restore is a base for the
+        // next save: a full one does not patch it, and a delta does not
+        // extend its chain — the next snapshot starts a fresh base rather
+        // than extending a chain this process generation did not write.
         *self.generations.lock() = Generations::default();
         // Nor has any element's gather since: the next one moves whole
         // partitions.
@@ -1164,15 +1135,12 @@ impl CheckpointModule {
 
         let link = self
             .incremental
-            .and_then(|full_every| self.chain.lock().next(full_every));
+            .and_then(|full_every| self.generations.lock().next_delta(full_every));
         // A promoted base retires the chain it supersedes as it commits (in
         // the store behind the medium). The spares the commit left are the
         // files the next save of each key rewrites.
         let (gone, skipped) = self.put_fields(ctx, to, &meta, link)?;
         let written = gone.keep();
-        if let Some(full_every) = self.incremental {
-            self.chain.lock().advance(count, full_every);
-        }
         // The checkpoint cycle's epoch reset, after every save: whatever was
         // dirty is now captured (by the delta, or by the full record), and
         // the next save — a delta, or a full record rewriting this one's

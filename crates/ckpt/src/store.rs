@@ -71,11 +71,11 @@
 //! Snapshots are persisted by [`SnapshotWriter`]: header, fields and
 //! trailing CRC are streamed through a [`std::io::BufWriter`] with a
 //! *running* CRC-32 — at no point does a whole-snapshot buffer exist. A
-//! payload of at least 4 MiB is checksummed by 256 KiB block, each block
-//! claimed from one counter by a helper thread on a second core and, once
-//! its write returns, by the writing thread; the block CRCs combine in
-//! order, exactly ([`Crc32::append_shifted`]). Field payloads come from a
-//! [`FieldSource`]:
+//! payload with 4 MiB or more to checksum goes to the block engine
+//! ([`crate::crc`]): 256 KiB blocks claimed from one counter by a helper
+//! thread on a second core while the writing thread writes, and by the
+//! writing thread once its write returns, their CRCs joined in record
+//! order. Field payloads come from a [`FieldSource`]:
 //!
 //! * [`FieldSource::Cell`] streams a live [`StateCell`] through
 //!   [`StateCell::write_state`]; containers with contiguous little-endian
@@ -109,8 +109,7 @@
 //! caller may also hand a field's block CRCs (one per 256 KiB block, the
 //! last one partial) as of an earlier save, leaving out the blocks changed
 //! since: the writer checksums only the blocks left out, at any payload
-//! size, and returns every block's CRC for the next save. A helper thread
-//! starts only when the blocks to checksum add up to 4 MiB. The trailer is
+//! size, and returns every block's CRC for the next save. The trailer is
 //! still exactly the one-pass CRC of the state, provided the blocks the
 //! caller vouched for are unchanged; a debug build checks that on every such
 //! save — it checksums each field whole and panics, naming the field, the
@@ -133,11 +132,12 @@
 //! stored chain becomes a state: the base into the fold's one buffer, each
 //! delta's payloads straight into their places in it, every record
 //! CRC-verified. A chain lives only here, on disk. A large span (a base's
-//! body, a dense delta's payload) is read on every core: helper threads
-//! read their parts at their offsets, and the parts' CRCs combine
-//! ([`crate::crc::crc32_combine`]) to exactly the value one pass computes.
-//! Copying a stored record through to a sink (`record_copy_to`, the
-//! service's answer to a restore) stays one ordered, front-to-back pass.
+//! body, a dense delta's payload) is read on every core by the same block
+//! engine as a save's: each thread claims a block, reads it at its offset
+//! and checksums it, and the block CRCs join in record order to exactly
+//! the value one pass computes. Copying a stored record through to a sink
+//! (`record_copy_to`, the service's answer to a restore) stays one
+//! ordered, front-to-back pass.
 
 use std::fs;
 use std::io::{BufReader, BufWriter, Read, Seek, Write};
@@ -146,10 +146,10 @@ use std::path::{Path, PathBuf};
 
 use ppar_core::error::{PparError, Result};
 use ppar_core::state::StateCell;
-use ppar_core::sync::{cores, AtomicU64, AtomicUsize, Ordering};
+use ppar_core::sync::{AtomicU64, Mutex, Ordering};
 
 use crate::cas::ChunkRef;
-use crate::crc::{crc32, crc32_shift, Crc32};
+use crate::crc::{crc32, crc_blocks, helpers, join_block, Crc32, CRC_COPY_BLOCK};
 use crate::delta::{DeltaMeta, Merged};
 use crate::transport::{
     keep_head, stream_merged, CkptTransport, Held, RecordKey, RecordSink, Superseded, HEAD_BYTES,
@@ -606,25 +606,6 @@ struct CrcTee<'a, W: Write> {
     written: &'a mut u64,
 }
 
-/// Block size for interleaving the CRC pass with the copy on large
-/// payloads: each block is checksummed while still cache-hot from the
-/// write (or vice versa), saving a second trip to RAM per multi-MiB
-/// field. Also the unit of a payload's kept block CRCs
-/// ([`FieldPatch::known`]).
-pub(crate) const CRC_COPY_BLOCK: usize = 256 << 10;
-
-/// What appending one [`CRC_COPY_BLOCK`] multiplies a CRC register by: a
-/// large payload's block CRCs join in one multiplication each.
-const BLOCK_SHIFT: u32 = crc32_shift(CRC_COPY_BLOCK as u64);
-
-/// The least a thread reads of a CRC-verified span when [`RecordStream`]
-/// splits it across threads: a span shorter than two of these is read by
-/// the calling thread alone, where starting a helper would cost more than
-/// its share of the read saves. The write side draws the same line: a
-/// payload shorter than two of these is checksummed by the writing thread
-/// ([`SnapshotWriter::put`]).
-const SPLIT_PART: usize = 2 << 20;
-
 impl<W: Write> Write for CrcTee<'_, W> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         // Cap each write at one cache block; callers' `write_all` loops
@@ -714,39 +695,21 @@ impl<W: Write> SnapshotWriter<W> {
 
     /// Write the `write` ranges of `bytes` (sorted, disjoint) and move past
     /// the rest, which the sink already holds; the CRC runs over every byte
-    /// of `bytes`, written or not.
+    /// of `bytes`, written or not. Given `known` block CRCs
+    /// ([`FieldPatch::known`]), only the other blocks are checksummed, and
+    /// every block's CRC comes back.
     ///
-    /// Given `known` block CRCs ([`FieldPatch::known`]), the payload is
-    /// checksummed by block ([`CRC_COPY_BLOCK`]) at any size, only the
-    /// blocks without a known CRC are read, and every block's CRC comes
-    /// back. Without, a payload of at least two [`SPLIT_PART`]s is
-    /// checksummed by block, all of them.
-    ///
-    /// The blocks to checksum are claimed from one counter: when they add
-    /// up to two [`SPLIT_PART`]s or more and there is more than one core, a
-    /// scoped helper thread claims them from the start while this thread
-    /// writes, and this thread claims what is left once its write returns;
-    /// fewer, and this thread checksums them after its write, starting no
-    /// thread. The block CRCs join the running one in record order
-    /// ([`Crc32::append_shifted`]) — exactly the value one pass computes.
-    /// A payload written whole with no helper interleaves CRC and copy in
-    /// cache-sized blocks instead of two full passes over it; without
-    /// `known`, into the running CRC directly.
+    /// A payload written whole whose blocks to checksum start no helper
+    /// ([`helpers`]) interleaves CRC and copy block by block, each block
+    /// cache-hot from the other — without `known`, through the same tee as
+    /// a streamed cell ([`SnapshotWriter::stream`]). Any other goes to the
+    /// block engine ([`crc_blocks`]), the write being this thread's work.
     fn put_spans(
         &mut self,
         bytes: &[u8],
         write: &[Range<usize>],
         known: Option<&[Option<u32>]>,
     ) -> Result<Option<Vec<u32>>> {
-        let whole = write.len() == 1 && write[0] == (0..bytes.len());
-        if known.is_none() && whole && (bytes.len() < 2 * SPLIT_PART || cores() == 1) {
-            for block in bytes.chunks(CRC_COPY_BLOCK) {
-                self.crc.update(block);
-                self.sink.write_all(block)?;
-            }
-            self.written += bytes.len() as u64;
-            return Ok(None);
-        }
         let blocks = bytes.len().div_ceil(CRC_COPY_BLOCK);
         if known.is_some_and(|known| known.len() != blocks) {
             return Err(PparError::InvalidPlan(format!(
@@ -755,54 +718,30 @@ impl<W: Write> SnapshotWriter<W> {
                 bytes.len()
             )));
         }
-        let known_at = |i: usize| known.and_then(|known| known[i]);
-        let block =
-            |i: usize| &bytes[i * CRC_COPY_BLOCK..bytes.len().min((i + 1) * CRC_COPY_BLOCK)];
-        let stale: Vec<usize> = (0..blocks).filter(|&i| known_at(i).is_none()).collect();
-        let stale_bytes: usize = stale.iter().map(|&i| block(i).len()).sum();
-        let helped = cores() > 1 && stale_bytes >= 2 * SPLIT_PART;
-        let mut crcs: Vec<u32> = (0..blocks).map(|i| known_at(i).unwrap_or(0)).collect();
-        if whole && !helped {
-            for (i, block) in bytes.chunks(CRC_COPY_BLOCK).enumerate() {
-                if known_at(i).is_none() {
-                    crcs[i] = crc32(block);
-                }
+        let whole = write.len() == 1 && write[0] == (0..bytes.len());
+        let crcs = if whole && helpers(bytes.len(), known) == 0 {
+            let Some(known) = known else {
+                self.stream(|tee| Ok(tee.write_all(bytes).map(|()| bytes.len() as u64)?))?;
+                return Ok(None);
+            };
+            let mut crcs = Vec::new();
+            for (block, known) in bytes.chunks(CRC_COPY_BLOCK).zip(known) {
+                let crc = known.unwrap_or_else(|| crc32(block));
+                join_block(&mut self.crc, crc, block.len());
+                crcs.push(crc);
                 self.sink.write_all(block)?;
             }
+            crcs
         } else {
-            let next = AtomicUsize::new(0);
-            let claim = || {
-                let mut done = Vec::new();
-                while let Some(&i) = stale.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    done.push((i, crc32(block(i))));
-                }
-                done
-            };
             let (sink, skip) = (&mut self.sink, self.skip);
-            let (wrote, claimed) = std::thread::scope(|scope| {
-                let helper = helped.then(|| scope.spawn(claim));
-                let wrote = write_spans(sink, bytes, write, skip);
-                if wrote.is_err() {
-                    next.store(stale.len(), Ordering::Relaxed);
-                }
-                let mut claimed = claim();
-                if let Some(helper) = helper {
-                    let helped = helper.join();
-                    claimed.extend(helped.unwrap_or_else(|p| std::panic::resume_unwind(p)));
-                }
-                (wrote, claimed)
-            });
-            self.skipped += wrote?;
-            for (i, crc) in claimed {
-                crcs[i] = crc;
-            }
-        }
-        for (&crc, block) in crcs.iter().zip(bytes.chunks(CRC_COPY_BLOCK)) {
-            match block.len() {
-                CRC_COPY_BLOCK => self.crc.append_shifted(crc, BLOCK_SHIFT),
-                len => self.crc.append(crc, len as u64),
-            }
-        }
+            let block =
+                |i: usize| &bytes[i * CRC_COPY_BLOCK..bytes.len().min((i + 1) * CRC_COPY_BLOCK)];
+            let checksum = |i, _: &mut _| Ok(crc32(block(i)));
+            let write = || write_spans(sink, bytes, write, skip);
+            let (skipped, crcs) = crc_blocks(&mut self.crc, bytes.len(), known, checksum, write)?;
+            self.skipped += skipped;
+            crcs
+        };
         self.written += bytes.len() as u64;
         Ok(known.map(|_| crcs))
     }
@@ -1517,14 +1456,11 @@ impl Input for Reader<'_> {
 /// it.
 ///
 /// **A large span is read on every core.** A span — a `fill` or a `skip` —
-/// of at least two [`SPLIT_PART`]s, from a record with positioned access
-/// ([`OnDisk::split`]), is cut into at most one part per core. The calling
-/// thread reads the first part through its own reader, as it reads
-/// everything else; a scoped helper thread reads each other part at its
-/// offset, straight into place, with a CRC of its own. The parts' CRCs then
-/// join the running one in record order ([`Crc32::append`]), so the trailer
-/// is checked against exactly the value one front-to-back pass computes,
-/// and every error is the one that pass would report.
+/// long enough for the block engine ([`crc_blocks`]) to start a helper, of
+/// a record with positioned access, is read block by block at its offset
+/// by every thread the engine runs ([`read_blocks`]); the front reader then
+/// moves past it. The trailer is checked against exactly the value one
+/// front-to-back pass computes, and every error is the one it reports.
 ///
 /// A verdict reached before the end waits for the CRC: [`RecordStream::fail`]
 /// reads the rest, and a record that fails its CRC reports that instead.
@@ -1588,18 +1524,19 @@ impl<'s> RecordStream<'s> {
         self.end().err().unwrap_or(err)
     }
 
-    /// The next `span.len()` body bytes, CRC running: on every core when
-    /// the span is long enough and the record can be split, front to back
-    /// otherwise.
-    fn read(&mut self, span: Span<'_>) -> Result<()> {
-        let len = span.len();
+    /// The next `len` body bytes, CRC running — into `out`, or, passed
+    /// over, through a block-sized scratch only to be checked: on every
+    /// core when the span is long enough and the record has positioned
+    /// access, front to back otherwise.
+    fn read(&mut self, len: usize, out: Option<&mut [u8]>) -> Result<()> {
         self.check(len)?;
-        let parts = (len / SPLIT_PART).min(cores());
-        match self.src.split() {
-            Some((front, at)) if parts > 1 => {
-                read_split(front, at, self.pos as u64, span, parts, &mut self.crc)?
+        match self.src.at.as_deref() {
+            Some(at) if helpers(len, None) > 0 => {
+                read_blocks(at, self.pos as u64, len, out, &mut self.crc)?;
+                let len = i64::try_from(len).map_err(std::io::Error::other)?;
+                self.src.front.seek_relative(len)?;
             }
-            _ => read_front(&mut self.src, span, &mut self.crc)?,
+            _ => read_front(&mut self.src, len, out, &mut self.crc)?,
         }
         self.pos += len;
         Ok(())
@@ -1616,57 +1553,32 @@ impl Input for RecordStream<'_> {
     }
 
     fn fill(&mut self, out: &mut [u8]) -> Result<()> {
-        self.read(Span::Into(out))
+        self.read(out.len(), Some(out))
     }
 
-    /// Skipped bytes pass through a block-sized scratch to be checked.
     fn skip(&mut self, n: usize) -> Result<()> {
-        self.read(Span::Past(n))
+        self.read(n, None)
     }
 }
 
-/// Where the bytes of a span go: into their place, or — passed over —
-/// through a block-sized scratch, only to be checked.
-enum Span<'a> {
-    Into(&'a mut [u8]),
-    Past(usize),
-}
-
-impl<'a> Span<'a> {
-    fn len(&self) -> usize {
-        match self {
-            Span::Into(out) => out.len(),
-            Span::Past(n) => *n,
+/// Read `len` bytes from `src` into `out` (or a block-sized scratch), front
+/// to back, folding each block into `crc` as it lands. Reads ask for a
+/// block at a time from wherever the last one ended: a source buffered by
+/// the block then serves small reads from its buffer and passes block-sized
+/// ones straight into place.
+fn read_front<S: Read + ?Sized>(
+    src: &mut S,
+    len: usize,
+    out: Option<&mut [u8]>,
+    crc: &mut Crc32,
+) -> Result<()> {
+    let Some(out) = out else {
+        let mut scratch = vec![0; len.min(CRC_COPY_BLOCK)];
+        for start in (0..len).step_by(CRC_COPY_BLOCK) {
+            let block = &mut scratch[..CRC_COPY_BLOCK.min(len - start)];
+            read_front(src, block.len(), Some(block), crc)?;
         }
-    }
-
-    /// Consecutive parts of `part` bytes each (the last one shorter).
-    fn parts(self, part: usize) -> Vec<Span<'a>> {
-        match self {
-            Span::Into(out) => out.chunks_mut(part).map(Span::Into).collect(),
-            Span::Past(n) => (0..n)
-                .step_by(part)
-                .map(|start| Span::Past(part.min(n - start)))
-                .collect(),
-        }
-    }
-}
-
-/// Read `span` from `src`, front to back, folding each block into `crc` as
-/// it lands. Reads ask for a block at a time from wherever the last one
-/// ended: a source buffered by the block then serves small reads from its
-/// buffer and passes block-sized ones straight into place.
-fn read_front<S: Read + ?Sized>(src: &mut S, span: Span<'_>, crc: &mut Crc32) -> Result<()> {
-    let out = match span {
-        Span::Into(out) => out,
-        Span::Past(n) => {
-            let mut scratch = vec![0; n.min(CRC_COPY_BLOCK)];
-            for start in (0..n).step_by(CRC_COPY_BLOCK) {
-                let block = &mut scratch[..CRC_COPY_BLOCK.min(n - start)];
-                read_front(src, Span::Into(block), crc)?;
-            }
-            return Ok(());
-        }
+        return Ok(());
     };
     let mut done = 0;
     while done < out.len() {
@@ -1683,80 +1595,35 @@ fn read_front<S: Read + ?Sized>(src: &mut S, span: Span<'_>, crc: &mut Crc32) ->
     Ok(())
 }
 
-/// Read `span`, which starts at record offset `offset`, in `parts` parts on
-/// as many threads. This thread reads the first part through `front`; a
-/// scoped helper reads each other part through `at` ([`read_at`]). Once all
-/// have landed, the helpers' CRCs join `crc` in record order and `front`
-/// moves past their parts. The first error in record order is the span's.
-fn read_split(
-    front: &mut dyn ReadSeek,
+/// Read `len` bytes, from record offset `offset`, through `at` by the block
+/// engine ([`crc_blocks`]): each block at its offset, straight into its
+/// place in `out` (or through the claiming thread's own scratch), and
+/// checksummed once it has landed.
+fn read_blocks(
     at: &dyn ReadAt,
     offset: u64,
-    span: Span<'_>,
-    parts: usize,
+    len: usize,
+    out: Option<&mut [u8]>,
     crc: &mut Crc32,
 ) -> Result<()> {
-    let part = span.len().div_ceil(parts);
-    let mut rest = span.parts(part);
-    let first = rest.remove(0);
-    let ahead: usize = rest.iter().map(Span::len).sum();
-    let (front_read, helped) = std::thread::scope(|scope| {
-        let mut start = offset + first.len() as u64;
-        let helpers: Vec<_> = rest
-            .into_iter()
-            .map(|span| {
-                let part_at = start;
-                start += span.len() as u64;
-                scope.spawn(move || read_at(at, part_at, span))
-            })
-            .collect();
-        let front_read = read_front(front, first, crc);
-        let helped: Vec<_> = helpers
-            .into_iter()
-            .map(|helper| {
-                helper
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
-            })
-            .collect();
-        (front_read, helped)
-    });
-    front_read?;
-    for part in helped {
-        let (part_crc, part_len) = part?;
-        crc.append(part_crc, part_len);
-    }
-    let ahead = i64::try_from(ahead).map_err(std::io::Error::other)?;
-    front.seek(std::io::SeekFrom::Current(ahead))?;
-    Ok(())
-}
-
-/// A helper's part: `span` read through `at` from record offset `start`, a
-/// block at a time — straight into place, or through a block-sized scratch
-/// of its own — each block checksummed as it lands. Returns the part's CRC
-/// and length.
-fn read_at(at: &dyn ReadAt, start: u64, span: Span<'_>) -> std::io::Result<(u32, u64)> {
-    let len = span.len();
-    let mut crc = Crc32::new();
-    let mut read_block = |block: &mut [u8], done: usize| {
-        at.read_exact_at(block, start + done as u64)?;
-        crc.update(block);
-        Ok::<_, std::io::Error>(())
+    let out: Vec<Mutex<&mut [u8]>> = match out {
+        Some(out) => out.chunks_mut(CRC_COPY_BLOCK).map(Mutex::new).collect(),
+        None => Vec::new(),
     };
-    match span {
-        Span::Into(out) => {
-            for (i, block) in out.chunks_mut(CRC_COPY_BLOCK).enumerate() {
-                read_block(block, i * CRC_COPY_BLOCK)?;
-            }
-        }
-        Span::Past(n) => {
-            let mut scratch = vec![0; n.min(CRC_COPY_BLOCK)];
-            for done in (0..n).step_by(CRC_COPY_BLOCK) {
-                read_block(&mut scratch[..CRC_COPY_BLOCK.min(n - done)], done)?;
-            }
-        }
-    }
-    Ok((crc.finish(), len as u64))
+    let read = |i: usize, scratch: &mut Vec<u8>| {
+        let start = i * CRC_COPY_BLOCK;
+        let from = offset + start as u64;
+        let Some(block) = out.get(i) else {
+            scratch.resize(CRC_COPY_BLOCK.min(len - start), 0);
+            at.read_exact_at(scratch, from)?;
+            return Ok(crc32(scratch));
+        };
+        let mut block = block.lock();
+        at.read_exact_at(&mut block, from)?;
+        Ok::<_, std::io::Error>(crc32(&block))
+    };
+    crc_blocks(crc, len, None, read, || Ok(()))?;
+    Ok(())
 }
 
 /// Positioned access to a record's bytes, shared by threads: what lets a
@@ -1795,15 +1662,6 @@ impl<'s> OnDisk<'s> {
             front: BufReader::with_capacity(CRC_COPY_BLOCK, front),
             at,
         }
-    }
-
-    /// The front-to-back reader and the positioned access, borrowed apart:
-    /// helper threads read at their offsets while the reader goes on, and
-    /// it then moves past what they read. `None` without positioned access:
-    /// every span is read front to back.
-    fn split(&mut self) -> Option<(&mut dyn ReadSeek, &dyn ReadAt)> {
-        let front: &mut dyn ReadSeek = &mut self.front;
-        Some((front, self.at.as_deref()?))
     }
 }
 
@@ -2369,6 +2227,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::SPLIT_PART;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ppar_store_test_{tag}_{}", std::process::id()));
@@ -2495,7 +2354,9 @@ mod tests {
 
     /// A record through the sink, its commit's [`Superseded`] returned.
     fn commit(store: &CheckpointStore, record: &Record<'_>) -> Superseded {
-        crate::transport::commit_record(store, record).unwrap()
+        let committed =
+            crate::transport::commit_record(store, record, |sink| record.encode(sink).map(drop));
+        committed.unwrap().0
     }
 
     #[cfg(unix)]
@@ -2935,14 +2796,19 @@ mod tests {
             .collect()
     }
 
-    /// A sink that takes `room` bytes, then fails every write.
+    /// A sink that takes `room` bytes, then fails every write — or, when
+    /// it fails `once`, one write, and takes every byte after it.
     struct FailingSink {
         room: usize,
+        once: bool,
     }
 
     impl Write for FailingSink {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             if self.room == 0 {
+                if self.once {
+                    self.room = usize::MAX;
+                }
                 return Err(std::io::Error::other("sink full"));
             }
             let n = buf.len().min(self.room);
@@ -2956,18 +2822,24 @@ mod tests {
     }
 
     /// A sink that fails in the middle of a payload the helper thread is
-    /// checksumming: the encode reports the failure — no panic, no hang.
+    /// checksumming: the encode reports the failure — no panic, no hang —
+    /// even when that one write is the only one that fails.
     #[test]
     fn sink_failing_mid_payload_fails_the_encode() {
         let big = helper_sized_bytes();
         let meta = sample(None).meta();
         let fields = [("big", FieldSource::Bytes(&big))];
         let record = Record::Full(&meta, &fields);
-        let err = record
-            .encode(FailingSink { room: SPLIT_PART })
-            .err()
-            .expect("a full sink fails the encode");
-        assert!(err.to_string().contains("sink full"), "{err}");
+        for once in [false, true] {
+            let err = record
+                .encode(FailingSink {
+                    room: SPLIT_PART,
+                    once,
+                })
+                .err()
+                .expect("a full sink fails the encode");
+            assert!(err.to_string().contains("sink full"), "{err}");
+        }
     }
 
     /// A sink that takes every byte at once and keeps only the count and

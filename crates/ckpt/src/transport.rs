@@ -274,7 +274,8 @@ pub trait CkptTransport: Send + Sync {
     /// sink of the key its header names. Returns bytes written; what the
     /// commit superseded is freed before it returns.
     fn put(&self, record: &Record<'_>) -> Result<u64> {
-        commit_record(self, record).map(|superseded| superseded.bytes())
+        let (superseded, _) = commit_record(self, record, |sink| record.encode(sink).map(drop))?;
+        Ok(superseded.bytes())
     }
 
     /// `put(&Record::Full(meta, fields))`; `_scratch` is ignored. Kept only
@@ -381,15 +382,17 @@ pub fn clamp_record_hint(len_hint: u64) -> usize {
     len_hint.min(1 << 28) as usize
 }
 
-/// [`CkptTransport::put`] up to its commit: the caller decides whether
-/// what the commit superseded is freed or kept.
-pub(crate) fn commit_record(
+/// [`CkptTransport::put`] up to its commit, `write` putting `record` into
+/// its sink: the caller decides whether what the commit superseded is
+/// freed or kept. A sink whose write fails is aborted.
+pub(crate) fn commit_record<T>(
     transport: &(impl CkptTransport + ?Sized),
     record: &Record<'_>,
-) -> Result<Superseded> {
+    write: impl FnOnce(&mut dyn RecordSink) -> Result<T>,
+) -> Result<(Superseded, T)> {
     let mut sink = transport.begin(record.key(), record.len_hint())?;
-    match record.encode(&mut *sink) {
-        Ok(_) => sink.commit(),
+    match write(&mut *sink) {
+        Ok(wrote) => Ok((sink.commit()?, wrote)),
         Err(e) => {
             sink.abort(&e.to_string());
             Err(e)

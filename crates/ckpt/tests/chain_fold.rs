@@ -6,9 +6,10 @@
 //! passes its CRC and names an older base ends the chain quietly.
 //!
 //! Records above the split size — a span a restart reads on several
-//! threads, each part CRC'd on its own and the CRCs combined — fold exactly
-//! as a front-to-back pass does: the same state, and for a corrupt record
-//! the same error, down to the CRC values it names.
+//! threads, each block CRC'd by whichever thread claims it and the CRCs
+//! joined in record order — fold exactly as a front-to-back pass does: the
+//! same state, and for a corrupt record the same error, down to the CRC
+//! values it names.
 
 use std::fs;
 use std::io::{Read, Write};
@@ -362,11 +363,14 @@ fn only_a_verified_stale_delta_ends_the_chain_quietly() {
 
 /// The least a thread reads of a verified span when a restart splits it
 /// across threads (the store's part size): a span of two of these or more
-/// is read on up to every core, in parts that join at the span's midpoint
-/// when there are two.
+/// is read on up to every core.
 const SPLIT_PART: usize = 2 << 20;
 /// A field above the split size, at an odd length.
 const LARGE: usize = 2 * SPLIT_PART + (64 << 10) + 7;
+/// The unit a split span is read and checksummed in: the threads claim
+/// these one at a time from a shared counter, so any thread may read any
+/// block of a span.
+const BLOCK: usize = 256 << 10;
 
 /// A base whose field `G` is `len` random bytes, and one dense delta over
 /// it (every byte of `G` dirty).
@@ -421,7 +425,10 @@ fn corrupt<T: std::fmt::Debug>(outcome: Result<T>) -> String {
 /// A bit flipped in any part of a split span — whichever thread reads it —
 /// is the very `CRC mismatch` one front-to-back pass reports, stored and
 /// computed value alike, through the fold: in a base (its whole body is one
-/// span) and in a dense delta (its payload).
+/// span) and in a dense delta (its payload). The flips fall in the span's
+/// first and second blocks (the first two claims: one each for the calling
+/// thread and a helper, in either order), at every odd eighth, and in its
+/// partial last block.
 #[test]
 fn a_bit_flipped_in_any_part_is_the_sequential_crc_error() {
     for layout in ["flat", "cas"] {
@@ -432,17 +439,13 @@ fn a_bit_flipped_in_any_part_is_the_sequential_crc_error() {
             ("ckpt_master.bin", ""),
             ("ckpt_master_delta_1.bin", "delta "),
         ] {
-            // The split span: a base's whole body, a dense delta's payload
-            // (the last bytes of its body).
-            let body = record(&store, name).len() - 4;
-            let span = match what {
-                "" => 0..body,
-                _ => body - LARGE..body,
-            };
-            // A flip at every odd eighth: one in each part of a split into
-            // up to four.
-            for k in [1, 3, 5, 7] {
-                let at = span.start + k * span.len() / 8;
+            let span = split_span(name, &record(&store, name), LARGE);
+            // A flip in each of the first two blocks, at every odd eighth
+            // and in the partial last block.
+            assert_ne!(span.len() % BLOCK, 0, "{name}: the last block is partial");
+            let eighths = [1, 3, 5, 7].map(|k| span.start + k * span.len() / 8);
+            let edges = [span.start + 5, span.start + BLOCK + 5, span.end - 2];
+            for at in eighths.into_iter().chain(edges) {
                 flip(&store, name, at, 0x20);
                 let want = crc_mismatch(what, &record(&store, name));
                 let case = format!("{layout}: {name} flipped at {at}");
@@ -459,8 +462,11 @@ fn a_bit_flipped_in_any_part_is_the_sequential_crc_error() {
 /// A record cut short inside what would be a helper's part is corrupt —
 /// never a panic, never a lend — whether it is the base or the dense delta
 /// over it; what is left still spans two parts, so the cut record is read
-/// split. Under the content-addressed layout, a chunk object cut short in a
-/// helper's part fails the read the same way.
+/// split. A cut inside the first or the second block of the span (the
+/// first two claims of a shared counter) or inside its partial last block
+/// is corrupt the same way. Under the content-addressed layout, a chunk
+/// object cut short anywhere in a split span — a helper's part, the span's
+/// first, second or last block — fails the read.
 #[test]
 fn a_record_cut_inside_a_helpers_part_is_corrupt() {
     let len = 3 * SPLIT_PART;
@@ -469,37 +475,84 @@ fn a_record_cut_inside_a_helpers_part_is_corrupt() {
             ("ckpt_master.bin", RecordKey::full(None)),
             ("ckpt_master_delta_1.bin", RecordKey::delta(None, 1)),
         ] {
-            let dir = scratch(&format!("split_cut_{layout}"));
-            let store = open(layout, &dir);
-            large_pair(&store, len);
-            let bytes = record(&store, name);
-            let mut sink = store.begin(key, 0).unwrap();
-            sink.write_all(&bytes[..bytes.len() * 5 / 6]).unwrap();
-            sink.commit().unwrap();
-            let case = format!("{layout}: {name} cut");
-            let mut lent = false;
-            let outcome = store.with_merged(None, None, &mut |_| {
-                lent = true;
-                Ok(())
-            });
-            assert!(corrupt(outcome).contains("CRC mismatch"), "{case}");
-            assert!(!lent, "{case}: nothing is lent");
-            let _ = fs::remove_dir_all(&dir);
+            // A cut at five sixths of a record, then cuts in the first,
+            // second and partial last block of a span of odd length.
+            let cuts = [
+                (len, "at 5/6"),
+                (LARGE, "in the first block"),
+                (LARGE, "in the second block"),
+                (LARGE, "in the last block"),
+            ];
+            for (len, cut) in cuts {
+                let dir = scratch(&format!("split_cut_{layout}"));
+                let store = open(layout, &dir);
+                large_pair(&store, len);
+                let bytes = record(&store, name);
+                let span = split_span(name, &bytes, len);
+                let at = match cut {
+                    "at 5/6" => bytes.len() * 5 / 6,
+                    "in the first block" => span.start + 100,
+                    "in the second block" => span.start + BLOCK + 100,
+                    _ => span.end - 3,
+                };
+                let mut sink = store.begin(key, 0).unwrap();
+                sink.write_all(&bytes[..at]).unwrap();
+                sink.commit().unwrap();
+                let case = format!("{layout}: {name} cut {cut}, at {at}");
+                let mut lent = false;
+                let outcome = store.with_merged(None, None, &mut |_| {
+                    lent = true;
+                    Ok(())
+                });
+                assert!(corrupt(outcome).contains("CRC mismatch"), "{case}");
+                assert!(!lent, "{case}: nothing is lent");
+                let _ = fs::remove_dir_all(&dir);
+            }
         }
     }
     let dir = scratch("split_cut_object");
     let store = open("cas", &dir);
-    large_pair(&store, len);
-    let (object, _) = locate(&store, "ckpt_master.bin", len * 3 / 4);
-    let bytes = fs::read(&object).unwrap();
-    fs::write(&object, &bytes[..bytes.len() / 2]).unwrap();
-    let mut lent = false;
-    let outcome = store.with_merged(None, None, &mut |_| {
-        lent = true;
-        Ok(())
-    });
-    assert!(outcome.is_err() && !lent, "a cut chunk object: {outcome:?}");
+    large_pair(&store, LARGE);
+    let bytes = record(&store, "ckpt_master.bin");
+    let span = split_span("ckpt_master.bin", &bytes, LARGE);
+    let (start, end) = (span.start, span.end);
+    for at in [
+        start + span.len() * 3 / 4,
+        start + 100,
+        start + BLOCK + 100,
+        end - 3,
+    ] {
+        let (object, _) = locate(&store, "ckpt_master.bin", at);
+        let whole = fs::read(&object).unwrap();
+        fs::write(&object, &whole[..whole.len() / 2]).unwrap();
+        let mut lent = false;
+        let outcome = store.with_merged(None, None, &mut |_| {
+            lent = true;
+            Ok(())
+        });
+        assert!(
+            outcome.is_err() && !lent,
+            "a chunk object cut at {at}: {outcome:?}"
+        );
+        fs::write(&object, whole).unwrap();
+    }
+    assert_eq!(
+        store.get(None, None).unwrap().unwrap().count,
+        11,
+        "every cut undone"
+    );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The split span of record `name` (its `bytes`), whose field is `len`
+/// bytes long: a base's whole body, a dense delta's payload — the last
+/// bytes of its body.
+fn split_span(name: &str, bytes: &[u8], len: usize) -> Range<usize> {
+    let body = bytes.len() - 4;
+    match name {
+        "ckpt_master.bin" => 0..body,
+        _ => body - len..body,
+    }
 }
 
 /// A chain whose every large span is read split: a dense range with a small

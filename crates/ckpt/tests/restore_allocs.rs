@@ -9,8 +9,8 @@
 //! Every budget is checked twice: on a state one thread reads alone, and on
 //! one above the split size, where a restart reads each large span on every
 //! core — so the helper threads run under the counting allocator, and the
-//! budgets hold with them: each reads its part straight into place, with no
-//! staging buffer of its own.
+//! budgets hold with them: each reads the blocks it claims straight into
+//! place, with no staging buffer of its own.
 //!
 //! Its own test binary because it installs a counting `#[global_allocator]`,
 //! and one `#[test]` because the counter is process-wide. The thresholds
