@@ -1,7 +1,8 @@
 //! A record's file outlives its generation: every flat file a commit
 //! supersedes keeps a spare name, the checkpoint module keeps those
 //! spares, and its next save of each key claims the one that key left and
-//! rewrites it in place. Record names and crash semantics must not notice.
+//! rewrites it in place — a shard's save claims the spent `_prev` its
+//! commit evicts. Record names and crash semantics must not notice.
 //! Covered here:
 //!
 //! * a run stopped right after a save, with spares on disk, restarts
@@ -289,7 +290,12 @@ fn a_run_stopped_right_after_a_save_restarts_bitwise_over_its_spares() {
                 let stats = stopped.stats.expect("rank-0 stats");
                 assert_eq!(stats.snapshots_taken, stop as u64, "{case}");
                 let left = files(&dir);
-                assert!(!split(&left).1.is_empty(), "{case}: no spare left");
+                // What the restart's saves claim: spares and, under local
+                // snapshots, each shard's `_prev`, spent once the group has
+                // committed the shard's record.
+                let prev = left.keys().filter(|n| n.ends_with("_prev.bin"));
+                let claimable = split(&left).1.len() + prev.count();
+                assert!(claimable > 0, "{case}: nothing left to claim");
                 assert_spares_bounded(&left, &case);
 
                 let store = CheckpointStore::new(&dir).unwrap();

@@ -103,10 +103,9 @@ struct Workload {
     iters: usize,
     every: usize,
     /// `PPAR_CHAOS_KILL` nth for the barrier site: pinned so the victim
-    /// dies right after the *last* group commit (contribution sent into
-    /// the post-save barrier of the final checkpoint, release never
-    /// received) — the repair then replays the minimum of real work and
-    /// the measurement isolates the recovery machinery.
+    /// dies inside the barrier that opens the final checkpoint
+    /// (contribution sent, release never received), so both arms replay
+    /// the same work from the same group commit.
     kill_nth: usize,
     /// Wire cap in bytes/s, applied to every rank's sends.
     throttle: u64,
@@ -278,11 +277,12 @@ fn bench(_c: &mut Criterion) {
         // would run to completion and strand the rejoiner).
         iters: 7,
         every: 3,
-        // Two barriers bracket every local-snapshot save; hit 4 is the
-        // *post*-save barrier of the second checkpoint (count 6) — the
-        // victim's shard and the group commit are already durable, so
-        // the repair recomputes only the single post-commit iteration.
-        kill_nth: 4,
+        // One barrier opens every local-snapshot save (the saves and the
+        // group commit are then agreed by all-reduce); hit 2 is the
+        // barrier of the second checkpoint (count 6): the victim dies
+        // with its contribution sent and its shard unsaved, so the group
+        // commit stays at 3 and the repair replays from there.
+        kill_nth: 2,
         // Slow enough that shard restores dominate the repair window
         // (2 MiB/s full-size: one shard crosses in ~2 s, and the
         // relaunch arm's seven serialized root→rank restore streams are

@@ -21,7 +21,8 @@
 //!   objects/<hh>/<32-hex>   # one chunk, named by its content digest
 //!                           # (hh = first two hex digits); immutable
 //!   manifests/<record>      # promoted manifest per record name
-//!                           # (ckpt_master.bin, ckpt_rank_3_delta_2.bin…)
+//!                           # (ckpt_master.bin, ckpt_rank_3.bin,
+//!                           # ckpt_master_delta_2.bin…)
 //!   journal/<pid>_<n>.mft   # staging manifests of in-flight transactions
 //! ```
 //!

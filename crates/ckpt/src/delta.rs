@@ -3,8 +3,8 @@
 //! A *delta* persists only the bytes written since the previous snapshot
 //! (full or delta), as reported by the containers' chunked dirty tracking
 //! ([`ppar_core::state::StateCell::dirty_ranges`]). A checkpoint directory
-//! in incremental mode therefore holds one *base* full snapshot plus a
-//! numbered *delta chain*; restore folds the chain onto the base
+//! in incremental mode therefore holds the master's *base* full snapshot
+//! plus a numbered *delta chain*; restore folds the chain onto the base
 //! (last-writer-wins per byte) and yields a state byte-identical to
 //! a full snapshot of the same state.
 //!
@@ -37,9 +37,10 @@
 //! new full snapshot" and "garbage-collect old deltas" leaves stale deltas
 //! whose `base_count` no longer matches — the merge step ignores them
 //! instead of corrupting the restore. Sparse offsets are relative to the
-//! *field payload* (the full field for master snapshots, the extracted
-//! owned block for shard snapshots), which keeps the merge a plain
-//! `payload[off..off+len] = bytes` in both strategies.
+//! *field payload* (the full field for master snapshots, the owned block
+//! for the shard chains older releases wrote — a shard grows none now),
+//! which keeps the merge a plain `payload[off..off+len] = bytes` for
+//! either.
 //!
 //! ## Who parses, who folds
 //!
@@ -375,6 +376,7 @@ mod tests {
     use super::*;
     use crate::crc::crc32;
     use crate::store::{DeltaSource, OnDisk, Record, RecordStream, Snapshot};
+    use ppar_core::shared::SharedVec;
 
     fn sparse<'a>(full_len: u64, ranges: Vec<(u64, &'a [u8])>) -> DeltaPayload<'a> {
         DeltaPayload::Sparse { full_len, ranges }
@@ -543,23 +545,20 @@ mod tests {
     #[test]
     fn a_sparse_record_carries_only_its_touched_bytes() {
         let meta = delta(11, vec![]).meta;
-        let record = |full_len: u64, ranges: &[std::ops::Range<usize>], payload: &[u8]| {
-            let field = DeltaSource::DirtyBytes {
-                full_len,
+        let record = |full_len: usize, ranges: &[std::ops::Range<usize>]| {
+            let cell = SharedVec::from_vec(vec![7u8; full_len]);
+            let field = DeltaSource::DirtyCell {
+                cell: &cell,
                 ranges,
-                payload,
             };
             let (_, bytes) = Record::Delta(&meta, &[("G", field)])
                 .encode(Vec::new())
                 .unwrap();
             bytes
         };
-        let small = record(100, &[0..3, 50..54], &[7; 7]);
-        assert_eq!(record(1 << 30, &[0..3, 50..54], &[7; 7]).len(), small.len());
-        assert_eq!(
-            record(100, &[0..3, 50..59], &[7; 12]).len(),
-            small.len() + 5
-        );
+        let small = record(100, &[0..3, 50..54]);
+        assert_eq!(record(1 << 20, &[0..3, 50..54]).len(), small.len());
+        assert_eq!(record(100, &[0..3, 50..59]).len(), small.len() + 5);
 
         let view = DeltaView::of_record(&small).unwrap();
         let [(_, DeltaPayload::Sparse { full_len, ranges })] = &view.fields[..] else {

@@ -24,14 +24,22 @@
 //!
 //! **A medium only moves records.** A save is one commit through the
 //! module's medium; what the chain needs besides lives in the store: a
-//! base's commit retires its chain's deltas, a fresh run purges old chains
-//! at creation, and the group-commit point is written to the module's own
-//! store (a worker process has none, its root commits for the group).
+//! master base's commit retires its chain's deltas, a fresh run purges old
+//! chains at creation, and the group-commit point is written to the
+//! module's own store (a worker process has none, its root commits for the
+//! group).
+//!
+//! **A shard is one full record.** Incremental mode grows the master's
+//! chain only: a local-snapshot element saves its owned block of every
+//! partitioned field as a full record at every save, lent from the cell's
+//! memory, and patches it like a master record (below). So a shard's
+//! `_prev`, the generation the group last committed, is always a whole
+//! record a pinned restore can read.
 //!
 //! **A save rewrites the files its key last retired.** A flat commit
-//! gives every file it supersedes — the record it renames over, a shard's
-//! evicted `_prev`, a retired chain's deltas — a spare name (see
-//! [`crate::store`]), and the module keeps those spares
+//! gives every file it supersedes — the record it renames over, a retired
+//! chain's deltas — a spare name, and a shard's sink claims the `_prev`
+//! its commit evicts (see [`crate::store`]); the module keeps the spares
 //! ([`Superseded::keep`]), as the checkpoint service's lanes do; only a
 //! direct [`CkptTransport::put`] unlinks them. So the module's next save of
 //! each key claims the file that key last retired and writes into warm
@@ -43,14 +51,14 @@
 //! checksums what changed since the last full record.** The module keeps
 //! its last two full records (`Generations`: each record's length, count
 //! and CRC, where its fields lie, what every tracked field changed since,
-//! and the CRC of every 256 KiB block of each tracked field lent from
-//! memory), and every full record goes through one rule: when the sink's
-//! file is one of them — the flat sink's claimed spare, matched on length,
-//! count and trailer CRC, nothing less — a field streamed from a tracked
-//! cell writes only the ranges changed since that record (the last save's
-//! dirty ranges and this one's) and skips the rest; everything else, and
-//! every save whose changes are dense or whose base does not verify, is
-//! written whole. Either way, such a field takes from the newest record
+//! and the CRC of every 256 KiB block of each tracked field whose bytes lie
+//! in memory), and every full record goes through one rule: when the
+//! sink's file is one of them — the flat sink's claimed spare, matched on
+//! length, count and trailer CRC, nothing less — a tracked field (a cell,
+//! or a shard's owned block of one) writes only the ranges changed since
+//! that record (the last save's dirty ranges and this one's) and skips the
+//! rest; everything else, and every save whose changes are dense or whose
+//! base does not verify, is written whole. Either way, such a field takes from the newest record
 //! the CRC of every block nothing touched since — neither that record's
 //! changes since nor this save's dirty ranges — and checksums the others;
 //! a delta save only widens what is stale, and a failed save, a restore or
@@ -81,7 +89,7 @@ use ppar_core::error::{PparError, Result};
 use ppar_core::partition::{block_owned, scatter_ranges};
 use ppar_core::plan::{DistCkptStrategy, Plan};
 use ppar_core::runtime::{LoopFrame, RegionCursor, PROGRESS_FIELD};
-use ppar_core::state::StateCell;
+use ppar_core::state::{DistCell, StateCell};
 use ppar_core::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
 use crate::crc::CRC_COPY_BLOCK;
@@ -112,12 +120,12 @@ pub struct CkptStats {
     pub snapshots_taken: u64,
     /// Full (base) snapshots among [`CkptStats::snapshots_taken`].
     pub full_snapshots: u64,
-    /// Delta snapshots among [`CkptStats::snapshots_taken`] (incremental
-    /// mode only).
+    /// Delta snapshots among [`CkptStats::snapshots_taken`]: master
+    /// records of incremental mode only (a shard save is always a full
+    /// record).
     pub delta_snapshots: u64,
-    /// Total bytes written across snapshots (cumulative save bytes — the
-    /// incremental-vs-full savings signal, together with
-    /// [`CkptStats::last_save_bytes`]).
+    /// Total length of the records the snapshots persisted (cumulative;
+    /// what the saves actually wrote is [`CkptStats::bytes_put`]).
     pub bytes_written: u64,
     /// Bytes written by the most recent snapshot (a delta's size collapses
     /// towards the dirty fraction; a full snapshot pays the whole state).
@@ -207,12 +215,10 @@ pub struct CheckpointModule {
     target: AtomicU64,
     stats: Mutex<CkptStats>,
     created: Instant,
-    /// Per-field extraction buffers for shard snapshots (partitioned fields
-    /// contribute only the owned block). Reused across snapshots.
-    field_bufs: Mutex<Vec<Vec<u8>>>,
     /// `Some(full_every)` when the plan enables dirty-chunk incremental
-    /// checkpointing: snapshots are persisted as deltas, promoted to a full
-    /// base every `full_every` deltas.
+    /// checkpointing: master snapshots are persisted as deltas, promoted to
+    /// a full base every `full_every` deltas. A shard snapshot is always a
+    /// full record, patched where it can be.
     incremental: Option<u64>,
     /// The last full records this module committed, which a steady save
     /// may rewrite in place, and the chain of deltas over the newest one
@@ -263,9 +269,10 @@ type Ranges = Vec<std::ops::Range<usize>>;
 
 /// The last two full records this module committed in this process,
 /// newest first, each with what every field changed since. A commit gives
-/// the record it renames over the spare name, so the spare a steady save
-/// claims holds the older one, and the newer one is what the next save's
-/// spare will hold. A save whose sink holds one of them rewrites only
+/// the record it renames over the spare name (and a shard's sink claims
+/// the `_prev` its rotation evicts), so the file a steady save claims
+/// holds the older one, and the newer one is what the next save's will
+/// hold. A save whose sink holds one of them rewrites only
 /// those changes ([`Record::patch`]), and every save takes the block CRCs
 /// of what did not change since the newest one from it. The newest one is
 /// also the base the next delta extends ([`Generations::next_delta`]).
@@ -656,7 +663,6 @@ impl CheckpointModule {
                         ..CkptStats::default()
                     }),
                     created: Instant::now(),
-                    field_bufs: Mutex::new(Vec::new()),
                     incremental,
                     generations: Mutex::new(Generations::default()),
                     frames: Mutex::new(Vec::new()),
@@ -806,21 +812,21 @@ impl CheckpointModule {
     ///
     /// `meta.rank` picks the scope. Master records (complete data at the
     /// caller — engines must have collected partitioned fields first)
-    /// stream every field straight from its registered cell; no payload is
-    /// materialized. Shard records contribute only this element's owned
-    /// block of each partitioned field, extracted into per-module buffers
-    /// reused across snapshots. In a delta, a field with write tracking
-    /// contributes only its dirty byte ranges (clamped to the owned block
-    /// for shards, with offsets relative to the extracted payload, matching
-    /// the merge step); untracked fields are stored whole.
+    /// stream every field straight from its registered cell. A shard record
+    /// takes of each partitioned field this element's owned block, lent
+    /// from the cell's memory — or, for a cell that lends none, extracted
+    /// into a copy local to this save — and what the cell wrote since the
+    /// last save inside that block, relative to it. In a delta, a field
+    /// with write tracking contributes only its dirty byte ranges;
+    /// untracked fields are stored whole.
     ///
-    /// A full record goes through one rule ([`Generations::plan`]): when
-    /// the sink's file already holds one of this module's last two full
-    /// records, a field streamed from a tracked cell rewrites only what
-    /// changed since, and every other field — untracked, extracted, the
-    /// cursor — is written whole; and a tracked cell's field checksums
-    /// only the blocks that changed since the newest of them. Returns what
-    /// the commit superseded and the bytes the sink moved past.
+    /// A full record goes through one rule ([`Generations::plan`]),
+    /// master and shard alike: when the sink's file already holds one of
+    /// this module's last two full records, a tracked field rewrites only
+    /// what changed since, and every other field — untracked, the cursor —
+    /// is written whole; and a tracked field checksums only the blocks
+    /// that changed since the newest of them. Returns what the commit
+    /// superseded and the bytes the sink moved past.
     fn put_fields(
         &self,
         ctx: &Ctx,
@@ -829,103 +835,71 @@ impl CheckpointModule {
         chain: Option<(u64, u32)>,
     ) -> Result<(Superseded, u64)> {
         enum Slot {
-            /// A field streamed from its cell; dirty ranges when tracked.
-            Cell(Arc<dyn StateCell>, Option<Ranges>),
-            /// An owned block extracted into `field_bufs[buf]`: whole, or the
-            /// payload-relative dirty ranges of a `full_len`-byte block.
-            Block {
-                buf: usize,
-                sparse: Option<(Ranges, u64)>,
+            /// A field streamed from its cell.
+            Cell(Arc<dyn StateCell>),
+            /// A shard's owned block of a partitioned cell: the `bytes` of
+            /// its encoding, or `copy` when the cell lends no encoding.
+            Owned {
+                cell: Arc<dyn DistCell>,
+                bytes: std::ops::Range<usize>,
+                copy: Vec<u8>,
             },
         }
 
-        let mut bufs = self.field_bufs.lock();
-        let mut slots: Vec<(&String, Slot)> = Vec::new();
-        let mut used = 0;
+        impl Slot {
+            fn source(&self) -> FieldSource<'_> {
+                match self {
+                    Slot::Cell(cell) => FieldSource::Cell(&**cell),
+                    Slot::Owned { cell, bytes, copy } => FieldSource::Bytes(match cell.encoded() {
+                        Some(encoded) => &encoded[bytes.clone()],
+                        None => copy,
+                    }),
+                }
+            }
+        }
+
+        let mut slots: Vec<(&str, Slot)> = Vec::new();
+        // What each field of the record changed since the last save: a
+        // tracked cell's dirty ranges, relative to the field's payload. The
+        // cursor counts as untracked.
+        let mut changed: Vec<Option<Ranges>> = Vec::new();
         for name in ctx.plan().safe_data() {
             if meta.rank.is_none() || ctx.plan().field_partition(name).is_none() {
                 let cell = ctx.registry().state(name)?;
-                let dirty = cell.dirty_ranges();
-                slots.push((name, Slot::Cell(cell, dirty)));
+                changed.push(cell.dirty_ranges());
+                slots.push((name, Slot::Cell(cell)));
                 continue;
             }
             let cell = ctx.registry().dist(name)?;
-            if bufs.len() == used {
-                bufs.push(Vec::new());
-            }
-            let buf = &mut bufs[used];
-            buf.clear();
             let owned = block_owned(cell.logical_len(), ctx.num_ranks(), ctx.rank());
-            // A full record takes the owned block whole.
-            let sparse = match chain.and_then(|_| cell.dirty_ranges()) {
-                Some(ranges) => {
-                    // Clamp the field-wide dirty ranges to the owned block;
-                    // this element persists only bytes it owns.
-                    let ib = cell.index_bytes();
-                    let owned_bytes = owned.start * ib..owned.end * ib;
-                    let mut abs = Vec::new();
-                    let mut rel = Vec::new();
-                    for r in ranges {
-                        let start = r.start.max(owned_bytes.start);
-                        let end = r.end.min(owned_bytes.end);
-                        if start < end {
-                            abs.push(start..end);
-                            rel.push(start - owned_bytes.start..end - owned_bytes.start);
-                        }
-                    }
-                    cell.write_dirty_state(&abs, buf)?;
-                    Some((rel, owned_bytes.len() as u64))
-                }
-                None => {
-                    cell.extract_into(owned, buf);
-                    None
-                }
-            };
-            slots.push((name, Slot::Block { buf: used, sparse }));
-            used += 1;
+            let ib = cell.index_bytes();
+            let bytes = owned.start * ib..owned.end * ib;
+            // This element persists only bytes it owns: the field-wide
+            // dirty ranges, clamped to the owned block and rebased to it.
+            changed.push(cell.dirty_ranges().map(|ranges| {
+                let clamped = ranges
+                    .iter()
+                    .map(|r| r.start.max(bytes.start)..r.end.min(bytes.end));
+                let clamped = clamped.filter(|r| r.start < r.end);
+                clamped
+                    .map(|r| r.start - bytes.start..r.end - bytes.start)
+                    .collect()
+            }));
+            let mut copy = Vec::new();
+            if cell.encoded().is_none() {
+                cell.extract_into(owned, &mut copy);
+            }
+            slots.push((name, Slot::Owned { cell, bytes, copy }));
         }
-        // What each field of the record changed since the last save: a
-        // tracked cell's dirty ranges. An extracted block and the cursor
-        // count as untracked.
-        let changed: Vec<Option<Ranges>> = slots
-            .iter()
-            .map(|(_, slot)| match slot {
-                Slot::Cell(_, dirty) => dirty.clone(),
-                Slot::Block { .. } => None,
-            })
-            .chain([None])
-            .collect();
+        changed.push(None);
         // The cursor always travels whole (tens of bytes): a `Full` delta
         // entry replaces the base field at merge time, so the chain tip
         // carries the cursor matching its own count.
         let progress = self.progress_bytes(meta.count);
         let fields = slots
             .iter()
-            .map(|(name, slot)| {
-                let source = match slot {
-                    Slot::Cell(cell, Some(ranges)) if chain.is_some() => DeltaSource::DirtyCell {
-                        cell: &**cell,
-                        ranges,
-                    },
-                    Slot::Cell(cell, _) => DeltaSource::Full(FieldSource::Cell(&**cell)),
-                    Slot::Block {
-                        buf,
-                        sparse: Some((ranges, full_len)),
-                    } => DeltaSource::DirtyBytes {
-                        full_len: *full_len,
-                        ranges,
-                        payload: &bufs[*buf],
-                    },
-                    Slot::Block { buf, sparse: None } => {
-                        DeltaSource::Full(FieldSource::Bytes(&bufs[*buf]))
-                    }
-                };
-                (name.as_str(), source)
-            })
-            .chain([(
-                PROGRESS_FIELD,
-                DeltaSource::Full(FieldSource::Bytes(&progress)),
-            )]);
+            .map(|(name, slot)| (*name, slot.source()))
+            .chain([(PROGRESS_FIELD, FieldSource::Bytes(&progress))]);
         let mut generations = self.generations.lock();
         let committed = match chain {
             Some((base_count, seq)) => {
@@ -937,7 +911,15 @@ impl CheckpointModule {
                     rank: meta.rank,
                     nranks: meta.nranks,
                 };
-                let fields: Vec<_> = fields.collect();
+                let fields: Vec<_> = fields
+                    .zip(&changed)
+                    .map(|((name, source), changed)| match (source, changed) {
+                        (FieldSource::Cell(cell), Some(ranges)) => {
+                            (name, DeltaSource::DirtyCell { cell, ranges })
+                        }
+                        (source, _) => (name, DeltaSource::Full(source)),
+                    })
+                    .collect();
                 let record = Record::Delta(&meta, &fields);
                 commit_record(to, &record, |sink| record.encode(sink).map(drop)).map(|(gone, _)| {
                     generations.advance(&changed, true);
@@ -945,12 +927,7 @@ impl CheckpointModule {
                 })
             }
             None => {
-                let fields: Vec<_> = fields
-                    .map(|(name, source)| match source {
-                        DeltaSource::Full(whole) => (name, whole),
-                        _ => unreachable!("dirty ranges are collected only for deltas"),
-                    })
-                    .collect();
+                let fields: Vec<_> = fields.collect();
                 commit_full(to, meta, &fields, &changed, &mut generations)
             }
         };
@@ -1133,8 +1110,10 @@ impl CheckpointModule {
         };
         let to = self.medium()?;
 
+        // Incremental mode governs the master chain only.
         let link = self
             .incremental
+            .filter(|_| rank.is_none())
             .and_then(|full_every| self.generations.lock().next_delta(full_every));
         // A promoted base retires the chain it supersedes as it commits (in
         // the store behind the medium). The spares the commit left are the

@@ -18,8 +18,9 @@
 //! * the live-reshape **hand-off** ([`handoff`]): a [`Handoff`] keeps the
 //!   predecessor's frozen cells, and the successor lends them, its replay
 //!   target and its resume cursor through the hand-off's own methods;
-//! * dirty-chunk **incremental** snapshots ([`delta`]): delta records that
-//!   persist only the bytes written since the previous snapshot;
+//! * dirty-chunk **incremental** snapshots ([`delta`]): master delta
+//!   records that persist only the bytes written since the previous
+//!   snapshot;
 //! * the safe-point clock and snapshot policy ([`hook::CheckpointModule`]);
 //! * failure detection at start-up (run marker + snapshot ⇒ replay);
 //! * replay-based restart: the application re-executes with ignorable
@@ -40,9 +41,11 @@
 //! With `Plug::IncrementalCkpt { full_every }` installed, snapshot cost
 //! scales with the data *touched* between safe points instead of the data
 //! held: shared containers track writes in an 8 KiB-chunk bitmap
-//! ([`ppar_core::shared::DIRTY_CHUNK_BYTES`]), and each checkpoint streams
-//! only the dirty chunks as a *delta record* (`ckpt_master_delta_<seq>.bin`
-//! / `ckpt_rank_<r>_delta_<seq>.bin`).
+//! ([`ppar_core::shared::DIRTY_CHUNK_BYTES`]), and each master checkpoint
+//! streams only the dirty chunks as a *delta record*
+//! (`ckpt_master_delta_<seq>.bin`). A local-snapshot shard grows no chain:
+//! every shard save is one full record, patched in place where it can be
+//! (see [`hook`]), and the store refuses a shard delta key.
 //!
 //! * **Record format** — deltas carry their own magic (`"PPARDLT1"`) and an
 //!   explicit format version ([`delta::DELTA_VERSION`]); readers reject

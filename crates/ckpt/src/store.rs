@@ -12,8 +12,7 @@
 //!   ckpt_master_delta_<s>.bin   # delta chain over the base (incremental
 //!                               # mode, s = 1, 2, ...; see crate::delta)
 //!   ckpt_rank_<r>.bin           # per-element shards (local-snapshot
-//!                               # strategy)
-//!   ckpt_rank_<r>_delta_<s>.bin # per-element delta chains
+//!                               # strategy): full records only
 //!   ckpt_rank_<r>_prev.bin      # the shard generation kept at the commit
 //!   ckpt_*.bin.spare            # a superseded file kept for the next save
 //!                               # of that name to rewrite (never read)
@@ -25,27 +24,34 @@
 //! can never produce a snapshot that is both present and corrupt: either the
 //! old snapshot survives or the new one is complete.
 //!
-//! The store keeps its chains itself; no medium above it has a say. A
-//! base's commit retires that chain's deltas right after the rename (a
-//! crash in between leaves deltas naming the old base, which the fold
+//! The store keeps its chain itself; no medium above it has a say. A
+//! master base's commit retires the chain's deltas right after the rename
+//! (a crash in between leaves deltas naming the old base, which the fold
 //! ignores), `CheckpointModule::create_group` purges every chain before a
 //! fresh run, and `ckpt_commit` holds the group-commit point
 //! ([`CheckpointStore::commit_group`]) that a shard's retained `_prev`
-//! generation serves.
+//! generation serves. A shard grows no chain: its sink refuses a delta
+//! key, so every shard generation is one whole record. The read side
+//! keeps its one fold for every key, so a `ckpt_rank_<r>_delta_<s>.bin`
+//! chain an older release left still restores; a pinned restore lands on
+//! a base at the commit point and walks no delta past it.
 //!
 //! **A record's file outlives its generation.** A flat commit supersedes
-//! files: the record its rename replaces, the `_prev` a shard's rotation
-//! evicts, the deltas a base retires. Each of those steps first gives the
-//! file a second name, the *spare* of the record name that will next need
-//! it (`<name>.spare`: the record renamed over keeps its own name's, an
-//! evicted `_prev` becomes its shard's, a retired delta keeps its own).
-//! The next flat sink of that name claims the spare as its temp file and
-//! rewrites it in place, so a steady save writes into warm page cache
-//! instead of a fresh file. A spare is never a record name, so no reader
-//! sees one; names, their commit order and every CRC are those of a store
-//! without spares. A step frees the file inline, as it always did, when
-//! it cannot take the spare name (taken, or the link fails) and in the
-//! content-addressed layout. The commit returns the spare names as a
+//! files: the record its rename replaces and the deltas a master base
+//! retires. Each of those steps first gives the file a second name, the
+//! *spare* of the record name that will next need it (`<name>.spare`: the
+//! record renamed over keeps its own name's, a retired delta keeps its
+//! own). The next flat sink of that name claims the spare as its temp file
+//! and rewrites it in place, so a steady save writes into warm page cache
+//! instead of a fresh file. A shard's sink whose commit will rotate its
+//! record aside claims the `_prev` that rotation evicts instead: once the
+//! group has committed the shard's record, the generation before it
+//! serves no restore, and it is the older of the module's last two
+//! records, which a steady save patches. A spare is never a record name,
+//! so no reader sees one; names, their commit order and every CRC are
+//! those of a store without spares. A step frees the file inline, as it
+//! always did, when it cannot take the spare name (taken, or the link
+//! fails) and in the content-addressed layout. The commit returns the spare names as a
 //! [`Superseded`]: a direct [`CkptTransport::put`] drops it, which unlinks
 //! them; the checkpoint module (see [`crate::hook`]) and the checkpoint
 //! service's lanes keep them. Its footprint is one extra record per base
@@ -81,8 +87,8 @@
 //!   [`StateCell::write_state`]; containers with contiguous little-endian
 //!   layouts (e.g. `SharedVec<f64>`) hand their backing bytes straight to
 //!   the sink without per-element serialization;
-//! * [`FieldSource::Bytes`] wraps pre-extracted bytes (partition shards,
-//!   gathered aggregates).
+//! * [`FieldSource::Bytes`] wraps bytes that lie in memory (a shard's
+//!   owned block of a cell, gathered aggregates).
 //!
 //! **The length rule.** A cell becomes record bytes one way: the writer
 //! announces [`StateCell::byte_len`] as the field's length prefix, streams
@@ -400,7 +406,8 @@ pub enum FieldSource<'a> {
     /// Stream a live cell through [`StateCell::write_state`] (zero-copy for
     /// contiguous little-endian containers).
     Cell(&'a dyn StateCell),
-    /// Pre-extracted bytes (partition shards, gathered aggregate data).
+    /// Bytes in memory (a shard's owned block of a cell, gathered
+    /// aggregate data).
     Bytes(&'a [u8]),
 }
 
@@ -417,17 +424,6 @@ pub enum DeltaSource<'a> {
         cell: &'a dyn StateCell,
         /// Sorted, non-overlapping dirty byte ranges of the encoding.
         ranges: &'a [std::ops::Range<usize>],
-    },
-    /// Pre-extracted dirty bytes (the shard path: offsets are relative to
-    /// the extracted owned-block payload, `payload` is the ranges'
-    /// concatenated bytes in order).
-    DirtyBytes {
-        /// Total length of the (merged) field payload.
-        full_len: u64,
-        /// Sorted, non-overlapping ranges into that payload.
-        ranges: &'a [std::ops::Range<usize>],
-        /// Concatenation of the ranges' bytes.
-        payload: &'a [u8],
     },
 }
 
@@ -472,9 +468,6 @@ impl Record<'_> {
                         DeltaSource::DirtyCell { ranges, .. } => {
                             ranges.iter().map(|r| r.len()).sum::<usize>() + ranges.len() * 16
                         }
-                        DeltaSource::DirtyBytes {
-                            ranges, payload, ..
-                        } => payload.len() + ranges.len() * 16,
                     };
                     name.len() + 32 + body
                 })
@@ -850,7 +843,7 @@ impl<W: Write> SnapshotWriter<W> {
     /// Write one field of a delta record from a [`DeltaSource`]: a whole
     /// field is kind 0; dirty ranges are kind 1, streamed from the cell
     /// through [`StateCell::write_dirty_state`] (only touched chunks leave
-    /// it) or copied from pre-extracted bytes.
+    /// it).
     fn delta_field(&mut self, name: &str, source: &DeltaSource<'_>) -> Result<()> {
         match source {
             DeltaSource::Full(whole) => {
@@ -861,15 +854,6 @@ impl<W: Write> SnapshotWriter<W> {
                 let total = self.begin_sparse(name, cell.byte_len() as u64, ranges)?;
                 let streamed = self.stream(|tee| cell.write_dirty_state(ranges, tee))?;
                 carried(name, total, streamed)
-            }
-            DeltaSource::DirtyBytes {
-                full_len,
-                ranges,
-                payload,
-            } => {
-                let total = self.begin_sparse(name, *full_len, ranges)?;
-                carried(name, total, payload.len() as u64)?;
-                self.put(payload)
             }
         }
     }
@@ -978,7 +962,18 @@ impl CkptTransport for CheckpointStore {
         "file"
     }
 
+    /// A shard delta key is refused before anything is touched, in both
+    /// layouts: a shard is one full record (see [`crate::hook`]).
     fn begin<'a>(&'a self, key: RecordKey, _len_hint: u64) -> Result<Box<dyn RecordSink + 'a>> {
+        if let RecordKey {
+            rank: Some(rank),
+            delta: Some(seq),
+        } = key
+        {
+            return Err(PparError::InvalidPlan(format!(
+                "shard {rank} delta {seq}: a shard is saved as a full record only"
+            )));
+        }
         let dst = self.record_path(key);
         if let Some(cas) = &self.cas {
             return Ok(Box::new(CasSink {
@@ -995,12 +990,20 @@ impl CkptTransport for CheckpointStore {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = dst.with_extension(format!("tmp{n}"));
-        let (file, claimed) = claim_spare(&spare_path(&dst), &tmp)?;
+        // A shard whose commit rotates its record aside evicts its `_prev`,
+        // the generation before the group's commit point, which no restore
+        // needs any more: the sink claims that file.
+        let spare = match key.rank {
+            Some(rank) if self.rotates(rank)? => self.prev_shard_path(rank),
+            _ => spare_path(&dst),
+        };
+        let (file, claimed) = claim_spare(&spare, &tmp)?;
         Ok(Box::new(FlatSink {
             store: self,
             key,
             tmp,
             dst,
+            spare,
             w: BufWriter::new(file),
             claimed,
             head: Vec::with_capacity(256),
@@ -1064,7 +1067,7 @@ impl CkptTransport for CheckpointStore {
 /// says it differs, the rest skipped over — and commit flushes,
 /// trims the file to the bytes written, rotates the shard generation the
 /// group last committed aside (full shard records only), renames over the
-/// final name and — for a base — retires the chain the new base
+/// final name and — for a master base — retires the chain the new base
 /// supersedes. Each step that drops a file's record name gives the file a
 /// spare name first, into the commit's [`Superseded`]. A crash, an abort
 /// or a drop mid-stream never leaves a partial record under the final
@@ -1074,6 +1077,9 @@ struct FlatSink<'a> {
     key: RecordKey,
     tmp: PathBuf,
     dst: PathBuf,
+    /// The name the temp file was claimed from: the record name's spare,
+    /// or a rotating shard's `_prev`.
+    spare: PathBuf,
     w: BufWriter<fs::File>,
     /// The temp file is a claimed spare, its only name: what it holds may
     /// be offered as a base ([`RecordSink::held`]).
@@ -1142,7 +1148,7 @@ impl RecordSink for FlatSink<'_> {
         self.w.get_ref().set_len(self.written)?;
         self.key.check_record(&self.head)?;
         let mut gone = Superseded::new(self.written);
-        self.store.rotate_generation(self.key, &mut gone)?;
+        self.store.rotate_generation(self.key)?;
         self.store
             .spare(&self.dst, spare_path(&self.dst), &mut gone);
         fs::rename(&self.tmp, &self.dst)?;
@@ -1214,7 +1220,7 @@ impl Drop for FlatSink<'_> {
             return;
         }
         if self.claimed && self.written == 0 {
-            let _ = fs::hard_link(&self.tmp, spare_path(&self.dst));
+            let _ = fs::hard_link(&self.tmp, &self.spare);
         }
         let _ = fs::remove_file(&self.tmp);
     }
@@ -1233,8 +1239,8 @@ enum CasState {
 /// The content-addressed layout's sink and its one commit sequence: stage
 /// (seal + fsync the journal manifest) *before* rotating the previous shard
 /// generation aside — if staging fails, the directory is untouched — then
-/// promote by rename, retire the chain a new base supersedes, and drop any
-/// legacy flat file of the same name.
+/// promote by rename, retire the chain a new master base supersedes, and
+/// drop any legacy flat file of the same name.
 /// Dropping the transaction (abort, error, drop) rolls its journal back.
 struct CasSink<'a> {
     store: &'a CheckpointStore,
@@ -1297,7 +1303,7 @@ impl RecordSink for CasSink<'_> {
             CasState::Stream(txn) => {
                 key.check_record(&head)?;
                 let staged = txn.stage(&name)?;
-                store.rotate_generation(key, &mut gone)?;
+                store.rotate_generation(key)?;
                 staged.promote()?
             }
             // Integrity of a digest-negotiated record rides the per-chunk
@@ -1307,7 +1313,7 @@ impl RecordSink for CasSink<'_> {
             // holds.
             CasState::Dedup(txn) => {
                 key.check_record(&txn.head(HEAD_BYTES)?)?;
-                store.rotate_generation(key, &mut gone)?;
+                store.rotate_generation(key)?;
                 txn.commit(&name)?
             }
         };
@@ -1933,8 +1939,8 @@ impl CheckpointStore {
     /// `rank`'s chain read, CRC-checked and folded, pinned like
     /// [`CkptTransport::with_merged`], which lends this. Each record is read
     /// once: the base into the fold's one buffer, every delta's payload
-    /// into its place in it. Shard chains keep the generation the group
-    /// last committed beside the current one; a pinned read falls back to
+    /// into its place in it. A shard keeps the generation the group last
+    /// committed beside the current one; a pinned read falls back to
     /// it, which is how a restore survives a torn group save — shards that
     /// already advanced past the commit point roll back to their preserved
     /// older record.
@@ -2061,54 +2067,54 @@ impl CheckpointStore {
         SnapshotMeta::of_head(&head).ok().map(|meta| meta.count)
     }
 
-    /// The step of both commit sequences that comes just before the new
-    /// record takes its final name. Only a shard's full record has anything
-    /// to do: preserve the committed generation of that shard before the
-    /// new base replaces it — rotate `dst → prev` unless `dst` has already
-    /// diverged from the commit point (then `prev` still holds the committed
-    /// generation and must survive — a torn save retried after recovery must
-    /// not evict the only restorable record). The `_prev` it evicts becomes
-    /// the shard's spare, into `gone`.
-    fn rotate_generation(&self, key: RecordKey, gone: &mut Superseded) -> Result<()> {
-        let RecordKey {
-            rank: Some(rank),
-            delta: None,
-        } = key
-        else {
-            return Ok(());
-        };
+    /// Does a commit of `rank`'s shard rotate its record to `_prev`,
+    /// evicting what `_prev` held? It does unless the record has diverged
+    /// from the group-commit point: then `_prev` still holds the committed
+    /// generation and must survive (a torn save retried after recovery must
+    /// not evict the only restorable record). With no commit point yet, one
+    /// generation of history is still better than none.
+    fn rotates(&self, rank: u32) -> Result<bool> {
         let dst = self.shard_path(rank);
         if !self.record_exists(&dst) {
-            return Ok(());
+            return Ok(false);
         }
-        let keep = match self.committed_count()? {
+        Ok(match self.committed_count()? {
             Some(c) => self.peek_count(&dst) == Some(c),
-            // No commit point yet: one generation of history is still
-            // better than none.
             None => true,
-        };
-        if keep {
-            let prev = self.prev_shard_path(rank);
-            self.spare(&prev, spare_path(&dst), gone);
-            self.record_rename(&dst, &prev)?;
-        }
-        Ok(())
+        })
     }
 
-    /// The step of both commit sequences that comes just after a new base
-    /// took its final name: delete every delta of that chain. Sweeps any
-    /// extension but `.spare`, so an orphaned temp file from a crash
-    /// mid-delta-write is collected too. A crash before the sweep leaves
-    /// stale deltas that the fold ignores (their `base_count` names the old
-    /// base), never a broken restore. Each delta it retires keeps its own
-    /// spare name, into `gone`, for the next chain's delta of that `seq`.
+    /// The step of both commit sequences that comes just before the new
+    /// record takes its final name. Only a shard's record has anything to
+    /// do: preserve the committed generation of that shard before the new
+    /// one replaces it — rotate `dst → prev` when
+    /// [`CheckpointStore::rotates`] says so. A flat sink has already
+    /// claimed the `_prev` this evicts.
+    fn rotate_generation(&self, key: RecordKey) -> Result<()> {
+        match key {
+            RecordKey {
+                rank: Some(rank),
+                delta: None,
+            } if self.rotates(rank)? => {
+                self.record_rename(&self.shard_path(rank), &self.prev_shard_path(rank))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The step of both commit sequences that comes just after a new
+    /// master base took its final name: delete every delta of the master
+    /// chain (no shard grows one). Sweeps any extension but `.spare`, so an
+    /// orphaned temp file from a crash mid-delta-write is collected too. A
+    /// crash before the sweep leaves stale deltas that the fold ignores
+    /// (their `base_count` names the old base), never a broken restore.
+    /// Each delta it retires keeps its own spare name, into `gone`, for the
+    /// next chain's delta of that `seq`.
     fn retire_chain(&self, key: RecordKey, gone: &mut Superseded) -> Result<()> {
-        let prefix = match key {
-            RecordKey { delta: Some(_), .. } => return Ok(()),
-            RecordKey { rank: None, .. } => "ckpt_master_delta_".to_string(),
-            RecordKey { rank: Some(r), .. } => format!("ckpt_rank_{r}_delta_"),
-        };
-        let matches = |name: &str| name.starts_with(&prefix) && !name.ends_with(SPARE);
+        if key != RecordKey::full(None) {
+            return Ok(());
+        }
+        let matches = |name: &str| name.starts_with("ckpt_master_delta_") && !name.ends_with(SPARE);
         self.remove_records(matches, Some(gone))
     }
 
@@ -2300,8 +2306,10 @@ mod tests {
         ));
     }
 
-    /// A base commit retires its own chain and no other, in both layouts;
-    /// a delta commit retires nothing.
+    /// A master base commit retires the master chain and nothing else, in
+    /// both layouts; a shard base and a delta commit retire nothing. A
+    /// shard chain only an older release wrote (put here as its files) is
+    /// left where it is: the new base's count is not its `base_count`.
     #[test]
     fn a_base_commit_retires_only_its_own_chain() {
         for cas in [false, true] {
@@ -2320,7 +2328,11 @@ mod tests {
                         ..delta_meta(5 + seq as u64, 5, seq, rank)
                     };
                     let whole = DeltaSource::Full(FieldSource::Bytes(&[seq as u8; 4]));
-                    store.put(&Record::Delta(&dm, &[("G", whole)])).unwrap();
+                    let record = Record::Delta(&dm, &[("G", whole)]);
+                    match rank {
+                        None => drop(store.put(&record).unwrap()),
+                        Some(_) => legacy_delta(&store, &record),
+                    }
                 }
             }
             let tip = |rank| store.get(rank, None).unwrap().unwrap().count;
@@ -2330,13 +2342,73 @@ mod tests {
             base.count = 9;
             put_snapshot(&store, &base);
             assert_eq!(store.get(Some(1), None).unwrap().unwrap(), base);
-            assert!(!store.record_exists(&store.delta_path(Some(1), 1)));
-            assert!(!store.record_exists(&store.delta_path(Some(1), 2)));
-            assert_eq!(
-                [tip(None), tip(Some(10))],
-                [7, 7],
-                "other chains keep theirs"
+            assert!(store.record_exists(&store.delta_path(Some(1), 2)));
+            assert_eq!([tip(None), tip(Some(10))], [7, 7], "no chain retired");
+
+            let mut base = sample(None);
+            base.count = 9;
+            put_snapshot(&store, &base);
+            assert_eq!(store.get(None, None).unwrap().unwrap(), base);
+            assert!(!store.record_exists(&store.delta_path(None, 1)));
+            assert!(!store.record_exists(&store.delta_path(None, 2)));
+            assert_eq!(tip(Some(10)), 7, "shard chains keep theirs");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Write `record`, a shard delta, where an older release put its file:
+    /// no sink of this one takes a shard delta key.
+    fn legacy_delta(store: &CheckpointStore, record: &Record<'_>) {
+        let (_, bytes) = record.encode(Vec::new()).unwrap();
+        fs::write(store.record_path(record.key()), bytes).unwrap();
+    }
+
+    /// Every file under `dir`, at any depth, with its contents.
+    fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            match path.is_dir() {
+                true => files.extend(tree(&path)),
+                false => files.push((path.clone(), fs::read(&path).unwrap())),
+            }
+        }
+        files.sort();
+        files
+    }
+
+    /// A shard grows no chain: `begin` refuses a shard delta key with
+    /// `InvalidPlan` in both layouts, and the directory is left as it was
+    /// — byte for byte, the content-addressed store's objects and journal
+    /// included. So does a `put` of a shard delta record.
+    #[test]
+    fn a_shard_delta_key_is_refused_and_changes_nothing() {
+        for cas in [false, true] {
+            let dir = tmpdir(&format!("shard_delta_refused_{cas}"));
+            let store = match cas {
+                false => CheckpointStore::new_flat(&dir).unwrap(),
+                true => CheckpointStore::new_cas(&dir).unwrap(),
+            };
+            let mut base = sample(Some(1));
+            base.count = 5;
+            put_snapshot(&store, &base);
+            let before = tree(&dir);
+            assert!(
+                matches!(
+                    store.begin(RecordKey::delta(Some(1), 1), 64),
+                    Err(PparError::InvalidPlan(_))
+                ),
+                "cas={cas}"
             );
+            let dm = DeltaMeta {
+                nranks: 8,
+                ..delta_meta(6, 5, 1, Some(1))
+            };
+            let whole = DeltaSource::Full(FieldSource::Bytes(&[1; 4]));
+            let put = store.put(&Record::Delta(&dm, &[("G", whole)]));
+            assert!(matches!(put, Err(PparError::InvalidPlan(_))), "cas={cas}");
+            assert!(tree(&dir) == before, "cas={cas}: the directory changed");
+            assert_eq!(store.get(Some(1), None).unwrap().unwrap(), base);
             fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -2367,12 +2439,13 @@ mod tests {
 
     /// Keeping what a commit superseded changes no record name. One script
     /// of commits — a base renamed over, a delta chain, shard bases whose
-    /// rotation evicts `_prev` at a group commit, a base retiring the
-    /// chain, a new chain and shard generation over the spares — leaves
-    /// the same record names after every step whether each commit's
-    /// [`Superseded`] drops at once (a direct `put`) or is kept, in both
-    /// layouts. Kept, a flat commit leaves exactly the spares of what it
-    /// superseded, and the next commit of each name claims its spare;
+    /// sinks claim the `_prev` their rotation evicts at a group commit, a
+    /// base retiring the chain, a new chain over the spares, a shard whose
+    /// record outran the commit point (no rotation: its record becomes a
+    /// spare) — leaves the same record names after every step whether each
+    /// commit's [`Superseded`] drops at once (a direct `put`) or is kept, in
+    /// both layouts. Kept, a flat commit leaves exactly the spares of what
+    /// it superseded, and the next commit of each name claims its spare;
     /// dropped, none is left. The content-addressed layout spares nothing.
     #[test]
     fn a_kept_commit_leaves_the_record_names_of_a_dropped_one_and_only_spares_besides() {
@@ -2408,10 +2481,12 @@ mod tests {
                 (Step::Delta(4, 2, 2), None, &[M]),
                 (Step::Base(full(Some(0), 4)), None, &[M]),
                 (Step::Base(full(Some(0), 5)), Some(4), &[M]),
-                (Step::Base(full(Some(0), 6)), Some(5), &[M, R]),
-                (Step::Base(full(None, 6)), None, &[M, D1, D2, R]),
-                (Step::Delta(7, 6, 1), None, &[M, D2, R]),
-                (Step::Base(full(Some(0), 7)), Some(6), &[M, D2, R]),
+                (Step::Base(full(Some(0), 6)), Some(5), &[M]),
+                (Step::Base(full(None, 6)), None, &[M, D1, D2]),
+                (Step::Delta(7, 6, 1), None, &[M, D2]),
+                (Step::Base(full(Some(0), 7)), Some(6), &[M, D2]),
+                (Step::Base(full(Some(0), 8)), None, &[M, D2, R]),
+                (Step::Base(full(Some(0), 9)), Some(8), &[M, D2, R]),
             ];
             for (step, (record, commit_at, spares)) in script.into_iter().enumerate() {
                 if let Some(count) = commit_at {
@@ -2454,8 +2529,8 @@ mod tests {
                 );
             }
             assert_eq!(
-                kept.get(Some(0), Some(6)).unwrap(),
-                dropped.get(Some(0), Some(6)).unwrap()
+                kept.get(Some(0), Some(8)).unwrap(),
+                dropped.get(Some(0), Some(8)).unwrap()
             );
             fs::remove_dir_all(&dropped_dir).unwrap();
             fs::remove_dir_all(&kept_dir).unwrap();
@@ -3357,13 +3432,13 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A shard chain an older release left still folds, its offsets
+    /// relative to the shard's payload (the owned block), not the field.
     #[test]
     #[allow(clippy::single_range_in_vec_init)] // ranges here are span data
     fn shard_delta_chain_merges_relative_to_shard_payload() {
         let dir = tmpdir("delta_shard");
         let store = CheckpointStore::new(&dir).unwrap();
-        // Shard payloads are owned-block extractions; offsets in shard
-        // deltas are relative to that payload, not the full field.
         let shard_bytes: Vec<u8> = (0..64u8).collect();
         let meta = SnapshotMeta {
             mode_tag: "dist4".into(),
@@ -3378,27 +3453,20 @@ mod tests {
             ))
             .unwrap();
 
-        let patch = [9u8; 8];
+        let mut expect = shard_bytes.clone();
+        expect[16..24].copy_from_slice(&[9u8; 8]);
+        let patched = SharedVec::from_vec(expect.clone());
         let mut dm = delta_meta(6, 5, 1, Some(2));
         dm.nranks = 4;
-        store
-            .put(&Record::Delta(
-                &dm,
-                &[(
-                    "G",
-                    DeltaSource::DirtyBytes {
-                        full_len: 64,
-                        ranges: &[16..24],
-                        payload: &patch,
-                    },
-                )],
-            ))
-            .unwrap();
+        let sparse = DeltaSource::DirtyCell {
+            cell: &patched,
+            ranges: &[16..24],
+        };
+        legacy_delta(&store, &Record::Delta(&dm, &[("G", sparse)]));
         let merged = store.get(Some(2), None).unwrap().unwrap();
         assert_eq!(merged.count, 6);
-        let mut expect = shard_bytes.clone();
-        expect[16..24].copy_from_slice(&patch);
         assert_eq!(merged.field("G").unwrap(), expect.as_slice());
+        assert_eq!(store.get(Some(2), Some(6)).unwrap().unwrap(), merged);
         // Master chain is untouched by shard deltas.
         assert!(store.get(None, None).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();

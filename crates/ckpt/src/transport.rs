@@ -19,8 +19,8 @@
 //! * **superseded, spared for the caller** — a commit publishes the new
 //!   record and answers [`Superseded`]: its byte count plus the *spare*
 //!   names it gave the stored files it superseded (the record it renamed
-//!   over, a shard's evicted `_prev`, a retired chain's deltas). Every
-//!   record name is in place when `commit` returns. The checkpoint module
+//!   over, a retired chain's deltas). Every record name is in place when
+//!   `commit` returns. The checkpoint module
 //!   and the checkpoint service's lanes keep the spares, so the next save
 //!   of each key rewrites the file that key last retired
 //!   ([`crate::hook`]); a direct [`CkptTransport::put`] drops the value at
@@ -61,7 +61,8 @@
 //!
 //! **A chain lives only on disk**, and the disk store keeps it: committing
 //! a base retires that chain's deltas, and the group-commit point is the
-//! store's own (`CheckpointStore::commit_group`). Memory holds whole
+//! store's own (`CheckpointStore::commit_group`). Only the master has a
+//! chain: the store refuses a shard's delta key. Memory holds whole
 //! records: its `begin` refuses a delta key, and its lend is the held
 //! record itself, pinned to that record's safe point or refused from its
 //! header.
@@ -93,7 +94,8 @@ pub struct RecordKey {
     /// chain.
     pub rank: Option<u32>,
     /// `Some(seq)` = delta `seq` (1-based) of the chain; `None` = its full
-    /// base record.
+    /// base record. Only the master's chain takes deltas: a store refuses
+    /// a shard's delta key.
     pub delta: Option<u32>,
 }
 

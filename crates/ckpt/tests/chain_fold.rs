@@ -21,6 +21,7 @@ use ppar_ckpt::store::{DeltaSource, FieldSource, Record, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
 use ppar_ckpt::{CheckpointStore, DeltaMeta, RecordKey, Snapshot};
 use ppar_core::error::{PparError, Result};
+use ppar_core::shared::SharedVec;
 
 const TAG: &str = "seq";
 /// Offsets into a delta record with mode tag [`TAG`]: magic 8, version 4,
@@ -67,14 +68,14 @@ impl Rng {
 enum Patch {
     Whole(Vec<u8>),
     /// `(offset, bytes)` in order; ranges may overlap, the last one wins.
-    Sparse(u64, Vec<(usize, Vec<u8>)>),
+    Sparse(Vec<(usize, Vec<u8>)>),
 }
 
 impl Patch {
     fn apply(&self, bytes: &mut Vec<u8>) {
         match self {
             Patch::Whole(whole) => bytes.clone_from(whole),
-            Patch::Sparse(_, ranges) => {
+            Patch::Sparse(ranges) => {
                 for (off, patch) in ranges {
                     bytes[*off..off + patch.len()].copy_from_slice(patch);
                 }
@@ -125,7 +126,7 @@ fn chain(seed: u64) -> Chain {
                             (off, rng.some_bytes(0, bytes.len() - off))
                         })
                         .collect();
-                    Patch::Sparse(bytes.len() as u64, ranges)
+                    Patch::Sparse(ranges)
                 }
             };
             patch.apply(bytes);
@@ -161,31 +162,31 @@ fn put_base(t: &dyn CkptTransport, base: &Snapshot) {
     t.put(&Record::Full(&base.meta(), &fields)).unwrap();
 }
 
-/// Put `c` into `t` through the golden encoder.
+/// Put `c` into `t` through the golden encoder. A sparse patch's ranges
+/// carry the bytes the field holds after its delta: where they overlap,
+/// every one of them carries what the last one writes, so the fold lands
+/// on the same state.
 fn put_chain(t: &dyn CkptTransport, c: &Chain) {
     put_base(t, &c.base);
     for (seq, (count, fields)) in (1..).zip(&c.deltas) {
-        let spans: Vec<(Vec<Range<usize>>, Vec<u8>)> = fields
+        let after = &c.states[seq as usize];
+        let sparse: Vec<(SharedVec<u8>, Vec<Range<usize>>)> = fields
             .iter()
-            .map(|(_, patch)| match patch {
-                Patch::Whole(_) => (Vec::new(), Vec::new()),
-                Patch::Sparse(_, ranges) => (
+            .map(|(name, patch)| match patch {
+                Patch::Whole(_) => (SharedVec::new(0, 0), Vec::new()),
+                Patch::Sparse(ranges) => (
+                    SharedVec::from_vec(after.field(name).unwrap().to_vec()),
                     ranges.iter().map(|(off, b)| *off..off + b.len()).collect(),
-                    ranges.iter().flat_map(|(_, b)| b.iter().copied()).collect(),
                 ),
             })
             .collect();
         let sources: Vec<_> = fields
             .iter()
-            .zip(&spans)
-            .map(|((name, patch), (ranges, payload))| {
+            .zip(&sparse)
+            .map(|((name, patch), (cell, ranges))| {
                 let source = match patch {
                     Patch::Whole(b) => DeltaSource::Full(FieldSource::Bytes(b)),
-                    Patch::Sparse(full_len, _) => DeltaSource::DirtyBytes {
-                        full_len: *full_len,
-                        ranges,
-                        payload,
-                    },
+                    Patch::Sparse(..) => DeltaSource::DirtyCell { cell, ranges },
                 };
                 (name.as_str(), source)
             })
@@ -385,11 +386,10 @@ fn large_pair(store: &CheckpointStore, len: usize) {
         fields: vec![("G".into(), rng.bytes(len))],
     };
     put_base(store, &base);
-    let payload = rng.bytes(len);
-    let dense = DeltaSource::DirtyBytes {
-        full_len: len as u64,
+    let payload = SharedVec::from_vec(rng.bytes(len));
+    let dense = DeltaSource::DirtyCell {
+        cell: &payload,
         ranges: &[0..len],
-        payload: &payload,
     };
     store
         .put(&Record::Delta(&delta_meta(11, 10, 1), &[("G", dense)]))
@@ -565,18 +565,12 @@ fn a_chain_above_the_split_size_folds_to_the_state_it_describes() {
     let mut rng = Rng(0x5eed);
     let grown = LARGE + 777;
     let patches = [
-        Patch::Sparse(
-            LARGE as u64,
-            vec![
-                (1000, rng.bytes(LARGE - 5000)),
-                (LARGE / 2 - 10, rng.bytes(20)),
-            ],
-        ),
+        Patch::Sparse(vec![
+            (1000, rng.bytes(LARGE - 5000)),
+            (LARGE / 2 - 10, rng.bytes(20)),
+        ]),
         Patch::Whole(rng.bytes(grown)),
-        Patch::Sparse(
-            grown as u64,
-            vec![(0, rng.bytes(grown)), (grown / 2 - 3, rng.bytes(9))],
-        ),
+        Patch::Sparse(vec![(0, rng.bytes(grown)), (grown / 2 - 3, rng.bytes(9))]),
         Patch::Whole(rng.bytes(LARGE)),
     ];
     let mut state = Snapshot {

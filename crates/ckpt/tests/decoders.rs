@@ -33,6 +33,7 @@ use ppar_ckpt::transport::{CkptTransport, RecordKey};
 use ppar_ckpt::{CheckpointStore, ChunkDigest, ChunkRef, DeltaMeta, Manifest};
 use ppar_core::error::{PparError, Result};
 use ppar_core::runtime::{LoopFrame, RegionCursor};
+use ppar_core::shared::SharedVec;
 
 const TAG: &str = "seq";
 /// Offset of the mode tag's `u64` length prefix in either format.
@@ -85,13 +86,16 @@ fn delta_meta() -> DeltaMeta {
 /// A delta over [`full_record`]: two sparse ranges into `G`, `energy` whole.
 fn delta_record(seed: u64) -> Vec<u8> {
     let (ranges, sparse, whole) = ([8..24, 40..48], seeded(seed + 2, 24), seeded(seed + 3, 8));
+    let mut g = vec![0u8; 96];
+    g[8..24].copy_from_slice(&sparse[..16]);
+    g[40..48].copy_from_slice(&sparse[16..]);
+    let g = SharedVec::from_vec(g);
     let fields = [
         (
             "G",
-            DeltaSource::DirtyBytes {
-                full_len: 96,
+            DeltaSource::DirtyCell {
+                cell: &g,
                 ranges: &ranges,
-                payload: &sparse,
             },
         ),
         ("energy", DeltaSource::Full(FieldSource::Bytes(&whole))),

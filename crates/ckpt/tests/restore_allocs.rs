@@ -27,6 +27,7 @@ use ppar_ckpt::transport::CkptTransport;
 use ppar_ckpt::{CheckpointModule, CheckpointStore, DeltaMeta, MemTransport};
 use ppar_core::ctx::{CkptHook, Ctx, RunShared, SeqEngine};
 use ppar_core::plan::{Plan, Plug, PointSet};
+use ppar_core::shared::SharedVec;
 use ppar_core::state::Registry;
 
 /// Allocations at least this large are "record-sized".
@@ -118,10 +119,10 @@ fn put_dense_chain(t: &dyn CkptTransport, field: usize) -> Vec<u8> {
             nranks: 1,
         };
         last = payload(field, seq as u8);
-        let dense = DeltaSource::DirtyBytes {
-            full_len: field as u64,
+        let cell = SharedVec::from_vec(last.clone());
+        let dense = DeltaSource::DirtyCell {
+            cell: &cell,
             ranges: &[0..field],
-            payload: &last,
         };
         t.put(&Record::Delta(&meta, &[("S", dense)])).unwrap();
     }

@@ -294,7 +294,9 @@ pub enum Plug {
     /// a full snapshot taken every `full_every` deltas (chain promotion).
     /// Restart folds the base full snapshot plus the delta chain back into
     /// the complete state. Fields whose containers do not track writes are
-    /// stored whole inside each delta.
+    /// stored whole inside each delta. It governs master records only: a
+    /// local-snapshot shard is saved as a full record at every save,
+    /// patched in place where it can be.
     IncrementalCkpt {
         /// Maximum delta-chain length before the next snapshot is promoted
         /// to a full one (values below 1 are treated as 1).

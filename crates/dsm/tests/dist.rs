@@ -448,8 +448,9 @@ fn incremental_master_collect_crash_restart() {
 
 #[test]
 fn incremental_local_snapshot_crash_restart() {
-    // Per-element shard chains: every rank persists base + deltas of only
-    // its owned block (dirty ranges clamped to the partition).
+    // Incremental mode governs the master chain only: every rank persists
+    // its owned block as a full shard record at every save (patched where
+    // it can be), and no shard delta is ever written.
     let expected = sequential_reference();
     let dir = tmpdir("inc_local");
     let plan = Arc::new(
@@ -457,7 +458,7 @@ fn incremental_local_snapshot_crash_restart() {
             .plug(Plug::IncrementalCkpt { full_every: 4 }),
     );
 
-    // Snapshots at iterations 4 (base) and 8 (delta); crash at 10.
+    // Snapshots at iterations 4 and 8, both full; crash at 10.
     let cfg = SpmdConfig::instant(4);
     run_spmd(
         &cfg,
@@ -466,14 +467,20 @@ fn incremental_local_snapshot_crash_restart() {
         false,
         |ctx| relax(ctx, Some(10)),
     );
-    for rank in 0..4 {
-        assert!(
-            dir.join(format!("ckpt_rank_{rank}_delta_1.bin")).exists(),
-            "rank {rank} must have a shard delta"
-        );
-    }
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        !names.iter().any(|n| n.contains("_delta_")),
+        "no shard delta may be written: {names:?}"
+    );
     let store = ppar_ckpt::CheckpointStore::new(&dir).unwrap();
     assert_eq!(store.committed_count().unwrap(), Some(8));
+    for rank in 0..4 {
+        let shard = store.get(Some(rank), Some(8)).unwrap().unwrap();
+        assert_eq!(shard.count, 8, "rank {rank}: a full shard record at 8");
+    }
 
     let results = run_spmd(
         &cfg,

@@ -19,9 +19,9 @@
 //! opportunistic. A failed network put wipes the mirror — after a
 //! fault the local generations can no longer be trusted to match what the
 //! root will serve, and a stale hit here would restore state diverging
-//! from the group. Delta records are not mirrored (a slot holds one whole
-//! record; a chain lives only in the root's store): the mirror serves only
-//! exact-count full-snapshot hits, and the network everything else.
+//! from the group. A shard is saved as one full record at every save, so
+//! every save a slot sees is a generation it can serve: the mirror serves
+//! exact-count hits, and the network everything else.
 //!
 //! The mirror only moves records, like every medium: a slot holds the very
 //! bytes the root stores, CRC trailer included, and what a save cost in
@@ -82,16 +82,14 @@ impl MirrorTransport {
 }
 
 /// The mirror's sink for shard records: every byte goes to the network
-/// sink, whose verdict is the caller's; a full shard record is copied into
-/// the older local slot on the same pass.
+/// sink, whose verdict is the caller's; the record is copied into the
+/// older local slot on the same pass.
 struct TeeSink<'a> {
     mirror: &'a MirrorTransport,
     net: Box<dyn RecordSink + 'a>,
     slot: usize,
-    /// The slot's sink while the local copy is intact. `None` for delta
-    /// records, which are not mirrored.
+    /// The slot's sink while the local copy is intact.
     local: Option<Box<dyn RecordSink + 'a>>,
-    delta: bool,
 }
 
 impl Write for TeeSink<'_> {
@@ -117,15 +115,9 @@ impl RecordSink for TeeSink<'_> {
             net,
             slot,
             local,
-            delta,
         } = *self;
         let written = net.commit().inspect_err(|_| mirror.wipe())?;
-        if delta {
-            // A chain over a mirrored base would make the local
-            // generation's merged count drift from what the group restores:
-            // fail the mirror closed and let restores fall through.
-            mirror.wipe();
-        } else if local.is_some_and(|local| local.commit().is_ok()) {
+        if local.is_some_and(|local| local.commit().is_ok()) {
             mirror.next.store(slot ^ 1, Ordering::Relaxed);
         } else {
             // Local tee failure only disables the fast lane.
@@ -151,16 +143,12 @@ impl CkptTransport for MirrorTransport {
             return Ok(net);
         }
         let slot = self.next.load(Ordering::Relaxed);
-        let local = match key.delta {
-            None => self.slots[slot].begin(key, len_hint).ok(),
-            Some(_) => None,
-        };
+        let local = self.slots[slot].begin(key, len_hint).ok();
         Ok(Box::new(TeeSink {
             mirror: self,
             net,
             slot,
             local,
-            delta: key.delta.is_some(),
         }))
     }
 
@@ -322,8 +310,11 @@ mod tests {
         assert_eq!(mirror.local_hits(), 1, "no further local hits");
     }
 
+    /// A shard delta is refused by the store behind the network, so the
+    /// put fails and, as after any failed network put, the mirror is
+    /// wiped: the store's record, still the last full one, serves.
     #[test]
-    fn delta_saves_disable_the_mirror() {
+    fn a_shard_delta_is_refused_and_the_store_serves() {
         let dir = std::env::temp_dir().join(format!("ppar_mirror_delta_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mirror = MirrorTransport::new(Arc::new(CheckpointStore::new_flat(&dir).unwrap()));
@@ -336,18 +327,24 @@ mod tests {
             rank: Some(3),
             nranks: 4,
         };
-        mirror
-            .put(&Record::Delta(
-                &dm,
-                &[("G", DeltaSource::Full(FieldSource::Bytes(&[2u8; 16])))],
-            ))
-            .unwrap();
-        // Count 10 would now under-serve the merged chain: the mirror
-        // must not answer.
-        assert_eq!(mirror.get(Some(3), Some(20)).unwrap().unwrap().count, 20);
+        let refused = mirror.put(&Record::Delta(
+            &dm,
+            &[("G", DeltaSource::Full(FieldSource::Bytes(&[2u8; 16])))],
+        ));
+        assert!(
+            matches!(refused, Err(PparError::InvalidPlan(_))),
+            "{refused:?}"
+        );
+        let key = RecordKey::full(Some(3));
+        assert!(mirror
+            .slots()
+            .iter()
+            .all(|slot| slot.record_bytes(key).is_none()));
+        assert_eq!(mirror.get(Some(3), Some(10)).unwrap().unwrap().count, 10);
         assert_eq!(mirror.local_hits(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
     /// A pinned read that misses both slots is decided from their record
     /// headers: no slot runs `read`, the network's record is lent to it
     /// exactly once. (That a miss copies no payload either is counted in

@@ -1148,6 +1148,7 @@ mod tests {
     use crate::tcp::{NetConfig, TcpFabric};
     use ppar_ckpt::store::{DeltaSource, FieldSource, Record, SnapshotMeta, SnapshotWriter};
     use ppar_ckpt::{CasConfig, CheckpointStore, DeltaMeta, MemTransport};
+    use ppar_core::shared::SharedVec;
     use std::path::PathBuf;
     use std::time::Duration;
 
@@ -1534,7 +1535,8 @@ mod tests {
     proptest::proptest! {
         /// Satellite: a record streamed through the service installs
         /// byte-identically to a local put (same golden encoder at both
-        /// ends) — full snapshots and sparse deltas, both into flat stores.
+        /// ends) — full snapshots and sparse master deltas, both into flat
+        /// stores.
         #[test]
         fn prop_streamed_install_is_byte_identical_to_buffered(
             seed in proptest::prelude::any::<u64>(),
@@ -1566,27 +1568,29 @@ mod tests {
                 count: 21,
                 base_count: 20,
                 seq: 1,
-                rank: Some(1),
+                rank: None,
                 nranks: 2,
             };
             let ranges = [patch_at..patch_at + patch.len()];
+            let mut patched = payloads[0].clone();
+            patched[ranges[0].clone()].copy_from_slice(&patch);
+            let patched = SharedVec::from_vec(patched);
             let dirty = [(
                 names[0].as_str(),
-                DeltaSource::DirtyBytes {
-                    full_len: len as u64,
+                DeltaSource::DirtyCell {
+                    cell: &patched,
                     ranges: &ranges,
-                    payload: &patch,
                 },
             )];
             let put = |t: &dyn CkptTransport| {
-                t.put(&Record::Full(&meta(20, Some(1), 2), &fields)).unwrap();
+                t.put(&Record::Full(&meta(20, None, 2), &fields)).unwrap();
                 if !patch.is_empty() {
                     t.put(&Record::Delta(&dm, &dirty)).unwrap();
                 }
             };
             let files = |dir: &PathBuf| {
                 let read = |name: &str| std::fs::read(dir.join(name)).ok();
-                (read("ckpt_rank_1.bin"), read("ckpt_rank_1_delta_1.bin"))
+                (read("ckpt_master.bin"), read("ckpt_master_delta_1.bin"))
             };
 
             let root_dir = scratch_dir("prop_root");
@@ -1602,8 +1606,8 @@ mod tests {
     }
 
     /// Satellite: four ranks checkpoint concurrently through independent
-    /// lanes — interleaved bases and deltas — while a fifth dies
-    /// mid-stream. Survivors' chains land intact; the dead rank installs
+    /// lanes — two shard records each, interleaved — while a fifth dies
+    /// mid-stream. Survivors' records land intact; the dead rank installs
     /// nothing.
     #[test]
     fn concurrent_rank_pipelines_survive_mid_stream_peer_death() {
@@ -1651,26 +1655,11 @@ mod tests {
                         &[("G", FieldSource::Bytes(&base))],
                     ))
                     .unwrap();
-                    let dm = DeltaMeta {
-                        mode_tag: "tcp2".into(),
-                        count: 100 + r as u64,
-                        base_count: 99,
-                        seq: 1,
-                        rank: Some(r),
-                        nranks: N as u32,
-                    };
-                    let patch = vec![0xC0 + r as u8; 8];
-                    let ranges = [0usize..8];
-                    t.put(&Record::Delta(
-                        &dm,
-                        &[(
-                            "G",
-                            DeltaSource::DirtyBytes {
-                                full_len: base.len() as u64,
-                                ranges: &ranges,
-                                payload: &patch,
-                            },
-                        )],
+                    let mut next = base;
+                    next[..8].fill(0xC0 + r as u8);
+                    t.put(&Record::Full(
+                        &meta(100 + r as u64, Some(r), N as u32),
+                        &[("G", FieldSource::Bytes(&next))],
                     ))
                     .unwrap();
                     // Concurrent restore while other lanes still stream.
@@ -1867,25 +1856,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Local-snapshot shards through a lane: once a shard's saves rewrite
-    /// the `_prev` its rotation evicted, a pinned read at the last group
-    /// commit still serves the previous generation from `_prev`.
+    /// Local-snapshot shards through a lane: once the group has committed
+    /// a shard's record, its next save claims the `_prev` its rotation
+    /// evicts and rewrites it, and a pinned read at the last group commit
+    /// still serves the previous generation from the new `_prev`.
     #[cfg(unix)]
     #[test]
     fn lane_recycled_shard_keeps_its_previous_generation() {
         let dir = scratch_dir("lane_shard_prev");
         let store = Arc::new(CheckpointStore::new_flat(&dir).unwrap());
         let shard = dir.join("ckpt_rank_1.bin");
-        let spare = dir.join("ckpt_rank_1.bin.spare");
+        let prev = dir.join("ckpt_rank_1_prev.bin");
         two_rank_over(
             store.clone(),
             |t| {
                 for count in 1..=5 {
-                    let claimable = ino(&spare);
+                    let claimable = ino(&prev);
                     save(t, count, Some(1));
-                    if count >= 4 {
-                        assert!(claimable.is_some(), "save {count}: no spare on the root");
-                        assert_eq!(ino(&shard), claimable, "save {count}: spare not rewritten");
+                    if count >= 3 {
+                        assert!(claimable.is_some(), "save {count}: no `_prev` on the root");
+                        assert_eq!(
+                            ino(&shard),
+                            claimable,
+                            "save {count}: `_prev` not rewritten"
+                        );
                     }
                     if count >= 2 {
                         let prev = t.get(Some(1), Some(count - 1)).unwrap().unwrap();

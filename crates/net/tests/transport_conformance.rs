@@ -12,9 +12,11 @@
 //! every pair of media and compares bytes. A medium only moves records: the
 //! suite commits the group on the store behind each subject (for a wire
 //! client or the mirror, the root's), which is where a run commits, and a
-//! chain's lifecycle is what that store does when a base commits.
+//! chain's lifecycle is what that store does when a master base commits. A
+//! shard grows no chain: every medium refuses a shard delta key.
 
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -235,6 +237,28 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
     );
     assert_eq!(merged_bytes(t, Some(2)).unwrap(), shard.encode(), "{name}");
 
+    // -- a shard grows no chain: every medium refuses its delta key ----------
+    let refused = api::put_delta(
+        t,
+        &delta_meta(12, 10, 1, Some(2)),
+        &[("G", DeltaSource::Full(FieldSource::Bytes(&g[..8])))],
+    );
+    assert!(refused.is_err(), "{name}: a shard delta key is refused");
+    assert!(
+        api::install(t, (Some(2), Some(1)), &shard.encode(), true).is_err(),
+        "{name}: a raw install under a shard delta key"
+    );
+    assert_eq!(
+        api::get(t, Some(2), None).unwrap().unwrap(),
+        shard,
+        "{name}"
+    );
+    assert!(
+        api::get(t, Some(2), Some(12)).is_err(),
+        "{name}: no chain to pin"
+    );
+    assert_eq!((s.artefacts)(), Vec::<String>::new(), "{name}");
+
     if s.holds_chains {
         chains(name, s, &g, &master);
     } else {
@@ -312,7 +336,7 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
     // -- so does an aborted raw install -------------------------------------
     api::install(t, (None, None), b"partial garbage", false).unwrap();
     if s.holds_chains {
-        api::install(t, (Some(1), Some(1)), b"partial garbage", false).unwrap();
+        api::install(t, (None, Some(1)), b"partial garbage", false).unwrap();
     }
     assert_eq!(api::get(t, None, None).unwrap().unwrap(), before, "{name}");
     assert_eq!((s.artefacts)(), Vec::<String>::new(), "{name}");
@@ -337,8 +361,8 @@ fn write_and_key_side(name: &str, s: &Subject<'_>) {
         "{name}: a shard record under the master key"
     );
     assert!(
-        api::install(t, (Some(3), Some(1)), &raw.encode(), true).is_err(),
-        "{name}: a full record under a delta key"
+        api::install(t, (None, Some(1)), &raw.encode(), true).is_err(),
+        "{name}: a full shard record under a master delta key"
     );
     assert_eq!(api::get(t, None, None).unwrap().unwrap(), before, "{name}");
     assert_eq!(api::get(t, Some(3), None).unwrap().unwrap(), raw, "{name}");
@@ -375,79 +399,67 @@ fn commit(s: &Subject<'_>, count: u64) {
     }
 }
 
-/// The chain part of the write side, for a medium that holds chains: deltas
-/// over the master and shard 2 fold into their bases; a base put retires
-/// its own chain and no other, and a refused one retires nothing; base + 3
-/// deltas read as a full put of the same state.
+/// The chain part of the write side, for a medium that holds chains: a
+/// delta over the master folds into its base; a master base put retires
+/// the chain, a refused one or a shard's retires nothing; base + 3 deltas
+/// read as a full put of the same state.
 #[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
 fn chains(name: &str, s: &Subject<'_>, g: &[u8], master: &Snapshot) {
     let t = s.t;
     let patch = [0xEEu8; 8];
+    let mut patched = g.to_vec();
+    patched[16..24].copy_from_slice(&patch);
+    let patched = SharedVec::from_vec(patched);
     api::put_delta(
         t,
         &delta_meta(12, 10, 1, None),
         &[(
             "G",
-            DeltaSource::DirtyBytes {
-                full_len: g.len() as u64,
+            DeltaSource::DirtyCell {
+                cell: &patched,
                 ranges: &[16..24],
-                payload: &patch,
             },
         )],
-    )
-    .unwrap();
-
-    api::put_delta(
-        t,
-        &delta_meta(13, 10, 1, Some(2)),
-        &[("G", DeltaSource::Full(FieldSource::Bytes(&g[..100])))],
     )
     .unwrap();
     let merged = api::get(t, None, None).unwrap().unwrap();
     assert_eq!(merged.count, 12, "{name}");
     assert_eq!(&merged.field("G").unwrap()[16..24], &patch, "{name}");
     assert_eq!(&merged.field("G").unwrap()[24..], &g[24..], "{name}");
-    let merged = api::get(t, Some(2), None).unwrap().unwrap();
-    assert_eq!(
-        (merged.count, merged.field("G").unwrap()),
-        (13, &g[..100]),
-        "{name}"
-    );
 
     // -- a refused base put retires nothing ---------------------------------
+    let shard = snapshot(14, Some(2), &g[100..4100]);
     assert!(
-        api::install(t, (Some(2), None), &master.encode(), true).is_err(),
-        "{name}: the master's record under shard 2's key"
+        api::install(t, (None, None), &shard.encode(), true).is_err(),
+        "{name}: shard 2's record under the master's key"
     );
     let short = ShortCell { probe: &|| {} };
-    let cut = api::put_full(t, &meta(14, Some(2)), &[("G", FieldSource::Cell(&short))]);
+    let cut = api::put_full(t, &meta(14, None), &[("G", FieldSource::Cell(&short))]);
     assert!(cut.is_err(), "{name}: a base that streams short");
     assert_eq!(
-        api::get(t, Some(2), None).unwrap().unwrap().count,
-        13,
+        api::get(t, None, None).unwrap().unwrap().count,
+        12,
         "{name}: the chain outlives a refused base"
     );
     assert_eq!((s.artefacts)(), Vec::<String>::new(), "{name}");
 
-    // -- a committed base retires its own chain, and only its own -------------
-    let base = snapshot(14, Some(2), &g[100..4100]);
-    put_snapshot(t, &base);
-    assert_eq!(
-        api::get(t, Some(2), None).unwrap().unwrap(),
-        base,
-        "{name}: no delta of the old chain survives"
-    );
-    assert!(
-        api::get(t, Some(2), Some(13)).is_err(),
-        "{name}: a pin at the old tip is refused"
-    );
+    // -- neither does a shard's base; the master's retires the chain ---------
+    put_snapshot(t, &shard);
     assert_eq!(
         api::get(t, None, None).unwrap().unwrap().count,
         12,
         "{name}: the master chain keeps its delta"
     );
     put_snapshot(t, master);
-    assert_eq!(api::get(t, None, None).unwrap().unwrap(), *master, "{name}");
+    assert_eq!(
+        api::get(t, None, None).unwrap().unwrap(),
+        *master,
+        "{name}: no delta of the old chain survives"
+    );
+    assert!(
+        api::get(t, None, Some(12)).is_err(),
+        "{name}: a pin at the old tip is refused"
+    );
 
     // -- base + 3 deltas == a full put of the same state --------------------
     let cell = SharedVec::from_vec((0..6000).map(|i| i as f64 * 0.5).collect());
@@ -523,132 +535,127 @@ fn read_shapes(
     Ok(owned)
 }
 
-/// The read side, one chain shape after another on shard 7's chain: after
-/// every step all three shapes equal a full snapshot of the same state, at
-/// the tip and at every safe point the chain passed through.
+/// One field of one step of [`read_side`]'s chain.
+enum Patch<'a> {
+    Whole(&'a [u8]),
+    /// Ranges of the field and their new bytes, concatenated.
+    Sparse(Vec<Range<usize>>, Vec<u8>),
+}
+
+/// The read side, one chain shape after another on the master's chain:
+/// after every step all three shapes equal a full snapshot of the same
+/// state, at the tip and at every safe point the chain passed through.
+/// Then shard 7's generations: a torn newer one, over which no delta is
+/// taken, and the one kept at the commit point.
 #[allow(clippy::single_range_in_vec_init)] // dirty ranges are span data
 fn read_side(name: &str, s: &Subject<'_>) {
-    const RANK: Option<u32> = Some(7);
+    const SHARD: Option<u32> = Some(7);
     let t = s.t;
-    let shapes = |at: Option<u64>| read_shapes(name, t, RANK, at);
+    let shapes = |rank: Option<u32>, at: Option<u64>| read_shapes(name, t, rank, at);
     let g: Vec<u8> = (0..9000u32).map(|i| (i * 13) as u8).collect();
-    let state = |count: u64, g: &[u8], cursor: &[u8]| Snapshot {
+    let state = |rank: Option<u32>, count: u64, g: &[u8], cursor: &[u8]| Snapshot {
         fields: vec![
             ("G".into(), g.to_vec()),
             ("cursor".into(), cursor.to_vec()),
             ("energy".into(), 1.5f64.to_le_bytes().to_vec()),
         ],
-        ..snapshot(count, RANK, &[])
+        ..snapshot(count, rank, &[])
     };
 
     // -- nothing held: `read` does not run, pinned or not ---------------------
-    assert_eq!(shapes(None).unwrap(), None, "{name}");
-    assert_eq!(shapes(Some(100)).unwrap(), None, "{name}");
+    assert_eq!(shapes(SHARD, None).unwrap(), None, "{name}");
+    assert_eq!(shapes(SHARD, Some(100)).unwrap(), None, "{name}");
 
     // -- no chain ---------------------------------------------------------------
-    let mut model = state(100, &g, b"cursor@100");
+    let mut model = state(None, 100, &g, b"cursor@100");
     put_snapshot(t, &model);
     let mut passed = vec![model.clone()];
 
     // -- sparse, dense, and a field whose length changes (the cursor) ---------
     let dense: Vec<u8> = g.iter().map(|b| b ^ 0x5a).collect();
-    let steps: [&[(&str, DeltaSource<'_>)]; 4] = [
+    let steps: Vec<Vec<(&str, Patch<'_>)>> = vec![
         // Two sparse patches; the cursor keeps its length, so it lands in
         // the record like any same-length whole field.
-        &[
-            (
-                "G",
-                DeltaSource::DirtyBytes {
-                    full_len: 9000,
-                    ranges: &[16..24, 8000..8004],
-                    payload: &[0xEE; 12],
-                },
-            ),
-            (
-                "cursor",
-                DeltaSource::Full(FieldSource::Bytes(b"cursor@110")),
-            ),
+        vec![
+            ("G", Patch::Sparse(vec![16..24, 8000..8004], vec![0xEE; 12])),
+            ("cursor", Patch::Whole(b"cursor@110")),
         ],
         // Dense: every byte of G dirty.
-        &[(
-            "G",
-            DeltaSource::DirtyBytes {
-                full_len: 9000,
-                ranges: &[0..9000],
-                payload: &dense,
-            },
-        )],
+        vec![("G", Patch::Sparse(vec![0..9000], dense.clone()))],
         // The cursor grows...
-        &[(
-            "cursor",
-            DeltaSource::Full(FieldSource::Bytes(b"a much longer cursor @130")),
-        )],
+        vec![("cursor", Patch::Whole(b"a much longer cursor @130"))],
         // ...shrinks below where it started, and G is patched again.
-        &[
-            ("cursor", DeltaSource::Full(FieldSource::Bytes(b"@140"))),
-            (
-                "G",
-                DeltaSource::DirtyBytes {
-                    full_len: 9000,
-                    ranges: &[20..22],
-                    payload: &[1, 2],
-                },
-            ),
+        vec![
+            ("cursor", Patch::Whole(b"@140")),
+            ("G", Patch::Sparse(vec![20..22], vec![1, 2])),
         ],
     ];
     // A medium that holds no chain serves its one record, and only at its
     // own safe point.
-    let steps = if s.holds_chains { &steps[..] } else { &[] };
-    for (seq, fields) in (1u32..).zip(steps) {
+    let steps = if s.holds_chains { steps } else { Vec::new() };
+    for (seq, fields) in (1u32..).zip(&steps) {
         let count = 100 + 10 * seq as u64;
-        api::put_delta(t, &delta_meta(count, 100, seq, RANK), fields).unwrap();
         model.count = count;
-        for (field, source) in fields.iter() {
-            let slot = model.fields.iter_mut().find(|(n, _)| n == field).unwrap();
-            match source {
-                DeltaSource::Full(FieldSource::Bytes(whole)) => slot.1 = whole.to_vec(),
-                DeltaSource::DirtyBytes {
-                    ranges, payload, ..
-                } => {
-                    let mut rest = *payload;
-                    for r in ranges.iter() {
+        // A sparse field's ranges stream from a cell holding the field as
+        // the step leaves it.
+        let mut cells = Vec::new();
+        for (field, patch) in fields {
+            let slot = &mut model.fields.iter_mut().find(|(n, _)| n == field).unwrap().1;
+            match patch {
+                Patch::Whole(whole) => *slot = whole.to_vec(),
+                Patch::Sparse(ranges, bytes) => {
+                    let mut rest = &bytes[..];
+                    for r in ranges {
                         let (bytes, tail) = rest.split_at(r.len());
-                        slot.1[r.clone()].copy_from_slice(bytes);
+                        slot[r.clone()].copy_from_slice(bytes);
                         rest = tail;
                     }
                 }
-                _ => unreachable!("the steps above use byte sources only"),
             }
+            cells.push(SharedVec::from_vec(slot.clone()));
         }
+        let sources: Vec<_> = fields
+            .iter()
+            .zip(&cells)
+            .map(|((field, patch), cell)| {
+                let source = match patch {
+                    Patch::Whole(whole) => DeltaSource::Full(FieldSource::Bytes(whole)),
+                    Patch::Sparse(ranges, _) => DeltaSource::DirtyCell { cell, ranges },
+                };
+                (*field, source)
+            })
+            .collect();
+        api::put_delta(t, &delta_meta(count, 100, seq, None), &sources).unwrap();
         passed.push(model.clone());
-        assert_eq!(shapes(None).unwrap().as_ref(), Some(&model), "{name}");
+        assert_eq!(shapes(None, None).unwrap().as_ref(), Some(&model), "{name}");
         // -- a pin serves the prefix that lands on it ---------------------------
         for at in &passed {
-            let got = shapes(Some(at.count)).unwrap();
+            let got = shapes(None, Some(at.count)).unwrap();
             assert_eq!(got.as_ref(), Some(at), "{name}: pinned at {}", at.count);
         }
     }
-    assert!(shapes(Some(115)).is_err(), "{name}: between two deltas");
-    assert!(shapes(Some(50)).is_err(), "{name}: before the base");
+    assert!(
+        shapes(None, Some(115)).is_err(),
+        "{name}: between two deltas"
+    );
+    assert!(shapes(None, Some(50)).is_err(), "{name}: before the base");
 
-    // -- a torn newer generation -------------------------------------------------
-    // Its base retires the chain, so the generation kept at the commit
-    // point is the bare base at 100.
+    // -- a torn newer shard generation ------------------------------------------
+    // The group commits shard 7 at 100; a newer generation is saved but
+    // never committed, and no delta extends it.
+    let committed = state(SHARD, 100, &g, b"cursor@100");
+    put_snapshot(t, &committed);
     commit(s, 100);
-    let torn = state(150, &dense, b"cursor@150");
-    put_snapshot(t, &torn); // the group never committed 150
+    let torn = state(SHARD, 150, &dense, b"cursor@150");
+    put_snapshot(t, &torn);
     let cursor = DeltaSource::Full(FieldSource::Bytes(b"@155"));
-    let tip = match api::put_delta(t, &delta_meta(155, 150, 1, RANK), &[("cursor", cursor)]) {
-        Ok(_) => state(155, &dense, b"@155"),
-        Err(_) if !s.holds_chains => torn.clone(),
-        Err(e) => panic!("{name}: {e}"),
-    };
-    assert_eq!(shapes(None).unwrap(), Some(tip.clone()), "{name}");
-    assert_eq!(shapes(Some(tip.count)).unwrap(), Some(tip), "{name}");
-    assert_eq!(shapes(Some(150)).unwrap(), Some(torn), "{name}");
-    assert!(shapes(Some(152)).is_err(), "{name}");
-    match shapes(Some(100)) {
-        Ok(committed) => assert_eq!(committed.as_ref(), Some(&passed[0]), "{name}"),
+    let refused = api::put_delta(t, &delta_meta(155, 150, 1, SHARD), &[("cursor", cursor)]);
+    assert!(refused.is_err(), "{name}: a shard grows no chain");
+    assert_eq!(shapes(SHARD, None).unwrap(), Some(torn.clone()), "{name}");
+    assert_eq!(shapes(SHARD, Some(150)).unwrap(), Some(torn), "{name}");
+    assert!(shapes(SHARD, Some(152)).is_err(), "{name}");
+    match shapes(SHARD, Some(100)) {
+        Ok(got) => assert_eq!(got, Some(committed), "{name}"),
         Err(_) => assert!(!s.keeps_generations, "{name}: the committed generation"),
     }
 }

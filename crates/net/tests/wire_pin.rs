@@ -4,11 +4,12 @@
 //! A recording [`Fabric`] wrapper sits on both ends of a two-rank loopback
 //! session and logs every checkpoint-tagged frame (`tag`, payload) in send
 //! order, one log per direction. The session drives one put of each key
-//! shape, a digest-negotiated put against a flat root (answered
-//! `ST_NODEDUP`) and against a content-addressed root (only the missing
-//! chunks ride the wire), a get, a count-pinned get and a get of a chain
-//! the root does not hold. The log must equal `fixtures/wire_pin.txt`: a
-//! change that moves a byte on the wire re-records it on purpose.
+//! shape — a shard delta's, which the root's store refuses, included — a
+//! digest-negotiated put against a flat root (answered `ST_NODEDUP`) and
+//! against a content-addressed root (only the missing chunks ride the
+//! wire), a get, a count-pinned get and a get of a chain the root does not
+//! hold. The log must equal `fixtures/wire_pin.txt`: a change that moves a
+//! byte on the wire re-records it on purpose.
 //!
 //! The fixture was recorded before the transport surface was rebuilt around
 //! `RecordKey` / `begin` / `put`, and re-recorded once since, when the wire
@@ -17,7 +18,11 @@
 //! request body. That re-recording changed only the request frames and
 //! dropped the steps of the control requests that went with it (the
 //! restart count and the delta clears); every record byte and every reply
-//! stayed as it was.
+//! stayed as it was. It was re-recorded a second time when shards stopped
+//! growing chains: the shard delta's request and data frames stayed as
+//! they were, the root now answers them with its store's refusal, and the
+//! shard's reads serve its one full record (the pinned one at that
+//! record's count).
 //!
 //! One `#[test]` in this binary on purpose: stream ids come from a
 //! process-wide counter and are part of the pinned bytes.
@@ -30,6 +35,7 @@ use ppar_ckpt::store::{DeltaSource, FieldSource, Record, Snapshot, SnapshotMeta}
 use ppar_ckpt::transport::CkptTransport;
 use ppar_ckpt::{CasConfig, CheckpointStore, ChunkDigest, DeltaMeta};
 use ppar_core::error::Result;
+use ppar_core::shared::SharedVec;
 use ppar_net::{free_loopback_addr, Fabric, NetConfig, NetTransport, Payload, TcpFabric, Traffic};
 
 /// The transport calls the session makes, in one place.
@@ -48,8 +54,8 @@ mod api {
         t: &dyn CkptTransport,
         meta: &DeltaMeta,
         fields: &[(&str, DeltaSource<'_>)],
-    ) -> u64 {
-        t.put(&Record::Delta(meta, fields)).expect("delta put")
+    ) -> Result<u64> {
+        t.put(&Record::Delta(meta, fields))
     }
 
     pub fn get(t: &dyn CkptTransport, rank: Option<u32>, at: Option<u64>) -> Option<Snapshot> {
@@ -189,7 +195,9 @@ fn checkpoint_service_frames_match_the_recorded_fixture() {
     }
     let logs = Logs::default();
     let g = payload(600, 1);
-    let patch = [0xEEu8; 8];
+    let mut patched = g.clone();
+    patched[16..24].fill(0xEE);
+    let patched = SharedVec::from_vec(patched);
 
     logs.step("flat root");
     let flat = CheckpointStore::new_flat(&flat_dir).unwrap();
@@ -201,21 +209,21 @@ fn checkpoint_service_frames_match_the_recorded_fixture() {
         logs.step("put shard 1");
         api::put_full(t, &meta(10, Some(1)), &[("G", FieldSource::Bytes(&g))]);
         logs.step("put master delta 1");
-        let sparse = DeltaSource::DirtyBytes {
-            full_len: g.len() as u64,
+        let sparse = DeltaSource::DirtyCell {
+            cell: &patched,
             ranges: &[16..24],
-            payload: &patch,
         };
-        api::put_delta(t, &delta_meta(12, 10, 1, None), &[("G", sparse)]);
-        logs.step("put shard 1 delta 1");
+        api::put_delta(t, &delta_meta(12, 10, 1, None), &[("G", sparse)]).expect("delta put");
+        logs.step("put shard 1 delta 1: refused");
         let whole = DeltaSource::Full(FieldSource::Bytes(&g[..100]));
-        api::put_delta(t, &delta_meta(12, 10, 1, Some(1)), &[("G", whole)]);
+        let refused = api::put_delta(t, &delta_meta(12, 10, 1, Some(1)), &[("G", whole)]);
+        assert!(refused.is_err(), "a shard delta is refused");
         logs.step("get master");
         assert_eq!(api::get(t, None, None).unwrap().count, 12);
         logs.step("get shard 1");
-        assert_eq!(api::get(t, Some(1), None).unwrap().count, 12);
-        logs.step("get shard 1 at 12");
-        assert_eq!(api::get(t, Some(1), Some(12)).unwrap().count, 12);
+        assert_eq!(api::get(t, Some(1), None).unwrap().count, 10);
+        logs.step("get shard 1 at 10");
+        assert_eq!(api::get(t, Some(1), Some(10)).unwrap().count, 10);
         logs.step("get shard 7: absent");
         assert!(api::get(t, Some(7), None).is_none());
     });
