@@ -872,8 +872,9 @@ fn a_tcp2_job_whose_save_fails_returns_the_error() {
 /// at its next collective), and under dist2 local snapshots on the element
 /// whose owned block was written, in its own shard's save (block 0 of its
 /// shard's payload). The message is taken where the save panics, on the
-/// line of execution that saved: a scoped rank thread's panic reaches the
-/// launcher as the scope's own.
+/// line of execution that saved; on one line and in a team it must also be
+/// what the launch unwinds with. A scoped rank thread's panic reaches the
+/// launcher as the scope's own, so the dist2 legs are held to the line's.
 #[cfg(debug_assertions)]
 #[test]
 fn a_missed_write_panics_the_next_save_in_every_deployment() {
@@ -925,14 +926,16 @@ fn a_missed_write_panics_the_next_save_in_every_deployment() {
                 })
             }));
             let said = said.into_inner().unwrap();
-            let _ = tx.send(launched.err().map(|_| said));
+            let _ = tx.send(launched.err().map(|panic| (panic_text(&*panic), said)));
         });
+        let oracle = |why: &str| why.contains("cached block CRC mismatch: field \"V\", block 0");
         match rx.recv_timeout(std::time::Duration::from_secs(60)) {
-            Ok(Some(said)) => assert!(
-                said.iter()
-                    .any(|why| { why.contains("cached block CRC mismatch: field \"V\", block 0") }),
-                "{tag}: {said:?}"
-            ),
+            Ok(Some((why, said))) => {
+                assert!(said.iter().any(|why| oracle(why)), "{tag}: {said:?}");
+                if !tag.starts_with("dist2") {
+                    assert!(why.as_deref().is_some_and(oracle), "{tag}: launch: {why:?}");
+                }
+            }
             Ok(None) => panic!("{tag}: a save over a missed write did not panic"),
             Err(_) => panic!("{tag}: the launch hangs"),
         }

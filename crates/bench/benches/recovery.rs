@@ -102,10 +102,11 @@ struct Workload {
     n: usize,
     iters: usize,
     every: usize,
-    /// `PPAR_CHAOS_KILL` nth for the barrier site: pinned so the victim
-    /// dies inside the barrier that opens the final checkpoint
-    /// (contribution sent, release never received), so both arms replay
-    /// the same work from the same group commit.
+    /// `PPAR_CHAOS_KILL` nth for the all-reduce site: pinned so the
+    /// victim dies right after the *last* group commit (contribution sent
+    /// into the agreement that commits the final checkpoint, result never
+    /// received) — the repair then replays the minimum of real work and
+    /// the measurement isolates the recovery machinery.
     kill_nth: usize,
     /// Wire cap in bytes/s, applied to every rank's sends.
     throttle: u64,
@@ -135,13 +136,13 @@ impl Workload {
                 &[
                     (
                         chaos::ENV_KILL,
-                        format!("{VICTIM}:barrier:{}", self.kill_nth),
+                        format!("{VICTIM}:allreduce:{}", self.kill_nth),
                     ),
                     // The kill must land strictly *after* the checkpoint's
-                    // group commit: rank 0 only commits once every peer's
-                    // post-save contribution is gathered, and the fault
-                    // flag fails that gather fast — so hold the abort
-                    // until the slowest peer has cleared the barrier.
+                    // group commit, which rank 0 takes once the saves are
+                    // agreed, and the fault flag fails a pending
+                    // collective fast — so hold the abort until the
+                    // slowest peer has cleared the commit's agreement.
                     (chaos::ENV_KILL_GRACE_MS, "750".to_string()),
                 ],
             )
@@ -277,12 +278,12 @@ fn bench(_c: &mut Criterion) {
         // would run to completion and strand the rejoiner).
         iters: 7,
         every: 3,
-        // One barrier opens every local-snapshot save (the saves and the
-        // group commit are then agreed by all-reduce); hit 2 is the
-        // barrier of the second checkpoint (count 6): the victim dies
-        // with its contribution sent and its shard unsaved, so the group
-        // commit stays at 3 and the repair replays from there.
-        kill_nth: 2,
+        // Two all-reduces close every local-snapshot save: the agreement
+        // on the saves, then the one on the group commit; hit 4 is the
+        // commit's agreement of the second checkpoint (count 6) — the
+        // victim's shard and the group commit are already durable, so
+        // the repair recomputes only the single post-commit iteration.
+        kill_nth: 4,
         // Slow enough that shard restores dominate the repair window
         // (2 MiB/s full-size: one shard crosses in ~2 s, and the
         // relaunch arm's seven serialized root→rank restore streams are

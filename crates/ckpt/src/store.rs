@@ -993,8 +993,9 @@ impl CkptTransport for CheckpointStore {
         // A shard whose commit rotates its record aside evicts its `_prev`,
         // the generation before the group's commit point, which no restore
         // needs any more: the sink claims that file.
+        let rotates = self.rotates(key)?;
         let spare = match key.rank {
-            Some(rank) if self.rotates(rank)? => self.prev_shard_path(rank),
+            Some(rank) if rotates => self.prev_shard_path(rank),
             _ => spare_path(&dst),
         };
         let (file, claimed) = claim_spare(&spare, &tmp)?;
@@ -1004,6 +1005,7 @@ impl CkptTransport for CheckpointStore {
             tmp,
             dst,
             spare,
+            rotates,
             w: BufWriter::new(file),
             claimed,
             head: Vec::with_capacity(256),
@@ -1080,6 +1082,9 @@ struct FlatSink<'a> {
     /// The name the temp file was claimed from: the record name's spare,
     /// or a rotating shard's `_prev`.
     spare: PathBuf,
+    /// The commit rotates the shard's record to `_prev`: decided once, at
+    /// begin, when the sink claimed that `_prev`.
+    rotates: bool,
     w: BufWriter<fs::File>,
     /// The temp file is a claimed spare, its only name: what it holds may
     /// be offered as a base ([`RecordSink::held`]).
@@ -1148,7 +1153,7 @@ impl RecordSink for FlatSink<'_> {
         self.w.get_ref().set_len(self.written)?;
         self.key.check_record(&self.head)?;
         let mut gone = Superseded::new(self.written);
-        self.store.rotate_generation(self.key)?;
+        self.store.rotate_generation(self.key, self.rotates)?;
         self.store
             .spare(&self.dst, spare_path(&self.dst), &mut gone);
         fs::rename(&self.tmp, &self.dst)?;
@@ -1303,7 +1308,7 @@ impl RecordSink for CasSink<'_> {
             CasState::Stream(txn) => {
                 key.check_record(&head)?;
                 let staged = txn.stage(&name)?;
-                store.rotate_generation(key)?;
+                store.rotate_generation(key, store.rotates(key)?)?;
                 staged.promote()?
             }
             // Integrity of a digest-negotiated record rides the per-chunk
@@ -1313,7 +1318,7 @@ impl RecordSink for CasSink<'_> {
             // holds.
             CasState::Dedup(txn) => {
                 key.check_record(&txn.head(HEAD_BYTES)?)?;
-                store.rotate_generation(key)?;
+                store.rotate_generation(key, store.rotates(key)?)?;
                 txn.commit(&name)?
             }
         };
@@ -2067,13 +2072,17 @@ impl CheckpointStore {
         SnapshotMeta::of_head(&head).ok().map(|meta| meta.count)
     }
 
-    /// Does a commit of `rank`'s shard rotate its record to `_prev`,
-    /// evicting what `_prev` held? It does unless the record has diverged
-    /// from the group-commit point: then `_prev` still holds the committed
-    /// generation and must survive (a torn save retried after recovery must
-    /// not evict the only restorable record). With no commit point yet, one
-    /// generation of history is still better than none.
-    fn rotates(&self, rank: u32) -> Result<bool> {
+    /// Does a commit of `key` rotate its shard's record to `_prev`,
+    /// evicting what `_prev` held? Never for a master record. A shard's
+    /// does unless the record has diverged from the group-commit point:
+    /// then `_prev` still holds the committed generation and must survive
+    /// (a torn save retried after recovery must not evict the only
+    /// restorable record). With no commit point yet, one generation of
+    /// history is still better than none.
+    fn rotates(&self, key: RecordKey) -> Result<bool> {
+        let Some(rank) = key.rank.filter(|_| key.delta.is_none()) else {
+            return Ok(false);
+        };
         let dst = self.shard_path(rank);
         if !self.record_exists(&dst) {
             return Ok(false);
@@ -2087,15 +2096,13 @@ impl CheckpointStore {
     /// The step of both commit sequences that comes just before the new
     /// record takes its final name. Only a shard's record has anything to
     /// do: preserve the committed generation of that shard before the new
-    /// one replaces it — rotate `dst → prev` when
-    /// [`CheckpointStore::rotates`] says so. A flat sink has already
-    /// claimed the `_prev` this evicts.
-    fn rotate_generation(&self, key: RecordKey) -> Result<()> {
-        match key {
-            RecordKey {
-                rank: Some(rank),
-                delta: None,
-            } if self.rotates(rank)? => {
+    /// one replaces it — rotate `dst → prev` when `rotates`, the answer of
+    /// [`CheckpointStore::rotates`]: a flat sink asked at begin, when it
+    /// claimed the `_prev` this evicts; a content-addressed one asks at
+    /// commit.
+    fn rotate_generation(&self, key: RecordKey, rotates: bool) -> Result<()> {
+        match key.rank {
+            Some(rank) if rotates => {
                 self.record_rename(&self.shard_path(rank), &self.prev_shard_path(rank))
             }
             _ => Ok(()),

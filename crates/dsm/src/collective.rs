@@ -244,6 +244,9 @@ impl Endpoint {
             acc
         } else {
             self.fsend(0, tag, value.to_le_bytes().to_vec());
+            // As at a barrier: a kill-point armed at "allreduce" dies with
+            // its contribution sent and the result not yet received.
+            ppar_net::chaos::kill_point("allreduce");
             let bytes = self.frecv(0, tag);
             f64::from_le_bytes(bytes.as_slice().try_into().expect("8-byte f64"))
         }

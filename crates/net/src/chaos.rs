@@ -5,7 +5,7 @@
 //! bandwidth throttling, frame corruption and drop-with-peer-death from a
 //! seeded pseudo-random stream, and [`kill_point`] arms process aborts at
 //! named protocol sites (mid-checkpoint-stream, mid-barrier,
-//! mid-rendezvous). Everything is driven by the `PPAR_CHAOS_*`
+//! mid-all-reduce, mid-rendezvous). Everything is driven by the `PPAR_CHAOS_*`
 //! environment contract:
 //!
 //! | variable              | meaning                                          |
@@ -28,8 +28,9 @@
 //! save* — an error the job handles — never as silently wrong results.
 //! Kill sites live in the protocol code itself: `"ckpt-stream"` between
 //! checkpoint stream chunks, `"barrier"` between a barrier contribution
-//! and its release, `"rendezvous"` between the bootstrap hello and the
-//! mesh build.
+//! and its release, `"allreduce"` between a non-root's all-reduce
+//! contribution and the result, `"rendezvous"` between the bootstrap
+//! hello and the mesh build.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
