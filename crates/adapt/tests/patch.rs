@@ -872,9 +872,8 @@ fn a_tcp2_job_whose_save_fails_returns_the_error() {
 /// at its next collective), and under dist2 local snapshots on the element
 /// whose owned block was written, in its own shard's save (block 0 of its
 /// shard's payload). The message is taken where the save panics, on the
-/// line of execution that saved; on one line and in a team it must also be
-/// what the launch unwinds with. A scoped rank thread's panic reaches the
-/// launcher as the scope's own, so the dist2 legs are held to the line's.
+/// line of execution that saved, and it must also be what the launch
+/// unwinds with: a rank thread's panic reaches the launcher as its own.
 #[cfg(debug_assertions)]
 #[test]
 fn a_missed_write_panics_the_next_save_in_every_deployment() {
@@ -932,9 +931,7 @@ fn a_missed_write_panics_the_next_save_in_every_deployment() {
         match rx.recv_timeout(std::time::Duration::from_secs(60)) {
             Ok(Some((why, said))) => {
                 assert!(said.iter().any(|why| oracle(why)), "{tag}: {said:?}");
-                if !tag.starts_with("dist2") {
-                    assert!(why.as_deref().is_some_and(oracle), "{tag}: launch: {why:?}");
-                }
+                assert!(why.as_deref().is_some_and(oracle), "{tag}: launch: {why:?}");
             }
             Ok(None) => panic!("{tag}: a save over a missed write did not panic"),
             Err(_) => panic!("{tag}: the launch hangs"),

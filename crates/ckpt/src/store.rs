@@ -1066,14 +1066,16 @@ impl CkptTransport for CheckpointStore {
 /// through a [`BufWriter`] into a uniquely named temp file — the key's
 /// spare when one can be claimed, rewritten in place: whole, or only where
 /// a caller that recognises the record the spare holds ([`RecordSink::held`])
-/// says it differs, the rest skipped over — and commit flushes,
-/// trims the file to the bytes written, rotates the shard generation the
-/// group last committed aside (full shard records only), renames over the
-/// final name and — for a master base — retires the chain the new base
-/// supersedes. Each step that drops a file's record name gives the file a
-/// spare name first, into the commit's [`Superseded`]. A crash, an abort
-/// or a drop mid-stream never leaves a partial record under the final
-/// name, and the temp file — a claimed spare included — is removed.
+/// says it differs, the rest skipped over — and commit flushes, trims a
+/// claimed spare longer than the record to the bytes written (one of equal
+/// length is left alone: the truncate would wait for the writeback the
+/// rename that last published the file started), rotates the shard
+/// generation the group last committed aside (full shard records only),
+/// renames over the final name and — for a master base — retires the chain
+/// the new base supersedes. Each step that drops a file's record name gives
+/// the file a spare name first, into the commit's [`Superseded`]. A crash,
+/// an abort or a drop mid-stream never leaves a partial record under the
+/// final name, and the temp file — a claimed spare included — is removed.
 struct FlatSink<'a> {
     store: &'a CheckpointStore,
     key: RecordKey,
@@ -1086,9 +1088,10 @@ struct FlatSink<'a> {
     /// begin, when the sink claimed that `_prev`.
     rotates: bool,
     w: BufWriter<fs::File>,
-    /// The temp file is a claimed spare, its only name: what it holds may
-    /// be offered as a base ([`RecordSink::held`]).
-    claimed: bool,
+    /// The claimed spare's length when the temp file is one, its only
+    /// name: what it holds may be offered as a base ([`RecordSink::held`]).
+    /// `None` for a fresh file.
+    claimed: Option<u64>,
     /// The record's leading bytes, as long as they were written without a
     /// gap (a skip ends it; the header always comes first).
     head: Vec<u8>,
@@ -1118,11 +1121,10 @@ impl RecordSink for FlatSink<'_> {
     /// they lie; `None` for a fresh file, and for a spare too short or
     /// whose header does not parse.
     fn held(&mut self) -> Result<Option<Held>> {
-        if !self.claimed || self.written != 0 {
+        let Some(len) = self.claimed.filter(|_| self.written == 0) else {
             return Ok(None);
-        }
+        };
         let file = self.w.get_ref();
-        let len = file.metadata()?.len();
         if len < (MAGIC.len() + 4) as u64 {
             return Ok(None);
         }
@@ -1138,7 +1140,7 @@ impl RecordSink for FlatSink<'_> {
     }
 
     fn skip(&mut self, n: u64) -> std::io::Result<()> {
-        if !self.claimed {
+        if self.claimed.is_none() {
             return Err(std::io::Error::other("a fresh file holds nothing to skip"));
         }
         let ahead = i64::try_from(n).map_err(std::io::Error::other)?;
@@ -1149,8 +1151,11 @@ impl RecordSink for FlatSink<'_> {
 
     fn commit(mut self: Box<Self>) -> Result<Superseded> {
         self.w.flush()?;
-        // A claimed spare may be longer than this record.
-        self.w.get_ref().set_len(self.written)?;
+        // Only a longer spare is trimmed: on ext4 even a truncate to the
+        // file's own length waits for writeback in flight on it.
+        if self.claimed.is_some_and(|len| len > self.written) {
+            self.w.get_ref().set_len(self.written)?;
+        }
         self.key.check_record(&self.head)?;
         let mut gone = Superseded::new(self.written);
         self.store.rotate_generation(self.key, self.rotates)?;
@@ -1175,20 +1180,22 @@ fn spare_path(path: &Path) -> PathBuf {
 
 /// Open the temp file `tmp` for a flat sink: the record name's `spare`,
 /// claimed by renaming it to `tmp` and opened to be rewritten in place
-/// (`true`), or a fresh file when there is no spare to claim (`false`). A
+/// (with its length, which the commit trims only if the record is shorter),
+/// or a fresh file when there is no spare to claim (`None`). A
 /// claimed file that still has another name — a crash cut a commit between
 /// its link and its rename, so the spare is also a live record — is never
 /// written: it is unlinked and a fresh file takes its place.
-fn claim_spare(spare: &Path, tmp: &Path) -> Result<(fs::File, bool)> {
+fn claim_spare(spare: &Path, tmp: &Path) -> Result<(fs::File, Option<u64>)> {
     if fs::rename(spare, tmp).is_ok() {
         let file = fs::OpenOptions::new().read(true).write(true).open(tmp)?;
-        if sole_name(&file)? {
-            return Ok((file, true));
+        let meta = file.metadata()?;
+        if sole_name(&meta) {
+            return Ok((file, Some(meta.len())));
         }
         drop(file);
         fs::remove_file(tmp)?;
     }
-    Ok((fs::File::create(tmp)?, false))
+    Ok((fs::File::create(tmp)?, None))
 }
 
 /// Fill `out` from `file` at `offset`, leaving its cursor where it is.
@@ -1204,15 +1211,15 @@ fn read_exact_at(_file: &fs::File, _out: &mut [u8], _offset: u64) -> std::io::Re
 }
 
 #[cfg(unix)]
-fn sole_name(file: &fs::File) -> std::io::Result<bool> {
+fn sole_name(meta: &fs::Metadata) -> bool {
     use std::os::unix::fs::MetadataExt;
-    Ok(file.metadata()?.nlink() == 1)
+    meta.nlink() == 1
 }
 
 /// Without a link count to check, a claimed spare is never trusted.
 #[cfg(not(unix))]
-fn sole_name(_file: &fs::File) -> std::io::Result<bool> {
-    Ok(false)
+fn sole_name(_meta: &fs::Metadata) -> bool {
+    false
 }
 
 /// An abandoned sink removes its temp file — unless it is a claimed spare
@@ -1224,7 +1231,7 @@ impl Drop for FlatSink<'_> {
         if self.committed {
             return;
         }
-        if self.claimed && self.written == 0 {
+        if self.claimed.is_some() && self.written == 0 {
             let _ = fs::hard_link(&self.tmp, &self.spare);
         }
         let _ = fs::remove_file(&self.tmp);
@@ -2564,6 +2571,45 @@ mod tests {
         assert_eq!(store.get(None, None).unwrap().unwrap(), snap);
         assert_eq!(names(&dir).0, ["ckpt_master.bin"]);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A claimed spare of any length becomes exactly the record: shorter
+    /// (the record grows it), of equal length (left untrimmed) or longer
+    /// (trimmed), the published file is the claimed inode and holds the
+    /// golden encoding, byte for byte and no byte more, which restores the
+    /// state. A fresh file, which no commit trims, holds exactly the record
+    /// too.
+    #[cfg(unix)]
+    #[test]
+    fn a_claimed_spare_of_any_length_becomes_exactly_the_record() {
+        let snap = sample(None);
+        let golden = snap.encode();
+        let len = golden.len();
+        let cases = [
+            ("fresh", None),
+            ("shorter", Some(len / 2)),
+            ("equal", Some(len)),
+            ("longer", Some(2 * len + 4096)),
+        ];
+        for (tag, spare_len) in cases {
+            let dir = tmpdir(&format!("spare_len_{tag}"));
+            let store = CheckpointStore::new_flat(&dir).unwrap();
+            let spare = dir.join("ckpt_master.bin.spare");
+            let claimed = spare_len.map(|n| {
+                fs::write(&spare, vec![0xA5; n]).unwrap();
+                ino(&spare)
+            });
+            commit(&store, &Record::Full(&snap.meta(), &bytes_fields(&snap))).keep();
+            let record = dir.join("ckpt_master.bin");
+            assert_eq!(fs::read(&record).unwrap(), golden, "{tag}");
+            assert_eq!(fs::metadata(&record).unwrap().len(), len as u64, "{tag}");
+            if let Some(claimed) = claimed {
+                assert_eq!(ino(&record), claimed, "{tag}: the spare was not claimed");
+            }
+            assert_eq!(store.get(None, None).unwrap().unwrap(), snap, "{tag}");
+            assert_eq!(names(&dir).0, ["ckpt_master.bin"], "{tag}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// A sink that claimed a spare and is then aborted, or dropped

@@ -55,6 +55,10 @@ pub type HookFactory<'a> =
 /// distributed deployment) and hooks. Returns the per-rank results in rank
 /// order. The caller keeps the `net` handle, so traffic counters survive
 /// the run, and announces completion inside `app` ([`Ctx::finish`]).
+///
+/// Every rank thread is joined; if any panicked, the call unwinds with the
+/// payload of the lowest-numbered one, so its own message reaches the
+/// caller.
 pub fn run_ranks<R: Send>(
     net: Arc<SimNet>,
     threads: usize,
@@ -66,22 +70,31 @@ pub fn run_ranks<R: Send>(
     let nranks = net.nranks();
     assert!(nranks >= 1, "need at least one rank");
     let mut out: Vec<Option<R>> = (0..nranks).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (rank, slot) in out.iter_mut().enumerate() {
-            let net = net.clone();
-            let plan = plan.clone();
-            let app = &app;
-            std::thread::Builder::new()
-                .name(format!("ppar-rank-{rank}"))
-                .spawn_scoped(scope, move || {
-                    let ep = Endpoint::new(net, rank);
-                    let engine = HybridEngine::with_headroom(ep, threads, max_threads);
-                    let (ckpt, adapt) = hooks(rank);
-                    *slot = Some(run_on(engine, plan, ckpt, adapt, app));
-                })
-                .expect("failed to spawn rank thread");
-        }
+    let panicked = std::thread::scope(|scope| {
+        let ranks: Vec<_> = out
+            .iter_mut()
+            .enumerate()
+            .map(|(rank, slot)| {
+                let net = net.clone();
+                let plan = plan.clone();
+                let app = &app;
+                std::thread::Builder::new()
+                    .name(format!("ppar-rank-{rank}"))
+                    .spawn_scoped(scope, move || {
+                        let ep = Endpoint::new(net, rank);
+                        let engine = HybridEngine::with_headroom(ep, threads, max_threads);
+                        let (ckpt, adapt) = hooks(rank);
+                        *slot = Some(run_on(engine, plan, ckpt, adapt, app));
+                    })
+                    .expect("failed to spawn rank thread")
+            })
+            .collect();
+        let joined: Vec<_> = ranks.into_iter().map(|rank| rank.join()).collect();
+        joined.into_iter().find_map(Result::err)
     });
+    if let Some(panic) = panicked {
+        std::panic::resume_unwind(panic);
+    }
     out.into_iter()
         .map(|o| o.expect("rank thread completed"))
         .collect()

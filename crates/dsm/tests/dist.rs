@@ -524,3 +524,25 @@ fn traffic_flows_and_root_gather_is_heavier() {
     );
     assert!(t.bytes() >= 3 * 1024, "gather dominates bytes, got {t:?}");
 }
+
+/// A rank's panic reaches `run_spmd`'s caller with its own message: every
+/// rank thread is joined, and the call unwinds with the payload of the
+/// lowest-numbered rank that panicked.
+#[test]
+fn a_rank_panic_reaches_the_caller_with_its_message() {
+    let cfg = SpmdConfig::instant(3);
+    let ran = std::panic::catch_unwind(|| {
+        run_spmd_plain(&cfg, Arc::new(Plan::new()), |ctx| {
+            if ctx.rank() > 0 {
+                panic!("rank {} gives up", ctx.rank());
+            }
+            ctx.rank()
+        })
+    });
+    let panic = ran.expect_err("a rank panicked");
+    let said = panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| panic.downcast_ref::<&str>().copied());
+    assert_eq!(said, Some("rank 1 gives up"));
+}
