@@ -89,6 +89,8 @@ pub fn run_ranks<R: Send>(
                     .expect("failed to spawn rank thread")
             })
             .collect();
+        // Join them all before picking a panic: a rank left unjoined would
+        // make the scope raise its own.
         let joined: Vec<_> = ranks.into_iter().map(|rank| rank.join()).collect();
         joined.into_iter().find_map(Result::err)
     });
