@@ -39,6 +39,7 @@ use ppar_core::error::Result;
 use ppar_core::sync::{AtomicU64, Mutex, Ordering};
 
 use crate::fabric::{Fabric, Payload, Traffic};
+use crate::tcp::{ENV_RANK, ENV_REJOIN};
 use crate::transport::CKPT_TAG_BIT;
 
 /// Master seed; unset disables every injection (env contract above).
@@ -194,22 +195,29 @@ pub fn schedule(cfg: &ChaosConfig, rank: usize, n: usize, len: usize) -> Vec<Cha
 // kill points
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
+/// An armed kill point: abort `rank` at the `nth` hit of `site`, `grace`
+/// after reaching it (see [`kill_point`]).
+#[derive(Debug, PartialEq)]
 struct KillSpec {
     rank: usize,
     site: String,
     nth: u64,
+    grace: Duration,
 }
 
 impl KillSpec {
-    fn from_env() -> Option<KillSpec> {
+    /// The kill point `PPAR_CHAOS_KILL` arms for this process's
+    /// `PPAR_RANK`, if any, with an injectable lookup (testability). The
+    /// whole spec, grace included, is read here once: at the first kill
+    /// site the process reaches, which may run before any fabric exists.
+    fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Option<KillSpec> {
         // A respawned rank must not re-execute its death sentence: the
         // supervisor marks rejoining processes with PPAR_REJOIN.
-        if std::env::var("PPAR_REJOIN").is_ok_and(|v| v == "1") {
+        if get(ENV_REJOIN).is_some_and(|v| v == "1" || v == "true") {
             return None;
         }
-        let spec = std::env::var(ENV_KILL).ok()?;
-        let me: usize = std::env::var(crate::tcp::ENV_RANK).ok()?.parse().ok()?;
+        let spec = get(ENV_KILL)?;
+        let me: usize = get(ENV_RANK)?.parse().ok()?;
         let mut parts = spec.splitn(3, ':');
         let rank: usize = parts.next()?.trim().parse().ok()?;
         let site = parts.next()?.trim().to_string();
@@ -217,7 +225,14 @@ impl KillSpec {
             Some(n) => n.trim().parse().ok()?,
             None => 1,
         };
-        (rank == me).then_some(KillSpec { rank, site, nth })
+        let grace = get(ENV_KILL_GRACE_MS).and_then(|v| v.parse().ok());
+        let grace = Duration::from_millis(grace.unwrap_or(50));
+        (rank == me).then_some(KillSpec {
+            rank,
+            site,
+            nth,
+            grace,
+        })
     }
 }
 
@@ -228,7 +243,7 @@ impl KillSpec {
 pub fn kill_point(site: &str) {
     static SPEC: OnceLock<Option<KillSpec>> = OnceLock::new();
     static HITS: AtomicU64 = AtomicU64::new(0);
-    let Some(spec) = SPEC.get_or_init(KillSpec::from_env) else {
+    let Some(spec) = SPEC.get_or_init(|| KillSpec::from_lookup(|k| std::env::var(k).ok())) else {
         return;
     };
     if spec.site != site {
@@ -252,11 +267,7 @@ pub fn kill_point(site: &str) {
         // widen the window via `PPAR_CHAOS_KILL_GRACE_MS`. In-flight
         // loss is modelled separately by the drop-with-peer-death
         // injection, which aborts mid-stream.
-        let grace = std::env::var(ENV_KILL_GRACE_MS)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(50);
-        std::thread::sleep(std::time::Duration::from_millis(grace));
+        std::thread::sleep(spec.grace);
         std::process::abort();
     }
 }
@@ -428,6 +439,46 @@ mod tests {
             let c = schedule(&other, rank, 256, 4096);
             prop_assert_ne!(&a, &c);
         }
+    }
+
+    #[test]
+    fn kill_spec_contract() {
+        let spec = |pairs: &[(&str, &str)]| {
+            KillSpec::from_lookup(|k| {
+                pairs
+                    .iter()
+                    .find(|(name, _)| *name == k)
+                    .map(|(_, v)| v.to_string())
+            })
+        };
+        let armed = |site: &str, nth, grace| KillSpec {
+            rank: 1,
+            site: site.to_string(),
+            nth,
+            grace: Duration::from_millis(grace),
+        };
+        // The spec names another rank: this process is not armed.
+        assert_eq!(spec(&[(ENV_RANK, "2"), (ENV_KILL, "1:barrier")]), None);
+        assert_eq!(
+            spec(&[(ENV_RANK, "1"), (ENV_KILL, "1:barrier")]),
+            Some(armed("barrier", 1, 50))
+        );
+        assert_eq!(
+            spec(&[(ENV_RANK, "1"), (ENV_KILL, "1:ckpt-stream:3")]),
+            Some(armed("ckpt-stream", 3, 50))
+        );
+        // A respawned rank does not die again at the same site.
+        let rejoined = [(ENV_RANK, "1"), (ENV_KILL, "1:barrier"), (ENV_REJOIN, "1")];
+        assert_eq!(spec(&rejoined), None);
+        assert_eq!(
+            spec(&[
+                (ENV_RANK, "1"),
+                (ENV_KILL, "1:rendezvous"),
+                (ENV_KILL_GRACE_MS, "400"),
+            ]),
+            Some(armed("rendezvous", 1, 400))
+        );
+        assert_eq!(spec(&[(ENV_KILL, "1:barrier")]), None, "not a rank");
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //! Rank 0 listens on `PPAR_ROOT`. Every other rank binds its own
 //! ephemeral listener, connects to the root with retry, and sends a HELLO
 //! frame carrying its rank and listener address. Once all ranks have
-//! reported, the root broadcasts the address table and the mesh completes
-//! pairwise: rank *j* connects to every lower rank *i* (`0 < i < j`) and
-//! accepts from every higher one, identifying itself with a MESH frame.
-//! The root↔rank link reuses the HELLO connection. All sockets run with
-//! `TCP_NODELAY` (collective messages are small and latency-bound).
+//! reported, the root answers each HELLO with the address table (TABLE)
+//! and the mesh completes pairwise: rank *j* connects to every lower rank
+//! *i* (`0 < i < j`) and accepts from every higher one, identifying itself
+//! with a MESH frame. The root↔rank link reuses the HELLO connection. A
+//! respawned rank joins through this same handshake (see resilient mode
+//! below). All sockets run with `TCP_NODELAY` (collective messages are
+//! small and latency-bound).
 //!
 //! ## Data plane
 //!
@@ -49,11 +51,13 @@
 //! [`Fabric::fault_pending`] — which the engine polls at every safe point
 //! so survivors unwind their current attempt instead of wedging. The
 //! supervisor respawns only the dead rank with `PPAR_REJOIN=1`; the
-//! newcomer re-rendezvouses into the existing mesh (REJOIN at the root's
-//! retained listener, REJOIN_MESH at every survivor's), each survivor
-//! **re-arms** the peer link in place — purging stale frames and bumping
-//! the link generation so receives blocked on the dead incarnation fail
-//! with "restarted" instead of wedging — and everyone meets in
+//! newcomer runs the bootstrap's own handshake — HELLO to the root, TABLE
+//! back, then MESH to every survivor, above it as well as below — and the
+//! retained listeners answer it: once the mesh is up, a HELLO or MESH can
+//! only be a rejoin. Each survivor **re-arms** the peer link in place —
+//! purging stale frames and bumping the link generation so receives
+//! blocked on the dead incarnation fail with "restarted" instead of
+//! wedging — and everyone meets in
 //! [`TcpFabric::recover`]: a two-round READY/GO barrier that flushes
 //! in-flight traffic of the aborted attempt, after which the job resumes
 //! from its last durable checkpoint with the surviving processes intact.
@@ -89,14 +93,11 @@ pub const ENV_RESILIENT: &str = "PPAR_NET_RESILIENT";
 pub const ENV_REJOIN: &str = "PPAR_REJOIN";
 
 /// Handshake frame tags (used only on the raw streams before the data
-/// plane starts, so they cannot collide with fabric traffic).
+/// plane starts, so they cannot collide with fabric traffic). A HELLO or
+/// MESH at a retained listener, after the mesh is up, is a rejoin.
 const HELLO_TAG: u64 = 0x7070_6172_0001;
 const TABLE_TAG: u64 = 0x7070_6172_0002;
 const MESH_TAG: u64 = 0x7070_6172_0003;
-/// Rejoin handshakes (resilient mode): a respawned rank reporting in at
-/// the root's retained listener, and at each survivor's.
-const REJOIN_TAG: u64 = 0x7070_6172_0004;
-const REJOIN_MESH_TAG: u64 = 0x7070_6172_0005;
 
 /// Control frames own tag bit 60 (user traffic owns 63, checkpoint
 /// traffic 62/61): heartbeats and clean-shutdown markers are intercepted
@@ -279,8 +280,8 @@ pub struct TcpFabric {
 impl TcpFabric {
     /// Run the rendezvous bootstrap and bring up the data plane. Blocks
     /// until the full mesh is connected (or `cfg.connect_timeout` expires).
-    /// With `cfg.rejoin` the process instead re-rendezvouses into an
-    /// already-running mesh through the peers' retained listeners.
+    /// With `cfg.rejoin` the same handshake joins an already-running mesh
+    /// through the peers' retained listeners.
     pub fn connect(cfg: &NetConfig) -> Result<Arc<TcpFabric>> {
         if cfg.nranks == 0 || cfg.rank >= cfg.nranks {
             return Err(PparError::Network(format!(
@@ -288,12 +289,7 @@ impl TcpFabric {
                 cfg.rank, cfg.nranks
             )));
         }
-        let boot = if cfg.rejoin {
-            rejoin_rendezvous(cfg)
-        } else {
-            rendezvous(cfg)
-        }
-        .map_err(|e| {
+        let boot = rendezvous(cfg).map_err(|e| {
             PparError::Network(format!(
                 "rank {} bootstrap via {} failed: {e}",
                 cfg.rank, cfg.root
@@ -318,10 +314,9 @@ impl TcpFabric {
         if cfg.resilient {
             if let Some(listener) = boot.listener {
                 let weak = Arc::downgrade(&fabric);
-                let root = cfg.root.clone();
                 std::thread::Builder::new()
                     .name(format!("ppar-net-accept-{}", cfg.rank))
-                    .spawn(move || acceptor_loop(weak, listener, root))
+                    .spawn(move || acceptor_loop(weak, listener))
                     .map_err(|e| PparError::Network(format!("spawn acceptor: {e}")))?;
             }
             let weak = Arc::downgrade(&fabric);
@@ -830,12 +825,11 @@ fn heartbeat_loop(fabric: Weak<TcpFabric>) {
     }
 }
 
-/// Rejoin acceptor body (resilient mode): every rank keeps its bootstrap
-/// listener and accepts respawned ranks for the rest of the job. The root
-/// additionally answers REJOIN with the current address table (updating it
-/// with the newcomer's fresh listener first). Junk connections — port
-/// probers, a rank that died mid-dial — are skipped, never fatal.
-fn acceptor_loop(fabric: Weak<TcpFabric>, listener: TcpListener, root_addr: String) {
+/// Retained-listener body (resilient mode): every rank keeps its bootstrap
+/// listener and admits respawned ranks for the rest of the job (see
+/// [`admit`]). Junk connections — port probers, a rank that died
+/// mid-dial — are skipped, never fatal.
+fn acceptor_loop(fabric: Weak<TcpFabric>, listener: TcpListener) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
@@ -859,89 +853,53 @@ fn acceptor_loop(fabric: Weak<TcpFabric>, listener: TcpListener, root_addr: Stri
             }
         };
         poll = idle();
-        let _ = handle_rejoin(&fabric, stream, &root_addr);
+        let _ = admit(&fabric, stream);
     }
 }
 
-/// Admit one connection on a retained listener: validate the rejoin
-/// handshake and re-arm the peer's link. Any error just drops the
-/// connection (the dialer retries with backoff).
-fn handle_rejoin(
-    fabric: &Arc<TcpFabric>,
-    stream: TcpStream,
-    root_addr: &str,
-) -> std::io::Result<()> {
-    let mut stream = stream;
+/// Admit one connection on a retained listener. Once the mesh is up, the
+/// bootstrap's own handshake can only come from a respawned rank: a HELLO
+/// at the root records its fresh listener and is answered with the address
+/// table, a MESH at any rank completes one more link, and either re-arms
+/// the newcomer's link. Any error just drops the connection (the dialer
+/// retries with backoff).
+fn admit(fabric: &Arc<TcpFabric>, mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     let deadline = Instant::now() + Duration::from_secs(5);
     let Some((tag, payload)) = handshake_frame_any(&mut stream, deadline)? else {
         return Ok(()); // closed before identifying itself: not one of ours
     };
-    let n = fabric.nranks;
-    match tag {
-        REJOIN_TAG if fabric.rank == 0 => {
-            // A respawned rank reporting in at the root.
-            if payload.len() < 4 {
-                return Err(bad_handshake("short REJOIN"));
-            }
-            let rank = u32::from_le_bytes(
-                payload[0..4]
-                    .try_into()
-                    .map_err(|_| bad_handshake("short REJOIN"))?,
-            ) as usize;
-            if rank == 0 || rank >= n {
-                return Err(bad_handshake("REJOIN with invalid rank"));
-            }
-            let addr = String::from_utf8(payload[4..].to_vec())
-                .map_err(|_| bad_handshake("REJOIN address not UTF-8"))?;
+    let (n, me) = (fabric.nranks, fabric.rank);
+    let rank = match tag {
+        HELLO_TAG if me == 0 => {
+            let (rank, addr) = rank_of(&payload, "HELLO", |r| r != 0 && r < n)?;
+            let addr = String::from_utf8(addr.to_vec())
+                .map_err(|_| bad_handshake("HELLO address not UTF-8"))?;
             let table = {
                 let mut addrs = fabric.addrs.lock();
-                if addrs.len() != n {
-                    *addrs = vec![String::new(); n];
-                }
-                addrs[0] = root_addr.to_string();
                 addrs[rank] = addr;
-                let mut table = Vec::new();
-                table.extend_from_slice(&(n as u32).to_le_bytes());
-                for a in addrs.iter() {
-                    table.extend_from_slice(&(a.len() as u32).to_le_bytes());
-                    table.extend_from_slice(a.as_bytes());
-                }
-                table
+                encode_table(&addrs)
             };
             // The table goes out on the raw stream *before* the link is
             // re-armed: once armed, the send thread owns the socket.
             write_frame(&mut stream, TABLE_TAG, &table)?;
             stream.flush()?;
-            fabric
-                .rearm_peer(rank, stream)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            Ok(())
+            rank
         }
-        REJOIN_MESH_TAG => {
-            // A respawned rank completing its mesh with a survivor.
-            if payload.len() != 4 {
-                return Err(bad_handshake("short REJOIN_MESH"));
-            }
-            let rank = u32::from_le_bytes(
-                payload
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| bad_handshake("short REJOIN_MESH"))?,
-            ) as usize;
-            if rank == fabric.rank || rank >= n {
-                return Err(bad_handshake("REJOIN_MESH with invalid rank"));
-            }
-            fabric
-                .rearm_peer(rank, stream)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            Ok(())
+        MESH_TAG => match rank_of(&payload, "MESH", |r| r != me && r < n)? {
+            (rank, []) => rank,
+            _ => return Err(bad_handshake("MESH longer than a rank")),
+        },
+        _ => {
+            return Err(bad_handshake(&format!(
+                "unexpected frame tag {tag:#x} on retained listener"
+            )))
         }
-        _ => Err(bad_handshake(&format!(
-            "unexpected frame tag {tag:#x} on retained listener"
-        ))),
-    }
+    };
+    fabric
+        .rearm_peer(rank, stream)
+        .map_err(|e| std::io::Error::other(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -959,6 +917,13 @@ struct Bootstrap {
 
 /// Establish the full mesh; returns one stream per peer (self slot `None`).
 ///
+/// One handshake serves a fresh job and a respawned rank (`cfg.rejoin`).
+/// Every worker sends the root a HELLO with its rank and listener address
+/// and gets the address table (TABLE) back; then it opens a link with a
+/// MESH frame to each rank below it and accepts one from each rank above.
+/// A rejoiner sends the same frames to the retained listeners of a running
+/// mesh ([`admit`]), so it dials every survivor and accepts none.
+///
 /// The whole bootstrap is bounded by one `cfg.connect_timeout` deadline:
 /// accepts poll a non-blocking listener against it and every handshake
 /// read carries a socket read timeout, so a rank that dies before (or
@@ -971,6 +936,11 @@ struct Bootstrap {
 /// data plane, whose receive threads must block indefinitely.
 fn rendezvous(cfg: &NetConfig) -> std::io::Result<Bootstrap> {
     let n = cfg.nranks;
+    if cfg.rejoin && cfg.rank == 0 {
+        return Err(bad_handshake(
+            "rank 0 cannot rejoin: the root's death escalates to a full relaunch",
+        ));
+    }
     let deadline = Instant::now() + cfg.connect_timeout;
     let mut peers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
     if n == 1 {
@@ -980,7 +950,7 @@ fn rendezvous(cfg: &NetConfig) -> std::io::Result<Bootstrap> {
             addrs: vec![cfg.root.clone()],
         });
     }
-    if cfg.rank == 0 {
+    let (listener, addrs) = if cfg.rank == 0 {
         let listener = TcpListener::bind(&cfg.root)?;
         let mut addrs: Vec<String> = vec![String::new(); n];
         addrs[0] = cfg.root.clone();
@@ -991,41 +961,20 @@ fn rendezvous(cfg: &NetConfig) -> std::io::Result<Bootstrap> {
             let Some((_, payload)) = handshake_frame(&mut stream, HELLO_TAG, deadline)? else {
                 continue; // closed before HELLO: not one of ours
             };
-            if payload.len() < 4 {
-                return Err(bad_handshake("short HELLO"));
-            }
-            let rank = u32::from_le_bytes(
-                payload[0..4]
-                    .try_into()
-                    .map_err(|_| bad_handshake("short HELLO"))?,
-            ) as usize;
-            if rank == 0 || rank >= n || peers[rank].is_some() {
-                return Err(bad_handshake("HELLO with invalid or duplicate rank"));
-            }
-            addrs[rank] = String::from_utf8(payload[4..].to_vec())
+            let (rank, addr) =
+                rank_of(&payload, "HELLO", |r| r != 0 && r < n && peers[r].is_none())?;
+            addrs[rank] = String::from_utf8(addr.to_vec())
                 .map_err(|_| bad_handshake("HELLO address not UTF-8"))?;
             peers[rank] = Some(stream);
             reported += 1;
         }
-        // Broadcast the address table so ranks can complete the mesh.
-        let mut table = Vec::new();
-        table.extend_from_slice(&(n as u32).to_le_bytes());
-        for addr in &addrs {
-            table.extend_from_slice(&(addr.len() as u32).to_le_bytes());
-            table.extend_from_slice(addr.as_bytes());
-        }
+        // Answer every HELLO with the table so ranks can complete the mesh.
+        let table = encode_table(&addrs);
         for stream in peers.iter_mut().flatten() {
             write_frame(stream, TABLE_TAG, &table)?;
             stream.flush()?;
         }
-        for stream in peers.iter().flatten() {
-            stream.set_read_timeout(None)?;
-        }
-        Ok(Bootstrap {
-            streams: peers,
-            listener: Some(listener),
-            addrs,
-        })
+        (listener, addrs)
     } else {
         // Bind this rank's own listener on the root's interface.
         let host = cfg
@@ -1039,8 +988,7 @@ fn rendezvous(cfg: &NetConfig) -> std::io::Result<Bootstrap> {
         // backoff rather than burning the deadline on one blocking dial).
         let mut root = connect_retry(&cfg.root, cfg.connect_timeout, cfg.rank as u64)?;
         root.set_nodelay(true)?;
-        let mut hello = Vec::with_capacity(4 + my_addr.len());
-        hello.extend_from_slice(&(cfg.rank as u32).to_le_bytes());
+        let mut hello = (cfg.rank as u32).to_le_bytes().to_vec();
         hello.extend_from_slice(my_addr.as_bytes());
         write_frame(&mut root, HELLO_TAG, &hello)?;
         root.flush()?;
@@ -1049,8 +997,17 @@ fn rendezvous(cfg: &NetConfig) -> std::io::Result<Bootstrap> {
             .ok_or_else(|| bad_handshake("root closed before sending the address table"))?;
         let addrs = parse_table(&table, n)?;
         peers[0] = Some(root);
-        // Pairwise mesh: connect downward, accept from above.
-        for (j, addr) in addrs.iter().enumerate().take(cfg.rank).skip(1) {
+        // Pairwise mesh: connect downward, accept from above. A rejoiner's
+        // higher ranks are up already: it connects to them too.
+        let (dial, accept) = if cfg.rejoin {
+            (n, 0)
+        } else {
+            (cfg.rank, n - 1 - cfg.rank)
+        };
+        for (j, addr) in addrs.iter().enumerate().take(dial).skip(1) {
+            if j == cfg.rank {
+                continue;
+            }
             let mut s = connect_retry(addr, cfg.connect_timeout, cfg.rank as u64)?;
             s.set_nodelay(true)?;
             write_frame(&mut s, MESH_TAG, &(cfg.rank as u32).to_le_bytes())?;
@@ -1058,86 +1015,24 @@ fn rendezvous(cfg: &NetConfig) -> std::io::Result<Bootstrap> {
             peers[j] = Some(s);
         }
         let mut accepted = 0;
-        while accepted < n - 1 - cfg.rank {
+        while accepted < accept {
             let mut s = accept_until(&listener, deadline)?;
             s.set_nodelay(true)?;
             let Some((_, payload)) = handshake_frame(&mut s, MESH_TAG, deadline)? else {
                 continue; // closed before MESH: not one of ours
             };
-            if payload.len() != 4 {
-                return Err(bad_handshake("short MESH"));
-            }
-            let j = u32::from_le_bytes(
-                payload
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| bad_handshake("short MESH"))?,
-            ) as usize;
-            if j <= cfg.rank || j >= n || peers[j].is_some() {
-                return Err(bad_handshake("MESH with invalid or duplicate rank"));
-            }
+            let mesh = rank_of(&payload, "MESH", |j| {
+                j > cfg.rank && j < n && peers[j].is_none()
+            })?;
+            let (j, []) = mesh else {
+                return Err(bad_handshake("MESH longer than a rank"));
+            };
             peers[j] = Some(s);
             accepted += 1;
         }
-        // Hand indefinitely-blocking streams to the data plane.
-        for stream in peers.iter().flatten() {
-            stream.set_read_timeout(None)?;
-        }
-        Ok(Bootstrap {
-            streams: peers,
-            listener: Some(listener),
-            addrs,
-        })
-    }
-}
-
-/// Re-rendezvous a respawned rank into a running mesh (resilient mode):
-/// bind a fresh listener, report in at the root's retained listener with
-/// REJOIN (getting the current address table back), then dial every
-/// survivor's retained listener with REJOIN_MESH. The survivors re-arm
-/// their side of each link as the dials land.
-fn rejoin_rendezvous(cfg: &NetConfig) -> std::io::Result<Bootstrap> {
-    let n = cfg.nranks;
-    let deadline = Instant::now() + cfg.connect_timeout;
-    let mut peers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    if cfg.rank == 0 {
-        return Err(bad_handshake(
-            "rank 0 cannot rejoin: the root's death escalates to a full relaunch",
-        ));
-    }
-    let host = cfg
-        .root
-        .rsplit_once(':')
-        .map(|(h, _)| h)
-        .unwrap_or("127.0.0.1");
-    let listener = TcpListener::bind(format!("{host}:0"))?;
-    let my_addr = listener.local_addr()?.to_string();
-    let mut root = connect_retry(&cfg.root, cfg.connect_timeout, cfg.rank as u64)?;
-    root.set_nodelay(true)?;
-    let mut hello = Vec::with_capacity(4 + my_addr.len());
-    hello.extend_from_slice(&(cfg.rank as u32).to_le_bytes());
-    hello.extend_from_slice(my_addr.as_bytes());
-    write_frame(&mut root, REJOIN_TAG, &hello)?;
-    root.flush()?;
-    let (_, table) = handshake_frame(&mut root, TABLE_TAG, deadline)?
-        .ok_or_else(|| bad_handshake("root closed before answering REJOIN"))?;
-    let addrs = parse_table(&table, n)?;
-    peers[0] = Some(root);
-    for (j, addr) in addrs.iter().enumerate() {
-        if j == 0 || j == cfg.rank {
-            continue;
-        }
-        if addr.is_empty() {
-            return Err(bad_handshake(&format!(
-                "rejoin table has no address for rank {j}"
-            )));
-        }
-        let mut s = connect_retry(addr, cfg.connect_timeout, cfg.rank as u64)?;
-        s.set_nodelay(true)?;
-        write_frame(&mut s, REJOIN_MESH_TAG, &(cfg.rank as u32).to_le_bytes())?;
-        s.flush()?;
-        peers[j] = Some(s);
-    }
+        (listener, addrs)
+    };
+    // Hand indefinitely-blocking streams to the data plane.
     for stream in peers.iter().flatten() {
         stream.set_read_timeout(None)?;
     }
@@ -1221,6 +1116,37 @@ fn bad_handshake(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, format!("handshake: {msg}"))
 }
 
+/// Split a HELLO or MESH payload into the dialer's rank, which `ok` must
+/// accept, and what follows it (a HELLO's listener address, nothing in a
+/// MESH). Both phases of the handshake read a rank through here.
+fn rank_of<'a>(
+    payload: &'a [u8],
+    what: &str,
+    ok: impl FnOnce(usize) -> bool,
+) -> std::io::Result<(usize, &'a [u8])> {
+    let Some((rank, rest)) = payload.split_first_chunk::<4>() else {
+        return Err(bad_handshake(&format!("short {what}")));
+    };
+    let rank = u32::from_le_bytes(*rank) as usize;
+    if !ok(rank) {
+        return Err(bad_handshake(&format!(
+            "{what} with invalid or duplicate rank"
+        )));
+    }
+    Ok((rank, rest))
+}
+
+/// The TABLE payload: the rank count, then every rank's listener address,
+/// length-prefixed ([`parse_table`] reads it back).
+fn encode_table(addrs: &[String]) -> Vec<u8> {
+    let mut table = (addrs.len() as u32).to_le_bytes().to_vec();
+    for a in addrs {
+        table.extend_from_slice(&(a.len() as u32).to_le_bytes());
+        table.extend_from_slice(a.as_bytes());
+    }
+    table
+}
+
 fn parse_table(table: &[u8], n: usize) -> std::io::Result<Vec<String>> {
     let mut pos = 4usize;
     let header: [u8; 4] = table
@@ -1241,6 +1167,12 @@ fn parse_table(table: &[u8], n: usize) -> std::io::Result<Vec<String>> {
         let entry = table
             .get(pos..pos + len)
             .ok_or_else(|| bad_handshake("truncated address table entry"))?;
+        if entry.is_empty() {
+            let rank = addrs.len();
+            return Err(bad_handshake(&format!(
+                "table has no address for rank {rank}"
+            )));
+        }
         addrs.push(
             String::from_utf8(entry.to_vec()).map_err(|_| bad_handshake("address not UTF-8"))?,
         );
@@ -1284,6 +1216,7 @@ fn connect_retry(addr: &str, timeout: Duration, seed: u64) -> std::io::Result<Tc
 mod tests {
     use super::*;
     use crate::cluster::free_loopback_addr;
+    use std::io::ErrorKind;
 
     /// Bring up an n-rank mesh inside one process (one thread per rank —
     /// exactly what the bootstrap does across processes) and run `f` per
@@ -1531,16 +1464,18 @@ mod tests {
         assert_eq!(done, vec![true, true]);
     }
 
-    /// The in-process version of the supervised recovery path: rank 2 of a
-    /// resilient 3-rank mesh "crashes" (its sockets are torn down with no
+    /// The in-process version of the supervised recovery path: `victim` of
+    /// a resilient 3-rank mesh "crashes" (its sockets are torn down with no
     /// BYE), the survivors observe a pending fault, a fresh fabric rejoins
-    /// as rank 2 through the retained listeners, everyone meets in
-    /// `recover`, and post-recovery traffic flows on all links.
-    #[test]
-    fn resilient_mesh_survives_single_rank_rejoin() {
+    /// as `victim` through the retained listeners, everyone meets in
+    /// `recover`, and post-recovery traffic flows on all links. Before the
+    /// crash, with every rank up, rank 0 runs `probe` on the listener
+    /// addresses; every rank then checks that no fault is pending and that
+    /// traffic still flows on every link.
+    fn crash_and_rejoin(victim: usize, probe: impl Fn(&[String]) + Sync) {
         let root = free_loopback_addr().unwrap();
-        let mk = |rank: usize, root: &str, rejoin: bool| {
-            let mut cfg = NetConfig::new(rank, 3, root.to_string());
+        let mk = |rank: usize, rejoin: bool| {
+            let mut cfg = NetConfig::new(rank, 3, root.clone());
             cfg.recv_timeout = Duration::from_secs(15);
             cfg.connect_timeout = Duration::from_secs(15);
             cfg.resilient = true;
@@ -1560,12 +1495,30 @@ mod tests {
                 }
             }
         };
+        let probed = std::sync::Barrier::new(3);
+        let up_and_probed = |fabric: &Arc<TcpFabric>| {
+            exchange(fabric, 1);
+            probed.wait();
+            // A failed probe re-raises only past the barrier, where the
+            // other ranks see this one go and fail too instead of waiting.
+            let probing = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if fabric.rank() == 0 {
+                    probe(&fabric.addrs.lock().clone());
+                }
+            }));
+            probed.wait();
+            if let Err(panic) = probing {
+                std::panic::resume_unwind(panic);
+            }
+            assert!(!fabric.fault_pending(), "rank {}", fabric.rank());
+            exchange(fabric, 2);
+        };
         std::thread::scope(|scope| {
-            for rank in 0..2 {
-                let root = root.clone();
+            for rank in (0..3).filter(|&r| r != victim) {
+                let (mk, up_and_probed) = (&mk, &up_and_probed);
                 scope.spawn(move || {
-                    let fabric = mk(rank, &root, false);
-                    exchange(&fabric, 1);
+                    let fabric = mk(rank, false);
+                    up_and_probed(&fabric);
                     // Wait for the crash to be detected, then recover.
                     let t0 = Instant::now();
                     while !fabric.fault_pending() {
@@ -1573,38 +1526,104 @@ mod tests {
                         std::thread::sleep(Duration::from_millis(5));
                     }
                     fabric.recover(Duration::from_secs(10)).unwrap();
-                    exchange(&fabric, 2);
+                    exchange(&fabric, 3);
                     fabric.shutdown();
                 });
             }
-            let root = root.clone();
-            scope.spawn(move || {
-                let victim = mk(2, &root, false);
-                exchange(&victim, 1);
-                // Let the send threads flush the tag-1 frames (a real
+            scope.spawn(|| {
+                let dead = mk(victim, false);
+                up_and_probed(&dead);
+                // Let the send threads flush the tag-2 frames (a real
                 // kernel keeps delivering what reached it pre-crash).
                 std::thread::sleep(Duration::from_millis(200));
                 // Crash: sockets die with no BYE. The fabric object is
                 // abandoned (leaked for the scope) exactly like a dead
                 // process's kernel state.
-                for peer in victim.peers.iter() {
+                for peer in dead.peers.iter() {
                     *peer.tx.lock() = None;
                 }
                 std::thread::sleep(Duration::from_millis(50));
-                for peer in victim.peers.iter() {
+                for peer in dead.peers.iter() {
                     if let Some(s) = peer.sock.lock().take() {
                         let _ = s.shutdown(Shutdown::Both);
                     }
                 }
                 std::thread::sleep(Duration::from_millis(100));
                 // Respawn: a fresh fabric rejoins the running mesh.
-                let reborn = mk(2, &root, true);
+                let reborn = mk(victim, true);
                 reborn.recover(Duration::from_secs(10)).unwrap();
-                exchange(&reborn, 2);
+                exchange(&reborn, 3);
                 reborn.shutdown();
-                std::mem::forget(victim); // its threads still hold Weak refs
+                std::mem::forget(dead); // its threads still hold Weak refs
             });
         });
+    }
+
+    /// Rank 2 has no survivor above it; rank 1 must also reach rank 2,
+    /// which the bootstrap would have had dial *it*.
+    #[test]
+    fn resilient_mesh_survives_single_rank_rejoin() {
+        for victim in [1, 2] {
+            crash_and_rejoin(victim, |_| {});
+        }
+    }
+
+    /// Connections from outside the program at the retained listeners —
+    /// silent, malformed, or the right frame at the wrong rank — are each
+    /// dropped without a fault or a re-armed link, and a real rejoin still
+    /// recovers afterwards. Rank 0 refuses to rejoin at all.
+    #[test]
+    fn retained_listeners_drop_bad_handshakes() {
+        // Send one frame (or none) and wait for the listener to hang up: a
+        // re-armed link would answer with a TABLE or heartbeats instead.
+        let dropped = |addr: &str, frame: Option<(u64, Vec<u8>)>| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let Some((tag, payload)) = frame else {
+                return; // closes before sending a frame
+            };
+            write_frame(&mut s, tag, &payload).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut buf = [0u8; 64];
+            let got = std::io::Read::read(&mut s, &mut buf);
+            assert!(
+                matches!(got, Ok(0))
+                    || got.is_err_and(|e| !matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut
+                    )),
+                "{addr} kept a bad handshake (tag {tag:#x}, payload {payload:?})"
+            );
+        };
+        let rank = |r: u32| r.to_le_bytes().to_vec();
+        let hello = |r: u32| [rank(r), b"127.0.0.1:9".to_vec()].concat();
+        crash_and_rejoin(1, |addrs| {
+            for (me, addr) in addrs.iter().enumerate() {
+                dropped(addr, None);
+                dropped(addr, Some((MESH_TAG, rank(me as u32))));
+                dropped(addr, Some((MESH_TAG, rank(3))));
+                dropped(addr, Some((MESH_TAG, rank(u32::MAX))));
+                dropped(addr, Some((MESH_TAG, vec![1, 0])));
+                dropped(addr, Some((MESH_TAG, [rank(1), rank(1)].concat())));
+                dropped(addr, Some((TABLE_TAG, Vec::new())));
+                if me != 0 {
+                    dropped(addr, Some((HELLO_TAG, hello(me as u32))));
+                }
+            }
+            dropped(&addrs[0], Some((HELLO_TAG, hello(0))));
+            dropped(&addrs[0], Some((HELLO_TAG, hello(3))));
+            dropped(&addrs[0], Some((HELLO_TAG, vec![1, 0, 0])));
+            let not_utf8 = [rank(1), vec![0xFF, 0xFE]].concat();
+            dropped(&addrs[0], Some((HELLO_TAG, not_utf8)));
+        });
+        let mut cfg = NetConfig::new(0, 3, free_loopback_addr().unwrap());
+        cfg.resilient = true;
+        cfg.rejoin = true;
+        let t0 = Instant::now();
+        let Err(err) = TcpFabric::connect(&cfg) else {
+            panic!("rank 0 must refuse to rejoin");
+        };
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        assert!(err.to_string().contains("cannot rejoin"), "{err}");
     }
 
     #[test]
