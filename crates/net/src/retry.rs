@@ -3,10 +3,11 @@
 //! The policy paces the fabric's rendezvous in `tcp.rs`, on both ends:
 //! `connect_retry` is every dial the fabric makes (rendezvous connects —
 //! the root's listener may not be up yet — and rejoin dials after a rank
-//! respawn), and the polls of a non-blocking listener wait for the next
-//! dial the same way. Both start at tens of microseconds, so a peer
-//! already on its way costs little, and back off to their old fixed
-//! intervals while nobody comes. Nothing else in the fabric retries — a
+//! respawn), and the one listener poll — every rank's listener loop, which
+//! admits the bootstrap and a rejoin alike — waits for the next dial the
+//! same way. Both start at tens of microseconds, so a peer already on its
+//! way costs little, and back off to their caps (500 ms for a dial, 5 ms
+//! for the poll) while nobody comes. Nothing else in the fabric retries — a
 //! failed receive or checkpoint RPC surfaces as an error and recovery
 //! starts over. The jitter is *deterministic* — a cheap xorshift
 //! stream seeded by the caller — so chaos runs replay the exact same

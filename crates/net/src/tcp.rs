@@ -12,15 +12,23 @@
 //! | `PPAR_NRANKS` | aggregate size                                      |
 //! | `PPAR_ROOT`   | `host:port` of rank 0's rendezvous listener         |
 //!
-//! Rank 0 listens on `PPAR_ROOT`. Every other rank binds its own
-//! ephemeral listener, connects to the root with retry, and sends a HELLO
-//! frame carrying its rank and listener address. Once all ranks have
-//! reported, the root answers each HELLO with the address table (TABLE)
-//! and the mesh completes pairwise: rank *j* connects to every lower rank
-//! *i* (`0 < i < j`) and accepts from every higher one, identifying itself
-//! with a MESH frame. The root↔rank link reuses the HELLO connection. A
-//! respawned rank joins through this same handshake (see resilient mode
-//! below). All sockets run with `TCP_NODELAY` (collective messages are
+//! Rank 0 listens on `PPAR_ROOT`; every other rank binds its own ephemeral
+//! listener on the root's host. Each rank starts its listener loop before
+//! it dials anything: that loop holds the rank's one accept site and admits
+//! the bootstrap and any later rejoin by one rule. A worker connects to the
+//! root with retry and sends a HELLO frame carrying its rank and listener
+//! address. The root holds every HELLO until all ranks have reported, then
+//! answers each with the address table (TABLE), and the mesh completes
+//! pairwise: rank *j* dials every lower rank *i* (`0 < i < j`) and
+//! identifies itself with a MESH frame, which *i*'s loop admits. The
+//! root↔rank link reuses the HELLO connection. An accepted connection waits
+//! in a small pending set, polled without blocking, until its first frame
+//! has arrived, so a silent one delays no other; it is dropped after 5 s of
+//! silence (sooner if the bootstrap deadline is shorter). The bootstrap
+//! fails at `connect_timeout` naming every rank that never linked. A
+//! non-resilient rank's loop ends, dropping its listener, once its mesh is
+//! up. A respawned rank joins through this same handshake (see resilient
+//! mode below). All sockets run with `TCP_NODELAY` (collective messages are
 //! small and latency-bound).
 //!
 //! ## Data plane
@@ -44,7 +52,7 @@
 //! ## Resilient mode (`PPAR_NET_RESILIENT=1`)
 //!
 //! Under [`crate::cluster::run_cluster_supervised`] the fabric instead
-//! *contains* a failure: every rank keeps its bootstrap listener alive,
+//! *contains* a failure: every rank keeps its listener loop running,
 //! runs a heartbeat failure detector, and distinguishes a clean peer
 //! shutdown (a BYE control frame precedes the FIN) from a crash (EOF with
 //! no BYE). A crash raises the rank-local **fault flag** —
@@ -53,8 +61,9 @@
 //! supervisor respawns only the dead rank with `PPAR_REJOIN=1`; the
 //! newcomer runs the bootstrap's own handshake — HELLO to the root, TABLE
 //! back, then MESH to every survivor, above it as well as below — and the
-//! retained listeners answer it: once the mesh is up, a HELLO or MESH can
-//! only be a rejoin. Each survivor **re-arms** the peer link in place —
+//! same loops admit it by the same rule: once the mesh is up, a HELLO at
+//! the root or a MESH from a rank that had a link can only be a rejoin.
+//! Each survivor **re-arms** the peer link in place —
 //! purging stale frames and bumping the link generation so receives
 //! blocked on the dead incarnation fail with "restarted" instead of
 //! wedging — and everyone meets in
@@ -73,7 +82,7 @@ use ppar_core::error::{PparError, Result};
 use ppar_core::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 
 use crate::fabric::{Fabric, Payload, Traffic};
-use crate::frame::{read_frame, write_frame, write_frame_vectored};
+use crate::frame::{read_frame, write_frame, write_frame_vectored, FRAME_HEADER_BYTES};
 use crate::retry::RetryPolicy;
 use crate::transport::CKPT_TAG_BIT;
 
@@ -267,8 +276,8 @@ pub struct TcpFabric {
     /// A peer crashed (EOF with no BYE, heartbeat silence, or a rejoin
     /// arrived) and the application has not yet run [`TcpFabric::recover`].
     fault: AtomicBool,
-    /// Current listener address of every rank (maintained by the root in
-    /// resilient mode so it can hand rejoining ranks a fresh table).
+    /// Current listener address of every rank (the root fills it from the
+    /// HELLOs and answers each with it, a rejoin's too).
     addrs: Mutex<Vec<String>>,
     mailbox: Mutex<HashMap<(usize, u64), VecDeque<Payload>>>,
     cv: Condvar,
@@ -289,36 +298,25 @@ impl TcpFabric {
                 cfg.rank, cfg.nranks
             )));
         }
-        let boot = rendezvous(cfg).map_err(|e| {
-            PparError::Network(format!(
-                "rank {} bootstrap via {} failed: {e}",
-                cfg.rank, cfg.root
-            ))
-        })?;
         let fabric = Arc::new(TcpFabric {
             rank: cfg.rank,
             nranks: cfg.nranks,
             recv_timeout: cfg.recv_timeout,
             resilient: cfg.resilient,
             fault: AtomicBool::new(false),
-            addrs: Mutex::new(boot.addrs),
+            addrs: Mutex::new(vec![String::new(); cfg.nranks]),
             mailbox: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
             peers: (0..cfg.nranks).map(|_| Peer::idle()).collect(),
             senders: Mutex::new(Vec::new()),
         });
-        for (peer_rank, stream) in boot.streams.into_iter().enumerate() {
-            let Some(stream) = stream else { continue };
-            fabric.arm_link(peer_rank, stream)?;
-        }
+        rendezvous(&fabric, cfg).map_err(|e| {
+            PparError::Network(format!(
+                "rank {} bootstrap via {} failed: {e}",
+                cfg.rank, cfg.root
+            ))
+        })?;
         if cfg.resilient {
-            if let Some(listener) = boot.listener {
-                let weak = Arc::downgrade(&fabric);
-                std::thread::Builder::new()
-                    .name(format!("ppar-net-accept-{}", cfg.rank))
-                    .spawn(move || acceptor_loop(weak, listener))
-                    .map_err(|e| PparError::Network(format!("spawn acceptor: {e}")))?;
-            }
             let weak = Arc::downgrade(&fabric);
             std::thread::Builder::new()
                 .name(format!("ppar-net-hb-{}", cfg.rank))
@@ -407,61 +405,71 @@ impl TcpFabric {
         self.peers[peer].down.lock().clone()
     }
 
-    /// Attach a connected stream as the live link to `peer_rank`: clone it
-    /// for the dedicated send and receive threads and register the queue.
-    fn arm_link(self: &Arc<TcpFabric>, peer_rank: usize, stream: TcpStream) -> Result<()> {
-        let my_rank = self.rank;
-        let clone_err = |e: std::io::Error| {
-            PparError::Network(format!("rank {my_rank}: socket clone failed: {e}"))
-        };
-        stream.set_read_timeout(None).map_err(clone_err)?;
-        let reader = stream.try_clone().map_err(clone_err)?;
-        let peer = &self.peers[peer_rank];
+    /// Make `stream` the live link to `rank`: clone it for the dedicated
+    /// send and receive threads and register the queue. A rank that had a
+    /// link is a respawn (resilient mode): every stale frame of the dead
+    /// incarnation is purged (its streams and tags would collide with the
+    /// newcomer's), the link generation is bumped so anything still blocked
+    /// on the old link fails loudly, and the fault flag rises: a rejoin
+    /// *implies* a failure, and the application must run
+    /// [`TcpFabric::recover`] even if it never observed the death itself.
+    fn link(self: &Arc<TcpFabric>, rank: usize, stream: TcpStream) -> std::io::Result<()> {
+        let peer = &self.peers[rank];
+        let old = peer.sock.lock().take();
+        if let Some(old) = old {
+            peer.generation.fetch_add(1, Ordering::SeqCst);
+            self.fault.store(true, Ordering::SeqCst);
+            self.mailbox.lock().retain(|(src, _), _| *src != rank);
+            let _ = old.shutdown(Shutdown::Both);
+            *peer.tx.lock() = None; // the old send thread drains out and exits
+        }
+        stream.set_read_timeout(None)?;
+        let reader = stream.try_clone()?;
         let gen = peer.generation.load(Ordering::SeqCst);
-        *peer.sock.lock() = Some(stream.try_clone().map_err(clone_err)?);
         let (tx, rx) = mpsc::channel::<(u64, Payload)>();
         *peer.tx.lock() = Some(tx);
         *peer.last_rx.lock() = Instant::now();
+        *peer.down.lock() = None;
+        // The socket goes in last: a rank with a socket counts as linked.
+        *peer.sock.lock() = Some(stream.try_clone()?);
+        let me = self.rank;
         let sender = std::thread::Builder::new()
-            .name(format!("ppar-net-send-{my_rank}-{peer_rank}"))
-            .spawn(move || sender_loop(rx, stream))
-            .map_err(|e| PparError::Network(format!("spawn fabric send thread: {e}")))?;
+            .name(format!("ppar-net-send-{me}-{rank}"))
+            .spawn(move || sender_loop(rx, stream))?;
         self.senders.lock().push(sender);
         let weak = Arc::downgrade(self);
         std::thread::Builder::new()
-            .name(format!("ppar-net-recv-{my_rank}-{peer_rank}"))
-            .spawn(move || receiver_loop(weak, peer_rank, reader, gen))
-            .map_err(|e| PparError::Network(format!("spawn fabric recv thread: {e}")))?;
-        Ok(())
-    }
-
-    /// Replace the link to `rank` with a fresh connection from its respawn
-    /// (resilient mode). Purges every stale frame of the dead incarnation
-    /// (its streams and tags would collide with the newcomer's), bumps the
-    /// link generation so anything still blocked on the old link fails
-    /// loudly, and raises the fault flag: a rejoin *implies* a failure,
-    /// and the application must run [`TcpFabric::recover`] even if it
-    /// never observed the death itself.
-    fn rearm_peer(self: &Arc<TcpFabric>, rank: usize, stream: TcpStream) -> Result<()> {
-        let peer = &self.peers[rank];
-        peer.generation.fetch_add(1, Ordering::SeqCst);
-        self.fault.store(true, Ordering::SeqCst);
-        {
-            let mut mbox = self.mailbox.lock();
-            mbox.retain(|(src, _), _| *src != rank);
-        }
-        if let Some(old) = peer.sock.lock().take() {
-            let _ = old.shutdown(Shutdown::Both);
-        }
-        *peer.tx.lock() = None; // the old send thread drains out and exits
-        stream
-            .set_nodelay(true)
-            .map_err(|e| PparError::Network(format!("rejoin nodelay: {e}")))?;
-        self.arm_link(rank, stream)?;
-        *peer.down.lock() = None;
+            .name(format!("ppar-net-recv-{me}-{rank}"))
+            .spawn(move || receiver_loop(weak, rank, reader, gen))?;
         let _guard = self.mailbox.lock();
         self.cv.notify_all();
         Ok(())
+    }
+
+    /// The ranks other than this one that have no link yet.
+    fn unlinked(&self) -> Vec<usize> {
+        (0..self.nranks)
+            .filter(|&r| r != self.rank && self.peers[r].sock.lock().is_none())
+            .collect()
+    }
+
+    /// Wait until every peer has a link, or fail at `deadline` naming each
+    /// rank that never linked.
+    fn await_links(&self, deadline: Instant) -> std::io::Result<()> {
+        let mut mbox = self.mailbox.lock();
+        let mut late = false;
+        loop {
+            let missing = self.unlinked();
+            if missing.is_empty() {
+                return Ok(());
+            }
+            if late {
+                return Err(timed_out(&format!(
+                    "bootstrap deadline passed: ranks {missing:?} never linked"
+                )));
+            }
+            late = self.cv.wait_until(&mut mbox, deadline).timed_out();
+        }
     }
 
     /// Synchronise the surviving ranks (and any rejoined newcomer) after a
@@ -825,291 +833,239 @@ fn heartbeat_loop(fabric: Weak<TcpFabric>) {
     }
 }
 
-/// Retained-listener body (resilient mode): every rank keeps its bootstrap
-/// listener and admits respawned ranks for the rest of the job (see
-/// [`admit`]). Junk connections — port probers, a rank that died
-/// mid-dial — are skipped, never fatal.
-fn acceptor_loop(fabric: Weak<TcpFabric>, listener: TcpListener) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
+/// How long an accepted connection may stay silent before its first frame
+/// has arrived (never longer than the bootstrap deadline), and how many
+/// such connections wait at once.
+const HANDSHAKE_SILENCE: Duration = Duration::from_secs(5);
+const PENDING_MAX: usize = 64;
+
+/// The listener loop: every rank's one accept site, started before the rank
+/// dials anything. An accepted connection waits in a small pending set,
+/// polled without blocking, until its first frame has fully arrived
+/// ([`first_frame`]); then [`admit`] links it or drops it. So a silent
+/// connection delays no other: it is dropped once it has been silent for
+/// `silence`, or evicted, oldest first, when the set is full, and nothing a
+/// connection sends is fatal. A non-resilient rank's loop ends, dropping its
+/// listener, once its mesh is up; a resilient rank's runs for the rest of
+/// the job, so a respawned rank can rejoin.
+fn listen(fabric: Weak<TcpFabric>, listener: TcpListener, silence: Duration) {
     // A rejoining rank dials every survivor in turn, so this poll's wait is
     // paid ~once per survivor on the recovery critical path: it starts
-    // short and backs off to 5 ms only while nobody dials.
+    // short and backs off to 5 ms only while nothing happens.
     let idle = || RetryPolicy::poll(Duration::from_millis(5), Duration::from_secs(60));
     let mut poll = idle();
+    let mut pending: VecDeque<(TcpStream, Instant)> = VecDeque::new();
+    let mut held = Vec::new();
     loop {
         let Some(fabric) = fabric.upgrade() else {
             return;
         };
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => {
-                drop(fabric);
-                if !poll.backoff() {
-                    poll = idle();
-                }
-                continue;
+        if !fabric.resilient && fabric.unlinked().is_empty() {
+            return;
+        }
+        let mut busy = false;
+        while let Ok((stream, _)) = listener.accept() {
+            busy = true;
+            if pending.len() == PENDING_MAX {
+                pending.pop_front();
             }
-        };
-        poll = idle();
-        let _ = admit(&fabric, stream);
+            if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok() {
+                pending.push_back((stream, Instant::now()));
+            }
+        }
+        for (stream, since) in std::mem::take(&mut pending) {
+            match first_frame(&stream) {
+                Ok(Some(frame)) => {
+                    busy = true;
+                    let _ = admit(&fabric, stream, frame, &mut held);
+                }
+                Ok(None) if since.elapsed() < silence => pending.push_back((stream, since)),
+                _ => {} // closed, malformed or silent too long: dropped
+            }
+        }
+        drop(fabric);
+        if busy || !poll.backoff() {
+            poll = idle();
+        }
     }
 }
 
-/// Admit one connection on a retained listener. Once the mesh is up, the
-/// bootstrap's own handshake can only come from a respawned rank: a HELLO
-/// at the root records its fresh listener and is answered with the address
-/// table, a MESH at any rank completes one more link, and either re-arms
-/// the newcomer's link. Any error just drops the connection (the dialer
-/// retries with backoff).
-fn admit(fabric: &Arc<TcpFabric>, mut stream: TcpStream) -> std::io::Result<()> {
+/// The first frame of an accepted connection once all of it has arrived,
+/// `Ok(None)` until then; never blocks. It peeks until the 16-byte header
+/// and the payload its leading length announces are queued, then reads the
+/// frame through the codec, CRC check included. A close before the frame
+/// is an error, and so is a frame too long to be a HELLO or a MESH.
+fn first_frame(stream: &TcpStream) -> std::io::Result<Option<(u64, Vec<u8>)>> {
+    let mut buf = [0u8; FRAME_HEADER_BYTES + 1024];
+    let got = match stream.peek(&mut buf) {
+        Ok(0) => return Err(bad_handshake("closed before its first frame")),
+        Ok(got) => got,
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+    if FRAME_HEADER_BYTES + len > buf.len() {
+        return Err(bad_handshake("first frame too long for a handshake"));
+    }
+    if got < FRAME_HEADER_BYTES + len {
+        return Ok(None);
+    }
+    read_frame(&mut &*stream)
+}
+
+/// Admit a connection whose first frame has arrived, at the bootstrap and
+/// at a rejoin alike, by one rule. The root takes a HELLO from any other
+/// rank: it holds the stream until every worker's address is known, then
+/// answers each held stream with the address table (a later HELLO, from a
+/// respawned rank, is answered at once). Any other rank takes a MESH from
+/// rank `j` when `j` is above it (the bootstrap's dial order) or already
+/// had a link (a rejoin). [`TcpFabric::link`] arms a rank that never had a
+/// link and re-arms one that had one. Anything else is an error, and the
+/// connection is dropped (a genuine dialer retries).
+fn admit(
+    fabric: &Arc<TcpFabric>,
+    stream: TcpStream,
+    (tag, payload): (u64, Vec<u8>),
+    held: &mut Vec<(usize, TcpStream)>,
+) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
-    stream.set_nodelay(true)?;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let Some((tag, payload)) = handshake_frame_any(&mut stream, deadline)? else {
-        return Ok(()); // closed before identifying itself: not one of ours
-    };
     let (n, me) = (fabric.nranks, fabric.rank);
-    let rank = match tag {
+    match tag {
         HELLO_TAG if me == 0 => {
-            let (rank, addr) = rank_of(&payload, "HELLO", |r| r != 0 && r < n)?;
+            let (rank, addr) = rank_of(&payload, "HELLO", |r| {
+                r != 0 && r < n && held.iter().all(|(h, _)| *h != r)
+            })?;
             let addr = String::from_utf8(addr.to_vec())
-                .map_err(|_| bad_handshake("HELLO address not UTF-8"))?;
-            let table = {
-                let mut addrs = fabric.addrs.lock();
-                addrs[rank] = addr;
-                encode_table(&addrs)
-            };
+                .ok()
+                .filter(|a| !a.is_empty())
+                .ok_or_else(|| bad_handshake("HELLO address empty or not UTF-8"))?;
+            let mut addrs = fabric.addrs.lock();
+            addrs[rank] = addr;
+            held.push((rank, stream));
+            if addrs.iter().any(String::is_empty) {
+                return Ok(()); // held until every worker has reported
+            }
+            let table = encode_table(&addrs);
+            drop(addrs);
             // The table goes out on the raw stream *before* the link is
-            // re-armed: once armed, the send thread owns the socket.
-            write_frame(&mut stream, TABLE_TAG, &table)?;
-            stream.flush()?;
-            rank
+            // armed: once armed, the send thread owns the socket.
+            let answer = |(rank, mut stream): (usize, TcpStream)| {
+                write_frame(&mut stream, TABLE_TAG, &table)?;
+                fabric.link(rank, stream)
+            };
+            for dialer in held.drain(..) {
+                let _ = answer(dialer); // a dialer gone since its HELLO just never links
+            }
+            Ok(())
         }
-        MESH_TAG => match rank_of(&payload, "MESH", |r| r != me && r < n)? {
-            (rank, []) => rank,
-            _ => return Err(bad_handshake("MESH longer than a rank")),
-        },
-        _ => {
-            return Err(bad_handshake(&format!(
-                "unexpected frame tag {tag:#x} on retained listener"
-            )))
+        MESH_TAG if me != 0 => {
+            let had_link = |j: usize| fabric.peers[j].sock.lock().is_some();
+            match rank_of(&payload, "MESH", |j| j < n && (j > me || had_link(j)))? {
+                (j, []) => fabric.link(j, stream),
+                _ => Err(bad_handshake("MESH longer than a rank")),
+            }
         }
-    };
-    fabric
-        .rearm_peer(rank, stream)
-        .map_err(|e| std::io::Error::other(e.to_string()))
+        _ => Err(bad_handshake(&format!(
+            "unexpected frame tag {tag:#x} at rank {me}'s listener"
+        ))),
+    }
 }
 
 // ---------------------------------------------------------------------------
 // rendezvous bootstrap
 // ---------------------------------------------------------------------------
 
-/// What bootstrap hands to the data plane: one stream per peer (self slot
-/// `None`), the listener to retain in resilient mode, and the address
-/// table (maintained by the root for rejoin handshakes).
-struct Bootstrap {
-    streams: Vec<Option<TcpStream>>,
-    listener: Option<TcpListener>,
-    addrs: Vec<String>,
-}
-
-/// Establish the full mesh; returns one stream per peer (self slot `None`).
+/// Bring `fabric`'s mesh up; returns once every peer has a link.
 ///
 /// One handshake serves a fresh job and a respawned rank (`cfg.rejoin`).
-/// Every worker sends the root a HELLO with its rank and listener address
-/// and gets the address table (TABLE) back; then it opens a link with a
-/// MESH frame to each rank below it and accepts one from each rank above.
-/// A rejoiner sends the same frames to the retained listeners of a running
-/// mesh ([`admit`]), so it dials every survivor and accepts none.
+/// The rank binds its listener and starts its listener loop ([`listen`])
+/// before it dials anything: every link it does not dial arrives there.
+/// A worker sends the root a HELLO with its rank and listener address and
+/// gets the address table (TABLE) back; then it opens a link with a MESH
+/// frame to each rank below it. A rejoiner sends the same frames to the
+/// retained listeners of a running mesh, so it dials every survivor.
 ///
 /// The whole bootstrap is bounded by one `cfg.connect_timeout` deadline:
-/// accepts poll a non-blocking listener against it and every handshake
-/// read carries a socket read timeout, so a rank that dies before (or
-/// during) its HELLO/MESH exchange surfaces as a loud bootstrap error on
-/// every peer instead of an indefinite hang — the same no-hangs property
-/// the data plane's peer-down detection gives after the mesh is up. A
-/// connection that closes before completing its handshake (a port
-/// prober, or a rank that crashed right after `connect`) is skipped, not
-/// fatal. Read timeouts are cleared before the streams are handed to the
-/// data plane, whose receive threads must block indefinitely.
-fn rendezvous(cfg: &NetConfig) -> std::io::Result<Bootstrap> {
-    let n = cfg.nranks;
-    if cfg.rejoin && cfg.rank == 0 {
+/// dials retry against it, the TABLE read carries a socket read timeout,
+/// and the wait for the links the loop admits ends there with an error
+/// that names every rank that never linked — so a rank that dies before (or
+/// during) its handshake surfaces as a loud bootstrap error on every peer
+/// instead of an indefinite hang, the same no-hangs property the data
+/// plane's peer-down detection gives after the mesh is up.
+fn rendezvous(fabric: &Arc<TcpFabric>, cfg: &NetConfig) -> std::io::Result<()> {
+    let (n, me) = (cfg.nranks, cfg.rank);
+    if cfg.rejoin && me == 0 {
         return Err(bad_handshake(
             "rank 0 cannot rejoin: the root's death escalates to a full relaunch",
         ));
     }
     let deadline = Instant::now() + cfg.connect_timeout;
-    let mut peers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    if n == 1 {
-        return Ok(Bootstrap {
-            streams: peers,
-            listener: None,
-            addrs: vec![cfg.root.clone()],
-        });
+    if me == 0 {
+        fabric.addrs.lock()[0] = cfg.root.clone();
     }
-    let (listener, addrs) = if cfg.rank == 0 {
-        let listener = TcpListener::bind(&cfg.root)?;
-        let mut addrs: Vec<String> = vec![String::new(); n];
-        addrs[0] = cfg.root.clone();
-        let mut reported = 0;
-        while reported + 1 < n {
-            let mut stream = accept_until(&listener, deadline)?;
-            stream.set_nodelay(true)?;
-            let Some((_, payload)) = handshake_frame(&mut stream, HELLO_TAG, deadline)? else {
-                continue; // closed before HELLO: not one of ours
-            };
-            let (rank, addr) =
-                rank_of(&payload, "HELLO", |r| r != 0 && r < n && peers[r].is_none())?;
-            addrs[rank] = String::from_utf8(addr.to_vec())
-                .map_err(|_| bad_handshake("HELLO address not UTF-8"))?;
-            peers[rank] = Some(stream);
-            reported += 1;
-        }
-        // Answer every HELLO with the table so ranks can complete the mesh.
-        let table = encode_table(&addrs);
-        for stream in peers.iter_mut().flatten() {
-            write_frame(stream, TABLE_TAG, &table)?;
-            stream.flush()?;
-        }
-        (listener, addrs)
+    if n == 1 {
+        return Ok(());
+    }
+    let listener = if me == 0 {
+        TcpListener::bind(&cfg.root)?
     } else {
-        // Bind this rank's own listener on the root's interface.
-        let host = cfg
-            .root
-            .rsplit_once(':')
-            .map(|(h, _)| h)
-            .unwrap_or("127.0.0.1");
-        let listener = TcpListener::bind(format!("{host}:0"))?;
-        let my_addr = listener.local_addr()?.to_string();
+        // Bind on the root's interface, never on its port: a reserved
+        // address (`free_loopback_addr`) is free until the root binds it. The
+        // second bind runs while the first still holds that port.
+        let (host, port) = cfg.root.rsplit_once(':').unwrap_or(("127.0.0.1", ""));
+        let mut listener = TcpListener::bind(format!("{host}:0"))?;
+        if listener.local_addr()?.port().to_string() == port {
+            listener = TcpListener::bind(format!("{host}:0"))?;
+        }
+        listener
+    };
+    let my_addr = listener.local_addr()?.to_string();
+    listener.set_nonblocking(true)?;
+    let silence = HANDSHAKE_SILENCE.min(cfg.connect_timeout);
+    let weak = Arc::downgrade(fabric);
+    std::thread::Builder::new()
+        .name(format!("ppar-net-listen-{me}"))
+        .spawn(move || listen(weak, listener, silence))?;
+    if me != 0 {
         // Report in at the root (it may still be starting: retry with
         // backoff rather than burning the deadline on one blocking dial).
-        let mut root = connect_retry(&cfg.root, cfg.connect_timeout, cfg.rank as u64)?;
-        root.set_nodelay(true)?;
+        let mut root = connect_retry(&cfg.root, cfg.connect_timeout, me as u64)?;
         let mut hello = (cfg.rank as u32).to_le_bytes().to_vec();
         hello.extend_from_slice(my_addr.as_bytes());
         write_frame(&mut root, HELLO_TAG, &hello)?;
-        root.flush()?;
         crate::chaos::kill_point("rendezvous");
-        let (_, table) = handshake_frame(&mut root, TABLE_TAG, deadline)?
-            .ok_or_else(|| bad_handshake("root closed before sending the address table"))?;
-        let addrs = parse_table(&table, n)?;
-        peers[0] = Some(root);
-        // Pairwise mesh: connect downward, accept from above. A rejoiner's
-        // higher ranks are up already: it connects to them too.
-        let (dial, accept) = if cfg.rejoin {
-            (n, 0)
-        } else {
-            (cfg.rank, n - 1 - cfg.rank)
-        };
-        for (j, addr) in addrs.iter().enumerate().take(dial).skip(1) {
-            if j == cfg.rank {
-                continue;
+        let left = deadline.saturating_duration_since(Instant::now());
+        root.set_read_timeout(Some(left.max(Duration::from_millis(1))))?;
+        let table = match read_frame(&mut root) {
+            Ok(Some((TABLE_TAG, table))) => table,
+            Ok(Some((tag, _))) => {
+                return Err(bad_handshake(&format!("expected TABLE, got {tag:#x}")))
             }
-            let mut s = connect_retry(addr, cfg.connect_timeout, cfg.rank as u64)?;
-            s.set_nodelay(true)?;
-            write_frame(&mut s, MESH_TAG, &(cfg.rank as u32).to_le_bytes())?;
-            s.flush()?;
-            peers[j] = Some(s);
-        }
-        let mut accepted = 0;
-        while accepted < accept {
-            let mut s = accept_until(&listener, deadline)?;
-            s.set_nodelay(true)?;
-            let Some((_, payload)) = handshake_frame(&mut s, MESH_TAG, deadline)? else {
-                continue; // closed before MESH: not one of ours
-            };
-            let mesh = rank_of(&payload, "MESH", |j| {
-                j > cfg.rank && j < n && peers[j].is_none()
-            })?;
-            let (j, []) = mesh else {
-                return Err(bad_handshake("MESH longer than a rank"));
-            };
-            peers[j] = Some(s);
-            accepted += 1;
-        }
-        (listener, addrs)
-    };
-    // Hand indefinitely-blocking streams to the data plane.
-    for stream in peers.iter().flatten() {
-        stream.set_read_timeout(None)?;
-    }
-    Ok(Bootstrap {
-        streams: peers,
-        listener: Some(listener),
-        addrs,
-    })
-}
-
-/// Accept one connection, polling a non-blocking listener against the
-/// bootstrap deadline.
-fn accept_until(listener: &TcpListener, deadline: Instant) -> std::io::Result<TcpStream> {
-    listener.set_nonblocking(true)?;
-    let until = deadline.saturating_duration_since(Instant::now());
-    let mut poll = RetryPolicy::poll(Duration::from_millis(10), until);
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                return Ok(stream);
-            }
+            Ok(None) => return Err(bad_handshake("root closed before sending the TABLE")),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if !poll.backoff() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "bootstrap deadline passed while waiting for a peer to connect",
-                    ));
-                }
+                return Err(timed_out("bootstrap deadline passed waiting for the TABLE"))
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
+        };
+        let addrs = parse_table(&table, n)?;
+        fabric.link(0, root)?;
+        // Pairwise mesh: dial the ranks below. A rejoiner's higher ranks
+        // are up already: it dials them too.
+        let dial = if cfg.rejoin { n } else { me };
+        for (j, addr) in addrs.iter().enumerate().take(dial).skip(1) {
+            if j != me {
+                let mut s = connect_retry(addr, cfg.connect_timeout, me as u64)?;
+                write_frame(&mut s, MESH_TAG, &(cfg.rank as u32).to_le_bytes())?;
+                fabric.link(j, s)?;
+            }
         }
+        *fabric.addrs.lock() = addrs;
     }
+    fabric.await_links(deadline)
 }
 
-/// Read one handshake frame under the bootstrap deadline. `Ok(None)` means
-/// the peer closed before completing the handshake (skippable); a wrong
-/// tag, a timeout or a corrupt frame is an error.
-fn handshake_frame(
-    stream: &mut TcpStream,
-    want: u64,
-    deadline: Instant,
-) -> std::io::Result<Option<(u64, Vec<u8>)>> {
-    match handshake_frame_any(stream, deadline)? {
-        Some((tag, payload)) if tag == want => Ok(Some((tag, payload))),
-        Some((tag, _)) => Err(bad_handshake(&format!(
-            "expected frame tag {want:#x}, got {tag:#x}"
-        ))),
-        None => Ok(None),
-    }
-}
-
-/// [`handshake_frame`] without the tag expectation (the retained-listener
-/// acceptor dispatches on the tag itself).
-fn handshake_frame_any(
-    stream: &mut TcpStream,
-    deadline: Instant,
-) -> std::io::Result<Option<(u64, Vec<u8>)>> {
-    let remaining = deadline
-        .checked_duration_since(Instant::now())
-        .filter(|d| !d.is_zero())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "bootstrap deadline passed mid-handshake",
-            )
-        })?;
-    stream.set_read_timeout(Some(remaining))?;
-    match read_frame(stream) {
-        Ok(frame) => Ok(frame),
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Err(std::io::Error::new(
-            std::io::ErrorKind::TimedOut,
-            "bootstrap deadline passed mid-handshake",
-        )),
-        Err(e) => Err(e),
-    }
+fn timed_out(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::TimedOut, msg)
 }
 
 fn bad_handshake(msg: &str) -> std::io::Error {
@@ -1181,12 +1137,12 @@ fn parse_table(table: &[u8], n: usize) -> std::io::Result<Vec<String>> {
     Ok(addrs)
 }
 
-/// Dial `addr` until it answers or `timeout` passes. Each attempt uses a
-/// bounded `connect_timeout` (a blackholed SYN must not consume the whole
-/// deadline in one dial — the original failure mode of workers racing the
-/// root's listener) and failed attempts back off with deterministic
-/// jitter via [`RetryPolicy::connect`], seeded per rank so a respawn
-/// storm does not dial in lockstep.
+/// Dial `addr` until it answers or `timeout` passes; the stream comes back
+/// with `TCP_NODELAY` set. Each attempt uses a bounded `connect_timeout` (a
+/// blackholed SYN must not consume the whole deadline in one dial — the
+/// original failure mode of workers racing the root's listener) and failed
+/// attempts back off with deterministic jitter via [`RetryPolicy::connect`],
+/// seeded per rank so a respawn storm does not dial in lockstep.
 fn connect_retry(addr: &str, timeout: Duration, seed: u64) -> std::io::Result<TcpStream> {
     let target = addr
         .to_socket_addrs()?
@@ -1199,7 +1155,7 @@ fn connect_retry(addr: &str, timeout: Duration, seed: u64) -> std::io::Result<Tc
             .min(Duration::from_secs(2))
             .max(Duration::from_millis(10));
         match TcpStream::connect_timeout(&target, per_attempt) {
-            Ok(s) => return Ok(s),
+            Ok(s) => return s.set_nodelay(true).map(|()| s),
             Err(e) => {
                 if !policy.backoff() {
                     return Err(std::io::Error::new(
@@ -1397,6 +1353,7 @@ mod tests {
         };
         assert!(t0.elapsed() < Duration::from_secs(5));
         assert!(err.to_string().contains("bootstrap"), "{err}");
+        assert!(err.to_string().contains("ranks [1] never linked"), "{err}");
     }
 
     #[test]
@@ -1437,6 +1394,63 @@ mod tests {
         assert_eq!(results.1.unwrap(), 2);
     }
 
+    /// A dialer that connects to the root first and then says nothing holds
+    /// no part of the bootstrap: the worker behind it still comes up at once.
+    #[test]
+    fn bootstrap_skips_a_silent_dialer() {
+        let root = free_loopback_addr().unwrap();
+        let (connected, first) = mpsc::channel();
+        let silent_addr = root.clone();
+        let silent = std::thread::spawn(move || loop {
+            if let Ok(s) = TcpStream::connect(&silent_addr) {
+                connected.send(()).unwrap();
+                std::thread::sleep(Duration::from_secs(4));
+                drop(s);
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        });
+        let cfg = |rank| {
+            let mut cfg = NetConfig::new(rank, 2, root.clone());
+            cfg.connect_timeout = Duration::from_secs(2);
+            cfg
+        };
+        let t0 = Instant::now();
+        let (cfg0, cfg1) = (cfg(0), cfg(1));
+        let h0 = std::thread::spawn(move || TcpFabric::connect(&cfg0).map(|f| f.nranks()));
+        first.recv().unwrap();
+        let h1 = std::thread::spawn(move || TcpFabric::connect(&cfg1).map(|f| f.nranks()));
+        assert_eq!(h0.join().unwrap().unwrap(), 2);
+        assert_eq!(h1.join().unwrap().unwrap(), 2);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "bootstrap took {took:?}");
+        silent.join().unwrap();
+    }
+
+    /// Once a non-resilient mesh is up, every listener loop has ended and
+    /// dropped its listener: a dial to the top rank's address is refused.
+    #[test]
+    fn non_resilient_listeners_close_once_the_mesh_is_up() {
+        let done = std::sync::Barrier::new(3);
+        let results = mesh(3, |fabric| {
+            let refused = (fabric.rank() == 0).then(|| {
+                let addr = fabric.addrs.lock()[2].clone();
+                let t0 = Instant::now();
+                while TcpStream::connect(&addr).is_ok() && t0.elapsed() < Duration::from_secs(1) {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                t0.elapsed()
+            });
+            done.wait();
+            (refused, fabric.fault.load(Ordering::SeqCst))
+        });
+        let refused = results[0].0.unwrap();
+        assert!(refused < Duration::from_secs(1), "rank 2 still listens");
+        for (rank, (_, fault)) in results.iter().enumerate() {
+            assert!(!fault, "rank {rank} raised a fault");
+        }
+    }
+
     #[test]
     fn clean_shutdown_does_not_raise_fault() {
         // A finished rank announces itself with BYE: resilient survivors
@@ -1471,8 +1485,9 @@ mod tests {
     /// `recover`, and post-recovery traffic flows on all links. Before the
     /// crash, with every rank up, rank 0 runs `probe` on the listener
     /// addresses; every rank then checks that no fault is pending and that
-    /// traffic still flows on every link.
-    fn crash_and_rejoin(victim: usize, probe: impl Fn(&[String]) + Sync) {
+    /// traffic still flows on every link. Returns how long the rejoin
+    /// took: the respawn's `connect` and `recover`.
+    fn crash_and_rejoin(victim: usize, probe: impl Fn(&[String]) + Sync) -> Duration {
         let root = free_loopback_addr().unwrap();
         let mk = |rank: usize, rejoin: bool| {
             let mut cfg = NetConfig::new(rank, 3, root.clone());
@@ -1530,7 +1545,7 @@ mod tests {
                     fabric.shutdown();
                 });
             }
-            scope.spawn(|| {
+            let respawn = scope.spawn(|| {
                 let dead = mk(victim, false);
                 up_and_probed(&dead);
                 // Let the send threads flush the tag-2 frames (a real
@@ -1550,13 +1565,19 @@ mod tests {
                 }
                 std::thread::sleep(Duration::from_millis(100));
                 // Respawn: a fresh fabric rejoins the running mesh.
+                let t0 = Instant::now();
                 let reborn = mk(victim, true);
                 reborn.recover(Duration::from_secs(10)).unwrap();
+                let took = t0.elapsed();
                 exchange(&reborn, 3);
                 reborn.shutdown();
                 std::mem::forget(dead); // its threads still hold Weak refs
+                took
             });
-        });
+            respawn
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
     }
 
     /// Rank 2 has no survivor above it; rank 1 must also reach rank 2,
@@ -1566,6 +1587,50 @@ mod tests {
         for victim in [1, 2] {
             crash_and_rejoin(victim, |_| {});
         }
+    }
+
+    /// A connection that never sends a frame holds no retained listener: a
+    /// rejoin with one such connection open at every listener, or with a
+    /// burst of them at the root, still recovers at once.
+    #[test]
+    fn silent_connections_do_not_stall_a_rejoin() {
+        let silent = Mutex::new(Vec::new());
+        let took = crash_and_rejoin(1, |addrs| {
+            for addr in addrs {
+                silent.lock().push(TcpStream::connect(addr).unwrap());
+            }
+        });
+        assert!(took < Duration::from_secs(1), "one per listener: {took:?}");
+        let took = crash_and_rejoin(1, |addrs| {
+            for _ in 0..100 {
+                silent.lock().push(TcpStream::connect(&addrs[0]).unwrap());
+            }
+        });
+        assert!(
+            took < Duration::from_secs(1),
+            "a burst at the root: {took:?}"
+        );
+    }
+
+    /// A HELLO with no address is dropped like any malformed one: the root
+    /// neither holds it (which would block the rank's own HELLO as a
+    /// duplicate) nor writes an empty entry into its table.
+    #[test]
+    fn root_drops_a_hello_without_an_address() {
+        crash_and_rejoin(1, |addrs| {
+            let mut s = TcpStream::connect(&addrs[0]).unwrap();
+            write_frame(&mut s, HELLO_TAG, &1u32.to_le_bytes()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let got = std::io::Read::read(&mut s, &mut [0u8; 64]);
+            assert!(
+                matches!(got, Ok(0))
+                    || got.is_err_and(|e| !matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut
+                    )),
+                "the root kept a HELLO without an address"
+            );
+        });
     }
 
     /// Connections from outside the program at the retained listeners —
