@@ -46,7 +46,7 @@ impl ResourceTimeline {
 pub enum ReshapeKind {
     /// Realised with no process exit and no disk round-trip: an engine
     /// team retarget at the safe-point crossing, or an in-memory hand-off
-    /// relaunch driven by [`crate::live::launch_live`].
+    /// relaunch driven by [`crate::launch`].
     InPlace,
     /// Realised by checkpoint/restart through the on-disk store (the
     /// fallback, and the paper's Fig. 6 baseline).

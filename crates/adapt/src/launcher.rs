@@ -7,21 +7,26 @@
 //! different mode** — the paper's adaptation-by-restart (Fig. 6: start on
 //! 2 processes, restart on 8). Run-time adaptation (Fig. 7) instead installs
 //! an [`crate::controller::AdaptationController`] and reshapes without
-//! restarting.
+//! restarting: [`launch`] is the one in-process session loop, which applies
+//! a reshape the engine cannot realise in place by hand-off and relaunch
+//! ([`crate::live`]).
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppar_ckpt::hook::{CheckpointModule, CkptStats};
+use ppar_ckpt::Handoff;
 use ppar_core::ctx::{run_on, AdaptHook, CkptHook, Ctx, Engine, SeqEngine};
 use ppar_core::error::{PparError, Result};
+use ppar_core::mode::ExecMode;
 use ppar_core::plan::Plan;
 use ppar_core::runtime::{catch_exit, leave, Exit, TeamEngine};
 use ppar_dsm::spmd::{run_ranks, SpmdConfig};
 use ppar_dsm::{SimNet, Traffic};
 
-use crate::controller::AdaptationController;
+use crate::controller::{AdaptationController, ReshapeKind};
+use crate::live::deploy_for_mode;
 
 /// How the application body ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,32 +110,41 @@ impl Deploy {
     }
 }
 
-/// Outcome of one launch.
+/// Outcome of one launch: the final round's results plus the mode
+/// switches that were applied by in-memory hand-off.
 pub struct LaunchOutcome<R> {
-    /// Per-rank `(status, result)` pairs (a single entry for Seq/Smp).
+    /// Per-rank `(status, result)` pairs of the final round (a single entry
+    /// for Seq/Smp/Task).
     pub results: Vec<(AppStatus, R)>,
-    /// Did this launch replay a previous failure?
+    /// Did the *initial* round replay a previous on-disk failure?
     pub replayed: bool,
-    /// Rank-0 checkpoint statistics, when checkpointing was plugged.
+    /// Rank-0 checkpoint statistics of the final round, when a checkpoint
+    /// module was built (a directory or a controller was given).
     pub stats: Option<CkptStats>,
-    /// Network traffic of the whole launch (distributed and hybrid
+    /// Network traffic of the final round (distributed and hybrid
     /// deployments; `None` when no fabric was involved). Counted by the
     /// same [`Traffic`] type the real TCP fabric reports, so simulated and
     /// process-backed runs compare directly.
     pub traffic: Option<Traffic>,
+    /// Launch rounds executed (1 = no escalated reshape).
+    pub launches: usize,
+    /// Escalated mode switches, in order (engine-internal in-place
+    /// reshapes don't appear here — see
+    /// [`AdaptationController::applied`]).
+    pub reshapes: Vec<(ExecMode, ReshapeKind)>,
     /// Wall time of the whole launch.
     pub elapsed: Duration,
 }
 
 impl<R> LaunchOutcome<R> {
-    /// Did every rank complete?
+    /// Did every rank of the final round complete?
     pub fn completed(&self) -> bool {
         self.results.iter().all(|(s, _)| *s == AppStatus::Completed)
     }
 }
 
 /// Run `app` on `ctx` and announce completion when it reports one.
-pub(crate) fn run_app<R>(ctx: &Ctx, app: &impl Fn(&Ctx) -> (AppStatus, R)) -> (AppStatus, R) {
+fn run_app<R>(ctx: &Ctx, app: &impl Fn(&Ctx) -> (AppStatus, R)) -> (AppStatus, R) {
     let (status, result) = app(ctx);
     if status == AppStatus::Completed {
         ctx.finish();
@@ -142,7 +156,7 @@ pub(crate) fn run_app<R>(ctx: &Ctx, app: &impl Fn(&Ctx) -> (AppStatus, R)) -> (A
 /// (no element can die) only a failed save or restore raises it — the
 /// engine ends the attempt on every line of execution, and the module
 /// whose save or load failed keeps the error.
-pub(crate) fn ckpt_failure(modules: &[Arc<CheckpointModule>]) -> PparError {
+fn ckpt_failure(modules: &[Arc<CheckpointModule>]) -> PparError {
     let failure = modules.iter().find_map(|m| m.take_failure());
     failure.unwrap_or_else(|| {
         PparError::ContractViolation(
@@ -163,7 +177,7 @@ pub(crate) fn ckpt_failure(modules: &[Arc<CheckpointModule>]) -> PparError {
 /// startup. Creating them lazily inside the rank threads races with a fast
 /// root that replays, completes and clears the run marker before a slow
 /// rank reads it, leaving the aggregate disagreeing about replay mode.
-pub(crate) fn round<T: Send>(
+fn round<T: Send>(
     deploy: &Deploy,
     plan: &Arc<Plan>,
     modules: &[Arc<CheckpointModule>],
@@ -220,11 +234,18 @@ pub(crate) fn round<T: Send>(
     }
 }
 
-/// Launch `app` once under `deploy`. `ckpt_dir` plugs checkpointing (and
-/// arms replay if the directory holds a failed run); `controller` plugs
-/// run-time adaptation — reshapes the engine can realise in place (a team
-/// retarget within its headroom) are applied, anything else needs
-/// [`crate::live::launch_live`] or a restart. The app returns its status:
+/// Launch `app` under `deploy`. `ckpt_dir` plugs durable checkpointing
+/// (and arms replay if the directory holds a failed run); `controller`
+/// plugs run-time adaptation. A reshape the running engine can realise in
+/// place (a team retarget within its headroom) is applied at the crossing;
+/// any other escalates and is applied by an in-memory hand-off and an
+/// in-process relaunch under [`deploy_for_mode`] (see [`crate::live`]).
+/// Without a controller nothing escalates and the session is one round.
+///
+/// With a controller but no directory the modules have no medium — they
+/// count safe points and carry the hand-off — and a plan that snapshots
+/// (`checkpoint_every() > 0`) is refused with `InvalidPlan`. With neither,
+/// no checkpoint module is built at all. The app returns its status:
 /// `Completed` clears the run marker, `Crashed` leaves it for the next
 /// launch to detect.
 pub fn launch<R: Send>(
@@ -235,27 +256,86 @@ pub fn launch<R: Send>(
     app: impl Fn(&Ctx) -> (AppStatus, R) + Sync,
 ) -> Result<LaunchOutcome<R>> {
     let plan = Arc::new(plan);
+    let controller = controller.as_ref();
     let start = Instant::now();
-    let modules = match ckpt_dir {
-        Some(dir) => CheckpointModule::create_group(dir, &plan, deploy.nranks())?,
-        None => Vec::new(),
-    };
-    let (exits, traffic) = round(deploy, &plan, &modules, controller.as_ref(), |ctx| {
-        catch_exit(|| run_app(ctx, &app))
-    });
-    let results = match exits.into_iter().collect() {
-        Ok(results) => results,
-        Err(Exit::Fault) => return Err(ckpt_failure(&modules)),
-        Err(other) => leave(other),
-    };
-    let rank0 = modules.first();
-    Ok(LaunchOutcome {
-        results,
-        replayed: rank0.is_some_and(|m| m.will_replay()),
-        stats: rank0.map(|m| m.stats()),
-        traffic,
-        elapsed: start.elapsed(),
-    })
+    let mut deploy = deploy.clone();
+    let mut resume: Option<Arc<Handoff>> = None;
+    let mut reshapes = Vec::new();
+    let mut replayed = false;
+
+    // A runaway controller (or a target the successor immediately escalates
+    // again) must not loop forever.
+    const MAX_ROUNDS: usize = 32;
+    for launches in 1..=MAX_ROUNDS {
+        let nranks = deploy.nranks();
+        let modules = match (ckpt_dir, controller) {
+            (Some(dir), _) => CheckpointModule::create_group(dir, &plan, nranks)?,
+            (None, Some(_)) => CheckpointModule::create_group_without_dir(&plan, nranks)?,
+            (None, None) => Vec::new(),
+        };
+        if launches == 1 {
+            replayed = modules.first().is_some_and(|m| m.will_replay());
+        }
+        // Consumed here, so the successor's modules hold the hand-off's only
+        // references and the predecessor's cells are freed once every
+        // element has loaded them.
+        if let Some(handoff) = resume.take() {
+            for module in &modules {
+                module.arm_resume(handoff.clone());
+            }
+        }
+
+        let (exits, traffic) = round(&deploy, &plan, &modules, controller, |ctx| {
+            catch_exit(|| run_app(ctx, &app))
+        });
+
+        // An escalated crossing unwinds every rank with the same target
+        // (SPMD discipline: all elements reach the same crossing and read
+        // the same shared decision); a failed save or restore ends the
+        // session.
+        match (exits.into_iter().collect(), controller) {
+            (Ok(results), _) => {
+                return Ok(LaunchOutcome {
+                    results,
+                    replayed,
+                    stats: modules.first().map(|m| m.stats()),
+                    traffic,
+                    launches,
+                    reshapes,
+                    elapsed: start.elapsed(),
+                });
+            }
+            (Err(Exit::Fault), _) => return Err(ckpt_failure(&modules)),
+            (Err(Exit::Reshape(mode)), Some(controller)) => {
+                // The on-disk RUNNING marker (when a directory is
+                // configured) intentionally stays set across the relaunch:
+                // the session is still in flight, and if the process dies
+                // mid-switch a cold restart must replay from the last disk
+                // snapshot. Safe-point counts are monotone within a
+                // session, so the successor's first base promotion can
+                // never collide with the live chain's base count.
+                //
+                // The engines left the request pending (they did not apply
+                // it); this relaunch is the application. Confirm before the
+                // successor starts so its crossings see a clean controller.
+                controller.confirm(mode);
+                reshapes.push((mode, ReshapeKind::InPlace));
+                // The crossing gathered the state at the root (rank 0 is
+                // hooked to `modules[0]`), whose module froze it.
+                let handoff = modules[0].take_handoff().ok_or_else(|| {
+                    PparError::InvalidAdaptation(format!(
+                        "the escalated reshape to {mode} left no hand-off at the root"
+                    ))
+                })?;
+                resume = Some(Arc::new(handoff));
+                deploy = deploy_for_mode(mode, &deploy);
+            }
+            (Err(exit), _) => leave(exit),
+        }
+    }
+    Err(PparError::InvalidAdaptation(format!(
+        "live reshape did not converge within {MAX_ROUNDS} relaunches"
+    )))
 }
 
 /// Keep launching until the application completes, switching deployment per

@@ -100,6 +100,51 @@ fn smp_to_hybrid_reshapes_in_memory() {
     assert_eq!(controller.applied().len(), 1);
 }
 
+/// `launch` is the session loop: given a controller, an escalated
+/// `smp2 -> dist2` is applied by hand-off and relaunch, bitwise. Without a
+/// directory or a controller it builds no checkpoint module at all.
+#[test]
+fn plain_launch_applies_an_escalated_reshape() {
+    let reference = sor_seq(&params());
+    let controller =
+        AdaptationController::with_timeline(ResourceTimeline::new().at(3, ExecMode::dist(2)));
+    let outcome = launch(
+        &smp(2, 2),
+        live_plan(0),
+        None,
+        Some(controller.clone()),
+        |ctx| (AppStatus::Completed, sor_pluggable(ctx, &params())),
+    )
+    .unwrap();
+    assert!(outcome.completed());
+    assert_eq!(outcome.launches, 2, "one escalated relaunch");
+    assert_eq!(
+        outcome.reshapes,
+        vec![(ExecMode::dist(2), ReshapeKind::InPlace)]
+    );
+    assert_eq!(outcome.results.len(), 2, "the final round runs 2 ranks");
+    assert_eq!(
+        outcome.results[0].1.checksum.to_bits(),
+        reference.checksum.to_bits(),
+        "smp2 -> dist2 through launch must stay bitwise sequential"
+    );
+    assert_eq!(controller.applied().len(), 1);
+
+    let plain = launch(&smp(2, 2), live_plan(0), None, None, |ctx| {
+        (AppStatus::Completed, sor_pluggable(ctx, &params()))
+    })
+    .unwrap();
+    assert!(
+        plain.stats.is_none(),
+        "no directory, no controller: no module"
+    );
+    assert_eq!((plain.launches, plain.reshapes.len()), (1, 0));
+    assert_eq!(
+        plain.results[0].1.checksum.to_bits(),
+        reference.checksum.to_bits()
+    );
+}
+
 #[test]
 fn hybrid_local_teams_resize_in_place() {
     let reference = sor_seq(&params());

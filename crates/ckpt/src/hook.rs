@@ -24,10 +24,10 @@
 //!
 //! **A medium only moves records.** A save is one commit through the
 //! module's medium; what the chain needs besides lives in the store: a
-//! master base's commit retires its chain's deltas, a fresh run purges old
-//! chains at creation, and the group-commit point is written to the
-//! module's own store (a worker process has none, its root commits for the
-//! group).
+//! master base's commit retires its chain's deltas, a fresh run retires
+//! every record, chain and commit point an earlier run left at creation,
+//! and the group-commit point is written to the module's own store (a
+//! worker process has none, its root commits for the group).
 //!
 //! **A shard is one full record.** Incremental mode grows the master's
 //! chain only: a local-snapshot element saves its owned block of every
@@ -192,8 +192,6 @@ pub struct CheckpointModule {
     /// this seam. `None`: no medium — the module counts safe points, freezes
     /// hand-offs and resumes from them, and never snapshots.
     transport: Option<Arc<dyn CkptTransport>>,
-    /// Is the live hand-off armed ([`CheckpointModule::arm_handoff`])?
-    handoff_armed: AtomicBool,
     /// Why this module's save or restore failed, kept for the launcher:
     /// the engine that met the failure ends the attempt on every line of
     /// execution ([`CheckpointModule::take_failure`]).
@@ -549,14 +547,14 @@ impl CheckpointModule {
         // The record is worth its memory only to the load at the target.
         let prefetched = folded.filter(|_| target > 0 && tip == Some(target));
         if target == 0 {
-            // Fresh run in a possibly reused directory: a previous
-            // generation's delta chain could carry a `base_count` equal to a
-            // count this run will reach (runs of the same app repeat the
-            // same safe-point schedule), and a crash between this run's
-            // first base commit and its chain's retirement would then merge
-            // mixed-generation bytes. Purge every chain up front; the old
-            // base stays (it is harmless and about to be replaced).
-            store.purge_deltas()?;
+            // Fresh run in a possibly reused directory: a crash before this
+            // run's first save must not restore what an earlier run left
+            // (its record, shards or commit point), and an old delta chain
+            // could carry a `base_count` equal to a count this run will
+            // reach (runs of the same app repeat the same safe-point
+            // schedule). Retire them all up front; their files stay as
+            // spares for this run's saves to claim.
+            store.retire_records()?;
         }
 
         store.set_marker()?;
@@ -650,7 +648,6 @@ impl CheckpointModule {
                     id: NEXT_MODULE_ID.fetch_add(1, Ordering::Relaxed),
                     store: store.clone(),
                     transport: transport.clone(),
-                    handoff_armed: AtomicBool::new(false),
                     failure: Mutex::new(None),
                     saved: AtomicBool::new(false),
                     handoff: Mutex::new(None),
@@ -672,14 +669,6 @@ impl CheckpointModule {
                 })
             })
             .collect()
-    }
-
-    /// Arm the live hand-off: at an escalated reshape crossing the engine
-    /// freezes the state ([`CkptHook::handoff_snapshot`]) instead of
-    /// demanding a restart, and [`CheckpointModule::take_handoff`] hands it
-    /// to the successor.
-    pub fn arm_handoff(&self) {
-        self.handoff_armed.store(true, Ordering::SeqCst);
     }
 
     /// The hand-off this module froze at an escalated crossing, if it did
@@ -1284,16 +1273,7 @@ impl CkptHook for CheckpointModule {
         }
     }
 
-    fn can_handoff(&self) -> bool {
-        self.handoff_armed.load(Ordering::SeqCst)
-    }
-
     fn handoff_snapshot(&self, ctx: &Ctx) -> Result<()> {
-        if !self.can_handoff() {
-            return Err(PparError::InvalidAdaptation(
-                "live reshape requested but no hand-off is armed".into(),
-            ));
-        }
         let t0 = Instant::now();
         // Always a *full master* view: the successor may be any mode and
         // any aggregate size, so the hand-off must hold the complete,
@@ -1718,7 +1698,6 @@ mod tests {
             .unwrap()
             .pop()
             .unwrap();
-        predecessor.arm_handoff();
         let ctx = seq_ctx(ckpt_plan(0), predecessor.clone());
         ctx.alloc_vec("G", 3, 9.0f64);
         for _ in 0..9 {
@@ -1798,8 +1777,8 @@ mod tests {
                 !dir.join("ckpt_master_delta_1.bin").exists(),
                 "stale chain from the previous generation must be purged"
             );
-            // The old base alone is what the fold now sees.
-            assert_eq!(module.store().get(None, None).unwrap().unwrap().count, 1);
+            // Nor may the old base serve a restart of this run.
+            assert!(module.store().get(None, None).unwrap().is_none());
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1858,7 +1837,6 @@ mod tests {
             .unwrap()
             .pop()
             .unwrap();
-        module.arm_handoff();
         let ctx = seq_ctx(plan(), module.clone());
         let v = ctx.alloc_vec("V", 37, 0.0f64);
         let g = ctx.alloc_grid("G", 5, 7, 0.0f64);

@@ -27,8 +27,9 @@
 //! The store keeps its chain itself; no medium above it has a say. A
 //! master base's commit retires the chain's deltas right after the rename
 //! (a crash in between leaves deltas naming the old base, which the fold
-//! ignores), `CheckpointModule::create_group` purges every chain before a
-//! fresh run, and `ckpt_commit` holds the group-commit point
+//! ignores), `CheckpointModule::create_group` retires every record, chain
+//! and commit point an earlier run left before a fresh run, and
+//! `ckpt_commit` holds the group-commit point
 //! ([`CheckpointStore::commit_group`]) that a shard's retained `_prev`
 //! generation serves. A shard grows no chain: its sink refuses a delta
 //! key, so every shard generation is one whole record. The read side
@@ -2133,12 +2134,21 @@ impl CheckpointStore {
     }
 
     /// Fresh-run hygiene, run by [`crate::CheckpointModule::create_group`]
-    /// before a run that is not replaying: a previous generation's leftover
-    /// chain could carry a `base_count` that collides with the counts this
-    /// run will produce, so every delta goes, and every delta spare.
-    pub(crate) fn purge_deltas(&self) -> Result<()> {
-        let matches = |name: &str| name.starts_with("ckpt_") && name.contains("_delta_");
-        self.remove_records(matches, None)
+    /// before a run that is not replaying: no record, shard generation or
+    /// group-commit point an earlier run left may serve a restart of this
+    /// one — a crash before its first save would restore the earlier run's
+    /// state — nor may an old chain whose `base_count` collides with a
+    /// count this run reaches. Every record and the commit point go. Each
+    /// flat record file but a `_prev` (a shard's sink claims the `_prev`
+    /// itself, never its spare) keeps its spare name for this run's first
+    /// save of its key to claim.
+    pub(crate) fn retire_records(&self) -> Result<()> {
+        self.remove_records(|name| name.ends_with("_prev.bin"), None)?;
+        let matches = |name: &str| name.starts_with("ckpt_") && !name.ends_with(SPARE);
+        let mut gone = Superseded::new(0);
+        self.remove_records(matches, Some(&mut gone))?;
+        gone.keep();
+        Ok(())
     }
 
     /// Advance the group-commit point (atomically) to safe point `count`:
@@ -2182,7 +2192,7 @@ impl CheckpointStore {
 
     /// Delete every record — flat file or manifest — whose name `matches`.
     /// With `gone`, each flat record file (not a temp file) keeps its own
-    /// spare name first.
+    /// spare name first. A directory is no record and stays.
     fn remove_records(
         &self,
         matches: impl Fn(&str) -> bool,
@@ -2192,7 +2202,7 @@ impl CheckpointStore {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if matches(&name) {
+            if matches(&name) && !entry.file_type()?.is_dir() {
                 let path = entry.path();
                 if let (Some(gone), true) = (gone.as_deref_mut(), name.ends_with(".bin")) {
                     self.spare(&path, spare_path(&path), gone);
@@ -2667,10 +2677,11 @@ mod tests {
     }
 
     /// A base's retirement of its chain leaves every spare where it is and
-    /// sweeps the chain's orphaned temp files; the fresh-run purge sweeps
-    /// delta spares, and clearing the directory sweeps every spare.
+    /// sweeps the chain's orphaned temp files; the fresh-run retirement
+    /// removes every record and keeps every spare, and clearing the
+    /// directory sweeps every spare.
     #[test]
-    fn spares_survive_a_chains_retirement_and_go_with_a_purge_or_a_clear() {
+    fn spares_survive_a_chains_and_a_fresh_runs_retirement_and_go_with_a_clear() {
         let dir = tmpdir("spare_sweeps");
         let store = CheckpointStore::new_flat(&dir).unwrap();
         let base = |count| {
@@ -2708,8 +2719,13 @@ mod tests {
         assert_eq!(fs::read(&d2).unwrap(), old_d2);
         assert_eq!(names(&dir).0.len(), spares.len() + 1, "{:?}", names(&dir));
 
-        store.purge_deltas().unwrap();
-        assert_eq!(names(&dir).1, ["ckpt_master.bin.spare"]);
+        store.commit_group(6).unwrap();
+        store.retire_records().unwrap();
+        assert_eq!(
+            names(&dir).0,
+            spares,
+            "the record and the commit point are gone"
+        );
         store.clear_all().unwrap();
         assert!(names(&dir).0.is_empty(), "{:?}", names(&dir));
         fs::remove_dir_all(&dir).unwrap();

@@ -85,8 +85,8 @@ impl ParallelEngine for TeamEngine {
             ExecMode::SharedMemory { threads } if threads <= self.rt.max_threads() => {
                 Some(threads.max(1))
             }
-            // Oversized, distributed and hybrid targets escalate: live
-            // hand-off when one is armed, checkpoint/restart otherwise.
+            // Oversized, distributed and hybrid targets escalate to a live
+            // hand-off and an in-process relaunch.
             _ => None,
         }
     }

@@ -83,7 +83,7 @@ pub enum Exit {
     /// operations until the end of the parallel region").
     Drained,
     /// The engine cannot realise the requested mode in place: the state was
-    /// handed off through the armed hook and every line of execution
+    /// handed off through the checkpoint hook and every line of execution
     /// unwinds to the launcher, which relaunches in this mode in process —
     /// no exit, no disk round-trip.
     Reshape(ExecMode),

@@ -225,11 +225,10 @@ pub trait ParallelEngine: Send + Sync {
 
     /// Map a reshape target onto a local team size. `None` means this
     /// engine cannot honour `mode` in place (wrong engine family, different
-    /// aggregate size); the crossing then **escalates**: with a live
-    /// hand-off armed the state is handed off and every line of execution
-    /// leaves for an in-process relaunch
-    /// ([`Exit::Reshape`]), otherwise the run panics with a pointer to the
-    /// launcher (adaptation by checkpoint/restart).
+    /// aggregate size); the crossing then **escalates**: the state is
+    /// handed off through the checkpoint hook and every line of execution
+    /// leaves for an in-process relaunch ([`Exit::Reshape`]); a run with no
+    /// hook panics with a pointer to the launcher.
     fn reshape_team_size(&self, mode: ExecMode) -> Option<usize>;
 
     /// Rank-level plan-driven data updates fired at every announcement of a
@@ -605,23 +604,21 @@ pub trait ParallelEngine: Send + Sync {
     }
 
     /// Escalate a reshape this engine cannot realise in place (§IV.B meets
-    /// the transport seam). With a live hand-off armed: the crossing leader
-    /// — inside the sealed barrier generation, so the team is quiesced —
-    /// collects the state and hands a full master view of it off, then
-    /// *every* line of execution leaves with
-    /// [`Exit::Reshape`] for the launcher's in-process relaunch in `mode`
-    /// (no process exit, no disk round-trip). The request stays pending;
-    /// the launcher confirms it when relaunching. Without a hand-off the
-    /// old behaviour is preserved: adaptation by checkpoint/restart,
-    /// surfaced as a panic pointing at the launcher.
+    /// the transport seam): the crossing leader — inside the sealed barrier
+    /// generation, so the team is quiesced — collects the state and hands a
+    /// full master view of it off through the checkpoint hook, then *every*
+    /// line of execution leaves with [`Exit::Reshape`] for the launcher's
+    /// in-process relaunch in `mode` (no process exit, no disk round-trip).
+    /// The request stays pending; the launcher confirms it when
+    /// relaunching. A run with no checkpoint hook has nothing to hand the
+    /// state to and panics with a pointer to the launcher.
     fn pe_escalate(&self, ctx: &Ctx, mode: ExecMode) -> ! {
         let rt = self.rt();
-        let handoff = ctx.ckpt_hook().filter(|ck| ck.can_handoff()).cloned();
-        let Some(ck) = handoff else {
+        let Some(ck) = ctx.ckpt_hook().cloned() else {
             panic!(
-                "engine cannot reshape to {mode} in place and no live hand-off is \
-                 armed; deploy through the ppar-adapt launcher (launch_live for \
-                 in-process reshape, or adaptation by checkpoint/restart)"
+                "engine cannot reshape to {mode} in place and has no checkpoint \
+                 hook to hand the state off to; deploy through the ppar-adapt \
+                 launcher with a controller, or adapt by checkpoint/restart"
             );
         };
         if rt.in_region() {

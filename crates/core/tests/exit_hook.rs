@@ -38,7 +38,7 @@ impl AdaptHook for Request {
     }
 }
 
-/// A checkpoint hook that never checkpoints and always has a hand-off armed.
+/// A checkpoint hook that never checkpoints and counts its hand-offs.
 #[derive(Default)]
 struct Handoff {
     streamed: AtomicUsize,
@@ -66,9 +66,6 @@ impl CkptHook for Handoff {
     }
     fn finish(&self, _ctx: &Ctx) -> Result<()> {
         Ok(())
-    }
-    fn can_handoff(&self) -> bool {
-        true
     }
     fn handoff_snapshot(&self, _ctx: &Ctx) -> Result<()> {
         self.streamed.fetch_add(1, Ordering::SeqCst);

@@ -124,8 +124,8 @@ impl ParallelEngine for HybridEngine {
             // hyb -> dist with the same aggregate: local teams contract to
             // one line of execution per element.
             ExecMode::Distributed { processes } if processes == self.ep().nranks() => Some(1),
-            // A different aggregate size or engine family escalates (live
-            // hand-off relaunch, or checkpoint/restart without one).
+            // A different aggregate size or engine family escalates to a
+            // live hand-off relaunch.
             _ => None,
         }
     }

@@ -1518,7 +1518,10 @@ mod tests {
             // other ranks see this one go and fail too instead of waiting.
             let probing = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if fabric.rank() == 0 {
-                    probe(&fabric.addrs.lock().clone());
+                    // Bound first: the table's lock guard must not live
+                    // through the probe.
+                    let addrs = fabric.addrs.lock().clone();
+                    probe(&addrs);
                 }
             }));
             probed.wait();
