@@ -29,7 +29,9 @@
 //! [`CkptService`] receives their shard/delta records (CRC-verified) and
 //! forwards them into the store, so one directory holds the whole job's
 //! chains and a restart can stream state root → rank over the same
-//! frames.
+//! frames. A rank 0 that cannot build its checkpoint module (its
+//! directory cannot be opened) broadcasts a refusal carrying its error in
+//! place of the replay state, and every rank ends with that error.
 //!
 //! ## In-job recovery (resilient mode)
 //!
@@ -86,6 +88,11 @@ const MAX_RECOVERIES: usize = 8;
 /// swept by the recovery purge and the waits fail fast under a pending
 /// fault — which is the whole point.
 const DONE_TAG: u64 = 1 << 59;
+
+/// The first byte of the replay-state broadcast when rank 0 could not
+/// build its checkpoint module (else the detected-failure flag, 0 or 1);
+/// the error's text follows.
+const REFUSED: u8 = 2;
 
 /// Confirm job-wide completion before a resilient rank retires.
 ///
@@ -177,7 +184,19 @@ fn run_attempt<R>(
     let built: Option<Arc<CheckpointModule>> = match ckpt_dir {
         None => None,
         Some(dir) if cfg.rank == 0 => {
-            let module = CheckpointModule::create(dir, plan)?;
+            let module = match CheckpointModule::create(dir, plan) {
+                Ok(module) => module,
+                Err(e) => {
+                    // The workers wait in the broadcast below: they hear the
+                    // refusal and end with it instead.
+                    if cfg.nranks > 1 {
+                        let mut refusal = vec![REFUSED];
+                        refusal.extend_from_slice(e.to_string().as_bytes());
+                        ep.bcast(0, Some(refusal));
+                    }
+                    return Err(e);
+                }
+            };
             // The `PPARPRG1` region cursor of the snapshot being replayed
             // to rides the same broadcast as the replay decision: workers
             // fast-forward their loops without a network read.
@@ -201,6 +220,12 @@ fn run_attempt<R>(
         }
         Some(_) => {
             let state = ep.bcast(0, None);
+            if let Some((&REFUSED, why)) = state.split_first() {
+                return Err(PparError::CorruptCheckpoint(format!(
+                    "rank 0 could not build its checkpoint module: {}",
+                    String::from_utf8_lossy(why)
+                )));
+            }
             let prog_len = (state.len() >= 13)
                 .then(|| u32::from_le_bytes(state[9..13].try_into().expect("4-byte len")) as usize);
             if prog_len.is_none_or(|n| state.len() != 13 + n) {

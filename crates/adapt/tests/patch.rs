@@ -16,8 +16,13 @@
 //!   a dense step and a cursor whose length changes;
 //! * under `dist2` master-collect, where every save after the first
 //!   gathers only what each element wrote, every record of the root is
-//!   golden, and a steady save writes at most twice the bytes its step
-//!   dirtied plus what lies outside the field's payload;
+//!   golden, a steady save writes at most twice the bytes its step
+//!   dirtied plus what lies outside the field's payload, the first save
+//!   puts its record twice — once more into the twin it leaves as the
+//!   spare — and the second save patches that twin, publishing its very
+//!   file and writing at most what its step dirtied plus what lies
+//!   outside the payload (on one core no twin is written, and the second
+//!   save finds no spare);
 //! * under `dist2` local snapshots, with incremental mode on or off, every
 //!   shard is a full record patched into the `_prev` its sink claims: each
 //!   one golden, a steady save bounded like the master's by what was
@@ -34,7 +39,9 @@
 //!   of hanging — a patched record's failure mode is a CRC error at load —
 //!   and so does a launch whose save fails, in every deployment and under
 //!   both strategies — a `tcp2` job's too, whose ranks take the failed save
-//!   for what it is instead of a peer's death to recover from;
+//!   for what it is instead of a peer's death to recover from — and a
+//!   `tcp2` job whose rank 0 cannot open its checkpoint directory, on both
+//!   ranks, with rank 0's error;
 //! * in a debug build, a write no mark declares panics the next save with
 //!   the save-time oracle's message, in `seq`, `smp2` and `dist2` under
 //!   both strategies, and leaves no line of execution waiting; SOR's
@@ -72,6 +79,12 @@ const N: usize = 1 << 19;
 const WINDOW: usize = N / 20;
 const RECORD: &str = "ckpt_master.bin";
 const SPARE: &str = "ckpt_master.bin.spare";
+
+/// Does a run's first save seed its spare here? Its twin is written by the
+/// helper a 4 MiB payload starts only on a second core.
+fn twins() -> bool {
+    ppar_core::sync::cores() > 1
+}
 
 fn scratch(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("ppar_patch_{tag}_{}", std::process::id()));
@@ -612,7 +625,12 @@ const DIST_WINDOW: usize = 25 * CHUNK;
 /// save the root's record is the golden encoding of the root's state, and
 /// a steady save — not the first two, nor one within a save of a dense
 /// step — writes at most twice the bytes its step dirtied plus all that
-/// lies outside the field's payload.
+/// lies outside the field's payload. The first save puts its record twice,
+/// the second time into the twin it leaves as the spare, and the second
+/// save claims that twin — its record is the twin's file — and writes at
+/// most the bytes its step dirtied plus all that lies outside the
+/// payload. On one core the first save puts its record once, and the
+/// second finds no spare.
 #[test]
 fn dist2_master_collect_saves_are_golden_and_write_what_changed() {
     let dir = scratch("dist2");
@@ -620,6 +638,7 @@ fn dist2_master_collect_saves_are_golden_and_write_what_changed() {
     let modules = CheckpointModule::create_group(&dir, &plan, 2).unwrap();
     let hooks = |rank: usize| (Some(modules[rank].clone() as Arc<dyn CkptHook>), None);
     let put = std::sync::Mutex::new(0);
+    let first = std::sync::Mutex::new(Vec::new());
     run_spmd(&SpmdConfig::instant(2), plan.clone(), &hooks, true, |ctx| {
         let v = ctx.alloc_vec("V", N, 0.0f64);
         ctx.call("init", |_| v.copy_in_from_fn(|i| (i % 1000) as f64));
@@ -634,10 +653,12 @@ fn dist2_master_collect_saves_are_golden_and_write_what_changed() {
                         v.set(i, v.get(i) * 0.5 + (step * N + i) as f64);
                     });
                 });
+                let spare = dir.join(SPARE);
+                let spare = (ctx.rank() == 0).then(|| spare.exists().then(|| ino(&spare)));
                 ctx.point("sp");
-                if ctx.rank() != 0 {
+                let Some(spare) = spare else {
                     return true;
-                }
+                };
                 let record = std::fs::read(dir.join(RECORD)).unwrap();
                 let count = ctx.ckpt_hook().unwrap().count();
                 let want = golden(ctx, count, None, &record, &[("V", FieldSource::Cell(&*v))]);
@@ -646,13 +667,18 @@ fn dist2_master_collect_saves_are_golden_and_write_what_changed() {
                 let wrote =
                     stats.bytes_put - std::mem::replace(&mut *put.lock().unwrap(), stats.bytes_put);
                 let dense = |s: usize| DIST_STEPS[s].is_none();
+                let outside = (record.len() - N * 8) as u64;
                 if step >= 2 && !dense(step) && !dense(step - 1) {
-                    let outside = record.len() - N * 8;
-                    let bound = 2 * DIST_WINDOW * 8 + outside;
-                    assert!(
-                        wrote <= bound as u64,
-                        "step {step}: wrote {wrote} > {bound}"
-                    );
+                    let bound = 2 * DIST_WINDOW as u64 * 8 + outside;
+                    assert!(wrote <= bound, "step {step}: wrote {wrote} > {bound}");
+                }
+                if step < 2 {
+                    let published = ino(&dir.join(RECORD));
+                    let len = record.len() as u64;
+                    first
+                        .lock()
+                        .unwrap()
+                        .push((spare, published, wrote, len, outside));
                 }
                 true
             });
@@ -661,6 +687,19 @@ fn dist2_master_collect_saves_are_golden_and_write_what_changed() {
     });
     let stats = modules[0].stats();
     assert_eq!(stats.full_snapshots, DIST_STEPS.len() as u64);
+    // Checked here, not on rank 0 mid-run, where a failed check would leave
+    // rank 1 waiting for it.
+    let first = first.into_inner().unwrap();
+    let [(_, _, wrote, len, _), (spare, published, second, _, outside)] = first[..] else {
+        panic!("the first two saves: {first:?}");
+    };
+    assert_eq!(wrote, len * (1 + twins() as u64), "the first save");
+    assert_eq!(spare.is_some(), twins(), "the second save's spare");
+    if let Some(spare) = spare {
+        assert_eq!(published, spare, "the second save did not claim the twin");
+        let bound = DIST_WINDOW as u64 * 8 + outside;
+        assert!(second <= bound, "the second save wrote {second} > {bound}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -860,6 +899,54 @@ fn a_tcp2_job_whose_save_fails_returns_the_error() {
     match ended[1].take().unwrap() {
         Err(PparError::CorruptCheckpoint(msg)) if msg.contains("another element") => {}
         other => panic!("rank 1: expected another element's failure, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `tcp2` job whose checkpoint path is a regular file: rank 0, the one
+/// rank that opens it, cannot build its checkpoint module, and broadcasts
+/// a refusal carrying its error where the replay state would go. Both
+/// ranks end well within the deadline, neither panics: rank 0 with its
+/// own error, its peer with one that names it.
+#[test]
+fn a_tcp2_job_whose_root_cannot_open_its_directory_returns_the_error() {
+    let dir = scratch("open_fails_tcp2");
+    let path = dir.join("a_file");
+    std::fs::write(&path, b"not a directory").unwrap();
+    let root = free_loopback_addr().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let started = std::time::Instant::now();
+    let ranks: Vec<_> = (0..2)
+        .map(|rank| {
+            let (tx, path, root) = (tx.clone(), path.clone(), root.clone());
+            std::thread::spawn(move || {
+                let cfg = NetConfig::new(rank, 2, root);
+                let out = run_net_rank(&cfg, run_plan(), Some(&path), |ctx| app(ctx, None));
+                let _ = tx.send((rank, out.map(|out| out.status)));
+            })
+        })
+        .collect();
+    // A rank that panics sends nothing: once both are gone, the channel
+    // closes instead of waiting out the deadline.
+    drop(tx);
+    let deadline = started + std::time::Duration::from_secs(60);
+    let mut ended = [None, None];
+    for _ in 0..2 {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        let (rank, outcome) = rx.recv_timeout(left).expect("a rank panicked or hangs");
+        ended[rank] = Some(outcome);
+    }
+    for rank in ranks {
+        assert!(rank.join().is_ok(), "a rank panicked");
+    }
+    assert!(started.elapsed() < std::time::Duration::from_secs(20));
+    let why = match ended[0].take().unwrap() {
+        Err(e) => e.to_string(),
+        Ok(status) => panic!("rank 0: expected its module's error, got {status:?}"),
+    };
+    match ended[1].take().unwrap() {
+        Err(PparError::CorruptCheckpoint(msg)) if msg.contains(&why) => {}
+        other => panic!("rank 1: expected rank 0's error ({why}), got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

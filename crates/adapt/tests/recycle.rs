@@ -14,8 +14,20 @@
 //!   one per base name and `FULL_EVERY` per delta chain, and the direct
 //!   commits leave none;
 //! * a steady save publishes the very file it claimed (same inode);
+//! * a run's first save seeds the spare its second claims: a twin of the
+//!   record, byte-identical to it, written beside it into a file of its
+//!   own, so from the second save on a flat record alternates between
+//!   exactly two files; a run stopped right after its first save restarts
+//!   bitwise over the twin;
+//! * a one-step run, a payload under 4 MiB and a one-core run write no
+//!   twin, and a directory planted at the spare name leaves every save Ok
+//!   and whole and the run bitwise;
 //! * [`ppar_ckpt::CkptStats`] counts every save exactly;
 //! * a live reshape saves over the spares its predecessor left.
+//!
+//! A twin is written by the block engine's helper thread, which a 4 MiB
+//! payload starts only with a second core: on one core the tests assert
+//! that no save writes one.
 //!
 //! Every test works in a directory of its own, so the tests of this
 //! binary may run in parallel. They tell files apart by inode, so they
@@ -39,12 +51,17 @@ use ppar_dsm::SpmdConfig;
 
 /// 4 MiB of `f64`: a record large enough that a fresh file is not free.
 const N: usize = 1 << 19;
-/// Each step rewrites a window of 1/16 of the field.
-const WINDOW: usize = N / 16;
 const STEPS: usize = 7;
 /// Bases are promoted every `FULL_EVERY + 1` saves in incremental mode.
 const FULL_EVERY: usize = 2;
 const SPARE: &str = ".spare";
+const RECORD: &str = "ckpt_master.bin";
+
+/// Does a run's first save seed its spare here? Its twin is written by the
+/// helper a 4 MiB payload starts only on a second core.
+fn twins() -> bool {
+    ppar_core::sync::cores() > 1
+}
 
 fn scratch(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("ppar_recycle_{tag}_{}", std::process::id()));
@@ -108,6 +125,8 @@ struct Saved {
     spare_before: Option<u64>,
     /// The inode of the published record.
     published: u64,
+    /// Just after the save, the record's spare holds its very bytes.
+    spare_is_record: bool,
     module: BTreeMap<String, u64>,
     direct: BTreeMap<String, u64>,
 }
@@ -145,13 +164,15 @@ impl Probe {
     fn around(&self, save: usize, point: impl FnOnce()) {
         let key = self.key(save);
         let name = match key.delta {
-            None => "ckpt_master.bin".to_string(),
+            None => RECORD.to_string(),
             Some(seq) => format!("ckpt_master_delta_{seq}.bin"),
         };
         let spare_before = files(&self.dir).get(&format!("{name}{SPARE}")).copied();
         point();
         let module = files(&self.dir);
         let bytes = std::fs::read(self.dir.join(&name)).unwrap();
+        let spare = std::fs::read(self.dir.join(format!("{name}{SPARE}"))).ok();
+        let spare_is_record = spare.as_deref() == Some(&bytes[..]);
         let mut sink = self.direct.begin(key, bytes.len() as u64).unwrap();
         sink.write_all(&bytes).unwrap();
         drop(sink.commit().unwrap());
@@ -159,6 +180,7 @@ impl Probe {
             published: module[&name],
             name,
             spare_before,
+            spare_is_record,
             module,
             direct: files(self.direct.dir()),
         });
@@ -172,13 +194,26 @@ type Folded = u64;
 /// Every step rewrites its window of `V` and crosses safe point `sp`;
 /// `stop_after` steps in, the run stops right after that step's save.
 fn app(ctx: &Ctx, stop_after: Option<usize>, probe: Option<&Probe>) -> (AppStatus, Folded) {
-    let v = ctx.alloc_vec("V", N, 0.0f64);
+    shaped(ctx, N, STEPS, stop_after, probe)
+}
+
+/// [`app`] over `n` elements of `V` (a window is 1/16 of them) and `steps`
+/// steps.
+fn shaped(
+    ctx: &Ctx,
+    n: usize,
+    steps: usize,
+    stop_after: Option<usize>,
+    probe: Option<&Probe>,
+) -> (AppStatus, Folded) {
+    let v = ctx.alloc_vec("V", n, 0.0f64);
+    let window = n / 16;
     ctx.region("run", |ctx| {
-        ctx.iter_loop("steps", 0..STEPS, |ctx, step| {
-            let start = step * 5 * WINDOW / 2 % (N - WINDOW);
+        ctx.iter_loop("steps", 0..steps, |ctx, step| {
+            let start = step * 5 * window / 2 % (n - window);
             ctx.call("touch", |ctx| {
-                ctx.each("cells", start..start + WINDOW, |_, i| {
-                    v.set(i, v.get(i) * 0.5 + (step * N + i) as f64);
+                ctx.each("cells", start..start + window, |_, i| {
+                    v.set(i, v.get(i) * 0.5 + (step * n + i) as f64);
                 });
             });
             match probe {
@@ -358,13 +393,20 @@ fn a_module_run_leaves_the_record_names_of_direct_commits_and_bounded_spares() {
 }
 
 /// Once its key has a spare, a save creates no file: the record it
-/// publishes is the spare it claimed, the same inode.
+/// publishes is the spare it claimed, the same inode. The first save
+/// leaves a spare byte-identical to its record, the twin it wrote beside
+/// it, which the next full save claims; so from the second save on the
+/// flat record alternates between exactly two files, and the second
+/// save's is the twin. On one core no twin is written, and the second
+/// save finds no spare.
 #[test]
 fn a_steady_save_publishes_the_spare_it_claimed() {
-    // Flat: saves 3.. find the spare save 2 left. Incremental: save 7 finds
-    // the base's spare save 4 left, saves 5 and 6 the delta spares the
-    // chain retired by save 4 left.
-    for (incremental, claims) in [(false, STEPS - 2), (true, 3)] {
+    let twin = twins() as usize;
+    // Flat: saves 2.. find the spare save 1 seeded (on one core, saves 3..
+    // find the one save 2 left). Incremental: save 7 finds the base's
+    // spare save 4 left, saves 5 and 6 the delta spares the chain retired
+    // by save 4 left, and save 4 the twin save 1 seeded.
+    for (incremental, claims) in [(false, STEPS - 2 + twin), (true, 3 + twin)] {
         let dir = scratch(&format!("inode_{incremental}"));
         let direct = scratch(&format!("inode_direct_{incremental}"));
         let probe = Probe::new(&dir, &direct, incremental);
@@ -389,9 +431,131 @@ fn a_steady_save_publishes_the_spare_it_claimed() {
             }
         }
         assert_eq!(claimed, claims, "incremental={incremental}");
+        assert_eq!(
+            saves[0].spare_is_record,
+            twins(),
+            "incremental={incremental}"
+        );
+        if !incremental {
+            let second = saves[1].spare_before;
+            assert_eq!(second.is_some(), twins(), "the second save's spare");
+            let published: Vec<u64> = saves[1..].iter().map(|s| s.published).collect();
+            for pair in published.windows(2) {
+                assert_ne!(pair[0], pair[1], "{published:?}");
+            }
+            let files: BTreeSet<_> = published.iter().collect();
+            assert_eq!(files.len(), 2, "{published:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&direct);
     }
+}
+
+/// A run stopped right after its first save leaves its record and, under
+/// the spare name, the twin that save wrote — byte-identical to the
+/// record. The restart replays to that save, ends bitwise equal to the
+/// uninterrupted run, and its first save claims the twin: every file it
+/// leaves is one the stopped run left. On one core no twin is left.
+#[test]
+fn a_run_stopped_right_after_its_first_save_restarts_bitwise_over_the_twin() {
+    let want = reference();
+    let master = DistCkptStrategy::MasterCollect;
+    for (tag, deploy) in [("seq", Deploy::Seq), ("smp2", smp2()), ("dist2", dist2())] {
+        let dir = scratch(&format!("first_{tag}"));
+        let stopped = launch(&deploy, plan(false, master), Some(&dir), None, |ctx| {
+            app(ctx, Some(1), None)
+        })
+        .unwrap();
+        assert!(!stopped.completed(), "{tag}");
+        let record = std::fs::read(dir.join(RECORD)).unwrap();
+        let spare = std::fs::read(dir.join(format!("{RECORD}{SPARE}"))).ok();
+        match twins() {
+            true => assert!(spare == Some(record), "{tag}: the spare is no twin"),
+            false => assert!(spare.is_none(), "{tag}: one core wrote a twin"),
+        }
+        let left = files(&dir);
+        let restarted = launch(&deploy, plan(false, master), Some(&dir), None, |ctx| {
+            app(ctx, None, None)
+        })
+        .unwrap();
+        assert!(restarted.completed() && restarted.replayed, "{tag}");
+        assert_eq!(restarted.results[0].1, want, "{tag}: not bitwise");
+        if twins() {
+            let before: BTreeSet<_> = left.values().collect();
+            for (name, ino) in &files(&dir) {
+                assert!(before.contains(ino), "{tag}: {name} is a fresh file");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A first save writes a twin only when another save is coming, the
+/// record's payload starts a helper of the block engine (4 MiB or more,
+/// on a second core) and its file is fresh. So a one-step run, a 2 MiB
+/// payload and a one-core run leave no spare behind their first save, and
+/// that save puts the record's bytes only; a 4 MiB payload on two cores
+/// puts the record's bytes twice, its twin taking the spare name.
+#[test]
+fn a_one_step_run_a_small_payload_and_one_core_write_no_twin() {
+    let master = DistCkptStrategy::MasterCollect;
+    let cases = [
+        ("one_step", N, 1, None, false),
+        ("small", N / 2, STEPS, Some(1), false),
+        ("large", N, STEPS, Some(1), twins()),
+    ];
+    for (tag, n, steps, stop, twin) in cases {
+        let dir = scratch(&format!("no_twin_{tag}"));
+        let out = launch(&smp2(), plan(false, master), Some(&dir), None, |ctx| {
+            shaped(ctx, n, steps, stop, None)
+        })
+        .unwrap();
+        let stats = out.stats.expect("rank-0 stats");
+        assert_eq!(stats.snapshots_taken, 1, "{tag}");
+        let len = std::fs::metadata(dir.join(RECORD)).unwrap().len();
+        assert_eq!(stats.bytes_written, len, "{tag}");
+        assert_eq!(stats.bytes_put, len * (1 + twin as u64), "{tag}");
+        let spare = dir.join(format!("{RECORD}{SPARE}"));
+        assert_eq!(spare.exists(), twin, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A directory planted at the record's spare name can be neither claimed
+/// nor replaced: every save is Ok and writes a fresh file whole — the
+/// first one's twin is written, then removed when it cannot take the
+/// name — the directory stays, no temp file is left, and the run restarts
+/// bitwise.
+#[test]
+fn a_directory_at_the_spare_name_leaves_every_save_whole() {
+    let master = DistCkptStrategy::MasterCollect;
+    let dir = scratch("planted");
+    let planted = dir.join(format!("{RECORD}{SPARE}")).join("occupied");
+    std::fs::create_dir_all(&planted).unwrap();
+    let stopped = launch(&smp2(), plan(false, master), Some(&dir), None, |ctx| {
+        app(ctx, Some(2), None)
+    })
+    .unwrap();
+    let stats = stopped.stats.expect("rank-0 stats");
+    assert_eq!(stats.snapshots_taken, 2);
+    // Save 1 puts its record and, on a second core, its twin; save 2 its
+    // whole record.
+    let len = std::fs::metadata(dir.join(RECORD)).unwrap().len();
+    assert_eq!(stats.bytes_put, len * (2 + twins() as u64));
+    assert!(planted.is_dir());
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert!(names.iter().all(|n| !n.contains(".tmp")), "{names:?}");
+    let restarted = launch(&smp2(), plan(false, master), Some(&dir), None, |ctx| {
+        app(ctx, None, None)
+    })
+    .unwrap();
+    assert!(restarted.completed() && restarted.replayed);
+    assert_eq!(restarted.results[0].1, reference(), "not bitwise");
+    assert!(planted.is_dir());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The stats a launch reports count every save exactly: one per safe
@@ -409,7 +573,7 @@ fn checkpoint_stats_count_every_save_exactly() {
         let dir = scratch(&format!("stats_{incremental}"));
         let stats = run(&dir, incremental, None);
         assert_eq!(stats.snapshots_taken, STEPS as u64);
-        let base = size(&dir, "ckpt_master.bin");
+        let base = size(&dir, RECORD);
         if incremental {
             // Saves 1, 4, 7 are bases; 2, 3, 5, 6 deltas, each of the same
             // number of dirty chunks. The last base retired the chain.

@@ -45,7 +45,10 @@
 //! each key claims the file that key last retired and writes into warm
 //! page cache: the team pays neither for a fresh file nor for freeing the
 //! old one. Spares outlive the module: a restarted run's first saves
-//! claim the ones a stopped run left.
+//! claim the ones a stopped run left. A key's first save finds no spare,
+//! so a master record written whole into a fresh file, while the loop
+//! tracker shows another iteration to come, also writes a twin of itself
+//! for the next save to claim ([`crate::store::Twin`]).
 //!
 //! **A steady save writes what changed since the file it rewrites, and
 //! checksums what changed since the last full record.** The module keeps
@@ -134,7 +137,9 @@ pub struct CkptStats {
     pub last_save_bytes: u64,
     /// Bytes the saves actually wrote into their medium: their record
     /// lengths ([`CkptStats::bytes_written`]) less what a patched full
-    /// save moved past in the file it rewrote ([`RecordSink::skip`]).
+    /// save moved past in the file it rewrote ([`RecordSink::skip`]), plus
+    /// the twin a first save wrote to seed its key's spare
+    /// ([`crate::store::Twin`]).
     pub bytes_put: u64,
     /// Cumulative wall time spent inside `take_snapshot`.
     pub save_time: Duration,
@@ -270,10 +275,14 @@ type Ranges = Vec<std::ops::Range<usize>>;
 /// the record it renames over the spare name (and a shard's sink claims
 /// the `_prev` its rotation evicts), so the file a steady save claims
 /// holds the older one, and the newer one is what the next save's will
-/// hold. A save whose sink holds one of them rewrites only
-/// those changes ([`Record::patch`]), and every save takes the block CRCs
-/// of what did not change since the newest one from it. The newest one is
-/// also the base the next delta extends ([`Generations::next_delta`]).
+/// hold. The first save leaves its spare: written whole into a fresh file
+/// with more saves to come, a master record also seeds its key's spare
+/// with a twin of itself ([`crate::store::Twin`]), so the second save's
+/// claimed file holds the newest record. A save whose sink holds one of
+/// them rewrites only those changes ([`Record::patch`]), and every save
+/// takes the block CRCs of what did not change since the newest one from
+/// it. The newest one is also the base the next delta extends
+/// ([`Generations::next_delta`]).
 #[derive(Default)]
 struct Generations(Vec<Generation>);
 
@@ -445,20 +454,23 @@ impl Generations {
 /// [`Generations::plan`] lays it out — rewriting in place the record the
 /// sink's file holds when the module trusts it, checksumming only the
 /// blocks that changed since the newest record — and keep it among
-/// `generations`. Returns what the commit superseded and the bytes the
-/// sink moved past.
+/// `generations`. With `seed` (another save is coming), a record written
+/// whole into a fresh file also seeds the key's spare ([`Record::patch`]),
+/// which the next save recognises as this record and patches. Returns what
+/// the commit superseded and the bytes the save put on the medium.
 fn commit_full(
     to: &dyn CkptTransport,
     meta: &SnapshotMeta,
     fields: &[(&str, FieldSource<'_>)],
     changed: &[Option<Ranges>],
     generations: &mut Generations,
+    seed: bool,
 ) -> Result<(Superseded, u64)> {
     let record = Record::Full(meta, fields);
     let spans = record.payload_spans();
     let (gone, patched) = commit_record(to, &record, |sink| {
         let plan = generations.plan(sink, &spans, changed)?;
-        record.patch(sink, &plan)
+        record.patch(sink, &plan, seed)
     })?;
     let held = Held {
         len: patched.len,
@@ -466,7 +478,7 @@ fn commit_full(
         crc: patched.crc,
     };
     generations.committed(held, spans, changed, patched.blocks);
-    Ok((gone, patched.skipped))
+    Ok((gone, patched.len - patched.skipped + patched.twinned))
 }
 
 /// Bytes `ranges` (sorted, disjoint) cover.
@@ -815,7 +827,7 @@ impl CheckpointModule {
     /// what changed since, and every other field — untracked, the cursor —
     /// is written whole; and a tracked field checksums only the blocks
     /// that changed since the newest of them. Returns what the commit
-    /// superseded and the bytes the sink moved past.
+    /// superseded and the bytes the save put on the medium.
     fn put_fields(
         &self,
         ctx: &Ctx,
@@ -912,12 +924,14 @@ impl CheckpointModule {
                 let record = Record::Delta(&meta, &fields);
                 commit_record(to, &record, |sink| record.encode(sink).map(drop)).map(|(gone, _)| {
                     generations.advance(&changed, true);
-                    (gone, 0)
+                    let put = gone.bytes();
+                    (gone, put)
                 })
             }
             None => {
                 let fields: Vec<_> = fields.collect();
-                commit_full(to, meta, &fields, &changed, &mut generations)
+                let seed = self.frames.lock().iter().any(|f| f.index + 1 < f.end);
+                commit_full(to, meta, &fields, &changed, &mut generations, seed)
             }
         };
         if committed.is_err() {
@@ -1107,7 +1121,7 @@ impl CheckpointModule {
         // A promoted base retires the chain it supersedes as it commits (in
         // the store behind the medium). The spares the commit left are the
         // files the next save of each key rewrites.
-        let (gone, skipped) = self.put_fields(ctx, to, &meta, link)?;
+        let (gone, wrote) = self.put_fields(ctx, to, &meta, link)?;
         let written = gone.keep();
         // The checkpoint cycle's epoch reset, after every save: whatever was
         // dirty is now captured (by the delta, or by the full record), and
@@ -1130,7 +1144,7 @@ impl CheckpointModule {
         }
         stats.bytes_written += written;
         stats.last_save_bytes = written;
-        stats.bytes_put += written - skipped;
+        stats.bytes_put += wrote;
         stats.save_time += dt;
         stats.last_save_time = dt;
         stats.chunks_written += put.chunks_written;

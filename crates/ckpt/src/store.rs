@@ -57,6 +57,9 @@
 //! them; the checkpoint module (see [`crate::hook`]) and the checkpoint
 //! service's lanes keep them. Its footprint is one extra record per base
 //! name and at most one chain of delta spares, on disk and in page cache.
+//! Only a key's first save finds no spare, so a module's first master save
+//! leaves one: a [`Twin`] of its record, written beside it by the block
+//! engine's helper and published under the spare name by the commit.
 //!
 //! File format (all integers little-endian):
 //!
@@ -147,13 +150,13 @@
 //! ordered, front-to-back pass.
 
 use std::fs;
-use std::io::{BufReader, BufWriter, Read, Seek, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use ppar_core::error::{PparError, Result};
 use ppar_core::state::StateCell;
-use ppar_core::sync::{AtomicU64, Mutex, Ordering};
+use ppar_core::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
 use crate::cas::ChunkRef;
 use crate::crc::{crc32, crc_blocks, helpers, join_block, Crc32, CRC_COPY_BLOCK};
@@ -412,6 +415,17 @@ pub enum FieldSource<'a> {
     Bytes(&'a [u8]),
 }
 
+impl FieldSource<'_> {
+    /// The payload's bytes, when they lie in memory: a cell's when its
+    /// memory already is its encoding ([`StateCell::encoded`]).
+    fn in_memory(&self) -> Option<&[u8]> {
+        match self {
+            FieldSource::Bytes(bytes) => Some(bytes),
+            FieldSource::Cell(cell) => cell.encoded(),
+        }
+    }
+}
+
 /// Where one field of a *delta* snapshot comes from.
 pub enum DeltaSource<'a> {
     /// The whole field, as in a full snapshot (cells without write
@@ -511,16 +525,38 @@ impl Record<'_> {
     /// [`FieldPatch::known`] block CRCs checksums only the blocks it does
     /// not know, and its block CRCs come back in [`Patched::blocks`]; a
     /// delta record is refused.
+    ///
+    /// With `seed`, a record written whole with no block CRC known, one of
+    /// whose payloads starts a helper of the block engine, is also written
+    /// into the sink's [`Twin`] when it offers one: the helper's idle core
+    /// writes the key's next spare beside the record. A twin left
+    /// incomplete by a failed write is dropped, and the record's write goes
+    /// on without it.
     pub(crate) fn patch(
         &self,
         sink: &mut dyn RecordSink,
         fields: &[FieldPatch],
+        seed: bool,
     ) -> Result<Patched> {
         let Record::Full(meta, sources) = self else {
             return Err(PparError::InvalidPlan("only a full record patches".into()));
         };
-        let mut w = SnapshotWriter::new(sink, meta, sources.len() as u32)?;
+        let fresh = |patch: &FieldPatch| {
+            patch.write.is_none() && patch.known.iter().flatten().all(Option::is_none)
+        };
+        let helped = |(_, source): &(&str, FieldSource<'_>)| {
+            source
+                .in_memory()
+                .is_some_and(|b| helpers(b.len(), None) > 0)
+        };
+        let twin = match seed && fields.iter().all(fresh) && sources.iter().any(helped) {
+            true => sink.twin(),
+            false => None,
+        };
+        let mut w = SnapshotWriter::empty(sink, sources.len() as u32);
         w.skip = Some(|sink, n| sink.skip(n));
+        w.twin = twin;
+        w.header(meta)?;
         let mut blocks = Vec::with_capacity(sources.len());
         for (i, (name, source)) in sources.iter().enumerate() {
             let patch = fields.get(i);
@@ -533,11 +569,16 @@ impl Record<'_> {
             )?);
         }
         let skipped = w.skipped;
-        let (len, crc, _) = w.seal()?;
+        let (len, crc, sink, twin) = w.seal()?;
+        let twinned = twin.map_or(0, |twin| {
+            sink.seed(twin);
+            len
+        });
         Ok(Patched {
             len,
             crc,
             skipped,
+            twinned,
             blocks,
         })
     }
@@ -586,6 +627,9 @@ pub(crate) struct Patched {
     pub(crate) crc: u32,
     /// Bytes of it the sink moved past instead of writing.
     pub(crate) skipped: u64,
+    /// Bytes written into the sink's [`Twin`]: the record's length when
+    /// the twin holds all of it and went back to the sink, else 0.
+    pub(crate) twinned: u64,
     /// Per field, its payload's block CRCs, for a field that was given
     /// [`FieldPatch::known`] and whose bytes lie in memory.
     pub(crate) blocks: Vec<Option<Vec<u32>>>,
@@ -598,6 +642,7 @@ struct CrcTee<'a, W: Write> {
     sink: &'a mut W,
     crc: &'a mut Crc32,
     written: &'a mut u64,
+    twin: &'a mut Option<Twin>,
 }
 
 impl<W: Write> Write for CrcTee<'_, W> {
@@ -607,6 +652,7 @@ impl<W: Write> Write for CrcTee<'_, W> {
         let buf = &buf[..buf.len().min(CRC_COPY_BLOCK)];
         let n = self.sink.write(buf)?;
         self.crc.update(&buf[..n]);
+        tee(self.twin, &buf[..n]);
         *self.written += n as u64;
         Ok(n)
     }
@@ -636,6 +682,10 @@ pub struct SnapshotWriter<W: Write> {
     /// record this one rewrites in place ([`Record::patch`]); `None`: every
     /// byte is written.
     skip: Option<fn(&mut W, u64) -> std::io::Result<()>>,
+    /// Where every byte is also written, at the same offset, while the
+    /// record seeds its key's spare ([`Record::patch`]); `None` once a write
+    /// into it failed.
+    twin: Option<Twin>,
 }
 
 impl<W: Write> SnapshotWriter<W> {
@@ -647,6 +697,7 @@ impl<W: Write> SnapshotWriter<W> {
             skipped: 0,
             fields_remaining: nfields,
             skip: None,
+            twin: None,
         }
     }
 
@@ -654,13 +705,19 @@ impl<W: Write> SnapshotWriter<W> {
     /// upcoming fields.
     pub fn new(sink: W, meta: &SnapshotMeta, nfields: u32) -> Result<SnapshotWriter<W>> {
         let mut w = SnapshotWriter::empty(sink, nfields);
-        w.put(MAGIC)?;
-        w.put_str(&meta.mode_tag)?;
-        w.put(&meta.count.to_le_bytes())?;
-        w.put(&meta.rank.unwrap_or(MASTER_RANK).to_le_bytes())?;
-        w.put(&meta.nranks.to_le_bytes())?;
-        w.put(&nfields.to_le_bytes())?;
+        w.header(meta)?;
         Ok(w)
+    }
+
+    /// A full record's header for `meta`, announcing the fields `empty`
+    /// was given.
+    fn header(&mut self, meta: &SnapshotMeta) -> Result<()> {
+        self.put(MAGIC)?;
+        self.put_str(&meta.mode_tag)?;
+        self.put(&meta.count.to_le_bytes())?;
+        self.put(&meta.rank.unwrap_or(MASTER_RANK).to_le_bytes())?;
+        self.put(&meta.nranks.to_le_bytes())?;
+        self.put(&self.fields_remaining.to_le_bytes())
     }
 
     /// A delta record's versioned header (see [`crate::delta`] for the
@@ -724,16 +781,35 @@ impl<W: Write> SnapshotWriter<W> {
                 join_block(&mut self.crc, crc, block.len());
                 crcs.push(crc);
                 self.sink.write_all(block)?;
+                tee(&mut self.twin, block);
             }
             crcs
         } else {
             let (sink, skip) = (&mut self.sink, self.skip);
             let block =
                 |i: usize| &bytes[i * CRC_COPY_BLOCK..bytes.len().min((i + 1) * CRC_COPY_BLOCK)];
-            let checksum = |i, _: &mut _| Ok(crc32(block(i)));
+            // The thread that claims a block writes it into the twin at its
+            // offset in the record, then checksums it while it is hot.
+            // `Relaxed`: the flag publishes no data, and the join hands it
+            // back to this thread.
+            let (twin, at) = (self.twin.as_ref().map(|t| t.file.get_ref()), self.written);
+            let torn = AtomicBool::new(false);
+            let checksum = |i, _: &mut _| {
+                if let Some(twin) = twin.filter(|_| !torn.load(Ordering::Relaxed)) {
+                    let offset = at + (i * CRC_COPY_BLOCK) as u64;
+                    if write_exact_at(twin, block(i), offset).is_err() {
+                        torn.store(true, Ordering::Relaxed);
+                    }
+                }
+                Ok(crc32(block(i)))
+            };
             let write = || write_spans(sink, bytes, write, skip);
             let (skipped, crcs) = crc_blocks(&mut self.crc, bytes.len(), known, checksum, write)?;
             self.skipped += skipped;
+            let (twin, past) = (&mut self.twin, SeekFrom::Current(bytes.len() as i64));
+            if torn.into_inner() || twin.as_mut().is_some_and(|t| t.file.seek(past).is_err()) {
+                *twin = None;
+            }
             crcs
         };
         self.written += bytes.len() as u64;
@@ -765,6 +841,7 @@ impl<W: Write> SnapshotWriter<W> {
             sink: &mut self.sink,
             crc: &mut self.crc,
             written: &mut self.written,
+            twin: &mut self.twin,
         })
     }
 
@@ -784,12 +861,12 @@ impl<W: Write> SnapshotWriter<W> {
         rewrite: Option<&[Range<usize>]>,
         known: Option<&[Option<u32>]>,
     ) -> Result<Option<Vec<u32>>> {
-        let (len, bytes) = match source {
-            FieldSource::Bytes(bytes) => (bytes.len() as u64, Some(*bytes)),
-            FieldSource::Cell(cell) => (cell.byte_len() as u64, cell.encoded()),
-        };
+        let len = match source {
+            FieldSource::Bytes(bytes) => bytes.len(),
+            FieldSource::Cell(cell) => cell.byte_len(),
+        } as u64;
         self.put(&len.to_le_bytes())?;
-        let Some(bytes) = bytes else {
+        let Some(bytes) = source.in_memory() else {
             let FieldSource::Cell(cell) = source else {
                 unreachable!("bytes are in memory")
             };
@@ -862,12 +939,13 @@ impl<W: Write> SnapshotWriter<W> {
     /// Seal the snapshot: append the running CRC, flush the sink and return
     /// `(total bytes written, sink)`.
     pub fn finish(self) -> Result<(u64, W)> {
-        let (written, _, sink) = self.seal()?;
+        let (written, _, sink, _) = self.seal()?;
         Ok((written, sink))
     }
 
-    /// [`SnapshotWriter::finish`], the record's CRC returned too.
-    fn seal(mut self) -> Result<(u64, u32, W)> {
+    /// [`SnapshotWriter::finish`], the record's CRC returned too, and the
+    /// twin when it holds every byte of the record.
+    fn seal(mut self) -> Result<(u64, u32, W, Option<Twin>)> {
         if self.fields_remaining != 0 {
             return Err(PparError::InvalidPlan(format!(
                 "SnapshotWriter: {} announced fields never written",
@@ -876,9 +954,12 @@ impl<W: Write> SnapshotWriter<W> {
         }
         let crc = self.crc.finish();
         self.sink.write_all(&crc.to_le_bytes())?;
+        tee(&mut self.twin, &crc.to_le_bytes());
         self.written += 4;
         self.sink.flush()?;
-        Ok((self.written, crc, self.sink))
+        let twin = self.twin.take();
+        let twin = twin.and_then(|mut twin| twin.file.flush().is_ok().then_some(twin));
+        Ok((self.written, crc, self.sink, twin))
     }
 }
 
@@ -1012,6 +1093,7 @@ impl CkptTransport for CheckpointStore {
             head: Vec::with_capacity(256),
             written: 0,
             committed: false,
+            seed: None,
         }))
     }
 
@@ -1077,6 +1159,14 @@ impl CkptTransport for CheckpointStore {
 /// the file a spare name first, into the commit's [`Superseded`]. A crash,
 /// an abort or a drop mid-stream never leaves a partial record under the
 /// final name, and the temp file — a claimed spare included — is removed.
+///
+/// The first save leaves its spare: a sink over a fresh file of the master
+/// record offers a [`Twin`] ([`RecordSink::twin`]), and when the writer
+/// hands it back whole, the commit renames it onto the key's spare name
+/// right after the record's own rename, for the key's next save to claim.
+/// The twin is a fresh file too, so that save's rename still waits for the
+/// kernel to allocate its blocks (ext4's `auto_da_alloc`; `std` has no
+/// `fallocate` to do it ahead).
 struct FlatSink<'a> {
     store: &'a CheckpointStore,
     key: RecordKey,
@@ -1100,6 +1190,9 @@ struct FlatSink<'a> {
     written: u64,
     /// The temp file has been renamed away; nothing is left to remove.
     committed: bool,
+    /// The twin the writer handed back whole ([`RecordSink::seed`]), which
+    /// the commit publishes as the key's spare.
+    seed: Option<Twin>,
 }
 
 impl Write for FlatSink<'_> {
@@ -1150,6 +1243,25 @@ impl RecordSink for FlatSink<'_> {
         Ok(())
     }
 
+    /// A fresh file of the master record, before its first byte, offers a
+    /// twin: a temp file of its own, named after the sink's.
+    fn twin(&mut self) -> Option<Twin> {
+        if self.claimed.is_some() || self.key != RecordKey::full(None) || self.written != 0 {
+            return None;
+        }
+        let mut path = self.tmp.clone().into_os_string();
+        path.push(TWIN);
+        let file = fs::File::create(&path).ok()?;
+        Some(Twin {
+            path: Some(path.into()),
+            file: BufWriter::new(file),
+        })
+    }
+
+    fn seed(&mut self, twin: Twin) {
+        self.seed = Some(twin);
+    }
+
     fn commit(mut self: Box<Self>) -> Result<Superseded> {
         self.w.flush()?;
         // Only a longer spare is trimmed: on ext4 even a truncate to the
@@ -1160,12 +1272,69 @@ impl RecordSink for FlatSink<'_> {
         self.key.check_record(&self.head)?;
         let mut gone = Superseded::new(self.written);
         self.store.rotate_generation(self.key, self.rotates)?;
-        self.store
-            .spare(&self.dst, spare_path(&self.dst), &mut gone);
+        let spare = spare_path(&self.dst);
+        self.store.spare(&self.dst, spare.clone(), &mut gone);
         fs::rename(&self.tmp, &self.dst)?;
         self.committed = true;
+        // A twin that cannot take the spare name is removed; the record
+        // stands either way.
+        let seeded = self
+            .seed
+            .take()
+            .is_some_and(|twin| twin.publish(&spare).is_ok());
+        if seeded && !gone.spares.contains(&spare) {
+            gone.spares.push(spare);
+        }
         self.store.retire_chain(self.key, &mut gone)?;
         Ok(gone)
+    }
+}
+
+/// The suffix of a twin's temp name, after its sink's own.
+const TWIN: &str = ".twin";
+
+/// A byte-identical copy of a record, written beside it at the same
+/// offsets into a temp file of its own (see [`RecordSink::twin`]): a fresh
+/// flat sink's offer, so that the key's next save finds a spare that
+/// holds the record and patches it instead of writing a fresh file. Every
+/// block-engine job writes its payload block into it before checksumming
+/// the block, and every other byte is teed into it as the record's own
+/// write passes; a write that fails drops it. Whole, it goes back to the
+/// sink ([`RecordSink::seed`]), whose commit renames it onto the key's
+/// spare name. A twin dropped unpublished removes its temp file; a fresh
+/// run's retirement sweeps one a crash left.
+pub struct Twin {
+    /// The temp file's name; `None` once published.
+    path: Option<PathBuf>,
+    file: BufWriter<fs::File>,
+}
+
+impl Twin {
+    /// Give the twin the name `to`.
+    fn publish(mut self, to: &Path) -> std::io::Result<()> {
+        if let Some(path) = &self.path {
+            fs::rename(path, to)?;
+        }
+        self.path = None;
+        Ok(())
+    }
+}
+
+impl Drop for Twin {
+    fn drop(&mut self) {
+        if let Some(path) = &self.path {
+            let _ = fs::remove_file(path);
+        }
+    }
+}
+
+/// Append `bytes` to `twin` at its cursor; a write that fails drops it.
+fn tee(twin: &mut Option<Twin>, bytes: &[u8]) {
+    if twin
+        .as_mut()
+        .is_some_and(|t| t.file.write_all(bytes).is_err())
+    {
+        *twin = None;
     }
 }
 
@@ -1182,13 +1351,21 @@ fn spare_path(path: &Path) -> PathBuf {
 /// Open the temp file `tmp` for a flat sink: the record name's `spare`,
 /// claimed by renaming it to `tmp` and opened to be rewritten in place
 /// (with its length, which the commit trims only if the record is shorter),
-/// or a fresh file when there is no spare to claim (`None`). A
-/// claimed file that still has another name — a crash cut a commit between
-/// its link and its rename, so the spare is also a live record — is never
-/// written: it is unlinked and a fresh file takes its place.
+/// or a fresh file when there is no spare to claim (`None`). Only a key's
+/// first save finds none: that save leaves a twin of its record as the
+/// spare ([`Twin`]). A claimed file that still has another name — a crash
+/// cut a commit between its link and its rename, so the spare is also a
+/// live record — is never written: it is unlinked and a fresh file takes
+/// its place. What cannot be opened as a file (a directory holding the
+/// spare name) goes back under that name, and a fresh file is written.
 fn claim_spare(spare: &Path, tmp: &Path) -> Result<(fs::File, Option<u64>)> {
     if fs::rename(spare, tmp).is_ok() {
-        let file = fs::OpenOptions::new().read(true).write(true).open(tmp)?;
+        let Ok(file) = fs::OpenOptions::new().read(true).write(true).open(tmp) else {
+            // No file to rewrite (a directory holds the spare name): it
+            // goes back where it was.
+            fs::rename(tmp, spare)?;
+            return Ok((fs::File::create(tmp)?, None));
+        };
         let meta = file.metadata()?;
         if sole_name(&meta) {
             return Ok((file, Some(meta.len())));
@@ -1209,6 +1386,19 @@ fn read_exact_at(file: &fs::File, out: &mut [u8], offset: u64) -> std::io::Resul
 #[cfg(not(unix))]
 fn read_exact_at(_file: &fs::File, _out: &mut [u8], _offset: u64) -> std::io::Result<()> {
     Err(std::io::Error::other("positioned reads need Unix"))
+}
+
+/// Write all of `bytes` into `file` at `offset`, leaving its cursor where
+/// it is.
+#[cfg(unix)]
+fn write_exact_at(file: &fs::File, bytes: &[u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::write_all_at(file, bytes, offset)
+}
+
+/// Off Unix a twin's payload write fails, so no twin is published.
+#[cfg(not(unix))]
+fn write_exact_at(_file: &fs::File, _bytes: &[u8], _offset: u64) -> std::io::Result<()> {
+    Err(std::io::Error::other("positioned writes need Unix"))
 }
 
 #[cfg(unix)]
@@ -2678,8 +2868,8 @@ mod tests {
 
     /// A base's retirement of its chain leaves every spare where it is and
     /// sweeps the chain's orphaned temp files; the fresh-run retirement
-    /// removes every record and keeps every spare, and clearing the
-    /// directory sweeps every spare.
+    /// removes every record and an unpublished twin and keeps every spare,
+    /// and clearing the directory sweeps every spare.
     #[test]
     fn spares_survive_a_chains_and_a_fresh_runs_retirement_and_go_with_a_clear() {
         let dir = tmpdir("spare_sweeps");
@@ -2720,11 +2910,13 @@ mod tests {
         assert_eq!(names(&dir).0.len(), spares.len() + 1, "{:?}", names(&dir));
 
         store.commit_group(6).unwrap();
+        // A twin a crash left before its commit published it.
+        fs::write(dir.join(format!("ckpt_master.tmp98{TWIN}")), b"twin").unwrap();
         store.retire_records().unwrap();
         assert_eq!(
             names(&dir).0,
             spares,
-            "the record and the commit point are gone"
+            "the record, the commit point and the twin are gone"
         );
         store.clear_all().unwrap();
         assert!(names(&dir).0.is_empty(), "{:?}", names(&dir));
@@ -2784,6 +2976,81 @@ mod tests {
         );
         assert_eq!(store.get(None, None).unwrap().unwrap(), next);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A patch asked to seed, written whole into a fresh file of the
+    /// master record with no block CRC known and a payload that starts a
+    /// helper, writes a twin beside the record: the commit publishes it
+    /// under the spare name, byte-identical to the record, among the
+    /// spares it returns, and the next save claims it and writes none. A
+    /// patch not asked to seed, a payload that starts no helper and a
+    /// shard's sink write none (nor does any save on one core). A twin that
+    /// cannot take the spare name — a directory holds it — is removed and
+    /// the commit stands. No temp file is left.
+    #[cfg(unix)]
+    #[test]
+    fn a_seeding_patch_leaves_a_twin_of_its_record_as_the_spare() {
+        let big = helper_sized_bytes();
+        let small = vec![7u8; SPLIT_PART];
+        let twins = helpers(big.len(), None) > 0;
+        let cases = [
+            ("seeded", None, &big, true, twins),
+            ("unasked", None, &big, false, false),
+            ("small", None, &small, true, false),
+            ("shard", Some(1), &big, true, false),
+            ("planted", None, &big, true, twins),
+        ];
+        for (tag, rank, payload, seed, twin) in cases {
+            let dir = tmpdir(&format!("twin_{tag}"));
+            let store = CheckpointStore::new_flat(&dir).unwrap();
+            let name = store.record_path(RecordKey::full(rank));
+            let spare = spare_path(&name);
+            if tag == "planted" {
+                fs::create_dir_all(spare.join("occupied")).unwrap();
+            }
+            let save = |count| {
+                let meta = Snapshot {
+                    count,
+                    ..sample(rank)
+                };
+                let fields = [("P", FieldSource::Bytes(payload))];
+                let record = Record::Full(&meta.meta(), &fields);
+                let committed = crate::transport::commit_record(&store, &record, |sink| {
+                    record.patch(sink, &[], seed)
+                });
+                let (gone, patched) = committed.unwrap();
+                (gone.spares.clone(), gone.keep(), patched.twinned)
+            };
+            let (spares, len, twinned) = save(1);
+            let published = twin && tag != "planted";
+            assert_eq!(twinned, if twin { len } else { 0 }, "{tag}");
+            assert_eq!(
+                spares,
+                if published {
+                    vec![spare.clone()]
+                } else {
+                    vec![]
+                }
+            );
+            let record = fs::read(&name).unwrap();
+            match published {
+                true => assert!(fs::read(&spare).unwrap() == record, "{tag}"),
+                false => assert!(!spare.is_file(), "{tag}"),
+            }
+            if published {
+                let seeded = ino(&spare);
+                assert_eq!(save(2).2, 0, "a claimed spare seeds no twin");
+                assert_eq!(ino(&name), seeded, "the next save claims the twin");
+            }
+            let (all, _) = names(&dir);
+            let stem = name.file_name().unwrap().to_str().unwrap();
+            let mut want = vec![stem.to_string()];
+            if published || tag == "planted" {
+                want.push(format!("{stem}{SPARE}"));
+            }
+            assert_eq!(all, want, "{tag}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -3114,7 +3381,7 @@ mod tests {
                     },
                 ];
                 let mut sink = VecSink::default();
-                let patched = record.patch(&mut sink, &plan).unwrap();
+                let patched = record.patch(&mut sink, &plan, false).unwrap();
                 let (_, golden) = record.encode(Vec::new()).unwrap();
                 assert!(sink.0 == golden, "{len} bytes: not golden");
                 let trailer = u32::from_le_bytes(golden[golden.len() - 4..].try_into().unwrap());

@@ -27,7 +27,9 @@
 //!   once, which unlinks them. A sink may say what the file it rewrites
 //!   already holds ([`RecordSink::held`], [`RecordSink::skip`]); the
 //!   defaults hold nothing, so only the flat layout's sink ever sees a
-//!   patch.
+//!   patch. Nor does any other sink offer a twin ([`RecordSink::twin`]):
+//!   the copy of a record a fresh flat sink of the master publishes as its
+//!   spare, so that the key's second save patches too.
 //! * **put, once** — [`CkptTransport::put`] is *provided*: derive the key
 //!   from the record's header, run the golden encoder into `begin(key)`,
 //!   commit, and drop what the commit superseded. No medium
@@ -84,7 +86,7 @@ use ppar_core::sync::{AtomicU64, Mutex, Ordering, RwLock};
 use crate::cas::{ChunkRef, PutStats};
 use crate::delta::{DeltaMeta, DELTA_MAGIC};
 use crate::store::{
-    unserved, DeltaSource, FieldSource, Reader, Record, Snapshot, SnapshotMeta, SnapshotView,
+    unserved, DeltaSource, FieldSource, Reader, Record, Snapshot, SnapshotMeta, SnapshotView, Twin,
 };
 
 /// Names one record of one chain.
@@ -249,6 +251,21 @@ pub trait RecordSink: Write {
             "this sink holds no record to move past",
         ))
     }
+
+    /// A second file for a byte-identical copy of the record, asked before
+    /// any byte is written: the writer fills it at the record's own offsets
+    /// and hands it back whole ([`RecordSink::seed`]). `None` — the
+    /// default — offers none. Only the flat layout's sink over a fresh
+    /// file of the master record offers one.
+    fn twin(&mut self) -> Option<Twin> {
+        None
+    }
+
+    /// The [`RecordSink::twin`] holds every byte of the record: the commit
+    /// publishes it as the key's spare, right after the record's own
+    /// rename, and a sink that does not commit removes it. A twin that
+    /// cannot take the name is removed; the commit stands.
+    fn seed(&mut self, _twin: Twin) {}
 
     /// The record is complete: install it atomically under the sink's key
     /// and return its length with what it superseded ([`Superseded`]).
