@@ -1,13 +1,14 @@
 //! Master-collect + incremental checkpointing: the distributed gather moves
 //! only *dirty ranges* (each rank ships the bytes it wrote, clamped to its
 //! owned block), so partitioned-field deltas scale with the aggregate dirty
-//! fraction instead of the field size — closing the PR 2 caveat where the
-//! pre-snapshot whole-partition gather marked everything dirty at the root.
+//! fraction instead of the field size — where a whole-partition gather
+//! before every save would mark everything dirty at the root.
 
 use ppar_adapt::{launch, AppStatus, Deploy};
 use ppar_core::ctx::Ctx;
 use ppar_core::partition::{FieldDist, Partition};
 use ppar_core::plan::{Plan, Plug, PointSet, UpdateAction};
+use ppar_core::shared::DIRTY_CHUNK_BYTES;
 use ppar_dsm::SpmdConfig;
 
 const N: usize = 80_000; // f64 elements -> 640 KB field, 80 dirty chunks
@@ -37,6 +38,11 @@ fn sparse_app(ctx: &Ctx, iters: usize, fail_after: Option<usize>) -> (AppStatus,
 }
 
 fn sparse_plan(full_every: usize) -> Plan {
+    unsaved_plan(full_every).plug(Plug::SafeData { field: "V".into() })
+}
+
+/// [`sparse_plan`] with no safe data: its saves gather nothing.
+fn unsaved_plan(full_every: usize) -> Plan {
     Plan::new()
         .plug(Plug::Field {
             field: "V".into(),
@@ -51,7 +57,6 @@ fn sparse_plan(full_every: usize) -> Plan {
             field: "V".into(),
             action: UpdateAction::Gather,
         })
-        .plug(Plug::SafeData { field: "V".into() })
         .plug(Plug::SafePoints {
             points: PointSet::Named(vec!["sp".into()]),
             every: 1,
@@ -101,6 +106,39 @@ fn master_collect_deltas_scale_with_dirty_fraction() {
         base_bytes
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A steady save's gather moves, per peer, one range payload: the peer's
+/// dirty bytes clamped to its block and widened to whole indices, plus the
+/// range header — a range count and a `(start, end)` pair per range — and
+/// nothing else. Measured as the SimNet traffic that one more iteration
+/// adds, over the same for a plan whose saves gather nothing.
+#[test]
+fn a_steady_gather_ships_dirty_indices_and_a_range_header() {
+    let deploy = Deploy::Dist(SpmdConfig::instant(4));
+    let step = |plan: fn(usize) -> Plan| {
+        let moved = |iters: usize| {
+            let dir = tmpdir(&format!("steady_{iters}"));
+            let outcome = launch(&deploy, plan(64), Some(&dir), None, |ctx| {
+                sparse_app(ctx, iters, None)
+            })
+            .unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            outcome.traffic.expect("an aggregate's traffic").bytes()
+        };
+        moved(ITERS + 1) - moved(ITERS)
+    };
+    // Each peer touches one element, so one dirty chunk of its block.
+    let payloads: u64 = (1..4)
+        .map(|rank| {
+            let block = rank * STRIDE..(rank + 1) * STRIDE;
+            let chunk = (rank * STRIDE + 1) * 8 / DIRTY_CHUNK_BYTES * DIRTY_CHUNK_BYTES;
+            let start = (chunk / 8).max(block.start);
+            let end = (chunk + DIRTY_CHUNK_BYTES).div_ceil(8).min(block.end);
+            (end - start) as u64 * 8 + 8 + 16
+        })
+        .sum();
+    assert_eq!(step(sparse_plan) - step(unsaved_plan), payloads);
 }
 
 /// The merged chain built from dirty-range gathers restores exactly:

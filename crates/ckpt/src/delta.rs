@@ -37,29 +37,24 @@
 //! new full snapshot" and "garbage-collect old deltas" leaves stale deltas
 //! whose `base_count` no longer matches — the merge step ignores them
 //! instead of corrupting the restore. Sparse offsets are relative to the
-//! *field payload* (the full field for master snapshots, the owned block
-//! for the shard chains older releases wrote — a shard grows none now),
-//! which keeps the merge a plain `payload[off..off+len] = bytes` for
-//! either.
+//! *field payload* (the full field: only the master record has a chain),
+//! which keeps the merge a plain `payload[off..off+len] = bytes`.
 //!
-//! ## Who parses, who folds
+//! ## Who writes, who parses, who folds
 //!
-//! One decoder knows this layout: `DeltaMeta::header` for the header and
-//! `decode_fields` for every field descriptor after it, over bytes in
-//! memory or a record streaming off the disk, handing each payload to
-//! whoever asked for it. [`DeltaView`] asks for slices: every whole-field
-//! payload and every sparse range lent where it lies in the record (the
-//! DSM's in-memory patch record is read this way). `Merged` is the fold:
-//! the base record's *bytes*, into which each delta's payloads are read
-//! straight from the disk, CRC running — a restore therefore holds one
-//! record-sized buffer however long the chain, and no delta is ever held
-//! whole.
+//! This crate owns the format. Only master-chain delta saves write it
+//! ([`crate::store::Record::Delta`], behind `CheckpointModule`'s
+//! incremental saves and the wire's delta put), and only the chain fold
+//! reads it: `DeltaMeta::header` decodes the header and `Merged`'s field
+//! decoder every field descriptor after it, reading each payload straight
+//! from the disk into the base record's bytes, CRC running. A restore
+//! therefore holds one record-sized buffer however long the chain, and no
+//! delta is ever held whole. The distributed gather does not use this
+//! format: it ships plain owned ranges, checked by the `tcp` frame CRC.
 
 use ppar_core::error::{PparError, Result};
 
-use crate::store::{
-    record_body, FieldSpans, Input, Reader, SnapshotMeta, SnapshotView, MASTER_RANK,
-};
+use crate::store::{FieldSpans, Input, Reader, SnapshotMeta, SnapshotView, MASTER_RANK};
 
 /// Magic prefix of delta snapshot files.
 pub const DELTA_MAGIC: &[u8; 8] = b"PPARDLT1";
@@ -81,30 +76,6 @@ pub struct DeltaMeta {
     pub rank: Option<u32>,
     /// Aggregate size at snapshot time.
     pub nranks: u32,
-}
-
-/// One field's content inside a delta record, its bytes lent from the
-/// record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeltaPayload<'a> {
-    /// The whole field (containers without write tracking).
-    Full(&'a [u8]),
-    /// Only the touched byte ranges of a `full_len`-byte field payload.
-    Sparse {
-        /// Total length the merged field payload must have.
-        full_len: u64,
-        /// `(offset, bytes)` patches, applied in order (last writer wins).
-        ranges: Vec<(u64, &'a [u8])>,
-    },
-}
-
-/// A delta record as parsed: payloads are slices of the record's bytes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaView<'a> {
-    /// Header.
-    pub meta: DeltaMeta,
-    /// Field name → delta payload, in `SafeData` declaration order.
-    pub fields: Vec<(String, DeltaPayload<'a>)>,
 }
 
 impl DeltaMeta {
@@ -139,103 +110,6 @@ impl DeltaMeta {
             rank: (rank_raw != MASTER_RANK).then_some(rank_raw),
             nranks,
         })
-    }
-}
-
-impl<'a> DeltaView<'a> {
-    /// Parse one delta record and verify its trailing CRC-32; every payload
-    /// is lent where it lies.
-    pub fn of_record(bytes: &'a [u8]) -> Result<DeltaView<'a>> {
-        let mut r = Reader {
-            buf: record_body(bytes, true, "delta ")?,
-            pos: 0,
-        };
-        let meta = DeltaMeta::header(&mut r)?;
-        let mut fields = Vec::new();
-        decode_fields(&mut r, &mut fields)?;
-        Ok(DeltaView { meta, fields })
-    }
-}
-
-/// Where [`decode_fields`] hands each field's payload. It reads the bytes
-/// itself, from `r`, exactly as many as announced: `len` for a whole
-/// field, the `ranges`' lengths back to back for a sparse one. The decoder
-/// has already checked that the body holds them.
-pub(crate) trait Patch<I> {
-    /// Field `name` is replaced whole by the next `len` bytes.
-    fn whole(&mut self, r: &mut I, name: String, len: usize) -> Result<()>;
-
-    /// Field `name`, `full_len` bytes long, is patched at each `(offset,
-    /// len)` of `ranges` in order (last writer wins) by the next bytes.
-    fn sparse(
-        &mut self,
-        r: &mut I,
-        name: String,
-        full_len: u64,
-        ranges: &[(u64, usize)],
-    ) -> Result<()>;
-}
-
-/// The one `PPARDLT1` decoder past the header: every field's descriptor
-/// (name, kind, lengths, range map) up to the CRC trailer, each payload
-/// handed to `patch` — a view lending slices of a record in memory, or a
-/// fold reading a streamed record straight into its merged record.
-pub(crate) fn decode_fields<I: Input>(r: &mut I, patch: &mut impl Patch<I>) -> Result<()> {
-    // A field costs at least its name's length prefix, its kind byte and
-    // one more length.
-    let nfields = r.take_count(17, "delta fields")?;
-    let mut map = Vec::new();
-    for _ in 0..nfields {
-        let name = r.take_str()?;
-        match r.take_u8()? {
-            0 => {
-                let len = r.take_len()?;
-                r.check(len)?;
-                patch.whole(r, name, len)?;
-            }
-            1 => {
-                let full_len = r.take_u64()?;
-                // The range map comes first, the ranges' bytes after it.
-                let nranges = r.take_count(16, "ranges")?;
-                map.clear();
-                map.reserve(nranges);
-                for _ in 0..nranges {
-                    map.push((r.take_u64()?, r.take_len()?));
-                }
-                let carried = map
-                    .iter()
-                    .try_fold(0usize, |sum, &(_, len)| sum.checked_add(len));
-                r.check(carried.unwrap_or(usize::MAX))?;
-                patch.sparse(r, name, full_len, &map)?;
-            }
-            other => {
-                return Err(PparError::CorruptCheckpoint(format!(
-                    "unknown delta field kind {other} for field {name:?}"
-                )))
-            }
-        }
-    }
-    r.finish("delta CRC")
-}
-
-/// A view's fields: each payload is a slice of the parsed record.
-impl<'a> Patch<Reader<'a>> for Vec<(String, DeltaPayload<'a>)> {
-    fn whole(&mut self, r: &mut Reader<'a>, name: String, len: usize) -> Result<()> {
-        self.push((name, DeltaPayload::Full(r.take(len)?)));
-        Ok(())
-    }
-
-    fn sparse(
-        &mut self,
-        r: &mut Reader<'a>,
-        name: String,
-        full_len: u64,
-        ranges: &[(u64, usize)],
-    ) -> Result<()> {
-        let ranges = ranges.iter().map(|&(off, len)| Ok((off, r.take(len)?)));
-        let ranges = ranges.collect::<Result<_>>()?;
-        self.push((name, DeltaPayload::Sparse { full_len, ranges }));
-        Ok(())
     }
 }
 
@@ -290,7 +164,7 @@ impl Merged {
                 found: chain(meta.rank, meta.nranks),
             });
         }
-        decode_fields(r, self)?;
+        self.decode_fields(r)?;
         self.meta.count = meta.count;
         self.meta.mode_tag.clone_from(&meta.mode_tag);
         Ok(())
@@ -319,31 +193,69 @@ impl Merged {
             ))
         })
     }
-}
 
-/// The fold's patches land in the record, or in the side table.
-impl<I: Input> Patch<I> for Merged {
-    fn whole(&mut self, r: &mut I, name: String, len: usize) -> Result<()> {
-        let idx = self.field(&name)?;
-        let span = self.fields[idx].1.clone();
-        if len == span.len() {
-            self.replaced[idx] = None;
-            return r.fill(&mut self.record[span]);
+    /// The one `PPARDLT1` decoder past the header: every field's descriptor
+    /// (name, kind, lengths, range map) up to the CRC trailer, each payload
+    /// read from `r` straight into its place — the record, or the side
+    /// table — once the body is known to hold it.
+    fn decode_fields(&mut self, r: &mut impl Input) -> Result<()> {
+        // A field costs at least its name's length prefix, its kind byte and
+        // one more length.
+        let nfields = r.take_count(17, "delta fields")?;
+        let mut map = Vec::new();
+        for _ in 0..nfields {
+            let name = r.take_str()?;
+            match r.take_u8()? {
+                0 => {
+                    let len = r.take_len()?;
+                    r.check(len)?;
+                    let idx = self.field(&name)?;
+                    let span = self.fields[idx].1.clone();
+                    if len == span.len() {
+                        self.replaced[idx] = None;
+                        r.fill(&mut self.record[span])?;
+                    } else {
+                        let side = self.replaced[idx].get_or_insert_with(Vec::new);
+                        side.clear();
+                        side.resize(len, 0);
+                        r.fill(side)?;
+                    }
+                }
+                1 => {
+                    let full_len = r.take_u64()?;
+                    // The range map comes first, the ranges' bytes after it.
+                    let nranges = r.take_count(16, "ranges")?;
+                    map.clear();
+                    map.reserve(nranges);
+                    for _ in 0..nranges {
+                        map.push((r.take_u64()?, r.take_len()?));
+                    }
+                    let carried = map
+                        .iter()
+                        .try_fold(0usize, |sum, &(_, len)| sum.checked_add(len));
+                    r.check(carried.unwrap_or(usize::MAX))?;
+                    self.sparse(r, &name, full_len, &map)?;
+                }
+                other => {
+                    return Err(PparError::CorruptCheckpoint(format!(
+                        "unknown delta field kind {other} for field {name:?}"
+                    )))
+                }
+            }
         }
-        let side = self.replaced[idx].get_or_insert_with(Vec::new);
-        side.clear();
-        side.resize(len, 0);
-        r.fill(side)
+        r.finish("delta CRC")
     }
 
+    /// Field `name`, `full_len` bytes long, patched at each `(offset, len)`
+    /// of `ranges` in order (last writer wins) by the next bytes of `r`.
     fn sparse(
         &mut self,
-        r: &mut I,
-        name: String,
+        r: &mut impl Input,
+        name: &str,
         full_len: u64,
         ranges: &[(u64, usize)],
     ) -> Result<()> {
-        let idx = self.field(&name)?;
+        let idx = self.field(name)?;
         let span = self.fields[idx].1.clone();
         let slot = match &mut self.replaced[idx] {
             Some(side) => side.as_mut_slice(),
@@ -378,8 +290,20 @@ mod tests {
     use crate::store::{DeltaSource, OnDisk, Record, RecordStream, Snapshot};
     use ppar_core::shared::SharedVec;
 
-    fn sparse<'a>(full_len: u64, ranges: Vec<(u64, &'a [u8])>) -> DeltaPayload<'a> {
-        DeltaPayload::Sparse { full_len, ranges }
+    /// One field of a delta laid out by hand.
+    #[derive(Clone)]
+    enum Field<'a> {
+        /// The whole field.
+        Whole(&'a [u8]),
+        /// `(offset, bytes)` patches of a `full_len`-byte field.
+        Sparse(u64, Vec<(u64, &'a [u8])>),
+    }
+
+    /// A delta laid out by hand: its header and fields.
+    #[derive(Clone)]
+    struct Delta<'a> {
+        meta: DeltaMeta,
+        fields: Vec<(&'a str, Field<'a>)>,
     }
 
     fn base() -> Snapshot {
@@ -395,23 +319,27 @@ mod tests {
         }
     }
 
-    fn delta<'a>(count: u64, fields: Vec<(&str, DeltaPayload<'a>)>) -> DeltaView<'a> {
-        DeltaView {
-            meta: DeltaMeta {
-                mode_tag: "seq".into(),
-                count,
-                base_count: 10,
-                seq: 1,
-                rank: None,
-                nranks: 1,
-            },
-            fields: fields.into_iter().map(|(n, p)| (n.into(), p)).collect(),
+    fn meta(count: u64) -> DeltaMeta {
+        DeltaMeta {
+            mode_tag: "seq".into(),
+            count,
+            base_count: 10,
+            seq: 1,
+            rank: None,
+            nranks: 1,
+        }
+    }
+
+    fn delta<'a>(count: u64, fields: Vec<(&'a str, Field<'a>)>) -> Delta<'a> {
+        Delta {
+            meta: meta(count),
+            fields,
         }
     }
 
     /// `d` laid out by hand (any offset, however absurd, is written as
     /// given), CRC trailer included.
-    fn encode(d: &DeltaView<'_>) -> Vec<u8> {
+    fn encode(d: &Delta<'_>) -> Vec<u8> {
         let mut out = DELTA_MAGIC.to_vec();
         let put_bytes = |out: &mut Vec<u8>, b: &[u8]| {
             out.extend((b.len() as u64).to_le_bytes());
@@ -425,14 +353,14 @@ mod tests {
         out.extend(d.meta.rank.unwrap_or(MASTER_RANK).to_le_bytes());
         out.extend(d.meta.nranks.to_le_bytes());
         out.extend((d.fields.len() as u32).to_le_bytes());
-        for (name, payload) in &d.fields {
+        for (name, field) in &d.fields {
             put_bytes(&mut out, name.as_bytes());
-            match payload {
-                DeltaPayload::Full(b) => {
+            match field {
+                Field::Whole(b) => {
                     out.push(0);
                     put_bytes(&mut out, b);
                 }
-                DeltaPayload::Sparse { full_len, ranges } => {
+                Field::Sparse(full_len, ranges) => {
                     out.push(1);
                     out.extend(full_len.to_le_bytes());
                     out.extend((ranges.len() as u32).to_le_bytes());
@@ -449,15 +377,12 @@ mod tests {
         out
     }
 
-    /// Fold the records of `deltas` onto the encoded [`base`], each record
-    /// streamed and CRC-checked as the fold reads it off a medium.
-    fn fold(deltas: &[DeltaView<'_>]) -> Result<Snapshot> {
-        let record = base().encode();
+    /// Fold `records` onto the encoded `base`, each record streamed and
+    /// CRC-checked as the fold reads it off a medium.
+    fn fold_onto(base: &Snapshot, records: &[Vec<u8>]) -> Result<Snapshot> {
+        let record = base.encode();
         let mut merged = Merged::of_base(record[..record.len() - 4].to_vec())?;
-        for d in deltas {
-            let rec = encode(d);
-            // Each record also parses to exactly the view it was made from.
-            assert_eq!(&DeltaView::of_record(&rec).unwrap(), d);
+        for rec in records {
             let src = OnDisk::new(Box::new(std::io::Cursor::new(&rec[..])), None);
             let mut r = RecordStream::new(src, rec.len() as u64, "delta ")?;
             merged.apply(&DeltaMeta::header(&mut r)?, &mut r)?;
@@ -466,11 +391,16 @@ mod tests {
         Ok(merged.view().to_snapshot())
     }
 
+    /// Fold the hand-laid `deltas` onto [`base`].
+    fn fold(deltas: &[Delta<'_>]) -> Result<Snapshot> {
+        fold_onto(&base(), &deltas.iter().map(encode).collect::<Vec<_>>())
+    }
+
     #[test]
     fn sparse_patches_apply_last_writer_wins() {
         let d = delta(
             12,
-            vec![("G", sparse(16, vec![(0, &[9; 8]), (4, &[7; 4])]))],
+            vec![("G", Field::Sparse(16, vec![(0, &[9; 8]), (4, &[7; 4])]))],
         );
         let snap = fold(&[d]).unwrap();
         assert_eq!(
@@ -482,7 +412,7 @@ mod tests {
 
     #[test]
     fn full_payload_replaces_field() {
-        let d = delta(11, vec![("energy", DeltaPayload::Full(&[8, 8]))]);
+        let d = delta(11, vec![("energy", Field::Whole(&[8, 8]))]);
         let snap = fold(&[d]).unwrap();
         assert_eq!(snap.field("energy").unwrap(), &[8, 8]);
         assert_eq!(snap.field("G").unwrap().len(), 16, "untouched field kept");
@@ -493,8 +423,8 @@ mod tests {
     /// the base's length moves the field back into the record.
     #[test]
     fn a_field_that_changed_length_keeps_folding() {
-        let grow = delta(11, vec![("energy", DeltaPayload::Full(&[5; 6]))]);
-        let mut patch = delta(12, vec![("energy", sparse(6, vec![(4, &[6, 6])]))]);
+        let grow = delta(11, vec![("energy", Field::Whole(&[5; 6]))]);
+        let mut patch = delta(12, vec![("energy", Field::Sparse(6, vec![(4, &[6, 6])]))]);
         patch.meta.seq = 2;
         let snap = fold(&[grow.clone(), patch.clone()]).unwrap();
         assert_eq!(snap.field("energy").unwrap(), &[5, 5, 5, 5, 6, 6]);
@@ -506,10 +436,10 @@ mod tests {
         });
 
         // The sparse patch is checked against the field as it now stands.
-        let stale = delta(12, vec![("energy", sparse(4, vec![(0, &[1])]))]);
+        let stale = delta(12, vec![("energy", Field::Sparse(4, vec![(0, &[1])]))]);
         assert!(fold(&[grow.clone(), stale]).is_err());
 
-        let back = delta(13, vec![("energy", DeltaPayload::Full(&[4; 4]))]);
+        let back = delta(13, vec![("energy", Field::Whole(&[4; 4]))]);
         let snap = fold(&[grow, patch, back]).unwrap();
         assert_eq!(snap.field("energy").unwrap(), &[4; 4]);
     }
@@ -517,17 +447,20 @@ mod tests {
     #[test]
     fn apply_rejects_bad_shapes() {
         // Unknown field.
-        let d = delta(11, vec![("missing", DeltaPayload::Full(&[1]))]);
+        let d = delta(11, vec![("missing", Field::Whole(&[1]))]);
         assert!(fold(&[d]).is_err());
 
         // Length mismatch on a sparse payload.
-        let d = delta(11, vec![("G", sparse(99, vec![]))]);
+        let d = delta(11, vec![("G", Field::Sparse(99, vec![]))]);
         assert!(fold(&[d]).is_err());
 
         // Range overrun, by length and by an offset no address space holds.
-        let d = delta(11, vec![("G", sparse(16, vec![(12, &[0; 8])]))]);
+        let d = delta(11, vec![("G", Field::Sparse(16, vec![(12, &[0; 8])]))]);
         assert!(fold(&[d]).is_err());
-        let d = delta(11, vec![("G", sparse(16, vec![(u64::MAX - 3, &[0; 8])]))]);
+        let d = delta(
+            11,
+            vec![("G", Field::Sparse(16, vec![(u64::MAX - 3, &[0; 8])]))],
+        );
         assert!(fold(&[d]).is_err());
 
         // Rank / nranks mismatch.
@@ -541,17 +474,17 @@ mod tests {
 
     /// A sparse record carries its touched bytes and their range map, not
     /// the field: its size does not follow the field's length, and each
-    /// carried byte adds exactly one byte to it.
+    /// carried byte adds exactly one byte to it. Folded, it patches a field
+    /// of its `full_len` with exactly its touched bytes.
     #[test]
     fn a_sparse_record_carries_only_its_touched_bytes() {
-        let meta = delta(11, vec![]).meta;
         let record = |full_len: usize, ranges: &[std::ops::Range<usize>]| {
             let cell = SharedVec::from_vec(vec![7u8; full_len]);
             let field = DeltaSource::DirtyCell {
                 cell: &cell,
                 ranges,
             };
-            let (_, bytes) = Record::Delta(&meta, &[("G", field)])
+            let (_, bytes) = Record::Delta(&meta(11), &[("G", field)])
                 .encode(Vec::new())
                 .unwrap();
             bytes
@@ -560,11 +493,11 @@ mod tests {
         assert_eq!(record(1 << 20, &[0..3, 50..54]).len(), small.len());
         assert_eq!(record(100, &[0..3, 50..59]).len(), small.len() + 5);
 
-        let view = DeltaView::of_record(&small).unwrap();
-        let [(_, DeltaPayload::Sparse { full_len, ranges })] = &view.fields[..] else {
-            panic!("one sparse field: {:?}", view.fields);
-        };
-        assert_eq!(*full_len, 100);
-        assert_eq!(ranges.iter().map(|(_, b)| b.len()).sum::<usize>(), 7);
+        let mut zeros = base();
+        zeros.fields[0].1 = vec![0; 100];
+        let snap = fold_onto(&zeros, &[small]).unwrap();
+        let g = snap.field("G").unwrap();
+        assert!(g[..3].iter().chain(&g[50..54]).all(|&b| b == 7));
+        assert_eq!(g.iter().filter(|&&b| b == 7).count(), 7);
     }
 }

@@ -32,9 +32,10 @@
 //! `ckpt_commit` holds the group-commit point
 //! ([`CheckpointStore::commit_group`]) that a shard's retained `_prev`
 //! generation serves. A shard grows no chain: its sink refuses a delta
-//! key, so every shard generation is one whole record. The read side
-//! keeps its one fold for every key, so a `ckpt_rank_<r>_delta_<s>.bin`
-//! chain an older release left still restores; a pinned restore lands on
+//! key, so every shard generation is one whole record, and a shard read
+//! folds no delta. A shard with a `ckpt_rank_<r>_delta_<s>.bin` chain an
+//! older release left beside it is refused with `FormatMismatch` naming
+//! the file, until a fresh run's hygiene sweeps it. A pinned restore lands on
 //! a base at the commit point and walks no delta past it.
 //!
 //! **A record's file outlives its generation.** A flat commit supersedes
@@ -1118,6 +1119,7 @@ impl CkptTransport for CheckpointStore {
         // verifies the trailing CRC) — the current base when no delta chain
         // is pending, or whichever retained generation sits exactly at the
         // pinned safe point.
+        self.no_shard_chain(rank)?;
         let current = self.record_path(RecordKey::full(rank));
         match at {
             None if !self.record_exists(&self.record_path(RecordKey::delta(rank, 1))) => {
@@ -2142,12 +2144,13 @@ impl CheckpointStore {
     /// `rank`'s chain read, CRC-checked and folded, pinned like
     /// [`CkptTransport::with_merged`], which lends this. Each record is read
     /// once: the base into the fold's one buffer, every delta's payload
-    /// into its place in it. A shard keeps the generation the group last
-    /// committed beside the current one; a pinned read falls back to
-    /// it, which is how a restore survives a torn group save — shards that
-    /// already advanced past the commit point roll back to their preserved
-    /// older record.
+    /// into its place in it. Only the master record has a chain. A shard
+    /// keeps the generation the group last committed beside the current
+    /// one; a pinned read falls back to it, which is how a restore survives
+    /// a torn group save — shards that already advanced past the commit
+    /// point roll back to their preserved older record.
     pub(crate) fn merged(&self, rank: Option<u32>, at: Option<u64>) -> Result<Option<Merged>> {
+        self.no_shard_chain(rank)?;
         let prev = at.and(rank).map(|r| self.prev_shard_path(r));
         let bases = std::iter::once(self.record_path(RecordKey::full(rank)))
             .chain(prev)
@@ -2162,6 +2165,21 @@ impl CheckpointStore {
     /// delta `seq` opened for reading where it lies.
     fn deltas<'s>(&'s self, rank: Option<u32>) -> impl FnMut(u32) -> Result<Option<Opened<'s>>> {
         move |seq| self.record_reader(&self.delta_path(rank, seq))
+    }
+
+    /// Refuse to read shard `rank` over the delta chain an older build
+    /// left beside it: no build since shards became whole records writes
+    /// one, so it is refused rather than folded. A fresh run's
+    /// [`CheckpointStore::retire_records`] sweeps it.
+    fn no_shard_chain(&self, rank: Option<u32>) -> Result<()> {
+        let chain = rank.map(|_| self.delta_path(rank, 1));
+        match chain.filter(|path| self.record_exists(path)) {
+            Some(path) => Err(PparError::FormatMismatch {
+                expected: "a shard as one whole record with no delta chain".into(),
+                found: format!("{}, a shard delta chain of an older layout", path.display()),
+            }),
+            None => Ok(()),
+        }
     }
 
     fn record_exists(&self, path: &Path) -> bool {
@@ -2429,19 +2447,6 @@ impl CheckpointStore {
             Err(e) => Err(e.into()),
         }
     }
-
-    /// Remove all snapshots, their spares and the marker (fresh directory
-    /// for a new experiment).
-    pub fn clear_all(&self) -> Result<()> {
-        let matches = |name: &str| name == "RUNNING" || name.starts_with("ckpt_");
-        self.remove_records(matches, None)?;
-        if let Some(cas) = &self.cas {
-            // Orphaned chunk objects are reclaimed eagerly: a cleared
-            // directory should not keep paying for dead generations.
-            cas.gc()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -2521,9 +2526,7 @@ mod tests {
     }
 
     /// A master base commit retires the master chain and nothing else, in
-    /// both layouts; a shard base and a delta commit retire nothing. A
-    /// shard chain only an older release wrote (put here as its files) is
-    /// left where it is: the new base's count is not its `base_count`.
+    /// both layouts; a shard base and a delta commit retire nothing.
     #[test]
     fn a_base_commit_retires_only_its_own_chain() {
         for cas in [false, true] {
@@ -2532,32 +2535,27 @@ mod tests {
                 false => CheckpointStore::new_flat(&dir).unwrap(),
                 true => CheckpointStore::new_cas(&dir).unwrap(),
             };
-            for rank in [None, Some(1), Some(10)] {
+            for rank in [None, Some(1)] {
                 let mut base = sample(rank);
                 base.count = 5;
                 put_snapshot(&store, &base);
-                for seq in 1..=2 {
-                    let dm = DeltaMeta {
-                        nranks: 8,
-                        ..delta_meta(5 + seq as u64, 5, seq, rank)
-                    };
-                    let whole = DeltaSource::Full(FieldSource::Bytes(&[seq as u8; 4]));
-                    let record = Record::Delta(&dm, &[("G", whole)]);
-                    match rank {
-                        None => drop(store.put(&record).unwrap()),
-                        Some(_) => legacy_delta(&store, &record),
-                    }
-                }
+            }
+            for seq in 1..=2 {
+                let dm = DeltaMeta {
+                    nranks: 8,
+                    ..delta_meta(5 + seq as u64, 5, seq, None)
+                };
+                let whole = DeltaSource::Full(FieldSource::Bytes(&[seq as u8; 4]));
+                store.put(&Record::Delta(&dm, &[("G", whole)])).unwrap();
             }
             let tip = |rank| store.get(rank, None).unwrap().unwrap().count;
-            assert_eq!([tip(None), tip(Some(1)), tip(Some(10))], [7, 7, 7]);
+            assert_eq!([tip(None), tip(Some(1))], [7, 5]);
 
             let mut base = sample(Some(1));
             base.count = 9;
             put_snapshot(&store, &base);
             assert_eq!(store.get(Some(1), None).unwrap().unwrap(), base);
-            assert!(store.record_exists(&store.delta_path(Some(1), 2)));
-            assert_eq!([tip(None), tip(Some(10))], [7, 7], "no chain retired");
+            assert_eq!(tip(None), 7, "no chain retired");
 
             let mut base = sample(None);
             base.count = 9;
@@ -2565,16 +2563,66 @@ mod tests {
             assert_eq!(store.get(None, None).unwrap().unwrap(), base);
             assert!(!store.record_exists(&store.delta_path(None, 1)));
             assert!(!store.record_exists(&store.delta_path(None, 2)));
-            assert_eq!(tip(Some(10)), 7, "shard chains keep theirs");
+            assert_eq!(tip(Some(1)), 9, "the shard keeps its record");
             fs::remove_dir_all(&dir).unwrap();
         }
     }
 
-    /// Write `record`, a shard delta, where an older release put its file:
-    /// no sink of this one takes a shard delta key.
-    fn legacy_delta(store: &CheckpointStore, record: &Record<'_>) {
-        let (_, bytes) = record.encode(Vec::new()).unwrap();
-        fs::write(store.record_path(record.key()), bytes).unwrap();
+    /// A shard delta chain an older release left is refused, not folded:
+    /// every read of that shard — a restart's fold at store open, a pinned
+    /// read, the streamed read a lane's restore serves — fails with
+    /// `FormatMismatch` naming the file, in both layouts. A fresh run's
+    /// hygiene sweeps the file, so the directory serves a new run.
+    #[test]
+    fn a_shard_chain_an_older_release_left_is_refused_then_swept() {
+        for cas in [false, true] {
+            let dir = tmpdir(&format!("shard_chain_{cas}"));
+            let store = match cas {
+                false => CheckpointStore::new_flat(&dir).unwrap(),
+                true => CheckpointStore::new_cas(&dir).unwrap(),
+            };
+            let mut base = sample(Some(0));
+            base.count = 5;
+            put_snapshot(&store, &base);
+            // The shard delta, as an older release wrote it: no sink of
+            // this one takes a shard delta key.
+            let dm = DeltaMeta {
+                nranks: 8,
+                ..delta_meta(6, 5, 1, Some(0))
+            };
+            let whole = DeltaSource::Full(FieldSource::Bytes(&[1; 4]));
+            let (_, bytes) = Record::Delta(&dm, &[("G", whole)])
+                .encode(Vec::new())
+                .unwrap();
+            let chain = dir.join("ckpt_rank_0_delta_1.bin");
+            fs::write(&chain, bytes).unwrap();
+
+            let refused = |read: Result<()>| match read {
+                Err(PparError::FormatMismatch { found, .. }) => {
+                    found.contains("ckpt_rank_0_delta_1.bin") && found.contains("layout")
+                }
+                _ => false,
+            };
+            store.set_marker().unwrap();
+            let restart =
+                crate::CheckpointModule::create_group(&dir, &ppar_core::plan::Plan::new(), 1);
+            assert!(refused(restart.map(drop)), "cas={cas}: the restart");
+            assert!(refused(store.get(Some(0), None).map(drop)), "cas={cas}");
+            assert!(
+                refused(store.get(Some(0), Some(5)).map(drop)),
+                "cas={cas}: pinned"
+            );
+            for at in [None, Some(5)] {
+                let streamed = store.write_merged_record_at(Some(0), at, &mut Vec::new());
+                assert!(refused(streamed.map(drop)), "cas={cas}: streamed at {at:?}");
+            }
+
+            store.clear_marker().unwrap();
+            crate::CheckpointModule::create_group(&dir, &ppar_core::plan::Plan::new(), 1).unwrap();
+            assert!(!chain.exists(), "cas={cas}: a fresh run sweeps the chain");
+            assert!(store.get(Some(0), None).unwrap().is_none(), "cas={cas}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// Every file under `dir`, at any depth, with its contents.
@@ -2868,10 +2916,9 @@ mod tests {
 
     /// A base's retirement of its chain leaves every spare where it is and
     /// sweeps the chain's orphaned temp files; the fresh-run retirement
-    /// removes every record and an unpublished twin and keeps every spare,
-    /// and clearing the directory sweeps every spare.
+    /// removes every record and an unpublished twin and keeps every spare.
     #[test]
-    fn spares_survive_a_chains_and_a_fresh_runs_retirement_and_go_with_a_clear() {
+    fn spares_survive_a_chains_and_a_fresh_runs_retirement() {
         let dir = tmpdir("spare_sweeps");
         let store = CheckpointStore::new_flat(&dir).unwrap();
         let base = |count| {
@@ -2918,8 +2965,6 @@ mod tests {
             spares,
             "the record, the commit point and the twin are gone"
         );
-        store.clear_all().unwrap();
-        assert!(names(&dir).0.is_empty(), "{:?}", names(&dir));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -3064,20 +3109,6 @@ mod tests {
         store.clear_marker().unwrap();
         store.clear_marker().unwrap(); // idempotent
         assert!(!store.marker_exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn clear_all_removes_artifacts() {
-        let dir = tmpdir("clear");
-        let store = CheckpointStore::new(&dir).unwrap();
-        store.set_marker().unwrap();
-        put_snapshot(&store, &sample(None));
-        put_snapshot(&store, &sample(Some(1)));
-        store.clear_all().unwrap();
-        assert!(!store.marker_exists());
-        assert!(store.get(None, None).unwrap().is_none());
-        assert!(store.get(Some(1), None).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -3768,46 +3799,6 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A shard chain an older release left still folds, its offsets
-    /// relative to the shard's payload (the owned block), not the field.
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // ranges here are span data
-    fn shard_delta_chain_merges_relative_to_shard_payload() {
-        let dir = tmpdir("delta_shard");
-        let store = CheckpointStore::new(&dir).unwrap();
-        let shard_bytes: Vec<u8> = (0..64u8).collect();
-        let meta = SnapshotMeta {
-            mode_tag: "dist4".into(),
-            count: 5,
-            rank: Some(2),
-            nranks: 4,
-        };
-        store
-            .put(&Record::Full(
-                &meta,
-                &[("G", FieldSource::Bytes(&shard_bytes))],
-            ))
-            .unwrap();
-
-        let mut expect = shard_bytes.clone();
-        expect[16..24].copy_from_slice(&[9u8; 8]);
-        let patched = SharedVec::from_vec(expect.clone());
-        let mut dm = delta_meta(6, 5, 1, Some(2));
-        dm.nranks = 4;
-        let sparse = DeltaSource::DirtyCell {
-            cell: &patched,
-            ranges: &[16..24],
-        };
-        legacy_delta(&store, &Record::Delta(&dm, &[("G", sparse)]));
-        let merged = store.get(Some(2), None).unwrap().unwrap();
-        assert_eq!(merged.count, 6);
-        assert_eq!(merged.field("G").unwrap(), expect.as_slice());
-        assert_eq!(store.get(Some(2), Some(6)).unwrap().unwrap(), merged);
-        // Master chain is untouched by shard deltas.
-        assert!(store.get(None, None).unwrap().is_none());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn delta_roundtrips_through_decode() {
         let dir = tmpdir("delta_decode");
@@ -3833,22 +3824,31 @@ mod tests {
             ))
             .unwrap();
         let record = fs::read(store.delta_path(None, 2)).unwrap();
-        let d = crate::delta::DeltaView::of_record(&record).unwrap();
-        assert_eq!(d.meta, delta_meta(7, 3, 2, None));
-        assert_eq!(d.fields.len(), 2);
-        match &d.fields[0].1 {
-            crate::delta::DeltaPayload::Sparse {
-                full_len,
-                ranges: rs,
-            } => {
-                assert_eq!(*full_len, 2000 * 8);
-                assert_eq!(rs.len(), 1);
-                assert_eq!(rs[0].0 as usize, ranges[0].start);
-                assert_eq!(rs[0].1.len(), ranges[0].len());
-            }
-            other => panic!("expected sparse payload, got {other:?}"),
-        }
-        assert_eq!(d.fields[1].1, crate::delta::DeltaPayload::Full(&opaque[..]));
+        let body = &record[..record.len() - 4];
+        assert_eq!(record[body.len()..], crc32(body).to_le_bytes());
+        let mut r = Reader { buf: body, pos: 0 };
+        assert_eq!(
+            DeltaMeta::header(&mut r).unwrap(),
+            delta_meta(7, 3, 2, None)
+        );
+        // Two fields: "G" sparse over its 2000 × 8 bytes with one range
+        // (offset, length, then its bytes), and "pop" whole.
+        let mut fields = 2u32.to_le_bytes().to_vec();
+        let mut put = |words: &[usize], bytes: &[u8]| {
+            words
+                .iter()
+                .for_each(|&w| fields.extend((w as u64).to_le_bytes()));
+            fields.extend(bytes);
+        };
+        put(&[1], b"G\x01");
+        put(&[2000 * 8], &1u32.to_le_bytes());
+        put(
+            &[ranges[0].start, ranges[0].len()],
+            &v.save_bytes()[ranges[0].clone()],
+        );
+        put(&[3], b"pop\x00");
+        put(&[3], &opaque);
+        assert_eq!(body[r.pos..], fields);
         fs::remove_dir_all(&dir).unwrap();
     }
 

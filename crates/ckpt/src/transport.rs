@@ -458,7 +458,6 @@ pub struct MemTransport {
     /// at warm-page copy speed instead of faulting a fresh multi-MiB
     /// mapping in per checkpoint.
     spare: Mutex<Vec<Vec<u8>>>,
-    snapshots: AtomicU64,
     bytes_written: AtomicU64,
 }
 
@@ -477,11 +476,6 @@ impl MemTransport {
     /// An empty in-memory transport.
     pub fn new() -> MemTransport {
         MemTransport::default()
-    }
-
-    /// Records written so far (master + shards; memory holds no delta).
-    pub fn snapshots_stored(&self) -> u64 {
-        self.snapshots.load(Ordering::Relaxed)
     }
 
     /// Total record bytes streamed into this transport so far.
@@ -547,7 +541,6 @@ impl RecordSink for MemSink<'_> {
         if let Some(old) = self.mem.records.write().insert(self.key, buf) {
             self.mem.recycle(old);
         }
-        self.mem.snapshots.fetch_add(1, Ordering::Relaxed);
         self.mem
             .bytes_written
             .fetch_add(n as u64, Ordering::Relaxed);
@@ -686,7 +679,6 @@ mod tests {
             [count(Some(2)), count(Some(0)), count(None)],
             [Some(5), Some(9), Some(7)]
         );
-        assert_eq!(t.snapshots_stored(), 3);
         assert_eq!(t.bytes_written(), 2 * written + written);
     }
 
@@ -721,11 +713,12 @@ mod tests {
             nranks: 4,
         };
         let whole = DeltaSource::Full(FieldSource::Bytes(&[9; 8]));
+        let written = t.bytes_written();
         let refused = t.put(&Record::Delta(&dm, &[("G", whole)]));
         assert!(matches!(refused, Err(PparError::ContractViolation(_))));
         assert_eq!(t.get(Some(1), None).unwrap().unwrap(), at10);
         assert!(t.get(Some(1), Some(20)).is_err());
-        assert_eq!(t.snapshots_stored(), 1);
+        assert_eq!(t.bytes_written(), written);
     }
 
     /// The transport contract: for identical content, the in-memory record

@@ -5,7 +5,8 @@
 //! `crates/net/tests/decoders.rs`. This file holds the two
 //! checkpoint record formats (`PPARCKP1` full records, `PPARDLT1` deltas),
 //! each through every entry bytes can arrive by — the CRC-checked decode of
-//! bytes in memory, the streamed decode of a record file on disk (its CRC
+//! bytes in memory (full records only: only the master chain's fold reads
+//! a delta, off the disk), the streamed decode of a record file on disk (its CRC
 //! running as the bytes land, so a length is acted on before the CRC has
 //! vouched for it), the trusted decode of a full record (no CRC, so
 //! structure is all that stands between a bad length and the allocator;
@@ -27,7 +28,6 @@ use std::fs;
 use std::path::PathBuf;
 
 use ppar_ckpt::crc::crc32;
-use ppar_ckpt::delta::DeltaView;
 use ppar_ckpt::store::{DeltaSource, FieldSource, Record, Snapshot, SnapshotView};
 use ppar_ckpt::transport::{CkptTransport, RecordKey};
 use ppar_ckpt::{CheckpointStore, ChunkDigest, ChunkRef, DeltaMeta, Manifest};
@@ -142,10 +142,6 @@ fn full_trusted(bytes: &[u8]) -> Result<()> {
     SnapshotView::decode_trusted(bytes).map(|_| ())
 }
 
-fn delta_checked(bytes: &[u8]) -> Result<()> {
-    DeltaView::of_record(bytes).map(|_| ())
-}
-
 /// A flat checkpoint directory of this thread's own, holding only the
 /// [`full_record`] base and whatever `record` is written there as `name`.
 fn on_disk(name: &str, record: &[u8]) -> Result<CheckpointStore> {
@@ -182,7 +178,7 @@ type Entry = fn(&[u8]) -> Result<()>;
 
 /// The entries that check the CRC, per format.
 const FULL_CHECKED: [Entry; 2] = [full_checked, full_streamed];
-const DELTA_CHECKED: [Entry; 2] = [delta_checked, delta_streamed];
+const DELTA_CHECKED: [Entry; 1] = [delta_streamed];
 
 /// The entries that trust the CRC, per format. A delta has none: every
 /// delta is read off the disk, CRC-verified.
@@ -218,8 +214,13 @@ fn absurd_lengths_are_errors_not_panics() {
         range_map + 2 * 16 + 24 + 8 + 6 + 1,
     ];
     for (record, sites, checked, trusted) in [
-        (&full, &full_sites[..], &FULL_CHECKED, &FULL_TRUSTED[..]),
-        (&delta, &delta_sites[..], &DELTA_CHECKED, &DELTA_TRUSTED[..]),
+        (&full, &full_sites[..], &FULL_CHECKED[..], &FULL_TRUSTED[..]),
+        (
+            &delta,
+            &delta_sites[..],
+            &DELTA_CHECKED[..],
+            &DELTA_TRUSTED[..],
+        ),
     ] {
         assert!(checked
             .iter()
@@ -283,8 +284,8 @@ fn absurd_counts_are_refused_before_they_allocate() {
 #[test]
 fn an_extended_record_is_refused() {
     for (record, checked, trusted) in [
-        (full_record(1), &FULL_CHECKED, &FULL_TRUSTED[..]),
-        (delta_record(1), &DELTA_CHECKED, &DELTA_TRUSTED[..]),
+        (full_record(1), &FULL_CHECKED[..], &FULL_TRUSTED[..]),
+        (delta_record(1), &DELTA_CHECKED[..], &DELTA_TRUSTED[..]),
     ] {
         let body = &record[..record.len() - 4];
         for extra in [1, 4, 7, 300] {
@@ -319,8 +320,8 @@ fn an_extended_record_is_refused() {
 fn every_bit_flip_and_truncation_is_survived_and_the_checked_ones_rejected() {
     for seed in [0x5eed, 20110913] {
         for (record, checked, trusted) in [
-            (full_record(seed), &FULL_CHECKED, &FULL_TRUSTED[..]),
-            (delta_record(seed), &DELTA_CHECKED, &DELTA_TRUSTED[..]),
+            (full_record(seed), &FULL_CHECKED[..], &FULL_TRUSTED[..]),
+            (delta_record(seed), &DELTA_CHECKED[..], &DELTA_TRUSTED[..]),
         ] {
             assert!(checked.iter().chain(trusted).all(|e| e(&record).is_ok()));
             for bit in 0..record.len() * 8 {

@@ -459,15 +459,6 @@ impl Ctx {
         self.shared.engine.call(self, name, &mut body);
     }
 
-    /// Method join point returning a value; yields `None` when the method
-    /// was skipped (replay) or ran on another executor (master/single/
-    /// delegated element).
-    pub fn call_ret<R>(&self, name: &str, mut body: impl FnMut(&Ctx) -> R) -> Option<R> {
-        let mut out = None;
-        self.call(name, |ctx| out = Some(body(ctx)));
-        out
-    }
-
     /// Parallel-method join point: `body` runs on the whole team when
     /// `ParallelMethod<name>` is plugged, once otherwise.
     pub fn region(&self, name: &str, body: impl Fn(&Ctx) + Sync) {
@@ -781,12 +772,6 @@ mod tests {
         let cell = crate::sync::Mutex::new(&mut seen);
         ctx.each("l", 2..7, |_, i| cell.lock().push(i));
         assert_eq!(seen, vec![2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn call_ret_returns_value() {
-        let ctx = seq_ctx(Plan::new());
-        assert_eq!(ctx.call_ret("m", |_| 42), Some(42));
     }
 
     #[test]

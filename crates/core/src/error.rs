@@ -30,8 +30,8 @@ pub enum PparError {
     /// line of execution, or expanding past the topology size).
     InvalidAdaptation(String),
     /// A network fabric failure: a peer process died, a stream corrupted,
-    /// or a receive timed out (real multi-process deployments only — the
-    /// simulated fabric never fails).
+    /// or a receive timed out (on the simulated fabric: a receive from a
+    /// rank whose thread panicked).
     Network(String),
     /// An I/O failure while persisting or loading state.
     Io(io::Error),

@@ -102,16 +102,6 @@ impl ExecMode {
         }
     }
 
-    /// True when this mode involves more than one line of execution anywhere.
-    pub fn is_parallel(&self) -> bool {
-        self.total_pes() > 1
-    }
-
-    /// True when this mode has distributed (multi-process) structure.
-    pub fn is_distributed(&self) -> bool {
-        self.processes() > 1
-    }
-
     /// A stable short tag used in checkpoint manifests and reports
     /// (e.g. `seq`, `smp4`, `dist8`, `hyb2x4`).
     pub fn tag(&self) -> String {
@@ -124,33 +114,6 @@ impl ExecMode {
                 threads_per_process,
             } => format!("hyb{processes}x{threads_per_process}"),
         }
-    }
-
-    /// Parse a tag produced by [`ExecMode::tag`].
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        if tag == "seq" {
-            return Some(ExecMode::Sequential);
-        }
-        if let Some(rest) = tag.strip_prefix("smp") {
-            return rest
-                .parse()
-                .ok()
-                .map(|t| ExecMode::SharedMemory { threads: t });
-        }
-        if let Some(rest) = tag.strip_prefix("dist") {
-            return rest
-                .parse()
-                .ok()
-                .map(|p| ExecMode::Distributed { processes: p });
-        }
-        if let Some(rest) = tag.strip_prefix("hyb") {
-            let (p, t) = rest.split_once('x')?;
-            return Some(ExecMode::Hybrid {
-                processes: p.parse().ok()?,
-                threads_per_process: t.parse().ok()?,
-            });
-        }
-        None
     }
 }
 
@@ -188,34 +151,15 @@ mod tests {
     }
 
     #[test]
-    fn tags_roundtrip() {
-        for mode in [
+    fn tags_are_short_and_stable() {
+        let modes = [
             ExecMode::seq(),
             ExecMode::smp(16),
             ExecMode::dist(32),
             ExecMode::hybrid(2, 24),
-        ] {
-            assert_eq!(ExecMode::from_tag(&mode.tag()), Some(mode));
-        }
-    }
-
-    #[test]
-    fn from_tag_rejects_garbage() {
-        assert_eq!(ExecMode::from_tag(""), None);
-        assert_eq!(ExecMode::from_tag("par8"), None);
-        assert_eq!(ExecMode::from_tag("smpx"), None);
-        assert_eq!(ExecMode::from_tag("hyb2"), None);
-        assert_eq!(ExecMode::from_tag("hybaxb"), None);
-    }
-
-    #[test]
-    fn parallel_and_distributed_predicates() {
-        assert!(!ExecMode::seq().is_parallel());
-        assert!(ExecMode::smp(2).is_parallel());
-        assert!(!ExecMode::smp(1).is_parallel());
-        assert!(ExecMode::dist(2).is_distributed());
-        assert!(!ExecMode::smp(4).is_distributed());
-        assert!(ExecMode::hybrid(2, 1).is_distributed());
+        ];
+        let tags = modes.map(|mode| mode.tag());
+        assert_eq!(tags, ["seq", "smp16", "dist32", "hyb2x24"]);
     }
 
     #[test]

@@ -43,36 +43,6 @@ impl ReduceOp {
             ReduceOp::Max => a.max(b),
         }
     }
-
-    /// Apply the operator to two `i64` operands.
-    pub fn apply_i64(&self, a: i64, b: i64) -> i64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Prod => a * b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-
-    /// Identity element for `f64` folds.
-    pub fn identity_f64(&self) -> f64 {
-        match self {
-            ReduceOp::Sum => 0.0,
-            ReduceOp::Prod => 1.0,
-            ReduceOp::Min => f64::INFINITY,
-            ReduceOp::Max => f64::NEG_INFINITY,
-        }
-    }
-
-    /// Identity element for `i64` folds.
-    pub fn identity_i64(&self) -> i64 {
-        match self {
-            ReduceOp::Sum => 0,
-            ReduceOp::Prod => 1,
-            ReduceOp::Min => i64::MAX,
-            ReduceOp::Max => i64::MIN,
-        }
-    }
 }
 
 /// A data-movement action bound to a named execution point (the paper's
@@ -170,26 +140,12 @@ pub enum Plug {
         /// Barrier after exit?
         after: bool,
     },
-    /// `ThreadLocal<f>`: give each team member a private copy of field `f`,
-    /// initialised from the master's value when a team forms.
-    ThreadLocal {
-        /// Field name (as registered at allocation).
-        field: String,
-    },
-    /// `ReduceTeam<l, op>`: the loop/method `l` produces a per-worker value
-    /// combined with `op` (used by `Ctx::reduce_f64`).
-    ReduceTeam {
-        /// Join-point name.
-        name: String,
-        /// Combine operator.
-        op: ReduceOp,
-    },
 
     // ---- distributed-memory parallelisation (§III.C) ----
     /// `Replicate<class>`: turn the program's single logical instance into an
     /// object aggregate with one element per process. (In this runtime the
     /// aggregate is implicit — every process runs the SPMD base code — so
-    /// this plug is a marker used for validation and reporting.)
+    /// this plug is a marker: [`Plan::len`] counts it, no engine reads it.)
     Replicate {
         /// Logical class/instance name.
         class: String,
@@ -315,9 +271,6 @@ pub struct Plan {
     single: HashSet<String>,
     master: HashSet<String>,
     barriers: HashMap<String, (bool, bool)>,
-    thread_local: HashSet<String>,
-    team_reduce: HashMap<String, ReduceOp>,
-    replicated_classes: HashSet<String>,
     fields: HashMap<String, FieldDist>,
     scatter_before: HashMap<String, Vec<String>>,
     gather_after: HashMap<String, Vec<String>>,
@@ -379,15 +332,7 @@ impl Plan {
                 e.0 |= *before;
                 e.1 |= *after;
             }
-            Plug::ThreadLocal { field } => {
-                self.thread_local.insert(field.clone());
-            }
-            Plug::ReduceTeam { name, op } => {
-                self.team_reduce.insert(name.clone(), *op);
-            }
-            Plug::Replicate { class } => {
-                self.replicated_classes.insert(class.clone());
-            }
+            Plug::Replicate { .. } => {}
             Plug::Field { field, dist } => {
                 self.fields.insert(field.clone(), *dist);
             }
@@ -504,21 +449,6 @@ impl Plan {
         self.barriers.get(method).copied().unwrap_or((false, false))
     }
 
-    /// Is `field` thread-local within a team?
-    pub fn is_thread_local(&self, field: &str) -> bool {
-        self.thread_local.contains(field)
-    }
-
-    /// Team-reduction operator for join point `name`.
-    pub fn team_reduce_op(&self, name: &str) -> Option<ReduceOp> {
-        self.team_reduce.get(name).copied()
-    }
-
-    /// Is the logical instance `class` replicated as an aggregate?
-    pub fn is_replicated_class(&self, class: &str) -> bool {
-        self.replicated_classes.contains(class)
-    }
-
     /// Declared distribution of `field` (Local when unmarked, §IV.B).
     pub fn field_dist(&self, field: &str) -> FieldDist {
         self.fields.get(field).copied().unwrap_or(FieldDist::Local)
@@ -530,32 +460,6 @@ impl Plan {
             FieldDist::Partitioned(p) => Some(p),
             _ => None,
         }
-    }
-
-    /// All fields declared Partitioned, with their partitions.
-    pub fn partitioned_fields(&self) -> Vec<(String, Partition)> {
-        let mut v: Vec<(String, Partition)> = self
-            .fields
-            .iter()
-            .filter_map(|(f, d)| match d {
-                FieldDist::Partitioned(p) => Some((f.clone(), *p)),
-                _ => None,
-            })
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    /// All fields declared Replicated.
-    pub fn replicated_fields(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .fields
-            .iter()
-            .filter(|(_, d)| matches!(d, FieldDist::Replicated))
-            .map(|(f, _)| f.clone())
-            .collect();
-        v.sort();
-        v
     }
 
     /// Fields to scatter before entering `method`.
@@ -876,13 +780,9 @@ mod tests {
     #[test]
     fn reduce_op_semantics() {
         assert_eq!(ReduceOp::Sum.apply_f64(2.0, 3.0), 5.0);
-        assert_eq!(ReduceOp::Prod.apply_i64(2, 3), 6);
+        assert_eq!(ReduceOp::Prod.apply_f64(2.0, 3.0), 6.0);
         assert_eq!(ReduceOp::Min.apply_f64(2.0, 3.0), 2.0);
-        assert_eq!(ReduceOp::Max.apply_i64(2, 3), 3);
-        for op in [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max] {
-            assert_eq!(op.apply_f64(op.identity_f64(), 42.0), 42.0);
-            assert_eq!(op.apply_i64(op.identity_i64(), 42), 42);
-        }
+        assert_eq!(ReduceOp::Max.apply_f64(2.0, 3.0), 3.0);
     }
 
     #[test]
@@ -912,27 +812,5 @@ mod tests {
         let problems = clamped.validate();
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("SafePoints"));
-    }
-
-    #[test]
-    fn partitioned_and_replicated_field_listings() {
-        let p = Plan::new()
-            .plug(Plug::Field {
-                field: "a".into(),
-                dist: FieldDist::Partitioned(Partition::Block),
-            })
-            .plug(Plug::Field {
-                field: "b".into(),
-                dist: FieldDist::Replicated,
-            })
-            .plug(Plug::Field {
-                field: "c".into(),
-                dist: FieldDist::Local,
-            });
-        assert_eq!(
-            p.partitioned_fields(),
-            vec![("a".to_string(), Partition::Block)]
-        );
-        assert_eq!(p.replicated_fields(), vec!["b".to_string()]);
     }
 }

@@ -19,7 +19,10 @@
 //! and **local-snapshot** (each element persists its own partition between
 //! two global barriers; restart requires the same element count). Either
 //! way the elements then all-reduce whether every save held, so a failed
-//! save ends the attempt on all of them.
+//! save ends the attempt on all of them. A master-collect gather moves
+//! plain index ranges (`gather_field`), never a checkpoint
+//! record: the record formats belong to the checkpoint module behind
+//! [`CkptHook`].
 //!
 //! Memory layout note (documented substitution): every element allocates
 //! the *full* index space of partitioned fields and touches only its owned
@@ -31,8 +34,6 @@ use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use ppar_ckpt::delta::{DeltaMeta, DeltaPayload, DeltaView};
-use ppar_ckpt::store::{DeltaSource, Record};
 use ppar_core::ctx::{CkptHook, Ctx, Installed};
 use ppar_core::error::{PparError, Result};
 use ppar_core::partition::{block_owned, owned_ranges, scatter_ranges, Partition};
@@ -71,11 +72,11 @@ impl DsmEngine {
         })
     }
 
-    /// Concatenated bytes of `ranges`, in one buffer sized for them up
-    /// front: a gather of a multi-MiB block pays no growth reallocs.
-    fn extract_ranges(cell: &dyn DistCell, ranges: Vec<Range<usize>>) -> Vec<u8> {
+    /// `out` followed by the concatenated bytes of `ranges`, sized for them
+    /// up front: a gather of a multi-MiB block pays no growth reallocs.
+    fn extract_ranges(cell: &dyn DistCell, ranges: Vec<Range<usize>>, mut out: Vec<u8>) -> Vec<u8> {
         let total: usize = ranges.iter().map(|r| r.len()).sum();
-        let mut out = Vec::with_capacity(total * cell.index_bytes());
+        out.reserve_exact(total * cell.index_bytes());
         for r in ranges {
             cell.extract_into(r, &mut out);
         }
@@ -110,7 +111,7 @@ impl DsmEngine {
             (0..n)
                 .map(|r| match r {
                     0 => Vec::new(),
-                    _ => DsmEngine::extract_ranges(&*cell, ranges(r)),
+                    _ => DsmEngine::extract_ranges(&*cell, ranges(r), Vec::new()),
                 })
                 .collect::<Vec<_>>()
         });
@@ -120,146 +121,118 @@ impl DsmEngine {
         }
     }
 
-    /// Gather only the *dirty* (written-since-last-snapshot) parts of a
-    /// block-partitioned field at the root: each element clamps its write
-    /// tracking to the owned block, widens to index boundaries, and ships
-    /// one **`PPARDLT1` delta record** — the exact encoding the checkpoint
-    /// store persists, streamed through the shared golden encoder
-    /// ([`Record::encode`]) with its running CRC-32, so the rank→root
-    /// transfer is integrity-checked end to end and rides any fabric
-    /// (including real TCP) for free. The root decodes with the shared
-    /// delta reader and installs the patches, which marks exactly those
-    /// chunks dirty in its own tracking — so the master record that follows
-    /// (a delta, or a full record's patch and block CRCs) scales with the
-    /// aggregate dirty fraction instead of the field size. The root's own
-    /// dirty bytes are already in its copy: it encodes and ships nothing.
-    /// Falls back to the whole-partition gather for non-block partitions
-    /// and untracked cells.
-    pub(crate) fn gather_dirty_field(&self, ctx: &Ctx, field: &str) {
-        let plan = ctx.plan();
-        let partition = self.partition_of(plan, field);
-        let cell = ctx.registry().dist(field).expect("gather field registered");
-        if partition != Partition::Block {
-            return self.gather_field(ctx, field);
-        }
-        let Some(ranges) = cell.dirty_ranges() else {
-            return self.gather_field(ctx, field);
-        };
-        let n = self.ep.nranks();
-        let rank = self.ep.rank();
-        if rank == 0 {
-            if let Some(all) = self.ep.gather(0, Vec::new()) {
-                for payload in &all[1..] {
-                    DsmEngine::install_dirty_record(&*cell, field, n, payload);
-                }
-            }
-            return;
-        }
-        let ib = cell.index_bytes();
-        let owned = block_owned(cell.logical_len(), n, rank);
-        let owned_bytes = owned.start * ib..owned.end * ib;
-
-        // Clamp byte ranges to the owned block, widen to whole indices
-        // (chunk boundaries need not align with index strides, e.g. grid
-        // rows), and coalesce overlaps the widening may introduce.
-        let mut idx_ranges: Vec<Range<usize>> = Vec::new();
-        for r in &ranges {
-            let start = r.start.max(owned_bytes.start);
-            let end = r.end.min(owned_bytes.end);
-            if start >= end {
-                continue;
-            }
-            let is = (start / ib).max(owned.start);
-            let ie = end.div_ceil(ib).min(owned.end);
-            match idx_ranges.last_mut() {
-                Some(last) if is <= last.end => last.end = last.end.max(ie),
-                _ => idx_ranges.push(is..ie),
-            }
-        }
-
-        // Index ranges → byte ranges into the field's full encoding
-        // (master-relative offsets: full_len is the whole field, exactly a
-        // master delta's coordinate system).
-        let byte_ranges: Vec<Range<usize>> = idx_ranges
-            .iter()
-            .map(|r| r.start * ib..r.end * ib)
-            .collect();
-        let count = ctx.ckpt_hook().map(|ck| ck.count()).unwrap_or(0);
-        let meta = DeltaMeta {
-            mode_tag: ctx.mode().tag(),
-            count,
-            // A gather record is not part of a persisted chain; base_count
-            // mirrors count and seq is 1 (self-describing single record).
-            base_count: count,
-            seq: 1,
-            rank: Some(rank as u32),
-            nranks: n as u32,
-        };
-        let dirty = DeltaSource::DirtyCell {
-            cell: &*cell,
-            ranges: &byte_ranges,
-        };
-        // Pre-size for the dirty bytes plus range map so a large gather
-        // record does not pay growth reallocs on its encode pass.
-        let dirty_bytes: usize = byte_ranges.iter().map(|r| r.len()).sum();
-        let hint = dirty_bytes + byte_ranges.len() * 16 + field.len() + 128;
-        let (_, record) = Record::Delta(&meta, &[(field, dirty)])
-            .encode(Vec::with_capacity(hint))
-            .expect("dirty-gather delta encoding failed");
-        self.ep.gather(0, record);
-    }
-
-    /// Root-side inverse of the dirty gather: parse the `PPARDLT1` record
-    /// (CRC-verified by the shared delta parser) and install each sparse
-    /// patch into its index range straight from the record's bytes
-    /// (marking the root's own write tracking).
-    fn install_dirty_record(cell: &dyn DistCell, field: &str, nranks: usize, record: &[u8]) {
-        let delta = DeltaView::of_record(record)
-            .unwrap_or_else(|e| panic!("corrupt dirty-gather record for field {field:?}: {e}"));
-        assert_eq!(
-            delta.meta.nranks as usize, nranks,
-            "dirty-gather record from a different aggregate size"
-        );
-        let ib = cell.index_bytes();
-        for (name, payload) in &delta.fields {
-            assert_eq!(name, field, "dirty-gather record names a different field");
-            let DeltaPayload::Sparse { full_len, ranges } = payload else {
-                panic!("dirty-gather record for field {field:?} is not sparse");
-            };
-            assert_eq!(
-                *full_len as usize,
-                cell.byte_len(),
-                "dirty-gather record for field {field:?} has a different field size"
-            );
-            for (off, bytes) in ranges {
-                let off = *off as usize;
-                assert!(
-                    off.is_multiple_of(ib) && bytes.len().is_multiple_of(ib),
-                    "dirty-gather range not index-aligned for field {field:?}"
-                );
-                cell.install(off / ib..(off + bytes.len()) / ib, bytes)
-                    .expect("dirty-range install failed");
-            }
-        }
-    }
-
-    /// Gather `field`'s partitions into the root's full copy. The root's
-    /// own block is already in place: it contributes an empty payload.
-    pub(crate) fn gather_field(&self, ctx: &Ctx, field: &str) {
-        let plan = ctx.plan();
-        let partition = self.partition_of(plan, field);
+    /// Gather `field`'s partitions into the root's full copy. Every other
+    /// element ships one range payload: the range count, each range's
+    /// `(start, end)` indices, then the ranges' bytes. It covers the
+    /// element's owned ranges, or with `dirty` only what the element wrote
+    /// since the last save ([`DsmEngine::sent_ranges`]). The root checks
+    /// each payload against its sender's owned ranges and installs it,
+    /// which marks its own write tracking: the master record that follows
+    /// (a delta, or a full record's patch and block CRCs) follows the union
+    /// of the peers' changes. The root's own block is already in place.
+    pub(crate) fn gather_field(&self, ctx: &Ctx, field: &str, dirty: bool) {
+        let partition = self.partition_of(ctx.plan(), field);
         let cell = ctx.registry().dist(field).expect("gather field registered");
         let (n, rank) = (self.ep.nranks(), self.ep.rank());
         let owned = |r| owned_ranges(partition, cell.logical_len(), n, r);
         let mine = match rank {
             0 => Vec::new(),
-            _ => DsmEngine::extract_ranges(&*cell, owned(rank)),
+            _ => {
+                let ranges = DsmEngine::sent_ranges(&*cell, owned(rank), dirty);
+                let mut head = Vec::with_capacity(8 + 16 * ranges.len());
+                head.extend((ranges.len() as u64).to_le_bytes());
+                for r in &ranges {
+                    head.extend((r.start as u64).to_le_bytes());
+                    head.extend((r.end as u64).to_le_bytes());
+                }
+                DsmEngine::extract_ranges(&*cell, ranges, head)
+            }
         };
         if let Some(all) = self.ep.gather(0, mine) {
             for (r, payload) in all.iter().enumerate().skip(1) {
-                DsmEngine::install_ranges(&*cell, owned(r), payload);
+                let (ranges, bytes) =
+                    DsmEngine::payload_ranges(payload, &owned(r), cell.index_bytes());
+                DsmEngine::install_ranges(&*cell, ranges, bytes);
             }
         }
+    }
+
+    /// What an element owning `owned` of `cell` sends in a gather: `owned`,
+    /// or with `dirty` its dirty byte ranges clamped to its owned block and
+    /// widened to whole indices (chunk boundaries need not align with
+    /// index strides, e.g. grid rows). A non-block partition or an
+    /// untracked cell sends `owned` whole.
+    fn sent_ranges(
+        cell: &dyn DistCell,
+        owned: Vec<Range<usize>>,
+        dirty: bool,
+    ) -> Vec<Range<usize>> {
+        let written = dirty.then(|| cell.dirty_ranges()).flatten();
+        let (Some(written), [block]) = (written, &owned[..]) else {
+            return owned;
+        };
+        let ib = cell.index_bytes();
+        let mut ranges: Vec<Range<usize>> = Vec::new();
+        for r in written {
+            let start = r.start.max(block.start * ib);
+            let end = r.end.min(block.end * ib);
+            if start >= end {
+                continue;
+            }
+            let (is, ie) = (start / ib, end.div_ceil(ib));
+            // Widening may make neighbours overlap: coalesce them.
+            match ranges.last_mut() {
+                Some(last) if is <= last.end => last.end = last.end.max(ie),
+                _ => ranges.push(is..ie),
+            }
+        }
+        ranges
+    }
+
+    /// The ranges a gather payload names and the bytes after them. Panics,
+    /// as [`DsmEngine::install_ranges`] does on a length mismatch, when the
+    /// ranges are unsorted, overlap or leave `owned` (the sender's owned
+    /// ranges, sorted), or when the bytes are not theirs.
+    fn payload_ranges<'p>(
+        payload: &'p [u8],
+        owned: &[Range<usize>],
+        ib: usize,
+    ) -> (Vec<Range<usize>>, &'p [u8]) {
+        let word = |i: usize| {
+            let bytes = payload
+                .get(8 * i..8 * i + 8)
+                .expect("gather payload truncated");
+            u64::from_le_bytes(bytes.try_into().unwrap()) as usize
+        };
+        let count = word(0);
+        assert!(
+            count <= (payload.len() - 8) / 16,
+            "gather payload names {count} ranges in {} bytes",
+            payload.len()
+        );
+        let mut ranges: Vec<Range<usize>> = Vec::with_capacity(count);
+        let mut owned = owned.iter().peekable();
+        let mut len = 0;
+        for i in 0..count {
+            let r = word(1 + 2 * i)..word(2 + 2 * i);
+            let after = ranges.last().map_or(0, |last| last.end);
+            assert!(
+                after <= r.start && r.start < r.end,
+                "gather payload ranges unsorted or overlapping at {r:?}"
+            );
+            while owned.next_if(|o| o.end <= r.start).is_some() {}
+            assert!(
+                owned
+                    .peek()
+                    .is_some_and(|o| o.start <= r.start && r.end <= o.end),
+                "gather payload range {r:?} leaves its sender's owned ranges"
+            );
+            len += r.len() * ib;
+            ranges.push(r);
+        }
+        let bytes = &payload[8 + 16 * count..];
+        assert_eq!(bytes.len(), len, "payload length mismatch");
+        (ranges, bytes)
     }
 
     /// Broadcast a replicated `field` from the root.
@@ -348,7 +321,7 @@ impl DsmEngine {
     pub(crate) fn apply_update(&self, ctx: &Ctx, field: &str, action: UpdateAction) {
         match action {
             UpdateAction::HaloExchange { halo } => self.halo_exchange_field(ctx, field, halo),
-            UpdateAction::Gather => self.gather_field(ctx, field),
+            UpdateAction::Gather => self.gather_field(ctx, field, false),
             UpdateAction::Scatter => self.scatter_field(ctx, field, 0),
             UpdateAction::Broadcast => self.broadcast_field(ctx, field),
             UpdateAction::AllReduce(op) => self.allreduce_field(ctx, field, op),
@@ -374,14 +347,10 @@ impl DsmEngine {
                 // the root's record — a delta, a patched full record and
                 // its block CRCs — scales with the aggregate dirty
                 // fraction, not the field size.
-                let dirty_gather = self.ep.nranks() > 1 && ck.may_gather_dirty();
+                let dirty = ck.may_gather_dirty();
                 for field in plan.safe_data() {
                     if plan.field_partition(field).is_some() {
-                        if dirty_gather {
-                            self.gather_dirty_field(ctx, field);
-                        } else {
-                            self.gather_field(ctx, field);
-                        }
+                        self.gather_field(ctx, field, dirty);
                     }
                 }
                 // The root saves; every other element resets its write
@@ -474,6 +443,58 @@ impl DsmEngine {
             } else {
                 self.broadcast_field(ctx, field);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A payload laid out by hand: `ranges`, then `bytes` bytes.
+    fn payload(ranges: &[Range<usize>], bytes: usize) -> Vec<u8> {
+        let mut out = (ranges.len() as u64).to_le_bytes().to_vec();
+        for r in ranges {
+            out.extend((r.start as u64).to_le_bytes());
+            out.extend((r.end as u64).to_le_bytes());
+        }
+        out.resize(out.len() + bytes, 7);
+        out
+    }
+
+    #[test]
+    fn a_payload_inside_its_senders_ranges_is_installed() {
+        let owned = [2..6, 10..20];
+        let sent = [2..3, 4..6, 11..20];
+        let bytes = payload(&sent, 12 * 8);
+        let (ranges, body) = DsmEngine::payload_ranges(&bytes, &owned, 8);
+        assert_eq!((ranges, body), (sent.to_vec(), &[7u8; 96][..]));
+        let empty = payload(&[], 0);
+        let (none, body) = DsmEngine::payload_ranges(&empty, &owned, 8);
+        assert!(none.is_empty() && body.is_empty());
+    }
+
+    /// Each way a payload can disagree with its sender is refused, as a
+    /// length mismatch at install is.
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)] // ranges here are span data
+    fn a_payload_that_disagrees_with_its_sender_is_refused() {
+        let owned = [2..6, 10..20];
+        let bad = [
+            payload(&[4..6, 2..3], 3 * 8),      // unsorted
+            payload(&[2..5, 4..6], 5 * 8),      // overlapping
+            payload(&[3..3], 0),                // empty
+            payload(&[5..11], 6 * 8),           // across two owned ranges
+            payload(&[18..21], 3 * 8),          // past the owned ranges
+            payload(&[2..4], 2 * 8 - 1),        // short of bytes
+            payload(&[2..4], 2 * 8 + 1),        // bytes left over
+            payload(&[2..4], 0)[..20].to_vec(), // truncated range map
+            u64::MAX.to_le_bytes().to_vec(),    // an absurd count
+            Vec::new(),                         // no count at all
+        ];
+        for (i, bytes) in bad.iter().enumerate() {
+            let read = catch_unwind(|| DsmEngine::payload_ranges(bytes, &owned, 8));
+            assert!(read.is_err(), "case {i} was accepted");
         }
     }
 }

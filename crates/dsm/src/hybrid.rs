@@ -139,7 +139,7 @@ impl ParallelEngine for HybridEngine {
         let plan = ctx.plan();
         for field in plan.safe_data() {
             if plan.field_partition(field).is_some() {
-                self.dsm.gather_field(ctx, field);
+                self.dsm.gather_field(ctx, field, false);
             }
         }
         if self.ep().rank() == 0 {
@@ -302,7 +302,7 @@ impl Engine for HybridEngine {
         if !plan.gathers_after(name).is_empty() || !plan.reduces_after(name).is_empty() {
             self.quiesced_rank(ctx, || {
                 for field in plan.gathers_after(name) {
-                    self.dsm.gather_field(ctx, field);
+                    self.dsm.gather_field(ctx, field, false);
                 }
                 for (field, op) in plan.reduces_after(name) {
                     self.dsm.allreduce_field(ctx, field, *op);
@@ -329,7 +329,7 @@ impl Engine for HybridEngine {
         self.pe_region(ctx, name, body);
         if wrap {
             for field in plan.gathers_after(name) {
-                self.dsm.gather_field(ctx, field);
+                self.dsm.gather_field(ctx, field, false);
             }
             for (field, op) in plan.reduces_after(name) {
                 self.dsm.allreduce_field(ctx, field, *op);

@@ -19,6 +19,13 @@
 //! distributed deployment), and the job runners ([`spmd::run_ranks`] with
 //! its [`spmd::run_spmd`] / [`spmd::run_hybrid`] shorthands).
 //!
+//! Checkpointing reaches this crate only through
+//! [`ppar_core::ctx::CkptHook`]: it does not depend on `ppar-ckpt`, and no
+//! record format crosses the aggregate. Every gather — a `GatherAfter`
+//! plug, an `UpdateAt` gather, a hand-off or a master-collect save — ships
+//! one plain range payload per element, which the `tcp` frame CRC covers;
+//! `ppar-ckpt` alone writes and reads its delta records.
+//!
 //! Since the `ppar-net` crate landed, every piece here is written against
 //! the [`ppar_net::Fabric`] trait rather than `SimNet` concretely: handing
 //! [`collective::Endpoint::new`] a `ppar_net::TcpFabric` runs the same

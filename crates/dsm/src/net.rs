@@ -21,12 +21,18 @@
 //! other is the real TCP mesh, [`ppar_net::TcpFabric`]. Engines and
 //! collectives run against the trait, so the same binary executes over
 //! threads (here) or over real OS processes without change.
+//!
+//! A link cannot break, but a rank's thread can unwind. The job runner
+//! then marks the rank down ([`SimNet::mark_down`]), and as on a TCP mesh
+//! whose peer died, a receive from it fails once nothing it sent is left
+//! queued — so its peers unwind too instead of waiting for it for good.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ppar_core::sync::{spin_loop, AtomicU64, Condvar, Mutex, Ordering};
+use ppar_core::error::{PparError, Result};
+use ppar_core::sync::{spin_loop, AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 
 pub use ppar_net::{Fabric, Payload, Traffic};
 
@@ -57,6 +63,10 @@ pub struct SimNet {
     model: NetModel,
     nranks: usize,
     mailboxes: Vec<Mailbox>,
+    /// Per rank: its thread unwound ([`SimNet::mark_down`]).
+    down: Vec<AtomicBool>,
+    /// Per rank: a receive of its failed because the source was down.
+    saw_down: Vec<AtomicBool>,
     intra_msgs: AtomicU64,
     intra_bytes: AtomicU64,
     inter_msgs: AtomicU64,
@@ -78,6 +88,8 @@ impl SimNet {
                     ingress_busy_until: Mutex::new(Instant::now()),
                 })
                 .collect(),
+            down: (0..nranks).map(|_| AtomicBool::new(false)).collect(),
+            saw_down: (0..nranks).map(|_| AtomicBool::new(false)).collect(),
             intra_msgs: AtomicU64::new(0),
             intra_bytes: AtomicU64::new(0),
             inter_msgs: AtomicU64::new(0),
@@ -149,10 +161,36 @@ impl SimNet {
         mbox.cv.notify_all();
     }
 
+    /// Mark `rank` down: its thread unwound and sends nothing more. A
+    /// receive from it that finds nothing queued fails from now on, and
+    /// every receiver blocked on it wakes to fail.
+    pub fn mark_down(&self, rank: usize) {
+        self.down[rank].store(true, Ordering::SeqCst);
+        for mbox in &self.mailboxes {
+            // Under the lock: a receiver between its check and its wait
+            // holds it, so the wake-up cannot slip past.
+            let _inner = mbox.inner.lock();
+            mbox.cv.notify_all();
+        }
+    }
+
+    /// Did a receive at `rank` fail because its source was down? Then a
+    /// panic of `rank` followed another's, and is not the first cause.
+    pub fn saw_down(&self, rank: usize) -> bool {
+        self.saw_down[rank].load(Ordering::SeqCst)
+    }
+
+    /// The error of a receive at `dst` that waits on a rank down, `why`.
+    fn down_error(&self, dst: usize, why: String) -> PparError {
+        self.saw_down[dst].store(true, Ordering::SeqCst);
+        PparError::Network(format!("rank {dst}: {why}"))
+    }
+
     /// Block until a message from `src` with `tag` is available at `dst`,
     /// pay the simulated ingress time, and return it (a shared reference to
-    /// the sender's buffer — no copy).
-    pub fn recv(&self, dst: usize, src: usize, tag: u64) -> Payload {
+    /// the sender's buffer — no copy). Fails once `src` is down and nothing
+    /// from it matches.
+    pub fn recv(&self, dst: usize, src: usize, tag: u64) -> Result<Payload> {
         assert!(src < self.nranks && dst < self.nranks, "rank out of range");
         let mbox = &self.mailboxes[dst];
         let msg = {
@@ -163,16 +201,21 @@ impl SimNet {
                         break msg;
                     }
                 }
+                if self.down[src].load(Ordering::SeqCst) {
+                    return Err(self.down_error(dst, format!("peer rank {src} is down")));
+                }
                 mbox.cv.wait(&mut inner);
             }
         };
         self.pay_ingress(mbox, &msg);
-        msg.bytes
+        Ok(msg.bytes)
     }
 
     /// Block until a message with `tag` from *any* source is available at
     /// `dst`; returns `(source, payload)` (lowest ready source first).
-    pub fn recv_any(&self, dst: usize, tag: u64) -> (usize, Payload) {
+    /// Fails once every other rank (there is one) is down and nothing
+    /// matches.
+    pub fn recv_any(&self, dst: usize, tag: u64) -> Result<(usize, Payload)> {
         assert!(dst < self.nranks, "rank out of range");
         let mbox = &self.mailboxes[dst];
         let (src, msg) = {
@@ -192,11 +235,15 @@ impl SimNet {
                         .expect("non-empty queue just observed");
                     break (src, msg);
                 }
+                let mut others = (0..self.nranks).filter(|&r| r != dst);
+                if self.nranks > 1 && others.all(|r| self.down[r].load(Ordering::SeqCst)) {
+                    return Err(self.down_error(dst, "every peer is down".into()));
+                }
                 mbox.cv.wait(&mut inner);
             }
         };
         self.pay_ingress(mbox, &msg);
-        (src, msg.bytes)
+        Ok((src, msg.bytes))
     }
 
     /// Serialise this rank's ingress: concurrent senders overlap their
@@ -228,8 +275,8 @@ impl SimNet {
 
 /// The simulated network is one [`Fabric`]: engines and collectives built
 /// against the trait run identically over `SimNet` (threads, modelled
-/// costs) and [`ppar_net::TcpFabric`] (real processes). `SimNet` links
-/// cannot die, so the fallible trait receives always succeed here.
+/// costs) and [`ppar_net::TcpFabric`] (real processes). A `SimNet` link
+/// cannot die, so a receive fails only from a rank marked down.
 impl Fabric for SimNet {
     fn describe(&self) -> &'static str {
         "sim"
@@ -243,12 +290,12 @@ impl Fabric for SimNet {
         SimNet::send(self, src, dst, tag, payload);
     }
 
-    fn recv(&self, dst: usize, src: usize, tag: u64) -> ppar_core::error::Result<Payload> {
-        Ok(SimNet::recv(self, dst, src, tag))
+    fn recv(&self, dst: usize, src: usize, tag: u64) -> Result<Payload> {
+        SimNet::recv(self, dst, src, tag)
     }
 
-    fn recv_any(&self, dst: usize, tag: u64) -> ppar_core::error::Result<(usize, Payload)> {
-        Ok(SimNet::recv_any(self, dst, tag))
+    fn recv_any(&self, dst: usize, tag: u64) -> Result<(usize, Payload)> {
+        SimNet::recv_any(self, dst, tag)
     }
 
     fn probe(&self, dst: usize, src: usize, tag: u64) -> bool {
@@ -285,7 +332,7 @@ mod tests {
     fn send_recv_roundtrip() {
         let net = SimNet::instant(2);
         net.send(0, 1, 7, vec![1, 2, 3]);
-        assert_eq!(&*net.recv(1, 0, 7), &[1, 2, 3]);
+        assert_eq!(&*net.recv(1, 0, 7).unwrap(), &[1, 2, 3]);
     }
 
     #[test]
@@ -295,7 +342,7 @@ mod tests {
             net.send(0, 1, 1, vec![i]);
         }
         for i in 0..10u8 {
-            assert_eq!(&*net.recv(1, 0, 1), &[i]);
+            assert_eq!(&*net.recv(1, 0, 1).unwrap(), &[i]);
         }
     }
 
@@ -304,19 +351,41 @@ mod tests {
         let net = SimNet::instant(2);
         net.send(0, 1, 1, vec![1]);
         net.send(0, 1, 2, vec![2]);
-        assert_eq!(&*net.recv(1, 0, 2), &[2]);
-        assert_eq!(&*net.recv(1, 0, 1), &[1]);
+        assert_eq!(&*net.recv(1, 0, 2).unwrap(), &[2]);
+        assert_eq!(&*net.recv(1, 0, 1).unwrap(), &[1]);
     }
 
     #[test]
     fn recv_blocks_until_send() {
         let net = SimNet::instant(2);
         let n2 = net.clone();
-        let receiver = std::thread::spawn(move || n2.recv(1, 0, 9));
+        let receiver = std::thread::spawn(move || n2.recv(1, 0, 9).unwrap());
         std::thread::sleep(Duration::from_millis(30));
         assert!(!receiver.is_finished());
         net.send(0, 1, 9, vec![42]);
         assert_eq!(&*receiver.join().unwrap(), &[42]);
+    }
+
+    /// What a rank marked down sent is still delivered; after that, a
+    /// receive from it fails, whether it waited before the mark (woken by
+    /// it) or comes after.
+    #[test]
+    fn a_rank_marked_down_fails_receives_once_drained() {
+        let net = SimNet::instant(3);
+        net.send(0, 1, 4, vec![1]);
+        let n2 = net.clone();
+        let blocked = std::thread::spawn(move || n2.recv(2, 0, 4));
+        std::thread::sleep(Duration::from_millis(30));
+        net.mark_down(0);
+        assert!(blocked.join().unwrap().is_err());
+        assert_eq!(&*net.recv(1, 0, 4).unwrap(), &[1]);
+        assert!(net.recv(1, 0, 4).is_err());
+        assert_eq!((net.saw_down(1), net.saw_down(0)), (true, false));
+        // A receive from any rank fails once every other one is down.
+        net.send(2, 1, 4, vec![2]);
+        net.mark_down(2);
+        assert_eq!(net.recv_any(1, 4).unwrap().0, 2);
+        assert!(net.recv_any(1, 4).is_err());
     }
 
     #[test]
@@ -328,8 +397,8 @@ mod tests {
         let net = SimNet::new(topo, 4, NetModel::instant());
         net.send(0, 1, 1, vec![0; 100]); // intra (ranks 0,1 on machine 0)
         net.send(0, 2, 1, vec![0; 200]); // inter (rank 2 on machine 1)
-        net.recv(1, 0, 1);
-        net.recv(2, 0, 1);
+        net.recv(1, 0, 1).unwrap();
+        net.recv(2, 0, 1).unwrap();
         let t = net.traffic();
         assert_eq!(t.intra_msgs, 1);
         assert_eq!(t.intra_bytes, 100);
@@ -355,7 +424,7 @@ mod tests {
         let net = SimNet::new(topo, 2, model);
         let start = Instant::now();
         net.send(0, 1, 1, vec![0; 1_000_000]);
-        net.recv(1, 0, 1);
+        net.recv(1, 0, 1).unwrap();
         let elapsed = start.elapsed();
         assert!(
             elapsed >= Duration::from_millis(9),
@@ -373,12 +442,12 @@ mod tests {
         net.send(2, 0, 5, vec![2]);
         net.send(1, 0, 5, vec![1]);
         net.send(1, 0, 6, vec![9]); // different tag: must not match
-        let (src_a, a) = net.recv_any(0, 5);
-        let (src_b, b) = net.recv_any(0, 5);
+        let (src_a, a) = net.recv_any(0, 5).unwrap();
+        let (src_b, b) = net.recv_any(0, 5).unwrap();
         let mut got = vec![(src_a, a[0]), (src_b, b[0])];
         got.sort_unstable();
         assert_eq!(got, vec![(1, 1), (2, 2)]);
-        assert_eq!(&*net.recv(0, 1, 6), &[9]);
+        assert_eq!(&*net.recv(0, 1, 6).unwrap(), &[9]);
     }
 
     #[test]
@@ -400,7 +469,7 @@ mod tests {
         net.send(0, 1, 3, vec![5]);
         assert!(net.probe(1, 0, 3));
         assert!(net.probe(1, 0, 3));
-        assert_eq!(&*net.recv(1, 0, 3), &[5]);
+        assert_eq!(&*net.recv(1, 0, 3).unwrap(), &[5]);
         assert!(!net.probe(1, 0, 3));
     }
 }

@@ -1,5 +1,6 @@
 //! The SPMD job runner: one thread per simulated aggregate element.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use ppar_core::ctx::{run_on, AdaptHook, CkptHook, Ctx};
@@ -56,9 +57,12 @@ pub type HookFactory<'a> =
 /// order. The caller keeps the `net` handle, so traffic counters survive
 /// the run, and announces completion inside `app` ([`Ctx::finish`]).
 ///
-/// Every rank thread is joined; if any panicked, the call unwinds with the
-/// payload of the lowest-numbered one, so its own message reaches the
-/// caller.
+/// A rank whose thread panics is marked down in `net`
+/// ([`SimNet::mark_down`]), so a peer waiting on it fails its receive and
+/// unwinds too instead of waiting for good. Every rank thread is joined;
+/// if any panicked, the call unwinds with the payload of the
+/// lowest-numbered rank whose panic did not follow a receive from a rank
+/// already down, so the first cause's own message reaches the caller.
 pub fn run_ranks<R: Send>(
     net: Arc<SimNet>,
     threads: usize,
@@ -81,10 +85,16 @@ pub fn run_ranks<R: Send>(
                 std::thread::Builder::new()
                     .name(format!("ppar-rank-{rank}"))
                     .spawn_scoped(scope, move || {
-                        let ep = Endpoint::new(net, rank);
-                        let engine = HybridEngine::with_headroom(ep, threads, max_threads);
-                        let (ckpt, adapt) = hooks(rank);
-                        *slot = Some(run_on(engine, plan, ckpt, adapt, app));
+                        let ran = catch_unwind(AssertUnwindSafe(|| {
+                            let ep = Endpoint::new(net.clone(), rank);
+                            let engine = HybridEngine::with_headroom(ep, threads, max_threads);
+                            let (ckpt, adapt) = hooks(rank);
+                            *slot = Some(run_on(engine, plan, ckpt, adapt, app));
+                        }));
+                        if let Err(panic) = ran {
+                            net.mark_down(rank);
+                            resume_unwind(panic);
+                        }
                     })
                     .expect("failed to spawn rank thread")
             })
@@ -92,10 +102,16 @@ pub fn run_ranks<R: Send>(
         // Join them all before picking a panic: a rank left unjoined would
         // make the scope raise its own.
         let joined: Vec<_> = ranks.into_iter().map(|rank| rank.join()).collect();
-        joined.into_iter().find_map(Result::err)
+        // The first cause: the lowest rank whose panic did not follow a
+        // receive from a rank already down.
+        let panics = joined.into_iter().enumerate();
+        let panics = panics.filter_map(|(r, joined)| Some((net.saw_down(r), joined.err()?)));
+        panics
+            .min_by_key(|(followed, _)| *followed)
+            .map(|(_, panic)| panic)
     });
     if let Some(panic) = panicked {
-        std::panic::resume_unwind(panic);
+        resume_unwind(panic);
     }
     out.into_iter()
         .map(|o| o.expect("rank thread completed"))

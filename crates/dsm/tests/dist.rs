@@ -546,3 +546,40 @@ fn a_rank_panic_reaches_the_caller_with_its_message() {
         .or_else(|| panic.downcast_ref::<&str>().copied());
     assert_eq!(said, Some("rank 1 gives up"));
 }
+
+/// A rank that panics mid-run ends an in-process aggregate instead of
+/// hanging it: its peer, waiting for it in the next collective, fails the
+/// receive and unwinds, and `launch` unwinds with the panicking rank's own
+/// message. A watchdog fails the test at its deadline should the peer wait
+/// for good.
+#[test]
+fn a_rank_panic_mid_run_ends_a_launch_instead_of_hanging_it() {
+    use ppar_adapt::{launch, AppStatus, Deploy};
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let ran = std::panic::catch_unwind(|| {
+            let deploy = Deploy::Dist(SpmdConfig::instant(2));
+            launch(&deploy, Plan::new(), None, None, |ctx| {
+                let sum = ctx.reduce_f64("first", ReduceOp::Sum, 1.0);
+                if ctx.rank() == 0 {
+                    panic!("rank 0 gives up after {sum}");
+                }
+                (
+                    AppStatus::Completed,
+                    ctx.reduce_f64("second", ReduceOp::Sum, sum),
+                )
+            })
+        });
+        let _ = done.send(ran.map(drop));
+    });
+    let deadline = std::time::Duration::from_secs(60);
+    let panic = outcome
+        .recv_timeout(deadline)
+        .expect("the launch hangs after a rank panicked")
+        .expect_err("a rank panicked");
+    let said = panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| panic.downcast_ref::<&str>().copied());
+    assert_eq!(said, Some("rank 0 gives up after 2"));
+}

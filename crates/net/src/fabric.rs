@@ -8,7 +8,8 @@
 //! cross-matching on any implementation.
 //!
 //! Implementations: the simulated `SimNet` (threads in one process,
-//! cost-modelled links, never fails) and the real [`crate::tcp::TcpFabric`]
+//! cost-modelled links; a receive fails only from a rank whose thread
+//! panicked) and the real [`crate::tcp::TcpFabric`]
 //! (one OS process per rank, TCP mesh, peers can genuinely die — which is
 //! why [`Fabric::recv`] returns a `Result`).
 

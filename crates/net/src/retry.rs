@@ -85,11 +85,6 @@ impl RetryPolicy {
         self.deadline.saturating_duration_since(Instant::now())
     }
 
-    /// Has the deadline passed?
-    pub fn expired(&self) -> bool {
-        self.remaining().is_zero()
-    }
-
     fn xorshift(&mut self) -> u64 {
         let mut x = self.rng;
         x ^= x << 13;
@@ -184,7 +179,7 @@ mod tests {
             steps += 1;
             assert!(steps < 1000, "policy never expired");
         }
-        assert!(p.expired());
+        assert!(p.remaining().is_zero());
         assert!(
             total <= Duration::from_millis(80),
             "overshot deadline: {total:?}"

@@ -232,8 +232,6 @@ struct Peer {
     last_rx: Mutex<Instant>,
     sent_msgs: AtomicU64,
     sent_bytes: AtomicU64,
-    recv_msgs: AtomicU64,
-    recv_bytes: AtomicU64,
 }
 
 impl Peer {
@@ -246,23 +244,8 @@ impl Peer {
             last_rx: Mutex::new(Instant::now()),
             sent_msgs: AtomicU64::new(0),
             sent_bytes: AtomicU64::new(0),
-            recv_msgs: AtomicU64::new(0),
-            recv_bytes: AtomicU64::new(0),
         }
     }
-}
-
-/// Per-peer traffic counters of a [`TcpFabric`] (this rank's view).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PeerTraffic {
-    /// Frames sent to this peer.
-    pub sent_msgs: u64,
-    /// Payload bytes sent to this peer.
-    pub sent_bytes: u64,
-    /// Frames received from this peer.
-    pub recv_msgs: u64,
-    /// Payload bytes received from this peer.
-    pub recv_bytes: u64,
 }
 
 /// The real TCP message fabric for one rank process. Build with
@@ -334,20 +317,6 @@ impl TcpFabric {
     /// Is the fabric running resiliently (supervised, rejoinable)?
     pub fn resilient(&self) -> bool {
         self.resilient
-    }
-
-    /// Per-peer traffic counters, rank-indexed (the self slot stays zero
-    /// except for loopback self-sends, which count as sent only).
-    pub fn per_peer_traffic(&self) -> Vec<PeerTraffic> {
-        self.peers
-            .iter()
-            .map(|p| PeerTraffic {
-                sent_msgs: p.sent_msgs.load(Ordering::Relaxed),
-                sent_bytes: p.sent_bytes.load(Ordering::Relaxed),
-                recv_msgs: p.recv_msgs.load(Ordering::Relaxed),
-                recv_bytes: p.recv_bytes.load(Ordering::Relaxed),
-            })
-            .collect()
     }
 
     /// Close every send queue, join the send threads (guaranteeing all
@@ -771,11 +740,6 @@ fn receiver_loop(fabric: Weak<TcpFabric>, peer: usize, stream: TcpStream, my_gen
                         continue;
                     }
                     _ => {}
-                }
-                if tag & CTRL_TAG_BIT == 0 {
-                    p.recv_msgs.fetch_add(1, Ordering::Relaxed);
-                    p.recv_bytes
-                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
                 }
                 fabric.deposit(peer, tag, Arc::new(payload));
             }
@@ -1281,15 +1245,13 @@ mod tests {
                 fabric.recv(1, 0, 1).unwrap();
                 fabric.recv(1, 0, 1).unwrap();
             }
-            (fabric.traffic(), fabric.per_peer_traffic())
+            fabric.traffic()
         });
-        let (t0, _) = &traffic[0];
+        let t0 = &traffic[0];
         assert_eq!(t0.msgs(), 2);
         assert_eq!(t0.bytes(), 128);
         assert_eq!(t0.intra_msgs, 0, "tcp counts as inter");
-        let (_, per1) = &traffic[1];
-        assert_eq!(per1[0].recv_msgs, 2);
-        assert_eq!(per1[0].recv_bytes, 128);
+        assert_eq!(traffic[1].msgs(), 0, "receives are not sends");
     }
 
     #[test]
