@@ -27,6 +27,7 @@ use ppar_dsm::{SimNet, Traffic};
 
 use crate::controller::{AdaptationController, ReshapeKind};
 use crate::live::deploy_for_mode;
+use crate::netrun::{NetConfig, NetSession};
 
 /// How the application body ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +79,10 @@ pub enum Deploy {
         /// `threads` when smaller.
         max_threads: usize,
     },
+    /// This process as rank `cfg.rank` of a real TCP aggregate (`tcpN`),
+    /// `cfg` usually from [`NetConfig::from_env`] (see [`crate::netrun`]).
+    /// A process aggregate adapts by restart: it takes no controller.
+    Tcp(NetConfig),
 }
 
 impl Deploy {
@@ -90,10 +95,11 @@ impl Deploy {
         }
     }
 
-    /// Aggregate elements this deployment runs (1 without a fabric).
-    pub(crate) fn nranks(&self) -> usize {
+    /// Aggregate elements this process runs (1 without a simulated
+    /// fabric).
+    fn local_ranks(&self) -> usize {
         match self {
-            Deploy::Seq | Deploy::Smp { .. } | Deploy::Task { .. } => 1,
+            Deploy::Seq | Deploy::Smp { .. } | Deploy::Task { .. } | Deploy::Tcp(_) => 1,
             Deploy::Dist(cfg) | Deploy::Hybrid { cfg, .. } => cfg.nranks,
         }
     }
@@ -106,6 +112,7 @@ impl Deploy {
             Deploy::Task { workers, .. } => format!("task{workers}"),
             Deploy::Dist(cfg) => format!("dist{}", cfg.nranks),
             Deploy::Hybrid { cfg, threads, .. } => format!("hyb{}x{}", cfg.nranks, threads),
+            Deploy::Tcp(cfg) => format!("tcp{}", cfg.nranks),
         }
     }
 }
@@ -114,19 +121,22 @@ impl Deploy {
 /// switches that were applied by in-memory hand-off.
 pub struct LaunchOutcome<R> {
     /// Per-rank `(status, result)` pairs of the final round (a single entry
-    /// for Seq/Smp/Task).
+    /// for Seq/Smp/Task, and for a `tcp` rank its own).
     pub results: Vec<(AppStatus, R)>,
     /// Did the *initial* round replay a previous on-disk failure?
     pub replayed: bool,
-    /// Rank-0 checkpoint statistics of the final round, when a checkpoint
-    /// module was built (a directory or a controller was given).
+    /// Rank-0 checkpoint statistics of the final round (a `tcp` rank's
+    /// own), when a checkpoint module was built (a directory or a
+    /// controller was given).
     pub stats: Option<CkptStats>,
     /// Network traffic of the final round (distributed and hybrid
-    /// deployments; `None` when no fabric was involved). Counted by the
-    /// same [`Traffic`] type the real TCP fabric reports, so simulated and
+    /// deployments; for a `tcp` rank, what it sent since it connected;
+    /// `None` when no fabric was involved). Counted by the same
+    /// [`Traffic`] type the real TCP fabric reports, so simulated and
     /// process-backed runs compare directly.
     pub traffic: Option<Traffic>,
-    /// Launch rounds executed (1 = no escalated reshape).
+    /// Launch rounds executed (1 = no escalated reshape and no in-job
+    /// recovery).
     pub launches: usize,
     /// Escalated mode switches, in order (engine-internal in-place
     /// reshapes don't appear here — see
@@ -141,36 +151,64 @@ impl<R> LaunchOutcome<R> {
     pub fn completed(&self) -> bool {
         self.results.iter().all(|(s, _)| *s == AppStatus::Completed)
     }
-}
 
-/// Run `app` on `ctx` and announce completion when it reports one.
-fn run_app<R>(ctx: &Ctx, app: &impl Fn(&Ctx) -> (AppStatus, R)) -> (AppStatus, R) {
-    let (status, result) = app(ctx);
-    if status == AppStatus::Completed {
-        ctx.finish();
+    /// In-job recovery rounds a `tcp` rank went through (0 = fault-free):
+    /// every round that was neither the first nor a hand-off relaunch.
+    pub fn recoveries(&self) -> usize {
+        self.launches - 1 - self.reshapes.len()
     }
-    (status, result)
 }
 
-/// Why a round ended with [`Exit::Fault`]: on an in-process deployment
-/// (no element can die) only a failed save or restore raises it — the
-/// engine ends the attempt on every line of execution, and the module
-/// whose save or load failed keeps the error.
-fn ckpt_failure(modules: &[Arc<CheckpointModule>]) -> PparError {
-    let failure = modules.iter().find_map(|m| m.take_failure());
-    failure.unwrap_or_else(|| {
-        PparError::ContractViolation(
-            "a line of execution faulted, yet no save or load failed".into(),
+/// How a round ended, as the session loop acts on it: every line of
+/// execution returned; a peer fault ended it (recover, run another round);
+/// an escalated crossing (relaunch under this mode by hand-off).
+#[derive(Debug)]
+enum Ended<T> {
+    Done(T),
+    Recover,
+    Reshape(ExecMode),
+}
+
+/// The one classification of a round's end. A round that left with
+/// [`Exit::Fault`] while a peer fault is pending is recovered; with none
+/// pending, a save or a load failed — the engine ended the round on every
+/// line of execution, and `failure` is the error the failing module kept.
+/// Any other exit keeps unwinding.
+fn classify<T>(
+    ended: std::result::Result<T, Exit>,
+    fault_pending: impl FnOnce() -> bool,
+    failure: impl FnOnce() -> PparError,
+) -> Result<Ended<T>> {
+    match ended {
+        Ok(done) => Ok(Ended::Done(done)),
+        Err(Exit::Fault) if fault_pending() => Ok(Ended::Recover),
+        Err(Exit::Fault) => Err(failure()),
+        Err(Exit::Reshape(mode)) => Ok(Ended::Reshape(mode)),
+        Err(other) => leave(other),
+    }
+}
+
+/// Why a round ended with [`Exit::Fault`] with no peer fault pending: the
+/// save or load that failed, as the module it failed in kept it, or — on a
+/// `tcp` rank whose peer it failed on — the aggregate's word that another
+/// element failed.
+fn failure(modules: &[Arc<CheckpointModule>]) -> PparError {
+    let kept = modules.iter().find_map(|m| m.take_failure());
+    kept.unwrap_or_else(|| {
+        PparError::CorruptCheckpoint(
+            "another element of the aggregate failed to save or load its checkpoint".into(),
         )
     })
 }
 
 /// One launch round: stand `deploy` up as a running engine stack — one
-/// engine per aggregate element, rank `r` hooked to `modules[r]` (none when
-/// the slice is empty) and to the controller (itself for one element, its
-/// [`AdaptationController::rank_views`] for an aggregate) — and run
-/// `per_rank` on every element's root line. Returns the per-rank values in
-/// rank order plus the round's network traffic when a fabric was involved.
+/// engine per aggregate element this process runs, element `r` hooked to
+/// `modules[r]` (none when the slice is empty) and to the controller
+/// (itself for one element, its [`AdaptationController::rank_views`] for
+/// an aggregate) — and run `per_rank` on every element's root line.
+/// Returns the per-rank values in rank order plus the round's network
+/// traffic when a fabric was involved. A `tcp` rank runs its one element
+/// over `net`, the session's fabric.
 ///
 /// `modules` must hold every element's checkpoint module BEFORE any rank
 /// thread starts — the moral equivalent of mpirun synchronising process
@@ -182,6 +220,7 @@ fn round<T: Send>(
     plan: &Arc<Plan>,
     modules: &[Arc<CheckpointModule>],
     controller: Option<&Arc<AdaptationController>>,
+    net: Option<&NetSession>,
     per_rank: impl Fn(&Ctx) -> T + Sync,
 ) -> (Vec<T>, Option<Traffic>) {
     let ckpt = |rank: usize| modules.get(rank).map(|m| m.clone() as Arc<dyn CkptHook>);
@@ -231,16 +270,21 @@ fn round<T: Send>(
             threads,
             max_threads,
         } => aggregate(cfg, *threads, *max_threads),
+        Deploy::Tcp(_) => {
+            let net = net.expect("a tcp round runs over its session's fabric");
+            (local(net.engine()).0, Some(net.traffic()))
+        }
     }
 }
 
-/// Launch `app` under `deploy`. `ckpt_dir` plugs durable checkpointing
-/// (and arms replay if the directory holds a failed run); `controller`
-/// plugs run-time adaptation. A reshape the running engine can realise in
-/// place (a team retarget within its headroom) is applied at the crossing;
-/// any other escalates and is applied by an in-memory hand-off and an
-/// in-process relaunch under [`deploy_for_mode`] (see [`crate::live`]).
-/// Without a controller nothing escalates and the session is one round.
+/// Launch `app` under `deploy`: the one session loop, for every
+/// deployment. `ckpt_dir` plugs durable checkpointing (and arms replay if
+/// the directory holds a failed run); `controller` plugs run-time
+/// adaptation. A reshape the running engine can realise in place (a team
+/// retarget within its headroom) is applied at the crossing; any other
+/// escalates and is applied by an in-memory hand-off and an in-process
+/// relaunch under [`deploy_for_mode`] (see [`crate::live`]). Without a
+/// controller nothing escalates.
 ///
 /// With a controller but no directory the modules have no medium — they
 /// count safe points and carry the hand-off — and a plan that snapshots
@@ -248,6 +292,12 @@ fn round<T: Send>(
 /// no checkpoint module is built at all. The app returns its status:
 /// `Completed` clears the run marker, `Crashed` leaves it for the next
 /// launch to detect.
+///
+/// Under `Deploy::Tcp` the session connects the fabric once; every rank
+/// passes the same choice of directory (only rank 0 opens it), and a
+/// controller is refused with `InvalidAdaptation` before anything
+/// connects. A round a peer fault ended is recovered in the job and run
+/// again (see [`crate::netrun`]), which is why `app` is `Fn`.
 pub fn launch<R: Send>(
     deploy: &Deploy,
     plan: Plan,
@@ -258,20 +308,35 @@ pub fn launch<R: Send>(
     let plan = Arc::new(plan);
     let controller = controller.as_ref();
     let start = Instant::now();
+    let mut net = match deploy {
+        Deploy::Tcp(_) if controller.is_some() => {
+            return Err(PparError::InvalidAdaptation(format!(
+                "a {} rank takes no controller: a process aggregate adapts by restart",
+                deploy.tag()
+            )))
+        }
+        Deploy::Tcp(cfg) => Some(NetSession::connect(cfg, ckpt_dir)?),
+        _ => None,
+    };
     let mut deploy = deploy.clone();
     let mut resume: Option<Arc<Handoff>> = None;
     let mut reshapes = Vec::new();
     let mut replayed = false;
 
     // A runaway controller (or a target the successor immediately escalates
-    // again) must not loop forever.
+    // again) must not loop forever; nor may a fault storm, which
+    // `NetSession::recover` bounds well below this.
     const MAX_ROUNDS: usize = 32;
     for launches in 1..=MAX_ROUNDS {
-        let nranks = deploy.nranks();
-        let modules = match (ckpt_dir, controller) {
-            (Some(dir), _) => CheckpointModule::create_group(dir, &plan, nranks)?,
-            (None, Some(_)) => CheckpointModule::create_group_without_dir(&plan, nranks)?,
-            (None, None) => Vec::new(),
+        let modules = match (&mut net, ckpt_dir, controller) {
+            (Some(net), _, _) => net.modules(&plan, ckpt_dir)?,
+            (None, Some(dir), _) => {
+                CheckpointModule::create_group(dir, &plan, deploy.local_ranks())?
+            }
+            (None, None, Some(_)) => {
+                CheckpointModule::create_group_without_dir(&plan, deploy.local_ranks())?
+            }
+            (None, None, None) => Vec::new(),
         };
         if launches == 1 {
             replayed = modules.first().is_some_and(|m| m.will_replay());
@@ -285,16 +350,36 @@ pub fn launch<R: Send>(
             }
         }
 
-        let (exits, traffic) = round(&deploy, &plan, &modules, controller, |ctx| {
-            catch_exit(|| run_app(ctx, &app))
+        let (exits, traffic) = round(&deploy, &plan, &modules, controller, net.as_ref(), |ctx| {
+            catch_exit(|| {
+                let (status, result) = app(ctx);
+                if status == AppStatus::Completed {
+                    // A resilient `tcp` rank confirms the *whole job*
+                    // completed before the run marker is cleared and
+                    // anyone retires.
+                    if let Some(net) = &net {
+                        net.confirm_completion();
+                    }
+                    ctx.finish();
+                }
+                (status, result)
+            })
         });
 
         // An escalated crossing unwinds every rank with the same target
         // (SPMD discipline: all elements reach the same crossing and read
-        // the same shared decision); a failed save or restore ends the
-        // session.
-        match (exits.into_iter().collect(), controller) {
-            (Ok(results), _) => {
+        // the same shared decision); so does a failed save or restore, and
+        // on a `tcp` rank a peer fault.
+        let ended = classify(
+            exits.into_iter().collect(),
+            || net.as_ref().is_some_and(|net| net.fault_pending()),
+            || failure(&modules),
+        )?;
+        match ended {
+            Ended::Done(results) => {
+                if let Some(net) = net {
+                    net.close();
+                }
                 return Ok(LaunchOutcome {
                     results,
                     replayed,
@@ -305,8 +390,14 @@ pub fn launch<R: Send>(
                     elapsed: start.elapsed(),
                 });
             }
-            (Err(Exit::Fault), _) => return Err(ckpt_failure(&modules)),
-            (Err(Exit::Reshape(mode)), Some(controller)) => {
+            Ended::Recover => {
+                let net = net.as_ref().expect("only a tcp rank sees a peer fault");
+                net.recover(launches - reshapes.len())?;
+            }
+            Ended::Reshape(mode) => {
+                let Some(controller) = controller else {
+                    leave(Exit::Reshape(mode))
+                };
                 // The on-disk RUNNING marker (when a directory is
                 // configured) intentionally stays set across the relaunch:
                 // the session is still in flight, and if the process dies
@@ -330,7 +421,6 @@ pub fn launch<R: Send>(
                 resume = Some(Arc::new(handoff));
                 deploy = deploy_for_mode(mode, &deploy);
             }
-            (Err(exit), _) => leave(exit),
         }
     }
     Err(PparError::InvalidAdaptation(format!(
@@ -371,5 +461,88 @@ pub fn overdecomposed(pe: usize, of: usize, model: ppar_dsm::NetModel) -> SpmdCo
         topology: ppar_dsm::Topology::single_node(pe),
         nranks: pe * of.max(1),
         model,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::netrun::free_loopback_addr;
+
+    /// What a failed save left on the module.
+    fn save_err() -> PparError {
+        PparError::Io(std::io::Error::other("the save failed"))
+    }
+
+    /// A round's one line of execution that left with `exit`, caught as
+    /// the round catches it.
+    fn left(exit: Exit) -> std::result::Result<(), Exit> {
+        catch_exit(|| leave(exit))
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn a_bug_under_a_pending_fault_propagates_instead_of_being_recovered() {
+        let _ = classify(catch_exit(|| panic!("boom")), || true, save_err);
+    }
+
+    #[test]
+    fn the_fault_exit_is_recovered_only_while_a_fault_is_pending() {
+        // With no fault pending, the fault exit is a failed save or load:
+        // the round fails with that error, and is not run again.
+        let failed = classify(left(Exit::Fault), || false, save_err);
+        assert!(matches!(failed, Err(PparError::Io(_))), "{failed:?}");
+        let recovered = classify(left(Exit::Fault), || true, save_err);
+        assert!(matches!(recovered, Ok(Ended::Recover)), "{recovered:?}");
+        let done = classify(Ok(7), || true, save_err);
+        assert!(matches!(done, Ok(Ended::Done(7))), "{done:?}");
+    }
+
+    #[test]
+    fn other_exits_keep_unwinding() {
+        let drained = catch_exit(|| classify(left(Exit::Drained), || true, save_err));
+        assert_eq!(drained.err(), Some(Exit::Drained));
+        let seq = ExecMode::Sequential;
+        let reshaped = classify(left(Exit::Reshape(seq)), || true, save_err);
+        assert!(
+            matches!(reshaped, Ok(Ended::Reshape(m)) if m == seq),
+            "{reshaped:?}"
+        );
+    }
+
+    /// A process aggregate adapts by restart: a `tcp` launch given a
+    /// controller is refused before it connects. The test holds the root
+    /// address, so rank 0 binding it or rank 1 dialling it would show.
+    #[test]
+    fn a_tcp_launch_refuses_a_controller_before_it_connects() {
+        let root = free_loopback_addr().unwrap();
+        let listener = std::net::TcpListener::bind(&root).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        for rank in 0..2 {
+            let mut cfg = NetConfig::new(rank, 2, root.clone());
+            cfg.connect_timeout = Duration::from_secs(2);
+            let ran = ppar_core::sync::AtomicBool::new(false);
+            let out = launch(
+                &Deploy::Tcp(cfg),
+                Plan::new(),
+                None,
+                Some(AdaptationController::new()),
+                |_| {
+                    ran.store(true, ppar_core::sync::Ordering::SeqCst);
+                    (AppStatus::Completed, ())
+                },
+            );
+            assert!(
+                matches!(out, Err(PparError::InvalidAdaptation(_))),
+                "rank {rank}: {:?}",
+                out.err()
+            );
+            assert!(!ran.into_inner(), "rank {rank}: nothing ran");
+            let dialled = listener.accept();
+            assert!(
+                matches!(&dialled, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+                "rank {rank} dialled the root: {dialled:?}"
+            );
+        }
     }
 }

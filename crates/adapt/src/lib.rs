@@ -14,11 +14,15 @@
 //!   optional checkpointing and run-time adaptation, and drives
 //!   crash/restart cycles; because master-collected checkpoints are mode
 //!   independent, a restart may use a *different* mode or aggregate size
-//!   (adaptation by restart, Fig. 6). [`launch`] is the one in-process
-//!   session loop, and its one round function the only place a [`Deploy`]
-//!   becomes a running engine stack: `seq` is the sequential engine, `smpN`
-//!   and `taskN` the team engine (the latter with the quiescence check),
-//!   `distP` and `hybPxT` the rank engine at width 1 or T.
+//!   (adaptation by restart, Fig. 6). [`launch`] is the one session loop
+//!   for every deployment, in-process or a `tcp` rank, and its one round
+//!   function the only place a [`Deploy`] becomes a running engine stack:
+//!   `seq` is the sequential engine, `smpN` and `taskN` the team engine
+//!   (the latter with the quiescence check), `distP` and `hybPxT` the rank
+//!   engine at width 1 or T over a simulated fabric, `tcpN` the rank engine
+//!   at width 1 over this process's TCP fabric. One classification ends
+//!   every round: completed, recovered after a peer fault, failed with the
+//!   error a checkpoint module kept, or relaunched by hand-off.
 //! * [`launcher::overdecomposed`] — the traditional over-decomposition
 //!   baseline the paper compares against (Fig. 8).
 //! * [`live`] — **live reshape**: given a controller, [`launch`] applies a
@@ -26,11 +30,12 @@
 //!   in-memory state hand-off (`ppar_ckpt::Handoff`: the predecessor's
 //!   cells, frozen) and an in-process relaunch — no process exit, no disk
 //!   round-trip, no record. Restart stays available as the fallback.
-//! * [`netrun`] — the **real multi-process deployment** (`tcpN`): each
-//!   rank is an OS process on a `ppar_net::TcpFabric`; rank 0 owns the
-//!   durable checkpoint store and serves it to the workers over the wire;
-//!   the cluster driver's restart loop recovers from genuine process
-//!   death.
+//! * [`netrun`] — what a `tcpN` rank's session holds across its rounds:
+//!   the `ppar_net::TcpFabric` it connected once, the replay state rank 0
+//!   sends each round, the root's checkpoint service and a worker's
+//!   client, the resilient completion round and in-job recovery; plus the
+//!   cluster driver (re-exported from `ppar_net`), whose restart loop
+//!   recovers from genuine process death.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -45,4 +50,3 @@ pub use controller::{
 };
 pub use launcher::{launch, overdecomposed, run_until_complete, AppStatus, Deploy, LaunchOutcome};
 pub use live::{deploy_for_mode, launch_live};
-pub use netrun::{net_tag, run_net_rank, NetRankOutcome};

@@ -11,13 +11,19 @@
 //! survivors must recover in place (their PIDs never change), and the
 //! finished job must still be bitwise equal to the sequential reference.
 //!
+//! A second job runs with every raw-payload frame corrupted
+//! (`PPAR_CHAOS_CORRUPT=1`) and no supervisor: the root's checkpoint
+//! service must reject the worker's first shard on its record CRC, and
+//! every rank must end with an error, within a deadline, having written
+//! no result.
+//!
 //! A proptest pins the reproducibility contract: the same
 //! `PPAR_CHAOS_SEED` yields the same fault schedule.
 
 use std::path::PathBuf;
 
-use ppar_adapt::netrun::{run_cluster_supervised, ClusterSpec, NetConfig};
-use ppar_adapt::{run_net_rank, AppStatus};
+use ppar_adapt::netrun::{run_cluster_supervised, spawn_local_cluster, ClusterSpec, NetConfig};
+use ppar_adapt::{launch, AppStatus, Deploy};
 use ppar_core::plan::DistCkptStrategy;
 use ppar_jgf::sor::pluggable::{plan_ckpt_with_strategy, plan_dist, sor_pluggable};
 use ppar_jgf::sor::{sor_seq, SorParams};
@@ -56,18 +62,20 @@ fn chaos_worker_entry() {
         DistCkptStrategy::LocalSnapshot,
     ));
     let params = SorParams::new(n, iters);
-    let outcome = run_net_rank(&cfg, plan, Some(&ckpt_dir), |ctx| {
+    let rank = cfg.rank;
+    let outcome = launch(&Deploy::Tcp(cfg), plan, Some(&ckpt_dir), None, |ctx| {
         (AppStatus::Completed, sor_pluggable(ctx, &params).checksum)
     })
     .expect("chaos worker rank run");
-    assert_eq!(outcome.status, AppStatus::Completed);
-    if outcome.rank == 0 {
+    let (status, result) = outcome.results[0];
+    assert_eq!(status, AppStatus::Completed);
+    if rank == 0 {
         use std::io::Write;
         let line = format!(
             "{:016x} replayed={} recoveries={}\n",
-            outcome.result.to_bits(),
+            result.to_bits(),
             outcome.replayed,
-            outcome.recoveries,
+            outcome.recoveries(),
         );
         let mut f = std::fs::OpenOptions::new()
             .create(true)
@@ -76,6 +84,87 @@ fn chaos_worker_entry() {
             .unwrap();
         f.write_all(line.as_bytes()).unwrap();
     }
+}
+
+/// The corruption job's rank: one rank of a local-snapshot SOR job, which
+/// writes its launch's error to `err_<rank>.txt` in the output directory,
+/// or its result to `PPAR_TEST_OUT`. A no-op under a normal `cargo test`
+/// run.
+#[test]
+fn corrupt_worker_entry() {
+    let Ok(Some(cfg)) = NetConfig::from_env() else {
+        return; // not launched as a cluster rank
+    };
+    let out = PathBuf::from(envf(OUT_ENV).expect("worker needs PPAR_TEST_OUT"));
+    let ckpt_dir = PathBuf::from(envf(CKPT_DIR_ENV).expect("ckpt dir"));
+    let plan = plan_dist().merge(plan_ckpt_with_strategy(1, DistCkptStrategy::LocalSnapshot));
+    let params = SorParams::new(33, 4);
+    let rank = cfg.rank;
+    let outcome = launch(&Deploy::Tcp(cfg), plan, Some(&ckpt_dir), None, |ctx| {
+        (AppStatus::Completed, sor_pluggable(ctx, &params).checksum)
+    });
+    match outcome {
+        Ok(outcome) => std::fs::write(&out, format!("{:?}", outcome.results)).unwrap(),
+        Err(e) => {
+            let err = out.with_file_name(format!("err_{rank}.txt"));
+            std::fs::write(err, e.to_string()).unwrap();
+        }
+    }
+}
+
+/// Every data chunk on the wire corrupted, the frames the frame CRC
+/// covers left alone: the root's service rejects rank 1's first shard on
+/// its record CRC, rank 1's save fails with that, and rank 0 learns that
+/// another element failed. Both ranks end with their error well within
+/// the deadline (each rank's receive timeout is short, so a rank left
+/// waiting would fail the deadline rather than hang the test), and no
+/// result is written.
+#[test]
+fn corrupted_chunks_end_the_job_in_the_records_crc_error() {
+    if envf("PPAR_RANK").is_some() {
+        return;
+    }
+    let dir = scratch("corrupt");
+    let out = dir.join("result.txt");
+    let spec = ClusterSpec::current_exe(
+        2,
+        vec![
+            "--exact".into(),
+            "corrupt_worker_entry".into(),
+            "--nocapture".into(),
+            "--test-threads=1".into(),
+        ],
+    )
+    .expect("current exe")
+    .env(CKPT_DIR_ENV, dir.join("ckpt").to_string_lossy().to_string())
+    .env(OUT_ENV, out.to_string_lossy().to_string())
+    .env("PPAR_NET_TIMEOUT_SECS", "5")
+    .env(chaos::ENV_SEED, "20110913")
+    .env(chaos::ENV_CORRUPT, "1");
+    let mut cluster = spawn_local_cluster(&spec).expect("spawn the job");
+    let started = std::time::Instant::now();
+    let statuses = cluster
+        .wait_all(std::time::Duration::from_secs(60))
+        .expect("the job ends within the deadline");
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(30),
+        "{:?}",
+        started.elapsed()
+    );
+    assert!(
+        statuses.iter().all(|s| s.is_some_and(|s| s.success())),
+        "{statuses:?}"
+    );
+    assert!(!out.exists(), "a result was written");
+    let err = |rank: usize| {
+        std::fs::read_to_string(dir.join(format!("err_{rank}.txt")))
+            .unwrap_or_else(|_| panic!("rank {rank} ended without an error"))
+    };
+    let worker = err(1);
+    assert!(worker.contains("CRC verification"), "rank 1: {worker}");
+    let root = err(0);
+    assert!(root.contains("another element"), "rank 0: {root}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 struct Soak {

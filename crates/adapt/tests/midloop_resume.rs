@@ -23,9 +23,7 @@ use std::time::Duration;
 use ppar_adapt::netrun::{
     run_cluster_supervised, run_cluster_until_complete, ClusterSpec, NetConfig,
 };
-use ppar_adapt::{
-    launch_live, run_net_rank, AdaptationController, AppStatus, Deploy, ResourceTimeline,
-};
+use ppar_adapt::{launch, launch_live, AdaptationController, AppStatus, Deploy, ResourceTimeline};
 use ppar_core::mode::ExecMode;
 use ppar_core::plan::{DistCkptStrategy, Plan, Plug};
 use ppar_dsm::SpmdConfig;
@@ -163,7 +161,8 @@ fn midloop_worker_entry() {
     if aborting {
         params.fail_after = abort_at;
     }
-    let outcome = run_net_rank(&cfg, plan, Some(&ckpt_dir), move |ctx| {
+    let rank = cfg.rank;
+    let outcome = launch(&Deploy::Tcp(cfg), plan, Some(&ckpt_dir), None, move |ctx| {
         let r = sor_pluggable(ctx, &params);
         if aborting {
             std::process::abort();
@@ -171,14 +170,15 @@ fn midloop_worker_entry() {
         (AppStatus::Completed, r.checksum)
     })
     .expect("worker rank run");
-    assert_eq!(outcome.status, AppStatus::Completed);
-    if outcome.rank == 0 {
+    let (status, result) = outcome.results[0];
+    assert_eq!(status, AppStatus::Completed);
+    if rank == 0 {
         use std::io::Write;
         let line = format!(
             "{:016x} replayed={} recoveries={}\n",
-            outcome.result.to_bits(),
+            result.to_bits(),
             outcome.replayed,
-            outcome.recoveries,
+            outcome.recoveries(),
         );
         let mut f = std::fs::OpenOptions::new()
             .create(true)

@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ppar_adapt::netrun::{run_cluster_until_complete, ClusterSpec, NetConfig};
-use ppar_adapt::{run_net_rank, AppStatus};
+use ppar_adapt::{launch, AppStatus, Deploy};
 use ppar_core::plan::{DistCkptStrategy, Plan};
 use ppar_core::run_sequential;
 use ppar_jgf::sor::pluggable::{plan_ckpt_with_strategy, plan_dist, sor_pluggable};
@@ -77,7 +77,7 @@ fn net_worker_entry() {
 
     // `Fn`, not `FnOnce`: under a resilient fabric the app re-runs after
     // in-job recovery.
-    type WorkerApp = Box<dyn Fn(&ppar_core::ctx::Ctx) -> (AppStatus, f64)>;
+    type WorkerApp = Box<dyn Fn(&ppar_core::ctx::Ctx) -> (AppStatus, f64) + Sync>;
     let (plan, run): (Plan, WorkerApp) = match app.as_str() {
         "sor" => {
             let plan = if ckpt_dir.is_some() {
@@ -117,17 +117,20 @@ fn net_worker_entry() {
         other => panic!("unknown worker app {other:?}"),
     };
 
-    let outcome = run_net_rank(&cfg, plan, ckpt_dir.as_deref(), run).expect("worker rank run");
-    assert_eq!(outcome.status, AppStatus::Completed);
-    if outcome.rank == 0 {
+    let (rank, deploy) = (cfg.rank, Deploy::Tcp(cfg));
+    let outcome = launch(&deploy, plan, ckpt_dir.as_deref(), None, run).expect("worker rank run");
+    let (status, result) = outcome.results[0];
+    assert_eq!(status, AppStatus::Completed);
+    if rank == 0 {
         let out = envf(OUT_ENV).expect("worker needs PPAR_TEST_OUT");
+        let traffic = outcome.traffic.expect("a tcp rank's traffic");
         let line = format!(
             "{:016x} replayed={} msgs={} bytes={} tag={}\n",
-            outcome.result.to_bits(),
+            result.to_bits(),
             outcome.replayed,
-            outcome.traffic.msgs(),
-            outcome.traffic.bytes(),
-            outcome.tag(),
+            traffic.msgs(),
+            traffic.bytes(),
+            deploy.tag(),
         );
         // Append: across a crash-recovery cycle the file accumulates one
         // line per *completed* launch.

@@ -57,7 +57,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ppar_adapt::netrun::{free_loopback_addr, NetConfig};
-use ppar_adapt::{launch, run_net_rank, AppStatus, Deploy};
+use ppar_adapt::{launch, AppStatus, Deploy};
 use ppar_ckpt::store::{FieldSource, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
 use ppar_ckpt::{CheckpointModule, CheckpointStore, Record, SnapshotView};
@@ -881,8 +881,10 @@ fn a_tcp2_job_whose_save_fails_returns_the_error() {
         let (tx, dir, root) = (tx.clone(), dir.clone(), root.clone());
         std::thread::spawn(move || {
             let cfg = NetConfig::new(rank, 2, root);
-            let out = run_net_rank(&cfg, run_plan(), Some(&dir), |ctx| app(ctx, None));
-            let _ = tx.send((rank, out.map(|out| out.recoveries)));
+            let out = launch(&Deploy::Tcp(cfg), run_plan(), Some(&dir), None, |ctx| {
+                app(ctx, None)
+            });
+            let _ = tx.send((rank, out.map(|out| out.recoveries())));
         });
     }
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
@@ -921,8 +923,10 @@ fn a_tcp2_job_whose_root_cannot_open_its_directory_returns_the_error() {
             let (tx, path, root) = (tx.clone(), path.clone(), root.clone());
             std::thread::spawn(move || {
                 let cfg = NetConfig::new(rank, 2, root);
-                let out = run_net_rank(&cfg, run_plan(), Some(&path), |ctx| app(ctx, None));
-                let _ = tx.send((rank, out.map(|out| out.status)));
+                let out = launch(&Deploy::Tcp(cfg), run_plan(), Some(&path), None, |ctx| {
+                    app(ctx, None)
+                });
+                let _ = tx.send((rank, out.map(|out| out.results[0].0)));
             })
         })
         .collect();

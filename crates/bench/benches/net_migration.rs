@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use ppar_adapt::netrun::{run_net_rank, spawn_local_cluster, ClusterSpec, NetConfig};
-use ppar_adapt::AppStatus;
+use ppar_adapt::netrun::{spawn_local_cluster, ClusterSpec, NetConfig};
+use ppar_adapt::{launch, AppStatus, Deploy};
 use ppar_ckpt::store::{FieldSource, Record, SnapshotMeta};
 use ppar_ckpt::transport::CkptTransport;
 use ppar_ckpt::MemTransport;
@@ -144,16 +144,18 @@ fn worker_migrate(cfg: &NetConfig, samples: usize) {
 
 fn worker_sor(cfg: &NetConfig) {
     let params = SorParams::new(64, 8);
-    let outcome = run_net_rank(cfg, plan_dist(), None, |ctx| {
+    let outcome = launch(&Deploy::Tcp(cfg.clone()), plan_dist(), None, None, |ctx| {
         (AppStatus::Completed, sor_pluggable(ctx, &params))
     })
     .unwrap();
-    if outcome.rank == 0 {
+    if cfg.rank == 0 {
+        let (_, result) = &outcome.results[0];
+        let traffic = outcome.traffic.expect("a tcp rank's traffic");
         report(&format!(
             "sor_bits {:016x} msgs={} bytes={}",
-            outcome.result.checksum.to_bits(),
-            outcome.traffic.msgs(),
-            outcome.traffic.bytes()
+            result.checksum.to_bits(),
+            traffic.msgs(),
+            traffic.bytes()
         ));
     }
 }

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ppar_adapt::netrun::{spawn_local_cluster, ClusterSpec, NetConfig};
-use ppar_adapt::{run_net_rank, AppStatus};
+use ppar_adapt::{launch, AppStatus, Deploy};
 use ppar_core::plan::DistCkptStrategy;
 use ppar_jgf::sor::pluggable::{plan_ckpt_with_strategy, plan_dist, sor_pluggable};
 use ppar_jgf::sor::{sor_seq, SorParams};
@@ -69,13 +69,24 @@ fn worker(cfg: &NetConfig) {
         DistCkptStrategy::LocalSnapshot,
     ));
     let params = SorParams::new(n, iters);
-    let outcome = run_net_rank(cfg, plan, Some(&ckpt_dir), |ctx| {
-        let res = sor_pluggable(ctx, &params);
-        (AppStatus::Completed, res.checksum)
-    })
+    let outcome = launch(
+        &Deploy::Tcp(cfg.clone()),
+        plan,
+        Some(&ckpt_dir),
+        None,
+        |ctx| {
+            let res = sor_pluggable(ctx, &params);
+            (AppStatus::Completed, res.checksum)
+        },
+    )
     .expect("recovery bench rank");
-    assert_eq!(outcome.status, AppStatus::Completed);
-    if outcome.rank == 0 {
+    let (status, result) = outcome.results[0];
+    assert_eq!(status, AppStatus::Completed);
+    if cfg.rank == 0 {
+        // Whether the final round replayed: after an in-job recovery that
+        // is the recovery round, where `outcome.replayed` is the first's.
+        let stats = outcome.stats.as_ref().expect("checkpointing is plugged");
+        let replayed = stats.replayed_points + stats.resumed_at_point > 0;
         let out = envf(OUT_ENV).expect("worker needs PPAR_BENCH_OUT");
         let mut f = std::fs::OpenOptions::new()
             .create(true)
@@ -85,9 +96,9 @@ fn worker(cfg: &NetConfig) {
         writeln!(
             f,
             "{:016x} replayed={} recoveries={}",
-            outcome.result.to_bits(),
-            outcome.replayed,
-            outcome.recoveries
+            result.to_bits(),
+            replayed,
+            outcome.recoveries()
         )
         .unwrap();
     }

@@ -179,7 +179,7 @@ fn pending_fault_unwinds_every_worker_at_the_next_safe_point() {
             });
         })
     });
-    // The typed exit, not a message: `run_net_rank` recovers on exactly
+    // The typed exit, not a message: `launch` recovers a `tcp` round on exactly
     // this payload and lets every other panic through.
     assert_eq!(outcome, Err(Exit::Fault), "the region must leave");
     assert_eq!(reached.load(Ordering::SeqCst), 2);

@@ -13,7 +13,7 @@
 //! | `PPAR_CHAOS_SEED`     | master seed; unset ⇒ chaos entirely disabled     |
 //! | `PPAR_CHAOS_KILL`     | `rank:site[:nth]` — abort `rank` at the `nth` hit of `site` |
 //! | `PPAR_CHAOS_DELAY`    | `prob,max_ms` — delay a message up to `max_ms`   |
-//! | `PPAR_CHAOS_CORRUPT`  | probability of flipping a byte in a checkpoint-stream frame |
+//! | `PPAR_CHAOS_CORRUPT`  | probability of flipping a bulk byte of a raw-payload frame (a checkpoint stream's data chunk) |
 //! | `PPAR_CHAOS_DROP`     | probability of drop-with-peer-death (the process aborts — on a reliable stream transport a silent drop is only consistent with the sender dying) |
 //! | `PPAR_CHAOS_THROTTLE` | bandwidth cap in bytes/second (shared by all of the process's sending threads, like a real NIC) |
 //!
@@ -22,10 +22,16 @@
 //! kill schedule — [`schedule`] exposes the decision stream as pure data
 //! and the crate's proptests pin it.
 //!
-//! Corruption targets only checkpoint-stream frames (tag bit
-//! [`crate::transport::CKPT_TAG_BIT`]): their payloads are covered by the
-//! record-level trailing CRC, so injected rot surfaces as a *rejected
-//! save* — an error the job handles — never as silently wrong results.
+//! Corruption hits only the bulk bytes of raw-payload frames (tag bit
+//! [`TAG_RAW_PAYLOAD_BIT`]: the data chunks of a checkpoint stream),
+//! never their first byte. The layer injects above the frame codec, so it
+//! may only inject what a real link leaves unchecked: a raw-payload
+//! frame's CRC covers its tag and first byte, and every other frame —
+//! service requests and responses, credits, collectives — is covered
+//! whole, so rot there would be caught on the wire. A chunk's bulk bytes
+//! are covered by the record-level trailing CRC instead, so injected rot
+//! surfaces as a *rejected save* or a failed restore — an error the job
+//! reports — never as silently wrong results.
 //! Kill sites live in the protocol code itself: `"ckpt-stream"` between
 //! checkpoint stream chunks, `"barrier"` between a barrier contribution
 //! and its release, `"allreduce"` between a non-root's all-reduce
@@ -39,8 +45,8 @@ use ppar_core::error::Result;
 use ppar_core::sync::{AtomicU64, Mutex, Ordering};
 
 use crate::fabric::{Fabric, Payload, Traffic};
+use crate::frame::TAG_RAW_PAYLOAD_BIT;
 use crate::tcp::{ENV_RANK, ENV_REJOIN};
-use crate::transport::CKPT_TAG_BIT;
 
 /// Master seed; unset disables every injection (env contract above).
 pub const ENV_SEED: &str = "PPAR_CHAOS_SEED";
@@ -48,7 +54,7 @@ pub const ENV_SEED: &str = "PPAR_CHAOS_SEED";
 pub const ENV_KILL: &str = "PPAR_CHAOS_KILL";
 /// Message delay spec `prob,max_ms`.
 pub const ENV_DELAY: &str = "PPAR_CHAOS_DELAY";
-/// Checkpoint-frame corruption probability.
+/// Raw-payload-frame corruption probability.
 pub const ENV_CORRUPT: &str = "PPAR_CHAOS_CORRUPT";
 /// Drop-with-peer-death probability.
 pub const ENV_DROP: &str = "PPAR_CHAOS_DROP";
@@ -66,7 +72,7 @@ pub struct ChaosConfig {
     pub delay_prob: f64,
     /// Upper bound of an injected delay.
     pub delay_max: Duration,
-    /// Per-checkpoint-frame corruption probability.
+    /// Per-raw-payload-frame corruption probability.
     pub corrupt_prob: f64,
     /// Per-message drop-with-peer-death probability.
     pub drop_prob: f64,
@@ -158,7 +164,8 @@ pub enum ChaosEvent {
     Deliver,
     /// Delay delivery by this much.
     Delay(Duration),
-    /// Flip the byte at this payload offset (checkpoint frames only).
+    /// Flip the byte at this payload offset (raw-payload frames only,
+    /// never offset 0).
     Corrupt(usize),
     /// Drop the message and kill the sending process.
     Kill,
@@ -168,12 +175,12 @@ pub enum ChaosEvent {
 /// *single* decision procedure — the live fabric and the pure
 /// [`schedule`] both call it, so what a test enumerates is exactly what a
 /// run injects.
-fn decide(cfg: &ChaosConfig, rng: &mut ChaosRng, len: usize, ckpt_frame: bool) -> ChaosEvent {
+fn decide(cfg: &ChaosConfig, rng: &mut ChaosRng, len: usize, raw_frame: bool) -> ChaosEvent {
     if rng.chance(cfg.drop_prob) {
         return ChaosEvent::Kill;
     }
-    if ckpt_frame && len > 0 && rng.chance(cfg.corrupt_prob) {
-        return ChaosEvent::Corrupt(rng.next_u64() as usize % len);
+    if raw_frame && len > 1 && rng.chance(cfg.corrupt_prob) {
+        return ChaosEvent::Corrupt(1 + rng.next_u64() as usize % (len - 1));
     }
     if rng.chance(cfg.delay_prob) {
         let d = cfg.delay_max.as_secs_f64() * rng.unit();
@@ -183,7 +190,7 @@ fn decide(cfg: &ChaosConfig, rng: &mut ChaosRng, len: usize, ckpt_frame: bool) -
 }
 
 /// The first `n` injection decisions rank `rank` would make for a stream
-/// of `len`-byte checkpoint frames — the fault schedule as pure data.
+/// of `len`-byte raw-payload frames — the fault schedule as pure data.
 /// Identical `(cfg, rank, n, len)` always returns identical events (the
 /// reproducibility contract).
 pub fn schedule(cfg: &ChaosConfig, rank: usize, n: usize, len: usize) -> Vec<ChaosEvent> {
@@ -307,10 +314,10 @@ impl ChaosFabric {
     }
 
     fn inject(&self, tag: u64, payload: &mut Payload) {
-        let ckpt_frame = tag & CKPT_TAG_BIT != 0;
+        let raw_frame = tag & TAG_RAW_PAYLOAD_BIT != 0;
         let event = {
             let mut rng = self.rng.lock();
-            decide(&self.cfg, &mut rng, payload.len(), ckpt_frame)
+            decide(&self.cfg, &mut rng, payload.len(), raw_frame)
         };
         match event {
             ChaosEvent::Deliver => {}
@@ -479,6 +486,28 @@ mod tests {
             Some(armed("rendezvous", 1, 400))
         );
         assert_eq!(spec(&[(ENV_KILL, "1:barrier")]), None, "not a rank");
+    }
+
+    /// Corruption spares what a real link's frame CRC covers: every frame
+    /// that is not raw-payload, and a raw-payload frame's first byte.
+    #[test]
+    fn corruption_spares_what_the_frame_crc_covers() {
+        let mut cfg = ChaosConfig::new(7);
+        cfg.corrupt_prob = 1.0;
+        let mut rng = ChaosRng::new(cfg.seed, 0);
+        for len in [0, 1, 2, 9, 4096] {
+            assert_eq!(decide(&cfg, &mut rng, len, false), ChaosEvent::Deliver);
+        }
+        assert_eq!(decide(&cfg, &mut rng, 1, true), ChaosEvent::Deliver);
+        for _ in 0..64 {
+            assert_eq!(decide(&cfg, &mut rng, 2, true), ChaosEvent::Corrupt(1));
+        }
+        for event in schedule(&cfg, 3, 256, 4096) {
+            assert!(
+                matches!(event, ChaosEvent::Corrupt(at) if (1..4096).contains(&at)),
+                "{event:?}"
+            );
+        }
     }
 
     #[test]

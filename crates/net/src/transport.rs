@@ -70,7 +70,14 @@
 //! size, and a 16 MiB record is sixteen frames deep in the encode → socket
 //! → sink pipeline instead of four. The service answers a put with a fixed nine-byte
 //! `[status][bytes written]` response once the record is committed (or
-//! discarded). A `get` streams the same chunk protocol in the other
+//! discarded). A put whose record the root's store refuses at its begin
+//! is answered on the credit tag first, in place of the first credit: the
+//! count `u64::MAX`, then the store's error. The sender returns that error
+//! at its next credit wait, having sent at most one window, and ends the
+//! stream with `CH_ABORT` (a record shorter than a window has already
+//! ended it); the lane drains the stream to that terminal marker, so no
+//! stale frame stays in a mailbox, and then answers the put with the
+//! error. A `get` streams the same chunk protocol in the other
 //! direction, with `CH_ABSENT` standing in for "no record".
 //!
 //! Data chunks ride on raw-payload frames ([`TAG_RAW_PAYLOAD_BIT`]): the
@@ -83,9 +90,10 @@
 //! A lane in trouble must never wedge its peer: if the durable sink fails
 //! mid-stream, the lane keeps receiving and crediting (discarding the
 //! bytes) until the stream ends, then reports the failure in the
-//! response. A CRC mismatch or a client abort discards the partial
-//! record through [`RecordSink::abort`] — the previously installed
-//! record for that chain is untouched. A client that dies mid-stream
+//! response; a sink the store refuses to begin stops the client within
+//! one window instead (see above). A CRC mismatch or a client abort
+//! discards the partial record through [`RecordSink::abort`] — the
+//! previously installed record for that chain is untouched. A client that dies mid-stream
 //! takes only its own lane down; the other ranks' pipelines keep
 //! flowing.
 //!
@@ -186,6 +194,9 @@ const STREAM_WINDOW: u64 = 8;
 /// at stream end) instead of every chunk, quartering credit-frame traffic.
 /// Must stay below [`STREAM_WINDOW`] or the sender's window would wedge.
 const CREDIT_BATCH: u64 = 4;
+/// The credit count that refuses a put: the store's error follows it in
+/// the credit frame (see the module docs).
+const CREDIT_REFUSED: u64 = u64::MAX;
 /// Receive-side CRC+copy interleave block: each chunk is fed to the
 /// checksum and the sink in cache-resident blocks so the copy re-reads
 /// what the CRC just pulled into L2 instead of sweeping DRAM twice.
@@ -255,13 +266,23 @@ impl<'a> StreamTx<'a> {
         }
     }
 
-    /// Absorb one cumulative-consumed-count credit from the receiver.
+    /// Absorb one cumulative-consumed-count credit from the receiver. A
+    /// refusal is the receiver's last credit frame: nothing is left to wait
+    /// for, and its error is returned.
     fn recv_credit(&mut self) -> Result<()> {
         let p = self.fabric.recv(self.me, self.peer, self.credit_tag)?;
         let acked = p
             .get(0..8)
             .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte credit")))
             .ok_or_else(|| PparError::Network("malformed checkpoint stream credit".into()))?;
+        if acked == CREDIT_REFUSED {
+            self.acked = self.sent;
+            return Err(PparError::Network(format!(
+                "checkpoint service on rank {}: {}",
+                self.peer,
+                String::from_utf8_lossy(&p[8..])
+            )));
+        }
         self.acked = self.acked.max(acked);
         Ok(())
     }
@@ -309,7 +330,7 @@ impl<'a> StreamTx<'a> {
     /// credit frame of this (finished) stream is left behind in the
     /// mailbox. Terminates because the receiver counts every chunk —
     /// even ones it is discarding after a failure — and flushes a final
-    /// credit at every stream end.
+    /// credit at every stream end, or else refuses the stream.
     fn wait_drained(&mut self) -> Result<()> {
         while self.acked < self.sent {
             self.recv_credit()?;
@@ -513,10 +534,11 @@ impl NetTransport {
             return Err(e);
         }
         // The response follows the service's last credit on the same
-        // ordered channel, so draining after it never blocks for long.
+        // ordered channel, so draining after it never blocks for long. A
+        // refused stream's response carries the refusal's error too.
         let rsp = self.recv_response();
-        tx.wait_drained()?;
-        rsp.map(|_| ())
+        let drained = tx.wait_drained();
+        rsp.and(drained)
     }
 
     /// Negotiate a full-record put by chunk digest: send the record's
@@ -1009,9 +1031,9 @@ fn lane_put(
     table: Option<&[u8]>,
 ) {
     let reply = |rsp: Vec<u8>| fabric.send(root, src, RSP_TAG, Arc::new(rsp));
-    // `Err` is discard mode. A sink failure must not wedge the sender's
-    // credit window: the lane keeps receiving and crediting chunks, and
-    // reports the saved failure once the stream ends.
+    // Once the stream flows, `Err` is discard mode. A sink failure must
+    // not wedge the sender's credit window: the lane keeps receiving and
+    // crediting chunks, and reports the saved failure once the stream ends.
     let mut sink = inner.begin(request.key, request.len_hint);
     if let Some(table) = table {
         // The client sends nothing before it has the answer, so a failure
@@ -1035,6 +1057,13 @@ fn lane_put(
                 reply(rsp);
             }
         }
+    }
+    if let Err(e) = &sink {
+        // A plain put the store refuses: stop the client within one window.
+        if refuse_stream(fabric, root, src, request.id, e).is_ok() {
+            reply(error_reply(e));
+        }
+        return;
     }
     let mut crc = table.is_none().then(TrailingCrc::new);
     let end = recv_stream(fabric, root, src, request.id, KIND_DATA, |chunk| {
@@ -1089,6 +1118,24 @@ fn lane_put(
         }
         Err(e) => error_reply(&e),
     });
+}
+
+/// Refuse put stream `id` in place of its first credit, then drain the
+/// frames its sender has in flight, up to its terminal marker. `Err` when
+/// the sender is gone.
+fn refuse_stream(
+    fabric: &dyn Fabric,
+    root: usize,
+    src: usize,
+    id: u32,
+    e: &PparError,
+) -> Result<()> {
+    let mut refusal = CREDIT_REFUSED.to_le_bytes().to_vec();
+    refusal.extend_from_slice(e.to_string().as_bytes());
+    fabric.send(root, src, stream_tag(KIND_CREDIT, id), Arc::new(refusal));
+    let data_tag = stream_tag(KIND_DATA, id);
+    while fabric.recv(root, src, data_tag)?.first() == Some(&CH_DATA) {}
+    Ok(())
 }
 
 /// Stream the merged record for a get request back to the client,
@@ -1233,6 +1280,48 @@ mod tests {
             },
             |_| (),
         );
+    }
+
+    /// A put the root's store refuses at its begin — a 16 MiB shard delta
+    /// — stops its client within one credit window: the put returns the
+    /// store's own error once the client has sent at most the request and
+    /// one window of chunks (and the abort that ends the stream), and the
+    /// lane drains the stream, so the client's next put goes through.
+    #[test]
+    fn a_refused_put_stops_its_client_within_one_window() {
+        let dir = scratch_dir("refused_put");
+        let store = Arc::new(CheckpointStore::new_flat(&dir).unwrap());
+        let big = vec![7u8; 16 << 20];
+        let dm = DeltaMeta {
+            mode_tag: "tcp2".into(),
+            count: 12,
+            base_count: 10,
+            seq: 1,
+            rank: Some(1),
+            nranks: 2,
+        };
+        two_rank_over(
+            store,
+            |t| {
+                let before = t.fabric.traffic();
+                let delta = [("G", DeltaSource::Full(FieldSource::Bytes(&big)))];
+                let refused = t.put(&Record::Delta(&dm, &delta)).unwrap_err().to_string();
+                assert!(refused.contains("invalid plan: shard 1 delta"), "{refused}");
+                let after = t.fabric.traffic();
+                let (msgs, bytes) = (after.msgs() - before.msgs(), after.bytes() - before.bytes());
+                let window = STREAM_WINDOW * (1 + STREAM_CHUNK as u64);
+                assert!(msgs <= 1 + STREAM_WINDOW + 1, "{msgs} frames sent");
+                assert!(
+                    bytes <= window + 4096,
+                    "{bytes} bytes sent, window {window}"
+                );
+                let fields = [("G", FieldSource::Bytes(&big[..4096]))];
+                t.put(&Record::Full(&meta(10, Some(1), 2), &fields))
+                    .unwrap();
+            },
+            |_| (),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A record larger than several chunk frames streams through intact

@@ -22,7 +22,12 @@
 //! growing chains: the shard delta's request and data frames stayed as
 //! they were, the root now answers them with its store's refusal, and the
 //! shard's reads serve its one full record (the pinned one at that
-//! record's count).
+//! record's count). It was re-recorded a third time when a put the root's
+//! store refuses at its begin began to stop its client within one credit
+//! window: the refused shard delta's one credit frame, root to rank, now
+//! carries the refusal (the count `u64::MAX`, then the store's error) in
+//! place of the final credit `1`; its request, data and end frames and
+//! its error response stayed as they were, and so did every other frame.
 //!
 //! One `#[test]` in this binary on purpose: stream ids come from a
 //! process-wide counter and are part of the pinned bytes.

@@ -18,7 +18,7 @@
 use std::io::Write as _;
 
 use ppar_adapt::netrun::{run_cluster_until_complete, ClusterSpec, NetConfig};
-use ppar_adapt::{run_net_rank, AppStatus};
+use ppar_adapt::{launch, AppStatus, Deploy};
 use ppar_jgf::sor::pluggable::{plan_ckpt, plan_dist, sor_pluggable};
 use ppar_jgf::sor::{sor_seq, SorParams};
 
@@ -36,22 +36,24 @@ fn worker(cfg: NetConfig) {
     let ckpt_dir = std::path::PathBuf::from(std::env::var(CKPT_ENV).expect("ckpt dir"));
     let plan = plan_dist().merge(plan_ckpt(5));
     let p = params();
-    let outcome = run_net_rank(&cfg, plan, Some(&ckpt_dir), |ctx| {
+    let (rank, nranks) = (cfg.rank, cfg.nranks);
+    let deploy = Deploy::Tcp(cfg);
+    let outcome = launch(&deploy, plan, Some(&ckpt_dir), None, |ctx| {
         (AppStatus::Completed, sor_pluggable(ctx, &p))
     })
     .expect("rank run");
+    let (_, result) = &outcome.results[0];
+    let traffic = outcome.traffic.expect("a tcp rank's traffic");
     println!(
-        "[rank {}/{}] checksum={:.6} traffic: {} msgs, {} bytes ({})",
-        outcome.rank,
-        outcome.nranks,
-        outcome.result.checksum,
-        outcome.traffic.msgs(),
-        outcome.traffic.bytes(),
-        outcome.tag(),
+        "[rank {rank}/{nranks}] checksum={:.6} traffic: {} msgs, {} bytes ({})",
+        result.checksum,
+        traffic.msgs(),
+        traffic.bytes(),
+        deploy.tag(),
     );
-    if outcome.rank == 0 {
+    if rank == 0 {
         let mut f = std::fs::File::create(std::env::var(OUT_ENV).expect("out path")).unwrap();
-        writeln!(f, "{:016x}", outcome.result.checksum.to_bits()).unwrap();
+        writeln!(f, "{:016x}", result.checksum.to_bits()).unwrap();
     }
 }
 
