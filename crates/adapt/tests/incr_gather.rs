@@ -1,8 +1,8 @@
 //! Master-collect + incremental checkpointing: the distributed gather moves
 //! only *dirty ranges* (each rank ships the bytes it wrote, clamped to its
-//! owned block), so partitioned-field deltas scale with the aggregate dirty
-//! fraction instead of the field size — where a whole-partition gather
-//! before every save would mark everything dirty at the root.
+//! owned block), so what a steady save writes scales with the aggregate
+//! dirty fraction instead of the field size — where a whole-partition
+//! gather before every save would mark everything dirty at the root.
 
 use ppar_adapt::{launch, AppStatus, Deploy};
 use ppar_core::ctx::Ctx;
@@ -81,10 +81,9 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn master_collect_deltas_scale_with_dirty_fraction() {
+fn master_collect_saves_scale_with_dirty_fraction() {
     let dir = tmpdir("savings");
     let deploy = Deploy::Dist(SpmdConfig::instant(4));
-    // full_every large enough that every snapshot after the base is a delta.
     let outcome = launch(&deploy, sparse_plan(64), Some(&dir), None, |ctx| {
         sparse_app(ctx, ITERS, None)
     })
@@ -93,17 +92,22 @@ fn master_collect_deltas_scale_with_dirty_fraction() {
     assert_eq!(outcome.results[0].1, expected_checksum(ITERS));
 
     let stats = outcome.stats.expect("rank-0 stats");
-    assert_eq!(stats.full_snapshots, 1, "one base");
-    assert_eq!(stats.delta_snapshots as usize, ITERS - 1);
+    assert_eq!(stats.snapshots_taken as usize, ITERS, "one save per step");
+    let names = std::fs::read_dir(&dir).unwrap();
+    let mut names = names.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
+    assert!(!names.any(|n| n.contains("_delta_")), "a delta file");
     let base_bytes = N as u64 * 8;
-    // The acceptance signal: with 4 ranks × 1 touched chunk the delta must
-    // collapse towards the dirty fraction (4 × 8 KiB ≈ base/20), where the
-    // old whole-partition gather forced it to ~the full field.
+    // The acceptance signal: the first two saves write whole (no spare
+    // holds a record of theirs yet, and a 640 KB payload seeds none), and
+    // with 4 ranks × 1 touched chunk every later save patches towards the
+    // dirty fraction (4 × 8 KiB ≈ base/20), where a whole-partition gather
+    // would make every save dense, written whole.
+    let steady = stats.bytes_put - 2 * stats.last_save_bytes;
     assert!(
-        stats.last_save_bytes * 8 < base_bytes,
-        "delta {}B must be far below the {}B field (dirty-range gather)",
-        stats.last_save_bytes,
-        base_bytes
+        steady * 8 < (ITERS as u64 - 2) * base_bytes,
+        "{} steady saves wrote {steady}B: far below the {base_bytes}B field each \
+         (dirty-range gather)",
+        ITERS - 2
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -141,22 +145,22 @@ fn a_steady_gather_ships_dirty_indices_and_a_range_header() {
     assert_eq!(step(sparse_plan) - step(unsaved_plan), payloads);
 }
 
-/// The merged chain built from dirty-range gathers restores exactly:
-/// crash mid-run, restart, finish — the result equals the uncrashed run.
+/// The record patched from dirty-range gathers restores exactly: crash
+/// mid-run, restart, finish — the result equals the uncrashed run.
 #[test]
-fn dirty_gathered_chain_restores_exactly_across_restart() {
+fn dirty_gathered_saves_restore_exactly_across_restart() {
     let dir = tmpdir("restore");
     let deploy = Deploy::Dist(SpmdConfig::instant(4));
 
-    // Run 1: base at sp 1, deltas 2..6, crash after 6.
+    // Run 1: a save at every sp, crash after 6.
     let r1 = launch(&deploy, sparse_plan(64), Some(&dir), None, |ctx| {
         sparse_app(ctx, ITERS, Some(6))
     })
     .unwrap();
     assert!(!r1.completed());
 
-    // Run 2: replays to sp 6 (loading base + dirty-gathered deltas), then
-    // finishes live.
+    // Run 2: replays to sp 6 (loading the record the dirty-gathered saves
+    // patched), then finishes live.
     let r2 = launch(&deploy, sparse_plan(64), Some(&dir), None, |ctx| {
         sparse_app(ctx, ITERS, None)
     })
@@ -166,15 +170,15 @@ fn dirty_gathered_chain_restores_exactly_across_restart() {
     assert_eq!(
         r2.results[0].1,
         expected_checksum(ITERS),
-        "restart over a dirty-gathered delta chain must be exact"
+        "restart over dirty-gathered saves must be exact"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Restarting in a *different* mode from a dirty-gathered chain still works
+/// Restarting in a *different* mode from dirty-gathered saves still works
 /// (master-collected data stays mode independent).
 #[test]
-fn dirty_gathered_chain_restarts_in_another_mode() {
+fn dirty_gathered_saves_restart_in_another_mode() {
     let dir = tmpdir("cross_mode");
 
     let r1 = launch(

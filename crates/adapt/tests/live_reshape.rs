@@ -287,16 +287,22 @@ fn md_hybrid_team_resize_matches_sequential() {
     assert_eq!(outcome.results[0].1.checksum, reference.checksum);
 }
 
-/// Satellite: delta-chain GC racing a reshape. A crossing that carries a
-/// base *promotion* (snapshot + delta GC) **and** a pending in-place
-/// adaptation must apply both exactly once and leave a consistent chain.
+/// Master delta files in `dir`.
+fn deltas_in(dir: &std::path::Path) -> Vec<String> {
+    let names = std::fs::read_dir(dir).unwrap();
+    let names = names.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
+    names.filter(|n| n.contains("_delta_")).collect()
+}
+
+/// Satellite: an incremental save racing a reshape. A crossing that
+/// carries a save **and** a pending in-place adaptation must apply both
+/// exactly once and leave one consistent record, and no chain.
 #[test]
-fn delta_gc_and_inplace_reshape_share_a_crossing() {
+fn an_incremental_save_and_inplace_reshape_share_a_crossing() {
     let reference = sor_seq(&params());
     let dir = tmpdir("gc_race_inplace");
-    // Snapshot at every crossing, full base every 2 deltas: promotions land
-    // at snapshot ordinals 1, 4, 7, ... Crossing 4 is a promotion (GC of
-    // deltas 1-2's chain) and also carries the reshape.
+    // Snapshot at every crossing in incremental mode; crossing 4 also
+    // carries the reshape.
     let plan = plan_hybrid().merge(plan_ckpt_incremental(1, 2));
     let controller =
         AdaptationController::with_timeline(ResourceTimeline::new().at(4, ExecMode::smp(4)));
@@ -310,29 +316,29 @@ fn delta_gc_and_inplace_reshape_share_a_crossing() {
     assert_eq!(
         controller.applied().len(),
         1,
-        "the reshape must not double-apply across the promotion"
+        "the reshape must not double-apply across the save"
     );
-    // The chain on disk survived the race: the merged restore target is
-    // the last snapshot (8 iterations -> count 8), with no stale deltas
-    // breaking the walk.
+    // The record on disk survived the race: the restore target is the
+    // last snapshot (8 iterations -> count 8), and no save wrote a delta.
     let stats = outcome.stats.expect("ckpt stats");
-    assert!(stats.full_snapshots >= 2 && stats.delta_snapshots >= 2);
+    assert!(stats.snapshots_taken >= 2);
+    assert!(deltas_in(&dir).is_empty(), "{:?}", deltas_in(&dir));
     let store = ppar_ckpt::CheckpointStore::new(&dir).unwrap();
-    let merged = store.get(None, None).unwrap().expect("merged master");
-    assert_eq!(merged.count, 8);
+    let record = store.get(None, None).unwrap().expect("the master record");
+    assert_eq!(record.count, 8);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite, escalated flavour: the crossing that escalates to a live
-/// relaunch sits inside an incremental chain; the successor must reset the
-/// chain (fresh base) rather than extend or corrupt the predecessor's, and
-/// the on-disk restart path must stay valid afterwards.
+/// relaunch carries an incremental save; the successor must start its own
+/// records (it patches none of the predecessor's) rather than corrupt the
+/// predecessor's, and the on-disk restart path must stay valid afterwards.
 #[test]
-fn delta_chain_survives_escalated_reshape() {
+fn incremental_saves_survive_an_escalated_reshape() {
     let reference = sor_seq(&params());
     let dir = tmpdir("gc_race_escalated");
     let plan = plan_hybrid().merge(plan_ckpt_incremental(1, 2));
-    // Crossing 3 carries delta #2 of the first chain, then the escalation.
+    // Crossing 3 carries the predecessor's third save, then the escalation.
     let controller =
         AdaptationController::with_timeline(ResourceTimeline::new().at(3, ExecMode::hybrid(2, 2)));
     let outcome = launch_live(&smp(2, 2), plan, Some(&dir), controller, |ctx| {
@@ -342,8 +348,9 @@ fn delta_chain_survives_escalated_reshape() {
     assert!(outcome.completed());
     assert_eq!(outcome.launches, 2);
     assert_eq!(outcome.results[0].1.checksum, reference.checksum);
-    // Disk chain is consistent after the in-memory relaunch: a cold
+    // The disk record is consistent after the in-memory relaunch: a cold
     // restart would land on the successor's last snapshot.
+    assert!(deltas_in(&dir).is_empty(), "{:?}", deltas_in(&dir));
     let store = ppar_ckpt::CheckpointStore::new(&dir).unwrap();
     assert_eq!(store.get(None, None).unwrap().unwrap().count, 8);
     let _ = std::fs::remove_dir_all(&dir);

@@ -10,10 +10,10 @@
 //!   state, byte for byte;
 //! * a spare that is not the module's record (another count, or the same
 //!   count with another CRC) is rewritten whole;
-//! * with incremental saves (`full_every = 2`) between the full records —
-//!   so the blocks a full save checksums are those changed since the newest
-//!   full record, across two deltas — every full record is golden, through
-//!   a dense step and a cursor whose length changes;
+//! * with incremental mode plugged (`full_every = 2`) every save is a full
+//!   record, patched like any other, and no delta file appears: every
+//!   record is golden, through a dense step and a cursor whose length
+//!   changes;
 //! * under `dist2` master-collect, where every save after the first
 //!   gathers only what each element wrote, every record of the root is
 //!   golden, a steady save writes at most twice the bytes its step
@@ -26,8 +26,7 @@
 //! * under `dist2` local snapshots, with incremental mode on or off, every
 //!   shard is a full record patched into the `_prev` its sink claims: each
 //!   one golden, a steady save bounded like the master's by what was
-//!   dirtied inside the owned block, no delta taken and no shard delta
-//!   file created;
+//!   dirtied inside the owned block, and no delta file created;
 //! * a shard save torn before its group commit leaves every shard able to
 //!   serve the committed point, and the relaunch finishes bitwise;
 //! * a byte flipped in a clean chunk of a verified spare survives the
@@ -186,17 +185,6 @@ impl Saver {
         assert!(record == self.golden(ctx, &record), "{case}: not golden");
     }
 
-    /// Save at `sp` as an incremental plan does, a delta or a full record,
-    /// and check a full record against golden.
-    fn save_chain(&self, ctx: &Ctx, case: &str) {
-        let full = self.module.stats().full_snapshots;
-        ctx.point("sp");
-        if self.module.stats().full_snapshots > full {
-            let record = self.record();
-            assert!(record == self.golden(ctx, &record), "{case}: not golden");
-        }
-    }
-
     /// Where `G`'s payload starts in the record.
     fn g_offset(&self, ctx: &Ctx) -> usize {
         let tag = ctx.mode().tag();
@@ -284,49 +272,47 @@ fn every_save_of_a_patching_script_publishes_the_golden_record() {
     }
 }
 
-/// With incremental saves (`full_every = 2`) two deltas lie between full
-/// records, so the blocks a full save checksums are those the deltas and
-/// the save itself changed since the newest full record — and the spare it
-/// patches holds the record before that. Every full record is golden, over
-/// moving windows, a loop whose cursor changes length and a dense step,
-/// and the chain folds to the state.
+/// Incremental mode (`full_every = 2`) writes no chain: every save is a
+/// full record, patched over the spare it claims like any other. Every
+/// record is golden, over moving windows, a loop whose cursor changes
+/// length and a dense step; no delta file appears; and the store reads the
+/// state back.
 #[test]
-fn incremental_saves_between_full_records_keep_every_record_golden() {
+fn incremental_saves_are_golden_full_records() {
     let plan = module_plan().plug(Plug::IncrementalCkpt { full_every: 2 });
     let saver = Saver::with_plan("incremental", plan);
     let seq = saver.ctx(Arc::new(SeqEngine));
-    saver.save_chain(&seq, "cold");
+    let save = |ctx: &Ctx, case: &str| {
+        saver.save(ctx, case);
+        let names = std::fs::read_dir(&saver.dir).unwrap();
+        let names = names.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
+        let deltas: Vec<_> = names.filter(|n| n.contains("_delta_")).collect();
+        assert!(deltas.is_empty(), "{case}: {deltas:?}");
+    };
+    save(&seq, "cold");
     let window = |step: usize| {
         saver.touch(step * 3 * WINDOW / 2, WINDOW, step);
         saver.v.set(step as f64);
-        saver.save_chain(&seq, &format!("window {step}"));
+        save(&seq, &format!("window {step}"));
     };
     (1..=4).for_each(window);
     seq.iter_loop("steps", 0..3, |ctx, i| {
         saver.touch(N / 2 + i * WINDOW, WINDOW, 100 + i);
-        saver.save_chain(ctx, &format!("in a loop {i}"));
+        save(ctx, &format!("in a loop {i}"));
         true
     });
     saver.g.copy_in_from_fn(|i| i as f64 * 0.75);
-    saver.save_chain(&seq, "dense");
+    save(&seq, "dense");
     (5..=8).for_each(window);
     let stats = saver.module.stats();
-    // Thirteen saves: full at 1, 4, …, 13; the dense step is delta 9.
-    assert_eq!(
-        (stats.full_snapshots, stats.delta_snapshots),
-        (5, 8),
-        "{stats:?}"
-    );
+    assert_eq!(stats.snapshots_taken, 13, "{stats:?}");
     assert!(
         stats.bytes_put < stats.bytes_written,
         "no full save was patched: {stats:?}"
     );
     let store = CheckpointStore::new(&saver.dir).unwrap();
-    let folded = store.get(None, None).unwrap().unwrap().encode();
-    assert!(
-        folded == saver.golden(&seq, &folded),
-        "the fold is not golden"
-    );
+    let read = store.get(None, None).unwrap().unwrap().encode();
+    assert!(read == saver.golden(&seq, &read), "the read is not golden");
 }
 
 /// A spare of the right length that is not one of the module's records —
@@ -686,7 +672,7 @@ fn dist2_master_collect_saves_are_golden_and_write_what_changed() {
         ctx.point("collect");
     });
     let stats = modules[0].stats();
-    assert_eq!(stats.full_snapshots, DIST_STEPS.len() as u64);
+    assert_eq!(stats.snapshots_taken, DIST_STEPS.len() as u64);
     // Checked here, not on rank 0 mid-run, where a failed check would leave
     // rank 1 waiting for it.
     let first = first.into_inner().unwrap();
@@ -726,8 +712,8 @@ fn ino(path: &Path) -> u64 {
 /// steady save — not the first two, nor one within a save of a dense step
 /// — writes at most what its step and the step before dirtied inside the
 /// owned block, each at most a window, plus all that lies outside the
-/// block's payload; no element takes a delta; and no shard delta file is
-/// ever created.
+/// block's payload; every save is a full record; and no delta file is ever
+/// created.
 #[test]
 fn dist2_local_snapshot_shards_are_golden_and_write_what_changed() {
     for incremental in [false, true] {
@@ -808,8 +794,8 @@ fn dist2_local_snapshot_shards_are_golden_and_write_what_changed() {
         for (rank, module) in modules.iter().enumerate() {
             let stats = module.stats();
             assert_eq!(
-                (stats.full_snapshots, stats.delta_snapshots),
-                (DIST_STEPS.len() as u64, 0),
+                stats.snapshots_taken,
+                DIST_STEPS.len() as u64,
                 "incremental={incremental} rank {rank}"
             );
             assert!(

@@ -6,13 +6,13 @@
 //! Covered here:
 //!
 //! * a run stopped right after a save, with spares on disk, restarts
-//!   bitwise from that save's count — flat and incremental saves, under
-//!   seq, smp2 and dist2 (master-collect and local-snapshot) — and the
-//!   restarted run's saves write into the files the stopped run left;
+//!   bitwise from that save's count — with incremental mode plugged or
+//!   not, under seq, smp2 and dist2 (master-collect and local-snapshot) —
+//!   and the restarted run's saves write into the files the stopped run
+//!   left;
 //! * a module run leaves the record names that the same records relayed
 //!   through direct commits leave; besides, it leaves only spares, at most
-//!   one per base name and `FULL_EVERY` per delta chain, and the direct
-//!   commits leave none;
+//!   one per record name, and the direct commits leave none;
 //! * a steady save publishes the very file it claimed (same inode);
 //! * a run's first save seeds the spare its second claims: a twin of the
 //!   record, byte-identical to it, written beside it into a file of its
@@ -22,7 +22,8 @@
 //! * a one-step run, a payload under 4 MiB and a one-core run write no
 //!   twin, and a directory planted at the spare name leaves every save Ok
 //!   and whole and the run bitwise;
-//! * [`ppar_ckpt::CkptStats`] counts every save exactly;
+//! * [`ppar_ckpt::CkptStats`] counts every save exactly, incremental mode
+//!   as the flat one: one full record per save;
 //! * a live reshape saves over the spares its predecessor left.
 //!
 //! A twin is written by the block engine's helper thread, which a 4 MiB
@@ -52,7 +53,8 @@ use ppar_dsm::SpmdConfig;
 /// 4 MiB of `f64`: a record large enough that a fresh file is not free.
 const N: usize = 1 << 19;
 const STEPS: usize = 7;
-/// Bases are promoted every `FULL_EVERY + 1` saves in incremental mode.
+/// The incremental plug's chain bound, which no longer changes what a save
+/// writes.
 const FULL_EVERY: usize = 2;
 const SPARE: &str = ".spare";
 const RECORD: &str = "ckpt_master.bin";
@@ -94,24 +96,16 @@ fn split(names: &BTreeMap<String, u64>) -> (Vec<&str>, Vec<&str>) {
         .partition(|n| !n.ends_with(SPARE))
 }
 
-/// Spares are bounded: each is the spare of a base name or of a delta of
-/// sequence number at most `FULL_EVERY`.
+/// Spares are bounded: each is the spare of a record name (never of a
+/// delta: no save writes one).
 fn assert_spares_bounded(names: &BTreeMap<String, u64>, case: &str) {
     for spare in split(names).1 {
         let record = spare.strip_suffix(SPARE).unwrap();
         let stem = record
             .strip_suffix(".bin")
             .expect("a spare of a record name");
-        match stem.split_once("_delta_") {
-            Some((_, seq)) => {
-                let seq: usize = seq.parse().unwrap();
-                assert!((1..=FULL_EVERY).contains(&seq), "{case}: {spare}");
-            }
-            None => assert!(
-                stem == "ckpt_master" || stem.strip_prefix("ckpt_rank_").is_some(),
-                "{case}: {spare}"
-            ),
-        }
+        let base = stem == "ckpt_master" || stem.starts_with("ckpt_rank_");
+        assert!(base && !stem.contains("_delta_"), "{case}: {spare}");
     }
 }
 
@@ -138,35 +132,22 @@ struct Saved {
 struct Probe {
     dir: PathBuf,
     direct: CheckpointStore,
-    incremental: bool,
     saves: Mutex<Vec<Saved>>,
 }
 
 impl Probe {
-    fn new(dir: &Path, direct: &Path, incremental: bool) -> Probe {
+    fn new(dir: &Path, direct: &Path) -> Probe {
         Probe {
             dir: dir.to_path_buf(),
             direct: CheckpointStore::new_flat(direct).unwrap(),
-            incremental,
             saves: Mutex::new(Vec::new()),
         }
     }
 
-    /// The key of the `save`-th save (1-based) of a master chain.
-    fn key(&self, save: usize) -> RecordKey {
-        let seq = (save - 1) % (FULL_EVERY + 1);
-        RecordKey {
-            rank: None,
-            delta: (self.incremental && seq > 0).then_some(seq as u32),
-        }
-    }
-
-    fn around(&self, save: usize, point: impl FnOnce()) {
-        let key = self.key(save);
-        let name = match key.delta {
-            None => RECORD.to_string(),
-            Some(seq) => format!("ckpt_master_delta_{seq}.bin"),
-        };
+    /// Every save publishes the master record, incremental or not.
+    fn around(&self, point: impl FnOnce()) {
+        let key = RecordKey::full(None);
+        let name = RECORD.to_string();
         let spare_before = files(&self.dir).get(&format!("{name}{SPARE}")).copied();
         point();
         let module = files(&self.dir);
@@ -217,7 +198,7 @@ fn shaped(
                 });
             });
             match probe {
-                Some(probe) => probe.around(step + 1, || ctx.point("sp")),
+                Some(probe) => probe.around(|| ctx.point("sp")),
                 None => ctx.point("sp"),
             }
             Some(step + 1) != stop_after
@@ -308,8 +289,7 @@ fn a_run_stopped_right_after_a_save_restarts_bitwise_over_its_spares() {
     ];
     for (tag, deploy, strategy) in cases {
         for incremental in [false, true] {
-            // A stop at a promoted base (step 4) retires a chain as it
-            // commits; one at step 5 leaves a delta on top of it.
+            // Stops at two steps: the spares a stop leaves differ.
             for stop in [4, 5] {
                 let case = format!("{tag} incremental={incremental} stop={stop}");
                 let dir = scratch(&format!("stop_{tag}_{incremental}_{stop}"));
@@ -368,7 +348,7 @@ fn a_module_run_leaves_the_record_names_of_direct_commits_and_bounded_spares() {
     for incremental in [false, true] {
         let dir = scratch(&format!("names_{incremental}"));
         let direct = scratch(&format!("names_direct_{incremental}"));
-        let probe = Probe::new(&dir, &direct, incremental);
+        let probe = Probe::new(&dir, &direct);
         let plan = plan(incremental, DistCkptStrategy::MasterCollect);
         let out = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
             app(ctx, None, Some(&probe))
@@ -401,15 +381,13 @@ fn a_module_run_leaves_the_record_names_of_direct_commits_and_bounded_spares() {
 /// save finds no spare.
 #[test]
 fn a_steady_save_publishes_the_spare_it_claimed() {
-    let twin = twins() as usize;
-    // Flat: saves 2.. find the spare save 1 seeded (on one core, saves 3..
-    // find the one save 2 left). Incremental: save 7 finds the base's
-    // spare save 4 left, saves 5 and 6 the delta spares the chain retired
-    // by save 4 left, and save 4 the twin save 1 seeded.
-    for (incremental, claims) in [(false, STEPS - 2 + twin), (true, 3 + twin)] {
+    // Saves 2.. find the spare save 1 seeded (on one core, saves 3.. find
+    // the one save 2 left), incremental mode or not.
+    let claims = STEPS - 2 + twins() as usize;
+    for incremental in [false, true] {
         let dir = scratch(&format!("inode_{incremental}"));
         let direct = scratch(&format!("inode_direct_{incremental}"));
-        let probe = Probe::new(&dir, &direct, incremental);
+        let probe = Probe::new(&dir, &direct);
         let plan = plan(incremental, DistCkptStrategy::MasterCollect);
         let out = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
             app(ctx, None, Some(&probe))
@@ -436,16 +414,14 @@ fn a_steady_save_publishes_the_spare_it_claimed() {
             twins(),
             "incremental={incremental}"
         );
-        if !incremental {
-            let second = saves[1].spare_before;
-            assert_eq!(second.is_some(), twins(), "the second save's spare");
-            let published: Vec<u64> = saves[1..].iter().map(|s| s.published).collect();
-            for pair in published.windows(2) {
-                assert_ne!(pair[0], pair[1], "{published:?}");
-            }
-            let files: BTreeSet<_> = published.iter().collect();
-            assert_eq!(files.len(), 2, "{published:?}");
+        let second = saves[1].spare_before;
+        assert_eq!(second.is_some(), twins(), "the second save's spare");
+        let published: Vec<u64> = saves[1..].iter().map(|s| s.published).collect();
+        for pair in published.windows(2) {
+            assert_ne!(pair[0], pair[1], "{published:?}");
         }
+        let files: BTreeSet<_> = published.iter().collect();
+        assert_eq!(files.len(), 2, "{published:?}");
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&direct);
     }
@@ -558,9 +534,9 @@ fn a_directory_at_the_spare_name_leaves_every_save_whole() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The stats a launch reports count every save exactly: one per safe
-/// point, split into bases and deltas by the promotion rule, and the
-/// bytes of exactly the records written.
+/// The stats a launch reports count every save exactly: one full record
+/// per safe point, incremental mode or not, and the bytes of exactly the
+/// records written.
 #[test]
 fn checkpoint_stats_count_every_save_exactly() {
     let size = |dir: &Path, name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
@@ -572,30 +548,22 @@ fn checkpoint_stats_count_every_save_exactly() {
     for incremental in [false, true] {
         let dir = scratch(&format!("stats_{incremental}"));
         let stats = run(&dir, incremental, None);
-        assert_eq!(stats.snapshots_taken, STEPS as u64);
+        assert_eq!(
+            stats.snapshots_taken, STEPS as u64,
+            "incremental={incremental}"
+        );
         let base = size(&dir, RECORD);
-        if incremental {
-            // Saves 1, 4, 7 are bases; 2, 3, 5, 6 deltas, each of the same
-            // number of dirty chunks. The last base retired the chain.
-            assert_eq!((stats.full_snapshots, stats.delta_snapshots), (3, 4));
-            assert_eq!(stats.last_save_bytes, base);
-            let names = files(&dir);
-            let (records, _) = split(&names);
-            let live: Vec<_> = records.iter().filter(|n| n.contains("_delta_")).collect();
-            assert!(live.is_empty(), "{live:?}");
-            // Stopped at save 5, the first delta over base 4 is the tip.
-            let first = scratch("stats_first_delta");
-            let at_delta = run(&first, true, Some(5));
-            let delta = size(&first, "ckpt_master_delta_1.bin");
-            assert_eq!(at_delta.last_save_bytes, delta);
-            assert_eq!(at_delta.bytes_written, 2 * base + 3 * delta);
-            assert_eq!(stats.bytes_written, 3 * base + 4 * delta);
-            let _ = std::fs::remove_dir_all(&first);
-        } else {
-            assert_eq!((stats.full_snapshots, stats.delta_snapshots), (7, 0));
-            assert_eq!(stats.last_save_bytes, base);
-            assert_eq!(stats.bytes_written, STEPS as u64 * base);
-        }
+        assert_eq!(stats.last_save_bytes, base);
+        assert_eq!(stats.bytes_written, STEPS as u64 * base);
+        let names = files(&dir);
+        let live: Vec<_> = names.keys().filter(|n| n.contains("_delta_")).collect();
+        assert!(live.is_empty(), "{live:?}");
+        // Stopped at save 5, the fifth record is the tip.
+        let stopped = scratch(&format!("stats_stopped_{incremental}"));
+        let at_five = run(&stopped, incremental, Some(5));
+        assert_eq!(at_five.last_save_bytes, size(&stopped, RECORD));
+        assert_eq!(at_five.bytes_written, 5 * base);
+        let _ = std::fs::remove_dir_all(&stopped);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,12 +1,13 @@
-//! Delta snapshot records: the incremental half of the checkpoint format.
+//! Delta snapshot records: the chain half of the checkpoint format.
 //!
 //! A *delta* persists only the bytes written since the previous snapshot
 //! (full or delta), as reported by the containers' chunked dirty tracking
 //! ([`ppar_core::state::StateCell::dirty_ranges`]). A checkpoint directory
-//! in incremental mode therefore holds the master's *base* full snapshot
-//! plus a numbered *delta chain*; restore folds the chain onto the base
-//! (last-writer-wins per byte) and yields a state byte-identical to
-//! a full snapshot of the same state.
+//! an older build's incremental run left therefore holds the master's
+//! *base* full snapshot plus a numbered *delta chain*; restore folds the
+//! chain onto the base (last-writer-wins per byte) and yields a state
+//! byte-identical to a full snapshot of the same state. This build's
+//! checkpoint module writes no delta: every save is one full record.
 //!
 //! File format (all integers little-endian; strings and payloads are
 //! `u64`-length-prefixed as in the full-snapshot format):
@@ -42,9 +43,10 @@
 //!
 //! ## Who writes, who parses, who folds
 //!
-//! This crate owns the format. Only master-chain delta saves write it
-//! ([`crate::store::Record::Delta`], behind `CheckpointModule`'s
-//! incremental saves and the wire's delta put), and only the chain fold
+//! This crate owns the format. Only direct master-chain delta puts write
+//! it ([`crate::store::Record::Delta`], behind
+//! [`crate::CkptTransport::put_master_delta`] and the wire's delta put),
+//! and only the chain fold
 //! reads it: `DeltaMeta::header` decodes the header and `Merged`'s field
 //! decoder every field descriptor after it, reading each payload straight
 //! from the disk into the base record's bytes, CRC running. A restore

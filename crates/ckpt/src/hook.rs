@@ -17,24 +17,28 @@
 //! gathers at the root in distributed memory); the module does the counting,
 //! the (de)serialisation and the persistence.
 //!
-//! **A disk restart reads its chain once**: one CRC-verified fold at store
-//! open ([`CheckpointModule::create_group`]) yields the replay target (its
-//! count), every module's resume cursor (its [`PROGRESS_FIELD`]) and the
-//! record the load installs (the fold itself, kept in `GroupResume`).
+//! **Every save is one full record, and a disk restart reads it once.**
+//! The module writes no delta chain, whatever the plan: a steady save
+//! patches what changed into the file it rewrites (below), so
+//! `Plug::IncrementalCkpt` no longer changes what a save writes. One
+//! CRC-verified read at store open ([`CheckpointModule::create_group`])
+//! yields the replay target (its count), every module's resume cursor (its
+//! [`PROGRESS_FIELD`]) and the record the load installs (kept in
+//! `GroupResume`); over a master chain an older build left, that read is
+//! the chain's fold.
 //!
 //! **A medium only moves records.** A save is one commit through the
-//! module's medium; what the chain needs besides lives in the store: a
-//! master base's commit retires its chain's deltas, a fresh run retires
+//! module's medium; what a directory needs besides lives in the store: a
+//! master commit retires a chain an older build left, a fresh run retires
 //! every record, chain and commit point an earlier run left at creation,
 //! and the group-commit point is written to the module's own store (a
 //! worker process has none, its root commits for the group).
 //!
-//! **A shard is one full record.** Incremental mode grows the master's
-//! chain only: a local-snapshot element saves its owned block of every
-//! partitioned field as a full record at every save, lent from the cell's
-//! memory, and patches it like a master record (below). So a shard's
-//! `_prev`, the generation the group last committed, is always a whole
-//! record a pinned restore can read.
+//! **A shard is one full record** too: a local-snapshot element saves its
+//! owned block of every partitioned field at every save, lent from the
+//! cell's memory, and patches it like a master record (below). So a
+//! shard's `_prev`, the generation the group last committed, is always a
+//! whole record a pinned restore can read.
 //!
 //! **A save rewrites the files its key last retired.** A flat commit
 //! gives every file it supersedes — the record it renames over, a retired
@@ -64,14 +68,14 @@
 //! base does not verify, is written whole. Either way, such a field takes from the newest record
 //! the CRC of every block nothing touched since — neither that record's
 //! changes since nor this save's dirty ranges — and checksums the others;
-//! a delta save only widens what is stale, and a failed save, a restore or
-//! a field of another length drops those CRCs. The trailer is the CRC of
+//! a failed save, a restore or a field of another length drops those
+//! CRCs. The trailer is the CRC of
 //! the state in memory only while the tracker misses no write: a missed
 //! write would be neither written nor checksummed. A debug build's save
 //! therefore checks every cached block against the field in memory and
 //! panics, naming the field and the block, when one no longer matches
-//! (see [`crate::store`]). Dirty tracking is reset after every save, full
-//! or delta. A save or a load that fails is kept
+//! (see [`crate::store`]). Dirty tracking is reset after every save. A
+//! save or a load that fails is kept
 //! ([`CheckpointModule::take_failure`]) for the launcher, once the engine
 //! has ended the attempt.
 //!
@@ -96,11 +100,9 @@ use ppar_core::state::{DistCell, StateCell};
 use ppar_core::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
 use crate::crc::CRC_COPY_BLOCK;
-use crate::delta::{DeltaMeta, Merged};
+use crate::delta::Merged;
 use crate::handoff::Handoff;
-use crate::store::{
-    CheckpointStore, DeltaSource, FieldPatch, FieldSource, Record, SnapshotMeta, SnapshotView,
-};
+use crate::store::{CheckpointStore, FieldPatch, FieldSource, Record, SnapshotMeta, SnapshotView};
 use crate::transport::{commit_record, CkptTransport, Held, RecordSink, Superseded};
 
 static NEXT_MODULE_ID: AtomicU64 = AtomicU64::new(1);
@@ -119,21 +121,13 @@ thread_local! {
 /// Observable cost/state counters, powering Fig. 3–5 measurements.
 #[derive(Debug, Clone, Default)]
 pub struct CkptStats {
-    /// Snapshots persisted by this module (full + delta).
+    /// Snapshots persisted by this module, each one full record.
     pub snapshots_taken: u64,
-    /// Full (base) snapshots among [`CkptStats::snapshots_taken`].
-    pub full_snapshots: u64,
-    /// Delta snapshots among [`CkptStats::snapshots_taken`]: master
-    /// records of incremental mode only (a shard save is always a full
-    /// record).
-    pub delta_snapshots: u64,
     /// Total length of the records the snapshots persisted (cumulative;
     /// what the saves actually wrote is [`CkptStats::bytes_put`]).
     pub bytes_written: u64,
-    /// Bytes written by the most recent snapshot (a delta's size collapses
-    /// towards the dirty fraction; a full snapshot pays the whole state).
-    /// Like [`CkptStats::bytes_written`], a record's length, however much
-    /// of it the save wrote.
+    /// Length of the record the most recent snapshot persisted: the whole
+    /// state, however much of it the save wrote.
     pub last_save_bytes: u64,
     /// Bytes the saves actually wrote into their medium: their record
     /// lengths ([`CkptStats::bytes_written`]) less what a patched full
@@ -153,8 +147,9 @@ pub struct CkptStats {
     /// Wall time of the most recent hand-off capture.
     pub last_handoff_time: Duration,
     /// Wall time spent reading the state back (the Fig. 5 "load" bar): a
-    /// disk group's start-up — failure detection and the one fold of its
-    /// chain: read, CRC, merge — plus `load_snapshot`.
+    /// disk group's start-up — failure detection and the one read of its
+    /// record (read, CRC; the fold of a chain an older build left) — plus
+    /// `load_snapshot`.
     pub load_time: Duration,
     /// Wall time from the end of start-up to the start of the load (the
     /// Fig. 5 "replay" bar, including the skipped re-execution), so
@@ -192,7 +187,7 @@ pub struct CheckpointModule {
     /// (`None` for a worker process and for a module without a directory);
     /// owns the RUNNING-marker lifecycle.
     store: Option<CheckpointStore>,
-    /// Where snapshots and deltas travel (the directory, or a worker's
+    /// Where snapshots travel (the directory, or a worker's
     /// network transport to the root's); all persistence paths go through
     /// this seam. `None`: no medium — the module counts safe points, freezes
     /// hand-offs and resumes from them, and never snapshots.
@@ -218,18 +213,12 @@ pub struct CheckpointModule {
     target: AtomicU64,
     stats: Mutex<CkptStats>,
     created: Instant,
-    /// `Some(full_every)` when the plan enables dirty-chunk incremental
-    /// checkpointing: master snapshots are persisted as deltas, promoted to
-    /// a full base every `full_every` deltas. A shard snapshot is always a
-    /// full record, patched where it can be.
-    incremental: Option<u64>,
-    /// The last full records this module committed, which a steady save
-    /// may rewrite in place, and the chain of deltas over the newest one
-    /// ([`Generations`]).
+    /// The last records this module committed, which a steady save may
+    /// rewrite in place ([`Generations`]).
     generations: Mutex<Generations>,
     /// Live region-progress tracker: the loop frames the master thread is
     /// currently inside ([`CkptHook::note_loop_iter`]). Serialized as the
-    /// `PPARPRG1` cursor into every snapshot, delta and hand-off.
+    /// `PPARPRG1` cursor into every snapshot and hand-off.
     frames: Mutex<Vec<LoopFrame>>,
     /// The resume cursor (`None` = no usable one), resolved when the replay
     /// is: at creation ([`GroupResume::cursor`]) and again from the hand-off
@@ -249,7 +238,7 @@ pub struct CheckpointModule {
 /// (every shard of a group commit carries the same `PPARPRG1` bytes), so
 /// the in-process elements share the **single** CRC-checked fold
 /// [`CheckpointModule::create_group`] made, and rank 0's load installs that
-/// very fold instead of reading the chain a second time.
+/// very fold instead of reading the record a second time.
 #[derive(Default)]
 struct GroupResume {
     /// Did start-up find the marker of a failed previous execution?
@@ -261,7 +250,7 @@ struct GroupResume {
     /// The resume cursor every module of the group starts out with: the
     /// fold's [`PROGRESS_FIELD`], or what the root broadcast to a worker.
     cursor: Option<RegionCursor>,
-    /// The folded record (`None` key = master chain, `Some(0)` = shard 0's
+    /// The record read (`None` key = master record, `Some(0)` = shard 0's
     /// — rank 0's to install either way), held only while it stands at the
     /// replay target, until rank 0 loads or a resume source is armed.
     prefetched: Mutex<Option<(Option<u32>, Merged)>>,
@@ -281,8 +270,7 @@ type Ranges = Vec<std::ops::Range<usize>>;
 /// claimed file holds the newest record. A save whose sink holds one of
 /// them rewrites only those changes ([`Record::patch`]), and every save
 /// takes the block CRCs of what did not change since the newest one from
-/// it. The newest one is also the base the next delta extends
-/// ([`Generations::next_delta`]).
+/// it. Incremental mode is this rule too: no save extends a chain.
 #[derive(Default)]
 struct Generations(Vec<Generation>);
 
@@ -299,8 +287,6 @@ struct Generation {
     /// this record holds it; `None` for a field that is not a tracked cell
     /// whose bytes lie in memory.
     blocks: Vec<Option<Vec<u32>>>,
-    /// Deltas committed over this record since its own commit.
-    deltas: u32,
 }
 
 impl Generations {
@@ -397,23 +383,16 @@ impl Generations {
         known.collect()
     }
 
-    /// The one promote-or-extend rule of incremental mode.
-    /// `Some((base_count, seq))`: the next snapshot extends the chain of
-    /// the newest record, saved at `base_count`, as delta `seq`. `None`: it
-    /// is promoted to a fresh base — there is no record (a fresh run or a
-    /// restore kept none), or `full_every` deltas already follow it.
-    fn next_delta(&self, full_every: u64) -> Option<(u64, u32)> {
-        let newest = self.0.first();
-        let newest = newest.filter(|g| u64::from(g.deltas) < full_every)?;
-        Some((newest.held.count, newest.deltas + 1))
-    }
-
-    /// A save (full or delta) captured `changed`: every kept record is
-    /// that much further behind, and a delta extends the newest one's chain.
-    fn advance(&mut self, changed: &[Option<Ranges>], delta: bool) {
-        if let (true, Some(newest)) = (delta, self.0.first_mut()) {
-            newest.deltas += 1;
-        }
+    /// A full record `held`, payloads at `spans` and block CRCs `blocks`,
+    /// was committed, capturing `changed`: every kept record is that much
+    /// further behind.
+    fn committed(
+        &mut self,
+        held: Held,
+        spans: Vec<std::ops::Range<u64>>,
+        changed: &[Option<Ranges>],
+        blocks: Vec<Option<Vec<u32>>>,
+    ) {
         for generation in &mut self.0 {
             for (since, now) in generation.since.iter_mut().zip(changed) {
                 *since = match (since.take(), now) {
@@ -422,18 +401,6 @@ impl Generations {
                 };
             }
         }
-    }
-
-    /// A full record `held`, payloads at `spans` and block CRCs `blocks`,
-    /// was committed.
-    fn committed(
-        &mut self,
-        held: Held,
-        spans: Vec<std::ops::Range<u64>>,
-        changed: &[Option<Ranges>],
-        blocks: Vec<Option<Vec<u32>>>,
-    ) {
-        self.advance(changed, false);
         let since = changed.iter().map(|c| c.as_ref().map(|_| Vec::new()));
         let since = since.collect();
         self.0.insert(
@@ -443,7 +410,6 @@ impl Generations {
                 spans,
                 since,
                 blocks,
-                deltas: 0,
             },
         );
         self.0.truncate(2);
@@ -524,9 +490,9 @@ impl CheckpointModule {
         let store = CheckpointStore::new(dir)?;
         let opened = Instant::now();
         let detected_failure = store.marker_exists();
-        // The newest usable record, folded: the master chain first, shard 0
-        // otherwise (local-snapshot groups carry identical cursors on every
-        // shard).
+        // The newest usable record, read whole (a chain an older build left
+        // is folded): the master's first, shard 0's otherwise (local-snapshot
+        // groups carry identical cursors on every shard).
         let fold = || -> Result<Option<(Option<u32>, Merged)>> {
             for rank in [None, Some(0)] {
                 if let Some(merged) = store.merged(rank, None)? {
@@ -540,7 +506,7 @@ impl CheckpointModule {
         // may have outrun it if a save was torn by a rank death. The fold is
         // then best-effort — a torn tip costs the cursor and the stash, the
         // pinned load falls back to the retained generation. Without one the
-        // restore lands on the chain's tip, and a bad record fails start-up.
+        // restore lands on the newest record, and a bad one fails start-up.
         let (committed, folded) = if !detected_failure {
             (None, None)
         } else if let Some(count) = store.committed_count()? {
@@ -609,7 +575,7 @@ impl CheckpointModule {
     /// multi-process job: persistence goes through `transport` (typically
     /// a network transport reaching the root's durable store), and the
     /// replay decision is *not* re-derived locally — only the root sees
-    /// the marker and the snapshot chain, runs the start-up
+    /// the marker and the snapshots, runs the start-up
     /// failure-detection pass once ([`CheckpointModule::create`]), and
     /// broadcasts `(detected_failure, replay_target)` to the workers
     /// before any of them reaches a safe point. Re-deriving per process
@@ -652,7 +618,6 @@ impl CheckpointModule {
         resume: GroupResume,
     ) -> Vec<Arc<CheckpointModule>> {
         let every = plan.checkpoint_every().unwrap_or(0) as u64;
-        let incremental = plan.incremental_ckpt().map(|k| k as u64);
         let group_resume = Arc::new(resume);
         (0..n.max(1))
             .map(|_| {
@@ -672,7 +637,6 @@ impl CheckpointModule {
                         ..CkptStats::default()
                     }),
                     created: Instant::now(),
-                    incremental,
                     generations: Mutex::new(Generations::default()),
                     frames: Mutex::new(Vec::new()),
                     resume_cursor: Mutex::new(group_resume.cursor.clone()),
@@ -806,10 +770,8 @@ impl CheckpointModule {
         .encode()
     }
 
-    /// Collect the plan's safe data and put it through `to` as one record:
-    /// the full record `meta` heads, or — given `chain = (base_count, seq)`
-    /// — the delta extending that base. A full snapshot is the delta whose
-    /// every field travels whole, so one collector serves both.
+    /// Collect the plan's safe data and put it through `to` as the full
+    /// record `meta` heads.
     ///
     /// `meta.rank` picks the scope. Master records (complete data at the
     /// caller — engines must have collected partitioned fields first)
@@ -817,11 +779,9 @@ impl CheckpointModule {
     /// takes of each partitioned field this element's owned block, lent
     /// from the cell's memory — or, for a cell that lends none, extracted
     /// into a copy local to this save — and what the cell wrote since the
-    /// last save inside that block, relative to it. In a delta, a field
-    /// with write tracking contributes only its dirty byte ranges;
-    /// untracked fields are stored whole.
+    /// last save inside that block, relative to it.
     ///
-    /// A full record goes through one rule ([`Generations::plan`]),
+    /// Every record goes through one rule ([`Generations::plan`]),
     /// master and shard alike: when the sink's file already holds one of
     /// this module's last two full records, a tracked field rewrites only
     /// what changed since, and every other field — untracked, the cursor —
@@ -833,7 +793,6 @@ impl CheckpointModule {
         ctx: &Ctx,
         to: &dyn CkptTransport,
         meta: &SnapshotMeta,
-        chain: Option<(u64, u32)>,
     ) -> Result<(Superseded, u64)> {
         enum Slot {
             /// A field streamed from its cell.
@@ -892,48 +851,17 @@ impl CheckpointModule {
             }
             slots.push((name, Slot::Owned { cell, bytes, copy }));
         }
+        // The cursor always travels whole (tens of bytes).
         changed.push(None);
-        // The cursor always travels whole (tens of bytes): a `Full` delta
-        // entry replaces the base field at merge time, so the chain tip
-        // carries the cursor matching its own count.
         let progress = self.progress_bytes(meta.count);
-        let fields = slots
+        let fields: Vec<_> = slots
             .iter()
             .map(|(name, slot)| (*name, slot.source()))
-            .chain([(PROGRESS_FIELD, FieldSource::Bytes(&progress))]);
+            .chain([(PROGRESS_FIELD, FieldSource::Bytes(&progress))])
+            .collect();
+        let seed = self.frames.lock().iter().any(|f| f.index + 1 < f.end);
         let mut generations = self.generations.lock();
-        let committed = match chain {
-            Some((base_count, seq)) => {
-                let meta = DeltaMeta {
-                    mode_tag: meta.mode_tag.clone(),
-                    count: meta.count,
-                    base_count,
-                    seq,
-                    rank: meta.rank,
-                    nranks: meta.nranks,
-                };
-                let fields: Vec<_> = fields
-                    .zip(&changed)
-                    .map(|((name, source), changed)| match (source, changed) {
-                        (FieldSource::Cell(cell), Some(ranges)) => {
-                            (name, DeltaSource::DirtyCell { cell, ranges })
-                        }
-                        (source, _) => (name, DeltaSource::Full(source)),
-                    })
-                    .collect();
-                let record = Record::Delta(&meta, &fields);
-                commit_record(to, &record, |sink| record.encode(sink).map(drop)).map(|(gone, _)| {
-                    generations.advance(&changed, true);
-                    let put = gone.bytes();
-                    (gone, put)
-                })
-            }
-            None => {
-                let fields: Vec<_> = fields.collect();
-                let seed = self.frames.lock().iter().any(|f| f.index + 1 < f.end);
-                commit_full(to, meta, &fields, &changed, &mut generations, seed)
-            }
-        };
+        let committed = commit_full(to, meta, &fields, &changed, &mut generations, seed);
         if committed.is_err() {
             // Whatever the sink's file holds now, it is no record of ours.
             *generations = Generations::default();
@@ -1020,8 +948,8 @@ impl CheckpointModule {
     /// A restore off the module's own medium. A local-snapshot element
     /// reads its own shard, pinned to the safe point being restored so a
     /// shard generation that outran the group commit (torn save) rolls back
-    /// with everyone else; master-collect reads the master chain at the
-    /// root. A disk restart's chain was folded at store open: rank 0's load
+    /// with everyone else; master-collect reads the master record at the
+    /// root. A disk restart's record was read at store open: rank 0's load
     /// empties the group's slot whatever it holds (only ever the master's or
     /// shard 0's record: no other element could use it) and installs it
     /// when it is exactly the record this load would otherwise read — same
@@ -1043,7 +971,7 @@ impl CheckpointModule {
         let medium = self.medium()?;
         if !medium.with_merged(key, pin, &mut |snap| self.install(ctx, snap))? {
             return Err(PparError::CorruptCheckpoint(format!(
-                "the {} transport holds no record of the {key:?} chain to restore from",
+                "the {} transport holds no {key:?} record to restore from",
                 medium.describe()
             )));
         }
@@ -1076,9 +1004,8 @@ impl CheckpointModule {
             None => {}
         }
         // No record this module wrote before the restore is a base for the
-        // next save: a full one does not patch it, and a delta does not
-        // extend its chain — the next snapshot starts a fresh base rather
-        // than extending a chain this process generation did not write.
+        // next save: the next snapshot does not patch a file this process
+        // generation did not write since.
         *self.generations.lock() = Generations::default();
         // Nor has any element's gather since: the next one moves whole
         // partitions.
@@ -1113,20 +1040,13 @@ impl CheckpointModule {
         };
         let to = self.medium()?;
 
-        // Incremental mode governs the master chain only.
-        let link = self
-            .incremental
-            .filter(|_| rank.is_none())
-            .and_then(|full_every| self.generations.lock().next_delta(full_every));
-        // A promoted base retires the chain it supersedes as it commits (in
-        // the store behind the medium). The spares the commit left are the
-        // files the next save of each key rewrites.
-        let (gone, wrote) = self.put_fields(ctx, to, &meta, link)?;
+        // The spares the commit left are the files the next save of each
+        // key rewrites.
+        let (gone, wrote) = self.put_fields(ctx, to, &meta)?;
         let written = gone.keep();
         // The checkpoint cycle's epoch reset, after every save: whatever was
-        // dirty is now captured (by the delta, or by the full record), and
-        // the next save — a delta, or a full record rewriting this one's
-        // file — needs exactly what changes from here on.
+        // dirty is now captured, and the next save, rewriting this one's
+        // file, needs exactly what changes from here on.
         self.clear_dirty_fields(ctx)?;
         self.saved.store(true, Ordering::SeqCst);
 
@@ -1137,11 +1057,6 @@ impl CheckpointModule {
         let put = to.take_put_stats();
         let mut stats = self.stats.lock();
         stats.snapshots_taken += 1;
-        if link.is_some() {
-            stats.delta_snapshots += 1;
-        } else {
-            stats.full_snapshots += 1;
-        }
         stats.bytes_written += written;
         stats.last_save_bytes = written;
         stats.bytes_put += wrote;
@@ -1530,56 +1445,66 @@ mod tests {
         ckpt_plan(every).plug(Plug::IncrementalCkpt { full_every })
     }
 
+    /// Master delta files in `dir`, whoever wrote them.
+    fn deltas_in(dir: &Path) -> Vec<String> {
+        let names = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name());
+        let names = names.map(|n| n.to_string_lossy().into_owned());
+        names
+            .filter(|n| n.starts_with("ckpt_master_delta_"))
+            .collect()
+    }
+
+    /// Incremental mode writes no chain: every save is one full record,
+    /// and a steady one writes what changed, far below the record.
     #[test]
-    fn incremental_mode_writes_deltas_and_promotes_every_k() {
+    fn incremental_mode_patches_one_record_per_save() {
         let dir = tmpdir("inc_chain");
-        let plan = incremental_plan(1, 3); // snapshot every point, full every 3 deltas
+        let plan = incremental_plan(1, 3); // snapshot every point
         let module = CheckpointModule::create(&dir, &plan).unwrap();
         let ctx = seq_ctx(incremental_plan(1, 3), module.clone());
-        // Large enough that one-chunk deltas are much smaller than the base.
+        // Large enough that one-chunk patches are much smaller than a record.
         let g = ctx.alloc_vec("G", 40_000, 0.0f64);
 
-        // Point 1: first snapshot is the base (full).
-        g.set(0, 1.0);
-        ctx.point("iter");
-        let s = module.stats();
-        assert_eq!((s.full_snapshots, s.delta_snapshots), (1, 0));
-        let full_bytes = s.last_save_bytes;
-
-        // Points 2..4: deltas 1..3.
-        for i in 2..=4u64 {
-            g.set(5, i as f64);
+        // Points 1 and 2 write whole: no spare holds a record of theirs yet.
+        for i in 1..=2u64 {
+            g.set(0, i as f64);
             ctx.point("iter");
         }
-        let s = module.stats();
-        assert_eq!((s.full_snapshots, s.delta_snapshots), (1, 3));
-        assert!(
-            s.last_save_bytes * 4 < full_bytes,
-            "one-chunk delta ({}B) must be far below the full snapshot ({full_bytes}B)",
-            s.last_save_bytes
-        );
-        assert!(dir.join("ckpt_master_delta_3.bin").exists());
-        assert_eq!(module.store().get(None, None).unwrap().unwrap().count, 4);
+        let full_bytes = module.stats().last_save_bytes;
 
-        // Point 5: chain is full -> promotion, which retires the chain.
-        g.set(6, 5.0);
-        ctx.point("iter");
+        // Points 3..5: each claims the spare and patches what changed.
+        for i in 3..=5u64 {
+            let before = module.stats().bytes_put;
+            g.set(5, i as f64);
+            ctx.point("iter");
+            let s = module.stats();
+            assert!(
+                (s.bytes_put - before) * 4 < full_bytes,
+                "one-chunk save wrote {}B of a {full_bytes}B record",
+                s.bytes_put - before
+            );
+            assert_eq!(s.last_save_bytes, full_bytes);
+            assert_eq!(module.store().get(None, None).unwrap().unwrap().count, i);
+            assert_eq!(
+                deltas_in(&dir),
+                Vec::<String>::new(),
+                "no chain at point {i}"
+            );
+        }
         let s = module.stats();
-        assert_eq!((s.full_snapshots, s.delta_snapshots), (2, 3));
         assert_eq!(s.snapshots_taken, 5);
-        assert!(!dir.join("ckpt_master_delta_1.bin").exists());
-        assert_eq!(module.store().get(None, None).unwrap().unwrap().count, 5);
-
-        // Cumulative bytes are observable and consistent.
-        assert!(s.bytes_written > 2 * full_bytes);
+        // Cumulative bytes are record lengths.
+        assert_eq!(s.bytes_written, 5 * full_bytes);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn incremental_crash_replays_to_last_delta_and_restores_exactly() {
+    fn incremental_crash_replays_to_last_save_and_restores_exactly() {
         let dir = tmpdir("inc_replay");
 
-        // --- run 1: base at point 2, deltas at points 3 and 4, then crash.
+        // --- run 1: saves at points 2, 4, 6 and 8, then crash.
         {
             let plan = incremental_plan(2, 10);
             let module = CheckpointModule::create(&dir, &plan).unwrap();
@@ -1589,12 +1514,12 @@ mod tests {
                 g.set((i as usize * 7) % 3000, i as f64);
                 ctx.point("iter");
             }
-            // every=2 -> snapshots at 2 (full), 4, 6, 8 (deltas)
             let s = module.stats();
-            assert_eq!((s.full_snapshots, s.delta_snapshots), (1, 3));
+            assert_eq!(s.snapshots_taken, 4);
+            assert!(deltas_in(&dir).is_empty());
         }
 
-        // --- run 2: replay target is the last delta's count, data matches.
+        // --- run 2: replay target is the last save's count, data matches.
         {
             let plan = incremental_plan(2, 10);
             let module = CheckpointModule::create(&dir, &plan).unwrap();
@@ -1612,13 +1537,12 @@ mod tests {
                 ctx.point("iter");
             }
             assert!(!module.replaying());
-            assert_eq!(g.to_vec(), expected, "base+delta restore must be exact");
+            assert_eq!(g.to_vec(), expected, "the restore must be exact");
 
-            // Post-restore, the next snapshot starts a new chain (full).
             ctx.point("iter"); // count 9
             ctx.point("iter"); // count 10 -> snapshot (every=2)
             let s = module.stats();
-            assert_eq!((s.full_snapshots, s.delta_snapshots), (1, 0));
+            assert_eq!(s.snapshots_taken, 1);
             ctx.finish();
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1724,6 +1648,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Plant a master chain over the record at `base_count`, as an older
+    /// build's incremental run left it: delta `seq` at `base_count + 2 ×
+    /// seq` sets element `seq` of a 3000-element `G` to `-seq`.
+    fn plant_chain(dir: &Path, base_count: u64, deltas: u32) {
+        let store = CheckpointStore::new(dir).unwrap();
+        for seq in 1..=deltas {
+            let meta = crate::delta::DeltaMeta {
+                mode_tag: "seq".into(),
+                count: base_count + 2 * u64::from(seq),
+                base_count,
+                seq,
+                rank: None,
+                nranks: 1,
+            };
+            let g = ppar_core::shared::SharedVec::new(3000, 0.0f64);
+            g.set(seq as usize, -f64::from(seq));
+            let at = seq as usize * 8..seq as usize * 8 + 8;
+            let sparse = crate::store::DeltaSource::DirtyCell {
+                cell: &g,
+                ranges: std::slice::from_ref(&at),
+            };
+            store
+                .put_master_delta(&meta, &[("G", sparse)], &mut Vec::new())
+                .unwrap();
+        }
+    }
+
     /// A chain that fails its checks fails the start-up — before any cell
     /// exists to be written — unless a group-commit point names the target,
     /// in which case only the cursor and the stash are lost.
@@ -1734,11 +1685,13 @@ mod tests {
             let module = CheckpointModule::create(&dir, &incremental_plan(2, 10)).unwrap();
             let ctx = seq_ctx(incremental_plan(2, 10), module);
             let g = ctx.alloc_vec("G", 3000, 0.0f64);
-            for i in 1..=9u64 {
+            for i in 1..=3u64 {
                 g.set(i as usize, i as f64);
                 ctx.point("iter");
             }
         }
+        // The base at 2, then deltas at 4, 6 and 8.
+        plant_chain(&dir, 2, 3);
         let delta = dir.join("ckpt_master_delta_2.bin");
         let mut bytes = std::fs::read(&delta).unwrap();
         let mid = bytes.len() / 2;
@@ -1763,20 +1716,20 @@ mod tests {
     fn fresh_run_purges_previous_generations_delta_chain() {
         let dir = tmpdir("inc_gen");
 
-        // --- generation 1: completes cleanly, leaving base + deltas behind
-        // (finish clears only the RUNNING marker).
+        // --- generation 1: completes cleanly, leaving a base behind
+        // (finish clears only the RUNNING marker), and a chain over it, as
+        // an older build's incremental run did.
         {
             let plan = incremental_plan(1, 5);
             let module = CheckpointModule::create(&dir, &plan).unwrap();
             let ctx = seq_ctx(incremental_plan(1, 5), module.clone());
-            let g = ctx.alloc_vec("G", 100, 0.0f64);
-            for i in 1..=3u64 {
-                g.set(0, i as f64);
-                ctx.point("iter");
-            }
-            assert!(dir.join("ckpt_master_delta_1.bin").exists());
+            let g = ctx.alloc_vec("G", 3000, 0.0f64);
+            g.set(0, 1.0);
+            ctx.point("iter");
             ctx.finish();
         }
+        plant_chain(&dir, 1, 2);
+        assert!(dir.join("ckpt_master_delta_1.bin").exists());
 
         // --- generation 2: a fresh run repeats the same safe-point
         // schedule, so generation 1's deltas (base_count 1) would collide
@@ -1805,26 +1758,30 @@ mod tests {
         let ctx = seq_ctx(incremental_plan(1, 8), module.clone());
         let g = ctx.alloc_vec("G", 100_000, 0.0f64);
 
-        ctx.point("iter"); // full base
+        ctx.point("iter"); // written whole into a fresh file
         let after_full = module.stats();
         assert_eq!(after_full.last_save_bytes, after_full.bytes_written);
+        assert_eq!(after_full.bytes_put, after_full.bytes_written);
         assert!(
             after_full.last_save_bytes > 100_000 * 8,
-            "base holds all data"
+            "the record holds all data"
         );
+        ctx.point("iter"); // whole again: no spare holds a record yet
 
         g.set(42, 1.0);
-        ctx.point("iter"); // one-chunk delta
-        let after_delta = module.stats();
+        let before = module.stats();
+        ctx.point("iter"); // patches the spare: one chunk changed
+        let after_patch = module.stats();
         assert_eq!(
-            after_delta.bytes_written,
-            after_full.bytes_written + after_delta.last_save_bytes,
+            after_patch.bytes_written,
+            before.bytes_written + after_patch.last_save_bytes,
             "cumulative save bytes are the sum of per-snapshot sizes"
         );
+        assert_eq!(after_patch.last_save_bytes, after_full.last_save_bytes);
         assert!(
-            after_delta.last_save_bytes < after_full.last_save_bytes / 10,
-            "delta {}B vs full {}B",
-            after_delta.last_save_bytes,
+            after_patch.bytes_put - before.bytes_put < after_full.last_save_bytes / 10,
+            "patch {}B vs full {}B",
+            after_patch.bytes_put - before.bytes_put,
             after_full.last_save_bytes
         );
         std::fs::remove_dir_all(&dir).unwrap();

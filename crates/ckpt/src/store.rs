@@ -8,9 +8,10 @@
 //!                               # module's failure detector: marker +
 //!                               # snapshot => replay)
 //!   ckpt_master.bin             # master-collected snapshot (restartable in
-//!                               # ANY mode); the *base* in incremental mode
-//!   ckpt_master_delta_<s>.bin   # delta chain over the base (incremental
-//!                               # mode, s = 1, 2, ...; see crate::delta)
+//!                               # ANY mode)
+//!   ckpt_master_delta_<s>.bin   # delta chain over it (s = 1, 2, ...; see
+//!                               # crate::delta): what older builds'
+//!                               # incremental saves wrote
 //!   ckpt_rank_<r>.bin           # per-element shards (local-snapshot
 //!                               # strategy): full records only
 //!   ckpt_rank_<r>_prev.bin      # the shard generation kept at the commit
@@ -27,7 +28,9 @@
 //! The store keeps its chain itself; no medium above it has a say. A
 //! master base's commit retires the chain's deltas right after the rename
 //! (a crash in between leaves deltas naming the old base, which the fold
-//! ignores), `CheckpointModule::create_group` retires every record, chain
+//! ignores), reading the directory only while it may hold a chain: until
+//! the first retirement after the store opened it, and again after a
+//! direct delta put. `CheckpointModule::create_group` retires every record, chain
 //! and commit point an earlier run left before a fresh run, and
 //! `ckpt_commit` holds the group-commit point
 //! ([`CheckpointStore::commit_group`]) that a shard's retained `_prev`
@@ -154,6 +157,7 @@ use std::fs;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use ppar_core::error::{PparError, Result};
 use ppar_core::state::StateCell;
@@ -1056,6 +1060,9 @@ impl CkptTransport for CheckpointStore {
             return Err(PparError::InvalidPlan(format!(
                 "shard {rank} delta {seq}: a shard is saved as a full record only"
             )));
+        }
+        if key.delta.is_some() {
+            self.chain.store(true, Ordering::SeqCst);
         }
         let dst = self.record_path(key);
         if let Some(cas) = &self.cas {
@@ -2048,6 +2055,13 @@ pub struct CheckpointStore {
     dir: PathBuf,
     /// `Some` when this directory uses the content-addressed layout.
     cas: Option<crate::cas::CasStore>,
+    /// Might the directory hold a master delta chain? Only a directory an
+    /// older build's incremental run left, or a direct
+    /// [`CkptTransport::put_master_delta`], holds one: set at open until
+    /// the first retirement has scanned the directory, and by every master
+    /// delta's `begin`; a master commit scans only while it is set
+    /// ([`CheckpointStore::retire_chain`]). Shared by every clone.
+    chain: Arc<AtomicBool>,
 }
 
 impl CheckpointStore {
@@ -2069,6 +2083,7 @@ impl CheckpointStore {
         Ok(CheckpointStore {
             dir: dir.as_ref().to_path_buf(),
             cas: None,
+            chain: Arc::new(AtomicBool::new(true)),
         })
     }
 
@@ -2087,6 +2102,7 @@ impl CheckpointStore {
         Ok(CheckpointStore {
             dir: dir.as_ref().to_path_buf(),
             cas: Some(crate::cas::CasStore::open_with(dir.as_ref(), cfg)?),
+            chain: Arc::new(AtomicBool::new(true)),
         })
     }
 
@@ -2332,13 +2348,16 @@ impl CheckpointStore {
     /// crash before the sweep leaves stale deltas that the fold ignores
     /// (their `base_count` names the old base), never a broken restore.
     /// Each delta it retires keeps its own spare name, into `gone`, for the
-    /// next chain's delta of that `seq`.
+    /// next chain's delta of that `seq`. The directory is scanned only
+    /// while it may hold a chain (`chain`), so a steady master save reads
+    /// no directory.
     fn retire_chain(&self, key: RecordKey, gone: &mut Superseded) -> Result<()> {
-        if key != RecordKey::full(None) {
+        if key != RecordKey::full(None) || !self.chain.swap(false, Ordering::SeqCst) {
             return Ok(());
         }
         let matches = |name: &str| name.starts_with("ckpt_master_delta_") && !name.ends_with(SPARE);
         self.remove_records(matches, Some(gone))
+            .inspect_err(|_| self.chain.store(true, Ordering::SeqCst))
     }
 
     /// Fresh-run hygiene, run by [`crate::CheckpointModule::create_group`]
@@ -2354,7 +2373,9 @@ impl CheckpointStore {
         self.remove_records(|name| name.ends_with("_prev.bin"), None)?;
         let matches = |name: &str| name.starts_with("ckpt_") && !name.ends_with(SPARE);
         let mut gone = Superseded::new(0);
-        self.remove_records(matches, Some(&mut gone))?;
+        self.chain.store(false, Ordering::SeqCst);
+        self.remove_records(matches, Some(&mut gone))
+            .inspect_err(|_| self.chain.store(true, Ordering::SeqCst))?;
         gone.keep();
         Ok(())
     }
@@ -2566,6 +2587,41 @@ mod tests {
             assert_eq!(tip(Some(1)), 9, "the shard keeps its record");
             fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// A master commit reads the directory only while it may hold a chain:
+    /// the first commit after the store opened it, and the first after a
+    /// delta put. A delta file written behind an open store's back is no
+    /// chain it knows of, so a steady commit leaves it; the first commit
+    /// of a store opened over it retires it.
+    #[test]
+    fn a_master_commit_scans_only_while_a_chain_may_exist() {
+        let dir = tmpdir("scan_rule");
+        let base = |store: &CheckpointStore, count| {
+            let mut snap = sample(None);
+            snap.count = count;
+            put_snapshot(store, &snap);
+        };
+        let store = CheckpointStore::new_flat(&dir).unwrap();
+        base(&store, 1);
+        let planted = dir.join("ckpt_master_delta_1.bin");
+        fs::write(&planted, b"behind the store's back").unwrap();
+        base(&store, 2);
+        assert!(planted.exists(), "a steady commit reads no directory");
+
+        let dm = DeltaMeta {
+            nranks: 8,
+            ..delta_meta(3, 2, 2, None)
+        };
+        let whole = DeltaSource::Full(FieldSource::Bytes(&[2; 4]));
+        store.put(&Record::Delta(&dm, &[("G", whole)])).unwrap();
+        base(&store, 4);
+        assert!(!planted.exists() && !store.record_exists(&store.delta_path(None, 2)));
+
+        fs::write(&planted, b"left by an older build").unwrap();
+        base(&CheckpointStore::new_flat(&dir).unwrap(), 5);
+        assert!(!planted.exists(), "a store's first commit retires a chain");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A shard delta chain an older release left is refused, not folded:

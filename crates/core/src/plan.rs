@@ -245,17 +245,15 @@ pub enum Plug {
         /// Strategy for partitioned fields.
         strategy: DistCkptStrategy,
     },
-    /// Incremental (dirty-chunk) checkpointing: snapshots persist only the
-    /// chunks written since the previous snapshot as a *delta* record, with
-    /// a full snapshot taken every `full_every` deltas (chain promotion).
-    /// Restart folds the base full snapshot plus the delta chain back into
-    /// the complete state. Fields whose containers do not track writes are
-    /// stored whole inside each delta. It governs master records only: a
-    /// local-snapshot shard is saved as a full record at every save,
-    /// patched in place where it can be.
+    /// Incremental (dirty-chunk) checkpointing. It no longer changes what a
+    /// save writes: every save, with or without it, is one full record
+    /// that writes only the chunks changed since the record its file held,
+    /// so a restart reads one record. Older builds wrote a chain of delta
+    /// records under it, which a restart still folds; the plug stays
+    /// parseable for the plans and tools that name it.
     IncrementalCkpt {
-        /// Maximum delta-chain length before the next snapshot is promoted
-        /// to a full one (values below 1 are treated as 1).
+        /// The chain length after which older builds promoted a full base
+        /// (values below 1 are treated as 1); no save reads it.
         full_every: usize,
     },
 }
@@ -565,9 +563,8 @@ impl Plan {
         self.dist_ckpt
     }
 
-    /// Incremental checkpointing policy: `Some(full_every)` when dirty-chunk
-    /// delta snapshots are enabled (a full snapshot is promoted every
-    /// `full_every` deltas), `None` for always-full snapshots.
+    /// `Some(full_every)` when the plan plugs [`Plug::IncrementalCkpt`],
+    /// which no longer changes what a save writes; `None` otherwise.
     pub fn incremental_ckpt(&self) -> Option<usize> {
         self.incremental_ckpt
     }

@@ -194,11 +194,12 @@ pub fn plan_ckpt_with_strategy(every: usize, strategy: DistCkptStrategy) -> Plan
     plan_ckpt(every).plug(Plug::DistCkpt { strategy })
 }
 
-/// Incremental checkpoint module: snapshots persist only the 8 KiB chunks
-/// of `G` written since the previous snapshot (a full base is promoted
-/// every `full_every` deltas). Still a one-plug addition over
-/// [`plan_ckpt`] — the paper's "very small programming overhead" claim
-/// (§V) carries over to incremental mode.
+/// Incremental checkpoint module: [`plan_ckpt`] plus the
+/// `IncrementalCkpt` plug, which no longer changes what a save writes —
+/// every save is one record that writes only the 8 KiB chunks of `G`
+/// changed since the record its file held, whatever the plan. Still a
+/// one-plug addition over [`plan_ckpt`], the paper's "very small
+/// programming overhead" claim (§V).
 pub fn plan_ckpt_incremental(every: usize, full_every: usize) -> Plan {
     plan_ckpt(every).plug(Plug::IncrementalCkpt { full_every })
 }

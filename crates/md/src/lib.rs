@@ -348,11 +348,13 @@ pub fn plan_ckpt(every: usize) -> Plan {
         })
 }
 
-/// Incremental checkpoint module: dirty-chunk delta snapshots with a full
-/// promotion every `full_every` deltas. MD touches all particle state every
-/// step, so its deltas stay near-full — the interesting cases are the SOR
-/// boundary sweeps and partial-touch workloads; this plan exists so MD
-/// exercises the full-delta degenerate path.
+/// Incremental checkpoint module: [`plan_ckpt`] plus the `IncrementalCkpt`
+/// plug, which no longer changes what a save writes — every save is one
+/// record that writes only the chunks changed since the record its file
+/// held. MD touches all particle state every step, so its saves stay
+/// whole — the interesting cases are the SOR boundary sweeps and
+/// partial-touch workloads; this plan exists so MD exercises the dense
+/// degenerate path.
 pub fn plan_ckpt_incremental(every: usize, full_every: usize) -> Plan {
     plan_ckpt(every).plug(Plug::IncrementalCkpt { full_every })
 }
@@ -503,8 +505,8 @@ mod tests {
             md_pluggable(ctx, &cfg())
         });
 
-        // Snapshot every 2 steps, full every 2 deltas: the crash at step 7
-        // restarts from base(2) + deltas(4, 6) — all-dirty deltas, MD's
+        // Snapshot every 2 steps in incremental mode: the crash at step 7
+        // restarts from the one record saved at 6 — all-dirty saves, MD's
         // degenerate case — and must still be byte-exact.
         let plan = Plan::new().merge(plan_ckpt_incremental(2, 2));
         let report = launch(&Deploy::Seq, plan.clone(), Some(&dir), None, |ctx| {
@@ -514,7 +516,10 @@ mod tests {
         })
         .unwrap();
         let s = report.stats.unwrap();
-        assert!(s.delta_snapshots > 0, "incremental mode must write deltas");
+        assert_eq!(s.snapshots_taken, 3);
+        let names = std::fs::read_dir(&dir).unwrap();
+        let mut names = names.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
+        assert!(!names.any(|n| n.contains("_delta_")), "a delta file");
 
         let report = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
             (AppStatus::Completed, md_pluggable(ctx, &cfg()))

@@ -86,10 +86,10 @@ fn every_mode_pair_supports_cross_mode_restart() {
 
 #[test]
 fn incremental_checkpoint_cross_mode_restart() {
-    // Dirty-chunk incremental snapshots compose with cross-mode restart:
-    // the merged base+delta state is mode-independent like any master
-    // snapshot. every=2, full_every=2 -> base at iteration 2, deltas at 4
-    // and 6; crash at 7 restarts from the folded chain.
+    // Incremental snapshots compose with cross-mode restart: the one
+    // patched record is mode-independent like any master snapshot.
+    // every=2 -> saves at iterations 2, 4 and 6; crash at 7 restarts from
+    // the save at 6.
     let expected = reference();
     type Mode = (&'static str, Deploy, fn() -> Plan);
     let modes: Vec<Mode> = vec![
@@ -119,8 +119,8 @@ fn incremental_checkpoint_cross_mode_restart() {
             7,
         );
         assert!(
-            dir.join("ckpt_master_delta_1.bin").exists(),
-            "{a_name}: crash run must leave a delta chain"
+            dir.join("ckpt_master.bin").exists() && !dir.join("ckpt_master_delta_1.bin").exists(),
+            "{a_name}: the crash run leaves one record and no delta chain"
         );
         let (checksum, replayed) =
             finish_run(b_deploy, b_plan().merge(plan_ckpt_incremental(2, 2)), &dir);
