@@ -1,32 +1,28 @@
 //! Incremental mode writes no chain: under `Plug::IncrementalCkpt` every
 //! save is one full record, patched where its file holds one of the
-//! module's records, so a restart reads one record. Covered here:
-//!
-//! * a directory an older build's incremental run left — a base and a
-//!   three-delta master chain, planted through `put_master_delta` —
-//!   restarts bitwise in `seq`, `smp2` and `dist2`, and once the
-//!   restarted run's first save has committed, no delta record remains;
-//! * a 16 MiB state rewriting a 5 % window per step, in `smp2` and in
-//!   `dist2` master-collect: no delta file exists at any safe point, and
-//!   each steady save puts at most the two windows it must rewrite plus
-//!   what lies outside the field's payload.
+//! module's records, so a restart reads one record (`patch.rs` bounds
+//! what each such save writes). A directory an older build's incremental
+//! run left — a base and a three-delta master chain, planted through
+//! `put_master_delta` — restarts bitwise in `seq`, `smp2` and `dist2`,
+//! and once the restarted run's first save has committed, no delta file
+//! of any kind remains.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use ppar_adapt::{launch, AppStatus, Deploy};
 use ppar_ckpt::store::DeltaSource;
 use ppar_ckpt::transport::CkptTransport;
-use ppar_ckpt::{CheckpointModule, CheckpointStore, DeltaMeta};
-use ppar_core::ctx::{CkptHook, Ctx};
+use ppar_ckpt::{CheckpointStore, DeltaMeta};
+use ppar_core::ctx::Ctx;
 use ppar_core::partition::{FieldDist, Partition};
 use ppar_core::plan::{DistCkptStrategy, Plan, Plug, PointSet, UpdateAction};
-use ppar_core::runtime::run_smp;
 use ppar_core::schedule::Schedule;
 use ppar_core::shared::{SharedVec, DIRTY_CHUNK_BYTES};
-use ppar_dsm::{run_spmd, SpmdConfig};
+use ppar_dsm::SpmdConfig;
 
 const STEPS: usize = 9;
+/// 256 KiB of `f64`.
+const N: usize = 1 << 15;
 
 fn scratch(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("ppar_incremental_{tag}_{}", std::process::id()));
@@ -38,39 +34,32 @@ fn scratch(tag: &str) -> PathBuf {
 /// Elements per dirty chunk.
 const CHUNK: usize = DIRTY_CHUNK_BYTES / 8;
 
-/// The window of `n` elements that step `step` rewrites: 5 % of them in
-/// whole dirty chunks, so that it dirties exactly its own bytes.
-fn window(n: usize, step: usize) -> std::ops::Range<usize> {
-    let len = n / 20 / CHUNK * CHUNK;
-    let start = step * 7 * len / 3 % (n - len) / CHUNK * CHUNK;
+/// The window of `V` that step `step` rewrites: 5 % of it in whole dirty
+/// chunks.
+fn window(step: usize) -> std::ops::Range<usize> {
+    let len = N / 20 / CHUNK * CHUNK;
+    let start = step * 7 * len / 3 % (N - len) / CHUNK * CHUNK;
     start..start + len
 }
 
 /// What step `step` makes of element `i` holding `v`.
-fn stepped(v: f64, n: usize, step: usize, i: usize) -> f64 {
-    v * 0.5 + (step * n + i) as f64
+fn stepped(v: f64, step: usize, i: usize) -> f64 {
+    v * 0.5 + (step * N + i) as f64
 }
 
-/// Every step rewrites its window of an `n`-element `V` and saves, then
-/// `saved` sees the line of execution that crossed the safe point; a run
-/// given `stop_after` ends right after that step's save.
-fn app(
-    ctx: &Ctx,
-    n: usize,
-    stop_after: Option<usize>,
-    saved: &(dyn Fn(&Ctx, usize) + Sync),
-) -> (AppStatus, u64) {
-    let v = ctx.alloc_vec("V", n, 0.0f64);
+/// Every step rewrites its window of `V` and saves; a run given
+/// `stop_after` ends right after that step's save.
+fn app(ctx: &Ctx, stop_after: Option<usize>) -> (AppStatus, u64) {
+    let v = ctx.alloc_vec("V", N, 0.0f64);
     ctx.call("init", |_| v.copy_in_from_fn(|i| (i % 1000) as f64));
     ctx.region("run", |ctx| {
         ctx.iter_loop("steps", 0..STEPS, |ctx, step| {
             ctx.call("touch", |ctx| {
-                ctx.each("cells", window(n, step), |_, i| {
-                    v.set(i, stepped(v.get(i), n, step, i));
+                ctx.each("cells", window(step), |_, i| {
+                    v.set(i, stepped(v.get(i), step, i));
                 });
             });
             ctx.point("sp");
-            saved(ctx, step);
             Some(step + 1) != stop_after
         });
     });
@@ -85,11 +74,11 @@ fn app(
 }
 
 /// `V` after the first `steps` steps of [`app`].
-fn state(n: usize, steps: usize) -> Vec<f64> {
-    let mut v: Vec<f64> = (0..n).map(|i| (i % 1000) as f64).collect();
+fn state(steps: usize) -> Vec<f64> {
+    let mut v: Vec<f64> = (0..N).map(|i| (i % 1000) as f64).collect();
     for step in 0..steps {
-        for i in window(n, step) {
-            v[i] = stepped(v[i], n, step, i);
+        for i in window(step) {
+            v[i] = stepped(v[i], step, i);
         }
     }
     v
@@ -146,18 +135,16 @@ fn dist2() -> Deploy {
     Deploy::Dist(SpmdConfig::instant(2))
 }
 
-/// Names in `dir` that end in `suffix` and name a master delta.
-fn deltas(dir: &Path, suffix: &str) -> Vec<String> {
+/// Names in `dir` of the master delta chain: deltas, their temp files
+/// and spares.
+fn deltas(dir: &Path) -> Vec<String> {
     let names = std::fs::read_dir(dir).unwrap();
     let names = names.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
-    let deltas = names.filter(|n| n.starts_with("ckpt_master_delta_") && n.ends_with(suffix));
-    deltas.collect()
+    names
+        .filter(|n| n.starts_with("ckpt_master_delta_"))
+        .collect()
 }
 
-fn no_hook(_: &Ctx, _: usize) {}
-
-/// 256 KiB of `f64` for the compatibility runs.
-const SMALL: usize = 1 << 15;
 /// The chain's base is the save at this safe point, and its deltas follow
 /// it, one per safe point.
 const BASE: usize = 3;
@@ -170,20 +157,17 @@ const DELTAS: usize = 3;
 /// save rewrote. The deltas carry no cursor, so a restart replays from
 /// the start of the run.
 fn plant_chain(dir: &Path) {
-    let stopped = launch(&smp2(), plan(), Some(dir), None, |ctx| {
-        app(ctx, SMALL, Some(BASE), &no_hook)
-    })
-    .unwrap();
+    let stopped = launch(&smp2(), plan(), Some(dir), None, |ctx| app(ctx, Some(BASE))).unwrap();
     assert!(!stopped.completed());
     let store = CheckpointStore::new(dir).unwrap();
     let base = store.get(None, None).unwrap().expect("the base");
     assert_eq!(base.count, BASE as u64);
     for seq in 1..=DELTAS {
         let count = BASE + seq;
-        let v = SharedVec::new(SMALL, 0.0f64);
-        let at = state(SMALL, count);
+        let v = SharedVec::new(N, 0.0f64);
+        let at = state(count);
         v.copy_in_from_fn(|i| at[i]);
-        let rewrote = window(SMALL, count - 1);
+        let rewrote = window(count - 1);
         let meta = DeltaMeta {
             mode_tag: base.mode_tag.clone(),
             count: count as u64,
@@ -203,7 +187,7 @@ fn plant_chain(dir: &Path) {
     }
     let tip = store.get(None, None).unwrap().expect("the folded chain");
     assert_eq!(tip.count, (BASE + DELTAS) as u64);
-    let want: Vec<u8> = state(SMALL, BASE + DELTAS)
+    let want: Vec<u8> = state(BASE + DELTAS)
         .iter()
         .flat_map(|x| x.to_le_bytes())
         .collect();
@@ -211,7 +195,7 @@ fn plant_chain(dir: &Path) {
         tip.field("V") == Some(&want[..]),
         "the chain folds to the state"
     );
-    assert_eq!(deltas(dir, ".bin").len(), DELTAS);
+    assert_eq!(deltas(dir).len(), DELTAS);
     assert!(store.marker_exists(), "the stopped run left its marker");
 }
 
@@ -226,15 +210,14 @@ fn copy_dir(from: &Path, to: &Path) {
 /// A base and a three-delta master chain, as an older build's incremental
 /// run left them, restart in `seq`, `smp2` and `dist2`: the restart
 /// replays to the chain's tip, the restarted run's first save retires the
-/// chain as it commits — no `ckpt_master_delta_*.bin` remains once it has
-/// — and the run ends bitwise equal to the uninterrupted one.
+/// chain as it commits — no `ckpt_master_delta_*` name of any suffix
+/// remains once it has — and the run ends bitwise equal to the
+/// uninterrupted one.
 #[test]
 fn an_older_builds_chain_restarts_bitwise_and_the_first_save_retires_it() {
-    let want = launch(&Deploy::Seq, plan(), None, None, |ctx| {
-        app(ctx, SMALL, None, &no_hook)
-    })
-    .unwrap()
-    .results[0]
+    let want = launch(&Deploy::Seq, plan(), None, None, |ctx| app(ctx, None))
+        .unwrap()
+        .results[0]
         .1;
     let planted = scratch("planted");
     plant_chain(&planted);
@@ -243,99 +226,17 @@ fn an_older_builds_chain_restarts_bitwise_and_the_first_save_retires_it() {
         copy_dir(&planted, &dir);
         let first = BASE + DELTAS + 1;
         let out = launch(&deploy, plan(), Some(&dir), None, |ctx| {
-            app(ctx, SMALL, Some(first), &no_hook)
+            app(ctx, Some(first))
         })
         .unwrap();
         assert!(out.replayed && !out.completed(), "{tag}");
         assert_eq!(out.stats.expect("rank-0 stats").snapshots_taken, 1, "{tag}");
-        let left = deltas(&dir, ".bin");
+        let left = deltas(&dir);
         assert!(left.is_empty(), "{tag}: the first save left {left:?}");
-        let out = launch(&deploy, plan(), Some(&dir), None, |ctx| {
-            app(ctx, SMALL, None, &no_hook)
-        })
-        .unwrap();
+        let out = launch(&deploy, plan(), Some(&dir), None, |ctx| app(ctx, None)).unwrap();
         assert!(out.completed() && out.replayed, "{tag}");
         assert_eq!(out.results[0].1, want, "{tag}: not bitwise");
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&planted);
-}
-
-/// 16 MiB of `f64`.
-const BIG: usize = 1 << 21;
-
-/// What one save left: the bytes it put, the record's length and the
-/// delta files in the directory.
-type Seen = (u64, u64, Vec<String>);
-
-/// What every save of an incremental run of a 16 MiB state with a 5 %
-/// window left, `seen`: no delta file at any safe point, and each steady
-/// save — the third on, once the second has claimed the spare the first
-/// seeded or left — puts at most the windows of its step and the step
-/// before plus what lies outside the field's payload.
-fn assert_budget(tag: &str, seen: &[Seen]) {
-    assert_eq!(seen.len(), STEPS, "{tag}: one save per step");
-    let windows = 2 * window(BIG, 0).len() as u64 * 8;
-    for (step, (put, len, deltas)) in seen.iter().enumerate() {
-        assert!(deltas.is_empty(), "{tag} step {step}: {deltas:?}");
-        if step >= 2 {
-            let bound = windows + (len - BIG as u64 * 8);
-            assert!(*put <= bound, "{tag} step {step}: put {put} > {bound}");
-        }
-    }
-}
-
-/// A safe-point probe that keeps, after each save `module` makes into
-/// `dir`, on the line of execution `saver` picks, what it put since the
-/// last one, the record's length and the delta files.
-fn probe<'a>(
-    dir: &'a Path,
-    module: &'a CheckpointModule,
-    saver: impl Fn(&Ctx) -> bool + Sync + 'a,
-    seen: &'a Mutex<Vec<Seen>>,
-) -> impl Fn(&Ctx, usize) + Sync + 'a {
-    let put = Mutex::new(0);
-    move |ctx, _| {
-        if !saver(ctx) {
-            return;
-        }
-        let total = module.stats().bytes_put;
-        let wrote = total - std::mem::replace(&mut *put.lock().unwrap(), total);
-        let len = std::fs::metadata(dir.join("ckpt_master.bin"))
-            .unwrap()
-            .len();
-        seen.lock().unwrap().push((wrote, len, deltas(dir, "")));
-    }
-}
-
-#[test]
-fn incremental_saves_put_what_changed_and_no_delta_under_smp2() {
-    let dir = scratch("budget_smp2");
-    let plan = Arc::new(plan());
-    let module = CheckpointModule::create(&dir, &plan).unwrap();
-    let seen = Mutex::new(Vec::new());
-    let hook = module.clone() as Arc<dyn CkptHook>;
-    let saved = probe(&dir, &module, |ctx| ctx.is_master(), &seen);
-    run_smp(plan.clone(), 2, Some(hook), None, |ctx| {
-        app(ctx, BIG, None, &saved)
-    });
-    assert_eq!(module.stats().snapshots_taken, STEPS as u64);
-    assert_budget("smp2", &seen.lock().unwrap());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn incremental_saves_put_what_changed_and_no_delta_under_dist2_master_collect() {
-    let dir = scratch("budget_dist2");
-    let plan = Arc::new(plan());
-    let modules = CheckpointModule::create_group(&dir, &plan, 2).unwrap();
-    let hooks = |rank: usize| (Some(modules[rank].clone() as Arc<dyn CkptHook>), None);
-    let seen = Mutex::new(Vec::new());
-    let saved = probe(&dir, &modules[0], |ctx| ctx.rank() == 0, &seen);
-    run_spmd(&SpmdConfig::instant(2), plan.clone(), &hooks, true, |ctx| {
-        app(ctx, BIG, None, &saved)
-    });
-    assert_eq!(modules[0].stats().snapshots_taken, STEPS as u64);
-    assert_budget("dist2", &seen.lock().unwrap());
-    let _ = std::fs::remove_dir_all(&dir);
 }

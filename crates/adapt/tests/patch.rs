@@ -10,23 +10,24 @@
 //!   state, byte for byte;
 //! * a spare that is not the module's record (another count, or the same
 //!   count with another CRC) is rewritten whole;
-//! * with incremental mode plugged (`full_every = 2`) every save is a full
-//!   record, patched like any other, and no delta file appears: every
-//!   record is golden, through a dense step and a cursor whose length
-//!   changes;
-//! * under `dist2` master-collect, where every save after the first
-//!   gathers only what each element wrote, every record of the root is
-//!   golden, a steady save writes at most twice the bytes its step
-//!   dirtied plus what lies outside the field's payload, the first save
-//!   puts its record twice — once more into the twin it leaves as the
+//! * with incremental mode plugged (`full_every = 2`) every save of an
+//!   `smp2` run is a full record, patched like any other, and no delta
+//!   file appears: every record is golden, through a dense step and a
+//!   cursor whose length changes, and a steady save writes at most the
+//!   dirty chunks of its step and the step before plus what lies outside
+//!   the payload;
+//! * under `dist2` master-collect with incremental mode plugged, where
+//!   every save after the first gathers only what each element wrote, no
+//!   delta file appears, every record of the root is golden, a steady
+//!   save writes at most twice the bytes its step dirtied plus what lies
+//!   outside the field's payload, the first save puts its record twice — once more into the twin it leaves as the
 //!   spare — and the second save patches that twin, publishing its very
 //!   file and writing at most what its step dirtied plus what lies
 //!   outside the payload (on one core no twin is written, and the second
 //!   save finds no spare);
-//! * under `dist2` local snapshots, with incremental mode on or off, every
-//!   shard is a full record patched into the `_prev` its sink claims: each
-//!   one golden, a steady save bounded like the master's by what was
-//!   dirtied inside the owned block, and no delta file created;
+//! * under `dist2` local snapshots every shard is a full record patched
+//!   into the `_prev` its sink claims: each one golden, a steady save
+//!   bounded like the master's by what was dirtied inside the owned block;
 //! * a shard save torn before its group commit leaves every shard able to
 //!   serve the committed point, and the relaunch finishes bitwise;
 //! * a byte flipped in a clean chunk of a verified spare survives the
@@ -52,6 +53,7 @@
 //! only.
 #![cfg(unix)]
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -272,47 +274,78 @@ fn every_save_of_a_patching_script_publishes_the_golden_record() {
     }
 }
 
-/// Incremental mode (`full_every = 2`) writes no chain: every save is a
-/// full record, patched over the spare it claims like any other. Every
-/// record is golden, over moving windows, a loop whose cursor changes
-/// length and a dense step; no delta file appears; and the store reads the
-/// state back.
+/// Incremental mode (`full_every = 2`) writes no chain: every save of an
+/// `smp2` run is a full record, patched over the spare it claims like any
+/// other. Every record is golden, over moving windows, a loop whose cursor
+/// changes length and a dense step; no delta file appears; a steady save —
+/// the third on, not within a save of the dense step — writes at most the
+/// dirty chunks of its step and the step before plus all that lies
+/// outside `G`'s payload; and the store reads the state back.
 #[test]
 fn incremental_saves_are_golden_full_records() {
     let plan = module_plan().plug(Plug::IncrementalCkpt { full_every: 2 });
     let saver = Saver::with_plan("incremental", plan);
-    let seq = saver.ctx(Arc::new(SeqEngine));
-    let save = |ctx: &Ctx, case: &str| {
+    let smp2 = saver.ctx(TeamEngine::new(2, 2));
+    // Per save: the cells it rewrote (`None`: all of them) and the bytes
+    // put up to it.
+    let saves = std::sync::Mutex::new(Vec::<(Option<Range<usize>>, u64)>::new());
+    let save = |ctx: &Ctx, case: &str, cells: Option<Range<usize>>| {
         saver.save(ctx, case);
-        let names = std::fs::read_dir(&saver.dir).unwrap();
-        let names = names.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
-        let deltas: Vec<_> = names.filter(|n| n.contains("_delta_")).collect();
+        let deltas = delta_files(&saver.dir);
         assert!(deltas.is_empty(), "{case}: {deltas:?}");
+        let put = saver.module.stats().bytes_put;
+        let mut saves = saves.lock().unwrap();
+        let wrote = put - saves.last().map_or(0, |&(_, put)| put);
+        saves.push((cells, put));
+        if let [_, .., (Some(before), _), (Some(now), _)] = &saves[..] {
+            let outside = (saver.record().len() - N * 8) as u64;
+            let bound = chunk_bytes(before) + chunk_bytes(now) + outside;
+            assert!(wrote <= bound, "{case}: wrote {wrote} > {bound}");
+        }
     };
-    save(&seq, "cold");
+    save(&smp2, "cold", Some(0..0));
     let window = |step: usize| {
-        saver.touch(step * 3 * WINDOW / 2, WINDOW, step);
+        let start = step * 3 * WINDOW / 2;
+        saver.touch(start, WINDOW, step);
         saver.v.set(step as f64);
-        save(&seq, &format!("window {step}"));
+        save(
+            &smp2,
+            &format!("window {step}"),
+            Some(start..start + WINDOW),
+        );
     };
     (1..=4).for_each(window);
-    seq.iter_loop("steps", 0..3, |ctx, i| {
-        saver.touch(N / 2 + i * WINDOW, WINDOW, 100 + i);
-        save(ctx, &format!("in a loop {i}"));
+    smp2.iter_loop("steps", 0..3, |ctx, i| {
+        let start = N / 2 + i * WINDOW;
+        saver.touch(start, WINDOW, 100 + i);
+        save(ctx, &format!("in a loop {i}"), Some(start..start + WINDOW));
         true
     });
     saver.g.copy_in_from_fn(|i| i as f64 * 0.75);
-    save(&seq, "dense");
+    save(&smp2, "dense", None);
     (5..=8).for_each(window);
     let stats = saver.module.stats();
     assert_eq!(stats.snapshots_taken, 13, "{stats:?}");
-    assert!(
-        stats.bytes_put < stats.bytes_written,
-        "no full save was patched: {stats:?}"
-    );
     let store = CheckpointStore::new(&saver.dir).unwrap();
     let read = store.get(None, None).unwrap().unwrap().encode();
-    assert!(read == saver.golden(&seq, &read), "the read is not golden");
+    assert!(read == saver.golden(&smp2, &read), "the read is not golden");
+}
+
+/// The names of the delta files in `dir`.
+fn delta_files(dir: &Path) -> Vec<String> {
+    let names = std::fs::read_dir(dir).unwrap();
+    let names = names.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
+    names.filter(|n| n.contains("_delta_")).collect()
+}
+
+/// The bytes of the dirty chunks that rewriting `cells` of `G` marks.
+fn chunk_bytes(cells: &Range<usize>) -> u64 {
+    match cells.is_empty() {
+        true => 0,
+        false => {
+            ((cells.end - 1) / CHUNK - cells.start / CHUNK + 1) as u64 * DIRTY_CHUNK_BYTES as u64
+        }
+    }
 }
 
 /// A spare of the right length that is not one of the module's records —
@@ -607,9 +640,10 @@ const DIST_WINDOW: usize = 25 * CHUNK;
 
 /// Under `dist2` master-collect every save after the first gathers only
 /// what each element wrote since the last, so the root's dirty set is the
-/// union of its peers' and its patch and block CRCs follow it. After every
-/// save the root's record is the golden encoding of the root's state, and
-/// a steady save — not the first two, nor one within a save of a dense
+/// union of its peers' and its patch and block CRCs follow it. Incremental
+/// mode is plugged, and no delta file appears. After every save the
+/// root's record is the golden encoding of the root's state, and a steady
+/// save — not the first two, nor one within a save of a dense
 /// step — writes at most twice the bytes its step dirtied plus all that
 /// lies outside the field's payload. The first save puts its record twice,
 /// the second time into the twin it leaves as the spare, and the second
@@ -620,7 +654,7 @@ const DIST_WINDOW: usize = 25 * CHUNK;
 #[test]
 fn dist2_master_collect_saves_are_golden_and_write_what_changed() {
     let dir = scratch("dist2");
-    let plan = Arc::new(run_plan());
+    let plan = Arc::new(run_plan().plug(Plug::IncrementalCkpt { full_every: 2 }));
     let modules = CheckpointModule::create_group(&dir, &plan, 2).unwrap();
     let hooks = |rank: usize| (Some(modules[rank].clone() as Arc<dyn CkptHook>), None);
     let put = std::sync::Mutex::new(0);
@@ -649,6 +683,8 @@ fn dist2_master_collect_saves_are_golden_and_write_what_changed() {
                 let count = ctx.ckpt_hook().unwrap().count();
                 let want = golden(ctx, count, None, &record, &[("V", FieldSource::Cell(&*v))]);
                 assert!(record == want, "step {step}: not golden");
+                let deltas = delta_files(&dir);
+                assert!(deltas.is_empty(), "step {step}: {deltas:?}");
                 let stats = modules[0].stats();
                 let wrote =
                     stats.bytes_put - std::mem::replace(&mut *put.lock().unwrap(), stats.bytes_put);
@@ -705,106 +741,91 @@ fn ino(path: &Path) -> u64 {
 
 /// Under `dist2` local snapshots every element saves its own shard — its
 /// owned block of `V`, the replicated `E` and the cursor — as one full
-/// record at every save, with incremental mode on or off. From the third
+/// record at every save. From the third
 /// save on, its sink claims the `_prev` the commit evicts (the record two
 /// saves back, the older of the module's last two) and patches it. After
 /// every save each shard is the golden encoding of its element's state; a
 /// steady save — not the first two, nor one within a save of a dense step
 /// — writes at most what its step and the step before dirtied inside the
 /// owned block, each at most a window, plus all that lies outside the
-/// block's payload; every save is a full record; and no delta file is ever
-/// created.
+/// block's payload; and every save is a full record.
 #[test]
 fn dist2_local_snapshot_shards_are_golden_and_write_what_changed() {
-    for incremental in [false, true] {
-        let dir = scratch(&format!("dist2_local_{incremental}"));
-        let plan = run_plan_with(DistCkptStrategy::LocalSnapshot)
-            .plug(Plug::SafeData { field: "E".into() });
-        let plan = match incremental {
-            true => plan.plug(Plug::IncrementalCkpt { full_every: 2 }),
-            false => plan,
+    let dir = scratch("dist2_local");
+    let plan =
+        run_plan_with(DistCkptStrategy::LocalSnapshot).plug(Plug::SafeData { field: "E".into() });
+    let plan = Arc::new(plan);
+    let modules = CheckpointModule::create_group(&dir, &plan, 2).unwrap();
+    let hooks = |rank: usize| (Some(modules[rank].clone() as Arc<dyn CkptHook>), None);
+    let put = std::sync::Mutex::new([0u64; 2]);
+    run_spmd(&SpmdConfig::instant(2), plan.clone(), &hooks, true, |ctx| {
+        let v = ctx.alloc_vec("V", N, 0.0f64);
+        let e = ctx.alloc_value("E", 0.0f64);
+        ctx.call("init", |_| v.copy_in_from_fn(|i| (i % 1000) as f64));
+        let rank = ctx.rank();
+        let owned = block_owned(N, 2, rank);
+        let record_path = dir.join(format!("ckpt_rank_{rank}.bin"));
+        let prev_path = dir.join(format!("ckpt_rank_{rank}_prev.bin"));
+        // Bytes of `cells` inside the owned block.
+        let owned_bytes = |cells: std::ops::Range<usize>| {
+            8 * cells
+                .end
+                .min(owned.end)
+                .saturating_sub(cells.start.max(owned.start))
         };
-        let plan = Arc::new(plan);
-        let modules = CheckpointModule::create_group(&dir, &plan, 2).unwrap();
-        let hooks = |rank: usize| (Some(modules[rank].clone() as Arc<dyn CkptHook>), None);
-        let put = std::sync::Mutex::new([0u64; 2]);
-        run_spmd(&SpmdConfig::instant(2), plan.clone(), &hooks, true, |ctx| {
-            let v = ctx.alloc_vec("V", N, 0.0f64);
-            let e = ctx.alloc_value("E", 0.0f64);
-            ctx.call("init", |_| v.copy_in_from_fn(|i| (i % 1000) as f64));
-            let rank = ctx.rank();
-            let owned = block_owned(N, 2, rank);
-            let record_path = dir.join(format!("ckpt_rank_{rank}.bin"));
-            let prev_path = dir.join(format!("ckpt_rank_{rank}_prev.bin"));
-            // Bytes of `cells` inside the owned block.
-            let owned_bytes = |cells: std::ops::Range<usize>| {
-                8 * cells
-                    .end
-                    .min(owned.end)
-                    .saturating_sub(cells.start.max(owned.start))
-            };
-            ctx.region("run", |ctx| {
-                ctx.iter_loop("steps", 0..DIST_STEPS.len(), |ctx, step| {
-                    ctx.call("touch", |ctx| {
-                        ctx.each("cells", dist_window(step), |_, i| {
-                            v.set(i, v.get(i) * 0.5 + (step * N + i) as f64);
-                        });
+        ctx.region("run", |ctx| {
+            ctx.iter_loop("steps", 0..DIST_STEPS.len(), |ctx, step| {
+                ctx.call("touch", |ctx| {
+                    ctx.each("cells", dist_window(step), |_, i| {
+                        v.set(i, v.get(i) * 0.5 + (step * N + i) as f64);
                     });
-                    e.set(step as f64 / 3.0);
-                    let claimable = (step >= 2).then(|| ino(&prev_path));
-                    ctx.point("sp");
-                    let case = format!("incremental={incremental} rank {rank} step {step}");
-                    let record = std::fs::read(&record_path).unwrap();
-                    let count = ctx.ckpt_hook().unwrap().count();
-                    let block = &v.encoded().unwrap()[owned.start * 8..owned.end * 8];
-                    let fields = [
-                        ("V", FieldSource::Bytes(block)),
-                        ("E", FieldSource::Cell(&*e)),
-                    ];
-                    let want = golden(ctx, count, Some(rank as u32), &record, &fields);
-                    assert!(record == want, "{case}: not golden");
-                    if let Some(claimed) = claimable {
-                        assert_eq!(ino(&record_path), claimed, "{case}: `_prev` not claimed");
-                    }
-                    let names: Vec<String> = std::fs::read_dir(&dir)
-                        .unwrap()
-                        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-                        .collect();
-                    assert!(
-                        !names.iter().any(|n| n.contains("_delta_")),
-                        "{case}: a delta file: {names:?}"
-                    );
-                    let stats = modules[rank].stats();
-                    let wrote = stats.bytes_put
-                        - std::mem::replace(&mut put.lock().unwrap()[rank], stats.bytes_put);
-                    let dense = |s: usize| DIST_STEPS[s].is_none();
-                    if step >= 2 && !dense(step) && !dense(step - 1) {
-                        let dirtied =
-                            owned_bytes(dist_window(step)) + owned_bytes(dist_window(step - 1));
-                        assert!(dirtied <= 2 * DIST_WINDOW * 8, "{case}");
-                        let outside = record.len() - block.len();
-                        let bound = dirtied + outside;
-                        assert!(wrote <= bound as u64, "{case}: wrote {wrote} > {bound}");
-                    }
-                    true
                 });
+                e.set(step as f64 / 3.0);
+                let claimable = (step >= 2).then(|| ino(&prev_path));
+                ctx.point("sp");
+                let case = format!("rank {rank} step {step}");
+                let record = std::fs::read(&record_path).unwrap();
+                let count = ctx.ckpt_hook().unwrap().count();
+                let block = &v.encoded().unwrap()[owned.start * 8..owned.end * 8];
+                let fields = [
+                    ("V", FieldSource::Bytes(block)),
+                    ("E", FieldSource::Cell(&*e)),
+                ];
+                let want = golden(ctx, count, Some(rank as u32), &record, &fields);
+                assert!(record == want, "{case}: not golden");
+                if let Some(claimed) = claimable {
+                    assert_eq!(ino(&record_path), claimed, "{case}: `_prev` not claimed");
+                }
+                let stats = modules[rank].stats();
+                let wrote = stats.bytes_put
+                    - std::mem::replace(&mut put.lock().unwrap()[rank], stats.bytes_put);
+                let dense = |s: usize| DIST_STEPS[s].is_none();
+                if step >= 2 && !dense(step) && !dense(step - 1) {
+                    let dirtied =
+                        owned_bytes(dist_window(step)) + owned_bytes(dist_window(step - 1));
+                    assert!(dirtied <= 2 * DIST_WINDOW * 8, "{case}");
+                    let outside = record.len() - block.len();
+                    let bound = dirtied + outside;
+                    assert!(wrote <= bound as u64, "{case}: wrote {wrote} > {bound}");
+                }
+                true
             });
-            ctx.point("collect");
         });
-        for (rank, module) in modules.iter().enumerate() {
-            let stats = module.stats();
-            assert_eq!(
-                stats.snapshots_taken,
-                DIST_STEPS.len() as u64,
-                "incremental={incremental} rank {rank}"
-            );
-            assert!(
-                stats.bytes_put < stats.bytes_written,
-                "incremental={incremental} rank {rank}: no save patched"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        ctx.point("collect");
+    });
+    for (rank, module) in modules.iter().enumerate() {
+        let stats = module.stats();
+        assert_eq!(
+            stats.snapshots_taken,
+            DIST_STEPS.len() as u64,
+            "rank {rank}"
+        );
+        assert!(
+            stats.bytes_put < stats.bytes_written,
+            "rank {rank}: no save patched"
+        );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A save that fails — here the record's name is taken by a directory

@@ -6,10 +6,9 @@
 //! Covered here:
 //!
 //! * a run stopped right after a save, with spares on disk, restarts
-//!   bitwise from that save's count — with incremental mode plugged or
-//!   not, under seq, smp2 and dist2 (master-collect and local-snapshot) —
-//!   and the restarted run's saves write into the files the stopped run
-//!   left;
+//!   bitwise from that save's count — under seq, smp2 and dist2
+//!   (master-collect and local-snapshot) — and the restarted run's saves
+//!   write into the files the stopped run left;
 //! * a module run leaves the record names that the same records relayed
 //!   through direct commits leave; besides, it leaves only spares, at most
 //!   one per record name, and the direct commits leave none;
@@ -22,8 +21,8 @@
 //! * a one-step run, a payload under 4 MiB and a one-core run write no
 //!   twin, and a directory planted at the spare name leaves every save Ok
 //!   and whole and the run bitwise;
-//! * [`ppar_ckpt::CkptStats`] counts every save exactly, incremental mode
-//!   as the flat one: one full record per save;
+//! * [`ppar_ckpt::CkptStats`] counts every save exactly: one full record
+//!   per save;
 //! * a live reshape saves over the spares its predecessor left.
 //!
 //! A twin is written by the block engine's helper thread, which a 4 MiB
@@ -53,9 +52,6 @@ use ppar_dsm::SpmdConfig;
 /// 4 MiB of `f64`: a record large enough that a fresh file is not free.
 const N: usize = 1 << 19;
 const STEPS: usize = 7;
-/// The incremental plug's chain bound, which no longer changes what a save
-/// writes.
-const FULL_EVERY: usize = 2;
 const SPARE: &str = ".spare";
 const RECORD: &str = "ckpt_master.bin";
 
@@ -144,7 +140,7 @@ impl Probe {
         }
     }
 
-    /// Every save publishes the master record, incremental or not.
+    /// Every save publishes the master record.
     fn around(&self, point: impl FnOnce()) {
         let key = RecordKey::full(None);
         let name = RECORD.to_string();
@@ -214,8 +210,8 @@ fn shaped(
     (AppStatus::Completed, folded)
 }
 
-fn plan(incremental: bool, strategy: DistCkptStrategy) -> Plan {
-    let plan = Plan::new()
+fn plan(strategy: DistCkptStrategy) -> Plan {
+    Plan::new()
         .plug(Plug::Field {
             field: "V".into(),
             dist: FieldDist::Partitioned(Partition::Block),
@@ -244,13 +240,7 @@ fn plan(incremental: bool, strategy: DistCkptStrategy) -> Plan {
         .plug(Plug::Ignorable {
             method: "touch".into(),
         })
-        .plug(Plug::DistCkpt { strategy });
-    match incremental {
-        true => plan.plug(Plug::IncrementalCkpt {
-            full_every: FULL_EVERY,
-        }),
-        false => plan,
-    }
+        .plug(Plug::DistCkpt { strategy })
 }
 
 fn smp2() -> Deploy {
@@ -266,7 +256,7 @@ fn dist2() -> Deploy {
 
 /// What the run computes with no checkpoint at all.
 fn reference() -> Folded {
-    let plan = plan(false, DistCkptStrategy::MasterCollect);
+    let plan = plan(DistCkptStrategy::MasterCollect);
     let out = launch(&Deploy::Seq, plan, None, None, |ctx| app(ctx, None, None)).unwrap();
     out.results[0].1
 }
@@ -288,54 +278,44 @@ fn a_run_stopped_right_after_a_save_restarts_bitwise_over_its_spares() {
         ("dist2_local", dist2(), local),
     ];
     for (tag, deploy, strategy) in cases {
-        for incremental in [false, true] {
-            // Stops at two steps: the spares a stop leaves differ.
-            for stop in [4, 5] {
-                let case = format!("{tag} incremental={incremental} stop={stop}");
-                let dir = scratch(&format!("stop_{tag}_{incremental}_{stop}"));
-                let stopped = launch(
-                    &deploy,
-                    plan(incremental, strategy),
-                    Some(&dir),
-                    None,
-                    |ctx| app(ctx, Some(stop), None),
-                )
-                .unwrap();
-                assert!(!stopped.completed(), "{case}");
-                let stats = stopped.stats.expect("rank-0 stats");
-                assert_eq!(stats.snapshots_taken, stop as u64, "{case}");
-                let left = files(&dir);
-                // What the restart's saves claim: spares and, under local
-                // snapshots, each shard's `_prev`, spent once the group has
-                // committed the shard's record.
-                let prev = left.keys().filter(|n| n.ends_with("_prev.bin"));
-                let claimable = split(&left).1.len() + prev.count();
-                assert!(claimable > 0, "{case}: nothing left to claim");
-                assert_spares_bounded(&left, &case);
+        // Stops at two steps: the spares a stop leaves differ.
+        for stop in [4, 5] {
+            let case = format!("{tag} stop={stop}");
+            let dir = scratch(&format!("stop_{tag}_{stop}"));
+            let stopped = launch(&deploy, plan(strategy), Some(&dir), None, |ctx| {
+                app(ctx, Some(stop), None)
+            })
+            .unwrap();
+            assert!(!stopped.completed(), "{case}");
+            let stats = stopped.stats.expect("rank-0 stats");
+            assert_eq!(stats.snapshots_taken, stop as u64, "{case}");
+            let left = files(&dir);
+            // What the restart's saves claim: spares and, under local
+            // snapshots, each shard's `_prev`, spent once the group has
+            // committed the shard's record.
+            let prev = left.keys().filter(|n| n.ends_with("_prev.bin"));
+            let claimable = split(&left).1.len() + prev.count();
+            assert!(claimable > 0, "{case}: nothing left to claim");
+            assert_spares_bounded(&left, &case);
 
-                let store = CheckpointStore::new(&dir).unwrap();
-                let chain = (strategy == local).then_some(0);
-                let tip = store.get(chain, None).unwrap().expect("a record").count;
-                assert_eq!(tip, stop as u64, "{case}: the stopped save is the tip");
+            let store = CheckpointStore::new(&dir).unwrap();
+            let chain = (strategy == local).then_some(0);
+            let tip = store.get(chain, None).unwrap().expect("a record").count;
+            assert_eq!(tip, stop as u64, "{case}: the stopped save is the tip");
 
-                let restarted = launch(
-                    &deploy,
-                    plan(incremental, strategy),
-                    Some(&dir),
-                    None,
-                    |ctx| app(ctx, None, None),
-                )
-                .unwrap();
-                assert!(restarted.completed() && restarted.replayed, "{case}");
-                assert_eq!(restarted.results[0].1, want, "{case}: not bitwise");
-                let after = files(&dir);
-                assert_spares_bounded(&after, &case);
-                let before: BTreeSet<_> = left.values().collect();
-                for (name, ino) in &after {
-                    assert!(before.contains(ino), "{case}: {name} is a fresh file");
-                }
-                let _ = std::fs::remove_dir_all(&dir);
+            let restarted = launch(&deploy, plan(strategy), Some(&dir), None, |ctx| {
+                app(ctx, None, None)
+            })
+            .unwrap();
+            assert!(restarted.completed() && restarted.replayed, "{case}");
+            assert_eq!(restarted.results[0].1, want, "{case}: not bitwise");
+            let after = files(&dir);
+            assert_spares_bounded(&after, &case);
+            let before: BTreeSet<_> = left.values().collect();
+            for (name, ino) in &after {
+                assert!(before.contains(ino), "{case}: {name} is a fresh file");
             }
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -345,31 +325,29 @@ fn a_run_stopped_right_after_a_save_restarts_bitwise_over_its_spares() {
 /// leaves spares besides, bounded; the direct commits leave none.
 #[test]
 fn a_module_run_leaves_the_record_names_of_direct_commits_and_bounded_spares() {
-    for incremental in [false, true] {
-        let dir = scratch(&format!("names_{incremental}"));
-        let direct = scratch(&format!("names_direct_{incremental}"));
-        let probe = Probe::new(&dir, &direct);
-        let plan = plan(incremental, DistCkptStrategy::MasterCollect);
-        let out = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
-            app(ctx, None, Some(&probe))
-        })
-        .unwrap();
-        assert!(out.completed());
-        let saves = std::mem::take(&mut *probe.saves.lock());
-        assert_eq!(saves.len(), STEPS);
-        for (i, save) in saves.iter().enumerate() {
-            let case = format!("incremental={incremental} save {}", i + 1);
-            let (records, _) = split(&save.module);
-            let (direct_records, direct_spares) = split(&save.direct);
-            assert_eq!(records, direct_records, "{case}");
-            assert!(direct_spares.is_empty(), "{case}: {direct_spares:?}");
-            assert_spares_bounded(&save.module, &case);
-        }
-        let last = saves.last().unwrap();
-        assert!(!split(&last.module).1.is_empty(), "no spare was kept");
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&direct);
+    let dir = scratch("names");
+    let direct = scratch("names_direct");
+    let probe = Probe::new(&dir, &direct);
+    let plan = plan(DistCkptStrategy::MasterCollect);
+    let out = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
+        app(ctx, None, Some(&probe))
+    })
+    .unwrap();
+    assert!(out.completed());
+    let saves = std::mem::take(&mut *probe.saves.lock());
+    assert_eq!(saves.len(), STEPS);
+    for (i, save) in saves.iter().enumerate() {
+        let case = format!("save {}", i + 1);
+        let (records, _) = split(&save.module);
+        let (direct_records, direct_spares) = split(&save.direct);
+        assert_eq!(records, direct_records, "{case}");
+        assert!(direct_spares.is_empty(), "{case}: {direct_spares:?}");
+        assert_spares_bounded(&save.module, &case);
     }
+    let last = saves.last().unwrap();
+    assert!(!split(&last.module).1.is_empty(), "no spare was kept");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&direct);
 }
 
 /// Once its key has a spare, a save creates no file: the record it
@@ -382,49 +360,43 @@ fn a_module_run_leaves_the_record_names_of_direct_commits_and_bounded_spares() {
 #[test]
 fn a_steady_save_publishes_the_spare_it_claimed() {
     // Saves 2.. find the spare save 1 seeded (on one core, saves 3.. find
-    // the one save 2 left), incremental mode or not.
+    // the one save 2 left).
     let claims = STEPS - 2 + twins() as usize;
-    for incremental in [false, true] {
-        let dir = scratch(&format!("inode_{incremental}"));
-        let direct = scratch(&format!("inode_direct_{incremental}"));
-        let probe = Probe::new(&dir, &direct);
-        let plan = plan(incremental, DistCkptStrategy::MasterCollect);
-        let out = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
-            app(ctx, None, Some(&probe))
-        })
-        .unwrap();
-        assert!(out.completed());
-        let saves = std::mem::take(&mut *probe.saves.lock());
-        let mut claimed = 0;
-        for (i, save) in saves.iter().enumerate() {
-            if let Some(spare) = save.spare_before {
-                assert_eq!(
-                    save.published,
-                    spare,
-                    "incremental={incremental} save {}: {} is a fresh file",
-                    i + 1,
-                    save.name
-                );
-                claimed += 1;
-            }
+    let dir = scratch("inode");
+    let direct = scratch("inode_direct");
+    let probe = Probe::new(&dir, &direct);
+    let plan = plan(DistCkptStrategy::MasterCollect);
+    let out = launch(&Deploy::Seq, plan, Some(&dir), None, |ctx| {
+        app(ctx, None, Some(&probe))
+    })
+    .unwrap();
+    assert!(out.completed());
+    let saves = std::mem::take(&mut *probe.saves.lock());
+    let mut claimed = 0;
+    for (i, save) in saves.iter().enumerate() {
+        if let Some(spare) = save.spare_before {
+            assert_eq!(
+                save.published,
+                spare,
+                "save {}: {} is a fresh file",
+                i + 1,
+                save.name
+            );
+            claimed += 1;
         }
-        assert_eq!(claimed, claims, "incremental={incremental}");
-        assert_eq!(
-            saves[0].spare_is_record,
-            twins(),
-            "incremental={incremental}"
-        );
-        let second = saves[1].spare_before;
-        assert_eq!(second.is_some(), twins(), "the second save's spare");
-        let published: Vec<u64> = saves[1..].iter().map(|s| s.published).collect();
-        for pair in published.windows(2) {
-            assert_ne!(pair[0], pair[1], "{published:?}");
-        }
-        let files: BTreeSet<_> = published.iter().collect();
-        assert_eq!(files.len(), 2, "{published:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&direct);
     }
+    assert_eq!(claimed, claims);
+    assert_eq!(saves[0].spare_is_record, twins());
+    let second = saves[1].spare_before;
+    assert_eq!(second.is_some(), twins(), "the second save's spare");
+    let published: Vec<u64> = saves[1..].iter().map(|s| s.published).collect();
+    for pair in published.windows(2) {
+        assert_ne!(pair[0], pair[1], "{published:?}");
+    }
+    let files: BTreeSet<_> = published.iter().collect();
+    assert_eq!(files.len(), 2, "{published:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&direct);
 }
 
 /// A run stopped right after its first save leaves its record and, under
@@ -438,7 +410,7 @@ fn a_run_stopped_right_after_its_first_save_restarts_bitwise_over_the_twin() {
     let master = DistCkptStrategy::MasterCollect;
     for (tag, deploy) in [("seq", Deploy::Seq), ("smp2", smp2()), ("dist2", dist2())] {
         let dir = scratch(&format!("first_{tag}"));
-        let stopped = launch(&deploy, plan(false, master), Some(&dir), None, |ctx| {
+        let stopped = launch(&deploy, plan(master), Some(&dir), None, |ctx| {
             app(ctx, Some(1), None)
         })
         .unwrap();
@@ -450,7 +422,7 @@ fn a_run_stopped_right_after_its_first_save_restarts_bitwise_over_the_twin() {
             false => assert!(spare.is_none(), "{tag}: one core wrote a twin"),
         }
         let left = files(&dir);
-        let restarted = launch(&deploy, plan(false, master), Some(&dir), None, |ctx| {
+        let restarted = launch(&deploy, plan(master), Some(&dir), None, |ctx| {
             app(ctx, None, None)
         })
         .unwrap();
@@ -482,7 +454,7 @@ fn a_one_step_run_a_small_payload_and_one_core_write_no_twin() {
     ];
     for (tag, n, steps, stop, twin) in cases {
         let dir = scratch(&format!("no_twin_{tag}"));
-        let out = launch(&smp2(), plan(false, master), Some(&dir), None, |ctx| {
+        let out = launch(&smp2(), plan(master), Some(&dir), None, |ctx| {
             shaped(ctx, n, steps, stop, None)
         })
         .unwrap();
@@ -508,7 +480,7 @@ fn a_directory_at_the_spare_name_leaves_every_save_whole() {
     let dir = scratch("planted");
     let planted = dir.join(format!("{RECORD}{SPARE}")).join("occupied");
     std::fs::create_dir_all(&planted).unwrap();
-    let stopped = launch(&smp2(), plan(false, master), Some(&dir), None, |ctx| {
+    let stopped = launch(&smp2(), plan(master), Some(&dir), None, |ctx| {
         app(ctx, Some(2), None)
     })
     .unwrap();
@@ -524,7 +496,7 @@ fn a_directory_at_the_spare_name_leaves_every_save_whole() {
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
     assert!(names.iter().all(|n| !n.contains(".tmp")), "{names:?}");
-    let restarted = launch(&smp2(), plan(false, master), Some(&dir), None, |ctx| {
+    let restarted = launch(&smp2(), plan(master), Some(&dir), None, |ctx| {
         app(ctx, None, None)
     })
     .unwrap();
@@ -535,37 +507,28 @@ fn a_directory_at_the_spare_name_leaves_every_save_whole() {
 }
 
 /// The stats a launch reports count every save exactly: one full record
-/// per safe point, incremental mode or not, and the bytes of exactly the
-/// records written.
+/// per safe point, and the bytes of exactly the records written.
 #[test]
 fn checkpoint_stats_count_every_save_exactly() {
     let size = |dir: &Path, name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
-    let run = |dir: &Path, incremental, stop| {
-        let plan = plan(incremental, DistCkptStrategy::MasterCollect);
+    let run = |dir: &Path, stop| {
+        let plan = plan(DistCkptStrategy::MasterCollect);
         let out = launch(&smp2(), plan, Some(dir), None, |ctx| app(ctx, stop, None)).unwrap();
         out.stats.expect("rank-0 stats")
     };
-    for incremental in [false, true] {
-        let dir = scratch(&format!("stats_{incremental}"));
-        let stats = run(&dir, incremental, None);
-        assert_eq!(
-            stats.snapshots_taken, STEPS as u64,
-            "incremental={incremental}"
-        );
-        let base = size(&dir, RECORD);
-        assert_eq!(stats.last_save_bytes, base);
-        assert_eq!(stats.bytes_written, STEPS as u64 * base);
-        let names = files(&dir);
-        let live: Vec<_> = names.keys().filter(|n| n.contains("_delta_")).collect();
-        assert!(live.is_empty(), "{live:?}");
-        // Stopped at save 5, the fifth record is the tip.
-        let stopped = scratch(&format!("stats_stopped_{incremental}"));
-        let at_five = run(&stopped, incremental, Some(5));
-        assert_eq!(at_five.last_save_bytes, size(&stopped, RECORD));
-        assert_eq!(at_five.bytes_written, 5 * base);
-        let _ = std::fs::remove_dir_all(&stopped);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = scratch("stats");
+    let stats = run(&dir, None);
+    assert_eq!(stats.snapshots_taken, STEPS as u64);
+    let base = size(&dir, RECORD);
+    assert_eq!(stats.last_save_bytes, base);
+    assert_eq!(stats.bytes_written, STEPS as u64 * base);
+    // Stopped at save 5, the fifth record is the tip.
+    let stopped = scratch("stats_stopped");
+    let at_five = run(&stopped, Some(5));
+    assert_eq!(at_five.last_save_bytes, size(&stopped, RECORD));
+    assert_eq!(at_five.bytes_written, 5 * base);
+    let _ = std::fs::remove_dir_all(&stopped);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A live reshape's successor saves into the directory its predecessor
@@ -574,21 +537,19 @@ fn checkpoint_stats_count_every_save_exactly() {
 #[test]
 fn a_live_reshape_saves_over_the_spares_its_predecessor_left() {
     let want = reference();
-    for incremental in [false, true] {
-        let dir = scratch(&format!("live_{incremental}"));
-        let controller =
-            AdaptationController::with_timeline(ResourceTimeline::new().at(3, ExecMode::dist(2)));
-        let plan = plan(incremental, DistCkptStrategy::MasterCollect);
-        let out = launch_live(&smp2(), plan, Some(&dir), controller, |ctx| {
-            app(ctx, None, None)
-        })
-        .unwrap();
-        assert!(out.completed());
-        assert_eq!(out.launches, 2, "one escalated relaunch");
-        assert_eq!(out.results[0].1, want);
-        let left = files(&dir);
-        assert!(!split(&left).1.is_empty(), "incremental={incremental}");
-        assert_spares_bounded(&left, &format!("incremental={incremental}"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = scratch("live");
+    let controller =
+        AdaptationController::with_timeline(ResourceTimeline::new().at(3, ExecMode::dist(2)));
+    let plan = plan(DistCkptStrategy::MasterCollect);
+    let out = launch_live(&smp2(), plan, Some(&dir), controller, |ctx| {
+        app(ctx, None, None)
+    })
+    .unwrap();
+    assert!(out.completed());
+    assert_eq!(out.launches, 2, "one escalated relaunch");
+    assert_eq!(out.results[0].1, want);
+    let left = files(&dir);
+    assert!(!split(&left).1.is_empty());
+    assert_spares_bounded(&left, "live");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -28,10 +28,9 @@
 //! The store keeps its chain itself; no medium above it has a say. A
 //! master base's commit retires the chain's deltas right after the rename
 //! (a crash in between leaves deltas naming the old base, which the fold
-//! ignores), reading the directory only while it may hold a chain: until
-//! the first retirement after the store opened it, and again after a
-//! direct delta put. `CheckpointModule::create_group` retires every record, chain
-//! and commit point an earlier run left before a fresh run, and
+//! ignores; a delta spare an older build kept goes with the chain),
+//! `CheckpointModule::create_group` retires every record, chain and commit
+//! point an earlier run left before a fresh run, and
 //! `ckpt_commit` holds the group-commit point
 //! ([`CheckpointStore::commit_group`]) that a shard's retained `_prev`
 //! generation serves. A shard grows no chain: its sink refuses a delta
@@ -42,25 +41,24 @@
 //! a base at the commit point and walks no delta past it.
 //!
 //! **A record's file outlives its generation.** A flat commit supersedes
-//! files: the record its rename replaces and the deltas a master base
-//! retires. Each of those steps first gives the file a second name, the
-//! *spare* of the record name that will next need it (`<name>.spare`: the
-//! record renamed over keeps its own name's, a retired delta keeps its
-//! own). The next flat sink of that name claims the spare as its temp file
-//! and rewrites it in place, so a steady save writes into warm page cache
-//! instead of a fresh file. A shard's sink whose commit will rotate its
-//! record aside claims the `_prev` that rotation evicts instead: once the
-//! group has committed the shard's record, the generation before it
-//! serves no restore, and it is the older of the module's last two
-//! records, which a steady save patches. A spare is never a record name,
-//! so no reader sees one; names, their commit order and every CRC are
-//! those of a store without spares. A step frees the file inline, as it
-//! always did, when it cannot take the spare name (taken, or the link
-//! fails) and in the content-addressed layout. The commit returns the spare names as a
-//! [`Superseded`]: a direct [`CkptTransport::put`] drops it, which unlinks
-//! them; the checkpoint module (see [`crate::hook`]) and the checkpoint
-//! service's lanes keep them. Its footprint is one extra record per base
-//! name and at most one chain of delta spares, on disk and in page cache.
+//! the record its rename replaces, and first gives that file a second
+//! name, the *spare* of its record name (`<name>.spare`). The next flat
+//! sink of that name claims the spare as its temp file and rewrites it in
+//! place, so a steady save writes into warm page cache instead of a fresh
+//! file. A shard's sink whose commit will rotate its record aside claims
+//! the `_prev` that rotation evicts instead: once the group has committed
+//! the shard's record, the generation before it serves no restore, and it
+//! is the older of the module's last two records, which a steady save
+//! patches. A retired delta keeps no spare: the checkpoint module writes
+//! no chain, so none would be claimed. A spare is never a record name, so
+//! no reader sees one; names, their commit order and every CRC are those
+//! of a store without spares. A step frees the file inline, as it always
+//! did, when it cannot take the spare name (taken, or the link fails) and
+//! in the content-addressed layout. The commit returns the spare names as
+//! a [`Superseded`]: a direct [`CkptTransport::put`] drops it, which
+//! unlinks them; the checkpoint module (see [`crate::hook`]) and the
+//! checkpoint service's lanes keep them. Its footprint is one extra
+//! record per base name, on disk and in page cache.
 //! Only a key's first save finds no spare, so a module's first master save
 //! leaves one: a [`Twin`] of its record, written beside it by the block
 //! engine's helper and published under the spare name by the commit.
@@ -157,7 +155,6 @@ use std::fs;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use ppar_core::error::{PparError, Result};
 use ppar_core::state::StateCell;
@@ -1061,9 +1058,6 @@ impl CkptTransport for CheckpointStore {
                 "shard {rank} delta {seq}: a shard is saved as a full record only"
             )));
         }
-        if key.delta.is_some() {
-            self.chain.store(true, Ordering::SeqCst);
-        }
         let dst = self.record_path(key);
         if let Some(cas) = &self.cas {
             return Ok(Box::new(CasSink {
@@ -1294,7 +1288,7 @@ impl RecordSink for FlatSink<'_> {
         if seeded && !gone.spares.contains(&spare) {
             gone.spares.push(spare);
         }
-        self.store.retire_chain(self.key, &mut gone)?;
+        self.store.retire_chain(self.key)?;
         Ok(gone)
     }
 }
@@ -1349,6 +1343,12 @@ fn tee(twin: &mut Option<Twin>, bytes: &[u8]) {
 
 /// The suffix of a spare name.
 const SPARE: &str = ".spare";
+
+/// Does the file `name` belong to the master delta chain: a delta, its
+/// temp file or a spare an older build kept of it?
+fn is_master_delta(name: &str) -> bool {
+    name.starts_with("ckpt_master_delta_")
+}
 
 /// The spare name of the record name `path`: `<path>.spare`.
 fn spare_path(path: &Path) -> PathBuf {
@@ -1505,7 +1505,6 @@ impl RecordSink for CasSink<'_> {
             head,
             ..
         } = *self;
-        let mut gone = Superseded::default();
         let written = match state {
             CasState::Idle => {
                 return Err(PparError::CorruptCheckpoint(format!(
@@ -1529,13 +1528,12 @@ impl RecordSink for CasSink<'_> {
                 txn.commit(&name)?
             }
         };
-        store.retire_chain(key, &mut gone)?;
+        store.retire_chain(key)?;
         // A freshly committed content-addressed record supersedes any
         // legacy flat file of the same name left from before the layout
         // switch.
         let _ = fs::remove_file(store.dir.join(&name));
-        gone.bytes = written;
-        Ok(gone)
+        Ok(Superseded::new(written))
     }
 }
 
@@ -2055,13 +2053,6 @@ pub struct CheckpointStore {
     dir: PathBuf,
     /// `Some` when this directory uses the content-addressed layout.
     cas: Option<crate::cas::CasStore>,
-    /// Might the directory hold a master delta chain? Only a directory an
-    /// older build's incremental run left, or a direct
-    /// [`CkptTransport::put_master_delta`], holds one: set at open until
-    /// the first retirement has scanned the directory, and by every master
-    /// delta's `begin`; a master commit scans only while it is set
-    /// ([`CheckpointStore::retire_chain`]). Shared by every clone.
-    chain: Arc<AtomicBool>,
 }
 
 impl CheckpointStore {
@@ -2083,7 +2074,6 @@ impl CheckpointStore {
         Ok(CheckpointStore {
             dir: dir.as_ref().to_path_buf(),
             cas: None,
-            chain: Arc::new(AtomicBool::new(true)),
         })
     }
 
@@ -2102,7 +2092,6 @@ impl CheckpointStore {
         Ok(CheckpointStore {
             dir: dir.as_ref().to_path_buf(),
             cas: Some(crate::cas::CasStore::open_with(dir.as_ref(), cfg)?),
-            chain: Arc::new(AtomicBool::new(true)),
         })
     }
 
@@ -2347,17 +2336,14 @@ impl CheckpointStore {
     /// orphaned temp file from a crash mid-delta-write is collected too. A
     /// crash before the sweep leaves stale deltas that the fold ignores
     /// (their `base_count` names the old base), never a broken restore.
-    /// Each delta it retires keeps its own spare name, into `gone`, for the
-    /// next chain's delta of that `seq`. The directory is scanned only
-    /// while it may hold a chain (`chain`), so a steady master save reads
-    /// no directory.
-    fn retire_chain(&self, key: RecordKey, gone: &mut Superseded) -> Result<()> {
-        if key != RecordKey::full(None) || !self.chain.swap(false, Ordering::SeqCst) {
+    /// A retired delta keeps no spare, and a delta spare an older build
+    /// kept is swept with it: the checkpoint module writes no chain, so
+    /// none would be claimed.
+    fn retire_chain(&self, key: RecordKey) -> Result<()> {
+        if key != RecordKey::full(None) {
             return Ok(());
         }
-        let matches = |name: &str| name.starts_with("ckpt_master_delta_") && !name.ends_with(SPARE);
-        self.remove_records(matches, Some(gone))
-            .inspect_err(|_| self.chain.store(true, Ordering::SeqCst))
+        self.remove_records(is_master_delta, None)
     }
 
     /// Fresh-run hygiene, run by [`crate::CheckpointModule::create_group`]
@@ -2367,15 +2353,17 @@ impl CheckpointStore {
     /// state — nor may an old chain whose `base_count` collides with a
     /// count this run reaches. Every record and the commit point go. Each
     /// flat record file but a `_prev` (a shard's sink claims the `_prev`
-    /// itself, never its spare) keeps its spare name for this run's first
-    /// save of its key to claim.
+    /// itself, never its spare) and a master delta (see
+    /// [`CheckpointStore::retire_chain`]) keeps its spare name for this
+    /// run's first save of its key to claim.
     pub(crate) fn retire_records(&self) -> Result<()> {
-        self.remove_records(|name| name.ends_with("_prev.bin"), None)?;
+        self.remove_records(
+            |name| name.ends_with("_prev.bin") || is_master_delta(name),
+            None,
+        )?;
         let matches = |name: &str| name.starts_with("ckpt_") && !name.ends_with(SPARE);
         let mut gone = Superseded::new(0);
-        self.chain.store(false, Ordering::SeqCst);
-        self.remove_records(matches, Some(&mut gone))
-            .inspect_err(|_| self.chain.store(true, Ordering::SeqCst))?;
+        self.remove_records(matches, Some(&mut gone))?;
         gone.keep();
         Ok(())
     }
@@ -2589,41 +2577,6 @@ mod tests {
         }
     }
 
-    /// A master commit reads the directory only while it may hold a chain:
-    /// the first commit after the store opened it, and the first after a
-    /// delta put. A delta file written behind an open store's back is no
-    /// chain it knows of, so a steady commit leaves it; the first commit
-    /// of a store opened over it retires it.
-    #[test]
-    fn a_master_commit_scans_only_while_a_chain_may_exist() {
-        let dir = tmpdir("scan_rule");
-        let base = |store: &CheckpointStore, count| {
-            let mut snap = sample(None);
-            snap.count = count;
-            put_snapshot(store, &snap);
-        };
-        let store = CheckpointStore::new_flat(&dir).unwrap();
-        base(&store, 1);
-        let planted = dir.join("ckpt_master_delta_1.bin");
-        fs::write(&planted, b"behind the store's back").unwrap();
-        base(&store, 2);
-        assert!(planted.exists(), "a steady commit reads no directory");
-
-        let dm = DeltaMeta {
-            nranks: 8,
-            ..delta_meta(3, 2, 2, None)
-        };
-        let whole = DeltaSource::Full(FieldSource::Bytes(&[2; 4]));
-        store.put(&Record::Delta(&dm, &[("G", whole)])).unwrap();
-        base(&store, 4);
-        assert!(!planted.exists() && !store.record_exists(&store.delta_path(None, 2)));
-
-        fs::write(&planted, b"left by an older build").unwrap();
-        base(&CheckpointStore::new_flat(&dir).unwrap(), 5);
-        assert!(!planted.exists(), "a store's first commit retires a chain");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// A shard delta chain an older release left is refused, not folded:
     /// every read of that shard — a restart's fold at store open, a pinned
     /// read, the streamed read a lane's restore serves — fails with
@@ -2758,7 +2711,8 @@ mod tests {
     /// Keeping what a commit superseded changes no record name. One script
     /// of commits — a base renamed over, a delta chain, shard bases whose
     /// sinks claim the `_prev` their rotation evicts at a group commit, a
-    /// base retiring the chain, a new chain over the spares, a shard whose
+    /// base retiring the chain (a retired delta keeps no spare), a new
+    /// chain, a shard whose
     /// record outran the commit point (no rotation: its record becomes a
     /// spare) — leaves the same record names after every step whether each
     /// commit's [`Superseded`] drops at once (a direct `put`) or is kept, in
@@ -2788,8 +2742,6 @@ mod tests {
             };
             const M: &str = "ckpt_master.bin.spare";
             const R: &str = "ckpt_rank_0.bin.spare";
-            const D1: &str = "ckpt_master_delta_1.bin.spare";
-            const D2: &str = "ckpt_master_delta_2.bin.spare";
             // (what to commit, the group commit made first, the spares a
             // flat store keeps after it).
             let script: Vec<(Step, Option<u64>, &[&str])> = vec![
@@ -2800,11 +2752,11 @@ mod tests {
                 (Step::Base(full(Some(0), 4)), None, &[M]),
                 (Step::Base(full(Some(0), 5)), Some(4), &[M]),
                 (Step::Base(full(Some(0), 6)), Some(5), &[M]),
-                (Step::Base(full(None, 6)), None, &[M, D1, D2]),
-                (Step::Delta(7, 6, 1), None, &[M, D2]),
-                (Step::Base(full(Some(0), 7)), Some(6), &[M, D2]),
-                (Step::Base(full(Some(0), 8)), None, &[M, D2, R]),
-                (Step::Base(full(Some(0), 9)), Some(8), &[M, D2, R]),
+                (Step::Base(full(None, 6)), None, &[M]),
+                (Step::Delta(7, 6, 1), None, &[M]),
+                (Step::Base(full(Some(0), 7)), Some(6), &[M]),
+                (Step::Base(full(Some(0), 8)), None, &[M, R]),
+                (Step::Base(full(Some(0), 9)), Some(8), &[M, R]),
             ];
             for (step, (record, commit_at, spares)) in script.into_iter().enumerate() {
                 if let Some(count) = commit_at {
@@ -2970,9 +2922,10 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A base's retirement of its chain leaves every spare where it is and
-    /// sweeps the chain's orphaned temp files; the fresh-run retirement
-    /// removes every record and an unpublished twin and keeps every spare.
+    /// A base's retirement of its chain unlinks every delta name — record,
+    /// orphaned temp file, and a delta spare an older build kept — and
+    /// leaves the base's spare; the fresh-run retirement removes every
+    /// record and an unpublished twin and keeps the base's spare.
     #[test]
     fn spares_survive_a_chains_and_a_fresh_runs_retirement() {
         let dir = tmpdir("spare_sweeps");
@@ -2992,26 +2945,20 @@ mod tests {
             let whole = DeltaSource::Full(FieldSource::Bytes(&[seq as u8; 4]));
             commit(&store, &Record::Delta(&dm, &[("G", whole)])).keep();
         };
+        let spares = ["ckpt_master.bin.spare"];
         base(1);
         delta(2, 1, 1);
         delta(3, 1, 2);
         base(4);
-        let d2 = dir.join("ckpt_master_delta_2.bin.spare");
-        let old_d2 = fs::read(&d2).unwrap();
-        // A chain one delta shorter: the spare of delta 2 is not claimed,
-        // and the next retirement must leave it alone.
+        assert_eq!(names(&dir).0, ["ckpt_master.bin", spares[0]]);
+        fs::write(dir.join("ckpt_master_delta_2.bin.spare"), b"older build").unwrap();
         delta(5, 4, 1);
         fs::write(dir.join("ckpt_master_delta_2.tmp99"), b"orphan").unwrap();
         base(6);
-        let spares = [
-            "ckpt_master.bin.spare",
-            "ckpt_master_delta_1.bin.spare",
-            "ckpt_master_delta_2.bin.spare",
-        ];
-        assert_eq!(names(&dir).1, spares);
-        assert_eq!(fs::read(&d2).unwrap(), old_d2);
-        assert_eq!(names(&dir).0.len(), spares.len() + 1, "{:?}", names(&dir));
+        assert_eq!(names(&dir).0, ["ckpt_master.bin", spares[0]]);
 
+        delta(7, 6, 1);
+        fs::write(dir.join("ckpt_master_delta_2.bin.spare"), b"older build").unwrap();
         store.commit_group(6).unwrap();
         // A twin a crash left before its commit published it.
         fs::write(dir.join(format!("ckpt_master.tmp98{TWIN}")), b"twin").unwrap();
@@ -3019,7 +2966,7 @@ mod tests {
         assert_eq!(
             names(&dir).0,
             spares,
-            "the record, the commit point and the twin are gone"
+            "the record, the chain, the commit point and the twin are gone"
         );
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -3037,45 +2984,31 @@ mod tests {
             ..sample(None)
         };
         put_snapshot(&store, &snap(1));
-        for seq in 1..=2 {
-            let dm = DeltaMeta {
-                nranks: 8,
-                ..delta_meta(1 + seq as u64, 1, seq, None)
-            };
-            let whole = DeltaSource::Full(FieldSource::Bytes(&[seq as u8; 4]));
-            store.put(&Record::Delta(&dm, &[("G", whole)])).unwrap();
+        let spare = dir.join("ckpt_master.bin.spare");
+        for (count, by_dir) in [(2, false), (3, true)] {
+            // Taken once the sink has looked for its spare.
+            let next = snap(count);
+            let record = Record::Full(&next.meta(), &bytes_fields(&next));
+            let mut sink = store.begin(record.key(), 0).unwrap();
+            record.encode(&mut *sink).unwrap();
+            match by_dir {
+                false => fs::write(&spare, b"taken").unwrap(),
+                true => fs::create_dir(&spare).unwrap(),
+            }
+            let superseded = sink.commit().unwrap();
+            assert!(superseded.spares.is_empty(), "{:?}", superseded.spares);
+            superseded.keep();
+            let (all, _) = names(&dir);
+            assert_eq!(all, ["ckpt_master.bin", "ckpt_master.bin.spare"]);
+            assert_eq!(store.get(None, None).unwrap().unwrap(), next);
+            match by_dir {
+                false => {
+                    assert_eq!(fs::read(&spare).unwrap(), b"taken");
+                    fs::remove_file(&spare).unwrap();
+                }
+                true => assert!(spare.is_dir()),
+            }
         }
-        // Taken once the sink has looked for its spare: the record renamed
-        // over, delta 1 (by a file) and delta 2 (by a directory).
-        let next = snap(4);
-        let record = Record::Full(&next.meta(), &bytes_fields(&next));
-        let mut sink = store.begin(record.key(), 0).unwrap();
-        record.encode(&mut *sink).unwrap();
-        fs::write(dir.join("ckpt_master.bin.spare"), b"taken").unwrap();
-        fs::write(dir.join("ckpt_master_delta_1.bin.spare"), b"taken").unwrap();
-        fs::create_dir(dir.join("ckpt_master_delta_2.bin.spare")).unwrap();
-        let superseded = sink.commit().unwrap();
-        assert!(superseded.spares.is_empty(), "{:?}", superseded.spares);
-        superseded.keep();
-        let (all, _) = names(&dir);
-        assert_eq!(
-            all,
-            [
-                "ckpt_master.bin",
-                "ckpt_master.bin.spare",
-                "ckpt_master_delta_1.bin.spare",
-                "ckpt_master_delta_2.bin.spare",
-            ]
-        );
-        assert_eq!(
-            fs::read(dir.join("ckpt_master.bin.spare")).unwrap(),
-            b"taken"
-        );
-        assert_eq!(
-            fs::read(dir.join("ckpt_master_delta_1.bin.spare")).unwrap(),
-            b"taken"
-        );
-        assert_eq!(store.get(None, None).unwrap().unwrap(), next);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -252,8 +252,8 @@ pub enum Plug {
     /// records under it, which a restart still folds; the plug stays
     /// parseable for the plans and tools that name it.
     IncrementalCkpt {
-        /// The chain length after which older builds promoted a full base
-        /// (values below 1 are treated as 1); no save reads it.
+        /// The chain length after which older builds promoted a full base;
+        /// nothing reads it.
         full_every: usize,
     },
 }
@@ -281,7 +281,8 @@ pub struct Plan {
     safe_points: Option<(PointSet, usize)>,
     ignorable: HashSet<String>,
     dist_ckpt: DistCkptStrategy,
-    incremental_ckpt: Option<usize>,
+    /// Is [`Plug::IncrementalCkpt`] plugged? Only validation asks.
+    incremental_ckpt: bool,
 }
 
 impl Plan {
@@ -383,8 +384,8 @@ impl Plan {
             Plug::DistCkpt { strategy } => {
                 self.dist_ckpt = *strategy;
             }
-            Plug::IncrementalCkpt { full_every } => {
-                self.incremental_ckpt = Some((*full_every).max(1));
+            Plug::IncrementalCkpt { .. } => {
+                self.incremental_ckpt = true;
             }
         }
         self.plugs.push(plug);
@@ -563,12 +564,6 @@ impl Plan {
         self.dist_ckpt
     }
 
-    /// `Some(full_every)` when the plan plugs [`Plug::IncrementalCkpt`],
-    /// which no longer changes what a save writes; `None` otherwise.
-    pub fn incremental_ckpt(&self) -> Option<usize> {
-        self.incremental_ckpt
-    }
-
     /// Validate internal consistency; returns human-readable problems.
     /// (E.g. `ScatterBefore` on a field not declared Partitioned, `DistFor`
     /// aligned with a non-partitioned field, halo exchange on a cyclic
@@ -604,7 +599,7 @@ impl Plan {
                 }
             }
         }
-        if self.incremental_ckpt.is_some() && self.safe_points.is_none() {
+        if self.incremental_ckpt && self.safe_points.is_none() {
             problems.push(
                 "IncrementalCkpt installed without a SafePoints plug (no snapshot \
                  will ever be taken)"
@@ -792,21 +787,18 @@ mod tests {
 
     #[test]
     fn incremental_ckpt_plug_facts() {
-        assert_eq!(Plan::new().incremental_ckpt(), None);
         let p = Plan::new()
             .plug(Plug::SafePoints {
                 points: PointSet::All,
                 every: 5,
             })
             .plug(Plug::IncrementalCkpt { full_every: 8 });
-        assert_eq!(p.incremental_ckpt(), Some(8));
         assert!(p.validate().is_empty());
 
-        // full_every below 1 is clamped.
-        let clamped = Plan::new().plug(Plug::IncrementalCkpt { full_every: 0 });
-        assert_eq!(clamped.incremental_ckpt(), Some(1));
-        // ... and incremental without safe points is flagged.
-        let problems = clamped.validate();
+        // Incremental without safe points is flagged.
+        let problems = Plan::new()
+            .plug(Plug::IncrementalCkpt { full_every: 0 })
+            .validate();
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("SafePoints"));
     }
